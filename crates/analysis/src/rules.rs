@@ -13,6 +13,7 @@ pub const SERVING_CRATES: &[&str] = &[
     "pitract-engine",
     "pitract-wal",
     "pitract-store",
+    "pitract-repl",
     "pitract-obs",
 ];
 
@@ -269,11 +270,13 @@ fn statement_has_marker_before(tokens: &[Token], i: usize) -> bool {
     (start..i).any(|j| any_marker_at(tokens, j))
 }
 
-/// `no-bare-thread-spawn`: long-lived workers go through `WorkerPool`
-/// (named threads, admission, panic containment, drain-on-drop) — not
-/// `thread::spawn` or a raw `thread::Builder`. Scoped fan-out
-/// (`thread::scope` + `scope.spawn`) is fine: scoped threads cannot
-/// leak past their batch.
+/// `no-bare-thread-spawn`: threads go through `WorkerPool` (named
+/// threads, admission, panic containment, drain-on-drop) — not
+/// `thread::spawn` or a raw `thread::Builder`, in any crate's library
+/// code. In the serving crates scoped threads (`thread::scope` /
+/// `scope.spawn`) are rejected too: the `PooledExecutor` is the one way
+/// a batch fans out, and a scoped fan-out beside it would be a second
+/// executor with its own panic handling and no admission gate.
 pub struct NoBareThreadSpawn;
 
 impl Rule for NoBareThreadSpawn {
@@ -286,45 +289,48 @@ impl Rule for NoBareThreadSpawn {
             return;
         }
         let tokens = &file.tokens;
+        let serving = SERVING_CRATES.contains(&file.crate_name.as_str());
         for i in 0..tokens.len() {
-            if file.test_mask[i] || !tokens[i].is_ident("spawn") {
+            if file.test_mask[i] || tokens.get(i + 1).is_none_or(|t| !t.is_punct('(')) {
                 continue;
             }
-            if tokens.get(i + 1).is_none_or(|t| !t.is_punct('(')) {
-                continue;
-            }
-            // `thread::spawn(…)`.
-            let path_spawn = i >= 3
-                && tokens[i - 1].is_punct(':')
-                && tokens[i - 2].is_punct(':')
-                && tokens[i - 3].is_ident("thread");
+            let after = |pat: &[&str]| i >= pat.len() && marker_at(tokens, i - pat.len(), pat);
+            let on_thread_path = after(&["thread", ":", ":"]);
+            let spawn = tokens[i].is_ident("spawn");
             // `thread::Builder::new()…spawn(…)`: a builder mentioned a
             // few tokens back in the same expression chain.
-            let builder_spawn = i >= 1
-                && tokens[i - 1].is_punct('.')
+            let builder_spawn = spawn
+                && after(&["."])
                 && tokens[i.saturating_sub(40)..i]
                     .iter()
-                    .any(|t| t.kind == TokKind::Ident && t.text == "Builder");
-            if path_spawn || builder_spawn {
-                findings.push(Finding {
-                    rule: self.name(),
-                    path: file.rel_path.clone(),
-                    line: tokens[i].line,
-                    message: "bare thread spawn — route workers through `WorkerPool` \
-                              (or use scoped threads for per-batch fan-out)"
-                        .to_string(),
-                });
-            }
+                    .any(|t| t.is_ident("Builder"));
+            let message = if spawn && on_thread_path || builder_spawn {
+                "bare thread spawn — route workers through `WorkerPool`"
+            } else if serving
+                && (tokens[i].is_ident("scope") && on_thread_path
+                    || spawn && after(&["scope", "."]))
+            {
+                "scoped threads in a serving crate — batches fan out through \
+                 `PooledExecutor` only"
+            } else {
+                continue;
+            };
+            findings.push(Finding {
+                rule: self.name(),
+                path: file.rel_path.clone(),
+                line: tokens[i].line,
+                message: message.to_string(),
+            });
         }
     }
 }
 
 /// `no-blocking-syscalls-on-pool-workers`: no blocking file I/O inside
-/// a `fn eval_*` body in the serving crates. The `eval_bool`/`eval_rows`
-/// methods are exactly what `WorkerPool` workers execute per shard per
-/// batch; one disk touch there multiplies by every shard of every
-/// admitted batch and stalls a worker the admission gate thinks is
-/// compute-bound. Durability belongs on the write path (the WAL), never
+/// a `fn eval_*` body in the serving crates. `BatchServe::eval_shard`
+/// is exactly what `WorkerPool` workers execute per shard per batch
+/// (`eval_bool`/`eval_rows` are its two monomorphic wrappers); one disk
+/// touch there multiplies by every shard of every admitted batch and
+/// stalls a worker the admission gate thinks is compute-bound. Durability belongs on the write path (the WAL), never
 /// on the batch-evaluation path.
 ///
 /// The detection is lexical: a `fn` whose name starts with `eval_` opens

@@ -1,13 +1,13 @@
 //! Pricing the runtime lockdep (PR 9): what the rank-checked
 //! `OrderedMutex`/`OrderedRwLock` wrappers cost relative to the bare std
-//! locks they wrap, microscopically and on the E19 pooled serving
+//! locks they wrap, microscopically and on the E15 pooled serving
 //! workload.
 //!
 //! Release builds compile the rank check out, so `ordered_mutex_ns`
 //! should sit on top of `std_mutex_ns`; `noted_pair_ns` adds the
 //! explicit `note_acquire`/`note_release` bookkeeping a *debug*
 //! acquisition pays (those functions are always compiled, so a release
-//! bench can price them). The serving-level number runs the E19 mixed
+//! bench can price them). The serving-level number runs the E15 mixed
 //! batch through a pooled executor over a `LiveRelation`, whose entire
 //! lock population is ordered — the end-to-end cost of the migration.
 //!
@@ -104,7 +104,7 @@ fn emit_bench_analysis_json(c: &mut Criterion) {
         lockdep::note_release(LockRank::WalState, 0);
     });
 
-    // E19 workload over the fully ordered-lock LiveRelation: best-of-3
+    // E15 workload over the fully ordered-lock LiveRelation: best-of-3
     // batch latencies through a warm pool.
     let live = Arc::new(
         LiveRelation::build(&relation(), ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid"),

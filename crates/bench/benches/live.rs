@@ -16,8 +16,10 @@ use pitract_bench::experiments::{
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::live::LiveRelation;
 use pitract_engine::shard::ShardBy;
+use pitract_engine::PooledExecutor;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const ROWS: i64 = 1 << 16;
 const WRITER_COUNTS: [usize; 3] = [0, 1, 4];
@@ -34,6 +36,7 @@ fn bench_live_batch(c: &mut Criterion) {
     let rel = Relation::from_rows(schema, rows).expect("valid rows");
     let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, LIVE_SHARDS, &[0, 1])
         .expect("valid sharding spec");
+    let exec = PooledExecutor::with_default_pool(Arc::new(live));
     let batch = QueryBatch::new((0..256i64).map(|k| match k % 3 {
         0 => SelectionQuery::point(0, (k * 997) % ROWS),
         1 => {
@@ -48,7 +51,7 @@ fn bench_live_batch(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e17_live_batch");
     group.bench_with_input(BenchmarkId::new("locked_batch", 0), &0, |b, _| {
-        b.iter(|| black_box(&live).execute(black_box(&batch)).unwrap().answers)
+        b.iter(|| black_box(&exec).execute(black_box(&batch)).unwrap().answers)
     });
     group.finish();
 }

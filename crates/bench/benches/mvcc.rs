@@ -5,13 +5,13 @@
 //! smoke) serializes the pinned-vs-read-committed comparison at 0/1/4
 //! racing writers to `BENCH_mvcc.json` (default `BENCH_mvcc.json` in
 //! the repository root; override with the `BENCH_MVCC_JSON` env var),
-//! next to the engine/store/live/wal/pool artifacts, so future PRs can
+//! next to the engine/store/live/wal artifacts, so future PRs can
 //! diff what one consistent cut per batch costs over unpinned reads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pitract_bench::artifact::{available_parallelism, experiment, rounded, write_artifact};
 use pitract_bench::experiments::{
-    mvcc_serving_sweep, MvccSample, MVCC_BATCH_QUERIES, MVCC_SHARDS, MVCC_WRITERS,
+    mvcc_serving_sweep, MvccSample, ReadCommitted, MVCC_BATCH_QUERIES, MVCC_SHARDS, MVCC_WRITERS,
 };
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::live::LiveRelation;
@@ -23,9 +23,10 @@ use std::sync::Arc;
 
 const ROWS: i64 = 1 << 15;
 
-/// Criterion group: the same mixed batch answered epoch-pinned through
-/// a warm pooled executor and unpinned via the read-committed path
-/// (no writers — the pin's fixed overhead, isolated).
+/// Criterion group: the same mixed batch answered through two warm
+/// executors over one relation, epoch-pinned and via the unpinned
+/// [`ReadCommitted`] baseline (no writers — the pin's fixed overhead,
+/// isolated).
 fn bench_mvcc_paths(c: &mut Criterion) {
     let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)]);
     let rows: Vec<Vec<Value>> = (0..ROWS)
@@ -48,17 +49,14 @@ fn bench_mvcc_paths(c: &mut Criterion) {
             .expect("valid sharding spec"),
     );
     let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
+    let rc_exec = PooledExecutor::with_default_pool(Arc::new(ReadCommitted(live)));
 
     let mut group = c.benchmark_group("e20_mvcc_batch");
     group.bench_with_input(BenchmarkId::new("epoch_pinned", 0), &0, |b, _| {
         b.iter(|| black_box(&exec).execute(black_box(&batch)).unwrap())
     });
     group.bench_with_input(BenchmarkId::new("read_committed", 0), &0, |b, _| {
-        b.iter(|| {
-            black_box(&live)
-                .execute_read_committed(black_box(&batch))
-                .unwrap()
-        })
+        b.iter(|| black_box(&rc_exec).execute(black_box(&batch)).unwrap())
     });
     group.finish();
 }

@@ -3,10 +3,10 @@
 //!
 //! Besides the criterion group, every run (including the CI `--test`
 //! smoke) serializes the disabled-vs-enabled recorder comparison on the
-//! E19 (pooled batch) and E20 (MVCC epoch-pinned) workloads to
+//! E15 (pooled batch) and E20 (MVCC epoch-pinned) workloads to
 //! `BENCH_obs.json` (default `BENCH_obs.json` in the repository root;
 //! override with the `BENCH_OBS_JSON` env var). The disabled
-//! configuration is exactly what `BENCH_pool.json` / `BENCH_mvcc.json`
+//! configuration is exactly what `BENCH_engine.json` / `BENCH_mvcc.json`
 //! measure, so the committed trajectories stay directly comparable —
 //! the artifact is the evidence that the default no-op recorder does
 //! not tax the serving path.

@@ -12,8 +12,10 @@ use pitract_bench::artifact::{available_parallelism, experiment, rounded, write_
 use pitract_bench::experiments::{shard_throughput_sweep, ShardSample, BATCH_QUERIES};
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::shard::{ShardBy, ShardedRelation};
+use pitract_engine::PooledExecutor;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const ROWS: i64 = 1 << 16;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -40,8 +42,9 @@ fn bench_batch_across_shards(c: &mut Criterion) {
     for &shards in &SHARD_COUNTS {
         let sharded = ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1])
             .expect("valid sharding spec");
+        let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
         group.bench_with_input(BenchmarkId::new("mixed_batch", shards), &shards, |b, _| {
-            b.iter(|| black_box(&batch).execute(black_box(&sharded)).unwrap())
+            b.iter(|| black_box(&exec).execute(black_box(&batch)).unwrap())
         });
     }
     group.finish();
@@ -70,6 +73,7 @@ fn write_json(path: &str, samples: &[ShardSample]) -> std::io::Result<()> {
         .map(|s| {
             pitract_obs::Json::obj()
                 .set("shards", s.shards)
+                .set("workers", s.workers)
                 .set("batch_seconds", rounded(s.batch_seconds, 6))
                 .set("queries_per_second", rounded(s.queries_per_second, 1))
                 .set("total_steps", s.total_steps)

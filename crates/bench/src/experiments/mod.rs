@@ -1,4 +1,4 @@
-//! The twenty experiments (see DESIGN.md §4 for the full index).
+//! The experiments (see DESIGN.md §4 for the full index).
 //!
 //! Conventions shared by all experiments:
 //!
@@ -17,7 +17,6 @@ mod indexing;
 mod live;
 mod mvcc;
 mod obs;
-mod pool;
 mod repl;
 mod store;
 mod wal;
@@ -28,10 +27,10 @@ pub use graphs::{run_e06, run_e07, run_e08, run_e09};
 pub use indexing::{run_e01, run_e02, run_e03, run_e04, run_e05};
 pub use live::{live_throughput_sweep, run_e17, LiveSample, LIVE_BATCH_QUERIES, LIVE_SHARDS};
 pub use mvcc::{
-    mvcc_serving_sweep, run_e20, MvccSample, MVCC_BATCH_QUERIES, MVCC_SHARDS, MVCC_WRITERS,
+    mvcc_serving_sweep, run_e20, MvccSample, ReadCommitted, MVCC_BATCH_QUERIES, MVCC_SHARDS,
+    MVCC_WRITERS,
 };
 pub use obs::{obs_overhead_sweep, run_obs_overhead, ObsSample, OBS_BATCH_QUERIES, OBS_SHARDS};
-pub use pool::{pool_scaling_sweep, run_e19, PoolSample, POOL_BATCH_QUERIES};
 pub use repl::{
     repl_catchup_sweep, repl_serving_sweep, run_e21, ReplCatchUpSample, ReplServeSample,
     REPL_BATCH_QUERIES, REPL_SHARDS,

@@ -3,13 +3,13 @@
 //! The whole design premise of `pitract-obs` is that a **disabled**
 //! recorder (the default every constructor uses) leaves the hot path
 //! untouched — each metric touch is one `Option` branch, no clock
-//! reads, no allocation. This sweep runs the E19 pooled-batch workload
+//! reads, no allocation. This sweep runs the E15 pooled-batch workload
 //! and the E20 MVCC epoch-pinned workload twice each — once through the
 //! default (disabled-recorder) constructors, once with a live recorder
 //! wired through the executor and relation — verifies every answer
 //! against the scan oracle, and reports the enabled/disabled ratio.
 //! The disabled numbers are directly comparable to the committed
-//! `BENCH_pool.json` / `BENCH_mvcc.json` trajectories; the artifact
+//! `BENCH_engine.json` / `BENCH_mvcc.json` trajectories; the artifact
 //! lands in `BENCH_obs.json`.
 
 use crate::table::{fmt_u64, Table};
@@ -31,7 +31,7 @@ pub const OBS_SHARDS: usize = 4;
 /// One workload measured with the recorder disabled and enabled.
 #[derive(Debug, Clone)]
 pub struct ObsSample {
-    /// Workload label (`e19-pooled-batch` or `e20-mvcc-pinned`).
+    /// Workload label (`e15-pooled-batch` or `e20-mvcc-pinned`).
     pub workload: &'static str,
     /// Best wall-clock seconds for one batch, default constructors
     /// (disabled recorder — the no-op hot path every caller gets).
@@ -106,7 +106,7 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
     };
     let qps = |seconds: f64| batch.len() as f64 / seconds;
 
-    // E19 shape: static sharded relation behind the pooled executor.
+    // E15 shape: static sharded relation behind the pooled executor.
     let sharded = Arc::new(
         ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, OBS_SHARDS, &[0, 1])
             .expect("valid sharding spec"),
@@ -117,8 +117,8 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
     let recorder = Recorder::new();
     let enabled = PooledExecutor::new_observed(Arc::clone(&sharded), config.clone(), &recorder);
     let enabled_seconds = measure(&enabled, &batch, &oracle, reps);
-    let e19 = ObsSample {
-        workload: "e19-pooled-batch",
+    let e15 = ObsSample {
+        workload: "e15-pooled-batch",
         disabled_seconds,
         disabled_qps: qps(disabled_seconds),
         enabled_seconds,
@@ -148,11 +148,11 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
         enabled_qps: qps(enabled_seconds),
     };
 
-    vec![e19, e20]
+    vec![e15, e20]
 }
 
 /// Observability overhead table: the recorder disabled vs enabled on
-/// the E19/E20 serving workloads.
+/// the E15/E20 serving workloads.
 pub fn run_obs_overhead() -> Table {
     let samples = obs_overhead_sweep(1 << 15, 3);
     let rows = samples
@@ -201,7 +201,7 @@ mod tests {
         // Tiny size: the debug-mode smoke run only checks the plumbing.
         let samples = obs_overhead_sweep(2_000, 1);
         assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].workload, "e19-pooled-batch");
+        assert_eq!(samples[0].workload, "e15-pooled-batch");
         assert_eq!(samples[1].workload, "e20-mvcc-pinned");
         for s in &samples {
             assert!(s.disabled_seconds > 0.0 && s.enabled_seconds > 0.0);

@@ -16,8 +16,11 @@
 use crate::table::{fmt_u64, Table};
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::shard::{ShardBy, ShardedRelation};
+use pitract_engine::PooledExecutor;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_store::Snapshot;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured point of the persistence sweep.
@@ -61,7 +64,14 @@ fn workload(n: i64) -> (Relation, QueryBatch) {
 /// repetitions per size, verifying the loaded relation against the cold
 /// one on every size. Shared by E16 and the `persistence` bench target.
 pub fn store_warmstart_sweep(sizes: &[i64], reps: usize) -> Vec<StoreSample> {
-    let dir = std::env::temp_dir().join(format!("pitract-e16-{}", std::process::id()));
+    // Per-call directory: concurrent sweeps in one process (the unit
+    // tests) must not remove each other's snapshot files.
+    static SWEEP: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pitract-e16-{}-{}",
+        std::process::id(),
+        SWEEP.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let samples = sizes
         .iter()
@@ -103,9 +113,17 @@ pub fn store_warmstart_sweep(sizes: &[i64], reps: usize) -> Vec<StoreSample> {
 
             // Correctness before cost: the warm relation must serve the
             // batch identically to the cold-built one.
-            let a = batch.execute(&warm).expect("valid batch");
-            let b = batch.execute(&cold).expect("valid batch");
-            assert_eq!(a.answers, b.answers, "n={n} warm diverged from cold");
+            let answers = |sr| {
+                PooledExecutor::with_default_pool(Arc::new(sr))
+                    .execute(&batch)
+                    .expect("valid batch")
+                    .answers
+            };
+            assert_eq!(
+                answers(warm),
+                answers(cold),
+                "n={n} warm diverged from cold"
+            );
 
             let _ = std::fs::remove_file(&path);
             StoreSample {

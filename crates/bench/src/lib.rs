@@ -40,7 +40,6 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("e16", run_e16),
         ("e17", run_e17),
         ("e18", run_e18),
-        ("e19", run_e19),
         ("e20", run_e20),
         ("e21", run_e21),
         ("obs", run_obs_overhead),

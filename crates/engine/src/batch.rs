@@ -1,50 +1,53 @@
-//! Batched, multi-threaded query serving over a [`ShardedRelation`].
+//! The batch vocabulary: what a unit of serving traffic is, what it
+//! costs, and how one shard's slice of it is metered.
 //!
 //! A [`QueryBatch`] is the unit of traffic: many independent selection
-//! queries answered together. Execution fans out across shards with
-//! `std::thread::scope` — one worker per shard that any query routes to —
-//! and each worker answers its slice of the batch against its shard with
-//! a thread-local [`Meter`] (the meter is deliberately not shared: the
-//! paper's NC bound is per processor, so each shard accounts its own
-//! steps). The per-shard results are then merged: Boolean answers OR
-//! across shards, row-id answers union (translated to global ids), and
-//! per-query meters aggregate into a [`BatchReport`].
+//! queries answered together by the one executor,
+//! [`crate::pool::PooledExecutor`]. A batch runs in one of two
+//! [`OutputMode`]s — [`Exists`] (Boolean answers, OR-ed across shards)
+//! or [`RowIds`] (matching rows, unioned and translated to global ids) —
+//! and every shard answers its slice through `eval_assigned` with a
+//! thread-local [`Meter`] (deliberately not shared: the paper's NC bound
+//! is per processor, so each shard accounts its own steps). Per-query
+//! meters aggregate into a [`BatchReport`].
 //!
-//! Shard routing happens before the fan-out: a query whose shard-key
-//! constraints prove most shards irrelevant is simply never shipped to
-//! them, so a well-partitioned point-lookup workload does O(1) shards of
-//! work per query while still spreading the batch across all shards.
+//! Shard routing happens before the fan-out (`route_batch`): a query
+//! whose shard-key constraints prove most shards irrelevant is simply
+//! never shipped to them, so a well-partitioned point-lookup workload
+//! does O(1) shards of work per query while still spreading the batch
+//! across all shards.
 
 use crate::error::EngineError;
+use crate::live::Rollback;
 use crate::planner::{Planner, QueryPlan};
-use crate::shard::{relevant_shards_for, ShardBy, ShardedRelation};
+use crate::pool::BatchServe;
+use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
+use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{Schema, SelectionQuery};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A batch of Boolean selection queries to serve together.
 ///
-/// The queries live behind an `Arc` so that submitting the batch to a
-/// persistent [`crate::pool::PooledExecutor`] — whose workers outlive
-/// the borrow — shares them by reference count instead of cloning the
-/// whole batch per shard.
+/// The queries live behind an `Arc` so that submitting the batch to the
+/// [`crate::pool::PooledExecutor`] — whose workers outlive the borrow —
+/// shares them by reference count instead of cloning the whole batch
+/// per shard.
 #[derive(Debug, Clone)]
 pub struct QueryBatch {
     queries: Arc<[SelectionQuery]>,
 }
 
 /// One shard worker's output: `(query index, result, metered steps)` per
-/// assigned query, in ascending query order. The worker-side currency
-/// shared by the scoped fan-out and the persistent
-/// [`crate::pool::PooledExecutor`].
+/// assigned query, in ascending query order — what
+/// [`BatchServe::eval_shard`] returns.
 pub type WorkerResults<T> = Vec<(usize, T, u64)>;
 
 /// The merge-side currency: per query, one `(shard, result, steps)`
-/// triple for every shard the query routed to. Both executors return
-/// this shape so they share the merge and report code.
-pub type MergedResults<T> = Vec<Vec<(usize, T, u64)>>;
+/// triple for every shard the query routed to.
+pub(crate) type MergedResults<T> = Vec<Vec<(usize, T, u64)>>;
 
 /// Per-query accounting in a batch report.
 #[derive(Debug, Clone)]
@@ -67,12 +70,11 @@ pub struct BatchReport {
     pub total_steps: u64,
     /// The epoch the whole batch was pinned to — the one database
     /// instance every answer is exact against. `None` when the target
-    /// has no epoch clock ([`ShardedRelation`] is immutable while
-    /// served) or the batch ran read-committed.
+    /// has no epoch clock (a [`crate::shard::ShardedRelation`] is
+    /// immutable while served).
     pub epoch: Option<Epoch>,
-    /// How long the batch waited at the pooled executor's admission
-    /// gate before running. `None` on the scoped (non-pooled) path,
-    /// which has no gate.
+    /// How long the batch waited at the executor's admission gate
+    /// before running.
     pub admission_wait: Option<Duration>,
 }
 
@@ -152,81 +154,13 @@ impl QueryBatch {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-
-    /// Answer every query in the batch, fanning out across shards on
-    /// scoped threads. Returns answers in batch order plus the aggregated
-    /// cost report. Errors if any query fails schema validation, or with
-    /// [`EngineError::WorkerPanicked`] if a shard worker panics.
-    pub fn execute(&self, relation: &ShardedRelation) -> Result<BatchAnswers, EngineError> {
-        let (plans, routed) = self.route(relation)?;
-        let merged = fan_out(relation.shard_count(), &routed, |s, assigned| {
-            eval_assigned(
-                &self.queries,
-                &relation.shards()[s],
-                assigned,
-                |sh, q, m| sh.answer_metered(q, m),
-            )
-        })?;
-        let mut answers = vec![false; self.queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        Ok(BatchAnswers {
-            answers,
-            report: report_from(plans, &routed, &merged),
-        })
-    }
-
-    /// Enumerate the matching global row ids for every query in the
-    /// batch, fanning out across shards on scoped threads.
-    pub fn execute_rows(&self, relation: &ShardedRelation) -> Result<BatchRows, EngineError> {
-        let (plans, routed) = self.route(relation)?;
-        let merged = fan_out(relation.shard_count(), &routed, |s, assigned| {
-            eval_assigned(
-                &self.queries,
-                &relation.shards()[s],
-                assigned,
-                |sh, q, m| sh.matching_ids_metered(q, m),
-            )
-        })?;
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            // The shard id is carried in the merged triple itself — never
-            // inferred from the *position* within `routed[qi]`, which
-            // would silently mistranslate local ids if routing ever
-            // returned shards out of ascending order.
-            for (shard, locals, _) in per_shard {
-                rows[qi].extend(locals.iter().map(|&l| relation.global_id(*shard, l)));
-            }
-            rows[qi].sort_unstable();
-        }
-        Ok(BatchRows {
-            rows,
-            report: report_from(plans, &routed, &merged),
-        })
-    }
-
-    /// Validate, plan, and shard-route every query.
-    fn route(
-        &self,
-        relation: &ShardedRelation,
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        route_batch(
-            &self.queries,
-            relation.schema(),
-            &relation.shards()[0].indexed_columns(),
-            relation.slot_count(),
-            relation.shard_by(),
-            relation.shard_count(),
-        )
-    }
 }
 
 /// Validate, plan, and shard-route a slice of queries against a logical
 /// relation described by its schema, indexed columns, total slot count
 /// (live + tombstones — what a scan walks) and partitioning. Shared by
-/// [`QueryBatch`] and the live serving layer so the two plan and route
-/// identically.
+/// the static and the live [`BatchServe::route`] so the two plan and
+/// route identically.
 pub(crate) fn route_batch(
     queries: &[SelectionQuery],
     schema: &Schema,
@@ -248,17 +182,120 @@ pub(crate) fn route_batch(
     Ok((plans, routed))
 }
 
+/// What a batch asks of every shard a query routes to, and how the
+/// per-shard results merge into the query's answer: [`Exists`] or
+/// [`RowIds`]. [`BatchServe::eval_shard`] is generic over the mode, so a
+/// relation writes its per-shard evaluation once and both
+/// [`crate::pool::PooledExecutor::execute`] and
+/// [`crate::pool::PooledExecutor::execute_rows`] monomorphise it.
+///
+/// Sealed: the two modes are the whole set, and the probes they select
+/// are the engine's own (the items live on a crate-private supertrait).
+pub trait OutputMode: sealed::Mode {}
+
+/// Boolean mode — does any row match? Per-shard hits OR together.
+#[derive(Debug, Clone, Copy)]
+pub struct Exists;
+
+/// Row-id mode — which rows match? Per-shard local ids are translated
+/// to global ids and merged ascending.
+#[derive(Debug, Clone, Copy)]
+pub struct RowIds;
+
+impl OutputMode for Exists {}
+impl OutputMode for RowIds {}
+
+// The supertrait's items name the crate-private `Rollback`. No other
+// crate can name this module, so none can implement or call through it.
+#[allow(private_interfaces)]
+mod sealed {
+    use super::{BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery};
+
+    pub trait Mode: 'static {
+        /// One query's result — per shard, and (after `merge`) per batch.
+        type Out: Send + Default + 'static;
+
+        /// Probe the shard's current state.
+        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Self::Out;
+
+        /// Probe the shard as of a pinned epoch, through its rollback.
+        fn rolled_back(
+            rollback: &Rollback,
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+        ) -> Self::Out;
+
+        /// Fold one query's `(shard, result, steps)` triples into its
+        /// answer. The shard id is carried **explicitly** in each
+        /// triple: global-id translation must never pair results with
+        /// the routed shard list by position, because nothing in the
+        /// routing contract promises an ascending — or any particular —
+        /// shard order.
+        fn merge<R: BatchServe>(relation: &R, per_shard: &[(usize, Self::Out, u64)]) -> Self::Out;
+    }
+
+    impl Mode for Exists {
+        type Out = bool;
+
+        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> bool {
+            shard.answer_metered(q, meter)
+        }
+
+        fn rolled_back(
+            rollback: &Rollback,
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+        ) -> bool {
+            rollback.answer(shard, q, meter)
+        }
+
+        fn merge<R: BatchServe>(_: &R, per_shard: &[(usize, bool, u64)]) -> bool {
+            per_shard.iter().any(|(_, hit, _)| *hit)
+        }
+    }
+
+    impl Mode for RowIds {
+        type Out = Vec<usize>;
+
+        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
+            shard.matching_ids_metered(q, meter)
+        }
+
+        fn rolled_back(
+            rollback: &Rollback,
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+        ) -> Vec<usize> {
+            rollback.matching_ids(shard, q, meter)
+        }
+
+        fn merge<R: BatchServe>(
+            relation: &R,
+            per_shard: &[(usize, Vec<usize>, u64)],
+        ) -> Vec<usize> {
+            let mut rows = Vec::new();
+            for (shard, locals, _) in per_shard {
+                rows.extend(relation.global_ids(*shard, locals));
+            }
+            rows.sort_unstable();
+            rows
+        }
+    }
+}
+
 /// Answer one shard's slice of a batch: every assigned query evaluated
 /// against `shard` with a per-query metered step count (the meter is
 /// reset around each query via `take`). The single worker-side metering
-/// protocol shared by [`QueryBatch::execute`], [`QueryBatch::execute_rows`]
-/// and the live layer's locked twins — the cost accounting cannot drift
-/// between them.
+/// protocol every [`BatchServe::eval_shard`] body goes through — the
+/// cost accounting cannot drift between relations or modes.
 pub(crate) fn eval_assigned<T>(
     queries: &[SelectionQuery],
-    shard: &pitract_relation::indexed::IndexedRelation,
+    shard: &IndexedRelation,
     assigned: &[usize],
-    eval: impl Fn(&pitract_relation::indexed::IndexedRelation, &SelectionQuery, &Meter) -> T,
+    eval: impl Fn(&IndexedRelation, &SelectionQuery, &Meter) -> T,
 ) -> WorkerResults<T> {
     let meter = Meter::new();
     assigned
@@ -271,87 +308,13 @@ pub(crate) fn eval_assigned<T>(
         .collect()
 }
 
-/// Run `eval_shard` for every shard that any query routes to, one scoped
-/// thread per such shard. `eval_shard(s, assigned)` must evaluate the
-/// assigned query indices against shard `s` (acquiring whatever access it
-/// needs — a plain borrow for [`ShardedRelation`], a read lock for the
-/// live layer) and return one `(query index, result, metered steps)`
-/// triple per assigned query, in ascending query order.
-///
-/// Returns, per query, one `(shard, result, steps)` triple for every
-/// shard the query routed to. The shard id is carried **explicitly** in
-/// each triple: downstream merges (global-id translation in particular)
-/// must never pair results with `routed[qi]` by position, because
-/// nothing in the routing contract promises an ascending — or any
-/// particular — shard order. A worker that panics does **not** abort the
-/// caller: the panic is contained to the batch and reported as
-/// [`EngineError::WorkerPanicked`] (one poisoned query must not take down
-/// a serving process that multiplexes many clients).
-pub(crate) fn fan_out<T: Send>(
-    shard_count: usize,
-    routed: &[Vec<usize>],
-    eval_shard: impl Fn(usize, &[usize]) -> WorkerResults<T> + Sync,
-) -> Result<MergedResults<T>, EngineError> {
-    // Invert the routing into per-shard work lists.
-    let mut work: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (qi, shards) in routed.iter().enumerate() {
-        for &s in shards {
-            work[s].push(qi);
-        }
-    }
-    let eval_shard = &eval_shard;
-    // One worker per shard with work (shards no query routes to cost
-    // nothing, not even a thread spawn); each worker answers its whole
-    // slice with a thread-local meter per query.
-    let per_shard_results: Result<Vec<(usize, WorkerResults<T>)>, EngineError> =
-        std::thread::scope(|scope| {
-            let handles: Vec<(usize, _)> = work
-                .iter()
-                .enumerate()
-                .filter(|(_, assigned)| !assigned.is_empty())
-                .map(|(s, assigned)| (s, scope.spawn(move || (s, eval_shard(s, assigned)))))
-                .collect();
-            // Join *every* handle even after a failure: leaving a panicked
-            // handle unjoined would make the scope itself re-panic on exit,
-            // defeating the containment.
-            let mut results = Vec::with_capacity(handles.len());
-            let mut panicked: Option<usize> = None;
-            for (s, handle) in handles {
-                match handle.join() {
-                    Ok(r) => results.push(r),
-                    Err(_) => {
-                        panicked.get_or_insert(s);
-                    }
-                }
-            }
-            match panicked {
-                Some(shard) => Err(EngineError::WorkerPanicked { shard }),
-                None => Ok(results),
-            }
-        });
-    // Re-assemble per query. Workers were spawned in ascending shard
-    // order and, within a shard, results are in work-list (ascending
-    // query) order — but consumers must rely on the carried shard id,
-    // not this incidental ordering.
-    let mut merged: Vec<Vec<(usize, T, u64)>> = routed
-        .iter()
-        .map(|shards| Vec::with_capacity(shards.len()))
-        .collect();
-    for (s, results) in per_shard_results? {
-        for (qi, out, steps) in results {
-            debug_assert!(routed[qi].contains(&s));
-            merged[qi].push((s, out, steps));
-        }
-    }
-    Ok(merged)
-}
-
-/// Aggregate plans, routing and per-shard meters into the batch report
-/// (shared with the live serving layer and the pooled executor).
+/// Aggregate plans, routing and per-shard meters into the batch report.
 pub(crate) fn report_from<T>(
     plans: Vec<QueryPlan>,
     routed: &[Vec<usize>],
-    merged: &[Vec<(usize, T, u64)>],
+    merged: &MergedResults<T>,
+    epoch: Option<Epoch>,
+    admission_wait: Duration,
 ) -> BatchReport {
     let per_query: Vec<QueryCost> = plans
         .into_iter()
@@ -367,8 +330,8 @@ pub(crate) fn report_from<T>(
     BatchReport {
         per_query,
         total_steps,
-        epoch: None,
-        admission_wait: None,
+        epoch,
+        admission_wait: Some(admission_wait),
     }
 }
 
@@ -376,8 +339,13 @@ pub(crate) fn report_from<T>(
 mod tests {
     use super::*;
     use crate::planner::AccessPath;
-    use crate::shard::ShardBy;
+    use crate::pool::PooledExecutor;
+    use crate::shard::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, Value};
+
+    fn serve(sr: &Arc<ShardedRelation>) -> PooledExecutor<ShardedRelation> {
+        PooledExecutor::with_default_pool(Arc::clone(sr))
+    }
 
     fn relation(n: i64) -> Relation {
         let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
@@ -399,27 +367,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_match_scan_oracle_at_every_shard_count() {
-        let n = 500i64;
-        let rel = relation(n);
-        let batch = mixed_batch(n);
-        for shards in [1, 2, 3, 8] {
-            let sr =
-                ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap();
-            let got = batch.execute(&sr).unwrap();
-            for (q, &ans) in batch.queries().iter().zip(&got.answers) {
-                assert_eq!(ans, rel.eval_scan(q), "shards={shards} {q:?}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_rows_match_count_oracle() {
         let n = 300i64;
         let rel = relation(n);
-        let sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 1 }, 4, &[0, 1]).unwrap();
+        let sr =
+            Arc::new(ShardedRelation::build(&rel, ShardBy::Hash { col: 1 }, 4, &[0, 1]).unwrap());
         let batch = mixed_batch(n);
-        let got = batch.execute_rows(&sr).unwrap();
+        let got = serve(&sr).execute_rows(&batch).unwrap();
         for (q, ids) in batch.queries().iter().zip(&got.rows) {
             assert_eq!(ids.len(), rel.count_where(q), "{q:?}");
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
@@ -432,7 +386,9 @@ mod tests {
     #[test]
     fn report_accounts_every_query_and_path() {
         let n = 400i64;
-        let sr = ShardedRelation::build(&relation(n), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
+        let sr = Arc::new(
+            ShardedRelation::build(&relation(n), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap(),
+        );
         let batch = QueryBatch::new([
             SelectionQuery::point(0, 3i64),
             SelectionQuery::range_closed(0, 10i64, 20i64),
@@ -442,7 +398,7 @@ mod tests {
             ),
             SelectionQuery::point(1, "absent"),
         ]);
-        let got = batch.execute(&sr).unwrap();
+        let got = serve(&sr).execute(&batch).unwrap();
         let report = &got.report;
         assert_eq!(report.per_query.len(), 4);
         assert_eq!(
@@ -477,99 +433,18 @@ mod tests {
     fn concurrent_batches_share_one_sharded_relation() {
         let n = 400i64;
         let rel = relation(n);
-        let sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+        let sr =
+            Arc::new(ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+        let exec = serve(&sr);
         let batch = mixed_batch(n);
         let expected: Vec<bool> = batch.queries().iter().map(|q| rel.eval_scan(q)).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| batch.execute(&sr).unwrap().answers))
+                .map(|_| scope.spawn(|| exec.execute(&batch).unwrap().answers))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().unwrap(), expected);
             }
         });
-    }
-
-    #[test]
-    fn invalid_queries_are_rejected_not_panicked() {
-        let sr = ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
-        let batch = QueryBatch::new([SelectionQuery::point(7, 1i64)]);
-        let err = batch.execute(&sr).unwrap_err();
-        assert!(
-            matches!(err, EngineError::InvalidQuery { index: 0, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("query 0"), "{err}");
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let sr = ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
-        let got = QueryBatch::new([]).execute(&sr).unwrap();
-        assert!(got.answers.is_empty());
-        assert_eq!(got.report.total_steps, 0);
-    }
-
-    /// Regression: a panicking shard worker used to abort the whole
-    /// caller through `.expect("shard worker panicked")` — one poisoned
-    /// query could take down a serving process. The join error is now
-    /// caught and surfaced as a typed `EngineError::WorkerPanicked`.
-    #[test]
-    fn worker_panic_is_contained_and_typed() {
-        // Quiet the panic message the worker thread would print: the
-        // panic here is the fixture, not a failure.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let routed = vec![vec![0], vec![1], vec![0, 2]];
-        let got = fan_out::<bool>(3, &routed, |s, assigned| {
-            if s == 2 {
-                panic!("poisoned query");
-            }
-            assigned.iter().map(|&qi| (qi, true, 1)).collect()
-        });
-        std::panic::set_hook(prev_hook);
-        assert_eq!(got.unwrap_err(), EngineError::WorkerPanicked { shard: 2 });
-
-        // Healthy workers still fan out and merge.
-        let got = fan_out::<bool>(3, &routed, |_, assigned| {
-            assigned.iter().map(|&qi| (qi, true, 1)).collect()
-        })
-        .unwrap();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[2].len(), 2, "query 2 routed to shards 0 and 2");
-    }
-
-    /// Regression: `execute_rows` used to pair each per-shard result
-    /// with `routed[qi]` by *position*, which translates local row ids
-    /// through the wrong shard's id map whenever the routed shard list
-    /// is not ascending — an invariant nothing in `relevant_shards_for`
-    /// pins. The merge now carries the shard id in the triple itself.
-    /// This drives `fan_out` with a deliberately descending routed list
-    /// and checks the translation against both orderings.
-    #[test]
-    fn merge_carries_shard_ids_so_routed_order_cannot_mistranslate() {
-        // Shard 0 owns global ids 100.., shard 1 owns 200.. — a
-        // positional zip against descending routing would swap them.
-        let global_id = |shard: usize, local: usize| (shard + 1) * 100 + local;
-        for routed in [vec![vec![1usize, 0]], vec![vec![0usize, 1]]] {
-            let merged = fan_out::<Vec<usize>>(2, &routed, |s, assigned| {
-                // Every shard reports local ids [0, s + 1).
-                assigned
-                    .iter()
-                    .map(|&qi| (qi, (0..=s).collect(), 1))
-                    .collect()
-            })
-            .unwrap();
-            let mut rows: Vec<usize> = merged[0]
-                .iter()
-                .flat_map(|(s, locals, _)| locals.iter().map(|&l| global_id(*s, l)))
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(
-                rows,
-                vec![100, 200, 201],
-                "translation must follow the carried shard id, routed={routed:?}"
-            );
-        }
     }
 }

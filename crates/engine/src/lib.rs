@@ -14,12 +14,11 @@
 //!   assigned the cheapest access path (point probe < range probe <
 //!   index-nested-loop conjunction < full scan) with an estimated step
 //!   cost, mirroring exactly the routing the executor performs.
-//! * [`batch::QueryBatch`] — the serving API: a batch of selection
-//!   queries fans out across shards on scoped threads
-//!   (`std::thread::scope`, no extra dependencies), each shard answering
-//!   its slice with a thread-local meter; Boolean or row-id results are
-//!   merged and the per-query meters are aggregated into a
-//!   [`batch::BatchReport`] cost report.
+//! * [`batch::QueryBatch`] — the unit of traffic: a batch of selection
+//!   queries in one of two [`batch::OutputMode`]s (Boolean or row-id),
+//!   each shard answering its slice with a thread-local meter and the
+//!   per-query meters aggregated into a [`batch::BatchReport`] cost
+//!   report.
 //! * [`live::LiveRelation`] — the concurrent serving tier: per-shard
 //!   read/write locks so batches read-lock only the shards they route to
 //!   while updates write-lock only the one shard a key routes to, with
@@ -34,12 +33,13 @@
 //!   ([`live::EpochPin`]), and writers copy-on-write superseded shard
 //!   versions instead of blocking or being blocked
 //!   ([`live::VersionStats`] accounts the retained memory).
-//! * [`pool::PooledExecutor`] — the persistent serving session: a sized
-//!   worker pool spawned once, batches submitted as per-shard work items
-//!   over a channel, an admission gate capping in-flight batches
-//!   (queue depth and gate waits surfaced in [`pool::PoolStats`]), one
-//!   pinned epoch per batch, and the same panic containment and
-//!   metering as the scoped executor.
+//! * [`pool::PooledExecutor`] — the one way a batch runs: a sized
+//!   worker pool spawned once per serving session, batches submitted as
+//!   per-shard work items over a channel, an admission gate capping
+//!   in-flight batches (queue depth and gate waits surfaced in
+//!   [`pool::PoolStats`]), one pinned epoch per batch, worker panics
+//!   contained to their batch, and results merged with explicit shard
+//!   ids. Anything implementing [`pool::BatchServe`] is served.
 //! * [`error::EngineError`] — the typed failure surface of the builders
 //!   and executors, so callers (including the `pitract-store` snapshot
 //!   layer) can match on failure classes instead of parsing prose.
@@ -64,7 +64,9 @@ pub mod planner;
 pub mod pool;
 pub mod shard;
 
-pub use batch::{BatchAnswers, BatchReport, BatchRows, QueryBatch, QueryCost};
+pub use batch::{
+    BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, QueryCost, RowIds,
+};
 pub use error::EngineError;
 pub use live::{
     publish_lockdep, Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp,

@@ -58,10 +58,10 @@
 //! ([`LiveRelation::answer`]) stay read-committed: they touch one state
 //! per shard and need no cut.
 
-use crate::batch::{
-    eval_assigned, fan_out, report_from, route_batch, BatchAnswers, BatchRows, QueryBatch,
-};
+use crate::batch::{eval_assigned, route_batch, OutputMode, WorkerResults};
 use crate::error::EngineError;
+use crate::planner::QueryPlan;
+use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
 use pitract_core::cost::{log2_floor, Meter};
 use pitract_core::epoch::Epoch;
@@ -493,7 +493,7 @@ impl ShardSlot {
 /// at or above it) and an indexed mini-relation of the rows to restore
 /// (deleted after the pin). Built and consumed under the shard's read
 /// lock.
-struct Rollback {
+pub(crate) struct Rollback {
     /// First shard-local id invisible at the pin (`usize::MAX` when no
     /// insert landed past it).
     hidden_from: usize,
@@ -511,14 +511,19 @@ impl Rollback {
     /// Boolean answer at the pinned epoch: any restored row matching
     /// the query, or any current match below the visibility horizon —
     /// both probes short-circuit on the first witness.
-    fn answer(&self, shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> bool {
+    pub(crate) fn answer(
+        &self,
+        shard: &IndexedRelation,
+        q: &SelectionQuery,
+        meter: &Meter,
+    ) -> bool {
         self.restored.answer_metered(q, meter)
             || shard.answer_metered_below(q, meter, self.hidden_from)
     }
 
     /// Matching locals at the pinned epoch. Unsorted — every batch
     /// caller sorts after global-id translation.
-    fn matching_ids(
+    pub(crate) fn matching_ids(
         &self,
         shard: &IndexedRelation,
         q: &SelectionQuery,
@@ -939,8 +944,9 @@ impl LiveRelation {
     }
 
     /// Pin the current epoch: until the returned [`EpochPin`] drops,
-    /// every read resolved at that epoch — [`Self::execute`] does this
-    /// per batch — sees exactly the pinned instance, and writers record
+    /// every read resolved at that epoch — the
+    /// [`crate::pool::PooledExecutor`] does this per batch — sees
+    /// exactly the pinned instance, and writers record
     /// undo entries around it instead of blocking or being blocked.
     pub fn pin(&self) -> EpochPin<'_> {
         EpochPin {
@@ -951,7 +957,7 @@ impl LiveRelation {
 
     /// Register a pin on the current epoch (the raw half of
     /// [`Self::pin`], for callers that cannot hold a borrow — the
-    /// pooled executor's trait surface). Every `register_pin` must be
+    /// executor's trait surface). Every `register_pin` must be
     /// paired with exactly one [`Self::release_pin`].
     pub(crate) fn register_pin(&self) -> Epoch {
         let mut epochs = self.lock_epochs();
@@ -1368,162 +1374,6 @@ impl LiveRelation {
         out
     }
 
-    /// Answer a whole [`QueryBatch`] against **one pinned epoch**,
-    /// fanning out across shards on scoped threads exactly like
-    /// [`QueryBatch::execute`]. The batch pins the current epoch before
-    /// routing, every per-shard worker resolves its shard at that epoch
-    /// (the current version under a read lock, rolled back through any
-    /// undo records stamped after the pin), and the pin is released when the merge
-    /// completes — so a cross-shard aggregate is exact against one
-    /// database instance even while writers land mid-batch, and the
-    /// pinned epoch is recorded in the report
-    /// ([`crate::batch::BatchReport::epoch`]).
-    pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        let pin = self.pin();
-        let at = pin.epoch();
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_bool_shard(s, at, batch.queries(), assigned)
-        })?;
-        let mut answers = vec![false; batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = Some(at);
-        Ok(BatchAnswers { answers, report })
-    }
-
-    /// The read-committed baseline: answer a batch with **no** epoch pin
-    /// — each shard is observed at whatever state its read lock finds,
-    /// so a multi-shard batch racing writers may see different shards at
-    /// different instants (the pre-MVCC behaviour, kept as the
-    /// comparison point the `mvcc` bench measures snapshot overhead
-    /// against). The report's `epoch` is `None`.
-    pub fn execute_read_committed(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_bool_shard(s, Epoch::LATEST, batch.queries(), assigned)
-        })?;
-        let mut answers = vec![false; batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        Ok(BatchAnswers {
-            answers,
-            report: report_from(plans, &routed, &merged),
-        })
-    }
-
-    /// Enumerate matching global row ids for a whole batch at one pinned
-    /// epoch (the row-id mode of [`Self::execute`]).
-    pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
-        let pin = self.pin();
-        let at = pin.epoch();
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_rows_shard(s, at, batch.queries(), assigned)
-        })?;
-        let ids = self.read_ids();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            // Translate through the shard id carried in each triple —
-            // never the position within `routed[qi]` (see `fan_out`).
-            for (shard, locals, _) in per_shard {
-                let map = &ids.global_ids[*shard];
-                rows[qi].extend(locals.iter().map(|&l| map[l]));
-            }
-            rows[qi].sort_unstable();
-        }
-        drop(ids);
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = Some(at);
-        Ok(BatchRows { rows, report })
-    }
-
-    /// Validate, plan, and shard-route a query slice (the live twin of
-    /// the batch executor's routing, sharing the same helpers; also the
-    /// routing the pooled executor uses).
-    pub(crate) fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<crate::planner::QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        let (plans, routed) = route_batch(
-            queries,
-            &self.schema,
-            &self.indexed_cols,
-            self.slot_count(),
-            &self.shard_by,
-            self.shards.len(),
-        )?;
-        // One `engine_plans_total{path=…}` tick per routed query (a
-        // single no-op branch each when uninstrumented).
-        for plan in &plans {
-            self.instruments.plan_counter(plan.path.label()).inc();
-        }
-        Ok((plans, routed))
-    }
-
-    /// Translate shard-local row ids to global ids under the ids read
-    /// lock. Safe after the shard lock has been released: the per-shard
-    /// local→global maps are append-only, and every local id handed in
-    /// was mapped before its row became visible.
-    pub(crate) fn globalize(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        let ids = self.read_ids();
-        let map = &ids.global_ids[shard];
-        locals.iter().map(|&l| map[l]).collect()
-    }
-
-    /// Evaluate Boolean answers for one shard's assigned slice of a
-    /// query batch as of epoch `at` (the pooled executor's per-shard
-    /// work item): the current version under the shard's read lock,
-    /// with the undo-ring rollback applied when writes landed past the
-    /// pin. The rollback sets are built once per shard slice, not per
-    /// query.
-    pub(crate) fn eval_bool_shard(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> crate::batch::WorkerResults<bool> {
-        let guard = self.read_shard(shard);
-        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
-            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                sh.answer_metered(q, m)
-            }),
-            Some(rb) => {
-                self.instruments.rollback_entries.record(rb.entries as u64);
-                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                    rb.answer(sh, q, m)
-                })
-            }
-        }
-    }
-
-    /// Evaluate matching local row ids for one shard's assigned slice
-    /// as of epoch `at`.
-    pub(crate) fn eval_rows_shard(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> crate::batch::WorkerResults<Vec<usize>> {
-        let guard = self.read_shard(shard);
-        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
-            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                sh.matching_ids_metered(q, m)
-            }),
-            Some(rb) => {
-                self.instruments.rollback_entries.record(rb.entries as u64);
-                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                    rb.matching_ids(sh, q, m)
-                })
-            }
-        }
-    }
-
     // --- maintenance accounting -------------------------------------------
 
     /// The `|CHANGED|` accounting of every update applied since this
@@ -1686,6 +1536,74 @@ impl LiveRelation {
     }
 }
 
+/// Serve a live relation from the [`crate::pool::PooledExecutor`]: one
+/// epoch pin per batch, per-shard read locks, and the undo-ring
+/// rollback wherever writes landed past the pin.
+impl BatchServe for LiveRelation {
+    fn route(
+        &self,
+        queries: &[SelectionQuery],
+    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+        let (plans, routed) = route_batch(
+            queries,
+            &self.schema,
+            &self.indexed_cols,
+            self.slot_count(),
+            &self.shard_by,
+            self.shards.len(),
+        )?;
+        // One `engine_plans_total{path=…}` tick per routed query (a
+        // single no-op branch each when uninstrumented).
+        for plan in &plans {
+            self.instruments.plan_counter(plan.path.label()).inc();
+        }
+        Ok((plans, routed))
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn pin_epoch(&self) -> Option<Epoch> {
+        Some(self.register_pin())
+    }
+
+    fn unpin_epoch(&self, epoch: Epoch) {
+        self.release_pin(epoch);
+    }
+
+    /// The current version under the shard's read lock, with the
+    /// undo-ring rollback applied when writes landed past the pin. The
+    /// rollback sets are built once per shard slice, not per query.
+    fn eval_shard<M: OutputMode>(
+        &self,
+        shard: usize,
+        at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<M::Out> {
+        let guard = self.read_shard(shard);
+        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
+            None => eval_assigned(queries, &guard.current, assigned, M::current),
+            Some(rb) => {
+                self.instruments.rollback_entries.record(rb.entries as u64);
+                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
+                    M::rolled_back(&rb, sh, q, m)
+                })
+            }
+        }
+    }
+
+    /// Safe after the shard lock has been released: the per-shard
+    /// local→global maps are append-only, and every local id handed in
+    /// was mapped before its row became visible.
+    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
+        let ids = self.read_ids();
+        let map = &ids.global_ids[shard];
+        locals.iter().map(|&l| map[l]).collect()
+    }
+}
+
 fn read_lock(lock: &OrderedRwLock<ShardSlot>) -> OrderedRwLockReadGuard<'_, ShardSlot> {
     lock.read()
 }
@@ -1709,6 +1627,8 @@ pub fn publish_lockdep(recorder: &Recorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryBatch;
+    use crate::pool::PooledExecutor;
     use pitract_relation::ColType;
 
     fn schema() -> Schema {
@@ -1769,17 +1689,17 @@ mod tests {
     #[test]
     fn batches_execute_under_read_locks() {
         let rel = relation(300);
-        let lr = live(300, 4);
+        let exec = PooledExecutor::with_default_pool(Arc::new(live(300, 4)));
         let batch = QueryBatch::new((0..40i64).map(|k| match k % 2 {
             0 => SelectionQuery::point(0, k * 9),
             _ => SelectionQuery::range_closed(0, k * 5, k * 5 + 12),
         }));
-        let got = lr.execute(&batch).unwrap();
+        let got = exec.execute(&batch).unwrap();
         for (q, &ans) in batch.queries().iter().zip(&got.answers) {
             assert_eq!(ans, rel.eval_scan(q), "{q:?}");
         }
         assert!(got.report.total_steps > 0);
-        let rows = lr.execute_rows(&batch).unwrap();
+        let rows = exec.execute_rows(&batch).unwrap();
         for (q, ids) in batch.queries().iter().zip(&rows.rows) {
             assert_eq!(ids.len(), rel.count_where(q), "{q:?}");
         }
@@ -2281,11 +2201,11 @@ mod tests {
         let q_new = SelectionQuery::range_closed(0, 1000i64, 2000i64);
         let q_old = SelectionQuery::range_closed(0, 0i64, 3i64);
         for s in 0..lr.shard_count() {
-            let hits = lr.eval_bool_shard(s, at, std::slice::from_ref(&q_new), &[0]);
+            let hits = lr.eval_bool(s, at, std::slice::from_ref(&q_new), &[0]);
             assert!(!hits[0].1, "shard {s}: post-pin insert invisible at pin");
-            let olds = lr.eval_rows_shard(s, at, std::slice::from_ref(&q_old), &[0]);
+            let olds = lr.eval_rows(s, at, std::slice::from_ref(&q_old), &[0]);
             // Deleted rows are still present at the pinned epoch.
-            let globals = lr.globalize(s, &olds[0].1);
+            let globals = lr.global_ids(s, &olds[0].1);
             for g in globals {
                 assert!(g <= 3, "only the original rows");
             }
@@ -2361,26 +2281,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_is_a_consistent_cut_while_execute_read_committed_is_not_pinned() {
-        let lr = live(200, 4);
-        let batch = QueryBatch::new([SelectionQuery::range_closed(0, 0i64, 10_000i64)]);
-        let pinned = lr.execute(&batch).unwrap();
-        assert_eq!(pinned.report.epoch, Some(Epoch::ZERO));
-        let rc = lr.execute_read_committed(&batch).unwrap();
-        assert_eq!(rc.report.epoch, None, "the baseline records no cut");
-        assert_eq!(pinned.answers, rc.answers, "quiescent: same answers");
-        // execute_rows records the cut too.
-        let rows = lr.execute_rows(&batch).unwrap();
-        assert_eq!(rows.report.epoch, Some(Epoch::ZERO));
-        assert_eq!(rows.rows[0].len(), 200);
-    }
-
-    #[test]
     fn a_racing_batch_counts_exactly_the_pinned_prefix() {
         // Deterministic interleave: pin, write, then evaluate at the pin
-        // through the public batch API by holding our own pin via the
-        // executor-internal surface.
-        let lr = live(100, 4);
+        // shard by shard, holding our own pin via the executor-internal
+        // surface.
+        let lr = Arc::new(live(100, 4));
         let e = lr.register_pin();
         for i in 0..77i64 {
             lr.insert(vec![Value::Int(10_000 + i), Value::str("w")])
@@ -2390,7 +2295,7 @@ mod tests {
         let q = SelectionQuery::range_closed(0, 0i64, 100_000i64);
         let mut count = 0;
         for s in 0..lr.shard_count() {
-            count += lr.eval_rows_shard(s, e, std::slice::from_ref(&q), &[0])[0]
+            count += lr.eval_rows(s, e, std::slice::from_ref(&q), &[0])[0]
                 .1
                 .len();
         }
@@ -2399,7 +2304,9 @@ mod tests {
         assert_eq!(lr.version_stats().retained_versions, 0);
         // And a fresh pinned batch sees all of them.
         let batch = QueryBatch::new([q]);
-        let got = lr.execute_rows(&batch).unwrap();
+        let got = PooledExecutor::with_default_pool(lr)
+            .execute_rows(&batch)
+            .unwrap();
         assert_eq!(got.rows[0].len(), 177);
         assert_eq!(got.report.epoch, Some(Epoch::new(77)));
     }
@@ -2425,12 +2332,12 @@ mod tests {
         let lr = Arc::new(live(100, 2));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         std::thread::scope(|scope| {
-            let reader_lr = Arc::clone(&lr);
+            let reader = PooledExecutor::with_default_pool(Arc::clone(&lr));
             let reader_stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let batch = QueryBatch::new([SelectionQuery::range_closed(0, 0i64, 1_000_000i64)]);
                 while !reader_stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let got = reader_lr.execute_rows(&batch).unwrap();
+                    let got = reader.execute_rows(&batch).unwrap();
                     let at = got.report.epoch.unwrap().get() as usize;
                     assert_eq!(
                         got.rows[0].len(),

@@ -1,11 +1,8 @@
-//! Persistent worker-pool execution: the serving-session executor.
+//! The executor: a persistent worker pool is the one way a batch runs.
 //!
-//! [`QueryBatch::execute`] fans each batch out on `std::thread::scope`,
-//! which spawns and joins one OS thread per touched shard *per batch*.
-//! That is correct and simple, but a serving tier pays the spawn/join
-//! tax on every request — on small batches the tax exceeds the work,
-//! which is exactly the negative scaling the bench trajectory recorded
-//! (8 shards slower than 1). A [`PooledExecutor`] removes it:
+//! Spawning and joining a thread per touched shard *per batch* taxes
+//! every request — on small batches the tax exceeds the work — so a
+//! [`PooledExecutor`] owns the threads for the whole serving session:
 //!
 //! * **Workers are spawned once** per serving session, sized by
 //!   [`PoolConfig::workers`] (default: the machine's available
@@ -17,26 +14,24 @@
 //!   gate instead of piling work into the queue, so a burst of writers
 //!   or batch clients degrades latency smoothly instead of collapsing
 //!   throughput.
-//! * **Panic containment matches the scoped path**: a worker that
-//!   panics evaluating a shard reports
-//!   [`EngineError::WorkerPanicked`] for that batch — and the worker
-//!   thread itself survives (the panic is caught), so the pool keeps
-//!   serving subsequent batches.
+//! * **Panics are contained to their batch**: a worker that panics
+//!   evaluating a shard reports [`EngineError::WorkerPanicked`] for
+//!   that batch — and the worker thread itself survives (the panic is
+//!   caught), so the pool keeps serving subsequent batches.
 //!
 //! The executor serves anything that implements [`BatchServe`] —
 //! [`ShardedRelation`] (plain borrows) and
 //! [`crate::live::LiveRelation`] (per-shard read locks) in this crate,
-//! and `pitract-wal`'s `DurableLiveRelation` by delegation. Results,
-//! metering, and reports are bit-identical to the scoped executor: the
-//! same routing, the same per-shard [`eval_assigned`] metering protocol,
+//! `pitract-wal`'s `DurableLiveRelation` and `pitract-repl`'s `Follower`
+//! by delegation. Every relation and both [`OutputMode`]s go through the
+//! same routing, the same per-shard `eval_assigned` metering protocol,
 //! and a merge that carries shard ids explicitly.
 
 use crate::batch::{
-    eval_assigned, report_from, route_batch, BatchAnswers, BatchRows, MergedResults, QueryBatch,
-    WorkerResults,
+    eval_assigned, report_from, route_batch, BatchAnswers, BatchReport, BatchRows, Exists,
+    MergedResults, OutputMode, QueryBatch, RowIds, WorkerResults,
 };
 use crate::error::EngineError;
-use crate::live::LiveRelation;
 use crate::planner::QueryPlan;
 use crate::shard::ShardedRelation;
 use pitract_core::epoch::Epoch;
@@ -345,7 +340,7 @@ impl Drop for WorkerPool {
 
 /// The worker body: pull jobs until the channel disconnects. Each job
 /// already contains its own panic containment (see
-/// [`PooledExecutor::run`]), but a defensive `catch_unwind` here keeps a
+/// [`PooledExecutor::dispatch`]), but a defensive `catch_unwind` here keeps a
 /// worker alive even if a job's bookkeeping itself panicked — one
 /// poisoned batch must never shrink the pool.
 fn worker_loop(receiver: &Mutex<Receiver<Job>>, queued: &AtomicUsize, queued_gauge: &Gauge) {
@@ -426,25 +421,25 @@ impl<T> Collector<T> {
     }
 }
 
-/// A relation the pooled executor can serve: routing, per-shard
-/// evaluation, and local→global id translation. Implemented by
-/// [`ShardedRelation`] and [`LiveRelation`] here, and by
-/// `pitract-wal::DurableLiveRelation` by delegation to its inner live
-/// relation.
+/// A relation the executor can serve: routing, per-shard evaluation,
+/// and local→global id translation. Implemented by [`ShardedRelation`]
+/// and [`crate::live::LiveRelation`] here, and by
+/// `pitract-wal::DurableLiveRelation` and `pitract-repl::Follower` by
+/// delegation to their inner live relation.
 ///
-/// The contract mirrors the scoped executor exactly: `route` validates
-/// and plans every query; `eval_bool` / `eval_rows` answer one shard's
-/// assigned slice with the shared per-query metering protocol; and
-/// `global_ids` translates after shard evaluation (for a live relation,
-/// under its ids lock — local→global maps are append-only, so
-/// translation after the shard lock drops is race-free).
+/// `route` validates and plans every query; `eval_shard` answers one
+/// shard's assigned slice in either [`OutputMode`] with the shared
+/// per-query metering protocol; and `global_ids` translates after shard
+/// evaluation (for a live relation, under its ids lock — local→global
+/// maps are append-only, so translation after the shard lock drops is
+/// race-free).
 ///
 /// Relations that version their state additionally expose an epoch pin:
 /// the executor calls [`BatchServe::pin_epoch`] once per batch before
-/// any shard job runs, passes the pinned epoch to every `eval_*` call,
-/// and releases it with [`BatchServe::unpin_epoch`] when the batch's
-/// results have merged. Immutable relations keep the defaults (no pin,
-/// evaluation ignores `at`).
+/// any shard job runs, passes the pinned epoch to every `eval_shard`
+/// call, and releases it with [`BatchServe::unpin_epoch`] when the
+/// batch's results have merged. Immutable relations keep the defaults
+/// (no pin, evaluation ignores `at`).
 pub trait BatchServe: Send + Sync {
     /// Validate, plan, and shard-route a query slice.
     fn route(
@@ -456,8 +451,9 @@ pub trait BatchServe: Send + Sync {
     fn shard_count(&self) -> usize;
 
     /// Pin the relation's current epoch for one batch, or `None` for
-    /// relations with no version history. A returned epoch MUST be
-    /// balanced by exactly one [`BatchServe::unpin_epoch`].
+    /// relations with no version history (every shard job then reads
+    /// at [`Epoch::LATEST`]). A returned epoch MUST be balanced by
+    /// exactly one [`BatchServe::unpin_epoch`].
     fn pin_epoch(&self) -> Option<Epoch> {
         None
     }
@@ -465,25 +461,39 @@ pub trait BatchServe: Send + Sync {
     /// Release a pin taken by [`BatchServe::pin_epoch`].
     fn unpin_epoch(&self, _epoch: Epoch) {}
 
-    /// Boolean answers for one shard's assigned queries, evaluated at
-    /// epoch `at` ([`Epoch::LATEST`] = current state).
+    /// One shard's assigned queries, evaluated in mode `M` at epoch
+    /// `at` ([`Epoch::LATEST`] = current state): one `(query index,
+    /// result, metered steps)` triple per assigned query, in ascending
+    /// query order. Runs on a pool worker.
+    fn eval_shard<M: OutputMode>(
+        &self,
+        shard: usize,
+        at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<M::Out>;
+
+    /// [`BatchServe::eval_shard`] in [`Exists`] mode.
     fn eval_bool(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<bool>;
+    ) -> WorkerResults<bool> {
+        self.eval_shard::<Exists>(shard, at, queries, assigned)
+    }
 
-    /// Matching shard-local row ids for one shard's assigned queries,
-    /// evaluated at epoch `at`.
+    /// [`BatchServe::eval_shard`] in [`RowIds`] mode (shard-local ids).
     fn eval_rows(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>>;
+    ) -> WorkerResults<Vec<usize>> {
+        self.eval_shard::<RowIds>(shard, at, queries, assigned)
+    }
 
     /// Translate shard-local row ids to global ids.
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize>;
@@ -508,77 +518,18 @@ impl BatchServe for ShardedRelation {
         ShardedRelation::shard_count(self)
     }
 
-    fn eval_bool(
+    fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         _at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
-            sh.answer_metered(q, m)
-        })
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        _at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
-            sh.matching_ids_metered(q, m)
-        })
+    ) -> WorkerResults<M::Out> {
+        eval_assigned(queries, &self.shards()[shard], assigned, M::current)
     }
 
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
         locals.iter().map(|&l| self.global_id(shard, l)).collect()
-    }
-}
-
-impl BatchServe for LiveRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        LiveRelation::route(self, queries)
-    }
-
-    fn shard_count(&self) -> usize {
-        LiveRelation::shard_count(self)
-    }
-
-    fn pin_epoch(&self) -> Option<Epoch> {
-        Some(self.register_pin())
-    }
-
-    fn unpin_epoch(&self, epoch: Epoch) {
-        self.release_pin(epoch);
-    }
-
-    fn eval_bool(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        self.eval_bool_shard(shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        self.eval_rows_shard(shard, at, queries, assigned)
-    }
-
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        self.globalize(shard, locals)
     }
 }
 
@@ -703,14 +654,33 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         self.pool.stats()
     }
 
-    /// Answer every query in the batch on the pool — the persistent
-    /// twin of [`QueryBatch::execute`], same answers, same report.
+    /// Answer every query in the batch: one Boolean per query, in batch
+    /// order, plus the aggregated cost report. Errors if any query fails
+    /// schema validation, or with [`EngineError::WorkerPanicked`] if a
+    /// shard evaluation panics.
     ///
     /// For a versioned relation the whole batch is answered at one
-    /// pinned epoch, recorded in [`crate::batch::BatchReport::epoch`]:
-    /// every shard job sees the same database instance even while
-    /// writers land mid-batch.
+    /// pinned epoch, recorded in [`BatchReport::epoch`]: every shard job
+    /// sees the same database instance even while writers land
+    /// mid-batch.
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
+        let (answers, report) = self.serve::<Exists>(batch)?;
+        Ok(BatchAnswers { answers, report })
+    }
+
+    /// Enumerate the matching global row ids (ascending) for every
+    /// query, answered at one pinned epoch like [`Self::execute`].
+    pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
+        let (rows, report) = self.serve::<RowIds>(batch)?;
+        Ok(BatchRows { rows, report })
+    }
+
+    /// Serve one batch in mode `M`: route, admit, pin, dispatch, merge,
+    /// report — the one body behind both public entry points.
+    fn serve<M: OutputMode>(
+        &self,
+        batch: &QueryBatch,
+    ) -> Result<(Vec<M::Out>, BatchReport), EngineError> {
         let queries = batch.queries_shared();
         let (plans, routed) = self.relation.route(&queries)?;
         // Admission strictly before the pin: a batch waiting at the
@@ -722,63 +692,12 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             .is_enabled()
             .then(Instant::now);
         let pin = PinGuard::pin(self.relation.as_ref());
-        let at = pin.at();
-        let merged = self.run(
-            &queries,
-            &routed,
-            move |relation, shard, queries, assigned| {
-                relation.eval_bool(shard, at, queries, assigned)
-            },
-        )?;
-        let mut answers = vec![false; queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = pin.epoch;
-        report.admission_wait = Some(waited);
-        self.account(served, &report);
-        Ok(BatchAnswers { answers, report })
-    }
-
-    /// Enumerate matching global row ids for every query on the pool —
-    /// the persistent twin of [`QueryBatch::execute_rows`], answered at
-    /// one pinned epoch like [`Self::execute`].
-    pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
-        let queries = batch.queries_shared();
-        let (plans, routed) = self.relation.route(&queries)?;
-        let (_slot, waited) = self.pool.admit();
-        let served = self
-            .instruments
-            .batch_micros
-            .is_enabled()
-            .then(Instant::now);
-        let pin = PinGuard::pin(self.relation.as_ref());
-        let at = pin.at();
-        let merged = self.run(
-            &queries,
-            &routed,
-            move |relation, shard, queries, assigned| {
-                relation.eval_rows(shard, at, queries, assigned)
-            },
-        )?;
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            for (shard, locals, _) in per_shard {
-                rows[qi].extend(self.relation.global_ids(*shard, locals));
-            }
-            rows[qi].sort_unstable();
-        }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = pin.epoch;
-        report.admission_wait = Some(waited);
-        self.account(served, &report);
-        Ok(BatchRows { rows, report })
-    }
-
-    /// Record one served batch's latency and report totals (single
-    /// no-op branch per handle when uninstrumented).
-    fn account(&self, served: Option<Instant>, report: &crate::batch::BatchReport) {
+        let merged = self.dispatch::<M>(&queries, &routed, pin.at())?;
+        let out = merged
+            .iter()
+            .map(|per_shard| M::merge(self.relation.as_ref(), per_shard))
+            .collect();
+        let report = report_from(plans, &routed, &merged, pin.epoch, waited);
         if let Some(started) = served {
             self.instruments
                 .batch_micros
@@ -787,24 +706,20 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         self.instruments.batches.inc();
         self.instruments.queries.add(report.per_query.len() as u64);
         self.instruments.steps.add(report.total_steps);
+        Ok((out, report))
     }
 
-    /// Submit one batch's per-shard work items and wait for the merge:
+    /// Submit one batch's per-shard work items and wait for them:
     /// routing inversion, one job per touched shard, rendezvous at the
     /// collector. The caller holds the admission slot and the epoch pin
-    /// for the batch. Returns the same per-query `(shard, result,
-    /// steps)` shape as the scoped `fan_out`, so both executors share
-    /// the merge and report code.
-    fn run<T, F>(
+    /// for the batch. Returns, per query, one `(shard, result, steps)`
+    /// triple for every shard the query routed to.
+    fn dispatch<M: OutputMode>(
         &self,
         queries: &Arc<[SelectionQuery]>,
         routed: &[Vec<usize>],
-        eval: F,
-    ) -> Result<MergedResults<T>, EngineError>
-    where
-        T: Send + 'static,
-        F: Fn(&R, usize, &[SelectionQuery], &[usize]) -> WorkerResults<T> + Send + Sync + 'static,
-    {
+        at: Epoch,
+    ) -> Result<MergedResults<M::Out>, EngineError> {
         // Invert the routing into per-shard work lists (shards no query
         // routes to get no job).
         let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.relation.shard_count()];
@@ -820,18 +735,18 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             .collect();
 
         let collector = Arc::new(Collector::new(work.len()));
-        let eval = Arc::new(eval);
         for (slot, (shard, assigned)) in work.into_iter().enumerate() {
             let relation = Arc::clone(&self.relation);
             let queries = Arc::clone(queries);
             let collector = Arc::clone(&collector);
-            let eval = Arc::clone(&eval);
             let panics = self.instruments.panics.clone();
             self.pool.submit(Box::new(move || {
                 // Contain a panicking evaluation to this batch: report
-                // the shard and keep the worker thread alive.
+                // the shard and keep the worker thread alive (one
+                // poisoned query must not take down a serving process
+                // that multiplexes many clients).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    eval(&relation, shard, &queries, &assigned)
+                    relation.eval_shard::<M>(shard, at, &queries, &assigned)
                 }))
                 .ok();
                 if outcome.is_none() {
@@ -842,10 +757,11 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         }
         let per_shard = collector.wait()?;
 
-        // Merge exactly like the scoped fan-out: slots are in ascending
-        // shard order, results within a shard in ascending query order,
-        // and every triple carries its shard id.
-        let mut merged: Vec<Vec<(usize, T, u64)>> = routed
+        // Re-assemble per query. Slots are in ascending shard order and
+        // results within a shard in ascending query order — but
+        // consumers rely on the shard id carried in every triple, not
+        // on this incidental ordering.
+        let mut merged: MergedResults<M::Out> = routed
             .iter()
             .map(|shards| Vec::with_capacity(shards.len()))
             .collect();
@@ -866,6 +782,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::LiveRelation;
     use crate::shard::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -889,8 +806,12 @@ mod tests {
         }))
     }
 
+    /// Answers and row ids against the scan oracle at every shard
+    /// count, and the report's metering against a by-hand
+    /// [`BatchServe::eval_bool`] of the same routing on this thread:
+    /// dispatch and merge add no steps and lose none.
     #[test]
-    fn pooled_answers_match_scoped_at_every_shard_count() {
+    fn pooled_answers_match_scan_oracle_at_every_shard_count() {
         let n = 500i64;
         let rel = relation(n);
         let batch = mixed_batch(n);
@@ -898,17 +819,85 @@ mod tests {
             let sr = Arc::new(
                 ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
             );
-            let scoped = batch.execute(&sr).unwrap();
             let exec = PooledExecutor::with_default_pool(Arc::clone(&sr));
-            let pooled = exec.execute(&batch).unwrap();
-            assert_eq!(pooled.answers, scoped.answers, "shards={shards}");
-            assert_eq!(
-                pooled.report.total_steps, scoped.report.total_steps,
-                "metering must not drift between executors (shards={shards})"
-            );
-            let scoped_rows = batch.execute_rows(&sr).unwrap();
-            let pooled_rows = exec.execute_rows(&batch).unwrap();
-            assert_eq!(pooled_rows.rows, scoped_rows.rows, "shards={shards}");
+            let got = exec.execute(&batch).unwrap();
+            for (q, &ans) in batch.queries().iter().zip(&got.answers) {
+                assert_eq!(ans, rel.eval_scan(q), "shards={shards} {q:?}");
+            }
+            let (_, routed) = sr.route(batch.queries()).unwrap();
+            for (qi, cost) in got.report.per_query.iter().enumerate() {
+                let by_hand: u64 = routed[qi]
+                    .iter()
+                    .map(|&s| sr.eval_bool(s, Epoch::LATEST, batch.queries(), &[qi])[0].2)
+                    .sum();
+                assert_eq!(cost.steps, by_hand, "shards={shards} query {qi}");
+            }
+            let got = exec.execute_rows(&batch).unwrap();
+            for (q, ids) in batch.queries().iter().zip(&got.rows) {
+                assert_eq!(ids.len(), rel.count_where(q), "shards={shards} {q:?}");
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+                for &gid in ids {
+                    assert!(q.matches(sr.row(gid).unwrap()), "{q:?} id {gid}");
+                }
+            }
+        }
+    }
+
+    /// A relation that routes like its inner [`ShardedRelation`] but
+    /// lists every query's shards in descending order.
+    struct ReversedRouting(ShardedRelation);
+
+    impl BatchServe for ReversedRouting {
+        fn route(
+            &self,
+            queries: &[SelectionQuery],
+        ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+            let (plans, mut routed) = self.0.route(queries)?;
+            routed.iter_mut().for_each(|shards| shards.reverse());
+            Ok((plans, routed))
+        }
+
+        fn shard_count(&self) -> usize {
+            self.0.shard_count()
+        }
+
+        fn eval_shard<M: OutputMode>(
+            &self,
+            shard: usize,
+            at: Epoch,
+            queries: &[SelectionQuery],
+            assigned: &[usize],
+        ) -> WorkerResults<M::Out> {
+            self.0.eval_shard::<M>(shard, at, queries, assigned)
+        }
+
+        fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
+            self.0.global_ids(shard, locals)
+        }
+    }
+
+    /// Regression: the row-id merge used to pair each per-shard result
+    /// with `routed[qi]` by *position*, which translates local row ids
+    /// through the wrong shard's id map whenever the routed shard list
+    /// is not ascending — an invariant nothing in `relevant_shards_for`
+    /// pins. The merge carries the shard id in the triple itself, so a
+    /// deliberately descending routing must change nothing.
+    #[test]
+    fn merge_carries_shard_ids_so_routed_order_cannot_mistranslate() {
+        let rel = relation(120);
+        let sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
+        // No shard-key conjunct: every query fans out to all 3 shards.
+        let batch =
+            QueryBatch::new((0..10).map(|k| SelectionQuery::point(1, format!("city{k}").as_str())));
+        let ascending = PooledExecutor::with_default_pool(Arc::new(sr.clone()));
+        let descending = PooledExecutor::with_default_pool(Arc::new(ReversedRouting(sr.clone())));
+        let expect = ascending.execute_rows(&batch).unwrap().rows;
+        let got = descending.execute_rows(&batch).unwrap();
+        assert!(got.report.per_query.iter().all(|c| c.shards_probed == 3));
+        assert_eq!(got.rows, expect);
+        for (q, ids) in batch.queries().iter().zip(&got.rows) {
+            assert_eq!(ids.len(), 12, "{q:?}");
+            assert!(ids.iter().all(|&gid| q.matches(sr.row(gid).unwrap())));
         }
     }
 
@@ -1062,31 +1051,24 @@ mod tests {
             self.shards
         }
 
-        fn eval_bool(
+        fn eval_shard<M: OutputMode>(
             &self,
             shard: usize,
             _at: Epoch,
             _queries: &[SelectionQuery],
             assigned: &[usize],
-        ) -> WorkerResults<bool> {
+        ) -> WorkerResults<M::Out> {
             self.enter();
             if self.panic_on_shard == Some(shard) {
                 self.exit();
                 panic!("probe shard {shard} poisoned");
             }
-            let out = assigned.iter().map(|&qi| (qi, true, 1)).collect();
+            let out = assigned
+                .iter()
+                .map(|&qi| (qi, M::Out::default(), 1))
+                .collect();
             self.exit();
             out
-        }
-
-        fn eval_rows(
-            &self,
-            _shard: usize,
-            _at: Epoch,
-            _queries: &[SelectionQuery],
-            assigned: &[usize],
-        ) -> WorkerResults<Vec<usize>> {
-            assigned.iter().map(|&qi| (qi, vec![0], 1)).collect()
         }
 
         fn global_ids(&self, _shard: usize, locals: &[usize]) -> Vec<usize> {
@@ -1216,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_and_invalid_queries_behave_like_the_scoped_path() {
+    fn empty_batch_is_a_no_op_and_invalid_queries_are_typed() {
         let sr = Arc::new(
             ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
         );
@@ -1229,7 +1211,11 @@ mod tests {
                 7, 1i64,
             )]))
             .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidQuery { index: 0, .. }));
+        assert!(
+            matches!(err, EngineError::InvalidQuery { index: 0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("query 0"), "{err}");
     }
 
     #[test]
@@ -1297,7 +1283,7 @@ mod tests {
         assert_eq!(stats.pins, 0, "executor released every batch pin");
         assert_eq!(stats.retained_versions, 0);
 
-        // The immutable sharded path reports no epoch (read-committed).
+        // An immutable sharded relation has no epoch clock to report.
         let sr = Arc::new(
             ShardedRelation::build(&relation(50), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap(),
         );

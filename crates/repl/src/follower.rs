@@ -38,11 +38,9 @@ use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
 use crate::ReplError;
 use pitract_core::epoch::Epoch;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
-use pitract_engine::batch::WorkerResults;
+use pitract_engine::batch::{OutputMode, WorkerResults};
 use pitract_engine::planner::QueryPlan;
-use pitract_engine::{
-    BatchAnswers, BatchRows, BatchServe, EngineError, LiveRelation, QueryBatch, UpdateEntry,
-};
+use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry};
 use pitract_obs::{Gauge, Histogram, Recorder};
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
@@ -495,27 +493,14 @@ impl Follower {
         self.live.row(gid)
     }
 
-    /// Execute a batch at one consistent pinned cut (the epoch of the
-    /// last LSN replayed) — the single-threaded twin of serving this
-    /// follower from a [`pitract_engine::PooledExecutor`].
-    pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        self.live.execute(batch)
-    }
-
-    /// Like [`Self::execute`], returning matching global row ids per
-    /// query.
-    pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
-        self.live.execute_rows(batch)
-    }
-
     /// The replica's current epoch (== the epoch of its applied LSN).
     pub fn current_epoch(&self) -> Epoch {
         self.live.current_epoch()
     }
 }
 
-/// Serve a follower from a persistent [`pitract_engine::PooledExecutor`]
-/// exactly like any other target: the pin taken per batch is the
+/// Serve a follower from a [`pitract_engine::PooledExecutor`] exactly
+/// like any other target: the pin taken per batch is the
 /// replica's MVCC pin — the epoch of the last LSN it replayed — so
 /// every pooled batch reads one consistent prefix of the primary even
 /// while catch-up keeps applying.
@@ -539,24 +524,14 @@ impl BatchServe for Follower {
         BatchServe::unpin_epoch(&self.live, epoch);
     }
 
-    fn eval_bool(
+    fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        BatchServe::eval_bool(&self.live, shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        BatchServe::eval_rows(&self.live, shard, at, queries, assigned)
+    ) -> WorkerResults<M::Out> {
+        self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {

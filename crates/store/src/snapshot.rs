@@ -746,9 +746,10 @@ fn read_log_entries(r: &mut Reader<'_>) -> Result<Vec<UpdateEntry>, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_engine::QueryBatch;
+    use pitract_engine::{PooledExecutor, QueryBatch};
     use pitract_graph::generate;
     use pitract_relation::{ColType, Relation, SelectionQuery};
+    use std::sync::Arc;
 
     fn relation(n: i64) -> Relation {
         let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
@@ -814,11 +815,15 @@ mod tests {
                 .unwrap();
 
             let batch = QueryBatch::new(queries());
-            let a = batch.execute_rows(&orig).unwrap();
-            let b = batch.execute_rows(&loaded).unwrap();
-            assert_eq!(a.rows, b.rows, "global row ids preserved");
             assert!(loaded.row(7).is_none());
             assert_eq!(loaded.row(120).unwrap()[1], Value::str("late"));
+            let rows = |sr| {
+                PooledExecutor::with_default_pool(Arc::new(sr))
+                    .execute_rows(&batch)
+                    .unwrap()
+                    .rows
+            };
+            assert_eq!(rows(orig), rows(loaded), "global row ids preserved");
         }
     }
 

@@ -10,10 +10,11 @@
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
 
-use pitract_engine::{QueryBatch, ShardBy, ShardedRelation};
+use pitract_engine::{PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_store::{Snapshot, StoreError, FORMAT_VERSION};
+use std::sync::Arc;
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -118,7 +119,9 @@ fn sharded_fixture_is_byte_stable_and_loads() {
         SelectionQuery::point(0, 42i64), // deleted
         SelectionQuery::point(1, "alpha"),
     ]);
-    let result = batch.execute(&loaded).unwrap();
+    let result = PooledExecutor::with_default_pool(Arc::new(loaded))
+        .execute(&batch)
+        .unwrap();
     assert_eq!(result.answers, vec![true, false, true]);
 }
 

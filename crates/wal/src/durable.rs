@@ -35,7 +35,7 @@ use crate::error::WalError;
 use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
-use pitract_engine::batch::WorkerResults;
+use pitract_engine::batch::{OutputMode, WorkerResults};
 use pitract_engine::planner::QueryPlan;
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry, WalSink};
 use pitract_obs::Recorder;
@@ -81,7 +81,7 @@ impl WalSink for WalWriterSink {
 /// at any instant loses no confirmed update.
 ///
 /// Derefs to [`LiveRelation`], so the whole serving API — `insert`,
-/// `delete`, `answer`, `execute`, `boundedness_report`, … — is available
+/// `delete`, `answer`, `apply_batch`, `boundedness_report`, … — is available
 /// unchanged; updates flow through the installed sink automatically.
 #[derive(Debug)]
 pub struct DurableLiveRelation {
@@ -337,7 +337,7 @@ impl DurableLiveRelation {
     }
 }
 
-/// Serve a durable node from a persistent
+/// Serve a durable node from a
 /// [`pitract_engine::PooledExecutor`] exactly like its inner live
 /// relation: every method delegates, so an
 /// `Arc<DurableLiveRelation>` drops straight into a pooled serving
@@ -363,24 +363,14 @@ impl BatchServe for DurableLiveRelation {
         BatchServe::unpin_epoch(&self.live, epoch);
     }
 
-    fn eval_bool(
+    fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        self.live.eval_bool(shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        self.live.eval_rows(shard, at, queries, assigned)
+    ) -> WorkerResults<M::Out> {
+        self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {

@@ -22,7 +22,13 @@
 //! Run with: `cargo run --release --example durable_serving`
 
 use pi_tractable::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// The serving session a process keeps over its node.
+fn session(node: &Arc<DurableLiveRelation>) -> PooledExecutor<DurableLiveRelation> {
+    PooledExecutor::with_default_pool(Arc::clone(node))
+}
 
 fn main() {
     println!("=== Durable serving: WAL, crash recovery, compaction ===\n");
@@ -47,8 +53,11 @@ fn main() {
     let t0 = Instant::now();
     let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
         .expect("valid sharding spec");
-    let node = DurableLiveRelation::create(live, &catalog, "orders", &wal_dir, config.clone())
-        .expect("fresh durable node");
+    let node = Arc::new(
+        DurableLiveRelation::create(live, &catalog, "orders", &wal_dir, config.clone())
+            .expect("fresh durable node"),
+    );
+    let exec = session(&node);
     println!(
         "bootstrap: 50k rows sharded, checkpointed, and WAL-attached in {:.0}ms",
         t0.elapsed().as_secs_f64() * 1e3
@@ -86,7 +95,7 @@ fn main() {
             })
             .collect();
         for round in 0..10 {
-            let got = node.execute(&batch).expect("batch");
+            let got = exec.execute(&batch).expect("batch");
             assert_eq!(got.answers, oracle, "round {round} diverged from oracle");
         }
         handles.into_iter().map(|h| h.join().unwrap()).sum()
@@ -107,6 +116,7 @@ fn main() {
     let expected: Vec<Option<Vec<Value>>> =
         (0..(n as usize + 7_000)).map(|gid| node.row(gid)).collect();
     let expected_len = node.len();
+    drop(exec);
     drop(node);
     let newest = std::fs::read_dir(&wal_dir)
         .expect("wal dir")
@@ -128,8 +138,10 @@ fn main() {
 
     // 4. Recover and verify bit-identical state.
     let t2 = Instant::now();
-    let node = DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config.clone())
-        .expect("recovery");
+    let node = Arc::new(
+        DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config.clone())
+            .expect("recovery"),
+    );
     let recover_ms = t2.elapsed().as_secs_f64() * 1e3;
     assert_eq!(node.len(), expected_len, "live count after recovery");
     let mut checked = 0usize;
@@ -137,7 +149,8 @@ fn main() {
         assert_eq!(&node.row(gid), expect, "gid {gid} after recovery");
         checked += 1;
     }
-    assert_eq!(node.execute(&batch).expect("batch").answers, oracle);
+    let served = session(&node).execute(&batch).expect("batch");
+    assert_eq!(served.answers, oracle);
     println!(
         "recovered in {recover_ms:.0}ms: {checked} row slots, 256 answers, and every \
          global row id verified identical (the torn record was never confirmed, so it is gone)"
@@ -161,8 +174,10 @@ fn main() {
     );
     drop(node);
     let t3 = Instant::now();
-    let node = DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config)
-        .expect("recovery after compaction");
+    let node = Arc::new(
+        DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config)
+            .expect("recovery after compaction"),
+    );
     println!(
         "post-compaction recovery replayed {} entries in {:.0}ms — bounded by net change, \
          not the {} updates of churn",
@@ -171,7 +186,8 @@ fn main() {
         applied,
     );
     assert_eq!(node.len(), expected_len);
-    assert_eq!(node.execute(&batch).expect("batch").answers, oracle);
+    let served = session(&node).execute(&batch).expect("batch");
+    assert_eq!(served.answers, oracle);
 
     println!("\neverything verified: durable, crash-consistent, compacted. ✓");
     let _ = std::fs::remove_dir_all(&root);

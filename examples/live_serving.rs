@@ -23,6 +23,7 @@
 
 use pi_tractable::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -36,8 +37,11 @@ fn main() {
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
     // 1. Go live: Π(D) across 8 shards, wrapped for concurrent serving.
-    let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
-        .expect("valid sharding spec");
+    let live = Arc::new(
+        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
+            .expect("valid sharding spec"),
+    );
+    let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
     println!(
         "live Π(D): {} rows -> 8 shards behind per-shard RwLocks",
         live.len()
@@ -85,7 +89,7 @@ fn main() {
 
         let mut served = 0u64;
         for _ in 0..20 {
-            let got = live.execute(&batch).expect("valid batch");
+            let got = exec.execute(&batch).expect("valid batch");
             assert_eq!(got.answers, oracle, "stable region diverged under churn");
             served += 1;
         }
@@ -153,8 +157,10 @@ fn main() {
         SelectionQuery::point(0, 7i64),
         SelectionQuery::range_closed(0, 0i64, 100i64),
     ]);
-    let a = live.execute_rows(&probes).expect("live rows");
-    let b = recovered.execute_rows(&probes).expect("recovered rows");
+    let a = exec.execute_rows(&probes).expect("live rows");
+    let b = PooledExecutor::with_default_pool(Arc::new(recovered))
+        .execute_rows(&probes)
+        .expect("recovered rows");
     assert_eq!(a.rows, b.rows, "global row ids survive recovery");
     println!("recovered node is bit-identical: same answers, same global row ids");
 

@@ -98,7 +98,9 @@ fn main() {
         let oracle = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
             .expect("valid sharding spec");
         oracle.replay(&prefix).expect("own history replays");
-        let expect = oracle.execute_rows(&batch).expect("valid batch");
+        let expect = PooledExecutor::with_default_pool(Arc::new(oracle))
+            .execute_rows(&batch)
+            .expect("valid batch");
         assert_eq!(&expect.rows, rows, "batch at pinned epoch {epoch} diverged");
     }
     println!("every batch bit-identical to the log-prefix oracle at its pinned epoch");

@@ -17,6 +17,7 @@
 //! Run with: `cargo run --release --example persistent_serving`
 
 use pi_tractable::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn mixed_batch(n: i64) -> QueryBatch {
@@ -85,8 +86,9 @@ fn main() {
 
     // 4. Serve a batch from the warm engine and verify against a cold one.
     let batch = mixed_batch(n);
+    let warm = PooledExecutor::with_default_pool(Arc::new(warm));
     let t0 = Instant::now();
-    let result = batch.execute(&warm).expect("valid batch");
+    let result = warm.execute(&batch).expect("valid batch");
     let serve_time = t0.elapsed();
     let hits = result.answers.iter().filter(|&&a| a).count();
     println!(
@@ -101,7 +103,9 @@ fn main() {
 
     let rebuilt = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
         .expect("valid sharding spec");
-    let oracle = batch.execute(&rebuilt).expect("valid batch");
+    let oracle = PooledExecutor::with_default_pool(Arc::new(rebuilt))
+        .execute(&batch)
+        .expect("valid batch");
     assert_eq!(
         result.answers, oracle.answers,
         "warm == cold on every query"

@@ -1,8 +1,8 @@
 //! Pooled serving: a worker pool spawned once, batches streamed through.
 //!
-//! The scoped executor (`examples/sharded_serving.rs`) spawns and joins
-//! one thread per shard for *every* batch — the spawn/join tax rides on
-//! the serving path. This example runs serving as a **session** instead:
+//! Spawning and joining a thread per shard for *every* batch would put
+//! the spawn/join tax on the serving path. This example runs serving as
+//! a **session** instead:
 //!
 //! 1. **Go durable**: a 50k-row relation sharded 8 ways behind a
 //!    `DurableLiveRelation` (checkpoint + write-ahead log).

@@ -5,7 +5,8 @@
 //! polylog time. This example exercises the *parallel* half: a 100k-row
 //! relation is hash-partitioned into shards (each one an independently
 //! indexed `Π(D)`), and a batch of 1,000 mixed point / range /
-//! conjunction queries fans out across the shards on scoped threads.
+//! conjunction queries fans out across the shards on the executor's
+//! worker pool.
 //!
 //! Along the way the planner routes every query to its cheapest access
 //! path and the per-query step meters are aggregated into a batch cost
@@ -15,6 +16,7 @@
 //! Run with: `cargo run --release --example sharded_serving`
 
 use pi_tractable::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn mixed_batch(n: i64) -> QueryBatch {
@@ -58,8 +60,10 @@ fn main() {
     for shards in [1usize, 2, 4, 8] {
         let sharded = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, shards, &[0, 1])
             .expect("valid sharding spec");
+        // The pool is spawned once per serving session, outside the timer.
+        let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
         let t0 = Instant::now();
-        let result = batch.execute(&sharded).expect("valid batch");
+        let result = exec.execute(&batch).expect("valid batch");
         let elapsed = t0.elapsed();
         assert_eq!(
             result.answers, oracle,
@@ -81,13 +85,17 @@ fn main() {
     }
 
     // Row-id serving: the same fan-out, returning witnesses.
-    let sharded = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
-        .expect("valid sharding spec");
+    let sharded = Arc::new(
+        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
+            .expect("valid sharding spec"),
+    );
     let witness_batch = QueryBatch::new([
         SelectionQuery::point(1, "grp42"),
         SelectionQuery::range_closed(0, 500i64, 520i64),
     ]);
-    let rows = witness_batch.execute_rows(&sharded).expect("valid batch");
+    let rows = PooledExecutor::with_default_pool(Arc::clone(&sharded))
+        .execute_rows(&witness_batch)
+        .expect("valid batch");
     println!(
         "\nrow-id mode: grp42 has {} member rows; ids [500,520] holds {} rows",
         rows.rows[0].len(),

@@ -16,7 +16,7 @@
 //! | [`index`] | B⁺-trees, sorted/hash indexes, RMQ and LCA structures |
 //! | [`graph`] | breadth-depth search, reachability indexes, SCC, query-preserving compression, generators |
 //! | [`relation`] | typed relations, selection query classes, indexed evaluation, materialized views |
-//! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, scoped-thread and pooled batch execution, live serving under concurrent updates |
+//! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, pooled batch execution, live serving under concurrent updates |
 //! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts, live checkpoint/recover |
 //! | [`wal`] | durable write-ahead log: fsync'd checksummed segments, group commit, torn-tail recovery, compaction, crash-consistent durable serving |
 //! | [`repl`] | WAL-shipping replication: primary-side segment publisher with retention watermarks, checkpoint-bootstrapped followers serving epoch-pinned consistent replica reads |
@@ -54,12 +54,19 @@
 //! range-partitions the data across shards (each one an independently
 //! indexed `Π(D)`), a [`Planner`](crate::engine::planner::Planner) routes
 //! every query to its cheapest access path, and a
-//! [`QueryBatch`](crate::engine::batch::QueryBatch) fans a batch of
-//! queries out across shards on scoped threads, merging answers and
-//! per-query step meters into a batch cost report.
+//! [`PooledExecutor`](crate::engine::pool::PooledExecutor) answers each
+//! [`QueryBatch`](crate::engine::batch::QueryBatch) on a worker pool
+//! spawned once per serving session: per-shard work items over a
+//! channel, an admission gate capping concurrently admitted batches, a
+//! worker panic returned as a typed error without poisoning the pool,
+//! and answers plus per-query step meters merged into a batch cost
+//! report. Any serving target works — a `ShardedRelation`, a
+//! `LiveRelation`, a durable node or a replica — via the
+//! [`BatchServe`](crate::engine::pool::BatchServe) trait.
 //!
 //! ```
 //! use pi_tractable::prelude::*;
+//! use std::sync::Arc;
 //!
 //! let schema = Schema::new(&[("id", ColType::Int)]);
 //! let rows = (0..10_000i64).map(|i| vec![Value::Int(i)]).collect();
@@ -68,11 +75,13 @@
 //! // Π(D) at scale: 4 hash shards, each with a B+-tree on column 0.
 //! let sharded = ShardedRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
-//! // A batch of queries answered in one parallel fan-out.
+//! // One pool for the whole serving session; batches stream through it.
+//! let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
 //! let batch = QueryBatch::new((0..100i64).map(|k| SelectionQuery::point(0, k * 101)));
-//! let result = batch.execute(&sharded).unwrap();
+//! let result = exec.execute(&batch).unwrap();
 //! assert!(result.answers.iter().filter(|&&a| a).count() == 100);
 //! assert!(result.report.total_steps > 0);
+//! assert!(exec.execute_rows(&batch).unwrap().rows[1] == vec![101]);
 //! ```
 //!
 //! ## Persisting Π(D)
@@ -106,46 +115,58 @@
 //!
 //! A production tier answers queries *while* updates land. A
 //! [`LiveRelation`](crate::engine::live::LiveRelation) puts each shard
-//! behind its own read/write lock: batch fan-out takes read locks on only
-//! the shards a query routes to, and an insert/delete write-locks only
-//! the one shard its key routes to, so writers never stall the rest of
-//! the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) and
+//! behind its own read/write lock: a batch's shard jobs take read locks
+//! on only the shards a query routes to, and an insert/delete write-locks
+//! only the one shard its key routes to, so writers never stall the rest
+//! of the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) and
 //! appended to a replayable update log; `checkpoint` persists the state
 //! through the snapshot catalog and `recover` replays the log on top —
 //! bit-identical answers and row ids.
+//! [`LiveRelation::apply_batch`](crate::engine::live::LiveRelation::apply_batch)
+//! applies a run of updates with a single WAL commit (one fsync per
+//! batch instead of per record).
 //!
 //! ```
 //! use pi_tractable::prelude::*;
+//! use std::sync::Arc;
 //!
 //! # let schema = Schema::new(&[("id", ColType::Int)]);
 //! # let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
 //! # let relation = Relation::from_rows(schema, rows).unwrap();
-//! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
+//! let live = Arc::new(LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap());
+//! let exec = PooledExecutor::new(
+//!     Arc::clone(&live),
+//!     PoolConfig { workers: 2, max_inflight: 4 },
+//! );
 //!
-//! // Updates go through a shared reference — no `&mut`, no global lock.
-//! let gid = live.insert(vec![Value::Int(5_000)]).unwrap();
-//! live.delete(3).unwrap();
+//! // Updates go through a shared reference — no `&mut`, no global lock —
+//! // one at a time or as a run covered by one commit.
+//! live.insert(vec![Value::Int(5_000)]).unwrap();
+//! let applied = live.apply_batch(vec![
+//!     UpdateOp::Insert(vec![Value::Int(5_001)]),
+//!     UpdateOp::Delete(3),
+//! ]).unwrap();
+//! assert!(matches!(applied[0], Applied::Inserted(1_001)));
 //!
 //! // Queries and whole batches serve concurrently with those updates.
 //! assert!(live.answer(&SelectionQuery::point(0, 5_000i64)));
 //! let batch = QueryBatch::new((0..50i64).map(|k| SelectionQuery::point(0, k * 17)));
-//! let answers = live.execute(&batch).unwrap();
+//! let answers = exec.execute(&batch).unwrap();
 //! assert_eq!(answers.answers.len(), 50);
 //!
 //! // Maintenance was |CHANGED|-accounted, and the update log can
 //! // checkpoint/recover through the store's `LiveCheckpoint` trait.
-//! assert_eq!(live.boundedness_report().len(), 2);
-//! assert_eq!(live.pending_log().len(), 2);
-//! # let _ = gid;
+//! assert_eq!(live.boundedness_report().len(), 3);
+//! assert_eq!(live.pending_log().len(), 3);
 //! ```
 //!
 //! ## Consistent reads: one epoch-stamped cut per batch
 //!
-//! Per-shard locking alone leaves a batch *read-committed*: each shard
-//! answers at whatever state it holds when the fan-out reaches it, so a
-//! racing writer can make one batch observe half an update. Every write
-//! therefore ticks a global [`Epoch`](crate::core::epoch::Epoch) clock,
-//! and a batch pins the clock once ([`LiveRelation::pin`](crate::engine::live::LiveRelation::pin) /
+//! Per-shard locking alone would leave a batch *read-committed*: each
+//! shard answering at whatever state it holds when its job runs, so a
+//! racing writer could make one batch observe half an update. Every
+//! write therefore ticks a global [`Epoch`](crate::core::epoch::Epoch)
+//! clock, and the executor pins the clock once per batch ([`LiveRelation::pin`](crate::engine::live::LiveRelation::pin) /
 //! [`EpochPin`](crate::engine::live::EpochPin)) and evaluates every
 //! shard *at* that epoch — one consistent cut, recorded in
 //! [`BatchReport::epoch`](crate::engine::batch::BatchReport::epoch).
@@ -159,11 +180,12 @@
 //!
 //! ```
 //! use pi_tractable::prelude::*;
+//! use std::sync::Arc;
 //!
 //! # let schema = Schema::new(&[("id", ColType::Int)]);
 //! # let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
 //! # let relation = Relation::from_rows(schema, rows).unwrap();
-//! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
+//! let live = Arc::new(LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap());
 //!
 //! // Pin a cut, then update: the writer is not blocked, the clock
 //! // advances past the pin, and the undo ring retains what the pinned
@@ -180,53 +202,9 @@
 //!
 //! // Every batch pins its own cut automatically and reports it.
 //! let batch = QueryBatch::new((0..50i64).map(|k| SelectionQuery::point(0, k * 17)));
-//! let result = live.execute(&batch).unwrap();
+//! let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
+//! let result = exec.execute(&batch).unwrap();
 //! assert_eq!(result.report.epoch, Some(live.current_epoch()));
-//! ```
-//!
-//! ## The executor: a serving session, not a query
-//!
-//! `QueryBatch::execute` spawns scoped threads per batch — fine for a
-//! one-off, but a serving tier answers batches continuously. A
-//! [`PooledExecutor`](crate::engine::pool::PooledExecutor) spawns a
-//! sized worker pool once per session, submits each batch as per-shard
-//! work items over a channel, and caps concurrently admitted batches
-//! with an admission gate; a worker panic is returned as a typed error
-//! without poisoning the pool. Any serving target works — a
-//! `ShardedRelation`, a `LiveRelation`, or a durable node — via the
-//! [`BatchServe`](crate::engine::pool::BatchServe) trait. On the write
-//! side, [`LiveRelation::apply_batch`](crate::engine::live::LiveRelation::apply_batch)
-//! applies a run of updates with a single WAL commit (one fsync per
-//! batch instead of per record).
-//!
-//! ```
-//! use pi_tractable::prelude::*;
-//! use std::sync::Arc;
-//!
-//! # let schema = Schema::new(&[("id", ColType::Int)]);
-//! # let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
-//! # let relation = Relation::from_rows(schema, rows).unwrap();
-//! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
-//!
-//! // One pool for the whole serving session.
-//! let exec = PooledExecutor::new(
-//!     Arc::new(live),
-//!     PoolConfig { workers: 2, max_inflight: 4 },
-//! );
-//!
-//! // Batched writes: one commit covers the whole run.
-//! let applied = exec.relation().apply_batch(vec![
-//!     UpdateOp::Insert(vec![Value::Int(5_000)]),
-//!     UpdateOp::Insert(vec![Value::Int(5_001)]),
-//!     UpdateOp::Delete(3),
-//! ]).unwrap();
-//! assert!(matches!(applied[0], Applied::Inserted(1_000)));
-//!
-//! // Batches stream through the standing workers.
-//! let batch = QueryBatch::new((0..50i64).map(|k| SelectionQuery::point(0, k * 17)));
-//! let answers = exec.execute(&batch).unwrap();
-//! assert_eq!(answers.answers.len(), 50);
-//! assert!(exec.execute_rows(&batch).unwrap().rows[0] == vec![0]);
 //! ```
 //!
 //! ## Durability
@@ -447,7 +425,9 @@ pub mod prelude {
     pub use pitract_core::problem::{DecisionProblem, FnProblem};
     pub use pitract_core::reduce::{FReduction, FactorReduction};
     pub use pitract_core::scheme::Scheme;
-    pub use pitract_engine::batch::{BatchAnswers, BatchReport, BatchRows, QueryBatch};
+    pub use pitract_engine::batch::{
+        BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, RowIds, WorkerResults,
+    };
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{
         Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp, VersionStats,

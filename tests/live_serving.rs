@@ -8,6 +8,7 @@ use pi_tractable::prelude::*;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn schema() -> Schema {
     Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -45,6 +46,11 @@ fn stable_batch(n: i64) -> QueryBatch {
     }))
 }
 
+/// A serving session over `live` on the default pool.
+fn serve(live: &Arc<LiveRelation>) -> PooledExecutor<LiveRelation> {
+    PooledExecutor::with_default_pool(Arc::clone(live))
+}
+
 /// Queries answered during concurrent writes match the single-threaded
 /// oracle, and the complete update log replays onto the base state to a
 /// relation bit-identical with the live one — even though the updates
@@ -53,7 +59,8 @@ fn stable_batch(n: i64) -> QueryBatch {
 fn concurrent_writers_and_batches_match_oracle() {
     let n = 4_000i64;
     let base = base_relation(n);
-    let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+    let live = Arc::new(LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+    let exec = serve(&live);
     let batch = stable_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
 
@@ -84,15 +91,15 @@ fn concurrent_writers_and_batches_match_oracle() {
         // Two reader threads serve batches the whole time.
         let readers: Vec<_> = (0..2)
             .map(|_| {
-                let live = &live;
+                let exec = &exec;
                 let batch = &batch;
                 let oracle = &oracle;
                 let base = &base;
                 scope.spawn(move || {
                     for round in 0..15 {
-                        let got = live.execute(batch).unwrap();
+                        let got = exec.execute(batch).unwrap();
                         assert_eq!(&got.answers, oracle, "round {round} diverged");
-                        let rows = live.execute_rows(batch).unwrap();
+                        let rows = exec.execute_rows(batch).unwrap();
                         for (q, ids) in batch.queries().iter().zip(&rows.rows) {
                             assert!(ids.len() >= base.count_where(q), "{q:?} lost stable rows");
                         }
@@ -140,8 +147,9 @@ fn recover_after_checkpoint_equals_live() {
     let n = 2_000i64;
     let dir = fresh_dir("recover");
     let catalog = SnapshotCatalog::open(&dir).unwrap();
-    let live =
-        LiveRelation::build(&base_relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+    let live = Arc::new(
+        LiveRelation::build(&base_relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap(),
+    );
 
     // Pre-checkpoint churn.
     for i in 0..200i64 {
@@ -169,6 +177,7 @@ fn recover_after_checkpoint_equals_live() {
 
     let (recovered, summary) =
         LiveRelation::recover(&catalog, "state", &live.pending_log()).unwrap();
+    let recovered = Arc::new(recovered);
 
     // Bit-identical: length, every gid's row, answers and row-id sets —
     // and the epoch clock resumed exactly where the live node's stands.
@@ -188,8 +197,8 @@ fn recover_after_checkpoint_equals_live() {
             SelectionQuery::range_closed(0, 0i64, 1_000i64),
         ),
     ]);
-    let a = live.execute_rows(&probes).unwrap();
-    let b = recovered.execute_rows(&probes).unwrap();
+    let a = serve(&live).execute_rows(&probes).unwrap();
+    let b = serve(&recovered).execute_rows(&probes).unwrap();
     assert_eq!(a.rows, b.rows, "global row ids identical after recovery");
 
     // Replay reproduced the maintenance records of the replayed suffix
@@ -209,7 +218,8 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
     let dir = fresh_dir("midflight");
     let catalog = SnapshotCatalog::open(&dir).unwrap();
     let base = base_relation(n);
-    let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+    let live = Arc::new(LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+    let exec = serve(&live);
     let batch = stable_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
 
@@ -239,11 +249,11 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
 
         // Serve, checkpoint mid-flight, serve some more.
         for _ in 0..3 {
-            assert_eq!(live.execute(&batch).unwrap().answers, oracle);
+            assert_eq!(exec.execute(&batch).unwrap().answers, oracle);
         }
         live.checkpoint(&catalog, "midflight").unwrap();
         for _ in 0..3 {
-            assert_eq!(live.execute(&batch).unwrap().answers, oracle);
+            assert_eq!(exec.execute(&batch).unwrap().answers, oracle);
         }
         stop.store(true, Ordering::Relaxed);
         for w in writers {
@@ -340,10 +350,10 @@ proptest! {
     ) {
         let shards = 3;
         let base = base_relation(seed_rows);
-        let live = std::sync::Arc::new(
+        let live = Arc::new(
             LiveRelation::build(&base, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
         );
-        let exec = PooledExecutor::with_default_pool(std::sync::Arc::clone(&live));
+        let exec = serve(&live);
         // Cross-shard queries over the *whole* keyspace, volatile region
         // included — a torn (multi-instance) read would change these
         // row-id sets, so exact equality is the consistency proof.
@@ -359,7 +369,7 @@ proptest! {
 
         let mut observed: Vec<(Epoch, Vec<Vec<usize>>)> = Vec::new();
         std::thread::scope(|scope| {
-            let writer_live = std::sync::Arc::clone(&live);
+            let writer_live = Arc::clone(&live);
             let writer_ops = ops.clone();
             let writer = scope.spawn(move || {
                 for (insert, key) in writer_ops {
@@ -386,7 +396,7 @@ proptest! {
         for (epoch, rows) in &observed {
             prop_assert!(epoch.get() as usize <= log.len());
             let oracle = epoch_prefix_oracle(&base, shards, &log, *epoch);
-            let expect = oracle.execute_rows(&batch).unwrap();
+            let expect = serve(&Arc::new(oracle)).execute_rows(&batch).unwrap();
             prop_assert_eq!(&expect.rows, rows, "at pinned epoch {}", epoch);
         }
 

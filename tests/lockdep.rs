@@ -60,13 +60,13 @@ impl BatchServe for InvertedLocks {
         BatchServe::shard_count(&self.inner)
     }
 
-    fn eval_bool(
+    fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> Vec<(usize, bool, u64)> {
+    ) -> WorkerResults<M::Out> {
         if shard == self.poison && self.armed.load(std::sync::atomic::Ordering::SeqCst) {
             // Deliberately inverted acquisition: Gid (rank 20) is held
             // while Shard (rank 10) is requested. The lockdep stack on
@@ -74,17 +74,7 @@ impl BatchServe for InvertedLocks {
             let _gid = self.gid.read();
             let _shard = self.shard.read();
         }
-        self.inner.eval_bool(shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> Vec<(usize, Vec<usize>, u64)> {
-        self.inner.eval_rows(shard, at, queries, assigned)
+        self.inner.eval_shard::<M>(shard, at, queries, assigned)
     }
 
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {

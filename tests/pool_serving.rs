@@ -1,9 +1,9 @@
-//! Integration tests for the pooled serving session through the public
-//! facade: the `PooledExecutor` must answer exactly like the scoped
-//! executor (which answers exactly like the scan oracle), contain
-//! worker panics as typed errors without poisoning the pool, and serve
-//! custom `BatchServe` targets — while `apply_batch` keeps the durable
-//! write side batch-committed and crash-consistent.
+//! Integration tests for the serving session through the public
+//! facade: the `PooledExecutor` must answer exactly like the scan
+//! oracle on every `BatchServe` target and in both output modes,
+//! contain worker panics as typed errors without poisoning the pool,
+//! and serve custom `BatchServe` targets — while `apply_batch` keeps
+//! the durable write side batch-committed and crash-consistent.
 
 use pi_tractable::prelude::*;
 use std::sync::Arc;
@@ -28,49 +28,123 @@ fn mixed_batch(n: i64) -> QueryBatch {
     }))
 }
 
-#[test]
-fn pooled_answers_match_scoped_and_oracle_on_every_target() {
-    let n = 4_000i64;
-    let rel = relation(n);
-    let batch = mixed_batch(n);
-    let oracle: Vec<bool> = batch.queries().iter().map(|q| rel.eval_scan(q)).collect();
+/// What one target answered for one batch, in both output modes.
+struct Served {
+    answers: Vec<bool>,
+    rows: Vec<Vec<usize>>,
+    /// Per-query metered steps in `Exists` / `RowIds` mode.
+    exists_steps: Vec<u64>,
+    row_steps: Vec<u64>,
+    pinned: bool,
+}
 
-    // ShardedRelation target.
-    let sharded = Arc::new(
-        ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec"),
-    );
-    let scoped = batch.execute(&sharded).expect("scoped batch");
-    assert_eq!(scoped.answers, oracle);
-    let exec = PooledExecutor::with_default_pool(Arc::clone(&sharded));
-    let pooled = exec.execute(&batch).expect("pooled batch");
-    assert_eq!(
-        pooled.answers, oracle,
-        "pooled != oracle on ShardedRelation"
-    );
-    assert_eq!(
-        pooled.report.total_steps, scoped.report.total_steps,
-        "metering must not depend on the executor"
-    );
-
-    // LiveRelation target, same contract.
-    let live = Arc::new(
-        LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec"),
-    );
-    let exec = PooledExecutor::new(
-        Arc::clone(&live),
-        PoolConfig {
-            workers: 2,
-            max_inflight: 3,
-        },
-    );
-    assert_eq!(exec.execute(&batch).expect("pooled live").answers, oracle);
-
-    // Row ids come back globally translated, independent of shard order.
-    let point_batch = QueryBatch::new((0..40i64).map(|k| SelectionQuery::point(0, k * 11)));
-    let rows = exec.execute_rows(&point_batch).expect("pooled rows");
-    for (k, ids) in rows.rows.iter().enumerate() {
-        assert_eq!(ids, &vec![k * 11], "key {}", k * 11);
+fn serve_both_modes<R: BatchServe + 'static>(target: Arc<R>, batch: &QueryBatch) -> Served {
+    let exec = PooledExecutor::with_default_pool(target);
+    let steps = |report: &BatchReport| report.per_query.iter().map(|c| c.steps).collect();
+    let bools = exec.execute(batch).expect("exists mode");
+    let rows = exec.execute_rows(batch).expect("row-id mode");
+    assert_eq!(bools.report.epoch, rows.report.epoch, "quiescent: one cut");
+    Served {
+        answers: bools.answers,
+        exists_steps: steps(&bools.report),
+        pinned: rows.report.epoch.is_some(),
+        row_steps: steps(&rows.report),
+        rows: rows.rows,
     }
+}
+
+/// Every `BatchServe` implementor carries one evaluation body shared by
+/// both output modes, and the three live-backed ones forward to the
+/// same body: the same data behind each of the four must give the same
+/// answers, the same global row ids and the same per-query step counts.
+#[test]
+fn pooled_answers_match_the_oracle_on_every_target() {
+    let n = 4_000i64;
+    let base = relation(n);
+    let batch = mixed_batch(n);
+    let updates = || {
+        (0..96i64).map(move |i| match i % 3 {
+            2 => UpdateOp::Delete((i * 37) as usize),
+            _ => UpdateOp::Insert(vec![Value::Int(n + i), Value::str("grp3")]),
+        })
+    };
+
+    // Every target starts from the same *loaded* Π(D): a follower can
+    // only ever start from a checkpoint, and a decoded B⁺-tree is packed
+    // differently from an incrementally built one (descents differ by a
+    // step or two), so the step comparison needs one physical shape.
+    let built =
+        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec");
+    let bytes = Snapshot::Sharded(built).to_bytes();
+    let loaded = || {
+        let snapshot = Snapshot::from_bytes(&bytes).expect("own bytes decode");
+        snapshot.into_sharded().expect("sharded snapshot")
+    };
+
+    // The scan oracle and the static target take the updates directly.
+    let mut sharded = loaded();
+    for op in updates() {
+        match op {
+            UpdateOp::Insert(row) => drop(sharded.insert(row).expect("valid row")),
+            UpdateOp::Delete(gid) => drop(sharded.delete(gid).expect("live row")),
+        }
+    }
+    let oracle = sharded.to_relation();
+
+    let live = LiveRelation::from_sharded(loaded());
+    live.apply_batch(updates()).expect("live batch");
+
+    // The durable primary takes them through its WAL; the follower
+    // bootstraps from the primary's first checkpoint and replays them.
+    let root = std::env::temp_dir().join(format!("pitract-pooltargets-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
+    let durable = Arc::new(
+        DurableLiveRelation::create(
+            LiveRelation::from_sharded(loaded()),
+            &catalog,
+            "node",
+            root.join("wal"),
+            WalConfig::default(),
+        )
+        .expect("fresh durable node"),
+    );
+    let publisher = SegmentPublisher::new(Arc::clone(&durable));
+    let follower = Follower::bootstrap(&catalog, "node", root.join("mirror"), WalConfig::default())
+        .expect("bootstrap");
+    let sub = follower.attach(&publisher);
+    durable.apply_batch(updates()).expect("durable batch");
+    assert_eq!(follower.catch_up(&publisher, sub).expect("catch up").lag, 0);
+
+    let table = [
+        (
+            "ShardedRelation",
+            serve_both_modes(Arc::new(sharded), &batch),
+        ),
+        ("LiveRelation", serve_both_modes(Arc::new(live), &batch)),
+        ("DurableLiveRelation", serve_both_modes(durable, &batch)),
+        ("Follower", serve_both_modes(Arc::new(follower), &batch)),
+    ];
+    let (_, reference) = &table[0];
+    for (target, got) in &table {
+        for (qi, q) in batch.queries().iter().enumerate() {
+            assert_eq!(got.answers[qi], oracle.eval_scan(q), "{target}: {q:?}");
+            assert_eq!(got.rows[qi].len(), oracle.count_where(q), "{target}: {q:?}");
+            assert_eq!(got.answers[qi], !got.rows[qi].is_empty(), "{target}: {q:?}");
+        }
+        assert_eq!(got.rows, reference.rows, "{target}: global row ids");
+        assert_eq!(got.exists_steps, reference.exists_steps, "{target}: steps");
+        assert_eq!(
+            got.row_steps, reference.row_steps,
+            "{target}: row-mode steps"
+        );
+        assert_eq!(
+            got.pinned,
+            *target != "ShardedRelation",
+            "{target}: epoch pin"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A `BatchServe` target that panics on one shard: the session must
@@ -94,25 +168,15 @@ impl BatchServe for PanicOnShard {
         BatchServe::shard_count(&self.inner)
     }
 
-    fn eval_bool(
+    fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> Vec<(usize, bool, u64)> {
+    ) -> WorkerResults<M::Out> {
         assert_ne!(shard, self.poison, "injected shard failure");
-        self.inner.eval_bool(shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> Vec<(usize, Vec<usize>, u64)> {
-        self.inner.eval_rows(shard, at, queries, assigned)
+        self.inner.eval_shard::<M>(shard, at, queries, assigned)
     }
 
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {

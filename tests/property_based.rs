@@ -176,12 +176,13 @@ proptest! {
                 SelectionQuery::range_closed(0, v, v + 15),
             ),
         }));
-        let got = batch.execute(&sharded).unwrap();
+        let exec = PooledExecutor::with_default_pool(std::sync::Arc::new(sharded));
+        let got = exec.execute(&batch).unwrap();
         for (q, &ans) in batch.queries().iter().zip(&got.answers) {
             prop_assert_eq!(ans, oracle.eval_scan(q), "{:?}", q);
         }
         // Row-id mode agrees with the match count on the oracle.
-        let rows = batch.execute_rows(&sharded).unwrap();
+        let rows = exec.execute_rows(&batch).unwrap();
         for (q, ids) in batch.queries().iter().zip(&rows.rows) {
             prop_assert_eq!(ids.len(), oracle.count_where(q), "{:?}", q);
         }

@@ -3,6 +3,7 @@
 //! 100k-row relation, plus concurrent batches sharing one engine.
 
 use pi_tractable::prelude::*;
+use std::sync::Arc;
 
 const N: i64 = 100_000;
 
@@ -54,7 +55,9 @@ fn eight_shard_batch_matches_scan_oracle_at_scale() {
             ShardedRelation::build(&base, shard_by.clone(), 8, &[0, 1]).expect("valid spec");
         assert_eq!(sharded.len(), base.len());
 
-        let result = batch.execute(&sharded).expect("valid batch");
+        let result = PooledExecutor::with_default_pool(Arc::new(sharded))
+            .execute(&batch)
+            .expect("valid batch");
         assert_eq!(result.answers, oracle, "{shard_by:?}");
 
         // The report accounts for every query, and the planner kept the
@@ -72,15 +75,18 @@ fn eight_shard_batch_matches_scan_oracle_at_scale() {
 #[test]
 fn row_id_serving_matches_count_oracle_at_scale() {
     let base = base_relation();
-    let sharded =
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec");
+    let sharded = Arc::new(
+        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
+    );
     let batch = QueryBatch::new((0..64i64).map(|k| {
         SelectionQuery::and(
             SelectionQuery::point(1, format!("grp{}", k % 100).as_str()),
             SelectionQuery::range_closed(0, k * 1_000, k * 1_000 + 10_000),
         )
     }));
-    let got = batch.execute_rows(&sharded).expect("valid batch");
+    let got = PooledExecutor::with_default_pool(Arc::clone(&sharded))
+        .execute_rows(&batch)
+        .expect("valid batch");
     for (q, ids) in batch.queries().iter().zip(&got.rows) {
         assert_eq!(ids.len(), base.count_where(q), "{q:?}");
         for &gid in ids {
@@ -94,11 +100,12 @@ fn concurrent_batches_agree_with_the_oracle() {
     let base = base_relation();
     let sharded =
         ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec");
+    let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
     let batch = mixed_batch();
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
-            .map(|_| scope.spawn(|| batch.execute(&sharded).expect("valid batch").answers))
+            .map(|_| scope.spawn(|| exec.execute(&batch).expect("valid batch").answers))
             .collect();
         for h in handles {
             assert_eq!(h.join().expect("batch thread"), oracle);
@@ -109,24 +116,33 @@ fn concurrent_batches_agree_with_the_oracle() {
 #[test]
 fn updates_flow_through_batch_answers() {
     let base = base_relation();
-    let mut sharded =
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec");
+    let mut sharded = Arc::new(
+        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
+    );
     let fresh = SelectionQuery::point(0, N + 7);
     let batch = QueryBatch::new([fresh.clone(), SelectionQuery::point(0, 3i64)]);
+    // A static relation is immutable while served: each serving session
+    // ends (its executor drops) before the next update takes `&mut`.
+    let serve = |sharded: &Arc<ShardedRelation>| {
+        PooledExecutor::with_default_pool(Arc::clone(sharded))
+            .execute(&batch)
+            .expect("valid batch")
+            .answers
+    };
+    assert_eq!(serve(&sharded), vec![false, true]);
 
-    let before = batch.execute(&sharded).expect("valid batch");
-    assert_eq!(before.answers, vec![false, true]);
-
-    let gid = sharded
+    let between = Arc::get_mut(&mut sharded).expect("no session holds the relation");
+    let gid = between
         .insert(vec![Value::Int(N + 7), Value::str("grp0")])
         .expect("valid row");
-    sharded
+    between
         .delete(3)
         .expect("row with global id 3 (id value 3) is live");
-    let after = batch.execute(&sharded).expect("valid batch");
-    assert_eq!(after.answers, vec![true, false]);
+    assert_eq!(serve(&sharded), vec![true, false]);
 
-    sharded.delete(gid).expect("inserted row is live");
-    let reverted = batch.execute(&sharded).expect("valid batch");
-    assert_eq!(reverted.answers, vec![false, false]);
+    Arc::get_mut(&mut sharded)
+        .expect("no session holds the relation")
+        .delete(gid)
+        .expect("inserted row is live");
+    assert_eq!(serve(&sharded), vec![false, false]);
 }

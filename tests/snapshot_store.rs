@@ -14,6 +14,7 @@ use pi_tractable::graph::traverse::reachable_bfs;
 use pi_tractable::prelude::*;
 use pi_tractable::store::FORMAT_VERSION;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pitract-it-{tag}-{}", std::process::id()));
@@ -86,14 +87,20 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
 
         assert_eq!(warm.len(), cold.len());
         let batch = QueryBatch::new(mixed_queries(n));
-        let warm_rows = batch.execute_rows(&warm).unwrap();
-        let cold_rows = batch.execute_rows(&cold).unwrap();
+        let warm = PooledExecutor::with_default_pool(Arc::new(warm));
+        let cold = PooledExecutor::with_default_pool(Arc::new(cold));
         // Row ids — not just Booleans — must match: the id maps and
         // tombstones are part of the persisted state.
-        assert_eq!(warm_rows.rows, cold_rows.rows, "{name}");
-        let warm_bools = batch.execute(&warm).unwrap();
-        let cold_bools = batch.execute(&cold).unwrap();
-        assert_eq!(warm_bools.answers, cold_bools.answers, "{name}");
+        assert_eq!(
+            warm.execute_rows(&batch).unwrap().rows,
+            cold.execute_rows(&batch).unwrap().rows,
+            "{name}"
+        );
+        assert_eq!(
+            warm.execute(&batch).unwrap().answers,
+            cold.execute(&batch).unwrap().answers,
+            "{name}"
+        );
     }
     assert_eq!(catalog.list().unwrap(), vec!["hash", "range"]);
     std::fs::remove_dir_all(&dir).unwrap();

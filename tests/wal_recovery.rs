@@ -7,6 +7,7 @@ use pi_tractable::prelude::*;
 use pi_tractable::wal::segment::{scan_dir, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -205,6 +206,16 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// One batch through a serving session over `node`. The session ends
+/// (its pool joins) before this returns, so dropping `node` afterwards
+/// really is the crash.
+fn serve(node: &Arc<DurableLiveRelation>, batch: &QueryBatch) -> Vec<bool> {
+    PooledExecutor::with_default_pool(Arc::clone(node))
+        .execute(batch)
+        .unwrap()
+        .answers
+}
+
 /// End-to-end durable serving loop: create → serve under concurrent
 /// writers and readers → checkpoint → more churn → crash → recover →
 /// the node continues seamlessly (same answers, continued gid and LSN
@@ -219,9 +230,10 @@ fn durable_serving_loop_survives_crash_and_compaction() {
         sync: SyncPolicy::GroupCommit,
     };
     let n = 2_000i64;
-    let node =
+    let node = Arc::new(
         DurableLiveRelation::create(base_live(n), &catalog, "orders", &wal_dir, config.clone())
-            .unwrap();
+            .unwrap(),
+    );
 
     // Serve queries while writers churn, exactly like the non-durable
     // tier — the WAL must not change any answer.
@@ -253,8 +265,7 @@ fn durable_serving_loop_survives_crash_and_compaction() {
             })
             .collect();
         for _ in 0..5 {
-            let got = node.execute(&batch).unwrap();
-            assert_eq!(got.answers, oracle, "stable region diverged");
+            assert_eq!(serve(&node, &batch), oracle, "stable region diverged");
         }
         for w in writers {
             w.join().unwrap();
@@ -275,12 +286,14 @@ fn durable_serving_loop_survives_crash_and_compaction() {
     let pre_len = node.len();
     drop(node); // crash: everything confirmed is in snapshot + WAL
 
-    let node = DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config.clone()).unwrap();
+    let node = Arc::new(
+        DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config.clone()).unwrap(),
+    );
     assert_eq!(node.len(), pre_len);
     for (gid, expect) in pre_crash.iter().enumerate() {
         assert_eq!(&node.row(gid), expect, "gid {gid}");
     }
-    assert_eq!(node.execute(&batch).unwrap().answers, oracle);
+    assert_eq!(serve(&node, &batch), oracle);
 
     // Compact: the closed churn shrinks, and the node still recovers.
     node.wal().rotate_now().unwrap();
@@ -291,9 +304,10 @@ fn durable_serving_loop_survives_crash_and_compaction() {
         "churn compacted away: {report:?}"
     );
     drop(node);
-    let node = DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config).unwrap();
+    let node =
+        Arc::new(DurableLiveRelation::recover(&catalog, "orders", &wal_dir, config).unwrap());
     assert_eq!(node.len(), pre_len);
-    assert_eq!(node.execute(&batch).unwrap().answers, oracle);
+    assert_eq!(serve(&node, &batch), oracle);
     // And it keeps serving durably after all of that.
     let gid = node
         .insert(vec![Value::Int(999_999), Value::str("alive")])
