@@ -1461,7 +1461,7 @@ impl LiveRelation {
     /// state — answers *and* global row ids — equals the state the log
     /// was recorded from.
     pub fn replay(&self, log: &UpdateLog) -> Result<usize, EngineError> {
-        self.replay_inner(log, false)
+        self.replay_inner(log.entries(), false)
     }
 
     /// Replay a log produced by [`UpdateLog::compact`]: like
@@ -1477,7 +1477,7 @@ impl LiveRelation {
     /// assigned) is still rejected typed: compaction only ever removes
     /// entries, so it can explain missing ids, never reused ones.
     pub fn replay_compacted(&self, log: &UpdateLog) -> Result<usize, EngineError> {
-        self.replay_inner(log, true)
+        self.replay_inner(log.entries(), true)
     }
 
     /// Replay a bare entry slice with [`Self::replay_compacted`]
@@ -1489,7 +1489,7 @@ impl LiveRelation {
     /// re-applies them here, which is what keeps a replica's answers
     /// *and* global row ids bit-identical to the primary's prefix.
     pub fn replay_entries(&self, entries: &[UpdateEntry]) -> Result<usize, EngineError> {
-        self.replay_compacted(&UpdateLog::from_entries(entries.to_vec()))
+        self.replay_inner(entries, true)
     }
 
     /// Advance the global-id allocator to `next_gid` without inserting:
@@ -1508,8 +1508,8 @@ impl LiveRelation {
         }
     }
 
-    fn replay_inner(&self, log: &UpdateLog, burn_gaps: bool) -> Result<usize, EngineError> {
-        for entry in log.entries() {
+    fn replay_inner(&self, entries: &[UpdateEntry], burn_gaps: bool) -> Result<usize, EngineError> {
+        for entry in entries {
             match entry {
                 UpdateEntry::Insert { gid, row } => {
                     if burn_gaps {
@@ -1532,7 +1532,7 @@ impl LiveRelation {
                 }
             }
         }
-        Ok(log.len())
+        Ok(entries.len())
     }
 }
 

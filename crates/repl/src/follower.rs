@@ -12,13 +12,14 @@
 //!   `epoch(lsn) = cut + (lsn − mark)`. The dictionary is derived from
 //!   the checkpoint alone, so it survives follower restarts unchanged.
 //! * **Catch-up** polls the publisher for durable record frames,
-//!   validates them with the on-disk segment scanner (torn or garbled
-//!   shipments fail typed), persists them to the local mirror *first*
-//!   (durability before state, same as the primary's WAL-before-apply
-//!   order), then replays them into the live relation with compacted
-//!   semantics — gid gaps left by primary compaction burn as
-//!   tombstones, so answers *and* global row ids stay bit-identical to
-//!   the primary's prefix. LSN gaps advance the epoch clock without
+//!   validates them with the one frame scanner (torn or garbled
+//!   shipments fail typed), persists the validated bytes to the local
+//!   mirror *first* — one write per run of frames landing in a segment,
+//!   then a data flush (durability before state, same as the primary's
+//!   WAL-before-apply order) — then replays them into the live relation
+//!   with compacted semantics: gid gaps left by primary compaction burn
+//!   as tombstones, so answers *and* global row ids stay bit-identical
+//!   to the primary's prefix. LSN gaps advance the epoch clock without
 //!   replaying, keeping the dictionary exact:
 //!   `current_epoch == epoch_of_lsn(applied_lsn)` after every step.
 //! * **Serving** implements [`BatchServe`] by delegating to the inner
@@ -46,7 +47,7 @@ use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
 use pitract_store::{fsync_dir, SnapshotCatalog};
 use pitract_wal::segment::{
-    scan_dir, scan_segment, segment_file_name, segment_header, SEGMENT_HEADER_LEN,
+    scan_dir, scan_frames, segment_file_name, segment_header, Frame, SEGMENT_HEADER_LEN,
 };
 use pitract_wal::{SyncPolicy, WalConfig, WalError, WalReader};
 use std::io::Write;
@@ -84,43 +85,68 @@ struct Mirror {
 }
 
 impl Mirror {
-    /// Append one already-validated record frame, rotating to a fresh
-    /// segment (based at the record's LSN) when the active one is full.
-    fn append(&mut self, lsn: u64, frame: &[u8]) -> Result<(), WalError> {
-        if self.file.is_none() || self.active_bytes >= self.segment_bytes {
-            if let Some(prev) = self.file.take() {
-                if self.fsync {
-                    // Seal the closing segment before the new one
-                    // exists: the scanner treats every non-last segment
-                    // as crash-free.
-                    prev.sync_all()?;
-                }
+    /// Append already-validated record frames — `frames` borrowed from
+    /// `bytes`, back to back — rotating to a fresh segment (based at the
+    /// record's LSN) at every record that finds the active one full.
+    /// Each run of frames landing in one segment is a single write.
+    fn append(&mut self, bytes: &[u8], frames: &[Frame<'_>]) -> Result<(), WalError> {
+        let Some(first) = frames.first() else {
+            return Ok(());
+        };
+        let (mut run_start, mut run_end) = (first.offset, first.offset);
+        for frame in frames {
+            let pending = (run_end - run_start) as u64;
+            if self.file.is_none() || self.active_bytes + pending >= self.segment_bytes {
+                self.write_run(&bytes[run_start..run_end])?;
+                self.start_segment(frame.lsn)?;
+                run_start = frame.offset;
             }
-            let path = self.dir.join(segment_file_name(lsn));
-            let mut file = std::fs::OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(&path)?;
-            file.write_all(&segment_header(lsn))?;
-            if self.fsync {
-                file.sync_all()?;
-                fsync_dir(&self.dir)?;
-            }
-            self.active_bytes = SEGMENT_HEADER_LEN as u64;
-            self.file = Some(file);
+            run_end = frame.end();
         }
+        self.write_run(&bytes[run_start..run_end])
+    }
+
+    fn write_run(&mut self, run: &[u8]) -> Result<(), WalError> {
         if let Some(file) = self.file.as_mut() {
-            file.write_all(frame)?;
-            self.active_bytes += frame.len() as u64;
+            file.write_all(run)?;
+            self.active_bytes += run.len() as u64;
         }
         Ok(())
     }
 
-    /// Flush the active segment (once per catch-up step, before apply).
+    /// Seal the active segment and open a fresh one based at `lsn`.
+    fn start_segment(&mut self, lsn: u64) -> Result<(), WalError> {
+        if let Some(prev) = self.file.take() {
+            if self.fsync {
+                // Seal the closing segment before the new one
+                // exists: the scanner treats every non-last segment
+                // as crash-free.
+                prev.sync_all()?;
+            }
+        }
+        let path = self.dir.join(segment_file_name(lsn));
+        let mut file = std::fs::OpenOptions::new()
+            .create_new(true)
+            .write(true)
+            .open(&path)?;
+        file.write_all(&segment_header(lsn))?;
+        if self.fsync {
+            file.sync_all()?;
+            fsync_dir(&self.dir)?;
+        }
+        self.active_bytes = SEGMENT_HEADER_LEN as u64;
+        self.file = Some(file);
+        Ok(())
+    }
+
+    /// Flush the active segment (once per catch-up step, before apply):
+    /// a data flush, like the primary's commit — the frames are appends
+    /// to a segment whose creation was already made durable with
+    /// `sync_all` + a directory fsync, and sealing flushes it fully.
     fn sync(&mut self) -> Result<(), WalError> {
         if self.fsync {
             if let Some(file) = self.file.as_ref() {
-                file.sync_all()?;
+                file.sync_data()?;
             }
         }
         Ok(())
@@ -248,7 +274,7 @@ impl Follower {
             segment_bytes: config.segment_bytes,
             fsync: !matches!(config.sync, SyncPolicy::Never),
         };
-        Ok(Follower {
+        let follower = Follower {
             live,
             // Follower mirror = sub-order 1 of the FollowerCatchup
             // rank, after the publisher's table (sub-order 0).
@@ -259,7 +285,10 @@ impl Follower {
             epoch_base: cut.get(),
             lag_gauge: recorder.gauge("replication_lag_lsn"),
             replay_micros: recorder.histogram("repl_replay_micros"),
-        })
+        };
+        // The mirror tail replayed above is already on disk.
+        follower.drop_pending_log();
+        Ok(follower)
     }
 
     /// The LSN after the last primary record this follower has applied.
@@ -389,41 +418,39 @@ impl Follower {
             });
         }
 
-        // Validate the transfer with the segment scanner: a shipment is
+        // Validate the transfer with the frame scanner: a shipment is
         // a *closed* run of frames, so a tear (a frame cut short in
         // flight) is typed corruption here, never a silent prefix.
-        let mut bytes = segment_header(ship.base());
-        bytes.extend_from_slice(ship.frames());
-        let scan = scan_segment(&bytes, ship.base(), false, "shipment")?;
+        let scan = scan_frames(ship.frames(), ship.base(), false, "shipment")?;
         // A truncation that lands exactly on a frame boundary scans as a
         // valid *shorter* run — the record count in the shipment header
         // is what catches it.
-        if scan.records.len() != ship.records() {
+        if scan.frames.len() != ship.records() {
             return Err(ReplError::Wal(WalError::Corrupt {
                 segment: "shipment".to_string(),
-                offset: bytes.len() as u64,
+                offset: ship.frames().len() as u64,
                 reason: format!(
                     "shipment claims {} records but {} frames arrived",
                     ship.records(),
-                    scan.records.len()
+                    scan.frames.len()
                 ),
             }));
         }
-        let mut entries: Vec<(u64, Vec<u8>, UpdateEntry)> = Vec::with_capacity(scan.records.len());
-        for (lsn, payload) in scan.records {
-            if lsn < from || lsn >= ship.end() {
+        let mut entries: Vec<UpdateEntry> = Vec::with_capacity(scan.frames.len());
+        for frame in &scan.frames {
+            if frame.lsn < from || frame.lsn >= ship.end() {
                 return Err(ReplError::Misaligned {
                     expected: from,
-                    found: lsn,
+                    found: frame.lsn,
                 });
             }
-            let mut r = CodecReader::new(&payload);
+            let mut r = CodecReader::new(frame.payload());
             let entry = r.update_entry().map_err(|e| WalError::Corrupt {
                 segment: "shipment".to_string(),
-                offset: 0,
-                reason: format!("record {lsn} payload does not decode: {e}"),
+                offset: frame.offset as u64,
+                reason: format!("record {} payload does not decode: {e}", frame.lsn),
             })?;
-            entries.push((lsn, payload, entry));
+            entries.push(entry);
         }
 
         // Persist before apply — the same WAL-before-state order the
@@ -431,10 +458,7 @@ impl Follower {
         // held across file appends and the flush only.
         {
             let mut mirror = self.mirror.lock();
-            for (lsn, payload, _) in &entries {
-                let frame = pitract_wal::segment::encode_record(*lsn, payload);
-                mirror.append(*lsn, &frame)?;
-            }
+            mirror.append(ship.frames(), &scan.frames)?;
             mirror.sync()?;
         }
 
@@ -443,16 +467,26 @@ impl Follower {
         // primary's compactor left burns as tombstones, so global row
         // ids stay bit-identical.
         let started = std::time::Instant::now();
-        let to_apply: Vec<UpdateEntry> = entries.into_iter().map(|(_, _, e)| e).collect();
-        self.live.replay_entries(&to_apply)?;
+        self.live.replay_entries(&entries)?;
         // LSN gaps advance the clock by their span: the dictionary
         // invariant `current_epoch == epoch_of_lsn(applied)` holds
         // after every step, whatever compaction dropped.
         self.live.advance_epoch_to(self.epoch_of_lsn(ship.end()));
+        self.drop_pending_log();
         self.replay_micros.record_duration(started.elapsed());
 
         self.applied.store(ship.end(), Ordering::SeqCst);
         Ok(())
+    }
+
+    /// Empty the inner relation's pending update log. Replay logs every
+    /// update there for the next checkpoint to truncate, but a follower
+    /// never checkpoints and never reads that log — its mirror, flushed
+    /// before the replay, *is* its log — so left alone it would grow by
+    /// one entry per replicated update forever. Draining leaves the
+    /// log's end-epoch stamp where `advance_epoch_to` put it.
+    fn drop_pending_log(&self) {
+        self.live.confirm_checkpoint(usize::MAX);
     }
 
     // --- read-only serving surface -----------------------------------
@@ -660,6 +694,140 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A restart right after *any* shipment — most of them flushed by
+    /// the per-shipment data flush alone, mid-segment, with no sealing
+    /// rotation behind them — recovers exactly that shipment's cursor,
+    /// epoch and rows from the mirror.
+    #[test]
+    fn follower_restart_after_every_flushed_shipment_loses_nothing() {
+        let root = fresh_dir("restart-each");
+        let (node, catalog) = primary(&root, 0);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        for i in 0..30i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        let mirror = root.join("mirror");
+        let mut applied = 0;
+        let mut restarts = 0;
+        loop {
+            let follower = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+            assert_eq!(follower.applied_lsn(), applied, "restart {restarts}");
+            assert_eq!(follower.current_epoch(), follower.applied_epoch());
+            assert_eq!(follower.len() as u64, applied);
+            assert!(follower.live.pending_log().is_empty());
+            let sub = follower.attach(&publisher);
+            // One shipment of two or three records, then "crash".
+            let report = follower.catch_up_step(&publisher, sub, 100).unwrap();
+            publisher.detach(sub);
+            if report.applied_lsn == applied {
+                break;
+            }
+            applied = report.applied_lsn;
+            restarts += 1;
+        }
+        assert_eq!(applied, 30);
+        assert!(restarts >= 10, "shipments were small: {restarts} restarts");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// One write per run of frames must leave the mirror byte-identical
+    /// to one write per frame: same segment files, rotated at the same
+    /// records. Feeding a follower one record per shipment *is* one
+    /// write per frame.
+    #[test]
+    fn a_shipment_written_in_runs_mirrors_exactly_like_frame_by_frame() {
+        let root = fresh_dir("runs");
+        let (node, catalog) = primary(&root, 0);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        for i in 0..23i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        let whole = Follower::bootstrap(&catalog, "node", root.join("whole"), config()).unwrap();
+        whole.apply_shipment(&publisher.poll(0).unwrap()).unwrap();
+        let single = Follower::bootstrap(&catalog, "node", root.join("single"), config()).unwrap();
+        while single.applied_lsn() < 23 {
+            let ship = publisher.poll_bytes(single.applied_lsn(), 1).unwrap();
+            assert_eq!(ship.records(), 1);
+            single.apply_shipment(&ship).unwrap();
+        }
+        let files = |dir: &str| -> Vec<(String, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| {
+                    let name = p.file_name().unwrap().to_str().unwrap().to_string();
+                    (name, std::fs::read(&p).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let (whole_files, single_files) = (files("whole"), files("single"));
+        assert!(whole_files.len() > 3, "tiny segments rotated mid-shipment");
+        assert_eq!(whole_files, single_files);
+        // And it is what the scanner expects of a WAL directory.
+        let scan = scan_dir(&root.join("whole")).unwrap();
+        assert_eq!(scan.next_lsn, 23);
+        assert_eq!(scan.records().count(), 23);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A follower never checkpoints, so nothing but the apply path can
+    /// empty the pending update log its replays fill: it must stay
+    /// empty across any number of shipments, with the replica still
+    /// bit-identical to the primary and on the primary's epoch clock.
+    #[test]
+    fn pending_log_stays_bounded_across_many_shipments() {
+        let root = fresh_dir("pending");
+        let (node, catalog) = primary(&root, 4);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        let follower =
+            Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
+        let sub = follower.attach(&publisher);
+        let mut shipments = 0;
+        for round in 0..120i64 {
+            let gid = node.insert(vec![Value::Int(1000 + round)]).unwrap();
+            node.insert(vec![Value::Int(5000 + round)]).unwrap();
+            if round % 3 == 0 {
+                node.delete(gid).unwrap();
+            }
+            if round == 60 {
+                // A compaction gap in the stream on the way.
+                node.checkpoint(&catalog, "node").unwrap();
+                publisher.compact_primary().unwrap();
+            }
+            let ship = publisher.poll(follower.applied_lsn()).unwrap();
+            follower.apply_shipment(&ship).unwrap();
+            publisher.advance(sub, ship.end());
+            shipments += 1;
+            assert!(
+                follower.live.pending_log().is_empty(),
+                "round {round}: {} entries pending",
+                follower.live.pending_log().len()
+            );
+            assert_eq!(follower.current_epoch(), follower.applied_epoch());
+            assert_eq!(
+                follower.live.pending_log().end_epoch(),
+                follower.current_epoch(),
+                "the drained log still carries the clock"
+            );
+        }
+        assert!(shipments >= 100);
+        assert_eq!(follower.applied_lsn(), node.wal().durable_lsn());
+        assert_eq!(follower.len(), node.len());
+        for round in 0..120i64 {
+            for key in [1000 + round, 5000 + round] {
+                let q = SelectionQuery::point(0, key);
+                assert_eq!(
+                    follower.matching_ids(&q),
+                    node.matching_ids(&q),
+                    "key {key}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
     #[test]
     fn catch_up_bridges_compaction_gaps_with_identical_gids() {
         let root = fresh_dir("gaps");
@@ -726,17 +894,22 @@ mod tests {
         // flip a payload byte (checksum mismatch) and cut a frame short
         // (closed-run tear). Both must be typed, neither applied.
         let ship = publisher.poll(0).unwrap();
-        let frames = ship.frames();
-        let mut flipped = segment_header(0);
-        flipped.extend_from_slice(frames);
+        let garbled =
+            |frames: Vec<u8>| Shipment::from_parts(ship.base(), ship.end(), ship.records(), frames);
+        let mut flipped = ship.frames().to_vec();
         let n = flipped.len();
         flipped[n - 10] ^= 0xFF;
-        let err = scan_segment(&flipped, 0, false, "shipment").unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
-        let mut torn = segment_header(0);
-        torn.extend_from_slice(&frames[..frames.len() - 3]);
-        let err = scan_segment(&torn, 0, false, "shipment").unwrap_err();
-        assert!(matches!(err, WalError::Corrupt { .. }), "{err}");
+        let err = follower.apply_shipment(&garbled(flipped)).unwrap_err();
+        assert!(
+            matches!(err, ReplError::Wal(WalError::Corrupt { ref reason, .. }) if reason.contains("checksum")),
+            "{err}"
+        );
+        let torn = ship.frames()[..n - 3].to_vec();
+        let err = follower.apply_shipment(&garbled(torn)).unwrap_err();
+        assert!(
+            matches!(err, ReplError::Wal(WalError::Corrupt { ref reason, .. }) if reason.contains("mid-record")),
+            "{err}"
+        );
         // The follower stays clean and can still catch up for real.
         assert_eq!(follower.applied_lsn(), 0);
         let sub = follower.attach(&publisher);

@@ -14,7 +14,10 @@
 //!   frames in the existing segment wire format (store codec payloads
 //!   framed with FNV-1a-64 checksums), capped at the primary's durable
 //!   frontier — a follower can never apply a record the primary could
-//!   still lose. The publisher also owns the subscription table: the
+//!   still lose — and found by reading only the bytes at or past the
+//!   follower's cursor (see [`publisher`] for the cost contract and the
+//!   advisory tail index behind it). The publisher also owns the
+//!   subscription table: the
 //!   minimum applied LSN across attached followers is the **retention
 //!   watermark** the primary's compactor honors, which closes the
 //!   compaction/replication race by construction.
@@ -27,13 +30,14 @@
 //!   in both answers and global row ids.
 //! * [`CatchUpReport`] is the typed progress statement
 //!   (`applied_lsn` / `primary_lsn` / `lag`), and the stack publishes
-//!   `replication_lag_lsn`, `repl_segments_shipped_total`, and
-//!   `repl_replay_micros` through the `pitract-obs` registry next to
-//!   the existing `wal_*` series.
+//!   `replication_lag_lsn`, `repl_segments_shipped_total`,
+//!   `repl_poll_bytes_read_total`, and `repl_replay_micros` through
+//!   the `pitract-obs` registry next to the existing `wal_*` series.
 //!
 //! Torn or garbled transfers fail **typed** ([`ReplError`]), never
-//! panic: shipments are validated with the same scanner that validates
-//! on-disk segments, so a byte flipped in flight is a
+//! panic: shipments are validated with the same frame scanner
+//! ([`pitract_wal::segment::scan_frames`]) that validates on-disk
+//! segments, so a byte flipped in flight is a
 //! [`pitract_wal::WalError::Corrupt`], and a shipment cut short is a
 //! closed-segment tear — an error, not a silent prefix.
 //!

@@ -4,12 +4,12 @@
 //! [`DurableLiveRelation`] and serves two jobs:
 //!
 //! * **Shipping.** [`SegmentPublisher::poll`] returns every record in
-//!   `[from, durable)` as a [`Shipment`] — record frames in the exact
-//!   on-disk segment wire format (length + LSN + store-codec payload +
-//!   FNV-1a-64 checksum), read back from the segment files and capped
-//!   at the primary's durable frontier. Re-framing is byte-exact
-//!   because the format is deterministic; a follower validates a
-//!   shipment with the same scanner that validates segments on disk.
+//!   `[from, durable)` as a [`Shipment`] — the raw record frames, byte
+//!   for byte as they sit in the segment files (length + LSN +
+//!   store-codec payload + FNV-1a-64 checksum), each validated by
+//!   [`scan_frames`] on the way out and capped at the primary's durable
+//!   frontier. A follower re-validates a shipment with the same frame
+//!   scanner.
 //! * **Retention.** Attached followers register their applied LSN in
 //!   the publisher's subscription table; the minimum across the table
 //!   is the [retention watermark](SegmentPublisher::retention_watermark)
@@ -17,19 +17,62 @@
 //!   compactor, so a compaction pass can never touch a segment an
 //!   attached follower has yet to fetch.
 //!
-//! The subscription table sits behind a `FollowerCatchup`-ranked lock
-//! (see the `pitract-core` lockdep table): it is held across the
-//! compaction pass — pure file I/O plus the WAL tiers above rank 45 —
-//! and never across anything that re-enters the engine.
+//! # What a poll costs
+//!
+//! A poll reads and checksums only bytes **at or past the cursor**: its
+//! cost follows the delta it ships, not the size of the segment the
+//! delta sits in. The publisher keeps a small in-memory *tail index* of
+//! anchors — `(segment, lsn, offset)`: "the frame of record `lsn` starts
+//! at byte `offset` of that segment" — one pushed per poll at the last
+//! frame the poll validated below the durable frontier. The next poll
+//! from a cursor past an anchor opens that one segment, seeks to the
+//! anchor, and reads to the end of the file (then walks on through any
+//! newer segments from their headers).
+//!
+//! The index is a cache, never a source of truth:
+//!
+//! * it is **bounded** (`TAIL_INDEX_CAP` anchors, oldest evicted);
+//! * it is **cleared** by [`SegmentPublisher::compact_primary`], and an
+//!   anchor whose segment file is gone is dropped;
+//! * it is **verified on every use**: the read starts *at* the anchor
+//!   frame, which must validate and carry exactly the anchored LSN. A
+//!   compaction that went around the publisher
+//!   ([`DurableLiveRelation::compact_wal`] called directly) rewrites a
+//!   segment as a subsequence of its records, so the anchored record
+//!   still sitting at its old offset proves nothing before it was
+//!   removed — every record past the cursor is still past the anchor.
+//!   Any other outcome (garbage, a different record, a validation
+//!   failure anywhere in the tail) discards the hinted read and scans
+//!   that segment from its header, which is therefore the only read
+//!   that can report [`pitract_wal::WalError::Corrupt`].
+//!
+//! What the contract gives up: damage *below* the cursor in a segment
+//! read through an anchor is not noticed by that poll (recovery and
+//! compaction, which scan whole segments, still report it).
+//!
+//! The subscription table and the tail index sit behind one
+//! `FollowerCatchup`-ranked lock (see the `pitract-core` lockdep
+//! table): it is held across the compaction pass — pure file I/O plus
+//! the WAL tiers above rank 45 — and never across anything that
+//! re-enters the engine. A poll takes its anchor *out* under the lock
+//! and does all of its flushing and reading with the lock released.
 
 use crate::ReplError;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
 use pitract_obs::{Counter, Recorder};
 use pitract_wal::compactor::CompactionReport;
-use pitract_wal::segment::{encode_record, parse_segment_file_name, scan_segment};
+use pitract_wal::segment::{list_segments, scan_frames, scan_segment, Frame};
 use pitract_wal::DurableLiveRelation;
-use std::path::PathBuf;
+use std::collections::VecDeque;
+use std::io::{Read, Seek, SeekFrom};
+use std::path::Path;
 use std::sync::Arc;
+
+/// Anchors the tail index holds at most. One anchor is pushed per poll,
+/// so this covers that many followers polling in turn at different
+/// cursors; a follower whose anchor was evicted pays one from-the-header
+/// scan of its segment and is then indexed again.
+const TAIL_INDEX_CAP: usize = 8;
 
 /// A handle naming one attached follower in the publisher's
 /// subscription table.
@@ -114,6 +157,169 @@ struct SubTable {
     /// publisher: records below it may be gone, so fetches must start
     /// at or above it.
     compaction_floor: u64,
+    /// The tail index: where recent polls stopped reading, oldest
+    /// first. Advisory — see the module docs.
+    tail: VecDeque<TailAnchor>,
+}
+
+/// "The frame of record `lsn` starts at byte `offset` of the segment
+/// based at `base`" — true when recorded (the publisher had just
+/// validated that frame, below the durable frontier), re-checked on
+/// every use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TailAnchor {
+    base: u64,
+    lsn: u64,
+    offset: u64,
+}
+
+impl SubTable {
+    /// The anchor closest below `from`: every record at or above `from`
+    /// sits after it (in its segment or a newer one).
+    fn anchor_below(&self, from: u64) -> Option<TailAnchor> {
+        self.tail
+            .iter()
+            .filter(|a| a.lsn < from)
+            .max_by_key(|a| a.lsn)
+            .copied()
+    }
+
+    fn remember(&mut self, anchor: TailAnchor) {
+        if self.tail.contains(&anchor) {
+            return;
+        }
+        if self.tail.len() == TAIL_INDEX_CAP {
+            self.tail.pop_front();
+        }
+        self.tail.push_back(anchor);
+    }
+}
+
+/// One poll's accumulating result, filled segment by segment.
+struct TailRead {
+    from: u64,
+    durable: u64,
+    max_bytes: usize,
+    frames: Vec<u8>,
+    records: usize,
+    segments_read: usize,
+    bytes_read: u64,
+    /// The byte budget stopped the poll at `anchor`'s frame.
+    capped: bool,
+    /// The last frame validated below the durable frontier (shipped, or
+    /// skipped as below the cursor).
+    anchor: Option<TailAnchor>,
+}
+
+impl TailRead {
+    fn new(from: u64, durable: u64, max_bytes: usize) -> Self {
+        TailRead {
+            from,
+            durable,
+            max_bytes,
+            frames: Vec::new(),
+            records: 0,
+            segments_read: 0,
+            bytes_read: 0,
+            capped: false,
+            anchor: None,
+        }
+    }
+
+    /// Read one segment file: from `anchor` to the end of the file when
+    /// the anchor checks out, from the header otherwise. Returns whether
+    /// the poll is complete.
+    fn read_segment(
+        &mut self,
+        path: &Path,
+        base: u64,
+        last: bool,
+        anchor: Option<TailAnchor>,
+    ) -> Result<bool, ReplError> {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+        // The active segment may be mid-append under us: a read snapshot can
+        // end inside a frame, which the scanner treats as a torn tail
+        // (`last = true`). Those unconfirmed bytes are above the durable
+        // frontier anyway.
+        let mut file = std::fs::File::open(path)?;
+        let mut bytes = Vec::new();
+        if let Some(anchor) = anchor {
+            file.seek(SeekFrom::Start(anchor.offset))?;
+            file.read_to_end(&mut bytes)?;
+            self.bytes_read += bytes.len() as u64;
+            // The anchor frame itself is the first thing read: only the
+            // anchored record, valid, at the anchored offset vouches for the
+            // position. A failure anywhere in the hinted read is not
+            // reported from here — the from-the-header scan below decides
+            // whether the segment or merely the hint was bad.
+            if let Ok(scan) = scan_frames(&bytes, anchor.lsn, last, name) {
+                if scan.frames.first().is_some_and(|f| f.lsn == anchor.lsn) {
+                    return Ok(self.ship(base, anchor.offset, &bytes, &scan.frames));
+                }
+            }
+            file.rewind()?;
+            bytes.clear();
+        }
+        file.read_to_end(&mut bytes)?;
+        self.bytes_read += bytes.len() as u64;
+        let scan = scan_segment(&bytes, base, last, name)?;
+        Ok(self.ship(base, 0, &bytes, &scan.frames))
+    }
+
+    /// Ship out of one segment's validated `frames` — borrowed from
+    /// `bytes`, whose first byte sits at `file_offset` of the segment
+    /// based at `base` — every record in `[from, durable)`, as one copy
+    /// of the raw run. Returns whether the poll is complete (it reached
+    /// the durable frontier or its byte budget).
+    fn ship(&mut self, base: u64, file_offset: u64, bytes: &[u8], frames: &[Frame<'_>]) -> bool {
+        let mut run: Option<(usize, usize)> = None;
+        let mut complete = false;
+        for frame in frames {
+            if frame.lsn >= self.durable {
+                complete = true;
+                break;
+            }
+            self.anchor = Some(TailAnchor {
+                base,
+                lsn: frame.lsn,
+                offset: file_offset + frame.offset as u64,
+            });
+            if frame.lsn < self.from {
+                continue;
+            }
+            let start = run.map_or(frame.offset, |(start, _)| start);
+            run = Some((start, frame.end()));
+            self.records += 1;
+            if self.frames.len() + (frame.end() - start) >= self.max_bytes {
+                self.capped = true;
+                complete = true;
+                break;
+            }
+        }
+        if let Some((start, end)) = run {
+            self.frames.extend_from_slice(&bytes[start..end]);
+            self.segments_read += 1;
+        }
+        complete
+    }
+
+    fn into_shipment(self) -> Shipment {
+        // Uncapped, the shipment covers the whole range up to the
+        // durable frontier even when its trailing records were
+        // compacted away — the follower bridges the gap by advancing
+        // its cursor (and epoch clock) without replaying anything.
+        let end = match self.anchor {
+            Some(stopped_at) if self.capped => stopped_at.lsn + 1,
+            _ => self.durable.max(self.from),
+        };
+        Shipment {
+            base: self.from,
+            end,
+            frames: self.frames,
+            records: self.records,
+            segments_read: self.segments_read,
+        }
+    }
 }
 
 /// Primary-side replication endpoint: a polled tail subscription over
@@ -124,6 +330,7 @@ pub struct SegmentPublisher {
     primary: Arc<DurableLiveRelation>,
     subs: OrderedMutex<SubTable>,
     shipped_segments: Counter,
+    poll_bytes_read: Counter,
 }
 
 impl SegmentPublisher {
@@ -133,9 +340,11 @@ impl SegmentPublisher {
         Self::new_observed(primary, &Recorder::default())
     }
 
-    /// Publish `primary`'s WAL, counting shipped segments into
-    /// `recorder` as `repl_segments_shipped_total` (next to the
-    /// `wal_*` series the primary already publishes there).
+    /// Publish `primary`'s WAL, counting into `recorder` (next to the
+    /// `wal_*` series the primary already publishes there) the segment
+    /// files frames were shipped out of as `repl_segments_shipped_total`
+    /// and the bytes polls read from segment files to find them as
+    /// `repl_poll_bytes_read_total`.
     pub fn new_observed(primary: Arc<DurableLiveRelation>, recorder: &Recorder) -> Self {
         SegmentPublisher {
             primary,
@@ -144,6 +353,7 @@ impl SegmentPublisher {
             // nesting is publisher-before-follower.
             subs: OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 0, SubTable::default()),
             shipped_segments: recorder.counter("repl_segments_shipped_total"),
+            poll_bytes_read: recorder.counter("repl_poll_bytes_read_total"),
         }
     }
 
@@ -202,7 +412,9 @@ impl SegmentPublisher {
     /// segments holding records an attached follower still needs are
     /// left byte-for-byte untouched. The subscription table stays
     /// locked across the pass, so a follower cannot attach-then-fetch
-    /// into a range the running pass is about to drop. This is the
+    /// into a range the running pass is about to drop; the tail index
+    /// is cleared, since the pass may rewrite or remove the segments its
+    /// anchors point into. This is the
     /// *only* compaction entry point that preserves the publisher's
     /// shipping guarantee — compacting the primary directly bypasses
     /// the watermark.
@@ -213,6 +425,7 @@ impl SegmentPublisher {
         let mark = self.primary.checkpoint_mark();
         let effective = retention.map_or(mark, |r| r.min(mark));
         subs.compaction_floor = subs.compaction_floor.max(effective);
+        subs.tail.clear();
         Ok(report)
     }
 
@@ -227,7 +440,9 @@ impl SegmentPublisher {
     /// record is always shipped when any is available). The fetch first
     /// flushes the primary's WAL — the shipment's cap *is* the durable
     /// frontier, so a follower can never apply a record the primary
-    /// could still lose to a crash.
+    /// could still lose to a crash. It reads only bytes at or past the
+    /// cursor wherever the tail index has an anchor below `from` (see
+    /// the module docs).
     ///
     /// Fails typed with [`ReplError::Stale`] when `from` is below the
     /// publisher's compaction floor (the records may no longer exist;
@@ -241,90 +456,508 @@ impl SegmentPublisher {
         // on the primary, so shipping up to it never replicates an
         // unconfirmed suffix.
         let durable = self.primary.wal().sync()?;
+        self.read_tail(from, durable, max_bytes)
+    }
+
+    /// Ship `[from, durable)` out of the segment files, `durable` being
+    /// a frontier a real flush returned.
+    fn read_tail(&self, from: u64, durable: u64, max_bytes: usize) -> Result<Shipment, ReplError> {
+        let mut tail = TailRead::new(from, durable, max_bytes);
         if durable <= from {
-            return Ok(Shipment {
-                base: from,
-                end: from,
-                frames: Vec::new(),
-                records: 0,
-                segments_read: 0,
-            });
+            return Ok(tail.into_shipment());
         }
+        // The anchor is taken *out* under the table lock: every file
+        // read below runs with the lock released.
+        let hint = self.subs.lock().anchor_below(from);
 
-        // Enumerate segment files; segment i holds LSNs in
-        // [base_i, base_{i+1}), so files entirely below `from` are
-        // skipped without being read.
-        let mut files: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(self.primary.wal_dir())? {
-            let path = entry?.path();
-            if let Some(base) = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(parse_segment_file_name)
-            {
-                files.push((base, path));
-            }
-        }
-        files.sort();
-
-        let mut frames = Vec::new();
-        let mut records = 0usize;
-        let mut segments_read = 0usize;
-        let mut last_shipped: Option<u64> = None;
-        let mut capped = false;
-        'files: for (i, (base, path)) in files.iter().enumerate() {
-            let upper = files.get(i + 1).map(|(b, _)| *b).unwrap_or(u64::MAX);
+        // Segment i holds LSNs in [base_i, base_{i+1}), so files
+        // entirely below `from` are skipped without being opened — and
+        // an anchor below `from` sits in the first file that is not.
+        let files = list_segments(self.primary.wal_dir())?;
+        for (i, (base, path)) in files.iter().enumerate() {
+            let upper = files.get(i + 1).map_or(u64::MAX, |(b, _)| *b);
             if upper <= from || *base >= durable {
                 continue;
             }
             let last = i + 1 == files.len();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-            // The active segment may be mid-append under us: a read
-            // snapshot can end inside a frame, which the scanner treats
-            // as a torn tail (`last = true`). Those unconfirmed bytes
-            // are above the durable frontier anyway.
-            let bytes = std::fs::read(path)?;
-            let scan = scan_segment(&bytes, *base, last, name)?;
-            let mut contributed = false;
-            for (lsn, payload) in &scan.records {
-                if *lsn < from {
-                    continue;
-                }
-                if *lsn >= durable {
-                    break 'files;
-                }
-                frames.extend_from_slice(&encode_record(*lsn, payload));
-                records += 1;
-                contributed = true;
-                last_shipped = Some(*lsn);
-                if frames.len() >= max_bytes {
-                    segments_read += 1;
-                    capped = true;
-                    break 'files;
-                }
-            }
-            if contributed {
-                segments_read += 1;
+            let anchor = hint.filter(|a| a.base == *base);
+            if tail.read_segment(path, *base, last, anchor)? {
+                break;
             }
         }
-        // Uncapped, the shipment covers the whole range up to the
-        // durable frontier even when its trailing records were
-        // compacted away — the follower bridges the gap by advancing
-        // its cursor (and epoch clock) without replaying anything.
-        let end = if capped {
-            // Safe: capped implies at least one shipped record.
-            last_shipped.map_or(from, |l| l + 1)
-        } else {
-            durable
+
+        self.shipped_segments.add(tail.segments_read as u64);
+        self.poll_bytes_read.add(tail.bytes_read);
+        let hint_file_gone = hint.filter(|a| files.iter().all(|(base, _)| *base != a.base));
+        if tail.anchor.is_some() || hint_file_gone.is_some() {
+            let mut subs = self.subs.lock();
+            if let Some(gone) = hint_file_gone {
+                subs.tail.retain(|a| a.base != gone.base);
+            }
+            if let Some(anchor) = tail.anchor {
+                subs.remember(anchor);
+            }
+        }
+        Ok(tail.into_shipment())
+    }
+}
+
+/// The reference poll — every segment holding the range read whole,
+/// scanned from its header, its records re-encoded one by one — kept as
+/// the oracle the tail-indexed poll is checked against, plus the suites
+/// that do the checking.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use pitract_engine::{LiveRelation, ShardBy, UpdateOp};
+    use pitract_relation::{ColType, Relation, Schema, Value};
+    use pitract_store::SnapshotCatalog;
+    use pitract_wal::segment::{encode_record, SEGMENT_HEADER_LEN};
+    use pitract_wal::{SyncPolicy, WalConfig, WalError};
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl SegmentPublisher {
+        /// What [`Self::read_tail`] must return, computed the way polls
+        /// worked before the tail index existed.
+        fn read_tail_oracle(
+            &self,
+            from: u64,
+            durable: u64,
+            max_bytes: usize,
+        ) -> Result<Shipment, ReplError> {
+            if durable <= from {
+                return Ok(Shipment::from_parts(from, from, 0, Vec::new()));
+            }
+            let files = list_segments(self.primary.wal_dir())?;
+            let mut frames = Vec::new();
+            let mut records = 0usize;
+            let mut last_shipped: Option<u64> = None;
+            let mut capped = false;
+            'files: for (i, (base, path)) in files.iter().enumerate() {
+                let upper = files.get(i + 1).map(|(b, _)| *b).unwrap_or(u64::MAX);
+                if upper <= from || *base >= durable {
+                    continue;
+                }
+                let last = i + 1 == files.len();
+                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+                let bytes = std::fs::read(path)?;
+                let scan = scan_segment(&bytes, *base, last, name)?;
+                for frame in &scan.frames {
+                    if frame.lsn < from {
+                        continue;
+                    }
+                    if frame.lsn >= durable {
+                        break 'files;
+                    }
+                    frames.extend_from_slice(&encode_record(frame.lsn, frame.payload()));
+                    records += 1;
+                    last_shipped = Some(frame.lsn);
+                    if frames.len() >= max_bytes {
+                        capped = true;
+                        break 'files;
+                    }
+                }
+            }
+            let end = if capped {
+                last_shipped.map_or(from, |l| l + 1)
+            } else {
+                durable
+            };
+            Ok(Shipment::from_parts(from, end, records, frames))
+        }
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "pitract-reploracle-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::SeqCst)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    struct Node {
+        root: PathBuf,
+        node: Arc<DurableLiveRelation>,
+        catalog: SnapshotCatalog,
+        publisher: SegmentPublisher,
+        recorder: Recorder,
+        live_gids: Vec<usize>,
+    }
+
+    impl Node {
+        /// An empty one-column primary with `segment_bytes` segments and an
+        /// observed publisher. Every record frame is the same size.
+        fn new(tag: &str, segment_bytes: u64) -> Node {
+            let root = fresh_dir(tag);
+            let rel = Relation::from_rows(Schema::new(&[("id", ColType::Int)]), vec![]).unwrap();
+            let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+            let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+            let config = WalConfig {
+                segment_bytes,
+                sync: SyncPolicy::GroupCommit,
+            };
+            let node = Arc::new(
+                DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config)
+                    .unwrap(),
+            );
+            let recorder = Recorder::new();
+            let publisher = SegmentPublisher::new_observed(Arc::clone(&node), &recorder);
+            Node {
+                root,
+                node,
+                catalog,
+                publisher,
+                recorder,
+                live_gids: Vec::new(),
+            }
+        }
+
+        fn insert(&mut self, key: u64) {
+            let gid = self.node.insert(vec![Value::Int(key as i64)]).unwrap();
+            self.live_gids.push(gid);
+        }
+
+        fn delete(&mut self, pick: u64) {
+            if !self.live_gids.is_empty() {
+                let gid = self
+                    .live_gids
+                    .swap_remove(pick as usize % self.live_gids.len());
+                self.node.delete(gid).unwrap();
+            }
+        }
+
+        /// One durable batch: `inserts` fresh rows, and a delete of a row
+        /// that was live before the batch for every second one.
+        fn batch(&mut self, inserts: u64) {
+            let mut ops = Vec::new();
+            for i in 0..inserts {
+                ops.push(UpdateOp::Insert(vec![Value::Int(i as i64)]));
+                if i % 2 == 1 && !self.live_gids.is_empty() {
+                    ops.push(UpdateOp::Delete(self.live_gids.swap_remove(0)));
+                }
+            }
+            for applied in self.node.apply_batch(ops).unwrap() {
+                if let pitract_engine::Applied::Inserted(gid) = applied {
+                    self.live_gids.push(gid);
+                }
+            }
+        }
+
+        fn checkpoint(&self) {
+            self.node.checkpoint(&self.catalog, "node").unwrap();
+        }
+
+        fn bytes_read(&self) -> u64 {
+            self.recorder
+                .snapshot()
+                .counter("repl_poll_bytes_read_total")
+                .unwrap_or(0)
+        }
+
+        /// The newest segment file.
+        fn active_segment(&self) -> PathBuf {
+            let files = list_segments(self.node.wal_dir()).unwrap();
+            files.last().unwrap().1.clone()
+        }
+
+        /// Poll `[from, min(durable, cap))` both ways and require the same
+        /// outcome: the same shipment byte for byte, or the same error.
+        /// Returns the shipment (`None` when both failed).
+        fn agree(&self, from: u64, cap: u64, max_bytes: usize, tag: &str) -> Option<Shipment> {
+            let durable = self.node.wal().sync().unwrap().min(cap);
+            let want = self.publisher.read_tail_oracle(from, durable, max_bytes);
+            let got = self.publisher.read_tail(from, durable, max_bytes);
+            match (want, got) {
+                (Ok(want), Ok(got)) => {
+                    assert_eq!(got.base(), want.base(), "{tag}: base");
+                    assert_eq!(got.end(), want.end(), "{tag}: end");
+                    assert_eq!(got.records(), want.records(), "{tag}: records");
+                    assert_eq!(got.frames(), want.frames(), "{tag}: frames");
+                    Some(got)
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(got.to_string(), want.to_string(), "{tag}: error");
+                    None
+                }
+                (want, got) => panic!("{tag}: oracle {want:?} but poll {got:?}"),
+            }
+        }
+    }
+
+    impl Drop for Node {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
+    }
+
+    /// Bytes of one record frame in a [`Node`]'s WAL.
+    fn frame_len(n: &mut Node) -> u64 {
+        let before = std::fs::metadata(n.active_segment()).unwrap().len();
+        n.insert(0);
+        std::fs::metadata(n.active_segment()).unwrap().len() - before
+    }
+
+    proptest! {
+        /// The tail-indexed poll against the full-scan oracle under every
+        /// interleaving the index has to survive: single appends and
+        /// batches, rotations (tiny segments, and forced), checkpoint +
+        /// compaction through the publisher, compaction behind its back,
+        /// and polls from two followers' cursors and from arbitrary
+        /// positions, under arbitrary byte budgets and durable frontiers.
+        #[test]
+        fn every_poll_equals_the_full_scan_oracle(
+            segment_bytes in 100u64..900,
+            script in prop::collection::vec((0u8..16, 0u64..1_000, 0u64..1_000), 20..90)
+        ) {
+            let mut n = Node::new("prop", segment_bytes);
+            let mut cursors = [0u64; 2];
+            let subs = [n.publisher.attach(0), n.publisher.attach(0)];
+            for (step, &(op, a, b)) in script.iter().enumerate() {
+                let tag = format!("step {step} op {op} a {a} b {b}");
+                match op {
+                    0..=2 => n.insert(a),
+                    3 => n.delete(a),
+                    4 | 5 => n.batch(1 + a % 8),
+                    6 => n.node.wal().rotate_now().unwrap(),
+                    7 => {
+                        n.checkpoint();
+                        n.publisher.compact_primary().unwrap();
+                        prop_assert!(n.publisher.subs.lock().tail.is_empty());
+                    }
+                    8 => n.checkpoint(),
+                    // Behind the publisher's back: no retention, no index
+                    // clear, no floor.
+                    9 => drop(n.node.compact_wal().unwrap()),
+                    10..=13 => {
+                        // A follower's poll from its cursor.
+                        let who = (op % 2) as usize;
+                        let budget = if a % 3 == 0 { usize::MAX } else { (b % 300) as usize };
+                        if let Some(ship) = n.agree(cursors[who], u64::MAX, budget, &tag) {
+                            prop_assert!(ship.end() >= cursors[who]);
+                            cursors[who] = ship.end();
+                            n.publisher.advance(subs[who], ship.end());
+                        }
+                    }
+                    _ => {
+                        // Anywhere: at, behind, and ahead of the index, up
+                        // to an arbitrary (earlier) durable frontier.
+                        let next = n.node.wal().next_lsn();
+                        let from = a % (next + 2);
+                        let cap = if b % 4 == 0 { u64::MAX } else { from + b % 40 };
+                        let budget = if b % 3 == 0 { usize::MAX } else { (a % 500) as usize };
+                        n.agree(from, cap, budget, &tag);
+                    }
+                }
+                prop_assert!(n.publisher.subs.lock().tail.len() <= TAIL_INDEX_CAP);
+            }
+            // Drain both followers through the public entry point.
+            for (who, cursor) in cursors.iter_mut().enumerate() {
+                loop {
+                    let want = n.agree(*cursor, u64::MAX, 128, "drain").unwrap();
+                    if want.is_empty() {
+                        break;
+                    }
+                    *cursor = want.end();
+                }
+                let ship = n.publisher.poll_bytes(*cursor, usize::MAX).unwrap();
+                prop_assert!(ship.is_empty(), "follower {who} drained");
+                prop_assert_eq!(*cursor, n.node.wal().durable_lsn());
+            }
+        }
+    }
+
+    /// The cost contract as a count, not a timing: K polls, each after one
+    /// batch into a single growing segment, read the segment about once in
+    /// total — every poll starts at its anchor, one frame before the bytes
+    /// it ships — where reading the segment from its header each time would
+    /// read it K/2 times over.
+    #[test]
+    fn bytes_read_by_polls_grow_with_the_bytes_shipped_not_the_segment() {
+        let mut n = Node::new("cost", u64::MAX);
+        let frame = frame_len(&mut n);
+        let mut cursor = 0;
+        let mut shipped = 0;
+        const POLLS: u64 = 40;
+        for _ in 0..POLLS {
+            n.batch(43); // 64 records
+            let ship = n.agree(cursor, u64::MAX, usize::MAX, "cost").unwrap();
+            assert_eq!(ship.segments_read(), 1);
+            shipped += ship.frames().len() as u64;
+            cursor = ship.end();
+        }
+        let segment = std::fs::metadata(n.active_segment()).unwrap().len();
+        assert_eq!(shipped, segment - SEGMENT_HEADER_LEN as u64);
+        let read = n.bytes_read();
+        assert!(
+            read <= segment + POLLS * frame,
+            "{POLLS} polls of a {segment}-byte segment read {read} bytes"
+        );
+        assert!(read >= shipped, "every shipped byte was read");
+        // An empty poll reads nothing at all.
+        let ship = n.publisher.poll(cursor).unwrap();
+        assert!(ship.is_empty());
+        assert_eq!(n.bytes_read(), read);
+    }
+
+    /// Compaction behind the publisher's back rewrites a closed segment as
+    /// a subsequence of its records. With equal-sized frames the stale
+    /// anchor's offset lands exactly on a frame boundary of the rewritten
+    /// file — a valid frame, of a *later* record — and records the follower
+    /// is still owed now sit before it. Only "the anchored record itself is
+    /// still at the anchored offset" tells the two files apart; anything
+    /// else must fall back to the header scan, not error and not skip.
+    #[test]
+    fn a_stale_anchor_after_a_bypassing_compaction_falls_back_to_the_header_scan() {
+        let mut n = Node::new("stale", u64::MAX);
+        for key in 0..2 {
+            n.insert(key);
+        }
+        n.checkpoint(); // mark = 2
+        for key in 2..12 {
+            n.insert(key);
+        }
+        n.node.wal().rotate_now().unwrap();
+        let frame = std::fs::metadata(list_segments(n.node.wal_dir()).unwrap()[0].1.clone())
+            .unwrap()
+            .len()
+            .saturating_sub(SEGMENT_HEADER_LEN as u64)
+            / 12;
+        // Ship 0..=5: the anchor is record 5, six frames into the segment.
+        let ship = n
+            .agree(0, u64::MAX, 6 * frame as usize, "first half")
+            .unwrap();
+        assert_eq!((ship.records(), ship.end()), (6, 6));
+        let anchor = *n.publisher.subs.lock().tail.back().unwrap();
+        assert_eq!(
+            (anchor.lsn, anchor.offset),
+            (5, SEGMENT_HEADER_LEN as u64 + 5 * frame)
+        );
+        // Records 0 and 1 go; record 7 now starts where record 5 did.
+        let report = n.node.compact_wal().unwrap();
+        assert_eq!(report.segments_rewritten, 1);
+        assert_eq!(report.records_before - report.records_after, 2);
+        let ship = n.agree(6, u64::MAX, usize::MAX, "second half").unwrap();
+        assert_eq!(ship.records(), 6, "records 6 and 7 were not skipped");
+        let lsns: Vec<u64> = scan_frames(ship.frames(), 6, false, "t")
+            .unwrap()
+            .frames
+            .iter()
+            .map(|f| f.lsn)
+            .collect();
+        assert_eq!(lsns, vec![6, 7, 8, 9, 10, 11]);
+        // The fallback re-anchored in the rewritten file.
+        let anchor = *n.publisher.subs.lock().tail.back().unwrap();
+        assert_eq!(
+            (anchor.lsn, anchor.offset),
+            (11, SEGMENT_HEADER_LEN as u64 + 9 * frame)
+        );
+    }
+
+    /// An anchor whose segment file compaction removed is dropped, and the
+    /// poll carries on from the segments that exist.
+    #[test]
+    fn an_anchor_into_a_removed_segment_is_dropped() {
+        let mut n = Node::new("gone", u64::MAX);
+        for key in 0..5 {
+            n.insert(key);
+        }
+        let ship = n.agree(0, u64::MAX, usize::MAX, "before").unwrap();
+        assert_eq!(ship.end(), 5);
+        n.node.wal().rotate_now().unwrap();
+        n.checkpoint();
+        assert_eq!(n.node.compact_wal().unwrap().segments_removed, 1);
+        n.insert(5);
+        assert_eq!(n.publisher.subs.lock().tail.len(), 1);
+        let ship = n.agree(5, u64::MAX, usize::MAX, "after").unwrap();
+        assert_eq!(ship.records(), 1);
+        let tail: Vec<TailAnchor> = n.publisher.subs.lock().tail.iter().copied().collect();
+        assert_eq!(tail.len(), 1, "the dead anchor went, the new one came");
+        assert_eq!((tail[0].base, tail[0].lsn), (5, 5));
+    }
+
+    /// A flipped byte at or past the anchor is corruption, reported exactly
+    /// as the header scan reports it. A flipped byte *below* the anchor is
+    /// outside what a poll reads — the stated price of reading only the
+    /// tail — and the whole-segment readers still see it.
+    #[test]
+    fn damage_past_the_anchor_is_corrupt_and_damage_below_it_is_not_this_polls_to_find() {
+        let mut n = Node::new("flip", u64::MAX);
+        let frame = frame_len(&mut n) as usize;
+        for key in 1..8 {
+            n.insert(key);
+        }
+        let ship = n.agree(0, u64::MAX, usize::MAX, "clean").unwrap();
+        assert_eq!(ship.end(), 8);
+        for key in 8..12 {
+            n.insert(key);
+        }
+        let path = n.active_segment();
+        let pristine = std::fs::read(&path).unwrap();
+        let flip = |at: usize| {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 0x10;
+            std::fs::write(&path, bytes).unwrap();
         };
-        self.shipped_segments.add(segments_read as u64);
-        Ok(Shipment {
-            base: from,
-            end,
-            frames,
-            records,
-            segments_read,
-        })
+
+        // In record 9's payload: past the anchor (record 7).
+        flip(SEGMENT_HEADER_LEN + 9 * frame + 14);
+        assert!(n.agree(8, u64::MAX, usize::MAX, "past").is_none());
+        let err = n.publisher.poll(8).unwrap_err();
+        assert!(
+            matches!(err, ReplError::Wal(WalError::Corrupt { offset, ref reason, .. })
+                if offset == (SEGMENT_HEADER_LEN + 9 * frame) as u64 && reason.contains("checksum")),
+            "{err}"
+        );
+        // In the anchor frame itself: the hint is refused, the header scan
+        // finds the damage.
+        flip(SEGMENT_HEADER_LEN + 7 * frame + 14);
+        assert!(n.agree(8, u64::MAX, usize::MAX, "anchor").is_none());
+
+        // In record 2: below the anchor. The poll ships 8..12 untouched;
+        // a from-the-header read of the same range says corrupt.
+        flip(SEGMENT_HEADER_LEN + 2 * frame + 14);
+        let durable = n.node.wal().sync().unwrap();
+        let ship = n.publisher.read_tail(8, durable, usize::MAX).unwrap();
+        assert_eq!((ship.records(), ship.end()), (4, 12));
+        assert!(n
+            .publisher
+            .read_tail_oracle(8, durable, usize::MAX)
+            .is_err());
+        assert!(n.publisher.read_tail(0, durable, usize::MAX).is_err());
+        std::fs::write(&path, &pristine).unwrap();
+    }
+
+    /// More followers at distinct cursors than the index has room for: the
+    /// index stays at its cap, and an evicted follower's poll is still
+    /// right (one header scan, then it is indexed again).
+    #[test]
+    fn the_tail_index_is_bounded_and_eviction_only_costs_a_header_scan() {
+        let mut n = Node::new("cap", u64::MAX);
+        let followers = TAIL_INDEX_CAP + 3;
+        for key in 0..(followers as u64 * 4) {
+            n.insert(key);
+        }
+        // Follower i stops at cursor 4 * (i + 1).
+        for i in 0..followers {
+            let ship = n
+                .agree(0, 4 * (i as u64 + 1), usize::MAX, "spread")
+                .unwrap();
+            assert_eq!(ship.end(), 4 * (i as u64 + 1));
+            assert!(n.publisher.subs.lock().tail.len() <= TAIL_INDEX_CAP);
+        }
+        assert_eq!(n.publisher.subs.lock().tail.len(), TAIL_INDEX_CAP);
+        // Follower 0's anchor (record 3) was evicted.
+        assert!(n.publisher.subs.lock().anchor_below(4).is_none());
+        let before = n.bytes_read();
+        let ship = n.agree(4, u64::MAX, usize::MAX, "evicted").unwrap();
+        assert_eq!(ship.records(), followers * 4 - 4);
+        let segment = std::fs::metadata(n.active_segment()).unwrap().len();
+        assert_eq!(n.bytes_read() - before, segment, "one read from the header");
     }
 }
 
@@ -385,13 +1018,11 @@ mod tests {
         assert_eq!(ship.end(), 10);
         assert_eq!(ship.records(), 10);
         assert!(ship.segments_read() > 1, "tiny segments force rotation");
-        // The frames parse with the on-disk segment scanner.
-        let mut bytes = pitract_wal::segment::segment_header(0);
-        bytes.extend_from_slice(ship.frames());
-        let scan = scan_segment(&bytes, 0, false, "shipment").unwrap();
-        assert_eq!(scan.records.len(), 10);
-        assert_eq!(scan.records.first().unwrap().0, 0);
-        assert_eq!(scan.records.last().unwrap().0, 9);
+        // The frames parse with the on-disk frame scanner.
+        let scan = scan_frames(ship.frames(), 0, false, "shipment").unwrap();
+        assert_eq!(scan.frames.len(), 10);
+        assert_eq!(scan.frames.first().unwrap().lsn, 0);
+        assert_eq!(scan.frames.last().unwrap().lsn, 9);
         // Re-polling from the end is empty, not an error.
         let again = publisher.poll(ship.end()).unwrap();
         assert!(again.is_empty());

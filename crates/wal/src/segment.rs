@@ -31,9 +31,20 @@
 //! The checksum covers the length and LSN fields too, so a corrupted
 //! frame cannot masquerade as a short valid record.
 //!
+//! # One frame validator
+//!
+//! [`scan_frames`] is the single place a record frame is validated
+//! (length, checksum, LSN order, torn tail vs. corruption). It walks a
+//! borrowed byte slice and hands back borrowed [`Frame`]s — no payload
+//! copies — so the three readers of the format share it: [`scan_segment`]
+//! (header check, then the frame walk) for whole segment files, the
+//! replication publisher for the tail of a segment past a follower's
+//! cursor, and the follower for a received shipment, which is frames
+//! with no header at all.
+//!
 //! # Torn tails vs. corruption
 //!
-//! [`scan_segment`] distinguishes the two failure shapes a segment can
+//! The frame walk distinguishes the two failure shapes a segment can
 //! have, because they demand opposite reactions:
 //!
 //! * a **torn tail** — the *last* segment ends before a record's declared
@@ -107,7 +118,7 @@ pub fn segment_file_name(base_lsn: u64) -> String {
 /// Parse a segment file name back to its base LSN (`None` for foreign
 /// files, which directory scans skip).
 pub fn parse_segment_file_name(name: &str) -> Option<u64> {
-    let stem = name.strip_suffix(&format!(".{SEGMENT_EXT}"))?;
+    let stem = name.strip_suffix(SEGMENT_EXT)?.strip_suffix('.')?;
     if stem.len() != 20 || !stem.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
@@ -125,47 +136,160 @@ pub fn encode_record(lsn: u64, payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// One scanned segment: every complete, validated record plus where the
-/// clean prefix ends.
+/// One validated record frame, borrowed from the scanned bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The record's LSN.
+    pub lsn: u64,
+    /// Byte offset of the frame's first byte within the scanned bytes.
+    pub offset: usize,
+    /// The whole frame — length + LSN + payload + checksum — exactly as
+    /// it sits on disk (and travels in a replication shipment).
+    pub bytes: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// The record payload (the frame minus length, LSN, and checksum).
+    pub fn payload(&self) -> &'a [u8] {
+        &self.bytes[12..self.bytes.len() - 8]
+    }
+
+    /// Byte offset just past the frame within the scanned bytes.
+    pub fn end(&self) -> usize {
+        self.offset + self.bytes.len()
+    }
+}
+
+/// A validated run of frames plus where the clean prefix ends.
 #[derive(Debug)]
-pub struct SegmentScan {
-    /// Base LSN from the header.
-    pub base_lsn: u64,
-    /// `(lsn, payload)` of every valid record, in order.
-    pub records: Vec<(u64, Vec<u8>)>,
-    /// Byte length of the valid prefix (header + complete records). A
-    /// writer resuming this segment truncates the file here.
+pub struct FrameScan<'a> {
+    /// Every complete, validated frame, in order.
+    pub frames: Vec<Frame<'a>>,
+    /// Byte length of the valid prefix of the scanned bytes (for a whole
+    /// segment: header + complete records — a writer resuming the
+    /// segment truncates the file here).
     pub clean_len: u64,
     /// Bytes past the clean prefix — nonzero only for a torn tail in the
     /// last segment.
     pub torn_bytes: u64,
 }
 
-/// Scan one segment's bytes. `last` marks the newest segment of the
-/// directory — the only one allowed a torn tail; `name` labels errors.
-pub fn scan_segment(
-    bytes: &[u8],
-    name_base: u64,
+/// The single frame validator: walk `bytes` as back-to-back record
+/// frames, checking each frame's length, FNV-1a-64 checksum, and that
+/// LSNs never run below `expected_lsn` or backwards. Everything that
+/// reads frames — [`scan_segment`] after its header check, a replication
+/// publisher reading a segment's tail, a follower receiving a shipment —
+/// goes through here, so "what is a valid frame" is decided in one
+/// place. `last` marks bytes that end the newest segment, the only place
+/// a torn tail is tolerated; `name` labels errors, whose offsets are
+/// relative to `bytes`.
+pub fn scan_frames<'a>(
+    bytes: &'a [u8],
+    expected_lsn: u64,
     last: bool,
     name: &str,
-) -> Result<SegmentScan, WalError> {
-    let corrupt = |offset: usize, reason: String| WalError::Corrupt {
+) -> Result<FrameScan<'a>, WalError> {
+    walk_frames(bytes, 0, expected_lsn, last, name)
+}
+
+fn corrupt(name: &str, offset: usize, reason: String) -> WalError {
+    WalError::Corrupt {
         segment: name.to_string(),
         offset: offset as u64,
         reason,
-    };
+    }
+}
+
+/// [`scan_frames`] over `bytes[start..]`, with offsets (in frames and
+/// errors) counted from the start of `bytes`.
+fn walk_frames<'a>(
+    bytes: &'a [u8],
+    start: usize,
+    expected_lsn: u64,
+    last: bool,
+    name: &str,
+) -> Result<FrameScan<'a>, WalError> {
+    let mut frames = Vec::new();
+    let mut pos = start;
+    let mut expected = expected_lsn;
+    loop {
+        let remaining = bytes.len() - pos;
+        if remaining == 0 {
+            return Ok(FrameScan {
+                frames,
+                clean_len: pos as u64,
+                torn_bytes: 0,
+            });
+        }
+        // Is the full frame present? Anything short of it is a torn tail
+        // (tolerated in the last segment) — truncation can cut anywhere,
+        // including inside the length field itself.
+        let frame_len = if remaining >= 4 {
+            let n = le_u32(&bytes[pos..pos + 4]) as usize;
+            n.checked_add(RECORD_OVERHEAD)
+        } else {
+            None
+        };
+        let Some(frame_len) = frame_len.filter(|f| *f <= remaining) else {
+            if last {
+                return Ok(FrameScan {
+                    frames,
+                    clean_len: pos as u64,
+                    torn_bytes: remaining as u64,
+                });
+            }
+            return Err(corrupt(name, pos, "closed segment ends mid-record".into()));
+        };
+        let frame = &bytes[pos..pos + frame_len];
+        let stored = le_u64(&frame[frame_len - 8..]);
+        if fnv1a64(&frame[..frame_len - 8]) != stored {
+            // A complete frame with a bad checksum is bit rot, not a
+            // crash: truncation can only ever shorten the file.
+            return Err(corrupt(name, pos, "record checksum mismatch".into()));
+        }
+        let lsn = le_u64(&frame[4..12]);
+        if lsn < expected {
+            return Err(corrupt(
+                name,
+                pos,
+                format!("lsn {lsn} runs backwards (expected at least {expected})"),
+            ));
+        }
+        frames.push(Frame {
+            lsn,
+            offset: pos,
+            bytes: frame,
+        });
+        expected = lsn + 1;
+        pos += frame_len;
+    }
+}
+
+/// Scan one whole segment's bytes: validate the header, then every frame
+/// after it with [`scan_frames`]' walk (frame and error offsets are file
+/// offsets). `last` marks the newest segment of the directory — the only
+/// one allowed a torn tail; `name` labels errors.
+pub fn scan_segment<'a>(
+    bytes: &'a [u8],
+    name_base: u64,
+    last: bool,
+    name: &str,
+) -> Result<FrameScan<'a>, WalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         if last {
             // A crash while the header itself was being written: nothing
             // in this segment was ever confirmed.
-            return Ok(SegmentScan {
-                base_lsn: name_base,
-                records: Vec::new(),
+            return Ok(FrameScan {
+                frames: Vec::new(),
                 clean_len: 0,
                 torn_bytes: bytes.len() as u64,
             });
         }
-        return Err(corrupt(0, "closed segment shorter than its header".into()));
+        return Err(corrupt(
+            name,
+            0,
+            "closed segment shorter than its header".into(),
+        ));
     }
     if bytes[..8] != SEGMENT_MAGIC {
         return Err(WalError::NotASegment {
@@ -182,62 +306,12 @@ pub fn scan_segment(
     let base_lsn = le_u64(&bytes[10..18]);
     if base_lsn != name_base {
         return Err(corrupt(
+            name,
             10,
             format!("header base lsn {base_lsn} does not match file name base {name_base}"),
         ));
     }
-
-    let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER_LEN;
-    let mut expected = base_lsn;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return Ok(SegmentScan {
-                base_lsn,
-                records,
-                clean_len: pos as u64,
-                torn_bytes: 0,
-            });
-        }
-        // Is the full frame present? Anything short of it is a torn tail
-        // (tolerated in the last segment) — truncation can cut anywhere,
-        // including inside the length field itself.
-        let frame_len = if remaining >= 4 {
-            let n = le_u32(&bytes[pos..pos + 4]) as usize;
-            n.checked_add(RECORD_OVERHEAD)
-        } else {
-            None
-        };
-        let Some(frame_len) = frame_len.filter(|f| *f <= remaining) else {
-            if last {
-                return Ok(SegmentScan {
-                    base_lsn,
-                    records,
-                    clean_len: pos as u64,
-                    torn_bytes: remaining as u64,
-                });
-            }
-            return Err(corrupt(pos, "closed segment ends mid-record".into()));
-        };
-        let body = &bytes[pos..pos + frame_len - 8];
-        let stored = le_u64(&bytes[pos + frame_len - 8..pos + frame_len]);
-        if fnv1a64(body) != stored {
-            // A complete frame with a bad checksum is bit rot, not a
-            // crash: truncation can only ever shorten the file.
-            return Err(corrupt(pos, "record checksum mismatch".into()));
-        }
-        let lsn = le_u64(&bytes[pos + 4..pos + 12]);
-        if lsn < expected {
-            return Err(corrupt(
-                pos,
-                format!("lsn {lsn} runs backwards (expected at least {expected})"),
-            ));
-        }
-        records.push((lsn, body[12..].to_vec()));
-        expected = lsn + 1;
-        pos += frame_len;
-    }
+    walk_frames(bytes, SEGMENT_HEADER_LEN, base_lsn, last, name)
 }
 
 /// One segment file of a directory scan, with its validated contents.
@@ -275,29 +349,35 @@ impl DirScan {
     }
 }
 
+/// The segment files of a WAL directory as `(base LSN, path)`, ascending
+/// by base — so the last entry is the active segment, and segment `i`
+/// holds LSNs in `[base_i, base_{i+1})`. Foreign files are skipped.
+pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if let Some(base) = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(parse_segment_file_name)
+        {
+            files.push((base, path));
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// Scan a WAL directory: locate the segment files, validate each, check
 /// cross-segment LSN monotonicity. Foreign files (wrong extension, wrong
 /// name shape, leftover `.tmp` from an interrupted compaction) are
 /// ignored. A missing directory scans as empty.
 pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
-    let mut files: Vec<(u64, PathBuf)> = Vec::new();
-    match std::fs::read_dir(dir) {
-        Ok(entries) => {
-            for entry in entries {
-                let path = entry?.path();
-                if let Some(base) = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .and_then(parse_segment_file_name)
-                {
-                    files.push((base, path));
-                }
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+    let files = match list_segments(dir) {
+        Ok(files) => files,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(WalError::Io(e)),
-    }
-    files.sort();
+    };
 
     let mut segments = Vec::with_capacity(files.len());
     let mut next_lsn = 0u64;
@@ -316,9 +396,9 @@ pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
         let bytes = std::fs::read(&path)?;
         let scan = scan_segment(&bytes, base, last, name)?;
         next_lsn = scan
-            .records
+            .frames
             .last()
-            .map(|(lsn, _)| lsn + 1)
+            .map(|f| f.lsn + 1)
             .unwrap_or(base)
             .max(next_lsn);
         if last {
@@ -327,7 +407,11 @@ pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
         segments.push(ScannedSegment {
             path,
             base_lsn: base,
-            records: scan.records,
+            records: scan
+                .frames
+                .iter()
+                .map(|f| (f.lsn, f.payload().to_vec()))
+                .collect(),
             file_len: bytes.len() as u64,
             clean_len: scan.clean_len,
         });
@@ -373,17 +457,22 @@ mod tests {
     fn clean_segment_scans_completely() {
         let bytes = segment_bytes(7, &[b"alpha", b"", b"gamma-longer-payload"]);
         let scan = scan_segment(&bytes, 7, true, "t").unwrap();
-        assert_eq!(scan.base_lsn, 7);
         assert_eq!(scan.torn_bytes, 0);
         assert_eq!(scan.clean_len, bytes.len() as u64);
+        let records: Vec<(u64, &[u8])> = scan.frames.iter().map(|f| (f.lsn, f.payload())).collect();
         assert_eq!(
-            scan.records,
+            records,
             vec![
-                (7, b"alpha".to_vec()),
-                (8, b"".to_vec()),
-                (9, b"gamma-longer-payload".to_vec())
+                (7, &b"alpha"[..]),
+                (8, &b""[..]),
+                (9, &b"gamma-longer-payload"[..])
             ]
         );
+        // Frames are the raw on-disk bytes, back to back after the header.
+        assert_eq!(scan.frames[0].offset, SEGMENT_HEADER_LEN);
+        assert_eq!(scan.frames[0].bytes, &encode_record(7, b"alpha")[..]);
+        assert_eq!(scan.frames[1].offset, scan.frames[0].end());
+        assert_eq!(scan.frames[2].end(), bytes.len());
     }
 
     #[test]
@@ -398,13 +487,13 @@ mod tests {
         for cut in 0..=bytes.len() {
             let scan = scan_segment(&bytes[..cut], 0, true, "t").unwrap();
             if cut < SEGMENT_HEADER_LEN {
-                assert_eq!(scan.records.len(), 0, "cut at {cut}");
+                assert_eq!(scan.frames.len(), 0, "cut at {cut}");
                 assert_eq!(scan.clean_len, 0, "cut at {cut}");
                 assert_eq!(scan.torn_bytes as usize, cut, "cut at {cut}");
                 continue;
             }
             let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(scan.records.len(), complete, "cut at {cut}");
+            assert_eq!(scan.frames.len(), complete, "cut at {cut}");
             assert_eq!(
                 scan.clean_len as usize, boundaries[complete],
                 "clean prefix at cut {cut}"
@@ -442,6 +531,46 @@ mod tests {
         );
     }
 
+    /// A headerless run of frames — a segment's tail or a replication
+    /// shipment — validates exactly like the same frames inside a
+    /// segment, with offsets counted from the run's first byte.
+    #[test]
+    fn scan_frames_validates_a_headerless_run_like_a_segment() {
+        let whole = segment_bytes(4, &[b"one", b"two-longer", b"3"]);
+        let seg = scan_segment(&whole, 4, false, "t").unwrap();
+        // Start mid-segment, at the second record's frame boundary.
+        let tail = &whole[seg.frames[1].offset..];
+        let scan = scan_frames(tail, 5, false, "t").unwrap();
+        assert_eq!(scan.frames.len(), 2);
+        assert_eq!(scan.frames[0].offset, 0);
+        assert_eq!(scan.frames[0].bytes, seg.frames[1].bytes);
+        assert_eq!(scan.frames[1].lsn, 6);
+        assert_eq!(scan.clean_len as usize, tail.len());
+        // A first frame below the expected LSN is a backwards run.
+        let err = scan_frames(tail, 6, false, "t").unwrap_err();
+        assert!(
+            matches!(err, WalError::Corrupt { offset: 0, ref reason, .. } if reason.contains("backwards")),
+            "{err}"
+        );
+        // A cut is torn in the last segment, corrupt anywhere else, and
+        // a flipped byte is corrupt either way, at the frame's offset.
+        let cut = &tail[..tail.len() - 2];
+        let scan = scan_frames(cut, 5, true, "t").unwrap();
+        assert_eq!((scan.frames.len(), scan.torn_bytes), (1, 19));
+        assert!(scan_frames(cut, 5, false, "t").is_err());
+        let mut flipped = tail.to_vec();
+        let second = scan.frames[0].end();
+        flipped[second + 13] ^= 0x40;
+        let err = scan_frames(&flipped, 5, true, "t").unwrap_err();
+        assert!(
+            matches!(err, WalError::Corrupt { offset, ref reason, .. }
+                if offset == second as u64 && reason.contains("checksum")),
+            "{err}"
+        );
+        // The empty run is valid and empty.
+        assert!(scan_frames(&[], 0, false, "t").unwrap().frames.is_empty());
+    }
+
     #[test]
     fn header_validation_is_typed() {
         let good = segment_bytes(3, &[b"x"]);
@@ -467,7 +596,7 @@ mod tests {
         ));
         // A partial header in the last segment is a torn birth, not an error.
         let scan = scan_segment(&good[..5], 3, true, "t").unwrap();
-        assert!(scan.records.is_empty());
+        assert!(scan.frames.is_empty());
         assert_eq!(scan.clean_len, 0);
         assert_eq!(scan.torn_bytes, 5);
     }
@@ -480,7 +609,7 @@ mod tests {
         bytes.extend_from_slice(&encode_record(9, b"b"));
         bytes.extend_from_slice(&encode_record(10, b"c"));
         let scan = scan_segment(&bytes, 5, true, "t").unwrap();
-        assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.frames.len(), 3);
         // Running backwards can only be damage.
         let mut bytes = segment_header(5);
         bytes.extend_from_slice(&encode_record(6, b"a"));

@@ -375,17 +375,29 @@ impl WalWriter {
     }
 
     /// Flush everything appended so far; returns the durable frontier
-    /// (the LSN after the last flushed record).
+    /// (the LSN after the last flushed record). With nothing staged past
+    /// the frontier there is nothing to flush and the disk is not
+    /// touched — a replication poll calls this on every fetch, and most
+    /// fetches follow a commit that already covered the log. An owed
+    /// rotation is settled either way.
     pub fn sync(&self) -> Result<u64, WalError> {
-        let (file, target) = {
+        let (durable, staged) = {
             let state = self.lock();
-            (state.file.try_clone()?, state.next_lsn)
+            let staged = if state.durable_next < state.next_lsn {
+                Some((state.file.try_clone()?, state.next_lsn))
+            } else {
+                None
+            };
+            (state.durable_next, staged)
         };
-        self.instruments.timed_sync(&file)?;
-        let durable = {
-            let mut state = self.lock();
-            state.durable_next = state.durable_next.max(target);
-            state.durable_next
+        let durable = match staged {
+            None => durable,
+            Some((file, target)) => {
+                self.instruments.timed_sync(&file)?;
+                let mut state = self.lock();
+                state.durable_next = state.durable_next.max(target);
+                state.durable_next
+            }
         };
         self.finish_rotation()?;
         Ok(durable)
@@ -674,6 +686,77 @@ mod tests {
         // The piggybacked commits return without needing another flush.
         wal.commit(a).unwrap();
         wal.commit(c).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `sync` with nothing staged past the durable frontier must not
+    /// touch the disk: the fsync histogram counts every data flush, so
+    /// its sample count is the flush count.
+    #[test]
+    fn idle_sync_does_not_flush_and_an_append_makes_it_flush_again() {
+        let dir = fresh_dir("idle-sync");
+        let recorder = Recorder::new();
+        let wal = WalWriter::open_observed(
+            &dir,
+            WalConfig {
+                segment_bytes: 128,
+                sync: SyncPolicy::GroupCommit,
+            },
+            &recorder,
+        )
+        .unwrap();
+        let flushes = || {
+            recorder
+                .snapshot()
+                .histogram("wal_fsync_micros")
+                .map_or(0, |h| h.count)
+        };
+        // A fresh, empty log has nothing to flush.
+        assert_eq!(wal.sync().unwrap(), 0);
+        assert_eq!(flushes(), 0);
+        let lsn = wal.append_entry(&insert(0, 0)).unwrap();
+        assert_eq!(wal.sync().unwrap(), lsn + 1);
+        let after_append = flushes();
+        assert_eq!(after_append, 1, "the staged record was flushed");
+        for _ in 0..25 {
+            assert_eq!(wal.sync().unwrap(), lsn + 1);
+        }
+        assert_eq!(flushes(), after_append, "idle syncs flushed nothing");
+        // Already durable through `commit`: the following sync is idle too.
+        let lsn = wal.append_entry(&insert(1, 1)).unwrap();
+        wal.commit(lsn).unwrap();
+        let after_commit = flushes();
+        assert_eq!(wal.sync().unwrap(), lsn + 1);
+        assert_eq!(flushes(), after_commit);
+        // An idle sync still settles an owed rotation.
+        let segments = scan_dir(&dir).unwrap().segments.len();
+        wal.lock().rotation_due = true;
+        assert_eq!(wal.sync().unwrap(), lsn + 1);
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), segments + 1);
+        // Under `Never`, commits leave records staged, so sync flushes.
+        drop(wal);
+        let recorder = Recorder::new();
+        let wal = WalWriter::open_observed(
+            fresh_dir("idle-sync-never"),
+            WalConfig {
+                sync: SyncPolicy::Never,
+                ..WalConfig::default()
+            },
+            &recorder,
+        )
+        .unwrap();
+        let lsn = wal.append_entry(&insert(0, 0)).unwrap();
+        wal.commit(lsn).unwrap();
+        assert_eq!(wal.durable_lsn(), 0);
+        assert_eq!(wal.sync().unwrap(), 1);
+        assert_eq!(
+            recorder
+                .snapshot()
+                .histogram("wal_fsync_micros")
+                .map_or(0, |h| h.count),
+            1
+        );
+        std::fs::remove_dir_all(wal.dir()).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
