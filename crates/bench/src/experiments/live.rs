@@ -100,7 +100,10 @@ pub fn live_throughput_sweep(n: i64, writer_counts: &[usize], reps: usize) -> Ve
                         scope.spawn(move || {
                             let mut round = 0i64;
                             let mut applied = 0u64;
-                            while !stop.load(Ordering::Relaxed) {
+                            // At least one round, however fast the
+                            // timed batches finish: a writer that was
+                            // scheduled late still wrote.
+                            loop {
                                 let key = n + (w as i64) * 1_000_000 + round;
                                 let gid = live
                                     .insert(vec![Value::Int(key), Value::str("hot")])
@@ -111,6 +114,9 @@ pub fn live_throughput_sweep(n: i64, writer_counts: &[usize], reps: usize) -> Ve
                                     applied += 1;
                                 }
                                 round += 1;
+                                if stop.load(Ordering::Relaxed) {
+                                    break;
+                                }
                             }
                             applied
                         })

@@ -29,9 +29,8 @@
 
 use crate::table::{fmt_u64, Table};
 use pitract_core::epoch::Epoch;
-use pitract_engine::batch::{OutputMode, QueryBatch, WorkerResults};
+use pitract_engine::batch::{OutputMode, QueryBatch, Routing, WorkerResults};
 use pitract_engine::live::LiveRelation;
-use pitract_engine::planner::QueryPlan;
 use pitract_engine::shard::ShardBy;
 use pitract_engine::{BatchServe, EngineError, PooledExecutor};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
@@ -58,11 +57,8 @@ pub const MVCC_WRITERS: [usize; 3] = [0, 1, 4];
 pub struct ReadCommitted(pub Arc<LiveRelation>);
 
 impl BatchServe for ReadCommitted {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        self.0.route(queries)
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        self.0.route_shards(queries)
     }
 
     fn shard_count(&self) -> usize {
@@ -79,8 +75,8 @@ impl BatchServe for ReadCommitted {
         self.0.eval_shard::<M>(shard, at, queries, assigned)
     }
 
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        self.0.global_ids(shard, locals)
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        self.0.id_map(shard, read)
     }
 }
 

@@ -5,7 +5,7 @@
 //! queries answered together by the one executor,
 //! [`crate::pool::PooledExecutor`]. A batch runs in one of two
 //! [`OutputMode`]s — [`Exists`] (Boolean answers, OR-ed across shards)
-//! or [`RowIds`] (matching rows, unioned and translated to global ids) —
+//! or [`RowIds`] (matching rows, translated to global ids and unioned) —
 //! and every shard answers its slice through `eval_assigned` with a
 //! thread-local [`Meter`] (deliberately not shared: the paper's NC bound
 //! is per processor, so each shard accounts its own steps). Per-query
@@ -16,10 +16,19 @@
 //! never shipped to them, so a well-partitioned point-lookup workload
 //! does O(1) shards of work per query while still spreading the batch
 //! across all shards.
+//!
+//! # What a batch costs the submitter
+//!
+//! O(|batch|) *words*, never O(|batch|) *allocations*: `route_batch`
+//! validates, plans and routes each query in one pass, straight into the
+//! per-shard work lists of a [`Routing`]; workers evaluate **and**
+//! translate row ids (the mode's `finish`); the submitter folds each
+//! triple into its query's slot (`fold`). Nothing outside the result
+//! rows allocates per query (`tests/alloc_budget.rs` is the gate).
 
 use crate::error::EngineError;
 use crate::live::Rollback;
-use crate::planner::{Planner, QueryPlan};
+use crate::planner::{AccessPath, Planner, QueryPlan};
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
@@ -45,9 +54,19 @@ pub struct QueryBatch {
 /// [`BatchServe::eval_shard`] returns.
 pub type WorkerResults<T> = Vec<(usize, T, u64)>;
 
-/// The merge-side currency: per query, one `(shard, result, steps)`
-/// triple for every shard the query routed to.
-pub(crate) type MergedResults<T> = Vec<Vec<(usize, T, u64)>>;
+/// A batch validated, planned and shard-routed, in the form the executor
+/// consumes — what [`BatchServe::route_shards`] returns.
+#[derive(Debug, Clone)]
+pub struct Routing {
+    /// One plan per query, in batch order.
+    pub plans: Vec<QueryPlan>,
+    /// One `(shard, assigned query indices, ascending)` work item per
+    /// shard some query routes to. The shard id travels with its list:
+    /// nothing downstream infers it from a position.
+    pub jobs: Vec<(usize, Vec<usize>)>,
+    /// Per query, how many shards it was shipped to.
+    pub shards_probed: Vec<usize>,
+}
 
 /// Per-query accounting in a batch report.
 #[derive(Debug, Clone)]
@@ -97,26 +116,46 @@ pub struct BatchRows {
 }
 
 impl BatchReport {
+    /// Zip a served batch's plans, folded per-query step counts and
+    /// routing fan-out into the report.
+    pub(crate) fn new(
+        plans: Vec<QueryPlan>,
+        steps: Vec<u64>,
+        shards_probed: Vec<usize>,
+        epoch: Option<Epoch>,
+        admission_wait: Duration,
+    ) -> Self {
+        let total_steps = steps.iter().sum();
+        let per_query = plans
+            .into_iter()
+            .zip(steps)
+            .zip(shards_probed)
+            .map(|((plan, steps), shards_probed)| QueryCost {
+                plan,
+                steps,
+                shards_probed,
+            })
+            .collect();
+        BatchReport {
+            per_query,
+            total_steps,
+            epoch,
+            admission_wait: Some(admission_wait),
+        }
+    }
+
     /// How many queries ran through each access path, in a stable
     /// (cheapest-first) label order.
     pub fn path_histogram(&self) -> Vec<(&'static str, usize)> {
-        let mut hist: Vec<(&'static str, usize)> = Vec::new();
-        for label in [
-            "point-probe",
-            "range-probe",
-            "index-nested-loop",
-            "full-scan",
-        ] {
-            let count = self
-                .per_query
-                .iter()
-                .filter(|c| c.plan.path.label() == label)
-                .count();
-            if count > 0 {
-                hist.push((label, count));
-            }
+        let mut counts = [0usize; AccessPath::COUNT];
+        for cost in &self.per_query {
+            counts[cost.plan.path.index()] += 1;
         }
-        hist
+        AccessPath::LABELS
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .collect()
     }
 
     /// Total shards probed across the batch (the fan-out volume).
@@ -158,8 +197,10 @@ impl QueryBatch {
 
 /// Validate, plan, and shard-route a slice of queries against a logical
 /// relation described by its schema, indexed columns, total slot count
-/// (live + tombstones — what a scan walks) and partitioning. Shared by
-/// the static and the live [`BatchServe::route`] so the two plan and
+/// (live + tombstones — what a scan walks) and partitioning: one pass,
+/// each query appended straight to the work list of every shard in its
+/// run ([`relevant_shards_for`]). The one routing body — shared by the
+/// static and the live [`BatchServe::route_shards`], so the two plan and
 /// route identically.
 pub(crate) fn route_batch(
     queries: &[SelectionQuery],
@@ -168,22 +209,37 @@ pub(crate) fn route_batch(
     slots: usize,
     shard_by: &ShardBy,
     shard_count: usize,
-) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+) -> Result<Routing, EngineError> {
     let mut plans = Vec::with_capacity(queries.len());
-    let mut routed = Vec::with_capacity(queries.len());
+    let mut shards_probed = Vec::with_capacity(queries.len());
+    let mut work: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for (qi, q) in queries.iter().enumerate() {
         q.validate(schema).map_err(|e| EngineError::InvalidQuery {
             index: qi,
             reason: e,
         })?;
         plans.push(Planner::plan(indexed_cols, slots, q));
-        routed.push(relevant_shards_for(shard_by, shard_count, q));
+        let run = relevant_shards_for(shard_by, shard_count, q);
+        shards_probed.push(run.len());
+        for assigned in &mut work[run] {
+            assigned.push(qi);
+        }
     }
-    Ok((plans, routed))
+    // Shards no query routes to get no job.
+    let jobs = work
+        .into_iter()
+        .enumerate()
+        .filter(|(_, assigned)| !assigned.is_empty())
+        .collect();
+    Ok(Routing {
+        plans,
+        jobs,
+        shards_probed,
+    })
 }
 
 /// What a batch asks of every shard a query routes to, and how the
-/// per-shard results merge into the query's answer: [`Exists`] or
+/// per-shard results fold into the query's answer: [`Exists`] or
 /// [`RowIds`]. [`BatchServe::eval_shard`] is generic over the mode, so a
 /// relation writes its per-shard evaluation once and both
 /// [`crate::pool::PooledExecutor::execute`] and
@@ -198,7 +254,7 @@ pub trait OutputMode: sealed::Mode {}
 pub struct Exists;
 
 /// Row-id mode — which rows match? Per-shard local ids are translated
-/// to global ids and merged ascending.
+/// to global ids on the worker and merged ascending.
 #[derive(Debug, Clone, Copy)]
 pub struct RowIds;
 
@@ -209,10 +265,12 @@ impl OutputMode for RowIds {}
 // crate can name this module, so none can implement or call through it.
 #[allow(private_interfaces)]
 mod sealed {
-    use super::{BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery};
+    use super::{
+        BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery, WorkerResults,
+    };
 
     pub trait Mode: 'static {
-        /// One query's result — per shard, and (after `merge`) per batch.
+        /// One query's result — per shard, and (after `fold`) per batch.
         type Out: Send + Default + 'static;
 
         /// Probe the shard's current state.
@@ -226,13 +284,17 @@ mod sealed {
             meter: &Meter,
         ) -> Self::Out;
 
-        /// Fold one query's `(shard, result, steps)` triples into its
-        /// answer. The shard id is carried **explicitly** in each
-        /// triple: global-id translation must never pair results with
-        /// the routed shard list by position, because nothing in the
-        /// routing contract promises an ascending — or any particular —
-        /// shard order.
-        fn merge<R: BatchServe>(relation: &R, per_shard: &[(usize, Self::Out, u64)]) -> Self::Out;
+        /// Worker-side completion of one shard job's results, run after
+        /// `eval_shard` has returned (so after its shard guard dropped).
+        /// The job carries its `shard` id — nothing about a result's
+        /// position says which shard produced it.
+        fn finish<R: BatchServe>(_: &R, _shard: usize, _: &mut WorkerResults<Self::Out>) {}
+
+        /// Fold one shard's result for a query into the query's slot.
+        fn fold(slot: &mut Self::Out, part: Self::Out);
+
+        /// Put every folded slot into its final form.
+        fn seal(_: &mut [Self::Out]) {}
     }
 
     impl Mode for Exists {
@@ -251,8 +313,8 @@ mod sealed {
             rollback.answer(shard, q, meter)
         }
 
-        fn merge<R: BatchServe>(_: &R, per_shard: &[(usize, bool, u64)]) -> bool {
-            per_shard.iter().any(|(_, hit, _)| *hit)
+        fn fold(slot: &mut bool, part: bool) {
+            *slot |= part;
         }
     }
 
@@ -272,16 +334,32 @@ mod sealed {
             rollback.matching_ids(shard, q, meter)
         }
 
-        fn merge<R: BatchServe>(
+        /// Local → global ids, in place, under one acquisition of the
+        /// relation's id map for the whole job.
+        fn finish<R: BatchServe>(
             relation: &R,
-            per_shard: &[(usize, Vec<usize>, u64)],
-        ) -> Vec<usize> {
-            let mut rows = Vec::new();
-            for (shard, locals, _) in per_shard {
-                rows.extend(relation.global_ids(*shard, locals));
+            shard: usize,
+            results: &mut WorkerResults<Vec<usize>>,
+        ) {
+            relation.id_map(shard, |global| {
+                for id in results.iter_mut().flat_map(|(_, ids, _)| ids) {
+                    *id = global[*id];
+                }
+            });
+        }
+
+        /// The first non-empty part is moved in, not copied.
+        fn fold(slot: &mut Vec<usize>, mut part: Vec<usize>) {
+            if slot.is_empty() {
+                *slot = part;
+            } else {
+                slot.append(&mut part);
             }
-            rows.sort_unstable();
-            rows
+        }
+
+        /// Shards are disjoint, so ascending order is all that is left.
+        fn seal(rows: &mut [Vec<usize>]) {
+            rows.iter_mut().for_each(|ids| ids.sort_unstable());
         }
     }
 }
@@ -306,33 +384,6 @@ pub(crate) fn eval_assigned<T>(
             (qi, out, meter.take())
         })
         .collect()
-}
-
-/// Aggregate plans, routing and per-shard meters into the batch report.
-pub(crate) fn report_from<T>(
-    plans: Vec<QueryPlan>,
-    routed: &[Vec<usize>],
-    merged: &MergedResults<T>,
-    epoch: Option<Epoch>,
-    admission_wait: Duration,
-) -> BatchReport {
-    let per_query: Vec<QueryCost> = plans
-        .into_iter()
-        .zip(routed)
-        .zip(merged)
-        .map(|((plan, shards), results)| QueryCost {
-            plan,
-            steps: results.iter().map(|(_, _, s)| s).sum(),
-            shards_probed: shards.len(),
-        })
-        .collect();
-    let total_steps = per_query.iter().map(|c| c.steps).sum();
-    BatchReport {
-        per_query,
-        total_steps,
-        epoch,
-        admission_wait: Some(admission_wait),
-    }
 }
 
 #[cfg(test)]

@@ -38,8 +38,9 @@
 //!   per-shard work items over a channel, an admission gate capping
 //!   in-flight batches (queue depth and gate waits surfaced in
 //!   [`pool::PoolStats`]), one pinned epoch per batch, worker panics
-//!   contained to their batch, and results merged with explicit shard
-//!   ids. Anything implementing [`pool::BatchServe`] is served.
+//!   contained to their batch, row ids translated by the job that
+//!   found them, and one fold on the submitter. Anything implementing
+//!   [`pool::BatchServe`] is served.
 //! * [`error::EngineError`] — the typed failure surface of the builders
 //!   and executors, so callers (including the `pitract-store` snapshot
 //!   layer) can match on failure classes instead of parsing prose.
@@ -65,7 +66,8 @@ pub mod pool;
 pub mod shard;
 
 pub use batch::{
-    BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, QueryCost, RowIds,
+    BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, QueryCost, Routing,
+    RowIds,
 };
 pub use error::EngineError;
 pub use live::{

@@ -58,9 +58,9 @@
 //! ([`LiveRelation::answer`]) stay read-committed: they touch one state
 //! per shard and need no cut.
 
-use crate::batch::{eval_assigned, route_batch, OutputMode, WorkerResults};
+use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, WorkerResults};
 use crate::error::EngineError;
-use crate::planner::QueryPlan;
+use crate::planner::AccessPath;
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
 use pitract_core::cost::{log2_floor, Meter};
@@ -692,8 +692,8 @@ struct LiveInstruments {
     /// call — the |ΔD| distribution of batched write traffic.
     apply_batch_ops: Histogram,
     /// `engine_plans_total{path=…}`: access path chosen per routed
-    /// query, indexed by [`AccessPath`] label.
-    plans: [Counter; PLAN_PATHS.len()],
+    /// query, indexed by [`AccessPath::index`].
+    plans: [Counter; AccessPath::COUNT],
     /// `mvcc_pins`: epoch pins currently registered.
     pins: Gauge,
     /// `mvcc_retained_versions`: undo records retained across all shard
@@ -704,32 +704,17 @@ struct LiveInstruments {
     rollback_entries: Histogram,
 }
 
-/// Access-path labels in [`LiveInstruments::plans`] order (matching
-/// [`crate::planner::AccessPath::label`]).
-const PLAN_PATHS: [&str; 4] = [
-    "point-probe",
-    "range-probe",
-    "index-nested-loop",
-    "full-scan",
-];
-
 impl LiveInstruments {
     fn new(recorder: &Recorder) -> Self {
         LiveInstruments {
             updates: recorder.counter("engine_updates_total"),
             apply_batch_ops: recorder.histogram("engine_apply_batch_ops"),
-            plans: std::array::from_fn(|i| {
-                recorder.counter(&format!("engine_plans_total{{path=\"{}\"}}", PLAN_PATHS[i]))
-            }),
+            plans: AccessPath::LABELS
+                .map(|path| recorder.counter(&format!("engine_plans_total{{path=\"{path}\"}}"))),
             pins: recorder.gauge("mvcc_pins"),
             retained: recorder.gauge("mvcc_retained_versions"),
             rollback_entries: recorder.histogram("mvcc_rollback_entries"),
         }
-    }
-
-    fn plan_counter(&self, label: &'static str) -> &Counter {
-        let idx = PLAN_PATHS.iter().position(|&l| l == label).unwrap_or(0);
-        &self.plans[idx]
     }
 }
 
@@ -1341,7 +1326,6 @@ impl LiveRelation {
     pub fn answer(&self, q: &SelectionQuery) -> bool {
         let meter = Meter::new();
         relevant_shards_for(&self.shard_by, self.shards.len(), q)
-            .into_iter()
             .any(|s| self.read_shard(s).current.answer_metered(q, &meter))
     }
 
@@ -1351,7 +1335,6 @@ impl LiveRelation {
         let meter = Meter::new();
         let locals: Vec<(usize, Vec<usize>)> =
             relevant_shards_for(&self.shard_by, self.shards.len(), q)
-                .into_iter()
                 .map(|s| {
                     (
                         s,
@@ -1540,11 +1523,8 @@ impl LiveRelation {
 /// epoch pin per batch, per-shard read locks, and the undo-ring
 /// rollback wherever writes landed past the pin.
 impl BatchServe for LiveRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        let (plans, routed) = route_batch(
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        let routing = route_batch(
             queries,
             &self.schema,
             &self.indexed_cols,
@@ -1552,12 +1532,16 @@ impl BatchServe for LiveRelation {
             &self.shard_by,
             self.shards.len(),
         )?;
-        // One `engine_plans_total{path=…}` tick per routed query (a
-        // single no-op branch each when uninstrumented).
-        for plan in &plans {
-            self.instruments.plan_counter(plan.path.label()).inc();
+        // `engine_plans_total{path=…}` rises by one per routed query:
+        // counted per path here, then one `add` per path.
+        let mut per_path = [0u64; AccessPath::COUNT];
+        for plan in &routing.plans {
+            per_path[plan.path.index()] += 1;
         }
-        Ok((plans, routed))
+        for (counter, routed) in self.instruments.plans.iter().zip(per_path) {
+            counter.add(routed);
+        }
+        Ok(routing)
     }
 
     fn shard_count(&self) -> usize {
@@ -1595,12 +1579,10 @@ impl BatchServe for LiveRelation {
     }
 
     /// Safe after the shard lock has been released: the per-shard
-    /// local→global maps are append-only, and every local id handed in
-    /// was mapped before its row became visible.
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        let ids = self.read_ids();
-        let map = &ids.global_ids[shard];
-        locals.iter().map(|&l| map[l]).collect()
+    /// local→global maps are append-only, and every local id a reader
+    /// holds was mapped before its row became visible.
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        read(&self.read_ids().global_ids[shard])
     }
 }
 

@@ -38,14 +38,33 @@ pub enum AccessPath {
 }
 
 impl AccessPath {
+    /// How many access paths there are — the length of any table keyed
+    /// by [`AccessPath::index`].
+    pub const COUNT: usize = 4;
+
+    /// [`AccessPath::label`] by [`AccessPath::index`], cheapest first.
+    pub const LABELS: [&'static str; Self::COUNT] = [
+        "point-probe",
+        "range-probe",
+        "index-nested-loop",
+        "full-scan",
+    ];
+
+    /// The path's position in cheapest-first order (`0..COUNT`): what
+    /// histograms and per-path counters key on, instead of comparing
+    /// label strings.
+    pub fn index(&self) -> usize {
+        match self {
+            AccessPath::PointProbe { .. } => 0,
+            AccessPath::RangeProbe { .. } => 1,
+            AccessPath::IndexNestedLoop { .. } => 2,
+            AccessPath::FullScan => 3,
+        }
+    }
+
     /// Short label for reports and histograms.
     pub fn label(&self) -> &'static str {
-        match self {
-            AccessPath::PointProbe { .. } => "point-probe",
-            AccessPath::RangeProbe { .. } => "range-probe",
-            AccessPath::IndexNestedLoop { .. } => "index-nested-loop",
-            AccessPath::FullScan => "full-scan",
-        }
+        Self::LABELS[self.index()]
     }
 }
 
@@ -72,7 +91,8 @@ impl Planner {
     /// The policy mirrors the executor exactly: an indexed point
     /// (sub)query beats an indexed range (sub)query beats a scan, and a
     /// conjunction drives through its first indexed point conjunct,
-    /// falling back to its first indexed range conjunct.
+    /// falling back to its first indexed range conjunct — found by the
+    /// executor's own walk ([`SelectionQuery::driving_conjunct`]).
     ///
     /// Scans are estimated against the **slot count**, not the live-row
     /// count: the executor's scan walks every slot including tombstones,
@@ -83,39 +103,28 @@ impl Planner {
     pub fn plan(indexed_cols: &[usize], slots: usize, q: &SelectionQuery) -> QueryPlan {
         let descent = 2 * u64::from(log2_floor(slots.max(2) as u64)).max(1);
         let candidates = (slots as u64 / 16).max(1);
-        let indexed = |col: &usize| indexed_cols.contains(col);
+        let indexed = |col: usize| indexed_cols.contains(&col);
         match q {
-            SelectionQuery::Point { col, .. } if indexed(col) => QueryPlan {
+            SelectionQuery::Point { col, .. } if indexed(*col) => QueryPlan {
                 path: AccessPath::PointProbe { col: *col },
                 est_steps: descent,
             },
-            SelectionQuery::Range { col, .. } if indexed(col) => QueryPlan {
+            SelectionQuery::Range { col, .. } if indexed(*col) => QueryPlan {
                 path: AccessPath::RangeProbe { col: *col },
                 est_steps: descent + 1,
             },
-            SelectionQuery::And(_, _) => {
-                let conjuncts = q.conjuncts();
-                let driving = conjuncts
-                    .iter()
-                    .find(|c| matches!(c, SelectionQuery::Point { col, .. } if indexed(col)))
-                    .or_else(|| {
-                        conjuncts.iter().find(
-                            |c| matches!(c, SelectionQuery::Range { col, .. } if indexed(col)),
-                        )
-                    });
-                match driving {
-                    Some(SelectionQuery::Point { col, .. } | SelectionQuery::Range { col, .. }) => {
-                        QueryPlan {
-                            path: AccessPath::IndexNestedLoop { col: *col },
-                            est_steps: descent + candidates,
-                        }
+            SelectionQuery::And(_, _) => match q.driving_conjunct(&indexed) {
+                Some(SelectionQuery::Point { col, .. } | SelectionQuery::Range { col, .. }) => {
+                    QueryPlan {
+                        path: AccessPath::IndexNestedLoop { col: *col },
+                        est_steps: descent + candidates,
                     }
-                    _ => QueryPlan {
-                        path: AccessPath::FullScan,
-                        est_steps: slots as u64,
-                    },
                 }
-            }
+                _ => QueryPlan {
+                    path: AccessPath::FullScan,
+                    est_steps: slots as u64,
+                },
+            },
             _ => QueryPlan {
                 path: AccessPath::FullScan,
                 est_steps: slots as u64,

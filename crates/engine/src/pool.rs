@@ -20,20 +20,33 @@
 //!   caught), so the pool keeps serving subsequent batches.
 //!
 //! The executor serves anything that implements [`BatchServe`] —
-//! [`ShardedRelation`] (plain borrows) and
+//! [`crate::shard::ShardedRelation`] (plain borrows) and
 //! [`crate::live::LiveRelation`] (per-shard read locks) in this crate,
 //! `pitract-wal`'s `DurableLiveRelation` and `pitract-repl`'s `Follower`
 //! by delegation. Every relation and both [`OutputMode`]s go through the
 //! same routing, the same per-shard `eval_assigned` metering protocol,
-//! and a merge that carries shard ids explicitly.
+//! and one fold in which each job carries its shard id explicitly.
+//!
+//! # What a batch costs the submitter
+//!
+//! The submitting thread is a batch's one serial section, so it does
+//! O(|batch|) *words* of work and no per-query heap allocation outside
+//! the result rows: **one pass** validates, plans and routes into
+//! per-shard work lists ([`BatchServe::route_shards`]); the **workers
+//! evaluate and translate** (a row-id job maps its own local ids to
+//! global ids, after its shard guard dropped, under one id-map
+//! acquisition); **one fold** drops each `(query, result, steps)` triple
+//! into that query's slot. The job queue stays an [`std::sync::mpsc`]
+//! channel on purpose: its receiver spins briefly before parking, and a
+//! `Mutex<VecDeque>` + `Condvar` queue, which parks at once, measured
+//! 10–25 % slower on small-batch reads (`CHANGES.md`, PR 15).
 
 use crate::batch::{
-    eval_assigned, report_from, route_batch, BatchAnswers, BatchReport, BatchRows, Exists,
-    MergedResults, OutputMode, QueryBatch, RowIds, WorkerResults,
+    BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, Routing, RowIds,
+    WorkerResults,
 };
 use crate::error::EngineError;
 use crate::planner::QueryPlan;
-use crate::shard::ShardedRelation;
 use pitract_core::epoch::Epoch;
 use pitract_obs::{Counter, Gauge, Histogram, Recorder};
 use pitract_relation::SelectionQuery;
@@ -366,8 +379,9 @@ struct Collector<T> {
 }
 
 struct CollectorState<T> {
-    /// One slot per scheduled shard job, filled as `(shard, results)`.
-    slots: Vec<Option<(usize, WorkerResults<T>)>>,
+    /// One entry per finished shard job, in completion order (the fold
+    /// is order-independent).
+    results: Vec<WorkerResults<T>>,
     remaining: usize,
     panicked: Option<usize>,
 }
@@ -376,7 +390,7 @@ impl<T> Collector<T> {
     fn new(jobs: usize) -> Self {
         Collector {
             state: Mutex::new(CollectorState {
-                slots: (0..jobs).map(|_| None).collect(),
+                results: Vec::with_capacity(jobs),
                 remaining: jobs,
                 panicked: None,
             }),
@@ -384,13 +398,11 @@ impl<T> Collector<T> {
         }
     }
 
-    fn finish(&self, slot: usize, shard: usize, outcome: Option<WorkerResults<T>>) {
+    fn finish(&self, shard: usize, outcome: Option<WorkerResults<T>>) {
         let mut state = lock(&self.state);
         match outcome {
-            Some(results) => state.slots[slot] = Some((shard, results)),
-            None => {
-                state.panicked.get_or_insert(shard);
-            }
+            Some(results) => state.results.push(results),
+            None => state.panicked = state.panicked.or(Some(shard)),
         }
         state.remaining -= 1;
         if state.remaining == 0 {
@@ -398,10 +410,9 @@ impl<T> Collector<T> {
         }
     }
 
-    /// Wait for every job, then yield the per-shard results (in slot =
-    /// ascending-shard order) or the first panicked shard.
-    #[allow(clippy::expect_used)]
-    fn wait(&self) -> Result<Vec<(usize, WorkerResults<T>)>, EngineError> {
+    /// Wait for every job, then yield their results or the first
+    /// panicked shard.
+    fn wait(&self) -> Result<Vec<WorkerResults<T>>, EngineError> {
         let mut state = lock(&self.state);
         while state.remaining > 0 {
             state = self
@@ -409,43 +420,48 @@ impl<T> Collector<T> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        if let Some(shard) = state.panicked {
-            return Err(EngineError::WorkerPanicked { shard });
+        match state.panicked {
+            Some(shard) => Err(EngineError::WorkerPanicked { shard }),
+            None => Ok(std::mem::take(&mut state.results)),
         }
-        Ok(state
-            .slots
-            .iter_mut()
-            // lint:allow(no-unwrap-in-serving): remaining == 0 and no panic ⇒ every slot was filled
-            .map(|slot| slot.take().expect("every non-panicked slot was filled"))
-            .collect())
     }
 }
 
 /// A relation the executor can serve: routing, per-shard evaluation,
-/// and local→global id translation. Implemented by [`ShardedRelation`]
-/// and [`crate::live::LiveRelation`] here, and by
-/// `pitract-wal::DurableLiveRelation` and `pitract-repl::Follower` by
-/// delegation to their inner live relation.
-///
-/// `route` validates and plans every query; `eval_shard` answers one
-/// shard's assigned slice in either [`OutputMode`] with the shared
-/// per-query metering protocol; and `global_ids` translates after shard
-/// evaluation (for a live relation, under its ids lock — local→global
-/// maps are append-only, so translation after the shard lock drops is
-/// race-free).
+/// and local→global id translation. Implemented by
+/// [`crate::shard::ShardedRelation`] and [`crate::live::LiveRelation`]
+/// here, and by `pitract-wal::DurableLiveRelation` and
+/// `pitract-repl::Follower` by delegation to their inner live relation.
 ///
 /// Relations that version their state additionally expose an epoch pin:
 /// the executor calls [`BatchServe::pin_epoch`] once per batch before
 /// any shard job runs, passes the pinned epoch to every `eval_shard`
 /// call, and releases it with [`BatchServe::unpin_epoch`] when the
-/// batch's results have merged. Immutable relations keep the defaults
+/// batch's results have folded. Immutable relations keep the defaults
 /// (no pin, evaluation ignores `at`).
 pub trait BatchServe: Send + Sync {
-    /// Validate, plan, and shard-route a query slice.
+    /// Validate, plan, and shard-route a query slice into per-shard
+    /// work lists — the form the executor dispatches as is.
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError>;
+
+    /// [`BatchServe::route_shards`] viewed per query — the plans and, for
+    /// each query, the shards it routes to — for callers that inspect
+    /// routing rather than dispatch it.
     fn route(
         &self,
         queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError>;
+    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+        let routing = self.route_shards(queries)?;
+        let mut routed: Vec<Vec<usize>> = routing
+            .shards_probed
+            .into_iter()
+            .map(Vec::with_capacity)
+            .collect();
+        for (shard, assigned) in routing.jobs {
+            assigned.into_iter().for_each(|qi| routed[qi].push(shard));
+        }
+        Ok((routing.plans, routed))
+    }
 
     /// Number of shards.
     fn shard_count(&self) -> usize;
@@ -495,46 +511,21 @@ pub trait BatchServe: Send + Sync {
         self.eval_shard::<RowIds>(shard, at, queries, assigned)
     }
 
+    /// Run `read` over `shard`'s local→global id map (indexed by local
+    /// row id) under one acquisition of whatever guards it. The executor
+    /// calls it once shard evaluation has returned, so a live relation
+    /// never waits for its ids lock while holding a shard lock; its maps
+    /// are append-only, which makes that late translation race-free.
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T;
+
     /// Translate shard-local row ids to global ids.
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize>;
-}
-
-impl BatchServe for ShardedRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        route_batch(
-            queries,
-            self.schema(),
-            &self.shards()[0].indexed_columns(),
-            self.slot_count(),
-            self.shard_by(),
-            self.shard_count(),
-        )
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedRelation::shard_count(self)
-    }
-
-    fn eval_shard<M: OutputMode>(
-        &self,
-        shard: usize,
-        _at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
-        eval_assigned(queries, &self.shards()[shard], assigned, M::current)
-    }
-
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        locals.iter().map(|&l| self.global_id(shard, l)).collect()
+        self.id_map(shard, |global| locals.iter().map(|&l| global[l]).collect())
     }
 }
 
 /// RAII epoch pin for one batch: taken after admission, released when
-/// the batch's results have merged — on every path, including errors
+/// the batch's results have folded — on every path, including errors
 /// and worker panics.
 struct PinGuard<'a, R: BatchServe + ?Sized> {
     relation: &'a R,
@@ -579,7 +570,7 @@ pub struct PooledExecutor<R: BatchServe + 'static> {
 /// plus the `engine_*` report totals for batches served on this pool).
 #[derive(Debug, Clone, Default)]
 struct ExecInstruments {
-    /// `pool_batch_micros`: service latency from admission to merge.
+    /// `pool_batch_micros`: service latency from admission to fold.
     batch_micros: Histogram,
     /// `pool_worker_panics_total`: shard evaluations that panicked.
     panics: Counter,
@@ -675,14 +666,14 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         Ok(BatchRows { rows, report })
     }
 
-    /// Serve one batch in mode `M`: route, admit, pin, dispatch, merge,
+    /// Serve one batch in mode `M`: route, admit, pin, dispatch, fold,
     /// report — the one body behind both public entry points.
     fn serve<M: OutputMode>(
         &self,
         batch: &QueryBatch,
     ) -> Result<(Vec<M::Out>, BatchReport), EngineError> {
         let queries = batch.queries_shared();
-        let (plans, routed) = self.relation.route(&queries)?;
+        let routing = self.relation.route_shards(&queries)?;
         // Admission strictly before the pin: a batch waiting at the
         // gate must not force writers to retain versions for it.
         let (_slot, waited) = self.pool.admit();
@@ -692,12 +683,24 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             .is_enabled()
             .then(Instant::now);
         let pin = PinGuard::pin(self.relation.as_ref());
-        let merged = self.dispatch::<M>(&queries, &routed, pin.at())?;
-        let out = merged
-            .iter()
-            .map(|per_shard| M::merge(self.relation.as_ref(), per_shard))
-            .collect();
-        let report = report_from(plans, &routed, &merged, pin.epoch, waited);
+        let per_job = self.dispatch::<M>(&queries, routing.jobs, pin.at())?;
+        // The one fold: every triple lands in its query's slot. Each
+        // job translated its own row ids, so which shard it ran on and
+        // the order jobs came back in no longer matter.
+        let mut out: Vec<M::Out> = (0..queries.len()).map(|_| M::Out::default()).collect();
+        let mut steps = vec![0u64; queries.len()];
+        for (qi, part, spent) in per_job.into_iter().flatten() {
+            M::fold(&mut out[qi], part);
+            steps[qi] += spent;
+        }
+        M::seal(&mut out);
+        let report = BatchReport::new(
+            routing.plans,
+            steps,
+            routing.shards_probed,
+            pin.epoch,
+            waited,
+        );
         if let Some(started) = served {
             self.instruments
                 .batch_micros
@@ -709,33 +712,17 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         Ok((out, report))
     }
 
-    /// Submit one batch's per-shard work items and wait for them:
-    /// routing inversion, one job per touched shard, rendezvous at the
+    /// Submit one job per routed shard and wait for them at the
     /// collector. The caller holds the admission slot and the epoch pin
-    /// for the batch. Returns, per query, one `(shard, result, steps)`
-    /// triple for every shard the query routed to.
+    /// for the batch. Returns each job's finished triples.
     fn dispatch<M: OutputMode>(
         &self,
         queries: &Arc<[SelectionQuery]>,
-        routed: &[Vec<usize>],
+        jobs: Vec<(usize, Vec<usize>)>,
         at: Epoch,
-    ) -> Result<MergedResults<M::Out>, EngineError> {
-        // Invert the routing into per-shard work lists (shards no query
-        // routes to get no job).
-        let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.relation.shard_count()];
-        for (qi, shards) in routed.iter().enumerate() {
-            for &s in shards {
-                work[s].push(qi);
-            }
-        }
-        let work: Vec<(usize, Vec<usize>)> = work
-            .into_iter()
-            .enumerate()
-            .filter(|(_, assigned)| !assigned.is_empty())
-            .collect();
-
-        let collector = Arc::new(Collector::new(work.len()));
-        for (slot, (shard, assigned)) in work.into_iter().enumerate() {
+    ) -> Result<Vec<WorkerResults<M::Out>>, EngineError> {
+        let collector = Arc::new(Collector::new(jobs.len()));
+        for (shard, assigned) in jobs {
             let relation = Arc::clone(&self.relation);
             let queries = Arc::clone(queries);
             let collector = Arc::clone(&collector);
@@ -746,32 +733,20 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
                 // poisoned query must not take down a serving process
                 // that multiplexes many clients).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    relation.eval_shard::<M>(shard, at, &queries, &assigned)
+                    let mut results = relation.eval_shard::<M>(shard, at, &queries, &assigned);
+                    // `eval_shard` has returned, so its shard guard is
+                    // gone: the id map may be taken now.
+                    M::finish(relation.as_ref(), shard, &mut results);
+                    results
                 }))
                 .ok();
                 if outcome.is_none() {
                     panics.inc();
                 }
-                collector.finish(slot, shard, outcome);
+                collector.finish(shard, outcome);
             }));
         }
-        let per_shard = collector.wait()?;
-
-        // Re-assemble per query. Slots are in ascending shard order and
-        // results within a shard in ascending query order — but
-        // consumers rely on the shard id carried in every triple, not
-        // on this incidental ordering.
-        let mut merged: MergedResults<M::Out> = routed
-            .iter()
-            .map(|shards| Vec::with_capacity(shards.len()))
-            .collect();
-        for (s, results) in per_shard {
-            for (qi, out, steps) in results {
-                debug_assert!(routed[qi].contains(&s));
-                merged[qi].push((s, out, steps));
-            }
-        }
-        Ok(merged)
+        collector.wait()
     }
 }
 
@@ -783,7 +758,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::live::LiveRelation;
-    use crate::shard::ShardBy;
+    use crate::shard::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -844,17 +819,14 @@ mod tests {
     }
 
     /// A relation that routes like its inner [`ShardedRelation`] but
-    /// lists every query's shards in descending order.
-    struct ReversedRouting(ShardedRelation);
+    /// hands its jobs out in descending shard order.
+    struct ReversedJobs(ShardedRelation);
 
-    impl BatchServe for ReversedRouting {
-        fn route(
-            &self,
-            queries: &[SelectionQuery],
-        ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-            let (plans, mut routed) = self.0.route(queries)?;
-            routed.iter_mut().for_each(|shards| shards.reverse());
-            Ok((plans, routed))
+    impl BatchServe for ReversedJobs {
+        fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+            let mut routing = self.0.route_shards(queries)?;
+            routing.jobs.reverse();
+            Ok(routing)
         }
 
         fn shard_count(&self) -> usize {
@@ -871,17 +843,19 @@ mod tests {
             self.0.eval_shard::<M>(shard, at, queries, assigned)
         }
 
-        fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-            self.0.global_ids(shard, locals)
+        fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+            self.0.id_map(shard, read)
         }
     }
 
-    /// Regression: the row-id merge used to pair each per-shard result
-    /// with `routed[qi]` by *position*, which translates local row ids
-    /// through the wrong shard's id map whenever the routed shard list
-    /// is not ascending — an invariant nothing in `relevant_shards_for`
-    /// pins. The merge carries the shard id in the triple itself, so a
-    /// deliberately descending routing must change nothing.
+    /// Regression: the row-id merge once paired each per-shard result
+    /// with the query's routed shard list by *position*, which
+    /// translates local row ids through the wrong shard's id map
+    /// whenever jobs do not come back in ascending shard order — an
+    /// invariant nothing in the routing contract pins. Every job carries
+    /// its own shard id and translates its own results, so a relation
+    /// that hands jobs out in descending shard order must change
+    /// nothing: not the rows, not the answers, not the report.
     #[test]
     fn merge_carries_shard_ids_so_routed_order_cannot_mistranslate() {
         let rel = relation(120);
@@ -890,15 +864,101 @@ mod tests {
         let batch =
             QueryBatch::new((0..10).map(|k| SelectionQuery::point(1, format!("city{k}").as_str())));
         let ascending = PooledExecutor::with_default_pool(Arc::new(sr.clone()));
-        let descending = PooledExecutor::with_default_pool(Arc::new(ReversedRouting(sr.clone())));
-        let expect = ascending.execute_rows(&batch).unwrap().rows;
+        let descending = PooledExecutor::with_default_pool(Arc::new(ReversedJobs(sr.clone())));
+        let (_, routed) = descending.relation().route(batch.queries()).unwrap();
+        assert!(routed.iter().all(|shards| shards == &[2, 1, 0]));
+        let expect = ascending.execute_rows(&batch).unwrap();
         let got = descending.execute_rows(&batch).unwrap();
         assert!(got.report.per_query.iter().all(|c| c.shards_probed == 3));
-        assert_eq!(got.rows, expect);
+        assert_eq!(got.rows, expect.rows);
+        assert_eq!(got.report.total_steps, expect.report.total_steps);
         for (q, ids) in batch.queries().iter().zip(&got.rows) {
             assert_eq!(ids.len(), 12, "{q:?}");
             assert!(ids.iter().all(|&gid| q.matches(sr.row(gid).unwrap())));
         }
+        assert_eq!(
+            descending.execute(&batch).unwrap().answers,
+            ascending.execute(&batch).unwrap().answers
+        );
+    }
+
+    /// The executor is nothing but routing, per-shard evaluation and
+    /// translation: one mixed batch (every access path, a contradiction
+    /// that routes nowhere, rows deleted under the ids it reports)
+    /// served through the pool must equal — report field for report
+    /// field — what `route` + `eval_bool` / `eval_rows` + `global_ids`
+    /// give by hand on this thread.
+    #[test]
+    fn served_batch_equals_by_hand_route_eval_translate() {
+        let lr = LiveRelation::build(&relation(600), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
+        for gid in (0..600).step_by(7) {
+            lr.delete(gid).unwrap();
+        }
+        lr.insert(vec![Value::Int(700), Value::str("city3")])
+            .unwrap();
+        let lr = Arc::new(lr);
+        let mut queries = mixed_batch(600).queries().to_vec();
+        queries.push(SelectionQuery::point(1, "city3")); // scan, 4 shards
+        queries.push(SelectionQuery::and(
+            SelectionQuery::point(0, 10i64),
+            SelectionQuery::point(0, 11i64),
+        )); // contradictory shard-key points: routes nowhere
+        let batch = QueryBatch::new(queries);
+        let exec = PooledExecutor::new(
+            Arc::clone(&lr),
+            PoolConfig {
+                workers: 2,
+                max_inflight: 2,
+            },
+        );
+        let bools = exec.execute(&batch).unwrap();
+        let rows = exec.execute_rows(&batch).unwrap();
+
+        let (plans, routed) = lr.route(batch.queries()).unwrap();
+        let pin = lr.pin();
+        assert_eq!(bools.report.epoch, Some(pin.epoch()));
+        assert_eq!(rows.report.epoch, Some(pin.epoch()));
+        for (qi, q) in batch.queries().iter().enumerate() {
+            let (mut hit, mut ids) = (false, Vec::new());
+            let (mut bool_steps, mut row_steps) = (0, 0);
+            for &s in &routed[qi] {
+                let (_, h, spent) = lr.eval_bool(s, pin.epoch(), batch.queries(), &[qi])[0];
+                hit |= h;
+                bool_steps += spent;
+                let (_, locals, spent) = lr
+                    .eval_rows(s, pin.epoch(), batch.queries(), &[qi])
+                    .remove(0);
+                ids.extend(lr.global_ids(s, &locals));
+                row_steps += spent;
+            }
+            ids.sort_unstable();
+            assert_eq!(bools.answers[qi], hit, "{q:?}");
+            assert_eq!(rows.rows[qi], ids, "{q:?}");
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "ascending, no duplicates"
+            );
+            for (report, steps) in [(&bools.report, bool_steps), (&rows.report, row_steps)] {
+                let cost = &report.per_query[qi];
+                assert_eq!(cost.plan, plans[qi], "{q:?}");
+                assert_eq!(cost.steps, steps, "{q:?}");
+                assert_eq!(cost.shards_probed, routed[qi].len(), "{q:?}");
+            }
+        }
+        for report in [&bools.report, &rows.report] {
+            assert_eq!(report.per_query.len(), batch.len());
+            assert_eq!(
+                report.total_steps,
+                report.per_query.iter().map(|c| c.steps).sum::<u64>()
+            );
+            assert_eq!(report.admission_wait, Some(Duration::ZERO));
+        }
+        // The contradiction was shipped nowhere and cost nothing.
+        let last = batch.len() - 1;
+        assert_eq!(bools.report.per_query[last].shards_probed, 0);
+        assert_eq!(bools.report.per_query[last].steps, 0);
+        assert!(!bools.answers[last]);
+        assert!(rows.rows[last].is_empty());
     }
 
     #[test]
@@ -1033,18 +1093,18 @@ mod tests {
     }
 
     impl BatchServe for Probe {
-        fn route(
-            &self,
-            queries: &[SelectionQuery],
-        ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+        fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
             // Every query routes to every shard; plans are irrelevant to
             // these tests, so reuse the real planner on a scan.
-            let plans = queries
-                .iter()
-                .map(|q| crate::planner::Planner::plan(&[], 1, q))
-                .collect();
-            let routed = queries.iter().map(|_| (0..self.shards).collect()).collect();
-            Ok((plans, routed))
+            let all: Vec<usize> = (0..queries.len()).collect();
+            Ok(Routing {
+                plans: queries
+                    .iter()
+                    .map(|q| crate::planner::Planner::plan(&[], 1, q))
+                    .collect(),
+                jobs: (0..self.shards).map(|s| (s, all.clone())).collect(),
+                shards_probed: vec![self.shards; queries.len()],
+            })
         }
 
         fn shard_count(&self) -> usize {
@@ -1071,8 +1131,8 @@ mod tests {
             out
         }
 
-        fn global_ids(&self, _shard: usize, locals: &[usize]) -> Vec<usize> {
-            locals.to_vec()
+        fn id_map<T>(&self, _shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+            read(&[]) // every result is empty: nothing to translate
         }
     }
 

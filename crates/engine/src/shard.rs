@@ -6,13 +6,45 @@
 //! shard per tuple), and query answering gains the parallel dimension the
 //! NC claim is about: shards can be probed concurrently, and shard-key
 //! routing often proves most shards irrelevant without touching them.
+//!
+//! # The interval property
+//!
+//! The shards relevant to a selection query always form **one run of
+//! consecutive shard indices** (possibly empty), so routing returns a
+//! `Range<usize>` and never builds a set. Proof sketch, by induction on
+//! the query tree:
+//!
+//! * A leaf that does not constrain the shard key — any conjunct on
+//!   another column, or a shard-key *range* under [`ShardBy::Hash`],
+//!   where neighbouring keys scatter — keeps every shard: `0..S`.
+//! * A shard-key *point* lives in exactly one shard under either
+//!   partitioning: `s..s + 1`.
+//! * A shard-key *range* under [`ShardBy::Range`] keeps
+//!   `shard(lo)..=shard(hi)`: the split points are ascending, so
+//!   `shard(·)` is monotone in the key and every key between the bounds
+//!   lands between their shards. An unbounded side extends to the first
+//!   or last shard; an exclusive bound is treated as inclusive (a
+//!   superset, never a miss); `lo > hi` gives an empty run.
+//! * A conjunction needs one tuple to satisfy both sides, so it keeps
+//!   the intersection of their runs — and the intersection of two
+//!   intervals is an interval (empty when they are disjoint, e.g. two
+//!   contradictory shard-key points: nothing is probed and the answer is
+//!   `false` / no rows).
+//!
+//! The run is a superset of the shards holding matches, so routing can
+//! prune but never drop an answer. A `#[cfg(test)]` oracle (the per-shard
+//! Boolean mask this replaced) checks the equality as sets on seeded
+//! random queries.
 
+use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, WorkerResults};
 use crate::error::EngineError;
+use crate::pool::BatchServe;
 use pitract_core::cost::Meter;
+use pitract_core::epoch::Epoch;
 use pitract_core::hash::Fnv64;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{IndexedError, Relation, Schema, SelectionQuery, Value};
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// The pinned shard-routing hash: FNV-1a 64 over the value's canonical
 /// encoding (the same byte layout as `Encode`, fed incrementally so the
@@ -219,30 +251,31 @@ impl ShardedRelation {
         self.shards[shard].row(local)
     }
 
-    /// Which shards could possibly hold a tuple matching `q`.
+    /// Which shards could possibly hold a tuple matching `q` — always one
+    /// run of consecutive shard indices (see the module docs).
     ///
     /// Every conjunct that constrains the shard-key column narrows the
-    /// candidate set: a point selection pins a single shard under either
+    /// run: a point selection pins a single shard under either
     /// partitioning; a range selection pins a contiguous shard interval
     /// under range partitioning. Conjuncts on other columns (and ranges
-    /// under hash partitioning) keep the set unchanged, so the result is
+    /// under hash partitioning) keep the run unchanged, so the result is
     /// always a superset of the shards with matches — routing can prune,
     /// never drop answers.
-    pub fn relevant_shards(&self, q: &SelectionQuery) -> Vec<usize> {
+    pub fn relevant_shards(&self, q: &SelectionQuery) -> Range<usize> {
         relevant_shards_for(&self.shard_by, self.shards.len(), q)
     }
 
     /// Boolean answer, probing only the relevant shards sequentially.
-    /// (The parallel path is [`crate::batch::QueryBatch`].)
+    /// (The parallel path is [`crate::pool::PooledExecutor`].)
     pub fn answer(&self, q: &SelectionQuery) -> bool {
         self.answer_metered(q, &Meter::new())
     }
 
     /// Metered Boolean answer over the relevant shards.
     pub fn answer_metered(&self, q: &SelectionQuery, meter: &Meter) -> bool {
-        self.relevant_shards(q)
-            .into_iter()
-            .any(|s| self.shards[s].answer_metered(q, meter))
+        self.shards[self.relevant_shards(q)]
+            .iter()
+            .any(|shard| shard.answer_metered(q, meter))
     }
 
     /// Global ids (ascending) of all live rows matching `q`.
@@ -250,7 +283,6 @@ impl ShardedRelation {
         let meter = Meter::new();
         let mut ids: Vec<usize> = self
             .relevant_shards(q)
-            .into_iter()
             .flat_map(|s| {
                 self.shards[s]
                     .matching_ids_metered(q, &meter)
@@ -394,46 +426,77 @@ impl ShardedRelation {
     }
 }
 
+/// Serve an immutable sharded relation from the
+/// [`crate::pool::PooledExecutor`]: plain borrows, no pin, no locks.
+impl BatchServe for ShardedRelation {
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        route_batch(
+            queries,
+            &self.schema,
+            &self.shards[0].indexed_columns(),
+            self.slot_count(),
+            &self.shard_by,
+            self.shards.len(),
+        )
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn eval_shard<M: OutputMode>(
+        &self,
+        shard: usize,
+        _at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<M::Out> {
+        eval_assigned(queries, &self.shards[shard], assigned, M::current)
+    }
+
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        read(&self.global_ids[shard])
+    }
+}
+
 /// The routing-prune computation behind [`ShardedRelation::relevant_shards`],
-/// shared with the live serving layer ([`crate::live::LiveRelation`]) so the
-/// locked and unlocked paths can never prune differently.
+/// shared with the live serving layer ([`crate::live::LiveRelation`]) and
+/// the batch router so no path can prune differently: one walk of the
+/// `And` tree, intersecting intervals on the way up, no allocation.
 pub(crate) fn relevant_shards_for(
     shard_by: &ShardBy,
     shard_count: usize,
     q: &SelectionQuery,
-) -> Vec<usize> {
-    let mut mask = vec![true; shard_count];
-    for conjunct in q.conjuncts() {
-        match conjunct {
-            SelectionQuery::Point { col, value } if *col == shard_by.col() => {
-                let keep = route_shard(shard_by, shard_count, value);
-                for (i, m) in mask.iter_mut().enumerate() {
-                    *m &= i == keep;
-                }
-            }
-            SelectionQuery::Range { col, lo, hi } if *col == shard_by.col() => {
-                if let ShardBy::Range { .. } = shard_by {
-                    let first = match lo {
-                        Bound::Included(v) | Bound::Excluded(v) => {
-                            route_shard(shard_by, shard_count, v)
-                        }
-                        Bound::Unbounded => 0,
-                    };
-                    let last = match hi {
-                        Bound::Included(v) | Bound::Excluded(v) => {
-                            route_shard(shard_by, shard_count, v)
-                        }
-                        Bound::Unbounded => shard_count - 1,
-                    };
-                    for (i, m) in mask.iter_mut().enumerate() {
-                        *m &= first <= i && i <= last;
-                    }
-                }
-            }
-            _ => {}
+) -> Range<usize> {
+    let shard_of = |v: &Value| route_shard(shard_by, shard_count, v);
+    match q {
+        SelectionQuery::And(a, b) => {
+            let a = relevant_shards_for(shard_by, shard_count, a);
+            let b = relevant_shards_for(shard_by, shard_count, b);
+            let start = a.start.max(b.start);
+            // Disjoint runs intersect to an empty one (`end == start`).
+            start..a.end.min(b.end).max(start)
         }
+        SelectionQuery::Point { col, value } if *col == shard_by.col() => {
+            let keep = shard_of(value);
+            keep..keep + 1
+        }
+        SelectionQuery::Range { col, lo, hi }
+            if *col == shard_by.col() && matches!(shard_by, ShardBy::Range { .. }) =>
+        {
+            let first = match lo {
+                Bound::Included(v) | Bound::Excluded(v) => shard_of(v),
+                Bound::Unbounded => 0,
+            };
+            let end = match hi {
+                Bound::Included(v) | Bound::Excluded(v) => shard_of(v) + 1,
+                Bound::Unbounded => shard_count,
+            };
+            // `lo > hi` matches nothing: an empty run, not an inverted one.
+            first..end.max(first)
+        }
+        _ => 0..shard_count,
     }
-    (0..shard_count).filter(|&i| mask[i]).collect()
 }
 
 /// The build-time partitioning checks, shared by [`ShardedRelation::build`],
@@ -790,24 +853,21 @@ mod tests {
         .unwrap();
         assert_eq!(
             sr.relevant_shards(&SelectionQuery::range_closed(0, 30i64, 60i64)),
-            vec![1, 2]
+            1..3
         );
-        assert_eq!(
-            sr.relevant_shards(&SelectionQuery::point(0, 80i64)),
-            vec![3]
-        );
+        assert_eq!(sr.relevant_shards(&SelectionQuery::point(0, 80i64)), 3..4);
         let half_open = SelectionQuery::Range {
             col: 0,
             lo: Bound::Unbounded,
             hi: Bound::Excluded(Value::Int(20)),
         };
-        assert_eq!(sr.relevant_shards(&half_open), vec![0]);
+        assert_eq!(sr.relevant_shards(&half_open), 0..1);
         // A conjunction intersects its conjuncts' shard sets.
         let conj = SelectionQuery::and(
             SelectionQuery::range_closed(0, 30i64, 60i64),
             SelectionQuery::point(0, 40i64),
         );
-        assert_eq!(sr.relevant_shards(&conj), vec![1]);
+        assert_eq!(sr.relevant_shards(&conj), 1..2);
         // Contradictory shard-key points prune everything.
         let contradiction = SelectionQuery::and(
             SelectionQuery::point(0, 10i64),
@@ -815,6 +875,153 @@ mod tests {
         );
         assert!(sr.relevant_shards(&contradiction).is_empty());
         assert!(!sr.answer(&contradiction));
+    }
+
+    /// The routing this module shipped before intervals: one Boolean per
+    /// shard, narrowed conjunct by conjunct over the flattened query.
+    /// Kept as the oracle the interval walk is checked against.
+    fn relevant_shards_mask(
+        shard_by: &ShardBy,
+        shard_count: usize,
+        q: &SelectionQuery,
+    ) -> Vec<usize> {
+        let mut mask = vec![true; shard_count];
+        for conjunct in q.conjuncts() {
+            match conjunct {
+                SelectionQuery::Point { col, value } if *col == shard_by.col() => {
+                    let keep = route_shard(shard_by, shard_count, value);
+                    for (i, m) in mask.iter_mut().enumerate() {
+                        *m &= i == keep;
+                    }
+                }
+                SelectionQuery::Range { col, lo, hi } if *col == shard_by.col() => {
+                    if let ShardBy::Range { .. } = shard_by {
+                        let first = match lo {
+                            Bound::Included(v) | Bound::Excluded(v) => {
+                                route_shard(shard_by, shard_count, v)
+                            }
+                            Bound::Unbounded => 0,
+                        };
+                        let last = match hi {
+                            Bound::Included(v) | Bound::Excluded(v) => {
+                                route_shard(shard_by, shard_count, v)
+                            }
+                            Bound::Unbounded => shard_count - 1,
+                        };
+                        for (i, m) in mask.iter_mut().enumerate() {
+                            *m &= first <= i && i <= last;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        (0..shard_count).filter(|&i| mask[i]).collect()
+    }
+
+    /// The key domain of the routing property: `-3..40` as an `Int` key,
+    /// or zero-padded (so string order is numeric order) as a `Str` key.
+    fn key(str_key: bool, v: i64) -> Value {
+        if str_key {
+            Value::str(format!("k{:02}", v + 3))
+        } else {
+            Value::Int(v)
+        }
+    }
+
+    /// One leaf conjunct from four small integers. Kinds 0–6 constrain
+    /// the shard key (point; closed, half-open either side, one-sided
+    /// and fully unbounded ranges — `lo > hi` included); kind 7 is a
+    /// point or range on the other column.
+    fn leaf(str_key: bool, kind: u8, a: i64, b: i64) -> SelectionQuery {
+        let key_col = usize::from(str_key);
+        let k = |v| key(str_key, v);
+        let range = |lo, hi| SelectionQuery::Range {
+            col: key_col,
+            lo,
+            hi,
+        };
+        match kind {
+            0 => SelectionQuery::Point {
+                col: key_col,
+                value: k(a),
+            },
+            1 => range(Bound::Included(k(a)), Bound::Included(k(b))),
+            2 => range(Bound::Included(k(a)), Bound::Excluded(k(b))),
+            3 => range(Bound::Excluded(k(a)), Bound::Included(k(b))),
+            4 => range(Bound::Unbounded, Bound::Included(k(b))),
+            5 => range(Bound::Excluded(k(a)), Bound::Unbounded),
+            6 => range(Bound::Unbounded, Bound::Unbounded),
+            _ if a % 2 == 0 => SelectionQuery::Point {
+                col: 1 - key_col,
+                value: key(!str_key, b),
+            },
+            _ => SelectionQuery::Range {
+                col: 1 - key_col,
+                lo: Bound::Included(key(!str_key, a.min(b))),
+                hi: Bound::Included(key(!str_key, a.max(b))),
+            },
+        }
+    }
+
+    /// Fold leaves into an `And` tree whose shape the `cuts` decide:
+    /// left-deep, right-deep and every balanced form in between.
+    fn and_tree(
+        leaves: &[SelectionQuery],
+        cuts: &mut impl Iterator<Item = usize>,
+    ) -> SelectionQuery {
+        if let [only] = leaves {
+            return only.clone();
+        }
+        let cut = 1 + cuts.next().unwrap_or(0) % (leaves.len() - 1);
+        SelectionQuery::and(
+            and_tree(&leaves[..cut], cuts),
+            and_tree(&leaves[cut..], cuts),
+        )
+    }
+
+    proptest::proptest! {
+        /// The interval equals the mask oracle as a set — and routing by
+        /// it never loses an answer — under hash and range partitioning
+        /// over 1–9 shards, on `Int` and `Str` keys, for every leaf kind
+        /// (values on, next to and far from the split points) in nested
+        /// conjunctions of every shape.
+        #[test]
+        fn interval_routing_equals_the_mask_oracle(
+            shard_count in 1usize..10,
+            hashed in proptest::prelude::any::<bool>(),
+            str_key in proptest::prelude::any::<bool>(),
+            leaves in proptest::collection::vec((0u8..8, -3i64..40, -3i64..40), 1..6),
+            cuts in proptest::collection::vec(0usize..8, 5)
+        ) {
+            let key_col = usize::from(str_key);
+            let shard_by = if hashed {
+                ShardBy::Hash { col: key_col }
+            } else {
+                // Splits at 4, 8, …: inside the probed domain, so bounds
+                // and points land exactly on them.
+                let splits = (1..shard_count as i64).map(|i| key(str_key, i * 4)).collect();
+                ShardBy::Range { col: key_col, splits }
+            };
+            let leaves: Vec<SelectionQuery> = leaves
+                .iter()
+                .map(|&(kind, a, b)| leaf(str_key, kind, a, b))
+                .collect();
+            let q = and_tree(&leaves, &mut cuts.into_iter());
+
+            let run = relevant_shards_for(&shard_by, shard_count, &q);
+            proptest::prop_assert_eq!(
+                run.clone().collect::<Vec<_>>(),
+                relevant_shards_mask(&shard_by, shard_count, &q),
+                "{:?} under {:?}", q, shard_by
+            );
+
+            let rows = (-3..40i64).map(|v| vec![Value::Int(v), key(true, v)]).collect();
+            let rel = Relation::from_rows(schema(), rows).unwrap();
+            let sr = ShardedRelation::build(&rel, shard_by, shard_count, &[0, 1]).unwrap();
+            proptest::prop_assert_eq!(sr.answer(&q), rel.eval_scan(&q), "{:?}", q);
+            proptest::prop_assert_eq!(sr.matching_ids(&q).len(), rel.count_where(&q), "{:?}", q);
+        }
     }
 
     #[test]

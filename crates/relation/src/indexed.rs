@@ -22,6 +22,7 @@ use crate::schema::Schema;
 use crate::value::Value;
 use pitract_core::cost::Meter;
 use pitract_index::bptree::BPlusTree;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
@@ -256,15 +257,10 @@ impl IndexedRelation {
     /// Live row ids whose `col` falls in `[lo, hi]` (bounds as given),
     /// ascending. Empty if the column is unindexed.
     pub fn row_ids_in_range(&self, col: usize, lo: &Bound<Value>, hi: &Bound<Value>) -> Vec<usize> {
-        let Some(tree) = self.indexes.get(&col) else {
-            return Vec::new();
-        };
-        let mut ids: Vec<usize> = tree
-            .range(as_ref_bound(lo), as_ref_bound(hi))
-            .flat_map(|(_, posting)| posting.iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids
+        self.indexes
+            .get(&col)
+            .map(|tree| ids_in_range(tree, lo, hi))
+            .unwrap_or_default()
     }
 
     /// Enumerate (ascending) the ids of all live rows matching `q`,
@@ -276,22 +272,19 @@ impl IndexedRelation {
     /// (e.g. row-id batch serving in `pitract-engine`) get them directly.
     pub fn matching_ids_metered(&self, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
         match q {
-            SelectionQuery::Point { col, value } if self.indexes.contains_key(col) => {
-                meter.add(tree_descent_cost(&self.indexes[col]));
-                let ids = self.row_ids_eq(*col, value);
-                meter.add(ids.len() as u64);
-                ids
-            }
-            SelectionQuery::Range { col, lo, hi } if self.indexes.contains_key(col) => {
-                meter.add(tree_descent_cost(&self.indexes[col]));
-                let ids = self.row_ids_in_range(*col, lo, hi);
-                meter.add(ids.len() as u64);
-                ids
-            }
-            SelectionQuery::And(_, _) => match self.driving_conjunct(&q.conjuncts()) {
+            SelectionQuery::Point { col, value } => match self.indexes.get(col) {
+                Some(tree) => probed(tree, tree.get(value).cloned().unwrap_or_default(), meter),
+                None => self.scan_ids_metered(q, meter),
+            },
+            SelectionQuery::Range { col, lo, hi } => match self.indexes.get(col) {
+                Some(tree) => probed(tree, ids_in_range(tree, lo, hi), meter),
+                None => self.scan_ids_metered(q, meter),
+            },
+            SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
                 Some(driving) => self
                     .driving_candidates(driving, meter)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .filter(|&id| {
                         meter.tick();
                         self.rows[id].as_ref().is_some_and(|row| q.matches(row))
@@ -299,43 +292,35 @@ impl IndexedRelation {
                     .collect(),
                 None => self.scan_ids_metered(q, meter),
             },
-            _ => self.scan_ids_metered(q, meter),
         }
     }
 
-    /// The conjunct an index-nested-loop drives through: the first indexed
-    /// point conjunct, else the first indexed range conjunct. This is the
-    /// single routing policy shared by [`Self::answer_metered`] and
-    /// [`Self::matching_ids_metered`] (and mirrored, with an agreement
-    /// test, by the `pitract-engine` planner).
-    fn driving_conjunct<'a>(&self, conjuncts: &[&'a SelectionQuery]) -> Option<&'a SelectionQuery> {
-        conjuncts
-            .iter()
-            .find(|c| {
-                matches!(c, SelectionQuery::Point { col, .. }
-                    if self.indexes.contains_key(col))
-            })
-            .or_else(|| {
-                conjuncts.iter().find(|c| {
-                    matches!(c, SelectionQuery::Range { col, .. }
-                        if self.indexes.contains_key(col))
-                })
-            })
-            .copied()
+    /// The conjunct an index-nested-loop drives through
+    /// ([`SelectionQuery::driving_conjunct`] over this relation's
+    /// indexes): the single routing policy shared by
+    /// [`Self::answer_metered`], [`Self::answer_metered_below`] and
+    /// [`Self::matching_ids_metered`], and — through the same walk — by
+    /// the `pitract-engine` planner.
+    fn driving_conjunct<'a>(&self, q: &'a SelectionQuery) -> Option<&'a SelectionQuery> {
+        q.driving_conjunct(&|col| self.indexes.contains_key(&col))
     }
 
-    /// Candidate row ids produced by probing the driving conjunct's index,
-    /// charging one tree descent. Only called with a point/range conjunct
-    /// returned by [`Self::driving_conjunct`].
-    fn driving_candidates(&self, driving: &SelectionQuery, meter: &Meter) -> Vec<usize> {
+    /// Candidate row ids (ascending) produced by probing the driving
+    /// conjunct's index, charging one tree descent: a point's posting
+    /// list is borrowed as it stands, a range's postings are gathered.
+    /// Only called with a point/range conjunct returned by
+    /// [`Self::driving_conjunct`].
+    fn driving_candidates(&self, driving: &SelectionQuery, meter: &Meter) -> Cow<'_, [usize]> {
         match driving {
             SelectionQuery::Point { col, value } => {
-                meter.add(tree_descent_cost(&self.indexes[col]));
-                self.row_ids_eq(*col, value)
+                let tree = &self.indexes[col];
+                meter.add(tree_descent_cost(tree));
+                Cow::Borrowed(tree.get(value).map_or(&[], Vec::as_slice))
             }
             SelectionQuery::Range { col, lo, hi } => {
-                meter.add(tree_descent_cost(&self.indexes[col]));
-                self.row_ids_in_range(*col, lo, hi)
+                let tree = &self.indexes[col];
+                meter.add(tree_descent_cost(tree));
+                Cow::Owned(ids_in_range(tree, lo, hi))
             }
             SelectionQuery::And(_, _) => unreachable!("driving conjuncts are leaves"),
         }
@@ -374,17 +359,16 @@ impl IndexedRelation {
                 None => self.scan_metered(q, meter),
             },
             SelectionQuery::And(_, _) => {
-                // Flatten the conjunction tree and route through any indexed
+                // Walk the conjunction tree and route through any indexed
                 // conjunct — point preferred over range — verifying every
                 // candidate against the full predicate. Nested `And` shapes
                 // and range-only conjunctions used to degrade to a scan.
-                // The range path stays lazy (no candidate collection) so
-                // the Boolean answer can exit on the first witness.
-                match self.driving_conjunct(&q.conjuncts()) {
-                    Some(SelectionQuery::Point { col, value }) => {
-                        meter.add(tree_descent_cost(&self.indexes[col]));
-                        let ids = self.row_ids_eq(*col, value);
-                        ids.iter().any(|&id| {
+                // The point path reads the posting list in place and the
+                // range path stays lazy (no candidate collection) so the
+                // Boolean answer can exit on the first witness.
+                match self.driving_conjunct(q) {
+                    Some(point @ SelectionQuery::Point { .. }) => {
+                        self.driving_candidates(point, meter).iter().any(|&id| {
                             meter.tick();
                             self.rows[id].as_ref().is_some_and(|row| q.matches(row))
                         })
@@ -440,10 +424,11 @@ impl IndexedRelation {
                 }
                 None => self.scan_metered_below(q, meter, bound),
             },
-            SelectionQuery::And(_, _) => match self.driving_conjunct(&q.conjuncts()) {
+            SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
                 Some(driving) => self
                     .driving_candidates(driving, meter)
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .take_while(|&id| id < bound)
                     .any(|id| {
                         meter.tick();
@@ -585,6 +570,27 @@ impl IndexedRelation {
 fn tree_descent_cost(tree: &BPlusTree<Value, Vec<usize>>) -> u64 {
     let n = tree.len().max(2) as f64;
     (n.log2().ceil() as u64).max(1) * 2
+}
+
+/// Charge one enumerating probe of `tree` — the descent plus every id
+/// it produced — and hand the ids on.
+fn probed(tree: &BPlusTree<Value, Vec<usize>>, ids: Vec<usize>, meter: &Meter) -> Vec<usize> {
+    meter.add(tree_descent_cost(tree) + ids.len() as u64);
+    ids
+}
+
+/// Every row id posted under a key in `[lo, hi]`, ascending.
+fn ids_in_range(
+    tree: &BPlusTree<Value, Vec<usize>>,
+    lo: &Bound<Value>,
+    hi: &Bound<Value>,
+) -> Vec<usize> {
+    let mut ids: Vec<usize> = tree
+        .range(as_ref_bound(lo), as_ref_bound(hi))
+        .flat_map(|(_, posting)| posting.iter().copied())
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
@@ -861,6 +867,66 @@ mod tests {
             assert_eq!(got, expect, "{q:?}");
             assert_eq!(!got.is_empty(), ir.answer(&q), "bool/ids disagree {q:?}");
         }
+    }
+
+    /// The charges the probe paths make, to the step: a descent of the
+    /// probed tree, plus one step per id enumerated (row-id mode) or per
+    /// candidate verified (conjunctions) — the numbers the end-to-end
+    /// benchmark's `steps_per_query` must reproduce across refactors.
+    #[test]
+    fn metered_steps_are_one_descent_plus_the_ids_touched() {
+        let ir = IndexedRelation::build(&big_relation(200), &[0, 1]).unwrap();
+        let descent = |col: usize| tree_descent_cost(&ir.indexes[&col]);
+        let city = SelectionQuery::point(1, "city3"); // 20 rows: 3, 13, …, 193
+        let ids = SelectionQuery::range_closed(0, 10i64, 49i64); // 40 rows
+        let both = SelectionQuery::and(ids.clone(), city.clone()); // drives through `city`
+        let ranges = SelectionQuery::and(ids.clone(), ids.clone()); // drives through `ids`
+        let meter = Meter::new();
+        let spent = |run: &dyn Fn()| {
+            meter.take();
+            run();
+            meter.take()
+        };
+        for (q, rows_mode, bool_mode, below_60) in [
+            (&city, descent(1) + 20, None, None),
+            (&ids, descent(0) + 40, Some(descent(0)), None),
+            // Rows: every candidate verified. Bool: stops at the first
+            // witness (13, the 2nd candidate); below id 60: same witness.
+            (
+                &both,
+                descent(1) + 20,
+                Some(descent(1) + 2),
+                Some(descent(1) + 2),
+            ),
+            (
+                &ranges,
+                descent(0) + 40,
+                Some(descent(0) + 1),
+                Some(descent(0) + 1),
+            ),
+        ] {
+            assert_eq!(
+                spent(&|| _ = ir.matching_ids_metered(q, &meter)),
+                rows_mode,
+                "{q:?}"
+            );
+            if let Some(expect) = bool_mode {
+                assert_eq!(spent(&|| _ = ir.answer_metered(q, &meter)), expect, "{q:?}");
+            }
+            if let Some(expect) = below_60 {
+                assert_eq!(
+                    spent(&|| _ = ir.answer_metered_below(q, &meter, 60)),
+                    expect,
+                    "{q:?}"
+                );
+            }
+        }
+        // Below id 10 no candidate of `both` is visible: nothing is verified.
+        assert_eq!(
+            spent(&|| _ = ir.answer_metered_below(&both, &meter, 10)),
+            descent(1) + 1,
+            "the first candidate (3) is checked, the second (13) is past the bound"
+        );
     }
 
     #[test]

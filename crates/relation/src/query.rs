@@ -124,8 +124,8 @@ impl SelectionQuery {
     ///
     /// A `Point`/`Range` query is its own single conjunct; nested `And`s of
     /// any shape — `And(And(p, q), r)`, `And(p, And(q, r))` — flatten to the
-    /// same leaf list. Index routing uses this so an indexed conjunct is
-    /// found no matter where it sits in the tree.
+    /// same leaf list. (Index routing does not allocate this list: it
+    /// walks the tree with [`Self::driving_conjunct`].)
     pub fn conjuncts(&self) -> Vec<&SelectionQuery> {
         let mut out = Vec::new();
         self.collect_conjuncts(&mut out);
@@ -139,6 +139,35 @@ impl SelectionQuery {
                 b.collect_conjuncts(out);
             }
             leaf => out.push(leaf),
+        }
+    }
+
+    /// The conjunct an index-nested-loop drives through: the first leaf
+    /// (left to right) that is a point selection on an `indexed` column,
+    /// else the first that is a range selection on one. One walk of the
+    /// `And` tree, no allocation — the single routing policy shared by
+    /// `IndexedRelation`'s executor and the `pitract-engine` planner.
+    pub fn driving_conjunct(&self, indexed: &impl Fn(usize) -> bool) -> Option<&SelectionQuery> {
+        let mut first_range = None;
+        self.first_indexed_point(indexed, &mut first_range)
+            .or(first_range)
+    }
+
+    fn first_indexed_point<'a>(
+        &'a self,
+        indexed: &impl Fn(usize) -> bool,
+        first_range: &mut Option<&'a SelectionQuery>,
+    ) -> Option<&'a SelectionQuery> {
+        match self {
+            SelectionQuery::And(a, b) => a
+                .first_indexed_point(indexed, first_range)
+                .or_else(|| b.first_indexed_point(indexed, first_range)),
+            SelectionQuery::Point { col, .. } if indexed(*col) => Some(self),
+            SelectionQuery::Range { col, .. } if indexed(*col) => {
+                first_range.get_or_insert(self);
+                None
+            }
+            _ => None,
         }
     }
 
@@ -239,6 +268,42 @@ mod tests {
         assert_eq!(left_deep.conjuncts(), expect);
         assert_eq!(right_deep.conjuncts(), expect);
         assert_eq!(p.conjuncts(), vec![&p], "a leaf is its own conjunct");
+    }
+
+    /// The non-allocating walk picks exactly what a search of the
+    /// flattened conjunct list picks, in every tree shape.
+    #[test]
+    fn driving_conjunct_prefers_the_first_indexed_point_then_range() {
+        let p0 = SelectionQuery::point(0, 1i64);
+        let p1 = SelectionQuery::point(1, "a");
+        let r0 = SelectionQuery::range_closed(0, 1i64, 2i64);
+        let r2 = SelectionQuery::range_closed(2, 1i64, 2i64);
+        let shapes = [
+            SelectionQuery::and(SelectionQuery::and(r0.clone(), p1.clone()), p0.clone()),
+            SelectionQuery::and(r0.clone(), SelectionQuery::and(p1.clone(), p0.clone())),
+            SelectionQuery::and(
+                SelectionQuery::and(r2.clone(), r0.clone()),
+                SelectionQuery::and(p1.clone(), p0.clone()),
+            ),
+            p0.clone(),
+            r0.clone(),
+        ];
+        for q in &shapes {
+            for cols in [&[][..], &[0], &[1], &[2], &[0, 1], &[0, 2], &[0, 1, 2]] {
+                let indexed = |c: usize| cols.contains(&c);
+                let leaves = q.conjuncts();
+                let oracle = leaves
+                    .iter()
+                    .find(|c| matches!(c, SelectionQuery::Point { col, .. } if indexed(*col)))
+                    .or_else(|| {
+                        leaves.iter().find(
+                            |c| matches!(c, SelectionQuery::Range { col, .. } if indexed(*col)),
+                        )
+                    })
+                    .copied();
+                assert_eq!(q.driving_conjunct(&indexed), oracle, "{q:?} on {cols:?}");
+            }
+        }
     }
 
     #[test]

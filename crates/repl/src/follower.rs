@@ -39,8 +39,7 @@ use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
 use crate::ReplError;
 use pitract_core::epoch::Epoch;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
-use pitract_engine::batch::{OutputMode, WorkerResults};
-use pitract_engine::planner::QueryPlan;
+use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry};
 use pitract_obs::{Gauge, Histogram, Recorder};
 use pitract_relation::{Schema, SelectionQuery, Value};
@@ -539,11 +538,8 @@ impl Follower {
 /// every pooled batch reads one consistent prefix of the primary even
 /// while catch-up keeps applying.
 impl BatchServe for Follower {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        BatchServe::route(&self.live, queries)
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        self.live.route_shards(queries)
     }
 
     fn shard_count(&self) -> usize {
@@ -568,8 +564,8 @@ impl BatchServe for Follower {
         self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        BatchServe::global_ids(&self.live, shard, locals)
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        self.live.id_map(shard, read)
     }
 }
 

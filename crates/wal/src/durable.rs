@@ -35,8 +35,7 @@ use crate::error::WalError;
 use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
-use pitract_engine::batch::{OutputMode, WorkerResults};
-use pitract_engine::planner::QueryPlan;
+use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry, WalSink};
 use pitract_obs::Recorder;
 use pitract_relation::SelectionQuery;
@@ -344,11 +343,8 @@ impl DurableLiveRelation {
 /// session while updates (including [`LiveRelation::apply_batch`] — one
 /// WAL fsync per batch) keep flowing through the WAL sink.
 impl BatchServe for DurableLiveRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        BatchServe::route(&self.live, queries)
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        self.live.route_shards(queries)
     }
 
     fn shard_count(&self) -> usize {
@@ -373,8 +369,8 @@ impl BatchServe for DurableLiveRelation {
         self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        self.live.global_ids(shard, locals)
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        self.live.id_map(shard, read)
     }
 }
 

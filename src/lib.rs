@@ -426,7 +426,8 @@ pub mod prelude {
     pub use pitract_core::reduce::{FReduction, FactorReduction};
     pub use pitract_core::scheme::Scheme;
     pub use pitract_engine::batch::{
-        BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, RowIds, WorkerResults,
+        BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, Routing, RowIds,
+        WorkerResults,
     };
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{

@@ -1,0 +1,161 @@
+//! The submitter's allocation budget, as a regression gate: a batch may
+//! cost O(|batch|) words but not O(|batch|) heap allocations. This
+//! binary installs a counting global allocator (process-wide, so pool
+//! workers are counted too) and asserts that
+//!
+//! * one Boolean `execute` of 4 096 shard-key points allocates at most
+//!   [`SLACK`] more times than one of 256 — only the doublings of the
+//!   per-shard work lists may grow with the batch; and
+//! * `execute_rows` allocates in proportion to the **non-empty per-shard
+//!   results** (at most [`PER_RESULT`] each: the row vector itself, and
+//!   its growth where several shards feed one query) on top of that same
+//!   constant — nothing per query that returned no rows.
+//!
+//! One `#[test]` only: a second test running beside it would allocate
+//! into the same counter. Allocation counts depend on the build profile
+//! (inlining decides which temporaries exist; debug builds add lockdep
+//! bookkeeping), so the bounds carry slack and CI runs this binary in
+//! both: `cargo test`, and the `stress` job's `--release` line. When
+//! written, both profiles counted 38 / 54 allocations for the 256- /
+//! 4 096-query Boolean batches and 1.01 per non-empty result.
+
+use pi_tractable::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Allocations a 4 096-query batch may make beyond a 256-query one.
+const SLACK: u64 = 64;
+/// Allocations per non-empty per-shard result in row-id mode.
+const PER_RESULT: u64 = 2;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every `alloc` and `realloc`.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// relaxed counter bump that touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made, process-wide, while `run` executes.
+fn allocations<T>(run: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = run();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+const ROWS: i64 = 8_192;
+const GROUPS: i64 = 512;
+
+/// `n` shard-key points; every `hit_every`-th one names a stored id, the
+/// rest miss.
+fn points(n: i64, hit_every: i64) -> QueryBatch {
+    QueryBatch::new((0..n).map(|k| {
+        let key = if k % hit_every == 0 { k } else { ROWS + k };
+        SelectionQuery::point(0, key)
+    }))
+}
+
+#[test]
+fn a_batch_costs_the_submitter_words_not_allocations() {
+    let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Int)]);
+    let rows = (0..ROWS)
+        .map(|i| vec![Value::Int(i), Value::Int(i % GROUPS)])
+        .collect();
+    let relation = Relation::from_rows(schema, rows).expect("valid rows");
+    let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("spec");
+    let exec = PooledExecutor::new(
+        Arc::new(live),
+        PoolConfig {
+            workers: 2,
+            max_inflight: 2,
+        },
+    );
+
+    // --- Boolean mode: 256 vs 4 096 queries --------------------------------
+    let (small, large) = (points(256, 2), points(4_096, 2));
+    for batch in [&small, &large] {
+        exec.execute(batch).expect("warm-up"); // thread-locals, queue blocks
+    }
+    let (small_allocs, got) = allocations(|| exec.execute(&small).expect("small batch"));
+    assert_eq!(got.answers.iter().filter(|&&hit| hit).count(), 128);
+    let (large_allocs, got) = allocations(|| exec.execute(&large).expect("large batch"));
+    assert_eq!(got.answers.iter().filter(|&&hit| hit).count(), 2_048);
+    assert!(
+        large_allocs <= small_allocs + SLACK,
+        "Boolean execute: {large_allocs} allocations for 4096 queries vs {small_allocs} for 256 \
+         — something allocates per query again"
+    );
+
+    // --- Row-id mode: nothing per query that returned no rows --------------
+    // (`k % i64::MAX == 0` only for k = 0: one hit, everything else misses.)
+    let (small, large) = (points(256, i64::MAX), points(4_096, i64::MAX));
+    for batch in [&small, &large] {
+        exec.execute_rows(batch).expect("warm-up");
+    }
+    let (small_allocs, _) = allocations(|| exec.execute_rows(&small).expect("small batch"));
+    let (large_allocs, got) = allocations(|| exec.execute_rows(&large).expect("large batch"));
+    assert_eq!(got.rows.iter().filter(|ids| !ids.is_empty()).count(), 1);
+    assert!(
+        large_allocs <= small_allocs + SLACK,
+        "execute_rows, all misses: {large_allocs} allocations for 4096 queries vs \
+         {small_allocs} for 256"
+    );
+    let floor = small_allocs;
+
+    // --- Row-id mode: proportional to the non-empty per-shard results ------
+    // 4 096 shard-key points, one in 16 a hit (one shard, one row each),
+    // plus 16 points on the other indexed column, each fanning out to all
+    // four shards and finding 16 rows among them.
+    let hits = 4_096 / 16;
+    let fanned = 16;
+    let mixed = QueryBatch::new(
+        points(4_096, 16)
+            .queries()
+            .iter()
+            .cloned()
+            .chain((0..fanned).map(|g| SelectionQuery::point(1, g))),
+    );
+    exec.execute_rows(&mixed).expect("warm-up");
+    let (allocs, got) = allocations(|| exec.execute_rows(&mixed).expect("mixed batch"));
+    assert_eq!(
+        got.rows.iter().map(Vec::len).sum::<usize>() as i64,
+        hits + fanned * (ROWS / GROUPS)
+    );
+    // Each hit is one non-empty result; each fanned-out query between
+    // one and four.
+    let (fewest, results) = ((hits + fanned) as u64, (hits + fanned * 4) as u64);
+    assert!(
+        allocs >= fewest,
+        "every non-empty result is at least its own row vector: {allocs} < {fewest} \
+         — is the counting allocator installed?"
+    );
+    assert!(
+        allocs <= floor + SLACK + PER_RESULT * results,
+        "execute_rows: {allocs} allocations for {results} non-empty per-shard results \
+         (budget {floor} + {SLACK} + {PER_RESULT} each)"
+    );
+}

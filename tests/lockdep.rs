@@ -49,11 +49,8 @@ impl InvertedLocks {
 }
 
 impl BatchServe for InvertedLocks {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        self.inner.route(queries)
+    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+        self.inner.route_shards(queries)
     }
 
     fn shard_count(&self) -> usize {
@@ -77,8 +74,8 @@ impl BatchServe for InvertedLocks {
         self.inner.eval_shard::<M>(shard, at, queries, assigned)
     }
 
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        self.inner.global_ids(shard, locals)
+    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+        self.inner.id_map(shard, read)
     }
 }
 
