@@ -457,13 +457,9 @@ impl ShardSlot {
         let restored_locals: Vec<usize> = restored.iter().map(|(local, _)| *local).collect();
         let rows: Vec<Vec<Value>> = restored.iter().map(|(_, row)| (*row).clone()).collect();
         #[allow(clippy::expect_used)]
-        let rel = Relation::from_rows(schema.clone(), rows)
-            // lint:allow(no-unwrap-in-serving): restored rows came out of this relation
-            .expect("restored rows were admitted by this schema");
-        #[allow(clippy::expect_used)]
-        let restored = IndexedRelation::build(&rel, indexed_cols)
-            // lint:allow(no-unwrap-in-serving): the indexed columns were validated at build
-            .expect("indexed columns were validated when the relation was built");
+        let restored = IndexedRelation::build_from_rows(schema.clone(), rows, indexed_cols)
+            // lint:allow(no-unwrap-in-serving): restored rows came out of this relation, built on these columns
+            .expect("rows and indexed columns were validated when the relation was built");
         Some(Rollback {
             hidden_from,
             restored,

@@ -123,32 +123,41 @@ pub struct ShardedRelation {
 
 impl ShardedRelation {
     /// Partition `relation` into `shard_count` shards and index `cols` on
-    /// each shard (the per-shard `Π`). PTIME: one pass to route plus an
-    /// O(n/S log n/S) index build per shard per column.
+    /// each shard (the per-shard `Π`). PTIME: one pass routes every row
+    /// to its shard's vector — row `i` keeps global id `i`, and a shard's
+    /// local ids are dense in arrival order — then each shard is built
+    /// once, one sort per indexed column.
     pub fn build(
         relation: &Relation,
         shard_by: ShardBy,
         shard_count: usize,
         cols: &[usize],
     ) -> Result<Self, EngineError> {
-        validate_shard_by(relation.schema(), &shard_by, shard_count)?;
-        let empty = Relation::new(relation.schema().clone());
-        let shards = (0..shard_count)
-            .map(|_| IndexedRelation::build(&empty, cols))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(EngineError::Indexed)?;
-        let mut sharded = ShardedRelation {
-            schema: relation.schema().clone(),
+        let schema = relation.schema();
+        validate_shard_by(schema, &shard_by, shard_count)?;
+        IndexedRelation::check_columns(schema, cols)?;
+        let key_col = shard_by.col();
+        let mut shard_rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shard_count];
+        let mut global_ids: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+        let mut locations = Vec::with_capacity(relation.len());
+        for (gid, row) in relation.rows().iter().enumerate() {
+            let shard = route_shard(&shard_by, shard_count, &row[key_col]);
+            locations.push(Some((shard, shard_rows[shard].len())));
+            global_ids[shard].push(gid);
+            shard_rows[shard].push(row.clone());
+        }
+        let shards = shard_rows
+            .into_iter()
+            .map(|rows| IndexedRelation::build_from_rows(schema.clone(), rows, cols))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ShardedRelation {
+            schema: schema.clone(),
             shard_by,
             shards,
-            global_ids: vec![Vec::new(); shard_count],
-            locations: Vec::with_capacity(relation.len()),
-            live: 0,
-        };
-        for row in relation.rows() {
-            sharded.insert(row.clone())?;
-        }
-        Ok(sharded)
+            global_ids,
+            live: locations.len(),
+            locations,
+        })
     }
 
     /// Schema of the logical relation.
@@ -541,6 +550,7 @@ pub(crate) fn validate_shard_by(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pitract_relation::indexed::IndexEntries;
     use pitract_relation::ColType;
 
     fn schema() -> Schema {
@@ -647,14 +657,12 @@ mod tests {
                     s.slots().to_vec(),
                     s.indexed_columns()
                         .into_iter()
-                        .map(|c| {
-                            let entries = s
-                                .index_postings(c)
-                                .unwrap()
-                                .into_iter()
-                                .map(|(k, v)| (k.clone(), v.to_vec()))
-                                .collect();
-                            (c, entries)
+                        .map(|col| {
+                            let mut entries = IndexEntries::new(col);
+                            for (key, posting) in s.index_postings(col).unwrap() {
+                                entries.push(key, posting);
+                            }
+                            entries
                         })
                         .collect(),
                 )

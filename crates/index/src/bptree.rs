@@ -11,10 +11,22 @@
 //! * point lookup, insert (with node splits), delete (with borrow/merge
 //!   rebalancing) — deletion matters because Section 1's "incremental
 //!   preprocessing" story needs maintainable indexes;
+//! * [`BPlusTree::upsert`] and [`BPlusTree::remove_if`], insert-or-merge
+//!   and edit-or-remove in one descent each — how a secondary index
+//!   posts a row id under a key that may or may not be there yet, and
+//!   un-posts one from a key that may or may not survive it
+//!   ([`BPlusTree::insert`] and [`BPlusTree::remove`] are their
+//!   unconditional instances);
+//! * [`BPlusTree::bulk_load`], the O(n) build from an ascending run that
+//!   packs leaves ⅔ full — `pitract-relation` sorts a column and builds
+//!   its index this way, where descending once per row would leave an
+//!   ascending column's leaves exactly half full;
 //! * ordered iteration and half-open/closed range scans via leaf links;
 //! * a metered lookup path ([`BPlusTree::get_metered`]) counting key
-//!   comparisons, used by tests and experiment E1 to certify the O(log n)
-//!   claim; and
+//!   comparisons — one tick per comparison whatever the key type, so
+//!   instantiating the tree at `i64` or `String` instead of an enum of
+//!   both changes what a comparison costs, not how many are counted —
+//!   used by tests and experiment E1 to certify the O(log n) claim; and
 //! * [`BPlusTree::check_invariants`], a full structural audit used by the
 //!   property-based tests (occupancy, ordering, separator correctness,
 //!   uniform depth, leaf-chain consistency).
@@ -347,7 +359,18 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Insert a key/value pair; returns the previous value if the key was
     /// already present. Amortized O(log n).
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
-        let (old, split) = self.insert_rec(self.root, key, val);
+        self.upsert(key, val, std::mem::replace)
+    }
+
+    /// Insert-or-merge in **one descent**: find `key`'s leaf once, then
+    /// either store `val` at the position the search found (splitting
+    /// upward as needed; returns `None`) or, if the key is already
+    /// present, hand the stored value and `val` to `merge` and return
+    /// what it made of them. Secondary indexes post a row id this way —
+    /// a `get_mut` followed by an `insert` on a miss would descend twice
+    /// for every new key. Amortized O(log n).
+    pub fn upsert<R>(&mut self, key: K, val: V, merge: impl FnOnce(&mut V, V) -> R) -> Option<R> {
+        let (merged, split) = self.upsert_rec(self.root, key, val, merge);
         if let Some((sep, right)) = split {
             let new_root = self.alloc(Node::Internal {
                 keys: vec![sep],
@@ -355,13 +378,19 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             });
             self.root = new_root;
         }
-        if old.is_none() {
+        if merged.is_none() {
             self.len += 1;
         }
-        old
+        merged
     }
 
-    fn insert_rec(&mut self, idx: usize, key: K, val: V) -> (Option<V>, Option<(K, usize)>) {
+    fn upsert_rec<R>(
+        &mut self,
+        idx: usize,
+        key: K,
+        val: V,
+        merge: impl FnOnce(&mut V, V) -> R,
+    ) -> (Option<R>, Option<(K, usize)>) {
         match self.take(idx) {
             Node::Leaf {
                 mut keys,
@@ -369,9 +398,9 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                 next,
             } => match keys.binary_search(&key) {
                 Ok(pos) => {
-                    let old = std::mem::replace(&mut vals[pos], val);
+                    let merged = merge(&mut vals[pos], val);
                     self.put(idx, Node::Leaf { keys, vals, next });
-                    (Some(old), None)
+                    (Some(merged), None)
                 }
                 Err(pos) => {
                     keys.insert(pos, key);
@@ -407,7 +436,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             } => {
                 let pos = keys.partition_point(|k| *k <= key);
                 let child = children[pos];
-                let (old, split) = self.insert_rec(child, key, val);
+                let (merged, split) = self.upsert_rec(child, key, val, merge);
                 if let Some((sep, right)) = split {
                     keys.insert(pos, sep);
                     children.insert(pos + 1, right);
@@ -423,10 +452,10 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                         children: right_children,
                     });
                     self.put(idx, Node::Internal { keys, children });
-                    (old, Some((sep, right_idx)))
+                    (merged, Some((sep, right_idx)))
                 } else {
                     self.put(idx, Node::Internal { keys, children });
-                    (old, None)
+                    (merged, None)
                 }
             }
             Node::Free => unreachable!("insert into free node"),
@@ -440,7 +469,17 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Remove a key, returning its value if present. Amortized O(log n),
     /// with borrow-or-merge rebalancing keeping occupancy ≥ order/2.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let removed = self.remove_rec(self.root, key);
+        self.remove_if(key, |_| true)
+    }
+
+    /// Edit-or-remove in **one descent**, the mirror of
+    /// [`Self::upsert`]: find `key` once and hand its value to `emptied`,
+    /// which may edit it in place; the entry is removed (and returned,
+    /// as edited) only if `emptied` says so. A missing key is left
+    /// alone. Secondary indexes un-post a row id this way and drop the
+    /// key with its last id. Amortized O(log n).
+    pub fn remove_if(&mut self, key: &K, emptied: impl FnOnce(&mut V) -> bool) -> Option<V> {
+        let removed = self.remove_rec(self.root, key, emptied);
         if removed.is_some() {
             self.len -= 1;
             // Collapse a root that lost all separators.
@@ -457,7 +496,12 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         removed
     }
 
-    fn remove_rec(&mut self, idx: usize, key: &K) -> Option<V> {
+    fn remove_rec(
+        &mut self,
+        idx: usize,
+        key: &K,
+        emptied: impl FnOnce(&mut V) -> bool,
+    ) -> Option<V> {
         match self.take(idx) {
             Node::Leaf {
                 mut keys,
@@ -465,11 +509,11 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                 next,
             } => {
                 let removed = match keys.binary_search(key) {
-                    Ok(pos) => {
+                    Ok(pos) if emptied(&mut vals[pos]) => {
                         keys.remove(pos);
                         Some(vals.remove(pos))
                     }
-                    Err(_) => None,
+                    _ => None,
                 };
                 self.put(idx, Node::Leaf { keys, vals, next });
                 removed
@@ -480,7 +524,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             } => {
                 let pos = keys.partition_point(|k| k <= key);
                 let child = children[pos];
-                let removed = self.remove_rec(child, key);
+                let removed = self.remove_rec(child, key, emptied);
                 if removed.is_some() {
                     self.fix_child(&mut keys, &mut children, pos);
                 }
@@ -932,7 +976,7 @@ mod tests {
     use pitract_core::cost::{assert_steps_within, CostClass, Meter};
     use std::collections::BTreeMap;
 
-    fn assert_ok(tree: &BPlusTree<u64, u64>) {
+    fn assert_ok<V>(tree: &BPlusTree<u64, V>) {
         if let Err(e) = tree.check_invariants() {
             panic!("invariant violation: {e}");
         }
@@ -957,6 +1001,51 @@ mod tests {
         assert_eq!(tree.get(&1), Some(&11));
         assert_eq!(tree.get(&3), None);
         assert_ok(&tree);
+    }
+
+    #[test]
+    fn upsert_merges_hits_and_inserts_misses() {
+        // Posting-list shape: the value under a key collects every id
+        // upserted there, through splits at a small order.
+        let mut tree: BPlusTree<u64, Vec<u64>> = BPlusTree::with_order(4);
+        let mut reference: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for id in 0..600u64 {
+            let key = (id * 7919) % 97;
+            let merged = tree.upsert(key, vec![id], |have, new| {
+                have.extend(new);
+                have.len()
+            });
+            let posting = reference.entry(key).or_default();
+            posting.push(id);
+            // `None` on a miss; what `merge` returned on a hit.
+            assert_eq!(merged, (posting.len() > 1).then_some(posting.len()));
+        }
+        assert_eq!(tree.len(), reference.len());
+        assert_ok(&tree);
+        let got: Vec<(u64, Vec<u64>)> = tree.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(got, reference.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn remove_if_edits_in_place_and_removes_only_when_told() {
+        let mut tree: BPlusTree<u64, Vec<u64>> = BPlusTree::with_order(4);
+        for key in 0..100u64 {
+            tree.insert(key, vec![key, key + 1000]);
+        }
+        // Pop one id per call: the first call edits, the second empties.
+        let pop = |posting: &mut Vec<u64>| {
+            posting.pop();
+            posting.is_empty()
+        };
+        for key in (0..100u64).step_by(3) {
+            assert_eq!(tree.remove_if(&key, pop), None);
+            assert_eq!(tree.get(&key), Some(&vec![key]), "edited, kept");
+            assert_eq!(tree.remove_if(&key, pop), Some(vec![]));
+            assert_eq!(tree.get(&key), None);
+            assert_ok(&tree);
+        }
+        assert_eq!(tree.len(), 66);
+        assert_eq!(tree.remove_if(&1000, |_| true), None, "a missing key");
     }
 
     #[test]

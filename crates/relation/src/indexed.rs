@@ -15,21 +15,88 @@
 //! The indexes are **maintained incrementally** under inserts and deletes
 //! (Section 1's incremental-preprocessing requirement): each update costs
 //! O(log n + posting-list edit), not a rebuild.
+//!
+//! # Layout
+//!
+//! * **Typed keys, one slot per column.** The schema says whether a
+//!   column holds `Int`s or `Str`s, so its index is a
+//!   `BPlusTree<i64, Posting>` or a `BPlusTree<String, Posting>` — a
+//!   node is an array of machine integers (or `String`s) compared as
+//!   such, not an array of [`Value`] enums whose derived `Ord` looks at
+//!   a discriminant before every payload — and the indexes sit in a
+//!   `Vec` with one slot per schema column, so finding a column's tree
+//!   is an array index. A probe unwraps the query's [`Value`] once, at
+//!   the top.
+//! * **Inline postings.** A `Posting` holds a single row id inline and
+//!   spills to a `Vec<usize>` from the second id on, so a unique key costs
+//!   its 8 key bytes plus 24 posting bytes in the leaf and no heap block.
+//!   Ids are ascending by construction (row ids only grow), which is what
+//!   lets a delete find its id by binary search.
+//! * **Build by sort.** [`IndexedRelation::build`] collects one column's
+//!   `(key, id)` pairs, sorts them, groups equal keys into postings and
+//!   hands the ascending run to [`BPlusTree::bulk_load`] — leaves come out
+//!   ⅔ full and nothing descends the tree. Columns are built one after
+//!   another, so at most one column's pairs are alive at a time. Building
+//!   empty and calling [`IndexedRelation::insert`] per row gives the same
+//!   answers, ids and postings in a differently packed tree.
+//!
+//! **Cross-type probes** keep [`Value`]'s total order, in which every
+//! `Int` sorts below every `Str`, so the index always agrees with
+//! [`SelectionQuery::matches`]: a mistyped *point* (a `Str` probe on an
+//! `Int` column or the reverse) matches nothing and is charged one step;
+//! a mistyped *range bound* sits wholly below or wholly above the
+//! column's keys, which makes that side of the range unbounded or the
+//! range empty, whichever the order dictates.
+//!
+//! What the layout did **not** change: a metered point probe still ticks
+//! once per key comparison ([`BPlusTree::get_metered`]), and every other
+//! path still charges `tree_descent_cost` = 2·⌈log₂ keys⌉ plus the ids
+//! it touches.
 
 use crate::query::SelectionQuery;
 use crate::relation::Relation;
-use crate::schema::Schema;
+use crate::schema::{ColType, Schema};
 use crate::value::Value;
 use pitract_core::cost::Meter;
 use pitract_index::bptree::BPlusTree;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
 
-/// One persisted secondary index: the column it covers plus its
-/// ascending `(key, posting list)` entries.
-pub type IndexEntries = (usize, Vec<(Value, Vec<usize>)>);
+/// One persisted secondary index in flat form: the column it covers, its
+/// ascending keys, and the keys' posting lists laid end to end — key `i`
+/// posts the next `lens[i]` entries of `ids`. Three allocations however
+/// many keys there are; [`IndexedRelation::from_parts`] validates it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexEntries {
+    /// The indexed column.
+    pub col: usize,
+    /// The distinct keys, ascending.
+    pub keys: Vec<Value>,
+    /// Posting-list length per key.
+    pub lens: Vec<usize>,
+    /// Every posting list, concatenated in key order.
+    pub ids: Vec<usize>,
+}
+
+impl IndexEntries {
+    /// No entries yet, for an index on `col`.
+    pub fn new(col: usize) -> Self {
+        IndexEntries {
+            col,
+            keys: Vec::new(),
+            lens: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Append one key and its posting list.
+    pub fn push(&mut self, key: Value, posting: &[usize]) {
+        self.keys.push(key);
+        self.lens.push(posting.len());
+        self.ids.extend_from_slice(posting);
+    }
+}
 
 /// Everything that can go wrong building, updating, or reassembling an
 /// [`IndexedRelation`].
@@ -57,6 +124,13 @@ pub enum IndexedError {
     /// `from_parts`: a column appears twice in the supplied indexes.
     DuplicateIndex {
         /// The duplicated column.
+        col: usize,
+    },
+    /// `from_parts`: an index's flat entries disagree with each other —
+    /// the posting lengths do not pair up with the keys, or do not add up
+    /// to the ids supplied.
+    MalformedEntries {
+        /// The index's column.
         col: usize,
     },
     /// `from_parts`: index keys were not strictly ascending.
@@ -108,6 +182,12 @@ impl fmt::Display for IndexedError {
             IndexedError::DuplicateIndex { col } => {
                 write!(f, "duplicate index on column {col}")
             }
+            IndexedError::MalformedEntries { col } => {
+                write!(
+                    f,
+                    "index on column {col}: posting lengths do not match the keys and ids"
+                )
+            }
             IndexedError::KeysNotAscending { col } => {
                 write!(f, "index on column {col}: keys not strictly ascending")
             }
@@ -138,6 +218,328 @@ impl fmt::Display for IndexedError {
 
 impl std::error::Error for IndexedError {}
 
+/// The row ids posted under one key: one id inline, a `Vec` from the
+/// second on. Never empty while it sits in a tree, always ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Posting {
+    One(usize),
+    /// At least two ids.
+    Many(Vec<usize>),
+}
+
+impl Posting {
+    /// A posting holding the (non-empty, ascending) `ids`.
+    fn from_ascending(ids: &[usize]) -> Self {
+        debug_assert!(!ids.is_empty(), "a key posts at least one row");
+        match ids {
+            [id] => Posting::One(*id),
+            _ => Posting::Many(ids.to_vec()),
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Posting::One(id) => std::slice::from_ref(id),
+            Posting::Many(ids) => ids,
+        }
+    }
+
+    /// The smallest posted id.
+    fn first(&self) -> usize {
+        self.as_slice()[0]
+    }
+
+    /// Post `id`, which must exceed every id already posted.
+    fn push(&mut self, id: usize) {
+        match self {
+            Posting::One(first) => *self = Posting::Many(vec![*first, id]),
+            Posting::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Un-post `id` (a no-op if it is not posted). Returns `true` when
+    /// that leaves nothing behind — the caller must then drop the key.
+    fn remove(&mut self, id: usize) -> bool {
+        match self {
+            Posting::One(only) => *only == id,
+            Posting::Many(ids) => {
+                if let Ok(pos) = ids.binary_search(&id) {
+                    ids.remove(pos);
+                }
+                if let [last] = ids[..] {
+                    *self = Posting::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// A column payload type an index can be keyed by: `i64` for
+/// [`ColType::Int`] columns, `String` for [`ColType::Str`] ones.
+trait IndexKey: Ord + Clone + fmt::Debug {
+    /// The payload of `v`, if `v` has this type.
+    fn of(v: &Value) -> Option<&Self>;
+    /// [`Self::of`], by value.
+    fn from_value(v: Value) -> Option<Self>;
+    fn to_value(&self) -> Value;
+}
+
+impl IndexKey for i64 {
+    fn of(v: &Value) -> Option<&i64> {
+        match v {
+            Value::Int(i) => Some(i),
+            Value::Str(_) => None,
+        }
+    }
+
+    fn from_value(v: Value) -> Option<i64> {
+        v.as_int()
+    }
+
+    fn to_value(&self) -> Value {
+        Value::Int(*self)
+    }
+}
+
+impl IndexKey for String {
+    fn of(v: &Value) -> Option<&String> {
+        match v {
+            Value::Int(_) => None,
+            Value::Str(s) => Some(s),
+        }
+    }
+
+    fn from_value(v: Value) -> Option<String> {
+        match v {
+            Value::Int(_) => None,
+            Value::Str(s) => Some(s),
+        }
+    }
+
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+}
+
+/// One column's secondary index, keyed by the column's own type.
+#[derive(Debug, Clone)]
+enum ColumnIndex {
+    Int(BPlusTree<i64, Posting>),
+    Str(BPlusTree<String, Posting>),
+}
+
+/// Evaluate `$body` with `$tree` bound to the typed tree inside
+/// `$index`: every access path is written once and instantiated for
+/// both key types.
+macro_rules! with_tree {
+    ($index:expr, $tree:ident => $body:expr) => {
+        match $index {
+            ColumnIndex::Int($tree) => $body,
+            ColumnIndex::Str($tree) => $body,
+        }
+    };
+}
+
+impl ColumnIndex {
+    /// Index column `col` of `rows` (every row admitted by the schema,
+    /// ids = positions) by sorting, not by descent.
+    fn build(ty: ColType, col: usize, rows: &[Vec<Value>]) -> Self {
+        match ty {
+            ColType::Int => ColumnIndex::Int(sorted_tree(col, rows)),
+            ColType::Str => ColumnIndex::Str(sorted_tree(col, rows)),
+        }
+    }
+
+    /// Pack validated flat entries (see [`IndexedRelation::from_parts`]).
+    fn from_entries(ty: ColType, keys: Vec<Value>, lens: &[usize], ids: &[usize]) -> Self {
+        match ty {
+            ColType::Int => ColumnIndex::Int(packed_tree(keys, lens, ids)),
+            ColType::Str => ColumnIndex::Str(packed_tree(keys, lens, ids)),
+        }
+    }
+
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        with_tree!(self, tree => tree.len())
+    }
+
+    /// The ids posted under `value`, ascending; a mistyped value is
+    /// under no key.
+    fn ids_eq(&self, value: &Value) -> &[usize] {
+        with_tree!(self, tree => IndexKey::of(value).and_then(|key| tree.get(key)))
+            .map_or(&[], Posting::as_slice)
+    }
+
+    /// The posting under `value`, one tick per key comparison. A
+    /// mistyped value is settled by the one comparison that tells its
+    /// type from the column's.
+    fn get_metered(&self, value: &Value, meter: &Meter) -> Option<&Posting> {
+        with_tree!(self, tree => match IndexKey::of(value) {
+            Some(key) => tree.get_metered(key, meter),
+            None => {
+                meter.tick();
+                None
+            }
+        })
+    }
+
+    /// Does `hit` accept any posting keyed within the bounds? Walks the
+    /// leaf chain in key order and stops at the first acceptance — the
+    /// one range body behind every range access path.
+    fn any_posting_in(
+        &self,
+        lo: &Bound<Value>,
+        hi: &Bound<Value>,
+        mut hit: impl FnMut(&Posting) -> bool,
+    ) -> bool {
+        with_tree!(self, tree => match typed_range(lo, hi) {
+            Some((lo, hi)) => tree.range(lo, hi).any(|(_, posting)| hit(posting)),
+            None => false,
+        })
+    }
+
+    /// Every row id posted under a key within the bounds, ascending.
+    fn ids_in_range(&self, lo: &Bound<Value>, hi: &Bound<Value>) -> Vec<usize> {
+        let mut ids = Vec::new();
+        self.any_posting_in(lo, hi, |posting| {
+            ids.extend_from_slice(posting.as_slice());
+            false
+        });
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Post row `id` under `value` (a value the schema admitted for this
+    /// column): one descent, whether or not the key is new.
+    fn post(&mut self, value: &Value, id: usize) {
+        with_tree!(self, tree => {
+            let key = IndexKey::of(value).cloned().expect("the schema admitted this value");
+            tree.upsert(key, Posting::One(id), |posting, _| posting.push(id));
+        })
+    }
+
+    /// Un-post row `id` from under `value`, dropping the key with its
+    /// last id so "key present" keeps meaning "some live row has it":
+    /// one descent, whether or not the key survives.
+    fn unpost(&mut self, value: &Value, id: usize) {
+        with_tree!(self, tree => {
+            let key = IndexKey::of(value).expect("the schema admitted this value");
+            tree.remove_if(key, |posting| posting.remove(id));
+        })
+    }
+
+    fn postings(&self) -> IndexPostings<'_> {
+        IndexPostings {
+            keys: self.len(),
+            entries: with_tree!(self, tree => Box::new(
+                tree.iter().map(|(key, posting)| (key.to_value(), posting.as_slice()))
+            )),
+        }
+    }
+}
+
+/// The bounds of a range selection as bounds on a `K`-keyed tree, or
+/// `None` when no `K` can lie within them. A mistyped bound keeps
+/// [`Value`]'s order — every `Int` below every `Str` — so it sits wholly
+/// below the column's keys (an `Int` against `Str` keys) or wholly above
+/// them (a `Str` against `Int` keys): as a lower bound that is "no
+/// bound" or "nothing", as an upper bound the reverse.
+fn typed_range<'a, K: IndexKey>(
+    lo: &'a Bound<Value>,
+    hi: &'a Bound<Value>,
+) -> Option<(Bound<&'a K>, Bound<&'a K>)> {
+    /// `Err` carries a bound of the other type.
+    fn typed<K: IndexKey>(bound: &Bound<Value>) -> Result<Bound<&K>, &Value> {
+        match bound {
+            Bound::Unbounded => Ok(Bound::Unbounded),
+            Bound::Included(v) => K::of(v).map(Bound::Included).ok_or(v),
+            Bound::Excluded(v) => K::of(v).map(Bound::Excluded).ok_or(v),
+        }
+    }
+    let lo = match typed(lo) {
+        Ok(bound) => bound,
+        Err(Value::Int(_)) => Bound::Unbounded,
+        Err(Value::Str(_)) => return None,
+    };
+    let hi = match typed(hi) {
+        Ok(bound) => bound,
+        Err(Value::Str(_)) => Bound::Unbounded,
+        Err(Value::Int(_)) => return None,
+    };
+    Some((lo, hi))
+}
+
+/// Build one column's tree by sort: `(key, id)` pairs, sorted, equal
+/// keys grouped into ascending postings, bulk-loaded.
+fn sorted_tree<K: IndexKey>(col: usize, rows: &[Vec<Value>]) -> BPlusTree<K, Posting> {
+    let mut pairs: Vec<(K, usize)> = rows
+        .iter()
+        .enumerate()
+        .map(|(id, row)| {
+            let key: &K = IndexKey::of(&row[col]).expect("the schema admitted this row");
+            (key.clone(), id)
+        })
+        .collect();
+    pairs.sort_unstable();
+    let same_key = |a: &(K, usize), b: &(K, usize)| a.0 == b.0;
+    let mut entries = Vec::with_capacity(pairs.chunk_by(same_key).count());
+    for run in pairs.chunk_by(same_key) {
+        let posting = match run {
+            [(_, id)] => Posting::One(*id),
+            _ => Posting::Many(run.iter().map(|(_, id)| *id).collect()),
+        };
+        entries.push((run[0].0.clone(), posting));
+    }
+    // The pairs are spent: free them before the tree is allocated.
+    drop(pairs);
+    BPlusTree::bulk_load(entries)
+}
+
+/// Bulk-load flat entries that [`IndexedRelation::from_parts`] has
+/// validated: `lens` sums to `ids.len()`, and every key equals the
+/// indexed column of a live, schema-admitted row — so it has type `K`.
+fn packed_tree<K: IndexKey>(
+    keys: Vec<Value>,
+    lens: &[usize],
+    mut ids: &[usize],
+) -> BPlusTree<K, Posting> {
+    let entries = keys
+        .into_iter()
+        .zip(lens)
+        .map(|(key, &len)| {
+            let (posting, rest) = ids.split_at(len);
+            ids = rest;
+            let key = K::from_value(key).expect("a validated key has the column's type");
+            (key, Posting::from_ascending(posting))
+        })
+        .collect();
+    BPlusTree::bulk_load(entries)
+}
+
+/// One index's `(key, posting list)` entries in ascending key order
+/// ([`IndexedRelation::index_postings`]).
+pub struct IndexPostings<'a> {
+    keys: usize,
+    entries: Box<dyn Iterator<Item = (Value, &'a [usize])> + 'a>,
+}
+
+impl IndexPostings<'_> {
+    /// Number of distinct keys in the index (entries this iterator had
+    /// when it was created).
+    pub fn key_count(&self) -> usize {
+        self.keys
+    }
+}
+
+impl<'a> Iterator for IndexPostings<'a> {
+    type Item = (Value, &'a [usize]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.entries.next()
+    }
+}
+
 /// A relation plus B⁺-tree secondary indexes on selected columns.
 #[derive(Debug, Clone)]
 pub struct IndexedRelation {
@@ -146,31 +548,55 @@ pub struct IndexedRelation {
     /// posting lists stay valid.
     rows: Vec<Option<Vec<Value>>>,
     live: usize,
-    indexes: HashMap<usize, BPlusTree<Value, Vec<usize>>>,
+    /// One slot per schema column; `Some` where the column is indexed.
+    indexes: Vec<Option<ColumnIndex>>,
 }
 
 impl IndexedRelation {
-    /// Preprocess a relation by building indexes on `cols`. O(n log n) per
-    /// indexed column.
+    /// Preprocess a relation by building indexes on `cols`: one sort per
+    /// indexed column, O(n log n).
     ///
     /// Every entry of `cols` must name a column of the schema; an
     /// out-of-range column is reported as an error instead of panicking
     /// during index maintenance.
     pub fn build(relation: &Relation, cols: &[usize]) -> Result<Self, IndexedError> {
-        let arity = relation.schema().arity();
-        if let Some(&bad) = cols.iter().find(|&&c| c >= arity) {
-            return Err(IndexedError::ColumnOutOfRange { col: bad, arity });
+        Self::check_columns(relation.schema(), cols)?;
+        Self::build_from_rows(relation.schema().clone(), relation.rows().to_vec(), cols)
+    }
+
+    /// [`Self::build`] over rows the caller hands over: row `i` gets id
+    /// `i`, and each row is admitted by the schema before it is indexed.
+    pub fn build_from_rows(
+        schema: Schema,
+        rows: Vec<Vec<Value>>,
+        cols: &[usize],
+    ) -> Result<Self, IndexedError> {
+        Self::check_columns(&schema, cols)?;
+        for row in &rows {
+            schema.admits(row).map_err(IndexedError::RowRejected)?;
         }
-        let mut ir = IndexedRelation {
-            schema: relation.schema().clone(),
-            rows: Vec::with_capacity(relation.len()),
-            live: 0,
-            indexes: cols.iter().map(|&c| (c, BPlusTree::new())).collect(),
-        };
-        for row in relation.rows() {
-            ir.insert(row.clone()).expect("source relation is valid");
+        let mut indexes: Vec<Option<ColumnIndex>> = vec![None; schema.arity()];
+        for &col in cols {
+            if indexes[col].is_none() {
+                indexes[col] = Some(ColumnIndex::build(schema.col_type(col), col, &rows));
+            }
         }
-        Ok(ir)
+        Ok(IndexedRelation {
+            schema,
+            live: rows.len(),
+            rows: rows.into_iter().map(Some).collect(),
+            indexes,
+        })
+    }
+
+    /// Does every entry of `cols` name a column of `schema`? The check
+    /// [`Self::build`] makes before any work.
+    pub fn check_columns(schema: &Schema, cols: &[usize]) -> Result<(), IndexedError> {
+        let arity = schema.arity();
+        match cols.iter().find(|&&col| col >= arity) {
+            Some(&col) => Err(IndexedError::ColumnOutOfRange { col, arity }),
+            None => Ok(()),
+        }
     }
 
     /// Schema of the underlying relation.
@@ -188,11 +614,16 @@ impl IndexedRelation {
         self.live == 0
     }
 
-    /// Which columns are indexed?
+    /// Which columns are indexed? Ascending.
     pub fn indexed_columns(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.indexes.keys().copied().collect();
-        cols.sort_unstable();
-        cols
+        (0..self.indexes.len())
+            .filter(|&col| self.indexes[col].is_some())
+            .collect()
+    }
+
+    /// The index on `col`, if the column exists and is indexed.
+    fn index(&self, col: usize) -> Option<&ColumnIndex> {
+        self.indexes.get(col)?.as_ref()
     }
 
     /// Insert a tuple, maintaining every index. Returns the row id.
@@ -201,13 +632,9 @@ impl IndexedRelation {
             .admits(&row)
             .map_err(IndexedError::RowRejected)?;
         let id = self.rows.len();
-        for (&col, tree) in &mut self.indexes {
-            let key = row[col].clone();
-            match tree.get_mut(&key) {
-                Some(posting) => posting.push(id),
-                None => {
-                    tree.insert(key, vec![id]);
-                }
+        for (index, value) in self.indexes.iter_mut().zip(&row) {
+            if let Some(index) = index {
+                index.post(value, id);
             }
         }
         self.rows.push(Some(row));
@@ -219,19 +646,9 @@ impl IndexedRelation {
     /// removed tuple, or `None` if the id was already deleted/invalid.
     pub fn delete(&mut self, id: usize) -> Option<Vec<Value>> {
         let row = self.rows.get_mut(id)?.take()?;
-        for (&col, tree) in &mut self.indexes {
-            let key = &row[col];
-            let emptied = match tree.get_mut(key) {
-                Some(posting) => {
-                    posting.retain(|&r| r != id);
-                    posting.is_empty()
-                }
-                None => false,
-            };
-            if emptied {
-                // Prune empty posting lists so "key present in tree" keeps
-                // meaning "at least one live tuple has this value".
-                tree.remove(key);
+        for (index, value) in self.indexes.iter_mut().zip(&row) {
+            if let Some(index) = index {
+                index.unpost(value, id);
             }
         }
         self.live -= 1;
@@ -241,11 +658,8 @@ impl IndexedRelation {
     /// Live row ids whose `col` equals `value` (empty if none or column
     /// unindexed — callers should check [`IndexedRelation::indexed_columns`]).
     pub fn row_ids_eq(&self, col: usize, value: &Value) -> Vec<usize> {
-        self.indexes
-            .get(&col)
-            .and_then(|t| t.get(value))
-            .cloned()
-            .unwrap_or_default()
+        self.index(col)
+            .map_or_else(Vec::new, |index| index.ids_eq(value).to_vec())
     }
 
     /// The live tuple stored under `id`, or `None` if `id` was deleted or
@@ -257,10 +671,8 @@ impl IndexedRelation {
     /// Live row ids whose `col` falls in `[lo, hi]` (bounds as given),
     /// ascending. Empty if the column is unindexed.
     pub fn row_ids_in_range(&self, col: usize, lo: &Bound<Value>, hi: &Bound<Value>) -> Vec<usize> {
-        self.indexes
-            .get(&col)
-            .map(|tree| ids_in_range(tree, lo, hi))
-            .unwrap_or_default()
+        self.index(col)
+            .map_or_else(Vec::new, |index| index.ids_in_range(lo, hi))
     }
 
     /// Enumerate (ascending) the ids of all live rows matching `q`,
@@ -272,12 +684,12 @@ impl IndexedRelation {
     /// (e.g. row-id batch serving in `pitract-engine`) get them directly.
     pub fn matching_ids_metered(&self, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
         match q {
-            SelectionQuery::Point { col, value } => match self.indexes.get(col) {
-                Some(tree) => probed(tree, tree.get(value).cloned().unwrap_or_default(), meter),
+            SelectionQuery::Point { col, value } => match self.index(*col) {
+                Some(index) => probed(index, index.ids_eq(value).to_vec(), meter),
                 None => self.scan_ids_metered(q, meter),
             },
-            SelectionQuery::Range { col, lo, hi } => match self.indexes.get(col) {
-                Some(tree) => probed(tree, ids_in_range(tree, lo, hi), meter),
+            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
+                Some(index) => probed(index, index.ids_in_range(lo, hi), meter),
                 None => self.scan_ids_metered(q, meter),
             },
             SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
@@ -302,7 +714,13 @@ impl IndexedRelation {
     /// [`Self::matching_ids_metered`], and — through the same walk — by
     /// the `pitract-engine` planner.
     fn driving_conjunct<'a>(&self, q: &'a SelectionQuery) -> Option<&'a SelectionQuery> {
-        q.driving_conjunct(&|col| self.indexes.contains_key(&col))
+        q.driving_conjunct(&|col| self.index(col).is_some())
+    }
+
+    /// The index behind a conjunct [`Self::driving_conjunct`] returned.
+    fn driving_index(&self, col: usize) -> &ColumnIndex {
+        self.index(col)
+            .expect("driving conjuncts are on indexed columns")
     }
 
     /// Candidate row ids (ascending) produced by probing the driving
@@ -313,14 +731,14 @@ impl IndexedRelation {
     fn driving_candidates(&self, driving: &SelectionQuery, meter: &Meter) -> Cow<'_, [usize]> {
         match driving {
             SelectionQuery::Point { col, value } => {
-                let tree = &self.indexes[col];
-                meter.add(tree_descent_cost(tree));
-                Cow::Borrowed(tree.get(value).map_or(&[], Vec::as_slice))
+                let index = self.driving_index(*col);
+                meter.add(tree_descent_cost(index));
+                Cow::Borrowed(index.ids_eq(value))
             }
             SelectionQuery::Range { col, lo, hi } => {
-                let tree = &self.indexes[col];
-                meter.add(tree_descent_cost(tree));
-                Cow::Owned(ids_in_range(tree, lo, hi))
+                let index = self.driving_index(*col);
+                meter.add(tree_descent_cost(index));
+                Cow::Owned(index.ids_in_range(lo, hi))
             }
             SelectionQuery::And(_, _) => unreachable!("driving conjuncts are leaves"),
         }
@@ -345,16 +763,16 @@ impl IndexedRelation {
     /// back to a scan. The meter prices every comparison / probe.
     pub fn answer_metered(&self, q: &SelectionQuery, meter: &Meter) -> bool {
         match q {
-            SelectionQuery::Point { col, value } => match self.indexes.get(col) {
-                Some(tree) => tree.get_metered(value, meter).is_some(),
+            SelectionQuery::Point { col, value } => match self.index(*col) {
+                Some(index) => index.get_metered(value, meter).is_some(),
                 None => self.scan_metered(q, meter),
             },
-            SelectionQuery::Range { col, lo, hi } => match self.indexes.get(col) {
-                Some(tree) => {
+            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
+                Some(index) => {
                     // One descent to the range start; non-emptiness of the
                     // pruned tree range is the answer. Charge the descent.
-                    meter.add(tree_descent_cost(tree));
-                    tree.any_in_range(as_ref_bound(lo), as_ref_bound(hi))
+                    meter.add(tree_descent_cost(index));
+                    index.any_posting_in(lo, hi, |_| true)
                 }
                 None => self.scan_metered(q, meter),
             },
@@ -366,25 +784,21 @@ impl IndexedRelation {
                 // The point path reads the posting list in place and the
                 // range path stays lazy (no candidate collection) so the
                 // Boolean answer can exit on the first witness.
+                let verified = |id: usize| {
+                    meter.tick();
+                    self.rows[id].as_ref().is_some_and(|row| q.matches(row))
+                };
                 match self.driving_conjunct(q) {
-                    Some(point @ SelectionQuery::Point { .. }) => {
-                        self.driving_candidates(point, meter).iter().any(|&id| {
-                            meter.tick();
-                            self.rows[id].as_ref().is_some_and(|row| q.matches(row))
-                        })
-                    }
+                    Some(point @ SelectionQuery::Point { .. }) => self
+                        .driving_candidates(point, meter)
+                        .iter()
+                        .any(|&id| verified(id)),
                     Some(SelectionQuery::Range { col, lo, hi }) => {
-                        let tree = &self.indexes[col];
-                        meter.add(tree_descent_cost(tree));
-                        for (_, posting) in tree.range(as_ref_bound(lo), as_ref_bound(hi)) {
-                            for &id in posting {
-                                meter.tick();
-                                if self.rows[id].as_ref().is_some_and(|row| q.matches(row)) {
-                                    return true;
-                                }
-                            }
-                        }
-                        false
+                        let index = self.driving_index(*col);
+                        meter.add(tree_descent_cost(index));
+                        index.any_posting_in(lo, hi, |posting| {
+                            posting.as_slice().iter().any(|&id| verified(id))
+                        })
                     }
                     _ => self.scan_metered(q, meter),
                 }
@@ -407,20 +821,19 @@ impl IndexedRelation {
     /// posting. `usize::MAX` makes every row visible.
     pub fn answer_metered_below(&self, q: &SelectionQuery, meter: &Meter, bound: usize) -> bool {
         match q {
-            SelectionQuery::Point { col, value } => match self.indexes.get(col) {
-                Some(tree) => tree
+            SelectionQuery::Point { col, value } => match self.index(*col) {
+                Some(index) => index
                     .get_metered(value, meter)
-                    .is_some_and(|posting| posting.first().is_some_and(|&id| id < bound)),
+                    .is_some_and(|posting| posting.first() < bound),
                 None => self.scan_metered_below(q, meter, bound),
             },
-            SelectionQuery::Range { col, lo, hi } => match self.indexes.get(col) {
-                Some(tree) => {
-                    meter.add(tree_descent_cost(tree));
-                    tree.range(as_ref_bound(lo), as_ref_bound(hi))
-                        .any(|(_, posting)| {
-                            meter.tick();
-                            posting.first().is_some_and(|&id| id < bound)
-                        })
+            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
+                Some(index) => {
+                    meter.add(tree_descent_cost(index));
+                    index.any_posting_in(lo, hi, |posting| {
+                        meter.tick();
+                        posting.first() < bound
+                    })
                 }
                 None => self.scan_metered_below(q, meter, bound),
             },
@@ -487,22 +900,20 @@ impl IndexedRelation {
     /// The `(key, posting list)` entries of one column's index in
     /// ascending key order, or `None` if the column is unindexed
     /// (persistence accessor).
-    pub fn index_postings(&self, col: usize) -> Option<Vec<(&Value, &[usize])>> {
-        let tree = self.indexes.get(&col)?;
-        Some(tree.iter().map(|(k, v)| (k, v.as_slice())).collect())
+    pub fn index_postings(&self, col: usize) -> Option<IndexPostings<'_>> {
+        self.index(col).map(ColumnIndex::postings)
     }
 
     /// Reassemble an `IndexedRelation` from previously exported parts —
     /// the warm-start fast path used by `pitract-store`. Each index is
     /// reconstructed with [`BPlusTree::bulk_load`] from its ascending
-    /// `(key, posting list)` entries in O(n), instead of the O(n log n)
-    /// per-key descents of [`IndexedRelation::build`].
+    /// entries in O(n): no sort, no descents.
     ///
     /// Validation keeps a structurally corrupt input from producing a
     /// relation that would answer differently (or panic) later: every
-    /// live row must admit the schema, index columns must be in range,
-    /// keys must be strictly ascending, and every posting must point at a
-    /// live row holding that key.
+    /// live row must admit the schema, index columns must be in range
+    /// and distinct, keys must be strictly ascending, and every posting
+    /// must point at a live row holding that key.
     pub fn from_parts(
         schema: Schema,
         slots: Vec<Option<Vec<Value>>>,
@@ -513,16 +924,33 @@ impl IndexedRelation {
         }
         let live = slots.iter().flatten().count();
         let arity = schema.arity();
-        let mut trees = HashMap::with_capacity(indexes.len());
-        for (col, entries) in indexes {
+        let mut trees: Vec<Option<ColumnIndex>> = vec![None; arity];
+        for IndexEntries {
+            col,
+            keys,
+            lens,
+            ids,
+        } in indexes
+        {
             if col >= arity {
                 return Err(IndexedError::ColumnOutOfRange { col, arity });
             }
-            if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+            if trees[col].is_some() {
+                return Err(IndexedError::DuplicateIndex { col });
+            }
+            let posted = lens
+                .iter()
+                .try_fold(0usize, |sum, &len| sum.checked_add(len));
+            if lens.len() != keys.len() || posted != Some(ids.len()) {
+                return Err(IndexedError::MalformedEntries { col });
+            }
+            if keys.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(IndexedError::KeysNotAscending { col });
             }
-            let mut posted = 0usize;
-            for (key, posting) in &entries {
+            let mut rest = ids.as_slice();
+            for (key, &len) in keys.iter().zip(&lens) {
+                let (posting, tail) = rest.split_at(len);
+                rest = tail;
                 if posting.is_empty() {
                     return Err(IndexedError::EmptyPosting {
                         col,
@@ -544,17 +972,23 @@ impl IndexedRelation {
                         return Err(IndexedError::DanglingPosting { col, id });
                     }
                 }
-                posted += posting.len();
             }
             // Ascending distinct keys + ascending distinct ids per posting
             // + every posting pointing at a live row with its key + the
             // counts matching: the postings are exactly the live rows.
-            if posted != live {
-                return Err(IndexedError::PostingCountMismatch { col, posted, live });
+            if ids.len() != live {
+                return Err(IndexedError::PostingCountMismatch {
+                    col,
+                    posted: ids.len(),
+                    live,
+                });
             }
-            if trees.insert(col, BPlusTree::bulk_load(entries)).is_some() {
-                return Err(IndexedError::DuplicateIndex { col });
-            }
+            trees[col] = Some(ColumnIndex::from_entries(
+                schema.col_type(col),
+                keys,
+                &lens,
+                &ids,
+            ));
         }
         Ok(IndexedRelation {
             schema,
@@ -567,44 +1001,24 @@ impl IndexedRelation {
 
 /// Approximate comparison cost of one descent, charged to the meter for
 /// operations (like range probes) that use the unmetered tree API.
-fn tree_descent_cost(tree: &BPlusTree<Value, Vec<usize>>) -> u64 {
-    let n = tree.len().max(2) as f64;
+fn tree_descent_cost(index: &ColumnIndex) -> u64 {
+    let n = index.len().max(2) as f64;
     (n.log2().ceil() as u64).max(1) * 2
 }
 
-/// Charge one enumerating probe of `tree` — the descent plus every id
+/// Charge one enumerating probe of `index` — the descent plus every id
 /// it produced — and hand the ids on.
-fn probed(tree: &BPlusTree<Value, Vec<usize>>, ids: Vec<usize>, meter: &Meter) -> Vec<usize> {
-    meter.add(tree_descent_cost(tree) + ids.len() as u64);
+fn probed(index: &ColumnIndex, ids: Vec<usize>, meter: &Meter) -> Vec<usize> {
+    meter.add(tree_descent_cost(index) + ids.len() as u64);
     ids
 }
 
-/// Every row id posted under a key in `[lo, hi]`, ascending.
-fn ids_in_range(
-    tree: &BPlusTree<Value, Vec<usize>>,
-    lo: &Bound<Value>,
-    hi: &Bound<Value>,
-) -> Vec<usize> {
-    let mut ids: Vec<usize> = tree
-        .range(as_ref_bound(lo), as_ref_bound(hi))
-        .flat_map(|(_, posting)| posting.iter().copied())
-        .collect();
-    ids.sort_unstable();
-    ids
-}
-
-fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColType;
     use pitract_core::cost::{assert_steps_within, CostClass};
 
     fn schema() -> Schema {
@@ -719,6 +1133,75 @@ mod tests {
     }
 
     #[test]
+    fn postings_cross_between_inline_and_spilled_both_ways() {
+        assert_eq!(
+            std::mem::size_of::<Posting>(),
+            3 * std::mem::size_of::<usize>(),
+            "an inline posting costs no more than the Vec it avoids"
+        );
+        let mut ir = IndexedRelation::build(&big_relation(0), &[1]).unwrap();
+        let posting = |ir: &IndexedRelation| match &ir.indexes[1] {
+            Some(ColumnIndex::Str(tree)) => tree.get(&"x".to_string()).cloned(),
+            other => panic!("city is a Str column, got {other:?}"),
+        };
+        assert_eq!(posting(&ir), None);
+        for (id, expect) in [
+            Posting::One(0),
+            Posting::Many(vec![0, 1]),
+            Posting::Many(vec![0, 1, 2]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            ir.insert(vec![Value::Int(id as i64), Value::str("x")])
+                .unwrap();
+            assert_eq!(posting(&ir), Some(expect));
+        }
+        ir.delete(1);
+        assert_eq!(posting(&ir), Some(Posting::Many(vec![0, 2])));
+        ir.delete(0);
+        assert_eq!(posting(&ir), Some(Posting::One(2)), "demoted to inline");
+        ir.delete(2);
+        assert_eq!(posting(&ir), None, "the emptied key left the tree");
+        assert_eq!(ir.indexes[1].as_ref().unwrap().len(), 0);
+    }
+
+    #[test]
+    fn mistyped_probes_keep_the_value_order() {
+        let rel = big_relation(100);
+        let ir = IndexedRelation::build(&rel, &[0, 1]).unwrap();
+        let meter = Meter::new();
+        // A point of the wrong type matches nothing, for one charged step.
+        for q in [
+            SelectionQuery::point(0, "city3"),
+            SelectionQuery::point(1, 3i64),
+        ] {
+            meter.take();
+            assert!(!ir.answer_metered(&q, &meter), "{q:?}");
+            assert_eq!(meter.steps(), 1, "{q:?}");
+            assert!(ir.matching_ids_metered(&q, &meter).is_empty(), "{q:?}");
+        }
+        // Every Int sorts below every Str: a Str bound is above all of an
+        // Int column (no upper bound / empty as a lower one), an Int bound
+        // below all of a Str column (the reverse).
+        let range = |col, lo, hi| SelectionQuery::Range { col, lo, hi };
+        let (int, text) = (Value::Int(90), Value::str("city5"));
+        let s = |v: &Value| Bound::Included(v.clone());
+        for (q, matches) in [
+            (range(0, s(&int), s(&text)), 10),
+            (range(0, s(&text), Bound::Unbounded), 0),
+            (range(0, Bound::Excluded(text.clone()), s(&int)), 0),
+            (range(1, s(&int), s(&text)), 60),
+            (range(1, Bound::Unbounded, s(&int)), 0),
+            (range(1, s(&text), Bound::Excluded(int.clone())), 0),
+        ] {
+            assert_eq!(rel.count_where(&q), matches, "the scan's view of {q:?}");
+            assert_eq!(ir.matching_ids_metered(&q, &meter).len(), matches, "{q:?}");
+            assert_eq!(ir.answer(&q), matches > 0, "{q:?}");
+        }
+    }
+
+    #[test]
     fn conjunction_routes_through_index_and_verifies() {
         let rel = big_relation(1000);
         let ir = IndexedRelation::build(&rel, &[1]).unwrap();
@@ -774,6 +1257,7 @@ mod tests {
             IndexedError::ColumnOutOfRange { col: 9, arity: 2 }.to_string(),
             IndexedError::RowRejected("arity".into()).to_string(),
             IndexedError::DuplicateIndex { col: 1 }.to_string(),
+            IndexedError::MalformedEntries { col: 1 }.to_string(),
             IndexedError::KeysNotAscending { col: 1 }.to_string(),
             IndexedError::EmptyPosting {
                 col: 1,
@@ -876,7 +1360,7 @@ mod tests {
     #[test]
     fn metered_steps_are_one_descent_plus_the_ids_touched() {
         let ir = IndexedRelation::build(&big_relation(200), &[0, 1]).unwrap();
-        let descent = |col: usize| tree_descent_cost(&ir.indexes[&col]);
+        let descent = |col: usize| tree_descent_cost(ir.indexes[col].as_ref().unwrap());
         let city = SelectionQuery::point(1, "city3"); // 20 rows: 3, 13, …, 193
         let ids = SelectionQuery::range_closed(0, 10i64, 49i64); // 40 rows
         let both = SelectionQuery::and(ids.clone(), city.clone()); // drives through `city`
@@ -953,18 +1437,18 @@ mod tests {
         assert!(!rel.eval_scan(&SelectionQuery::point(0, 2i64)));
     }
 
-    fn export_parts(ir: &IndexedRelation) -> (Schema, Vec<Option<Vec<Value>>>, Vec<IndexEntries>) {
+    pub(super) fn export_parts(
+        ir: &IndexedRelation,
+    ) -> (Schema, Vec<Option<Vec<Value>>>, Vec<IndexEntries>) {
         let indexes = ir
             .indexed_columns()
             .into_iter()
-            .map(|c| {
-                let entries = ir
-                    .index_postings(c)
-                    .expect("column is indexed")
-                    .into_iter()
-                    .map(|(k, v)| (k.clone(), v.to_vec()))
-                    .collect();
-                (c, entries)
+            .map(|col| {
+                let mut entries = IndexEntries::new(col);
+                for (key, posting) in ir.index_postings(col).expect("column is indexed") {
+                    entries.push(key, posting);
+                }
+                entries
             })
             .collect();
         (ir.schema().clone(), ir.slots().to_vec(), indexes)
@@ -1007,7 +1491,7 @@ mod tests {
         let (schema, slots, indexes) = export_parts(&ir);
 
         // Index column out of range.
-        let bad = vec![(5usize, Vec::new())];
+        let bad = vec![IndexEntries::new(5)];
         assert_eq!(
             IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
             IndexedError::ColumnOutOfRange { col: 5, arity: 2 }
@@ -1015,7 +1499,7 @@ mod tests {
 
         // Posting pointing at a dead/mismatched row.
         let mut bad = indexes.clone();
-        bad[0].1[0].1 = vec![9999];
+        bad[0].ids[0] = 9999;
         assert_eq!(
             IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
             IndexedError::DanglingPosting { col: 0, id: 9999 }
@@ -1023,7 +1507,8 @@ mod tests {
 
         // Keys out of order.
         let mut bad = indexes.clone();
-        bad[0].1.swap(0, 1);
+        bad[0].keys.swap(0, 1);
+        bad[0].ids.swap(0, 1);
         assert_eq!(
             IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
             IndexedError::KeysNotAscending { col: 0 }
@@ -1031,7 +1516,9 @@ mod tests {
 
         // A posting silently dropped (index incomplete).
         let mut bad = indexes.clone();
-        bad[0].1.remove(3);
+        bad[0].keys.remove(3);
+        bad[0].lens.remove(3);
+        bad[0].ids.remove(3);
         assert_eq!(
             IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
             IndexedError::PostingCountMismatch {
@@ -1039,6 +1526,52 @@ mod tests {
                 posted: 9,
                 live: 10,
             }
+        );
+
+        // An emptied posting; and one whose ids run backwards (two rows
+        // share "city3" once the relation is indexed on `city`).
+        let mut bad = indexes.clone();
+        bad[0].lens[4] = 0;
+        bad[0].ids.remove(4);
+        assert_eq!(
+            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
+            IndexedError::EmptyPosting {
+                col: 0,
+                key: "4".into(),
+            }
+        );
+        let by_city = IndexedRelation::build(&big_relation(20), &[1]).unwrap();
+        let (city_schema, city_slots, mut bad) = export_parts(&by_city);
+        bad[0].ids.swap(6, 7); // "city3" posts [3, 13]
+        assert_eq!(
+            IndexedRelation::from_parts(city_schema, city_slots, bad).unwrap_err(),
+            IndexedError::PostingNotAscending {
+                col: 1,
+                key: "\"city3\"".into(),
+            }
+        );
+
+        // The same column twice: refused before the second copy is loaded.
+        let mut bad = indexes.clone();
+        bad.push(indexes[0].clone());
+        assert_eq!(
+            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
+            IndexedError::DuplicateIndex { col: 0 }
+        );
+
+        // Flat entries that do not fit together: a length too many, and
+        // lengths that overrun the ids.
+        let mut bad = indexes.clone();
+        bad[0].lens.push(1);
+        assert_eq!(
+            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
+            IndexedError::MalformedEntries { col: 0 }
+        );
+        let mut bad = indexes.clone();
+        bad[0].lens[0] = usize::MAX;
+        assert_eq!(
+            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
+            IndexedError::MalformedEntries { col: 0 }
         );
 
         // The unmodified export still loads.
@@ -1049,7 +1582,7 @@ mod tests {
     fn index_postings_are_ascending_and_complete() {
         let mut ir = IndexedRelation::build(&big_relation(30), &[1]).unwrap();
         ir.delete(2);
-        let postings = ir.index_postings(1).unwrap();
+        let postings: Vec<(Value, &[usize])> = ir.index_postings(1).unwrap().collect();
         assert!(postings.windows(2).all(|w| w[0].0 < w[1].0), "keys sorted");
         let total: usize = postings.iter().map(|(_, p)| p.len()).sum();
         assert_eq!(total, ir.len(), "one posting per live row");

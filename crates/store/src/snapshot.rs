@@ -531,8 +531,6 @@ fn write_indexed_body(ir: &IndexedRelation, rows: &mut Writer, indexes: &mut Wri
     for slot in ir.slots() {
         rows.opt_row(slot);
     }
-    // Iterate columns in sorted order so the bytes are deterministic
-    // (the underlying map is a HashMap).
     let cols: Vec<(usize, _)> = ir
         .indexed_columns()
         .into_iter()
@@ -541,9 +539,9 @@ fn write_indexed_body(ir: &IndexedRelation, rows: &mut Writer, indexes: &mut Wri
     indexes.usize(cols.len());
     for (col, postings) in cols {
         indexes.usize(col);
-        indexes.usize(postings.len());
+        indexes.usize(postings.key_count());
         for (key, ids) in postings {
-            indexes.value(key);
+            indexes.value(&key);
             indexes.usize_seq(ids);
         }
     }
@@ -559,14 +557,24 @@ fn read_indexes(r: &mut Reader<'_>) -> Result<Vec<IndexEntries>, StoreError> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let col = r.usize()?;
-        let entry_count = r.count(1)?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let key = r.value()?;
-            let posting = r.usize_seq()?;
-            entries.push((key, posting));
+        let key_count = r.count(1)?;
+        // Flat: three allocations per index, not one per key. Every key
+        // posts at least one id on a valid file, hence the ids' capacity.
+        let mut entries = IndexEntries {
+            col,
+            keys: Vec::with_capacity(key_count),
+            lens: Vec::with_capacity(key_count),
+            ids: Vec::with_capacity(key_count),
+        };
+        for _ in 0..key_count {
+            entries.keys.push(r.value()?);
+            let len = r.count(8)?;
+            entries.lens.push(len);
+            for _ in 0..len {
+                entries.ids.push(r.usize()?);
+            }
         }
-        out.push((col, entries));
+        out.push(entries);
     }
     Ok(out)
 }
