@@ -72,7 +72,7 @@ use pitract_core::lockdep::{
 use pitract_incremental::bounded::{BoundednessReport, UpdateRecord};
 use pitract_obs::{Counter, Gauge, Histogram, Recorder};
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{IndexedError, Relation, Schema, SelectionQuery, Value};
+use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -1107,7 +1107,11 @@ impl LiveRelation {
         self.schema
             .admits(&row)
             .map_err(|e| EngineError::Indexed(IndexedError::RowRejected(e)))?;
-        let shard = route_shard(&self.shard_by, self.shards.len(), &row[self.shard_by.col()]);
+        let shard = route_shard(
+            &self.shard_by,
+            self.shards.len(),
+            row[self.shard_by.col()].as_ref(),
+        );
         let (gid, ticket) = {
             let mut guard = self.write_shard(shard);
             let len_before = guard.current.len();
@@ -1314,7 +1318,7 @@ impl LiveRelation {
         self.read_shard(shard)
             .current
             .row(local)
-            .map(<[Value]>::to_vec)
+            .map(RowRef::to_vec)
     }
 
     /// Boolean answer, read-locking only the relevant shards (in turn).

@@ -43,21 +43,21 @@ use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::Fnv64;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{IndexedError, Relation, Schema, SelectionQuery, Value};
+use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value, ValueRef};
 use std::ops::{Bound, Range};
 
 /// The pinned shard-routing hash: FNV-1a 64 over the value's canonical
 /// encoding (the same byte layout as `Encode`, fed incrementally so the
 /// per-query hot path never allocates). Deliberately *not*
 /// `DefaultHasher` — see [`ShardedRelation::shard_of`].
-fn shard_hash(value: &Value) -> u64 {
+fn shard_hash(value: ValueRef<'_>) -> u64 {
     let mut h = Fnv64::new();
     match value {
-        Value::Int(i) => {
+        ValueRef::Int(i) => {
             h.write(&[0]);
             h.write(&i.to_le_bytes());
         }
-        Value::Str(s) => {
+        ValueRef::Str(s) => {
             h.write(&[1]);
             h.write(&(s.len() as u64).to_le_bytes());
             h.write(s.as_bytes());
@@ -71,10 +71,10 @@ fn shard_hash(value: &Value) -> u64 {
 /// [`ShardedRelation::shard_of`], the [`ShardedRelation::from_parts`]
 /// membership validation, and the live serving layer
 /// ([`crate::live::LiveRelation`]) so none of them can diverge.
-pub(crate) fn route_shard(shard_by: &ShardBy, shard_count: usize, value: &Value) -> usize {
+pub(crate) fn route_shard(shard_by: &ShardBy, shard_count: usize, value: ValueRef<'_>) -> usize {
     match shard_by {
         ShardBy::Hash { .. } => (shard_hash(value) % shard_count as u64) as usize,
-        ShardBy::Range { splits, .. } => splits.partition_point(|s| s <= value),
+        ShardBy::Range { splits, .. } => splits.partition_point(|s| s.as_ref() <= value),
     }
 }
 
@@ -124,9 +124,11 @@ pub struct ShardedRelation {
 impl ShardedRelation {
     /// Partition `relation` into `shard_count` shards and index `cols` on
     /// each shard (the per-shard `Π`). PTIME: one pass routes every row
-    /// to its shard's vector — row `i` keeps global id `i`, and a shard's
-    /// local ids are dense in arrival order — then each shard is built
-    /// once, one sort per indexed column.
+    /// — row `i` keeps global id `i`, and a shard's local ids are dense
+    /// in arrival order — and sizes the id maps exactly; then
+    /// [`IndexedRelation::build_split`] appends each row's cells straight
+    /// into its shard's columns and builds every shard, one sort per
+    /// indexed column. No row is cloned or staged.
     pub fn build(
         relation: &Relation,
         shard_by: ShardBy,
@@ -137,19 +139,24 @@ impl ShardedRelation {
         validate_shard_by(schema, &shard_by, shard_count)?;
         IndexedRelation::check_columns(schema, cols)?;
         let key_col = shard_by.col();
-        let mut shard_rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shard_count];
-        let mut global_ids: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        let mut locations = Vec::with_capacity(relation.len());
-        for (gid, row) in relation.rows().iter().enumerate() {
-            let shard = route_shard(&shard_by, shard_count, &row[key_col]);
-            locations.push(Some((shard, shard_rows[shard].len())));
-            global_ids[shard].push(gid);
-            shard_rows[shard].push(row.clone());
+        let mut sizes = vec![0usize; shard_count];
+        let locations: Vec<Option<(usize, usize)>> = relation
+            .rows()
+            .iter()
+            .map(|row| {
+                let shard = route_shard(&shard_by, shard_count, row[key_col].as_ref());
+                sizes[shard] += 1;
+                Some((shard, sizes[shard] - 1))
+            })
+            .collect();
+        let mut global_ids: Vec<Vec<usize>> =
+            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        // Every location is `Some` here: a build tombstones nothing.
+        let shard_of_gid = |gid: usize| locations[gid].map_or(0, |(shard, _)| shard);
+        for gid in 0..locations.len() {
+            global_ids[shard_of_gid(gid)].push(gid);
         }
-        let shards = shard_rows
-            .into_iter()
-            .map(|rows| IndexedRelation::build_from_rows(schema.clone(), rows, cols))
-            .collect::<Result<Vec<_>, _>>()?;
+        let shards = IndexedRelation::build_split(relation, shard_count, shard_of_gid, cols)?;
         Ok(ShardedRelation {
             schema: schema.clone(),
             shard_by,
@@ -213,7 +220,7 @@ impl ShardedRelation {
     /// function is part of the on-disk contract now, so it must be
     /// stable across toolchains.
     pub fn shard_of(&self, value: &Value) -> usize {
-        route_shard(&self.shard_by, self.shards.len(), value)
+        route_shard(&self.shard_by, self.shards.len(), value.as_ref())
     }
 
     /// Insert a tuple, routing it to its shard and maintaining that
@@ -255,7 +262,7 @@ impl ShardedRelation {
     }
 
     /// The live tuple under a global row id.
-    pub fn row(&self, gid: usize) -> Option<&[Value]> {
+    pub fn row(&self, gid: usize) -> Option<RowRef<'_>> {
         let (shard, local) = (*self.locations.get(gid)?)?;
         self.shards[shard].row(local)
     }
@@ -310,7 +317,7 @@ impl ShardedRelation {
         let rows: Vec<Vec<Value>> = self
             .shards
             .iter()
-            .flat_map(|s| s.to_relation().rows().to_vec())
+            .flat_map(|s| s.slots().flatten().map(RowRef::to_vec))
             .collect();
         // lint:allow(no-unwrap-in-serving): every row came out of a validated shard
         Relation::from_rows(self.schema.clone(), rows).expect("shards hold validated rows")
@@ -359,8 +366,8 @@ impl ShardedRelation {
             // Every live row must actually route to the shard holding it:
             // a misplaced row would be invisible to shard-key queries
             // (routing prunes to the shard the key *should* be in).
-            for slot in shard.slots().iter().flatten() {
-                let expect = route_shard(&shard_by, shards.len(), &slot[key_col]);
+            for row in shard.slots().flatten() {
+                let expect = route_shard(&shard_by, shards.len(), row.get(key_col));
                 if expect != s {
                     return Err(inconsistent(format!(
                         "shard {s} holds a row whose shard key routes to shard {expect}"
@@ -477,7 +484,7 @@ pub(crate) fn relevant_shards_for(
     shard_count: usize,
     q: &SelectionQuery,
 ) -> Range<usize> {
-    let shard_of = |v: &Value| route_shard(shard_by, shard_count, v);
+    let shard_of = |v: &Value| route_shard(shard_by, shard_count, v.as_ref());
     match q {
         SelectionQuery::And(a, b) => {
             let a = relevant_shards_for(shard_by, shard_count, a);
@@ -654,7 +661,7 @@ mod tests {
             .map(|s| {
                 IndexedRelation::from_parts(
                     s.schema().clone(),
-                    s.slots().to_vec(),
+                    s.slots().map(|slot| slot.map(RowRef::to_vec)).collect(),
                     s.indexed_columns()
                         .into_iter()
                         .map(|col| {
@@ -897,7 +904,7 @@ mod tests {
         for conjunct in q.conjuncts() {
             match conjunct {
                 SelectionQuery::Point { col, value } if *col == shard_by.col() => {
-                    let keep = route_shard(shard_by, shard_count, value);
+                    let keep = route_shard(shard_by, shard_count, value.as_ref());
                     for (i, m) in mask.iter_mut().enumerate() {
                         *m &= i == keep;
                     }
@@ -906,13 +913,13 @@ mod tests {
                     if let ShardBy::Range { .. } = shard_by {
                         let first = match lo {
                             Bound::Included(v) | Bound::Excluded(v) => {
-                                route_shard(shard_by, shard_count, v)
+                                route_shard(shard_by, shard_count, v.as_ref())
                             }
                             Bound::Unbounded => 0,
                         };
                         let last = match hi {
                             Bound::Included(v) | Bound::Excluded(v) => {
-                                route_shard(shard_by, shard_count, v)
+                                route_shard(shard_by, shard_count, v.as_ref())
                             }
                             Bound::Unbounded => shard_count - 1,
                         };
@@ -1038,7 +1045,7 @@ mod tests {
             ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
         let gid = sr.insert(vec![Value::Int(100), Value::str("new")]).unwrap();
         assert_eq!(gid, 20);
-        assert_eq!(sr.row(gid).unwrap()[1], Value::str("new"));
+        assert_eq!(sr.row(gid).unwrap().get(1), Value::str("new"));
         assert!(sr.answer(&SelectionQuery::point(0, 100i64)));
 
         let removed = sr.delete(5).expect("gid 5 live");
@@ -1047,7 +1054,7 @@ mod tests {
         assert!(!sr.answer(&SelectionQuery::point(0, 5i64)));
         assert_eq!(sr.len(), 20);
         // Other ids are untouched.
-        assert_eq!(sr.row(6).unwrap()[0], Value::Int(6));
+        assert_eq!(sr.row(6).unwrap().get(0), Value::Int(6));
         assert!(sr.row(5).is_none());
     }
 

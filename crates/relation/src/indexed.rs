@@ -18,6 +18,28 @@
 //!
 //! # Layout
 //!
+//! * **Rows as typed columns.** The rows live in [`crate::columns`]
+//!   storage, one column per schema column: an `Int` column is a
+//!   `Vec<i64>`, a `Str` column is one `String` arena holding every cell
+//!   end to end plus a `Vec<usize>` of end offsets. A bitmap marks the
+//!   live slots. A row id is a slot position; [`IndexedRelation::row`]
+//!   and [`IndexedRelation::slots`] hand out [`RowRef`]s — a borrow of
+//!   the storage plus the id, whose `get(col)` is a [`ValueRef`] read in
+//!   place — and [`SelectionQuery::matches`] reads a `RowRef` exactly as
+//!   it reads a `&[Value]`, so a scan or an index-nested-loop
+//!   verification compares machine integers and `&str`s, not heap rows.
+//!   [`IndexedRelation::delete`] materialises the row it returns.
+//! * **Tombstone placeholders.** A delete clears the slot's bit and
+//!   leaves its cells where they are (the arena cannot close a gap
+//!   without moving every later cell); a tombstone a load appends
+//!   ([`Columns::push_slot`], behind [`IndexedRelation::from_columns`]
+//!   and [`IndexedRelation::from_parts`]) is stored as `0` / `""`.
+//!   Either way the bitmap hides the cells: no read path looks at a dead
+//!   slot's cells, and the snapshot writes a tombstone as a tombstone.
+//! * **Build by routing, not by staging.** [`IndexedRelation::build`]
+//!   and [`IndexedRelation::build_split`] size each part's columns from
+//!   one pass over the relation and append every row's cells in a second;
+//!   no row is cloned, staged, or admitted twice.
 //! * **Typed keys, one slot per column.** The schema says whether a
 //!   column holds `Int`s or `Str`s, so its index is a
 //!   `BPlusTree<i64, Posting>` or a `BPlusTree<String, Posting>` — a
@@ -49,10 +71,14 @@
 //! range empty, whichever the order dictates.
 //!
 //! What the layout did **not** change: a metered point probe still ticks
-//! once per key comparison ([`BPlusTree::get_metered`]), and every other
+//! once per key comparison ([`BPlusTree::get_metered`]), every other
 //! path still charges `tree_descent_cost` = 2·⌈log₂ keys⌉ plus the ids
-//! it touches.
+//! it touches, and a scan still ticks once per slot, tombstones
+//! included. Neither typed keys nor typed columns moved a metered step.
+//!
+//! [`ValueRef`]: crate::value::ValueRef
 
+use crate::columns::{Column, Columns, RowRef};
 use crate::query::SelectionQuery;
 use crate::relation::Relation;
 use crate::schema::{ColType, Schema};
@@ -342,12 +368,13 @@ macro_rules! with_tree {
 }
 
 impl ColumnIndex {
-    /// Index column `col` of `rows` (every row admitted by the schema,
-    /// ids = positions) by sorting, not by descent.
-    fn build(ty: ColType, col: usize, rows: &[Vec<Value>]) -> Self {
-        match ty {
-            ColType::Int => ColumnIndex::Int(sorted_tree(col, rows)),
-            ColType::Str => ColumnIndex::Str(sorted_tree(col, rows)),
+    /// Index `column` (no tombstones: ids = positions) by sorting, not
+    /// by descent. The column's own slice is the key source: an `Int`
+    /// key is copied out of a `Vec<i64>`, a `Str` key out of the arena.
+    fn build(column: &Column) -> Self {
+        match column {
+            Column::Int(ints) => ColumnIndex::Int(sorted_tree(ints.iter().copied())),
+            Column::Str(strs) => ColumnIndex::Str(sorted_tree(strs.iter().map(str::to_owned))),
         }
     }
 
@@ -470,17 +497,11 @@ fn typed_range<'a, K: IndexKey>(
     Some((lo, hi))
 }
 
-/// Build one column's tree by sort: `(key, id)` pairs, sorted, equal
-/// keys grouped into ascending postings, bulk-loaded.
-fn sorted_tree<K: IndexKey>(col: usize, rows: &[Vec<Value>]) -> BPlusTree<K, Posting> {
-    let mut pairs: Vec<(K, usize)> = rows
-        .iter()
-        .enumerate()
-        .map(|(id, row)| {
-            let key: &K = IndexKey::of(&row[col]).expect("the schema admitted this row");
-            (key.clone(), id)
-        })
-        .collect();
+/// Build one column's tree by sort: `(key, id)` pairs (`id` = position
+/// in `keys`), sorted, equal keys grouped into ascending postings,
+/// bulk-loaded.
+fn sorted_tree<K: IndexKey>(keys: impl Iterator<Item = K>) -> BPlusTree<K, Posting> {
+    let mut pairs: Vec<(K, usize)> = keys.enumerate().map(|(id, key)| (key, id)).collect();
     pairs.sort_unstable();
     let same_key = |a: &(K, usize), b: &(K, usize)| a.0 == b.0;
     let mut entries = Vec::with_capacity(pairs.chunk_by(same_key).count());
@@ -543,25 +564,45 @@ impl<'a> Iterator for IndexPostings<'a> {
 /// A relation plus B⁺-tree secondary indexes on selected columns.
 #[derive(Debug, Clone)]
 pub struct IndexedRelation {
-    schema: Schema,
-    /// Tombstone row storage: deletes never shift surviving row ids, so
+    /// Row slots under their schema, one typed column per schema column
+    /// plus a live-row bitmap: deletes never shift surviving row ids, so
     /// posting lists stay valid.
-    rows: Vec<Option<Vec<Value>>>,
-    live: usize,
+    rows: Columns,
     /// One slot per schema column; `Some` where the column is indexed.
     indexes: Vec<Option<ColumnIndex>>,
 }
 
 impl IndexedRelation {
     /// Preprocess a relation by building indexes on `cols`: one sort per
-    /// indexed column, O(n log n).
+    /// indexed column, O(n log n). The rows were admitted when the
+    /// relation was made; they are copied into columns, not re-checked.
     ///
     /// Every entry of `cols` must name a column of the schema; an
     /// out-of-range column is reported as an error instead of panicking
     /// during index maintenance.
     pub fn build(relation: &Relation, cols: &[usize]) -> Result<Self, IndexedError> {
-        Self::check_columns(relation.schema(), cols)?;
-        Self::build_from_rows(relation.schema().clone(), relation.rows().to_vec(), cols)
+        let mut parts = Self::build_split(relation, 1, |_| 0, cols)?;
+        Ok(parts.pop().expect("one part was asked for"))
+    }
+
+    /// [`Self::build`] into `parts` relations at once: row `i` of
+    /// `relation` becomes the next row (ids dense, in arrival order) of
+    /// part `part_of(i)`, which must be `< parts`. Each part's columns are
+    /// sized exactly before any row is copied in, and then indexed on
+    /// `cols` — the per-shard `Π` of a partitioned relation, with no
+    /// staging copy of the rows.
+    pub fn build_split(
+        relation: &Relation,
+        parts: usize,
+        part_of: impl Fn(usize) -> usize,
+        cols: &[usize],
+    ) -> Result<Vec<Self>, IndexedError> {
+        let schema = relation.schema();
+        Self::check_columns(schema, cols)?;
+        Ok(Columns::split(schema, relation.rows(), parts, part_of)
+            .into_iter()
+            .map(|rows| Self::indexed(rows, cols))
+            .collect())
     }
 
     /// [`Self::build`] over rows the caller hands over: row `i` gets id
@@ -572,21 +613,25 @@ impl IndexedRelation {
         cols: &[usize],
     ) -> Result<Self, IndexedError> {
         Self::check_columns(&schema, cols)?;
-        for row in &rows {
-            schema.admits(row).map_err(IndexedError::RowRejected)?;
-        }
-        let mut indexes: Vec<Option<ColumnIndex>> = vec![None; schema.arity()];
+        let relation = Relation::from_rows(schema, rows).map_err(IndexedError::RowRejected)?;
+        Self::build(&relation, cols)
+    }
+
+    /// Index `cols` (checked) of freshly stored `rows`, which hold no
+    /// tombstones.
+    fn indexed(rows: Columns, cols: &[usize]) -> Self {
+        debug_assert_eq!(
+            rows.live(),
+            rows.slot_count(),
+            "a build stores no tombstones"
+        );
+        let mut indexes: Vec<Option<ColumnIndex>> = vec![None; rows.schema().arity()];
         for &col in cols {
             if indexes[col].is_none() {
-                indexes[col] = Some(ColumnIndex::build(schema.col_type(col), col, &rows));
+                indexes[col] = Some(ColumnIndex::build(rows.column(col)));
             }
         }
-        Ok(IndexedRelation {
-            schema,
-            live: rows.len(),
-            rows: rows.into_iter().map(Some).collect(),
-            indexes,
-        })
+        IndexedRelation { rows, indexes }
     }
 
     /// Does every entry of `cols` name a column of `schema`? The check
@@ -601,17 +646,17 @@ impl IndexedRelation {
 
     /// Schema of the underlying relation.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.rows.schema()
     }
 
     /// Number of live tuples.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.live()
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Which columns are indexed? Ascending.
@@ -628,30 +673,30 @@ impl IndexedRelation {
 
     /// Insert a tuple, maintaining every index. Returns the row id.
     pub fn insert(&mut self, row: Vec<Value>) -> Result<usize, IndexedError> {
-        self.schema
+        self.schema()
             .admits(&row)
             .map_err(IndexedError::RowRejected)?;
-        let id = self.rows.len();
+        let id = self.rows.slot_count();
         for (index, value) in self.indexes.iter_mut().zip(&row) {
             if let Some(index) = index {
                 index.post(value, id);
             }
         }
-        self.rows.push(Some(row));
-        self.live += 1;
+        self.rows.push(Some(&row));
         Ok(id)
     }
 
     /// Delete a tuple by row id, maintaining every index. Returns the
-    /// removed tuple, or `None` if the id was already deleted/invalid.
+    /// removed tuple (materialised out of the columns), or `None` if the
+    /// id was already deleted/invalid.
     pub fn delete(&mut self, id: usize) -> Option<Vec<Value>> {
-        let row = self.rows.get_mut(id)?.take()?;
+        let row = self.rows.row(id)?.to_vec();
         for (index, value) in self.indexes.iter_mut().zip(&row) {
             if let Some(index) = index {
                 index.unpost(value, id);
             }
         }
-        self.live -= 1;
+        self.rows.kill(id);
         Some(row)
     }
 
@@ -664,8 +709,8 @@ impl IndexedRelation {
 
     /// The live tuple stored under `id`, or `None` if `id` was deleted or
     /// never assigned.
-    pub fn row(&self, id: usize) -> Option<&[Value]> {
-        self.rows.get(id).and_then(|r| r.as_deref())
+    pub fn row(&self, id: usize) -> Option<RowRef<'_>> {
+        self.rows.row(id)
     }
 
     /// Live row ids whose `col` falls in `[lo, hi]` (bounds as given),
@@ -699,7 +744,7 @@ impl IndexedRelation {
                     .copied()
                     .filter(|&id| {
                         meter.tick();
-                        self.rows[id].as_ref().is_some_and(|row| q.matches(row))
+                        self.row(id).is_some_and(|row| q.matches(row))
                     })
                     .collect(),
                 None => self.scan_ids_metered(q, meter),
@@ -745,16 +790,13 @@ impl IndexedRelation {
     }
 
     fn scan_ids_metered(&self, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| {
+        (0..self.slot_count())
+            .filter(|&id| {
                 // Tombstoned slots are walked too — that is real work the
                 // scan performs, so the meter charges it (and the planner
                 // estimates scans against slot count, not live count).
                 meter.tick();
-                let row = slot.as_ref()?;
-                q.matches(row).then_some(id)
+                self.row(id).is_some_and(|row| q.matches(row))
             })
             .collect()
     }
@@ -786,7 +828,7 @@ impl IndexedRelation {
                 // Boolean answer can exit on the first witness.
                 let verified = |id: usize| {
                     meter.tick();
-                    self.rows[id].as_ref().is_some_and(|row| q.matches(row))
+                    self.row(id).is_some_and(|row| q.matches(row))
                 };
                 match self.driving_conjunct(q) {
                     Some(point @ SelectionQuery::Point { .. }) => self
@@ -845,7 +887,7 @@ impl IndexedRelation {
                     .take_while(|&id| id < bound)
                     .any(|id| {
                         meter.tick();
-                        self.rows[id].as_ref().is_some_and(|row| q.matches(row))
+                        self.row(id).is_some_and(|row| q.matches(row))
                     }),
                 None => self.scan_metered_below(q, meter, bound),
             },
@@ -853,48 +895,35 @@ impl IndexedRelation {
     }
 
     fn scan_metered_below(&self, q: &SelectionQuery, meter: &Meter, bound: usize) -> bool {
-        for slot in self.rows.iter().take(bound) {
+        (0..self.slot_count().min(bound)).any(|id| {
             meter.tick();
-            if let Some(row) = slot {
-                if q.matches(row) {
-                    return true;
-                }
-            }
-        }
-        false
+            self.row(id).is_some_and(|row| q.matches(row))
+        })
     }
 
     fn scan_metered(&self, q: &SelectionQuery, meter: &Meter) -> bool {
-        for slot in &self.rows {
-            // Every slot visited costs a step, tombstones included (the
-            // scan cannot skip them without an index).
-            meter.tick();
-            if let Some(row) = slot {
-                if q.matches(row) {
-                    return true;
-                }
-            }
-        }
-        false
+        // Every slot visited costs a step, tombstones included (the scan
+        // cannot skip them without an index).
+        self.scan_metered_below(q, meter, usize::MAX)
     }
 
     /// Export the live tuples as a plain relation (test/diagnostic aid).
     pub fn to_relation(&self) -> Relation {
-        let rows: Vec<Vec<Value>> = self.rows.iter().flatten().cloned().collect();
-        Relation::from_rows(self.schema.clone(), rows).expect("rows were validated on insert")
+        let rows: Vec<Vec<Value>> = self.slots().flatten().map(RowRef::to_vec).collect();
+        Relation::from_rows(self.schema().clone(), rows).expect("rows were validated on insert")
     }
 
-    /// Raw row storage including tombstones (persistence accessor:
-    /// serializing the slots verbatim is what keeps row ids stable across
-    /// a save/load cycle).
-    pub fn slots(&self) -> &[Option<Vec<Value>>] {
-        &self.rows
+    /// Every row slot in id order, tombstones as `None` (persistence
+    /// accessor: serializing the slots verbatim is what keeps row ids
+    /// stable across a save/load cycle).
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = Option<RowRef<'_>>> + '_ {
+        (0..self.slot_count()).map(|id| self.row(id))
     }
 
     /// Number of row slots ever assigned (live rows plus tombstones; the
     /// id space upper bound).
     pub fn slot_count(&self) -> usize {
-        self.rows.len()
+        self.rows.slot_count()
     }
 
     /// The `(key, posting list)` entries of one column's index in
@@ -904,26 +933,41 @@ impl IndexedRelation {
         self.index(col).map(ColumnIndex::postings)
     }
 
-    /// Reassemble an `IndexedRelation` from previously exported parts —
-    /// the warm-start fast path used by `pitract-store`. Each index is
-    /// reconstructed with [`BPlusTree::bulk_load`] from its ascending
-    /// entries in O(n): no sort, no descents.
-    ///
-    /// Validation keeps a structurally corrupt input from producing a
-    /// relation that would answer differently (or panic) later: every
-    /// live row must admit the schema, index columns must be in range
-    /// and distinct, keys must be strictly ascending, and every posting
-    /// must point at a live row holding that key.
+    /// Reassemble an `IndexedRelation` from previously exported parts:
+    /// the slots, tombstones as `None`, are appended to fresh storage one
+    /// by one (each live row admitted by the schema), then handed to
+    /// [`Self::from_columns`].
     pub fn from_parts(
         schema: Schema,
         slots: Vec<Option<Vec<Value>>>,
         indexes: Vec<IndexEntries>,
     ) -> Result<Self, IndexedError> {
-        for row in slots.iter().flatten() {
-            schema.admits(row).map_err(IndexedError::RowRejected)?;
+        let mut rows = Columns::new(schema);
+        for slot in slots {
+            rows.push_slot(slot.as_deref())?;
         }
-        let live = slots.iter().flatten().count();
-        let arity = schema.arity();
+        Self::from_columns(rows, indexes)
+    }
+
+    /// Reassemble an `IndexedRelation` from loaded row storage and its
+    /// exported indexes — the warm-start path used by `pitract-store`,
+    /// which decodes the slots straight into `rows`. Each index is
+    /// reconstructed with [`BPlusTree::bulk_load`] from its ascending
+    /// entries in O(n): no sort, no descents.
+    ///
+    /// Validation keeps a structurally corrupt input from producing a
+    /// relation that would answer differently (or panic) later: every
+    /// live row was admitted by the schema on its way into `rows`, index
+    /// columns must be in range and distinct, keys must be strictly
+    /// ascending, and every posting must point at a live row holding
+    /// that key.
+    pub fn from_columns(
+        mut rows: Columns,
+        indexes: Vec<IndexEntries>,
+    ) -> Result<Self, IndexedError> {
+        rows.shrink_to_fit();
+        let live = rows.live();
+        let arity = rows.schema().arity();
         let mut trees: Vec<Option<ColumnIndex>> = vec![None; arity];
         for IndexEntries {
             col,
@@ -964,10 +1008,7 @@ impl IndexedRelation {
                     });
                 }
                 for &id in posting {
-                    let lives = slots
-                        .get(id)
-                        .and_then(|slot| slot.as_ref())
-                        .is_some_and(|row| &row[col] == key);
+                    let lives = rows.row(id).is_some_and(|row| row.get(col) == *key);
                     if !lives {
                         return Err(IndexedError::DanglingPosting { col, id });
                     }
@@ -984,16 +1025,14 @@ impl IndexedRelation {
                 });
             }
             trees[col] = Some(ColumnIndex::from_entries(
-                schema.col_type(col),
+                rows.schema().col_type(col),
                 keys,
                 &lens,
                 &ids,
             ));
         }
         Ok(IndexedRelation {
-            schema,
-            rows: slots,
-            live,
+            rows,
             indexes: trees,
         })
     }
@@ -1345,7 +1384,7 @@ mod tests {
         let meter = Meter::new();
         for q in queries {
             let got = ir.matching_ids_metered(&q, &meter);
-            let expect: Vec<usize> = (0..ir.rows.len())
+            let expect: Vec<usize> = (0..ir.slot_count())
                 .filter(|&id| ir.row(id).is_some_and(|row| q.matches(row)))
                 .collect();
             assert_eq!(got, expect, "{q:?}");
@@ -1451,7 +1490,8 @@ mod tests {
                 entries
             })
             .collect();
-        (ir.schema().clone(), ir.slots().to_vec(), indexes)
+        let slots = ir.slots().map(|slot| slot.map(RowRef::to_vec)).collect();
+        (ir.schema().clone(), slots, indexes)
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Oracle tests for the typed index: whatever the schema, the churn and
-//! the query — mistyped values and bounds included — the index answers
-//! what a scan with [`SelectionQuery::matches`] answers, and the
-//! build-by-sort and insert-by-insert constructions agree.
+//! Oracle tests for the typed index and the column storage under it:
+//! whatever the schema, the churn and the query — mistyped values and
+//! bounds included — the index answers what a scan with
+//! [`SelectionQuery::matches`] answers, the build-by-sort and
+//! insert-by-insert constructions agree, and the columns hold, answer
+//! and meter exactly what a `Vec<Option<Vec<Value>>>` of slots would.
 
 use super::tests::export_parts;
 use super::*;
@@ -33,11 +35,16 @@ fn schema_of(columns: &Columns) -> Schema {
     Schema::new(&cols)
 }
 
-/// A value of the given type out of `raw` (negative ints and the empty
-/// string included).
+/// A value of the given type out of `raw`, one-to-one: negative ints,
+/// the empty string and multi-byte UTF-8 included.
 fn value(is_str: bool, raw: u64) -> Value {
+    const STEMS: [&str; 4] = ["", "k", "é", "日本"];
     if is_str {
-        Value::Str("k".repeat((raw % 3) as usize) + &(raw / 3).to_string())
+        let stem = STEMS[(raw % 4) as usize];
+        Value::Str(match raw / 4 {
+            0 => stem.to_owned(),
+            n => format!("{stem}{n}"),
+        })
     } else {
         Value::Int(raw as i64 - 2)
     }
@@ -114,7 +121,7 @@ fn audit(ir: &IndexedRelation) -> Result<(), String> {
                     return Err(format!("column {col}: {posting:?} not ascending"));
                 }
                 let key = key.to_value();
-                if !ids.iter().all(|&id| ir.row(id).is_some_and(|row| row[col] == key)) {
+                if !ids.iter().all(|&id| ir.row(id).is_some_and(|row| row.get(col) == key)) {
                     return Err(format!("column {col}: {posting:?} posts a row without {key}"));
                 }
                 posted += ids.len();
@@ -222,5 +229,257 @@ proptest! {
                 inserted.matching_ids_metered(&q, &meter)
             );
         }
+    }
+}
+
+/// The old row layout, kept as the oracle the columns are checked
+/// against: one `Option<Vec<Value>>` per slot, tombstones as `None`.
+struct SlotOracle {
+    slots: Vec<Option<Vec<Value>>>,
+    columns: Columns,
+    /// Indexed columns.
+    indexed: Vec<usize>,
+}
+
+impl SlotOracle {
+    /// `(id, row)` of every live slot, ascending.
+    fn live(&self) -> impl Iterator<Item = (usize, &Vec<Value>)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))
+    }
+
+    /// Live ids matching `q`, ascending.
+    fn ids(&self, q: &SelectionQuery) -> Vec<usize> {
+        self.live()
+            .filter(|(_, row)| q.matches(*row))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// The charge of one descent of `col`'s tree: 2·⌈log₂ keys⌉ over
+    /// the distinct live keys (at least 2 keys, at least one level).
+    fn descent(&self, col: usize) -> u64 {
+        let mut keys: Vec<&Value> = self.live().map(|(_, row)| &row[col]).collect();
+        keys.sort();
+        keys.dedup();
+        let keys = keys.len().max(2);
+        let levels = usize::BITS - (keys - 1).leading_zeros();
+        2 * u64::from(levels.max(1))
+    }
+
+    fn is_indexed(&self, col: usize) -> bool {
+        self.indexed.contains(&col)
+    }
+
+    /// Live ids matching `leaf` in the order its index yields them: by
+    /// key, then by id.
+    fn in_key_order(&self, leaf: &SelectionQuery, col: usize) -> Vec<usize> {
+        let mut ids = self.ids(leaf);
+        ids.sort_by(|&a, &b| self.cell(a, col).cmp(self.cell(b, col)).then(a.cmp(&b)));
+        ids
+    }
+
+    fn cell(&self, id: usize, col: usize) -> &Value {
+        &self.slots[id].as_ref().expect("a live id")[col]
+    }
+
+    /// Steps of a scan that stops at the first witness below `bound`:
+    /// every slot up to it, tombstones included.
+    fn scan_steps(&self, q: &SelectionQuery, bound: usize) -> u64 {
+        let walked = self.slots.len().min(bound);
+        let hit = self.ids(q).into_iter().find(|&id| id < bound);
+        hit.map_or(walked, |id| id + 1) as u64
+    }
+
+    /// Steps of `matching_ids_metered`: a descent plus every id an
+    /// indexed leaf (or the driving conjunct) yields; otherwise a scan.
+    fn ids_steps(&self, q: &SelectionQuery) -> u64 {
+        let driving = match q {
+            SelectionQuery::And(..) => q.driving_conjunct(&|col| self.is_indexed(col)),
+            leaf => Some(leaf).filter(|leaf| self.is_indexed(leaf_col(leaf))),
+        };
+        match driving {
+            Some(leaf) => self.descent(leaf_col(leaf)) + self.ids(leaf).len() as u64,
+            None => self.slots.len() as u64,
+        }
+    }
+
+    /// Steps of `answer_metered_below(q, bound)` (`usize::MAX`: of
+    /// `answer_metered`), or `None` for an indexed point probe, whose
+    /// key comparisons belong to the tree, not the rows.
+    fn below_steps(&self, q: &SelectionQuery, bound: usize) -> Option<u64> {
+        let all = bound == usize::MAX;
+        match q {
+            SelectionQuery::Point { col, value } if self.is_indexed(*col) => {
+                // A mistyped point is settled by one comparison.
+                let mistyped = matches!(value, Value::Str(_)) != self.columns[*col].0;
+                mistyped.then_some(1)
+            }
+            SelectionQuery::Range { col, .. } if self.is_indexed(*col) => {
+                // Without a bound the first posting answers; with one,
+                // postings are visited in key order until one's first
+                // id is visible.
+                let descent = self.descent(*col);
+                if all {
+                    return Some(descent);
+                }
+                let mut firsts: Vec<(&Value, usize)> = Vec::new();
+                for id in self.in_key_order(q, *col) {
+                    if firsts
+                        .last()
+                        .is_none_or(|(key, _)| *key != self.cell(id, *col))
+                    {
+                        firsts.push((self.cell(id, *col), id));
+                    }
+                }
+                let hit = firsts.iter().position(|&(_, first)| first < bound);
+                Some(descent + hit.map_or(firsts.len(), |at| at + 1) as u64)
+            }
+            SelectionQuery::And(..) => match q.driving_conjunct(&|col| self.is_indexed(col)) {
+                Some(leaf) => {
+                    let col = leaf_col(leaf);
+                    // A Boolean answer driven by a range walks candidates in key
+                    // order; every other path in id order, up to the bound.
+                    let candidates = match leaf {
+                        SelectionQuery::Range { .. } if all => self.in_key_order(leaf, col),
+                        _ => self
+                            .ids(leaf)
+                            .into_iter()
+                            .take_while(|&id| id < bound)
+                            .collect(),
+                    };
+                    let row = |id: usize| self.slots[id].as_ref().expect("a live id");
+                    let hit = candidates.iter().position(|&id| q.matches(row(id)));
+                    Some(self.descent(col) + hit.map_or(candidates.len(), |at| at + 1) as u64)
+                }
+                None => Some(self.scan_steps(q, bound)),
+            },
+            _ => Some(self.scan_steps(q, bound)),
+        }
+    }
+}
+
+fn leaf_col(leaf: &SelectionQuery) -> usize {
+    match leaf {
+        SelectionQuery::Point { col, .. } | SelectionQuery::Range { col, .. } => *col,
+        SelectionQuery::And(..) => unreachable!("a leaf"),
+    }
+}
+
+/// Rows, counts, the plain-relation export, answers, ids and metered
+/// steps of `ir` are the oracle's.
+fn check_against_slots(
+    ir: &IndexedRelation,
+    oracle: &SlotOracle,
+    queries: &[SelectionQuery],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ir.slot_count(), oracle.slots.len());
+    prop_assert_eq!(ir.len(), oracle.live().count());
+    for id in 0..oracle.slots.len() + 2 {
+        prop_assert_eq!(
+            ir.row(id).map(RowRef::to_vec),
+            oracle.slots.get(id).cloned().flatten(),
+            "row {}",
+            id
+        );
+    }
+    let live_rows = oracle.live().map(|(_, row)| row.clone()).collect();
+    prop_assert_eq!(
+        ir.to_relation(),
+        Relation::from_rows(ir.schema().clone(), live_rows).unwrap()
+    );
+    let meter = Meter::new();
+    for q in queries {
+        for (id, row) in oracle.live() {
+            let view = ir.row(id).expect("live in both");
+            prop_assert_eq!(
+                q.matches(view),
+                q.matches(&view.to_vec()),
+                "{:?} on {}",
+                q,
+                id
+            );
+            prop_assert_eq!(q.matches(view), q.matches(row), "{:?} on {}", q, id);
+        }
+        let expect = oracle.ids(q);
+        meter.take();
+        prop_assert_eq!(
+            &ir.matching_ids_metered(q, &meter),
+            &expect,
+            "ids of {:?}",
+            q
+        );
+        prop_assert_eq!(meter.take(), oracle.ids_steps(q), "steps of ids of {:?}", q);
+        for bound in [usize::MAX, 0, 1, oracle.slots.len() / 2, oracle.slots.len()] {
+            let answer = if bound == usize::MAX {
+                ir.answer_metered(q, &meter)
+            } else {
+                ir.answer_metered_below(q, &meter, bound)
+            };
+            let steps = meter.take();
+            prop_assert_eq!(
+                answer,
+                expect.iter().any(|&id| id < bound),
+                "answer below {} to {:?}",
+                bound,
+                q
+            );
+            if let Some(expect_steps) = oracle.below_steps(q, bound) {
+                prop_assert_eq!(steps, expect_steps, "steps below {} of {:?}", bound, q);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// (c): under a random interleaving of inserts and deletes, the
+    /// column storage agrees with a slot-vector oracle on every row, on
+    /// `len`, `slot_count` and `to_relation`, and on the answers, ids
+    /// and metered steps of every access path — scans over tombstones
+    /// included; a clone agrees too, and stays independent of the
+    /// original.
+    #[test]
+    fn column_storage_agrees_with_a_slot_vector_oracle(
+        kinds in prop::collection::vec(0u8..4, 1..4),
+        mask in 0u8..8,
+        base in prop::collection::vec((0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40), 0..70),
+        ops in prop::collection::vec((0u8..3, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40), 0..150),
+        raw_queries in prop::collection::vec((0u8..36, 0u8..8, 0u64..8, 0u64..1 << 40, 0u64..1 << 40), 3..10),
+    ) {
+        let columns = columns(&kinds);
+        let indexed = indexed(&columns, mask);
+        let rows: Vec<Vec<Value>> = base.iter().map(|&(a, b, c)| row_of(&columns, [a, b, c])).collect();
+        let relation = Relation::from_rows(schema_of(&columns), rows.clone()).unwrap();
+        let mut ir = IndexedRelation::build(&relation, &indexed).unwrap();
+        let mut oracle = SlotOracle {
+            slots: rows.into_iter().map(Some).collect(),
+            columns: columns.clone(),
+            indexed,
+        };
+        for (op, a, b, c) in ops {
+            if op == 0 {
+                let id = (a % (oracle.slots.len() as u64 + 2)) as usize;
+                let expect = oracle.slots.get_mut(id).and_then(Option::take);
+                prop_assert_eq!(ir.delete(id), expect, "delete {}", id);
+            } else {
+                let row = row_of(&columns, [a, b, c]);
+                prop_assert_eq!(ir.insert(row.clone()).unwrap(), oracle.slots.len());
+                oracle.slots.push(Some(row));
+            }
+        }
+        let queries = queries(&columns, &raw_queries);
+        check_against_slots(&ir, &oracle, &queries)?;
+
+        let mut twin = ir.clone();
+        check_against_slots(&twin, &oracle, &queries)?;
+        if let Some(id) = oracle.live().map(|(id, _)| id).next() {
+            twin.delete(id);
+            prop_assert!(ir.row(id).is_some(), "a delete on the clone left the original alone");
+        }
+        twin.insert(row_of(&columns, [1, 2, 3])).unwrap();
+        check_against_slots(&ir, &oracle, &queries)?;
     }
 }

@@ -15,7 +15,8 @@
 //! * [`indexed::IndexedRelation`] — the preprocessed form: per-column
 //!   B⁺-tree secondary indexes with O(log n) Boolean answers and
 //!   incremental maintenance under inserts/deletes (the paper's
-//!   "incremental preprocessing" requirement).
+//!   "incremental preprocessing" requirement), over rows stored as typed
+//!   columns ([`columns`]) and read through borrowed [`RowRef`]s.
 //! * [`views::ViewSet`] — Section 4(6) "query answering using views":
 //!   materialized selection views, a query-rewriting function λ(·) that
 //!   routes queries to a covering view, and incremental view maintenance.
@@ -23,6 +24,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod columns;
 pub mod indexed;
 pub mod join;
 pub mod query;
@@ -31,8 +33,9 @@ pub mod schema;
 pub mod value;
 pub mod views;
 
+pub use columns::{Columns, RowRef, Tuple};
 pub use indexed::{IndexedError, IndexedRelation};
 pub use query::SelectionQuery;
 pub use relation::Relation;
 pub use schema::{ColType, Schema};
-pub use value::Value;
+pub use value::{Value, ValueRef};

@@ -10,6 +10,7 @@
 //! them against a schema before evaluation, so malformed queries fail
 //! loudly instead of silently returning false.
 
+use crate::columns::Tuple;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::ops::Bound;
@@ -98,21 +99,27 @@ impl SelectionQuery {
         }
     }
 
-    /// Does a single tuple satisfy the query?
-    pub fn matches(&self, tuple: &[Value]) -> bool {
+    /// Does a single tuple satisfy the query? The tuple is a row of
+    /// owned values (`&[Value]`, `&Vec<Value>`) or a [`RowRef`] into
+    /// column storage; both compare cells as [`ValueRef`]s, in
+    /// [`Value`]'s order.
+    ///
+    /// [`RowRef`]: crate::columns::RowRef
+    /// [`ValueRef`]: crate::value::ValueRef
+    pub fn matches(&self, tuple: impl Tuple) -> bool {
         match self {
-            SelectionQuery::Point { col, value } => &tuple[*col] == value,
+            SelectionQuery::Point { col, value } => tuple.cell(*col) == value.as_ref(),
             SelectionQuery::Range { col, lo, hi } => {
-                let v = &tuple[*col];
+                let v = tuple.cell(*col);
                 let above = match lo {
                     Bound::Unbounded => true,
-                    Bound::Included(l) => v >= l,
-                    Bound::Excluded(l) => v > l,
+                    Bound::Included(l) => v >= l.as_ref(),
+                    Bound::Excluded(l) => v > l.as_ref(),
                 };
                 let below = match hi {
                     Bound::Unbounded => true,
-                    Bound::Included(h) => v <= h,
-                    Bound::Excluded(h) => v < h,
+                    Bound::Included(h) => v <= h.as_ref(),
+                    Bound::Excluded(h) => v < h.as_ref(),
                 };
                 above && below
             }

@@ -25,13 +25,14 @@ impl Relation {
         }
     }
 
-    /// Build from rows, validating each against the schema.
+    /// Build from rows, validating each against the schema; the first
+    /// row the schema rejects is the error. The caller's vector becomes
+    /// the relation's storage as it is.
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Self, String> {
-        let mut r = Relation::new(schema);
-        for row in rows {
-            r.insert(row)?;
+        for row in &rows {
+            schema.admits(row)?;
         }
-        Ok(r)
+        Ok(Relation { schema, rows })
     }
 
     /// The schema.
@@ -125,6 +126,30 @@ mod tests {
             .is_err());
         assert!(r.insert(vec![Value::Int(5)]).is_err());
         assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn from_rows_reports_the_first_rejected_row_and_keeps_the_vector() {
+        let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
+        let rows = vec![
+            vec![Value::Int(1), Value::str("oslo")],
+            vec![Value::str("bad"), Value::str("rome")],
+            vec![Value::Int(3)],
+        ];
+        assert_eq!(
+            Relation::from_rows(schema.clone(), rows).unwrap_err(),
+            "type mismatch in column \"id\": value \"bad\""
+        );
+        let rows = vec![vec![Value::Int(1), Value::str("oslo")], vec![Value::Int(3)]];
+        assert_eq!(
+            Relation::from_rows(schema.clone(), rows).unwrap_err(),
+            "arity mismatch: tuple has 1 values, schema has 2 columns"
+        );
+        let mut rows = Vec::with_capacity(8);
+        rows.push(vec![Value::Int(1), Value::str("oslo")]);
+        let block = rows.as_ptr();
+        let relation = Relation::from_rows(schema, rows).unwrap();
+        assert_eq!(relation.rows().as_ptr(), block, "the rows were not moved");
     }
 
     #[test]

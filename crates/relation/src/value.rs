@@ -39,6 +39,42 @@ impl Value {
             Value::Str(s) => Some(s),
         }
     }
+
+    /// The borrowed form of this value.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+/// A borrowed cell: what a row view reads out of typed column storage
+/// without allocating. Ordered exactly like [`Value`] — every `Int`
+/// below every `Str`, strings by bytes — so comparing two `ValueRef`s
+/// agrees with comparing the `Value`s they borrow from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ValueRef<'a> {
+    /// 64-bit signed integer.
+    Int(i64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
+impl PartialEq<Value> for ValueRef<'_> {
+    fn eq(&self, other: &Value) -> bool {
+        *self == other.as_ref()
+    }
 }
 
 impl From<i64> for Value {
@@ -114,6 +150,27 @@ mod tests {
     fn display_is_readable() {
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::str("x").to_string(), "\"x\"");
+    }
+
+    #[test]
+    fn borrowed_values_keep_the_owned_order() {
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Int(-1),
+            Value::Int(i64::MAX),
+            Value::str(""),
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("é"),
+            Value::str("日本"),
+        ];
+        for a in &values {
+            assert_eq!(a.as_ref().to_value(), *a);
+            assert_eq!(a.as_ref(), *a);
+            for b in &values {
+                assert_eq!(a.as_ref().cmp(&b.as_ref()), a.cmp(b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::error::StoreError;
 use pitract_engine::UpdateEntry;
-use pitract_relation::{ColType, Schema, Value};
+use pitract_relation::{ColType, Schema, Tuple, Value, ValueRef};
 
 /// An append-only little-endian byte writer.
 #[derive(Debug, Default)]
@@ -95,28 +95,37 @@ impl Writer {
 
     /// Write a tagged [`Value`].
     pub fn value(&mut self, v: &Value) {
+        self.value_ref(v.as_ref());
+    }
+
+    /// Write a tagged borrowed value — the same bytes as [`Self::value`]
+    /// on the `Value` it borrows from.
+    pub fn value_ref(&mut self, v: ValueRef<'_>) {
         match v {
-            Value::Int(i) => {
+            ValueRef::Int(i) => {
                 self.u8(0);
-                self.i64(*i);
+                self.i64(i);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 self.u8(1);
                 self.str(s);
             }
         }
     }
 
-    /// Write a row: element count, then tagged values.
-    pub fn row(&mut self, row: &[Value]) {
-        self.usize(row.len());
-        for v in row {
-            self.value(v);
+    /// Write a row — a `&[Value]` or a [`RowRef`] view of column
+    /// storage: element count, then tagged values.
+    ///
+    /// [`RowRef`]: pitract_relation::RowRef
+    pub fn row(&mut self, row: impl Tuple) {
+        self.usize(row.arity());
+        for col in 0..row.arity() {
+            self.value_ref(row.cell(col));
         }
     }
 
     /// Write an optional row (0 = tombstone, 1 = live).
-    pub fn opt_row(&mut self, slot: &Option<Vec<Value>>) {
+    pub fn opt_row(&mut self, slot: Option<impl Tuple>) {
         match slot {
             None => self.u8(0),
             Some(row) => {
@@ -277,15 +286,34 @@ impl<'a> Reader<'a> {
 
     /// Read a row (count + tagged values).
     pub fn row(&mut self) -> Result<Vec<Value>, StoreError> {
+        let mut row = Vec::new();
+        self.row_into(&mut row)?;
+        Ok(row)
+    }
+
+    /// [`Self::row`] into `row`, which is cleared first — a loader reuses
+    /// one vector for every row it decodes.
+    pub fn row_into(&mut self, row: &mut Vec<Value>) -> Result<(), StoreError> {
         let n = self.count(1)?;
-        (0..n).map(|_| self.value()).collect()
+        row.clear();
+        for _ in 0..n {
+            row.push(self.value()?);
+        }
+        Ok(())
     }
 
     /// Read an optional row.
     pub fn opt_row(&mut self) -> Result<Option<Vec<Value>>, StoreError> {
+        let mut row = Vec::new();
+        Ok(self.opt_row_into(&mut row)?.then_some(row))
+    }
+
+    /// [`Self::opt_row`] into `row`: `true` when a live row was read into
+    /// it, `false` for a tombstone.
+    pub fn opt_row_into(&mut self, row: &mut Vec<Value>) -> Result<bool, StoreError> {
         match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.row()?)),
+            0 => Ok(false),
+            1 => self.row_into(row).map(|()| true),
             tag => Err(StoreError::Corrupt(format!("bad option tag {tag}"))),
         }
     }
@@ -373,7 +401,7 @@ mod tests {
         ];
         let mut w = Writer::new();
         for slot in &rows {
-            w.opt_row(slot);
+            w.opt_row(slot.as_ref());
         }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

@@ -6,7 +6,8 @@
 //! so callers can distinguish "retry with a rebuild" from "this file was
 //! written by a newer binary" without parsing prose. Loading never
 //! panics: the decoder bounds-checks every read and the builders
-//! (`from_parts`) validate structural invariants before constructing.
+//! (`from_columns`, `from_parts`) validate structural invariants before
+//! constructing.
 
 use crate::snapshot::SnapshotKind;
 use pitract_engine::EngineError;

@@ -34,7 +34,9 @@
 //! reader rejects with [`StoreError::VersionMismatch`]. Corruption is
 //! caught in layers: the checksum rejects bit rot and truncation, the
 //! bounds-checked codec rejects structurally impossible payloads, and the
-//! `from_parts` constructors reject decodable-but-inconsistent parts. A
+//! `from_columns` / `from_parts` constructors (with
+//! `Columns::push_slot`, which admits each decoded row) reject
+//! decodable-but-inconsistent parts. A
 //! golden fixture test pins the byte-level format so accidental encoding
 //! drift fails CI.
 
@@ -45,7 +47,7 @@ use pitract_core::hash::fnv1a64;
 use pitract_engine::{ShardBy, ShardedRelation, UpdateEntry, UpdateLog};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::{IndexEntries, IndexedRelation};
-use pitract_relation::{Schema, Value};
+use pitract_relation::{Columns, Schema};
 use std::fmt;
 use std::path::Path;
 
@@ -547,9 +549,17 @@ fn write_indexed_body(ir: &IndexedRelation, rows: &mut Writer, indexes: &mut Wri
     }
 }
 
-fn read_slots(r: &mut Reader<'_>) -> Result<Vec<Option<Vec<Value>>>, StoreError> {
+/// Decode the row slots straight into column storage for `schema`: one
+/// reused row buffer, each live row admitted as it is appended.
+fn read_rows(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
     let n = r.count(1)?;
-    (0..n).map(|_| r.opt_row()).collect()
+    let mut rows = Columns::new(schema.clone());
+    let mut row = Vec::with_capacity(schema.arity());
+    for _ in 0..n {
+        let live = r.opt_row_into(&mut row)?;
+        rows.push_slot(live.then_some(&row[..]))?;
+    }
+    Ok(rows)
 }
 
 fn read_indexes(r: &mut Reader<'_>) -> Result<Vec<IndexEntries>, StoreError> {
@@ -584,9 +594,9 @@ fn decode_indexed(
     rows: Reader<'_>,
     indexes: Reader<'_>,
 ) -> Result<IndexedRelation, StoreError> {
-    let slots = finish(rows, read_slots)?;
+    let rows = finish(rows, |r| read_rows(r, &schema))?;
     let index_entries = finish(indexes, read_indexes)?;
-    IndexedRelation::from_parts(schema, slots, index_entries).map_err(StoreError::Indexed)
+    Ok(IndexedRelation::from_columns(rows, index_entries)?)
 }
 
 fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
@@ -663,12 +673,9 @@ fn decode_sharded<'a>(
     for _ in 0..shard_count {
         // Per-shard body: the same rows + indexes encoding as a
         // standalone IndexedRelation, sharing one schema.
-        let slots = read_slots(&mut shards_r)?;
+        let rows = read_rows(&mut shards_r, &schema)?;
         let indexes = read_indexes(&mut shards_r)?;
-        shards.push(
-            IndexedRelation::from_parts(schema.clone(), slots, indexes)
-                .map_err(StoreError::Indexed)?,
-        );
+        shards.push(IndexedRelation::from_columns(rows, indexes)?);
     }
     if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
@@ -756,7 +763,7 @@ mod tests {
     use super::*;
     use pitract_engine::{PooledExecutor, QueryBatch};
     use pitract_graph::generate;
-    use pitract_relation::{ColType, Relation, SelectionQuery};
+    use pitract_relation::{ColType, Relation, SelectionQuery, Value};
     use std::sync::Arc;
 
     fn relation(n: i64) -> Relation {
@@ -824,7 +831,7 @@ mod tests {
 
             let batch = QueryBatch::new(queries());
             assert!(loaded.row(7).is_none());
-            assert_eq!(loaded.row(120).unwrap()[1], Value::str("late"));
+            assert_eq!(loaded.row(120).unwrap().get(1), Value::str("late"));
             let rows = |sr| {
                 PooledExecutor::with_default_pool(Arc::new(sr))
                     .execute_rows(&batch)

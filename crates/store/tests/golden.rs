@@ -10,9 +10,9 @@
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
 
-use pitract_engine::{PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
-use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
+use pitract_engine::{EngineError, PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
+use pitract_relation::indexed::{IndexEntries, IndexedRelation};
+use pitract_relation::{ColType, IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
 use pitract_store::{Snapshot, StoreError, FORMAT_VERSION};
 use std::sync::Arc;
 
@@ -138,4 +138,108 @@ fn bumped_version_is_rejected_with_version_mismatch() {
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
+}
+
+/// Save → load → save writes the same bytes: what a load rebuilds —
+/// typed columns, `Str` arenas, tombstone placeholders behind the live
+/// bitmap — writes back exactly what was read, for a standalone indexed
+/// relation and for a sharded one.
+#[test]
+fn save_load_save_is_byte_identical() {
+    // Duplicate keys, empty and multi-byte strings; tombstones among the
+    // built rows (every 7th) and among later inserts (every 11th).
+    let names = ["", "alpha", "héllo", "Σ*", "日本語"];
+    let row = |i: i64| {
+        vec![
+            Value::Int(i % 97 - 40),
+            Value::str(format!("{}{}", names[(i % 5) as usize], i % 13)),
+        ]
+    };
+    let schema = fixture_relation().schema().clone();
+    let relation = Relation::from_rows(schema, (0..300).map(row).collect()).unwrap();
+    let mut ir = IndexedRelation::build(&relation, &[0, 1]).unwrap();
+    let mut sr = ShardedRelation::build(&relation, ShardBy::Hash { col: 1 }, 3, &[0, 1]).unwrap();
+    for id in (0..300).step_by(7) {
+        ir.delete(id).unwrap();
+        sr.delete(id).unwrap();
+    }
+    for i in 300..340 {
+        let (id, gid) = (ir.insert(row(i)).unwrap(), sr.insert(row(i)).unwrap());
+        if i % 11 == 0 {
+            ir.delete(id).unwrap();
+            sr.delete(gid).unwrap();
+        }
+    }
+    for snapshot in [
+        Snapshot::Indexed(fixture_indexed()),
+        Snapshot::Indexed(ir),
+        Snapshot::Sharded(fixture_sharded()),
+        Snapshot::Sharded(sr),
+    ] {
+        let kind = snapshot.kind();
+        let saved = snapshot.to_bytes();
+        let resaved = Snapshot::from_bytes(&saved).unwrap().to_bytes();
+        assert!(
+            resaved == saved,
+            "{kind} changed bytes across save → load → save"
+        );
+    }
+}
+
+/// A load still refuses what it refused before rows became columns:
+/// a slot the schema rejects, a posting on a live row holding another
+/// key, and a shard holding rows its key does not route to — each with
+/// the same error value.
+#[test]
+fn loaded_parts_are_still_validated() {
+    let loaded = Snapshot::from_bytes(&Snapshot::Indexed(fixture_indexed()).to_bytes())
+        .unwrap()
+        .into_indexed()
+        .unwrap();
+    let schema = loaded.schema().clone();
+    let slots: Vec<Option<Vec<Value>>> = loaded.slots().map(|s| s.map(RowRef::to_vec)).collect();
+    let entries: Vec<IndexEntries> = loaded
+        .indexed_columns()
+        .into_iter()
+        .map(|col| {
+            let mut entries = IndexEntries::new(col);
+            for (key, posting) in loaded.index_postings(col).unwrap() {
+                entries.push(key, posting);
+            }
+            entries
+        })
+        .collect();
+    assert!(IndexedRelation::from_parts(schema.clone(), slots.clone(), entries.clone()).is_ok());
+
+    let mut mistyped = slots.clone();
+    mistyped[1].as_mut().unwrap()[0] = Value::str("0");
+    assert_eq!(
+        IndexedRelation::from_parts(schema.clone(), mistyped, entries.clone()).unwrap_err(),
+        IndexedError::RowRejected("type mismatch in column \"id\": value \"0\"".into())
+    );
+
+    // Key -3 posts row 0; point it at row 1, which is live and holds 0.
+    let mut misposted = entries.clone();
+    assert_eq!(
+        (&misposted[0].keys[0], misposted[0].ids[0]),
+        (&Value::Int(-3), 0)
+    );
+    misposted[0].ids[0] = 1;
+    assert_eq!(
+        IndexedRelation::from_parts(schema, slots, misposted).unwrap_err(),
+        IndexedError::DanglingPosting { col: 0, id: 1 }
+    );
+
+    let sharded = Snapshot::from_bytes(&Snapshot::Sharded(fixture_sharded()).to_bytes())
+        .unwrap()
+        .into_sharded()
+        .unwrap();
+    let (schema, shard_by, mut shards, global_ids, locations) = sharded.into_parts();
+    shards.swap(0, 1);
+    let err =
+        ShardedRelation::from_parts(schema, shard_by, shards, global_ids, locations).unwrap_err();
+    assert!(
+        matches!(&err, EngineError::InconsistentSnapshot(why) if why.contains("routes to shard")),
+        "{err}"
+    );
 }

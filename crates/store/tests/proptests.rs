@@ -59,7 +59,7 @@ proptest! {
         let mut w = Writer::new();
         w.usize(slots.len());
         for slot in &slots {
-            w.opt_row(slot);
+            w.opt_row(slot.as_ref());
         }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);

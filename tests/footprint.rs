@@ -1,15 +1,17 @@
 //! What Π(D) costs in bytes, as a regression gate. `peak_rss_mb` in the
 //! end-to-end benchmark carries a 5 % bound on a whole process; this
-//! binary installs a byte-counting global allocator and pins the two
+//! binary installs a byte-counting global allocator and pins the three
 //! structures that bound cannot see on their own:
 //!
+//! * the heap held by the rows and the id maps — a build with no index
+//!   at all — stays within [`ROW_BYTES_PER_ROW`];
 //! * the heap held by the secondary indexes — built-with-indexes minus
 //!   built-without — stays within [`INDEX_BYTES_PER_ROW`]; and
 //! * while [`LiveRelation::build`] runs, live bytes never exceed the
 //!   finished relation by more than [`BUILD_SLACK_PER_ROW`]: the build
 //!   holds one column's `(key, id)` pairs and the packed entries made
-//!   from them, never every column's at once and never a second copy of
-//!   the rows.
+//!   from them, never every column's at once, and never a staging copy
+//!   of the rows (a `Vec<Vec<Value>>` of them would cost ~136 B/row).
 //!
 //! The relation is the end-to-end benchmark's: `id` (unique), `ts`
 //! (nearly unique), `grp` (1 024 values) indexed, a 16-byte `payload`
@@ -24,13 +26,21 @@ use pi_tractable::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Heap bytes the rows and the id maps may hold per row. When written:
+/// 80 — 48 for the typed columns (8 for each of the three `Int`
+/// columns, and for `payload` 16 arena bytes plus an 8-byte end offset)
+/// and 32 for the id maps (8 local → global, 24 global → location). The
+/// `Vec<Option<Vec<Value>>>` slots the columns replaced held 136 of
+/// their own, 168 with the maps.
+const ROW_BYTES_PER_ROW: usize = 96;
 /// Heap bytes the three indexes may hold per row. When written: 83
 /// (`id` and `ts` ~36 each — 8 key + 24 posting bytes and the node
 /// around them — and `grp` ~11, its ids 8 bytes apiece in shared
 /// postings); the `Value`-keyed trees with a heap posting per key that
 /// these replaced held 227 by the same count.
 const INDEX_BYTES_PER_ROW: usize = 96;
-/// Bytes per row the build may hold beyond what it returns.
+/// Bytes per row the build may hold beyond what it returns. When
+/// written: 5.
 const BUILD_SLACK_PER_ROW: usize = 48;
 
 const ROWS: usize = 1 << 16;
@@ -120,6 +130,11 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
     let (indexed, indexed_bytes, build_slack) = build(&relation, &[0, 1, 2]);
     assert_eq!((bare.len(), indexed.len()), (ROWS, ROWS));
 
+    assert!(
+        bare_bytes <= ROW_BYTES_PER_ROW * ROWS,
+        "the rows and id maps hold {} B/row, over the {ROW_BYTES_PER_ROW} allowed",
+        bare_bytes / ROWS
+    );
     let index_bytes = indexed_bytes - bare_bytes;
     assert!(
         index_bytes <= INDEX_BYTES_PER_ROW * ROWS,
