@@ -5,7 +5,7 @@
 //! smoke) serializes the writer-count → batch-throughput curve to
 //! `BENCH_live.json` (default `BENCH_live.json` in the repository
 //! root; override with the `BENCH_LIVE_JSON` env var), next to
-//! `BENCH_engine.json` and `BENCH_store.json`, so future PRs can diff
+//! `BENCH_engine.json`, so future PRs can diff
 //! how much concurrent write traffic costs the serving path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -13,7 +13,7 @@
 //!
 //! The same sweep backs the `live` bench target, which serializes the
 //! writer-count → throughput curve to `BENCH_live.json` next to
-//! `BENCH_engine.json` and `BENCH_store.json`.
+//! `BENCH_engine.json`.
 
 use crate::table::{fmt_u64, Table};
 use pitract_engine::batch::QueryBatch;

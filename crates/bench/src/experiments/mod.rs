@@ -18,7 +18,6 @@ mod live;
 mod mvcc;
 mod obs;
 mod repl;
-mod store;
 mod wal;
 
 pub use dynamics::{run_e10, run_e11, run_e12, run_e13, run_e14};
@@ -35,7 +34,6 @@ pub use repl::{
     repl_catchup_sweep, repl_serving_sweep, run_e21, ReplCatchUpSample, ReplServeSample,
     REPL_BATCH_QUERIES, REPL_SHARDS,
 };
-pub use store::{run_e16, store_warmstart_sweep, StoreSample, STORE_SHARDS};
 pub use wal::{
     run_e18, wal_recovery_sweep, wal_throughput_sweep, WalRecoverySample, WalThroughputSample,
     WAL_BATCH_OPS, WAL_SHARDS, WAL_WRITERS,

@@ -37,7 +37,6 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("e13", run_e13),
         ("e14", run_e14),
         ("e15", run_e15),
-        ("e16", run_e16),
         ("e17", run_e17),
         ("e18", run_e18),
         ("e20", run_e20),

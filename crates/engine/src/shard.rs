@@ -557,8 +557,7 @@ pub(crate) fn validate_shard_by(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_relation::indexed::IndexEntries;
-    use pitract_relation::ColType;
+    use pitract_relation::{ColType, Columns};
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColType::Int), ("city", ColType::Str)])
@@ -652,28 +651,35 @@ mod tests {
         assert!(ShardedRelation::build(&rel, ok, 2, &[1]).is_ok());
     }
 
-    /// Re-export every shard through the persistence accessors and
-    /// `IndexedRelation::from_parts` — the same dance `pitract-store`
-    /// does when loading a snapshot.
+    /// Re-export every shard the way `pitract-store` loads a snapshot:
+    /// each slot, tombstones included, through `Columns::push_slot`, then
+    /// the trees rebuilt by `IndexedRelation::from_columns` on the same
+    /// columns. Every live key of every indexed column must come back
+    /// with the posting the source holds, and no other id may be posted.
     fn export_shards(sr: &ShardedRelation) -> Vec<IndexedRelation> {
         sr.shards()
             .iter()
             .map(|s| {
-                IndexedRelation::from_parts(
-                    s.schema().clone(),
-                    s.slots().map(|slot| slot.map(RowRef::to_vec)).collect(),
-                    s.indexed_columns()
-                        .into_iter()
-                        .map(|col| {
-                            let mut entries = IndexEntries::new(col);
-                            for (key, posting) in s.index_postings(col).unwrap() {
-                                entries.push(key, posting);
-                            }
-                            entries
-                        })
-                        .collect(),
-                )
-                .unwrap()
+                let mut rows = Columns::new(s.schema().clone());
+                for slot in s.slots() {
+                    rows.push_slot(slot.map(RowRef::to_vec).as_deref()).unwrap();
+                }
+                let cols = s.indexed_columns();
+                let reloaded = IndexedRelation::from_columns(rows, &cols).unwrap();
+                assert_eq!(reloaded.indexed_columns(), cols);
+                let everything = Bound::Unbounded;
+                for &col in &cols {
+                    assert_eq!(
+                        reloaded.row_ids_in_range(col, &everything, &everything),
+                        s.row_ids_in_range(col, &everything, &everything),
+                        "column {col} posts the same ids"
+                    );
+                    for row in s.slots().flatten() {
+                        let key = row.get(col).to_value();
+                        assert_eq!(reloaded.row_ids_eq(col, &key), s.row_ids_eq(col, &key));
+                    }
+                }
+                reloaded
             })
             .collect()
     }

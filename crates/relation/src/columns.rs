@@ -226,7 +226,7 @@ impl Columns {
         true
     }
 
-    fn is_live(&self, id: usize) -> bool {
+    pub(crate) fn is_live(&self, id: usize) -> bool {
         id < self.slots && self.live_bits[id / 64] >> (id % 64) & 1 == 1
     }
 

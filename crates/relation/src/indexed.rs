@@ -32,14 +32,20 @@
 //! * **Tombstone placeholders.** A delete clears the slot's bit and
 //!   leaves its cells where they are (the arena cannot close a gap
 //!   without moving every later cell); a tombstone a load appends
-//!   ([`Columns::push_slot`], behind [`IndexedRelation::from_columns`]
-//!   and [`IndexedRelation::from_parts`]) is stored as `0` / `""`.
-//!   Either way the bitmap hides the cells: no read path looks at a dead
-//!   slot's cells, and the snapshot writes a tombstone as a tombstone.
+//!   ([`Columns::push_slot`]) is stored as `0` / `""`. Either way the
+//!   bitmap hides the cells: no read path looks at a dead slot's cells,
+//!   the index build skips them, and the snapshot writes a tombstone as
+//!   a tombstone.
 //! * **Build by routing, not by staging.** [`IndexedRelation::build`]
 //!   and [`IndexedRelation::build_split`] size each part's columns from
 //!   one pass over the relation and append every row's cells in a second;
 //!   no row is cloned, staged, or admitted twice.
+//! * **One constructor.** [`IndexedRelation::from_columns`] indexes
+//!   row storage on a list of columns. A build hands it freshly split
+//!   columns; a snapshot load hands it the slots it decoded, so a load
+//!   rebuilds the trees by sort and placeholders are never posted. No
+//!   index is ever read from outside, so none can disagree with its
+//!   rows.
 //! * **Typed keys, one slot per column.** The schema says whether a
 //!   column holds `Int`s or `Str`s, so its index is a
 //!   `BPlusTree<i64, Posting>` or a `BPlusTree<String, Posting>` — a
@@ -54,10 +60,11 @@
 //!   its 8 key bytes plus 24 posting bytes in the leaf and no heap block.
 //!   Ids are ascending by construction (row ids only grow), which is what
 //!   lets a delete find its id by binary search.
-//! * **Build by sort.** [`IndexedRelation::build`] collects one column's
-//!   `(key, id)` pairs, sorts them, groups equal keys into postings and
-//!   hands the ascending run to [`BPlusTree::bulk_load`] — leaves come out
-//!   ⅔ full and nothing descends the tree. Columns are built one after
+//! * **Build by sort.** [`IndexedRelation::from_columns`] collects one
+//!   column's `(key, id)` pairs over the live slots, sorts them, groups
+//!   equal keys into postings and hands the ascending run to
+//!   [`BPlusTree::bulk_load`] — leaves come out ⅔ full and nothing
+//!   descends the tree. Columns are built one after
 //!   another, so at most one column's pairs are alive at a time. Building
 //!   empty and calling [`IndexedRelation::insert`] per row gives the same
 //!   answers, ids and postings in a differently packed tree.
@@ -81,7 +88,7 @@
 use crate::columns::{Column, Columns, RowRef};
 use crate::query::SelectionQuery;
 use crate::relation::Relation;
-use crate::schema::{ColType, Schema};
+use crate::schema::Schema;
 use crate::value::Value;
 use pitract_core::cost::Meter;
 use pitract_index::bptree::BPlusTree;
@@ -89,51 +96,17 @@ use std::borrow::Cow;
 use std::fmt;
 use std::ops::Bound;
 
-/// One persisted secondary index in flat form: the column it covers, its
-/// ascending keys, and the keys' posting lists laid end to end — key `i`
-/// posts the next `lens[i]` entries of `ids`. Three allocations however
-/// many keys there are; [`IndexedRelation::from_parts`] validates it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexEntries {
-    /// The indexed column.
-    pub col: usize,
-    /// The distinct keys, ascending.
-    pub keys: Vec<Value>,
-    /// Posting-list length per key.
-    pub lens: Vec<usize>,
-    /// Every posting list, concatenated in key order.
-    pub ids: Vec<usize>,
-}
-
-impl IndexEntries {
-    /// No entries yet, for an index on `col`.
-    pub fn new(col: usize) -> Self {
-        IndexEntries {
-            col,
-            keys: Vec::new(),
-            lens: Vec::new(),
-            ids: Vec::new(),
-        }
-    }
-
-    /// Append one key and its posting list.
-    pub fn push(&mut self, key: Value, posting: &[usize]) {
-        self.keys.push(key);
-        self.lens.push(posting.len());
-        self.ids.extend_from_slice(posting);
-    }
-}
-
-/// Everything that can go wrong building, updating, or reassembling an
+/// Everything that can go wrong building or updating an
 /// [`IndexedRelation`].
 ///
-/// `build`, `insert`, and `from_parts` used to return `Result<_, String>`
-/// while every layer above (the engine's [`ShardedRelation`] and the
-/// store's snapshot loader) had typed errors — so the bottom of the
-/// build/insert path forced everything back into prose. Each failure
-/// class is now a distinct variant with `From` conversions upward
+/// `build` and `insert` used to return `Result<_, String>` while every
+/// layer above (the engine's [`ShardedRelation`] and the store's
+/// snapshot loader) had typed errors — so the bottom of the build/insert
+/// path forced everything back into prose. Each failure class is now a
+/// distinct variant with `From` conversions upward
 /// (`EngineError::Indexed`, `StoreError::Indexed`), so callers can match
-/// instead of parsing strings.
+/// instead of parsing strings. A load reaches the same two: a decoded
+/// row the schema rejects, or an indexed column the schema lacks.
 ///
 /// [`ShardedRelation`]: https://docs.rs/pitract-engine
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,55 +120,6 @@ pub enum IndexedError {
     },
     /// A row failed schema validation (arity or column-type mismatch).
     RowRejected(String),
-    /// `from_parts`: a column appears twice in the supplied indexes.
-    DuplicateIndex {
-        /// The duplicated column.
-        col: usize,
-    },
-    /// `from_parts`: an index's flat entries disagree with each other —
-    /// the posting lengths do not pair up with the keys, or do not add up
-    /// to the ids supplied.
-    MalformedEntries {
-        /// The index's column.
-        col: usize,
-    },
-    /// `from_parts`: index keys were not strictly ascending.
-    KeysNotAscending {
-        /// The index's column.
-        col: usize,
-    },
-    /// `from_parts`: an index key carried an empty posting list (live keys
-    /// must post at least one row).
-    EmptyPosting {
-        /// The index's column.
-        col: usize,
-        /// Display form of the offending key.
-        key: String,
-    },
-    /// `from_parts`: a posting list's row ids were not strictly ascending.
-    PostingNotAscending {
-        /// The index's column.
-        col: usize,
-        /// Display form of the offending key.
-        key: String,
-    },
-    /// `from_parts`: a posting points at a row that is dead, out of range,
-    /// or does not hold the posted key.
-    DanglingPosting {
-        /// The index's column.
-        col: usize,
-        /// The offending row id.
-        id: usize,
-    },
-    /// `from_parts`: an index does not post exactly the live rows.
-    PostingCountMismatch {
-        /// The index's column.
-        col: usize,
-        /// Rows posted by the index.
-        posted: usize,
-        /// Live rows in the relation.
-        live: usize,
-    },
 }
 
 impl fmt::Display for IndexedError {
@@ -205,39 +129,6 @@ impl fmt::Display for IndexedError {
                 write!(f, "cannot index column {col}: schema has arity {arity}")
             }
             IndexedError::RowRejected(why) => write!(f, "row rejected by schema: {why}"),
-            IndexedError::DuplicateIndex { col } => {
-                write!(f, "duplicate index on column {col}")
-            }
-            IndexedError::MalformedEntries { col } => {
-                write!(
-                    f,
-                    "index on column {col}: posting lengths do not match the keys and ids"
-                )
-            }
-            IndexedError::KeysNotAscending { col } => {
-                write!(f, "index on column {col}: keys not strictly ascending")
-            }
-            IndexedError::EmptyPosting { col, key } => {
-                write!(f, "index on column {col}: empty posting for {key}")
-            }
-            IndexedError::PostingNotAscending { col, key } => {
-                write!(
-                    f,
-                    "index on column {col}: posting ids for {key} not strictly ascending"
-                )
-            }
-            IndexedError::DanglingPosting { col, id } => {
-                write!(
-                    f,
-                    "index on column {col}: posting id {id} does not hold the posted key"
-                )
-            }
-            IndexedError::PostingCountMismatch { col, posted, live } => {
-                write!(
-                    f,
-                    "index on column {col} posts {posted} rows, relation has {live} live"
-                )
-            }
         }
     }
 }
@@ -254,15 +145,6 @@ enum Posting {
 }
 
 impl Posting {
-    /// A posting holding the (non-empty, ascending) `ids`.
-    fn from_ascending(ids: &[usize]) -> Self {
-        debug_assert!(!ids.is_empty(), "a key posts at least one row");
-        match ids {
-            [id] => Posting::One(*id),
-            _ => Posting::Many(ids.to_vec()),
-        }
-    }
-
     fn as_slice(&self) -> &[usize] {
         match self {
             Posting::One(id) => std::slice::from_ref(id),
@@ -303,12 +185,12 @@ impl Posting {
 
 /// A column payload type an index can be keyed by: `i64` for
 /// [`ColType::Int`] columns, `String` for [`ColType::Str`] ones.
+///
+/// [`ColType::Int`]: crate::schema::ColType::Int
+/// [`ColType::Str`]: crate::schema::ColType::Str
 trait IndexKey: Ord + Clone + fmt::Debug {
     /// The payload of `v`, if `v` has this type.
     fn of(v: &Value) -> Option<&Self>;
-    /// [`Self::of`], by value.
-    fn from_value(v: Value) -> Option<Self>;
-    fn to_value(&self) -> Value;
 }
 
 impl IndexKey for i64 {
@@ -318,14 +200,6 @@ impl IndexKey for i64 {
             Value::Str(_) => None,
         }
     }
-
-    fn from_value(v: Value) -> Option<i64> {
-        v.as_int()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Int(*self)
-    }
 }
 
 impl IndexKey for String {
@@ -334,17 +208,6 @@ impl IndexKey for String {
             Value::Int(_) => None,
             Value::Str(s) => Some(s),
         }
-    }
-
-    fn from_value(v: Value) -> Option<String> {
-        match v {
-            Value::Int(_) => None,
-            Value::Str(s) => Some(s),
-        }
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
     }
 }
 
@@ -368,21 +231,13 @@ macro_rules! with_tree {
 }
 
 impl ColumnIndex {
-    /// Index `column` (no tombstones: ids = positions) by sorting, not
-    /// by descent. The column's own slice is the key source: an `Int`
-    /// key is copied out of a `Vec<i64>`, a `Str` key out of the arena.
-    fn build(column: &Column) -> Self {
-        match column {
-            Column::Int(ints) => ColumnIndex::Int(sorted_tree(ints.iter().copied())),
-            Column::Str(strs) => ColumnIndex::Str(sorted_tree(strs.iter().map(str::to_owned))),
-        }
-    }
-
-    /// Pack validated flat entries (see [`IndexedRelation::from_parts`]).
-    fn from_entries(ty: ColType, keys: Vec<Value>, lens: &[usize], ids: &[usize]) -> Self {
-        match ty {
-            ColType::Int => ColumnIndex::Int(packed_tree(keys, lens, ids)),
-            ColType::Str => ColumnIndex::Str(packed_tree(keys, lens, ids)),
+    /// Index column `col` of `rows` by sorting, not by descent. The
+    /// column's own slice is the key source: an `Int` key is copied out
+    /// of a `Vec<i64>`, a `Str` key out of the arena.
+    fn build(rows: &Columns, col: usize) -> Self {
+        match rows.column(col) {
+            Column::Int(ints) => ColumnIndex::Int(sorted_tree(rows, ints.iter().copied(), |i| i)),
+            Column::Str(strs) => ColumnIndex::Str(sorted_tree(rows, strs.iter(), str::to_owned)),
         }
     }
 
@@ -455,15 +310,6 @@ impl ColumnIndex {
             tree.remove_if(key, |posting| posting.remove(id));
         })
     }
-
-    fn postings(&self) -> IndexPostings<'_> {
-        IndexPostings {
-            keys: self.len(),
-            entries: with_tree!(self, tree => Box::new(
-                tree.iter().map(|(key, posting)| (key.to_value(), posting.as_slice()))
-            )),
-        }
-    }
 }
 
 /// The bounds of a range selection as bounds on a `K`-keyed tree, or
@@ -497,11 +343,22 @@ fn typed_range<'a, K: IndexKey>(
     Some((lo, hi))
 }
 
-/// Build one column's tree by sort: `(key, id)` pairs (`id` = position
-/// in `keys`), sorted, equal keys grouped into ascending postings,
-/// bulk-loaded.
-fn sorted_tree<K: IndexKey>(keys: impl Iterator<Item = K>) -> BPlusTree<K, Posting> {
-    let mut pairs: Vec<(K, usize)> = keys.enumerate().map(|(id, key)| (key, id)).collect();
+/// Build one column's tree by sort: the `(key, id)` pairs of the live
+/// slots (`id` = position in `cells`), sorted, equal keys grouped into
+/// ascending postings, bulk-loaded. A dead slot's cell — a tombstone's
+/// placeholder or a deleted row's leftover — is never posted.
+fn sorted_tree<C, K: IndexKey>(
+    rows: &Columns,
+    cells: impl Iterator<Item = C>,
+    key: impl Fn(C) -> K,
+) -> BPlusTree<K, Posting> {
+    let mut pairs: Vec<(K, usize)> = Vec::with_capacity(rows.live());
+    pairs.extend(
+        cells
+            .enumerate()
+            .filter(|&(id, _)| rows.is_live(id))
+            .map(|(id, cell)| (key(cell), id)),
+    );
     pairs.sort_unstable();
     let same_key = |a: &(K, usize), b: &(K, usize)| a.0 == b.0;
     let mut entries = Vec::with_capacity(pairs.chunk_by(same_key).count());
@@ -515,50 +372,6 @@ fn sorted_tree<K: IndexKey>(keys: impl Iterator<Item = K>) -> BPlusTree<K, Posti
     // The pairs are spent: free them before the tree is allocated.
     drop(pairs);
     BPlusTree::bulk_load(entries)
-}
-
-/// Bulk-load flat entries that [`IndexedRelation::from_parts`] has
-/// validated: `lens` sums to `ids.len()`, and every key equals the
-/// indexed column of a live, schema-admitted row — so it has type `K`.
-fn packed_tree<K: IndexKey>(
-    keys: Vec<Value>,
-    lens: &[usize],
-    mut ids: &[usize],
-) -> BPlusTree<K, Posting> {
-    let entries = keys
-        .into_iter()
-        .zip(lens)
-        .map(|(key, &len)| {
-            let (posting, rest) = ids.split_at(len);
-            ids = rest;
-            let key = K::from_value(key).expect("a validated key has the column's type");
-            (key, Posting::from_ascending(posting))
-        })
-        .collect();
-    BPlusTree::bulk_load(entries)
-}
-
-/// One index's `(key, posting list)` entries in ascending key order
-/// ([`IndexedRelation::index_postings`]).
-pub struct IndexPostings<'a> {
-    keys: usize,
-    entries: Box<dyn Iterator<Item = (Value, &'a [usize])> + 'a>,
-}
-
-impl IndexPostings<'_> {
-    /// Number of distinct keys in the index (entries this iterator had
-    /// when it was created).
-    pub fn key_count(&self) -> usize {
-        self.keys
-    }
-}
-
-impl<'a> Iterator for IndexPostings<'a> {
-    type Item = (Value, &'a [usize]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.entries.next()
-    }
 }
 
 /// A relation plus B⁺-tree secondary indexes on selected columns.
@@ -589,20 +402,18 @@ impl IndexedRelation {
     /// `relation` becomes the next row (ids dense, in arrival order) of
     /// part `part_of(i)`, which must be `< parts`. Each part's columns are
     /// sized exactly before any row is copied in, and then indexed on
-    /// `cols` — the per-shard `Π` of a partitioned relation, with no
-    /// staging copy of the rows.
+    /// `cols` by [`Self::from_columns`] — the per-shard `Π` of a
+    /// partitioned relation, with no staging copy of the rows.
     pub fn build_split(
         relation: &Relation,
         parts: usize,
         part_of: impl Fn(usize) -> usize,
         cols: &[usize],
     ) -> Result<Vec<Self>, IndexedError> {
-        let schema = relation.schema();
-        Self::check_columns(schema, cols)?;
-        Ok(Columns::split(schema, relation.rows(), parts, part_of)
+        Columns::split(relation.schema(), relation.rows(), parts, part_of)
             .into_iter()
-            .map(|rows| Self::indexed(rows, cols))
-            .collect())
+            .map(|rows| Self::from_columns(rows, cols))
+            .collect()
     }
 
     /// [`Self::build`] over rows the caller hands over: row `i` gets id
@@ -617,21 +428,23 @@ impl IndexedRelation {
         Self::build(&relation, cols)
     }
 
-    /// Index `cols` (checked) of freshly stored `rows`, which hold no
-    /// tombstones.
-    fn indexed(rows: Columns, cols: &[usize]) -> Self {
-        debug_assert_eq!(
-            rows.live(),
-            rows.slot_count(),
-            "a build stores no tombstones"
-        );
+    /// Index `cols` of `rows` — the one constructor behind every
+    /// `IndexedRelation`. [`Self::build_split`] hands it freshly split
+    /// columns; the `pitract-store` loader hands it the slots a snapshot
+    /// decoded, tombstones included ([`Columns::push_slot`] admitted
+    /// every live row on the way in). Each indexed column is one sort of
+    /// its live slots, so a tombstone's placeholder is never posted; a
+    /// column named twice is indexed once.
+    pub fn from_columns(mut rows: Columns, cols: &[usize]) -> Result<Self, IndexedError> {
+        Self::check_columns(rows.schema(), cols)?;
+        rows.shrink_to_fit();
         let mut indexes: Vec<Option<ColumnIndex>> = vec![None; rows.schema().arity()];
         for &col in cols {
             if indexes[col].is_none() {
-                indexes[col] = Some(ColumnIndex::build(rows.column(col)));
+                indexes[col] = Some(ColumnIndex::build(&rows, col));
             }
         }
-        IndexedRelation { rows, indexes }
+        Ok(IndexedRelation { rows, indexes })
     }
 
     /// Does every entry of `cols` name a column of `schema`? The check
@@ -925,117 +738,6 @@ impl IndexedRelation {
     pub fn slot_count(&self) -> usize {
         self.rows.slot_count()
     }
-
-    /// The `(key, posting list)` entries of one column's index in
-    /// ascending key order, or `None` if the column is unindexed
-    /// (persistence accessor).
-    pub fn index_postings(&self, col: usize) -> Option<IndexPostings<'_>> {
-        self.index(col).map(ColumnIndex::postings)
-    }
-
-    /// Reassemble an `IndexedRelation` from previously exported parts:
-    /// the slots, tombstones as `None`, are appended to fresh storage one
-    /// by one (each live row admitted by the schema), then handed to
-    /// [`Self::from_columns`].
-    pub fn from_parts(
-        schema: Schema,
-        slots: Vec<Option<Vec<Value>>>,
-        indexes: Vec<IndexEntries>,
-    ) -> Result<Self, IndexedError> {
-        let mut rows = Columns::new(schema);
-        for slot in slots {
-            rows.push_slot(slot.as_deref())?;
-        }
-        Self::from_columns(rows, indexes)
-    }
-
-    /// Reassemble an `IndexedRelation` from loaded row storage and its
-    /// exported indexes — the warm-start path used by `pitract-store`,
-    /// which decodes the slots straight into `rows`. Each index is
-    /// reconstructed with [`BPlusTree::bulk_load`] from its ascending
-    /// entries in O(n): no sort, no descents.
-    ///
-    /// Validation keeps a structurally corrupt input from producing a
-    /// relation that would answer differently (or panic) later: every
-    /// live row was admitted by the schema on its way into `rows`, index
-    /// columns must be in range and distinct, keys must be strictly
-    /// ascending, and every posting must point at a live row holding
-    /// that key.
-    pub fn from_columns(
-        mut rows: Columns,
-        indexes: Vec<IndexEntries>,
-    ) -> Result<Self, IndexedError> {
-        rows.shrink_to_fit();
-        let live = rows.live();
-        let arity = rows.schema().arity();
-        let mut trees: Vec<Option<ColumnIndex>> = vec![None; arity];
-        for IndexEntries {
-            col,
-            keys,
-            lens,
-            ids,
-        } in indexes
-        {
-            if col >= arity {
-                return Err(IndexedError::ColumnOutOfRange { col, arity });
-            }
-            if trees[col].is_some() {
-                return Err(IndexedError::DuplicateIndex { col });
-            }
-            let posted = lens
-                .iter()
-                .try_fold(0usize, |sum, &len| sum.checked_add(len));
-            if lens.len() != keys.len() || posted != Some(ids.len()) {
-                return Err(IndexedError::MalformedEntries { col });
-            }
-            if keys.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(IndexedError::KeysNotAscending { col });
-            }
-            let mut rest = ids.as_slice();
-            for (key, &len) in keys.iter().zip(&lens) {
-                let (posting, tail) = rest.split_at(len);
-                rest = tail;
-                if posting.is_empty() {
-                    return Err(IndexedError::EmptyPosting {
-                        col,
-                        key: key.to_string(),
-                    });
-                }
-                if posting.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(IndexedError::PostingNotAscending {
-                        col,
-                        key: key.to_string(),
-                    });
-                }
-                for &id in posting {
-                    let lives = rows.row(id).is_some_and(|row| row.get(col) == *key);
-                    if !lives {
-                        return Err(IndexedError::DanglingPosting { col, id });
-                    }
-                }
-            }
-            // Ascending distinct keys + ascending distinct ids per posting
-            // + every posting pointing at a live row with its key + the
-            // counts matching: the postings are exactly the live rows.
-            if ids.len() != live {
-                return Err(IndexedError::PostingCountMismatch {
-                    col,
-                    posted: ids.len(),
-                    live,
-                });
-            }
-            trees[col] = Some(ColumnIndex::from_entries(
-                rows.schema().col_type(col),
-                keys,
-                &lens,
-                &ids,
-            ));
-        }
-        Ok(IndexedRelation {
-            rows,
-            indexes: trees,
-        })
-    }
 }
 
 /// Approximate comparison cost of one descent, charged to the meter for
@@ -1058,6 +760,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ColType;
     use pitract_core::cost::{assert_steps_within, CostClass};
 
     fn schema() -> Schema {
@@ -1282,11 +985,11 @@ mod tests {
 
     #[test]
     fn errors_are_typed_and_std() {
-        // Regression (stringly-typed error path): build/insert/from_parts
+        // Regression (stringly-typed error path): build/insert/from_columns
         // all return `IndexedError` now, a real `std::error::Error` with
         // distinct, specific Display per failure class.
         fn takes_error(_: &dyn std::error::Error) {}
-        takes_error(&IndexedError::KeysNotAscending { col: 1 });
+        takes_error(&IndexedError::ColumnOutOfRange { col: 1, arity: 1 });
 
         let mut ir = IndexedRelation::build(&big_relation(5), &[0]).unwrap();
         let err = ir.insert(vec![Value::Int(1)]).unwrap_err();
@@ -1295,26 +998,6 @@ mod tests {
         let cases = [
             IndexedError::ColumnOutOfRange { col: 9, arity: 2 }.to_string(),
             IndexedError::RowRejected("arity".into()).to_string(),
-            IndexedError::DuplicateIndex { col: 1 }.to_string(),
-            IndexedError::MalformedEntries { col: 1 }.to_string(),
-            IndexedError::KeysNotAscending { col: 1 }.to_string(),
-            IndexedError::EmptyPosting {
-                col: 1,
-                key: "k".into(),
-            }
-            .to_string(),
-            IndexedError::PostingNotAscending {
-                col: 1,
-                key: "k".into(),
-            }
-            .to_string(),
-            IndexedError::DanglingPosting { col: 1, id: 7 }.to_string(),
-            IndexedError::PostingCountMismatch {
-                col: 1,
-                posted: 3,
-                live: 5,
-            }
-            .to_string(),
         ];
         let mut distinct = cases.to_vec();
         distinct.sort();
@@ -1476,36 +1159,48 @@ mod tests {
         assert!(!rel.eval_scan(&SelectionQuery::point(0, 2i64)));
     }
 
-    pub(super) fn export_parts(
-        ir: &IndexedRelation,
-    ) -> (Schema, Vec<Option<Vec<Value>>>, Vec<IndexEntries>) {
-        let indexes = ir
-            .indexed_columns()
+    /// One index's `(key, posting)` entries in key order.
+    pub(super) type Entries = Vec<(Value, Vec<usize>)>;
+
+    /// Every indexed column with its entries, read straight out of the
+    /// trees.
+    pub(super) fn postings(ir: &IndexedRelation) -> Vec<(usize, Entries)> {
+        ir.indexed_columns()
             .into_iter()
             .map(|col| {
-                let mut entries = IndexEntries::new(col);
-                for (key, posting) in ir.index_postings(col).expect("column is indexed") {
-                    entries.push(key, posting);
-                }
-                entries
+                let index = ir.index(col).expect("column is indexed");
+                let entries = with_tree!(index, tree => tree
+                    .iter()
+                    .map(|(key, posting)| (Value::from(key.to_owned()), posting.as_slice().to_vec()))
+                    .collect());
+                (col, entries)
             })
-            .collect();
-        let slots = ir.slots().map(|slot| slot.map(RowRef::to_vec)).collect();
-        (ir.schema().clone(), slots, indexes)
+            .collect()
+    }
+
+    /// `ir` reassembled the way a snapshot load does it: every slot,
+    /// tombstones included, appended through [`Columns::push_slot`], then
+    /// indexed on the same columns by [`IndexedRelation::from_columns`].
+    pub(super) fn reload(ir: &IndexedRelation) -> IndexedRelation {
+        let mut rows = Columns::new(ir.schema().clone());
+        for slot in ir.slots() {
+            rows.push_slot(slot.map(RowRef::to_vec).as_deref()).unwrap();
+        }
+        IndexedRelation::from_columns(rows, &ir.indexed_columns()).unwrap()
     }
 
     #[test]
-    fn from_parts_preserves_answers_and_ids() {
+    fn from_columns_preserves_answers_and_ids() {
         let mut ir = IndexedRelation::build(&big_relation(100), &[0, 1]).unwrap();
         ir.delete(17);
         ir.delete(40);
         ir.insert(vec![Value::Int(777), Value::str("late")])
             .unwrap();
-        let (schema, slots, indexes) = export_parts(&ir);
-        let rebuilt = IndexedRelation::from_parts(schema, slots, indexes).unwrap();
+        let rebuilt = reload(&ir);
         assert_eq!(rebuilt.len(), ir.len());
         assert_eq!(rebuilt.slot_count(), ir.slot_count());
         assert_eq!(rebuilt.indexed_columns(), ir.indexed_columns());
+        assert_eq!(postings(&rebuilt), postings(&ir));
         let meter = Meter::new();
         for q in [
             SelectionQuery::point(0, 17i64),
@@ -1526,107 +1221,48 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_corrupt_structures() {
-        let ir = IndexedRelation::build(&big_relation(10), &[0]).unwrap();
-        let (schema, slots, indexes) = export_parts(&ir);
-
-        // Index column out of range.
-        let bad = vec![IndexEntries::new(5)];
+    fn from_columns_rejects_out_of_range_columns() {
+        let rows = || Columns::split(&schema(), big_relation(10).rows(), 1, |_| 0).remove(0);
         assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
+            IndexedRelation::from_columns(rows(), &[0, 5]).unwrap_err(),
             IndexedError::ColumnOutOfRange { col: 5, arity: 2 }
         );
-
-        // Posting pointing at a dead/mismatched row.
-        let mut bad = indexes.clone();
-        bad[0].ids[0] = 9999;
+        let twice = IndexedRelation::from_columns(rows(), &[1, 1]).unwrap();
         assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::DanglingPosting { col: 0, id: 9999 }
+            twice.indexed_columns(),
+            vec![1],
+            "a repeated column is one index"
         );
-
-        // Keys out of order.
-        let mut bad = indexes.clone();
-        bad[0].keys.swap(0, 1);
-        bad[0].ids.swap(0, 1);
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::KeysNotAscending { col: 0 }
-        );
-
-        // A posting silently dropped (index incomplete).
-        let mut bad = indexes.clone();
-        bad[0].keys.remove(3);
-        bad[0].lens.remove(3);
-        bad[0].ids.remove(3);
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::PostingCountMismatch {
-                col: 0,
-                posted: 9,
-                live: 10,
-            }
-        );
-
-        // An emptied posting; and one whose ids run backwards (two rows
-        // share "city3" once the relation is indexed on `city`).
-        let mut bad = indexes.clone();
-        bad[0].lens[4] = 0;
-        bad[0].ids.remove(4);
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::EmptyPosting {
-                col: 0,
-                key: "4".into(),
-            }
-        );
-        let by_city = IndexedRelation::build(&big_relation(20), &[1]).unwrap();
-        let (city_schema, city_slots, mut bad) = export_parts(&by_city);
-        bad[0].ids.swap(6, 7); // "city3" posts [3, 13]
-        assert_eq!(
-            IndexedRelation::from_parts(city_schema, city_slots, bad).unwrap_err(),
-            IndexedError::PostingNotAscending {
-                col: 1,
-                key: "\"city3\"".into(),
-            }
-        );
-
-        // The same column twice: refused before the second copy is loaded.
-        let mut bad = indexes.clone();
-        bad.push(indexes[0].clone());
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::DuplicateIndex { col: 0 }
-        );
-
-        // Flat entries that do not fit together: a length too many, and
-        // lengths that overrun the ids.
-        let mut bad = indexes.clone();
-        bad[0].lens.push(1);
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::MalformedEntries { col: 0 }
-        );
-        let mut bad = indexes.clone();
-        bad[0].lens[0] = usize::MAX;
-        assert_eq!(
-            IndexedRelation::from_parts(schema.clone(), slots.clone(), bad).unwrap_err(),
-            IndexedError::MalformedEntries { col: 0 }
-        );
-
-        // The unmodified export still loads.
-        assert!(IndexedRelation::from_parts(schema, slots, indexes).is_ok());
     }
 
+    /// A dead slot's cells — a tombstone's `0` / `""` placeholder, or a
+    /// deleted row's leftover — are never posted: a probe for the
+    /// placeholder value sees only live rows, before and after a row
+    /// holding it arrives.
     #[test]
-    fn index_postings_are_ascending_and_complete() {
-        let mut ir = IndexedRelation::build(&big_relation(30), &[1]).unwrap();
+    fn placeholders_are_never_posted() {
+        let mut rows = Columns::new(schema());
+        rows.push_slot(None).unwrap();
+        rows.push_slot(Some(&[Value::Int(5), Value::str("x")]))
+            .unwrap();
+        let mut ir = IndexedRelation::from_columns(rows, &[0, 1]).unwrap();
+        ir.insert(vec![Value::Int(0), Value::str("")]).unwrap();
         ir.delete(2);
-        let postings: Vec<(Value, &[usize])> = ir.index_postings(1).unwrap().collect();
-        assert!(postings.windows(2).all(|w| w[0].0 < w[1].0), "keys sorted");
-        let total: usize = postings.iter().map(|(_, p)| p.len()).sum();
-        assert_eq!(total, ir.len(), "one posting per live row");
-        assert!(ir.index_postings(0).is_none(), "unindexed column");
+        let zero = SelectionQuery::point(0, 0i64);
+        let empty = SelectionQuery::point(1, "");
+        let around = SelectionQuery::range_closed(0, -1i64, 1i64);
+        let meter = Meter::new();
+        for ir in [&ir, &reload(&ir)] {
+            for q in [&zero, &empty, &around] {
+                assert!(!ir.answer(q), "{q:?}");
+                assert!(ir.matching_ids_metered(q, &meter).is_empty(), "{q:?}");
+            }
+            assert_eq!(postings(ir)[0].1, vec![(Value::Int(5), vec![1])]);
+        }
+        let id = ir.insert(vec![Value::Int(0), Value::str("")]).unwrap();
+        for q in [&zero, &empty, &around] {
+            assert_eq!(ir.matching_ids_metered(q, &meter), vec![id], "{q:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! insert-by-insert constructions agree, and the columns hold, answer
 //! and meter exactly what a `Vec<Option<Vec<Value>>>` of slots would.
 
-use super::tests::export_parts;
+use super::tests::{postings, reload};
 use super::*;
+use crate::schema::ColType;
 use proptest::prelude::*;
 
 /// Per column: `(is_str, domain)`. A domain of 4 makes a duplicate-heavy
@@ -120,7 +121,7 @@ fn audit(ir: &IndexedRelation) -> Result<(), String> {
                 if !ids.windows(2).all(|w| w[0] < w[1]) {
                     return Err(format!("column {col}: {posting:?} not ascending"));
                 }
-                let key = key.to_value();
+                let key = Value::from(key.to_owned());
                 if !ids.iter().all(|&id| ir.row(id).is_some_and(|row| row.get(col) == key)) {
                     return Err(format!("column {col}: {posting:?} posts a row without {key}"));
                 }
@@ -167,7 +168,9 @@ fn indexed(columns: &Columns, mask: u8) -> Vec<usize> {
 proptest! {
     /// (a) + (d): after a random interleaving of inserts and deletes the
     /// index answers like a scan on every query shape, stays structurally
-    /// sound, and survives an export / `from_parts` round trip.
+    /// sound, and survives the load path — slots through
+    /// `Columns::push_slot`, trees rebuilt by `from_columns` — with the
+    /// same `(key, posting)` entries.
     #[test]
     fn churned_index_answers_like_a_scan(
         kinds in prop::collection::vec(0u8..4, 1..4),
@@ -186,10 +189,10 @@ proptest! {
             }
         }
         audit(&ir).map_err(TestCaseError::fail)?;
-        let (schema, slots, entries) = export_parts(&ir);
-        let reloaded = IndexedRelation::from_parts(schema, slots, entries.clone()).unwrap();
+        let reloaded = reload(&ir);
         audit(&reloaded).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(&export_parts(&reloaded).2, &entries);
+        prop_assert_eq!(reloaded.slot_count(), ir.slot_count());
+        prop_assert_eq!(postings(&reloaded), postings(&ir));
         for q in queries(&columns, &raw_queries) {
             check_against_scan(&ir, &q)?;
             check_against_scan(&reloaded, &q)?;
@@ -220,7 +223,8 @@ proptest! {
         }
         audit(&sorted).map_err(TestCaseError::fail)?;
         audit(&inserted).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(export_parts(&sorted), export_parts(&inserted));
+        prop_assert_eq!(sorted.to_relation(), inserted.to_relation());
+        prop_assert_eq!(postings(&sorted), postings(&inserted));
         let meter = Meter::new();
         for q in queries(&columns, &raw_queries) {
             check_against_scan(&sorted, &q)?;

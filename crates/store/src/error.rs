@@ -5,9 +5,11 @@
 //! are mutually inconsistent — maps to a distinct [`StoreError`] variant,
 //! so callers can distinguish "retry with a rebuild" from "this file was
 //! written by a newer binary" without parsing prose. Loading never
-//! panics: the decoder bounds-checks every read and the builders
-//! (`from_columns`, `from_parts`) validate structural invariants before
-//! constructing.
+//! panics: the decoder bounds-checks every read, each decoded row is
+//! admitted by its schema, an indexed column must exist, and
+//! `ShardedRelation::from_parts` checks routing and the id maps before
+//! anything is constructed. No index is read from disk, so none can be
+//! inconsistent: every tree is rebuilt from the rows.
 
 use crate::snapshot::SnapshotKind;
 use pitract_engine::EngineError;
@@ -22,12 +24,12 @@ pub enum StoreError {
     /// The file does not start with the snapshot magic tag — it is not a
     /// snapshot at all.
     BadMagic,
-    /// The file's format version differs from the one this binary
-    /// understands.
+    /// The file's format version is not one this binary understands (it
+    /// reads every version up to the one it writes).
     VersionMismatch {
         /// Version found in the header.
         found: u16,
-        /// Version this binary reads and writes.
+        /// Version this binary writes.
         expected: u16,
     },
     /// The checksum over the file body does not match the stored trailer:
@@ -53,8 +55,9 @@ pub enum StoreError {
     /// The decoded parts were rejected by the engine's reconstruction
     /// validation.
     Engine(EngineError),
-    /// The decoded parts were rejected by the indexed-relation layer's
-    /// reconstruction validation (dangling postings, key order, …).
+    /// The decoded parts were rejected by the indexed-relation layer: a
+    /// row its schema does not admit, or an indexed column the schema
+    /// lacks.
     Indexed(IndexedError),
     /// A catalog snapshot name that could escape the catalog directory or
     /// collide with its bookkeeping (empty, path separators, dots).
@@ -68,7 +71,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a snapshot file (bad magic tag)"),
             StoreError::VersionMismatch { found, expected } => write!(
                 f,
-                "snapshot format version {found} is not the supported version {expected}"
+                "snapshot format version {found} is not supported (this binary reads 1 through {expected})"
             ),
             StoreError::ChecksumMismatch => {
                 write!(
@@ -143,7 +146,7 @@ mod tests {
                 expected: SnapshotKind::IndexedRelation,
                 found: SnapshotKind::HopLabels,
             },
-            StoreError::Indexed(IndexedError::KeysNotAscending { col: 0 }),
+            StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 }),
             StoreError::InvalidName("../etc".into()),
         ];
         let mut msgs: Vec<String> = cases.iter().map(|e| e.to_string()).collect();
@@ -157,7 +160,7 @@ mod tests {
         use std::error::Error as _;
         let e = StoreError::Engine(EngineError::NoShards);
         assert!(e.source().is_some());
-        let e = StoreError::Indexed(IndexedError::KeysNotAscending { col: 0 });
+        let e = StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 });
         assert!(e.source().is_some());
         let e = StoreError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, "gone"));
         assert!(e.source().is_some());

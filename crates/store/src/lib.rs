@@ -5,8 +5,11 @@
 //! sibling crates build the preprocessed structures; this crate makes the
 //! "once" literal: a preprocessed structure is serialized to a versioned,
 //! checksummed binary snapshot, and a fresh process warm-starts by
-//! loading the snapshot instead of re-running `Π(D)` — turning every
-//! boot after the first from an O(n log n) rebuild into an O(n) read.
+//! loading the snapshot. A relation is persisted as `D` — its row slots,
+//! tombstones and id maps, and the list of columns it indexes — and a
+//! load rebuilds its B⁺-trees by sort, which since the build-by-sort
+//! costs about what decoding persisted postings did. 2-hop labels, whose
+//! preprocessing is costly and not a sort, are persisted whole.
 //!
 //! * [`snapshot::Snapshot`] — save/load for the three production
 //!   structures: [`pitract_relation::indexed::IndexedRelation`],
@@ -52,7 +55,7 @@
 //! let catalog = SnapshotCatalog::open(&dir).unwrap();
 //! catalog.save("ids", &Snapshot::Indexed(indexed)).unwrap();
 //!
-//! // …and warm-started by a fresh engine, no rebuild.
+//! // …and warm-started by a fresh engine, the tree sorted from the rows.
 //! let served = catalog.load("ids").unwrap().into_indexed().unwrap();
 //! assert!(served.answer(&SelectionQuery::point(0, 999i64)));
 //! # std::fs::remove_dir_all(&dir).unwrap();

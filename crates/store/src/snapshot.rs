@@ -1,12 +1,12 @@
 //! The versioned snapshot file format and its save/load entry points.
 //!
-//! # On-disk layout (format version 1)
+//! # On-disk layout (format version 2)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRSNAP"
-//! 8       2     format version, u16 LE (currently 1)
+//! 8       2     format version, u16 LE (currently 2)
 //! 10      2     structure kind, u16 LE (see [`SnapshotKind`])
 //! 12      4     section count k, u32 LE
 //! 16      12*k  section table: k entries of (tag: u32 LE, len: u64 LE);
@@ -20,25 +20,40 @@
 //!
 //! | kind | sections (tag) |
 //! |---|---|
-//! | `IndexedRelation` | schema (1), row slots incl. tombstones (2), per-column index postings (3) |
-//! | `ShardedRelation` | schema (1), shard_by (4), per-shard bodies (5), global-id maps (6), locations (7) |
+//! | `IndexedRelation` | schema (1), row slots incl. tombstones (2), indexed columns (14) |
+//! | `ShardedRelation` | schema (1), shard_by (4), per-shard row slots incl. tombstones (5), global-id maps (6), locations (7), indexed columns (14) |
 //! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
 //! | `UpdateLog` | logged insert/delete entries (11) |
 //! | `LiveCheckpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
+//!
+//! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
+//! columns it indexes, never a posting. A load decodes the rows and
+//! rebuilds every tree by sort through
+//! [`IndexedRelation::from_columns`], which costs about what reading
+//! the postings back used to, and leaves no index on disk that could
+//! disagree with its rows. `HopLabels` keep their labels: 2-hop
+//! labelling is costly PTIME preprocessing, not a sort.
+//!
+//! Version 1 files load through the same path. A v1 body follows its
+//! rows with its index postings (section 3 of an `IndexedRelation`;
+//! after each shard's rows in section 5); the reader steps over them
+//! with the bounds-checked codec, keeps each index's column number as
+//! the columns to index, and never looks at a posting.
 //!
 //! Readers locate sections by tag, so a future version may append new
 //! sections without breaking old payload parsing — the cut-epoch
 //! section (13) is exactly such an append: files written before it
 //! existed load with epoch 0. Any change to an
-//! existing section's encoding must bump the format version, which this
-//! reader rejects with [`StoreError::VersionMismatch`]. Corruption is
+//! existing section's encoding must bump the format version; this
+//! reader accepts every version it ever wrote and rejects any other
+//! with [`StoreError::VersionMismatch`]. Corruption is
 //! caught in layers: the checksum rejects bit rot and truncation, the
-//! bounds-checked codec rejects structurally impossible payloads, and the
-//! `from_columns` / `from_parts` constructors (with
-//! `Columns::push_slot`, which admits each decoded row) reject
-//! decodable-but-inconsistent parts. A
-//! golden fixture test pins the byte-level format so accidental encoding
-//! drift fails CI.
+//! bounds-checked codec rejects structurally impossible payloads, and
+//! the constructors reject decodable-but-inconsistent parts:
+//! `Columns::push_slot` admits each decoded row, `from_columns` refuses
+//! an indexed column the schema lacks, and `ShardedRelation::from_parts`
+//! checks routing and the id maps. Golden fixture tests pin the
+//! byte-level format so accidental encoding drift fails CI.
 
 use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
@@ -46,7 +61,7 @@ use pitract_core::epoch::Epoch;
 use pitract_core::hash::fnv1a64;
 use pitract_engine::{ShardBy, ShardedRelation, UpdateEntry, UpdateLog};
 use pitract_graph::hop::HopLabels;
-use pitract_relation::indexed::{IndexEntries, IndexedRelation};
+use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{Columns, Schema};
 use std::fmt;
 use std::path::Path;
@@ -54,12 +69,14 @@ use std::path::Path;
 /// The 8-byte magic tag opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PITRSNAP";
 
-/// The format version this binary writes and the only one it reads.
-pub const FORMAT_VERSION: u16 = 1;
+/// The format version this binary writes — the revision of
+/// [`Snapshot`]'s bytes. It reads this one and every earlier one.
+pub const FORMAT_VERSION: u16 = 2;
 
 const SEC_SCHEMA: u32 = 1;
 const SEC_ROWS: u32 = 2;
-const SEC_INDEXES: u32 = 3;
+/// Version 1 only: a standalone relation's index postings.
+const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARD_BY: u32 = 4;
 const SEC_SHARDS: u32 = 5;
 const SEC_GLOBAL_IDS: u32 = 6;
@@ -70,6 +87,7 @@ const SEC_RANK: u32 = 10;
 const SEC_LOG: u32 = 11;
 const SEC_WAL_MARK: u32 = 12;
 const SEC_EPOCH: u32 = 13;
+const SEC_INDEXED_COLS: u32 = 14;
 
 /// Which preprocessed structure a snapshot holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,6 +146,12 @@ impl fmt::Display for SnapshotKind {
 }
 
 /// A preprocessed structure ready to persist, or freshly loaded.
+///
+/// **Revision 2** ([`FORMAT_VERSION`]): a relation is written as its
+/// row slots and its list of indexed columns (section 14), with no
+/// postings; a load rebuilds the trees by sort. Revision 1 wrote every
+/// index's postings after its rows; those files still load, through the
+/// same path, with the postings skipped unread.
 #[derive(Debug)]
 pub enum Snapshot {
     /// A per-column-indexed relation.
@@ -274,22 +298,7 @@ impl Snapshot {
                 sections
             }
         };
-        let mut w = Writer::new();
-        w.raw(&MAGIC);
-        w.u16(FORMAT_VERSION);
-        w.u16(self.kind().code());
-        w.u32(sections.len() as u32);
-        for (tag, payload) in &sections {
-            w.u32(*tag);
-            w.u64(payload.len() as u64);
-        }
-        for (_, payload) in &sections {
-            w.raw(payload);
-        }
-        let mut bytes = w.into_bytes();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
-        bytes
+        frame(self.kind(), &sections)
     }
 
     /// Parse a snapshot from bytes, validating magic, version, checksum,
@@ -305,13 +314,7 @@ impl Snapshot {
             return Err(StoreError::BadMagic);
         }
         let mut header = Reader::new(&bytes[8..16]);
-        let version = header.u16()?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::VersionMismatch {
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
+        let version = readable(header.u16()?)?;
         let body = &bytes[..bytes.len() - 8];
         let stored = Reader::new(&bytes[bytes.len() - 8..]).u64()?;
         if fnv1a64(body) != stored {
@@ -366,12 +369,20 @@ impl Snapshot {
         match kind {
             SnapshotKind::IndexedRelation => {
                 let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
-                decode_indexed(schema, section(SEC_ROWS)?, section(SEC_INDEXES)?)
-                    .map(Snapshot::Indexed)
+                let rows = finish(section(SEC_ROWS)?, |r| read_rows(r, &schema))?;
+                let cols = match version {
+                    1 => finish(section(SEC_V1_INDEXES)?, skip_v1_indexes)?,
+                    _ => finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?,
+                };
+                Ok(Snapshot::Indexed(IndexedRelation::from_columns(
+                    rows, &cols,
+                )?))
             }
-            SnapshotKind::ShardedRelation => decode_sharded(&section).map(Snapshot::Sharded),
+            SnapshotKind::ShardedRelation => {
+                decode_sharded(version, &section).map(Snapshot::Sharded)
+            }
             SnapshotKind::LiveCheckpoint => {
-                let state = decode_sharded(&section)?;
+                let state = decode_sharded(version, &section)?;
                 let wal_lsn = finish(section(SEC_WAL_MARK)?, Reader::u64)?;
                 // The epoch section was appended to the format later;
                 // checkpoints written before it carry an implicit 0.
@@ -437,14 +448,41 @@ pub fn peek_kind(header: &[u8]) -> Result<SnapshotKind, StoreError> {
         return Err(StoreError::BadMagic);
     }
     let mut r = Reader::new(&header[8..12]);
-    let version = r.u16()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::VersionMismatch {
+    readable(r.u16()?)?;
+    SnapshotKind::from_code(r.u16()?)
+}
+
+/// `version`, if this binary reads it: every version it ever wrote,
+/// 1 through [`FORMAT_VERSION`].
+fn readable(version: u16) -> Result<u16, StoreError> {
+    if (1..=FORMAT_VERSION).contains(&version) {
+        Ok(version)
+    } else {
+        Err(StoreError::VersionMismatch {
             found: version,
             expected: FORMAT_VERSION,
-        });
+        })
     }
-    SnapshotKind::from_code(r.u16()?)
+}
+
+/// A snapshot file: header, section table, payloads, checksum.
+fn frame(kind: SnapshotKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(&MAGIC);
+    w.u16(FORMAT_VERSION);
+    w.u16(kind.code());
+    w.u32(sections.len() as u32);
+    for (tag, payload) in sections {
+        w.u32(*tag);
+        w.u64(payload.len() as u64);
+    }
+    for (_, payload) in sections {
+        w.raw(payload);
+    }
+    let mut bytes = w.into_bytes();
+    let checksum = fnv1a64(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
 /// Atomic file replacement: write to a uniquely named `.tmp` sibling,
@@ -514,38 +552,24 @@ fn finish<'a, T>(
 fn encode_indexed_sections(ir: &IndexedRelation) -> Vec<(u32, Vec<u8>)> {
     let mut schema_w = Writer::new();
     schema_w.schema(ir.schema());
-    let mut body_rows = Writer::new();
-    let mut body_indexes = Writer::new();
-    write_indexed_body(ir, &mut body_rows, &mut body_indexes);
+    let mut rows = Writer::new();
+    write_rows(ir, &mut rows);
+    let mut cols = Writer::new();
+    cols.usize_seq(&ir.indexed_columns());
     vec![
         (SEC_SCHEMA, schema_w.into_bytes()),
-        (SEC_ROWS, body_rows.into_bytes()),
-        (SEC_INDEXES, body_indexes.into_bytes()),
+        (SEC_ROWS, rows.into_bytes()),
+        (SEC_INDEXED_COLS, cols.into_bytes()),
     ]
 }
 
-/// Rows (slots incl. tombstones) and index postings of one
-/// `IndexedRelation`, written with the shared encoding used both for a
-/// standalone snapshot's sections and for each shard inside a
-/// `ShardedRelation` snapshot.
-fn write_indexed_body(ir: &IndexedRelation, rows: &mut Writer, indexes: &mut Writer) {
-    rows.usize(ir.slot_count());
+/// The row slots of one `IndexedRelation`, tombstones included — the
+/// body shared by a standalone snapshot's rows section and by each shard
+/// inside a `ShardedRelation` snapshot.
+fn write_rows(ir: &IndexedRelation, w: &mut Writer) {
+    w.usize(ir.slot_count());
     for slot in ir.slots() {
-        rows.opt_row(slot);
-    }
-    let cols: Vec<(usize, _)> = ir
-        .indexed_columns()
-        .into_iter()
-        .filter_map(|col| ir.index_postings(col).map(|p| (col, p)))
-        .collect();
-    indexes.usize(cols.len());
-    for (col, postings) in cols {
-        indexes.usize(col);
-        indexes.usize(postings.key_count());
-        for (key, ids) in postings {
-            indexes.value(&key);
-            indexes.usize_seq(ids);
-        }
+        w.opt_row(slot);
     }
 }
 
@@ -562,41 +586,22 @@ fn read_rows(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError>
     Ok(rows)
 }
 
-fn read_indexes(r: &mut Reader<'_>) -> Result<Vec<IndexEntries>, StoreError> {
+/// Step over a version-1 body's index postings, keeping each index's
+/// column number: the columns to rebuild. Every read is bounds-checked,
+/// but no posting is kept or validated — the trees come from the rows.
+fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
     let n = r.count(1)?;
-    let mut out = Vec::with_capacity(n);
+    let mut cols = Vec::with_capacity(n);
     for _ in 0..n {
-        let col = r.usize()?;
-        let key_count = r.count(1)?;
-        // Flat: three allocations per index, not one per key. Every key
-        // posts at least one id on a valid file, hence the ids' capacity.
-        let mut entries = IndexEntries {
-            col,
-            keys: Vec::with_capacity(key_count),
-            lens: Vec::with_capacity(key_count),
-            ids: Vec::with_capacity(key_count),
-        };
-        for _ in 0..key_count {
-            entries.keys.push(r.value()?);
-            let len = r.count(8)?;
-            entries.lens.push(len);
-            for _ in 0..len {
-                entries.ids.push(r.usize()?);
-            }
+        cols.push(r.usize()?);
+        for _ in 0..r.count(1)? {
+            r.value()?;
+            // `count(8)` has checked that `ids` u64s remain.
+            let ids = r.count(8)?;
+            r.take(ids * 8)?;
         }
-        out.push(entries);
     }
-    Ok(out)
-}
-
-fn decode_indexed(
-    schema: Schema,
-    rows: Reader<'_>,
-    indexes: Reader<'_>,
-) -> Result<IndexedRelation, StoreError> {
-    let rows = finish(rows, |r| read_rows(r, &schema))?;
-    let index_entries = finish(indexes, read_indexes)?;
-    Ok(IndexedRelation::from_columns(rows, index_entries)?)
+    Ok(cols)
 }
 
 fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
@@ -619,17 +624,19 @@ fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
         }
     }
 
+    // One rows body per shard; the schema and the indexed columns, which
+    // every shard shares, are written once for the whole relation.
     let mut shards_w = Writer::new();
     shards_w.usize(sr.shard_count());
     for shard in sr.shards() {
-        // Concatenate the rows + indexes bodies per shard; the schema is
-        // written once for the whole relation.
-        let mut rows = Writer::new();
-        let mut indexes = Writer::new();
-        write_indexed_body(shard, &mut rows, &mut indexes);
-        shards_w.raw(&rows.into_bytes());
-        shards_w.raw(&indexes.into_bytes());
+        write_rows(shard, &mut shards_w);
     }
+    let mut cols = Writer::new();
+    cols.usize_seq(
+        &sr.shards()
+            .first()
+            .map_or_else(Vec::new, IndexedRelation::indexed_columns),
+    );
 
     let mut gids_w = Writer::new();
     gids_w.usize(sr.global_id_maps().len());
@@ -656,26 +663,37 @@ fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
         (SEC_SHARDS, shards_w.into_bytes()),
         (SEC_GLOBAL_IDS, gids_w.into_bytes()),
         (SEC_LOCATIONS, loc_w.into_bytes()),
+        (SEC_INDEXED_COLS, cols.into_bytes()),
     ]
 }
 
-/// Decode a `ShardedRelation` from its sections, located by `section` —
-/// shared by the plain `ShardedRelation` kind and the `LiveCheckpoint`
-/// kind (which carries the same state plus a WAL mark).
+/// Decode a `ShardedRelation` of format `version` from its sections,
+/// located by `section` — shared by the plain `ShardedRelation` kind and
+/// the `LiveCheckpoint` kind (which carries the same state plus a WAL
+/// mark).
 fn decode_sharded<'a>(
+    version: u16,
     section: &impl Fn(u32) -> Result<Reader<'a>, StoreError>,
 ) -> Result<ShardedRelation, StoreError> {
     let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
     let shard_by = finish(section(SEC_SHARD_BY)?, read_shard_by)?;
+    let shared_cols = match version {
+        1 => None,
+        _ => Some(finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?),
+    };
     let mut shards_r = section(SEC_SHARDS)?;
     let shard_count = shards_r.count(2)?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        // Per-shard body: the same rows + indexes encoding as a
-        // standalone IndexedRelation, sharing one schema.
+        // Per-shard body: the same rows encoding as a standalone
+        // IndexedRelation, sharing one schema.
         let rows = read_rows(&mut shards_r, &schema)?;
-        let indexes = read_indexes(&mut shards_r)?;
-        shards.push(IndexedRelation::from_columns(rows, indexes)?);
+        let cols = match &shared_cols {
+            Some(cols) => cols.clone(),
+            // A v1 body follows its rows with that shard's postings.
+            None => skip_v1_indexes(&mut shards_r)?,
+        };
+        shards.push(IndexedRelation::from_columns(rows, &cols)?);
     }
     if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
@@ -908,21 +926,7 @@ mod tests {
         let mut mark = Writer::new();
         mark.u64(9);
         sections.push((SEC_WAL_MARK, mark.into_bytes()));
-        let mut w = Writer::new();
-        w.raw(&MAGIC);
-        w.u16(FORMAT_VERSION);
-        w.u16(SnapshotKind::LiveCheckpoint.code());
-        w.u32(sections.len() as u32);
-        for (tag, payload) in &sections {
-            w.u32(*tag);
-            w.u64(payload.len() as u64);
-        }
-        for (_, payload) in &sections {
-            w.raw(payload);
-        }
-        let mut bytes = w.into_bytes();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let bytes = frame(SnapshotKind::LiveCheckpoint, &sections);
 
         let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
             .unwrap()
@@ -956,17 +960,21 @@ mod tests {
             Err(StoreError::BadMagic)
         ));
 
-        // A bumped version is rejected *as a version mismatch*, before
-        // the (now stale) checksum gets a chance to confuse the report.
-        let mut bumped = good.clone();
-        bumped[8] = 2;
-        assert!(matches!(
-            Snapshot::from_bytes(&bumped),
-            Err(StoreError::VersionMismatch {
-                found: 2,
-                expected: FORMAT_VERSION
-            })
-        ));
+        // A version this binary never wrote — the next one, or 0 — is
+        // rejected *as a version mismatch*, before the (now stale)
+        // checksum gets a chance to confuse the report.
+        for found in [FORMAT_VERSION + 1, 0] {
+            let mut bumped = good.clone();
+            bumped[8..10].copy_from_slice(&found.to_le_bytes());
+            assert!(matches!(
+                Snapshot::from_bytes(&bumped),
+                Err(StoreError::VersionMismatch { found: f, expected: FORMAT_VERSION }) if f == found
+            ));
+            assert!(matches!(
+                peek_kind(&bumped[..12]),
+                Err(StoreError::VersionMismatch { .. })
+            ));
+        }
 
         // A flipped payload byte fails the checksum.
         let mut corrupt = good.clone();

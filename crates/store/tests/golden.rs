@@ -1,25 +1,48 @@
 //! Golden-fixture tests: the on-disk format may not drift silently.
 //!
 //! A small snapshot of each relation structure is committed under
-//! `tests/fixtures/`. These tests assert that (a) today's writer still
-//! produces those bytes **byte-for-byte**, and (b) the committed bytes
-//! still load and answer queries. Any intentional format change must
-//! bump [`pitract_store::FORMAT_VERSION`] and regenerate the fixtures:
+//! `tests/fixtures/` in every format version this binary reads. These
+//! tests assert that (a) today's writer still produces the current
+//! version's bytes **byte-for-byte**, (b) the committed bytes of every
+//! version still load and answer queries, and (c) a version-1 file and
+//! a version-2 file of the same state load to the same relation. An
+//! intentional format change must bump [`pitract_store::FORMAT_VERSION`]
+//! and pin new fixtures; the current version's fixtures are regenerated
+//! with
 //!
 //! ```text
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
+//!
+//! The `*_v1.snap` fixtures were written by the version-1 writer, which
+//! no longer exists. They are read-compat fixtures: nothing rewrites
+//! them, and CI checks they stay byte-identical to the commit.
 
+use pitract_core::cost::Meter;
+use pitract_core::hash::fnv1a64;
 use pitract_engine::{EngineError, PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
-use pitract_relation::indexed::{IndexEntries, IndexedRelation};
-use pitract_relation::{ColType, IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
-use pitract_store::{Snapshot, StoreError, FORMAT_VERSION};
+use pitract_relation::indexed::IndexedRelation;
+use pitract_relation::{ColType, Columns, IndexedError, Relation, Schema, SelectionQuery, Value};
+use pitract_store::codec::{Reader, Writer};
+use pitract_store::{Snapshot, StoreError, FORMAT_VERSION, MAGIC};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
+
+/// Section tags, as the `pitract_store::snapshot` module docs list them.
+const SEC_V1_INDEXES: u32 = 3;
+const SEC_SHARDS: u32 = 5;
+const SEC_INDEXED_COLS: u32 = 14;
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name)
+}
+
+fn read_fixture(name: &str) -> Vec<u8> {
+    std::fs::read(fixture_path(name))
+        .unwrap_or_else(|e| panic!("fixture {name} missing ({e}); see module docs"))
 }
 
 /// The deterministic relation both fixtures are built from: covers
@@ -58,27 +81,172 @@ fn fixture_sharded() -> ShardedRelation {
     sr
 }
 
-/// Compare (or, under `PITRACT_REGEN_FIXTURES=1`, rewrite) one fixture.
+/// Compare (or, under `PITRACT_REGEN_FIXTURES=1`, rewrite) one fixture
+/// of the current format version.
 fn assert_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
+    assert!(
+        name.ends_with(&format!("_v{FORMAT_VERSION}.snap")),
+        "only the current version's fixtures are written: {name}"
+    );
     let path = fixture_path(name);
     if std::env::var("PITRACT_REGEN_FIXTURES").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, bytes).unwrap();
     }
-    let on_disk = std::fs::read(&path)
-        .unwrap_or_else(|e| panic!("fixture {name} missing ({e}); see module docs to regenerate"));
+    let on_disk = read_fixture(name);
     assert_eq!(
         on_disk, bytes,
         "snapshot encoding for {name} drifted from the committed fixture: \
-         either revert the encoding change or bump FORMAT_VERSION and regenerate"
+         either revert the encoding change or bump FORMAT_VERSION and pin new fixtures"
     );
     on_disk
+}
+
+/// The `(tag, payload)` sections of a snapshot file, in table order.
+fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let mut r = Reader::new(&bytes[12..bytes.len() - 8]);
+    let count = r.u32().unwrap();
+    let table: Vec<(u32, usize)> = (0..count)
+        .map(|_| (r.u32().unwrap(), r.usize().unwrap()))
+        .collect();
+    let payloads = table
+        .into_iter()
+        .map(|(tag, len)| (tag, r.take(len).unwrap().to_vec()))
+        .collect();
+    assert!(r.is_exhausted());
+    payloads
+}
+
+/// A file of `like`'s structure kind, at format `version`, holding
+/// `sections`, with its checksum recomputed.
+fn reframe(like: &[u8], version: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.raw(&MAGIC);
+    w.u16(version);
+    w.raw(&like[10..12]);
+    w.u32(sections.len() as u32);
+    for (tag, payload) in sections {
+        w.u32(*tag);
+        w.u64(payload.len() as u64);
+    }
+    for (_, payload) in sections {
+        w.raw(payload);
+    }
+    let mut bytes = w.into_bytes();
+    let sum = fnv1a64(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Payload of section `tag`.
+fn section_mut(sections: &mut [(u32, Vec<u8>)], tag: u32) -> &mut Vec<u8> {
+    &mut sections
+        .iter_mut()
+        .find(|(t, _)| *t == tag)
+        .unwrap_or_else(|| panic!("no section {tag}"))
+        .1
+}
+
+/// A version-1 index body for `ir`: per indexed column, every key with
+/// the ascending ids of the live rows holding it — what the v1 writer
+/// copied out of a tree that agreed with its rows.
+fn write_v1_postings(w: &mut Writer, ir: &IndexedRelation) {
+    let cols = ir.indexed_columns();
+    w.usize(cols.len());
+    for col in cols {
+        let mut postings: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+        for (id, slot) in ir.slots().enumerate() {
+            if let Some(row) = slot {
+                postings
+                    .entry(row.get(col).to_value())
+                    .or_default()
+                    .push(id);
+            }
+        }
+        w.usize(col);
+        w.usize(postings.len());
+        for (key, ids) in &postings {
+            w.value(key);
+            w.usize_seq(ids);
+        }
+    }
+}
+
+/// `snapshot` laid out as the version-1 writer laid it out: each body's
+/// rows followed by its postings, and no section 14. Checked against the
+/// committed v1 fixtures, so a v1 file of any state can be made.
+fn v1_bytes(snapshot: &Snapshot) -> Vec<u8> {
+    let v2 = snapshot.to_bytes();
+    let mut sections = sections(&v2);
+    sections.retain(|(tag, _)| *tag != SEC_INDEXED_COLS);
+    let mut w = Writer::new();
+    match snapshot {
+        Snapshot::Indexed(ir) => {
+            write_v1_postings(&mut w, ir);
+            sections.push((SEC_V1_INDEXES, w.into_bytes()));
+        }
+        Snapshot::Sharded(sr) => {
+            w.usize(sr.shard_count());
+            for shard in sr.shards() {
+                w.usize(shard.slot_count());
+                for slot in shard.slots() {
+                    w.opt_row(slot);
+                }
+                write_v1_postings(&mut w, shard);
+            }
+            *section_mut(&mut sections, SEC_SHARDS) = w.into_bytes();
+        }
+        other => panic!("a {} holds no index", other.kind()),
+    }
+    reframe(&v2, 1, &sections)
+}
+
+/// Queries over both columns: hits, misses, deleted keys, the
+/// placeholder values, ranges, conjunctions driven either way, and a
+/// mistyped probe.
+fn queries() -> Vec<SelectionQuery> {
+    vec![
+        SelectionQuery::point(0, -3i64),
+        SelectionQuery::point(0, 0i64),
+        SelectionQuery::point(0, 7i64),
+        SelectionQuery::point(0, 42i64),
+        SelectionQuery::point(0, 5i64),
+        SelectionQuery::point(1, "alpha"),
+        SelectionQuery::point(1, "Σ*"),
+        SelectionQuery::point(1, ""),
+        SelectionQuery::point(1, 7i64),
+        SelectionQuery::range_closed(0, -1i64, 100i64),
+        SelectionQuery::range_closed(1, "a", "z"),
+        SelectionQuery::and(
+            SelectionQuery::point(1, "alpha"),
+            SelectionQuery::range_closed(0, 0i64, 10i64),
+        ),
+        SelectionQuery::and(
+            SelectionQuery::range_closed(0, -5i64, 7i64),
+            SelectionQuery::range_closed(0, 7i64, 1000i64),
+        ),
+    ]
+}
+
+/// Per query: the Boolean answer and its metered steps, then the
+/// matching ids and theirs.
+fn metered_answers(ir: &IndexedRelation) -> Vec<(bool, u64, Vec<usize>, u64)> {
+    let meter = Meter::new();
+    queries()
+        .iter()
+        .map(|q| {
+            let answer = ir.answer_metered(q, &meter);
+            let answer_steps = meter.take();
+            let ids = ir.matching_ids_metered(q, &meter);
+            (answer, answer_steps, ids, meter.take())
+        })
+        .collect()
 }
 
 #[test]
 fn indexed_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "indexed_v1.snap",
+        "indexed_v2.snap",
         &Snapshot::Indexed(fixture_indexed()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -93,10 +261,7 @@ fn indexed_fixture_is_byte_stable_and_loads() {
         "tombstoned row stays deleted"
     );
     assert_eq!(
-        loaded.matching_ids_metered(
-            &SelectionQuery::point(0, 7i64),
-            &pitract_core::cost::Meter::new()
-        ),
+        loaded.matching_ids_metered(&SelectionQuery::point(0, 7i64), &Meter::new()),
         vec![3],
         "row ids survive byte-for-byte"
     );
@@ -105,7 +270,7 @@ fn indexed_fixture_is_byte_stable_and_loads() {
 #[test]
 fn sharded_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "sharded_v1.snap",
+        "sharded_v2.snap",
         &Snapshot::Sharded(fixture_sharded()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -125,9 +290,96 @@ fn sharded_fixture_is_byte_stable_and_loads() {
     assert_eq!(result.answers, vec![true, false, true]);
 }
 
+/// The v1 fixtures still load, and answer exactly as the v2 fixtures of
+/// the same state do: the same Booleans, the same (global) row ids, and
+/// the same metered steps per query — the trees a load sorts out of the
+/// rows are the trees the v1 loader bulk-loaded from the postings.
+#[test]
+fn v1_fixtures_load_like_their_v2_twins() {
+    let v1 = read_fixture("indexed_v1.snap");
+    assert_eq!(
+        v1_bytes(&Snapshot::Indexed(fixture_indexed())),
+        v1,
+        "the test's v1 writer reproduces the v1 writer's bytes"
+    );
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
+    let (old, new) = (load(&v1), load(&read_fixture("indexed_v2.snap")));
+    assert_eq!(old.slot_count(), new.slot_count());
+    assert_eq!(old.indexed_columns(), new.indexed_columns());
+    assert_eq!(metered_answers(&old), metered_answers(&new));
+
+    let v1 = read_fixture("sharded_v1.snap");
+    assert_eq!(v1_bytes(&Snapshot::Sharded(fixture_sharded())), v1);
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
+    let (old, new) = (load(&v1), load(&read_fixture("sharded_v2.snap")));
+    assert_eq!(old.global_id_maps(), new.global_id_maps());
+    assert_eq!(old.locations(), new.locations());
+    for (a, b) in old.shards().iter().zip(new.shards()) {
+        assert_eq!(a.indexed_columns(), b.indexed_columns());
+        assert_eq!(metered_answers(a), metered_answers(b));
+    }
+    for q in queries() {
+        assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
+    }
+}
+
+/// A v1 posting that points key -3 at row 1 (live, holding 0) was
+/// refused as a dangling posting while postings were loaded. Now they
+/// are skipped unread: the file loads and answers from its rows. A
+/// posting list that overruns its section is still a typed error — the
+/// skip is bounds-checked.
+#[test]
+fn a_corrupt_v1_posting_is_skipped_and_the_rows_answer() {
+    let v1 = read_fixture("indexed_v1.snap");
+    let mut corrupt = sections(&v1);
+    let postings = section_mut(&mut corrupt, SEC_V1_INDEXES);
+    // count, col 0, key count, then key -3 (tag + i64), its id count 1
+    // and its one id, 0.
+    let (len_at, id_at) = (8 + 8 + 8 + 1 + 8, 8 + 8 + 8 + 1 + 8 + 8);
+    assert_eq!(postings[len_at..id_at], 1u64.to_le_bytes());
+    assert_eq!(postings[id_at..id_at + 8], 0u64.to_le_bytes());
+    postings[id_at..id_at + 8].copy_from_slice(&1u64.to_le_bytes());
+    let loaded = Snapshot::from_bytes(&reframe(&v1, 1, &corrupt))
+        .unwrap()
+        .into_indexed()
+        .unwrap();
+    let meter = Meter::new();
+    for (key, ids) in [(-3i64, vec![0]), (0, vec![1])] {
+        let q = SelectionQuery::point(0, key);
+        assert_eq!(loaded.matching_ids_metered(&q, &meter), ids, "{q:?}");
+    }
+
+    let mut overrun = sections(&v1);
+    section_mut(&mut overrun, SEC_V1_INDEXES)[len_at..id_at]
+        .copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(
+        Snapshot::from_bytes(&reframe(&v1, 1, &overrun)),
+        Err(StoreError::Truncated)
+    ));
+}
+
+/// A v2 file naming an indexed column its schema lacks is refused with
+/// the relation layer's typed error, standalone or sharded.
+#[test]
+fn an_out_of_range_indexed_column_is_refused() {
+    for v2 in [
+        read_fixture("indexed_v2.snap"),
+        read_fixture("sharded_v2.snap"),
+    ] {
+        let mut bad = sections(&v2);
+        let mut cols = Writer::new();
+        cols.usize_seq(&[0, 5]);
+        *section_mut(&mut bad, SEC_INDEXED_COLS) = cols.into_bytes();
+        match Snapshot::from_bytes(&reframe(&v2, FORMAT_VERSION, &bad)) {
+            Err(StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 })) => {}
+            other => panic!("expected ColumnOutOfRange, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn bumped_version_is_rejected_with_version_mismatch() {
-    let mut bytes = std::fs::read(fixture_path("indexed_v1.snap")).unwrap();
+    let mut bytes = read_fixture("indexed_v2.snap");
     // Bytes 8..10 are the little-endian format version.
     let bumped = FORMAT_VERSION + 1;
     bytes[8..10].copy_from_slice(&bumped.to_le_bytes());
@@ -186,48 +438,29 @@ fn save_load_save_is_byte_identical() {
     }
 }
 
-/// A load still refuses what it refused before rows became columns:
-/// a slot the schema rejects, a posting on a live row holding another
-/// key, and a shard holding rows its key does not route to — each with
-/// the same error value.
+/// A load still refuses what it refused before the postings left the
+/// file: a slot the schema rejects, an indexed column the schema lacks,
+/// and a shard holding rows its key does not route to — each with the
+/// same error value.
 #[test]
 fn loaded_parts_are_still_validated() {
     let loaded = Snapshot::from_bytes(&Snapshot::Indexed(fixture_indexed()).to_bytes())
         .unwrap()
         .into_indexed()
         .unwrap();
-    let schema = loaded.schema().clone();
-    let slots: Vec<Option<Vec<Value>>> = loaded.slots().map(|s| s.map(RowRef::to_vec)).collect();
-    let entries: Vec<IndexEntries> = loaded
-        .indexed_columns()
-        .into_iter()
-        .map(|col| {
-            let mut entries = IndexEntries::new(col);
-            for (key, posting) in loaded.index_postings(col).unwrap() {
-                entries.push(key, posting);
-            }
-            entries
-        })
-        .collect();
-    assert!(IndexedRelation::from_parts(schema.clone(), slots.clone(), entries.clone()).is_ok());
-
-    let mut mistyped = slots.clone();
-    mistyped[1].as_mut().unwrap()[0] = Value::str("0");
+    let mut rows = Columns::new(loaded.schema().clone());
     assert_eq!(
-        IndexedRelation::from_parts(schema.clone(), mistyped, entries.clone()).unwrap_err(),
+        rows.push_slot(Some(&[Value::str("0"), Value::str("héllo")]))
+            .unwrap_err(),
         IndexedError::RowRejected("type mismatch in column \"id\": value \"0\"".into())
     );
-
-    // Key -3 posts row 0; point it at row 1, which is live and holds 0.
-    let mut misposted = entries.clone();
+    for slot in loaded.slots() {
+        rows.push_slot(slot.map(|row| row.to_vec()).as_deref())
+            .unwrap();
+    }
     assert_eq!(
-        (&misposted[0].keys[0], misposted[0].ids[0]),
-        (&Value::Int(-3), 0)
-    );
-    misposted[0].ids[0] = 1;
-    assert_eq!(
-        IndexedRelation::from_parts(schema, slots, misposted).unwrap_err(),
-        IndexedError::DanglingPosting { col: 0, id: 1 }
+        IndexedRelation::from_columns(rows, &[0, 2]).unwrap_err(),
+        IndexedError::ColumnOutOfRange { col: 2, arity: 2 }
     );
 
     let sharded = Snapshot::from_bytes(&Snapshot::Sharded(fixture_sharded()).to_bytes())
@@ -242,4 +475,72 @@ fn loaded_parts_are_still_validated() {
         matches!(&err, EngineError::InconsistentSnapshot(why) if why.contains("routes to shard")),
         "{err}"
     );
+}
+
+/// The load path's own failure mode: a tombstone is stored as `0` / `""`
+/// placeholder cells, and a rebuild that posted them would find deleted
+/// rows. Tombstone the only row holding `Int 0` and the only one holding
+/// `""`, save and load in both formats, standalone and sharded: neither
+/// value is found, a range over 0 yields no dead id, and a row holding
+/// both that arrives later is found.
+#[test]
+fn tombstone_placeholders_are_never_posted_after_a_load() {
+    let zero = SelectionQuery::point(0, 0i64);
+    let empty = SelectionQuery::point(1, "");
+    let around_zero = SelectionQuery::range_closed(0, -1i64, 1i64);
+    let up_to_empty = SelectionQuery::Range {
+        col: 1,
+        lo: Bound::Unbounded,
+        hi: Bound::Included(Value::str("")),
+    };
+    let probes = [&zero, &empty, &around_zero, &up_to_empty];
+    let newcomer = || vec![Value::Int(0), Value::str("")];
+    let meter = Meter::new();
+
+    let mut ir = IndexedRelation::build(&fixture_relation(), &[0, 1]).unwrap();
+    ir.delete(1).unwrap(); // (0, "héllo")
+    ir.delete(5).unwrap(); // (1000, "")
+    let snapshot = Snapshot::Indexed(ir);
+    for bytes in [v1_bytes(&snapshot), snapshot.to_bytes()] {
+        let mut loaded = Snapshot::from_bytes(&bytes)
+            .unwrap()
+            .into_indexed()
+            .unwrap();
+        for q in probes {
+            assert!(!loaded.answer(q), "{q:?}");
+            assert!(loaded.matching_ids_metered(q, &meter).is_empty(), "{q:?}");
+        }
+        let id = loaded.insert(newcomer()).unwrap();
+        for q in probes {
+            assert_eq!(loaded.matching_ids_metered(q, &meter), vec![id], "{q:?}");
+        }
+    }
+
+    let mut sr = ShardedRelation::build(
+        &fixture_relation(),
+        ShardBy::Range {
+            col: 0,
+            splits: vec![Value::Int(7)],
+        },
+        2,
+        &[0, 1],
+    )
+    .unwrap();
+    sr.delete(1).unwrap();
+    sr.delete(5).unwrap();
+    let snapshot = Snapshot::Sharded(sr);
+    for bytes in [v1_bytes(&snapshot), snapshot.to_bytes()] {
+        let mut loaded = Snapshot::from_bytes(&bytes)
+            .unwrap()
+            .into_sharded()
+            .unwrap();
+        for q in probes {
+            assert!(!loaded.answer(q), "{q:?}");
+            assert!(loaded.matching_ids(q).is_empty(), "{q:?}");
+        }
+        let gid = loaded.insert(newcomer()).unwrap();
+        for q in probes {
+            assert_eq!(loaded.matching_ids(q), vec![gid], "{q:?}");
+        }
+    }
 }

@@ -89,7 +89,10 @@
 //! Definition 1's preprocessing is *one-time* — so it should be paid
 //! once, not on every process start. The [`store`] crate serializes any
 //! preprocessed structure to a versioned, checksummed snapshot and warm-
-//! starts a fresh engine from disk:
+//! starts a fresh engine from disk. A relation is stored as its rows and
+//! its indexed columns: a load sorts the B⁺-trees back out of the rows,
+//! which costs about what reading them back from disk did. 2-hop labels,
+//! whose preprocessing is not a sort, are stored whole:
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -105,7 +108,7 @@
 //! catalog.save("ids", &Snapshot::Sharded(sharded)).unwrap();
 //!
 //! // …and serve from the reloaded snapshot: same answers, same row ids,
-//! // no rebuild.
+//! // the trees re-sorted from the persisted rows.
 //! let warm = catalog.load("ids").unwrap().into_sharded().unwrap();
 //! assert!(warm.answer(&SelectionQuery::point(0, 999i64)));
 //! # std::fs::remove_dir_all(&dir).unwrap();
