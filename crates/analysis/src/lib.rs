@@ -12,7 +12,7 @@
 //! * [`source`] — lexed files with crate/target attribution and a
 //!   test-code mask (`#[cfg(test)]` / `#[test]` items are exempt from
 //!   serving rules).
-//! * [`rules`] — the deny-by-default [`Rule`](rules::Rule) set:
+//! * [`rules`] — the deny-by-default [`Rule`] set:
 //!   `no-unwrap-in-serving`, `no-fsync-under-lock`,
 //!   `no-bare-thread-spawn`, `bench-artifact-path`.
 //! * [`report`] — machine-readable findings with `file:line`,

@@ -7,9 +7,9 @@
 //! is the serving wrapper that removes that seam:
 //!
 //! * **Per-shard read/write locks.** Each shard is an
-//!   [`IndexedRelation`] behind its own rank-checked
-//!   [`OrderedRwLock`](pitract_core::lockdep::OrderedRwLock). Batch fan-out takes a
-//!   *read* lock on only the shards a query routes to, so queries on
+//!   [`IndexedRelation`] behind its own rank-checked [`OrderedRwLock`].
+//!   Batch fan-out takes a *read* lock on only the shards a query
+//!   routes to, so queries on
 //!   different shards — and any number of queries on the same shard —
 //!   proceed concurrently. An update takes a *write* lock on only the one
 //!   shard its key routes to (the pinned FNV-1a routing of

@@ -234,7 +234,7 @@ impl Drop for AdmissionSlot<'_> {
     }
 }
 
-/// A persistent, sized pool of worker threads consuming [`Job`]s from a
+/// A persistent, sized pool of worker threads consuming boxed jobs from a
 /// shared channel. Dropping the pool closes the channel and joins every
 /// worker (pending jobs are drained first — a job's collector must
 /// never be left waiting on work that silently vanished).

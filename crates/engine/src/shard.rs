@@ -124,11 +124,12 @@ pub struct ShardedRelation {
 impl ShardedRelation {
     /// Partition `relation` into `shard_count` shards and index `cols` on
     /// each shard (the per-shard `Π`). PTIME: one pass routes every row
-    /// — row `i` keeps global id `i`, and a shard's local ids are dense
-    /// in arrival order — and sizes the id maps exactly; then
-    /// [`IndexedRelation::build_split`] appends each row's cells straight
-    /// into its shard's columns and builds every shard, one sort per
-    /// indexed column. No row is cloned or staged.
+    /// on its shard-key cell — row `i` keeps global id `i`, and a shard's
+    /// local ids are dense in arrival order — and sizes the id maps
+    /// exactly; then [`IndexedRelation::build_split`] copies the
+    /// relation's columns into exactly-sized shard columns, one column at
+    /// a time, and builds every shard, one sort per indexed column. No
+    /// row is cloned or staged.
     pub fn build(
         relation: &Relation,
         shard_by: ShardBy,
@@ -142,9 +143,8 @@ impl ShardedRelation {
         let mut sizes = vec![0usize; shard_count];
         let locations: Vec<Option<(usize, usize)>> = relation
             .rows()
-            .iter()
             .map(|row| {
-                let shard = route_shard(&shard_by, shard_count, row[key_col].as_ref());
+                let shard = route_shard(&shard_by, shard_count, row.get(key_col));
                 sizes[shard] += 1;
                 Some((shard, sizes[shard] - 1))
             })
@@ -311,16 +311,17 @@ impl ShardedRelation {
     }
 
     /// Export all live tuples as one relation (shard-major order; a
-    /// test/diagnostic aid).
+    /// test/diagnostic aid), copied cell by cell out of the shards.
     #[allow(clippy::expect_used)]
     pub fn to_relation(&self) -> Relation {
-        let rows: Vec<Vec<Value>> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.slots().flatten().map(RowRef::to_vec))
-            .collect();
-        // lint:allow(no-unwrap-in-serving): every row came out of a validated shard
-        Relation::from_rows(self.schema.clone(), rows).expect("shards hold validated rows")
+        let mut relation = Relation::new(self.schema.clone());
+        for row in self.shards.iter().flat_map(|s| s.slots().flatten()) {
+            relation
+                .insert_tuple(row)
+                // lint:allow(no-unwrap-in-serving): every row came out of a validated shard
+                .expect("shards hold validated rows");
+        }
+        relation
     }
 
     /// Per-shard local-id → global-id maps, including entries for
@@ -544,7 +545,7 @@ pub(crate) fn validate_shard_by(
         // never separate tuples of the column's actual type — reject it
         // instead of silently accepting a skewed partitioning.
         let expected = schema.col_type(*col);
-        if let Some(position) = splits.iter().position(|s| !expected.admits(s)) {
+        if let Some(position) = splits.iter().position(|s| !expected.admits(s.as_ref())) {
             return Err(EngineError::SplitTypeMismatch { position, expected });
         }
         if splits.windows(2).any(|w| w[0] >= w[1]) {

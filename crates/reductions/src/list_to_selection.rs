@@ -125,7 +125,7 @@ mod tests {
         let r = reduction();
         let rel = r.alpha(&vec![5, 5, 6]);
         assert_eq!(rel.len(), 3);
-        assert_eq!(rel.row(0)[0], Value::Int(5));
+        assert_eq!(rel.row(0).get(0), Value::Int(5));
     }
 
     #[test]

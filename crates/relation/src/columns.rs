@@ -8,13 +8,22 @@
 //! says which slots hold a live row. A row is read through a
 //! [`RowRef`] — a shared borrow of the storage plus a row id — whose
 //! cells come out as [`ValueRef`]s, so reading a row allocates nothing.
-//! A loader fills the storage slot by slot ([`Columns::push_slot`]),
-//! so a decoded row never has to outlive its own append.
+//!
+//! `Columns` is the one row store: a plain
+//! [`Relation`](crate::relation::Relation) keeps its rows in one (every
+//! slot live), and so does each
+//! [`IndexedRelation`](crate::indexed::IndexedRelation) (tombstones
+//! behind the bitmap). It is filled three ways, none of which holds a
+//! row longer than its own append: [`Columns::from_rows`] consumes a
+//! vector of owned rows into exactly-sized columns; a sharded build
+//! copies a store into its parts column by column
+//! ([`IndexedRelation::build_split`](crate::indexed::IndexedRelation::build_split));
+//! and a loader appends slot by slot ([`Columns::push_slot`]).
 //!
 //! [`Tuple`] is what a selection predicate reads: a row of owned
 //! [`Value`]s and a [`RowRef`] both implement it, so
 //! [`SelectionQuery::matches`](crate::query::SelectionQuery::matches)
-//! has one body for both.
+//! and [`Schema::admits`] have one body for both.
 
 use crate::indexed::IndexedError;
 use crate::schema::{ColType, Schema};
@@ -92,17 +101,63 @@ impl Column {
         }
     }
 
-    /// Append `value`, which the schema admitted for this column; `None`
-    /// appends the tombstone placeholder (`0` or `""`).
-    fn push(&mut self, value: Option<&Value>) {
+    /// Append `value`, which the schema admitted for this column.
+    fn push(&mut self, value: ValueRef<'_>) {
         match (self, value) {
-            (Column::Int(ints), Some(Value::Int(i))) => ints.push(*i),
-            (Column::Int(ints), None) => ints.push(0),
-            (Column::Str(strs), Some(Value::Str(s))) => strs.push(s),
-            (Column::Str(strs), None) => strs.push(""),
-            (_, Some(value)) => unreachable!("the schema admitted {value} for this column"),
+            (Column::Int(ints), ValueRef::Int(i)) => ints.push(i),
+            (Column::Str(strs), ValueRef::Str(s)) => strs.push(s),
+            (_, value) => unreachable!("the schema admitted {value} for this column"),
         }
     }
+
+    /// Append the tombstone placeholder, `0` or `""`.
+    fn push_placeholder(&mut self) {
+        match self {
+            Column::Int(ints) => ints.push(0),
+            Column::Str(strs) => strs.push(""),
+        }
+    }
+
+    /// Copy the cells into `counts.len()` columns of this type, each
+    /// sized exactly: cell `i` goes to column `part[i]`, which receives
+    /// `counts[part[i]]` cells in all.
+    fn split(&self, part: &[u32], counts: &[usize]) -> Vec<Column> {
+        match self {
+            Column::Int(src) => {
+                let mut dst: Vec<Vec<i64>> =
+                    counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+                for (&cell, &p) in src.iter().zip(part) {
+                    dst[p as usize].push(cell);
+                }
+                dst.into_iter().map(Column::Int).collect()
+            }
+            Column::Str(src) => {
+                let mut bytes = vec![0usize; counts.len()];
+                for (cell, &p) in src.iter().zip(part) {
+                    bytes[p as usize] += cell.len();
+                }
+                let mut dst: Vec<StrColumn> = counts
+                    .iter()
+                    .zip(bytes)
+                    .map(|(&n, bytes)| StrColumn::with_capacity(n, bytes))
+                    .collect();
+                for (cell, &p) in src.iter().zip(part) {
+                    dst[p as usize].push(cell);
+                }
+                dst.into_iter().map(Column::Str).collect()
+            }
+        }
+    }
+}
+
+/// A bitmap of `n` set bits, exactly sized.
+fn all_live(n: usize) -> Vec<u64> {
+    let mut bits = Vec::with_capacity(n.div_ceil(64));
+    bits.resize(n / 64, u64::MAX);
+    if !n.is_multiple_of(64) {
+        bits.push((1 << (n % 64)) - 1);
+    }
+    bits
 }
 
 /// A relation's row slots, stored column by column under their schema,
@@ -148,44 +203,81 @@ impl Columns {
         }
     }
 
-    /// Split `rows` (every one admitted by `schema`) into `parts`
-    /// exactly-sized stores: row `i` becomes the next row of part
-    /// `part_of(i)`. Two passes over `rows` — one to size, one to fill —
-    /// and no row is copied whole.
-    pub(crate) fn split(
-        schema: &Schema,
-        rows: &[Vec<Value>],
-        parts: usize,
-        part_of: impl Fn(usize) -> usize,
-    ) -> Vec<Columns> {
-        let mut sizes = vec![(0usize, vec![0usize; schema.arity()]); parts];
-        for (i, row) in rows.iter().enumerate() {
-            let (count, bytes) = &mut sizes[part_of(i)];
-            *count += 1;
-            for (total, value) in bytes.iter_mut().zip(row) {
+    /// Store `rows` under `schema`, row `i` in slot `i`, consuming the
+    /// vector. Two passes: the first admits every row and adds up each
+    /// `Str` column's bytes, so the first row the schema rejects is the
+    /// error and nothing is allocated before it is found; the second
+    /// appends each row's cells to columns sized exactly by the first,
+    /// and frees the row as soon as they are in.
+    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Result<Self, String> {
+        let mut str_bytes = vec![0; schema.arity()];
+        for row in &rows {
+            schema.admits(row)?;
+            for (total, value) in str_bytes.iter_mut().zip(row) {
                 if let Value::Str(s) = value {
                     *total += s.len();
                 }
             }
         }
-        let mut stores: Vec<Columns> = sizes
-            .iter()
-            .map(|(count, bytes)| Columns::with_capacity(schema.clone(), *count, bytes))
-            .collect();
-        for (i, row) in rows.iter().enumerate() {
-            stores[part_of(i)].push(Some(row));
+        let mut store = Columns::with_capacity(schema, rows.len(), &str_bytes);
+        for row in rows {
+            store.push_row(&row);
         }
-        stores
+        Ok(store)
+    }
+
+    /// Split `source`, which holds no tombstone, into `parts`
+    /// exactly-sized stores: row `i` becomes the next row of part
+    /// `part_of(i)`. Each row's part is computed once; then every column
+    /// is copied on its own, typed (`i64`s into `Vec<i64>`s, `&str`s
+    /// into arenas), and each part's bitmap is filled a word at a time.
+    pub(crate) fn split(
+        source: &Columns,
+        parts: usize,
+        part_of: impl Fn(usize) -> usize,
+    ) -> Vec<Columns> {
+        assert_eq!(
+            source.live, source.slots,
+            "a split source holds no tombstone"
+        );
+        let part: Vec<u32> = (0..source.slots)
+            .map(|id| u32::try_from(part_of(id)).expect("fewer than 2³² parts"))
+            .collect();
+        let mut counts = vec![0usize; parts];
+        for &p in &part {
+            counts[p as usize] += 1;
+        }
+        let mut cols: Vec<Vec<Column>> = (0..parts)
+            .map(|_| Vec::with_capacity(source.cols.len()))
+            .collect();
+        for column in &source.cols {
+            for (mine, split) in cols.iter_mut().zip(column.split(&part, &counts)) {
+                mine.push(split);
+            }
+        }
+        cols.into_iter()
+            .zip(counts)
+            .map(|(cols, n)| Columns {
+                schema: source.schema.clone(),
+                cols,
+                live_bits: all_live(n),
+                slots: n,
+                live: n,
+            })
+            .collect()
     }
 
     /// Append a slot — a live row, which the schema must admit, or with
     /// `None` a tombstone, stored as placeholder cells (`0`, `""`)
     /// behind a clear bit. Returns its id.
     pub fn push_slot(&mut self, slot: Option<&[Value]>) -> Result<usize, IndexedError> {
-        if let Some(row) = slot {
-            self.schema.admits(row).map_err(IndexedError::RowRejected)?;
+        match slot {
+            Some(row) => {
+                self.schema.admits(row).map_err(IndexedError::RowRejected)?;
+                Ok(self.push_row(row))
+            }
+            None => Ok(self.push_tombstone()),
         }
-        Ok(self.push(slot))
     }
 
     /// The schema the cells were admitted by.
@@ -193,22 +285,28 @@ impl Columns {
         &self.schema
     }
 
-    /// Append a slot: `row`'s cells (admitted by the schema) as a live
-    /// row, or with `None` a tombstone. Returns its id.
-    pub(crate) fn push(&mut self, row: Option<&[Value]>) -> usize {
-        match row {
-            Some(row) => {
-                for (column, value) in self.cols.iter_mut().zip(row) {
-                    column.push(Some(value));
-                }
-            }
-            None => self.cols.iter_mut().for_each(|column| column.push(None)),
+    /// Append `row`'s cells, which the schema admitted, as a live slot.
+    /// Returns its id.
+    pub(crate) fn push_row(&mut self, row: impl Tuple) -> usize {
+        for (col, column) in self.cols.iter_mut().enumerate() {
+            column.push(row.cell(col));
         }
+        self.assign(true)
+    }
+
+    /// Append a tombstone: placeholder cells behind a clear bit.
+    fn push_tombstone(&mut self) -> usize {
+        self.cols.iter_mut().for_each(Column::push_placeholder);
+        self.assign(false)
+    }
+
+    /// Take the next slot id, whose cells were just appended.
+    fn assign(&mut self, live: bool) -> usize {
         let id = self.slots;
         if id.is_multiple_of(64) {
             self.live_bits.push(0);
         }
-        if row.is_some() {
+        if live {
             self.live_bits[id / 64] |= 1 << (id % 64);
             self.live += 1;
         }
@@ -264,6 +362,21 @@ impl Columns {
         }
         self.live_bits.shrink_to_fit();
     }
+
+    /// Does every column, arena, offset list and the bitmap hold exactly
+    /// its contents, with no spare capacity?
+    #[cfg(test)]
+    pub(crate) fn is_exactly_sized(&self) -> bool {
+        let words = self.slots.div_ceil(64);
+        (self.live_bits.len(), self.live_bits.capacity()) == (words, words)
+            && self.cols.iter().all(|column| match column {
+                Column::Int(ints) => ints.len() == ints.capacity(),
+                Column::Str(strs) => {
+                    strs.arena.len() == strs.arena.capacity()
+                        && strs.ends.len() == strs.ends.capacity()
+                }
+            })
+    }
 }
 
 /// A borrowed live row of column storage: `get(col)` reads one cell in
@@ -309,6 +422,13 @@ impl Tuple for RowRef<'_> {
     }
 }
 
+/// Two rows are equal when their cells are, wherever they are stored.
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
 impl fmt::Debug for RowRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -339,7 +459,7 @@ mod tests {
     }
 
     fn store() -> Columns {
-        Columns::split(&schema(), &rows(), 1, |_| 0).remove(0)
+        Columns::from_rows(schema(), rows()).unwrap()
     }
 
     /// A view answers every query shape — points, each bound kind on
@@ -432,29 +552,24 @@ mod tests {
     }
 
     /// The build sizes each part before filling it: no column, arena or
-    /// bitmap grows past what its rows need.
+    /// bitmap grows past what its rows need, and every bitmap — whole
+    /// words and a partial last one — marks exactly its rows live.
     #[test]
     fn split_parts_are_exactly_sized() {
-        let rows = rows();
-        let parts = Columns::split(&schema(), &rows, 3, |i| i % 3);
+        let rows: Vec<Vec<Value>> = rows().into_iter().cycle().take(200).collect();
+        let source = Columns::from_rows(schema(), rows.clone()).unwrap();
+        let parts = Columns::split(&source, 3, |i| i % 3);
         for (p, part) in parts.iter().enumerate() {
             let mine: Vec<&Vec<Value>> = rows.iter().skip(p).step_by(3).collect();
             assert_eq!(part.slot_count(), mine.len());
+            assert_eq!(part.live(), mine.len());
             for (local, row) in mine.iter().enumerate() {
                 assert_eq!(part.row(local).expect("live").to_vec(), **row);
             }
-            let Column::Int(ints) = part.column(0) else {
-                panic!("id is Int")
-            };
-            assert_eq!(ints.capacity(), ints.len());
-            let Column::Str(strs) = part.column(1) else {
-                panic!("name is Str")
-            };
-            assert_eq!(strs.ends.capacity(), strs.ends.len());
-            assert_eq!(strs.arena.capacity(), strs.arena.len());
-            assert_eq!(strs.iter().collect::<Vec<_>>().len(), mine.len());
-            assert_eq!(part.live_bits.capacity(), part.slot_count().div_ceil(64));
+            assert!(part.row(mine.len()).is_none());
+            assert!(part.is_exactly_sized(), "part {p}");
         }
+        assert!(source.is_exactly_sized(), "from_rows sizes its columns too");
     }
 
     #[test]
@@ -462,7 +577,7 @@ mod tests {
         let row = [Value::Int(1), Value::str("x")];
         let mut store = Columns::new(schema());
         for _ in 0..130 {
-            store.push(Some(&row));
+            store.push_row(&row);
         }
         for id in [0, 63, 64, 127, 129] {
             assert!(store.kill(id), "{id} was live");

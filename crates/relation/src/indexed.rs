@@ -36,10 +36,12 @@
 //!   bitmap hides the cells: no read path looks at a dead slot's cells,
 //!   the index build skips them, and the snapshot writes a tombstone as
 //!   a tombstone.
-//! * **Build by routing, not by staging.** [`IndexedRelation::build`]
-//!   and [`IndexedRelation::build_split`] size each part's columns from
-//!   one pass over the relation and append every row's cells in a second;
-//!   no row is cloned, staged, or admitted twice.
+//! * **Build by copying columns, not rows.** A plain [`Relation`] keeps
+//!   its rows in the same [`Columns`] store. [`IndexedRelation::build`]
+//!   and [`IndexedRelation::build_split`] compute each row's part once,
+//!   size every part exactly, and copy the relation column by column —
+//!   one typed loop per column, `i64`s into `Vec<i64>`s and `&str`s
+//!   into arenas; no row is materialised, staged, or admitted twice.
 //! * **One constructor.** [`IndexedRelation::from_columns`] indexes
 //!   row storage on a list of columns. A build hands it freshly split
 //!   columns; a snapshot load hands it the slots it decoded, so a load
@@ -401,16 +403,16 @@ impl IndexedRelation {
     /// [`Self::build`] into `parts` relations at once: row `i` of
     /// `relation` becomes the next row (ids dense, in arrival order) of
     /// part `part_of(i)`, which must be `< parts`. Each part's columns are
-    /// sized exactly before any row is copied in, and then indexed on
-    /// `cols` by [`Self::from_columns`] — the per-shard `Π` of a
-    /// partitioned relation, with no staging copy of the rows.
+    /// sized exactly, filled column by column out of the relation's, and
+    /// then indexed on `cols` by [`Self::from_columns`] — the per-shard
+    /// `Π` of a partitioned relation, with no staging copy of the rows.
     pub fn build_split(
         relation: &Relation,
         parts: usize,
         part_of: impl Fn(usize) -> usize,
         cols: &[usize],
     ) -> Result<Vec<Self>, IndexedError> {
-        Columns::split(relation.schema(), relation.rows(), parts, part_of)
+        Columns::split(relation.columns(), parts, part_of)
             .into_iter()
             .map(|rows| Self::from_columns(rows, cols))
             .collect()
@@ -418,14 +420,16 @@ impl IndexedRelation {
 
     /// [`Self::build`] over rows the caller hands over: row `i` gets id
     /// `i`, and each row is admitted by the schema before it is indexed.
+    /// The rows are consumed straight into the columns
+    /// ([`Columns::from_rows`]); no plain [`Relation`] is staged.
     pub fn build_from_rows(
         schema: Schema,
         rows: Vec<Vec<Value>>,
         cols: &[usize],
     ) -> Result<Self, IndexedError> {
         Self::check_columns(&schema, cols)?;
-        let relation = Relation::from_rows(schema, rows).map_err(IndexedError::RowRejected)?;
-        Self::build(&relation, cols)
+        let rows = Columns::from_rows(schema, rows).map_err(IndexedError::RowRejected)?;
+        Self::from_columns(rows, cols)
     }
 
     /// Index `cols` of `rows` — the one constructor behind every
@@ -495,7 +499,7 @@ impl IndexedRelation {
                 index.post(value, id);
             }
         }
-        self.rows.push(Some(&row));
+        self.rows.push_row(&row);
         Ok(id)
     }
 
@@ -720,10 +724,16 @@ impl IndexedRelation {
         self.scan_metered_below(q, meter, usize::MAX)
     }
 
-    /// Export the live tuples as a plain relation (test/diagnostic aid).
+    /// Export the live tuples as a plain relation (test/diagnostic aid),
+    /// copied cell by cell out of the columns.
     pub fn to_relation(&self) -> Relation {
-        let rows: Vec<Vec<Value>> = self.slots().flatten().map(RowRef::to_vec).collect();
-        Relation::from_rows(self.schema().clone(), rows).expect("rows were validated on insert")
+        let mut relation = Relation::new(self.schema().clone());
+        for row in self.slots().flatten() {
+            relation
+                .insert_tuple(row)
+                .expect("rows were validated on insert");
+        }
+        relation
     }
 
     /// Every row slot in id order, tombstones as `None` (persistence
@@ -1222,7 +1232,7 @@ mod tests {
 
     #[test]
     fn from_columns_rejects_out_of_range_columns() {
-        let rows = || Columns::split(&schema(), big_relation(10).rows(), 1, |_| 0).remove(0);
+        let rows = || big_relation(10).columns().clone();
         assert_eq!(
             IndexedRelation::from_columns(rows(), &[0, 5]).unwrap_err(),
             IndexedError::ColumnOutOfRange { col: 5, arity: 2 }

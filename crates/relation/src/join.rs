@@ -13,9 +13,9 @@
 
 use crate::relation::Relation;
 use crate::schema::{ColType, Schema};
-use crate::value::Value;
+use crate::value::ValueRef;
 use pitract_core::cost::Meter;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Schema of `left ⋈ right`: all left columns then all right columns,
 /// right names prefixed on clash.
@@ -51,25 +51,27 @@ pub fn hash_join(left: &Relation, lcol: usize, right: &Relation, rcol: usize) ->
         (left, lcol, right, rcol)
     };
 
-    let mut table: HashMap<&Value, Vec<usize>> = HashMap::new();
-    for (id, row) in build_rel.rows().iter().enumerate() {
-        table.entry(&row[build_col]).or_default().push(id);
+    let mut table: HashMap<ValueRef<'_>, Vec<usize>> = HashMap::new();
+    for (id, row) in build_rel.rows().enumerate() {
+        table.entry(row.get(build_col)).or_default().push(id);
     }
 
     let mut out = Vec::new();
     for probe_row in probe_rel.rows() {
-        if let Some(matches) = table.get(&probe_row[probe_col]) {
+        if let Some(matches) = table.get(&probe_row.get(probe_col)) {
             for &bid in matches {
                 let build_row = build_rel.row(bid);
                 let (lrow, rrow) = if swap {
-                    (probe_row.as_slice(), build_row)
+                    (probe_row, build_row)
                 } else {
-                    (build_row, probe_row.as_slice())
+                    (build_row, probe_row)
                 };
-                let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                combined.extend_from_slice(lrow);
-                combined.extend_from_slice(rrow);
-                out.push(combined);
+                out.push(
+                    lrow.iter()
+                        .chain(rrow.iter())
+                        .map(ValueRef::to_value)
+                        .collect(),
+                );
             }
         }
     }
@@ -85,14 +87,14 @@ pub fn join_exists(
     rcol: usize,
     meter: &Meter,
 ) -> bool {
-    let mut keys: HashMap<&Value, ()> = HashMap::new();
+    let mut keys: HashSet<ValueRef<'_>> = HashSet::new();
     for row in left.rows() {
         meter.tick();
-        keys.insert(&row[lcol], ());
+        keys.insert(row.get(lcol));
     }
     for row in right.rows() {
         meter.tick();
-        if keys.contains_key(&row[rcol]) {
+        if keys.contains(&row.get(rcol)) {
             return true;
         }
     }
@@ -112,7 +114,7 @@ pub fn join_exists_nested_loop(
     for lrow in left.rows() {
         for rrow in right.rows() {
             meter.tick();
-            if lrow[lcol] == rrow[rcol] {
+            if lrow.get(lcol) == rrow.get(rcol) {
                 return true;
             }
         }
@@ -123,7 +125,7 @@ pub fn join_exists_nested_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColType;
+    use crate::value::Value;
 
     fn users() -> Relation {
         let schema = Schema::new(&[("uid", ColType::Int), ("name", ColType::Str)]);
@@ -157,8 +159,8 @@ mod tests {
         assert_eq!(j.len(), 2, "bob has two orders, uid 9 matches nobody");
         assert_eq!(j.schema().arity(), 4);
         for row in j.rows() {
-            assert_eq!(row[0], row[3], "join key columns must agree");
-            assert_eq!(row[1], Value::str("bob"));
+            assert_eq!(row.get(0), row.get(3), "join key columns must agree");
+            assert_eq!(row.get(1), Value::str("bob"));
         }
     }
 
@@ -179,7 +181,7 @@ mod tests {
         let mut expect = 0;
         for lr in l.rows() {
             for rr in r.rows() {
-                if lr[0] == rr[1] {
+                if lr.get(0) == rr.get(1) {
                     expect += 1;
                 }
             }
@@ -246,6 +248,6 @@ mod tests {
         let b = Relation::from_rows(s2, vec![vec![Value::str("zoe"), Value::Int(7)]]).unwrap();
         let j = hash_join(&a, 0, &b, 0);
         assert_eq!(j.len(), 1);
-        assert_eq!(j.row(0)[2], Value::Int(7));
+        assert_eq!(j.row(0).get(2), Value::Int(7));
     }
 }

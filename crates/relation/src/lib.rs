@@ -8,8 +8,10 @@
 //! * [`value::Value`] / [`schema::Schema`] — a small typed value and
 //!   schema layer (ints and strings; enough for every workload the paper
 //!   sketches, with validation at row-insert time).
-//! * [`relation::Relation`] — row-store relations with scan-based
-//!   (no-preprocessing) query evaluation, metered per comparison.
+//! * [`relation::Relation`] — plain relations with scan-based
+//!   (no-preprocessing) query evaluation, metered per comparison. Their
+//!   rows live in typed columns ([`columns::Columns`], the crate's one
+//!   row store), filled straight from the caller's rows.
 //! * [`query::SelectionQuery`] — the Boolean query classes of Section
 //!   4(1): point selections, range selections, and conjunctions.
 //! * [`indexed::IndexedRelation`] — the preprocessed form: per-column

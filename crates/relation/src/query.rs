@@ -68,7 +68,7 @@ impl SelectionQuery {
                 if *col >= schema.arity() {
                     return Err(format!("column {col} out of range"));
                 }
-                if !schema.col_type(*col).admits(value) {
+                if !schema.col_type(*col).admits(value.as_ref()) {
                     return Err(format!(
                         "point value {value} has wrong type for column {:?}",
                         schema.name(*col)
@@ -82,7 +82,7 @@ impl SelectionQuery {
                 }
                 for b in [lo, hi] {
                     if let Bound::Included(v) | Bound::Excluded(v) = b {
-                        if !schema.col_type(*col).admits(v) {
+                        if !schema.col_type(*col).admits(v.as_ref()) {
                             return Err(format!(
                                 "range bound {v} has wrong type for column {:?}",
                                 schema.name(*col)

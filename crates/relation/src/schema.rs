@@ -1,6 +1,7 @@
 //! Relation schemas: named, typed columns.
 
-use crate::value::Value;
+use crate::columns::Tuple;
+use crate::value::ValueRef;
 
 /// Column type tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,10 +14,10 @@ pub enum ColType {
 
 impl ColType {
     /// Does a value inhabit this type?
-    pub fn admits(self, v: &Value) -> bool {
+    pub fn admits(self, v: ValueRef<'_>) -> bool {
         matches!(
             (self, v),
-            (ColType::Int, Value::Int(_)) | (ColType::Str, Value::Str(_))
+            (ColType::Int, ValueRef::Int(_)) | (ColType::Str, ValueRef::Str(_))
         )
     }
 }
@@ -60,21 +61,20 @@ impl Schema {
         self.columns[col].1
     }
 
-    /// Validate a tuple against the schema.
-    pub fn admits(&self, tuple: &[Value]) -> Result<(), String> {
-        if tuple.len() != self.arity() {
+    /// Validate a tuple — owned values or a borrowed row — against the
+    /// schema.
+    pub fn admits(&self, tuple: impl Tuple) -> Result<(), String> {
+        if tuple.arity() != self.arity() {
             return Err(format!(
                 "arity mismatch: tuple has {} values, schema has {} columns",
-                tuple.len(),
+                tuple.arity(),
                 self.arity()
             ));
         }
-        for (i, v) in tuple.iter().enumerate() {
-            if !self.columns[i].1.admits(v) {
-                return Err(format!(
-                    "type mismatch in column {:?}: value {v}",
-                    self.columns[i].0
-                ));
+        for (i, (name, col_type)) in self.columns.iter().enumerate() {
+            let v = tuple.cell(i);
+            if !col_type.admits(v) {
+                return Err(format!("type mismatch in column {name:?}: value {v}"));
             }
         }
         Ok(())
@@ -84,6 +84,7 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn people() -> Schema {
         Schema::new(&[("id", ColType::Int), ("name", ColType::Str)])

@@ -97,9 +97,16 @@ impl From<String> for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// As the owned [`Value`] displays: an `Int` bare, a `Str` quoted.
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s:?}"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Str(s) => write!(f, "{s:?}"),
         }
     }
 }
@@ -167,6 +174,7 @@ mod tests {
         for a in &values {
             assert_eq!(a.as_ref().to_value(), *a);
             assert_eq!(a.as_ref(), *a);
+            assert_eq!(a.as_ref().to_string(), a.to_string());
             for b in &values {
                 assert_eq!(a.as_ref().cmp(&b.as_ref()), a.cmp(b), "{a} vs {b}");
             }

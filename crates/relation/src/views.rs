@@ -13,6 +13,7 @@
 //! Definition 1 is [`ViewSet::rewrite`], which returns both the chosen
 //! view and the (unchanged) residual query to run against it.
 
+use crate::columns::RowRef;
 use crate::query::SelectionQuery;
 use crate::relation::Relation;
 use crate::value::Value;
@@ -47,9 +48,8 @@ impl MaterializedView {
         };
         let rows = base
             .rows()
-            .iter()
-            .filter(|r| def.matches(r))
-            .cloned()
+            .filter(|&r| def.matches(r))
+            .map(RowRef::to_vec)
             .collect();
         MaterializedView {
             name: name.into(),

@@ -1,8 +1,11 @@
 //! What Π(D) costs in bytes, as a regression gate. `peak_rss_mb` in the
 //! end-to-end benchmark carries a 5 % bound on a whole process; this
-//! binary installs a byte-counting global allocator and pins the three
+//! binary installs a byte-counting global allocator and pins the four
 //! structures that bound cannot see on their own:
 //!
+//! * the heap the input relation keeps once [`Relation::from_rows`] has
+//!   consumed its rows stays within [`INPUT_BYTES_PER_ROW`] — the rows
+//!   sit in typed columns, not in the caller's `Vec<Vec<Value>>`;
 //! * the heap held by the rows and the id maps — a build with no index
 //!   at all — stays within [`ROW_BYTES_PER_ROW`];
 //! * the heap held by the secondary indexes — built-with-indexes minus
@@ -11,7 +14,7 @@
 //!   finished relation by more than [`BUILD_SLACK_PER_ROW`]: the build
 //!   holds one column's `(key, id)` pairs and the packed entries made
 //!   from them, never every column's at once, and never a staging copy
-//!   of the rows (a `Vec<Vec<Value>>` of them would cost ~136 B/row).
+//!   of the rows (even a columnar one would cost ~48 B/row).
 //!
 //! The relation is the end-to-end benchmark's: `id` (unique), `ts`
 //! (nearly unique), `grp` (1 024 values) indexed, a 16-byte `payload`
@@ -26,6 +29,13 @@ use pi_tractable::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Heap bytes the input relation may hold per row. When written: 48 —
+/// the same typed columns a shard keeps (8 for each `Int` column, 16
+/// arena bytes plus an 8-byte end offset for `payload`) and a live bit.
+/// The `Vec<Vec<Value>>` the relation used to keep held 136: a 24-byte
+/// row header, a heap block of four 24-byte `Value`s, and the payload's
+/// 16-byte `String` block.
+const INPUT_BYTES_PER_ROW: usize = 56;
 /// Heap bytes the rows and the id maps may hold per row. When written:
 /// 80 — 48 for the typed columns (8 for each of the three `Int`
 /// columns, and for `payload` 16 arena bytes plus an 8-byte end offset)
@@ -105,6 +115,7 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
         ("grp", ColType::Int),
         ("payload", ColType::Str),
     ]);
+    let before = LIVE.load(Ordering::Relaxed);
     // splitmix64: `ts` uniform in [0, 16·|D|), `grp` in [0, GROUPS).
     let mut state = 7u64;
     let mut next = move || {
@@ -125,11 +136,18 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
         })
         .collect();
     let relation = Relation::from_rows(schema, rows).expect("valid rows");
+    // The consumed rows are freed: what is left is the relation's columns.
+    let input_bytes = LIVE.load(Ordering::Relaxed) - before;
 
     let (bare, bare_bytes, _) = build(&relation, &[]);
     let (indexed, indexed_bytes, build_slack) = build(&relation, &[0, 1, 2]);
     assert_eq!((bare.len(), indexed.len()), (ROWS, ROWS));
 
+    assert!(
+        input_bytes <= INPUT_BYTES_PER_ROW * ROWS,
+        "the input relation holds {} B/row, over the {INPUT_BYTES_PER_ROW} allowed",
+        input_bytes / ROWS
+    );
     assert!(
         bare_bytes <= ROW_BYTES_PER_ROW * ROWS,
         "the rows and id maps hold {} B/row, over the {ROW_BYTES_PER_ROW} allowed",
@@ -147,7 +165,8 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
         build_slack / ROWS
     );
     println!(
-        "indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row",
+        "input relation {} B/row; indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row",
+        input_bytes / ROWS,
         index_bytes / ROWS,
         bare_bytes / ROWS,
         build_slack / ROWS
