@@ -9,6 +9,7 @@
 //! the same operations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod artifact;

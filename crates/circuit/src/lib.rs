@@ -21,6 +21,7 @@
 //! `make_tractable` demonstrations.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod circuit;

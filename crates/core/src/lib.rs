@@ -49,6 +49,7 @@
 //! | Proposition 1 | [`factor::Factorization::check_roundtrip`] |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod cost;

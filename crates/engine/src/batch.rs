@@ -9,7 +9,9 @@
 //! and every shard answers its slice through `eval_assigned` with a
 //! thread-local [`Meter`] (deliberately not shared: the paper's NC bound
 //! is per processor, so each shard accounts its own steps). Per-query
-//! meters aggregate into a [`BatchReport`].
+//! meters aggregate into a [`BatchReport`]. Within a slice, the points on
+//! an indexed column descend that column's tree together, in groups,
+//! and each is charged exactly what it would cost alone.
 //!
 //! Shard routing happens before the fan-out (`route_batch`): a query
 //! whose shard-key constraints prove most shards irrelevant is simply
@@ -34,7 +36,7 @@ use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{Schema, SelectionQuery};
+use pitract_relation::{Schema, SelectionQuery, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -266,7 +268,8 @@ impl OutputMode for RowIds {}
 #[allow(private_interfaces)]
 mod sealed {
     use super::{
-        BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery, WorkerResults,
+        BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery, Value,
+        WorkerResults,
     };
 
     pub trait Mode: 'static {
@@ -275,6 +278,16 @@ mod sealed {
 
         /// Probe the shard's current state.
         fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Self::Out;
+
+        /// Probe the shard's current state for many points on the
+        /// indexed column `col` at once: `found(tag, out, steps)` per
+        /// probe, each what `current` returns and charges for it.
+        fn points<'q>(
+            shard: &IndexedRelation,
+            col: usize,
+            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            found: impl FnMut(usize, Self::Out, u64),
+        );
 
         /// Probe the shard as of a pinned epoch, through its rollback.
         fn rolled_back(
@@ -304,6 +317,15 @@ mod sealed {
             shard.answer_metered(q, meter)
         }
 
+        fn points<'q>(
+            shard: &IndexedRelation,
+            col: usize,
+            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            found: impl FnMut(usize, bool, u64),
+        ) {
+            shard.answer_points_metered(col, probes, found);
+        }
+
         fn rolled_back(
             rollback: &Rollback,
             shard: &IndexedRelation,
@@ -323,6 +345,15 @@ mod sealed {
 
         fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
             shard.matching_ids_metered(q, meter)
+        }
+
+        fn points<'q>(
+            shard: &IndexedRelation,
+            col: usize,
+            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            found: impl FnMut(usize, Vec<usize>, u64),
+        ) {
+            shard.matching_points_metered(col, probes, found);
         }
 
         fn rolled_back(
@@ -364,31 +395,72 @@ mod sealed {
     }
 }
 
-/// Answer one shard's slice of a batch: every assigned query evaluated
-/// against `shard` with a per-query metered step count (the meter is
-/// reset around each query via `take`). The single worker-side metering
-/// protocol every [`BatchServe::eval_shard`] body goes through — the
-/// cost accounting cannot drift between relations or modes.
-pub(crate) fn eval_assigned<T>(
+/// Answer one shard's slice of a batch in mode `M`: every assigned
+/// query evaluated against `shard` — corrected by `rollback` when the
+/// batch's pin predates writes to it — with a per-query metered step
+/// count. The single worker-side metering protocol every
+/// [`BatchServe::eval_shard`] body goes through — the cost accounting
+/// cannot drift between relations or modes.
+///
+/// The job is split in two. Points on an indexed column of the current
+/// state are grouped per column and descend that column's tree
+/// together ([`IndexedRelation::answer_points_metered`]), so their cache
+/// misses overlap; each is still charged exactly what it costs alone.
+/// Everything else — ranges, conjunctions, points on an unindexed
+/// column, and every query of a rolled-back job — is evaluated one query
+/// at a time, the meter reset around each via `take`. Either way the
+/// triples come back in ascending query order, and the job allocates
+/// its result vector and nothing per query.
+pub(crate) fn eval_assigned<M: OutputMode>(
     queries: &[SelectionQuery],
     shard: &IndexedRelation,
     assigned: &[usize],
-    eval: impl Fn(&IndexedRelation, &SelectionQuery, &Meter) -> T,
-) -> WorkerResults<T> {
+    rollback: Option<&Rollback>,
+) -> WorkerResults<M::Out> {
+    let grouped = |qi: usize| match (&queries[qi], rollback) {
+        (SelectionQuery::Point { col, value }, None) if shard.is_indexed(*col) => {
+            Some((*col, value))
+        }
+        _ => None,
+    };
+    // Every column a grouped point names lies in `first..end`.
+    let (mut first, mut end) = (usize::MAX, 0);
     let meter = Meter::new();
-    assigned
+    let mut results: WorkerResults<M::Out> = assigned
         .iter()
         .map(|&qi| {
+            if let Some((col, _)) = grouped(qi) {
+                (first, end) = (first.min(col), end.max(col + 1));
+                // Filled in by the column's group descent below.
+                return (qi, M::Out::default(), 0);
+            }
             meter.take();
-            let out = eval(shard, &queries[qi], &meter);
+            let out = match rollback {
+                None => M::current(shard, &queries[qi], &meter),
+                Some(rollback) => M::rolled_back(rollback, shard, &queries[qi], &meter),
+            };
             (qi, out, meter.take())
         })
-        .collect()
+        .collect();
+    for col in (first..end).filter(|&col| shard.is_indexed(col)) {
+        let points = assigned
+            .iter()
+            .enumerate()
+            .filter_map(|(at, &qi)| match grouped(qi) {
+                Some((c, value)) if c == col => Some((at, value)),
+                _ => None,
+            });
+        M::points(shard, col, points, |at, out, steps| {
+            (results[at].1, results[at].2) = (out, steps);
+        });
+    }
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::LiveRelation;
     use crate::planner::AccessPath;
     use crate::pool::PooledExecutor;
     use crate::shard::{ShardBy, ShardedRelation};
@@ -478,6 +550,169 @@ mod tests {
             report.per_query[0].plan.path,
             AccessPath::PointProbe { col: 0 }
         );
+    }
+
+    /// The per-query path `eval_assigned` splits grouped points off
+    /// from: every assigned query on its own, the meter reset around it.
+    fn per_query<M: OutputMode>(
+        queries: &[SelectionQuery],
+        shard: &IndexedRelation,
+        assigned: &[usize],
+        rollback: Option<&Rollback>,
+    ) -> WorkerResults<M::Out> {
+        let meter = Meter::new();
+        assigned
+            .iter()
+            .map(|&qi| {
+                meter.take();
+                let q = &queries[qi];
+                let out = match rollback {
+                    None => M::current(shard, q, &meter),
+                    Some(rollback) => M::rolled_back(rollback, shard, q, &meter),
+                };
+                (qi, out, meter.take())
+            })
+            .collect()
+    }
+
+    /// `id`, `grp` (Int) and `city` (Str) are indexed; `note` is not.
+    fn four_columns(n: i64) -> Relation {
+        let schema = Schema::new(&[
+            ("id", ColType::Int),
+            ("grp", ColType::Int),
+            ("city", ColType::Str),
+            ("note", ColType::Str),
+        ]);
+        let rows = (0..n).map(|i| four_column_row(i, n)).collect();
+        Relation::from_rows(schema, rows).unwrap()
+    }
+
+    fn four_column_row(i: i64, n: i64) -> Vec<Value> {
+        vec![
+            Value::Int(i),
+            Value::Int(i % 17),
+            Value::str(format!("city{}", i % (n / 20))),
+            Value::str(format!("note{}", i % 7)),
+        ]
+    }
+
+    /// One job of every kind `eval_assigned` meets: Int points on two
+    /// indexed columns and Str points on a third (hits, misses and
+    /// repeats, more than a group of each), mistyped points, points on
+    /// the unindexed column, ranges and nested conjunctions.
+    fn mixed_job(n: i64) -> Vec<SelectionQuery> {
+        let mut queries = Vec::new();
+        for k in 0..40i64 {
+            queries.push(SelectionQuery::point(0, (k * 37) % (n + 40) - 20));
+            queries.push(SelectionQuery::point(1, k % 20));
+            queries.push(SelectionQuery::point(2, format!("city{}", k % 30).as_str()));
+            match k % 8 {
+                0 => queries.push(SelectionQuery::point(0, format!("city{k}").as_str())),
+                1 => queries.push(SelectionQuery::point(2, k)),
+                2 => queries.push(SelectionQuery::point(3, format!("note{}", k % 9).as_str())),
+                3 => queries.push(SelectionQuery::range_closed(0, k * 5, k * 5 + 12)),
+                4 => queries.push(SelectionQuery::range_closed(1, k % 17, 16)),
+                5 => queries.push(SelectionQuery::and(
+                    SelectionQuery::and(
+                        SelectionQuery::range_closed(0, 0, n),
+                        SelectionQuery::point(1, k % 17),
+                    ),
+                    SelectionQuery::point(3, "note3"),
+                )),
+                6 => queries.push(SelectionQuery::and(
+                    SelectionQuery::point(3, "note1"),
+                    SelectionQuery::range_closed(0, k, k + 30),
+                )),
+                _ => queries.push(SelectionQuery::point(0, k)),
+            }
+        }
+        queries
+    }
+
+    /// The grouped job equals the per-query path triple by triple —
+    /// query index, output, steps — in ascending query order.
+    fn assert_same<T: PartialEq + std::fmt::Debug>(
+        grouped: WorkerResults<T>,
+        single: WorkerResults<T>,
+        assigned: &[usize],
+    ) {
+        assert_eq!(grouped, single);
+        let order: Vec<usize> = grouped.iter().map(|(qi, _, _)| *qi).collect();
+        assert_eq!(order, assigned, "one triple per query, ascending");
+    }
+
+    /// [`mixed_job`] with every fifth query left out of the job, so a
+    /// result's position and its query index differ.
+    fn job() -> (Vec<SelectionQuery>, Vec<usize>) {
+        let queries = mixed_job(300);
+        let assigned = (0..queries.len()).filter(|qi| qi % 5 != 4).collect();
+        (queries, assigned)
+    }
+
+    fn sharded_matches_per_query<M: OutputMode>(sr: &ShardedRelation)
+    where
+        M::Out: PartialEq + std::fmt::Debug,
+    {
+        let (queries, assigned) = job();
+        for (shard, current) in sr.shards().iter().enumerate() {
+            assert_same(
+                sr.eval_shard::<M>(shard, Epoch::LATEST, &queries, &assigned),
+                per_query::<M>(&queries, current, &assigned, None),
+                &assigned,
+            );
+        }
+    }
+
+    /// As [`sharded_matches_per_query`], read at `at`, which must (or
+    /// must not) need a rollback.
+    fn live_matches_per_query<M: OutputMode>(live: &LiveRelation, at: Epoch, rolled_back: bool)
+    where
+        M::Out: PartialEq + std::fmt::Debug,
+    {
+        let (queries, assigned) = job();
+        for shard in 0..live.shard_count() {
+            let single = live.read_shard_at(shard, at, |current, rollback| {
+                assert_eq!(rollback.is_some(), rolled_back, "shard {shard}");
+                per_query::<M>(&queries, current, &assigned, rollback)
+            });
+            assert_same(
+                live.eval_shard::<M>(shard, at, &queries, &assigned),
+                single,
+                &assigned,
+            );
+        }
+    }
+
+    #[test]
+    fn grouped_points_match_the_per_query_path() {
+        let n = 300;
+        let rel = four_columns(n);
+        let sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1, 2]).unwrap();
+        sharded_matches_per_query::<Exists>(&sr);
+        sharded_matches_per_query::<RowIds>(&sr);
+
+        // Writes before the pin leave tombstones and new rows in the
+        // current state, which then serves the pin as it stands.
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1, 2]).unwrap();
+        for gid in (0..n as usize).step_by(11) {
+            live.delete(gid).unwrap();
+        }
+        for i in n..n + 30 {
+            live.insert(four_column_row(i, n)).unwrap();
+        }
+        let pin = live.pin();
+        live_matches_per_query::<Exists>(&live, pin.epoch(), false);
+        live_matches_per_query::<RowIds>(&live, pin.epoch(), false);
+
+        // Writes past the pin: every shard reads through a rollback.
+        for gid in (1..n as usize).step_by(7) {
+            live.delete(gid).unwrap();
+        }
+        for i in n + 30..n + 60 {
+            live.insert(four_column_row(i, n)).unwrap();
+        }
+        live_matches_per_query::<Exists>(&live, pin.epoch(), true);
+        live_matches_per_query::<RowIds>(&live, pin.epoch(), true);
     }
 
     #[test]

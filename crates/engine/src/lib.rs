@@ -50,6 +50,7 @@
 //! oracle [`pitract_relation::Relation::eval_scan`] on the same data.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Serving-stack panic hygiene (PR 9): no panicking escape hatches in
 // non-test code. Individual invariant sites opt out locally with an
 // `#[allow]` paired with a `// lint:allow(...)` justification that the

@@ -890,6 +890,25 @@ impl LiveRelation {
         self.shards[s].read()
     }
 
+    /// Run `read` over shard `s` as of epoch `at`, under its read lock:
+    /// the current version plus, when writes landed past `at`, the
+    /// rollback that corrects it (built once, here).
+    pub(crate) fn read_shard_at<T>(
+        &self,
+        s: usize,
+        at: Epoch,
+        read: impl FnOnce(&IndexedRelation, Option<&Rollback>) -> T,
+    ) -> T {
+        let guard = self.read_shard(s);
+        let rollback = guard.rollback_at(at, &self.schema, &self.indexed_cols);
+        if let Some(rollback) = &rollback {
+            self.instruments
+                .rollback_entries
+                .record(rollback.entries as u64);
+        }
+        read(&guard.current, rollback.as_ref())
+    }
+
     fn write_shard(&self, s: usize) -> OrderedRwLockWriteGuard<'_, ShardSlot> {
         self.shards[s].write()
     }
@@ -1566,16 +1585,9 @@ impl BatchServe for LiveRelation {
         queries: &[SelectionQuery],
         assigned: &[usize],
     ) -> WorkerResults<M::Out> {
-        let guard = self.read_shard(shard);
-        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
-            None => eval_assigned(queries, &guard.current, assigned, M::current),
-            Some(rb) => {
-                self.instruments.rollback_entries.record(rb.entries as u64);
-                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                    M::rolled_back(&rb, sh, q, m)
-                })
-            }
-        }
+        self.read_shard_at(shard, at, |current, rollback| {
+            eval_assigned::<M>(queries, current, assigned, rollback)
+        })
     }
 
     /// Safe after the shard lock has been released: the per-shard

@@ -480,7 +480,11 @@ pub trait BatchServe: Send + Sync {
     /// One shard's assigned queries, evaluated in mode `M` at epoch
     /// `at` ([`Epoch::LATEST`] = current state): one `(query index,
     /// result, metered steps)` triple per assigned query, in ascending
-    /// query order. Runs on a pool worker.
+    /// query order. Runs on a pool worker. The engine's relations
+    /// evaluate through one body, which may answer a job's indexed
+    /// points together, in groups down each column's tree; the steps
+    /// of each triple are still exactly that query's own, as if it had
+    /// run alone.
     fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,

@@ -468,7 +468,7 @@ impl BatchServe for ShardedRelation {
         queries: &[SelectionQuery],
         assigned: &[usize],
     ) -> WorkerResults<M::Out> {
-        eval_assigned(queries, &self.shards[shard], assigned, M::current)
+        eval_assigned::<M>(queries, &self.shards[shard], assigned, None)
     }
 
     fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {

@@ -22,6 +22,7 @@
 //! (workload generators for every experiment).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod bds;

@@ -20,6 +20,7 @@
 //!   vector shifting, B⁺-tree), showing why maintainable structures matter.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod bounded;

@@ -26,7 +26,17 @@
 //!   comparisons — one tick per comparison whatever the key type, so
 //!   instantiating the tree at `i64` or `String` instead of an enum of
 //!   both changes what a comparison costs, not how many are counted —
-//!   used by tests and experiment E1 to certify the O(log n) claim; and
+//!   used by tests and experiment E1 to certify the O(log n) claim;
+//! * a group descent ([`BPlusTree::get_many_metered`]) for a run of point
+//!   probes: [`GROUP`] keys go down together, one level at a time — every
+//!   leaf sits at the same depth — and as each probe picks its child, the
+//!   child's arena slot and then the first lines of its key buffer are
+//!   hinted into cache, so the group's dependent cache misses overlap
+//!   instead of queueing. Each probe runs the very binary searches
+//!   `get_metered` runs (the two share them), so its answer and its
+//!   comparison count are a lone probe's: metering stays per probe and
+//!   unchanged. The hint is `_mm_prefetch` on x86_64 and a no-op
+//!   elsewhere; nothing but speed depends on it; and
 //! * [`BPlusTree::check_invariants`], a full structural audit used by the
 //!   property-based tests (occupancy, ordering, separator correctness,
 //!   uniform depth, leaf-chain consistency).
@@ -37,6 +47,10 @@ use std::ops::Bound;
 
 /// Maximum keys a node may hold before it splits. See [`BPlusTree::new`].
 pub const DEFAULT_ORDER: usize = 32;
+
+/// Probes [`BPlusTree::get_many_metered`] carries down the tree
+/// together.
+pub const GROUP: usize = 16;
 
 #[derive(Debug, Clone)]
 enum Node<K, V> {
@@ -337,17 +351,87 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
     /// Point lookup ticking the meter once per key comparison — the
     /// instrumented path behind experiment E1's O(log n) verdict.
     pub fn get_metered(&self, key: &K, meter: &Meter) -> Option<&V> {
+        let mut steps = 0;
         let mut idx = self.root;
-        loop {
+        let found = loop {
             match &self.nodes[idx] {
                 Node::Internal { keys, children } => {
-                    let pos = metered_upper_bound(keys, key, meter);
-                    idx = children[pos];
+                    idx = children[counted_upper_bound(keys, key, &mut steps)];
                 }
                 Node::Leaf { keys, vals, .. } => {
-                    return metered_eq_search(keys, key, meter).map(|p| &vals[p]);
+                    break counted_eq_search(keys, key, &mut steps).map(|p| &vals[p]);
                 }
                 Node::Free => unreachable!("free node reached from root"),
+            }
+        };
+        meter.add(steps);
+        found
+    }
+
+    /// [`Self::get_metered`] for many keys, descended [`GROUP`] at a
+    /// time: `found(tag, value, comparisons)` is called once per probe,
+    /// in probe order, with what `get_metered` returns for that key and
+    /// the comparisons it would tick. Every leaf sits at the same depth,
+    /// so a group moves down one level at a time — each probe searches
+    /// its node and picks a child, and the child's arena slot and the
+    /// first lines of its key buffer are hinted into cache before any
+    /// probe reads them. The group's cache misses overlap instead of
+    /// queueing one behind the other.
+    pub fn get_many_metered<'k, T: Copy>(
+        &self,
+        probes: impl IntoIterator<Item = (T, &'k K)>,
+        mut found: impl FnMut(T, Option<&V>, u64),
+    ) where
+        K: 'k,
+    {
+        let mut probes = probes.into_iter().peekable();
+        let Some(&(tag, key)) = probes.peek() else {
+            return;
+        };
+        let height = self.height();
+        let (mut tags, mut keys) = ([tag; GROUP], [key; GROUP]);
+        loop {
+            let mut len = 0;
+            for ((tag, key), probe) in tags.iter_mut().zip(&mut keys).zip(&mut probes) {
+                (*tag, *key) = probe;
+                len += 1;
+            }
+            if len == 0 {
+                return;
+            }
+            let mut at = [self.root; GROUP];
+            let mut steps = [0u64; GROUP];
+            for _ in 1..height {
+                for j in 0..len {
+                    let Node::Internal {
+                        keys: seps,
+                        children,
+                    } = &self.nodes[at[j]]
+                    else {
+                        unreachable!("every leaf sits at depth {height}");
+                    };
+                    at[j] = children[counted_upper_bound(seps, keys[j], &mut steps[j])];
+                    prefetch(&self.nodes[at[j]]);
+                }
+                for &idx in &at[..len] {
+                    if let Node::Internal { keys, .. } | Node::Leaf { keys, .. } = &self.nodes[idx]
+                    {
+                        prefetch_lines(keys);
+                    }
+                }
+            }
+            for j in 0..len {
+                let Node::Leaf {
+                    keys: stored, vals, ..
+                } = &self.nodes[at[j]]
+                else {
+                    unreachable!("every leaf sits at depth {height}");
+                };
+                let hit = counted_eq_search(stored, keys[j], &mut steps[j]).map(|p| &vals[p]);
+                found(tags[j], hit, steps[j]);
+            }
+            if len < GROUP {
+                return;
             }
         }
     }
@@ -937,14 +1021,14 @@ impl<'a, K: Ord + Clone, V> Iterator for RangeIter<'a, K, V> {
     }
 }
 
-/// Binary search for `partition_point(|k| k <= key)` ticking the meter once
+/// Binary search for `partition_point(|k| k <= key)` counting one step
 /// per comparison.
-fn metered_upper_bound<K: Ord>(keys: &[K], key: &K, meter: &Meter) -> usize {
+fn counted_upper_bound<K: Ord>(keys: &[K], key: &K, steps: &mut u64) -> usize {
     let mut lo = 0usize;
     let mut hi = keys.len();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        meter.tick();
+        *steps += 1;
         if keys[mid] <= *key {
             lo = mid + 1;
         } else {
@@ -954,13 +1038,13 @@ fn metered_upper_bound<K: Ord>(keys: &[K], key: &K, meter: &Meter) -> usize {
     lo
 }
 
-/// Metered exact-match binary search.
-fn metered_eq_search<K: Ord>(keys: &[K], key: &K, meter: &Meter) -> Option<usize> {
+/// Exact-match binary search counting one step per comparison.
+fn counted_eq_search<K: Ord>(keys: &[K], key: &K, steps: &mut u64) -> Option<usize> {
     let mut lo = 0usize;
     let mut hi = keys.len();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        meter.tick();
+        *steps += 1;
         match keys[mid].cmp(key) {
             std::cmp::Ordering::Less => lo = mid + 1,
             std::cmp::Ordering::Greater => hi = mid,
@@ -969,6 +1053,40 @@ fn metered_eq_search<K: Ord>(keys: &[K], key: &K, meter: &Meter) -> Option<usize
     }
     None
 }
+
+/// Bytes in an x86_64 cache line.
+const LINE: usize = 64;
+
+/// Cache lines of a node's key buffer [`prefetch_lines`] hints: all of
+/// a full `i64` node of [`DEFAULT_ORDER`] keys.
+const PREFETCH_LINES: usize = 4;
+
+/// Hint the first [`PREFETCH_LINES`] cache lines of `keys` into cache.
+fn prefetch_lines<K>(keys: &[K]) {
+    let bytes = std::mem::size_of_val(keys).min(PREFETCH_LINES * LINE);
+    let start = keys.as_ptr().cast::<u8>();
+    for offset in (0..bytes).step_by(LINE) {
+        prefetch(start.wrapping_add(offset));
+    }
+}
+
+/// Hint the cache line holding `*p` into L1 — the one `unsafe` block of
+/// the workspace.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch is a hint: it never faults, whatever the
+    // address, and reads nothing into Rust, so no pointer validity is
+    // required. SSE, which provides it, is baseline on x86_64.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) }
+}
+
+/// Off x86_64 the hint is a no-op; nothing depends on it but speed.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn prefetch<T>(_: *const T) {}
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,11 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The B⁺-tree's prefetch hint is the workspace's one `unsafe` block: it
+// carries the only `#[allow(unsafe_code)]`, and its `// SAFETY:` comment
+// is enforced. Every other library crate forbids `unsafe` outright.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bptree;
 pub mod hash;

@@ -2,7 +2,8 @@
 //! ordered map (including range scans), sorted-index statistics against
 //! brute force, and LCA structures against the naive walk.
 
-use pitract_index::bptree::BPlusTree;
+use pitract_core::cost::Meter;
+use pitract_index::bptree::{BPlusTree, GROUP};
 use pitract_index::lca::lifting::BinaryLiftingLca;
 use pitract_index::lca::tree::{naive_lca, EulerTourLca, RootedTree};
 use pitract_index::sorted::SortedIndex;
@@ -136,5 +137,94 @@ proptest! {
         let two_step = lift.kth_ancestor(lift.kth_ancestor(v, a), b);
         let one_step = lift.kth_ancestor(v, a + b);
         prop_assert_eq!(two_step, one_step);
+    }
+}
+
+/// Keys are drawn from `0..KEYS` and stored doubled, so every odd probe
+/// falls between two stored keys.
+const KEYS: i64 = 300;
+
+/// A tree of order `order` after `ops` — `(insert?, key)` pairs — with
+/// every stored key doubled and valued by its own negation.
+fn churned_tree(order: usize, ops: &[(bool, i64)]) -> BPlusTree<i64, i64> {
+    let mut tree = BPlusTree::with_order(order);
+    for &(insert, key) in ops {
+        if insert {
+            tree.insert(2 * key, -2 * key);
+        } else {
+            tree.remove(&(2 * key));
+        }
+    }
+    tree
+}
+
+/// The group descent against `get_metered`, probe by probe: every
+/// probe is reported exactly once, in probe order, with the very value
+/// `get_metered` finds for its key and the comparisons it ticks.
+fn group_matches_single(tree: &BPlusTree<i64, i64>, probes: &[i64]) -> Result<(), TestCaseError> {
+    let mut grouped = Vec::with_capacity(probes.len());
+    tree.get_many_metered(probes.iter().enumerate(), |i, found, steps| {
+        grouped.push((i, found.map(std::ptr::from_ref), steps));
+    });
+    let meter = Meter::new();
+    let single: Vec<_> = probes
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            let found = tree.get_metered(key, &meter).map(std::ptr::from_ref);
+            (i, found, meter.take())
+        })
+        .collect();
+    prop_assert_eq!(grouped, single);
+    Ok(())
+}
+
+proptest! {
+    /// Group descent equals `get_metered` key by key, on trees churned
+    /// by inserts and removes (so with freed arena slots) at orders
+    /// 3–32, for probe lists from empty to more than three groups long
+    /// with repeats and misses below, between and above the keys.
+    #[test]
+    fn bptree_group_descent_matches_get_metered(
+        order in 3usize..33,
+        ops in prop::collection::vec((0u8..3, 0i64..KEYS), 0..600),
+        probes in prop::collection::vec(-3i64..2 * KEYS + 3, 0..=3 * GROUP + 1),
+        repeat in 0usize..8,
+    ) {
+        let ops: Vec<(bool, i64)> = ops.into_iter().map(|(op, key)| (op > 0, key)).collect();
+        let tree = churned_tree(order, &ops);
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        // The same key again, inside one group or across two.
+        let mut probes = probes;
+        if let Some(&key) = probes.get(repeat) {
+            probes.push(key);
+        }
+        group_matches_single(&tree, &probes)?;
+    }
+}
+
+/// The property above sweeps the shapes a random case may miss: the
+/// empty tree and every height from 1 to 5, each probed on every key
+/// it holds, on every gap and past both ends, in one run of groups.
+#[test]
+fn bptree_group_descent_covers_every_height() {
+    let mut heights = Vec::new();
+    for order in [3usize, 4, 7, 32] {
+        for n in [0i64, 1, 5, 40, 150, KEYS] {
+            let inserts: Vec<(bool, i64)> = (0..n).map(|k| (true, (k * 7) % KEYS)).collect();
+            // Remove every third key again: merges free arena slots.
+            let removes = (0..n).step_by(3).map(|k| (false, (k * 7) % KEYS));
+            let ops: Vec<(bool, i64)> = inserts.iter().copied().chain(removes).collect();
+            let tree = churned_tree(order, &ops);
+            heights.push(tree.height());
+            let probes: Vec<i64> = (-3..2 * KEYS + 3).collect();
+            group_matches_single(&tree, &probes).unwrap();
+        }
+    }
+    for height in 1..=5 {
+        assert!(
+            heights.contains(&height),
+            "no tree of height {height}: {heights:?}"
+        );
     }
 }

@@ -18,6 +18,7 @@
 //!   `solve_via_kernel` pipeline.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod buss;

@@ -30,6 +30,7 @@
 //! Π-tractability scheme (experiment E14).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod connectivity;

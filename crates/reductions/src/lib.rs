@@ -22,6 +22,7 @@
 //! rather than sitting in prose.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod connectivity_to_bds;

@@ -83,7 +83,10 @@
 //! once per key comparison ([`BPlusTree::get_metered`]), every other
 //! path still charges `tree_descent_cost` = 2·⌈log₂ keys⌉ plus the ids
 //! it touches, and a scan still ticks once per slot, tombstones
-//! included. Neither typed keys nor typed columns moved a metered step.
+//! included. Neither typed keys nor typed columns moved a metered step,
+//! and neither does answering a run of points on one column together
+//! ([`IndexedRelation::answer_points_metered`]): the points share the
+//! walk down the tree, and each is charged its own comparisons.
 //!
 //! [`ValueRef`]: crate::value::ValueRef
 
@@ -266,6 +269,30 @@ impl ColumnIndex {
                 None
             }
         })
+    }
+
+    /// [`Self::get_metered`] for many values, descended together
+    /// ([`BPlusTree::get_many_metered`]): `found(tag, posting,
+    /// comparisons)` once per probe, each charged what `get_metered`
+    /// charges. The mistyped values are settled first, one comparison
+    /// each; the rest go down the tree as one run of groups.
+    fn get_many_metered<'q, T: Copy>(
+        &self,
+        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
+        found: impl FnMut(T, Option<&Posting>, u64),
+    ) {
+        fn typed<'q, K: IndexKey, T: Copy>(
+            tree: &BPlusTree<K, Posting>,
+            probes: impl Iterator<Item = (T, &'q Value)> + Clone,
+            mut found: impl FnMut(T, Option<&Posting>, u64),
+        ) {
+            for (tag, _) in probes.clone().filter(|(_, value)| K::of(value).is_none()) {
+                found(tag, None, 1);
+            }
+            let keyed = probes.filter_map(|(tag, value)| Some((tag, K::of(value)?)));
+            tree.get_many_metered(keyed, found);
+        }
+        with_tree!(self, tree => typed(tree, probes, found))
     }
 
     /// Does `hit` accept any posting keyed within the bounds? Walks the
@@ -479,8 +506,13 @@ impl IndexedRelation {
     /// Which columns are indexed? Ascending.
     pub fn indexed_columns(&self) -> Vec<usize> {
         (0..self.indexes.len())
-            .filter(|&col| self.indexes[col].is_some())
+            .filter(|&col| self.is_indexed(col))
             .collect()
+    }
+
+    /// Is `col` a column of the schema with an index on it?
+    pub fn is_indexed(&self, col: usize) -> bool {
+        self.index(col).is_some()
     }
 
     /// The index on `col`, if the column exists and is indexed.
@@ -663,6 +695,56 @@ impl IndexedRelation {
                 }
             }
         }
+    }
+
+    /// Many point selections on the indexed column `col` at once, the
+    /// batched twin of [`Self::answer_metered`]: `found(tag, answer,
+    /// steps)` is called once per `(tag, value)` probe with what
+    /// `answer_metered` returns for `Point { col, value }` and the steps
+    /// it charges — the key comparisons, or one for a mistyped value.
+    /// The probes descend the tree together
+    /// ([`BPlusTree::get_many_metered`]); `found` may be called out of
+    /// probe order.
+    ///
+    /// Panics if `col` is not indexed ([`Self::is_indexed`]).
+    pub fn answer_points_metered<'q, T: Copy>(
+        &self,
+        col: usize,
+        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
+        mut found: impl FnMut(T, bool, u64),
+    ) {
+        self.point_index(col)
+            .get_many_metered(probes, |tag, posting, steps| {
+                found(tag, posting.is_some(), steps)
+            });
+    }
+
+    /// [`Self::answer_points_metered`] in row-id mode, the batched twin
+    /// of [`Self::matching_ids_metered`]: each probe gets the ids posted
+    /// under its value, charged one descent plus the ids, as
+    /// `matching_ids_metered` charges a point probe (a mistyped value,
+    /// like a miss, pays the descent alone).
+    ///
+    /// Panics if `col` is not indexed ([`Self::is_indexed`]).
+    pub fn matching_points_metered<'q, T: Copy>(
+        &self,
+        col: usize,
+        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
+        mut found: impl FnMut(T, Vec<usize>, u64),
+    ) {
+        let index = self.point_index(col);
+        let descent = tree_descent_cost(index);
+        index.get_many_metered(probes, |tag, posting, _| {
+            let ids = posting.map_or(&[][..], Posting::as_slice).to_vec();
+            let steps = descent + ids.len() as u64;
+            found(tag, ids, steps)
+        });
+    }
+
+    /// The index a batch of point probes names.
+    fn point_index(&self, col: usize) -> &ColumnIndex {
+        self.index(col)
+            .expect("batched point probes need an indexed column")
     }
 
     /// Unmetered convenience wrapper.

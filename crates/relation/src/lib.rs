@@ -24,6 +24,7 @@
 //!   routes queries to a covering view, and incremental view maintenance.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
 pub mod columns;

@@ -49,6 +49,7 @@
 //! lock-free turnstile, so replay runs with no replication lock held.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 // Serving-stack panic hygiene: no panicking escape hatches in non-test
 // code. Individual invariant sites opt out locally with an `#[allow]`

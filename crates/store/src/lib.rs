@@ -62,6 +62,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Serving-stack panic hygiene (PR 9): no panicking escape hatches in
 // non-test code. Individual invariant sites opt out locally with an
 // `#[allow]` paired with a `// lint:allow(...)` justification that the
