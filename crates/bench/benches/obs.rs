@@ -51,10 +51,11 @@ fn bench_recorder_modes(c: &mut Criterion) {
     let config = PoolConfig {
         workers: OBS_SHARDS,
         max_inflight: OBS_SHARDS,
+        ..PoolConfig::default()
     };
     let disabled = PooledExecutor::new(Arc::clone(&sharded), config.clone());
     let recorder = Recorder::new();
-    let enabled = PooledExecutor::new_observed(Arc::clone(&sharded), config, &recorder);
+    let enabled = PooledExecutor::new(Arc::clone(&sharded), PoolConfig { recorder, ..config });
 
     let mut group = c.benchmark_group("obs_recorder_overhead");
     group.bench_with_input(BenchmarkId::new("disabled", 0), &0, |b, _| {

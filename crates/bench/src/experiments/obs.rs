@@ -1,12 +1,12 @@
 //! Observability overhead: what the recorder costs the serving path.
 //!
 //! The whole design premise of `pitract-obs` is that a **disabled**
-//! recorder (the default every constructor uses) leaves the hot path
+//! recorder (the default every config carries) leaves the hot path
 //! untouched — each metric touch is one `Option` branch, no clock
 //! reads, no allocation. This sweep runs the E15 pooled-batch workload
-//! and the E20 MVCC epoch-pinned workload twice each — once through the
-//! default (disabled-recorder) constructors, once with a live recorder
-//! wired through the executor and relation — verifies every answer
+//! and the E20 MVCC epoch-pinned workload twice each — once with the
+//! default (disabled-recorder) `PoolConfig`, once with a live recorder
+//! in `PoolConfig::recorder` and on the relation — verifies every answer
 //! against the scan oracle, and reports the enabled/disabled ratio.
 //! The disabled numbers are directly comparable to the committed
 //! `BENCH_engine.json` / `BENCH_mvcc.json` trajectories; the artifact
@@ -33,13 +33,13 @@ pub const OBS_SHARDS: usize = 4;
 pub struct ObsSample {
     /// Workload label (`e15-pooled-batch` or `e20-mvcc-pinned`).
     pub workload: &'static str,
-    /// Best wall-clock seconds for one batch, default constructors
-    /// (disabled recorder — the no-op hot path every caller gets).
+    /// Best wall-clock seconds for one batch, default config (disabled
+    /// recorder — the no-op hot path every caller gets).
     pub disabled_seconds: f64,
     /// Queries per second with the recorder disabled.
     pub disabled_qps: f64,
-    /// Best wall-clock seconds for one batch with a live recorder wired
-    /// through the executor and relation.
+    /// Best wall-clock seconds for one batch with a live recorder in the
+    /// pool config and on the relation.
     pub enabled_seconds: f64,
     /// Queries per second with the recorder enabled.
     pub enabled_qps: f64,
@@ -103,6 +103,12 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
     let config = PoolConfig {
         workers: OBS_SHARDS,
         max_inflight: OBS_SHARDS,
+        ..PoolConfig::default()
+    };
+    let recorder = Recorder::new();
+    let observed = PoolConfig {
+        recorder: recorder.clone(),
+        ..config.clone()
     };
     let qps = |seconds: f64| batch.len() as f64 / seconds;
 
@@ -114,8 +120,7 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
     let disabled = PooledExecutor::new(Arc::clone(&sharded), config.clone());
     let disabled_seconds = measure(&disabled, &batch, &oracle, reps);
     drop(disabled);
-    let recorder = Recorder::new();
-    let enabled = PooledExecutor::new_observed(Arc::clone(&sharded), config.clone(), &recorder);
+    let enabled = PooledExecutor::new(Arc::clone(&sharded), observed.clone());
     let enabled_seconds = measure(&enabled, &batch, &oracle, reps);
     let e15 = ObsSample {
         workload: "e15-pooled-batch",
@@ -132,13 +137,12 @@ pub fn obs_overhead_sweep(n: i64, reps: usize) -> Vec<ObsSample> {
         LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, OBS_SHARDS, &[0, 1])
             .expect("valid sharding spec")
     };
-    let disabled = PooledExecutor::new(Arc::new(build_live()), config.clone());
+    let disabled = PooledExecutor::new(Arc::new(build_live()), config);
     let disabled_seconds = measure(&disabled, &batch, &oracle, reps);
     drop(disabled);
-    let recorder = Recorder::new();
     let mut live = build_live();
     live.set_recorder(&recorder);
-    let enabled = PooledExecutor::new_observed(Arc::new(live), config, &recorder);
+    let enabled = PooledExecutor::new(Arc::new(live), observed);
     let enabled_seconds = measure(&enabled, &batch, &oracle, reps);
     let e20 = ObsSample {
         workload: "e20-mvcc-pinned",

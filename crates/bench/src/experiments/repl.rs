@@ -81,6 +81,7 @@ fn config() -> WalConfig {
     WalConfig {
         segment_bytes: 32 * 1024,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     }
 }
 
@@ -193,6 +194,7 @@ pub fn repl_serving_sweep(
             let pool = PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                ..PoolConfig::default()
             };
             let primary_exec = PooledExecutor::new(Arc::clone(&node), pool.clone());
             let follower_exec = PooledExecutor::new(Arc::clone(&follower), pool);

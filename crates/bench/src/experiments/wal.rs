@@ -245,6 +245,7 @@ pub fn wal_recovery_sweep(n: i64, log_lens: &[usize], reps: usize) -> Vec<WalRec
             let config = WalConfig {
                 segment_bytes: 64 << 10,
                 sync: SyncPolicy::Never, // recovery cost is what's measured
+                ..WalConfig::default()
             };
             let node = DurableLiveRelation::create(
                 base_live(n),

@@ -57,7 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Sizing and admission tuning for a [`WorkerPool`].
+/// Sizing, admission tuning and the metrics sink for a [`WorkerPool`].
 #[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
     /// Worker threads to spawn. `0` (the default) means the machine's
@@ -72,6 +72,11 @@ pub struct PoolConfig {
     /// worker busy while the next batch stages, without letting a
     /// burst queue unboundedly ahead of the workers.
     pub max_inflight: usize,
+    /// Where the pool publishes its `pool_*` queue and admission series
+    /// and, for a [`PooledExecutor`], the per-batch `pool_batch_micros`
+    /// and `engine_*` totals. The default is the disabled recorder: every
+    /// touch is then one branch, with no clock read and no atomic.
+    pub recorder: Recorder,
 }
 
 impl PoolConfig {
@@ -249,16 +254,9 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool per `config` (see [`PoolConfig`] for the defaults),
-    /// uninstrumented.
+    /// publishing into `config.recorder`.
     pub fn new(config: PoolConfig) -> Self {
-        Self::new_observed(config, &Recorder::default())
-    }
-
-    /// Spawn a pool per `config`, publishing `pool_*` queue/admission
-    /// series into `recorder` (a disabled recorder makes this identical
-    /// to [`WorkerPool::new`]).
-    pub fn new_observed(config: PoolConfig, recorder: &Recorder) -> Self {
-        let instruments = PoolInstruments::new(recorder);
+        let instruments = PoolInstruments::new(&config.recorder);
         let workers = config.resolved_workers();
         let max_inflight = config.resolved_inflight(workers);
         let (sender, receiver) = channel::<Job>();
@@ -600,20 +598,13 @@ impl ExecInstruments {
 
 impl<R: BatchServe + 'static> PooledExecutor<R> {
     /// A serving session over `relation` with a dedicated pool sized by
-    /// `config`, uninstrumented.
+    /// `config`; the pool and the per-batch accounting publish into
+    /// `config.recorder` (`pool_*` and `engine_*` series).
     pub fn new(relation: Arc<R>, config: PoolConfig) -> Self {
-        Self::new_observed(relation, config, &Recorder::default())
-    }
-
-    /// A serving session whose pool and per-batch accounting publish
-    /// into `recorder` (`pool_*` and `engine_*` series). With a
-    /// disabled recorder this is identical to [`PooledExecutor::new`]:
-    /// no clock reads, no atomics touched.
-    pub fn new_observed(relation: Arc<R>, config: PoolConfig, recorder: &Recorder) -> Self {
         PooledExecutor {
             relation,
-            pool: WorkerPool::new_observed(config, recorder),
-            instruments: ExecInstruments::new(recorder),
+            instruments: ExecInstruments::new(&config.recorder),
+            pool: WorkerPool::new(config),
         }
     }
 
@@ -628,7 +619,7 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             relation,
             PoolConfig {
                 workers,
-                max_inflight: 0,
+                ..PoolConfig::default()
             },
         )
     }
@@ -913,6 +904,7 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                ..PoolConfig::default()
             },
         );
         let bools = exec.execute(&batch).unwrap();
@@ -993,8 +985,9 @@ mod tests {
         assert!(rows.rows.iter().all(|ids| ids.len() == 1));
     }
 
-    /// The observed constructor publishes the pool and engine series
-    /// into the recorder, and the disabled default keeps them absent.
+    /// An executor whose config carries a recorder publishes the pool
+    /// and engine series into it, and the disabled default keeps them
+    /// absent.
     #[test]
     fn observed_executor_publishes_pool_and_engine_series() {
         let recorder = Recorder::new();
@@ -1002,13 +995,13 @@ mod tests {
             LiveRelation::build(&relation(300), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
         lr.set_recorder(&recorder);
         let lr = Arc::new(lr);
-        let exec = PooledExecutor::new_observed(
+        let exec = PooledExecutor::new(
             Arc::clone(&lr),
             PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                recorder: recorder.clone(),
             },
-            &recorder,
         );
         let batch = mixed_batch(300);
         let got = exec.execute(&batch).unwrap();
@@ -1044,12 +1037,13 @@ mod tests {
         assert_eq!(plan_total, queries);
         assert!(snap.gauge("mvcc_current_epoch").is_some());
 
-        // The unobserved twin records nothing.
+        // A default-config executor records nothing.
         let silent = PooledExecutor::new(
             lr,
             PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                ..PoolConfig::default()
             },
         );
         silent.execute(&batch).unwrap();
@@ -1155,6 +1149,7 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                ..PoolConfig::default()
             },
         );
         let err = exec.execute(&one_query_batch()).unwrap_err();
@@ -1186,6 +1181,7 @@ mod tests {
             PoolConfig {
                 workers: 1,
                 max_inflight: 1,
+                ..PoolConfig::default()
             },
         );
         let err = poisoned.execute(&one_query_batch()).unwrap_err();
@@ -1213,6 +1209,7 @@ mod tests {
             PoolConfig {
                 workers: 4,
                 max_inflight: 1,
+                ..PoolConfig::default()
             },
         ));
         // 6 submitters race 1 admission slot on a 1-shard relation: at
@@ -1243,6 +1240,7 @@ mod tests {
             PoolConfig {
                 workers: 4,
                 max_inflight: 8,
+                ..PoolConfig::default()
             },
         ));
         std::thread::scope(|scope| {
@@ -1291,6 +1289,7 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 max_inflight: 1,
+                ..PoolConfig::default()
             },
         ));
         std::thread::scope(|scope| {

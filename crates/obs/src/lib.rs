@@ -17,8 +17,8 @@
 //! * [`trace`] — [`TraceBuffer`], a bounded drop-oldest ring of typed
 //!   [`TraceEvent`]s (name + `u64` fields), drainable without stopping
 //!   writers.
-//! * [`recorder`] — [`Recorder`], the cheap cloneable handle threaded
-//!   through constructors. `Recorder::default()` is disabled: every
+//! * [`recorder`] — [`Recorder`], the cheap cloneable handle the serving
+//!   configs carry. `Recorder::default()` is disabled: every
 //!   operation short-circuits on one `Option` branch. [`Span`] / [`span!`]
 //!   time a scope into a histogram and the trace ring.
 //! * [`json`] — a small total JSON value model ([`Json`]): encoder with

@@ -41,7 +41,7 @@ use pitract_core::epoch::Epoch;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry};
-use pitract_obs::{Gauge, Histogram, Recorder};
+use pitract_obs::{Gauge, Histogram};
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
 use pitract_store::{fsync_dir, SnapshotCatalog};
@@ -199,25 +199,14 @@ impl Follower {
     /// segments; `config.sync` chooses whether catch-up fsyncs shipped
     /// frames before applying them ([`SyncPolicy::Never`] skips the
     /// flush, trading replica rebuild-on-power-loss for speed).
+    /// `config.recorder` receives the replica's `engine_*` / `mvcc_*`
+    /// series plus `replication_lag_lsn` and `repl_replay_micros`, and
+    /// hears a torn mirror tail once, through [`WalReader::publish`].
     pub fn bootstrap(
         catalog: &SnapshotCatalog,
         name: &str,
         mirror_dir: impl Into<PathBuf>,
         config: WalConfig,
-    ) -> Result<Self, ReplError> {
-        Self::bootstrap_observed(catalog, name, mirror_dir, config, &Recorder::default())
-    }
-
-    /// [`Self::bootstrap`] with metrics: the replica's `engine_*` /
-    /// `mvcc_*` series plus `replication_lag_lsn` and
-    /// `repl_replay_micros` land in `recorder`, next to whatever the
-    /// primary publishes into its own.
-    pub fn bootstrap_observed(
-        catalog: &SnapshotCatalog,
-        name: &str,
-        mirror_dir: impl Into<PathBuf>,
-        config: WalConfig,
-        recorder: &Recorder,
     ) -> Result<Self, ReplError> {
         let dir = mirror_dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -245,7 +234,9 @@ impl Follower {
                 std::fs::remove_file(&seg.path)?;
             }
         }
-        let reader = WalReader::from_scan_observed(&scan, recorder)?;
+        let reader = WalReader::from_scan(&scan)?;
+        let recorder = &config.recorder;
+        reader.publish(recorder);
 
         let mut live = LiveRelation::from_sharded(state);
         live.set_recorder(recorder);
@@ -573,6 +564,7 @@ impl BatchServe for Follower {
 mod tests {
     use super::*;
     use pitract_engine::ShardBy;
+    use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation};
     use pitract_wal::DurableLiveRelation;
     use std::path::{Path, PathBuf};
@@ -595,6 +587,7 @@ mod tests {
         WalConfig {
             segment_bytes: 160,
             sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
         }
     }
 
@@ -687,6 +680,65 @@ mod tests {
         assert_eq!(back.len(), node.len());
         let q = SelectionQuery::point(0, 30);
         assert_eq!(back.matching_ids(&q), node.matching_ids(&q));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A torn mirror tail is truncated by the bootstrap that finds it
+    /// and reported exactly once, through the config's recorder.
+    #[test]
+    fn bootstrap_reports_a_torn_mirror_tail_exactly_once() {
+        let root = fresh_dir("torn-once");
+        let (node, catalog) = primary(&root, 0);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        for i in 0..12i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        let mirror = root.join("mirror");
+        let follower = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        let sub = follower.attach(&publisher);
+        follower.catch_up(&publisher, sub).unwrap();
+        let applied = follower.applied_lsn();
+        drop(follower);
+        // A crash mid-append leaves half a frame at the mirror's tail.
+        {
+            use std::io::Write as _;
+            let segments = scan_dir(&mirror).unwrap().segments;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&segments.last().unwrap().path)
+                .unwrap();
+            f.write_all(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
+                .unwrap();
+        }
+        let observed = |recorder: &Recorder| WalConfig {
+            recorder: recorder.clone(),
+            ..config()
+        };
+
+        let recorder = Recorder::new();
+        let back = Follower::bootstrap(&catalog, "node", &mirror, observed(&recorder)).unwrap();
+        assert_eq!(
+            back.applied_lsn(),
+            applied,
+            "the torn frame was never applied"
+        );
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("wal_recovery_truncations_total"), Some(1));
+        assert_eq!(snap.counter("wal_recovery_torn_bytes_total"), Some(9));
+        assert_eq!(snap.counter("wal_recovery_dropped_records_total"), Some(1));
+        let torn_events = recorder
+            .drain_trace()
+            .iter()
+            .filter(|e| e.name == "wal_torn_tail_truncated")
+            .count();
+        assert_eq!(torn_events, 1);
+        drop(back);
+
+        // That bootstrap healed the mirror: the next one reports nothing.
+        let clean = Recorder::new();
+        Follower::bootstrap(&catalog, "node", &mirror, observed(&clean)).unwrap();
+        let truncations = clean.snapshot().counter("wal_recovery_truncations_total");
+        assert_eq!(truncations, None);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -29,10 +29,12 @@
 //!   consistent cut that is a true prefix of the primary, bit-identical
 //!   in both answers and global row ids.
 //! * [`CatchUpReport`] is the typed progress statement
-//!   (`applied_lsn` / `primary_lsn` / `lag`), and the stack publishes
-//!   `replication_lag_lsn`, `repl_segments_shipped_total`,
-//!   `repl_poll_bytes_read_total`, and `repl_replay_micros` through
-//!   the `pitract-obs` registry next to the existing `wal_*` series.
+//!   (`applied_lsn` / `primary_lsn` / `lag`). A follower publishes
+//!   `replication_lag_lsn` and `repl_replay_micros` into the `recorder`
+//!   of the [`pitract_wal::WalConfig`] it is bootstrapped with, and the
+//!   publisher counts `repl_segments_shipped_total` and
+//!   `repl_poll_bytes_read_total` into the recorder its primary was
+//!   built with, next to that primary's `wal_*` series.
 //!
 //! Torn or garbled transfers fail **typed** ([`ReplError`]), never
 //! panic: shipments are validated with the same frame scanner

@@ -59,7 +59,7 @@
 
 use crate::ReplError;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
-use pitract_obs::{Counter, Recorder};
+use pitract_obs::Counter;
 use pitract_wal::compactor::CompactionReport;
 use pitract_wal::segment::{list_segments, scan_frames, scan_segment, Frame};
 use pitract_wal::DurableLiveRelation;
@@ -334,26 +334,21 @@ pub struct SegmentPublisher {
 }
 
 impl SegmentPublisher {
-    /// Publish `primary`'s WAL. Unobserved; see
-    /// [`Self::new_observed`].
+    /// Publish `primary`'s WAL, counting into the primary's own recorder
+    /// ([`pitract_engine::LiveRelation::recorder`], installed from its
+    /// `WalConfig`, next to the `wal_*` series it already publishes
+    /// there) the segment files frames were shipped out of as
+    /// `repl_segments_shipped_total` and the bytes polls read from
+    /// segment files to find them as `repl_poll_bytes_read_total`.
     pub fn new(primary: Arc<DurableLiveRelation>) -> Self {
-        Self::new_observed(primary, &Recorder::default())
-    }
-
-    /// Publish `primary`'s WAL, counting into `recorder` (next to the
-    /// `wal_*` series the primary already publishes there) the segment
-    /// files frames were shipped out of as `repl_segments_shipped_total`
-    /// and the bytes polls read from segment files to find them as
-    /// `repl_poll_bytes_read_total`.
-    pub fn new_observed(primary: Arc<DurableLiveRelation>, recorder: &Recorder) -> Self {
         SegmentPublisher {
+            shipped_segments: primary.recorder().counter("repl_segments_shipped_total"),
+            poll_bytes_read: primary.recorder().counter("repl_poll_bytes_read_total"),
             primary,
             // Publisher table = sub-order 0 of the FollowerCatchup
             // rank; follower mirrors use sub-order 1, so the one legal
             // nesting is publisher-before-follower.
             subs: OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 0, SubTable::default()),
-            shipped_segments: recorder.counter("repl_segments_shipped_total"),
-            poll_bytes_read: recorder.counter("repl_poll_bytes_read_total"),
         }
     }
 
@@ -510,6 +505,7 @@ impl SegmentPublisher {
 mod oracle {
     use super::*;
     use pitract_engine::{LiveRelation, ShardBy, UpdateOp};
+    use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, Value};
     use pitract_store::SnapshotCatalog;
     use pitract_wal::segment::{encode_record, SEGMENT_HEADER_LEN};
@@ -597,16 +593,17 @@ mod oracle {
             let rel = Relation::from_rows(Schema::new(&[("id", ColType::Int)]), vec![]).unwrap();
             let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
             let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+            let recorder = Recorder::new();
             let config = WalConfig {
                 segment_bytes,
                 sync: SyncPolicy::GroupCommit,
+                recorder: recorder.clone(),
             };
             let node = Arc::new(
                 DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config)
                     .unwrap(),
             );
-            let recorder = Recorder::new();
-            let publisher = SegmentPublisher::new_observed(Arc::clone(&node), &recorder);
+            let publisher = SegmentPublisher::new(Arc::clone(&node));
             Node {
                 root,
                 node,
@@ -999,6 +996,7 @@ mod tests {
                 WalConfig {
                     segment_bytes: 160,
                     sync: SyncPolicy::GroupCommit,
+                    ..WalConfig::default()
                 },
             )
             .unwrap(),

@@ -31,6 +31,7 @@ fn config(segment_bytes: u64) -> WalConfig {
     WalConfig {
         segment_bytes,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     }
 }
 

@@ -323,6 +323,7 @@ mod tests {
             WalConfig {
                 segment_bytes: 120,
                 sync: SyncPolicy::Never,
+                ..WalConfig::default()
             },
         )
         .unwrap()
@@ -345,6 +346,7 @@ mod tests {
             WalConfig {
                 segment_bytes: 1 << 20,
                 sync: SyncPolicy::Never,
+                ..WalConfig::default()
             },
         )
         .unwrap();
@@ -434,6 +436,7 @@ mod tests {
             WalConfig {
                 segment_bytes: 1 << 20,
                 sync: SyncPolicy::Never,
+                ..WalConfig::default()
             },
         )
         .unwrap();

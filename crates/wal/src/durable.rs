@@ -37,7 +37,6 @@ use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry, WalSink};
-use pitract_obs::Recorder;
 use pitract_relation::SelectionQuery;
 use pitract_store::{Recovered, Snapshot, SnapshotCatalog};
 use std::path::{Path, PathBuf};
@@ -114,35 +113,26 @@ impl DurableLiveRelation {
     /// log onto. `live` must have an empty pending log (freshly built or
     /// just checkpointed); updates that predate the WAL would otherwise
     /// silently sit outside the durability contract.
+    ///
+    /// `config.recorder` becomes the node's one observability handle:
+    /// the WAL writer's `wal_*` series, the engine's `engine_*`/`mvcc_*`
+    /// series, and the trace buffer all share it, so a single
+    /// [`pitract_obs::MetricsSnapshot`] covers the node end to end. It
+    /// **replaces** any recorder already installed on `live` (with the
+    /// default config, the disabled one).
     pub fn create(
-        live: LiveRelation,
-        catalog: &SnapshotCatalog,
-        name: &str,
-        wal_dir: impl Into<PathBuf>,
-        config: WalConfig,
-    ) -> Result<Self, WalError> {
-        Self::create_observed(live, catalog, name, wal_dir, config, &Recorder::default())
-    }
-
-    /// [`Self::create`] with one observability handle threaded through
-    /// the whole durable stack: the WAL writer's `wal_*` series, the
-    /// engine's `engine_*`/`mvcc_*` series, and the trace buffer all
-    /// share `recorder`, so a single [`pitract_obs::MetricsSnapshot`]
-    /// covers the node end to end.
-    pub fn create_observed(
         mut live: LiveRelation,
         catalog: &SnapshotCatalog,
         name: &str,
         wal_dir: impl Into<PathBuf>,
         config: WalConfig,
-        recorder: &Recorder,
     ) -> Result<Self, WalError> {
         let pending = live.pending_log().len();
         if pending > 0 {
             return Err(WalError::PendingUpdates { count: pending });
         }
-        live.set_recorder(recorder);
-        let wal = Arc::new(WalWriter::open_observed(wal_dir, config, recorder)?);
+        live.set_recorder(&config.recorder);
+        let wal = Arc::new(WalWriter::open(wal_dir, config)?);
         // Anything already in the directory (a reused path) is below the
         // bootstrap mark and therefore dead: the checkpoint covers it.
         let mark = wal.next_lsn();
@@ -173,26 +163,16 @@ impl DurableLiveRelation {
     /// tail at-or-after the checkpoint's mark, and resume durable
     /// serving. The recovered node is bit-identical — answers and global
     /// row ids — to the crashed node's confirmed prefix.
+    ///
+    /// `config.recorder` is threaded through exactly as in
+    /// [`Self::create`], and also hears what recovery itself found: a
+    /// torn WAL tail truncated here is reported once, through
+    /// [`WalReader::publish`].
     pub fn recover(
         catalog: &SnapshotCatalog,
         name: &str,
         wal_dir: impl Into<PathBuf>,
         config: WalConfig,
-    ) -> Result<Self, WalError> {
-        Self::recover_observed(catalog, name, wal_dir, config, &Recorder::default())
-    }
-
-    /// [`Self::recover`] with metrics: the same recorder threading as
-    /// [`Self::create_observed`], plus what recovery itself found — a
-    /// torn WAL tail truncated here emits the `wal_torn_tail_truncated`
-    /// trace event and `wal_recovery_*` counters instead of vanishing
-    /// silently (see [`WalReader::from_scan_observed`]).
-    pub fn recover_observed(
-        catalog: &SnapshotCatalog,
-        name: &str,
-        wal_dir: impl Into<PathBuf>,
-        config: WalConfig,
-        recorder: &Recorder,
     ) -> Result<Self, WalError> {
         let wal_dir = wal_dir.into();
         let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
@@ -201,11 +181,13 @@ impl DurableLiveRelation {
         // decodes its records for replay — the log is read and
         // checksummed once, not twice. Only the reader side reports the
         // torn tail, so one recovery emits one truncation event.
-        let (wal, scan) = WalWriter::open_scanned_observed(&wal_dir, config, mark, recorder)?;
+        let recorder = config.recorder.clone();
+        let (wal, scan) = WalWriter::open_scanned(&wal_dir, config, mark)?;
         let wal = Arc::new(wal);
-        let reader = WalReader::from_scan_observed(&scan, recorder)?;
+        let reader = WalReader::from_scan(&scan)?;
+        reader.publish(&recorder);
         let mut live = LiveRelation::from_sharded(state);
-        live.set_recorder(recorder);
+        live.set_recorder(&recorder);
         let tail = reader.tail_log(mark);
         let compacted = tail.compact();
         live.replay_compacted(&compacted)?;
@@ -379,6 +361,7 @@ mod tests {
     use super::*;
     use crate::writer::SyncPolicy;
     use pitract_engine::ShardBy;
+    use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
     use std::path::PathBuf;
 
@@ -404,6 +387,14 @@ mod tests {
         WalConfig {
             segment_bytes: 256,
             sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
+        }
+    }
+
+    fn observed(recorder: &Recorder) -> WalConfig {
+        WalConfig {
+            recorder: recorder.clone(),
+            ..config()
         }
     }
 
@@ -565,6 +556,7 @@ mod tests {
             PoolConfig {
                 workers: 2,
                 max_inflight: 2,
+                ..PoolConfig::default()
             },
         );
         let batch = QueryBatch::new((0..30i64).map(|k| SelectionQuery::point(0, k * 3)));
@@ -614,15 +606,9 @@ mod tests {
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let recorder = Recorder::new();
-        let node = DurableLiveRelation::create_observed(
-            live(10),
-            &catalog,
-            "node",
-            &wal_dir,
-            config(),
-            &recorder,
-        )
-        .unwrap();
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, observed(&recorder))
+                .unwrap();
         for i in 0..8i64 {
             let gid = node
                 .insert(vec![Value::Int(100 + i), Value::str("obs")])
@@ -646,8 +632,7 @@ mod tests {
         // the (fresh) recorder too.
         let recorder = Recorder::new();
         let node =
-            DurableLiveRelation::recover_observed(&catalog, "node", &wal_dir, config(), &recorder)
-                .unwrap();
+            DurableLiveRelation::recover(&catalog, "node", &wal_dir, observed(&recorder)).unwrap();
         let replayed = node.recovery_summary().unwrap().replayed as u64;
         let snap = recorder.snapshot();
         assert!(replayed > 0);
@@ -661,6 +646,69 @@ mod tests {
             None,
             "clean shutdown"
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Recovery scans the log once for both the writer and the reader,
+    /// and only the reader reports the torn tail: one recovery, one
+    /// truncation. `create` also replaces whatever recorder `live` held.
+    #[test]
+    fn recovery_reports_a_torn_tail_exactly_once() {
+        let root = fresh_dir("torn-once");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let wal_dir = root.join("wal");
+        let stale = Recorder::new();
+        let mut lr = live(10);
+        lr.set_recorder(&stale);
+        let node = DurableLiveRelation::create(lr, &catalog, "node", &wal_dir, config()).unwrap();
+        for i in 0..6i64 {
+            node.insert(vec![Value::Int(100 + i), Value::str("torn")])
+                .unwrap();
+        }
+        drop(node);
+        let stale_updates = stale.snapshot().counter("engine_updates_total");
+        assert_eq!(stale_updates.unwrap_or(0), 0, "create replaced it");
+
+        // A crash mid-append leaves half a frame at the tail.
+        let tear = || {
+            use std::io::Write as _;
+            let seg = crate::segment::scan_dir(&wal_dir).unwrap().segments;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&seg.last().unwrap().path)
+                .unwrap();
+            f.write_all(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
+                .unwrap();
+        };
+        tear();
+        // The writer's scan alone truncates the tail silently.
+        let writer_side = Recorder::new();
+        let (wal, scan) = WalWriter::open_scanned(&wal_dir, observed(&writer_side), 0).unwrap();
+        assert_eq!(scan.torn_bytes, 9);
+        drop(wal);
+        assert_eq!(
+            writer_side
+                .snapshot()
+                .counter("wal_recovery_truncations_total"),
+            None
+        );
+        assert!(writer_side.drain_trace().is_empty());
+
+        tear();
+        let recorder = Recorder::new();
+        let node =
+            DurableLiveRelation::recover(&catalog, "node", &wal_dir, observed(&recorder)).unwrap();
+        assert_eq!(node.len(), 16, "every confirmed insert survived");
+        let snap = recorder.snapshot();
+        assert_eq!(snap.counter("wal_recovery_truncations_total"), Some(1));
+        assert_eq!(snap.counter("wal_recovery_torn_bytes_total"), Some(9));
+        assert_eq!(snap.counter("wal_recovery_dropped_records_total"), Some(1));
+        let torn_events = recorder
+            .drain_trace()
+            .iter()
+            .filter(|e| e.name == "wal_torn_tail_truncated")
+            .count();
+        assert_eq!(torn_events, 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

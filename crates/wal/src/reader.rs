@@ -38,31 +38,10 @@ impl WalReader {
         Self::from_scan(&scan_dir(dir.as_ref())?)
     }
 
-    /// Like [`Self::open`], reporting what recovery found into
-    /// `recorder` — see [`Self::from_scan_observed`].
-    pub fn open_observed(dir: impl AsRef<Path>, recorder: &Recorder) -> Result<Self, WalError> {
-        Self::from_scan_observed(&scan_dir(dir.as_ref())?, recorder)
-    }
-
     /// Decode an already-performed directory scan (e.g. the one
     /// [`crate::WalWriter::open_scanned`] returns), so recovery reads
     /// and checksums the log exactly once.
     pub fn from_scan(scan: &DirScan) -> Result<Self, WalError> {
-        Self::from_scan_observed(scan, &Recorder::default())
-    }
-
-    /// [`Self::from_scan`], reporting what recovery found into
-    /// `recorder`. A torn tail — the residue of a crash mid-append that
-    /// recovery truncates away — used to vanish silently; here it emits
-    /// a `wal_torn_tail_truncated` trace event carrying the truncated
-    /// byte and dropped-record counts, plus the
-    /// `wal_recovery_truncations_total` / `wal_recovery_torn_bytes_total`
-    /// / `wal_recovery_dropped_records_total` counters. (The torn region
-    /// is by construction at most one partial frame — a complete record
-    /// after it would have scanned clean — so the dropped-record count is
-    /// 0 or 1; checksum-invalid *complete* frames are corruption, a typed
-    /// error, never silent truncation.)
-    pub fn from_scan_observed(scan: &DirScan, recorder: &Recorder) -> Result<Self, WalError> {
         let mut records = Vec::new();
         for seg in &scan.segments {
             let name = seg.path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
@@ -83,29 +62,39 @@ impl WalReader {
                 records.push(WalRecord { lsn: *lsn, entry });
             }
         }
-        if scan.torn_bytes > 0 {
-            let dropped = u64::from(scan.torn_bytes > 0);
-            recorder.event(
-                "wal_torn_tail_truncated",
-                &[
-                    ("torn_bytes", scan.torn_bytes),
-                    ("dropped_records", dropped),
-                ],
-            );
-            recorder.counter("wal_recovery_truncations_total").inc();
-            recorder
-                .counter("wal_recovery_torn_bytes_total")
-                .add(scan.torn_bytes);
-            recorder
-                .counter("wal_recovery_dropped_records_total")
-                .add(dropped);
-        }
         Ok(WalReader {
             records,
             next_lsn: scan.next_lsn,
             torn_bytes: scan.torn_bytes,
             segment_count: scan.segments.len(),
         })
+    }
+
+    /// Report what this read found into `recorder`. A torn tail — the
+    /// residue of a crash mid-append, which recovery truncates away —
+    /// emits a `wal_torn_tail_truncated` trace event carrying the
+    /// truncated byte and dropped-record counts, plus the
+    /// `wal_recovery_truncations_total` / `wal_recovery_torn_bytes_total`
+    /// / `wal_recovery_dropped_records_total` counters; a clean log
+    /// reports nothing. (The torn region is by construction at most one
+    /// partial frame — a complete record after it would have scanned
+    /// clean — so the dropped-record count is 1; checksum-invalid
+    /// *complete* frames are corruption, a typed error, never silent
+    /// truncation.) Recovery calls this once per read, so one recovery
+    /// reports one truncation.
+    pub fn publish(&self, recorder: &Recorder) {
+        if self.torn_bytes == 0 {
+            return;
+        }
+        recorder.event(
+            "wal_torn_tail_truncated",
+            &[("torn_bytes", self.torn_bytes), ("dropped_records", 1)],
+        );
+        recorder.counter("wal_recovery_truncations_total").inc();
+        recorder
+            .counter("wal_recovery_torn_bytes_total")
+            .add(self.torn_bytes);
+        recorder.counter("wal_recovery_dropped_records_total").inc();
     }
 
     /// Every recovered record, in LSN order.
@@ -174,6 +163,7 @@ mod tests {
             WalConfig {
                 segment_bytes: 96,
                 sync: crate::writer::SyncPolicy::Never,
+                ..WalConfig::default()
             },
         )
         .unwrap();
@@ -258,7 +248,8 @@ mod tests {
         drop(f);
 
         let recorder = pitract_obs::Recorder::new();
-        let reader = WalReader::open_observed(&dir, &recorder).unwrap();
+        let reader = WalReader::open(&dir).unwrap();
+        reader.publish(&recorder);
         assert_eq!(reader.len(), 4, "the torn record is gone");
         let torn = reader.torn_bytes();
         assert!(torn > 0);
@@ -278,7 +269,7 @@ mod tests {
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        WalReader::open_observed(&dir, &clean).unwrap();
+        WalReader::open(&dir).unwrap().publish(&clean);
         assert_eq!(
             clean.snapshot().counter("wal_recovery_truncations_total"),
             None

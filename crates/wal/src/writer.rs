@@ -87,6 +87,13 @@ pub struct WalConfig {
     pub segment_bytes: u64,
     /// The fsync policy.
     pub sync: SyncPolicy,
+    /// Where the writer publishes its `wal_*` series (appends, fsync
+    /// latency, group-commit sizes, rotations). Recovery reports a torn
+    /// tail here, and a durable node or follower built from this config
+    /// publishes its `engine_*`/`mvcc_*` (and `repl_*`) series here too.
+    /// The default is the disabled recorder: every touch is then one
+    /// branch, with no clock read.
+    pub recorder: Recorder,
 }
 
 impl Default for WalConfig {
@@ -94,6 +101,7 @@ impl Default for WalConfig {
         WalConfig {
             segment_bytes: 4 << 20,
             sync: SyncPolicy::GroupCommit,
+            recorder: Recorder::default(),
         }
     }
 }
@@ -156,53 +164,25 @@ impl WalWriter {
     /// after the last complete record. A torn tail from a crash is
     /// truncated; damaged segments fail typed.
     pub fn open(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self, WalError> {
-        Self::open_at(dir, config, 0)
+        Self::open_scanned(dir, config, 0).map(|(writer, _)| writer)
     }
 
-    /// Like [`Self::open`], but never hand out an LSN below `floor` —
-    /// recovery passes the checkpoint mark here, so that even against an
-    /// emptied log directory a fresh append can never be numbered below
-    /// a position an existing checkpoint already claims to cover.
-    pub fn open_at(
-        dir: impl Into<PathBuf>,
-        config: WalConfig,
-        floor: u64,
-    ) -> Result<Self, WalError> {
-        Self::open_scanned(dir, config, floor).map(|(writer, _)| writer)
-    }
-
-    /// Like [`Self::open_at`], additionally returning the validated
-    /// directory scan the open performed — recovery hands it to
-    /// [`crate::WalReader::from_scan`] so the whole log is read and
-    /// checksummed once, not once for the writer and again for the
-    /// replay. (The scan reflects the directory *before* the open's
-    /// torn-tail truncation; its record set is identical, since torn
-    /// bytes never contain a complete record.)
+    /// Like [`Self::open`], but never hand out an LSN below `floor`, and
+    /// additionally return the validated directory scan the open
+    /// performed. Recovery passes the checkpoint mark as `floor`, so that
+    /// even against an emptied log directory a fresh append can never be
+    /// numbered below a position an existing checkpoint already claims
+    /// to cover; it hands the scan to [`crate::WalReader::from_scan`] so
+    /// the whole log is read and checksummed once, not once for the
+    /// writer and again for the replay. (The scan reflects the directory
+    /// *before* the open's torn-tail truncation; its record set is
+    /// identical, since torn bytes never contain a complete record.) The
+    /// writer never reports the torn tail itself: that is
+    /// [`crate::WalReader::publish`]'s job, so one recovery reports once.
     pub fn open_scanned(
         dir: impl Into<PathBuf>,
         config: WalConfig,
         floor: u64,
-    ) -> Result<(Self, DirScan), WalError> {
-        Self::open_scanned_observed(dir, config, floor, &Recorder::default())
-    }
-
-    /// Like [`Self::open`], publishing `wal_*` metrics (append counts,
-    /// fsync latency, group-commit sizes, rotations) into `recorder`.
-    pub fn open_observed(
-        dir: impl Into<PathBuf>,
-        config: WalConfig,
-        recorder: &Recorder,
-    ) -> Result<Self, WalError> {
-        Self::open_scanned_observed(dir, config, 0, recorder).map(|(writer, _)| writer)
-    }
-
-    /// [`Self::open_scanned`] with metrics: every flush, group commit,
-    /// and rotation this writer performs is recorded into `recorder`.
-    pub fn open_scanned_observed(
-        dir: impl Into<PathBuf>,
-        config: WalConfig,
-        floor: u64,
-        recorder: &Recorder,
     ) -> Result<(Self, DirScan), WalError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -236,7 +216,7 @@ impl WalWriter {
         let active_bytes = active_len(&scan);
         let writer = WalWriter {
             rotation: OrderedMutex::new(LockRank::WalRotation, ()),
-            instruments: WalInstruments::new(recorder),
+            instruments: WalInstruments::new(&config.recorder),
             state: OrderedMutex::new(
                 LockRank::WalState,
                 WriterState {
@@ -550,6 +530,7 @@ mod tests {
         let config = WalConfig {
             segment_bytes: 128, // tiny: force several rotations
             sync: SyncPolicy::Never,
+            ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
         for i in 0..50 {
@@ -581,6 +562,7 @@ mod tests {
         let config = WalConfig {
             segment_bytes: 64,
             sync: SyncPolicy::Never,
+            ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
         // Blow well past the threshold with appends alone.
@@ -612,6 +594,7 @@ mod tests {
         let config = WalConfig {
             segment_bytes: 256,
             sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
         std::thread::scope(|scope| {
@@ -696,13 +679,13 @@ mod tests {
     fn idle_sync_does_not_flush_and_an_append_makes_it_flush_again() {
         let dir = fresh_dir("idle-sync");
         let recorder = Recorder::new();
-        let wal = WalWriter::open_observed(
+        let wal = WalWriter::open(
             &dir,
             WalConfig {
                 segment_bytes: 128,
                 sync: SyncPolicy::GroupCommit,
+                recorder: recorder.clone(),
             },
-            &recorder,
         )
         .unwrap();
         let flushes = || {
@@ -736,13 +719,13 @@ mod tests {
         // Under `Never`, commits leave records staged, so sync flushes.
         drop(wal);
         let recorder = Recorder::new();
-        let wal = WalWriter::open_observed(
+        let wal = WalWriter::open(
             fresh_dir("idle-sync-never"),
             WalConfig {
                 sync: SyncPolicy::Never,
+                recorder: recorder.clone(),
                 ..WalConfig::default()
             },
-            &recorder,
         )
         .unwrap();
         let lsn = wal.append_entry(&insert(0, 0)).unwrap();
@@ -797,7 +780,7 @@ mod tests {
     fn open_at_floor_never_hands_out_covered_lsns() {
         let dir = fresh_dir("floor");
         // An emptied directory with a checkpoint claiming to cover 40.
-        let wal = WalWriter::open_at(&dir, WalConfig::default(), 40).unwrap();
+        let (wal, _) = WalWriter::open_scanned(&dir, WalConfig::default(), 40).unwrap();
         assert_eq!(wal.next_lsn(), 40);
         assert_eq!(wal.append_entry(&insert(0, 1)).unwrap(), 40);
         std::fs::remove_dir_all(&dir).unwrap();

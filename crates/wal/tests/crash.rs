@@ -69,7 +69,7 @@ proptest! {
         let dir = fresh_dir("cut");
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never },
+            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
         ).unwrap();
         for e in &entries {
             wal.append_entry(e).unwrap();
@@ -107,7 +107,7 @@ proptest! {
         // next append is confirmed record number `complete`.
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never },
+            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
         ).unwrap();
         prop_assert_eq!(wal.next_lsn(), complete as u64);
         drop(wal);
@@ -160,7 +160,7 @@ proptest! {
         let root = fresh_dir("batchcut");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
-        let config = WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never };
+        let config = WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() };
         let node =
             DurableLiveRelation::create(build_live(), &catalog, "node", &wal_dir, config.clone())
                 .unwrap();
@@ -217,7 +217,7 @@ proptest! {
         let dir = fresh_dir("flip");
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never },
+            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
         ).unwrap();
         for e in &entries {
             wal.append_entry(e).unwrap();

@@ -5,16 +5,17 @@
 //! shows the `pitract-obs` layer measuring that profile on a live node
 //! instead of trusting it:
 //!
-//! 1. **Wire**: one `Recorder` threads through
-//!    `DurableLiveRelation::create_observed` and
-//!    `PooledExecutor::new_observed`, so the WAL (`wal_*`), worker pool
-//!    (`pool_*`), MVCC read cuts (`mvcc_*`), and query engine
-//!    (`engine_*`) all publish into the same registry.
+//! 1. **Wire**: one `Recorder` rides in both configs — the
+//!    `WalConfig` handed to `DurableLiveRelation::create` and the
+//!    `PoolConfig` handed to `PooledExecutor::new` — so the WAL
+//!    (`wal_*`), worker pool (`pool_*`), MVCC read cuts (`mvcc_*`), and
+//!    query engine (`engine_*`) all publish into the same registry.
 //! 2. **Serve under churn**: writer threads absorb durable updates
 //!    while verified query batches run — every fsync, admission wait,
 //!    plan choice, and undo-ring walk lands in a metric.
 //! 3. **Crash with a torn tail**: drop the node cold and leave a
-//!    half-written record; `recover_observed` truncates it *observably*
+//!    half-written record; `DurableLiveRelation::recover`, handed a
+//!    fresh recorder in its `WalConfig`, truncates it *observably*
 //!    — a `wal_torn_tail_truncated` trace event plus
 //!    `wal_recovery_*` counters, not a silent byte-chop.
 //! 4. **Export**: dump the snapshot as Prometheus text and JSON
@@ -42,32 +43,25 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
-    let config = WalConfig {
+
+    // 1. Wire: one recorder for the whole node, carried by both configs.
+    let wal_config = |recorder: &Recorder| WalConfig {
         segment_bytes: 256 << 10,
         sync: SyncPolicy::GroupCommit,
+        recorder: recorder.clone(),
     };
-
-    // 1. Wire: one recorder for the whole node.
+    let pool_config = |recorder: &Recorder| PoolConfig {
+        workers: 4,
+        max_inflight: 8,
+        recorder: recorder.clone(),
+    };
     let recorder = Recorder::new();
     let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
         .expect("valid sharding spec");
-    let node = DurableLiveRelation::create_observed(
-        live,
-        &catalog,
-        "orders",
-        &wal_dir,
-        config.clone(),
-        &recorder,
-    )
-    .expect("fresh durable node");
-    let exec = PooledExecutor::new_observed(
-        Arc::new(node),
-        PoolConfig {
-            workers: 4,
-            max_inflight: 8,
-        },
-        &recorder,
-    );
+    let node =
+        DurableLiveRelation::create(live, &catalog, "orders", &wal_dir, wal_config(&recorder))
+            .expect("fresh durable node");
+    let exec = PooledExecutor::new(Arc::new(node), pool_config(&recorder));
     println!("wired: durable node + 4-worker pool publishing into one registry");
 
     // 2. Serve under churn: 4 writers, 12 verified batches.
@@ -155,18 +149,10 @@ fn main() {
     println!("\ncrash: process gone, a half-written (never confirmed) record torn at the tail");
 
     let recorder = Recorder::new();
-    let node =
-        DurableLiveRelation::recover_observed(&catalog, "orders", &wal_dir, config, &recorder)
-            .expect("recovery");
+    let node = DurableLiveRelation::recover(&catalog, "orders", &wal_dir, wal_config(&recorder))
+        .expect("recovery");
     let replayed = node.recovery_summary().expect("recovered node").replayed;
-    let exec = PooledExecutor::new_observed(
-        Arc::new(node),
-        PoolConfig {
-            workers: 4,
-            max_inflight: 8,
-        },
-        &recorder,
-    );
+    let exec = PooledExecutor::new(Arc::new(node), pool_config(&recorder));
     assert_eq!(exec.execute(&batch).expect("batch").answers, oracle);
     exec.relation().publish_metrics();
     exec.stats().publish(&recorder);

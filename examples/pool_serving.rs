@@ -38,6 +38,7 @@ fn main() {
     let config = WalConfig {
         segment_bytes: 256 << 10,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     };
 
     // 1. Go durable: Π(D) across 8 shards + bootstrap checkpoint + WAL.

@@ -7,9 +7,12 @@
 //! 1. **Publish**: wrap the primary in a `SegmentPublisher` — its WAL
 //!    segments become a polled tail subscription, capped at the durable
 //!    frontier so a follower can never apply what the primary could lose.
+//!    The `WalConfig` the primary is built from carries a `Recorder`,
+//!    and the publisher counts into it.
 //! 2. **Bootstrap**: a `Follower` loads the primary's checkpoint, fixes
 //!    its epoch ↔ LSN dictionary at the cut, and attaches (which also
-//!    pins the primary's compactor retention to its cursor).
+//!    pins the primary's compactor retention to its cursor). Built from
+//!    the same `WalConfig`, it publishes its lag into the same registry.
 //! 3. **Serve under fire**: writer threads churn the primary while a
 //!    catch-up loop streams shipments — validated frame-by-frame,
 //!    mirrored to local disk, then replayed — and a pooled executor
@@ -36,41 +39,31 @@ fn main() {
     let root = std::env::temp_dir().join(format!("pitract-repl-ex-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
+    // One recorder for the whole replication pair: it rides in the
+    // `WalConfig` both nodes are built from.
+    let recorder = Recorder::new();
     let config = WalConfig {
         segment_bytes: 64 << 10,
         sync: SyncPolicy::GroupCommit,
+        recorder: recorder.clone(),
     };
 
-    // 1. The primary: durable node + segment publisher, one recorder for
-    // the whole replication pair.
-    let recorder = Recorder::new();
+    // 1. The primary: durable node + segment publisher (which counts
+    // into the primary's recorder).
     let live =
         LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0]).expect("valid sharding spec");
     let primary = Arc::new(
-        DurableLiveRelation::create_observed(
-            live,
-            &catalog,
-            "orders",
-            root.join("wal"),
-            config.clone(),
-            &recorder,
-        )
-        .expect("fresh durable node"),
+        DurableLiveRelation::create(live, &catalog, "orders", root.join("wal"), config.clone())
+            .expect("fresh durable node"),
     );
-    let publisher = SegmentPublisher::new_observed(Arc::clone(&primary), &recorder);
+    let publisher = SegmentPublisher::new(Arc::clone(&primary));
     println!("primary: 20k rows durable, WAL published for subscription");
 
     // 2. The follower: checkpoint bootstrap + attach.
     let t0 = Instant::now();
     let follower = Arc::new(
-        Follower::bootstrap_observed(
-            &catalog,
-            "orders",
-            root.join("mirror"),
-            config.clone(),
-            &recorder,
-        )
-        .expect("bootstrap"),
+        Follower::bootstrap(&catalog, "orders", root.join("mirror"), config.clone())
+            .expect("bootstrap"),
     );
     let sub = follower.attach(&publisher);
     println!(
@@ -86,6 +79,7 @@ fn main() {
         PoolConfig {
             workers: 2,
             max_inflight: 2,
+            ..PoolConfig::default()
         },
     );
     let batch = QueryBatch::new((0..256i64).map(|k| SelectionQuery::point(0, (k * 997) % n)));
@@ -165,9 +159,8 @@ fn main() {
     drop(exec);
     drop(follower);
     let t2 = Instant::now();
-    let follower =
-        Follower::bootstrap_observed(&catalog, "orders", root.join("mirror"), config, &recorder)
-            .expect("restart from mirror");
+    let follower = Follower::bootstrap(&catalog, "orders", root.join("mirror"), config)
+        .expect("restart from mirror");
     assert_eq!(
         follower.applied_lsn(),
         applied_before,

@@ -139,7 +139,7 @@
 //! let live = Arc::new(LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap());
 //! let exec = PooledExecutor::new(
 //!     Arc::clone(&live),
-//!     PoolConfig { workers: 2, max_inflight: 4 },
+//!     PoolConfig { workers: 2, max_inflight: 4, ..PoolConfig::default() },
 //! );
 //!
 //! // Updates go through a shared reference — no `&mut`, no global lock —
@@ -315,11 +315,14 @@
 //! accessed fraction, maintenance bounded by |CHANGED| — and the [`obs`]
 //! crate makes that profile measurable on a live node instead of only
 //! in offline experiments. One [`Recorder`](crate::obs::Recorder)
-//! handle threads through the whole stack
-//! ([`DurableLiveRelation::create_observed`](crate::wal::DurableLiveRelation::create_observed),
-//! [`PooledExecutor::new_observed`](crate::engine::pool::PooledExecutor::new_observed),
-//! [`LiveRelation::set_recorder`](crate::engine::live::LiveRelation::set_recorder)):
-//! the WAL publishes fsync latency and group-commit sizes (`wal_*`),
+//! handle rides in the config each component is built from:
+//! [`PoolConfig::recorder`](crate::engine::pool::PoolConfig::recorder)
+//! for a pooled executor,
+//! [`WalConfig::recorder`](crate::wal::WalConfig::recorder) for a
+//! durable node or a follower (and a segment publisher counts into its
+//! primary's); a standalone live relation takes one through
+//! [`LiveRelation::set_recorder`](crate::engine::live::LiveRelation::set_recorder).
+//! The WAL publishes fsync latency and group-commit sizes (`wal_*`),
 //! the pool its queue depth and admission waits (`pool_*`), MVCC its
 //! live pins and undo-ring footprint (`mvcc_*`), and the engine the
 //! plan chosen per query and metered steps (`engine_*`). The default
@@ -337,10 +340,9 @@
 //! let recorder = Recorder::new();
 //! let mut live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //! live.set_recorder(&recorder);
-//! let exec = PooledExecutor::new_observed(
+//! let exec = PooledExecutor::new(
 //!     Arc::new(live),
-//!     PoolConfig { workers: 2, max_inflight: 4 },
-//!     &recorder,
+//!     PoolConfig { workers: 2, max_inflight: 4, recorder: recorder.clone() },
 //! );
 //!
 //! // Serve: every batch ticks plan counters, step meters, latencies.

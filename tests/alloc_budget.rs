@@ -94,6 +94,7 @@ fn a_batch_costs_the_submitter_words_not_allocations() {
         PoolConfig {
             workers: 2,
             max_inflight: 2,
+            ..PoolConfig::default()
         },
     );
 

@@ -93,6 +93,7 @@ fn inverted_acquisition_on_a_worker_is_typed_and_the_pool_survives() {
         PoolConfig {
             workers: 3,
             max_inflight: 2,
+            ..PoolConfig::default()
         },
     );
 

@@ -194,6 +194,7 @@ fn worker_panic_is_typed_and_the_session_keeps_serving() {
         PoolConfig {
             workers: 2,
             max_inflight: 2,
+            ..PoolConfig::default()
         },
     );
     // A full scan routes to every shard, including the poisoned one.
@@ -232,6 +233,7 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
     let config = WalConfig {
         segment_bytes: 64 << 10,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     };
     let live =
         LiveRelation::build(&relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("spec");

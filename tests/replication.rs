@@ -30,17 +30,22 @@ fn config() -> WalConfig {
     WalConfig {
         segment_bytes: 192,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     }
 }
 
-fn primary(root: &Path, rows: i64) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
+fn primary(
+    root: &Path,
+    rows: i64,
+    config: WalConfig,
+) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
     let schema = Schema::new(&[("id", ColType::Int)]);
     let data: Vec<Vec<Value>> = (0..rows).map(|i| vec![Value::Int(i)]).collect();
     let rel = Relation::from_rows(schema, data).expect("valid rows");
     let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0]).expect("valid spec");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog");
     let node = Arc::new(
-        DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config())
+        DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config)
             .expect("create"),
     );
     (node, catalog)
@@ -97,12 +102,17 @@ fn assert_bit_identical(follower: &Follower, oracle: &LiveRelation, probes: i64,
 #[test]
 fn follower_under_racing_writers_serves_consistent_prefixes() {
     let root = fresh_dir("racing");
-    let (node, catalog) = primary(&root, 50);
+    // One recorder in the config both nodes are built from: the
+    // publisher counts into the primary's.
     let recorder = Recorder::new();
-    let publisher = SegmentPublisher::new_observed(Arc::clone(&node), &recorder);
+    let observed = WalConfig {
+        recorder: recorder.clone(),
+        ..config()
+    };
+    let (node, catalog) = primary(&root, 50, observed.clone());
+    let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower = Arc::new(
-        Follower::bootstrap_observed(&catalog, "node", root.join("mirror"), config(), &recorder)
-            .expect("bootstrap"),
+        Follower::bootstrap(&catalog, "node", root.join("mirror"), observed).expect("bootstrap"),
     );
     let sub = follower.attach(&publisher);
     let exec = PooledExecutor::new(
@@ -110,6 +120,7 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
         PoolConfig {
             workers: 2,
             max_inflight: 2,
+            ..PoolConfig::default()
         },
     );
 
@@ -177,7 +188,7 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
 #[test]
 fn partial_catch_up_is_an_exact_prefix() {
     let root = fresh_dir("prefix");
-    let (node, catalog) = primary(&root, 10);
+    let (node, catalog) = primary(&root, 10, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
         Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).expect("bootstrap");
@@ -226,7 +237,7 @@ fn partial_catch_up_is_an_exact_prefix() {
 #[test]
 fn slow_follower_survives_a_primary_compaction_cycle() {
     let root = fresh_dir("retention");
-    let (node, catalog) = primary(&root, 0);
+    let (node, catalog) = primary(&root, 0, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
         Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).expect("bootstrap");
@@ -293,7 +304,7 @@ fn slow_follower_survives_a_primary_compaction_cycle() {
 #[test]
 fn late_attachment_below_the_floor_is_typed_stale() {
     let root = fresh_dir("stale");
-    let (node, catalog) = primary(&root, 0);
+    let (node, catalog) = primary(&root, 0, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     for i in 0..20i64 {
         node.insert(vec![Value::Int(i)]).expect("insert");

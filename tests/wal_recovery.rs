@@ -81,6 +81,7 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
     let config = WalConfig {
         segment_bytes: 900, // several segments; a short active tail
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     };
     let node =
         DurableLiveRelation::create(base_live(50), &catalog, "node", &wal_dir, config.clone())
@@ -228,6 +229,7 @@ fn durable_serving_loop_survives_crash_and_compaction() {
     let config = WalConfig {
         segment_bytes: 2_000,
         sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
     };
     let n = 2_000i64;
     let node = Arc::new(
