@@ -14,7 +14,8 @@
 //!   serving rules).
 //! * [`rules`] — the deny-by-default [`Rule`] set:
 //!   `no-unwrap-in-serving`, `no-fsync-under-lock`,
-//!   `no-bare-thread-spawn`, `bench-artifact-path`.
+//!   `no-bare-thread-spawn`, `bench-artifact-path`,
+//!   `no-blocking-syscalls-on-pool-workers`, `gauge-outside-status`.
 //! * [`report`] — machine-readable findings with `file:line`,
 //!   JSON-exportable via `pitract-obs`.
 //! * [`walk`] — first-party source discovery over the workspace.

@@ -35,6 +35,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoBareThreadSpawn),
         Box::new(BenchArtifactPath),
         Box::new(NoBlockingSyscallsOnPoolWorkers),
+        Box::new(GaugeOutsideStatus),
     ]
 }
 
@@ -430,6 +431,35 @@ impl Rule for NoBlockingSyscallsOnPoolWorkers {
                         ),
                     });
                 }
+            }
+        }
+    }
+}
+
+/// `gauge-outside-status`: no `.gauge(` in library code outside
+/// `crates/engine/src/status.rs`, whose `NodeStatus::publish` is the one
+/// writer of every status series. Tests and `pitract-obs` are exempt.
+pub struct GaugeOutsideStatus;
+
+impl Rule for GaugeOutsideStatus {
+    fn name(&self) -> &'static str {
+        "gauge-outside-status"
+    }
+
+    fn check(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
+        let status = file.rel_path == "crates/engine/src/status.rs";
+        let exempt = file.crate_name == "pitract-obs" || status;
+        if file.kind != FileKind::Lib || exempt {
+            return;
+        }
+        for i in 0..file.tokens.len() {
+            if !file.test_mask[i] && is_method_call(&file.tokens, i, "gauge") {
+                findings.push(Finding {
+                    rule: self.name(),
+                    path: file.rel_path.clone(),
+                    line: file.tokens[i].line,
+                    message: "gauge set outside `NodeStatus::publish`".to_string(),
+                });
             }
         }
     }

@@ -239,3 +239,41 @@ fn findings_render_machine_readably() {
         "{text}"
     );
 }
+
+#[test]
+fn gauge_fixture_fires_outside_status_and_honours_the_allow() {
+    let report = lint(
+        "pitract-engine",
+        include_str!("../fixtures/gauge_violation.rs"),
+    );
+    assert_eq!(
+        rules_fired(&report),
+        vec!["gauge-outside-status"],
+        "{report}"
+    );
+    assert_eq!(report.findings[0].line, 7, "the pin-path gauge");
+    assert_eq!(report.suppressed, 1, "the excused shim was suppressed");
+}
+
+#[test]
+fn gauge_fixture_is_silent_in_status_obs_and_tests() {
+    for (crate_name, kind, path) in [
+        (
+            "pitract-engine",
+            FileKind::Lib,
+            "crates/engine/src/status.rs",
+        ),
+        ("pitract-obs", FileKind::Lib, "crates/obs/src/fixture.rs"),
+        ("pitract-engine", FileKind::Test, "tests/fixture.rs"),
+    ] {
+        let file = SourceFile::from_source(
+            crate_name,
+            path,
+            kind,
+            include_str!("../fixtures/gauge_violation.rs"),
+        );
+        let report = run_rules(&[file], &default_rules());
+        assert!(report.is_clean(), "{crate_name} {path}: {report}");
+        assert_eq!(report.suppressed, 0, "{crate_name} {path}");
+    }
+}

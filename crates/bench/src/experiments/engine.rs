@@ -88,7 +88,7 @@ pub fn shard_throughput_sweep(n: i64, shard_counts: &[usize], reps: usize) -> Ve
             }
             ShardSample {
                 shards,
-                workers: exec.pool().workers(),
+                workers: exec.stats().workers,
                 batch_seconds: best,
                 queries_per_second: batch.len() as f64 / best,
                 total_steps,

@@ -40,7 +40,8 @@
 //!   [`pool::PoolStats`]), one pinned epoch per batch, worker panics
 //!   contained to their batch, row ids translated by the job that
 //!   found them, and one fold on the submitter. Anything implementing
-//!   [`pool::BatchServe`] is served.
+//!   [`pool::BatchServe`] is served, and reports a [`status::NodeStatus`]:
+//!   one snapshot of what it is doing, read by `status()`.
 //! * [`error::EngineError`] — the typed failure surface of the builders
 //!   and executors, so callers (including the `pitract-store` snapshot
 //!   layer) can match on failure classes instead of parsing prose.
@@ -65,6 +66,7 @@ pub mod live;
 pub mod planner;
 pub mod pool;
 pub mod shard;
+pub mod status;
 
 pub use batch::{
     BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, QueryCost, Routing,
@@ -72,9 +74,10 @@ pub use batch::{
 };
 pub use error::EngineError;
 pub use live::{
-    publish_lockdep, Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp,
-    VersionStats, WalSink,
+    Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp, VersionStats,
+    WalSink,
 };
 pub use planner::{AccessPath, Planner, QueryPlan};
-pub use pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor, WorkerPool};
+pub use pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};
 pub use shard::{ShardBy, ShardedRelation};
+pub use status::{CatchUpReport, NodeStatus, WalStatus};

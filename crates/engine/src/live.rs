@@ -54,7 +54,7 @@
 //! undo records are reclaimed as soon as no in-flight pin can reach
 //! them (watermark = oldest pinned epoch), and the retention cost is
 //! surfaced in the same `|CHANGED|` currency as update maintenance
-//! ([`LiveRelation::version_report`]). Single queries
+//! (the `retention` totals of [`BatchServe::status`]). Single queries
 //! ([`LiveRelation::answer`]) stay read-committed: they touch one state
 //! per shard and need no cut.
 
@@ -63,6 +63,7 @@ use crate::error::EngineError;
 use crate::planner::AccessPath;
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
+use crate::status::NodeStatus;
 use pitract_core::cost::{log2_floor, Meter};
 use pitract_core::epoch::Epoch;
 use pitract_core::lockdep::{
@@ -70,7 +71,7 @@ use pitract_core::lockdep::{
     OrderedRwLockWriteGuard,
 };
 use pitract_incremental::bounded::{BoundednessReport, UpdateRecord};
-use pitract_obs::{Counter, Gauge, Histogram, Recorder};
+use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -618,27 +619,6 @@ pub struct VersionStats {
     pub retained_slots: usize,
 }
 
-impl VersionStats {
-    /// Publish this summary into a recorder's registry (`mvcc_*`
-    /// family), so version retention shows up in the same
-    /// `MetricsSnapshot` as every live series.
-    pub fn publish(&self, recorder: &Recorder) {
-        recorder
-            .gauge("mvcc_current_epoch")
-            .set(i64::try_from(self.current_epoch.get()).unwrap_or(i64::MAX));
-        recorder
-            .gauge("mvcc_watermark")
-            .set(i64::try_from(self.watermark.get()).unwrap_or(i64::MAX));
-        recorder.gauge("mvcc_pins").set(self.pins as i64);
-        recorder
-            .gauge("mvcc_retained_versions")
-            .set(self.retained_versions as i64);
-        recorder
-            .gauge("mvcc_retained_slots")
-            .set(self.retained_slots as i64);
-    }
-}
-
 /// A concurrently servable, incrementally maintained, checkpointable
 /// relation — the live tier over [`ShardedRelation`]. See the module
 /// docs for the locking design.
@@ -664,7 +644,8 @@ pub struct LiveRelation {
     /// One record per applied update, in the same order as the log.
     maintenance: Mutex<BoundednessReport>,
     /// One record per retained undo record, charged in the same
-    /// `|CHANGED|` currency as update maintenance.
+    /// `|CHANGED|` currency as update maintenance — kept apart from it
+    /// because retention depends on reader timing, not on the history.
     version_maintenance: Mutex<BoundednessReport>,
     /// Optional durable write-ahead sink; staged inside the gid critical
     /// section so sink order ≡ log order ≡ gid order.
@@ -690,11 +671,6 @@ struct LiveInstruments {
     /// `engine_plans_total{path=…}`: access path chosen per routed
     /// query, indexed by [`AccessPath::index`].
     plans: [Counter; AccessPath::COUNT],
-    /// `mvcc_pins`: epoch pins currently registered.
-    pins: Gauge,
-    /// `mvcc_retained_versions`: undo records retained across all shard
-    /// rings right now.
-    retained: Gauge,
     /// `mvcc_rollback_entries`: undo records rolled back per pinned
     /// shard evaluation that needed a correction.
     rollback_entries: Histogram,
@@ -707,8 +683,6 @@ impl LiveInstruments {
             apply_batch_ops: recorder.histogram("engine_apply_batch_ops"),
             plans: AccessPath::LABELS
                 .map(|path| recorder.counter(&format!("engine_plans_total{{path=\"{path}\"}}"))),
-            pins: recorder.gauge("mvcc_pins"),
-            retained: recorder.gauge("mvcc_retained_versions"),
             rollback_entries: recorder.histogram("mvcc_rollback_entries"),
         }
     }
@@ -801,7 +775,7 @@ impl LiveRelation {
     }
 
     /// Install an observability recorder: interns the `engine_*` write /
-    /// plan instruments and the `mvcc_*` pin / retention instruments.
+    /// plan instruments and the `mvcc_rollback_entries` histogram.
     /// Takes `&mut self` for the same reason as [`Self::set_wal_sink`] —
     /// swapped only before the relation is shared. The default (disabled)
     /// recorder leaves every hot-path update a single branch.
@@ -814,24 +788,6 @@ impl LiveRelation {
     /// was called).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// Publish the slow-moving stats surfaces into the recorder's
-    /// registry so one `MetricsSnapshot` carries everything: the
-    /// [`VersionStats`] gauges (`mvcc_*`) and the two
-    /// [`BoundednessReport`] totals (`engine_maintenance_*` for update
-    /// maintenance, `mvcc_retention_*` for version retention). No-op
-    /// with a disabled recorder.
-    pub fn publish_metrics(&self) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        self.version_stats().publish(&self.recorder);
-        self.boundedness_report()
-            .publish(&self.recorder, "engine_maintenance");
-        self.version_report()
-            .publish(&self.recorder, "mvcc_retention");
-        publish_lockdep(&self.recorder);
     }
 
     /// Schema of the logical relation.
@@ -935,6 +891,12 @@ impl LiveRelation {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    fn lock_version_maintenance(&self) -> MutexGuard<'_, BoundednessReport> {
+        self.version_maintenance
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     // --- epochs & version retention ----------------------------------------
 
     /// The epoch clock now: the number of updates ever applied (plus any
@@ -963,7 +925,6 @@ impl LiveRelation {
         let mut epochs = self.lock_epochs();
         let epoch = epochs.current;
         *epochs.pins.entry(epoch).or_insert(0) += 1;
-        self.instruments.pins.inc();
         Epoch::new(epoch)
     }
 
@@ -981,7 +942,6 @@ impl LiveRelation {
             }
             epochs.watermark()
         };
-        self.instruments.pins.dec();
         // Sweep the rings only when something is retained. The watermark
         // is a safe lower bound even if pins land concurrently: a new
         // pin is at the current epoch, which no reclaimable undo
@@ -1002,7 +962,6 @@ impl LiveRelation {
             }
             if dropped > 0 {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
-                self.instruments.retained.add(-(dropped as i64));
             }
         }
     }
@@ -1055,21 +1014,6 @@ impl LiveRelation {
         }
     }
 
-    /// The `|CHANGED|` accounting of version retention: one
-    /// [`UpdateRecord`] per retained undo record, charging the rows the
-    /// record keeps alive as `|ΔO|` (1 for a delete's saved row, 0 for
-    /// an insert) against the single update that triggered it
-    /// (`|ΔD| = 1`, work 1 — the ring append is O(1)). Kept separate
-    /// from [`Self::boundedness_report`] so replay determinism is
-    /// untouched — whether a record is retained depends on reader
-    /// timing, never on the update history.
-    pub fn version_report(&self) -> BoundednessReport {
-        self.version_maintenance
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Record how to un-apply the write just stamped onto `slot`, iff
     /// any epoch is pinned (every pin is below the just-ticked clock,
     /// so every pin needs the rollback; with no pins the record could
@@ -1089,15 +1033,11 @@ impl LiveRelation {
             op,
         });
         self.retained.fetch_add(1, Ordering::AcqRel);
-        self.instruments.retained.inc();
-        self.version_maintenance
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(UpdateRecord {
-                delta_input: 1,
-                delta_output: held,
-                work: 1,
-            });
+        self.lock_version_maintenance().push(UpdateRecord {
+            delta_input: 1,
+            delta_output: held,
+            work: 1,
+        });
     }
 
     // --- updates -----------------------------------------------------------
@@ -1171,7 +1111,6 @@ impl LiveRelation {
             let dropped = guard.trim(watermark);
             if dropped > 0 {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
-                self.instruments.retained.add(-(dropped as i64));
             }
             debug_assert_eq!(local, ids.global_ids[shard].len());
             ids.global_ids[shard].push(gid);
@@ -1244,7 +1183,6 @@ impl LiveRelation {
             let dropped = guard.trim(watermark);
             if dropped > 0 {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
-                self.instruments.retained.add(-(dropped as i64));
             }
             self.lock_log().log.push(UpdateEntry::Delete { gid });
             self.lock_maintenance()
@@ -1575,6 +1513,17 @@ impl BatchServe for LiveRelation {
         self.release_pin(epoch);
     }
 
+    /// Versions, both `|CHANGED|` totals (summed in place) and lockdep.
+    fn status(&self) -> NodeStatus {
+        NodeStatus {
+            versions: Some(self.version_stats()),
+            maintenance: Some(self.lock_maintenance().totals()),
+            retention: Some(self.lock_version_maintenance().totals()),
+            lockdep: Some(pitract_core::lockdep::stats()),
+            ..NodeStatus::default()
+        }
+    }
+
     /// The current version under the shard's read lock, with the
     /// undo-ring rollback applied when writes landed past the pin. The
     /// rollback sets are built once per shard slice, not per query.
@@ -1600,22 +1549,6 @@ impl BatchServe for LiveRelation {
 
 fn read_lock(lock: &OrderedRwLock<ShardSlot>) -> OrderedRwLockReadGuard<'_, ShardSlot> {
     lock.read()
-}
-
-/// Publish the process-wide [`pitract_core::lockdep`] totals into
-/// `recorder` as `lockdep_checks_total` / `lockdep_violations_total`.
-/// The lockdep counters are global (every ordered lock in the process
-/// feeds them), so the publish is monotonic (`raise_to`) — republishing
-/// from several relations or pools never double-counts. In release
-/// builds the checks are compiled out and both totals stay 0.
-pub fn publish_lockdep(recorder: &Recorder) {
-    let stats = pitract_core::lockdep::stats();
-    recorder
-        .counter("lockdep_checks_total")
-        .raise_to(stats.checks);
-    recorder
-        .counter("lockdep_violations_total")
-        .raise_to(stats.violations);
 }
 
 #[cfg(test)]
@@ -2234,7 +2167,8 @@ mod tests {
             "the delete undo keeps its dead row alive"
         );
         // The |CHANGED| accounting recorded every retention.
-        assert_eq!(lr.version_report().len(), stats.retained_versions);
+        let retention = lr.status().retention.unwrap();
+        assert_eq!(retention.updates, stats.retained_versions as u64);
         drop(pin);
         let stats = lr.version_stats();
         assert_eq!(stats.retained_versions, 0, "released pin reclaims");
@@ -2265,10 +2199,10 @@ mod tests {
             "one O(1) undo record per pinned-over write"
         );
         assert_eq!(stats.retained_slots, 0, "no shard was ever cloned");
-        let report = lr.version_report();
-        assert_eq!(report.len(), 50);
-        assert!(
-            report.records().iter().all(|r| r.work == 1),
+        let retention = lr.status().retention.unwrap();
+        assert_eq!(retention.updates, 50);
+        assert_eq!(
+            retention.work, 50,
             "retention work is constant per write, independent of shard size"
         );
         drop(pin);

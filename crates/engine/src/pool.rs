@@ -47,8 +47,9 @@ use crate::batch::{
 };
 use crate::error::EngineError;
 use crate::planner::QueryPlan;
+use crate::status::NodeStatus;
 use pitract_core::epoch::Epoch;
-use pitract_obs::{Counter, Gauge, Histogram, Recorder};
+use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_relation::SelectionQuery;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,7 +58,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Sizing, admission tuning and the metrics sink for a [`WorkerPool`].
+/// Sizing, admission tuning and the metrics sink for a [`PooledExecutor`]'s
+/// worker pool.
 #[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
     /// Worker threads to spawn. `0` (the default) means the machine's
@@ -72,10 +74,10 @@ pub struct PoolConfig {
     /// worker busy while the next batch stages, without letting a
     /// burst queue unboundedly ahead of the workers.
     pub max_inflight: usize,
-    /// Where the pool publishes its `pool_*` queue and admission series
-    /// and, for a [`PooledExecutor`], the per-batch `pool_batch_micros`
-    /// and `engine_*` totals. The default is the disabled recorder: every
-    /// touch is then one branch, with no clock read and no atomic.
+    /// Where the pool times admission waits and, for a [`PooledExecutor`],
+    /// the per-batch `pool_batch_micros` and `engine_*` totals. The default
+    /// is the disabled recorder: every touch is then one branch, with no
+    /// clock read and no atomic.
     pub recorder: Recorder,
 }
 
@@ -105,7 +107,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A point-in-time summary of a serving session's pool: sizing, load,
 /// and how much batches have had to wait at the admission gate
-/// ([`PooledExecutor::stats`]).
+/// ([`PooledExecutor::stats`], the `pool` of a [`NodeStatus`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Worker threads in the pool.
@@ -125,62 +127,6 @@ pub struct PoolStats {
     pub total_admission_wait: Duration,
 }
 
-impl PoolStats {
-    /// Publish this summary into a recorder's registry so the pool's
-    /// sizing and cumulative gate accounting appear in the same
-    /// `MetricsSnapshot` as every live series (`pool_*` family).
-    /// Monotonic totals are raised, never lowered, so repeated publishes
-    /// keep the counters Prometheus-legal.
-    pub fn publish(&self, recorder: &Recorder) {
-        recorder.gauge("pool_workers").set(self.workers as i64);
-        recorder
-            .gauge("pool_max_inflight")
-            .set(self.max_inflight as i64);
-        recorder.gauge("pool_inflight").set(self.inflight as i64);
-        recorder
-            .gauge("pool_queued_jobs")
-            .set(self.queued_jobs as i64);
-        recorder
-            .counter("pool_batches_admitted_total")
-            .raise_to(self.batches_admitted);
-        recorder
-            .counter("pool_admission_waits_total")
-            .raise_to(self.admission_waits);
-        recorder
-            .counter("pool_admission_wait_micros_total")
-            .raise_to(u64::try_from(self.total_admission_wait.as_micros()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Interned `pool_*` instrument handles for one pool. All default to
-/// no-op handles (a disabled [`Recorder`]), in which case every update
-/// below is a single branch.
-#[derive(Debug, Clone, Default)]
-struct PoolInstruments {
-    /// `pool_queued_jobs`: jobs submitted and not yet dequeued.
-    queued_jobs: Gauge,
-    /// `pool_inflight`: batches currently holding an admission slot.
-    inflight: Gauge,
-    /// `pool_admission_wait_micros`: per-batch time blocked at the gate.
-    admission_wait: Histogram,
-    /// `pool_batches_admitted_total`.
-    admitted: Counter,
-    /// `pool_admission_waits_total`: admissions that found the gate full.
-    waits: Counter,
-}
-
-impl PoolInstruments {
-    fn new(recorder: &Recorder) -> Self {
-        PoolInstruments {
-            queued_jobs: recorder.gauge("pool_queued_jobs"),
-            inflight: recorder.gauge("pool_inflight"),
-            admission_wait: recorder.histogram("pool_admission_wait_micros"),
-            admitted: recorder.counter("pool_batches_admitted_total"),
-            waits: recorder.counter("pool_admission_waits_total"),
-        }
-    }
-}
-
 /// The counting gate that caps in-flight batches, plus its wait
 /// accounting.
 #[derive(Debug)]
@@ -191,7 +137,8 @@ struct Admission {
     admitted: AtomicU64,
     waits: AtomicU64,
     wait_nanos: AtomicU64,
-    instruments: PoolInstruments,
+    /// `pool_admission_wait_micros`: per-batch time blocked at the gate.
+    wait_micros: Histogram,
 }
 
 impl Admission {
@@ -212,19 +159,15 @@ impl Admission {
             self.waits.fetch_add(1, Ordering::Relaxed);
             self.wait_nanos
                 .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-            self.instruments.waits.inc();
         }
         *inflight += 1;
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.instruments.admitted.inc();
-        self.instruments.inflight.inc();
-        self.instruments.admission_wait.record_duration(waited);
+        self.wait_micros.record_duration(waited);
         waited
     }
 
     fn release(&self) {
         *lock(&self.inflight) -= 1;
-        self.instruments.inflight.dec();
         self.freed.notify_one();
     }
 }
@@ -244,7 +187,7 @@ impl Drop for AdmissionSlot<'_> {
 /// worker (pending jobs are drained first — a job's collector must
 /// never be left waiting on work that silently vanished).
 #[derive(Debug)]
-pub struct WorkerPool {
+struct WorkerPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     admission: Arc<Admission>,
@@ -254,9 +197,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn a pool per `config` (see [`PoolConfig`] for the defaults),
-    /// publishing into `config.recorder`.
-    pub fn new(config: PoolConfig) -> Self {
-        let instruments = PoolInstruments::new(&config.recorder);
+    /// timing admission waits into `config.recorder`.
+    fn new(config: PoolConfig) -> Self {
         let workers = config.resolved_workers();
         let max_inflight = config.resolved_inflight(workers);
         let (sender, receiver) = channel::<Job>();
@@ -266,12 +208,11 @@ impl WorkerPool {
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
                 let queued = Arc::clone(&queued);
-                let queued_gauge = instruments.queued_jobs.clone();
                 #[allow(clippy::expect_used)]
                 std::thread::Builder::new()
                     .name(format!("pitract-pool-{i}"))
                     // lint:allow(no-bare-thread-spawn): this IS the pool's one spawn point
-                    .spawn(move || worker_loop(&receiver, &queued, &queued_gauge))
+                    .spawn(move || worker_loop(&receiver, &queued))
                     // lint:allow(no-unwrap-in-serving): construction-time; a pool that cannot spawn is fatal
                     .expect("spawn pool worker")
             })
@@ -286,34 +227,9 @@ impl WorkerPool {
                 admitted: AtomicU64::new(0),
                 waits: AtomicU64::new(0),
                 wait_nanos: AtomicU64::new(0),
-                instruments,
+                wait_micros: config.recorder.histogram("pool_admission_wait_micros"),
             }),
             queued,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The in-flight batch cap.
-    pub fn max_inflight(&self) -> usize {
-        self.admission.cap
-    }
-
-    /// A point-in-time load and wait summary.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            workers: self.workers.len(),
-            max_inflight: self.admission.cap,
-            inflight: *lock(&self.admission.inflight),
-            queued_jobs: self.queued.load(Ordering::Relaxed),
-            batches_admitted: self.admission.admitted.load(Ordering::Relaxed),
-            admission_waits: self.admission.waits.load(Ordering::Relaxed),
-            total_admission_wait: Duration::from_nanos(
-                self.admission.wait_nanos.load(Ordering::Relaxed),
-            ),
         }
     }
 
@@ -327,7 +243,6 @@ impl WorkerPool {
     #[allow(clippy::expect_used)]
     fn submit(&self, job: Job) {
         self.queued.fetch_add(1, Ordering::Relaxed);
-        self.admission.instruments.queued_jobs.inc();
         self.sender
             .as_ref()
             // lint:allow(no-unwrap-in-serving): the sender is Some until Drop takes it
@@ -354,7 +269,7 @@ impl Drop for WorkerPool {
 /// [`PooledExecutor::dispatch`]), but a defensive `catch_unwind` here keeps a
 /// worker alive even if a job's bookkeeping itself panicked — one
 /// poisoned batch must never shrink the pool.
-fn worker_loop(receiver: &Mutex<Receiver<Job>>, queued: &AtomicUsize, queued_gauge: &Gauge) {
+fn worker_loop(receiver: &Mutex<Receiver<Job>>, queued: &AtomicUsize) {
     loop {
         // Hold the receiver lock only for the dequeue, never while
         // running the job.
@@ -363,7 +278,6 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, queued: &AtomicUsize, queued_gau
             Err(_) => return,
         };
         queued.fetch_sub(1, Ordering::Relaxed);
-        queued_gauge.dec();
         let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
@@ -474,6 +388,12 @@ pub trait BatchServe: Send + Sync {
 
     /// Release a pin taken by [`BatchServe::pin_epoch`].
     fn unpin_epoch(&self, _epoch: Epoch) {}
+
+    /// What the relation is doing right now, read off the structures
+    /// that own the state; empty (the default) for an immutable one.
+    fn status(&self) -> NodeStatus {
+        NodeStatus::default()
+    }
 
     /// One shard's assigned queries, evaluated in mode `M` at epoch
     /// `at` ([`Epoch::LATEST`] = current state): one `(query index,
@@ -598,7 +518,7 @@ impl ExecInstruments {
 
 impl<R: BatchServe + 'static> PooledExecutor<R> {
     /// A serving session over `relation` with a dedicated pool sized by
-    /// `config`; the pool and the per-batch accounting publish into
+    /// `config`; the per-batch events are recorded into
     /// `config.recorder` (`pool_*` and `engine_*` series).
     pub fn new(relation: Arc<R>, config: PoolConfig) -> Self {
         PooledExecutor {
@@ -629,15 +549,29 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         &self.relation
     }
 
-    /// The worker pool (for sizing introspection).
-    pub fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
     /// A point-in-time pool summary: sizing, load, and cumulative
     /// admission-gate waits.
     pub fn stats(&self) -> PoolStats {
-        self.pool.stats()
+        let (pool, admission) = (&self.pool, &self.pool.admission);
+        PoolStats {
+            workers: pool.workers.len(),
+            max_inflight: admission.cap,
+            inflight: *lock(&admission.inflight),
+            queued_jobs: pool.queued.load(Ordering::Relaxed),
+            batches_admitted: admission.admitted.load(Ordering::Relaxed),
+            admission_waits: admission.waits.load(Ordering::Relaxed),
+            total_admission_wait: Duration::from_nanos(
+                admission.wait_nanos.load(Ordering::Relaxed),
+            ),
+        }
+    }
+
+    /// The relation's [`BatchServe::status`] plus this session's pool.
+    pub fn status(&self) -> NodeStatus {
+        NodeStatus {
+            pool: Some(self.stats()),
+            ..self.relation.status()
+        }
     }
 
     /// Answer every query in the batch: one Boolean per query, in batch
@@ -1005,7 +939,6 @@ mod tests {
         );
         let batch = mixed_batch(300);
         let got = exec.execute(&batch).unwrap();
-        lr.publish_metrics();
         let snap = recorder.snapshot();
         let queries = got.answers.len() as u64;
         assert_eq!(snap.counter("engine_batches_total"), Some(1));
@@ -1014,16 +947,20 @@ mod tests {
             snap.counter("engine_steps_total"),
             Some(got.report.total_steps)
         );
-        assert_eq!(snap.counter("pool_batches_admitted_total"), Some(1));
         assert_eq!(snap.histogram("pool_batch_micros").unwrap().count, 1);
         assert_eq!(
             snap.histogram("pool_admission_wait_micros").unwrap().count,
             1
         );
+        // State is never mirrored as it changes: it appears once published.
+        assert_eq!(snap.gauge("pool_inflight"), None, "status not published");
+        assert_eq!(snap.gauge("mvcc_pins"), None, "status not published");
+        exec.status().publish(&recorder);
+        let snap = recorder.snapshot();
+        assert_eq!(snap.gauge("pool_workers"), Some(2));
         assert_eq!(snap.gauge("pool_inflight"), Some(0), "batch finished");
-        assert_eq!(snap.gauge("pool_workers"), None, "publish() not called");
-        exec.stats().publish(&recorder);
-        assert_eq!(recorder.snapshot().gauge("pool_workers"), Some(2));
+        assert_eq!(snap.gauge("mvcc_pins"), Some(0), "pin released");
+        assert_eq!(snap.counter("pool_batches_admitted_total"), Some(1));
         // Every routed query ticked exactly one plan-path counter.
         let plan_total: u64 = [
             "point-probe",
@@ -1164,7 +1101,7 @@ mod tests {
             assert_eq!(err, EngineError::WorkerPanicked { shard: 1 });
         }
         std::panic::set_hook(prev_hook);
-        assert_eq!(exec.pool().workers(), 2, "no worker thread died");
+        assert_eq!(exec.stats().workers, 2, "no worker thread died");
     }
 
     #[test]
@@ -1362,7 +1299,8 @@ mod tests {
         );
         let exec = PooledExecutor::with_default_pool(sr);
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert_eq!(exec.pool().workers(), cores.clamp(1, 2));
-        assert_eq!(exec.pool().max_inflight(), exec.pool().workers() * 2);
+        let stats = exec.stats();
+        assert_eq!(stats.workers, cores.clamp(1, 2));
+        assert_eq!(stats.max_inflight, stats.workers * 2);
     }
 }

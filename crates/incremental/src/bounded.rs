@@ -92,28 +92,28 @@ impl BoundednessReport {
             .fold(0.0, f64::max)
     }
 
-    /// Publish this report's totals into a metrics registry under
-    /// `prefix` (e.g. `engine_maintenance`), so the |CHANGED| accounting
-    /// appears in the same `MetricsSnapshot` as every live series:
-    /// `{prefix}_updates_total`, `{prefix}_changed_total`, and
-    /// `{prefix}_work_total` as monotonic counters (raised, never
-    /// lowered, so republishing a growing report stays Prometheus-legal)
-    /// plus the `{prefix}_worst_ratio_milli` gauge (the worst per-update
-    /// `work / (|CHANGED| + 1)` ratio in thousandths).
-    pub fn publish(&self, recorder: &pitract_obs::Recorder, prefix: &str) {
-        recorder
-            .counter(&format!("{prefix}_updates_total"))
-            .raise_to(self.len() as u64);
-        recorder
-            .counter(&format!("{prefix}_changed_total"))
-            .raise_to(self.total_changed());
-        recorder
-            .counter(&format!("{prefix}_work_total"))
-            .raise_to(self.total_work());
-        recorder
-            .gauge(&format!("{prefix}_worst_ratio_milli"))
-            .set((self.worst_ratio() * 1000.0) as i64);
+    /// The run-level totals, read in place — the records are not copied.
+    pub fn totals(&self) -> BoundednessTotals {
+        BoundednessTotals {
+            updates: self.len() as u64,
+            changed: self.total_changed(),
+            work: self.total_work(),
+            worst_ratio: self.worst_ratio(),
+        }
     }
+}
+
+/// The run-level totals of a report ([`BoundednessReport::totals`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct BoundednessTotals {
+    /// Recorded updates.
+    pub updates: u64,
+    /// Total |CHANGED|.
+    pub changed: u64,
+    /// Total work.
+    pub work: u64,
+    /// The worst per-update `work / (|CHANGED| + 1)`.
+    pub worst_ratio: f64,
 }
 
 #[cfg(test)]

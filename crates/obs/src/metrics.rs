@@ -3,7 +3,8 @@
 //! Three instrument kinds, all lock-free on the record path:
 //!
 //! * [`Counter`] — monotonically non-decreasing `u64` (events, bytes).
-//! * [`Gauge`] — signed point-in-time value (queue depth, live pins).
+//! * [`Gauge`] — signed point-in-time value (queue depth, live pins),
+//!   set from a status read.
 //! * [`Histogram`] — fixed base-2 log buckets over `u64` samples
 //!   (latencies in µs, batch sizes). Bucket `i` holds samples with
 //!   `2^(i-1) < v ≤ 2^i`, so boundaries are *exact at powers of two* and
@@ -136,39 +137,13 @@ impl Gauge {
         Gauge { cell: Some(cell) }
     }
 
-    /// Set to an absolute value.
+    /// Set to an absolute value — the one write: a gauge carries state
+    /// read at publish time, never a running delta.
     #[inline]
     pub fn set(&self, v: i64) {
         if let Some(cell) = &self.cell {
             cell.value.store(v, Ordering::Relaxed);
         }
-    }
-
-    /// Add a (possibly negative) delta.
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.value.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement by one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Current value (0 for a no-op handle).
-    pub fn get(&self) -> i64 {
-        self.cell
-            .as_ref()
-            .map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 }
 
@@ -475,10 +450,8 @@ mod tests {
         a.add(2);
         b.inc();
         assert_eq!(reg.counter("x_total").get(), 3);
-        let g = reg.gauge("depth");
-        g.set(5);
-        g.dec();
-        assert_eq!(reg.gauge("depth").get(), 4);
+        reg.gauge("depth").set(5);
+        assert_eq!(reg.snapshot().gauge("depth"), Some(5));
     }
 
     #[test]

@@ -36,12 +36,12 @@
 //! replay itself runs with no replication lock held.
 
 use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
-use crate::ReplError;
+use crate::{CatchUpReport, ReplError};
 use pitract_core::epoch::Epoch;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
-use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry};
-use pitract_obs::{Gauge, Histogram};
+use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry};
+use pitract_obs::Histogram;
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
 use pitract_store::{fsync_dir, SnapshotCatalog};
@@ -52,20 +52,6 @@ use pitract_wal::{SyncPolicy, WalConfig, WalError, WalReader};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Typed catch-up progress: where the follower stands against its
-/// primary after a catch-up cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CatchUpReport {
-    /// The LSN after the last position this follower has applied: its
-    /// served state covers exactly the primary records below it.
-    pub applied_lsn: u64,
-    /// The primary's durable frontier at the time of the report.
-    pub primary_lsn: u64,
-    /// `primary_lsn − applied_lsn`: how many log positions the
-    /// follower's consistent cut trails the primary by.
-    pub lag: u64,
-}
 
 /// The follower's local segment mirror: shipped frames are appended to
 /// segment files in the follower's own WAL directory — original
@@ -186,7 +172,8 @@ pub struct Follower {
     wal_base: u64,
     /// The checkpoint's cut epoch: epoch half of the dictionary.
     epoch_base: u64,
-    lag_gauge: Gauge,
+    /// The primary's durable frontier as the last catch-up poll saw it.
+    primary_seen: AtomicU64,
     replay_micros: Histogram,
 }
 
@@ -199,9 +186,9 @@ impl Follower {
     /// segments; `config.sync` chooses whether catch-up fsyncs shipped
     /// frames before applying them ([`SyncPolicy::Never`] skips the
     /// flush, trading replica rebuild-on-power-loss for speed).
-    /// `config.recorder` receives the replica's `engine_*` / `mvcc_*`
-    /// series plus `replication_lag_lsn` and `repl_replay_micros`, and
-    /// hears a torn mirror tail once, through [`WalReader::publish`].
+    /// `config.recorder` records the replica's events (`engine_*`,
+    /// `repl_replay_micros`) and hears a torn mirror tail once, through
+    /// [`WalReader::publish`]; its lag is read by [`BatchServe::status`].
     pub fn bootstrap(
         catalog: &SnapshotCatalog,
         name: &str,
@@ -273,7 +260,7 @@ impl Follower {
             applied: AtomicU64::new(applied),
             wal_base: mark,
             epoch_base: cut.get(),
-            lag_gauge: recorder.gauge("replication_lag_lsn"),
+            primary_seen: AtomicU64::new(applied),
             replay_micros: recorder.histogram("repl_replay_micros"),
         };
         // The mirror tail replayed above is already on disk.
@@ -328,7 +315,7 @@ impl Follower {
             let advanced = self.step(publisher, sub, usize::MAX)?;
             if !advanced {
                 drop(turn);
-                return Ok(self.report(publisher));
+                return Ok(self.report(publisher.durable_lsn()));
             }
         }
     }
@@ -346,21 +333,18 @@ impl Follower {
     ) -> Result<CatchUpReport, ReplError> {
         let _turn = Turn::claim(&self.applying)?;
         self.step(publisher, sub, max_bytes)?;
-        Ok(self.report(publisher))
+        Ok(self.report(publisher.durable_lsn()))
     }
 
-    /// Where this follower stands against `publisher` right now,
-    /// without applying anything.
-    pub fn report(&self, publisher: &SegmentPublisher) -> CatchUpReport {
+    /// Where this follower stands against a primary at `primary_lsn`.
+    fn report(&self, primary_lsn: u64) -> CatchUpReport {
         let applied_lsn = self.applied_lsn();
-        let primary_lsn = publisher.durable_lsn().max(applied_lsn);
-        let report = CatchUpReport {
+        let primary_lsn = primary_lsn.max(applied_lsn);
+        CatchUpReport {
             applied_lsn,
             primary_lsn,
             lag: primary_lsn - applied_lsn,
-        };
-        self.lag_gauge.set(report.lag as i64);
-        report
+        }
     }
 
     /// Poll + validate + persist + replay one shipment. Returns whether
@@ -373,12 +357,13 @@ impl Follower {
     ) -> Result<bool, ReplError> {
         let from = self.applied_lsn();
         let ship = publisher.poll_bytes(from, max_bytes)?;
+        self.primary_seen
+            .fetch_max(publisher.durable_lsn(), Ordering::SeqCst);
         if ship.is_empty() {
             return Ok(false);
         }
         self.apply_locked(&ship)?;
         publisher.advance(sub, ship.end());
-        self.report(publisher);
         Ok(true)
     }
 
@@ -543,6 +528,15 @@ impl BatchServe for Follower {
 
     fn unpin_epoch(&self, epoch: Epoch) {
         BatchServe::unpin_epoch(&self.live, epoch);
+    }
+
+    /// The inner status plus the lag behind the last frontier polled.
+    fn status(&self) -> NodeStatus {
+        let primary_lsn = self.primary_seen.load(Ordering::SeqCst);
+        NodeStatus {
+            replica: Some(self.report(primary_lsn)),
+            ..self.live.status()
+        }
     }
 
     fn eval_shard<M: OutputMode>(

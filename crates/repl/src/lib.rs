@@ -29,12 +29,12 @@
 //!   consistent cut that is a true prefix of the primary, bit-identical
 //!   in both answers and global row ids.
 //! * [`CatchUpReport`] is the typed progress statement
-//!   (`applied_lsn` / `primary_lsn` / `lag`). A follower publishes
-//!   `replication_lag_lsn` and `repl_replay_micros` into the `recorder`
-//!   of the [`pitract_wal::WalConfig`] it is bootstrapped with, and the
-//!   publisher counts `repl_segments_shipped_total` and
-//!   `repl_poll_bytes_read_total` into the recorder its primary was
-//!   built with, next to that primary's `wal_*` series.
+//!   (`applied_lsn` / `primary_lsn` / `lag`), and the replica field of
+//!   a follower's [`pitract_engine::NodeStatus`]: a scraper calls
+//!   `follower.status().publish(&recorder)` to set `replication_lag_lsn`.
+//!   Events land where they happen: a follower times `repl_replay_micros`
+//!   into its [`pitract_wal::WalConfig`]'s `recorder`, and the publisher
+//!   counts `repl_*_total` into its primary's.
 //!
 //! Torn or garbled transfers fail **typed** ([`ReplError`]), never
 //! panic: shipments are validated with the same frame scanner
@@ -63,7 +63,8 @@
 pub mod follower;
 pub mod publisher;
 
-pub use follower::{CatchUpReport, Follower};
+pub use follower::Follower;
+pub use pitract_engine::CatchUpReport;
 pub use publisher::{SegmentPublisher, Shipment, SubscriptionId};
 
 use pitract_engine::EngineError;

@@ -36,7 +36,7 @@ use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
-use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry, WalSink};
+use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry, WalSink};
 use pitract_relation::SelectionQuery;
 use pitract_store::{Recovered, Snapshot, SnapshotCatalog};
 use std::path::{Path, PathBuf};
@@ -341,6 +341,16 @@ impl BatchServe for DurableLiveRelation {
         BatchServe::unpin_epoch(&self.live, epoch);
     }
 
+    fn status(&self) -> NodeStatus {
+        NodeStatus {
+            wal: Some(pitract_engine::WalStatus {
+                durable_lsn: self.wal.durable_lsn(),
+                checkpoint_mark: self.checkpoint_mark(),
+            }),
+            ..self.live.status()
+        }
+    }
+
     fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
@@ -618,7 +628,7 @@ mod tests {
             }
         }
         node.answer(&SelectionQuery::point(0, 104i64));
-        node.publish_metrics();
+        node.status().publish(&recorder);
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("wal_appends_total"), Some(12));
         assert!(snap.counter("wal_appended_bytes_total").unwrap() > 0);
@@ -626,6 +636,8 @@ mod tests {
         assert!(snap.histogram("wal_group_commit_records").unwrap().count > 0);
         assert_eq!(snap.counter("engine_updates_total"), Some(12));
         assert!(snap.gauge("mvcc_current_epoch").unwrap() >= 12);
+        assert_eq!(snap.gauge("wal_durable_lsn"), Some(12));
+        assert_eq!(snap.gauge("wal_checkpoint_mark"), Some(0));
         drop(node);
 
         // Recovery threads the same handle; the replay's updates land in

@@ -9,7 +9,8 @@
 //!    `WalConfig` handed to `DurableLiveRelation::create` and the
 //!    `PoolConfig` handed to `PooledExecutor::new` — so the WAL
 //!    (`wal_*`), worker pool (`pool_*`), MVCC read cuts (`mvcc_*`), and
-//!    query engine (`engine_*`) all publish into the same registry.
+//!    query engine (`engine_*`) all record into the same registry; one
+//!    `exec.status().publish(&recorder)` sets the state before a scrape.
 //! 2. **Serve under churn**: writer threads absorb durable updates
 //!    while verified query batches run — every fsync, admission wait,
 //!    plan choice, and undo-ring walk lands in a metric.
@@ -102,8 +103,7 @@ fn main() {
         handles.into_iter().map(|h| h.join().unwrap()).sum()
     });
     exec.relation().wal().sync().expect("final flush");
-    exec.relation().publish_metrics();
-    exec.stats().publish(&recorder);
+    exec.status().publish(&recorder);
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "served 12×256 verified queries while absorbing {applied} durable updates \
@@ -154,8 +154,7 @@ fn main() {
     let replayed = node.recovery_summary().expect("recovered node").replayed;
     let exec = PooledExecutor::new(Arc::new(node), pool_config(&recorder));
     assert_eq!(exec.execute(&batch).expect("batch").answers, oracle);
-    exec.relation().publish_metrics();
-    exec.stats().publish(&recorder);
+    exec.status().publish(&recorder);
     let snap = recorder.snapshot();
     let torn = recorder
         .drain_trace()

@@ -53,8 +53,8 @@ fn main() {
     let exec = PooledExecutor::with_default_pool(Arc::clone(&node));
     println!(
         "session open: {} worker(s) for 8 shards, at most {} batch(es) in flight",
-        exec.pool().workers(),
-        exec.pool().max_inflight(),
+        exec.stats().workers,
+        exec.stats().max_inflight,
     );
 
     // 3. Stream batches while a writer lands batched durable updates.

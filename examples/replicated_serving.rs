@@ -12,7 +12,7 @@
 //! 2. **Bootstrap**: a `Follower` loads the primary's checkpoint, fixes
 //!    its epoch ↔ LSN dictionary at the cut, and attaches (which also
 //!    pins the primary's compactor retention to its cursor). Built from
-//!    the same `WalConfig`, it publishes its lag into the same registry.
+//!    the same `WalConfig`, it records into the same registry (lag via `status()`).
 //! 3. **Serve under fire**: writer threads churn the primary while a
 //!    catch-up loop streams shipments — validated frame-by-frame,
 //!    mirrored to local disk, then replayed — and a pooled executor
@@ -134,6 +134,7 @@ fn main() {
         report.lag,
         report.primary_lsn,
     );
+    exec.status().publish(&recorder); // the replica's state, beside the primary's events
 
     // 4a. Verify bit-identity: answers and global row ids.
     assert_eq!(follower.len(), primary.len(), "replica row count");

@@ -269,8 +269,8 @@
 //! primary — bit-identical answers *and* global row ids. Attached
 //! followers also impose a retention watermark, so the primary's
 //! compactor never drops a segment a lagging follower still needs;
-//! progress is a typed [`CatchUpReport`](crate::repl::CatchUpReport)
-//! and a `replication_lag_lsn` gauge in the metrics registry.
+//! progress is a typed [`CatchUpReport`](crate::repl::CatchUpReport),
+//! published through the follower's `status()` as `replication_lag_lsn`.
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -322,10 +322,13 @@
 //! durable node or a follower (and a segment publisher counts into its
 //! primary's); a standalone live relation takes one through
 //! [`LiveRelation::set_recorder`](crate::engine::live::LiveRelation::set_recorder).
-//! The WAL publishes fsync latency and group-commit sizes (`wal_*`),
-//! the pool its queue depth and admission waits (`pool_*`), MVCC its
-//! live pins and undo-ring footprint (`mvcc_*`), and the engine the
-//! plan chosen per query and metered steps (`engine_*`). The default
+//! **Events are counted or timed where they happen** (`wal_*` fsyncs,
+//! `pool_*` batch latency, `engine_*` plans and steps, `repl_*`
+//! shipments). **State is read when someone calls `status()`**: one
+//! [`NodeStatus`](crate::engine::status::NodeStatus) of versions, pool
+//! load, `|CHANGED|` totals, WAL frontier and replica lag, whose
+//! `publish` is the one place those series are set. A scraper calls
+//! `status().publish(&recorder)`, then renders. The default
 //! `Recorder` is disabled and costs the hot path one branch per touch;
 //! an enabled one snapshots to Prometheus text or JSON losslessly.
 //!
@@ -349,14 +352,14 @@
 //! exec.relation().insert(vec![Value::Int(5_000)]).unwrap();
 //! let batch = QueryBatch::new((0..50i64).map(|k| SelectionQuery::point(0, k * 17)));
 //! exec.execute(&batch).unwrap();
-//! exec.relation().publish_metrics();
 //!
-//! // Export: Prometheus text for scrapers, JSON for artifacts — and
-//! // the JSON round-trips losslessly.
+//! // Scrape: publish the state once, then render Prometheus text for
+//! // scrapers and JSON for artifacts — the JSON round-trips losslessly.
+//! exec.status().publish(&recorder);
 //! let snapshot = recorder.snapshot();
 //! let text = pi_tractable::obs::to_prometheus(&snapshot);
 //! assert!(text.contains("engine_queries_total 50"));
-//! assert!(text.contains("mvcc_current_epoch"));
+//! assert!(text.contains("mvcc_current_epoch 1") && text.contains("pool_inflight 0"));
 //! let reparsed = MetricsSnapshot::from_json(&snapshot.to_json()).unwrap();
 //! assert_eq!(reparsed, snapshot);
 //! ```
@@ -372,14 +375,14 @@
 //! explicit [`LockRank`](crate::core::lockdep::LockRank); debug builds
 //! keep a thread-local stack of held ranks and panic on any acquisition
 //! that inverts the documented order, release builds compile the check
-//! out entirely. The totals surface as `lockdep_checks_total` /
-//! `lockdep_violations_total` in the metrics registry. **Static
-//! invariant lints**: the [`analysis`] crate's `pitract-lint` binary
-//! walks the workspace sources with a zero-dependency lexer and denies
-//! panicking escape hatches in serving code, fsyncs under the WAL state
-//! lock, bare thread spawns, and benchmark artifacts written under
-//! `target/` — each rule opt-out-able per site with a justified
-//! `// lint:allow(<rule>)`.
+//! out entirely. The totals are part of a live relation's `status()`
+//! and publish as `lockdep_checks_total` / `lockdep_violations_total`.
+//! **Static invariant lints**: the [`analysis`] crate's `pitract-lint`
+//! binary walks the workspace sources with a zero-dependency lexer and
+//! denies panicking escape hatches in serving code, fsyncs under the
+//! WAL state lock, bare thread spawns, benchmark artifacts written
+//! under `target/`, and gauges set outside `NodeStatus::publish` — each
+//! rule opt-out-able per site with a justified `// lint:allow(<rule>)`.
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -441,8 +444,9 @@ pub mod prelude {
         WalSink,
     };
     pub use pitract_engine::planner::{AccessPath, Planner, QueryPlan};
-    pub use pitract_engine::pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor, WorkerPool};
+    pub use pitract_engine::pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};
     pub use pitract_engine::shard::{ShardBy, ShardedRelation};
+    pub use pitract_engine::status::{NodeStatus, WalStatus};
     pub use pitract_graph::bds::{bds_order, BdsIndex};
     pub use pitract_graph::compress::CompressedReach;
     pub use pitract_graph::reach::ReachIndex;

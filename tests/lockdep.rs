@@ -187,7 +187,7 @@ fn lockdep_totals_publish_through_the_metrics_registry() {
     let mut live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).expect("valid");
     live.set_recorder(&recorder);
     live.insert(vec![Value::Int(n + 1)]).expect("insert");
-    live.publish_metrics();
+    live.status().publish(&recorder);
 
     let snapshot = recorder.snapshot();
     let text = pi_tractable::obs::to_prometheus(&snapshot);

@@ -271,3 +271,72 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
     }
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// After two writers race pinned pooled batches on a durable node and
+/// everything quiesces, one `pin()`/drop later the executor's
+/// `status()` reads idle: no pin, no batch in flight, no queued job, no
+/// retained version — and the WAL is durable through its last record.
+#[test]
+fn status_reads_idle_once_racing_writers_and_batches_quiesce() {
+    let root = std::env::temp_dir().join(format!("pitract-pool-idle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog");
+    let live =
+        LiveRelation::build(&relation(400), ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid");
+    let config = WalConfig {
+        sync: SyncPolicy::GroupCommit,
+        ..WalConfig::default()
+    };
+    let node = Arc::new(
+        DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config)
+            .expect("create"),
+    );
+    let exec = PooledExecutor::new(
+        Arc::clone(&node),
+        PoolConfig {
+            workers: 2,
+            max_inflight: 2,
+            ..PoolConfig::default()
+        },
+    );
+    let batch = mixed_batch(400);
+    std::thread::scope(|scope| {
+        for w in 0..2i64 {
+            let node = Arc::clone(&node);
+            scope.spawn(move || {
+                for i in 0..150i64 {
+                    let key = 10_000 + w * 1_000 + i;
+                    let gid = node
+                        .insert(vec![Value::Int(key), Value::str("hot")])
+                        .expect("insert");
+                    if i % 3 == 0 {
+                        node.delete(gid).expect("delete");
+                    }
+                }
+            });
+        }
+        for _ in 0..12 {
+            let got = exec.execute_rows(&batch).expect("pinned batch");
+            assert!(got.report.epoch.is_some(), "every batch pins");
+        }
+    });
+    // Quiesced. One more pin's release sweeps whatever the racing
+    // batches' releases left retained on contended shards.
+    drop(node.pin());
+
+    let status = exec.status();
+    let versions = status.versions.expect("a live node has versions");
+    assert_eq!(versions.pins, 0);
+    assert_eq!(versions.retained_versions, 0);
+    assert_eq!(versions.retained_slots, 0);
+    assert_eq!(versions.watermark, versions.current_epoch);
+    let pool = status.pool.expect("the executor adds its pool");
+    assert_eq!(pool.inflight, 0);
+    assert_eq!(pool.queued_jobs, 0);
+    assert_eq!(pool.batches_admitted, 12);
+    let wal = status.wal.expect("a durable node has a WAL");
+    assert_eq!(wal.durable_lsn, node.wal().next_lsn());
+    assert_eq!(wal.durable_lsn, 400, "300 inserts and 100 deletes");
+    assert_eq!(status.replica, None, "a primary trails nobody");
+    std::fs::remove_dir_all(&root).expect("cleanup");
+}

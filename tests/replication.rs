@@ -171,7 +171,9 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
         "served cut is the applied cut"
     );
 
-    // The lag gauge is live in the Prometheus export.
+    // The lag is live in the Prometheus export once the follower's
+    // status is published.
+    follower.status().publish(&recorder);
     let text = pi_tractable::obs::to_prometheus(&recorder.snapshot());
     assert!(
         text.contains("replication_lag_lsn 0"),
@@ -328,5 +330,149 @@ fn late_attachment_below_the_floor_is_typed_stale() {
     assert_eq!(report.lag, 0);
     let q = SelectionQuery::point(0, 777i64);
     assert_eq!(follower.matching_ids(&q), node.matching_ids(&q));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `status().publish` keeps the exported surface: with a durable
+/// primary and its pool on one recorder and a follower on its own,
+/// every series family the stack exported before `NodeStatus` existed
+/// is still exported with its kind, the quiescent values are the same,
+/// and a second publish leaves the snapshot unchanged (totals are
+/// raised, never re-added).
+#[test]
+fn status_publish_keeps_every_series_and_is_idempotent() {
+    const PRIMARY_FAMILIES: &[&str] = &[
+        "engine_batches_total counter",
+        "engine_maintenance_changed_total counter",
+        "engine_maintenance_updates_total counter",
+        "engine_maintenance_work_total counter",
+        "engine_plans_total counter",
+        "engine_queries_total counter",
+        "engine_steps_total counter",
+        "engine_updates_total counter",
+        "lockdep_checks_total counter",
+        "lockdep_violations_total counter",
+        "mvcc_retention_changed_total counter",
+        "mvcc_retention_updates_total counter",
+        "mvcc_retention_work_total counter",
+        "pool_admission_wait_micros_total counter",
+        "pool_admission_waits_total counter",
+        "pool_batches_admitted_total counter",
+        "pool_worker_panics_total counter",
+        "repl_poll_bytes_read_total counter",
+        "repl_segments_shipped_total counter",
+        "wal_appended_bytes_total counter",
+        "wal_appends_total counter",
+        "wal_segment_rotations_total counter",
+        "engine_maintenance_worst_ratio_milli gauge",
+        "mvcc_current_epoch gauge",
+        "mvcc_pins gauge",
+        "mvcc_retained_slots gauge",
+        "mvcc_retained_versions gauge",
+        "mvcc_retention_worst_ratio_milli gauge",
+        "mvcc_watermark gauge",
+        "pool_inflight gauge",
+        "pool_max_inflight gauge",
+        "pool_queued_jobs gauge",
+        "pool_workers gauge",
+        "engine_apply_batch_ops histogram",
+        "mvcc_rollback_entries histogram",
+        "pool_admission_wait_micros histogram",
+        "pool_batch_micros histogram",
+        "wal_fsync_micros histogram",
+        "wal_group_commit_records histogram",
+    ];
+    const PRIMARY_VALUES: &[&str] = &[
+        "engine_batches_total 1",
+        "engine_maintenance_changed_total 75",
+        "engine_maintenance_updates_total 25",
+        "engine_maintenance_work_total 125",
+        "engine_plans_total{path=\"point-probe\"} 16",
+        "engine_queries_total 16",
+        "engine_updates_total 25",
+        "mvcc_retention_updates_total 0",
+        "pool_admission_waits_total 0",
+        "pool_batches_admitted_total 1",
+        "wal_appends_total 25",
+        "engine_maintenance_worst_ratio_milli 1250",
+        "mvcc_current_epoch 25",
+        "mvcc_pins 0",
+        "mvcc_retained_slots 0",
+        "mvcc_retained_versions 0",
+        "mvcc_watermark 25",
+        "pool_inflight 0",
+        "pool_max_inflight 2",
+        "pool_queued_jobs 0",
+        "pool_workers 2",
+    ];
+    const REPLICA_FAMILIES: &[&str] = &[
+        "engine_plans_total counter",
+        "engine_updates_total counter",
+        "mvcc_pins gauge",
+        "mvcc_retained_versions gauge",
+        "replication_lag_lsn gauge",
+        "engine_apply_batch_ops histogram",
+        "mvcc_rollback_entries histogram",
+        "repl_replay_micros histogram",
+    ];
+    const REPLICA_VALUES: &[&str] = &[
+        "engine_updates_total 25",
+        "mvcc_pins 0",
+        "mvcc_retained_versions 0",
+        "replication_lag_lsn 0",
+    ];
+
+    let root = fresh_dir("status-golden");
+    let observed = |recorder: &Recorder| WalConfig {
+        recorder: recorder.clone(),
+        ..config()
+    };
+    let recorder = Recorder::new();
+    let (node, catalog) = primary(&root, 50, observed(&recorder));
+    let publisher = SegmentPublisher::new(Arc::clone(&node));
+    let exec = PooledExecutor::new(
+        Arc::clone(&node),
+        PoolConfig {
+            workers: 2,
+            max_inflight: 2,
+            recorder: recorder.clone(),
+        },
+    );
+    let replica = Recorder::new();
+    let follower = Follower::bootstrap(&catalog, "node", root.join("mirror"), observed(&replica))
+        .expect("bootstrap");
+    let sub = follower.attach(&publisher);
+    for i in 0..20i64 {
+        let gid = node.insert(vec![Value::Int(1_000 + i)]).expect("insert");
+        if i % 4 == 0 {
+            node.delete(gid).expect("delete");
+        }
+    }
+    let batch = QueryBatch::new((0..16i64).map(|k| SelectionQuery::point(0, k * 3)));
+    exec.execute(&batch).expect("batch");
+    follower.catch_up(&publisher, sub).expect("catch up");
+
+    for (status, recorder, families, values) in [
+        (exec.status(), &recorder, PRIMARY_FAMILIES, PRIMARY_VALUES),
+        (
+            follower.status(),
+            &replica,
+            REPLICA_FAMILIES,
+            REPLICA_VALUES,
+        ),
+    ] {
+        status.publish(recorder);
+        let published = recorder.snapshot();
+        let text = pi_tractable::obs::to_prometheus(&published);
+        for family in families {
+            let type_line = format!("# TYPE {family}");
+            assert!(text.lines().any(|l| l == type_line), "{family}:\n{text}");
+        }
+        for value in values {
+            assert!(text.lines().any(|l| l == *value), "{value}:\n{text}");
+        }
+        status.publish(recorder);
+        assert_eq!(recorder.snapshot(), published, "republished");
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
