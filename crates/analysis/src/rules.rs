@@ -438,7 +438,10 @@ impl Rule for NoBlockingSyscallsOnPoolWorkers {
 
 /// `gauge-outside-status`: no `.gauge(` in library code outside
 /// `crates/engine/src/status.rs`, whose `NodeStatus::publish` is the one
-/// writer of every status series. Tests and `pitract-obs` are exempt.
+/// writer of every status series. Tokens cannot tell a registry intern
+/// from a snapshot lookup, so both fire: library code reads state
+/// through `status()`, not back out of a registry. Tests and
+/// `pitract-obs` are exempt.
 pub struct GaugeOutsideStatus;
 
 impl Rule for GaugeOutsideStatus {
@@ -458,7 +461,10 @@ impl Rule for GaugeOutsideStatus {
                     rule: self.name(),
                     path: file.rel_path.clone(),
                     line: file.tokens[i].line,
-                    message: "gauge set outside `NodeStatus::publish`".to_string(),
+                    message: "`.gauge(` outside `crates/engine/src/status.rs` — status \
+                              series are named only by `NodeStatus::publish`; read state \
+                              through `status()`"
+                        .to_string(),
                 });
             }
         }
