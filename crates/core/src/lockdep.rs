@@ -40,7 +40,7 @@
 //! | `Gid` (20) | `LiveRelation` global-id maps |
 //! | `Epoch` (30) | `LiveRelation` MVCC clock + pin table |
 //! | `Log` (40) | `LiveRelation` replayable update log |
-//! | `FollowerCatchup` (45) | replication bookkeeping: the publisher's subscription table (sub 0) and a follower's local segment mirror (sub 1) |
+//! | `FollowerCatchup` (45) | replication bookkeeping: the publisher's subscription table (a follower's mirror is a `WalWriter`, under the WAL ranks) |
 //! | `WalRotation` (50) | `WalWriter` rotation turnstile (taken strictly before the writer state) |
 //! | `WalState` (60) | `WalWriter` append state |
 //!
@@ -69,9 +69,8 @@ pub enum LockRank {
     /// The `LiveRelation` replayable update log.
     Log = 40,
     /// Replication catch-up bookkeeping (`pitract-repl`): the
-    /// publisher's subscription/retention table and a follower's local
-    /// segment-mirror state. Held while flushing WAL state (ranks
-    /// above), never across engine replay (ranks below).
+    /// publisher's subscription/retention table. Held while flushing WAL
+    /// state (ranks above), never across engine replay (ranks below).
     FollowerCatchup = 45,
     /// The WAL writer's rotation turnstile.
     WalRotation = 50,

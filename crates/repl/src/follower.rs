@@ -5,18 +5,22 @@
 //! crashed primary recovers from — which is why its guarantees are the
 //! recovery guarantees:
 //!
-//! * **Bootstrap** loads the primary's checkpoint snapshot
-//!   (`(state, wal_lsn, epoch)`), replays whatever its *local* segment
-//!   mirror already holds past the mark (the restart path), and fixes
-//!   the epoch ↔ LSN dictionary at the checkpoint cut:
-//!   `epoch(lsn) = cut + (lsn − mark)`. The dictionary is derived from
-//!   the checkpoint alone, so it survives follower restarts unchanged.
+//! * **Bootstrap** runs the primary's own recovery sequence
+//!   ([`pitract_wal::recover_live`]) over the primary's checkpoint
+//!   snapshot (`(state, wal_lsn, epoch)`) and the *local* segment
+//!   mirror, replaying whatever the mirror already holds past the mark
+//!   (the restart path). It fixes the epoch ↔ LSN dictionary at the
+//!   checkpoint cut: `epoch(lsn) = cut + (lsn − mark)`. The dictionary
+//!   is derived from the checkpoint alone, so it survives follower
+//!   restarts unchanged.
 //! * **Catch-up** polls the publisher for durable record frames,
 //!   validates them with the one frame scanner (torn or garbled
 //!   shipments fail typed), persists the validated bytes to the local
-//!   mirror *first* — one write per run of frames landing in a segment,
-//!   then a data flush (durability before state, same as the primary's
-//!   WAL-before-apply order) — then replays them into the live relation
+//!   mirror *first* — the mirror is a [`WalWriter`]:
+//!   [`WalWriter::append_frames`] writes one run per segment under the
+//!   primary's partial-write rule, then [`WalWriter::commit`] flushes
+//!   (durability before state, same as the primary's WAL-before-apply
+//!   order) — then replays them into the live relation
 //!   with compacted semantics: gid gaps left by primary compaction burn
 //!   as tombstones, so answers *and* global row ids stay bit-identical
 //!   to the primary's prefix. LSN gaps advance the epoch clock without
@@ -28,115 +32,27 @@
 //!   served batch is a consistent cut that is a true prefix of the
 //!   primary, and concurrent catch-up ticks never tear a pinned read.
 //!
-//! Locking: the mirror state is a `FollowerCatchup`-ranked lock
-//! (sub-order 1, after the publisher's table) held only across local
-//! file appends and fsyncs — never across replay, which re-enters the
-//! engine's ranks 10–40. Catch-up cycles are serialized by a lock-free
-//! turnstile ([`ReplError::CatchUpInProgress`] when contended), so the
-//! replay itself runs with no replication lock held.
+//! Locking: a follower takes no replication lock of its own. Its
+//! mirror's appends are covered by the writer's own WAL ranks, and a
+//! commit flushes through a cloned handle with no lock held. Catch-up
+//! cycles are serialized by a lock-free turnstile
+//! ([`ReplError::CatchUpInProgress`] when contended), so neither the
+//! mirror write nor the replay — which re-enters the engine's ranks
+//! 10–40 — runs under a replication lock.
 
 use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
 use crate::{CatchUpReport, ReplError};
 use pitract_core::epoch::Epoch;
-use pitract_core::lockdep::{LockRank, OrderedMutex};
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry};
 use pitract_obs::Histogram;
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
-use pitract_store::{fsync_dir, SnapshotCatalog};
-use pitract_wal::segment::{
-    scan_dir, scan_frames, segment_file_name, segment_header, Frame, SEGMENT_HEADER_LEN,
-};
-use pitract_wal::{SyncPolicy, WalConfig, WalError, WalReader};
-use std::io::Write;
+use pitract_store::SnapshotCatalog;
+use pitract_wal::segment::scan_frames;
+use pitract_wal::{recover_live, WalConfig, WalError, WalWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// The follower's local segment mirror: shipped frames are appended to
-/// segment files in the follower's own WAL directory — original
-/// primary LSNs preserved — so a follower restart recovers with the
-/// same scanner, truncation, and replay machinery as a crashed primary.
-#[derive(Debug)]
-struct Mirror {
-    dir: PathBuf,
-    /// The active local segment, append-positioned. `None` until the
-    /// first shipped frame (or when the last local segment was a
-    /// headerless husk).
-    file: Option<std::fs::File>,
-    active_bytes: u64,
-    segment_bytes: u64,
-    fsync: bool,
-}
-
-impl Mirror {
-    /// Append already-validated record frames — `frames` borrowed from
-    /// `bytes`, back to back — rotating to a fresh segment (based at the
-    /// record's LSN) at every record that finds the active one full.
-    /// Each run of frames landing in one segment is a single write.
-    fn append(&mut self, bytes: &[u8], frames: &[Frame<'_>]) -> Result<(), WalError> {
-        let Some(first) = frames.first() else {
-            return Ok(());
-        };
-        let (mut run_start, mut run_end) = (first.offset, first.offset);
-        for frame in frames {
-            let pending = (run_end - run_start) as u64;
-            if self.file.is_none() || self.active_bytes + pending >= self.segment_bytes {
-                self.write_run(&bytes[run_start..run_end])?;
-                self.start_segment(frame.lsn)?;
-                run_start = frame.offset;
-            }
-            run_end = frame.end();
-        }
-        self.write_run(&bytes[run_start..run_end])
-    }
-
-    fn write_run(&mut self, run: &[u8]) -> Result<(), WalError> {
-        if let Some(file) = self.file.as_mut() {
-            file.write_all(run)?;
-            self.active_bytes += run.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Seal the active segment and open a fresh one based at `lsn`.
-    fn start_segment(&mut self, lsn: u64) -> Result<(), WalError> {
-        if let Some(prev) = self.file.take() {
-            if self.fsync {
-                // Seal the closing segment before the new one
-                // exists: the scanner treats every non-last segment
-                // as crash-free.
-                prev.sync_all()?;
-            }
-        }
-        let path = self.dir.join(segment_file_name(lsn));
-        let mut file = std::fs::OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)?;
-        file.write_all(&segment_header(lsn))?;
-        if self.fsync {
-            file.sync_all()?;
-            fsync_dir(&self.dir)?;
-        }
-        self.active_bytes = SEGMENT_HEADER_LEN as u64;
-        self.file = Some(file);
-        Ok(())
-    }
-
-    /// Flush the active segment (once per catch-up step, before apply):
-    /// a data flush, like the primary's commit — the frames are appends
-    /// to a segment whose creation was already made durable with
-    /// `sync_all` + a directory fsync, and sealing flushes it fully.
-    fn sync(&mut self) -> Result<(), WalError> {
-        if self.fsync {
-            if let Some(file) = self.file.as_ref() {
-                file.sync_data()?;
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Lock-free catch-up turnstile: exactly one cycle may run at a time,
 /// and replay must not happen under a replication lock — so exclusion
@@ -163,7 +79,9 @@ impl Drop for Turn<'_> {
 #[derive(Debug)]
 pub struct Follower {
     live: LiveRelation,
-    mirror: OrderedMutex<Mirror>,
+    /// The local segment mirror: shipped frames, original primary LSNs
+    /// kept, so a restart recovers exactly like a crashed primary.
+    mirror: WalWriter,
     /// Serializes catch-up cycles without holding a lock across replay.
     applying: AtomicBool,
     /// The follower's cursor in the *primary's* LSN coordinate.
@@ -182,86 +100,38 @@ impl Follower {
     /// recovery) a follower: load the checkpoint saved under `name` in
     /// `catalog`, replay whatever `mirror_dir` already holds past the
     /// checkpoint mark, and fix the epoch ↔ LSN dictionary at the
-    /// checkpoint cut. `config.segment_bytes` sizes the local mirror
-    /// segments; `config.sync` chooses whether catch-up fsyncs shipped
-    /// frames before applying them ([`SyncPolicy::Never`] skips the
-    /// flush, trading replica rebuild-on-power-loss for speed).
-    /// `config.recorder` records the replica's events (`engine_*`,
-    /// `repl_replay_micros`) and hears a torn mirror tail once, through
-    /// [`WalReader::publish`]; its lag is read by [`BatchServe::status`].
+    /// checkpoint cut. The mirror is a [`WalWriter`] opened with
+    /// `config`: `config.segment_bytes` sizes its segments, and
+    /// `config.sync` has exactly [`pitract_wal::SyncPolicy`]'s meaning —
+    /// under `Never` catch-up skips the per-shipment flush, trading
+    /// replica rebuild-on-power-loss for speed, yet a rotation still
+    /// seals the closing segment. `config.recorder` records the
+    /// replica's events (`engine_*`, `repl_replay_micros`, the mirror's
+    /// `wal_*`) and hears a torn mirror tail once, through
+    /// [`pitract_wal::WalReader::publish`]; its lag is read by
+    /// [`BatchServe::status`].
     pub fn bootstrap(
         catalog: &SnapshotCatalog,
         name: &str,
         mirror_dir: impl Into<PathBuf>,
         config: WalConfig,
     ) -> Result<Self, ReplError> {
-        let dir = mirror_dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let (state, mark, cut) = catalog
-            .load(name)?
-            .into_checkpoint()
-            .map_err(WalError::from)?;
-
-        // Scan the local mirror exactly like primary recovery scans its
-        // WAL: truncate the torn tail a crash mid-append left behind,
-        // fail typed on closed-segment damage.
-        let scan = scan_dir(&dir)?;
-        let mut active: Option<(PathBuf, u64)> = None;
-        if let Some(seg) = scan.segments.last() {
-            if seg.clean_len >= SEGMENT_HEADER_LEN as u64 {
-                if seg.clean_len < seg.file_len {
-                    let file = std::fs::OpenOptions::new().write(true).open(&seg.path)?;
-                    file.set_len(seg.clean_len)?;
-                    file.sync_all()?;
-                }
-                active = Some((seg.path.clone(), seg.clean_len));
-            } else {
-                // Torn at birth: the header never hit the disk, nothing
-                // in it was confirmed.
-                std::fs::remove_file(&seg.path)?;
-            }
-        }
-        let reader = WalReader::from_scan(&scan)?;
-        let recorder = &config.recorder;
-        reader.publish(recorder);
-
-        let mut live = LiveRelation::from_sharded(state);
-        live.set_recorder(recorder);
-        let tail = reader.tail_log(mark);
-        let compacted = tail.compact();
-        live.replay_compacted(&compacted)?;
-        if let Some(watermark) = tail.next_gid_watermark() {
-            live.burn_gids_to(watermark);
-        }
-        let applied = reader.next_lsn().max(mark);
+        let (live, mirror, mark, cut, ..) = recover_live(catalog, name, mirror_dir, config)?;
+        let applied = mirror.next_lsn();
         // The dictionary is fixed by the checkpoint alone — mark ↔ cut —
         // so it is identical on every restart of this follower, and LSN
         // gaps (primary compaction) advance the clock by their span, not
         // by the record count the replay happened to tick.
         live.advance_epoch_to(Epoch::new(cut.get() + (applied - mark)));
-
-        let file = match &active {
-            Some((path, _)) => Some(std::fs::OpenOptions::new().append(true).open(path)?),
-            None => None,
-        };
-        let mirror = Mirror {
-            dir,
-            file,
-            active_bytes: active.map_or(0, |(_, len)| len),
-            segment_bytes: config.segment_bytes,
-            fsync: !matches!(config.sync, SyncPolicy::Never),
-        };
         let follower = Follower {
+            replay_micros: mirror.config().recorder.histogram("repl_replay_micros"),
             live,
-            // Follower mirror = sub-order 1 of the FollowerCatchup
-            // rank, after the publisher's table (sub-order 0).
-            mirror: OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, mirror),
+            mirror,
             applying: AtomicBool::new(false),
             applied: AtomicU64::new(applied),
             wal_base: mark,
             epoch_base: cut.get(),
             primary_seen: AtomicU64::new(applied),
-            replay_micros: recorder.histogram("repl_replay_micros"),
         };
         // The mirror tail replayed above is already on disk.
         follower.drop_pending_log();
@@ -429,12 +299,9 @@ impl Follower {
         }
 
         // Persist before apply — the same WAL-before-state order the
-        // primary commits under. The mirror lock (FollowerCatchup) is
-        // held across file appends and the flush only.
-        {
-            let mut mirror = self.mirror.lock();
-            mirror.append(ship.frames(), &scan.frames)?;
-            mirror.sync()?;
+        // primary commits under.
+        if let Some(last) = self.mirror.append_frames(ship.frames(), &scan.frames)? {
+            self.mirror.commit(last)?;
         }
 
         // Replay with no replication lock held (replay re-enters the
@@ -560,7 +427,8 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation};
-    use pitract_wal::DurableLiveRelation;
+    use pitract_wal::segment::scan_dir;
+    use pitract_wal::{DurableLiveRelation, SyncPolicy};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -773,9 +641,9 @@ mod tests {
     }
 
     /// One write per run of frames must leave the mirror byte-identical
-    /// to one write per frame: same segment files, rotated at the same
-    /// records. Feeding a follower one record per shipment *is* one
-    /// write per frame.
+    /// to one write per frame, and to the primary's own WAL: same
+    /// segment files, rotated at the same records. Feeding a follower
+    /// one record per shipment *is* one write per frame.
     #[test]
     fn a_shipment_written_in_runs_mirrors_exactly_like_frame_by_frame() {
         let root = fresh_dir("runs");
@@ -807,6 +675,8 @@ mod tests {
         let (whole_files, single_files) = (files("whole"), files("single"));
         assert!(whole_files.len() > 3, "tiny segments rotated mid-shipment");
         assert_eq!(whole_files, single_files);
+        // Both lay the log out exactly as the primary's own writer did.
+        assert_eq!(whole_files, files("wal"));
         // And it is what the scanner expects of a WAL directory.
         let scan = scan_dir(&root.join("whole")).unwrap();
         assert_eq!(scan.next_lsn, 23);

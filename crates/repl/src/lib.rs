@@ -22,8 +22,9 @@
 //!   watermark** the primary's compactor honors, which closes the
 //!   compaction/replication race by construction.
 //! * [`Follower`] bootstraps from the primary's checkpoint snapshot,
-//!   streams shipments into its own local segment mirror (durability
-//!   first, then apply), and replays them into its own recovered
+//!   streams shipments into its own local segment mirror — a
+//!   [`pitract_wal::WalWriter`], recovered on restart by the primary's
+//!   own recovery sequence (durability first, then apply) — and replays them into its own recovered
 //!   [`pitract_engine::LiveRelation`]. Served batches pin **the epoch
 //!   of the last LSN the follower replayed** — every read is a
 //!   consistent cut that is a true prefix of the primary, bit-identical
@@ -43,12 +44,14 @@
 //! [`pitract_wal::WalError::Corrupt`], and a shipment cut short is a
 //! closed-segment tear — an error, not a silent prefix.
 //!
-//! Lock ordering: replication bookkeeping locks rank
+//! Lock ordering: the publisher's subscription table ranks
 //! `FollowerCatchup` (45) in the workspace lockdep table — above the
-//! engine tiers (a catch-up section must *never* be held across replay,
-//! which re-enters ranks 10–40) and below the WAL tiers (it may flush
-//! mirror files while held). Catch-up itself is serialized by a
-//! lock-free turnstile, so replay runs with no replication lock held.
+//! engine tiers (it must *never* be held across replay, which re-enters
+//! ranks 10–40) and below the WAL tiers (a compaction pass runs under
+//! it). A follower holds no replication lock: its mirror is a
+//! [`pitract_wal::WalWriter`] under the WAL ranks, and catch-up is
+//! serialized by a lock-free turnstile, so replay runs with no
+//! replication lock held.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

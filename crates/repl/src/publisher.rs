@@ -345,10 +345,7 @@ impl SegmentPublisher {
             shipped_segments: primary.recorder().counter("repl_segments_shipped_total"),
             poll_bytes_read: primary.recorder().counter("repl_poll_bytes_read_total"),
             primary,
-            // Publisher table = sub-order 0 of the FollowerCatchup
-            // rank; follower mirrors use sub-order 1, so the one legal
-            // nesting is publisher-before-follower.
-            subs: OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 0, SubTable::default()),
+            subs: OrderedMutex::new(LockRank::FollowerCatchup, SubTable::default()),
         }
     }
 

@@ -174,47 +174,27 @@ impl DurableLiveRelation {
         wal_dir: impl Into<PathBuf>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
-        let wal_dir = wal_dir.into();
-        let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
-        // One directory scan serves both sides: the writer truncates the
-        // torn tail and takes its append position from it, the reader
-        // decodes its records for replay — the log is read and
-        // checksummed once, not twice. Only the reader side reports the
-        // torn tail, so one recovery emits one truncation event.
-        let recorder = config.recorder.clone();
-        let (wal, scan) = WalWriter::open_scanned(&wal_dir, config, mark)?;
+        let (mut live, wal, mark, cut, tail, replayed) =
+            recover_live(catalog, name, wal_dir, config)?;
         let wal = Arc::new(wal);
-        let reader = WalReader::from_scan(&scan)?;
-        reader.publish(&recorder);
-        let mut live = LiveRelation::from_sharded(state);
-        live.set_recorder(&recorder);
-        let tail = reader.tail_log(mark);
-        let compacted = tail.compact();
-        live.replay_compacted(&compacted)?;
-        // Trailing cancelled pairs leave no entry to carry their ids;
-        // burn up to the uncompacted tail's watermark so future inserts
-        // get the same gids the crashed node would have assigned.
-        if let Some(watermark) = tail.next_gid_watermark() {
-            live.burn_gids_to(watermark);
-        }
-        // Replay logged `compacted.len()` entries at positions 0..len,
-        // whose WAL records all sit below next_lsn — so position len
-        // maps to the next fresh LSN, pinning the dictionary.
-        let wal_base = wal.next_lsn() - compacted.len() as u64;
+        // Replay logged `replayed` entries at positions 0..replayed, whose
+        // WAL records all sit below next_lsn — so that position maps to
+        // the next fresh LSN, pinning the dictionary.
+        let wal_base = wal.next_lsn() - replayed as u64;
         // The epoch clock ticked once per *tail record* on the crashed
-        // node, while the compacted replay ticked it only
-        // `compacted.len()` times — advance the difference so the next
-        // update is stamped with the same epoch the crashed node would
-        // have used. (A compacted WAL undercounts dropped churn; the
-        // clock stays consistent with this node's own dictionary.)
-        let epoch_end = Epoch::new(cut.get() + tail.len() as u64);
+        // node, while the compacted replay ticked it only `replayed`
+        // times — advance the difference so the next update is stamped
+        // with the same epoch the crashed node would have used. (A
+        // compacted WAL undercounts dropped churn; the clock stays
+        // consistent with this node's own dictionary.)
+        let epoch_end = Epoch::new(cut.get() + tail as u64);
         live.advance_epoch_to(epoch_end);
-        let epoch_base = epoch_end.get() - compacted.len() as u64;
+        let epoch_base = epoch_end.get() - replayed as u64;
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         let recovered = Recovered {
             epoch: epoch_end,
             lsn: Some(wal.next_lsn()),
-            replayed: compacted.len(),
+            replayed,
         };
         Ok(DurableLiveRelation {
             live,
@@ -316,6 +296,47 @@ impl DurableLiveRelation {
             .with_retention(retention)
             .compact_dir(self.wal.dir())
     }
+}
+
+/// The one recovery sequence, shared by [`DurableLiveRelation::recover`]
+/// and a replication follower's bootstrap. It loads the checkpoint saved
+/// under `name` and opens the WAL at `dir` for appending: the torn tail
+/// is truncated and no LSN below the checkpoint's mark is handed out. It
+/// reports what that one scan found into `config.recorder`
+/// ([`WalReader::publish`]). It then replays the compacted tail
+/// at-or-after the mark onto the checkpoint state and burns the gids a
+/// trailing cancelled pair consumed, so future inserts get the gids the
+/// log's writer would have assigned.
+///
+/// Returns `(live, wal, mark, cut, tail, replayed)`: the replayed
+/// relation (recording into `config.recorder`), the positioned writer,
+/// the checkpoint's WAL mark and cut epoch, and the tail's record count
+/// before and after compaction. The epoch clock has ticked once per
+/// replayed entry only: each caller advances it by its own rule.
+pub fn recover_live(
+    catalog: &SnapshotCatalog,
+    name: &str,
+    dir: impl Into<PathBuf>,
+    config: WalConfig,
+) -> Result<(LiveRelation, WalWriter, u64, Epoch, usize, usize), WalError> {
+    let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
+    // One directory scan serves both sides: the writer truncates the torn
+    // tail and takes its append position from it, the reader decodes its
+    // records for replay — the log is read and checksummed once. Only the
+    // reader side reports the torn tail, so one recovery reports once.
+    let recorder = config.recorder.clone();
+    let (wal, scan) = WalWriter::open_scanned(dir, config, mark)?;
+    let reader = WalReader::from_scan(&scan)?;
+    reader.publish(&recorder);
+    let mut live = LiveRelation::from_sharded(state);
+    live.set_recorder(&recorder);
+    let tail = reader.tail_log(mark);
+    let replayed = live.replay_compacted(&tail.compact())?;
+    // Trailing cancelled pairs leave no entry to carry their ids.
+    if let Some(watermark) = tail.next_gid_watermark() {
+        live.burn_gids_to(watermark);
+    }
+    Ok((live, wal, mark, cut, tail.len(), replayed))
 }
 
 /// Serve a durable node from a

@@ -31,8 +31,9 @@
 //!   deterministic even for racing writers) and committed durable after
 //!   the locks drop. Checkpoints persist the frozen state *plus* its
 //!   WAL position as one atomic snapshot; recovery is checkpoint load +
-//!   compacted tail replay, bit-identical — answers **and** global row
-//!   ids — to the crashed node's confirmed prefix.
+//!   compacted tail replay ([`recover_live`], the one sequence a
+//!   replication follower's restart runs too), bit-identical — answers
+//!   **and** global row ids — to the crashed node's confirmed prefix.
 //!
 //! The correctness contract, enforced by unit, integration, and
 //! crash-injection property tests (segment files truncated at every
@@ -88,7 +89,7 @@ pub mod segment;
 pub mod writer;
 
 pub use compactor::{CompactionReport, Compactor};
-pub use durable::{DurableLiveRelation, WalWriterSink};
+pub use durable::{recover_live, DurableLiveRelation, WalWriterSink};
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};

@@ -2,7 +2,7 @@
 
 use crate::error::WalError;
 use crate::segment::{
-    encode_record, scan_dir, segment_file_name, segment_header, DirScan, SEGMENT_HEADER_LEN,
+    encode_record, scan_dir, segment_file_name, segment_header, DirScan, Frame, SEGMENT_HEADER_LEN,
 };
 use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedMutexGuard};
 use pitract_engine::UpdateEntry;
@@ -280,34 +280,8 @@ impl WalWriter {
     pub fn append_payload(&self, payload: &[u8]) -> Result<u64, WalError> {
         let lsn = {
             let mut state = self.lock();
-            if state.poisoned {
-                return Err(WalError::Poisoned);
-            }
             let lsn = state.next_lsn;
-            let record = encode_record(lsn, payload);
-            if let Err(e) = state.file.write_all(&record) {
-                // Erase whatever partial frame made it out; a record that
-                // errored was never confirmed, and burying its bytes under
-                // later successful appends would corrupt the whole segment.
-                let clean = state.active_bytes;
-                let healed = state.file.set_len(clean).is_ok() && state.file.seek_end().is_ok();
-                if !healed {
-                    state.poisoned = true;
-                }
-                return Err(e.into());
-            }
-            state.next_lsn += 1;
-            state.active_bytes += record.len() as u64;
-            self.instruments.appends.inc();
-            self.instruments.appended_bytes.add(record.len() as u64);
-            if state.active_bytes >= self.config.segment_bytes {
-                // Owe a rotation, but never pay it here: the append path
-                // runs inside callers' critical sections (for the engine
-                // sink, the gid critical section), and rotation costs
-                // three fsyncs. The next commit/sync settles the debt
-                // outside every caller lock.
-                state.rotation_due = true;
-            }
+            self.stage(&mut state, &encode_record(lsn, payload), 1, lsn)?;
             lsn
         };
         if matches!(self.config.sync, SyncPolicy::Always) {
@@ -318,6 +292,106 @@ impl WalWriter {
             self.commit(lsn)?;
         }
         Ok(lsn)
+    }
+
+    /// Append record frames that were already validated — `frames` as
+    /// [`crate::segment::scan_frames`] found them, back to back in
+    /// `bytes`, the way a replication shipment carries them — and return
+    /// the last one's LSN (`None` for no frames). Each frame keeps its
+    /// own LSN; gaps are allowed. Frames land where one
+    /// [`Self::append_payload`] per record would have put them: each run
+    /// of frames that lands in one segment is one write, and a rotation
+    /// owed after a run is settled before the next, the fresh segment
+    /// based at the next frame's LSN. A first frame below
+    /// [`Self::next_lsn`] is [`WalError::Corrupt`] and nothing is
+    /// written; a failed write follows `append_payload`'s rule. Under
+    /// [`SyncPolicy::Always`] the frames are durable on return; otherwise
+    /// pair with [`Self::commit`].
+    pub fn append_frames(
+        &self,
+        bytes: &[u8],
+        frames: &[Frame<'_>],
+    ) -> Result<Option<u64>, WalError> {
+        let Some(last) = frames.last() else {
+            return Ok(None);
+        };
+        let mut rest = frames;
+        while let [head, ..] = rest {
+            let mut state = self.lock();
+            if head.lsn < state.next_lsn {
+                return Err(WalError::Corrupt {
+                    segment: "appended frames".to_string(),
+                    offset: head.offset as u64,
+                    reason: format!(
+                        "lsn {} runs backwards (expected at least {})",
+                        head.lsn, state.next_lsn
+                    ),
+                });
+            }
+            if state.rotation_due {
+                // Base the fresh segment at the frame it will hold first.
+                state.next_lsn = head.lsn;
+                drop(state);
+                self.finish_rotation()?;
+                continue;
+            }
+            // The run: every frame that starts while the segment has room.
+            let room = self.config.segment_bytes.saturating_sub(state.active_bytes);
+            let fits = rest
+                .iter()
+                .take_while(|f| ((f.offset - head.offset) as u64) < room)
+                .count();
+            let (run, after) = rest.split_at(fits.max(1));
+            let end = run[run.len() - 1];
+            let written = &bytes[head.offset..end.end()];
+            self.stage(&mut state, written, run.len() as u64, end.lsn)?;
+            rest = after;
+        }
+        if matches!(self.config.sync, SyncPolicy::Always) {
+            self.commit(last.lsn)?;
+        }
+        Ok(Some(last.lsn))
+    }
+
+    /// Write `framed` — `records` whole frames, the last at `last_lsn` —
+    /// to the active segment. The one partial-write rule: a write that
+    /// fails partway is erased, or, if even that fails, poisons the
+    /// writer. On success the counters move and a rotation is owed once
+    /// the segment is full.
+    fn stage(
+        &self,
+        state: &mut WriterState,
+        framed: &[u8],
+        records: u64,
+        last_lsn: u64,
+    ) -> Result<(), WalError> {
+        if state.poisoned {
+            return Err(WalError::Poisoned);
+        }
+        if let Err(e) = state.file.write_all(framed) {
+            // Erase whatever partial frame made it out; a record that
+            // errored was never confirmed, and burying its bytes under
+            // later successful appends would corrupt the whole segment.
+            let clean = state.active_bytes;
+            let healed = state.file.set_len(clean).is_ok() && state.file.seek_end().is_ok();
+            if !healed {
+                state.poisoned = true;
+            }
+            return Err(e.into());
+        }
+        state.next_lsn = last_lsn + 1;
+        state.active_bytes += framed.len() as u64;
+        self.instruments.appends.add(records);
+        self.instruments.appended_bytes.add(framed.len() as u64);
+        if state.active_bytes >= self.config.segment_bytes {
+            // Owe a rotation, but never pay it here: the append path
+            // runs inside callers' critical sections (for the engine
+            // sink, the gid critical section), and rotation costs
+            // three fsyncs. The next commit/sync settles the debt
+            // outside every caller lock.
+            state.rotation_due = true;
+        }
+        Ok(())
     }
 
     /// Block until the record at `lsn` is durable. Under
@@ -423,6 +497,11 @@ impl WalWriter {
         if !state.rotation_due {
             return Ok(());
         }
+        if state.poisoned {
+            // Sealing would close a segment that ends in the failed
+            // append's partial bytes: keep them the log's torn tail.
+            return Err(WalError::Poisoned);
+        }
         // Deliberate sync under the state lock: the bulk was flushed through a
         // cloned handle above; only the sliver since that pre-seal is paid
         // here, and the switch must be atomic with respect to appends.
@@ -490,7 +569,7 @@ impl SeekEnd for File {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::scan_dir;
+    use crate::segment::{scan_dir, scan_frames};
     use pitract_relation::Value;
     use std::path::PathBuf;
 
@@ -783,6 +862,115 @@ mod tests {
         let (wal, _) = WalWriter::open_scanned(&dir, WalConfig::default(), 40).unwrap();
         assert_eq!(wal.next_lsn(), 40);
         assert_eq!(wal.append_entry(&insert(0, 1)).unwrap(), 40);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Back-to-back frames at `lsns`, each with a 20-byte payload, as a
+    /// replication shipment carries them.
+    fn framed(lsns: &[u64]) -> Vec<u8> {
+        lsns.iter()
+            .flat_map(|&lsn| encode_record(lsn, &[lsn as u8; 20]))
+            .collect()
+    }
+
+    #[test]
+    fn append_frames_keeps_lsns_and_gaps_across_rotations() {
+        let dir = fresh_dir("frames-gaps");
+        let config = WalConfig {
+            // Header + two 40-byte frames fill a segment exactly.
+            segment_bytes: 98,
+            sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
+        };
+        let wal = WalWriter::open(&dir, config.clone()).unwrap();
+        let lsns = [0, 1, 4, 5, 9, 10, 11, 20, 21, 30];
+        let bytes = framed(&lsns);
+        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+        assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(30));
+        wal.commit(30).unwrap();
+        assert_eq!(wal.next_lsn(), 31);
+        assert_eq!(wal.append_frames(&[], &[]).unwrap(), None);
+        drop(wal);
+
+        let (wal, scan) = WalWriter::open_scanned(&dir, config, 0).unwrap();
+        assert_eq!(scan.segments.len(), 6, "rotated mid-run and after it");
+        let records: Vec<(u64, Vec<u8>)> = scan.records().cloned().collect();
+        let expected: Vec<(u64, Vec<u8>)> =
+            lsns.iter().map(|&lsn| (lsn, vec![lsn as u8; 20])).collect();
+        assert_eq!(records, expected);
+        for seg in &scan.segments {
+            if let Some((first, _)) = seg.records.first() {
+                assert_eq!(seg.base_lsn, *first, "based at its first frame");
+                assert_eq!(seg.records.len(), 2, "{:?}", seg.path);
+            }
+            assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
+        }
+        assert_eq!(wal.next_lsn(), 31);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_frames_below_next_lsn_is_typed_and_writes_nothing() {
+        let dir = fresh_dir("frames-backwards");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        for _ in 0..3 {
+            wal.append_payload(b"x").unwrap();
+        }
+        let active = scan_dir(&dir).unwrap().segments.pop().unwrap().path;
+        let len = || std::fs::metadata(&active).unwrap().len();
+        let before = len();
+        let bytes = framed(&[2, 3, 4]);
+        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+        let err = wal.append_frames(&bytes, &frames).unwrap_err();
+        assert!(
+            matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("backwards")),
+            "{err}"
+        );
+        assert_eq!(len(), before, "nothing written");
+        assert_eq!(wal.next_lsn(), 3);
+        assert_eq!(wal.append_frames(&bytes, &frames[1..]).unwrap(), Some(4));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_frames_under_always_is_durable_on_return() {
+        for (policy, durable) in [(SyncPolicy::Always, true), (SyncPolicy::GroupCommit, false)] {
+            let dir = fresh_dir(&format!("frames-{policy:?}"));
+            let config = WalConfig {
+                sync: policy,
+                ..WalConfig::default()
+            };
+            let wal = WalWriter::open(&dir, config).unwrap();
+            let bytes = framed(&[0, 3, 7]);
+            let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+            assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(7));
+            assert_eq!(wal.durable_lsn() > 7, durable, "{policy:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A poisoned writer's partial bytes must stay the log's tail, which
+    /// recovery truncates: an owed rotation is refused, never sealed.
+    #[test]
+    fn a_poisoned_writer_never_rotates() {
+        let dir = fresh_dir("poisoned-rotation");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        wal.append_payload(b"x").unwrap();
+        {
+            let mut state = wal.lock();
+            state.poisoned = true;
+            state.rotation_due = true;
+        }
+        assert!(matches!(wal.sync(), Err(WalError::Poisoned)));
+        assert!(matches!(wal.rotate_now(), Err(WalError::Poisoned)));
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
+        let bytes = framed(&[1]);
+        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+        assert!(matches!(
+            wal.append_frames(&bytes, &frames),
+            Err(WalError::Poisoned)
+        ));
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -122,12 +122,12 @@ fn inverted_acquisition_on_a_worker_is_typed_and_the_pool_survives() {
 }
 
 /// The replication rank: `FollowerCatchup` (45) sits between the engine
-/// tiers and the WAL tiers, and `pitract-repl` splits it into sub-orders
-/// (publisher table = 0, follower mirror = 1). Two inversions the design
-/// forbids must be caught in debug builds: holding a catch-up lock while
-/// entering replay (replay takes Log, rank 40), and taking the mirror
-/// before the publisher's table within the rank. The legal chain —
-/// table, then mirror, then a WAL-tier flush — must stay panic-free.
+/// tiers and the WAL tiers; the publisher's table holds it at sub-order
+/// 0, and sub-order 1 stands in for any later lock of the same rank. Two
+/// inversions the design forbids must be caught in debug builds: holding
+/// a catch-up lock while entering replay (replay takes Log, rank 40),
+/// and descending sub-orders within the rank. The legal chain — sub 0,
+/// then sub 1, then a WAL-tier flush — must stay panic-free.
 #[test]
 fn follower_catchup_rank_inversions_are_caught_and_the_legal_chain_is_not() {
     let violations_before = lockdep::stats().violations;
@@ -142,9 +142,9 @@ fn follower_catchup_rank_inversions_are_caught_and_the_legal_chain_is_not() {
     // the hold-across-replay bug the repl crate's turnstile exists to
     // make impossible.
     let outcome = std::panic::catch_unwind(|| {
-        let mirror = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
+        let sub1 = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
         let log = OrderedMutex::new(LockRank::Log, ());
-        let _m = mirror.lock();
+        let _m = sub1.lock();
         let _l = log.lock();
     });
     assert!(
@@ -152,11 +152,11 @@ fn follower_catchup_rank_inversions_are_caught_and_the_legal_chain_is_not() {
         "FollowerCatchup held across a Log-ranked acquisition must panic in debug builds"
     );
 
-    // Inversion 2: within the rank, mirror (sub 1) before table (sub 0).
+    // Inversion 2: within the rank, sub 1 before the table (sub 0).
     let outcome = std::panic::catch_unwind(|| {
-        let mirror = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
+        let sub1 = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
         let table = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 0, ());
-        let _m = mirror.lock();
+        let _m = sub1.lock();
         let _t = table.lock();
     });
     assert!(
@@ -169,13 +169,13 @@ fn follower_catchup_rank_inversions_are_caught_and_the_legal_chain_is_not() {
         "both inversions were counted"
     );
 
-    // The documented legal chain: publisher table, follower mirror, then
-    // a WAL-tier lock (a catch-up section may flush mirror state).
+    // The documented legal chain: publisher table, a sub-order-1 lock,
+    // then a WAL-tier lock (a catch-up section may flush WAL state).
     let table = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 0, ());
-    let mirror = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
+    let sub1 = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
     let wal_state = OrderedMutex::new(LockRank::WalState, ());
     let _t = table.lock();
-    let _m = mirror.lock();
+    let _m = sub1.lock();
     let _s = wal_state.lock();
 }
 

@@ -338,7 +338,8 @@ fn late_attachment_below_the_floor_is_typed_stale() {
 /// every series family the stack exported before `NodeStatus` existed
 /// is still exported with its kind, the quiescent values are the same,
 /// and a second publish leaves the snapshot unchanged (totals are
-/// raised, never re-added).
+/// raised, never re-added). The follower's mirror is a `WalWriter`, so
+/// its appends and flushes count into the follower's recorder too.
 #[test]
 fn status_publish_keeps_every_series_and_is_idempotent() {
     const PRIMARY_FAMILIES: &[&str] = &[
@@ -414,9 +415,12 @@ fn status_publish_keeps_every_series_and_is_idempotent() {
         "engine_apply_batch_ops histogram",
         "mvcc_rollback_entries histogram",
         "repl_replay_micros histogram",
+        "wal_appends_total counter",
+        "wal_fsync_micros histogram",
     ];
     const REPLICA_VALUES: &[&str] = &[
         "engine_updates_total 25",
+        "wal_appends_total 25",
         "mvcc_pins 0",
         "mvcc_retained_versions 0",
         "replication_lag_lsn 0",
