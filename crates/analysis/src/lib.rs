@@ -2,9 +2,9 @@
 //!
 //! The serving tiers rest on invariants that used to exist only as
 //! comments: panic-free serving paths, no disk flush under the WAL
-//! writer-state lock, workers routed through the pool, bench artifacts
-//! in the repo root. This crate makes them mechanical, in the
-//! workspace's zero-dependency style:
+//! writer-state lock, workers routed through the pool, no blocking I/O
+//! on a pool worker, status gauges set in one place. This crate makes
+//! them mechanical, in the workspace's zero-dependency style:
 //!
 //! * [`lexer`] — a hand-rolled token-level Rust lexer (strings, raw
 //!   strings, chars vs lifetimes, nested comments) that also collects
@@ -14,8 +14,8 @@
 //!   serving rules).
 //! * [`rules`] — the deny-by-default [`Rule`] set:
 //!   `no-unwrap-in-serving`, `no-fsync-under-lock`,
-//!   `no-bare-thread-spawn`, `bench-artifact-path`,
-//!   `no-blocking-syscalls-on-pool-workers`, `gauge-outside-status`.
+//!   `no-bare-thread-spawn`, `no-blocking-syscalls-on-pool-workers`,
+//!   `gauge-outside-status`.
 //! * [`report`] — machine-readable findings with `file:line`,
 //!   JSON-exportable via `pitract-obs`.
 //! * [`walk`] — first-party source discovery over the workspace.

@@ -102,8 +102,8 @@ mod tests {
     fn json_shape_has_counts_and_findings() {
         let report = LintReport {
             findings: vec![Finding {
-                rule: "bench-artifact-path",
-                path: "crates/bench/src/x.rs".into(),
+                rule: "no-bare-thread-spawn",
+                path: "crates/engine/src/x.rs".into(),
                 line: 7,
                 message: "m".into(),
             }],
@@ -113,7 +113,7 @@ mod tests {
         let text = report.to_json().render();
         assert!(text.contains("\"files_scanned\":3"));
         assert!(text.contains("\"suppressed\":2"));
-        assert!(text.contains("\"rule\":\"bench-artifact-path\""));
+        assert!(text.contains("\"rule\":\"no-bare-thread-spawn\""));
         assert!(text.contains("\"line\":7"));
     }
 }

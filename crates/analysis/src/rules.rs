@@ -33,7 +33,6 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoUnwrapInServing),
         Box::new(NoFsyncUnderLock),
         Box::new(NoBareThreadSpawn),
-        Box::new(BenchArtifactPath),
         Box::new(NoBlockingSyscallsOnPoolWorkers),
         Box::new(GaugeOutsideStatus),
     ]
@@ -465,36 +464,6 @@ impl Rule for GaugeOutsideStatus {
                               series are named only by `NodeStatus::publish`; read state \
                               through `status()`"
                         .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// `bench-artifact-path`: benchmark artifacts (`BENCH_*.json`) live in
-/// the repo root, where CI cats and uploads them. Writing them under
-/// `target/` hides them from CI — the PR 6 regression this rule pins.
-pub struct BenchArtifactPath;
-
-impl Rule for BenchArtifactPath {
-    fn name(&self) -> &'static str {
-        "bench-artifact-path"
-    }
-
-    fn check(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
-        // Built from pieces so this rule never fires on its own source.
-        let needle = concat!("target", "/", "BENCH_");
-        for t in &file.tokens {
-            if t.kind == TokKind::Str && t.text.contains(needle) {
-                findings.push(Finding {
-                    rule: self.name(),
-                    path: file.rel_path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "bench artifact path under `{}` — BENCH_*.json belongs in the \
-                         repo root so CI uploads it",
-                        concat!("target", "/")
-                    ),
                 });
             }
         }

@@ -139,37 +139,6 @@ fn spawn_clean_fixture_allows_the_pool() {
 }
 
 #[test]
-fn bench_path_fixture_fires_in_any_crate_and_any_target() {
-    for (crate_name, kind, path) in [
-        ("pitract-bench", FileKind::Bench, "benches/fixture.rs"),
-        ("pi-tractable", FileKind::Test, "tests/fixture.rs"),
-        ("pitract-engine", FileKind::Lib, "src/fixture.rs"),
-    ] {
-        let file = SourceFile::from_source(
-            crate_name,
-            path,
-            kind,
-            include_str!("../fixtures/bench_path_violation.rs"),
-        );
-        let report = run_rules(&[file], &default_rules());
-        assert_eq!(
-            rules_fired(&report),
-            vec!["bench-artifact-path"],
-            "{crate_name} {path}: {report}"
-        );
-    }
-}
-
-#[test]
-fn bench_path_clean_fixture_stays_clean() {
-    let report = lint(
-        "pitract-bench",
-        include_str!("../fixtures/bench_path_clean.rs"),
-    );
-    assert!(report.is_clean(), "{report}");
-}
-
-#[test]
 fn syscall_fixture_fires_on_every_eval_body_io_site() {
     let report = lint(
         "pitract-engine",

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for three design choices:
 //! B⁺-tree node order, bulk load vs incremental construction, and the
 //! RMQ space/time trade-off (sparse table vs Fischer–Heun).
 

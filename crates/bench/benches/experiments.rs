@@ -2,8 +2,8 @@
 //!
 //! The step-metered tables (`cargo run -p pitract-bench --bin tables`)
 //! carry the growth-curve verdicts; these benches add real time for the
-//! same operations so EXPERIMENTS.md can report both. Groups are kept
-//! small (fixed representative sizes) so `cargo bench` completes quickly.
+//! same operations. Groups are kept small (fixed representative sizes)
+//! so `cargo bench` completes quickly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pitract_circuit::factor::{gate_factorization, gate_table_scheme};

@@ -1,4 +1,4 @@
-//! Render every experiment table (the EXPERIMENTS.md generator).
+//! Render every experiment table, one per paper claim (E1–E14).
 //!
 //! Usage:
 //!   cargo run --release -p pitract-bench --bin tables          # all

@@ -1,18 +1,18 @@
 //! # pitract-bench — the experiment harness
 //!
-//! One experiment per checkable claim of the paper (the index lives in
-//! DESIGN.md §4 and EXPERIMENTS.md). Each `run_eXX()` function builds its
-//! workload, measures with deterministic step meters (and wall clock where
-//! meaningful), classifies growth curves with `pitract_core::fit`, and
-//! returns a printable [`table::Table`]. The `tables` binary renders all of
-//! them; `benches/experiments.rs` adds Criterion wall-clock measurements of
-//! the same operations.
+//! One experiment per checkable claim of the paper, E1–E14. Each
+//! `run_eXX()` function builds its workload, measures with deterministic
+//! step meters (and wall clock where meaningful), classifies growth curves
+//! with `pitract_core::fit`, and returns a printable [`table::Table`]. The
+//! `tables` binary renders all of them; `benches/experiments.rs` adds
+//! Criterion wall-clock measurements of the same operations. The serving
+//! stack (sharding, live updates, WAL, MVCC, replication) is measured by
+//! the end-to-end benchmark in `crates/e2e`, not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(rust_2018_idioms)]
 
-pub mod artifact;
 pub mod experiments;
 pub mod table;
 
@@ -37,11 +37,5 @@ pub fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
         ("e12", run_e12),
         ("e13", run_e13),
         ("e14", run_e14),
-        ("e15", run_e15),
-        ("e17", run_e17),
-        ("e18", run_e18),
-        ("e20", run_e20),
-        ("e21", run_e21),
-        ("obs", run_obs_overhead),
     ]
 }

@@ -16,7 +16,8 @@
 //!   `WorkerPanicked` error instead of a silent deadlock.
 //! * In **release builds** the wrappers compile to a passthrough over
 //!   `std::sync` — no thread-local access, no atomic traffic — so the
-//!   serving path pays nothing (priced by `BENCH_analysis.json`).
+//!   serving path pays nothing (priced by the `analysis` bench target's
+//!   `lockdep_micro` group).
 //!
 //! Same-rank locks (the per-shard `RwLock`s) disambiguate with a
 //! `sub_order` (the shard index): acquiring shards in ascending index

@@ -3,7 +3,7 @@
 //! The paper's cited compression results [16, 31, 32] target social
 //! networks; absent their proprietary datasets, E8 substitutes synthetic
 //! graphs whose *structural knobs* (degree skew, cycle density, layering)
-//! exercise the same code paths — see DESIGN.md's substitution table.
+//! exercise the same code paths.
 //! All generators are seeded and deterministic so experiments reproduce
 //! run-to-run.
 

@@ -1,8 +1,8 @@
 //! A small total JSON value model: encoder + panic-free typed parser.
 //!
-//! This is the one JSON encoder in the workspace — metric snapshots,
-//! bench artifacts (`BENCH_*.json`), and the example dumps all render
-//! through it, so their formatting is pinned by a single golden test.
+//! This is the one JSON encoder in the workspace — metric snapshots, lint
+//! reports and the example dumps all render through it, so their
+//! formatting is pinned by one set of tests.
 //! Discipline mirrors the store codec: the parser is **total** (arbitrary
 //! input returns a typed [`JsonError`], never a panic, with a bounded
 //! nesting depth so adversarial input cannot blow the stack) and the
@@ -229,7 +229,7 @@ impl Json {
     }
 
     /// Multi-line rendering indented by two spaces per level — the format
-    /// every `BENCH_*.json` artifact is written in.
+    /// of the example's metrics dump.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
@@ -731,5 +731,14 @@ mod tests {
     fn pretty_rendering_shape() {
         let v = Json::obj().set("a", 1u64).set("b", Json::Arr(vec![]));
         assert_eq!(v.render_pretty(), "{\n  \"a\": 1,\n  \"b\": []\n}\n");
+        // Objects nested in an array indent one level per container, and
+        // an integral float keeps its `.0` so it re-parses as a float.
+        let nested = Json::obj().set(
+            "rows",
+            vec![Json::obj().set("qps", 2000.0), Json::obj().set("s", 0.05)],
+        );
+        let golden = "{\n  \"rows\": [\n    {\n      \"qps\": 2000.0\n    },\n    {\n      \"s\": 0.05\n    }\n  ]\n}\n";
+        assert_eq!(nested.render_pretty(), golden);
+        assert_eq!(Json::parse(golden).unwrap(), nested);
     }
 }
