@@ -4,12 +4,12 @@
 // sight.
 
 pub struct Writer {
-    state: std::sync::Mutex<std::fs::File>,
+    state: std::sync::Mutex<FileHandle>,
     rotation: std::sync::Mutex<()>,
 }
 
 impl Writer {
-    fn lock(&self) -> std::sync::MutexGuard<'_, std::fs::File> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FileHandle> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -29,12 +29,12 @@ impl Writer {
         clone.sync_data()
     }
 
-    pub fn rotation_is_not_the_state_lock(&self, file: &std::fs::File) -> std::io::Result<()> {
+    pub fn rotation_is_not_the_state_lock(&self, file: &FileHandle) -> std::io::Result<()> {
         let _turn = self.rotation.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        file.sync_all()
+        file.sync_data()
     }
 
-    pub fn unlocked(&self, file: &std::fs::File) -> std::io::Result<()> {
-        file.sync_all()
+    pub fn unlocked(&self, file: &FileHandle) -> std::io::Result<()> {
+        file.sync_data()
     }
 }

@@ -1,11 +1,11 @@
 // Seeded violations: flushes while the writer-state guard is held.
 
 pub struct Writer {
-    state: std::sync::Mutex<std::fs::File>,
+    state: std::sync::Mutex<FileHandle>,
 }
 
 impl Writer {
-    fn lock(&self) -> std::sync::MutexGuard<'_, std::fs::File> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FileHandle> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 

@@ -3,7 +3,8 @@
 //! The serving tiers rest on invariants that used to exist only as
 //! comments: panic-free serving paths, no disk flush under the WAL
 //! writer-state lock, workers routed through the pool, no blocking I/O
-//! on a pool worker, status gauges set in one place. This crate makes
+//! on a pool worker, status gauges set in one place, the disk reached
+//! through one storage seam. This crate makes
 //! them mechanical, in the workspace's zero-dependency style:
 //!
 //! * [`lexer`] — a hand-rolled token-level Rust lexer (strings, raw
@@ -15,7 +16,7 @@
 //! * [`rules`] — the deny-by-default [`Rule`] set:
 //!   `no-unwrap-in-serving`, `no-fsync-under-lock`,
 //!   `no-bare-thread-spawn`, `no-blocking-syscalls-on-pool-workers`,
-//!   `gauge-outside-status`.
+//!   `gauge-outside-status`, `fs-outside-storage`.
 //! * [`report`] — machine-readable findings with `file:line`,
 //!   JSON-exportable via `pitract-obs`.
 //! * [`walk`] — first-party source discovery over the workspace.

@@ -35,6 +35,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoBareThreadSpawn),
         Box::new(NoBlockingSyscallsOnPoolWorkers),
         Box::new(GaugeOutsideStatus),
+        Box::new(FsOutsideStorage),
     ]
 }
 
@@ -466,6 +467,52 @@ impl Rule for GaugeOutsideStatus {
                         .to_string(),
                 });
             }
+        }
+    }
+}
+
+/// `fs-outside-storage`: no `std::fs`, `fs::…`, `File::` or
+/// `OpenOptions::` in non-test library code of the serving crates
+/// outside `crates/store/src/storage.rs`. Every byte `wal`, `store` and
+/// `repl` persist goes through its `Dir`, so the durability recipes
+/// live once and tests can run on the in-memory volume. One finding per
+/// line.
+pub struct FsOutsideStorage;
+
+impl Rule for FsOutsideStorage {
+    fn name(&self) -> &'static str {
+        "fs-outside-storage"
+    }
+
+    fn check(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
+        let serving = SERVING_CRATES.contains(&file.crate_name.as_str());
+        if file.kind != FileKind::Lib || !serving || file.rel_path == "crates/store/src/storage.rs"
+        {
+            return;
+        }
+        let tokens = &file.tokens;
+        let mut last_line = 0;
+        for (i, t) in tokens.iter().enumerate() {
+            let path_head = marker_at(tokens, i + 1, &[":", ":"]);
+            let hit = if t.is_ident("fs") {
+                path_head || i >= 3 && marker_at(tokens, i - 3, &["std", ":", ":"])
+            } else {
+                (t.is_ident("File") || t.is_ident("OpenOptions")) && path_head
+            };
+            if !hit || file.test_mask[i] || t.line == last_line {
+                continue;
+            }
+            last_line = t.line;
+            findings.push(Finding {
+                rule: self.name(),
+                path: file.rel_path.clone(),
+                line: t.line,
+                message: format!(
+                    "`{}` in `{}` outside `crates/store/src/storage.rs` — reach the disk \
+                     through a `pitract_store::Dir`",
+                    t.text, file.crate_name
+                ),
+            });
         }
     }
 }

@@ -5,14 +5,25 @@
 
 use pitract_analysis::rules::{default_rules, run_rules};
 use pitract_analysis::source::{FileKind, SourceFile};
+use pitract_analysis::LintReport;
 
 /// Lint one fixture as if it were library code of `crate_name`.
-fn lint(crate_name: &str, src: &str) -> pitract_analysis::LintReport {
-    let file = SourceFile::from_source(crate_name, "src/fixture.rs", FileKind::Lib, src);
+fn lint(crate_name: &str, src: &str) -> LintReport {
+    lint_as(crate_name, "src/fixture.rs", FileKind::Lib, src)
+}
+
+/// The one serving-crate file `fs-outside-storage` lets touch the
+/// filesystem: fixtures about file I/O lint as it, so that only the
+/// rule under test speaks.
+const STORAGE: &str = "crates/store/src/storage.rs";
+
+/// Lint one fixture as file `path` of `crate_name`.
+fn lint_as(crate_name: &str, path: &str, kind: FileKind, src: &str) -> LintReport {
+    let file = SourceFile::from_source(crate_name, path, kind, src);
     run_rules(&[file], &default_rules())
 }
 
-fn rules_fired(report: &pitract_analysis::LintReport) -> Vec<&'static str> {
+fn rules_fired(report: &LintReport) -> Vec<&'static str> {
     report.findings.iter().map(|f| f.rule).collect()
 }
 
@@ -46,13 +57,8 @@ fn unwrap_fixture_is_silent_outside_the_serving_crates() {
 
 #[test]
 fn unwrap_fixture_is_silent_in_test_targets() {
-    let file = SourceFile::from_source(
-        "pitract-engine",
-        "tests/fixture.rs",
-        FileKind::Test,
-        include_str!("../fixtures/unwrap_violation.rs"),
-    );
-    let report = run_rules(&[file], &default_rules());
+    let src = include_str!("../fixtures/unwrap_violation.rs");
+    let report = lint_as("pitract-engine", "tests/fixture.rs", FileKind::Test, src);
     assert!(report.is_clean(), "{report}");
 }
 
@@ -140,10 +146,8 @@ fn spawn_clean_fixture_allows_the_pool() {
 
 #[test]
 fn syscall_fixture_fires_on_every_eval_body_io_site() {
-    let report = lint(
-        "pitract-engine",
-        include_str!("../fixtures/syscall_violation.rs"),
-    );
+    let src = include_str!("../fixtures/syscall_violation.rs");
+    let report = lint_as("pitract-store", STORAGE, FileKind::Lib, src);
     let fired = rules_fired(&report);
     assert_eq!(
         fired.len(),
@@ -170,22 +174,15 @@ fn syscall_fixture_is_silent_outside_the_serving_crates() {
 
 #[test]
 fn syscall_fixture_is_silent_in_test_targets() {
-    let file = SourceFile::from_source(
-        "pitract-engine",
-        "tests/fixture.rs",
-        FileKind::Test,
-        include_str!("../fixtures/syscall_violation.rs"),
-    );
-    let report = run_rules(&[file], &default_rules());
+    let src = include_str!("../fixtures/syscall_violation.rs");
+    let report = lint_as("pitract-engine", "tests/fixture.rs", FileKind::Test, src);
     assert!(report.is_clean(), "{report}");
 }
 
 #[test]
 fn syscall_clean_fixture_keeps_the_write_path_and_counts_the_allow() {
-    let report = lint(
-        "pitract-engine",
-        include_str!("../fixtures/syscall_clean.rs"),
-    );
+    let src = include_str!("../fixtures/syscall_clean.rs");
+    let report = lint_as("pitract-store", STORAGE, FileKind::Lib, src);
     assert!(report.is_clean(), "{report}");
     assert_eq!(
         report.suppressed, 1,
@@ -235,14 +232,50 @@ fn gauge_fixture_is_silent_in_status_obs_and_tests() {
         ("pitract-obs", FileKind::Lib, "crates/obs/src/fixture.rs"),
         ("pitract-engine", FileKind::Test, "tests/fixture.rs"),
     ] {
-        let file = SourceFile::from_source(
+        let report = lint_as(
             crate_name,
             path,
             kind,
             include_str!("../fixtures/gauge_violation.rs"),
         );
-        let report = run_rules(&[file], &default_rules());
         assert!(report.is_clean(), "{crate_name} {path}: {report}");
         assert_eq!(report.suppressed, 0, "{crate_name} {path}");
     }
+}
+
+#[test]
+fn fs_fixture_fires_outside_storage_and_honours_the_allow() {
+    let report = lint("pitract-wal", include_str!("../fixtures/fs_violation.rs"));
+    assert_eq!(
+        rules_fired(&report),
+        vec!["fs-outside-storage"; 5],
+        "{report}"
+    );
+    let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        [4, 7, 10, 11, 15],
+        "use, fs::, std::fs, OpenOptions, File::"
+    );
+    assert_eq!(report.suppressed, 1, "the excused probe was suppressed");
+}
+
+#[test]
+fn fs_fixture_is_silent_in_storage_outside_serving_crates_and_in_tests() {
+    let src = include_str!("../fixtures/fs_violation.rs");
+    for (crate_name, kind, path) in [
+        ("pitract-store", FileKind::Lib, STORAGE),
+        ("pitract-bench", FileKind::Lib, "src/fixture.rs"),
+        ("pitract-wal", FileKind::Test, "tests/fixture.rs"),
+    ] {
+        let report = lint_as(crate_name, path, kind, src);
+        assert!(report.is_clean(), "{crate_name} {path}: {report}");
+    }
+}
+
+#[test]
+fn fs_clean_fixture_reaches_the_disk_through_a_dir() {
+    let report = lint("pitract-repl", include_str!("../fixtures/fs_clean.rs"));
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.suppressed, 0);
 }

@@ -47,11 +47,9 @@ use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry};
 use pitract_obs::Histogram;
 use pitract_relation::{Schema, SelectionQuery, Value};
-use pitract_store::codec::Reader as CodecReader;
-use pitract_store::SnapshotCatalog;
-use pitract_wal::segment::scan_frames;
+use pitract_store::{Dir, SnapshotCatalog};
+use pitract_wal::segment::{decode_entry, scan_frames};
 use pitract_wal::{recover_live, WalConfig, WalError, WalWriter};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Lock-free catch-up turnstile: exactly one cycle may run at a time,
@@ -113,7 +111,7 @@ impl Follower {
     pub fn bootstrap(
         catalog: &SnapshotCatalog,
         name: &str,
-        mirror_dir: impl Into<PathBuf>,
+        mirror_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, ReplError> {
         let (live, mirror, mark, cut, ..) = recover_live(catalog, name, mirror_dir, config)?;
@@ -289,12 +287,7 @@ impl Follower {
                     found: frame.lsn,
                 });
             }
-            let mut r = CodecReader::new(frame.payload());
-            let entry = r.update_entry().map_err(|e| WalError::Corrupt {
-                segment: "shipment".to_string(),
-                offset: frame.offset as u64,
-                reason: format!("record {} payload does not decode: {e}", frame.lsn),
-            })?;
+            let entry = decode_entry("shipment", frame.offset as u64, frame.lsn, frame.payload())?;
             entries.push(entry);
         }
 
@@ -429,21 +422,7 @@ mod tests {
     use pitract_relation::{ColType, Relation};
     use pitract_wal::segment::scan_dir;
     use pitract_wal::{DurableLiveRelation, SyncPolicy};
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
-
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pitract-replfol-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn config() -> WalConfig {
         WalConfig {
@@ -453,7 +432,10 @@ mod tests {
         }
     }
 
-    fn primary(root: &Path, rows: i64) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
+    /// A primary on a fresh in-memory volume, its snapshots and WAL
+    /// under `snaps` and `wal`.
+    fn primary(rows: i64) -> (Dir, Arc<DurableLiveRelation>, SnapshotCatalog) {
+        let root = Dir::memory();
         let schema = Schema::new(&[("id", ColType::Int)]);
         let data: Vec<Vec<Value>> = (0..rows).map(|i| vec![Value::Int(i)]).collect();
         let rel = Relation::from_rows(schema, data).unwrap();
@@ -463,13 +445,12 @@ mod tests {
             DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config())
                 .unwrap(),
         );
-        (node, catalog)
+        (root, node, catalog)
     }
 
     #[test]
     fn follower_catches_up_and_matches_the_primary_bit_for_bit() {
-        let root = fresh_dir("basic");
-        let (node, catalog) = primary(&root, 5);
+        let (root, node, catalog) = primary(5);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
             Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
@@ -510,13 +491,11 @@ mod tests {
             follower.lsn_of_epoch(follower.applied_epoch()),
             report.applied_lsn
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn follower_restart_resumes_from_its_mirror() {
-        let root = fresh_dir("restart");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..25i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -542,15 +521,13 @@ mod tests {
         assert_eq!(back.len(), node.len());
         let q = SelectionQuery::point(0, 30);
         assert_eq!(back.matching_ids(&q), node.matching_ids(&q));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A torn mirror tail is truncated by the bootstrap that finds it
     /// and reported exactly once, through the config's recorder.
     #[test]
     fn bootstrap_reports_a_torn_mirror_tail_exactly_once() {
-        let root = fresh_dir("torn-once");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..12i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -562,16 +539,12 @@ mod tests {
         let applied = follower.applied_lsn();
         drop(follower);
         // A crash mid-append leaves half a frame at the mirror's tail.
-        {
-            use std::io::Write as _;
-            let segments = scan_dir(&mirror).unwrap().segments;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&segments.last().unwrap().path)
-                .unwrap();
-            f.write_all(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
-                .unwrap();
-        }
+        let segments = scan_dir(&mirror).unwrap().segments;
+        mirror
+            .open(&segments.last().unwrap().name)
+            .unwrap()
+            .append(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
+            .unwrap();
         let observed = |recorder: &Recorder| WalConfig {
             recorder: recorder.clone(),
             ..config()
@@ -601,7 +574,6 @@ mod tests {
         Follower::bootstrap(&catalog, "node", &mirror, observed(&clean)).unwrap();
         let truncations = clean.snapshot().counter("wal_recovery_truncations_total");
         assert_eq!(truncations, None);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A restart right after *any* shipment — most of them flushed by
@@ -610,8 +582,7 @@ mod tests {
     /// epoch and rows from the mirror.
     #[test]
     fn follower_restart_after_every_flushed_shipment_loses_nothing() {
-        let root = fresh_dir("restart-each");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..30i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -637,7 +608,6 @@ mod tests {
         }
         assert_eq!(applied, 30);
         assert!(restarts >= 10, "shipments were small: {restarts} restarts");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// One write per run of frames must leave the mirror byte-identical
@@ -646,8 +616,7 @@ mod tests {
     /// one record per shipment *is* one write per frame.
     #[test]
     fn a_shipment_written_in_runs_mirrors_exactly_like_frame_by_frame() {
-        let root = fresh_dir("runs");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..23i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -661,12 +630,14 @@ mod tests {
             single.apply_shipment(&ship).unwrap();
         }
         let files = |dir: &str| -> Vec<(String, Vec<u8>)> {
-            let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+            let dir = root.join(dir);
+            let mut files: Vec<_> = dir
+                .list()
                 .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| {
-                    let name = p.file_name().unwrap().to_str().unwrap().to_string();
-                    (name, std::fs::read(&p).unwrap())
+                .into_iter()
+                .map(|name| {
+                    let bytes = dir.read(&name, 0).unwrap();
+                    (name, bytes)
                 })
                 .collect();
             files.sort();
@@ -681,7 +652,6 @@ mod tests {
         let scan = scan_dir(&root.join("whole")).unwrap();
         assert_eq!(scan.next_lsn, 23);
         assert_eq!(scan.records().count(), 23);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// A follower never checkpoints, so nothing but the apply path can
@@ -690,8 +660,7 @@ mod tests {
     /// bit-identical to the primary and on the primary's epoch clock.
     #[test]
     fn pending_log_stays_bounded_across_many_shipments() {
-        let root = fresh_dir("pending");
-        let (node, catalog) = primary(&root, 4);
+        let (root, node, catalog) = primary(4);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
             Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
@@ -737,13 +706,11 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn catch_up_bridges_compaction_gaps_with_identical_gids() {
-        let root = fresh_dir("gaps");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         // Churn whose pairs cancel inside closed segments, then compact
         // *before* the follower ever polls: the shipped stream has both
@@ -789,13 +756,11 @@ mod tests {
             follower.matching_ids(&SelectionQuery::point(0, 777)),
             vec![gid]
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn garbled_shipment_fails_typed_and_applies_nothing() {
-        let root = fresh_dir("garble");
-        let (node, catalog) = primary(&root, 0);
+        let (root, node, catalog) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..6i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -827,13 +792,11 @@ mod tests {
         let sub = follower.attach(&publisher);
         follower.catch_up(&publisher, sub).unwrap();
         assert_eq!(follower.len(), node.len());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn concurrent_catch_up_is_excluded_typed() {
-        let root = fresh_dir("turnstile");
-        let (node, catalog) = primary(&root, 3);
+        let (root, node, catalog) = primary(3);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
             Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
@@ -844,6 +807,5 @@ mod tests {
         assert!(matches!(err, ReplError::CatchUpInProgress), "{err}");
         follower.applying.store(false, Ordering::SeqCst);
         assert!(follower.catch_up(&publisher, sub).is_ok());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

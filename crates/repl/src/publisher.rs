@@ -60,12 +60,11 @@
 use crate::ReplError;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
 use pitract_obs::Counter;
+use pitract_store::Dir;
 use pitract_wal::compactor::CompactionReport;
 use pitract_wal::segment::{list_segments, scan_frames, scan_segment, Frame};
 use pitract_wal::DurableLiveRelation;
 use std::collections::VecDeque;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::Path;
 use std::sync::Arc;
 
 /// Anchors the tail index holds at most. One anchor is pushed per poll,
@@ -226,26 +225,23 @@ impl TailRead {
         }
     }
 
-    /// Read one segment file: from `anchor` to the end of the file when
-    /// the anchor checks out, from the header otherwise. Returns whether
-    /// the poll is complete.
+    /// Read one segment file of `dir`: from `anchor` to the end of the
+    /// file when the anchor checks out, from the header otherwise.
+    /// Returns whether the poll is complete.
     fn read_segment(
         &mut self,
-        path: &Path,
+        dir: &Dir,
+        name: &str,
         base: u64,
         last: bool,
         anchor: Option<TailAnchor>,
     ) -> Result<bool, ReplError> {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
         // The active segment may be mid-append under us: a read snapshot can
         // end inside a frame, which the scanner treats as a torn tail
         // (`last = true`). Those unconfirmed bytes are above the durable
         // frontier anyway.
-        let mut file = std::fs::File::open(path)?;
-        let mut bytes = Vec::new();
         if let Some(anchor) = anchor {
-            file.seek(SeekFrom::Start(anchor.offset))?;
-            file.read_to_end(&mut bytes)?;
+            let bytes = dir.read(name, anchor.offset)?;
             self.bytes_read += bytes.len() as u64;
             // The anchor frame itself is the first thing read: only the
             // anchored record, valid, at the anchored offset vouches for the
@@ -257,10 +253,8 @@ impl TailRead {
                     return Ok(self.ship(base, anchor.offset, &bytes, &scan.frames));
                 }
             }
-            file.rewind()?;
-            bytes.clear();
         }
-        file.read_to_end(&mut bytes)?;
+        let bytes = dir.read(name, 0)?;
         self.bytes_read += bytes.len() as u64;
         let scan = scan_segment(&bytes, base, last, name)?;
         Ok(self.ship(base, 0, &bytes, &scan.frames))
@@ -465,15 +459,16 @@ impl SegmentPublisher {
         // Segment i holds LSNs in [base_i, base_{i+1}), so files
         // entirely below `from` are skipped without being opened — and
         // an anchor below `from` sits in the first file that is not.
-        let files = list_segments(self.primary.wal_dir())?;
-        for (i, (base, path)) in files.iter().enumerate() {
+        let dir = self.primary.wal().dir();
+        let files = list_segments(dir)?;
+        for (i, (base, name)) in files.iter().enumerate() {
             let upper = files.get(i + 1).map_or(u64::MAX, |(b, _)| *b);
             if upper <= from || *base >= durable {
                 continue;
             }
             let last = i + 1 == files.len();
             let anchor = hint.filter(|a| a.base == *base);
-            if tail.read_segment(path, *base, last, anchor)? {
+            if tail.read_segment(dir, name, *base, last, anchor)? {
                 break;
             }
         }
@@ -508,8 +503,6 @@ mod oracle {
     use pitract_wal::segment::{encode_record, SEGMENT_HEADER_LEN};
     use pitract_wal::{SyncPolicy, WalConfig, WalError};
     use proptest::prelude::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     impl SegmentPublisher {
         /// What [`Self::read_tail`] must return, computed the way polls
@@ -523,19 +516,19 @@ mod oracle {
             if durable <= from {
                 return Ok(Shipment::from_parts(from, from, 0, Vec::new()));
             }
-            let files = list_segments(self.primary.wal_dir())?;
+            let dir = self.primary.wal().dir();
+            let files = list_segments(dir)?;
             let mut frames = Vec::new();
             let mut records = 0usize;
             let mut last_shipped: Option<u64> = None;
             let mut capped = false;
-            'files: for (i, (base, path)) in files.iter().enumerate() {
+            'files: for (i, (base, name)) in files.iter().enumerate() {
                 let upper = files.get(i + 1).map(|(b, _)| *b).unwrap_or(u64::MAX);
                 if upper <= from || *base >= durable {
                     continue;
                 }
                 let last = i + 1 == files.len();
-                let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-                let bytes = std::fs::read(path)?;
+                let bytes = dir.read(name, 0)?;
                 let scan = scan_segment(&bytes, *base, last, name)?;
                 for frame in &scan.frames {
                     if frame.lsn < from {
@@ -562,19 +555,7 @@ mod oracle {
         }
     }
 
-    fn fresh_dir(tag: &str) -> PathBuf {
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "pitract-reploracle-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     struct Node {
-        root: PathBuf,
         node: Arc<DurableLiveRelation>,
         catalog: SnapshotCatalog,
         publisher: SegmentPublisher,
@@ -585,8 +566,8 @@ mod oracle {
     impl Node {
         /// An empty one-column primary with `segment_bytes` segments and an
         /// observed publisher. Every record frame is the same size.
-        fn new(tag: &str, segment_bytes: u64) -> Node {
-            let root = fresh_dir(tag);
+        fn new(segment_bytes: u64) -> Node {
+            let root = Dir::memory();
             let rel = Relation::from_rows(Schema::new(&[("id", ColType::Int)]), vec![]).unwrap();
             let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
             let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
@@ -602,7 +583,6 @@ mod oracle {
             );
             let publisher = SegmentPublisher::new(Arc::clone(&node));
             Node {
-                root,
                 node,
                 catalog,
                 publisher,
@@ -653,10 +633,15 @@ mod oracle {
                 .unwrap_or(0)
         }
 
-        /// The newest segment file.
-        fn active_segment(&self) -> PathBuf {
-            let files = list_segments(self.node.wal_dir()).unwrap();
+        /// The name of the newest segment file.
+        fn active_segment(&self) -> String {
+            let files = list_segments(self.node.wal().dir()).unwrap();
             files.last().unwrap().1.clone()
+        }
+
+        /// Bytes in the segment file `name`.
+        fn segment_len(&self, name: &str) -> u64 {
+            self.node.wal().dir().read(name, 0).unwrap().len() as u64
         }
 
         /// Poll `[from, min(durable, cap))` both ways and require the same
@@ -683,17 +668,11 @@ mod oracle {
         }
     }
 
-    impl Drop for Node {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.root);
-        }
-    }
-
     /// Bytes of one record frame in a [`Node`]'s WAL.
     fn frame_len(n: &mut Node) -> u64 {
-        let before = std::fs::metadata(n.active_segment()).unwrap().len();
+        let before = n.segment_len(&n.active_segment());
         n.insert(0);
-        std::fs::metadata(n.active_segment()).unwrap().len() - before
+        n.segment_len(&n.active_segment()) - before
     }
 
     proptest! {
@@ -708,7 +687,7 @@ mod oracle {
             segment_bytes in 100u64..900,
             script in prop::collection::vec((0u8..16, 0u64..1_000, 0u64..1_000), 20..90)
         ) {
-            let mut n = Node::new("prop", segment_bytes);
+            let mut n = Node::new(segment_bytes);
             let mut cursors = [0u64; 2];
             let subs = [n.publisher.attach(0), n.publisher.attach(0)];
             for (step, &(op, a, b)) in script.iter().enumerate() {
@@ -772,7 +751,7 @@ mod oracle {
     /// read it K/2 times over.
     #[test]
     fn bytes_read_by_polls_grow_with_the_bytes_shipped_not_the_segment() {
-        let mut n = Node::new("cost", u64::MAX);
+        let mut n = Node::new(u64::MAX);
         let frame = frame_len(&mut n);
         let mut cursor = 0;
         let mut shipped = 0;
@@ -784,7 +763,7 @@ mod oracle {
             shipped += ship.frames().len() as u64;
             cursor = ship.end();
         }
-        let segment = std::fs::metadata(n.active_segment()).unwrap().len();
+        let segment = n.segment_len(&n.active_segment());
         assert_eq!(shipped, segment - SEGMENT_HEADER_LEN as u64);
         let read = n.bytes_read();
         assert!(
@@ -807,7 +786,7 @@ mod oracle {
     /// else must fall back to the header scan, not error and not skip.
     #[test]
     fn a_stale_anchor_after_a_bypassing_compaction_falls_back_to_the_header_scan() {
-        let mut n = Node::new("stale", u64::MAX);
+        let mut n = Node::new(u64::MAX);
         for key in 0..2 {
             n.insert(key);
         }
@@ -816,9 +795,9 @@ mod oracle {
             n.insert(key);
         }
         n.node.wal().rotate_now().unwrap();
-        let frame = std::fs::metadata(list_segments(n.node.wal_dir()).unwrap()[0].1.clone())
-            .unwrap()
-            .len()
+        let first = list_segments(n.node.wal().dir()).unwrap().remove(0).1;
+        let frame = n
+            .segment_len(&first)
             .saturating_sub(SEGMENT_HEADER_LEN as u64)
             / 12;
         // Ship 0..=5: the anchor is record 5, six frames into the segment.
@@ -856,7 +835,7 @@ mod oracle {
     /// poll carries on from the segments that exist.
     #[test]
     fn an_anchor_into_a_removed_segment_is_dropped() {
-        let mut n = Node::new("gone", u64::MAX);
+        let mut n = Node::new(u64::MAX);
         for key in 0..5 {
             n.insert(key);
         }
@@ -880,7 +859,7 @@ mod oracle {
     /// tail — and the whole-segment readers still see it.
     #[test]
     fn damage_past_the_anchor_is_corrupt_and_damage_below_it_is_not_this_polls_to_find() {
-        let mut n = Node::new("flip", u64::MAX);
+        let mut n = Node::new(u64::MAX);
         let frame = frame_len(&mut n) as usize;
         for key in 1..8 {
             n.insert(key);
@@ -890,12 +869,19 @@ mod oracle {
         for key in 8..12 {
             n.insert(key);
         }
-        let path = n.active_segment();
-        let pristine = std::fs::read(&path).unwrap();
+        let dir = n.node.wal().dir().clone();
+        let name = n.active_segment();
+        let pristine = dir.read(&name, 0).unwrap();
+        // Rewrite the file in place, under the writer's open handle.
+        let overwrite = |bytes: &[u8]| {
+            let file = dir.open(&name).unwrap();
+            file.truncate(0).unwrap();
+            file.append(bytes).unwrap();
+        };
         let flip = |at: usize| {
             let mut bytes = pristine.clone();
             bytes[at] ^= 0x10;
-            std::fs::write(&path, bytes).unwrap();
+            overwrite(&bytes);
         };
 
         // In record 9's payload: past the anchor (record 7).
@@ -923,7 +909,7 @@ mod oracle {
             .read_tail_oracle(8, durable, usize::MAX)
             .is_err());
         assert!(n.publisher.read_tail(0, durable, usize::MAX).is_err());
-        std::fs::write(&path, &pristine).unwrap();
+        overwrite(&pristine);
     }
 
     /// More followers at distinct cursors than the index has room for: the
@@ -931,7 +917,7 @@ mod oracle {
     /// right (one header scan, then it is indexed again).
     #[test]
     fn the_tail_index_is_bounded_and_eviction_only_costs_a_header_scan() {
-        let mut n = Node::new("cap", u64::MAX);
+        let mut n = Node::new(u64::MAX);
         let followers = TAIL_INDEX_CAP + 3;
         for key in 0..(followers as u64 * 4) {
             n.insert(key);
@@ -950,7 +936,7 @@ mod oracle {
         let before = n.bytes_read();
         let ship = n.agree(4, u64::MAX, usize::MAX, "evicted").unwrap();
         assert_eq!(ship.records(), followers * 4 - 4);
-        let segment = std::fs::metadata(n.active_segment()).unwrap().len();
+        let segment = n.segment_len(&n.active_segment());
         assert_eq!(n.bytes_read() - before, segment, "one read from the header");
     }
 }
@@ -963,47 +949,28 @@ mod tests {
     use pitract_relation::{ColType, Relation, Schema, Value};
     use pitract_store::SnapshotCatalog;
     use pitract_wal::{SyncPolicy, WalConfig};
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pitract-replpub-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn primary(root: &Path, rows: i64) -> Arc<DurableLiveRelation> {
+    /// A primary on a fresh in-memory volume, its snapshots and WAL
+    /// under `snaps` and `wal`.
+    fn primary(rows: i64) -> (Dir, Arc<DurableLiveRelation>) {
+        let root = Dir::memory();
         let schema = Schema::new(&[("id", ColType::Int)]);
         let data: Vec<Vec<Value>> = (0..rows).map(|i| vec![Value::Int(i)]).collect();
         let rel = Relation::from_rows(schema, data).unwrap();
         let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        Arc::new(
-            DurableLiveRelation::create(
-                live,
-                &catalog,
-                "node",
-                root.join("wal"),
-                WalConfig {
-                    segment_bytes: 160,
-                    sync: SyncPolicy::GroupCommit,
-                    ..WalConfig::default()
-                },
-            )
-            .unwrap(),
-        )
+        let config = WalConfig {
+            segment_bytes: 160,
+            sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
+        };
+        let node = DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config);
+        (root, Arc::new(node.unwrap()))
     }
 
     #[test]
     fn poll_ships_exactly_the_durable_tail_in_wire_format() {
-        let root = fresh_dir("wire");
-        let node = primary(&root, 4);
+        let (_, node) = primary(4);
         for i in 0..10i64 {
             node.insert(vec![Value::Int(100 + i)]).unwrap();
         }
@@ -1021,13 +988,11 @@ mod tests {
         // Re-polling from the end is empty, not an error.
         let again = publisher.poll(ship.end()).unwrap();
         assert!(again.is_empty());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn byte_budget_caps_a_shipment_without_losing_records() {
-        let root = fresh_dir("cap");
-        let node = primary(&root, 0);
+        let (_, node) = primary(0);
         for i in 0..20i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
         }
@@ -1046,13 +1011,11 @@ mod tests {
         }
         assert_eq!(total, 20, "every record arrives across capped polls");
         assert!(polls > 1, "the budget actually split the stream");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn retention_watermark_tracks_the_slowest_attached_follower() {
-        let root = fresh_dir("watermark");
-        let node = primary(&root, 0);
+        let (_, node) = primary(0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         assert_eq!(publisher.retention_watermark(), None);
         let slow = publisher.attach(3);
@@ -1067,13 +1030,11 @@ mod tests {
         assert_eq!(publisher.retention_watermark(), Some(17));
         publisher.detach(fast);
         assert_eq!(publisher.retention_watermark(), None);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn polling_below_the_compaction_floor_is_stale_typed() {
-        let root = fresh_dir("stale");
-        let node = primary(&root, 0);
+        let (root, node) = primary(0);
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         for i in 0..30i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -1089,6 +1050,5 @@ mod tests {
         let floor = publisher.compaction_floor();
         assert!(floor > 0);
         assert!(publisher.poll(floor).is_ok());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -9,23 +9,11 @@
 use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_repl::{Follower, ReplError, SegmentPublisher, Shipment};
-use pitract_store::SnapshotCatalog;
+use pitract_store::{Dir, SnapshotCatalog};
+use pitract_wal::segment::list_segments;
 use pitract_wal::{DurableLiveRelation, SyncPolicy, WalConfig, WalReader};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-repl-crash-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config(segment_bytes: u64) -> WalConfig {
     WalConfig {
@@ -35,7 +23,10 @@ fn config(segment_bytes: u64) -> WalConfig {
     }
 }
 
-fn primary(root: &Path, segment_bytes: u64) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
+/// A primary on a fresh in-memory volume, its snapshots and WAL under
+/// `snaps` and `wal`.
+fn primary(segment_bytes: u64) -> (Dir, Arc<DurableLiveRelation>, SnapshotCatalog) {
+    let root = Dir::memory();
     let schema = Schema::new(&[("id", ColType::Int)]);
     let rel = Relation::from_rows(schema, vec![]).unwrap();
     let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
@@ -50,7 +41,7 @@ fn primary(root: &Path, segment_bytes: u64) -> (Arc<DurableLiveRelation>, Snapsh
         )
         .unwrap(),
     );
-    (node, catalog)
+    (root, node, catalog)
 }
 
 /// Apply generated ops to the primary; deletes only target still-live
@@ -69,7 +60,7 @@ fn drive(node: &DurableLiveRelation, ops: &[(u8, i64)]) {
 
 /// The oracle for a follower's confirmed prefix: checkpoint state plus
 /// the primary's WAL records below `below_lsn`.
-fn oracle_at(catalog: &SnapshotCatalog, root: &Path, below_lsn: u64) -> LiveRelation {
+fn oracle_at(catalog: &SnapshotCatalog, root: &Dir, below_lsn: u64) -> LiveRelation {
     let (state, mark, _cut) = catalog.load("node").unwrap().into_checkpoint().unwrap();
     let oracle = LiveRelation::from_sharded(state);
     let reader = WalReader::open(root.join("wal")).unwrap();
@@ -105,8 +96,7 @@ fn assert_matches_oracle(follower: &Follower, oracle: &LiveRelation, tag: &str) 
 /// produce is tried.
 #[test]
 fn shipment_truncated_at_every_byte_offset_fails_typed_and_applies_nothing() {
-    let root = fresh_dir("tear");
-    let (node, catalog) = primary(&root, u64::MAX);
+    let (root, node, catalog) = primary(u64::MAX);
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     drive(
         &node,
@@ -139,7 +129,6 @@ fn shipment_truncated_at_every_byte_offset_fails_typed_and_applies_nothing() {
     follower.apply_shipment(&ship).unwrap();
     assert_eq!(follower.applied_lsn(), ship.end());
     assert_eq!(follower.len(), node.len());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 proptest! {
@@ -152,8 +141,7 @@ proptest! {
         ops in prop::collection::vec((0u8..8, 0i64..1_000), 3..20),
         flip_seed in 0usize..1_000_000
     ) {
-        let root = fresh_dir("flip");
-        let (node, catalog) = primary(&root, u64::MAX);
+        let (root, node, catalog) = primary(u64::MAX);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         drive(&node, &ops);
         let follower =
@@ -182,7 +170,6 @@ proptest! {
             follower.apply_shipment(&ship).unwrap();
             prop_assert_eq!(follower.len(), node.len());
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Kill a follower mid-catch-up — its mirror cut at an arbitrary
@@ -196,8 +183,7 @@ proptest! {
         step_bytes in 48usize..256,
         cut_seed in 0usize..1_000_000
     ) {
-        let root = fresh_dir("kill");
-        let (node, catalog) = primary(&root, 160);
+        let (root, node, catalog) = primary(160);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         drive(&node, &ops);
         node.wal().sync().unwrap();
@@ -216,21 +202,15 @@ proptest! {
         let applied_before = follower.applied_lsn();
         drop(follower);
 
-        let mut segs: Vec<PathBuf> = std::fs::read_dir(&mirror_dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-            .collect();
-        segs.sort();
         let mut full_mirror_survives = true;
-        if let Some(last) = segs.last() {
-            let full = std::fs::read(last).unwrap();
-            let cut = cut_seed % (full.len() + 1);
-            std::fs::write(last, &full[..cut]).unwrap();
+        if let Some((_, last)) = list_segments(&mirror_dir).unwrap().pop() {
+            let len = mirror_dir.read(&last, 0).unwrap().len();
+            let cut = cut_seed % (len + 1);
+            mirror_dir.open(&last).unwrap().truncate(cut as u64).unwrap();
             // Everything in earlier (sealed) segments plus the complete
             // frames below the cut survives; recovery decides exactly
             // which — the oracle comparison below is the real check.
-            full_mirror_survives = cut == full.len();
+            full_mirror_survives = cut == len;
         }
 
         // Restart: the recovered cursor is exactly what the mirror
@@ -254,6 +234,5 @@ proptest! {
         let oracle = oracle_at(&catalog, &root, report.applied_lsn);
         assert_matches_oracle(&back, &oracle, "post-drain");
         prop_assert_eq!(back.len(), node.len());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

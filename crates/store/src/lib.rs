@@ -23,7 +23,11 @@
 //!   arbitrary or truncated bytes produce a typed [`error::StoreError`],
 //!   never a panic or an unbounded allocation.
 //! * [`catalog::SnapshotCatalog`] — named snapshots in a directory with
-//!   atomic (temp-file + rename) replacement: list, save, load, remove.
+//!   atomic (temp-file + rename) replacement: save and load.
+//! * [`storage`] — the one door to the disk for this crate,
+//!   `pitract-wal` and `pitract-repl`: a [`storage::Dir`] pairs a
+//!   filesystem or in-memory backend with a path, and the two durability
+//!   recipes (atomic replace, durable create) are written once over it.
 //! * [`live::LiveCheckpoint`] — checkpoint/recover for the live serving
 //!   tier: `checkpoint` freezes a [`pitract_engine::LiveRelation`] into
 //!   the catalog (with the cut's MVCC epoch) and truncates its update
@@ -41,7 +45,7 @@
 //! ```
 //! use pitract_relation::indexed::IndexedRelation;
 //! use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-//! use pitract_store::{Snapshot, SnapshotCatalog};
+//! use pitract_store::{Dir, Snapshot, SnapshotCatalog};
 //!
 //! let schema = Schema::new(&[("id", ColType::Int)]);
 //! let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
@@ -50,15 +54,13 @@
 //! // Π(D), paid once…
 //! let indexed = IndexedRelation::build(&relation, &[0]).unwrap();
 //!
-//! // …persisted…
-//! let dir = std::env::temp_dir().join(format!("pitract-doc-{}", std::process::id()));
-//! let catalog = SnapshotCatalog::open(&dir).unwrap();
+//! // …persisted (to an in-memory volume here; a path puts it on disk)…
+//! let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
 //! catalog.save("ids", &Snapshot::Indexed(indexed)).unwrap();
 //!
 //! // …and warm-started by a fresh engine, the tree sorted from the rows.
 //! let served = catalog.load("ids").unwrap().into_indexed().unwrap();
 //! assert!(served.answer(&SelectionQuery::point(0, 999i64)));
-//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -76,8 +78,10 @@ pub mod codec;
 pub mod error;
 pub mod live;
 pub mod snapshot;
+pub mod storage;
 
 pub use catalog::SnapshotCatalog;
 pub use error::StoreError;
 pub use live::{LiveCheckpoint, Recovered};
-pub use snapshot::{fsync_dir, write_atomic, Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};
+pub use snapshot::{Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};
+pub use storage::Dir;

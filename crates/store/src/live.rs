@@ -130,15 +130,9 @@ impl LiveCheckpoint for LiveRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dir;
     use pitract_engine::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-live-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn live(n: i64) -> LiveRelation {
         let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
@@ -151,8 +145,7 @@ mod tests {
 
     #[test]
     fn checkpoint_then_recover_is_bit_identical() {
-        let dir = fresh_dir("roundtrip");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(60);
         lr.delete(10).unwrap().unwrap();
         lr.insert(vec![Value::Int(600), Value::str("pre")]).unwrap();
@@ -187,30 +180,27 @@ mod tests {
         ] {
             assert_eq!(recovered.matching_ids(&q), lr.matching_ids(&q), "{q:?}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn update_log_persists_as_its_own_catalog_entry() {
         use crate::snapshot::SnapshotKind;
-        let dir = fresh_dir("logkind");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(10);
         lr.insert(vec![Value::Int(77), Value::str("w")]).unwrap();
         lr.delete(3).unwrap().unwrap();
 
         let log = lr.pending_log();
         catalog.save("wal", &Snapshot::Log(log.clone())).unwrap();
-        assert_eq!(catalog.kind_of("wal").unwrap(), SnapshotKind::UpdateLog);
-        let loaded = catalog.load("wal").unwrap().into_log().unwrap();
+        let loaded = catalog.load("wal").unwrap();
+        assert_eq!(loaded.kind(), SnapshotKind::UpdateLog);
+        let loaded = loaded.into_log().unwrap();
         assert_eq!(loaded, log, "codec roundtrips the log exactly");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn recover_with_foreign_log_fails_typed() {
-        let dir = fresh_dir("foreignlog");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(10);
         lr.checkpoint(&catalog, "base").unwrap();
 
@@ -219,7 +209,6 @@ mod tests {
         other.delete(40).unwrap().unwrap();
         let err = LiveRelation::recover(&catalog, "base", &other.pending_log()).unwrap_err();
         assert!(matches!(err, StoreError::Engine(_)), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Recovery compacts the pending log before replaying: an
@@ -227,8 +216,7 @@ mod tests {
     /// recovered node is still bit-identical on answers and row ids.
     #[test]
     fn recover_compacts_churn_to_net_change() {
-        let dir = fresh_dir("compactrec");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(20);
         lr.checkpoint(&catalog, "base").unwrap();
         // Churn: 30 insert+delete pairs and 2 surviving updates.
@@ -268,18 +256,15 @@ mod tests {
         ] {
             assert_eq!(recovered.matching_ids(&q), lr.matching_ids(&q), "{q:?}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn failed_checkpoint_keeps_the_log() {
-        let dir = fresh_dir("failsave");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(5);
         lr.insert(vec![Value::Int(50), Value::str("kept")]).unwrap();
         let err = lr.checkpoint(&catalog, "../escape").unwrap_err();
         assert!(matches!(err, StoreError::InvalidName(_)), "{err}");
         assert_eq!(lr.pending_log().len(), 1, "nothing truncated on failure");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

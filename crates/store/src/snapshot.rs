@@ -1,4 +1,6 @@
-//! The versioned snapshot file format and its save/load entry points.
+//! The versioned snapshot file format: [`Snapshot::to_bytes`] and
+//! [`Snapshot::from_bytes`]. Files reach storage through
+//! [`crate::SnapshotCatalog`].
 //!
 //! # On-disk layout (format version 2)
 //!
@@ -64,7 +66,6 @@ use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{Columns, Schema};
 use std::fmt;
-use std::path::Path;
 
 /// The 8-byte magic tag opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PITRSNAP";
@@ -421,35 +422,6 @@ impl Snapshot {
             }
         }
     }
-
-    /// Write the snapshot to `path` atomically: the bytes go to a
-    /// temporary sibling first and are renamed into place, so a crash
-    /// mid-write can never leave a half-written file under the final
-    /// name.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        write_atomic(path.as_ref(), &self.to_bytes())
-    }
-
-    /// Read and parse a snapshot file.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path.as_ref())?;
-        Snapshot::from_bytes(&bytes)
-    }
-}
-
-/// Parse the structure kind from a snapshot's first bytes (at least 12)
-/// without reading or checksumming the rest of the file — the cheap path
-/// behind catalog listings.
-pub fn peek_kind(header: &[u8]) -> Result<SnapshotKind, StoreError> {
-    if header.len() < 12 {
-        return Err(StoreError::Truncated);
-    }
-    if header[..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let mut r = Reader::new(&header[8..12]);
-    readable(r.u16()?)?;
-    SnapshotKind::from_code(r.u16()?)
 }
 
 /// `version`, if this binary reads it: every version it ever wrote,
@@ -483,55 +455,6 @@ fn frame(kind: SnapshotKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let checksum = fnv1a64(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
-}
-
-/// Atomic file replacement: write to a uniquely named `.tmp` sibling,
-/// fsync it, rename over the destination (atomic on POSIX filesystems),
-/// then fsync the parent directory. Both fsyncs matter: without the
-/// file fsync the rename's metadata change can hit disk before the temp
-/// file's *data* does, and a power loss in that window would replace a
-/// good snapshot with a truncated one; without the [`fsync_dir`] the
-/// *directory entry* created by the rename can be lost, so a crash
-/// after "save returned Ok" could silently roll the file back to its
-/// previous version (or to nothing). The temp name carries the pid and
-/// a process-wide counter so concurrent saves of the same snapshot name
-/// write disjoint files and the last rename wins with a complete file —
-/// never an interleaving.
-///
-/// Public because `pitract-wal` reuses it for compacted segment
-/// replacement; the error type stays [`StoreError::Io`] for callers to
-/// wrap.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    use std::io::Write as _;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static WRITER_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = WRITER_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".{}-{seq}.tmp", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let cleanup = |e| {
-        let _ = std::fs::remove_file(&tmp);
-        StoreError::Io(e)
-    };
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes).map_err(cleanup)?;
-    f.sync_all().map_err(cleanup)?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(cleanup)?;
-    if let Some(dir) = path.parent() {
-        fsync_dir(dir)?;
-    }
-    Ok(())
-}
-
-/// Fsync a directory so a just-created, renamed, or removed entry in it
-/// is durable. A no-op-looking but load-bearing step on POSIX systems:
-/// file data reaches disk via the file's own fsync, while the *name*
-/// lives in the directory, which has its own write-back cache. Failures
-/// propagate — a durability layer that shrugs off a failed sync is
-/// lying about its contract.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Run `read` on a section reader and require it to consume the whole
@@ -886,10 +809,6 @@ mod tests {
         .to_bytes();
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.kind(), SnapshotKind::LiveCheckpoint);
-        assert_eq!(
-            peek_kind(&bytes[..12]).unwrap(),
-            SnapshotKind::LiveCheckpoint
-        );
         let (state, wal_lsn, epoch) = snap.into_checkpoint().unwrap();
         assert_eq!(wal_lsn, 123_456_789, "the mark travels with the state");
         assert_eq!(epoch, Epoch::new(777), "the cut epoch travels too");
@@ -970,10 +889,6 @@ mod tests {
                 Snapshot::from_bytes(&bumped),
                 Err(StoreError::VersionMismatch { found: f, expected: FORMAT_VERSION }) if f == found
             ));
-            assert!(matches!(
-                peek_kind(&bumped[..12]),
-                Err(StoreError::VersionMismatch { .. })
-            ));
         }
 
         // A flipped payload byte fails the checksum.
@@ -1020,27 +935,8 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_via_files() {
-        let dir = std::env::temp_dir().join(format!("pitract-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rel.snap");
-        let ir = IndexedRelation::build(&relation(30), &[0]).unwrap();
-        Snapshot::Indexed(ir).save(&path).unwrap();
-        let loaded = Snapshot::load(&path).unwrap().into_indexed().unwrap();
-        assert_eq!(loaded.len(), 30);
-        let stray_tmp = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .any(|e| e.path().extension().is_some_and(|x| x == "tmp"));
-        assert!(!stray_tmp, "temp file cleaned up by rename");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn missing_file_is_io() {
-        assert!(matches!(
-            Snapshot::load("/nonexistent/definitely/not/here.snap"),
-            Err(StoreError::Io(_))
-        ));
+        let catalog = crate::SnapshotCatalog::open(crate::Dir::memory()).unwrap();
+        assert!(matches!(catalog.load("here"), Err(StoreError::Io(_))));
     }
 }

@@ -1,0 +1,361 @@
+//! The one door to the disk: `pitract-store`, `pitract-wal` and
+//! `pitract-repl` reach storage only through a [`Dir`], a storage
+//! backend paired with a path. A path converts to a filesystem
+//! directory; [`Dir::memory`] is an in-memory volume (a location, as
+//! SQLite's `:memory:` is, not a setting) whose flush is a no-op: it
+//! does not model losing bytes that were never synced. A backend's
+//! rename and remove are durable on return (the filesystem backend
+//! fsyncs the parent directory, where the name lives), and the two
+//! durability recipes are written once over the trait:
+//! [`Dir::write_atomic`] and [`Dir::create_durable`].
+
+use std::collections::BTreeMap;
+use std::fmt;
+use std::fs;
+use std::io::{self, ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// An open file. Appends land at its end, also after a truncate.
+pub trait StorageFile: fmt::Debug + Send + Sync {
+    /// Append `bytes` at the end of the file.
+    fn append(&self, bytes: &[u8]) -> io::Result<()>;
+    /// Cut the file to `len` bytes.
+    fn truncate(&self, len: u64) -> io::Result<()>;
+    /// Flush the file's data to stable storage.
+    fn sync_data(&self) -> io::Result<()>;
+}
+
+/// A shared handle to an open file: a flush clones it under a lock and
+/// runs outside it.
+pub type FileHandle = Arc<dyn StorageFile>;
+
+/// Where bytes live. A missing file or directory is
+/// [`ErrorKind::NotFound`] on every backend.
+trait Storage: fmt::Debug + Send + Sync {
+    /// Create `dir` and its missing ancestors.
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
+    /// The entry names of `dir`, in no particular order.
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
+    /// The bytes of `path` from offset `from` to the end.
+    fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>>;
+    /// Create `path`, emptying any existing file, for appending.
+    fn create(&self, path: &Path) -> io::Result<FileHandle>;
+    /// Open the existing file `path` for appending.
+    fn open(&self, path: &Path) -> io::Result<FileHandle>;
+    /// Rename `from` over `to`; durable on return.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
+    /// Remove the file `path`; durable on return.
+    fn remove(&self, path: &Path) -> io::Result<()>;
+}
+
+/// A directory on a storage backend: what every constructor that
+/// persists something takes, as `impl Into<Dir>`. File names given to
+/// its methods are relative to it.
+#[derive(Debug, Clone)]
+pub struct Dir {
+    storage: Arc<dyn Storage>,
+    path: PathBuf,
+}
+
+impl Dir {
+    /// The root of a fresh, empty in-memory volume, shared by its clones
+    /// and [`Self::join`]s.
+    pub fn memory() -> Self {
+        let root = PathBuf::from("/");
+        let mem = Mem(Mutex::new(BTreeMap::from([(root.clone(), None)])));
+        Dir {
+            storage: Arc::new(mem),
+            path: root,
+        }
+    }
+
+    /// The directory's path on its backend.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The subdirectory `name`, on the same backend.
+    pub fn join(&self, name: impl AsRef<Path>) -> Self {
+        let path = self.path.join(name);
+        Dir {
+            path,
+            ..self.clone()
+        }
+    }
+
+    /// Create the directory and its missing ancestors.
+    pub fn create_dir_all(&self) -> io::Result<()> {
+        self.storage.create_dir_all(&self.path)
+    }
+
+    /// The directory's entry names, in no particular order.
+    pub fn list(&self) -> io::Result<Vec<String>> {
+        self.storage.list(&self.path)
+    }
+
+    /// The bytes of file `name` from offset `from` to the end.
+    pub fn read(&self, name: &str, from: u64) -> io::Result<Vec<u8>> {
+        self.storage.read(&self.path.join(name), from)
+    }
+
+    /// Open the existing file `name` for appending.
+    pub fn open(&self, name: &str) -> io::Result<FileHandle> {
+        self.storage.open(&self.path.join(name))
+    }
+
+    /// Remove file `name`; durable on return.
+    pub fn remove(&self, name: &str) -> io::Result<()> {
+        self.storage.remove(&self.path.join(name))
+    }
+
+    /// Atomic replace: write `bytes` to a `.tmp` sibling, flush it, and
+    /// rename it over `name`. Returns the path written. The flush comes
+    /// first, or the rename could reach the disk before the data and a
+    /// power loss would replace a good file with a truncated one. The
+    /// temp name carries the pid and a process-wide counter, so
+    /// concurrent writes of one name never interleave: the last rename
+    /// wins with a whole file. A failed write removes its temp file.
+    pub fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+        self.replace(name, bytes)?;
+        Ok(self.path.join(name))
+    }
+
+    /// Durable create: [`Self::write_atomic`] `header` as file `name`,
+    /// and return the written file, open for appending. A crash leaves
+    /// the file absent or whole, never torn at birth, and an error
+    /// leaves it absent: a rename whose directory sync failed has
+    /// already put the name in place, so it is removed again.
+    pub fn create_durable(&self, name: &str, header: &[u8]) -> io::Result<FileHandle> {
+        self.replace(name, header).inspect_err(|_| {
+            let _ = self.remove(name);
+        })
+    }
+
+    /// [`Self::write_atomic`]'s recipe, returning the handle that wrote
+    /// the file: it still names the file after the rename.
+    fn replace(&self, name: &str, bytes: &[u8]) -> io::Result<FileHandle> {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = format!("{name}.{}-{seq}.tmp", std::process::id());
+        let (staged, path) = (self.path.join(&tmp), self.path.join(name));
+        let written = self.storage.create(&staged).and_then(|file| {
+            file.append(bytes)?;
+            file.sync_data()?;
+            self.storage.rename(&staged, &path)?;
+            Ok(file)
+        });
+        if written.is_err() {
+            let _ = self.remove(&tmp);
+        }
+        written
+    }
+}
+
+/// A path names a directory on the filesystem. (A blanket impl over
+/// `Into<PathBuf>` would collide with `From<Dir> for Dir`.)
+macro_rules! on_the_filesystem {
+    ($($path:ty),*) => {$(
+        impl From<$path> for Dir {
+            fn from(path: $path) -> Self {
+                Dir { storage: Arc::new(Fs), path: PathBuf::from(path) }
+            }
+        }
+    )*};
+}
+on_the_filesystem!(PathBuf, &Path, &PathBuf, &str, String, &String);
+
+impl From<&Dir> for Dir {
+    fn from(dir: &Dir) -> Self {
+        dir.clone()
+    }
+}
+
+/// The filesystem. Files open with `O_APPEND`, so the write after a
+/// truncate lands at the new end with no seek.
+#[derive(Debug)]
+struct Fs;
+
+#[derive(Debug)]
+struct FsFile(fs::File);
+
+impl StorageFile for FsFile {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        (&self.0).write_all(bytes)
+    }
+
+    fn truncate(&self, len: u64) -> io::Result<()> {
+        self.0.set_len(len)
+    }
+
+    fn sync_data(&self) -> io::Result<()> {
+        self.0.sync_data()
+    }
+}
+
+/// Fsync the directory holding `path`.
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+impl Storage for Fs {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        fs::create_dir_all(dir)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        fs::read_dir(dir)?
+            .map(|entry| Ok(entry?.file_name().to_string_lossy().into_owned()))
+            .collect()
+    }
+
+    fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
+        let mut file = fs::File::open(path)?;
+        file.seek(SeekFrom::Start(from))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn create(&self, path: &Path) -> io::Result<FileHandle> {
+        drop(fs::File::create(path)?);
+        self.open(path)
+    }
+
+    fn open(&self, path: &Path) -> io::Result<FileHandle> {
+        let file = fs::OpenOptions::new().append(true).open(path)?;
+        Ok(Arc::new(FsFile(file)))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)?;
+        sync_parent(to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        fs::remove_file(path)?;
+        sync_parent(path)
+    }
+}
+
+/// The in-memory volume: path → `None` for a directory, the file
+/// otherwise. An append holds its file's mutex, so a reader never sees
+/// half of one.
+struct Mem(Mutex<Entries>);
+
+type Entries = BTreeMap<PathBuf, Option<Arc<MemFile>>>;
+
+#[derive(Debug, Default)]
+struct MemFile(Mutex<Vec<u8>>);
+
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn not_found(path: &Path) -> io::Error {
+    let message = format!("{} not found", path.display());
+    io::Error::new(ErrorKind::NotFound, message)
+}
+
+/// The file at `path`.
+fn file(entries: &Entries, path: &Path) -> io::Result<Arc<MemFile>> {
+    entries
+        .get(path)
+        .cloned()
+        .flatten()
+        .ok_or_else(|| not_found(path))
+}
+
+/// Fail unless `path` can be a file: in a directory, not one itself.
+fn file_slot(entries: &Entries, path: &Path) -> io::Result<()> {
+    let is_dir = |dir: &Path| matches!(entries.get(dir), Some(None));
+    match path.parent() {
+        Some(parent) if is_dir(parent) && !is_dir(path) => Ok(()),
+        _ => Err(not_found(path)),
+    }
+}
+
+impl fmt::Debug for Mem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Mem")
+    }
+}
+
+impl StorageFile for MemFile {
+    fn append(&self, bytes: &[u8]) -> io::Result<()> {
+        locked(&self.0).extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn truncate(&self, len: u64) -> io::Result<()> {
+        locked(&self.0).resize(len as usize, 0);
+        Ok(())
+    }
+
+    fn sync_data(&self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Storage for Mem {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        let mut entries = locked(&self.0);
+        let blocked = dir
+            .ancestors()
+            .any(|d| matches!(entries.get(d), Some(Some(_))));
+        if blocked {
+            return Err(ErrorKind::AlreadyExists.into());
+        }
+        for dir in dir.ancestors() {
+            entries.entry(dir.to_path_buf()).or_insert(None);
+        }
+        Ok(())
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        let entries = locked(&self.0);
+        if !matches!(entries.get(dir), Some(None)) {
+            return Err(not_found(dir));
+        }
+        let children = entries.keys().filter(|path| path.parent() == Some(dir));
+        let names = children.filter_map(|path| path.file_name()?.to_str());
+        Ok(names.map(str::to_owned).collect())
+    }
+
+    fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
+        let file = file(&locked(&self.0), path)?;
+        let bytes = locked(&file.0);
+        Ok(bytes[(from as usize).min(bytes.len())..].to_vec())
+    }
+
+    fn create(&self, path: &Path) -> io::Result<FileHandle> {
+        let mut entries = locked(&self.0);
+        file_slot(&entries, path)?;
+        let slot = entries.entry(path.to_path_buf()).or_default();
+        let file = Arc::clone(slot.get_or_insert_default());
+        locked(&file.0).clear();
+        Ok(file)
+    }
+
+    fn open(&self, path: &Path) -> io::Result<FileHandle> {
+        Ok(file(&locked(&self.0), path)?)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut entries = locked(&self.0);
+        let file = file(&entries, from)?;
+        file_slot(&entries, to)?;
+        entries.remove(from);
+        entries.insert(to.to_path_buf(), Some(file));
+        Ok(())
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        let mut entries = locked(&self.0);
+        file(&entries, path)?;
+        entries.remove(path);
+        Ok(())
+    }
+}

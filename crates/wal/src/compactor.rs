@@ -19,8 +19,8 @@
 //! Survivors keep their original LSNs — segments carry explicit
 //! per-record sequence numbers precisely so compaction can remove
 //! records without renumbering — and each segment is replaced atomically
-//! ([`pitract_store::write_atomic`]: temp + fsync + rename + directory
-//! fsync). The same-segment restriction on pair cancellation is what
+//! ([`pitract_store::Dir::write_atomic`]: temp + flush + durable rename),
+//! or removed durably when nothing in it survives. The same-segment restriction on pair cancellation is what
 //! makes the *whole pass* crash-safe, not just each file: every drop
 //! decision commits or vanishes with exactly one segment's rename, so a
 //! crash at any instant leaves a mix of old and new segments that still
@@ -31,12 +31,10 @@
 //! the per-segment-safe covered-records rule.
 
 use crate::error::WalError;
-use crate::segment::{encode_record, scan_dir, segment_header, ScannedSegment};
+use crate::segment::{decode_entry, encode_record, scan_dir, segment_header, ScannedSegment};
 use pitract_engine::UpdateEntry;
-use pitract_store::codec::Reader as CodecReader;
-use pitract_store::{fsync_dir, write_atomic};
+use pitract_store::Dir;
 use std::collections::HashMap;
-use std::path::Path;
 
 /// What one compaction pass did, for operators and benchmarks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -85,11 +83,6 @@ impl Compactor {
         }
     }
 
-    /// The checkpoint mark this compactor honors.
-    pub fn mark(&self) -> u64 {
-        self.mark
-    }
-
     /// Honor a replication retention watermark: every closed segment
     /// containing a record with `lsn >= watermark` is excluded from the
     /// pass entirely (its inserts still count as gid-watermark carriers,
@@ -102,17 +95,13 @@ impl Compactor {
         self
     }
 
-    /// The retention watermark this compactor honors, if any.
-    pub fn retention(&self) -> Option<u64> {
-        self.retention
-    }
-
     /// Compact every closed segment of `dir`. Closed segments must scan
     /// strictly (a tear there is damage, not a crash residue), and every
     /// payload must decode — the compactor refuses to rewrite a log it
     /// cannot fully interpret.
-    pub fn compact_dir(&self, dir: &Path) -> Result<CompactionReport, WalError> {
-        let scan = scan_dir(dir)?;
+    pub fn compact_dir(&self, dir: impl Into<Dir>) -> Result<CompactionReport, WalError> {
+        let dir = dir.into();
+        let scan = scan_dir(&dir)?;
         let mut report = CompactionReport::default();
         // All but the newest segment are closed. (With 0 or 1 segments
         // there is nothing to do.)
@@ -142,15 +131,9 @@ impl Compactor {
         // segment must be recognized as matched, and kept).
         let mut decoded: Vec<Vec<(u64, UpdateEntry, &[u8])>> = Vec::with_capacity(closed.len());
         for seg in &closed {
-            let name = seg.path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
             let mut entries = Vec::with_capacity(seg.records.len());
             for (lsn, payload) in &seg.records {
-                let mut r = CodecReader::new(payload);
-                let entry = r.update_entry().map_err(|e| WalError::Corrupt {
-                    segment: name.to_string(),
-                    offset: 0,
-                    reason: format!("record {lsn} payload does not decode: {e}"),
-                })?;
+                let entry = decode_entry(&seg.name, 0, *lsn, payload)?;
                 entries.push((*lsn, entry, payload.as_slice()));
             }
             decoded.push(entries);
@@ -262,8 +245,7 @@ impl Compactor {
                 continue; // nothing dropped: leave the file untouched
             }
             if survivors.is_empty() {
-                std::fs::remove_file(&seg.path)?;
-                fsync_dir(dir)?;
+                dir.remove(&seg.name)?;
                 report.segments_removed += 1;
                 continue;
             }
@@ -272,7 +254,7 @@ impl Compactor {
                 bytes.extend_from_slice(&encode_record(*lsn, payload));
             }
             report.bytes_after += bytes.len() as u64;
-            write_atomic(&seg.path, &bytes)?;
+            dir.write_atomic(&seg.name, &bytes)?;
             report.segments_rewritten += 1;
         }
         Ok(report)
@@ -283,20 +265,9 @@ impl Compactor {
 /// compaction never touches, whose inserts therefore always survive as
 /// watermark carriers).
 fn active_insert_watermark(active: &ScannedSegment) -> Result<Option<usize>, WalError> {
-    let name = active
-        .path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("?");
     let mut max = None;
     for (lsn, payload) in &active.records {
-        let mut r = CodecReader::new(payload);
-        let entry = r.update_entry().map_err(|e| WalError::Corrupt {
-            segment: name.to_string(),
-            offset: 0,
-            reason: format!("record {lsn} payload does not decode: {e}"),
-        })?;
-        if let UpdateEntry::Insert { gid, .. } = entry {
+        if let UpdateEntry::Insert { gid, .. } = decode_entry(&active.name, 0, *lsn, payload)? {
             max = max.max(Some(gid));
         }
     }
@@ -309,15 +280,8 @@ mod tests {
     use crate::reader::WalReader;
     use crate::writer::{SyncPolicy, WalConfig, WalWriter};
     use pitract_relation::Value;
-    use std::path::PathBuf;
 
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walc-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn tiny_wal(dir: &Path) -> WalWriter {
+    fn tiny_wal(dir: &Dir) -> WalWriter {
         WalWriter::open(
             dir,
             WalConfig {
@@ -338,7 +302,7 @@ mod tests {
 
     #[test]
     fn drops_covered_records_and_cancelled_pairs_but_keeps_the_rest() {
-        let dir = fresh_dir("rules");
+        let dir = Dir::memory();
         // One roomy segment, closed at the end: the pair's halves share
         // it, so cancellation is in play.
         let wal = WalWriter::open(
@@ -386,12 +350,11 @@ mod tests {
         drop(wal);
         let wal = tiny_wal(&dir);
         assert_eq!(wal.next_lsn(), 8);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn cross_segment_pairs_survive_for_crash_atomicity() {
-        let dir = fresh_dir("crossseg");
+        let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         // Insert in one segment, delete it two rotations later. Dropping
         // the pair would touch two files, and the pass is only atomic
@@ -425,12 +388,11 @@ mod tests {
         // Once a checkpoint covers the pair, it goes (per-segment-safe).
         Compactor::new(5).compact_dir(&dir).unwrap();
         assert!(WalReader::open(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn trailing_pair_is_kept_as_the_allocator_watermark() {
-        let dir = fresh_dir("watermark");
+        let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -468,12 +430,11 @@ mod tests {
             vec![insert(10)],
             "active insert carries the watermark"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn active_segment_and_its_pairs_are_left_alone() {
-        let dir = fresh_dir("active");
+        let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         wal.append_entry(&insert(7)).unwrap();
         wal.rotate_now().unwrap();
@@ -483,12 +444,11 @@ mod tests {
         Compactor::new(0).compact_dir(&dir).unwrap();
         let reader = WalReader::open(&dir).unwrap();
         assert_eq!(reader.len(), 2, "nothing was dropped");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn fully_covered_segments_are_removed() {
-        let dir = fresh_dir("removed");
+        let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..20 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -501,12 +461,11 @@ mod tests {
         let reader = WalReader::open(&dir).unwrap();
         assert!(reader.is_empty());
         assert_eq!(reader.next_lsn(), 20, "the active segment keeps the base");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn retention_watermark_shields_segments_a_follower_still_needs() {
-        let dir = fresh_dir("retention");
+        let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..12 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -514,14 +473,14 @@ mod tests {
         wal.rotate_now().unwrap();
         // Remember every closed segment's bytes before the pass.
         let before = crate::segment::scan_dir(&dir).unwrap();
-        let snapshot: Vec<(PathBuf, Vec<u64>, Vec<u8>)> = before
+        let snapshot: Vec<(String, Vec<u64>, Vec<u8>)> = before
             .segments
             .iter()
             .map(|s| {
                 (
-                    s.path.clone(),
+                    s.name.clone(),
                     s.records.iter().map(|(l, _)| *l).collect(),
-                    std::fs::read(&s.path).unwrap(),
+                    dir.read(&s.name, 0).unwrap(),
                 )
             })
             .collect();
@@ -532,19 +491,19 @@ mod tests {
             .with_retention(Some(5))
             .compact_dir(&dir)
             .unwrap();
-        for (path, lsns, bytes) in &snapshot {
+        for (name, lsns, bytes) in &snapshot {
             let needed = lsns.iter().any(|l| *l >= 5);
-            let closed = *path != snapshot.last().unwrap().0;
+            let closed = *name != snapshot.last().unwrap().0;
             if needed {
                 assert_eq!(
-                    &std::fs::read(path).unwrap(),
+                    &dir.read(name, 0).unwrap(),
                     bytes,
-                    "{path:?} mutated under retention"
+                    "{name} mutated under retention"
                 );
             } else if closed {
                 assert!(
-                    !path.exists(),
-                    "{path:?} is fully covered and below retention"
+                    dir.read(name, 0).is_err(),
+                    "{name} is fully covered and below retention"
                 );
             }
         }
@@ -565,12 +524,11 @@ mod tests {
         // drops the rest.
         Compactor::new(12).compact_dir(&dir).unwrap();
         assert!(WalReader::open(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_is_idempotent() {
-        let dir = fresh_dir("idem");
+        let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..10 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -586,6 +544,5 @@ mod tests {
         assert_eq!(after_first, after_second);
         assert_eq!(second.records_before, first.records_after);
         assert_eq!(second.segments_rewritten, 0, "second pass rewrites nothing");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -38,7 +38,7 @@ use pitract_core::epoch::Epoch;
 use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry, WalSink};
 use pitract_relation::SelectionQuery;
-use pitract_store::{Recovered, Snapshot, SnapshotCatalog};
+use pitract_store::{Dir, Recovered, Snapshot, SnapshotCatalog};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,7 +124,7 @@ impl DurableLiveRelation {
         mut live: LiveRelation,
         catalog: &SnapshotCatalog,
         name: &str,
-        wal_dir: impl Into<PathBuf>,
+        wal_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
         let pending = live.pending_log().len();
@@ -171,7 +171,7 @@ impl DurableLiveRelation {
     pub fn recover(
         catalog: &SnapshotCatalog,
         name: &str,
-        wal_dir: impl Into<PathBuf>,
+        wal_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
         let (mut live, wal, mark, cut, tail, replayed) =
@@ -211,9 +211,9 @@ impl DurableLiveRelation {
         &self.wal
     }
 
-    /// The WAL directory.
+    /// The WAL directory's path.
     pub fn wal_dir(&self) -> &Path {
-        self.wal.dir()
+        self.wal.dir().path()
     }
 
     /// The latest confirmed checkpoint mark.
@@ -316,7 +316,7 @@ impl DurableLiveRelation {
 pub fn recover_live(
     catalog: &SnapshotCatalog,
     name: &str,
-    dir: impl Into<PathBuf>,
+    dir: impl Into<Dir>,
     config: WalConfig,
 ) -> Result<(LiveRelation, WalWriter, u64, Epoch, usize, usize), WalError> {
     let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
@@ -394,13 +394,6 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-wald-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -431,9 +424,8 @@ mod tests {
 
     #[test]
     fn create_write_crash_recover_is_bit_identical() {
-        let root = fresh_dir("roundtrip");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(40), &catalog, "node", &wal_dir, config()).unwrap();
         let g = node
@@ -456,14 +448,12 @@ mod tests {
         }
         assert!(recovered.answer(&SelectionQuery::point(0, 501i64)));
         assert!(!recovered.answer(&SelectionQuery::point(0, 500i64)));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn checkpoint_marks_advance_and_recovery_replays_only_the_tail() {
-        let root = fresh_dir("marks");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
         for i in 0..20i64 {
@@ -494,14 +484,12 @@ mod tests {
         let again = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
         assert!(again.answer(&SelectionQuery::point(0, 999i64)));
         assert_eq!(again.len(), 36);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn compaction_after_checkpoint_never_changes_recovered_state() {
-        let root = fresh_dir("compact");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(8), &catalog, "node", &wal_dir, config()).unwrap();
         // Churn: lots of insert+delete pairs, few survivors.
@@ -539,15 +527,13 @@ mod tests {
         ] {
             assert_eq!(before.matching_ids(&q), after.matching_ids(&q), "{q:?}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn apply_batch_commits_once_is_durable_and_recovers() {
         use pitract_engine::{Applied, UpdateOp};
-        let root = fresh_dir("batchapply");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(20), &catalog, "node", &wal_dir, config()).unwrap();
         let applied = node
@@ -570,16 +556,14 @@ mod tests {
         for (gid, expect) in expected.iter().enumerate() {
             assert_eq!(&recovered.row(gid), expect, "gid {gid}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn pooled_executor_serves_a_durable_node() {
         use pitract_engine::{PoolConfig, PooledExecutor, QueryBatch};
-        let root = fresh_dir("pooled");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let node = Arc::new(
-            DurableLiveRelation::create(live(100), &catalog, "node", root.join("wal"), config())
+            DurableLiveRelation::create(live(100), &catalog, "node", Dir::memory(), config())
                 .unwrap(),
         );
         let exec = PooledExecutor::new(
@@ -610,32 +594,28 @@ mod tests {
         for (k, ids) in rows.rows.iter().enumerate() {
             assert_eq!(ids, &vec![k * 3], "gid of key {}", k * 3);
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn create_refuses_a_relation_with_pending_updates() {
-        let root = fresh_dir("pending");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let lr = live(5);
         lr.insert(vec![Value::Int(99), Value::str("unlogged")])
             .unwrap();
-        let err = DurableLiveRelation::create(lr, &catalog, "node", root.join("wal"), config())
-            .unwrap_err();
+        let err =
+            DurableLiveRelation::create(lr, &catalog, "node", Dir::memory(), config()).unwrap_err();
         assert!(
             matches!(err, WalError::PendingUpdates { count: 1 }),
             "{err}"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// One recorder threaded through the whole durable stack: WAL,
     /// engine, and MVCC series all land in a single snapshot.
     #[test]
     fn observed_stack_publishes_wal_engine_and_mvcc_series() {
-        let root = fresh_dir("observed");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let recorder = Recorder::new();
         let node =
             DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, observed(&recorder))
@@ -679,7 +659,6 @@ mod tests {
             None,
             "clean shutdown"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Recovery scans the log once for both the writer and the reader,
@@ -687,9 +666,8 @@ mod tests {
     /// truncation. `create` also replaces whatever recorder `live` held.
     #[test]
     fn recovery_reports_a_torn_tail_exactly_once() {
-        let root = fresh_dir("torn-once");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let stale = Recorder::new();
         let mut lr = live(10);
         lr.set_recorder(&stale);
@@ -704,13 +682,11 @@ mod tests {
 
         // A crash mid-append leaves half a frame at the tail.
         let tear = || {
-            use std::io::Write as _;
             let seg = crate::segment::scan_dir(&wal_dir).unwrap().segments;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&seg.last().unwrap().path)
-                .unwrap();
-            f.write_all(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
+            wal_dir
+                .open(&seg.last().unwrap().name)
+                .unwrap()
+                .append(&[64, 0, 0, 0, 0xAB, 0xAB, 0xAB, 0xAB, 0xAB])
                 .unwrap();
         };
         tear();
@@ -742,14 +718,12 @@ mod tests {
             .filter(|e| e.name == "wal_torn_tail_truncated")
             .count();
         assert_eq!(torn_events, 1);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn concurrent_writers_recover_consistently() {
-        let root = fresh_dir("race");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(0), &catalog, "node", &wal_dir, config()).unwrap();
         std::thread::scope(|scope| {
@@ -773,6 +747,5 @@ mod tests {
         for (gid, expect) in expected.iter().enumerate() {
             assert_eq!(&recovered.row(gid), expect, "gid {gid}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -43,7 +43,7 @@
 //! ```
 //! use pitract_engine::{LiveRelation, ShardBy};
 //! use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-//! use pitract_store::SnapshotCatalog;
+//! use pitract_store::{Dir, SnapshotCatalog};
 //! use pitract_wal::{DurableLiveRelation, WalConfig};
 //!
 //! let schema = Schema::new(&[("id", ColType::Int)]);
@@ -51,7 +51,8 @@
 //! let relation = Relation::from_rows(schema, rows).unwrap();
 //! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
-//! let root = std::env::temp_dir().join(format!("pitract-wal-doc-{}", std::process::id()));
+//! // An in-memory volume; a path (`Dir::from("/var/lib/node")`) puts it on disk.
+//! let root = Dir::memory();
 //! let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
 //!
 //! // Go durable: bootstrap checkpoint + write-ahead log.
@@ -68,7 +69,6 @@
 //! ).unwrap();
 //! assert!(recovered.answer(&SelectionQuery::point(0, 5_000i64)));
 //! assert!(recovered.row(3).is_none());
-//! # std::fs::remove_dir_all(&root).unwrap();
 //! ```
 
 #![warn(missing_docs)]

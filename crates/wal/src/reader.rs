@@ -1,11 +1,10 @@
 //! The recovery side: total, typed reading of a WAL directory.
 
 use crate::error::WalError;
-use crate::segment::{scan_dir, DirScan};
+use crate::segment::{decode_entry, scan_dir, DirScan};
 use pitract_engine::{UpdateEntry, UpdateLog};
 use pitract_obs::Recorder;
-use pitract_store::codec::Reader as CodecReader;
-use std::path::Path;
+use pitract_store::Dir;
 
 /// One recovered record: its log sequence number and decoded entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,13 +28,12 @@ pub struct WalReader {
     records: Vec<WalRecord>,
     next_lsn: u64,
     torn_bytes: u64,
-    segment_count: usize,
 }
 
 impl WalReader {
     /// Scan and decode `dir`. A missing directory reads as an empty log.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, WalError> {
-        Self::from_scan(&scan_dir(dir.as_ref())?)
+    pub fn open(dir: impl Into<Dir>) -> Result<Self, WalError> {
+        Self::from_scan(&scan_dir(&dir.into())?)
     }
 
     /// Decode an already-performed directory scan (e.g. the one
@@ -44,21 +42,8 @@ impl WalReader {
     pub fn from_scan(scan: &DirScan) -> Result<Self, WalError> {
         let mut records = Vec::new();
         for seg in &scan.segments {
-            let name = seg.path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
             for (lsn, payload) in &seg.records {
-                let mut r = CodecReader::new(payload);
-                let entry = r.update_entry().map_err(|e| WalError::Corrupt {
-                    segment: name.to_string(),
-                    offset: 0,
-                    reason: format!("record {lsn} payload does not decode: {e}"),
-                })?;
-                if !r.is_exhausted() {
-                    return Err(WalError::Corrupt {
-                        segment: name.to_string(),
-                        offset: 0,
-                        reason: format!("record {lsn} has trailing payload bytes"),
-                    });
-                }
+                let entry = decode_entry(&seg.name, 0, *lsn, payload)?;
                 records.push(WalRecord { lsn: *lsn, entry });
             }
         }
@@ -66,7 +51,6 @@ impl WalReader {
             records,
             next_lsn: scan.next_lsn,
             torn_bytes: scan.torn_bytes,
-            segment_count: scan.segments.len(),
         })
     }
 
@@ -123,11 +107,6 @@ impl WalReader {
         self.torn_bytes
     }
 
-    /// Number of segment files scanned.
-    pub fn segment_count(&self) -> usize {
-        self.segment_count
-    }
-
     /// The replayable log of every record at or after `from_lsn` — what
     /// recovery applies on top of the checkpoint that covers everything
     /// below `from_lsn`.
@@ -147,17 +126,10 @@ mod tests {
     use super::*;
     use crate::writer::{WalConfig, WalWriter};
     use pitract_relation::Value;
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walr-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn reads_back_what_the_writer_appended_across_segments() {
-        let dir = fresh_dir("roundtrip");
+        let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -185,34 +157,32 @@ mod tests {
         assert_eq!(reader.records(), expected.as_slice());
         assert_eq!(reader.next_lsn(), 25);
         assert_eq!(reader.torn_bytes(), 0);
-        assert!(reader.segment_count() > 1, "rotation happened");
+        let segments = crate::segment::scan_dir(&dir).unwrap().segments;
+        assert!(segments.len() > 1, "rotation happened");
         // Tail extraction respects the mark.
         assert_eq!(reader.tail_log(0).len(), 25);
         assert_eq!(reader.tail_log(20).len(), 5);
         assert_eq!(reader.tail_log(25).len(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn garbage_payload_is_corrupt_not_a_panic() {
         use crate::segment::{encode_record, segment_file_name, segment_header};
-        let dir = fresh_dir("garbage");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Dir::memory();
         // A perfectly framed record whose payload is not an UpdateEntry.
         let mut bytes = segment_header(0);
         bytes.extend_from_slice(&encode_record(0, &[9, 9, 9, 9]));
-        std::fs::write(dir.join(segment_file_name(0)), bytes).unwrap();
+        dir.write_atomic(&segment_file_name(0), &bytes).unwrap();
         let err = WalReader::open(&dir).unwrap_err();
         assert!(
             matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("decode")),
             "{err}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_dir_is_an_empty_log() {
-        let reader = WalReader::open("/nonexistent/definitely/not/here").unwrap();
+        let reader = WalReader::open(Dir::memory().join("not-here")).unwrap();
         assert!(reader.is_empty());
         assert_eq!(reader.next_lsn(), 0);
     }
@@ -223,8 +193,7 @@ mod tests {
     /// silently.
     #[test]
     fn torn_tail_truncation_emits_event_and_counters() {
-        use std::fs::OpenOptions;
-        let dir = fresh_dir("torn-observed");
+        let dir = Dir::memory();
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..5 {
             wal.append_entry(&UpdateEntry::Insert {
@@ -240,12 +209,11 @@ mod tests {
             .unwrap()
             .segments
             .pop()
+            .unwrap();
+        dir.open(&seg.name)
             .unwrap()
-            .path;
-        let len = std::fs::metadata(&seg).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
+            .truncate(seg.file_len - 7)
+            .unwrap();
 
         let recorder = pitract_obs::Recorder::new();
         let reader = WalReader::open(&dir).unwrap();
@@ -274,6 +242,5 @@ mod tests {
             clean.snapshot().counter("wal_recovery_truncations_total"),
             None
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

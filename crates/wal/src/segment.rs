@@ -60,7 +60,9 @@
 
 use crate::error::WalError;
 use pitract_core::hash::fnv1a64;
-use std::path::{Path, PathBuf};
+use pitract_engine::UpdateEntry;
+use pitract_store::codec::Reader as CodecReader;
+use pitract_store::Dir;
 
 /// The 8-byte magic tag opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"PITRWSEG";
@@ -134,6 +136,30 @@ pub fn encode_record(lsn: u64, payload: &[u8]) -> Vec<u8> {
     let checksum = fnv1a64(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
+}
+
+/// Decode the payload of record `lsn` — the one place a payload is
+/// read as an [`UpdateEntry`]. A payload that does not decode, or has
+/// bytes left over, is [`WalError::Corrupt`] at `offset` of `segment`.
+pub fn decode_entry(
+    segment: &str,
+    offset: u64,
+    lsn: u64,
+    payload: &[u8],
+) -> Result<UpdateEntry, WalError> {
+    let corrupt = |reason| WalError::Corrupt {
+        segment: segment.to_string(),
+        offset,
+        reason,
+    };
+    let mut r = CodecReader::new(payload);
+    let entry = r
+        .update_entry()
+        .map_err(|e| corrupt(format!("record {lsn} payload does not decode: {e}")))?;
+    if !r.is_exhausted() {
+        return Err(corrupt(format!("record {lsn} has trailing payload bytes")));
+    }
+    Ok(entry)
 }
 
 /// One validated record frame, borrowed from the scanned bytes.
@@ -317,8 +343,8 @@ pub fn scan_segment<'a>(
 /// One segment file of a directory scan, with its validated contents.
 #[derive(Debug)]
 pub struct ScannedSegment {
-    /// Path of the segment file.
-    pub path: PathBuf,
+    /// File name of the segment within its directory.
+    pub name: String,
     /// Base LSN (from header and file name, verified equal).
     pub base_lsn: u64,
     /// `(lsn, payload)` of every valid record, in order.
@@ -349,21 +375,16 @@ impl DirScan {
     }
 }
 
-/// The segment files of a WAL directory as `(base LSN, path)`, ascending
-/// by base — so the last entry is the active segment, and segment `i`
-/// holds LSNs in `[base_i, base_{i+1})`. Foreign files are skipped.
-pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(base) = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .and_then(parse_segment_file_name)
-        {
-            files.push((base, path));
-        }
-    }
+/// The segment files of a WAL directory as `(base LSN, file name)`,
+/// ascending by base — so the last entry is the active segment, and
+/// segment `i` holds LSNs in `[base_i, base_{i+1})`. Foreign files are
+/// skipped.
+pub fn list_segments(dir: &Dir) -> std::io::Result<Vec<(u64, String)>> {
+    let mut files: Vec<(u64, String)> = dir
+        .list()?
+        .into_iter()
+        .filter_map(|name| Some((parse_segment_file_name(&name)?, name)))
+        .collect();
     files.sort();
     Ok(files)
 }
@@ -372,7 +393,7 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// cross-segment LSN monotonicity. Foreign files (wrong extension, wrong
 /// name shape, leftover `.tmp` from an interrupted compaction) are
 /// ignored. A missing directory scans as empty.
-pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
+pub fn scan_dir(dir: &Dir) -> Result<DirScan, WalError> {
     let files = match list_segments(dir) {
         Ok(files) => files,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -383,18 +404,17 @@ pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
     let mut next_lsn = 0u64;
     let mut torn_bytes = 0u64;
     let count = files.len();
-    for (i, (base, path)) in files.into_iter().enumerate() {
+    for (i, (base, name)) in files.into_iter().enumerate() {
         let last = i + 1 == count;
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
         if base < next_lsn {
             return Err(WalError::Corrupt {
-                segment: name.to_string(),
+                segment: name,
                 offset: 0,
                 reason: format!("segment base {base} overlaps the previous segment's records"),
             });
         }
-        let bytes = std::fs::read(&path)?;
-        let scan = scan_segment(&bytes, base, last, name)?;
+        let bytes = dir.read(&name, 0)?;
+        let scan = scan_segment(&bytes, base, last, &name)?;
         next_lsn = scan
             .frames
             .last()
@@ -405,7 +425,7 @@ pub fn scan_dir(dir: &Path) -> Result<DirScan, WalError> {
             torn_bytes = scan.torn_bytes;
         }
         segments.push(ScannedSegment {
-            path,
+            name,
             base_lsn: base,
             records: scan
                 .frames
@@ -623,17 +643,12 @@ mod tests {
 
     #[test]
     fn dir_scan_orders_segments_and_ignores_foreign_files() {
-        let dir = std::env::temp_dir().join(format!("pitract-walseg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join(segment_file_name(0)),
-            segment_bytes(0, &[b"a", b"b"]),
-        )
-        .unwrap();
-        std::fs::write(dir.join(segment_file_name(2)), segment_bytes(2, &[b"c"])).unwrap();
-        std::fs::write(dir.join("notes.txt"), b"not a segment").unwrap();
-        std::fs::write(dir.join("0.seg.tmp"), b"crashed compactor").unwrap();
+        let dir = Dir::memory();
+        let write = |name: &str, bytes: &[u8]| dir.write_atomic(name, bytes).unwrap();
+        write(&segment_file_name(0), &segment_bytes(0, &[b"a", b"b"]));
+        write(&segment_file_name(2), &segment_bytes(2, &[b"c"]));
+        write("notes.txt", b"not a segment");
+        write("0.seg.tmp", b"crashed compactor");
         let scan = scan_dir(&dir).unwrap();
         assert_eq!(scan.segments.len(), 2);
         assert_eq!(scan.next_lsn, 3);
@@ -641,15 +656,81 @@ mod tests {
         let lsns: Vec<u64> = scan.records().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![0, 1, 2]);
         // Overlapping bases across files are corrupt.
-        std::fs::write(dir.join(segment_file_name(1)), segment_bytes(1, &[b"x"])).unwrap();
+        write(&segment_file_name(1), &segment_bytes(1, &[b"x"]));
         assert!(matches!(scan_dir(&dir), Err(WalError::Corrupt { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn missing_dir_scans_empty() {
-        let scan = scan_dir(Path::new("/nonexistent/definitely/not/here")).unwrap();
+        let scan = scan_dir(&Dir::memory().join("not-here")).unwrap();
         assert!(scan.segments.is_empty());
         assert_eq!(scan.next_lsn, 0);
+    }
+
+    /// The storage conformance body: what a caller observes through a
+    /// [`Dir`] is the same on both backends.
+    fn conforms(root: Dir) {
+        use std::io::ErrorKind::NotFound;
+        let missing = root.join("missing");
+        assert_eq!(missing.list().unwrap_err().kind(), NotFound);
+        assert_eq!(list_segments(&missing).unwrap_err().kind(), NotFound);
+        assert_eq!(root.read("absent", 0).unwrap_err().kind(), NotFound);
+        assert_eq!(root.open("absent").unwrap_err().kind(), NotFound);
+        let orphan = missing.write_atomic("file", b"x").unwrap_err();
+        assert_eq!(orphan.kind(), NotFound);
+
+        let dir = root.join("a").join("b");
+        dir.create_dir_all().unwrap();
+        dir.create_dir_all().unwrap();
+        assert!(dir.list().unwrap().is_empty());
+
+        // A read from an offset returns the suffix; past the end, nothing.
+        let seg = segment_file_name(0);
+        dir.write_atomic(&seg, b"0123456789").unwrap();
+        assert_eq!(dir.read(&seg, 0).unwrap(), b"0123456789");
+        assert_eq!(dir.read(&seg, 7).unwrap(), b"789");
+        assert!(dir.read(&seg, 99).unwrap().is_empty());
+
+        // After a truncate, the next append lands at the cut.
+        let file = dir.open(&seg).unwrap();
+        file.truncate(4).unwrap();
+        file.append(b"xy").unwrap();
+        file.sync_data().unwrap();
+        assert_eq!(dir.read(&seg, 0).unwrap(), b"0123xy");
+
+        // The rename of an atomic write replaces an existing file; the
+        // open handle keeps the file it had.
+        dir.write_atomic(&seg, b"replacement").unwrap();
+        assert_eq!(dir.read(&seg, 0).unwrap(), b"replacement");
+        file.append(b"z").unwrap();
+        assert_eq!(dir.read(&seg, 0).unwrap(), b"replacement");
+        let next = segment_file_name(5);
+        let created = dir.create_durable(&next, b"HDR").unwrap();
+        created.append(b"+rec").unwrap();
+        assert_eq!(dir.read(&next, 0).unwrap(), b"HDR+rec");
+
+        // `list` returns foreign names, and `list_segments` skips them.
+        dir.join("sub").create_dir_all().unwrap();
+        let mut names = dir.list().unwrap();
+        names.sort();
+        assert_eq!(names, [seg.as_str(), next.as_str(), "sub"]);
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments, [(0, seg.clone()), (5, next.clone())]);
+
+        // `remove` takes one away; a second finds nothing.
+        dir.remove(&seg).unwrap();
+        let mut names = dir.list().unwrap();
+        names.sort();
+        assert_eq!(names, [next.as_str(), "sub"]);
+        assert_eq!(dir.remove(&seg).unwrap_err().kind(), NotFound);
+    }
+
+    #[test]
+    fn storage_backends_conform() {
+        conforms(Dir::memory());
+        let tmp = std::env::temp_dir().join(format!("pitract-storage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        conforms(Dir::from(&tmp));
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 }

@@ -8,10 +8,8 @@ use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedMutexGuard};
 use pitract_engine::UpdateEntry;
 use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_store::codec::Writer as CodecWriter;
-use pitract_store::fsync_dir;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use pitract_store::storage::FileHandle;
+use pitract_store::Dir;
 use std::time::Instant;
 
 /// Interned metric handles for the append side. Default (no-op) handles
@@ -46,7 +44,7 @@ impl WalInstruments {
     }
 
     /// Time one data flush into the fsync histogram.
-    fn timed_sync(&self, file: &File) -> std::io::Result<()> {
+    fn timed_sync(&self, file: &FileHandle) -> std::io::Result<()> {
         let started = self.fsync_micros.is_enabled().then(Instant::now);
         file.sync_data()?;
         if let Some(t) = started {
@@ -108,7 +106,8 @@ impl Default for WalConfig {
 
 #[derive(Debug)]
 struct WriterState {
-    file: File,
+    /// The active segment, opened for appending.
+    file: FileHandle,
     /// Clean bytes in the active segment — header plus complete records.
     /// Doubles as the truncation point when an append fails partway.
     active_bytes: u64,
@@ -148,7 +147,7 @@ struct WriterState {
 ///   until the record's LSN is covered by an fsync — see [`SyncPolicy`].
 #[derive(Debug)]
 pub struct WalWriter {
-    dir: PathBuf,
+    dir: Dir,
     config: WalConfig,
     state: OrderedMutex<WriterState>,
     /// Serializes rotations so exactly one committer performs the
@@ -163,7 +162,7 @@ impl WalWriter {
     /// Open (creating if needed) a WAL directory and position the writer
     /// after the last complete record. A torn tail from a crash is
     /// truncated; damaged segments fail typed.
-    pub fn open(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self, WalError> {
+    pub fn open(dir: impl Into<Dir>, config: WalConfig) -> Result<Self, WalError> {
         Self::open_scanned(dir, config, 0).map(|(writer, _)| writer)
     }
 
@@ -180,40 +179,40 @@ impl WalWriter {
     /// writer never reports the torn tail itself: that is
     /// [`crate::WalReader::publish`]'s job, so one recovery reports once.
     pub fn open_scanned(
-        dir: impl Into<PathBuf>,
+        dir: impl Into<Dir>,
         config: WalConfig,
         floor: u64,
     ) -> Result<(Self, DirScan), WalError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        dir.create_dir_all()?;
         let scan = scan_dir(&dir)?;
         let next_lsn = scan.next_lsn.max(floor);
 
         // Truncate a torn tail before anything else: the torn bytes were
         // never confirmed, and appending after them would bury garbage
         // inside the record stream.
-        let file = match scan.segments.last() {
+        let (file, active_bytes) = match scan.segments.last() {
             Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => {
-                let file = OpenOptions::new().write(true).open(&seg.path)?;
+                let file = dir.open(&seg.name)?;
                 if seg.clean_len < seg.file_len {
-                    file.set_len(seg.clean_len)?;
-                    file.sync_all()?;
+                    file.truncate(seg.clean_len)?;
+                    file.sync_data()?;
                 }
-                let mut file = file;
-                file.seek_end()?;
-                file
+                (file, seg.clean_len)
             }
             other => {
                 // Empty directory, or a segment whose header never hit
-                // the disk (torn at birth — remove the husk): start a
+                // the disk (torn at birth, which a directory written by
+                // an older binary can hold — remove the husk): start a
                 // fresh segment at `next_lsn`.
                 if let Some(seg) = other {
-                    std::fs::remove_file(&seg.path)?;
+                    dir.remove(&seg.name)?;
                 }
-                create_segment(&dir, next_lsn)?
+                let header = segment_header(next_lsn);
+                let file = dir.create_durable(&segment_file_name(next_lsn), &header)?;
+                (file, header.len() as u64)
             }
         };
-        let active_bytes = active_len(&scan);
         let writer = WalWriter {
             rotation: OrderedMutex::new(LockRank::WalRotation, ()),
             instruments: WalInstruments::new(&config.recorder),
@@ -239,7 +238,7 @@ impl WalWriter {
     }
 
     /// The WAL directory.
-    pub fn dir(&self) -> &Path {
+    pub fn dir(&self) -> &Dir {
         &self.dir
     }
 
@@ -368,13 +367,12 @@ impl WalWriter {
         if state.poisoned {
             return Err(WalError::Poisoned);
         }
-        if let Err(e) = state.file.write_all(framed) {
+        if let Err(e) = state.file.append(framed) {
             // Erase whatever partial frame made it out; a record that
             // errored was never confirmed, and burying its bytes under
             // later successful appends would corrupt the whole segment.
-            let clean = state.active_bytes;
-            let healed = state.file.set_len(clean).is_ok() && state.file.seek_end().is_ok();
-            if !healed {
+            // The handle appends, so the next write lands at the cut.
+            if state.file.truncate(state.active_bytes).is_err() {
                 state.poisoned = true;
             }
             return Err(e.into());
@@ -412,7 +410,7 @@ impl WalWriter {
                     // The flush's group: every record staged but not yet
                     // durable rides this one fsync.
                     let group = state.next_lsn - state.durable_next;
-                    Some((state.file.try_clone()?, state.next_lsn, group))
+                    Some((state.file.clone(), state.next_lsn, group))
                 }
             };
             if let Some((file, target, group)) = flush {
@@ -438,7 +436,7 @@ impl WalWriter {
         let (durable, staged) = {
             let state = self.lock();
             let staged = if state.durable_next < state.next_lsn {
-                Some((state.file.try_clone()?, state.next_lsn))
+                Some((state.file.clone(), state.next_lsn))
             } else {
                 None
             };
@@ -486,13 +484,16 @@ impl WalWriter {
                 // Another committer already rotated while we waited.
                 return Ok(());
             }
-            state.file.try_clone()?
+            state.file.clone()
         };
         self.instruments.timed_sync(&pre)?;
         // The switch: seal the sliver appended since the pre-flush and
         // install the fresh segment. If creating the segment fails the
         // flag stays set — appends continue into the old segment and the
-        // next commit retries the rotation.
+        // next commit retries the rotation at a higher base. A failed
+        // `Dir::create_durable` removes its file again, even one whose
+        // rename landed, so nothing based here is left to overlap the
+        // old segment's later records.
         let mut state = self.lock();
         if !state.rotation_due {
             return Ok(());
@@ -508,7 +509,10 @@ impl WalWriter {
         // lint:allow(no-fsync-under-lock)
         state.file.sync_data()?;
         state.durable_next = state.next_lsn;
-        state.file = create_segment(&self.dir, state.next_lsn)?;
+        let base = state.next_lsn;
+        state.file = self
+            .dir
+            .create_durable(&segment_file_name(base), &segment_header(base))?;
         state.active_bytes = SEGMENT_HEADER_LEN as u64;
         state.rotation_due = false;
         self.instruments.rotations.inc();
@@ -520,64 +524,11 @@ impl WalWriter {
     }
 }
 
-/// Create a fresh segment file based at `base_lsn`: header written,
-/// file fsync'd, and — the part that is easy to forget — the *directory*
-/// fsync'd, so the new segment's name survives a crash (the same rule
-/// `pitract-store::write_atomic` applies after its rename).
-fn create_segment(dir: &Path, base_lsn: u64) -> Result<File, WalError> {
-    let path = dir.join(segment_file_name(base_lsn));
-    let mut file = OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .write(true)
-        .open(&path)?;
-    let cleanup = |e: std::io::Error| {
-        // Remove the husk: left in place it could later sit *between*
-        // healthy segments (appends continue in the old segment, a
-        // retried rotation lands on a higher base), where its torn
-        // header would read as corruption instead of crash residue.
-        let _ = std::fs::remove_file(&path);
-        WalError::Io(e)
-    };
-    file.write_all(&segment_header(base_lsn)).map_err(cleanup)?;
-    file.sync_all().map_err(cleanup)?;
-    fsync_dir(dir).map_err(cleanup)?;
-    Ok(file)
-}
-
-/// Bytes already in the active segment after recovery (its clean
-/// prefix), or a fresh header's worth when a new segment was created.
-fn active_len(scan: &crate::segment::DirScan) -> u64 {
-    match scan.segments.last() {
-        Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => seg.clean_len,
-        _ => SEGMENT_HEADER_LEN as u64,
-    }
-}
-
-/// Seek-to-end helper kept off the trait imports.
-trait SeekEnd {
-    fn seek_end(&mut self) -> std::io::Result<u64>;
-}
-
-impl SeekEnd for File {
-    fn seek_end(&mut self) -> std::io::Result<u64> {
-        use std::io::Seek as _;
-        self.seek(std::io::SeekFrom::End(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::segment::{scan_dir, scan_frames};
     use pitract_relation::Value;
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walw-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn insert(gid: usize, key: i64) -> UpdateEntry {
         UpdateEntry::Insert {
@@ -588,7 +539,7 @@ mod tests {
 
     #[test]
     fn appends_assign_sequential_lsns_and_survive_reopen() {
-        let dir = fresh_dir("seq");
+        let dir = Dir::memory();
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..10 {
             assert_eq!(wal.append_entry(&insert(i, i as i64)).unwrap(), i as u64);
@@ -600,12 +551,11 @@ mod tests {
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.next_lsn(), 10);
         assert_eq!(wal.append_entry(&insert(10, 10)).unwrap(), 10);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotation_closes_segments_and_fsyncs_them_complete() {
-        let dir = fresh_dir("rotate");
+        let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 128, // tiny: force several rotations
             sync: SyncPolicy::Never,
@@ -626,9 +576,8 @@ mod tests {
         // Every closed segment scans strictly (scan_dir already enforces
         // it; this asserts the writer really did leave them complete).
         for seg in &scan.segments {
-            assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
+            assert_eq!(seg.clean_len, seg.file_len, "{}", seg.name);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The rotation-deferral contract itself: the size threshold
@@ -637,7 +586,7 @@ mod tests {
     /// or an explicit sync — settles it, whatever the policy.
     #[test]
     fn rotation_is_deferred_from_append_to_commit() {
-        let dir = fresh_dir("deferred");
+        let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 64,
             sync: SyncPolicy::Never,
@@ -660,7 +609,6 @@ mod tests {
         assert_eq!(scan.next_lsn, 10, "no record lost across the deferral");
         // The closed segment is complete.
         assert_eq!(scan.segments[0].clean_len, scan.segments[0].file_len);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Group commit under concurrent stagers drives the deferred
@@ -669,7 +617,7 @@ mod tests {
     /// is complete.
     #[test]
     fn racing_committers_rotate_exactly_once_per_debt() {
-        let dir = fresh_dir("race-rotate");
+        let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 256,
             sync: SyncPolicy::GroupCommit,
@@ -697,14 +645,13 @@ mod tests {
             "no record lost or reordered"
         );
         for seg in &scan.segments {
-            assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
+            assert_eq!(seg.clean_len, seg.file_len, "{}", seg.name);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn open_truncates_a_torn_tail_and_appends_cleanly_after_it() {
-        let dir = fresh_dir("torn");
+        let dir = Dir::memory();
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..5 {
             wal.append_entry(&insert(i, i as i64)).unwrap();
@@ -712,11 +659,11 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
         // Simulate a crash mid-append: chop bytes off the active segment.
-        let seg = scan_dir(&dir).unwrap().segments.pop().unwrap().path;
-        let len = std::fs::metadata(&seg).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&seg).unwrap();
-        f.set_len(len - 7).unwrap();
-        drop(f);
+        let seg = scan_dir(&dir).unwrap().segments.pop().unwrap();
+        dir.open(&seg.name)
+            .unwrap()
+            .truncate(seg.file_len - 7)
+            .unwrap();
 
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.next_lsn(), 4, "the torn record was never confirmed");
@@ -725,12 +672,11 @@ mod tests {
         let scan = scan_dir(&dir).unwrap();
         assert_eq!(scan.torn_bytes, 0, "tail healed");
         assert_eq!(scan.records().count(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn commit_group_covers_previously_staged_records() {
-        let dir = fresh_dir("group");
+        let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -748,7 +694,6 @@ mod tests {
         // The piggybacked commits return without needing another flush.
         wal.commit(a).unwrap();
         wal.commit(c).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `sync` with nothing staged past the durable frontier must not
@@ -756,7 +701,7 @@ mod tests {
     /// its sample count is the flush count.
     #[test]
     fn idle_sync_does_not_flush_and_an_append_makes_it_flush_again() {
-        let dir = fresh_dir("idle-sync");
+        let dir = Dir::memory();
         let recorder = Recorder::new();
         let wal = WalWriter::open(
             &dir,
@@ -799,7 +744,7 @@ mod tests {
         drop(wal);
         let recorder = Recorder::new();
         let wal = WalWriter::open(
-            fresh_dir("idle-sync-never"),
+            Dir::memory(),
             WalConfig {
                 sync: SyncPolicy::Never,
                 recorder: recorder.clone(),
@@ -818,8 +763,6 @@ mod tests {
                 .map_or(0, |h| h.count),
             1
         );
-        std::fs::remove_dir_all(wal.dir()).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -829,7 +772,7 @@ mod tests {
             (SyncPolicy::GroupCommit, false),
             (SyncPolicy::Never, false),
         ] {
-            let dir = fresh_dir(&format!("policy-{policy:?}"));
+            let dir = Dir::memory();
             let wal = WalWriter::open(
                 &dir,
                 WalConfig {
@@ -851,18 +794,16 @@ mod tests {
                 durable_after_commit,
                 "{policy:?} after commit"
             );
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
     #[test]
     fn open_at_floor_never_hands_out_covered_lsns() {
-        let dir = fresh_dir("floor");
+        let dir = Dir::memory();
         // An emptied directory with a checkpoint claiming to cover 40.
         let (wal, _) = WalWriter::open_scanned(&dir, WalConfig::default(), 40).unwrap();
         assert_eq!(wal.next_lsn(), 40);
         assert_eq!(wal.append_entry(&insert(0, 1)).unwrap(), 40);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Back-to-back frames at `lsns`, each with a 20-byte payload, as a
@@ -875,7 +816,7 @@ mod tests {
 
     #[test]
     fn append_frames_keeps_lsns_and_gaps_across_rotations() {
-        let dir = fresh_dir("frames-gaps");
+        let dir = Dir::memory();
         let config = WalConfig {
             // Header + two 40-byte frames fill a segment exactly.
             segment_bytes: 98,
@@ -901,23 +842,22 @@ mod tests {
         for seg in &scan.segments {
             if let Some((first, _)) = seg.records.first() {
                 assert_eq!(seg.base_lsn, *first, "based at its first frame");
-                assert_eq!(seg.records.len(), 2, "{:?}", seg.path);
+                assert_eq!(seg.records.len(), 2, "{}", seg.name);
             }
-            assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
+            assert_eq!(seg.clean_len, seg.file_len, "{}", seg.name);
         }
         assert_eq!(wal.next_lsn(), 31);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn append_frames_below_next_lsn_is_typed_and_writes_nothing() {
-        let dir = fresh_dir("frames-backwards");
+        let dir = Dir::memory();
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for _ in 0..3 {
             wal.append_payload(b"x").unwrap();
         }
-        let active = scan_dir(&dir).unwrap().segments.pop().unwrap().path;
-        let len = || std::fs::metadata(&active).unwrap().len();
+        let active = scan_dir(&dir).unwrap().segments.pop().unwrap().name;
+        let len = || dir.read(&active, 0).unwrap().len();
         let before = len();
         let bytes = framed(&[2, 3, 4]);
         let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
@@ -929,13 +869,12 @@ mod tests {
         assert_eq!(len(), before, "nothing written");
         assert_eq!(wal.next_lsn(), 3);
         assert_eq!(wal.append_frames(&bytes, &frames[1..]).unwrap(), Some(4));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn append_frames_under_always_is_durable_on_return() {
         for (policy, durable) in [(SyncPolicy::Always, true), (SyncPolicy::GroupCommit, false)] {
-            let dir = fresh_dir(&format!("frames-{policy:?}"));
+            let dir = Dir::memory();
             let config = WalConfig {
                 sync: policy,
                 ..WalConfig::default()
@@ -945,7 +884,6 @@ mod tests {
             let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
             assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(7));
             assert_eq!(wal.durable_lsn() > 7, durable, "{policy:?}");
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -953,7 +891,7 @@ mod tests {
     /// recovery truncates: an owed rotation is refused, never sealed.
     #[test]
     fn a_poisoned_writer_never_rotates() {
-        let dir = fresh_dir("poisoned-rotation");
+        let dir = Dir::memory();
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         wal.append_payload(b"x").unwrap();
         {
@@ -971,6 +909,5 @@ mod tests {
             Err(WalError::Poisoned)
         ));
         assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,22 +12,10 @@
 
 use pitract_engine::UpdateEntry;
 use pitract_relation::Value;
+use pitract_store::Dir;
 use pitract_wal::segment::{segment_file_name, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use pitract_wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-wal-crash-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Deterministic entry stream from generated ops: inserts take the next
 /// gid; deletes target an earlier gid (so the stream is a plausible
@@ -66,7 +54,7 @@ proptest! {
         cut_seed in 0usize..1_000_000
     ) {
         let entries = entries_from_ops(&ops);
-        let dir = fresh_dir("cut");
+        let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
             WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
@@ -82,12 +70,12 @@ proptest! {
         for e in &entries {
             boundaries.push(boundaries.last().unwrap() + RECORD_OVERHEAD + payload_len(e));
         }
-        let path = dir.join(segment_file_name(0));
-        let full = std::fs::read(&path).unwrap();
+        let seg = segment_file_name(0);
+        let full = dir.read(&seg, 0).unwrap();
         prop_assert_eq!(full.len(), *boundaries.last().unwrap());
 
         let cut = cut_seed % (full.len() + 1);
-        std::fs::write(&path, &full[..cut]).unwrap();
+        dir.open(&seg).unwrap().truncate(cut as u64).unwrap();
 
         let reader = WalReader::open(&dir).unwrap();
         let complete = boundaries.iter().filter(|&&b| b <= cut.max(SEGMENT_HEADER_LEN)).count()
@@ -110,8 +98,6 @@ proptest! {
             WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
         ).unwrap();
         prop_assert_eq!(wal.next_lsn(), complete as u64);
-        drop(wal);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Crash mid-`apply_batch`: a batch is staged record-by-record and
@@ -157,9 +143,8 @@ proptest! {
             }
         }
 
-        let root = fresh_dir("batchcut");
-        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-        let wal_dir = root.join("wal");
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
         let config = WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() };
         let node =
             DurableLiveRelation::create(build_live(), &catalog, "node", &wal_dir, config.clone())
@@ -174,12 +159,12 @@ proptest! {
         for e in &entries {
             boundaries.push(boundaries.last().unwrap() + RECORD_OVERHEAD + payload_len(e));
         }
-        let path = wal_dir.join(segment_file_name(0));
-        let full = std::fs::read(&path).unwrap();
+        let seg = segment_file_name(0);
+        let full = wal_dir.read(&seg, 0).unwrap();
         prop_assert_eq!(full.len(), *boundaries.last().unwrap());
 
         let cut = cut_seed % (full.len() + 1);
-        std::fs::write(&path, &full[..cut]).unwrap();
+        wal_dir.open(&seg).unwrap().truncate(cut as u64).unwrap();
         let complete = boundaries.iter().filter(|&&b| b <= cut.max(SEGMENT_HEADER_LEN)).count()
             .saturating_sub(1);
         let complete = if cut < SEGMENT_HEADER_LEN { 0 } else { complete };
@@ -199,7 +184,6 @@ proptest! {
         for gid in 0..next_gid {
             prop_assert_eq!(recovered.row(gid), oracle.row(gid), "gid {}", gid);
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Arbitrary damage — random bytes, or a bit flip anywhere in a real
@@ -214,7 +198,7 @@ proptest! {
     ) {
         // Bit flip in a real segment.
         let entries = entries_from_ops(&ops);
-        let dir = fresh_dir("flip");
+        let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
             WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
@@ -224,11 +208,11 @@ proptest! {
         }
         wal.sync().unwrap();
         drop(wal);
-        let path = dir.join(segment_file_name(0));
-        let mut bytes = std::fs::read(&path).unwrap();
+        let seg = segment_file_name(0);
+        let mut bytes = dir.read(&seg, 0).unwrap();
         let at = flip_at % bytes.len();
         bytes[at] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
+        dir.write_atomic(&seg, &bytes).unwrap();
         let result = WalReader::open(&dir);
         if let Ok(reader) = &result {
             // Damage that still parses must have hidden in the tail (or
@@ -236,13 +220,10 @@ proptest! {
             // in no case may more records appear than were written.
             prop_assert!(reader.len() <= entries.len());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
 
         // Pure garbage under a segment name.
-        let dir = fresh_dir("garbage");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(segment_file_name(0)), &garbage).unwrap();
+        let dir = Dir::memory();
+        dir.write_atomic(&segment_file_name(0), &garbage).unwrap();
         let _ = WalReader::open(&dir); // Ok(empty/torn) or typed error; no panic
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -125,11 +125,7 @@ fn main() {
     let t1 = Instant::now();
     live.checkpoint(&catalog, "live-orders")
         .expect("checkpoint");
-    println!(
-        "checkpointed to {:?}  [{:.2?}]",
-        catalog.dir(),
-        t1.elapsed()
-    );
+    println!("checkpointed to {dir:?}  [{:.2?}]", t1.elapsed());
 
     let post_gid = live
         .insert(vec![Value::Int(n * 10), Value::str("post-checkpoint")])

@@ -113,6 +113,5 @@ fn main() {
     );
     println!("verified: warm-started answers identical to the cold-rebuilt oracle");
 
-    catalog.remove("traffic").expect("cleanup snapshot");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -460,7 +460,7 @@ pub mod prelude {
     pub use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
     pub use pitract_repl::{CatchUpReport, Follower, ReplError, SegmentPublisher, Shipment};
     pub use pitract_store::{
-        LiveCheckpoint, Recovered, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
+        Dir, LiveCheckpoint, Recovered, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
     };
     pub use pitract_wal::{
         CompactionReport, Compactor, DurableLiveRelation, SyncPolicy, WalConfig, WalError,

@@ -6,8 +6,7 @@
 
 use pi_tractable::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -19,17 +18,6 @@ fn base_relation(n: i64) -> Relation {
         .map(|i| vec![Value::Int(i), Value::str(format!("grp{}", i % 16))])
         .collect();
     Relation::from_rows(schema(), rows).unwrap()
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-live-it-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Queries over the stable key region `[0, n)` — writers only ever touch
@@ -145,8 +133,7 @@ fn concurrent_writers_and_batches_match_oracle() {
 #[test]
 fn recover_after_checkpoint_equals_live() {
     let n = 2_000i64;
-    let dir = fresh_dir("recover");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     let live = Arc::new(
         LiveRelation::build(&base_relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap(),
     );
@@ -206,7 +193,6 @@ fn recover_after_checkpoint_equals_live() {
     let live_records = live.boundedness_report();
     let suffix = &live_records.records()[records_at_checkpoint..];
     assert_eq!(recovered.boundedness_report().records(), suffix);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint taken *while* writers and readers are running is a
@@ -215,8 +201,7 @@ fn recover_after_checkpoint_equals_live() {
 #[test]
 fn checkpoint_under_concurrent_traffic_recovers_consistently() {
     let n = 2_000i64;
-    let dir = fresh_dir("midflight");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     let base = base_relation(n);
     let live = Arc::new(LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
     let exec = serve(&live);
@@ -273,7 +258,6 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
     ] {
         assert_eq!(recovered.matching_ids(&q), live.matching_ids(&q), "{q:?}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The epoch clock survives checkpoint → recover exactly: the recovered
@@ -282,8 +266,7 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
 /// restart.
 #[test]
 fn recovery_resumes_the_epoch_clock() {
-    let dir = fresh_dir("epochclock");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     let live =
         LiveRelation::build(&base_relation(100), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
     assert_eq!(live.current_epoch(), Epoch::ZERO);
@@ -316,7 +299,6 @@ fn recovery_resumes_the_epoch_clock() {
         .unwrap();
     assert_eq!(recovered.current_epoch(), live.current_epoch());
     assert_eq!(recovered.current_epoch(), Epoch::new(16));
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Reconstruct the exact database instance a pinned batch saw: epoch `E`
@@ -420,8 +402,7 @@ proptest! {
         seed_rows in 0i64..12,
         ops in prop::collection::vec((0u8..5, 0i64..64, 0usize..96), 0..60)
     ) {
-        let dir = fresh_dir("churn");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let mut live = LiveRelation::build(
             &base_relation(seed_rows),
             ShardBy::Hash { col: 0 },
@@ -507,6 +488,5 @@ proptest! {
             prop_assert_eq!(&live.row(gid), slot, "gid {}", gid);
         }
         prop_assert!(live.boundedness_report().is_amortized_bounded(64.0));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

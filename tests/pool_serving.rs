@@ -96,8 +96,7 @@ fn pooled_answers_match_the_oracle_on_every_target() {
 
     // The durable primary takes them through its WAL; the follower
     // bootstraps from the primary's first checkpoint and replays them.
-    let root = std::env::temp_dir().join(format!("pitract-pooltargets-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = Dir::memory();
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let durable = Arc::new(
         DurableLiveRelation::create(
@@ -144,7 +143,6 @@ fn pooled_answers_match_the_oracle_on_every_target() {
             "{target}: epoch pin"
         );
     }
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A `BatchServe` target that panics on one shard: the session must
@@ -226,8 +224,7 @@ fn worker_panic_is_typed_and_the_session_keeps_serving() {
 #[test]
 fn apply_batch_through_the_session_is_durable_and_recovers() {
     let n = 500i64;
-    let root = std::env::temp_dir().join(format!("pitract-poolit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = Dir::memory();
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -269,7 +266,6 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
     for (gid, expect) in expected.iter().enumerate() {
         assert_eq!(&recovered.row(gid), expect, "gid {gid}");
     }
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// After two writers race pinned pooled batches on a durable node and
@@ -278,8 +274,7 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
 /// retained version — and the WAL is durable through its last record.
 #[test]
 fn status_reads_idle_once_racing_writers_and_batches_quiesce() {
-    let root = std::env::temp_dir().join(format!("pitract-pool-idle-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = Dir::memory();
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog");
     let live =
         LiveRelation::build(&relation(400), ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid");
@@ -338,5 +333,4 @@ fn status_reads_idle_once_racing_writers_and_batches_quiesce() {
     assert_eq!(wal.durable_lsn, node.wal().next_lsn());
     assert_eq!(wal.durable_lsn, 400, "300 inserts and 100 deletes");
     assert_eq!(status.replica, None, "a primary trails nobody");
-    std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -9,20 +9,7 @@
 //! export.
 
 use pi_tractable::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-replication-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config() -> WalConfig {
     // Tiny segments so every test exercises rotation and multi-segment
@@ -35,7 +22,7 @@ fn config() -> WalConfig {
 }
 
 fn primary(
-    root: &Path,
+    root: &Dir,
     rows: i64,
     config: WalConfig,
 ) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
@@ -54,7 +41,7 @@ fn primary(
 /// The oracle: the checkpoint state plus a replay of exactly the
 /// primary's WAL records below `below_lsn` — the state a perfect
 /// replica of that prefix must hold.
-fn oracle_at(catalog: &SnapshotCatalog, root: &Path, below_lsn: u64) -> LiveRelation {
+fn oracle_at(catalog: &SnapshotCatalog, root: &Dir, below_lsn: u64) -> LiveRelation {
     let (state, mark, cut) = catalog
         .load("node")
         .expect("checkpoint exists")
@@ -98,10 +85,19 @@ fn assert_bit_identical(follower: &Follower, oracle: &LiveRelation, probes: i64,
 /// The headline contract: racing primary writers, a follower catching
 /// up live, and pooled batches served from the follower — every batch
 /// pinned at the epoch of the follower's applied LSN, and the final
-/// state bit-identical to the primary.
+/// state bit-identical to the primary. It runs on both storage
+/// backends: in memory an append is never seen half done, so only the
+/// filesystem run lets a poll read the active segment mid-append.
 #[test]
 fn follower_under_racing_writers_serves_consistent_prefixes() {
-    let root = fresh_dir("racing");
+    racing_writers_and_catch_up(Dir::memory());
+    let tmp = std::env::temp_dir().join(format!("pitract-replication-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    racing_writers_and_catch_up(Dir::from(&tmp));
+    std::fs::remove_dir_all(&tmp).unwrap();
+}
+
+fn racing_writers_and_catch_up(root: Dir) {
     // One recorder in the config both nodes are built from: the
     // publisher counts into the primary's.
     let recorder = Recorder::new();
@@ -181,7 +177,6 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
     );
     assert!(text.contains("repl_segments_shipped_total"), "{text}");
     assert!(text.contains("repl_replay_micros"), "{text}");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A follower stopped mid-stream is exact, not approximately caught up:
@@ -189,7 +184,7 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
 /// its applied LSN.
 #[test]
 fn partial_catch_up_is_an_exact_prefix() {
-    let root = fresh_dir("prefix");
+    let root = Dir::memory();
     let (node, catalog) = primary(&root, 10, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
@@ -229,7 +224,6 @@ fn partial_catch_up_is_an_exact_prefix() {
     let report = follower.catch_up(&publisher, sub).expect("drain");
     assert_eq!(report.lag, 0);
     assert_eq!(follower.len(), node.len());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The retention watermark closes the compaction/replication race: a
@@ -238,7 +232,7 @@ fn partial_catch_up_is_an_exact_prefix() {
 /// compaction pass really does reclaim the segments nobody needs.
 #[test]
 fn slow_follower_survives_a_primary_compaction_cycle() {
-    let root = fresh_dir("retention");
+    let root = Dir::memory();
     let (node, catalog) = primary(&root, 0, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
@@ -297,7 +291,6 @@ fn slow_follower_survives_a_primary_compaction_cycle() {
     let after = publisher.compact_primary().expect("compact unretained");
     assert_eq!(publisher.retention_watermark(), None);
     assert!(after.segments_removed > 0, "{after:?}");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A fetch below the publisher's compaction floor is a typed staleness
@@ -305,7 +298,7 @@ fn slow_follower_survives_a_primary_compaction_cycle() {
 /// re-bootstrap.
 #[test]
 fn late_attachment_below_the_floor_is_typed_stale() {
-    let root = fresh_dir("stale");
+    let root = Dir::memory();
     let (node, catalog) = primary(&root, 0, config());
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     for i in 0..20i64 {
@@ -330,7 +323,6 @@ fn late_attachment_below_the_floor_is_typed_stale() {
     assert_eq!(report.lag, 0);
     let q = SelectionQuery::point(0, 777i64);
     assert_eq!(follower.matching_ids(&q), node.matching_ids(&q));
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// `status().publish` keeps the exported surface: with a durable
@@ -426,7 +418,7 @@ fn status_publish_keeps_every_series_and_is_idempotent() {
         "replication_lag_lsn 0",
     ];
 
-    let root = fresh_dir("status-golden");
+    let root = Dir::memory();
     let observed = |recorder: &Recorder| WalConfig {
         recorder: recorder.clone(),
         ..config()
@@ -478,5 +470,4 @@ fn status_publish_keeps_every_series_and_is_idempotent() {
         status.publish(recorder);
         assert_eq!(recorder.snapshot(), published, "republished");
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -13,14 +13,7 @@ use pi_tractable::graph::hop::HopLabels;
 use pi_tractable::graph::traverse::reachable_bfs;
 use pi_tractable::prelude::*;
 use pi_tractable::store::FORMAT_VERSION;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pitract-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn relation(n: i64) -> Relation {
     let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)]);
@@ -60,7 +53,7 @@ fn churn(sr: &mut ShardedRelation, n: i64) {
 fn sharded_snapshot_serves_identically_to_cold_rebuild() {
     let n = 20_000i64;
     let rel = relation(n);
-    let dir = fresh_dir("sharded");
+    let dir = Dir::memory();
     let catalog = SnapshotCatalog::open(&dir).unwrap();
 
     for (name, shard_by) in [
@@ -102,8 +95,9 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
             "{name}"
         );
     }
-    assert_eq!(catalog.list().unwrap(), vec!["hash", "range"]);
-    std::fs::remove_dir_all(&dir).unwrap();
+    let mut files = dir.list().unwrap();
+    files.sort();
+    assert_eq!(files, ["hash.snap", "range.snap"], "no stray temp files");
 }
 
 #[test]
@@ -139,18 +133,16 @@ fn indexed_snapshot_matches_cold_rebuild() {
 fn hop_labels_snapshot_matches_bfs_oracle() {
     let g = generate::random_dag(300, 900, 42);
     let built = HopLabels::build(&g).unwrap();
-    let dir = fresh_dir("hop");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     catalog.save("reach", &Snapshot::Hop(built)).unwrap();
-    assert_eq!(catalog.kind_of("reach").unwrap(), SnapshotKind::HopLabels);
-
-    let warm = catalog.load("reach").unwrap().into_hop().unwrap();
+    let warm = catalog.load("reach").unwrap();
+    assert_eq!(warm.kind(), SnapshotKind::HopLabels);
+    let warm = warm.into_hop().unwrap();
     for u in (0..300).step_by(17) {
         for v in (0..300).step_by(11) {
             assert_eq!(warm.query(u, v), reachable_bfs(&g, u, v), "({u},{v})");
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -192,8 +184,7 @@ fn damaged_files_fail_typed_never_panic() {
 
 #[test]
 fn wrong_kind_is_reported_not_coerced() {
-    let dir = fresh_dir("kinds");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     let ir = IndexedRelation::build(&relation(50), &[0]).unwrap();
     catalog.save("rel", &Snapshot::Indexed(ir)).unwrap();
     match catalog.load("rel").unwrap().into_sharded() {
@@ -203,5 +194,4 @@ fn wrong_kind_is_reported_not_coerced() {
         }
         other => panic!("expected WrongKind, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,20 +5,7 @@
 
 use pi_tractable::prelude::*;
 use pi_tractable::wal::segment::{scan_dir, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-walrec-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn schema() -> Schema {
     Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -57,13 +44,11 @@ fn assert_same_state(a: &LiveRelation, b: &LiveRelation, gid_upper: usize, ctx: 
     }
 }
 
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_file() {
-            std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
-        }
+fn copy_dir(from: &Dir, to: &Dir) {
+    to.create_dir_all().unwrap();
+    for name in from.list().unwrap() {
+        to.write_atomic(&name, &from.read(&name, 0).unwrap())
+            .unwrap();
     }
 }
 
@@ -75,9 +60,8 @@ fn copy_dir(from: &Path, to: &Path) {
 /// — and compacting the truncated log first must change nothing.
 #[test]
 fn every_truncation_point_recovers_the_confirmed_prefix() {
-    let root = fresh_dir("everycut");
-    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-    let wal_dir = root.join("wal");
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+    let wal_dir = Dir::memory();
     let config = WalConfig {
         segment_bytes: 900, // several segments; a short active tail
         sync: SyncPolicy::GroupCommit,
@@ -130,8 +114,8 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
     // and the byte extent of each of its records.
     let scan = scan_dir(&wal_dir).unwrap();
     let active = scan.segments.last().unwrap();
-    let active_path = active.path.clone();
-    let active_bytes = std::fs::read(&active_path).unwrap();
+    let active_name = active.name.clone();
+    let active_bytes = wal_dir.read(&active_name, 0).unwrap();
     assert!(scan.segments.len() > 1, "rotation produced closed segments");
     let reader = WalReader::open(&wal_dir).unwrap();
     assert!(reader.len() > 40, "both phases logged");
@@ -162,19 +146,17 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
     let (state, state_mark, _epoch) = catalog.load("node").unwrap().into_checkpoint().unwrap();
     assert_eq!(state_mark, mark);
 
-    let pristine = root.join("wal-pristine");
-    copy_dir(&wal_dir, &pristine);
-
+    let pristine = wal_dir;
     for cut in 0..=active_bytes.len() {
-        // Crash: the active segment loses everything past `cut`.
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        // Crash: on a fresh copy of the pristine volume, the active
+        // segment loses everything past `cut`.
+        let wal_dir = Dir::memory().join("wal");
         copy_dir(&pristine, &wal_dir);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&active_path)
+        wal_dir
+            .open(&active_name)
+            .unwrap()
+            .truncate(cut as u64)
             .unwrap();
-        f.set_len(cut as u64).unwrap();
-        drop(f);
 
         let recovered = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config.clone())
             .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
@@ -204,7 +186,6 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
             assert_same_state(&after, &oracle, 150, &format!("cut {cut} compacted"));
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// One batch through a serving session over `node`. The session ends
@@ -223,9 +204,8 @@ fn serve(node: &Arc<DurableLiveRelation>, batch: &QueryBatch) -> Vec<bool> {
 /// sequences), with compaction bounding the on-disk log.
 #[test]
 fn durable_serving_loop_survives_crash_and_compaction() {
-    let root = fresh_dir("loop");
-    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
-    let wal_dir = root.join("wal");
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+    let wal_dir = Dir::memory();
     let config = WalConfig {
         segment_bytes: 2_000,
         sync: SyncPolicy::GroupCommit,
@@ -315,21 +295,19 @@ fn durable_serving_loop_survives_crash_and_compaction() {
         .insert(vec![Value::Int(999_999), Value::str("alive")])
         .unwrap();
     assert!(node.row(gid).is_some());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The no-WAL and durable nodes agree observably under the same update
 /// stream — durability must be a pure overlay, never a semantic change.
 #[test]
 fn durable_node_serves_identically_to_plain_live_relation() {
-    let root = fresh_dir("overlay");
-    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
     let plain = base_live(300);
     let durable = DurableLiveRelation::create(
         base_live(300),
         &catalog,
         "twin",
-        root.join("wal"),
+        Dir::memory(),
         WalConfig::default(),
     )
     .unwrap();
@@ -351,5 +329,4 @@ fn durable_node_serves_identically_to_plain_live_relation() {
         durable.boundedness_report().records(),
         "maintenance accounting identical"
     );
-    std::fs::remove_dir_all(&root).unwrap();
 }
