@@ -5,7 +5,7 @@
 //! queries answered together by the one executor,
 //! [`crate::pool::PooledExecutor`]. A batch runs in one of two
 //! [`OutputMode`]s — [`Exists`] (Boolean answers, OR-ed across shards)
-//! or [`RowIds`] (matching rows, translated to global ids and unioned) —
+//! or [`RowIds`] (matching rows, translated to global ids and merged) —
 //! and every shard answers its slice through `eval_assigned` with a
 //! thread-local [`Meter`] (deliberately not shared: the paper's NC bound
 //! is per processor, so each shard accounts its own steps). Per-query
@@ -24,19 +24,24 @@
 //! O(|batch|) *words*, never O(|batch|) *allocations*: `route_batch`
 //! validates, plans and routes each query in one pass, straight into the
 //! per-shard work lists of a [`Routing`]; workers evaluate **and**
-//! translate row ids (the mode's `finish`); the submitter folds each
-//! triple into its query's slot (`fold`). Nothing outside the result
-//! rows allocates per query (`tests/alloc_budget.rs` is the gate).
+//! translate row ids, each job into one id buffer ([`ShardResults`]);
+//! the submitter assembles every query's answer from its triples (the
+//! mode's `assemble`). A row-id answer is allocated once, at its exact
+//! size, and its shards' ascending runs, at most one each, are merged
+//! into it; nothing else allocates per query (`tests/alloc_budget.rs`
+//! is the gate).
 
 use crate::error::EngineError;
 use crate::live::Rollback;
 use crate::planner::{AccessPath, Planner, QueryPlan};
+#[cfg(doc)]
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{Schema, SelectionQuery, Value};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,10 +56,36 @@ pub struct QueryBatch {
     queries: Arc<[SelectionQuery]>,
 }
 
-/// One shard worker's output: `(query index, result, metered steps)` per
-/// assigned query, in ascending query order — what
-/// [`BatchServe::eval_shard`] returns.
+/// `(query index, result, metered steps)` per assigned query of one
+/// shard job, in ascending query order — what [`BatchServe::eval_bool`]
+/// and [`BatchServe::eval_rows`] return.
 pub type WorkerResults<T> = Vec<(usize, T, u64)>;
+
+/// One shard job's output, what [`BatchServe::eval_shard`] returns: a
+/// triple per assigned query, and the one id buffer the job's row-id
+/// results point into.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardResults<T> {
+    /// `(query index, result, metered steps)` per assigned query, in
+    /// ascending query order. In [`RowIds`] mode a result is the span
+    /// of [`Self::ids`] holding that query's ids.
+    pub results: WorkerResults<T>,
+    /// Every row id the job matched, each query's span ascending; empty
+    /// in [`Exists`] mode. Shard-local as evaluated, global once the
+    /// executor has translated it in place.
+    pub ids: Vec<usize>,
+}
+
+impl ShardResults<Range<usize>> {
+    /// The row-id triples with each span copied out of the buffer.
+    pub(crate) fn into_rows(self) -> WorkerResults<Vec<usize>> {
+        let ids = self.ids;
+        self.results
+            .into_iter()
+            .map(|(qi, span, steps)| (qi, ids[span].to_vec(), steps))
+            .collect()
+    }
+}
 
 /// A batch validated, planned and shard-routed, in the form the executor
 /// consumes — what [`BatchServe::route_shards`] returns.
@@ -241,7 +272,7 @@ pub(crate) fn route_batch(
 }
 
 /// What a batch asks of every shard a query routes to, and how the
-/// per-shard results fold into the query's answer: [`Exists`] or
+/// per-shard results become the query's answer: [`Exists`] or
 /// [`RowIds`]. [`BatchServe::eval_shard`] is generic over the mode, so a
 /// relation writes its per-shard evaluation once and both
 /// [`crate::pool::PooledExecutor::execute`] and
@@ -255,8 +286,10 @@ pub trait OutputMode: sealed::Mode {}
 #[derive(Debug, Clone, Copy)]
 pub struct Exists;
 
-/// Row-id mode — which rows match? Per-shard local ids are translated
-/// to global ids on the worker and merged ascending.
+/// Row-id mode — which rows match? Each shard job gathers its matches
+/// into one id buffer and translates it to global ids on the worker;
+/// the submitter merges each query's ascending runs into an answer
+/// allocated at its exact size.
 #[derive(Debug, Clone, Copy)]
 pub struct RowIds;
 
@@ -268,25 +301,33 @@ impl OutputMode for RowIds {}
 #[allow(private_interfaces)]
 mod sealed {
     use super::{
-        BatchServe, Exists, IndexedRelation, Meter, Rollback, RowIds, SelectionQuery, Value,
-        WorkerResults,
+        Exists, IndexedRelation, Merge, Meter, Range, Rollback, RowIds, SelectionQuery,
+        ShardResults, Value,
     };
 
     pub trait Mode: 'static {
-        /// One query's result — per shard, and (after `fold`) per batch.
-        type Out: Send + Default + 'static;
+        /// One query's result from one shard job.
+        type Part: Send + Default + 'static;
+        /// One query's answer to the batch.
+        type Out: Send + 'static;
 
-        /// Probe the shard's current state.
-        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Self::Out;
+        /// Probe the shard's current state; row ids go to `ids`.
+        fn current(
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+            ids: &mut Vec<usize>,
+        ) -> Self::Part;
 
         /// Probe the shard's current state for many points on the
-        /// indexed column `col` at once: `found(tag, out, steps)` per
+        /// indexed column `col` at once: `found(tag, part, steps)` per
         /// probe, each what `current` returns and charges for it.
         fn points<'q>(
             shard: &IndexedRelation,
             col: usize,
             probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
-            found: impl FnMut(usize, Self::Out, u64),
+            ids: &mut Vec<usize>,
+            found: impl FnMut(usize, Self::Part, u64),
         );
 
         /// Probe the shard as of a pinned epoch, through its rollback.
@@ -295,25 +336,27 @@ mod sealed {
             shard: &IndexedRelation,
             q: &SelectionQuery,
             meter: &Meter,
-        ) -> Self::Out;
+            ids: &mut Vec<usize>,
+        ) -> Self::Part;
 
-        /// Worker-side completion of one shard job's results, run after
-        /// `eval_shard` has returned (so after its shard guard dropped).
-        /// The job carries its `shard` id — nothing about a result's
-        /// position says which shard produced it.
-        fn finish<R: BatchServe>(_: &R, _shard: usize, _: &mut WorkerResults<Self::Out>) {}
-
-        /// Fold one shard's result for a query into the query's slot.
-        fn fold(slot: &mut Self::Out, part: Self::Out);
-
-        /// Put every folded slot into its final form.
-        fn seal(_: &mut [Self::Out]) {}
+        /// Every query's answer and steps from the batch's jobs, which
+        /// may come in any order.
+        fn assemble(
+            queries: usize,
+            jobs: Vec<ShardResults<Self::Part>>,
+        ) -> (Vec<Self::Out>, Vec<u64>);
     }
 
     impl Mode for Exists {
+        type Part = bool;
         type Out = bool;
 
-        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> bool {
+        fn current(
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+            _: &mut Vec<usize>,
+        ) -> bool {
             shard.answer_metered(q, meter)
         }
 
@@ -321,6 +364,7 @@ mod sealed {
             shard: &IndexedRelation,
             col: usize,
             probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            _: &mut Vec<usize>,
             found: impl FnMut(usize, bool, u64),
         ) {
             shard.answer_points_metered(col, probes, found);
@@ -331,29 +375,44 @@ mod sealed {
             shard: &IndexedRelation,
             q: &SelectionQuery,
             meter: &Meter,
+            _: &mut Vec<usize>,
         ) -> bool {
             rollback.answer(shard, q, meter)
         }
 
-        fn fold(slot: &mut bool, part: bool) {
-            *slot |= part;
+        fn assemble(queries: usize, jobs: Vec<ShardResults<bool>>) -> (Vec<bool>, Vec<u64>) {
+            let (mut answers, mut steps) = (vec![false; queries], vec![0u64; queries]);
+            for (qi, hit, spent) in jobs.into_iter().flat_map(|job| job.results) {
+                answers[qi] |= hit;
+                steps[qi] += spent;
+            }
+            (answers, steps)
         }
     }
 
     impl Mode for RowIds {
+        type Part = Range<usize>;
         type Out = Vec<usize>;
 
-        fn current(shard: &IndexedRelation, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
-            shard.matching_ids_metered(q, meter)
+        fn current(
+            shard: &IndexedRelation,
+            q: &SelectionQuery,
+            meter: &Meter,
+            ids: &mut Vec<usize>,
+        ) -> Range<usize> {
+            let start = ids.len();
+            shard.matching_ids_into(q, meter, ids);
+            start..ids.len()
         }
 
         fn points<'q>(
             shard: &IndexedRelation,
             col: usize,
             probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
-            found: impl FnMut(usize, Vec<usize>, u64),
+            ids: &mut Vec<usize>,
+            found: impl FnMut(usize, Range<usize>, u64),
         ) {
-            shard.matching_points_metered(col, probes, found);
+            shard.matching_points_into(col, probes, ids, found);
         }
 
         fn rolled_back(
@@ -361,37 +420,146 @@ mod sealed {
             shard: &IndexedRelation,
             q: &SelectionQuery,
             meter: &Meter,
-        ) -> Vec<usize> {
-            rollback.matching_ids(shard, q, meter)
+            ids: &mut Vec<usize>,
+        ) -> Range<usize> {
+            let start = ids.len();
+            rollback.matching_ids_into(shard, q, meter, ids);
+            start..ids.len()
         }
 
-        /// Local → global ids, in place, under one acquisition of the
-        /// relation's id map for the whole job.
-        fn finish<R: BatchServe>(
-            relation: &R,
-            shard: usize,
-            results: &mut WorkerResults<Vec<usize>>,
-        ) {
-            relation.id_map(shard, |global| {
-                for id in results.iter_mut().flat_map(|(_, ids, _)| ids) {
-                    *id = global[*id];
+        /// One pass over the queries with a cursor per job: each job's
+        /// triples are in ascending query order, so a query's runs are
+        /// the triples under the cursors that name it. Its answer is
+        /// allocated once, at the runs' total length.
+        fn assemble(
+            queries: usize,
+            jobs: Vec<ShardResults<Range<usize>>>,
+        ) -> (Vec<Vec<usize>>, Vec<u64>) {
+            let mut steps = vec![0u64; queries];
+            let mut cursors = vec![0usize; jobs.len()];
+            let mut runs: Vec<&[usize]> = Vec::with_capacity(jobs.len());
+            let mut merge = Merge::default();
+            let rows = (0..queries)
+                .map(|qi| {
+                    runs.clear();
+                    for (job, at) in jobs.iter().zip(&mut cursors) {
+                        let Some((_, span, spent)) = job.results.get(*at).filter(|t| t.0 == qi)
+                        else {
+                            continue;
+                        };
+                        *at += 1;
+                        steps[qi] += spent;
+                        if !span.is_empty() {
+                            runs.push(&job.ids[span.clone()]);
+                        }
+                    }
+                    merge.runs(&runs)
+                })
+                .collect();
+            debug_assert!(
+                jobs.iter()
+                    .zip(&cursors)
+                    .all(|(job, &at)| at == job.results.len()),
+                "every job's triples are in ascending query order"
+            );
+            (rows, steps)
+        }
+    }
+}
+
+/// Scratch space for [`Merge::runs`], reused across a batch's queries:
+/// the runs a merge pass reads, where each of them ends, and the
+/// buffer the pass writes.
+#[derive(Debug, Default)]
+struct Merge {
+    from: Vec<usize>,
+    ends: Vec<usize>,
+    into: Vec<usize>,
+}
+
+impl Merge {
+    /// The union of ascending, pairwise disjoint `runs`, ascending, in
+    /// one allocation of exactly their total length. Shards hold
+    /// disjoint rows and each shard's local → global id map is strictly
+    /// increasing, so one query's per-shard runs are exactly that. Runs
+    /// merge pairwise, in ⌈log₂ runs⌉ passes, the last into the answer.
+    fn runs(&mut self, runs: &[&[usize]]) -> Vec<usize> {
+        let total = runs.iter().map(|run| run.len()).sum();
+        let mut merged = vec![0; total];
+        match *runs {
+            [] => {}
+            [run] => merged.copy_from_slice(run),
+            [a, b] => merge_two(a, b, &mut merged),
+            _ => {
+                let Merge { from, ends, into } = self;
+                // Every pass writes all of `..total`: what lies there
+                // from an earlier query is never read.
+                for buf in [&mut *from, &mut *into] {
+                    buf.resize(buf.len().max(total), 0);
                 }
-            });
-        }
-
-        /// The first non-empty part is moved in, not copied.
-        fn fold(slot: &mut Vec<usize>, mut part: Vec<usize>) {
-            if slot.is_empty() {
-                *slot = part;
-            } else {
-                slot.append(&mut part);
+                ends.clear();
+                let mut start = 0;
+                for pair in runs.chunks(2) {
+                    let (a, b) = (pair[0], pair.get(1).map_or(&[][..], |run| run));
+                    let end = start + a.len() + b.len();
+                    merge_two(a, b, &mut from[start..end]);
+                    ends.push(end);
+                    start = end;
+                }
+                while ends.len() > 2 {
+                    let mut start = 0;
+                    for pair in 0..ends.len().div_ceil(2) {
+                        let mid = ends[2 * pair];
+                        let end = ends.get(2 * pair + 1).map_or(mid, |&end| end);
+                        merge_two(&from[start..mid], &from[mid..end], &mut into[start..end]);
+                        // Read above before it is overwritten: pair ≤ 2·pair.
+                        ends[pair] = end;
+                        start = end;
+                    }
+                    ends.truncate(ends.len().div_ceil(2));
+                    std::mem::swap(from, into);
+                }
+                let (a, b) = from[..total].split_at(ends[0]);
+                merge_two(a, b, &mut merged);
             }
         }
+        debug_assert!(
+            merged.windows(2).all(|w| w[0] < w[1]),
+            "runs were ascending and disjoint"
+        );
+        merged
+    }
+}
 
-        /// Shards are disjoint, so ascending order is all that is left.
-        fn seal(rows: &mut [Vec<usize>]) {
-            rows.iter_mut().for_each(|ids| ids.sort_unstable());
-        }
+/// Merge the ascending runs `a` and `b` into `out`, which is exactly
+/// as long as both. The front of `out` fills from the smallest ids up
+/// while its back fills from the largest down: two independent chains
+/// that a core runs side by side. Which run gives the next id is a
+/// select on the comparison, not a branch, since the runs of different
+/// shards interleave at random. An exhausted run reads as `usize::MAX`
+/// at the front and, with ids shifted up by one, as 0 at the back; no
+/// row id reaches `usize::MAX`.
+fn merge_two(a: &[usize], b: &[usize], out: &mut [usize]) {
+    let n = out.len();
+    debug_assert_eq!(n, a.len() + b.len(), "`out` holds exactly both runs");
+    let (mut front_a, mut front_b) = (0, 0);
+    let (mut back_a, mut back_b) = (a.len(), b.len());
+    for k in 0..n / 2 {
+        let x = a.get(front_a).map_or(usize::MAX, |&id| id);
+        let y = b.get(front_b).map_or(usize::MAX, |&id| id);
+        out[k] = x.min(y);
+        let took_a = usize::from(x < y);
+        (front_a, front_b) = (front_a + took_a, front_b + 1 - took_a);
+        let x = a.get(back_a.wrapping_sub(1)).map_or(0, |&id| id + 1);
+        let y = b.get(back_b.wrapping_sub(1)).map_or(0, |&id| id + 1);
+        out[n - 1 - k] = x.max(y) - 1;
+        let took_a = usize::from(x > y);
+        (back_a, back_b) = (back_a - took_a, back_b + took_a - 1);
+    }
+    if n % 2 == 1 {
+        let x = a.get(front_a).map_or(usize::MAX, |&id| id);
+        let y = b.get(front_b).map_or(usize::MAX, |&id| id);
+        out[n / 2] = x.min(y);
     }
 }
 
@@ -410,13 +578,13 @@ mod sealed {
 /// column, and every query of a rolled-back job — is evaluated one query
 /// at a time, the meter reset around each via `take`. Either way the
 /// triples come back in ascending query order, and the job allocates
-/// its result vector and nothing per query.
+/// its result vector and its one id buffer, nothing per query.
 pub(crate) fn eval_assigned<M: OutputMode>(
     queries: &[SelectionQuery],
     shard: &IndexedRelation,
     assigned: &[usize],
     rollback: Option<&Rollback>,
-) -> WorkerResults<M::Out> {
+) -> ShardResults<M::Part> {
     let grouped = |qi: usize| match (&queries[qi], rollback) {
         (SelectionQuery::Point { col, value }, None) if shard.is_indexed(*col) => {
             Some((*col, value))
@@ -426,20 +594,21 @@ pub(crate) fn eval_assigned<M: OutputMode>(
     // Every column a grouped point names lies in `first..end`.
     let (mut first, mut end) = (usize::MAX, 0);
     let meter = Meter::new();
-    let mut results: WorkerResults<M::Out> = assigned
+    let mut ids = Vec::new();
+    let mut results: WorkerResults<M::Part> = assigned
         .iter()
         .map(|&qi| {
             if let Some((col, _)) = grouped(qi) {
                 (first, end) = (first.min(col), end.max(col + 1));
                 // Filled in by the column's group descent below.
-                return (qi, M::Out::default(), 0);
+                return (qi, M::Part::default(), 0);
             }
             meter.take();
-            let out = match rollback {
-                None => M::current(shard, &queries[qi], &meter),
-                Some(rollback) => M::rolled_back(rollback, shard, &queries[qi], &meter),
+            let part = match rollback {
+                None => M::current(shard, &queries[qi], &meter, &mut ids),
+                Some(rollback) => M::rolled_back(rollback, shard, &queries[qi], &meter, &mut ids),
             };
-            (qi, out, meter.take())
+            (qi, part, meter.take())
         })
         .collect();
     for col in (first..end).filter(|&col| shard.is_indexed(col)) {
@@ -450,11 +619,11 @@ pub(crate) fn eval_assigned<M: OutputMode>(
                 Some((c, value)) if c == col => Some((at, value)),
                 _ => None,
             });
-        M::points(shard, col, points, |at, out, steps| {
-            (results[at].1, results[at].2) = (out, steps);
+        M::points(shard, col, points, &mut ids, |at, part, steps| {
+            (results[at].1, results[at].2) = (part, steps);
         });
     }
-    results
+    ShardResults { results, ids }
 }
 
 #[cfg(test)]
@@ -462,6 +631,7 @@ mod tests {
     use super::*;
     use crate::live::LiveRelation;
     use crate::planner::AccessPath;
+    use crate::pool::BatchServe;
     use crate::pool::PooledExecutor;
     use crate::shard::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, Value};
@@ -559,20 +729,47 @@ mod tests {
         shard: &IndexedRelation,
         assigned: &[usize],
         rollback: Option<&Rollback>,
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         let meter = Meter::new();
-        assigned
+        let mut ids = Vec::new();
+        let results = assigned
             .iter()
             .map(|&qi| {
                 meter.take();
                 let q = &queries[qi];
-                let out = match rollback {
-                    None => M::current(shard, q, &meter),
-                    Some(rollback) => M::rolled_back(rollback, shard, q, &meter),
+                let part = match rollback {
+                    None => M::current(shard, q, &meter, &mut ids),
+                    Some(rollback) => M::rolled_back(rollback, shard, q, &meter, &mut ids),
                 };
-                (qi, out, meter.take())
+                (qi, part, meter.take())
             })
-            .collect()
+            .collect();
+        ShardResults { results, ids }
+    }
+
+    /// A job's triples with each result in its answer's form.
+    trait Resolve: OutputMode {
+        fn resolve(job: ShardResults<Self::Part>) -> WorkerResults<Self::Out>;
+    }
+
+    impl Resolve for Exists {
+        fn resolve(job: ShardResults<bool>) -> WorkerResults<bool> {
+            job.results
+        }
+    }
+
+    /// Also checks the buffer: the spans tile it, and each is ascending
+    /// and free of duplicates.
+    impl Resolve for RowIds {
+        fn resolve(job: ShardResults<Range<usize>>) -> WorkerResults<Vec<usize>> {
+            let spanned: usize = job.results.iter().map(|(_, span, _)| span.len()).sum();
+            assert_eq!(spanned, job.ids.len(), "the spans tile the buffer");
+            let rows = job.into_rows();
+            for (qi, ids, _) in &rows {
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "query {qi}: {ids:?}");
+            }
+            rows
+        }
     }
 
     /// `id`, `grp` (Int) and `city` (Str) are indexed; `note` is not.
@@ -631,11 +828,14 @@ mod tests {
 
     /// The grouped job equals the per-query path triple by triple —
     /// query index, output, steps — in ascending query order.
-    fn assert_same<T: PartialEq + std::fmt::Debug>(
-        grouped: WorkerResults<T>,
-        single: WorkerResults<T>,
+    fn assert_same<M: Resolve>(
+        grouped: ShardResults<M::Part>,
+        single: ShardResults<M::Part>,
         assigned: &[usize],
-    ) {
+    ) where
+        M::Out: PartialEq + std::fmt::Debug,
+    {
+        let (grouped, single) = (M::resolve(grouped), M::resolve(single));
         assert_eq!(grouped, single);
         let order: Vec<usize> = grouped.iter().map(|(qi, _, _)| *qi).collect();
         assert_eq!(order, assigned, "one triple per query, ascending");
@@ -649,13 +849,13 @@ mod tests {
         (queries, assigned)
     }
 
-    fn sharded_matches_per_query<M: OutputMode>(sr: &ShardedRelation)
+    fn sharded_matches_per_query<M: Resolve>(sr: &ShardedRelation)
     where
         M::Out: PartialEq + std::fmt::Debug,
     {
         let (queries, assigned) = job();
         for (shard, current) in sr.shards().iter().enumerate() {
-            assert_same(
+            assert_same::<M>(
                 sr.eval_shard::<M>(shard, Epoch::LATEST, &queries, &assigned),
                 per_query::<M>(&queries, current, &assigned, None),
                 &assigned,
@@ -665,7 +865,7 @@ mod tests {
 
     /// As [`sharded_matches_per_query`], read at `at`, which must (or
     /// must not) need a rollback.
-    fn live_matches_per_query<M: OutputMode>(live: &LiveRelation, at: Epoch, rolled_back: bool)
+    fn live_matches_per_query<M: Resolve>(live: &LiveRelation, at: Epoch, rolled_back: bool)
     where
         M::Out: PartialEq + std::fmt::Debug,
     {
@@ -675,7 +875,7 @@ mod tests {
                 assert_eq!(rollback.is_some(), rolled_back, "shard {shard}");
                 per_query::<M>(&queries, current, &assigned, rollback)
             });
-            assert_same(
+            assert_same::<M>(
                 live.eval_shard::<M>(shard, at, &queries, &assigned),
                 single,
                 &assigned,
@@ -713,6 +913,32 @@ mod tests {
         }
         live_matches_per_query::<Exists>(&live, pin.epoch(), true);
         live_matches_per_query::<RowIds>(&live, pin.epoch(), true);
+    }
+
+    /// Up to nine ascending, disjoint runs, some empty, merge into their
+    /// sorted union at exactly its length — also after a longer merge
+    /// left more in the scratch buffers.
+    #[test]
+    fn merged_runs_equal_the_sorted_concatenation() {
+        let mut merge = Merge::default();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..300usize {
+            let mut runs = vec![Vec::new(); case % 10];
+            for id in 0..(case * 7) % 90 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if let Some(run) = runs.get_mut(state as usize % (case % 10).max(1)) {
+                    run.push(3 * id + state as usize % 3);
+                }
+            }
+            let slices: Vec<&[usize]> = runs.iter().map(Vec::as_slice).collect();
+            let mut expect = runs.concat();
+            expect.sort_unstable();
+            let got = merge.runs(&slices);
+            assert_eq!(got, expect, "case {case}");
+            assert_eq!(got.capacity(), expect.len(), "one exact allocation");
+        }
     }
 
     #[test]

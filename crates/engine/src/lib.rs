@@ -38,8 +38,9 @@
 //!   per-shard work items over a channel, an admission gate capping
 //!   in-flight batches (queue depth and gate waits surfaced in
 //!   [`pool::PoolStats`]), one pinned epoch per batch, worker panics
-//!   contained to their batch, row ids translated by the job that
-//!   found them, and one fold on the submitter. Anything implementing
+//!   contained to their batch, row ids gathered into one buffer and
+//!   translated by the job that found them, and one assembly on the
+//!   submitter. Anything implementing
 //!   [`pool::BatchServe`] is served, and reports a [`status::NodeStatus`]:
 //!   one snapshot of what it is doing, read by `status()`.
 //! * [`error::EngineError`] — the typed failure surface of the builders

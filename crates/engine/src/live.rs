@@ -58,7 +58,7 @@
 //! ([`LiveRelation::answer`]) stay read-committed: they touch one state
 //! per shard and need no cut.
 
-use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, WorkerResults};
+use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, ShardResults};
 use crate::error::EngineError;
 use crate::planner::AccessPath;
 use crate::pool::BatchServe;
@@ -518,26 +518,29 @@ impl Rollback {
             || shard.answer_metered_below(q, meter, self.hidden_from)
     }
 
-    /// Matching locals at the pinned epoch. Unsorted — every batch
-    /// caller sorts after global-id translation.
-    pub(crate) fn matching_ids(
+    /// Append the locals matching `q` at the pinned epoch to `out`,
+    /// ascending.
+    pub(crate) fn matching_ids_into(
         &self,
         shard: &IndexedRelation,
         q: &SelectionQuery,
         meter: &Meter,
-    ) -> Vec<usize> {
-        let mut ids: Vec<usize> = shard
-            .matching_ids_metered(q, meter)
-            .into_iter()
-            .filter(|l| *l < self.hidden_from)
-            .collect();
-        ids.extend(
-            self.restored
-                .matching_ids_metered(q, meter)
-                .into_iter()
-                .map(|i| self.restored_locals[i]),
-        );
-        ids
+        out: &mut Vec<usize>,
+    ) {
+        let start = out.len();
+        shard.matching_ids_into(q, meter, out);
+        // The current matches are ascending, and every row inserted
+        // past the pin sits at or above the horizon: they are a suffix.
+        let visible = out[start..].partition_point(|&local| local < self.hidden_from);
+        out.truncate(start + visible);
+        let restored = out.len();
+        self.restored.matching_ids_into(q, meter, out);
+        if out.len() > restored {
+            for id in &mut out[restored..] {
+                *id = self.restored_locals[*id];
+            }
+            out[start..].sort_unstable();
+        }
     }
 }
 
@@ -1537,7 +1540,7 @@ impl BatchServe for LiveRelation {
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         self.read_shard_at(shard, at, |current, rollback| {
             eval_assigned::<M>(queries, current, assigned, rollback)
         })
@@ -1575,6 +1578,35 @@ mod tests {
 
     fn live(n: i64, shards: usize) -> LiveRelation {
         LiveRelation::build(&relation(n), ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap()
+    }
+
+    /// Each shard's local → global id map strictly increasing, which
+    /// the row-id merge relies on; the maps themselves.
+    fn increasing_id_maps(lr: &LiveRelation) -> Vec<Vec<usize>> {
+        (0..lr.shard_count())
+            .map(|s| {
+                let map = lr.id_map(s, <[usize]>::to_vec);
+                assert!(map.windows(2).all(|w| w[0] < w[1]), "shard {s}: {map:?}");
+                map
+            })
+            .collect()
+    }
+
+    #[test]
+    fn id_maps_increase_after_build_writes_replay_and_export() {
+        let lr = live(200, 3);
+        increasing_id_maps(&lr);
+        for i in 0..60 {
+            lr.insert(vec![Value::Int(1_000 + i), Value::str("new")])
+                .unwrap();
+            lr.delete((i * 7) as usize).unwrap();
+        }
+        let maps = increasing_id_maps(&lr);
+        let replica = live(200, 3);
+        replica.replay(&lr.pending_log()).unwrap();
+        assert_eq!(increasing_id_maps(&replica), maps, "replay");
+        let exported = LiveRelation::from_sharded(lr.freeze().state);
+        assert_eq!(increasing_id_maps(&exported), maps, "export");
     }
 
     #[test]

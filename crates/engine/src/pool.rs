@@ -25,7 +25,8 @@
 //! `pitract-wal`'s `DurableLiveRelation` and `pitract-repl`'s `Follower`
 //! by delegation. Every relation and both [`OutputMode`]s go through the
 //! same routing, the same per-shard `eval_assigned` metering protocol,
-//! and one fold in which each job carries its shard id explicitly.
+//! and one assembly of the answers, in which each job carries its shard
+//! id explicitly.
 //!
 //! # What a batch costs the submitter
 //!
@@ -33,17 +34,20 @@
 //! O(|batch|) *words* of work and no per-query heap allocation outside
 //! the result rows: **one pass** validates, plans and routes into
 //! per-shard work lists ([`BatchServe::route_shards`]); the **workers
-//! evaluate and translate** (a row-id job maps its own local ids to
-//! global ids, after its shard guard dropped, under one id-map
-//! acquisition); **one fold** drops each `(query, result, steps)` triple
-//! into that query's slot. The job queue stays an [`std::sync::mpsc`]
-//! channel on purpose: its receiver spins briefly before parking, and a
-//! `Mutex<VecDeque>` + `Condvar` queue, which parks at once, measured
-//! 10–25 % slower on small-batch reads (`CHANGES.md`, PR 15).
+//! evaluate and translate** (a row-id job gathers every query's ids into
+//! one buffer and maps it to global ids in place, after its shard guard
+//! dropped, under one id-map acquisition); **one assembly** walks the
+//! queries with a cursor per job, sums each query's steps and, in
+//! row-id mode, allocates its answer at its exact size and merges the
+//! ascending per-shard runs into it. The job queue stays an
+//! [`std::sync::mpsc`] channel on purpose: its receiver spins briefly
+//! before parking, and a `Mutex<VecDeque>` + `Condvar` queue, which
+//! parks at once, measured 10–25 % slower on small-batch reads
+//! (`CHANGES.md`, PR 15).
 
 use crate::batch::{
     BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, Routing, RowIds,
-    WorkerResults,
+    ShardResults, WorkerResults,
 };
 use crate::error::EngineError;
 use crate::planner::QueryPlan;
@@ -291,9 +295,9 @@ struct Collector<T> {
 }
 
 struct CollectorState<T> {
-    /// One entry per finished shard job, in completion order (the fold
-    /// is order-independent).
-    results: Vec<WorkerResults<T>>,
+    /// One entry per finished shard job, in completion order (the
+    /// assembly is order-independent).
+    results: Vec<ShardResults<T>>,
     remaining: usize,
     panicked: Option<usize>,
 }
@@ -310,7 +314,7 @@ impl<T> Collector<T> {
         }
     }
 
-    fn finish(&self, shard: usize, outcome: Option<WorkerResults<T>>) {
+    fn finish(&self, shard: usize, outcome: Option<ShardResults<T>>) {
         let mut state = lock(&self.state);
         match outcome {
             Some(results) => state.results.push(results),
@@ -324,7 +328,7 @@ impl<T> Collector<T> {
 
     /// Wait for every job, then yield their results or the first
     /// panicked shard.
-    fn wait(&self) -> Result<Vec<WorkerResults<T>>, EngineError> {
+    fn wait(&self) -> Result<Vec<ShardResults<T>>, EngineError> {
         let mut state = lock(&self.state);
         while state.remaining > 0 {
             state = self
@@ -349,7 +353,7 @@ impl<T> Collector<T> {
 /// the executor calls [`BatchServe::pin_epoch`] once per batch before
 /// any shard job runs, passes the pinned epoch to every `eval_shard`
 /// call, and releases it with [`BatchServe::unpin_epoch`] when the
-/// batch's results have folded. Immutable relations keep the defaults
+/// batch's answers are assembled. Immutable relations keep the defaults
 /// (no pin, evaluation ignores `at`).
 pub trait BatchServe: Send + Sync {
     /// Validate, plan, and shard-route a query slice into per-shard
@@ -357,8 +361,10 @@ pub trait BatchServe: Send + Sync {
     fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError>;
 
     /// [`BatchServe::route_shards`] viewed per query — the plans and, for
-    /// each query, the shards it routes to — for callers that inspect
-    /// routing rather than dispatch it.
+    /// each query, the shards it routes to. For inspection only: it
+    /// allocates a shard list per query, which the executor's path
+    /// (`route_shards`, dispatched as is) never does, so timing it
+    /// overstates what routing costs a served batch.
     fn route(
         &self,
         queries: &[SelectionQuery],
@@ -398,18 +404,19 @@ pub trait BatchServe: Send + Sync {
     /// One shard's assigned queries, evaluated in mode `M` at epoch
     /// `at` ([`Epoch::LATEST`] = current state): one `(query index,
     /// result, metered steps)` triple per assigned query, in ascending
-    /// query order. Runs on a pool worker. The engine's relations
-    /// evaluate through one body, which may answer a job's indexed
-    /// points together, in groups down each column's tree; the steps
-    /// of each triple are still exactly that query's own, as if it had
-    /// run alone.
+    /// query order, plus the job's shard-local row ids that
+    /// [`RowIds`] results are spans of. Runs on a pool worker. The
+    /// engine's relations evaluate through one body, which may answer a
+    /// job's indexed points together, in groups down each column's
+    /// tree; the steps of each triple are still exactly that query's
+    /// own, as if it had run alone.
     fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out>;
+    ) -> ShardResults<M::Part>;
 
     /// [`BatchServe::eval_shard`] in [`Exists`] mode.
     fn eval_bool(
@@ -420,9 +427,11 @@ pub trait BatchServe: Send + Sync {
         assigned: &[usize],
     ) -> WorkerResults<bool> {
         self.eval_shard::<Exists>(shard, at, queries, assigned)
+            .results
     }
 
-    /// [`BatchServe::eval_shard`] in [`RowIds`] mode (shard-local ids).
+    /// [`BatchServe::eval_shard`] in [`RowIds`] mode, each query's
+    /// shard-local ids in a vector of its own.
     fn eval_rows(
         &self,
         shard: usize,
@@ -431,6 +440,7 @@ pub trait BatchServe: Send + Sync {
         assigned: &[usize],
     ) -> WorkerResults<Vec<usize>> {
         self.eval_shard::<RowIds>(shard, at, queries, assigned)
+            .into_rows()
     }
 
     /// Run `read` over `shard`'s local→global id map (indexed by local
@@ -438,6 +448,8 @@ pub trait BatchServe: Send + Sync {
     /// calls it once shard evaluation has returned, so a live relation
     /// never waits for its ids lock while holding a shard lock; its maps
     /// are append-only, which makes that late translation race-free.
+    /// The map must be strictly increasing: translation then keeps each
+    /// query's run of ids ascending, which the row-id merge relies on.
     fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T;
 
     /// Translate shard-local row ids to global ids.
@@ -447,7 +459,7 @@ pub trait BatchServe: Send + Sync {
 }
 
 /// RAII epoch pin for one batch: taken after admission, released when
-/// the batch's results have folded — on every path, including errors
+/// the batch's answers are assembled — on every path, including errors
 /// and worker panics.
 struct PinGuard<'a, R: BatchServe + ?Sized> {
     relation: &'a R,
@@ -492,7 +504,7 @@ pub struct PooledExecutor<R: BatchServe + 'static> {
 /// plus the `engine_*` report totals for batches served on this pool).
 #[derive(Debug, Clone, Default)]
 struct ExecInstruments {
-    /// `pool_batch_micros`: service latency from admission to fold.
+    /// `pool_batch_micros`: service latency from admission to assembly.
     batch_micros: Histogram,
     /// `pool_worker_panics_total`: shard evaluations that panicked.
     panics: Counter,
@@ -595,7 +607,7 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         Ok(BatchRows { rows, report })
     }
 
-    /// Serve one batch in mode `M`: route, admit, pin, dispatch, fold,
+    /// Serve one batch in mode `M`: route, admit, pin, dispatch, assemble,
     /// report — the one body behind both public entry points.
     fn serve<M: OutputMode>(
         &self,
@@ -613,16 +625,9 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             .then(Instant::now);
         let pin = PinGuard::pin(self.relation.as_ref());
         let per_job = self.dispatch::<M>(&queries, routing.jobs, pin.at())?;
-        // The one fold: every triple lands in its query's slot. Each
-        // job translated its own row ids, so which shard it ran on and
-        // the order jobs came back in no longer matter.
-        let mut out: Vec<M::Out> = (0..queries.len()).map(|_| M::Out::default()).collect();
-        let mut steps = vec![0u64; queries.len()];
-        for (qi, part, spent) in per_job.into_iter().flatten() {
-            M::fold(&mut out[qi], part);
-            steps[qi] += spent;
-        }
-        M::seal(&mut out);
+        // Each job translated its own row ids, so which shard it ran on
+        // and the order jobs came back in no longer matter.
+        let (out, steps) = M::assemble(queries.len(), per_job);
         let report = BatchReport::new(
             routing.plans,
             steps,
@@ -649,7 +654,7 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         queries: &Arc<[SelectionQuery]>,
         jobs: Vec<(usize, Vec<usize>)>,
         at: Epoch,
-    ) -> Result<Vec<WorkerResults<M::Out>>, EngineError> {
+    ) -> Result<Vec<ShardResults<M::Part>>, EngineError> {
         let collector = Arc::new(Collector::new(jobs.len()));
         for (shard, assigned) in jobs {
             let relation = Arc::clone(&self.relation);
@@ -662,11 +667,15 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
                 // poisoned query must not take down a serving process
                 // that multiplexes many clients).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut results = relation.eval_shard::<M>(shard, at, &queries, &assigned);
+                    let mut job = relation.eval_shard::<M>(shard, at, &queries, &assigned);
                     // `eval_shard` has returned, so its shard guard is
                     // gone: the id map may be taken now.
-                    M::finish(relation.as_ref(), shard, &mut results);
-                    results
+                    if !job.ids.is_empty() {
+                        relation.id_map(shard, |global| {
+                            job.ids.iter_mut().for_each(|id| *id = global[*id]);
+                        });
+                    }
+                    job
                 }))
                 .ok();
                 if outcome.is_none() {
@@ -768,7 +777,7 @@ mod tests {
             at: Epoch,
             queries: &[SelectionQuery],
             assigned: &[usize],
-        ) -> WorkerResults<M::Out> {
+        ) -> ShardResults<M::Part> {
             self.0.eval_shard::<M>(shard, at, queries, assigned)
         }
 
@@ -889,6 +898,110 @@ mod tests {
         assert_eq!(bools.report.per_query[last].steps, 0);
         assert!(!bools.answers[last]);
         assert!(rows.rows[last].is_empty());
+    }
+
+    /// A live relation served at an epoch pinned before later writes,
+    /// so every shard job reads through a rollback.
+    struct PinnedEarlier {
+        live: LiveRelation,
+        at: Epoch,
+    }
+
+    impl BatchServe for PinnedEarlier {
+        fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
+            self.live.route_shards(queries)
+        }
+
+        fn shard_count(&self) -> usize {
+            self.live.shard_count()
+        }
+
+        fn pin_epoch(&self) -> Option<Epoch> {
+            Some(self.at)
+        }
+
+        fn eval_shard<M: OutputMode>(
+            &self,
+            shard: usize,
+            at: Epoch,
+            queries: &[SelectionQuery],
+            assigned: &[usize],
+        ) -> ShardResults<M::Part> {
+            self.live.eval_shard::<M>(shard, at, queries, assigned)
+        }
+
+        fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
+            self.live.id_map(shard, read)
+        }
+    }
+
+    /// Row-id queries that fan out to every shard, read through a
+    /// rollback: each assembled answer equals the per-query path —
+    /// `eval_rows` of that query alone on every shard, translated and
+    /// sorted — in ids and steps, is ascending without duplicates, and
+    /// is what the relation answered before the writes past the pin.
+    #[test]
+    fn fanned_out_row_ids_equal_the_per_query_path_under_a_rollback() {
+        let live = LiveRelation::build(&relation(600), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
+        // No shard-key point: every query goes to all four shards.
+        let batch = QueryBatch::new((0..12i64).flat_map(|k| {
+            let range = SelectionQuery::range_closed(0, k * 45, k * 45 + 60);
+            [
+                SelectionQuery::point(1, format!("city{}", k % 10).as_str()),
+                range.clone(),
+                SelectionQuery::and(SelectionQuery::point(1, "city3"), range),
+            ]
+        }));
+        let before: Vec<Vec<usize>> = batch
+            .queries()
+            .iter()
+            .map(|q| live.matching_ids(q))
+            .collect();
+        let at = live.pin_epoch().unwrap();
+        for gid in (0..600).step_by(5) {
+            live.delete(gid).unwrap();
+        }
+        for i in 0..40i64 {
+            live.insert(vec![
+                Value::Int(i * 13),
+                Value::str(format!("city{}", i % 10)),
+            ])
+            .unwrap();
+        }
+        let exec = PooledExecutor::new(
+            Arc::new(PinnedEarlier { live, at }),
+            PoolConfig {
+                workers: 2,
+                max_inflight: 2,
+                ..PoolConfig::default()
+            },
+        );
+        let got = exec.execute_rows(&batch).unwrap();
+        let served = exec.relation();
+        assert!(
+            served.live.version_stats().retained_versions > 0,
+            "read through a rollback"
+        );
+        for (qi, q) in batch.queries().iter().enumerate() {
+            let (mut ids, mut steps) = (Vec::new(), 0);
+            for shard in 0..4 {
+                let (_, locals, spent) = served
+                    .eval_rows(shard, at, batch.queries(), &[qi])
+                    .remove(0);
+                ids.extend(served.global_ids(shard, &locals));
+                steps += spent;
+            }
+            ids.sort_unstable();
+            assert_eq!(got.report.per_query[qi].shards_probed, 4, "{q:?}");
+            assert_eq!(got.rows[qi], ids, "{q:?}");
+            assert_eq!(got.report.per_query[qi].steps, steps, "{q:?}");
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "ascending, no duplicates"
+            );
+            assert_eq!(got.rows[qi], before[qi], "{q:?} at the pin");
+        }
+        served.live.unpin_epoch(at);
     }
 
     #[test]
@@ -1052,18 +1165,21 @@ mod tests {
             _at: Epoch,
             _queries: &[SelectionQuery],
             assigned: &[usize],
-        ) -> WorkerResults<M::Out> {
+        ) -> ShardResults<M::Part> {
             self.enter();
             if self.panic_on_shard == Some(shard) {
                 self.exit();
                 panic!("probe shard {shard} poisoned");
             }
-            let out = assigned
+            let results = assigned
                 .iter()
-                .map(|&qi| (qi, M::Out::default(), 1))
+                .map(|&qi| (qi, M::Part::default(), 1))
                 .collect();
             self.exit();
-            out
+            ShardResults {
+                results,
+                ids: Vec::new(),
+            }
         }
 
         fn id_map<T>(&self, _shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {

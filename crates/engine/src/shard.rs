@@ -36,7 +36,7 @@
 //! Boolean mask this replaced) checks the equality as sets on seeded
 //! random queries.
 
-use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, WorkerResults};
+use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, ShardResults};
 use crate::error::EngineError;
 use crate::pool::BatchServe;
 use pitract_core::cost::Meter;
@@ -340,9 +340,12 @@ impl ShardedRelation {
     /// Reassemble a `ShardedRelation` from previously exported parts —
     /// the warm-start path used by `pitract-store` when loading a
     /// snapshot. Validates the same partitioning invariants as
-    /// [`Self::build`] plus the mutual consistency of the id maps, so a
-    /// structurally corrupt snapshot is rejected instead of producing a
-    /// relation that answers queries differently from the original.
+    /// [`Self::build`] plus the mutual consistency of the id maps, and
+    /// that each shard's local → global map is strictly increasing, as
+    /// every build and insert leaves it (the row-id merge relies on
+    /// it), so a structurally corrupt snapshot is rejected instead of
+    /// producing a relation that answers queries differently from the
+    /// original.
     pub fn from_parts(
         schema: Schema,
         shard_by: ShardBy,
@@ -386,6 +389,11 @@ impl ShardedRelation {
                 return Err(inconsistent(format!(
                     "shard {s} maps a local row to global id {bad}, beyond {}",
                     locations.len()
+                )));
+            }
+            if global_ids[s].windows(2).any(|w| w[0] >= w[1]) {
+                return Err(inconsistent(format!(
+                    "shard {s}'s global ids do not increase with its local ids"
                 )));
             }
         }
@@ -467,7 +475,7 @@ impl BatchServe for ShardedRelation {
         _at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         eval_assigned::<M>(queries, &self.shards[shard], assigned, None)
     }
 
@@ -774,6 +782,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InconsistentSnapshot(_)), "{err}");
+
+        // Two locals whose global ids are swapped, the locations to
+        // match: every id maps back, but the map no longer increases.
+        let (mut maps, mut locations) = (sr.global_id_maps().to_vec(), sr.locations().to_vec());
+        maps[0].swap(0, 1);
+        let (first, second) = (maps[0][0], maps[0][1]);
+        (locations[first], locations[second]) = (Some((0, 0)), Some((0, 1)));
+        let err = ShardedRelation::from_parts(
+            sr.schema().clone(),
+            sr.shard_by().clone(),
+            export_shards(&sr),
+            maps,
+            locations,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("do not increase"), "{err}");
     }
 
     #[test]

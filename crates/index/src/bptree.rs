@@ -1022,34 +1022,37 @@ impl<'a, K: Ord + Clone, V> Iterator for RangeIter<'a, K, V> {
 }
 
 /// Binary search for `partition_point(|k| k <= key)` counting one step
-/// per comparison.
+/// per comparison. The bounds move by arithmetic on the comparison's
+/// outcome, not by a branch on it: a descent's comparisons are a coin
+/// toss to the branch predictor.
 fn counted_upper_bound<K: Ord>(keys: &[K], key: &K, steps: &mut u64) -> usize {
     let mut lo = 0usize;
     let mut hi = keys.len();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         *steps += 1;
-        if keys[mid] <= *key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+        let le = usize::from(keys[mid] <= *key);
+        lo += le * (mid + 1 - lo);
+        hi = mid + le * (hi - mid);
     }
     lo
 }
 
-/// Exact-match binary search counting one step per comparison.
+/// Exact-match binary search counting one step per comparison; the
+/// bounds move as in `counted_upper_bound`.
 fn counted_eq_search<K: Ord>(keys: &[K], key: &K, steps: &mut u64) -> Option<usize> {
     let mut lo = 0usize;
     let mut hi = keys.len();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         *steps += 1;
-        match keys[mid].cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some(mid),
+        let order = keys[mid].cmp(key);
+        if order.is_eq() {
+            return Some(mid);
         }
+        let less = usize::from(order.is_lt());
+        lo += less * (mid + 1 - lo);
+        hi = mid + less * (hi - mid);
     }
     None
 }
@@ -1097,6 +1100,50 @@ mod tests {
     fn assert_ok<V>(tree: &BPlusTree<u64, V>) {
         if let Err(e) = tree.check_invariants() {
             panic!("invariant violation: {e}");
+        }
+    }
+
+    /// The branching binary searches the counted ones replaced.
+    fn branching_searches(keys: &[i64], key: i64) -> ((usize, u64), (Option<usize>, u64)) {
+        let (mut lo, mut hi, mut steps) = (0, keys.len(), 0);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            steps += 1;
+            if keys[mid] <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let upper = (lo, steps);
+        let (mut lo, mut hi, mut steps) = (0, keys.len(), 0);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            steps += 1;
+            match keys[mid].cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return (upper, (Some(mid), steps)),
+            }
+        }
+        (upper, (None, steps))
+    }
+
+    #[test]
+    fn counted_searches_answer_and_count_like_branching_ones() {
+        for len in 0..=40i64 {
+            let keys: Vec<i64> = (0..len).map(|k| 2 * k).collect();
+            for key in -1..=2 * len + 1 {
+                let (mut upper_steps, mut eq_steps) = (0, 0);
+                let upper = counted_upper_bound(&keys, &key, &mut upper_steps);
+                let eq = counted_eq_search(&keys, &key, &mut eq_steps);
+                assert_eq!(
+                    ((upper, upper_steps), (eq, eq_steps)),
+                    branching_searches(&keys, key),
+                    "{len} keys, probe {key}"
+                );
+                assert_eq!(upper, keys.partition_point(|&k| k <= key));
+            }
         }
     }
 

@@ -99,7 +99,7 @@ use pitract_core::cost::Meter;
 use pitract_index::bptree::BPlusTree;
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// Everything that can go wrong building or updating an
 /// [`IndexedRelation`].
@@ -310,15 +310,15 @@ impl ColumnIndex {
         })
     }
 
-    /// Every row id posted under a key within the bounds, ascending.
-    fn ids_in_range(&self, lo: &Bound<Value>, hi: &Bound<Value>) -> Vec<usize> {
-        let mut ids = Vec::new();
+    /// Append every row id posted under a key within the bounds to
+    /// `out`, the appended run ascending.
+    fn ids_in_range_into(&self, lo: &Bound<Value>, hi: &Bound<Value>, out: &mut Vec<usize>) {
+        let start = out.len();
         self.any_posting_in(lo, hi, |posting| {
-            ids.extend_from_slice(posting.as_slice());
+            out.extend_from_slice(posting.as_slice());
             false
         });
-        ids.sort_unstable();
-        ids
+        out[start..].sort_unstable();
     }
 
     /// Post row `id` under `value` (a value the schema admitted for this
@@ -565,8 +565,11 @@ impl IndexedRelation {
     /// Live row ids whose `col` falls in `[lo, hi]` (bounds as given),
     /// ascending. Empty if the column is unindexed.
     pub fn row_ids_in_range(&self, col: usize, lo: &Bound<Value>, hi: &Bound<Value>) -> Vec<usize> {
-        self.index(col)
-            .map_or_else(Vec::new, |index| index.ids_in_range(lo, hi))
+        let mut ids = Vec::new();
+        if let Some(index) = self.index(col) {
+            index.ids_in_range_into(lo, hi, &mut ids);
+        }
+        ids
     }
 
     /// Enumerate (ascending) the ids of all live rows matching `q`,
@@ -575,28 +578,69 @@ impl IndexedRelation {
     ///
     /// This is the enumeration mode of the serving layer: the Boolean
     /// answer is `!ids.is_empty()`, but callers that need the witnesses
-    /// (e.g. row-id batch serving in `pitract-engine`) get them directly.
+    /// get them directly. [`Self::matching_ids_into`] is the same walk
+    /// appending to a caller's buffer.
     pub fn matching_ids_metered(&self, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
+        let mut ids = Vec::new();
+        self.matching_ids_into(q, meter, &mut ids);
+        ids
+    }
+
+    /// [`Self::matching_ids_metered`] appending to `out` instead of
+    /// allocating: the ids of `q`'s matches land after `out`'s existing
+    /// contents, ascending, charged exactly as `matching_ids_metered`
+    /// charges them. A row-id shard job gathers all its queries' ids
+    /// into one buffer this way (`pitract-engine`).
+    pub fn matching_ids_into(&self, q: &SelectionQuery, meter: &Meter, out: &mut Vec<usize>) {
+        let start = out.len();
+        let verified = |id: usize| {
+            meter.tick();
+            self.row(id).is_some_and(|row| q.matches(row))
+        };
+        // Tombstoned slots are walked too — that is real work the scan
+        // performs, so the meter charges it (and the planner estimates
+        // scans against slot count, not live count).
+        let scan =
+            |out: &mut Vec<usize>| out.extend((0..self.slot_count()).filter(|&id| verified(id)));
         match q {
             SelectionQuery::Point { col, value } => match self.index(*col) {
-                Some(index) => probed(index, index.ids_eq(value).to_vec(), meter),
-                None => self.scan_ids_metered(q, meter),
+                Some(index) => {
+                    out.extend_from_slice(index.ids_eq(value));
+                    probed(index, out.len() - start, meter);
+                }
+                None => scan(out),
             },
             SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
-                Some(index) => probed(index, index.ids_in_range(lo, hi), meter),
-                None => self.scan_ids_metered(q, meter),
+                Some(index) => {
+                    index.ids_in_range_into(lo, hi, out);
+                    probed(index, out.len() - start, meter);
+                }
+                None => scan(out),
             },
             SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
-                Some(driving) => self
-                    .driving_candidates(driving, meter)
-                    .iter()
-                    .copied()
-                    .filter(|&id| {
-                        meter.tick();
-                        self.row(id).is_some_and(|row| q.matches(row))
-                    })
-                    .collect(),
-                None => self.scan_ids_metered(q, meter),
+                Some(SelectionQuery::Range { col, lo, hi }) => {
+                    // The candidates are gathered straight into `out`
+                    // and filtered where they lie.
+                    let index = self.driving_index(*col);
+                    meter.add(tree_descent_cost(index));
+                    index.ids_in_range_into(lo, hi, out);
+                    let mut kept = start;
+                    for at in start..out.len() {
+                        let id = out[at];
+                        if verified(id) {
+                            out[kept] = id;
+                            kept += 1;
+                        }
+                    }
+                    out.truncate(kept);
+                }
+                Some(point) => out.extend(
+                    self.driving_candidates(point, meter)
+                        .iter()
+                        .copied()
+                        .filter(|&id| verified(id)),
+                ),
+                None => scan(out),
             },
         }
     }
@@ -632,22 +676,12 @@ impl IndexedRelation {
             SelectionQuery::Range { col, lo, hi } => {
                 let index = self.driving_index(*col);
                 meter.add(tree_descent_cost(index));
-                Cow::Owned(index.ids_in_range(lo, hi))
+                let mut ids = Vec::new();
+                index.ids_in_range_into(lo, hi, &mut ids);
+                Cow::Owned(ids)
             }
             SelectionQuery::And(_, _) => unreachable!("driving conjuncts are leaves"),
         }
-    }
-
-    fn scan_ids_metered(&self, q: &SelectionQuery, meter: &Meter) -> Vec<usize> {
-        (0..self.slot_count())
-            .filter(|&id| {
-                // Tombstoned slots are walked too — that is real work the
-                // scan performs, so the meter charges it (and the planner
-                // estimates scans against slot count, not live count).
-                meter.tick();
-                self.row(id).is_some_and(|row| q.matches(row))
-            })
-            .collect()
     }
 
     /// Answer a Boolean selection query, preferring indexes and falling
@@ -720,24 +754,27 @@ impl IndexedRelation {
     }
 
     /// [`Self::answer_points_metered`] in row-id mode, the batched twin
-    /// of [`Self::matching_ids_metered`]: each probe gets the ids posted
-    /// under its value, charged one descent plus the ids, as
-    /// `matching_ids_metered` charges a point probe (a mistyped value,
-    /// like a miss, pays the descent alone).
+    /// of [`Self::matching_ids_into`]: each probe's ids are appended to
+    /// `out`, and `found(tag, span, steps)` names the span of `out`
+    /// they landed in, charged one descent plus the ids, as
+    /// `matching_ids_into` charges a point probe (a mistyped value,
+    /// like a miss, pays the descent alone and gets an empty span).
     ///
     /// Panics if `col` is not indexed ([`Self::is_indexed`]).
-    pub fn matching_points_metered<'q, T: Copy>(
+    pub fn matching_points_into<'q, T: Copy>(
         &self,
         col: usize,
         probes: impl Iterator<Item = (T, &'q Value)> + Clone,
-        mut found: impl FnMut(T, Vec<usize>, u64),
+        out: &mut Vec<usize>,
+        mut found: impl FnMut(T, Range<usize>, u64),
     ) {
         let index = self.point_index(col);
         let descent = tree_descent_cost(index);
         index.get_many_metered(probes, |tag, posting, _| {
-            let ids = posting.map_or(&[][..], Posting::as_slice).to_vec();
-            let steps = descent + ids.len() as u64;
-            found(tag, ids, steps)
+            let start = out.len();
+            out.extend_from_slice(posting.map_or(&[][..], Posting::as_slice));
+            let steps = descent + (out.len() - start) as u64;
+            found(tag, start..out.len(), steps)
         });
     }
 
@@ -839,11 +876,10 @@ fn tree_descent_cost(index: &ColumnIndex) -> u64 {
     (n.log2().ceil() as u64).max(1) * 2
 }
 
-/// Charge one enumerating probe of `index` — the descent plus every id
-/// it produced — and hand the ids on.
-fn probed(index: &ColumnIndex, ids: Vec<usize>, meter: &Meter) -> Vec<usize> {
-    meter.add(tree_descent_cost(index) + ids.len() as u64);
-    ids
+/// Charge one enumerating probe of `index`: the descent plus the `ids`
+/// it produced.
+fn probed(index: &ColumnIndex, ids: usize, meter: &Meter) {
+    meter.add(tree_descent_cost(index) + ids as u64);
 }
 
 #[cfg(test)]

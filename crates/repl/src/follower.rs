@@ -43,7 +43,7 @@
 use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
 use crate::{CatchUpReport, ReplError};
 use pitract_core::epoch::Epoch;
-use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
+use pitract_engine::batch::{OutputMode, Routing, ShardResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry};
 use pitract_obs::Histogram;
 use pitract_relation::{Schema, SelectionQuery, Value};
@@ -405,7 +405,7 @@ impl BatchServe for Follower {
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 

@@ -1,13 +1,14 @@
 //! The one door to the disk: `pitract-store`, `pitract-wal` and
-//! `pitract-repl` reach storage only through a [`Dir`], a storage
+//! `pitract-repl` reach storage only through a [`Dir`], a [`Storage`]
 //! backend paired with a path. A path converts to a filesystem
 //! directory; [`Dir::memory`] is an in-memory volume (a location, as
 //! SQLite's `:memory:` is, not a setting) whose flush is a no-op: it
-//! does not model losing bytes that were never synced. A backend's
-//! rename and remove are durable on return (the filesystem backend
-//! fsyncs the parent directory, where the name lives), and the two
-//! durability recipes are written once over the trait:
-//! [`Dir::write_atomic`] and [`Dir::create_durable`].
+//! does not model losing bytes that were never synced; [`Dir::new`]
+//! takes any other backend, such as a decorator over a directory's
+//! [`Dir::storage`]. A backend's rename and remove are durable on
+//! return (the filesystem backend fsyncs the parent directory, where
+//! the name lives), and the two durability recipes are written once
+//! over the trait: [`Dir::write_atomic`] and [`Dir::create_durable`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,7 +34,7 @@ pub type FileHandle = Arc<dyn StorageFile>;
 
 /// Where bytes live. A missing file or directory is
 /// [`ErrorKind::NotFound`] on every backend.
-trait Storage: fmt::Debug + Send + Sync {
+pub trait Storage: fmt::Debug + Send + Sync {
     /// Create `dir` and its missing ancestors.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// The entry names of `dir`, in no particular order.
@@ -60,20 +61,30 @@ pub struct Dir {
 }
 
 impl Dir {
+    /// The directory `path` on the backend `storage`.
+    pub fn new(storage: Arc<dyn Storage>, path: impl Into<PathBuf>) -> Self {
+        Dir {
+            storage,
+            path: path.into(),
+        }
+    }
+
     /// The root of a fresh, empty in-memory volume, shared by its clones
     /// and [`Self::join`]s.
     pub fn memory() -> Self {
         let root = PathBuf::from("/");
         let mem = Mem(Mutex::new(BTreeMap::from([(root.clone(), None)])));
-        Dir {
-            storage: Arc::new(mem),
-            path: root,
-        }
+        Dir::new(Arc::new(mem), root)
     }
 
     /// The directory's path on its backend.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The backend the directory lives on.
+    pub fn storage(&self) -> &Arc<dyn Storage> {
+        &self.storage
     }
 
     /// The subdirectory `name`, on the same backend.
@@ -159,7 +170,7 @@ macro_rules! on_the_filesystem {
     ($($path:ty),*) => {$(
         impl From<$path> for Dir {
             fn from(path: $path) -> Self {
-                Dir { storage: Arc::new(Fs), path: PathBuf::from(path) }
+                Dir::new(Arc::new(Fs), path)
             }
         }
     )*};

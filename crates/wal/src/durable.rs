@@ -35,7 +35,7 @@ use crate::error::WalError;
 use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
-use pitract_engine::batch::{OutputMode, Routing, WorkerResults};
+use pitract_engine::batch::{OutputMode, Routing, ShardResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry, WalSink};
 use pitract_relation::SelectionQuery;
 use pitract_store::{Dir, Recovered, Snapshot, SnapshotCatalog};
@@ -378,7 +378,7 @@ impl BatchServe for DurableLiveRelation {
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         self.live.eval_shard::<M>(shard, at, queries, assigned)
     }
 

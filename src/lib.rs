@@ -436,7 +436,7 @@ pub mod prelude {
     pub use pitract_core::scheme::Scheme;
     pub use pitract_engine::batch::{
         BatchAnswers, BatchReport, BatchRows, Exists, OutputMode, QueryBatch, Routing, RowIds,
-        WorkerResults,
+        ShardResults, WorkerResults,
     };
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{

@@ -6,10 +6,11 @@
 //! * one Boolean `execute` of 4 096 shard-key points allocates at most
 //!   [`SLACK`] more times than one of 256 — only the doublings of the
 //!   per-shard work lists may grow with the batch; and
-//! * `execute_rows` allocates in proportion to the **non-empty per-shard
-//!   results** (at most [`PER_RESULT`] each: the row vector itself, and
-//!   its growth where several shards feed one query) on top of that same
-//!   constant — nothing per query that returned no rows.
+//! * `execute_rows` allocates **once per non-empty answer** — the
+//!   answer's row vector, at its exact size, however many shards fed
+//!   it — on top of that same constant: nothing per query that
+//!   returned no rows, nothing per per-shard result (a shard job
+//!   gathers all its ids into one buffer).
 //!
 //! One `#[test]` only: a second test running beside it would allocate
 //! into the same counter. Allocation counts depend on the build profile
@@ -17,9 +18,13 @@
 //! bookkeeping), so the bounds carry slack and CI runs this binary in
 //! both: `cargo test`, and the `stress` job's `--release` line. When
 //! last measured, both profiles counted 37 / 53 allocations for the
-//! 256- / 4 096-query Boolean batches and 1.01 per non-empty result,
-//! with shard jobs descending their points in groups: a job allocates
-//! its result vector, never a buffer per query or per group.
+//! 256- / 4 096-query Boolean batches (once 54 in release), 41 for the
+//! all-miss 256-query row-id batch, and 411 for the mixed one: those
+//! 41, one per each of its 320 non-empty answers, and 50 for its longer
+//! work lists and the growth of the four jobs' id buffers (an answer
+//! per per-shard result, as the executor allocated before its jobs
+//! shared one buffer, made it 505). A job allocates its result vector
+//! and its id buffer, never a buffer per query or per group.
 
 use pi_tractable::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,8 +33,6 @@ use std::sync::Arc;
 
 /// Allocations a 4 096-query batch may make beyond a 256-query one.
 const SLACK: u64 = 64;
-/// Allocations per non-empty per-shard result in row-id mode.
-const PER_RESULT: u64 = 2;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -129,12 +132,14 @@ fn a_batch_costs_the_submitter_words_not_allocations() {
     );
     let floor = small_allocs;
 
-    // --- Row-id mode: proportional to the non-empty per-shard results ------
+    // --- Row-id mode: one allocation per non-empty answer -------------------
     // 4 096 shard-key points, one in 16 a hit (one shard, one row each),
-    // plus 16 points on the other indexed column, each fanning out to all
-    // four shards and finding 16 rows among them.
+    // plus 64 points on the other indexed column, each fanning out to all
+    // four shards and finding 16 rows among them: about as many per-shard
+    // results as hits again, which a budget per per-shard result would
+    // have to pay for.
     let hits = 4_096 / 16;
-    let fanned = 16;
+    let fanned = 64;
     let mixed = QueryBatch::new(
         points(4_096, 16)
             .queries()
@@ -148,17 +153,17 @@ fn a_batch_costs_the_submitter_words_not_allocations() {
         got.rows.iter().map(Vec::len).sum::<usize>() as i64,
         hits + fanned * (ROWS / GROUPS)
     );
-    // Each hit is one non-empty result; each fanned-out query between
-    // one and four.
-    let (fewest, results) = ((hits + fanned) as u64, (hits + fanned * 4) as u64);
+    // Each hit and each fanned-out query is one non-empty answer, the
+    // latter fed by up to four shards.
+    let answers = (hits + fanned) as u64;
     assert!(
-        allocs >= fewest,
-        "every non-empty result is at least its own row vector: {allocs} < {fewest} \
+        allocs >= answers,
+        "every non-empty answer is at least its own row vector: {allocs} < {answers} \
          — is the counting allocator installed?"
     );
     assert!(
-        allocs <= floor + SLACK + PER_RESULT * results,
-        "execute_rows: {allocs} allocations for {results} non-empty per-shard results \
-         (budget {floor} + {SLACK} + {PER_RESULT} each)"
+        allocs <= floor + SLACK + answers,
+        "execute_rows: {allocs} allocations for {answers} non-empty answers \
+         (budget {floor} + {SLACK} + 1 each)"
     );
 }

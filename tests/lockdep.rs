@@ -63,7 +63,7 @@ impl BatchServe for InvertedLocks {
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         if shard == self.poison && self.armed.load(std::sync::atomic::Ordering::SeqCst) {
             // Deliberately inverted acquisition: Gid (rank 20) is held
             // while Shard (rank 10) is requested. The lockdep stack on

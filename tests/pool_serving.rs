@@ -169,7 +169,7 @@ impl BatchServe for PanicOnShard {
         at: Epoch,
         queries: &[SelectionQuery],
         assigned: &[usize],
-    ) -> WorkerResults<M::Out> {
+    ) -> ShardResults<M::Part> {
         assert_ne!(shard, self.poison, "injected shard failure");
         self.inner.eval_shard::<M>(shard, at, queries, assigned)
     }

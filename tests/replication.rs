@@ -80,6 +80,13 @@ fn assert_bit_identical(follower: &Follower, oracle: &LiveRelation, probes: i64,
     for gid in 0..(oracle.len() + 16) {
         assert_eq!(follower.row(gid), oracle.row(gid), "{tag}: row {gid}");
     }
+    // Bootstrapped from a loaded snapshot and fed by replay, each shard's
+    // local → global id map still increases, as the row-id merge needs.
+    for shard in 0..oracle.shard_count() {
+        let map = follower.id_map(shard, <[usize]>::to_vec);
+        assert!(map.windows(2).all(|w| w[0] < w[1]), "{tag}: shard {shard}");
+        assert_eq!(map, oracle.id_map(shard, <[usize]>::to_vec), "{tag}");
+    }
 }
 
 /// The headline contract: racing primary writers, a follower catching
