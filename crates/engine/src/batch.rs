@@ -9,9 +9,11 @@
 //! and every shard answers its slice through `eval_assigned` with a
 //! thread-local [`Meter`] (deliberately not shared: the paper's NC bound
 //! is per processor, so each shard accounts its own steps). Per-query
-//! meters aggregate into a [`BatchReport`]. Within a slice, the points on
-//! an indexed column descend that column's tree together, in groups,
-//! and each is charged exactly what it would cost alone.
+//! meters aggregate into a [`BatchReport`]. Within a slice, the queries
+//! that probe one indexed column — points, ranges, and conjunctions
+//! through their driving conjunct — descend that column's tree
+//! together, in groups, and each is charged exactly what it would cost
+//! alone.
 //!
 //! Shard routing happens before the fan-out (`route_batch`): a query
 //! whose shard-key constraints prove most shards irrelevant is simply
@@ -40,7 +42,7 @@ use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{Schema, SelectionQuery, Value};
+use pitract_relation::{Schema, SelectionQuery};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -302,7 +304,7 @@ impl OutputMode for RowIds {}
 mod sealed {
     use super::{
         Exists, IndexedRelation, Merge, Meter, Range, Rollback, RowIds, SelectionQuery,
-        ShardResults, Value,
+        ShardResults,
     };
 
     pub trait Mode: 'static {
@@ -319,13 +321,13 @@ mod sealed {
             ids: &mut Vec<usize>,
         ) -> Self::Part;
 
-        /// Probe the shard's current state for many points on the
-        /// indexed column `col` at once: `found(tag, part, steps)` per
-        /// probe, each what `current` returns and charges for it.
-        fn points<'q>(
-            shard: &IndexedRelation,
+        /// Probe the shard's current state for many queries that probe
+        /// the index on `col` at once: `found(tag, part, steps)` per
+        /// query, each what `current` returns and charges for it.
+        fn grouped<'q>(
+            shard: &'q IndexedRelation,
             col: usize,
-            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            queries: impl Iterator<Item = (usize, &'q SelectionQuery)>,
             ids: &mut Vec<usize>,
             found: impl FnMut(usize, Self::Part, u64),
         );
@@ -360,14 +362,14 @@ mod sealed {
             shard.answer_metered(q, meter)
         }
 
-        fn points<'q>(
-            shard: &IndexedRelation,
+        fn grouped<'q>(
+            shard: &'q IndexedRelation,
             col: usize,
-            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            queries: impl Iterator<Item = (usize, &'q SelectionQuery)>,
             _: &mut Vec<usize>,
             found: impl FnMut(usize, bool, u64),
         ) {
-            shard.answer_points_metered(col, probes, found);
+            shard.answer_many_metered(col, queries, found);
         }
 
         fn rolled_back(
@@ -405,14 +407,14 @@ mod sealed {
             start..ids.len()
         }
 
-        fn points<'q>(
-            shard: &IndexedRelation,
+        fn grouped<'q>(
+            shard: &'q IndexedRelation,
             col: usize,
-            probes: impl Iterator<Item = (usize, &'q Value)> + Clone,
+            queries: impl Iterator<Item = (usize, &'q SelectionQuery)>,
             ids: &mut Vec<usize>,
             found: impl FnMut(usize, Range<usize>, u64),
         ) {
-            shard.matching_points_into(col, probes, ids, found);
+            shard.matching_many_into(col, queries, ids, found);
         }
 
         fn rolled_back(
@@ -570,56 +572,60 @@ fn merge_two(a: &[usize], b: &[usize], out: &mut [usize]) {
 /// [`BatchServe::eval_shard`] body goes through — the cost accounting
 /// cannot drift between relations or modes.
 ///
-/// The job is split in two. Points on an indexed column of the current
-/// state are grouped per column and descend that column's tree
-/// together ([`IndexedRelation::answer_points_metered`]), so their cache
-/// misses overlap; each is still charged exactly what it costs alone.
-/// Everything else — ranges, conjunctions, points on an unindexed
-/// column, and every query of a rolled-back job — is evaluated one query
-/// at a time, the meter reset around each via `take`. Either way the
-/// triples come back in ascending query order, and the job allocates
-/// its result vector and its one id buffer, nothing per query.
+/// Each query of a job without a rollback is classified by the indexed
+/// probe it drives ([`IndexedRelation::probed_column`]): a point, a
+/// range, or a conjunction's driving conjunct. The queries that probe
+/// one column are answered together
+/// ([`IndexedRelation::answer_many_metered`] and its row-id twin): their
+/// probes descend the column's tree in groups, points and range starts
+/// alike, so their cache misses overlap, and each query is still
+/// charged exactly what it costs alone. Scans, and every query of a
+/// rolled-back job, are evaluated one query at a time, the meter reset
+/// around each via `take`. Either way the triples come back in
+/// ascending query order, and the job allocates its result vector and
+/// its one id buffer, nothing per query.
 pub(crate) fn eval_assigned<M: OutputMode>(
     queries: &[SelectionQuery],
     shard: &IndexedRelation,
     assigned: &[usize],
     rollback: Option<&Rollback>,
 ) -> ShardResults<M::Part> {
-    let grouped = |qi: usize| match (&queries[qi], rollback) {
-        (SelectionQuery::Point { col, value }, None) if shard.is_indexed(*col) => {
-            Some((*col, value))
-        }
-        _ => None,
-    };
-    // Every column a grouped point names lies in `first..end`.
-    let (mut first, mut end) = (usize::MAX, 0);
     let meter = Meter::new();
     let mut ids = Vec::new();
+    if let Some(rollback) = rollback {
+        let results = assigned
+            .iter()
+            .map(|&qi| {
+                meter.take();
+                let part = M::rolled_back(rollback, shard, &queries[qi], &meter, &mut ids);
+                (qi, part, meter.take())
+            })
+            .collect();
+        return ShardResults { results, ids };
+    }
+    // Every column a grouped query probes lies in `first..end`.
+    let (mut first, mut end) = (usize::MAX, 0);
     let mut results: WorkerResults<M::Part> = assigned
         .iter()
         .map(|&qi| {
-            if let Some((col, _)) = grouped(qi) {
+            let q = &queries[qi];
+            if let Some(col) = shard.probed_column(q) {
                 (first, end) = (first.min(col), end.max(col + 1));
                 // Filled in by the column's group descent below.
                 return (qi, M::Part::default(), 0);
             }
             meter.take();
-            let part = match rollback {
-                None => M::current(shard, &queries[qi], &meter, &mut ids),
-                Some(rollback) => M::rolled_back(rollback, shard, &queries[qi], &meter, &mut ids),
-            };
+            let part = M::current(shard, q, &meter, &mut ids);
             (qi, part, meter.take())
         })
         .collect();
     for col in (first..end).filter(|&col| shard.is_indexed(col)) {
-        let points = assigned
+        let probing = assigned
             .iter()
             .enumerate()
-            .filter_map(|(at, &qi)| match grouped(qi) {
-                Some((c, value)) if c == col => Some((at, value)),
-                _ => None,
-            });
-        M::points(shard, col, points, &mut ids, |at, part, steps| {
+            .map(|(at, &qi)| (at, &queries[qi]))
+            .filter(|&(_, q)| shard.probed_column(q) == Some(col));
+        M::grouped(shard, col, probing, &mut ids, |at, part, steps| {
             (results[at].1, results[at].2) = (part, steps);
         });
     }
@@ -635,6 +641,7 @@ mod tests {
     use crate::pool::PooledExecutor;
     use crate::shard::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, Value};
+    use std::ops::Bound;
 
     fn serve(sr: &Arc<ShardedRelation>) -> PooledExecutor<ShardedRelation> {
         PooledExecutor::with_default_pool(Arc::clone(sr))
@@ -722,7 +729,7 @@ mod tests {
         );
     }
 
-    /// The per-query path `eval_assigned` splits grouped points off
+    /// The per-query path `eval_assigned` splits grouped probes off
     /// from: every assigned query on its own, the meter reset around it.
     fn per_query<M: OutputMode>(
         queries: &[SelectionQuery],
@@ -795,19 +802,43 @@ mod tests {
 
     /// One job of every kind `eval_assigned` meets: Int points on two
     /// indexed columns and Str points on a third (hits, misses and
-    /// repeats, more than a group of each), mistyped points, points on
-    /// the unindexed column, ranges and nested conjunctions.
+    /// repeats, more than a group of each), Int and Str ranges of every
+    /// bound kind (more than a group on one column), conjunctions driven
+    /// by a point and by a range, in nested shapes, mistyped points,
+    /// ranges and conjuncts, and points, ranges and conjunctions on the
+    /// unindexed column alone.
     fn mixed_job(n: i64) -> Vec<SelectionQuery> {
+        let range = |col, lo: Bound<Value>, hi: Bound<Value>| SelectionQuery::Range { col, lo, hi };
+        let city = |k: i64| Value::str(format!("city{k}"));
         let mut queries = Vec::new();
         for k in 0..40i64 {
             queries.push(SelectionQuery::point(0, (k * 37) % (n + 40) - 20));
             queries.push(SelectionQuery::point(1, k % 20));
             queries.push(SelectionQuery::point(2, format!("city{}", k % 30).as_str()));
+            queries.push(match k % 3 {
+                0 => SelectionQuery::range_closed(0, k * 7 - 10, k * 7 + 12),
+                1 => range(0, Bound::Excluded(Value::Int(k * 7)), Bound::Unbounded),
+                _ => range(0, Bound::Unbounded, Bound::Excluded(Value::Int(k * 3))),
+            });
+            // Point-driven: the `grp` point proves itself, the rest is
+            // checked; range-driven: no conjunct is an indexed point.
+            queries.push(SelectionQuery::and(
+                SelectionQuery::point(1, k % 17),
+                SelectionQuery::range_closed(0, k * 5, k * 5 + 90),
+            ));
+            queries.push(SelectionQuery::and(
+                range(
+                    2,
+                    Bound::Included(city(k % 15)),
+                    Bound::Excluded(city(k % 15 + 3)),
+                ),
+                SelectionQuery::point(3, format!("note{}", k % 7).as_str()),
+            ));
             match k % 8 {
                 0 => queries.push(SelectionQuery::point(0, format!("city{k}").as_str())),
                 1 => queries.push(SelectionQuery::point(2, k)),
                 2 => queries.push(SelectionQuery::point(3, format!("note{}", k % 9).as_str())),
-                3 => queries.push(SelectionQuery::range_closed(0, k * 5, k * 5 + 12)),
+                3 => queries.push(SelectionQuery::range_closed(0, "a", "z")),
                 4 => queries.push(SelectionQuery::range_closed(1, k % 17, 16)),
                 5 => queries.push(SelectionQuery::and(
                     SelectionQuery::and(
@@ -820,7 +851,13 @@ mod tests {
                     SelectionQuery::point(3, "note1"),
                     SelectionQuery::range_closed(0, k, k + 30),
                 )),
-                _ => queries.push(SelectionQuery::point(0, k)),
+                _ => queries.push(SelectionQuery::and(
+                    range(2, Bound::Included(Value::Int(k)), Bound::Unbounded),
+                    SelectionQuery::point(1, "mistyped"),
+                )),
+            }
+            if k % 5 == 0 {
+                queries.push(SelectionQuery::range_closed(3, "note2", "note4"));
             }
         }
         queries
@@ -883,6 +920,10 @@ mod tests {
         }
     }
 
+    /// Every grouped probe — point, range, point- or range-driven
+    /// conjunction, mistyped or not — answers and charges exactly what
+    /// the per-query path does, in both modes, on the current state and
+    /// through rollbacks.
     #[test]
     fn grouped_points_match_the_per_query_path() {
         let n = 300;

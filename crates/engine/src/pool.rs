@@ -406,10 +406,11 @@ pub trait BatchServe: Send + Sync {
     /// result, metered steps)` triple per assigned query, in ascending
     /// query order, plus the job's shard-local row ids that
     /// [`RowIds`] results are spans of. Runs on a pool worker. The
-    /// engine's relations evaluate through one body, which may answer a
-    /// job's indexed points together, in groups down each column's
-    /// tree; the steps of each triple are still exactly that query's
-    /// own, as if it had run alone.
+    /// engine's relations evaluate through one body, which answers a
+    /// job's indexed probes — points, range starts, conjunctions'
+    /// driving conjuncts — together, in groups down each column's tree;
+    /// the steps of each triple are still exactly that query's own, as
+    /// if it had run alone.
     fn eval_shard<M: OutputMode>(
         &self,
         shard: usize,

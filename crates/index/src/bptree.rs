@@ -27,16 +27,19 @@
 //!   instantiating the tree at `i64` or `String` instead of an enum of
 //!   both changes what a comparison costs, not how many are counted —
 //!   used by tests and experiment E1 to certify the O(log n) claim;
-//! * a group descent ([`BPlusTree::get_many_metered`]) for a run of point
-//!   probes: [`GROUP`] keys go down together, one level at a time — every
-//!   leaf sits at the same depth — and as each probe picks its child, the
-//!   child's arena slot and then the first lines of its key buffer are
-//!   hinted into cache, so the group's dependent cache misses overlap
-//!   instead of queueing. Each probe runs the very binary searches
-//!   `get_metered` runs (the two share them), so its answer and its
-//!   comparison count are a lone probe's: metering stays per probe and
-//!   unchanged. The hint is `_mm_prefetch` on x86_64 and a no-op
-//!   elsewhere; nothing but speed depends on it; and
+//! * a group descent ([`BPlusTree::descend_many`]) for a run of probes
+//!   of any kind — point lookups and range starts alike: [`GROUP`]
+//!   probes go down together, one level at a time — every leaf sits at
+//!   the same depth — and as each probe picks its child, the child's
+//!   arena slot and then the first lines of its key buffer are hinted
+//!   into cache, so the group's dependent cache misses overlap instead
+//!   of queueing. Each probe runs the very separator searches
+//!   `get_metered` runs and ends at the leaf a lone search ends at,
+//!   where a [`Leaf`] finishes it: a point's comparisons are a lone
+//!   probe's (metering stays per probe and unchanged), and a range
+//!   starts where [`BPlusTree::range`] starts it. The hint is
+//!   `_mm_prefetch` on x86_64 and a no-op elsewhere; nothing but speed
+//!   depends on it; and
 //! * [`BPlusTree::check_invariants`], a full structural audit used by the
 //!   property-based tests (occupancy, ordering, separator correctness,
 //!   uniform depth, leaf-chain consistency).
@@ -48,8 +51,7 @@ use std::ops::Bound;
 /// Maximum keys a node may hold before it splits. See [`BPlusTree::new`].
 pub const DEFAULT_ORDER: usize = 32;
 
-/// Probes [`BPlusTree::get_many_metered`] carries down the tree
-/// together.
+/// Probes [`BPlusTree::descend_many`] carries down the tree together.
 pub const GROUP: usize = 16;
 
 #[derive(Debug, Clone)]
@@ -368,32 +370,34 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         found
     }
 
-    /// [`Self::get_metered`] for many keys, descended [`GROUP`] at a
-    /// time: `found(tag, value, comparisons)` is called once per probe,
-    /// in probe order, with what `get_metered` returns for that key and
-    /// the comparisons it would tick. Every leaf sits at the same depth,
-    /// so a group moves down one level at a time — each probe searches
-    /// its node and picks a child, and the child's arena slot and the
-    /// first lines of its key buffer are hinted into cache before any
-    /// probe reads them. The group's cache misses overlap instead of
-    /// queueing one behind the other.
-    pub fn get_many_metered<'k, T: Copy>(
-        &self,
-        probes: impl IntoIterator<Item = (T, &'k K)>,
-        mut found: impl FnMut(T, Option<&V>, u64),
-    ) where
-        K: 'k,
-    {
+    /// Many searches at once — points and range starts alike: each
+    /// `(tag, start)` goes down to the leaf a lone search for `start`
+    /// ends in, by the very separator searches [`Self::get_metered`]
+    /// runs (an unbounded start takes the leftmost child), and
+    /// `found(tag, leaf)` is called once per probe, in probe order, to
+    /// finish the search there: [`Leaf::get`] for a point (started at
+    /// `Included(key)`), [`Leaf::range`] for a range (started at its
+    /// lower bound). Every leaf sits at the same depth, so [`GROUP`]
+    /// probes move down one level at a time — each probe searches its
+    /// node and picks a child, and the child's arena slot and the first
+    /// lines of its key buffer are hinted into cache before any probe
+    /// reads them. The group's cache misses overlap instead of queueing
+    /// one behind the other.
+    pub fn descend_many<'a, T: Copy>(
+        &'a self,
+        probes: impl IntoIterator<Item = (T, Bound<&'a K>)>,
+        mut found: impl FnMut(T, Leaf<'a, K, V>),
+    ) {
         let mut probes = probes.into_iter().peekable();
-        let Some(&(tag, key)) = probes.peek() else {
+        let Some(&(tag, start)) = probes.peek() else {
             return;
         };
         let height = self.height();
-        let (mut tags, mut keys) = ([tag; GROUP], [key; GROUP]);
+        let (mut tags, mut starts) = ([tag; GROUP], [start; GROUP]);
         loop {
             let mut len = 0;
-            for ((tag, key), probe) in tags.iter_mut().zip(&mut keys).zip(&mut probes) {
-                (*tag, *key) = probe;
+            for ((tag, start), probe) in tags.iter_mut().zip(&mut starts).zip(&mut probes) {
+                (*tag, *start) = probe;
                 len += 1;
             }
             if len == 0 {
@@ -403,14 +407,16 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
             let mut steps = [0u64; GROUP];
             for _ in 1..height {
                 for j in 0..len {
-                    let Node::Internal {
-                        keys: seps,
-                        children,
-                    } = &self.nodes[at[j]]
-                    else {
+                    let Node::Internal { keys, children } = &self.nodes[at[j]] else {
                         unreachable!("every leaf sits at depth {height}");
                     };
-                    at[j] = children[counted_upper_bound(seps, keys[j], &mut steps[j])];
+                    let child = match starts[j] {
+                        Bound::Included(key) | Bound::Excluded(key) => {
+                            counted_upper_bound(keys, key, &mut steps[j])
+                        }
+                        Bound::Unbounded => 0,
+                    };
+                    at[j] = children[child];
                     prefetch(&self.nodes[at[j]]);
                 }
                 for &idx in &at[..len] {
@@ -421,14 +427,12 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                 }
             }
             for j in 0..len {
-                let Node::Leaf {
-                    keys: stored, vals, ..
-                } = &self.nodes[at[j]]
-                else {
-                    unreachable!("every leaf sits at depth {height}");
+                let leaf = Leaf {
+                    tree: self,
+                    node: at[j],
+                    steps: steps[j],
                 };
-                let hit = counted_eq_search(stored, keys[j], &mut steps[j]).map(|p| &vals[p]);
-                found(tags[j], hit, steps[j]);
+                found(tags[j], leaf);
             }
             if len < GROUP {
                 return;
@@ -811,14 +815,7 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
                     let pos = keys.partition_point(|s| s <= k);
                     idx = children[pos];
                 }
-                Node::Leaf { keys, .. } => {
-                    let pos = if exclusive {
-                        keys.partition_point(|x| x <= k)
-                    } else {
-                        keys.partition_point(|x| x < k)
-                    };
-                    return (idx, pos);
-                }
+                Node::Leaf { keys, .. } => return (idx, leaf_start(keys, k, exclusive)),
                 Node::Free => unreachable!("free node reached from root"),
             }
         }
@@ -1017,6 +1014,59 @@ impl<'a, K: Ord + Clone, V> Iterator for RangeIter<'a, K, V> {
                 }
                 _ => unreachable!("leaf chain reaches non-leaf"),
             }
+        }
+    }
+}
+
+/// Where a range bounded below by `key` starts in a leaf holding
+/// `keys`: at the first key `> key` (`exclusive`) or `≥ key`.
+fn leaf_start<K: Ord>(keys: &[K], key: &K, exclusive: bool) -> usize {
+    if exclusive {
+        keys.partition_point(|x| x <= key)
+    } else {
+        keys.partition_point(|x| x < key)
+    }
+}
+
+/// The leaf one probe of [`BPlusTree::descend_many`] reached, with the
+/// separator comparisons spent on the way: the search it started ends
+/// here.
+pub struct Leaf<'a, K, V> {
+    tree: &'a BPlusTree<K, V>,
+    node: usize,
+    steps: u64,
+}
+
+impl<'a, K: Ord + Clone, V> Leaf<'a, K, V> {
+    /// Finish a point search for `key`, the start the probe descended
+    /// with: what [`BPlusTree::get_metered`] returns, and the
+    /// comparisons it ticks.
+    pub fn get(self, key: &K) -> (Option<&'a V>, u64) {
+        let Node::Leaf { keys, vals, .. } = &self.tree.nodes[self.node] else {
+            unreachable!("descents end at a leaf");
+        };
+        let mut steps = self.steps;
+        let hit = counted_eq_search(keys, key, &mut steps).map(|p| &vals[p]);
+        (hit, steps)
+    }
+
+    /// Finish a range search bounded below by `lo`, the start the probe
+    /// descended with: the iterator [`BPlusTree::range`] returns for
+    /// `(lo, hi)`.
+    pub fn range(self, lo: Bound<&K>, hi: Bound<&'a K>) -> RangeIter<'a, K, V> {
+        let Node::Leaf { keys, .. } = &self.tree.nodes[self.node] else {
+            unreachable!("descents end at a leaf");
+        };
+        let pos = match lo {
+            Bound::Included(key) => leaf_start(keys, key, false),
+            Bound::Excluded(key) => leaf_start(keys, key, true),
+            Bound::Unbounded => 0,
+        };
+        RangeIter {
+            tree: self.tree,
+            leaf: Some(self.node),
+            pos,
+            hi,
         }
     }
 }

@@ -163,7 +163,12 @@ fn churned_tree(order: usize, ops: &[(bool, i64)]) -> BPlusTree<i64, i64> {
 /// `get_metered` finds for its key and the comparisons it ticks.
 fn group_matches_single(tree: &BPlusTree<i64, i64>, probes: &[i64]) -> Result<(), TestCaseError> {
     let mut grouped = Vec::with_capacity(probes.len());
-    tree.get_many_metered(probes.iter().enumerate(), |i, found, steps| {
+    let starts = probes
+        .iter()
+        .enumerate()
+        .map(|(i, key)| ((i, key), Bound::Included(key)));
+    tree.descend_many(starts, |(i, key), leaf| {
+        let (found, steps) = leaf.get(key);
         grouped.push((i, found.map(std::ptr::from_ref), steps));
     });
     let meter = Meter::new();
@@ -203,9 +208,124 @@ proptest! {
     }
 }
 
-/// The property above sweeps the shapes a random case may miss: the
+/// A range's bounds: kind 0 included, 1 excluded, 2 unbounded.
+fn bound(kind: u8, key: i64) -> Bound<i64> {
+    match kind % 3 {
+        0 => Bound::Included(key),
+        1 => Bound::Excluded(key),
+        _ => Bound::Unbounded,
+    }
+}
+
+/// The group descent against lone searches, probe by probe: every
+/// probe is reported exactly once, in probe order, with every entry
+/// `range` yields — for ranges alone, and mixed with points, each point
+/// with what `get_metered` finds and ticks.
+fn ranges_match_single(
+    tree: &BPlusTree<i64, i64>,
+    points: &[i64],
+    ranges: &[(Bound<i64>, Bound<i64>)],
+) -> Result<(), TestCaseError> {
+    let entries = |iter: pitract_index::bptree::RangeIter<'_, i64, i64>| {
+        iter.map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
+    };
+    let mut grouped = Vec::new();
+    tree.descend_many(
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(i, range)| ((i, range), range.0.as_ref())),
+        |(i, (lo, hi)), leaf| grouped.push((i, entries(leaf.range(lo.as_ref(), hi.as_ref())))),
+    );
+    let single: Vec<_> = ranges
+        .iter()
+        .enumerate()
+        .map(|(i, (lo, hi))| (i, entries(tree.range(lo.as_ref(), hi.as_ref()))))
+        .collect();
+    prop_assert_eq!(&grouped, &single);
+
+    // Points and ranges interleaved, each finished at its own leaf.
+    #[derive(Clone, Copy)]
+    enum Probe<'r> {
+        Point(&'r i64),
+        Range(&'r (Bound<i64>, Bound<i64>)),
+    }
+    #[derive(Debug, PartialEq)]
+    enum Lone {
+        Point(Option<i64>, u64),
+        Range(Vec<(i64, i64)>),
+    }
+    let mixed: Vec<Probe<'_>> = (0..points.len().max(ranges.len()))
+        .flat_map(|i| {
+            [
+                points.get(i).map(Probe::Point),
+                ranges.get(i).map(Probe::Range),
+            ]
+        })
+        .flatten()
+        .collect();
+    let mut grouped = Vec::new();
+    let starts = mixed.iter().enumerate().map(|(i, &probe)| match probe {
+        Probe::Point(key) => ((i, probe), Bound::Included(key)),
+        Probe::Range((lo, _)) => ((i, probe), lo.as_ref()),
+    });
+    tree.descend_many(starts, |(i, probe), leaf| {
+        let lone = match probe {
+            Probe::Point(key) => {
+                let (found, steps) = leaf.get(key);
+                Lone::Point(found.copied(), steps)
+            }
+            Probe::Range((lo, hi)) => Lone::Range(entries(leaf.range(lo.as_ref(), hi.as_ref()))),
+        };
+        grouped.push((i, lone));
+    });
+    let meter = Meter::new();
+    let single: Vec<_> = mixed
+        .iter()
+        .enumerate()
+        .map(|(i, &probe)| {
+            let lone = match probe {
+                Probe::Point(key) => {
+                    Lone::Point(tree.get_metered(key, &meter).copied(), meter.take())
+                }
+                Probe::Range((lo, hi)) => {
+                    Lone::Range(entries(tree.range(lo.as_ref(), hi.as_ref())))
+                }
+            };
+            (i, lone)
+        })
+        .collect();
+    prop_assert_eq!(grouped, single);
+    Ok(())
+}
+
+proptest! {
+    /// Grouped range starts equal `range` for every bound kind, on
+    /// churned trees from empty up, small orders making ranges straddle
+    /// many leaves, with more than three groups of ranges mixed with
+    /// point probes in one descent.
+    #[test]
+    fn bptree_grouped_range_starts_match_range(
+        order in 3usize..12,
+        ops in prop::collection::vec((0u8..3, 0i64..KEYS), 0..400),
+        ranges in prop::collection::vec((0u8..3, -3i64..2 * KEYS + 3, 0u8..3, 0i64..80), 0..=3 * GROUP + 1),
+        points in prop::collection::vec(-3i64..2 * KEYS + 3, 0..=2 * GROUP),
+    ) {
+        let ops: Vec<(bool, i64)> = ops.into_iter().map(|(op, key)| (op > 0, key)).collect();
+        let tree = churned_tree(order, &ops);
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        let ranges: Vec<(Bound<i64>, Bound<i64>)> = ranges
+            .into_iter()
+            .map(|(lo_kind, lo, hi_kind, width)| (bound(lo_kind, lo), bound(hi_kind, lo + width)))
+            .collect();
+        ranges_match_single(&tree, &points, &ranges)?;
+    }
+}
+
+/// The properties above sweep the shapes a random case may miss: the
 /// empty tree and every height from 1 to 5, each probed on every key
-/// it holds, on every gap and past both ends, in one run of groups.
+/// it holds, on every gap and past both ends — points alone, and ranges
+/// of every bound kind mixed with points — in one run of groups.
 #[test]
 fn bptree_group_descent_covers_every_height() {
     let mut heights = Vec::new();
@@ -219,6 +339,17 @@ fn bptree_group_descent_covers_every_height() {
             heights.push(tree.height());
             let probes: Vec<i64> = (-3..2 * KEYS + 3).collect();
             group_matches_single(&tree, &probes).unwrap();
+            // Every bound kind at every key, the highest past both ends:
+            // `Excluded` on the last key, `Included` past it, and
+            // unbounded starts.
+            let ranges: Vec<(Bound<i64>, Bound<i64>)> = (0..9u8)
+                .flat_map(|kinds| {
+                    probes.iter().step_by(5).map(move |&key| {
+                        (bound(kinds, key), bound(kinds / 3, key + 2 * order as i64))
+                    })
+                })
+                .collect();
+            ranges_match_single(&tree, &probes, &ranges).unwrap();
         }
     }
     for height in 1..=5 {

@@ -70,7 +70,7 @@ impl StrColumn {
         self.ends.push(self.arena.len());
     }
 
-    fn get(&self, id: usize) -> &str {
+    pub(crate) fn get(&self, id: usize) -> &str {
         let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
         &self.arena[start..self.ends[id]]
     }

@@ -26,9 +26,18 @@
 //!   and [`IndexedRelation::slots`] hand out [`RowRef`]s — a borrow of
 //!   the storage plus the id, whose `get(col)` is a [`ValueRef`] read in
 //!   place — and [`SelectionQuery::matches`] reads a `RowRef` exactly as
-//!   it reads a `&[Value]`, so a scan or an index-nested-loop
-//!   verification compares machine integers and `&str`s, not heap rows.
-//!   [`IndexedRelation::delete`] materialises the row it returns.
+//!   it reads a `&[Value]`. [`IndexedRelation::delete`] materialises
+//!   the row it returns.
+//! * **One residual check.** A scan, and an index-nested-loop
+//!   conjunction's candidates, are checked against a `Residual`: once
+//!   per (query, relation) each conjunct is resolved to a typed check
+//!   over its column — an `i64` interval over the `Vec<i64>`, a `&str`
+//!   comparison over the arena, mapped for a mistyped value exactly as
+//!   the index maps it — and the conjunct whose index produced the
+//!   candidates is left out, since its posting or range proves it. A
+//!   candidate then costs a few machine comparisons in place, no
+//!   [`RowRef`] and no [`Value`] matched per cell; the checks live on
+//!   the stack, nothing is allocated per query.
 //! * **Tombstone placeholders.** A delete clears the slot's bit and
 //!   leaves its cells where they are (the arena cannot close a gap
 //!   without moving every later cell); a tombstone a load appends
@@ -79,14 +88,18 @@
 //! column's keys, which makes that side of the range unbounded or the
 //! range empty, whichever the order dictates.
 //!
-//! What the layout did **not** change: a metered point probe still ticks
-//! once per key comparison ([`BPlusTree::get_metered`]), every other
-//! path still charges `tree_descent_cost` = 2·⌈log₂ keys⌉ plus the ids
-//! it touches, and a scan still ticks once per slot, tombstones
-//! included. Neither typed keys nor typed columns moved a metered step,
-//! and neither does answering a run of points on one column together
-//! ([`IndexedRelation::answer_points_metered`]): the points share the
-//! walk down the tree, and each is charged its own comparisons.
+//! What the layout did **not** change — the metering rule, which stays
+//! until the planner and the executor meter one descent the same way: a
+//! metered point probe still ticks once per key comparison
+//! ([`BPlusTree::get_metered`]), every other path still charges
+//! `tree_descent_cost` = 2·⌈log₂ keys⌉ plus the ids it touches (a
+//! conjunction: one tick per candidate it examines), and a scan still
+//! ticks once per slot, tombstones included. Neither typed keys, typed
+//! columns nor the residual moved a metered step, and neither does
+//! answering the queries that probe one column together
+//! ([`IndexedRelation::answer_many_metered`]): their points and range
+//! starts share the walk down the tree ([`BPlusTree::descend_many`]),
+//! and each query is charged what it costs alone.
 //!
 //! [`ValueRef`]: crate::value::ValueRef
 
@@ -96,7 +109,8 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
 use pitract_core::cost::Meter;
-use pitract_index::bptree::BPlusTree;
+use pitract_index::bptree::{BPlusTree, RangeIter};
+use residual::{leaf_column, Residual};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Bound, Range};
@@ -193,25 +207,64 @@ impl Posting {
 ///
 /// [`ColType::Int`]: crate::schema::ColType::Int
 /// [`ColType::Str`]: crate::schema::ColType::Str
-trait IndexKey: Ord + Clone + fmt::Debug {
+trait IndexKey: Ord + Clone + fmt::Debug + 'static {
     /// The payload of `v`, if `v` has this type.
     fn of(v: &Value) -> Option<&Self>;
+
+    /// A key a mistyped probe descends with, its answer thrown away.
+    const PLACEHOLDER: &'static Self;
+
+    /// A range of this key type's tree as [`Postings`].
+    fn postings(entries: RangeIter<'_, Self, Posting>) -> Postings<'_>;
 }
 
 impl IndexKey for i64 {
+    const PLACEHOLDER: &'static i64 = &0;
+
     fn of(v: &Value) -> Option<&i64> {
         match v {
             Value::Int(i) => Some(i),
             Value::Str(_) => None,
         }
     }
+
+    fn postings(entries: RangeIter<'_, i64, Posting>) -> Postings<'_> {
+        Postings::Int(entries)
+    }
 }
 
 impl IndexKey for String {
+    const PLACEHOLDER: &'static String = &String::new();
+
     fn of(v: &Value) -> Option<&String> {
         match v {
             Value::Int(_) => None,
             Value::Str(s) => Some(s),
+        }
+    }
+
+    fn postings(entries: RangeIter<'_, String, Posting>) -> Postings<'_> {
+        Postings::Str(entries)
+    }
+}
+
+/// The postings under the keys of one range, in key order, whatever
+/// the column's key type.
+enum Postings<'a> {
+    Int(RangeIter<'a, i64, Posting>),
+    Str(RangeIter<'a, String, Posting>),
+    /// A range no key of the column's type lies in.
+    Empty,
+}
+
+impl<'a> Iterator for Postings<'a> {
+    type Item = &'a Posting;
+
+    fn next(&mut self) -> Option<&'a Posting> {
+        match self {
+            Postings::Int(entries) => entries.next().map(|(_, posting)| posting),
+            Postings::Str(entries) => entries.next().map(|(_, posting)| posting),
+            Postings::Empty => None,
         }
     }
 }
@@ -271,54 +324,72 @@ impl ColumnIndex {
         })
     }
 
-    /// [`Self::get_metered`] for many values, descended together
-    /// ([`BPlusTree::get_many_metered`]): `found(tag, posting,
-    /// comparisons)` once per probe, each charged what `get_metered`
-    /// charges. The mistyped values are settled first, one comparison
-    /// each; the rest go down the tree as one run of groups.
-    fn get_many_metered<'q, T: Copy>(
-        &self,
-        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
-        found: impl FnMut(T, Option<&Posting>, u64),
+    /// What the index finds for many points and ranges on its column,
+    /// their searches descended together ([`BPlusTree::descend_many`]):
+    /// `found(tag, found)` once per `(tag, leaf)`, in probe order, each
+    /// what [`Self::get_metered`] (with its comparisons) or
+    /// [`Self::postings_in`] finds alone. A mistyped point rides along
+    /// under a placeholder key and is answered as a miss, after the one
+    /// comparison that tells its type from the column's; a range no key
+    /// of the column's type lies in rides along unbounded and is
+    /// answered empty.
+    fn descend_many<'a, T: Copy>(
+        &'a self,
+        probes: impl Iterator<Item = (T, &'a SelectionQuery)>,
+        found: impl FnMut(T, Found<'a>),
     ) {
-        fn typed<'q, K: IndexKey, T: Copy>(
-            tree: &BPlusTree<K, Posting>,
-            probes: impl Iterator<Item = (T, &'q Value)> + Clone,
-            mut found: impl FnMut(T, Option<&Posting>, u64),
+        fn typed<'a, K: IndexKey, T: Copy>(
+            index: &'a ColumnIndex,
+            tree: &'a BPlusTree<K, Posting>,
+            probes: impl Iterator<Item = (T, &'a SelectionQuery)>,
+            mut found: impl FnMut(T, Found<'a>),
         ) {
-            for (tag, _) in probes.clone().filter(|(_, value)| K::of(value).is_none()) {
-                found(tag, None, 1);
-            }
-            let keyed = probes.filter_map(|(tag, value)| Some((tag, K::of(value)?)));
-            tree.get_many_metered(keyed, found);
+            let starts = probes.map(|(tag, leaf)| {
+                let start = match leaf {
+                    SelectionQuery::Point { value, .. } => {
+                        Bound::Included(K::of(value).unwrap_or(K::PLACEHOLDER))
+                    }
+                    SelectionQuery::Range { lo, hi, .. } => {
+                        typed_range::<K>(lo, hi).map_or(Bound::Unbounded, |(lo, _)| lo)
+                    }
+                    SelectionQuery::And(..) => unreachable!("a probe is a leaf"),
+                };
+                ((tag, leaf), start)
+            });
+            tree.descend_many(starts, |(tag, leaf), at| {
+                let probed = match leaf {
+                    SelectionQuery::Point { value, .. } => match K::of(value) {
+                        Some(key) => {
+                            let (posting, comparisons) = at.get(key);
+                            Found::Point(index, posting, comparisons)
+                        }
+                        None => Found::Point(index, None, 1),
+                    },
+                    SelectionQuery::Range { lo, hi, .. } => match typed_range::<K>(lo, hi) {
+                        Some((lo, hi)) => Found::Range(index, K::postings(at.range(lo, hi))),
+                        None => Found::Range(index, Postings::Empty),
+                    },
+                    SelectionQuery::And(..) => unreachable!("a probe is a leaf"),
+                };
+                found(tag, probed);
+            });
         }
-        with_tree!(self, tree => typed(tree, probes, found))
+        with_tree!(self, tree => typed(self, tree, probes, found))
     }
 
-    /// Does `hit` accept any posting keyed within the bounds? Walks the
-    /// leaf chain in key order and stops at the first acceptance — the
-    /// one range body behind every range access path.
-    fn any_posting_in(
-        &self,
-        lo: &Bound<Value>,
-        hi: &Bound<Value>,
-        mut hit: impl FnMut(&Posting) -> bool,
-    ) -> bool {
+    /// The postings keyed within the bounds, in key order — the one
+    /// range walk behind every single-range access path.
+    fn postings_in<'a>(&'a self, lo: &'a Bound<Value>, hi: &'a Bound<Value>) -> Postings<'a> {
         with_tree!(self, tree => match typed_range(lo, hi) {
-            Some((lo, hi)) => tree.range(lo, hi).any(|(_, posting)| hit(posting)),
-            None => false,
+            Some((lo, hi)) => IndexKey::postings(tree.range(lo, hi)),
+            None => Postings::Empty,
         })
     }
 
     /// Append every row id posted under a key within the bounds to
     /// `out`, the appended run ascending.
     fn ids_in_range_into(&self, lo: &Bound<Value>, hi: &Bound<Value>, out: &mut Vec<usize>) {
-        let start = out.len();
-        self.any_posting_in(lo, hi, |posting| {
-            out.extend_from_slice(posting.as_slice());
-            false
-        });
-        out[start..].sort_unstable();
+        gather(self.postings_in(lo, hi), out);
     }
 
     /// Post row `id` under `value` (a value the schema admitted for this
@@ -590,58 +661,21 @@ impl IndexedRelation {
     /// allocating: the ids of `q`'s matches land after `out`'s existing
     /// contents, ascending, charged exactly as `matching_ids_metered`
     /// charges them. A row-id shard job gathers all its queries' ids
-    /// into one buffer this way (`pitract-engine`).
+    /// into one buffer, through this or [`Self::matching_many_into`]
+    /// (`pitract-engine`).
     pub fn matching_ids_into(&self, q: &SelectionQuery, meter: &Meter, out: &mut Vec<usize>) {
-        let start = out.len();
-        let verified = |id: usize| {
-            meter.tick();
-            self.row(id).is_some_and(|row| q.matches(row))
-        };
-        // Tombstoned slots are walked too — that is real work the scan
-        // performs, so the meter charges it (and the planner estimates
-        // scans against slot count, not live count).
-        let scan =
-            |out: &mut Vec<usize>| out.extend((0..self.slot_count()).filter(|&id| verified(id)));
-        match q {
-            SelectionQuery::Point { col, value } => match self.index(*col) {
-                Some(index) => {
-                    out.extend_from_slice(index.ids_eq(value));
-                    probed(index, out.len() - start, meter);
-                }
-                None => scan(out),
-            },
-            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
-                Some(index) => {
-                    index.ids_in_range_into(lo, hi, out);
-                    probed(index, out.len() - start, meter);
-                }
-                None => scan(out),
-            },
-            SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
-                Some(SelectionQuery::Range { col, lo, hi }) => {
-                    // The candidates are gathered straight into `out`
-                    // and filtered where they lie.
-                    let index = self.driving_index(*col);
-                    meter.add(tree_descent_cost(index));
-                    index.ids_in_range_into(lo, hi, out);
-                    let mut kept = start;
-                    for at in start..out.len() {
-                        let id = out[at];
-                        if verified(id) {
-                            out[kept] = id;
-                            kept += 1;
-                        }
-                    }
-                    out.truncate(kept);
-                }
-                Some(point) => out.extend(
-                    self.driving_candidates(point, meter)
-                        .iter()
-                        .copied()
-                        .filter(|&id| verified(id)),
-                ),
-                None => scan(out),
-            },
+        match self.probe(q) {
+            Some(leaf) => meter.add(self.matching(q, self.probed(leaf), out)),
+            // Tombstoned slots are walked too — that is real work the
+            // scan performs, so the meter charges it (and the planner
+            // estimates scans against slot count, not live count).
+            None => {
+                let residual = Residual::new(&self.rows, q, None);
+                out.extend((0..self.slot_count()).filter(|&id| {
+                    meter.tick();
+                    self.rows.is_live(id) && residual.holds(id)
+                }));
+            }
         }
     }
 
@@ -655,133 +689,179 @@ impl IndexedRelation {
         q.driving_conjunct(&|col| self.index(col).is_some())
     }
 
-    /// The index behind a conjunct [`Self::driving_conjunct`] returned.
+    /// The leaf whose tree `q` descends: `q` itself when it is a point
+    /// or range on an indexed column, a conjunction's driving conjunct,
+    /// `None` when `q` is answered by a scan.
+    fn probe<'q>(&self, q: &'q SelectionQuery) -> Option<&'q SelectionQuery> {
+        match q {
+            SelectionQuery::And(..) => self.driving_conjunct(q),
+            leaf => self.is_indexed(leaf_column(leaf)).then_some(leaf),
+        }
+    }
+
+    /// The column whose index `q` probes — its own for a point or range,
+    /// its driving conjunct's for a conjunction — or `None` when `q` is
+    /// answered by a scan. The queries [`Self::answer_many_metered`] and
+    /// [`Self::matching_many_into`] take for one column are exactly the
+    /// ones this names it for.
+    pub fn probed_column(&self, q: &SelectionQuery) -> Option<usize> {
+        self.probe(q).map(leaf_column)
+    }
+
+    /// The index behind a leaf [`Self::probe`] returned.
     fn driving_index(&self, col: usize) -> &ColumnIndex {
         self.index(col)
             .expect("driving conjuncts are on indexed columns")
     }
 
-    /// Candidate row ids (ascending) produced by probing the driving
-    /// conjunct's index, charging one tree descent: a point's posting
-    /// list is borrowed as it stands, a range's postings are gathered.
-    /// Only called with a point/range conjunct returned by
-    /// [`Self::driving_conjunct`].
-    fn driving_candidates(&self, driving: &SelectionQuery, meter: &Meter) -> Cow<'_, [usize]> {
-        match driving {
-            SelectionQuery::Point { col, value } => {
-                let index = self.driving_index(*col);
-                meter.add(tree_descent_cost(index));
-                Cow::Borrowed(index.ids_eq(value))
+    /// What the index finds for the probed `leaf` on its own.
+    fn probed<'a>(&'a self, leaf: &'a SelectionQuery) -> Found<'a> {
+        let index = self.driving_index(leaf_column(leaf));
+        match leaf {
+            SelectionQuery::Point { value, .. } => {
+                let comparisons = Meter::new();
+                let posting = index.get_metered(value, &comparisons);
+                Found::Point(index, posting, comparisons.steps())
             }
-            SelectionQuery::Range { col, lo, hi } => {
-                let index = self.driving_index(*col);
-                meter.add(tree_descent_cost(index));
-                let mut ids = Vec::new();
-                index.ids_in_range_into(lo, hi, &mut ids);
-                Cow::Owned(ids)
-            }
-            SelectionQuery::And(_, _) => unreachable!("driving conjuncts are leaves"),
+            SelectionQuery::Range { lo, hi, .. } => Found::Range(index, index.postings_in(lo, hi)),
+            SelectionQuery::And(..) => unreachable!("a probe is a leaf"),
         }
+    }
+
+    /// What a conjunction must still satisfy once its driving conjunct
+    /// produced it as a candidate.
+    fn residual<'a>(&'a self, q: &'a SelectionQuery) -> Residual<'a> {
+        Residual::new(&self.rows, q, self.driving_conjunct(q))
+    }
+
+    /// The Boolean answer to `q` from what its probe found, and its
+    /// steps: a point's key comparisons; otherwise one descent, plus one
+    /// tick per candidate a conjunction examines, up to the first that
+    /// passes its [`Residual`]. A range-driven conjunction examines its
+    /// candidates posting by posting, in key order.
+    fn exists(&self, q: &SelectionQuery, found: Found<'_>) -> (bool, u64) {
+        match (q, found) {
+            (SelectionQuery::And(..), Found::Point(index, posting, _)) => {
+                let mut steps = tree_descent_cost(index);
+                let ids = posting.map_or(&[][..], Posting::as_slice);
+                (self.residual(q).any(ids, &mut steps), steps)
+            }
+            (SelectionQuery::And(..), Found::Range(index, mut postings)) => {
+                let mut steps = tree_descent_cost(index);
+                let residual = self.residual(q);
+                let hit = postings.any(|posting| residual.any(posting.as_slice(), &mut steps));
+                (hit, steps)
+            }
+            (_, Found::Point(_, posting, comparisons)) => (posting.is_some(), comparisons),
+            (_, Found::Range(index, mut postings)) => {
+                (postings.next().is_some(), tree_descent_cost(index))
+            }
+        }
+    }
+
+    /// Append the ids of `q`'s matches to `out`, ascending, from what
+    /// its probe found, and return its steps: one descent plus every id
+    /// the probe produced — a conjunction's candidates, each checked
+    /// against its [`Residual`].
+    fn matching(&self, q: &SelectionQuery, found: Found<'_>, out: &mut Vec<usize>) -> u64 {
+        let start = out.len();
+        let index = match found {
+            Found::Point(index, posting, _) => {
+                out.extend_from_slice(posting.map_or(&[][..], Posting::as_slice));
+                index
+            }
+            Found::Range(index, postings) => {
+                gather(postings, out);
+                index
+            }
+        };
+        let candidates = out.len() - start;
+        if let SelectionQuery::And(..) = q {
+            // The candidates are filtered where they lie.
+            let residual = self.residual(q);
+            let mut kept = start;
+            for at in start..out.len() {
+                let id = out[at];
+                if residual.holds(id) {
+                    out[kept] = id;
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+        }
+        tree_descent_cost(index) + candidates as u64
     }
 
     /// Answer a Boolean selection query, preferring indexes and falling
     /// back to a scan. The meter prices every comparison / probe.
     pub fn answer_metered(&self, q: &SelectionQuery, meter: &Meter) -> bool {
-        match q {
-            SelectionQuery::Point { col, value } => match self.index(*col) {
-                Some(index) => index.get_metered(value, meter).is_some(),
-                None => self.scan_metered(q, meter),
-            },
-            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
-                Some(index) => {
-                    // One descent to the range start; non-emptiness of the
-                    // pruned tree range is the answer. Charge the descent.
-                    meter.add(tree_descent_cost(index));
-                    index.any_posting_in(lo, hi, |_| true)
-                }
-                None => self.scan_metered(q, meter),
-            },
-            SelectionQuery::And(_, _) => {
-                // Walk the conjunction tree and route through any indexed
-                // conjunct — point preferred over range — verifying every
-                // candidate against the full predicate. Nested `And` shapes
-                // and range-only conjunctions used to degrade to a scan.
-                // The point path reads the posting list in place and the
-                // range path stays lazy (no candidate collection) so the
-                // Boolean answer can exit on the first witness.
-                let verified = |id: usize| {
-                    meter.tick();
-                    self.row(id).is_some_and(|row| q.matches(row))
-                };
-                match self.driving_conjunct(q) {
-                    Some(point @ SelectionQuery::Point { .. }) => self
-                        .driving_candidates(point, meter)
-                        .iter()
-                        .any(|&id| verified(id)),
-                    Some(SelectionQuery::Range { col, lo, hi }) => {
-                        let index = self.driving_index(*col);
-                        meter.add(tree_descent_cost(index));
-                        index.any_posting_in(lo, hi, |posting| {
-                            posting.as_slice().iter().any(|&id| verified(id))
-                        })
-                    }
-                    _ => self.scan_metered(q, meter),
-                }
-            }
-        }
+        let Some(leaf) = self.probe(q) else {
+            return self.scan_metered(q, meter);
+        };
+        let (hit, steps) = self.exists(q, self.probed(leaf));
+        meter.add(steps);
+        hit
     }
 
-    /// Many point selections on the indexed column `col` at once, the
-    /// batched twin of [`Self::answer_metered`]: `found(tag, answer,
-    /// steps)` is called once per `(tag, value)` probe with what
-    /// `answer_metered` returns for `Point { col, value }` and the steps
-    /// it charges — the key comparisons, or one for a mistyped value.
-    /// The probes descend the tree together
-    /// ([`BPlusTree::get_many_metered`]); `found` may be called out of
-    /// probe order.
+    /// Many Boolean queries that probe the index on `col`
+    /// ([`Self::probed_column`]) at once, the batched twin of
+    /// [`Self::answer_metered`]: `found(tag, answer, steps)` is called
+    /// once per `(tag, query)` with what `answer_metered` returns and
+    /// charges for it, in probe order. Every query's probe — a point, a
+    /// range start, or a conjunction's driving conjunct — goes down the
+    /// tree with the others, in groups ([`BPlusTree::descend_many`]); a
+    /// conjunction's candidates are then checked against its residual,
+    /// its other conjuncts resolved once to typed checks over the
+    /// columns.
     ///
-    /// Panics if `col` is not indexed ([`Self::is_indexed`]).
-    pub fn answer_points_metered<'q, T: Copy>(
-        &self,
+    /// Panics if `col` is not indexed.
+    pub fn answer_many_metered<'q, T: Copy>(
+        &'q self,
         col: usize,
-        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
+        queries: impl Iterator<Item = (T, &'q SelectionQuery)>,
         mut found: impl FnMut(T, bool, u64),
     ) {
-        self.point_index(col)
-            .get_many_metered(probes, |tag, posting, steps| {
-                found(tag, posting.is_some(), steps)
-            });
-    }
-
-    /// [`Self::answer_points_metered`] in row-id mode, the batched twin
-    /// of [`Self::matching_ids_into`]: each probe's ids are appended to
-    /// `out`, and `found(tag, span, steps)` names the span of `out`
-    /// they landed in, charged one descent plus the ids, as
-    /// `matching_ids_into` charges a point probe (a mistyped value,
-    /// like a miss, pays the descent alone and gets an empty span).
-    ///
-    /// Panics if `col` is not indexed ([`Self::is_indexed`]).
-    pub fn matching_points_into<'q, T: Copy>(
-        &self,
-        col: usize,
-        probes: impl Iterator<Item = (T, &'q Value)> + Clone,
-        out: &mut Vec<usize>,
-        mut found: impl FnMut(T, Range<usize>, u64),
-    ) {
-        let index = self.point_index(col);
-        let descent = tree_descent_cost(index);
-        index.get_many_metered(probes, |tag, posting, _| {
-            let start = out.len();
-            out.extend_from_slice(posting.map_or(&[][..], Posting::as_slice));
-            let steps = descent + (out.len() - start) as u64;
-            found(tag, start..out.len(), steps)
+        let index = self.driving_index(col);
+        index.descend_many(self.probes(col, queries), |(tag, q), probed| {
+            let (hit, steps) = self.exists(q, probed);
+            found(tag, hit, steps);
         });
     }
 
-    /// The index a batch of point probes names.
-    fn point_index(&self, col: usize) -> &ColumnIndex {
-        self.index(col)
-            .expect("batched point probes need an indexed column")
+    /// [`Self::answer_many_metered`] in row-id mode, the batched twin of
+    /// [`Self::matching_ids_into`]: each query's ids are appended to
+    /// `out`, ascending, and `found(tag, span, steps)` names the span of
+    /// `out` they landed in, charged as `matching_ids_into` charges
+    /// them, in probe order.
+    ///
+    /// Panics if `col` is not indexed.
+    pub fn matching_many_into<'q, T: Copy>(
+        &'q self,
+        col: usize,
+        queries: impl Iterator<Item = (T, &'q SelectionQuery)>,
+        out: &mut Vec<usize>,
+        mut found: impl FnMut(T, Range<usize>, u64),
+    ) {
+        let index = self.driving_index(col);
+        index.descend_many(self.probes(col, queries), |(tag, q), probed| {
+            let start = out.len();
+            let steps = self.matching(q, probed, out);
+            found(tag, start..out.len(), steps);
+        });
+    }
+
+    /// Each `(tag, query)` that probes the index on `col`, with the leaf
+    /// it probes.
+    fn probes<'q, T: Copy>(
+        &'q self,
+        col: usize,
+        queries: impl Iterator<Item = (T, &'q SelectionQuery)>,
+    ) -> impl Iterator<Item = ((T, &'q SelectionQuery), &'q SelectionQuery)> {
+        queries.map(move |(tag, q)| {
+            let leaf = self.probe(q).expect("the query probes an index");
+            debug_assert_eq!(leaf_column(leaf), col, "{q:?} probes another column");
+            ((tag, q), leaf)
+        })
     }
 
     /// Unmetered convenience wrapper.
@@ -798,42 +878,50 @@ impl IndexedRelation {
     /// ascending, so a point probe checks one id instead of walking the
     /// posting. `usize::MAX` makes every row visible.
     pub fn answer_metered_below(&self, q: &SelectionQuery, meter: &Meter, bound: usize) -> bool {
-        match q {
-            SelectionQuery::Point { col, value } => match self.index(*col) {
-                Some(index) => index
-                    .get_metered(value, meter)
-                    .is_some_and(|posting| posting.first() < bound),
-                None => self.scan_metered_below(q, meter, bound),
-            },
-            SelectionQuery::Range { col, lo, hi } => match self.index(*col) {
-                Some(index) => {
-                    meter.add(tree_descent_cost(index));
-                    index.any_posting_in(lo, hi, |posting| {
-                        meter.tick();
-                        posting.first() < bound
-                    })
-                }
-                None => self.scan_metered_below(q, meter, bound),
-            },
-            SelectionQuery::And(_, _) => match self.driving_conjunct(q) {
-                Some(driving) => self
-                    .driving_candidates(driving, meter)
-                    .iter()
-                    .copied()
-                    .take_while(|&id| id < bound)
-                    .any(|id| {
-                        meter.tick();
-                        self.row(id).is_some_and(|row| q.matches(row))
-                    }),
-                None => self.scan_metered_below(q, meter, bound),
-            },
+        match (q, self.probe(q)) {
+            (_, None) => self.scan_metered_below(q, meter, bound),
+            (SelectionQuery::Point { col, value }, Some(_)) => self
+                .driving_index(*col)
+                .get_metered(value, meter)
+                .is_some_and(|posting| posting.first() < bound),
+            (SelectionQuery::Range { col, lo, hi }, Some(_)) => {
+                let index = self.driving_index(*col);
+                meter.add(tree_descent_cost(index));
+                index.postings_in(lo, hi).any(|posting| {
+                    meter.tick();
+                    posting.first() < bound
+                })
+            }
+            (SelectionQuery::And(..), Some(leaf)) => {
+                // The candidates in id order: a point's posting as it
+                // stands, a range's postings gathered.
+                let (index, candidates) = match self.probed(leaf) {
+                    Found::Point(index, posting, _) => {
+                        let ids = posting.map_or(&[][..], Posting::as_slice);
+                        (index, Cow::Borrowed(ids))
+                    }
+                    Found::Range(index, postings) => {
+                        let mut ids = Vec::new();
+                        gather(postings, &mut ids);
+                        (index, Cow::Owned(ids))
+                    }
+                };
+                let visible = &candidates[..candidates.partition_point(|&id| id < bound)];
+                let mut steps = tree_descent_cost(index);
+                let hit = Residual::new(&self.rows, q, Some(leaf)).any(visible, &mut steps);
+                meter.add(steps);
+                hit
+            }
         }
     }
 
+    /// Every slot below `bound` in id order, one tick each, tombstones
+    /// included, up to the first live row `q` matches.
     fn scan_metered_below(&self, q: &SelectionQuery, meter: &Meter, bound: usize) -> bool {
+        let residual = Residual::new(&self.rows, q, None);
         (0..self.slot_count().min(bound)).any(|id| {
             meter.tick();
-            self.row(id).is_some_and(|row| q.matches(row))
+            self.rows.is_live(id) && residual.holds(id)
         })
     }
 
@@ -871,16 +959,30 @@ impl IndexedRelation {
 
 /// Approximate comparison cost of one descent, charged to the meter for
 /// operations (like range probes) that use the unmetered tree API.
+/// 2·⌈log₂ keys⌉, at least 2 keys.
 fn tree_descent_cost(index: &ColumnIndex) -> u64 {
-    let n = index.len().max(2) as f64;
-    (n.log2().ceil() as u64).max(1) * 2
+    let keys = index.len().max(2);
+    2 * u64::from(usize::BITS - (keys - 1).leading_zeros())
 }
 
-/// Charge one enumerating probe of `index`: the descent plus the `ids`
-/// it produced.
-fn probed(index: &ColumnIndex, ids: usize, meter: &Meter) {
-    meter.add(tree_descent_cost(index) + ids as u64);
+/// What an index probe found: a point's posting, with the key
+/// comparisons its descent spent, or a range's postings — each with the
+/// index it probed.
+enum Found<'a> {
+    Point(&'a ColumnIndex, Option<&'a Posting>, u64),
+    Range(&'a ColumnIndex, Postings<'a>),
 }
+
+/// Append the ids of `postings` to `out`, the appended run ascending.
+fn gather<'a>(postings: impl Iterator<Item = &'a Posting>, out: &mut Vec<usize>) {
+    let start = out.len();
+    for posting in postings {
+        out.extend_from_slice(posting.as_slice());
+    }
+    out[start..].sort_unstable();
+}
+
+mod residual;
 
 #[cfg(test)]
 mod oracle;

@@ -487,3 +487,100 @@ proptest! {
         check_against_slots(&ir, &oracle, &queries)?;
     }
 }
+
+/// Ints at both ends of `i64` and around zero, and short strings: the
+/// values where a residual's interval arithmetic could go wrong.
+fn edge_value(is_str: bool, raw: u64) -> Value {
+    const INTS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    if is_str {
+        value(true, raw % 12)
+    } else {
+        Value::Int(INTS[(raw % INTS.len() as u64) as usize])
+    }
+}
+
+/// [`leaf`] over edge values: every bound kind at `i64::MIN` and
+/// `i64::MAX` included, `mistype` bits flipping a value's type.
+fn edge_leaf(
+    strs: &[bool],
+    (shape, mistype, col, a, b): (u8, u8, u64, u64, u64),
+) -> SelectionQuery {
+    let col = (col % strs.len() as u64) as usize;
+    let typed = |raw: u64, flip: bool| edge_value(strs[col] != flip, raw);
+    let bound = |kind: u8, raw: u64, flip: bool| match kind % 3 {
+        0 => Bound::Included(typed(raw, flip)),
+        1 => Bound::Excluded(typed(raw, flip)),
+        _ => Bound::Unbounded,
+    };
+    if shape % 4 == 0 {
+        SelectionQuery::Point {
+            col,
+            value: typed(a, mistype & 1 == 1),
+        }
+    } else {
+        SelectionQuery::Range {
+            col,
+            lo: bound(shape / 4, a, mistype & 2 == 2),
+            hi: bound(shape / 12, b, mistype & 4 == 4),
+        }
+    }
+}
+
+/// Every leaf, and conjunctions of two to six consecutive leaves, left-
+/// and right-deep: wider than a residual resolves up front.
+fn wide_queries(leaves: &[SelectionQuery]) -> Vec<SelectionQuery> {
+    let mut out = leaves.to_vec();
+    for width in 2..=6 {
+        for w in leaves.windows(width) {
+            let left = w[1..]
+                .iter()
+                .fold(w[0].clone(), |q, leaf| SelectionQuery::and(q, leaf.clone()));
+            let right = w[..w.len() - 1]
+                .iter()
+                .rev()
+                .fold(w[w.len() - 1].clone(), |q, leaf| {
+                    SelectionQuery::and(leaf.clone(), q)
+                });
+            out.extend([left, right]);
+        }
+    }
+    out
+}
+
+proptest! {
+    /// The residual — the conjuncts resolved once to typed checks over
+    /// the columns — holds exactly where `row(id)` and
+    /// `SelectionQuery::matches` do: over `Int` and `Str` columns,
+    /// tombstoned slots, mistyped values and every bound kind at the
+    /// ends of `i64`, through `matching_ids_into`, `answer_metered` and
+    /// `answer_metered_below`, answers and metered steps alike, and for
+    /// conjunctions too wide to resolve up front.
+    #[test]
+    fn residual_checks_agree_with_matches(
+        strs in prop::collection::vec(any::<bool>(), 1..7),
+        mask in 0u8..64,
+        rows in prop::collection::vec(prop::collection::vec(0u64..1 << 20, 6), 0..60),
+        deletes in prop::collection::vec(0usize..64, 0..20),
+        raw_leaves in prop::collection::vec((0u8..36, 0u8..8, 0u64..8, 0u64..1 << 20, 0u64..1 << 20), 2..9),
+    ) {
+        let kinds: Columns = strs.iter().map(|&is_str| (is_str, 0)).collect();
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|raws| strs.iter().zip(raws).map(|(&is_str, &raw)| edge_value(is_str, raw)).collect())
+            .collect();
+        let indexed = indexed(&kinds, mask);
+        let relation = Relation::from_rows(schema_of(&kinds), rows.clone()).unwrap();
+        let mut ir = IndexedRelation::build(&relation, &indexed).unwrap();
+        let mut oracle = SlotOracle {
+            slots: rows.into_iter().map(Some).collect(),
+            columns: kinds,
+            indexed,
+        };
+        for id in deletes {
+            let expect = oracle.slots.get_mut(id).and_then(Option::take);
+            prop_assert_eq!(ir.delete(id), expect, "delete {}", id);
+        }
+        let leaves: Vec<SelectionQuery> = raw_leaves.into_iter().map(|raw| edge_leaf(&strs, raw)).collect();
+        check_against_slots(&ir, &oracle, &wide_queries(&leaves))?;
+    }
+}

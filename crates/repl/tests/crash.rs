@@ -9,7 +9,7 @@
 use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_repl::{Follower, ReplError, SegmentPublisher, Shipment};
-use pitract_store::{Dir, SnapshotCatalog};
+use pitract_store::{Dir, MemoryVolume, SnapshotCatalog};
 use pitract_wal::segment::list_segments;
 use pitract_wal::{DurableLiveRelation, SyncPolicy, WalConfig, WalReader};
 use proptest::prelude::*;
@@ -233,6 +233,57 @@ proptest! {
         prop_assert_eq!(report.lag, 0);
         let oracle = oracle_at(&catalog, &root, report.applied_lsn);
         assert_matches_oracle(&back, &oracle, "post-drain");
+        prop_assert_eq!(back.len(), node.len());
+    }
+
+    /// A power loss under the follower: its mirror — on a volume that
+    /// drops every byte no flush covered — holds shipments committed
+    /// under group commit, then more appended under `SyncPolicy::Never`,
+    /// whose commits flush nothing. After the crash the restarted
+    /// follower is exactly the oracle replay of the committed prefix,
+    /// and drains to convergence with the primary.
+    #[test]
+    fn follower_mirror_survives_power_loss_at_exactly_its_committed_prefix(
+        ops in prop::collection::vec((0u8..8, 0i64..1_000), 4..28),
+        step_bytes in 48usize..256,
+        steps in 1usize..4,
+    ) {
+        let (root, node, catalog) = primary(160);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        drive(&node, &ops);
+        node.wal().sync().unwrap();
+
+        let volume = MemoryVolume::new();
+        let mirror_dir = volume.root();
+        let whole = |sync| WalConfig { segment_bytes: u64::MAX, sync, ..WalConfig::default() };
+        let follower =
+            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::GroupCommit)).unwrap();
+        let sub = follower.attach(&publisher);
+        for _ in 0..steps {
+            follower.catch_up_step(&publisher, sub, step_bytes).unwrap();
+        }
+        let committed = follower.applied_lsn();
+        drop(follower);
+
+        let follower =
+            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::Never)).unwrap();
+        prop_assert_eq!(follower.applied_lsn(), committed);
+        let sub = follower.attach(&publisher);
+        let report = follower.catch_up(&publisher, sub).unwrap();
+        prop_assert_eq!(report.lag, 0);
+        drop(follower);
+        volume.crash();
+
+        let back =
+            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::GroupCommit)).unwrap();
+        prop_assert_eq!(back.applied_lsn(), committed, "the unflushed shipments are gone");
+        let oracle = oracle_at(&catalog, &root, committed);
+        assert_matches_oracle(&back, &oracle, "post-power-loss");
+        prop_assert_eq!(back.current_epoch(), back.applied_epoch());
+
+        let sub = back.attach(&publisher);
+        let report = back.catch_up(&publisher, sub).unwrap();
+        prop_assert_eq!(report.lag, 0);
         prop_assert_eq!(back.len(), node.len());
     }
 }

@@ -27,7 +27,9 @@
 //! * [`storage`] — the one door to the disk for this crate,
 //!   `pitract-wal` and `pitract-repl`: a [`storage::Dir`] pairs a
 //!   filesystem or in-memory backend with a path, and the two durability
-//!   recipes (atomic replace, durable create) are written once over it.
+//!   recipes (atomic replace, durable create) are written once over it;
+//!   a [`storage::MemoryVolume`] loses its unflushed bytes on
+//!   [`storage::MemoryVolume::crash`], the power loss crash tests use.
 //! * [`live::LiveCheckpoint`] — checkpoint/recover for the live serving
 //!   tier: `checkpoint` freezes a [`pitract_engine::LiveRelation`] into
 //!   the catalog (with the cut's MVCC epoch) and truncates its update
@@ -84,4 +86,4 @@ pub use catalog::SnapshotCatalog;
 pub use error::StoreError;
 pub use live::{LiveCheckpoint, Recovered};
 pub use snapshot::{Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};
-pub use storage::Dir;
+pub use storage::{Dir, MemoryVolume};

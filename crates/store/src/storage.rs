@@ -2,10 +2,11 @@
 //! `pitract-repl` reach storage only through a [`Dir`], a [`Storage`]
 //! backend paired with a path. A path converts to a filesystem
 //! directory; [`Dir::memory`] is an in-memory volume (a location, as
-//! SQLite's `:memory:` is, not a setting) whose flush is a no-op: it
-//! does not model losing bytes that were never synced; [`Dir::new`]
-//! takes any other backend, such as a decorator over a directory's
-//! [`Dir::storage`]. A backend's rename and remove are durable on
+//! SQLite's `:memory:` is, not a setting) whose flush records how much
+//! of each file is on stable storage, so a [`MemoryVolume`] the caller
+//! keeps can lose power ([`MemoryVolume::crash`]): every byte past a
+//! file's last flush is gone; [`Dir::new`] takes any other backend,
+//! such as a decorator over a directory's [`Dir::storage`]. A backend's rename and remove are durable on
 //! return (the filesystem backend fsyncs the parent directory, where
 //! the name lives), and the two durability recipes are written once
 //! over the trait: [`Dir::write_atomic`] and [`Dir::create_durable`].
@@ -70,11 +71,10 @@ impl Dir {
     }
 
     /// The root of a fresh, empty in-memory volume, shared by its clones
-    /// and [`Self::join`]s.
+    /// and [`Self::join`]s ([`MemoryVolume::root`] of a volume no one
+    /// can crash).
     pub fn memory() -> Self {
-        let root = PathBuf::from("/");
-        let mem = Mem(Mutex::new(BTreeMap::from([(root.clone(), None)])));
-        Dir::new(Arc::new(mem), root)
+        MemoryVolume::new().root()
     }
 
     /// The directory's path on its backend.
@@ -251,6 +251,46 @@ impl Storage for Fs {
     }
 }
 
+/// An in-memory volume that can lose power: the backend of
+/// [`Dir::memory`], kept by whoever means to crash it. A file's
+/// [`StorageFile::sync_data`] records the length it made durable;
+/// [`Self::crash`] then cuts every file back to that length, as a power
+/// loss would. Names are durable as they change — the trait makes a
+/// rename or remove durable on return, and a created file that was
+/// never flushed comes back empty.
+#[derive(Debug, Clone)]
+pub struct MemoryVolume(Arc<Mem>);
+
+impl MemoryVolume {
+    /// A fresh, empty volume.
+    pub fn new() -> Self {
+        let root = PathBuf::from("/");
+        MemoryVolume(Arc::new(Mem(Mutex::new(BTreeMap::from([(root, None)])))))
+    }
+
+    /// The volume's root directory.
+    pub fn root(&self) -> Dir {
+        Dir::new(Arc::clone(&self.0) as Arc<dyn Storage>, "/")
+    }
+
+    /// Lose power: every file keeps the bytes its last flush covered and
+    /// loses the rest. Handles opened before the crash still name their
+    /// files; a test drops what the crash killed before it recovers.
+    pub fn crash(&self) {
+        for file in locked(&self.0 .0).values().flatten() {
+            let mut contents = locked(&file.0);
+            let synced = contents.synced;
+            contents.bytes.truncate(synced);
+        }
+    }
+}
+
+impl Default for MemoryVolume {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// The in-memory volume: path → `None` for a directory, the file
 /// otherwise. An append holds its file's mutex, so a reader never sees
 /// half of one.
@@ -259,7 +299,14 @@ struct Mem(Mutex<Entries>);
 type Entries = BTreeMap<PathBuf, Option<Arc<MemFile>>>;
 
 #[derive(Debug, Default)]
-struct MemFile(Mutex<Vec<u8>>);
+struct MemFile(Mutex<Contents>);
+
+/// A file's bytes, and how many of them the last flush made durable.
+#[derive(Debug, Default)]
+struct Contents {
+    bytes: Vec<u8>,
+    synced: usize,
+}
 
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -296,16 +343,21 @@ impl fmt::Debug for Mem {
 
 impl StorageFile for MemFile {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        locked(&self.0).extend_from_slice(bytes);
+        locked(&self.0).bytes.extend_from_slice(bytes);
         Ok(())
     }
 
+    /// A cut takes durable bytes with it; a grown tail is not durable.
     fn truncate(&self, len: u64) -> io::Result<()> {
-        locked(&self.0).resize(len as usize, 0);
+        let mut contents = locked(&self.0);
+        contents.bytes.resize(len as usize, 0);
+        contents.synced = contents.synced.min(len as usize);
         Ok(())
     }
 
     fn sync_data(&self) -> io::Result<()> {
+        let mut contents = locked(&self.0);
+        contents.synced = contents.bytes.len();
         Ok(())
     }
 }
@@ -337,7 +389,7 @@ impl Storage for Mem {
 
     fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
         let file = file(&locked(&self.0), path)?;
-        let bytes = locked(&file.0);
+        let bytes = &locked(&file.0).bytes;
         Ok(bytes[(from as usize).min(bytes.len())..].to_vec())
     }
 
@@ -346,7 +398,7 @@ impl Storage for Mem {
         file_slot(&entries, path)?;
         let slot = entries.entry(path.to_path_buf()).or_default();
         let file = Arc::clone(slot.get_or_insert_default());
-        locked(&file.0).clear();
+        *locked(&file.0) = Contents::default();
         Ok(file)
     }
 

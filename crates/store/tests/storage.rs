@@ -1,8 +1,9 @@
 //! The durability recipes of [`Dir`] on a backend that fails once: the
 //! in-memory volume behind a decorator whose next rename lands and then
-//! reports an error, as a rename does whose directory fsync failed.
+//! reports an error, as a rename does whose directory fsync failed; and
+//! on a [`MemoryVolume`] that loses power.
 
-use pitract_store::storage::{Dir, FileHandle, Storage};
+use pitract_store::storage::{Dir, FileHandle, MemoryVolume, Storage};
 use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,4 +89,33 @@ fn an_atomic_replace_whose_rename_failed_after_landing_keeps_the_new_file() {
     assert_eq!(err.kind(), ErrorKind::Other);
     assert_eq!(dir.list().unwrap(), ["snap"]);
     assert_eq!(dir.read("snap", 0).unwrap(), b"whole");
+}
+
+/// A power loss keeps what a flush covered and drops the rest: the
+/// recipes' files whole, an appended tail only up to its last flush, a
+/// cut as it was made, and a file created and never flushed empty.
+#[test]
+fn a_power_loss_keeps_exactly_the_flushed_bytes() {
+    let volume = MemoryVolume::new();
+    let dir = volume.root();
+    dir.write_atomic("snap", b"whole").unwrap();
+    let log = dir.create_durable("log", b"head").unwrap();
+    log.append(b"+flushed").unwrap();
+    log.sync_data().unwrap();
+    log.append(b"+lost").unwrap();
+    let cut = dir.create_durable("cut", b"0123456789").unwrap();
+    cut.truncate(4).unwrap();
+    cut.append(b"xy").unwrap();
+    let fresh = dir.storage().create(&dir.path().join("fresh")).unwrap();
+    fresh.append(b"never flushed").unwrap();
+    drop((log, cut, fresh));
+
+    volume.crash();
+    assert_eq!(dir.read("snap", 0).unwrap(), b"whole");
+    assert_eq!(dir.read("log", 0).unwrap(), b"head+flushed");
+    assert_eq!(dir.read("cut", 0).unwrap(), b"0123");
+    assert_eq!(dir.read("fresh", 0).unwrap(), b"");
+    let mut names = dir.list().unwrap();
+    names.sort();
+    assert_eq!(names, ["cut", "fresh", "log", "snap"]);
 }

@@ -18,13 +18,16 @@
 //! bookkeeping), so the bounds carry slack and CI runs this binary in
 //! both: `cargo test`, and the `stress` job's `--release` line. When
 //! last measured, both profiles counted 37 / 53 allocations for the
-//! 256- / 4 096-query Boolean batches (once 54 in release), 41 for the
-//! all-miss 256-query row-id batch, and 411 for the mixed one: those
-//! 41, one per each of its 320 non-empty answers, and 50 for its longer
-//! work lists and the growth of the four jobs' id buffers (an answer
-//! per per-shard result, as the executor allocated before its jobs
-//! shared one buffer, made it 505). A job allocates its result vector
-//! and its id buffer, never a buffer per query or per group.
+//! 256- / 4 096-query Boolean batches, 41 for the all-miss 256-query
+//! row-id batch, and 462 for the mixed one: those 41, one per each of
+//! its 368 non-empty answers — 256 shard-key hits and 112 fanned-out
+//! points, ranges and conjunctions — and 53 for its longer work lists
+//! and the growth of the four jobs' id buffers (an answer per per-shard
+//! result, as the executor allocated before its jobs shared one buffer,
+//! made the older, points-only mixed batch cost 505 instead of 411). A
+//! job allocates its result vector and its id buffer, never a buffer
+//! per query or per group: a conjunction's candidates are filtered
+//! where they lie in the id buffer.
 
 use pi_tractable::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,28 +137,41 @@ fn a_batch_costs_the_submitter_words_not_allocations() {
 
     // --- Row-id mode: one allocation per non-empty answer -------------------
     // 4 096 shard-key points, one in 16 a hit (one shard, one row each),
-    // plus 64 points on the other indexed column, each fanning out to all
-    // four shards and finding 16 rows among them: about as many per-shard
-    // results as hits again, which a budget per per-shard result would
-    // have to pay for.
-    let hits = 4_096 / 16;
-    let fanned = 64;
-    let mixed = QueryBatch::new(
-        points(4_096, 16)
-            .queries()
-            .iter()
-            .cloned()
-            .chain((0..fanned).map(|g| SelectionQuery::point(1, g))),
-    );
+    // plus queries on the other indexed column that fan out to all four
+    // shards: points, ranges, and conjunctions driven by a point and by
+    // a range. Each finds rows on several shards — about as many
+    // per-shard results as hits again, which a budget per per-shard
+    // result would have to pay for — and the conjunctions check their
+    // candidates in place.
+    let fanned: Vec<SelectionQuery> = (0..64)
+        .map(|g| SelectionQuery::point(1, g))
+        .chain((64..80).map(|g| SelectionQuery::range_closed(1, 2 * g, 2 * g + 1)))
+        .chain((160..176).map(|g| {
+            SelectionQuery::and(
+                SelectionQuery::point(1, g),
+                SelectionQuery::range_closed(0, 0, ROWS / 2 - 1),
+            )
+        }))
+        .chain((176..192).map(|g| {
+            SelectionQuery::and(
+                SelectionQuery::range_closed(1, g, g),
+                SelectionQuery::range_closed(0, 0, ROWS / 4 - 1),
+            )
+        }))
+        .collect();
+    let mixed = QueryBatch::new(points(4_096, 16).queries().iter().chain(&fanned).cloned());
+    let expect: Vec<usize> = mixed
+        .queries()
+        .iter()
+        .map(|q| relation.count_where(q))
+        .collect();
     exec.execute_rows(&mixed).expect("warm-up");
     let (allocs, got) = allocations(|| exec.execute_rows(&mixed).expect("mixed batch"));
-    assert_eq!(
-        got.rows.iter().map(Vec::len).sum::<usize>() as i64,
-        hits + fanned * (ROWS / GROUPS)
-    );
+    assert_eq!(got.rows.iter().map(Vec::len).collect::<Vec<_>>(), expect);
     // Each hit and each fanned-out query is one non-empty answer, the
     // latter fed by up to four shards.
-    let answers = (hits + fanned) as u64;
+    let answers = expect.iter().filter(|&&rows| rows > 0).count() as u64;
+    assert_eq!(answers, 4_096 / 16 + fanned.len() as u64);
     assert!(
         allocs >= answers,
         "every non-empty answer is at least its own row vector: {allocs} < {answers} \
