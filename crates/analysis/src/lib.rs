@@ -20,6 +20,8 @@
 //! * [`report`] — machine-readable findings with `file:line`,
 //!   JSON-exportable via `pitract-obs`.
 //! * [`walk`] — first-party source discovery over the workspace.
+//! * [`loc`] — non-test lines per crate, counted through the same test
+//!   mask the rules trust (`pitract-lint --loc`).
 //!
 //! The `pitract-lint` binary wires these together and exits nonzero on
 //! any finding; CI runs it as the `lint` job. The runtime half of the
@@ -46,11 +48,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod lexer;
+pub mod loc;
 pub mod report;
 pub mod rules;
 pub mod source;
 pub mod walk;
 
+pub use loc::LineCount;
 pub use report::{Finding, LintReport};
 pub use rules::{default_rules, run_rules, Rule};
 

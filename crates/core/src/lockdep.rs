@@ -40,7 +40,6 @@
 //! | `Shard` (10) | `LiveRelation` per-shard slot, sub-ordered by shard index (ascending) |
 //! | `Gid` (20) | `LiveRelation` global-id maps |
 //! | `Epoch` (30) | `LiveRelation` MVCC clock + pin table |
-//! | `Log` (40) | `LiveRelation` replayable update log |
 //! | `FollowerCatchup` (45) | replication bookkeeping: the publisher's subscription table (a follower's mirror is a `WalWriter`, under the WAL ranks) |
 //! | `WalRotation` (50) | `WalWriter` rotation turnstile (taken strictly before the writer state) |
 //! | `WalState` (60) | `WalWriter` append state |
@@ -48,7 +47,7 @@
 //! `FollowerCatchup` sits *between* the engine tiers and the WAL tiers
 //! deliberately: a catch-up critical section may flush WAL state (ranks
 //! 50/60) while held, but must never be held across a replay into the
-//! engine — replay re-enters the full update path (ranks 10–40), which
+//! engine — replay re-enters the full update path (ranks 10–30), which
 //! the checker would (correctly) flag as an inversion.
 
 use std::cell::RefCell;
@@ -67,8 +66,6 @@ pub enum LockRank {
     Gid = 20,
     /// The `LiveRelation` MVCC epoch clock and pin table.
     Epoch = 30,
-    /// The `LiveRelation` replayable update log.
-    Log = 40,
     /// Replication catch-up bookkeeping (`pitract-repl`): the
     /// publisher's subscription/retention table. Held while flushing WAL
     /// state (ranks above), never across engine replay (ranks below).
@@ -488,8 +485,8 @@ mod tests {
     #[test]
     fn reacquiring_the_same_rank_panics_in_debug() {
         let outcome = catch_silent(|| {
-            let a = OrderedMutex::new(LockRank::Log, ());
-            let b = OrderedMutex::new(LockRank::Log, ());
+            let a = OrderedMutex::new(LockRank::Epoch, ());
+            let b = OrderedMutex::new(LockRank::Epoch, ());
             let _a = a.lock();
             let _b = b.lock(); // distinct lock, same (rank, sub): still a self-deadlock shape.
         });
@@ -551,7 +548,7 @@ mod tests {
 
     #[test]
     fn poisoned_locks_are_absorbed() {
-        let lock = std::sync::Arc::new(OrderedMutex::new(LockRank::Log, 7u32));
+        let lock = std::sync::Arc::new(OrderedMutex::new(LockRank::Epoch, 7u32));
         let poisoner = std::sync::Arc::clone(&lock);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));

@@ -23,9 +23,9 @@
 //!   read/write locks so batches read-lock only the shards they route to
 //!   while updates write-lock only the one shard a key routes to, with
 //!   `|CHANGED|`-bounded maintenance accounting
-//!   ([`pitract_incremental::bounded::UpdateRecord`]) and a replayable
-//!   [`live::UpdateLog`] enabling checkpoint + recover through
-//!   `pitract-store`. [`live::LiveRelation::apply_batch`] applies a run
+//!   ([`pitract_incremental::bounded::UpdateRecord`]) and every update
+//!   staged to one [`live::WalSink`], the log `pitract-wal` checkpoints
+//!   and recovers from. [`live::LiveRelation::apply_batch`] applies a run
 //!   of updates with one WAL commit for the whole batch. Reads are
 //!   MVCC: every applied update bumps a monotonic
 //!   [`pitract_core::epoch::Epoch`], a batch pins one epoch and sees
@@ -75,8 +75,7 @@ pub use batch::{
 };
 pub use error::EngineError;
 pub use live::{
-    Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp, VersionStats,
-    WalSink,
+    Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateOp, VersionStats, WalSink,
 };
 pub use planner::{AccessPath, Planner, QueryPlan};
 pub use pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};

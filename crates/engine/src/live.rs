@@ -23,23 +23,25 @@
 //!   local→global maps are append-only, which lets readers translate
 //!   row ids *after* releasing the shard lock.
 //! * **`|CHANGED|`-bounded maintenance accounting.** Every applied update
-//!   pushes a [`pitract_incremental::bounded::UpdateRecord`] reporting
-//!   `(|ΔD|, |ΔO|, work)` — Section 4(7)'s contract that maintenance is
-//!   charged against the change, not `|D|` (up to the B⁺-tree's O(log n)
-//!   descent, which the record reports honestly). The aggregated
-//!   [`BoundednessReport`] is available from the serving node at any
-//!   time.
-//! * **Checkpoint + replayable update log.** Every applied update is
-//!   also appended to an in-memory [`UpdateLog`]. [`LiveRelation::freeze`]
-//!   atomically exports the current state as a [`ShardedRelation`] (for
-//!   the `pitract-store` snapshot layer) together with the log position
-//!   it covers; replaying the remaining suffix onto the loaded snapshot
-//!   ([`LiveRelation::replay`]) reproduces the live state bit-identically
-//!   — same answers *and* same global row ids.
+//!   folds a [`pitract_incremental::bounded::UpdateRecord`] reporting
+//!   `(|ΔD|, |ΔO|, work)` into a [`BoundednessReport`] of running sums —
+//!   Section 4(7)'s contract that maintenance is charged against the
+//!   change, not `|D|` (up to the B⁺-tree's O(log n) descent, which the
+//!   record reports honestly). The report is available from the serving
+//!   node at any time and does not grow with the update count.
+//! * **Checkpoint + replay, with the WAL as the one log.** Nothing
+//!   per-update stays in memory: the update stream goes to the installed
+//!   [`WalSink`] and nowhere else. [`LiveRelation::freeze`] atomically
+//!   exports the current state as a [`ShardedRelation`] (for the
+//!   `pitract-store` snapshot layer) together with the epoch of the cut,
+//!   which names exactly the updates the state covers; replaying the
+//!   logged suffix onto the loaded snapshot
+//!   ([`LiveRelation::replay_entries`]) reproduces the live state
+//!   bit-identically — same answers *and* same global row ids.
 //!
 //! Consistency model: **epoch-pinned snapshot reads (MVCC)**. A global
 //! [`Epoch`] clock ticks once per applied update, inside the same
-//! critical section that orders the update log — so epoch `E` names
+//! critical section that orders the WAL — so epoch `E` names
 //! exactly the state after the first `E` updates, on every shard at
 //! once. A batch *pins* the current epoch before it fans out
 //! ([`LiveRelation::pin`]); writers that land mid-batch append an O(1)
@@ -74,7 +76,7 @@ use pitract_incremental::bounded::{BoundednessReport, UpdateRecord};
 use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -88,8 +90,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 ///    before the update becomes visible to any reader. Because the
 ///    critical section serializes all writers, staged records land in the
 ///    sink in exactly global-id order — the property that makes a
-///    persisted log replayable ([`LiveRelation::replay`] verifies every
-///    insert reproduces its logged id). A failed stage aborts the update
+///    persisted log replayable ([`LiveRelation::replay_entries`] verifies
+///    every insert reproduces its logged id). A failed stage aborts the update
 ///    before anything was applied: the caller gets the error and the
 ///    relation is untouched.
 /// 2. [`WalSink::commit`] runs **after every lock is released**, with the
@@ -149,215 +151,6 @@ pub enum Applied {
     /// The removed tuple, or `None` if the id was already gone (same
     /// no-op semantics as [`LiveRelation::delete`]).
     Deleted(Option<Vec<Value>>),
-}
-
-/// An ordered, replayable log of updates applied to a [`LiveRelation`]
-/// since its last checkpoint.
-///
-/// Entries are appended inside the global-id critical section, so log
-/// order equals global-id assignment order even under concurrent writers
-/// — which is what makes replay deterministic: applying the entries in
-/// order onto the checkpoint state reassigns exactly the logged ids.
-/// The log is truncated on checkpoint ([`LiveRelation::freeze`] marks
-/// the covered prefix). `pitract-store` can persist a log as its own
-/// catalog entry kind.
-///
-/// Besides its entries the log carries [`Self::end_epoch`] — the
-/// absolute [`Epoch`] of the state after applying every entry, i.e. the
-/// epoch clock of the node the log was captured from. The end survives
-/// operations that change the entry count without changing the final
-/// state ([`Self::compact`], [`Self::drain_prefix`]), which is what lets
-/// recovery resume the clock exactly even when the log it replays is a
-/// compacted remnant with fewer entries than the history had ticks.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UpdateLog {
-    entries: Vec<UpdateEntry>,
-    end_epoch: u64,
-}
-
-impl UpdateLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A log from pre-recorded entries describing a *fresh* history
-    /// (first entry applies onto epoch 0): the end epoch is the entry
-    /// count. For a log captured mid-history use
-    /// [`Self::from_entries_ending`].
-    pub fn from_entries(entries: Vec<UpdateEntry>) -> Self {
-        let end_epoch = entries.len() as u64;
-        UpdateLog { entries, end_epoch }
-    }
-
-    /// A log from pre-recorded entries whose final state has the given
-    /// absolute epoch (the store's decode path for logs persisted with
-    /// an epoch section).
-    pub fn from_entries_ending(entries: Vec<UpdateEntry>, end: Epoch) -> Self {
-        UpdateLog {
-            entries,
-            end_epoch: end.get(),
-        }
-    }
-
-    /// The absolute epoch of the state after applying every entry — the
-    /// epoch clock of the node this log was captured from.
-    pub fn end_epoch(&self) -> Epoch {
-        Epoch::new(self.end_epoch)
-    }
-
-    /// Advance the end epoch (monotonic max) without touching the
-    /// entries. Recovery uses this to re-stamp a replayed log with the
-    /// crashed node's clock, which ran ahead of the entry count when the
-    /// replay was compacted.
-    pub fn advance_end_to(&mut self, end: Epoch) {
-        self.end_epoch = self.end_epoch.max(end.get());
-    }
-
-    /// Append one entry: the final state is one update later.
-    pub fn push(&mut self, entry: UpdateEntry) {
-        self.entries.push(entry);
-        self.end_epoch += 1;
-    }
-
-    /// Number of logged entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, oldest first.
-    pub fn entries(&self) -> &[UpdateEntry] {
-        &self.entries
-    }
-
-    /// Drop the first `n` entries (they are covered by a checkpoint).
-    /// The final state — and therefore [`Self::end_epoch`] — is
-    /// unchanged.
-    pub fn drain_prefix(&mut self, n: usize) {
-        self.entries.drain(..n.min(self.entries.len()));
-    }
-
-    /// One past the highest global id this log's inserts assign — the
-    /// position the id allocator must reach after a replay, even when
-    /// [`Self::compact`] cancelled the trailing inserts (recovery pairs
-    /// this with [`LiveRelation::burn_gids_to`], so a recovered node
-    /// assigns *future* ids exactly like the crashed node would have).
-    /// `None` when the log holds no inserts.
-    pub fn next_gid_watermark(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .filter_map(|e| match e {
-                UpdateEntry::Insert { gid, .. } => Some(gid + 1),
-                UpdateEntry::Delete { .. } => None,
-            })
-            .max()
-    }
-
-    /// Cancel insert+delete pairs: an [`UpdateEntry::Insert`] whose
-    /// global id is deleted *later in the same log* contributes nothing
-    /// to the final state, so both entries are dropped. Survivors keep
-    /// their relative order, which keeps the compacted log replayable
-    /// ([`LiveRelation::replay_compacted`] burns the cancelled ids so
-    /// every surviving insert still lands on its recorded gid).
-    ///
-    /// One refinement keeps compaction lossless under composition: the
-    /// cancelled pair with the **highest** global id is retained unless
-    /// some surviving insert carries a higher id. A trailing run of
-    /// pairs would otherwise leave no entry recording how far the id
-    /// allocator had advanced, and a node recovered from the compacted
-    /// log would reassign those ids — diverging from the history on the
-    /// *next* insert. Keeping the one watermark-bearing pair (at most
-    /// two extra entries, whatever the churn) pins the allocator
-    /// exactly.
-    ///
-    /// Deletes of rows that pre-date the log (their insert lives in the
-    /// checkpoint, not here) always survive. The result's length is
-    /// bounded by the *net* change of the logged history plus one pair,
-    /// which is what bounds recovery work under churn: a million inserts
-    /// each followed by their delete compact to a single pair.
-    pub fn compact(&self) -> UpdateLog {
-        let mut cancelled = vec![false; self.entries.len()];
-        let mut open_inserts: HashMap<usize, usize> = HashMap::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            match entry {
-                UpdateEntry::Insert { gid, .. } => {
-                    open_inserts.insert(*gid, i);
-                }
-                UpdateEntry::Delete { gid } => {
-                    if let Some(at) = open_inserts.remove(gid) {
-                        cancelled[at] = true;
-                        cancelled[i] = true;
-                    }
-                }
-            }
-        }
-        // The watermark rule: if the highest inserted gid belongs to a
-        // cancelled pair, resurrect that pair so the compacted log still
-        // records how far the allocator went.
-        let max_surviving = self
-            .entries
-            .iter()
-            .zip(&cancelled)
-            .filter(|(_, &dead)| !dead)
-            .filter_map(|(e, _)| match e {
-                UpdateEntry::Insert { gid, .. } => Some(*gid),
-                UpdateEntry::Delete { .. } => None,
-            })
-            .max();
-        let max_cancelled = self
-            .entries
-            .iter()
-            .zip(&cancelled)
-            .filter(|(_, &dead)| dead)
-            .filter_map(|(e, _)| match e {
-                UpdateEntry::Insert { gid, .. } => Some(*gid),
-                UpdateEntry::Delete { .. } => None,
-            })
-            .max();
-        if let Some(watermark_gid) = max_cancelled {
-            if max_surviving.is_none_or(|s| s < watermark_gid) {
-                for (i, entry) in self.entries.iter().enumerate() {
-                    match entry {
-                        UpdateEntry::Insert { gid, .. } | UpdateEntry::Delete { gid }
-                            if *gid == watermark_gid =>
-                        {
-                            cancelled[i] = false;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        UpdateLog {
-            entries: self
-                .entries
-                .iter()
-                .zip(&cancelled)
-                .filter(|(_, &dead)| !dead)
-                .map(|(e, _)| e.clone())
-                .collect(),
-            // Cancelling a pair drops entries, not history: the final
-            // state (and its epoch) is the same one the full log reaches.
-            end_epoch: self.end_epoch,
-        }
-    }
-}
-
-/// The pending update log plus the absolute position of its first
-/// entry. `base` counts the entries already truncated by confirmed
-/// checkpoints, so a checkpoint mark from [`LiveRelation::freeze`] is an
-/// absolute log position — two racing checkpoints can each confirm
-/// without the second one draining entries its snapshot never covered
-/// (a count-based truncation had exactly that bug).
-#[derive(Debug, Default)]
-struct LogState {
-    base: usize,
-    log: UpdateLog,
 }
 
 /// The global-id bookkeeping, guarded by one lock separate from the
@@ -584,17 +377,15 @@ impl Drop for EpochPin<'_> {
     }
 }
 
-/// A point-in-time export of a [`LiveRelation`]: the state, the
-/// **absolute** log position it covers, and the epoch of the cut — all
-/// three taken under one consistent set of locks, so
-/// `epoch - birth epoch == covered` always holds.
+/// A point-in-time export of a [`LiveRelation`]: the state and the
+/// epoch of the cut, both taken under one consistent set of locks. The
+/// epoch clock ticks once per applied update, so the epoch names
+/// exactly which updates the state covers — the position a WAL-backed
+/// checkpoint records as its mark.
 #[derive(Debug)]
 pub struct Frozen {
-    /// The exported state (every update up to `covered` applied).
+    /// The exported state (every update up to `epoch` applied).
     pub state: ShardedRelation,
-    /// Absolute log position the state covers (entries ever logged,
-    /// including already-truncated ones).
-    pub covered: usize,
     /// The epoch of the cut: the epoch clock's value when the state was
     /// frozen.
     pub epoch: Epoch,
@@ -634,24 +425,21 @@ pub struct LiveRelation {
     ids: OrderedRwLock<IdMaps>,
     /// The epoch clock and pinned-epoch registry. Writers bump it inside
     /// the gid critical section (one tick per applied update), readers
-    /// pin under the same mutex — acquired after `ids`, before `log`,
-    /// in the fixed lock order.
+    /// pin under the same mutex — acquired after `ids` in the fixed lock
+    /// order.
     epochs: OrderedMutex<EpochState>,
     /// Retained undo records across all shard rings — a cheap gate so
     /// releasing a pin only sweeps the rings when something is actually
     /// retained.
     retained: AtomicUsize,
-    /// Updates since the last checkpoint, in global-id order, with the
-    /// absolute position of the oldest pending entry.
-    log: OrderedMutex<LogState>,
-    /// One record per applied update, in the same order as the log.
+    /// Running sums over one record per applied update.
     maintenance: Mutex<BoundednessReport>,
-    /// One record per retained undo record, charged in the same
+    /// Running sums over one record per retained undo record, charged in the same
     /// `|CHANGED|` currency as update maintenance — kept apart from it
     /// because retention depends on reader timing, not on the history.
     version_maintenance: Mutex<BoundednessReport>,
     /// Optional durable write-ahead sink; staged inside the gid critical
-    /// section so sink order ≡ log order ≡ gid order.
+    /// section so sink order ≡ gid order ≡ epoch order.
     sink: Option<Arc<dyn WalSink>>,
     /// The observability handle ([`LiveRelation::set_recorder`]);
     /// disabled by default, in which case every instrument below is a
@@ -725,8 +513,8 @@ impl LiveRelation {
     }
 
     /// Wrap an existing [`ShardedRelation`] (e.g. one loaded from a
-    /// snapshot) for live serving. Starts with an empty update log and an
-    /// empty maintenance report.
+    /// snapshot) for live serving. Starts at epoch 0 with an empty
+    /// maintenance report and no WAL sink.
     pub fn from_sharded(relation: ShardedRelation) -> Self {
         let (schema, shard_by, shards, global_ids, locations) = relation.into_parts();
         let indexed_cols = shards[0].indexed_columns();
@@ -752,7 +540,6 @@ impl LiveRelation {
             ),
             epochs: OrderedMutex::new(LockRank::Epoch, EpochState::default()),
             retained: AtomicUsize::new(0),
-            log: OrderedMutex::new(LockRank::Log, LogState::default()),
             maintenance: Mutex::new(BoundednessReport::new()),
             version_maintenance: Mutex::new(BoundednessReport::new()),
             sink: None,
@@ -839,7 +626,7 @@ impl LiveRelation {
     // invariants before any call that could panic, and a serving tier
     // must keep answering after one worker died mid-request. The one
     // fixed acquisition order — shard locks (ascending), then `ids`,
-    // then `epochs`, then `log` — makes deadlock impossible, and the
+    // then `epochs` — makes deadlock impossible, and the
     // [`pitract_core::lockdep`] ranks carried by each lock turn any
     // future violation of that order into a debug-build panic instead
     // of a production hang. `maintenance`/`version_maintenance` stay
@@ -882,10 +669,6 @@ impl LiveRelation {
 
     fn write_ids(&self) -> OrderedRwLockWriteGuard<'_, IdMaps> {
         self.ids.write()
-    }
-
-    fn lock_log(&self) -> OrderedMutexGuard<'_, LogState> {
-        self.log.lock()
     }
 
     fn lock_maintenance(&self) -> MutexGuard<'_, BoundednessReport> {
@@ -976,17 +759,8 @@ impl LiveRelation {
     /// update with the same epoch the crashed node would have. No-op if
     /// the clock is already there.
     pub fn advance_epoch_to(&self, epoch: Epoch) {
-        let current = {
-            let mut epochs = self.lock_epochs();
-            epochs.current = epochs.current.max(epoch.get());
-            epochs.current
-        };
-        // Keep the pending log's end stamp on the same clock, so a log
-        // captured from this node — even one whose entries are a
-        // compacted remnant of a longer history — still names the epoch
-        // its final state has ([`UpdateLog::end_epoch`]); a second
-        // recovery resumes from there instead of undercounting.
-        self.lock_log().log.advance_end_to(Epoch::new(current));
+        let mut epochs = self.lock_epochs();
+        epochs.current = epochs.current.max(epoch.get());
     }
 
     /// How much memory the MVCC version rings hold right now, and why.
@@ -1079,19 +853,18 @@ impl LiveRelation {
             let len_before = guard.current.len();
             // The id maps are updated while the shard lock is still held
             // so `global_ids[shard]` stays aligned with the shard's local
-            // ids, and the sink/log/record appends happen inside the gid
-            // critical section so WAL order equals log order equals gid
-            // order (replay determinism).
+            // ids, and the sink stage happens inside the gid critical
+            // section so WAL order equals gid order (replay determinism).
             let mut ids = self.write_ids();
             let gid = ids.locations.len();
-            let ticket = match &self.sink {
-                // Staged before anything is applied: a rejected stage
-                // leaves the relation untouched.
-                Some(sink) => Some(sink.stage(&UpdateEntry::Insert {
-                    gid,
-                    row: row.clone(),
-                })?),
-                None => None,
+            // Staged before anything is applied: a rejected stage leaves
+            // the relation untouched. The staged entry then hands its row
+            // to the shard.
+            let entry = UpdateEntry::Insert { gid, row };
+            let ticket = self.stage(&entry)?;
+            let UpdateEntry::Insert { row, .. } = entry else {
+                // lint:allow(no-unwrap-in-serving): `entry` was built as an insert just above
+                unreachable!("an insert entry")
             };
             // The epochs mutex is held across apply → bump → record so
             // a reader cannot pin between the clock tick and the
@@ -1100,12 +873,12 @@ impl LiveRelation {
             // write); writers lose nothing — they are already
             // serialized by the ids write lock held above.
             let mut epochs = self.lock_epochs();
-            let local = match guard.current.insert(row.clone()) {
+            let local = match guard.current.insert(row) {
                 Ok(local) => local,
                 Err(e) => return Err(EngineError::Indexed(e)),
             };
             // The clock ticks only after the update actually applied:
-            // epoch ≡ absolute log position, with no gaps.
+            // epoch ≡ updates applied, with no gaps.
             epochs.current += 1;
             guard.stamp = epochs.current;
             self.record_undo(&mut guard, &epochs, || UndoOp::Insert { local });
@@ -1119,7 +892,6 @@ impl LiveRelation {
             ids.global_ids[shard].push(gid);
             ids.locations.push(Some((shard, local)));
             ids.live += 1;
-            self.lock_log().log.push(UpdateEntry::Insert { gid, row });
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
@@ -1159,10 +931,7 @@ impl LiveRelation {
                 // A concurrent delete won the race.
                 return Ok((None, None));
             }
-            let ticket = match &self.sink {
-                Some(sink) => Some(sink.stage(&UpdateEntry::Delete { gid })?),
-                None => None,
-            };
+            let ticket = self.stage(&UpdateEntry::Delete { gid })?;
             ids.locations[gid] = None;
             ids.live -= 1;
             let len_before = guard.current.len();
@@ -1187,13 +956,18 @@ impl LiveRelation {
             if dropped > 0 {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
             }
-            self.lock_log().log.push(UpdateEntry::Delete { gid });
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
             (row, ticket)
         };
         Ok((Some(row), ticket))
+    }
+
+    /// Stage one entry to the sink, if one is installed. Called inside
+    /// the gid critical section.
+    fn stage(&self, entry: &UpdateEntry) -> Result<Option<u64>, EngineError> {
+        self.sink.as_ref().map(|sink| sink.stage(entry)).transpose()
     }
 
     /// Commit one staged sink ticket, outside all locks.
@@ -1206,8 +980,8 @@ impl LiveRelation {
 
     /// Apply a run of updates with **one sink commit for the whole
     /// batch**: every op is applied and staged exactly like
-    /// [`Self::insert`] / [`Self::delete`] (same locking, same gid ≡ log
-    /// ≡ WAL order, same `|CHANGED|` accounting), but only the *last*
+    /// [`Self::insert`] / [`Self::delete`] (same locking, same gid ≡ WAL
+    /// order, same `|CHANGED|` accounting), but only the *last*
     /// staged ticket is committed — under a group-commit WAL that is one
     /// fsync covering every record in the batch, instead of one fsync
     /// race per op. Sink tickets are monotone and a commit covers every
@@ -1320,50 +1094,37 @@ impl LiveRelation {
     // --- maintenance accounting -------------------------------------------
 
     /// The `|CHANGED|` accounting of every update applied since this
-    /// relation was wrapped (or recovered): one
-    /// [`UpdateRecord`] per insert/delete, in apply order.
+    /// relation was wrapped (or recovered): running sums over one
+    /// [`UpdateRecord`] per insert/delete.
     pub fn boundedness_report(&self) -> BoundednessReport {
         self.lock_maintenance().clone()
     }
 
     // --- checkpoint & recovery --------------------------------------------
 
-    /// Updates applied since the last confirmed checkpoint, oldest
-    /// first.
-    pub fn pending_log(&self) -> UpdateLog {
-        self.lock_log().log.clone()
-    }
-
     /// Atomically export the current state as a [`ShardedRelation`]
-    /// together with the **absolute** log position it covers (entries
-    /// ever logged, including already-truncated ones) and the epoch of
-    /// the cut.
+    /// together with the epoch of the cut.
     ///
     /// All shard locks are held (read) only while the shards are cloned,
     /// so the returned state is a true point-in-time snapshot — every
-    /// update is either fully inside it or fully after the returned mark
-    /// — but writers resume as soon as the copy exists; the O(n)
-    /// reassembly validation runs on the private clone afterwards. The
-    /// log is *not* truncated here — call [`Self::confirm_checkpoint`]
-    /// with the mark once the snapshot is durably persisted, so a failed
-    /// save never loses replayability. Holding every shard read lock
-    /// excludes every writer's critical section, so the epoch read here
-    /// is exactly the epoch of the exported state.
+    /// update is either fully inside it or fully after the returned
+    /// epoch — but writers resume as soon as the copy exists; the O(n)
+    /// reassembly validation runs on the private clone afterwards.
+    /// Holding every shard read lock excludes every writer's critical
+    /// section, so the epoch read here is exactly the epoch of the
+    /// exported state.
     pub fn freeze(&self) -> Frozen {
-        let (schema, shard_by, shards, global_ids, locations, covered, epoch) = {
+        let (schema, shard_by, shards, global_ids, locations, epoch) = {
             let guards: Vec<OrderedRwLockReadGuard<'_, ShardSlot>> =
                 self.shards.iter().map(read_lock).collect();
             let ids = self.read_ids();
             let epoch = self.lock_epochs().current;
-            let log = self.lock_log();
-            let covered = log.base + log.log.len();
             (
                 self.schema.clone(),
                 self.shard_by.clone(),
                 guards.iter().map(|g| g.current.clone()).collect::<Vec<_>>(),
                 ids.global_ids.clone(),
                 ids.locations.clone(),
-                covered,
                 epoch,
             )
             // All guards drop here: writers proceed while we validate.
@@ -1374,74 +1135,63 @@ impl LiveRelation {
             .expect("live state upholds the sharded invariants");
         Frozen {
             state,
-            covered,
             epoch: Epoch::new(epoch),
         }
     }
 
-    /// Export the current state alone (a freeze whose log position the
-    /// caller does not need).
+    /// Export the current state alone (a freeze whose epoch the caller
+    /// does not need).
     pub fn to_sharded(&self) -> ShardedRelation {
         self.freeze().state
     }
 
-    /// Truncate every log entry at or before the absolute position
-    /// `covered` once its snapshot has been durably persisted (the
-    /// second half of a checkpoint; `covered` comes from
-    /// [`Self::freeze`]). Positions are absolute, so two checkpoints
-    /// confirming in any order each truncate only what their own
-    /// snapshot covers — never a racing checkpoint's uncovered suffix.
-    pub fn confirm_checkpoint(&self, covered: usize) {
-        let mut state = self.lock_log();
-        let drain = covered.saturating_sub(state.base).min(state.log.len());
-        state.log.drain_prefix(drain);
-        state.base += drain;
-    }
-
-    /// Replay a log onto this relation (typically fresh from a
-    /// snapshot): re-applies every entry in order and verifies each
-    /// insert reproduces the logged global id. On success the relation's
-    /// state — answers *and* global row ids — equals the state the log
-    /// was recorded from.
-    pub fn replay(&self, log: &UpdateLog) -> Result<usize, EngineError> {
-        self.replay_inner(log.entries(), false)
-    }
-
-    /// Replay a log produced by [`UpdateLog::compact`]: like
-    /// [`Self::replay`], except that a *forward gap* in the global-id
-    /// sequence — the ids of an insert+delete pair the compaction
-    /// cancelled — is burned as permanent tombstones, so every surviving
-    /// insert still lands on exactly its recorded gid. Burned ids are
-    /// indistinguishable from deleted ones (both read back as `None`),
-    /// which is what makes compacted and uncompacted replay produce the
-    /// same answers and the same live global row ids.
+    /// Replay logged entries onto this relation (typically fresh from a
+    /// snapshot), in order, taking each by value: every insert must
+    /// reproduce its logged global id. On success the relation's state —
+    /// answers *and* global row ids — equals the state the log was
+    /// recorded from.
     ///
-    /// A *backward* id (an insert recording a gid this relation already
-    /// assigned) is still rejected typed: compaction only ever removes
-    /// entries, so it can explain missing ids, never reused ones.
-    pub fn replay_compacted(&self, log: &UpdateLog) -> Result<usize, EngineError> {
-        self.replay_inner(log.entries(), true)
-    }
-
-    /// Replay a bare entry slice with [`Self::replay_compacted`]
-    /// semantics (forward gid gaps burn as tombstones, backward gids
-    /// fail typed). This is the follower-replication apply path: a
-    /// `pitract-repl` follower streams already-compacted WAL records
-    /// from its primary — the stream may carry gid gaps wherever the
-    /// primary's compactor cancelled an insert+delete pair — and
-    /// re-applies them here, which is what keeps a replica's answers
-    /// *and* global row ids bit-identical to the primary's prefix.
-    pub fn replay_entries(&self, entries: &[UpdateEntry]) -> Result<usize, EngineError> {
-        self.replay_inner(entries, true)
+    /// A *forward gap* in the global-id sequence — the ids of an
+    /// insert+delete pair a compaction cancelled — is burned as
+    /// permanent tombstones, so every surviving insert still lands on
+    /// exactly its recorded gid. Burned ids are indistinguishable from
+    /// deleted ones (both read back as `None`), which is what makes
+    /// compacted and uncompacted replay produce the same answers and the
+    /// same live global row ids. A *backward* id (an insert recording a
+    /// gid this relation already assigned) is rejected typed: compaction
+    /// only ever removes entries, so it can explain missing ids, never
+    /// reused ones. Recovery and the replication follower both apply
+    /// WAL records through here.
+    pub fn replay_entries(&self, entries: Vec<UpdateEntry>) -> Result<usize, EngineError> {
+        let replayed = entries.len();
+        for entry in entries {
+            match entry {
+                UpdateEntry::Insert { gid, row } => {
+                    self.burn_gids_to(gid);
+                    let got = self.insert(row)?;
+                    if got != gid {
+                        return Err(EngineError::ReplayGidMismatch {
+                            expected: gid,
+                            found: got,
+                        });
+                    }
+                }
+                UpdateEntry::Delete { gid } => {
+                    self.delete(gid)?
+                        .ok_or(EngineError::ReplayMissingRow { gid })?;
+                }
+            }
+        }
+        Ok(replayed)
     }
 
     /// Advance the global-id allocator to `next_gid` without inserting:
     /// the skipped ids are burned as permanent tombstones (they read
     /// back as deleted). No-op if the allocator is already there.
     ///
-    /// Recovery calls this with [`UpdateLog::next_gid_watermark`] after
-    /// replaying a compacted log: a *trailing* insert+delete pair leaves
-    /// no surviving entry to carry its ids, yet the crashed node had
+    /// Recovery calls this with the next-gid watermark of the WAL tail
+    /// it replayed compacted: a *trailing* insert+delete pair leaves no
+    /// surviving entry to carry its ids, yet the crashed node had
     /// assigned them — burning keeps the recovered node's future id
     /// assignments bit-identical to the history the log records.
     pub fn burn_gids_to(&self, next_gid: usize) {
@@ -1449,33 +1199,6 @@ impl LiveRelation {
         while ids.locations.len() < next_gid {
             ids.locations.push(None);
         }
-    }
-
-    fn replay_inner(&self, entries: &[UpdateEntry], burn_gaps: bool) -> Result<usize, EngineError> {
-        for entry in entries {
-            match entry {
-                UpdateEntry::Insert { gid, row } => {
-                    if burn_gaps {
-                        let mut ids = self.write_ids();
-                        while ids.locations.len() < *gid {
-                            ids.locations.push(None);
-                        }
-                    }
-                    let got = self.insert(row.clone())?;
-                    if got != *gid {
-                        return Err(EngineError::ReplayGidMismatch {
-                            expected: *gid,
-                            found: got,
-                        });
-                    }
-                }
-                UpdateEntry::Delete { gid } => {
-                    self.delete(*gid)?
-                        .ok_or(EngineError::ReplayMissingRow { gid: *gid })?;
-                }
-            }
-        }
-        Ok(entries.len())
     }
 }
 
@@ -1580,6 +1303,49 @@ mod tests {
         LiveRelation::build(&relation(n), ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap()
     }
 
+    /// A sink that records the staged stream: the relation's log, for
+    /// asserting the hook's ordering contract and replaying histories
+    /// without any real I/O.
+    #[derive(Debug, Default)]
+    struct RecordingSink {
+        staged: Mutex<Vec<UpdateEntry>>,
+        committed: Mutex<Vec<u64>>,
+        fail_stage: std::sync::atomic::AtomicBool,
+    }
+
+    impl WalSink for RecordingSink {
+        fn stage(&self, entry: &UpdateEntry) -> Result<u64, EngineError> {
+            if self.fail_stage.load(std::sync::atomic::Ordering::Relaxed) {
+                return Err(EngineError::WalSink {
+                    message: "disk full".into(),
+                });
+            }
+            let mut staged = self.staged.lock().unwrap();
+            staged.push(entry.clone());
+            Ok(staged.len() as u64 - 1)
+        }
+
+        fn commit(&self, ticket: u64) -> Result<(), EngineError> {
+            self.committed.lock().unwrap().push(ticket);
+            Ok(())
+        }
+    }
+
+    impl RecordingSink {
+        /// The staged history, oldest first.
+        fn entries(&self) -> Vec<UpdateEntry> {
+            self.staged.lock().unwrap().clone()
+        }
+    }
+
+    /// `live(n, shards)` with a recording sink installed.
+    fn recorded(n: i64, shards: usize) -> (LiveRelation, Arc<RecordingSink>) {
+        let sink = Arc::new(RecordingSink::default());
+        let mut lr = live(n, shards);
+        lr.set_wal_sink(Some(sink.clone() as Arc<dyn WalSink>));
+        (lr, sink)
+    }
+
     /// Each shard's local → global id map strictly increasing, which
     /// the row-id merge relies on; the maps themselves.
     fn increasing_id_maps(lr: &LiveRelation) -> Vec<Vec<usize>> {
@@ -1594,7 +1360,7 @@ mod tests {
 
     #[test]
     fn id_maps_increase_after_build_writes_replay_and_export() {
-        let lr = live(200, 3);
+        let (lr, log) = recorded(200, 3);
         increasing_id_maps(&lr);
         for i in 0..60 {
             lr.insert(vec![Value::Int(1_000 + i), Value::str("new")])
@@ -1603,7 +1369,7 @@ mod tests {
         }
         let maps = increasing_id_maps(&lr);
         let replica = live(200, 3);
-        replica.replay(&lr.pending_log()).unwrap();
+        replica.replay_entries(log.entries()).unwrap();
         assert_eq!(increasing_id_maps(&replica), maps, "replay");
         let exported = LiveRelation::from_sharded(lr.freeze().state);
         assert_eq!(increasing_id_maps(&exported), maps, "export");
@@ -1670,39 +1436,40 @@ mod tests {
 
     #[test]
     fn update_log_records_in_gid_order() {
-        let lr = live(4, 2);
+        let (lr, sink) = recorded(4, 2);
         let g1 = lr.insert(vec![Value::Int(50), Value::str("a")]).unwrap();
         lr.delete(0).unwrap().unwrap();
         let g2 = lr.insert(vec![Value::Int(51), Value::str("b")]).unwrap();
-        let log = lr.pending_log();
+        let log = sink.entries();
         assert_eq!(log.len(), 3);
-        assert!(matches!(log.entries()[0], UpdateEntry::Insert { gid, .. } if gid == g1));
-        assert!(matches!(log.entries()[1], UpdateEntry::Delete { gid } if gid == 0));
-        assert!(matches!(log.entries()[2], UpdateEntry::Insert { gid, .. } if gid == g2));
+        assert!(matches!(log[0], UpdateEntry::Insert { gid, .. } if gid == g1));
+        assert!(matches!(log[1], UpdateEntry::Delete { gid } if gid == 0));
+        assert!(matches!(log[2], UpdateEntry::Insert { gid, .. } if gid == g2));
     }
 
     #[test]
     fn freeze_replay_reproduces_state_and_ids() {
-        let lr = live(50, 3);
+        let (lr, log) = recorded(50, 3);
         lr.delete(7).unwrap();
         lr.insert(vec![Value::Int(500), Value::str("mid")]).unwrap();
 
-        // Checkpoint: freeze the state, confirm, then keep writing.
+        // Checkpoint: freeze the state, then keep writing.
         let frozen = lr.freeze();
         assert_eq!(
             frozen.epoch,
-            Epoch::new(frozen.covered as u64),
-            "epoch ≡ absolute log position from birth"
+            Epoch::new(log.entries().len() as u64),
+            "epoch ≡ logged updates from birth"
         );
-        let (state, covered) = (frozen.state, frozen.covered);
-        lr.confirm_checkpoint(covered);
+        let (state, covered) = (frozen.state, frozen.epoch.get() as usize);
         lr.insert(vec![Value::Int(501), Value::str("late")])
             .unwrap();
         lr.delete(3).unwrap();
 
-        // Recover: wrap the frozen state, replay the pending suffix.
+        // Recover: wrap the frozen state, replay the suffix past the cut.
         let recovered = LiveRelation::from_sharded(state);
-        recovered.replay(&lr.pending_log()).unwrap();
+        recovered
+            .replay_entries(log.entries().split_off(covered))
+            .unwrap();
 
         assert_eq!(recovered.len(), lr.len());
         for gid in 0..53 {
@@ -1718,52 +1485,102 @@ mod tests {
         }
     }
 
-    /// Regression: `confirm_checkpoint` used to truncate by *count*, so
-    /// two checkpoints racing on the same state would each drain one
-    /// prefix — the second one swallowing entries its snapshot never
-    /// covered. Marks are absolute log positions now: confirming the
-    /// same mark twice is idempotent and never touches newer entries.
+    /// The engine half of checkpoint → recover: a frozen state, wrapped
+    /// again, with its clock set to the cut and the logged suffix
+    /// replayed, is the lost node — rows, row ids, answers and the
+    /// epoch clock.
+    #[test]
+    fn checkpoint_then_recover_is_bit_identical() {
+        let (lr, log) = recorded(60, 3);
+        lr.delete(10).unwrap().unwrap();
+        lr.insert(vec![Value::Int(600), Value::str("pre")]).unwrap();
+        let frozen = lr.freeze();
+
+        // Post-checkpoint traffic, covered only by the log.
+        lr.insert(vec![Value::Int(601), Value::str("post")])
+            .unwrap();
+        lr.delete(20).unwrap().unwrap();
+
+        let recovered = LiveRelation::from_sharded(frozen.state);
+        recovered.advance_epoch_to(frozen.epoch);
+        let tail = log.entries().split_off(frozen.epoch.get() as usize);
+        assert_eq!(recovered.replay_entries(tail).unwrap(), 2);
+        assert_eq!(
+            recovered.current_epoch(),
+            lr.current_epoch(),
+            "the epoch clock resumes exactly where the lost node's stood"
+        );
+        assert_eq!(recovered.len(), lr.len());
+        for gid in 0..62 {
+            assert_eq!(recovered.row(gid), lr.row(gid), "gid {gid}");
+        }
+        for q in [
+            SelectionQuery::point(0, 600i64),
+            SelectionQuery::point(0, 601i64),
+            SelectionQuery::point(0, 20i64),
+            SelectionQuery::range_closed(0, 0i64, 700i64),
+        ] {
+            assert_eq!(recovered.matching_ids(&q), lr.matching_ids(&q), "{q:?}");
+        }
+    }
+
+    /// Replaying a log recorded against some other history onto a
+    /// checkpoint fails typed, never silently diverges.
+    #[test]
+    fn recover_with_foreign_log_fails_typed() {
+        let base = live(10, 3).freeze();
+        let (other, log) = recorded(50, 3);
+        other.delete(40).unwrap().unwrap();
+        let recovered = LiveRelation::from_sharded(base.state);
+        assert_eq!(
+            recovered.replay_entries(log.entries()).unwrap_err(),
+            EngineError::ReplayMissingRow { gid: 40 }
+        );
+    }
+
+    /// Regression: checkpoint marks once truncated by *count*, so two
+    /// checkpoints racing on the same state would each drain one prefix
+    /// — the second one swallowing entries its snapshot never covered.
+    /// A mark is the cut's epoch, an absolute log position: two freezes
+    /// of one state name the same mark, and an update neither covers
+    /// sits past it.
     #[test]
     fn racing_checkpoint_confirms_never_drop_uncovered_entries() {
-        let lr = live(4, 2);
+        let (lr, log) = recorded(4, 2);
         lr.insert(vec![Value::Int(50), Value::str("a")]).unwrap();
         lr.insert(vec![Value::Int(51), Value::str("b")]).unwrap();
         // Two concurrent checkpoints freeze the same state.
-        let (m1, m2) = (lr.freeze().covered, lr.freeze().covered);
+        let (m1, m2) = (lr.freeze().epoch, lr.freeze().epoch);
         assert_eq!(m1, m2, "same state, same absolute mark");
         // A post-freeze update covered by neither snapshot.
         lr.insert(vec![Value::Int(52), Value::str("c")]).unwrap();
-        lr.confirm_checkpoint(m1);
-        lr.confirm_checkpoint(m2); // second confirm must be a no-op
+        let uncovered = log.entries().split_off(m1.get() as usize);
         assert_eq!(
-            lr.pending_log().len(),
+            uncovered.len(),
             1,
-            "the uncovered entry survives both confirms"
+            "the uncovered entry sits past both marks"
         );
-        assert!(matches!(
-            lr.pending_log().entries()[0],
-            UpdateEntry::Insert { gid: 6, .. }
-        ));
+        assert!(matches!(uncovered[0], UpdateEntry::Insert { gid: 6, .. }));
     }
 
     #[test]
     fn replay_rejects_histories_that_do_not_match() {
         let lr = live(10, 2);
         // A log recorded against a different state: gid 99 was never live.
-        let log = UpdateLog::from_entries(vec![UpdateEntry::Delete { gid: 99 }]);
         assert_eq!(
-            lr.replay(&log).unwrap_err(),
+            lr.replay_entries(vec![UpdateEntry::Delete { gid: 99 }])
+                .unwrap_err(),
             EngineError::ReplayMissingRow { gid: 99 }
         );
         // An insert logged under a gid the replay cannot reproduce.
-        let log = UpdateLog::from_entries(vec![UpdateEntry::Insert {
-            gid: 77,
+        let log = vec![UpdateEntry::Insert {
+            gid: 7,
             row: vec![Value::Int(1), Value::str("x")],
-        }]);
+        }];
         assert_eq!(
-            lr.replay(&log).unwrap_err(),
+            lr.replay_entries(log).unwrap_err(),
             EngineError::ReplayGidMismatch {
-                expected: 77,
+                expected: 7,
                 found: 10
             }
         );
@@ -1794,19 +1611,19 @@ mod tests {
 
     #[test]
     fn invalid_rows_are_rejected_typed() {
-        let lr = live(5, 2);
+        let (lr, log) = recorded(5, 2);
         let err = lr.insert(vec![Value::Int(1)]).unwrap_err();
         assert!(
             matches!(err, EngineError::Indexed(IndexedError::RowRejected(_))),
             "{err}"
         );
         assert_eq!(lr.len(), 5, "nothing was applied");
-        assert!(lr.pending_log().is_empty(), "nothing was logged");
+        assert!(log.entries().is_empty(), "nothing was logged");
     }
 
     #[test]
     fn concurrent_inserts_assign_unique_gids() {
-        let lr = live(0, 4);
+        let (lr, log) = recorded(0, 4);
         let gids: Vec<usize> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
@@ -1837,7 +1654,7 @@ mod tests {
         // The log replays to the same state.
         let fresh =
             LiveRelation::build(&relation(0), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
-        fresh.replay(&lr.pending_log()).unwrap();
+        fresh.replay_entries(log.entries()).unwrap();
         assert_eq!(fresh.len(), 200);
         for gid in 0..200 {
             assert_eq!(fresh.row(gid), lr.row(gid), "gid {gid}");
@@ -1845,69 +1662,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_cancels_pairs_and_keeps_survivor_order() {
-        let lr = live(3, 2);
-        let a = lr.insert(vec![Value::Int(100), Value::str("a")]).unwrap();
-        let b = lr.insert(vec![Value::Int(101), Value::str("b")]).unwrap();
-        lr.delete(0).unwrap().unwrap(); // pre-log row: delete must survive
-        lr.delete(a).unwrap().unwrap(); // cancels with a's insert
-        let c = lr.insert(vec![Value::Int(102), Value::str("c")]).unwrap();
-        let compacted = lr.pending_log().compact();
-        assert_eq!(
-            compacted.entries(),
-            &[
-                UpdateEntry::Insert {
-                    gid: b,
-                    row: vec![Value::Int(101), Value::str("b")]
-                },
-                UpdateEntry::Delete { gid: 0 },
-                UpdateEntry::Insert {
-                    gid: c,
-                    row: vec![Value::Int(102), Value::str("c")]
-                },
-            ],
-            "pair (insert {a}, delete {a}) cancelled, survivors in order"
-        );
-        // A fully cancelling history compacts to the single
-        // watermark-bearing pair: the highest-gid pair survives so a
-        // recovery still advances the id allocator to where the history
-        // left it (19 insert+delete pairs vanish; one stays).
-        let lr = live(0, 2);
-        for i in 0..20i64 {
-            let gid = lr.insert(vec![Value::Int(i), Value::str("x")]).unwrap();
-            lr.delete(gid).unwrap().unwrap();
-        }
-        assert_eq!(lr.pending_log().len(), 40);
-        let compacted = lr.pending_log().compact();
-        assert_eq!(
-            compacted.entries(),
-            &[
-                UpdateEntry::Insert {
-                    gid: 19,
-                    row: vec![Value::Int(19), Value::str("x")]
-                },
-                UpdateEntry::Delete { gid: 19 },
-            ],
-            "only the watermark pair survives total churn"
-        );
-        assert_eq!(compacted.next_gid_watermark(), Some(20));
-        // Replaying the compacted log reproduces the allocator exactly:
-        // the next insert gets the same gid the original node would give.
-        let replayed = live(0, 2);
-        replayed.replay_compacted(&compacted).unwrap();
-        assert_eq!(
-            replayed
-                .insert(vec![Value::Int(9), Value::str("y")])
-                .unwrap(),
-            lr.insert(vec![Value::Int(9), Value::str("y")]).unwrap(),
-            "future gid assignment is preserved through compaction"
-        );
-    }
-
-    #[test]
     fn compacted_replay_matches_uncompacted_on_answers_and_gids() {
         // A churny history with pairs scattered through it.
-        let lr = live(10, 3);
+        let (lr, sink) = recorded(10, 3);
         let mut hot = Vec::new();
         for i in 0..30i64 {
             let gid = lr
@@ -1923,14 +1680,31 @@ mod tests {
             }
         }
         lr.delete(4).unwrap().unwrap(); // pre-log delete survives compaction
-        let log = lr.pending_log();
-        let compacted = log.compact();
+        let log = sink.entries();
+        // Cancel every insert+delete pair, as a compaction does; the
+        // last insert survives, so it carries the allocator's position.
+        let deleted: Vec<usize> = log
+            .iter()
+            .filter_map(|e| match e {
+                UpdateEntry::Delete { gid } => Some(*gid),
+                UpdateEntry::Insert { .. } => None,
+            })
+            .collect();
+        let compacted: Vec<UpdateEntry> = log
+            .iter()
+            .filter(|e| match e {
+                UpdateEntry::Insert { gid, .. } => !deleted.contains(gid),
+                UpdateEntry::Delete { gid } => *gid < 10,
+            })
+            .cloned()
+            .collect();
         assert!(compacted.len() < log.len(), "something was cancelled");
+        let compacted_len = compacted.len();
 
         let plain = live(10, 3);
-        plain.replay(&log).unwrap();
+        plain.replay_entries(log).unwrap();
         let short = live(10, 3);
-        short.replay_compacted(&compacted).unwrap();
+        short.replay_entries(compacted).unwrap();
 
         assert_eq!(plain.len(), short.len());
         for gid in 0..45 {
@@ -1944,68 +1718,33 @@ mod tests {
             assert_eq!(plain.matching_ids(&q), short.matching_ids(&q), "{q:?}");
         }
         // Replay work was bounded by the net change, not the history.
-        assert_eq!(short.boundedness_report().len(), compacted.len());
+        assert_eq!(short.boundedness_report().len(), compacted_len);
     }
 
     #[test]
-    fn strict_replay_still_rejects_gid_gaps() {
+    fn replay_burns_forward_gid_gaps_and_rejects_backward_ids() {
+        // A forward gap (a cancelled pair's ids) burns as tombstones…
         let lr = live(5, 2);
-        let log = UpdateLog::from_entries(vec![UpdateEntry::Insert {
+        let log = vec![UpdateEntry::Insert {
             gid: 9,
             row: vec![Value::Int(1), Value::str("x")],
-        }]);
-        assert_eq!(
-            lr.replay(&log).unwrap_err(),
-            EngineError::ReplayGidMismatch {
-                expected: 9,
-                found: 5
-            }
-        );
-        // The tolerant twin burns the gap instead…
-        let lr = live(5, 2);
-        lr.replay_compacted(&log).unwrap();
+        }];
+        lr.replay_entries(log).unwrap();
         assert_eq!(lr.row(9).unwrap()[0], Value::Int(1));
         assert!(lr.row(7).is_none(), "burned ids read as deleted");
-        // …but still rejects an id that runs backwards.
+        // …but an id that runs backwards is rejected.
         let lr = live(5, 2);
-        let log = UpdateLog::from_entries(vec![UpdateEntry::Insert {
+        let log = vec![UpdateEntry::Insert {
             gid: 2,
             row: vec![Value::Int(1), Value::str("x")],
-        }]);
+        }];
         assert_eq!(
-            lr.replay_compacted(&log).unwrap_err(),
+            lr.replay_entries(log).unwrap_err(),
             EngineError::ReplayGidMismatch {
                 expected: 2,
                 found: 5
             }
         );
-    }
-
-    /// A sink that records the staged stream, for asserting the hook's
-    /// ordering contract without any real I/O.
-    #[derive(Debug, Default)]
-    struct RecordingSink {
-        staged: Mutex<Vec<UpdateEntry>>,
-        committed: Mutex<Vec<u64>>,
-        fail_stage: std::sync::atomic::AtomicBool,
-    }
-
-    impl WalSink for RecordingSink {
-        fn stage(&self, entry: &UpdateEntry) -> Result<u64, EngineError> {
-            if self.fail_stage.load(std::sync::atomic::Ordering::Relaxed) {
-                return Err(EngineError::WalSink {
-                    message: "disk full".into(),
-                });
-            }
-            let mut staged = self.staged.lock().unwrap();
-            staged.push(entry.clone());
-            Ok(staged.len() as u64 - 1)
-        }
-
-        fn commit(&self, ticket: u64) -> Result<(), EngineError> {
-            self.committed.lock().unwrap().push(ticket);
-            Ok(())
-        }
     }
 
     #[test]
@@ -2029,10 +1768,16 @@ mod tests {
                 });
             }
         });
-        // The staged stream is exactly the update log: same entries, same
-        // order — the invariant a durable WAL replays by.
+        // The staged stream is the update log: in gid order, so replaying
+        // it reproduces every row under its gid — the invariant a
+        // durable WAL replays by.
         let staged = sink.staged.lock().unwrap();
-        assert_eq!(staged.as_slice(), lr.pending_log().entries());
+        let fresh = live(0, 4);
+        fresh.replay_entries(staged.clone()).unwrap();
+        assert_eq!(fresh.len(), lr.len());
+        for gid in 0..160 {
+            assert_eq!(fresh.row(gid), lr.row(gid), "gid {gid}");
+        }
         assert_eq!(
             sink.committed.lock().unwrap().len(),
             staged.len(),
@@ -2076,7 +1821,7 @@ mod tests {
         // The log replays to the same state (batching changes commit
         // cadence, never history).
         let fresh = live(10, 3);
-        fresh.replay(&lr.pending_log()).unwrap();
+        fresh.replay_entries(sink.entries()).unwrap();
         for gid in 0..12 {
             assert_eq!(fresh.row(gid), lr.row(gid), "gid {gid}");
         }
@@ -2120,7 +1865,7 @@ mod tests {
         let err = lr.delete(0).unwrap_err();
         assert!(matches!(err, EngineError::WalSink { .. }), "{err}");
         assert_eq!(lr.len(), 3, "nothing applied");
-        assert!(lr.pending_log().is_empty(), "nothing logged");
+        assert!(sink.entries().is_empty(), "nothing logged");
         assert_eq!(lr.row(0).unwrap()[0], Value::Int(0), "row 0 still live");
         assert!(sink.committed.lock().unwrap().is_empty());
         // A failed stage also never ticked the epoch clock: epoch must
@@ -2132,7 +1877,7 @@ mod tests {
 
     #[test]
     fn epoch_clock_ticks_once_per_applied_update() {
-        let lr = live(10, 3);
+        let (lr, log) = recorded(10, 3);
         assert_eq!(lr.current_epoch(), Epoch::ZERO, "birth epoch");
         let gid = lr.insert(vec![Value::Int(100), Value::str("a")]).unwrap();
         assert_eq!(lr.current_epoch(), Epoch::new(1));
@@ -2142,7 +1887,7 @@ mod tests {
         assert_eq!(lr.current_epoch(), Epoch::new(2));
         assert_eq!(
             lr.current_epoch().get(),
-            lr.pending_log().len() as u64,
+            log.entries().len() as u64,
             "epoch ≡ absolute log position"
         );
     }
@@ -2237,11 +1982,10 @@ mod tests {
         assert_eq!(stats.retained_slots, 0, "no shard was ever cloned");
         let retention = lr.status().retention.unwrap();
         assert_eq!(retention.updates, 50);
-        assert!(
-            lr.lock_version_maintenance()
-                .records()
-                .iter()
-                .all(|r| r.work == 1),
+        let retention = lr.lock_version_maintenance().clone();
+        assert_eq!(
+            (retention.min_work(), retention.max_work()),
+            (1, 1),
             "retention work is constant per write, independent of shard size"
         );
         drop(pin);

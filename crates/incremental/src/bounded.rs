@@ -3,9 +3,11 @@
 //! Ramalingam & Reps: charge an incremental algorithm against
 //! `|CHANGED| = |ΔD| + |ΔO|`, the part of the cost *inherent* to the
 //! update. Every maintenance structure in this crate emits one
-//! [`UpdateRecord`] per applied change; [`BoundednessReport`] aggregates a
-//! run and answers "was the measured work a function of |CHANGED| (times a
-//! constant), or did it secretly scale with |D|?" — the E10 verdict.
+//! [`UpdateRecord`] per applied change; [`BoundednessReport`] folds a
+//! run into running sums and answers "was the measured work a function
+//! of |CHANGED| (times a constant), or did it secretly scale with |D|?"
+//! — the E10 verdict. The report keeps no record list: its size is
+//! fixed however many updates it has seen.
 
 /// Cost record for one applied update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,12 +25,25 @@ impl UpdateRecord {
     pub fn changed(&self) -> u64 {
         self.delta_input + self.delta_output
     }
+
+    /// `work / (|CHANGED| + 1)`, the per-update ratio the report's
+    /// worst case is taken over.
+    fn ratio(&self) -> f64 {
+        self.work as f64 / (self.changed() as f64 + 1.0)
+    }
 }
 
-/// Aggregate over a run of updates.
-#[derive(Debug, Default, Clone)]
+/// Running sums over a run of updates: counts, totals, the extremes of
+/// the per-update work and the worst per-update ratio.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct BoundednessReport {
-    records: Vec<UpdateRecord>,
+    updates: u64,
+    delta_input: u64,
+    delta_output: u64,
+    work: u64,
+    min_work: u64,
+    max_work: u64,
+    worst_ratio: f64,
 }
 
 impl BoundednessReport {
@@ -37,34 +52,59 @@ impl BoundednessReport {
         Self::default()
     }
 
-    /// Append one update's record.
+    /// Fold one update's record into the sums.
     pub fn push(&mut self, r: UpdateRecord) {
-        self.records.push(r);
+        self.min_work = if self.updates == 0 {
+            r.work
+        } else {
+            self.min_work.min(r.work)
+        };
+        self.max_work = self.max_work.max(r.work);
+        self.updates += 1;
+        self.delta_input += r.delta_input;
+        self.delta_output += r.delta_output;
+        self.work += r.work;
+        self.worst_ratio = self.worst_ratio.max(r.ratio());
     }
 
     /// Number of recorded updates.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.updates as usize
     }
 
     /// Is the report empty?
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The recorded updates.
-    pub fn records(&self) -> &[UpdateRecord] {
-        &self.records
+        self.updates == 0
     }
 
     /// Total work across the run.
     pub fn total_work(&self) -> u64 {
-        self.records.iter().map(|r| r.work).sum()
+        self.work
     }
 
     /// Total |CHANGED| across the run.
     pub fn total_changed(&self) -> u64 {
-        self.records.iter().map(|r| r.changed()).sum()
+        self.delta_input + self.delta_output
+    }
+
+    /// Total |ΔD| across the run.
+    pub fn total_delta_input(&self) -> u64 {
+        self.delta_input
+    }
+
+    /// Total |ΔO| across the run.
+    pub fn total_delta_output(&self) -> u64 {
+        self.delta_output
+    }
+
+    /// The least work any one update cost (0 for an empty report).
+    pub fn min_work(&self) -> u64 {
+        self.min_work
+    }
+
+    /// The most work any one update cost (0 for an empty report).
+    pub fn max_work(&self) -> u64 {
+        self.max_work
     }
 
     /// **Amortized boundedness**: total work ≤ `c · (total |CHANGED| + 1)`.
@@ -75,27 +115,23 @@ impl BoundednessReport {
     }
 
     /// **Per-update boundedness**: every record individually satisfies
-    /// `work ≤ c · (|CHANGED| + 1)`. Stricter; fails for algorithms that
-    /// are only amortized-bounded.
+    /// `work ≤ c · (|CHANGED| + 1)`, i.e. the worst ratio is at most
+    /// `c`. Stricter; fails for algorithms that are only
+    /// amortized-bounded.
     pub fn is_per_update_bounded(&self, c: f64) -> bool {
-        self.records
-            .iter()
-            .all(|r| (r.work as f64) <= c * (r.changed() as f64 + 1.0))
+        self.worst_ratio <= c
     }
 
     /// The worst per-update ratio `work / (|CHANGED| + 1)` — reported by
     /// the E10 table.
     pub fn worst_ratio(&self) -> f64 {
-        self.records
-            .iter()
-            .map(|r| r.work as f64 / (r.changed() as f64 + 1.0))
-            .fold(0.0, f64::max)
+        self.worst_ratio
     }
 
-    /// The run-level totals, read in place — the records are not copied.
+    /// The run-level totals.
     pub fn totals(&self) -> BoundednessTotals {
         BoundednessTotals {
-            updates: self.len() as u64,
+            updates: self.updates,
             changed: self.total_changed(),
             work: self.total_work(),
             worst_ratio: self.worst_ratio(),
@@ -182,5 +218,22 @@ mod tests {
         assert!(report.is_per_update_bounded(1.0));
         assert!(report.is_amortized_bounded(1.0));
         assert_eq!(report.worst_ratio(), 0.0);
+        assert_eq!((report.min_work(), report.max_work()), (0, 0));
+    }
+
+    #[test]
+    fn running_sums_match_the_records_folded_in() {
+        let records = [rec(1, 3, 9), rec(2, 0, 4), rec(1, 1, 30), rec(0, 5, 6)];
+        let mut report = BoundednessReport::new();
+        for r in records {
+            report.push(r);
+        }
+        assert_eq!(report.len(), 4);
+        assert_eq!(report.total_delta_input(), 4);
+        assert_eq!(report.total_delta_output(), 9);
+        assert_eq!(report.total_changed(), 13);
+        assert_eq!(report.total_work(), 49);
+        assert_eq!((report.min_work(), report.max_work()), (4, 30));
+        assert_eq!(report.worst_ratio(), 10.0, "30 / (2 + 1)");
     }
 }

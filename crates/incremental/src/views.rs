@@ -123,18 +123,25 @@ mod tests {
                 .answer_metered(&SelectionQuery::point(0, 50i64), &meter),
             Ok(true)
         );
-        let last = *mv.report().records().last().unwrap();
-        assert_eq!(last.delta_output, 1, "only the 'low' view changes");
-        assert_eq!(last.work, 3, "two tests + one append");
+        // The one update so far.
+        let report = mv.report();
+        assert_eq!(report.len(), 1);
+        assert_eq!(
+            report.total_delta_output(),
+            1,
+            "only the 'low' view changes"
+        );
+        assert_eq!(report.total_work(), 3, "two tests + one append");
     }
 
     #[test]
     fn inserts_outside_all_views_cost_only_the_tests() {
         let (_, mut mv) = setup();
         mv.on_insert(&[Value::Int(500)]);
-        let last = *mv.report().records().last().unwrap();
-        assert_eq!(last.delta_output, 0);
-        assert_eq!(last.work, 2);
+        let report = mv.report();
+        assert_eq!(report.len(), 1);
+        assert_eq!(report.total_delta_output(), 0);
+        assert_eq!(report.total_work(), 2);
     }
 
     #[test]
@@ -164,7 +171,8 @@ mod tests {
                 .answer_metered(&SelectionQuery::point(0, 950i64), &meter),
             Ok(false)
         );
-        let last = *mv.report().records().last().unwrap();
-        assert_eq!(last.delta_output, 1);
+        let report = mv.report();
+        assert_eq!(report.len(), 1, "the delete is the one update");
+        assert_eq!(report.total_delta_output(), 1);
     }
 }

@@ -38,7 +38,7 @@
 //! cycles are serialized by a lock-free turnstile
 //! ([`ReplError::CatchUpInProgress`] when contended), so neither the
 //! mirror write nor the replay — which re-enters the engine's ranks
-//! 10–40 — runs under a replication lock.
+//! 10–30 — runs under a replication lock.
 
 use crate::publisher::{SegmentPublisher, Shipment, SubscriptionId};
 use crate::{CatchUpReport, ReplError};
@@ -114,14 +114,12 @@ impl Follower {
         mirror_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, ReplError> {
-        let (live, mirror, mark, cut, ..) = recover_live(catalog, name, mirror_dir, config)?;
-        let applied = mirror.next_lsn();
+        // Recovery leaves the clock at the epoch of the mirror's next LSN.
         // The dictionary is fixed by the checkpoint alone — mark ↔ cut —
-        // so it is identical on every restart of this follower, and LSN
-        // gaps (primary compaction) advance the clock by their span, not
-        // by the record count the replay happened to tick.
-        live.advance_epoch_to(Epoch::new(cut.get() + (applied - mark)));
-        let follower = Follower {
+        // so it is identical on every restart of this follower.
+        let (live, mirror, mark, cut, _) = recover_live(catalog, name, mirror_dir, config)?;
+        let applied = mirror.next_lsn();
+        Ok(Follower {
             replay_micros: mirror.config().recorder.histogram("repl_replay_micros"),
             live,
             mirror,
@@ -130,10 +128,7 @@ impl Follower {
             wal_base: mark,
             epoch_base: cut.get(),
             primary_seen: AtomicU64::new(applied),
-        };
-        // The mirror tail replayed above is already on disk.
-        follower.drop_pending_log();
-        Ok(follower)
+        })
     }
 
     /// The LSN after the last primary record this follower has applied.
@@ -302,26 +297,15 @@ impl Follower {
         // primary's compactor left burns as tombstones, so global row
         // ids stay bit-identical.
         let started = std::time::Instant::now();
-        self.live.replay_entries(&entries)?;
+        self.live.replay_entries(entries)?;
         // LSN gaps advance the clock by their span: the dictionary
         // invariant `current_epoch == epoch_of_lsn(applied)` holds
         // after every step, whatever compaction dropped.
         self.live.advance_epoch_to(self.epoch_of_lsn(ship.end()));
-        self.drop_pending_log();
         self.replay_micros.record_duration(started.elapsed());
 
         self.applied.store(ship.end(), Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Empty the inner relation's pending update log. Replay logs every
-    /// update there for the next checkpoint to truncate, but a follower
-    /// never checkpoints and never reads that log — its mirror, flushed
-    /// before the replay, *is* its log — so left alone it would grow by
-    /// one entry per replicated update forever. Draining leaves the
-    /// log's end-epoch stamp where `advance_epoch_to` put it.
-    fn drop_pending_log(&self) {
-        self.live.confirm_checkpoint(usize::MAX);
     }
 
     // --- read-only serving surface -----------------------------------
@@ -595,7 +579,6 @@ mod tests {
             assert_eq!(follower.applied_lsn(), applied, "restart {restarts}");
             assert_eq!(follower.current_epoch(), follower.applied_epoch());
             assert_eq!(follower.len() as u64, applied);
-            assert!(follower.live.pending_log().is_empty());
             let sub = follower.attach(&publisher);
             // One shipment of two or three records, then "crash".
             let report = follower.catch_up_step(&publisher, sub, 100).unwrap();
@@ -654,12 +637,13 @@ mod tests {
         assert_eq!(scan.records().count(), 23);
     }
 
-    /// A follower never checkpoints, so nothing but the apply path can
-    /// empty the pending update log its replays fill: it must stay
-    /// empty across any number of shipments, with the replica still
-    /// bit-identical to the primary and on the primary's epoch clock.
+    /// A follower never checkpoints: its mirror, flushed before each
+    /// replay, is its only log, and replay keeps nothing per update in
+    /// memory. Across any number of shipments — one of them bridging a
+    /// compaction gap — the replica stays bit-identical to the primary
+    /// and on the primary's epoch clock.
     #[test]
-    fn pending_log_stays_bounded_across_many_shipments() {
+    fn replica_stays_on_the_primary_clock_across_many_shipments() {
         let (root, node, catalog) = primary(4);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
@@ -681,16 +665,15 @@ mod tests {
             follower.apply_shipment(&ship).unwrap();
             publisher.advance(sub, ship.end());
             shipments += 1;
-            assert!(
-                follower.live.pending_log().is_empty(),
-                "round {round}: {} entries pending",
-                follower.live.pending_log().len()
-            );
-            assert_eq!(follower.current_epoch(), follower.applied_epoch());
             assert_eq!(
-                follower.live.pending_log().end_epoch(),
                 follower.current_epoch(),
-                "the drained log still carries the clock"
+                follower.applied_epoch(),
+                "round {round}"
+            );
+            assert_eq!(
+                follower.current_epoch(),
+                node.current_epoch(),
+                "round {round}: one clock on both sides"
             );
         }
         assert!(shipments >= 100);

@@ -47,7 +47,7 @@
 //! Lock ordering: the publisher's subscription table ranks
 //! `FollowerCatchup` (45) in the workspace lockdep table — above the
 //! engine tiers (it must *never* be held across replay, which re-enters
-//! ranks 10–40) and below the WAL tiers (a compaction pass runs under
+//! ranks 10–30) and below the WAL tiers (a compaction pass runs under
 //! it). A follower holds no replication lock: its mirror is a
 //! [`pitract_wal::WalWriter`] under the WAL ranks, and catch-up is
 //! serialized by a lock-free turnstile, so replay runs with no

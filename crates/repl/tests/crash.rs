@@ -70,7 +70,7 @@ fn oracle_at(catalog: &SnapshotCatalog, root: &Dir, below_lsn: u64) -> LiveRelat
         .filter(|r| r.lsn >= mark && r.lsn < below_lsn)
         .map(|r| r.entry.clone())
         .collect();
-    oracle.replay_entries(&entries).unwrap();
+    oracle.replay_entries(entries).unwrap();
     oracle
 }
 

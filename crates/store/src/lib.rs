@@ -30,12 +30,10 @@
 //!   recipes (atomic replace, durable create) are written once over it;
 //!   a [`storage::MemoryVolume`] loses its unflushed bytes on
 //!   [`storage::MemoryVolume::crash`], the power loss crash tests use.
-//! * [`live::LiveCheckpoint`] — checkpoint/recover for the live serving
-//!   tier: `checkpoint` freezes a [`pitract_engine::LiveRelation`] into
-//!   the catalog (with the cut's MVCC epoch) and truncates its update
-//!   log; `recover` loads the snapshot and replays the log, reproducing
-//!   the live state bit-identically (answers and global row ids) and
-//!   resuming the epoch clock, summarized in a typed [`live::Recovered`].
+//! * [`Snapshot::Checkpoint`] — a frozen
+//!   [`pitract_engine::LiveRelation`] state with the WAL mark and MVCC
+//!   epoch of its cut, in one atomic file: what `pitract-wal`'s durable
+//!   tier checkpoints to and recovers from.
 //!
 //! The correctness contract, enforced by unit, integration, and property
 //! tests: for every persisted structure, `load(save(x))` answers every
@@ -78,12 +76,10 @@
 pub mod catalog;
 pub mod codec;
 pub mod error;
-pub mod live;
 pub mod snapshot;
 pub mod storage;
 
 pub use catalog::SnapshotCatalog;
 pub use error::StoreError;
-pub use live::{LiveCheckpoint, Recovered};
 pub use snapshot::{Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};
 pub use storage::{Dir, MemoryVolume};

@@ -25,8 +25,13 @@
 //! | `IndexedRelation` | schema (1), row slots incl. tombstones (2), indexed columns (14) |
 //! | `ShardedRelation` | schema (1), shard_by (4), per-shard row slots incl. tombstones (5), global-id maps (6), locations (7), indexed columns (14) |
 //! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
-//! | `UpdateLog` | logged insert/delete entries (11) |
-//! | `LiveCheckpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
+//! | `Checkpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
+//!
+//! Kind codes are 1 `IndexedRelation`, 2 `ShardedRelation`, 3
+//! `HopLabels` and 5 `Checkpoint`. Kind 4 held an in-memory update log
+//! (section 11); the WAL is the one update log now, so a kind-4 file is
+//! refused as [`StoreError::UnknownKind`], and codes 4 and 11 are not
+//! reused.
 //!
 //! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
 //! columns it indexes, never a posting. A load decodes the rows and
@@ -61,7 +66,7 @@ use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::fnv1a64;
-use pitract_engine::{ShardBy, ShardedRelation, UpdateEntry, UpdateLog};
+use pitract_engine::{ShardBy, ShardedRelation};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{Columns, Schema};
@@ -85,7 +90,6 @@ const SEC_LOCATIONS: u32 = 7;
 const SEC_LOUT: u32 = 8;
 const SEC_LIN: u32 = 9;
 const SEC_RANK: u32 = 10;
-const SEC_LOG: u32 = 11;
 const SEC_WAL_MARK: u32 = 12;
 const SEC_EPOCH: u32 = 13;
 const SEC_INDEXED_COLS: u32 = 14;
@@ -99,16 +103,12 @@ pub enum SnapshotKind {
     ShardedRelation,
     /// [`pitract_graph::hop::HopLabels`].
     HopLabels,
-    /// A [`pitract_engine::UpdateLog`] — the updates applied to a live
-    /// relation since its last checkpoint, persisted so recovery can
-    /// replay them onto the checkpoint snapshot.
-    UpdateLog,
     /// A live checkpoint: a [`pitract_engine::ShardedRelation`] state
     /// *plus* the write-ahead-log position it covers, persisted as one
     /// atomic file so the state and its WAL mark can never be observed
     /// out of sync (a crash between "snapshot saved" and "mark updated"
     /// was exactly the window a two-file scheme would leave open).
-    LiveCheckpoint,
+    Checkpoint,
 }
 
 impl SnapshotKind {
@@ -117,8 +117,7 @@ impl SnapshotKind {
             SnapshotKind::IndexedRelation => 1,
             SnapshotKind::ShardedRelation => 2,
             SnapshotKind::HopLabels => 3,
-            SnapshotKind::UpdateLog => 4,
-            SnapshotKind::LiveCheckpoint => 5,
+            SnapshotKind::Checkpoint => 5,
         }
     }
 
@@ -127,8 +126,7 @@ impl SnapshotKind {
             1 => Ok(SnapshotKind::IndexedRelation),
             2 => Ok(SnapshotKind::ShardedRelation),
             3 => Ok(SnapshotKind::HopLabels),
-            4 => Ok(SnapshotKind::UpdateLog),
-            5 => Ok(SnapshotKind::LiveCheckpoint),
+            5 => Ok(SnapshotKind::Checkpoint),
             other => Err(StoreError::UnknownKind(other)),
         }
     }
@@ -140,8 +138,7 @@ impl fmt::Display for SnapshotKind {
             SnapshotKind::IndexedRelation => write!(f, "IndexedRelation"),
             SnapshotKind::ShardedRelation => write!(f, "ShardedRelation"),
             SnapshotKind::HopLabels => write!(f, "HopLabels"),
-            SnapshotKind::UpdateLog => write!(f, "UpdateLog"),
-            SnapshotKind::LiveCheckpoint => write!(f, "LiveCheckpoint"),
+            SnapshotKind::Checkpoint => write!(f, "Checkpoint"),
         }
     }
 }
@@ -161,8 +158,6 @@ pub enum Snapshot {
     Sharded(ShardedRelation),
     /// Pruned 2-hop reachability labels.
     Hop(HopLabels),
-    /// A live relation's replayable update log.
-    Log(UpdateLog),
     /// A live checkpoint: a frozen sharded state together with the WAL
     /// position it covers — `wal_lsn` is the log sequence number of the
     /// first record *not* contained in `state`, i.e. where recovery must
@@ -198,12 +193,6 @@ impl From<HopLabels> for Snapshot {
     }
 }
 
-impl From<UpdateLog> for Snapshot {
-    fn from(log: UpdateLog) -> Self {
-        Snapshot::Log(log)
-    }
-}
-
 impl Snapshot {
     /// Which structure this snapshot holds.
     pub fn kind(&self) -> SnapshotKind {
@@ -211,8 +200,7 @@ impl Snapshot {
             Snapshot::Indexed(_) => SnapshotKind::IndexedRelation,
             Snapshot::Sharded(_) => SnapshotKind::ShardedRelation,
             Snapshot::Hop(_) => SnapshotKind::HopLabels,
-            Snapshot::Log(_) => SnapshotKind::UpdateLog,
-            Snapshot::Checkpoint { .. } => SnapshotKind::LiveCheckpoint,
+            Snapshot::Checkpoint { .. } => SnapshotKind::Checkpoint,
         }
     }
 
@@ -249,17 +237,6 @@ impl Snapshot {
         }
     }
 
-    /// Unwrap an [`UpdateLog`], or report the kind actually stored.
-    pub fn into_log(self) -> Result<UpdateLog, StoreError> {
-        match self {
-            Snapshot::Log(log) => Ok(log),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::UpdateLog,
-                found: other.kind(),
-            }),
-        }
-    }
-
     /// Unwrap a live checkpoint into `(state, wal_lsn, epoch)`, or
     /// report the kind actually stored.
     pub fn into_checkpoint(self) -> Result<(ShardedRelation, u64, Epoch), StoreError> {
@@ -270,7 +247,7 @@ impl Snapshot {
                 epoch,
             } => Ok((state, wal_lsn, epoch)),
             other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::LiveCheckpoint,
+                expected: SnapshotKind::Checkpoint,
                 found: other.kind(),
             }),
         }
@@ -283,7 +260,6 @@ impl Snapshot {
             Snapshot::Indexed(ir) => encode_indexed_sections(ir),
             Snapshot::Sharded(sr) => encode_sharded_sections(sr),
             Snapshot::Hop(h) => encode_hop_sections(h),
-            Snapshot::Log(log) => encode_log_sections(log),
             Snapshot::Checkpoint {
                 state,
                 wal_lsn,
@@ -382,7 +358,7 @@ impl Snapshot {
             SnapshotKind::ShardedRelation => {
                 decode_sharded(version, &section).map(Snapshot::Sharded)
             }
-            SnapshotKind::LiveCheckpoint => {
+            SnapshotKind::Checkpoint => {
                 let state = decode_sharded(version, &section)?;
                 let wal_lsn = finish(section(SEC_WAL_MARK)?, Reader::u64)?;
                 // The epoch section was appended to the format later;
@@ -404,21 +380,6 @@ impl Snapshot {
                 HopLabels::from_parts(lout, lin, rank)
                     .map(Snapshot::Hop)
                     .map_err(|e| StoreError::Corrupt(e.to_string()))
-            }
-            SnapshotKind::UpdateLog => {
-                let entries = finish(section(SEC_LOG)?, read_log_entries)?;
-                // Logs written before epochs existed carry no end-epoch
-                // section; their end defaults to the entry count (a
-                // fresh-history log).
-                Ok(Snapshot::Log(
-                    match located.iter().find(|(t, _)| *t == SEC_EPOCH) {
-                        Some((_, s)) => UpdateLog::from_entries_ending(
-                            entries,
-                            Epoch::new(finish(Reader::new(s), Reader::u64)?),
-                        ),
-                        None => UpdateLog::from_entries(entries),
-                    },
-                ))
             }
         }
     }
@@ -592,7 +553,7 @@ fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
 
 /// Decode a `ShardedRelation` of format `version` from its sections,
 /// located by `section` — shared by the plain `ShardedRelation` kind and
-/// the `LiveCheckpoint` kind (which carries the same state plus a WAL
+/// the `Checkpoint` kind (which carries the same state plus a WAL
 /// mark).
 fn decode_sharded<'a>(
     version: u16,
@@ -681,22 +642,6 @@ fn encode_hop_sections(h: &HopLabels) -> Vec<(u32, Vec<u8>)> {
 fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
     let n = r.count(8)?;
     (0..n).map(|_| r.u32_seq()).collect()
-}
-
-fn encode_log_sections(log: &UpdateLog) -> Vec<(u32, Vec<u8>)> {
-    let mut w = Writer::new();
-    w.usize(log.len());
-    for entry in log.entries() {
-        w.update_entry(entry);
-    }
-    let mut end = Writer::new();
-    end.u64(log.end_epoch().get());
-    vec![(SEC_LOG, w.into_bytes()), (SEC_EPOCH, end.into_bytes())]
-}
-
-fn read_log_entries(r: &mut Reader<'_>) -> Result<Vec<UpdateEntry>, StoreError> {
-    let n = r.count(2)?;
-    (0..n).map(|_| r.update_entry()).collect()
 }
 
 #[cfg(test)]
@@ -808,7 +753,7 @@ mod tests {
         }
         .to_bytes();
         let snap = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::LiveCheckpoint);
+        assert_eq!(snap.kind(), SnapshotKind::Checkpoint);
         let (state, wal_lsn, epoch) = snap.into_checkpoint().unwrap();
         assert_eq!(wal_lsn, 123_456_789, "the mark travels with the state");
         assert_eq!(epoch, Epoch::new(777), "the cut epoch travels too");
@@ -821,14 +766,14 @@ mod tests {
             snap.into_sharded(),
             Err(StoreError::WrongKind {
                 expected: SnapshotKind::ShardedRelation,
-                found: SnapshotKind::LiveCheckpoint,
+                found: SnapshotKind::Checkpoint,
             })
         ));
         let ir = IndexedRelation::build(&relation(5), &[0]).unwrap();
         assert!(matches!(
             Snapshot::Indexed(ir).into_checkpoint(),
             Err(StoreError::WrongKind {
-                expected: SnapshotKind::LiveCheckpoint,
+                expected: SnapshotKind::Checkpoint,
                 found: SnapshotKind::IndexedRelation,
             })
         ));
@@ -845,7 +790,7 @@ mod tests {
         let mut mark = Writer::new();
         mark.u64(9);
         sections.push((SEC_WAL_MARK, mark.into_bytes()));
-        let bytes = frame(SnapshotKind::LiveCheckpoint, &sections);
+        let bytes = frame(SnapshotKind::Checkpoint, &sections);
 
         let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
             .unwrap()
@@ -854,6 +799,32 @@ mod tests {
         assert_eq!(wal_lsn, 9);
         assert_eq!(epoch, Epoch::ZERO, "legacy files default to epoch 0");
         assert_eq!(state.len(), 20);
+    }
+
+    /// Kind 4 held an in-memory update log, written as its entries
+    /// (section 11) and end epoch (section 13). The WAL is the one update
+    /// log now: such a file is refused typed, not misread.
+    #[test]
+    fn update_log_files_are_refused_as_unknown_kind() {
+        let mut entries = Writer::new();
+        entries.usize(2);
+        entries.update_entry(&pitract_engine::UpdateEntry::Insert {
+            gid: 7,
+            row: vec![Value::Int(1), Value::str("x")],
+        });
+        entries.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
+        let mut end = Writer::new();
+        end.u64(2);
+        let sections = [(11, entries.into_bytes()), (SEC_EPOCH, end.into_bytes())];
+        let mut bytes = frame(SnapshotKind::Checkpoint, &sections);
+        bytes[10..12].copy_from_slice(&4u16.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::UnknownKind(4))
+        ));
     }
 
     #[test]

@@ -140,88 +140,48 @@ impl Compactor {
         }
 
         // Decide survivors: drop below-mark records, then cancel
-        // insert+delete pairs among what is left.
+        // insert+delete pairs among what is left, each segment its own
+        // group. Cancelling only pairs whose halves share a segment keeps
+        // the pass crash-safe: each segment is replaced atomically, but
+        // the *pass* is not atomic across segments — dropping an insert
+        // in one rewrite and its delete in another would let a crash
+        // between them orphan the delete, and an orphaned delete makes
+        // the tail unreplayable. A cross-segment pair simply survives
+        // until a later checkpoint mark covers it, which drops both
+        // halves by a rule that is safe per segment.
         let mut drop: Vec<Vec<bool>> = decoded
             .iter()
             .map(|seg| seg.iter().map(|(lsn, _, _)| *lsn < self.mark).collect())
             .collect();
-        /// A cancelled pair: the shared gid plus the `(segment, record)`
-        /// positions of its insert and delete.
-        struct CancelledPair {
-            gid: usize,
-            insert_at: (usize, usize),
-            delete_at: (usize, usize),
-        }
-        let mut open_inserts: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut pairs: Vec<CancelledPair> = Vec::new();
-        for (si, seg) in decoded.iter().enumerate() {
-            for (ri, (_, entry, _)) in seg.iter().enumerate() {
-                if drop[si][ri] {
-                    continue;
-                }
-                match entry {
-                    UpdateEntry::Insert { gid, .. } => {
-                        open_inserts.insert(*gid, (si, ri));
-                    }
-                    UpdateEntry::Delete { gid } => {
-                        // Cancel only pairs whose halves share a segment:
-                        // each segment is replaced atomically, but the
-                        // *pass* is not atomic across segments — dropping
-                        // an insert in one rewrite and its delete in
-                        // another would let a crash between them orphan
-                        // the delete, and an orphaned delete makes the
-                        // tail unreplayable. A cross-segment pair simply
-                        // survives until a later checkpoint mark covers
-                        // it, which drops both halves by a rule that is
-                        // safe per segment.
-                        if let Some((isi, iri)) = open_inserts.remove(gid) {
-                            if isi == si {
-                                drop[isi][iri] = true;
-                                drop[si][ri] = true;
-                                pairs.push(CancelledPair {
-                                    gid: *gid,
-                                    insert_at: (isi, iri),
-                                    delete_at: (si, ri),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // The watermark rule (mirroring `UpdateLog::compact`): if the
-        // highest inserted gid in the compactable region belongs to a
-        // cancelled pair and no surviving insert — in the closed set or
-        // the active segment — carries a higher id, resurrect that pair,
-        // so a recovery from the compacted log still advances the id
-        // allocator exactly as far as the history did.
-        if let Some(watermark) = pairs.iter().max_by_key(|p| p.gid) {
-            let closed_carrier = decoded
-                .iter()
-                .enumerate()
-                .flat_map(|(si, seg)| {
-                    let drop = &drop[si];
-                    seg.iter()
-                        .enumerate()
-                        .filter_map(move |(ri, (_, e, _))| match (drop[ri], e) {
-                            (false, UpdateEntry::Insert { gid, .. }) => Some(*gid),
-                            _ => None,
-                        })
-                })
-                .max();
-            let mut untouched_carrier = match scan.segments.last() {
+        // The records above the mark, as (segment, record), in log order.
+        let above_mark: Vec<(usize, usize)> = drop
+            .iter()
+            .enumerate()
+            .flat_map(|(si, seg)| {
+                seg.iter()
+                    .enumerate()
+                    .filter(|(_, &dead)| !dead)
+                    .map(move |(ri, _)| (si, ri))
+            })
+            .collect();
+        let records: Vec<(usize, &UpdateEntry)> = above_mark
+            .iter()
+            .map(|&(si, ri)| (si, &decoded[si][ri].1))
+            .collect();
+        // The active segment and the protected ones are untouched, so
+        // their inserts always survive as gid-watermark carriers.
+        let cancelled = cancel_pairs(&records, || {
+            let mut carrier = match scan.segments.last() {
                 Some(seg) => active_insert_watermark(seg)?,
                 None => None,
             };
             for seg in &protected {
-                untouched_carrier = untouched_carrier.max(active_insert_watermark(seg)?);
+                carrier = carrier.max(active_insert_watermark(seg)?);
             }
-            let carrier = closed_carrier.max(untouched_carrier);
-            if carrier.is_none_or(|c| c < watermark.gid) {
-                drop[watermark.insert_at.0][watermark.insert_at.1] = false;
-                drop[watermark.delete_at.0][watermark.delete_at.1] = false;
-            }
+            Ok::<_, WalError>(carrier)
+        })?;
+        for (&(si, ri), cancelled) in above_mark.iter().zip(cancelled) {
+            drop[si][ri] = cancelled;
         }
 
         // Rewrite each changed segment 1:1 (same name, same base LSN) —
@@ -261,9 +221,75 @@ impl Compactor {
     }
 }
 
-/// Highest inserted gid among the active segment's records (the segment
-/// compaction never touches, whose inserts therefore always survive as
-/// watermark carriers).
+/// The one insert/delete cancellation rule, shared by
+/// [`Compactor::compact_dir`] and [`crate::recover_live`]: which records
+/// of a log region a replay never needs.
+///
+/// `records` lists the region's records in log order, each with its
+/// group: compaction groups by segment, recovery puts the whole tail in
+/// one group. An insert and a later delete of the same gid *in the same
+/// group* cancel — a row born and dead there contributes nothing to any
+/// recovered state. A delete whose insert is outside the region (in the
+/// checkpoint) always survives; so does one whose insert is in an
+/// earlier group.
+///
+/// One refinement keeps cancellation lossless under composition: the
+/// cancelled pair with the **highest** gid survives unless a surviving
+/// insert of the region, or `carrier()` — the highest inserted gid among
+/// records outside the region that will also be replayed — carries a
+/// higher id. A trailing run of pairs would otherwise leave no record of
+/// how far the id allocator had advanced, and a node recovered from the
+/// compacted log would reassign those ids. `carrier` is only called
+/// when some pair cancelled.
+///
+/// Returns one flag per record, `true` where the record is dropped.
+pub fn cancel_pairs<E>(
+    records: &[(usize, &UpdateEntry)],
+    carrier: impl FnOnce() -> Result<Option<usize>, E>,
+) -> Result<Vec<bool>, E> {
+    let mut cancelled = vec![false; records.len()];
+    // gid → (group, position) of its insert, until a delete matches it.
+    let mut open_inserts: HashMap<usize, (usize, usize)> = HashMap::new();
+    // The cancelled pair with the highest gid: (gid, insert, delete).
+    let mut watermark: Option<(usize, usize, usize)> = None;
+    for (i, (group, entry)) in records.iter().enumerate() {
+        match entry {
+            UpdateEntry::Insert { gid, .. } => {
+                open_inserts.insert(*gid, (*group, i));
+            }
+            UpdateEntry::Delete { gid } => {
+                if let Some((insert_group, at)) = open_inserts.remove(gid) {
+                    if insert_group == *group {
+                        cancelled[at] = true;
+                        cancelled[i] = true;
+                        if watermark.is_none_or(|(w, _, _)| w <= *gid) {
+                            watermark = Some((*gid, at, i));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if let Some((gid, insert_at, delete_at)) = watermark {
+        let surviving = records
+            .iter()
+            .zip(&cancelled)
+            .filter_map(|((_, e), &dead)| match (dead, e) {
+                (false, UpdateEntry::Insert { gid, .. }) => Some(*gid),
+                _ => None,
+            })
+            .max();
+        if surviving.max(carrier()?).is_none_or(|c| c < gid) {
+            cancelled[insert_at] = false;
+            cancelled[delete_at] = false;
+        }
+    }
+    Ok(cancelled)
+}
+
+/// Highest inserted gid among an untouched segment's records (the
+/// active segment, or one a follower still needs): compaction never
+/// touches them, so their inserts always survive as watermark carriers.
 fn active_insert_watermark(active: &ScannedSegment) -> Result<Option<usize>, WalError> {
     let mut max = None;
     for (lsn, payload) in &active.records {
@@ -279,7 +305,8 @@ mod tests {
     use super::*;
     use crate::reader::WalReader;
     use crate::writer::{SyncPolicy, WalConfig, WalWriter};
-    use pitract_relation::Value;
+    use pitract_engine::{LiveRelation, ShardBy};
+    use pitract_relation::{ColType, Relation, Schema, Value};
 
     fn tiny_wal(dir: &Dir) -> WalWriter {
         WalWriter::open(
@@ -298,6 +325,82 @@ mod tests {
             gid,
             row: vec![Value::Int(gid as i64)],
         }
+    }
+
+    /// The records of one group that [`cancel_pairs`] keeps.
+    fn survivors(log: &[UpdateEntry]) -> Vec<UpdateEntry> {
+        let grouped: Vec<(usize, &UpdateEntry)> = log.iter().map(|e| (0, e)).collect();
+        let Ok(cancelled) = cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
+        log.iter()
+            .zip(cancelled)
+            .filter(|(_, dead)| !dead)
+            .map(|(e, _)| e.clone())
+            .collect()
+    }
+
+    fn row_insert(gid: usize, key: i64, tag: &str) -> UpdateEntry {
+        UpdateEntry::Insert {
+            gid,
+            row: vec![Value::Int(key), Value::str(tag)],
+        }
+    }
+
+    #[test]
+    fn compact_cancels_pairs_and_keeps_survivor_order() {
+        // Rows 0..3 predate the log; a=3, b=4, c=5 are logged inserts.
+        let log = [
+            row_insert(3, 100, "a"),
+            row_insert(4, 101, "b"),
+            UpdateEntry::Delete { gid: 0 }, // pre-log row: delete must survive
+            UpdateEntry::Delete { gid: 3 }, // cancels with a's insert
+            row_insert(5, 102, "c"),
+        ];
+        assert_eq!(
+            survivors(&log),
+            [
+                row_insert(4, 101, "b"),
+                UpdateEntry::Delete { gid: 0 },
+                row_insert(5, 102, "c"),
+            ],
+            "pair (insert 3, delete 3) cancelled, survivors in order"
+        );
+        // A fully cancelling history compacts to the single
+        // watermark-bearing pair: the highest-gid pair survives so a
+        // recovery still advances the id allocator to where the history
+        // left it (19 insert+delete pairs vanish; one stays).
+        let churn: Vec<UpdateEntry> = (0..20usize)
+            .flat_map(|gid| {
+                [
+                    row_insert(gid, gid as i64, "x"),
+                    UpdateEntry::Delete { gid },
+                ]
+            })
+            .collect();
+        assert_eq!(churn.len(), 40);
+        let compacted = survivors(&churn);
+        assert_eq!(
+            compacted,
+            [row_insert(19, 19, "x"), UpdateEntry::Delete { gid: 19 }],
+            "only the watermark pair survives total churn"
+        );
+        // Replaying the compacted log reproduces the allocator exactly:
+        // the next insert gets the same gid the original history would.
+        let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
+        let empty = Relation::from_rows(schema, Vec::new()).unwrap();
+        let replayed = LiveRelation::build(&empty, ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
+        replayed.replay_entries(compacted).unwrap();
+        assert_eq!(
+            replayed
+                .insert(vec![Value::Int(9), Value::str("y")])
+                .unwrap(),
+            20,
+            "future gid assignment is preserved through compaction"
+        );
+        // A pair whose halves sit in different groups never cancels.
+        let later = row_insert(25, 25, "z");
+        let split = [(0, &churn[0]), (1, &churn[1]), (1, &later)];
+        let Ok(cancelled) = cancel_pairs(&split, || Ok::<_, std::convert::Infallible>(None));
+        assert_eq!(cancelled, [false, false, false]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! [`DurableLiveRelation`] wires a [`WalWriter`] into the engine's
 //! [`WalSink`] hook: each insert/delete is staged to the WAL **inside
-//! the global-id critical section** (so WAL order ≡ log order ≡ gid
+//! the global-id critical section** (so WAL order ≡ gid order ≡ epoch
 //! order, even under racing writers) and committed durable after the
 //! locks drop (so fsyncs batch across writers instead of stalling the
 //! shard). The companion checkpoint persists the frozen state *and* the
@@ -11,26 +11,26 @@
 //! there is no instant at which a crash can observe a state without its
 //! mark, which is the classic lost-update window of two-file schemes.
 //!
-//! # The LSN ↔ log-position ↔ epoch dictionary
+//! # The LSN ↔ epoch dictionary
 //!
-//! The engine's in-memory [`pitract_engine::UpdateLog`] counts absolute
-//! positions from the moment the relation was wrapped; the WAL counts
+//! The WAL is the one update log; two clocks count it. The WAL counts
 //! LSNs from the beginning of (durable) time; the MVCC epoch clock
 //! counts applied updates from the relation's birth. Because the sink
-//! appends exactly one WAL record per logged entry and every applied
-//! update ticks the epoch once, all three advance in lockstep:
-//! `lsn = wal_base + position` and `epoch = epoch_base + position`,
-//! where both bases are fixed at wrap time. A freeze's cut epoch
-//! therefore translates directly into the checkpoint's WAL mark
+//! appends exactly one WAL record per applied update and every applied
+//! update ticks the epoch once, the two advance in lockstep:
+//! `lsn = mark + (epoch - cut)`, anchored at the mark and cut epoch of
+//! the checkpoint the node started from. A freeze's cut epoch therefore
+//! translates directly into the checkpoint's WAL mark
 //! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
 //! mapping: load the checkpoint, replay the WAL tail at-or-after the
 //! mark (compacted, so replay work is bounded by net change), resume
 //! appending at the recovered LSN, and advance the epoch clock to the
-//! cut epoch plus one tick per tail record — so the recovered node
-//! stamps its next update with the same epoch the crashed node would
-//! have ([`DurableLiveRelation::recovery_summary`]).
+//! cut epoch plus the LSN span past the mark — compaction drops records
+//! but never renumbers them, so the recovered node stamps its next
+//! update with the same epoch the crashed node would have
+//! ([`DurableLiveRelation::recovery_summary`]).
 
-use crate::compactor::{CompactionReport, Compactor};
+use crate::compactor::{cancel_pairs, CompactionReport, Compactor};
 use crate::error::WalError;
 use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
@@ -38,7 +38,7 @@ use pitract_core::epoch::Epoch;
 use pitract_engine::batch::{OutputMode, Routing, ShardResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry, WalSink};
 use pitract_relation::SelectionQuery;
-use pitract_store::{Dir, Recovered, Snapshot, SnapshotCatalog};
+use pitract_store::{Dir, Snapshot, SnapshotCatalog};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,6 +75,22 @@ impl WalSink for WalWriterSink {
     }
 }
 
+/// What [`DurableLiveRelation::recover`] reconstructed: where the
+/// recovered node's clocks resumed and how much replay it took to get
+/// there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Recovered {
+    /// The epoch clock after recovery — the checkpoint's cut epoch plus
+    /// one tick per LSN past its mark, exactly where the lost node's
+    /// clock stood. The next applied update is stamped `epoch + 1`.
+    pub epoch: Epoch,
+    /// The LSN the recovered node appends next.
+    pub lsn: u64,
+    /// Updates actually replayed — the *compacted* net change, not the
+    /// logged churn.
+    pub replayed: usize,
+}
+
 /// A [`LiveRelation`] with a durable write-ahead log underneath: a crash
 /// at any instant loses no confirmed update.
 ///
@@ -85,13 +101,15 @@ impl WalSink for WalWriterSink {
 pub struct DurableLiveRelation {
     live: LiveRelation,
     wal: Arc<WalWriter>,
-    /// WAL LSN corresponding to the live relation's log position 0.
+    /// The mark of the checkpoint this node started from (bootstrap or
+    /// recovered): the LSN half of the epoch ↔ LSN dictionary's anchor.
     wal_base: u64,
-    /// Epoch-clock value at the live relation's log position 0 — the
-    /// other half of the epoch ↔ LSN dictionary.
+    /// That checkpoint's cut epoch: the other half of the anchor.
     epoch_base: u64,
-    /// The latest durably confirmed checkpoint mark (what compaction may
-    /// drop below).
+    /// The latest durably confirmed checkpoint mark: the one truncation
+    /// point. It moves only after a checkpoint's snapshot is saved, so
+    /// compaction never drops a record a durable snapshot does not
+    /// cover.
     last_mark: AtomicU64,
     /// What [`Self::recover`] reconstructed; `None` on a fresh
     /// [`Self::create`].
@@ -110,9 +128,8 @@ impl DurableLiveRelation {
     /// Go durable: attach a WAL at `wal_dir` to `live` and write the
     /// bootstrap checkpoint under `name` — without it, a crash before
     /// the first explicit checkpoint would have no state to replay the
-    /// log onto. `live` must have an empty pending log (freshly built or
-    /// just checkpointed); updates that predate the WAL would otherwise
-    /// silently sit outside the durability contract.
+    /// log onto. Updates `live` applied before this call are inside the
+    /// bootstrap checkpoint, and its cut epoch is theirs.
     ///
     /// `config.recorder` becomes the node's one observability handle:
     /// the WAL writer's `wal_*` series, the engine's `engine_*`/`mvcc_*`
@@ -127,10 +144,6 @@ impl DurableLiveRelation {
         wal_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
-        let pending = live.pending_log().len();
-        if pending > 0 {
-            return Err(WalError::PendingUpdates { count: pending });
-        }
         live.set_recorder(&config.recorder);
         let wal = Arc::new(WalWriter::open(wal_dir, config)?);
         // Anything already in the directory (a reused path) is below the
@@ -145,7 +158,6 @@ impl DurableLiveRelation {
                 epoch: frozen.epoch,
             },
         )?;
-        live.confirm_checkpoint(frozen.covered);
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         Ok(DurableLiveRelation {
             live,
@@ -174,33 +186,19 @@ impl DurableLiveRelation {
         wal_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
-        let (mut live, wal, mark, cut, tail, replayed) =
-            recover_live(catalog, name, wal_dir, config)?;
+        let (mut live, wal, mark, cut, replayed) = recover_live(catalog, name, wal_dir, config)?;
         let wal = Arc::new(wal);
-        // Replay logged `replayed` entries at positions 0..replayed, whose
-        // WAL records all sit below next_lsn — so that position maps to
-        // the next fresh LSN, pinning the dictionary.
-        let wal_base = wal.next_lsn() - replayed as u64;
-        // The epoch clock ticked once per *tail record* on the crashed
-        // node, while the compacted replay ticked it only `replayed`
-        // times — advance the difference so the next update is stamped
-        // with the same epoch the crashed node would have used. (A
-        // compacted WAL undercounts dropped churn; the clock stays
-        // consistent with this node's own dictionary.)
-        let epoch_end = Epoch::new(cut.get() + tail as u64);
-        live.advance_epoch_to(epoch_end);
-        let epoch_base = epoch_end.get() - replayed as u64;
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         let recovered = Recovered {
-            epoch: epoch_end,
-            lsn: Some(wal.next_lsn()),
+            epoch: live.current_epoch(),
+            lsn: wal.next_lsn(),
             replayed,
         };
         Ok(DurableLiveRelation {
             live,
             wal,
-            wal_base,
-            epoch_base,
+            wal_base: mark,
+            epoch_base: cut.get(),
             last_mark: AtomicU64::new(mark),
             recovered: Some(recovered),
         })
@@ -229,34 +227,33 @@ impl DurableLiveRelation {
     }
 
     /// LSN of the first WAL record *not* covered by `epoch`: the
-    /// epoch ↔ LSN dictionary. Meaningful for epochs at or after this
-    /// node's wrap/recovery point (`epoch_base`); earlier epochs clamp
-    /// to the WAL base.
+    /// epoch ↔ LSN dictionary. Meaningful for epochs at or after the cut
+    /// of the checkpoint this node started from; earlier epochs clamp
+    /// to that checkpoint's mark.
     pub fn lsn_of_epoch(&self, epoch: Epoch) -> u64 {
         self.wal_base + epoch.get().saturating_sub(self.epoch_base)
     }
 
     /// The epoch whose state covers exactly the WAL records below
-    /// `lsn` — the inverse of [`Self::lsn_of_epoch`]. LSNs below the WAL
-    /// base clamp to the base epoch.
+    /// `lsn` — the inverse of [`Self::lsn_of_epoch`]. LSNs below the
+    /// starting checkpoint's mark clamp to its cut epoch.
     pub fn epoch_of_lsn(&self, lsn: u64) -> Epoch {
         Epoch::new(self.epoch_base + lsn.saturating_sub(self.wal_base))
     }
 
-    /// Checkpoint: freeze the live state, persist it with its WAL mark
-    /// as one atomic snapshot, then truncate the in-memory log. After
-    /// this returns, [`Self::compact_wal`] may drop every WAL record
-    /// below the new mark.
+    /// Checkpoint: freeze the live state and persist it with its WAL
+    /// mark — the cut epoch's LSN — as one atomic snapshot, then confirm
+    /// the mark. After this returns, [`Self::compact_wal`] may drop
+    /// every WAL record below the new mark. A failed save returns the
+    /// error and leaves [`Self::checkpoint_mark`] where it was, so no
+    /// record a durable snapshot does not cover is ever dropped.
     pub fn checkpoint(&self, catalog: &SnapshotCatalog, name: &str) -> Result<PathBuf, WalError> {
         // Make sure everything the snapshot will contain is also durable
         // in the log *before* the snapshot supersedes it — an unsynced
         // suffix must never be the only copy of a confirmed update.
         self.wal.sync()?;
         let frozen = self.live.freeze();
-        // Both halves of the dictionary name the same cut: the covered
-        // log position and the cut epoch map to one WAL mark.
-        let mark = self.wal_base + frozen.covered as u64;
-        debug_assert_eq!(mark, self.lsn_of_epoch(frozen.epoch));
+        let mark = self.lsn_of_epoch(frozen.epoch);
         let path = catalog.save(
             name,
             &Snapshot::Checkpoint {
@@ -265,7 +262,7 @@ impl DurableLiveRelation {
                 epoch: frozen.epoch,
             },
         )?;
-        self.live.confirm_checkpoint(frozen.covered);
+        // Racing checkpoints confirm in any order: the mark only rises.
         self.last_mark.fetch_max(mark, Ordering::SeqCst);
         Ok(path)
     }
@@ -303,22 +300,27 @@ impl DurableLiveRelation {
 /// under `name` and opens the WAL at `dir` for appending: the torn tail
 /// is truncated and no LSN below the checkpoint's mark is handed out. It
 /// reports what that one scan found into `config.recorder`
-/// ([`WalReader::publish`]). It then replays the compacted tail
-/// at-or-after the mark onto the checkpoint state and burns the gids a
-/// trailing cancelled pair consumed, so future inserts get the gids the
-/// log's writer would have assigned.
+/// ([`WalReader::publish`]). It then replays the tail at-or-after the
+/// mark onto the checkpoint state — compacted by [`cancel_pairs`], the
+/// whole tail one group — and burns the gids a trailing cancelled pair
+/// consumed, so future inserts get the gids the log's writer would have
+/// assigned.
 ///
-/// Returns `(live, wal, mark, cut, tail, replayed)`: the replayed
-/// relation (recording into `config.recorder`), the positioned writer,
-/// the checkpoint's WAL mark and cut epoch, and the tail's record count
-/// before and after compaction. The epoch clock has ticked once per
-/// replayed entry only: each caller advances it by its own rule.
+/// The replay ticks the epoch clock once per surviving entry; the clock
+/// then advances to the cut epoch plus the LSN span past the mark, one
+/// tick per update the log's writer applied — LSN gaps that compaction
+/// left count, as the crashed node's clock did.
+///
+/// Returns `(live, wal, mark, cut, replayed)`: the replayed relation
+/// (recording into `config.recorder`), the positioned writer, the
+/// checkpoint's WAL mark and cut epoch, and how many entries the replay
+/// applied.
 pub fn recover_live(
     catalog: &SnapshotCatalog,
     name: &str,
     dir: impl Into<Dir>,
     config: WalConfig,
-) -> Result<(LiveRelation, WalWriter, u64, Epoch, usize, usize), WalError> {
+) -> Result<(LiveRelation, WalWriter, u64, Epoch, usize), WalError> {
     let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
     // One directory scan serves both sides: the writer truncates the torn
     // tail and takes its append position from it, the reader decodes its
@@ -330,13 +332,29 @@ pub fn recover_live(
     reader.publish(&recorder);
     let mut live = LiveRelation::from_sharded(state);
     live.set_recorder(&recorder);
-    let tail = reader.tail_log(mark);
-    let replayed = live.replay_compacted(&tail.compact())?;
-    // Trailing cancelled pairs leave no entry to carry their ids.
-    if let Some(watermark) = tail.next_gid_watermark() {
-        live.burn_gids_to(watermark);
+    let tail = reader.into_tail(mark);
+    // Trailing cancelled pairs leave no entry to carry their ids: the
+    // allocator must still reach one past the tail's highest insert.
+    let next_gid = tail
+        .iter()
+        .filter_map(|e| match e {
+            UpdateEntry::Insert { gid, .. } => Some(gid + 1),
+            UpdateEntry::Delete { .. } => None,
+        })
+        .max();
+    let grouped: Vec<(usize, &UpdateEntry)> = tail.iter().map(|e| (0, e)).collect();
+    let Ok(cancelled) = cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
+    let survivors: Vec<UpdateEntry> = tail
+        .into_iter()
+        .zip(cancelled)
+        .filter_map(|(entry, dead)| (!dead).then_some(entry))
+        .collect();
+    let replayed = live.replay_entries(survivors)?;
+    if let Some(next_gid) = next_gid {
+        live.burn_gids_to(next_gid);
     }
-    Ok((live, wal, mark, cut, tail.len(), replayed))
+    live.advance_epoch_to(Epoch::new(cut.get() + (wal.next_lsn() - mark)));
+    Ok((live, wal, mark, cut, replayed))
 }
 
 /// Serve a durable node from a
@@ -394,6 +412,10 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
+    use pitract_store::storage::{FileHandle, Storage, StorageFile};
+    use pitract_store::MemoryVolume;
+    use std::io;
+    use std::sync::atomic::AtomicBool;
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -462,7 +484,11 @@ mod tests {
         }
         node.checkpoint(&catalog, "node").unwrap();
         assert_eq!(node.checkpoint_mark(), 20);
-        assert!(node.pending_log().is_empty());
+        assert_eq!(
+            node.checkpoint_mark(),
+            node.lsn_of_epoch(node.current_epoch()),
+            "the checkpoint covers every applied update"
+        );
         for i in 0..5i64 {
             node.insert(vec![Value::Int(200 + i), Value::str("post")])
                 .unwrap();
@@ -596,18 +622,218 @@ mod tests {
         }
     }
 
+    /// Updates a relation took before going durable are inside the
+    /// bootstrap checkpoint: its cut epoch is theirs, and they survive a
+    /// power loss and recovery bit-identically.
     #[test]
-    fn create_refuses_a_relation_with_pending_updates() {
-        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+    fn create_keeps_updates_applied_before_it_in_the_bootstrap_checkpoint() {
+        let volume = MemoryVolume::new();
+        let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
+        let wal_dir = volume.root().join("wal");
         let lr = live(5);
-        lr.insert(vec![Value::Int(99), Value::str("unlogged")])
+        lr.insert(vec![Value::Int(99), Value::str("early")])
             .unwrap();
-        let err =
-            DurableLiveRelation::create(lr, &catalog, "node", Dir::memory(), config()).unwrap_err();
-        assert!(
-            matches!(err, WalError::PendingUpdates { count: 1 }),
-            "{err}"
+        lr.delete(2).unwrap().unwrap();
+        let node = DurableLiveRelation::create(lr, &catalog, "node", &wal_dir, config()).unwrap();
+        assert_eq!(node.current_epoch(), Epoch::new(2));
+        assert_eq!(node.checkpoint_mark(), 0, "the WAL starts after them");
+        node.insert(vec![Value::Int(100), Value::str("late")])
+            .unwrap();
+        let expected: Vec<Option<Vec<Value>>> = (0..8).map(|gid| node.row(gid)).collect();
+        let epoch = node.current_epoch();
+        volume.crash();
+        drop(node);
+
+        let recovered = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
+        for (gid, expect) in expected.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), expect, "gid {gid}");
+        }
+        assert_eq!(recovered.len(), 6);
+        assert!(recovered.answer(&SelectionQuery::point(0, 99i64)));
+        assert!(!recovered.answer(&SelectionQuery::point(0, 2i64)));
+        assert_eq!(recovered.current_epoch(), epoch);
+        assert_eq!(recovered.recovery_summary().unwrap().replayed, 1);
+    }
+
+    /// Recovery compacts the WAL tail before replaying: an insert+delete
+    /// pair in it is never re-applied, yet the recovered node is still
+    /// bit-identical on answers, row ids and the epoch clock.
+    #[test]
+    fn recover_compacts_churn_to_net_change() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        let node =
+            DurableLiveRelation::create(live(20), &catalog, "base", &wal_dir, config()).unwrap();
+        // Churn: 30 insert+delete pairs and 2 surviving updates.
+        for i in 0..30i64 {
+            let gid = node
+                .insert(vec![Value::Int(900 + i), Value::str("churn")])
+                .unwrap();
+            node.delete(gid).unwrap().unwrap();
+        }
+        node.insert(vec![Value::Int(777), Value::str("kept")])
+            .unwrap();
+        node.delete(5).unwrap().unwrap();
+        assert_eq!(node.wal().next_lsn(), 62);
+
+        let recovered = DurableLiveRelation::recover(&catalog, "base", &wal_dir, config()).unwrap();
+        assert_eq!(
+            recovered.boundedness_report().len(),
+            2,
+            "only the net change was replayed"
         );
+        let summary = recovered.recovery_summary().unwrap();
+        assert_eq!(summary.replayed, 2);
+        assert_eq!(summary.lsn, 62);
+        assert_eq!(
+            recovered.current_epoch(),
+            node.current_epoch(),
+            "compaction must not slow the epoch clock"
+        );
+        assert_eq!(recovered.len(), node.len());
+        for gid in 0..55 {
+            assert_eq!(recovered.row(gid), node.row(gid), "gid {gid}");
+        }
+        for q in [
+            SelectionQuery::point(0, 777i64),
+            SelectionQuery::point(0, 5i64),
+            SelectionQuery::point(1, "churn"),
+            SelectionQuery::range_closed(0, 0i64, 1_000i64),
+        ] {
+            assert_eq!(recovered.matching_ids(&q), node.matching_ids(&q), "{q:?}");
+        }
+    }
+
+    /// A storage whose next file flush fails: a snapshot save through it
+    /// fails after writing its temp file, as on a full or failing disk.
+    #[derive(Debug)]
+    struct FlushFailsOnce {
+        inner: Arc<dyn Storage>,
+        armed: Arc<AtomicBool>,
+    }
+
+    #[derive(Debug)]
+    struct ArmedFile {
+        inner: FileHandle,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl StorageFile for ArmedFile {
+        fn append(&self, bytes: &[u8]) -> io::Result<()> {
+            self.inner.append(bytes)
+        }
+
+        fn truncate(&self, len: u64) -> io::Result<()> {
+            self.inner.truncate(len)
+        }
+
+        fn sync_data(&self) -> io::Result<()> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                return Err(io::Error::other("flush failed"));
+            }
+            self.inner.sync_data()
+        }
+    }
+
+    impl FlushFailsOnce {
+        fn wrap(&self, file: FileHandle) -> FileHandle {
+            Arc::new(ArmedFile {
+                inner: file,
+                armed: Arc::clone(&self.armed),
+            })
+        }
+    }
+
+    impl Storage for FlushFailsOnce {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+
+        fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
+            self.inner.read(path, from)
+        }
+
+        fn create(&self, path: &Path) -> io::Result<FileHandle> {
+            Ok(self.wrap(self.inner.create(path)?))
+        }
+
+        fn open(&self, path: &Path) -> io::Result<FileHandle> {
+            Ok(self.wrap(self.inner.open(path)?))
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+    }
+
+    /// The mark moves only after a durable save. A checkpoint whose
+    /// snapshot flush fails returns a typed error and leaves the mark
+    /// where the last good checkpoint put it, so compaction keeps every
+    /// record that snapshot does not cover: after a power loss the node
+    /// recovers from the older snapshot to exactly the confirmed prefix.
+    #[test]
+    fn failed_checkpoint_keeps_the_log() {
+        let volume = MemoryVolume::new();
+        let armed = Arc::new(AtomicBool::new(false));
+        let snaps = Dir::new(
+            Arc::new(FlushFailsOnce {
+                inner: Arc::clone(volume.root().storage()),
+                armed: Arc::clone(&armed),
+            }),
+            "/snaps",
+        );
+        let catalog = SnapshotCatalog::open(snaps).unwrap();
+        let wal_dir = volume.root().join("wal");
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        for i in 0..20i64 {
+            node.insert(vec![Value::Int(100 + i), Value::str("first")])
+                .unwrap();
+        }
+        node.checkpoint(&catalog, "node").unwrap();
+        let mark = node.checkpoint_mark();
+        assert_eq!(mark, 20);
+        for i in 0..15i64 {
+            let gid = node
+                .insert(vec![Value::Int(200 + i), Value::str("second")])
+                .unwrap();
+            if i % 3 == 0 {
+                node.delete(gid).unwrap().unwrap();
+            }
+        }
+        node.delete(4).unwrap().unwrap();
+
+        armed.store(true, Ordering::SeqCst);
+        let err = node.checkpoint(&catalog, "node").unwrap_err();
+        assert!(matches!(err, WalError::Io(_)), "{err}");
+        assert_eq!(
+            node.checkpoint_mark(),
+            mark,
+            "a failed save confirms nothing"
+        );
+
+        node.wal().rotate_now().unwrap();
+        let report = node.compact_wal().unwrap();
+        assert!(report.records_after < report.records_before, "{report:?}");
+        let expected: Vec<Option<Vec<Value>>> = (0..45).map(|gid| node.row(gid)).collect();
+        let epoch = node.current_epoch();
+        volume.crash();
+        drop(node);
+
+        let recovered = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
+        for (gid, expect) in expected.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), expect, "gid {gid}");
+        }
+        assert_eq!(recovered.len(), 39);
+        assert_eq!(recovered.current_epoch(), epoch);
     }
 
     /// One recorder threaded through the whole durable stack: WAL,

@@ -60,14 +60,6 @@ pub enum WalError {
     /// recovery truncates it like any other crash residue). Reopen the
     /// WAL to resume.
     Poisoned,
-    /// [`crate::DurableLiveRelation::create`] was handed a relation with
-    /// updates already pending in its in-memory log: those updates
-    /// predate the WAL and would be lost by the first crash, which is
-    /// exactly what a durable wrapper must never silently allow.
-    PendingUpdates {
-        /// How many un-checkpointed entries the relation carried.
-        count: usize,
-    },
 }
 
 impl fmt::Display for WalError {
@@ -95,11 +87,6 @@ impl fmt::Display for WalError {
             ),
             WalError::Store(e) => write!(f, "wal checkpoint store error: {e}"),
             WalError::Engine(e) => write!(f, "wal replay rejected by engine: {e}"),
-            WalError::PendingUpdates { count } => write!(
-                f,
-                "relation has {count} pending un-checkpointed updates; checkpoint it before \
-                 attaching a fresh wal"
-            ),
         }
     }
 }
@@ -160,7 +147,6 @@ mod tests {
             WalError::Store(StoreError::BadMagic),
             WalError::Engine(EngineError::NoShards),
             WalError::Poisoned,
-            WalError::PendingUpdates { count: 3 },
         ];
         let mut msgs: Vec<String> = cases.iter().map(|e| e.to_string()).collect();
         msgs.sort();
@@ -181,6 +167,6 @@ mod tests {
         assert!(matches!(e, WalError::Io(_)), "{e}");
         let e = WalError::from(StoreError::ChecksumMismatch);
         assert!(matches!(e, WalError::Store(_)), "{e}");
-        assert!(WalError::PendingUpdates { count: 1 }.source().is_none());
+        assert!(WalError::Poisoned.source().is_none());
     }
 }

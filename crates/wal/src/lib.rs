@@ -88,8 +88,8 @@ pub mod reader;
 pub mod segment;
 pub mod writer;
 
-pub use compactor::{CompactionReport, Compactor};
-pub use durable::{recover_live, DurableLiveRelation, WalWriterSink};
+pub use compactor::{cancel_pairs, CompactionReport, Compactor};
+pub use durable::{recover_live, DurableLiveRelation, Recovered, WalWriterSink};
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};

@@ -2,7 +2,7 @@
 
 use crate::error::WalError;
 use crate::segment::{decode_entry, scan_dir, DirScan};
-use pitract_engine::{UpdateEntry, UpdateLog};
+use pitract_engine::UpdateEntry;
 use pitract_obs::Recorder;
 use pitract_store::Dir;
 
@@ -107,17 +107,15 @@ impl WalReader {
         self.torn_bytes
     }
 
-    /// The replayable log of every record at or after `from_lsn` — what
-    /// recovery applies on top of the checkpoint that covers everything
-    /// below `from_lsn`.
-    pub fn tail_log(&self, from_lsn: u64) -> UpdateLog {
-        UpdateLog::from_entries(
-            self.records
-                .iter()
-                .filter(|r| r.lsn >= from_lsn)
-                .map(|r| r.entry.clone())
-                .collect(),
-        )
+    /// Every entry at or after `from_lsn`, in log order, moved out of
+    /// the read — what recovery applies on top of the checkpoint that
+    /// covers everything below `from_lsn`.
+    pub fn into_tail(self, from_lsn: u64) -> Vec<UpdateEntry> {
+        self.records
+            .into_iter()
+            .filter(|r| r.lsn >= from_lsn)
+            .map(|r| r.entry)
+            .collect()
     }
 }
 
@@ -160,9 +158,11 @@ mod tests {
         let segments = crate::segment::scan_dir(&dir).unwrap().segments;
         assert!(segments.len() > 1, "rotation happened");
         // Tail extraction respects the mark.
-        assert_eq!(reader.tail_log(0).len(), 25);
-        assert_eq!(reader.tail_log(20).len(), 5);
-        assert_eq!(reader.tail_log(25).len(), 0);
+        let tail = |mark| WalReader::open(&dir).unwrap().into_tail(mark);
+        assert_eq!(tail(0).len(), 25);
+        let suffix: Vec<UpdateEntry> = expected[20..].iter().map(|r| r.entry.clone()).collect();
+        assert_eq!(tail(20), suffix);
+        assert_eq!(tail(25).len(), 0);
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //!
 //! 1. **Go live**: wrap a 100k-row sharded relation in a `LiveRelation`
 //!    (per-shard read/write locks — updates lock one shard, batches
-//!    read-lock only the shards they route to).
+//!    read-lock only the shards they route to), made durable by a
+//!    write-ahead log on an in-memory volume: the WAL is the one update
+//!    log.
 //! 2. **Serve under fire**: four writer threads churn inserts/deletes
 //!    while the main thread serves query batches concurrently, verifying
 //!    a stable key region against the scan oracle the whole time.
 //! 3. **Account**: print the `|CHANGED|` boundedness report of every
 //!    applied update.
-//! 4. **Checkpoint + recover**: persist the state through the snapshot
-//!    catalog, apply more updates, then recover (snapshot load + update
-//!    log replay) and verify the recovered node is bit-identical — same
-//!    answers, same global row ids.
+//! 4. **Checkpoint + recover**: persist the state with its WAL mark
+//!    through the snapshot catalog, apply more updates, then recover
+//!    (snapshot load + WAL tail replay) and verify the recovered node is
+//!    bit-identical — same answers, same global row ids.
 //!
 //! Run with: `cargo run --release --example live_serving`
 
@@ -36,14 +38,25 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    // 1. Go live: Π(D) across 8 shards, wrapped for concurrent serving.
+    // 1. Go live: Π(D) across 8 shards, wrapped for concurrent serving,
+    //    with a WAL underneath (an in-memory volume; a path puts it on
+    //    disk).
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let live = Arc::new(
-        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
-            .expect("valid sharding spec"),
+        DurableLiveRelation::create(
+            LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
+                .expect("valid sharding spec"),
+            &catalog,
+            "live-orders",
+            root.join("wal"),
+            WalConfig::default(),
+        )
+        .expect("bootstrap checkpoint + wal"),
     );
     let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
     println!(
-        "live Π(D): {} rows -> 8 shards behind per-shard RwLocks",
+        "live Π(D): {} rows -> 8 shards behind per-shard RwLocks, every update logged to the WAL",
         live.len()
     );
 
@@ -120,25 +133,33 @@ fn main() {
     );
 
     // 4. Checkpoint, keep writing, then recover and verify bit-identity.
-    let dir = std::env::temp_dir().join(format!("pitract-live-example-{}", std::process::id()));
-    let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
     let t1 = Instant::now();
     live.checkpoint(&catalog, "live-orders")
         .expect("checkpoint");
-    println!("checkpointed to {dir:?}  [{:.2?}]", t1.elapsed());
+    println!(
+        "checkpointed at WAL mark {}  [{:.2?}]",
+        live.checkpoint_mark(),
+        t1.elapsed()
+    );
 
     let post_gid = live
         .insert(vec![Value::Int(n * 10), Value::str("post-checkpoint")])
         .expect("valid row");
     live.delete(7).unwrap().expect("gid 7 live");
     println!(
-        "post-checkpoint traffic: 1 insert (gid {post_gid}), 1 delete; pending log = {} entries",
-        live.pending_log().len()
+        "post-checkpoint traffic: 1 insert (gid {post_gid}), 1 delete; WAL tail past the mark = {} records",
+        live.wal().next_lsn() - live.checkpoint_mark()
     );
 
     let t2 = Instant::now();
-    let (recovered, summary) = LiveRelation::recover(&catalog, "live-orders", &live.pending_log())
-        .expect("snapshot load + log replay");
+    let recovered = DurableLiveRelation::recover(
+        &catalog,
+        "live-orders",
+        root.join("wal"),
+        WalConfig::default(),
+    )
+    .expect("snapshot load + WAL replay");
+    let summary = recovered.recovery_summary().expect("a recovered node");
     println!(
         "recovered = snapshot + replay  [{:.2?}]  (epoch clock resumed at {}, {} entries replayed)",
         t2.elapsed(),
@@ -159,6 +180,4 @@ fn main() {
         .expect("recovered rows");
     assert_eq!(a.rows, b.rows, "global row ids survive recovery");
     println!("recovered node is bit-identical: same answers, same global row ids");
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,18 +6,20 @@
 //! closing that hole without blocking writers:
 //!
 //! 1. **Build the live tier**: a 20k-row relation sharded 4 ways behind
-//!    a `LiveRelation`; every applied update ticks a monotonic `Epoch`.
+//!    a `LiveRelation`, made durable by a write-ahead log on an in-memory
+//!    volume; every applied update ticks a monotonic `Epoch` and is
+//!    logged once, to the WAL.
 //! 2. **Serve under churn**: batches flow through a `PooledExecutor`
 //!    while writer threads race them. Each batch pins one epoch
 //!    (`BatchReport::epoch`) and every shard answers at exactly that
 //!    instance; writers push O(1) undo records around the pin.
-//! 3. **Prove the cut**: for each batch, replay exactly `epoch` log
-//!    entries onto a fresh build — the oracle's row ids must equal the
-//!    batch's, bit for bit.
-//! 4. **Crash and recover**: checkpoint, drop the node, recover — the
-//!    epoch clock resumes exactly where the lost node's stood
-//!    (`Recovered`), so pinned reads mean the same instant across the
-//!    restart.
+//! 3. **Prove the cut**: for each batch, replay the WAL records below
+//!    the pinned epoch's LSN onto a fresh build — the oracle's row ids
+//!    must equal the batch's, bit for bit.
+//! 4. **Crash and recover**: checkpoint, write, drop the node, recover
+//!    from the checkpoint and the WAL tail — the epoch clock resumes
+//!    exactly where the lost node's stood (`Recovered`), so pinned reads
+//!    mean the same instant across the restart.
 //!
 //! Run with: `cargo run --release --example mvcc_serving`
 
@@ -35,10 +37,20 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    // 1. The live tier: Π(D) across 4 shards, epoch clock at zero.
+    // 1. The live tier: Π(D) across 4 shards, epoch clock at zero, a
+    //    WAL underneath (an in-memory volume; a path puts it on disk).
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let live = Arc::new(
-        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
-            .expect("valid sharding spec"),
+        DurableLiveRelation::create(
+            LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
+                .expect("valid sharding spec"),
+            &catalog,
+            "mvcc-orders",
+            root.join("wal"),
+            WalConfig::default(),
+        )
+        .expect("bootstrap checkpoint + wal"),
     );
     let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
     println!(
@@ -89,15 +101,21 @@ fn main() {
         observed.iter().map(|(e, _)| e.get()).collect::<Vec<_>>()
     );
 
-    // 3. The consistency proof: epoch E names the state after exactly E
-    //    logged updates; replaying that prefix reproduces each batch's
-    //    row ids bit-identically.
-    let log = live.pending_log();
+    // 3. The consistency proof: epoch E names the state after exactly
+    //    the WAL records below `lsn_of_epoch(E)`; replaying that prefix
+    //    reproduces each batch's row ids bit-identically.
+    let log = WalReader::open(root.join("wal")).expect("wal readable");
     for (epoch, rows) in &observed {
-        let prefix = UpdateLog::from_entries(log.entries()[..epoch.get() as usize].to_vec());
+        let below = live.lsn_of_epoch(*epoch);
+        let prefix: Vec<UpdateEntry> = log
+            .records()
+            .iter()
+            .filter(|r| r.lsn < below)
+            .map(|r| r.entry.clone())
+            .collect();
         let oracle = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
             .expect("valid sharding spec");
-        oracle.replay(&prefix).expect("own history replays");
+        oracle.replay_entries(prefix).expect("own history replays");
         let expect = PooledExecutor::with_default_pool(Arc::new(oracle))
             .execute_rows(&batch)
             .expect("valid batch");
@@ -111,34 +129,35 @@ fn main() {
     );
 
     // 4. Crash and recover: the epoch clock survives the restart.
-    let dir = std::env::temp_dir().join(format!("pitract-mvcc-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
     live.checkpoint(&catalog, "mvcc-orders")
         .expect("checkpoint");
     live.insert(vec![Value::Int(n * 5), Value::str("post-checkpoint")])
         .expect("valid row");
-    let (recovered, summary) = LiveRelation::recover(&catalog, "mvcc-orders", &live.pending_log())
-        .expect("snapshot load + log replay");
+    let lost_epoch = live.current_epoch();
+    drop((exec, live)); // "crash"
+    let recovered = DurableLiveRelation::recover(
+        &catalog,
+        "mvcc-orders",
+        root.join("wal"),
+        WalConfig::default(),
+    )
+    .expect("snapshot load + WAL replay");
+    let summary = recovered.recovery_summary().expect("a recovered node");
     println!(
         "recovered: epoch clock resumed at {} ({} entries replayed)",
         summary.epoch, summary.replayed
     );
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
+    assert_eq!(recovered.current_epoch(), lost_epoch);
     recovered
         .insert(vec![Value::Int(n * 6), Value::str("next")])
         .expect("valid row");
-    live.insert(vec![Value::Int(n * 6), Value::str("next")])
-        .expect("valid row");
     assert_eq!(
         recovered.current_epoch(),
-        live.current_epoch(),
-        "both nodes stamp the next update identically"
+        Epoch::new(lost_epoch.get() + 1),
+        "the next update is stamped as the lost node would have stamped it"
     );
     println!(
-        "post-recovery updates stamped identically on both nodes (epoch {})",
-        live.current_epoch()
+        "post-recovery update stamped exactly as on the lost node (epoch {})",
+        recovered.current_epoch()
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,7 +17,7 @@
 //! | [`graph`] | breadth-depth search, reachability indexes, SCC, query-preserving compression, generators |
 //! | [`relation`] | typed relations, selection query classes, indexed evaluation, materialized views |
 //! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, pooled batch execution, live serving under concurrent updates |
-//! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts, live checkpoint/recover |
+//! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts and live checkpoints |
 //! | [`wal`] | durable write-ahead log: fsync'd checksummed segments, group commit, torn-tail recovery, compaction, crash-consistent durable serving |
 //! | [`repl`] | WAL-shipping replication: primary-side segment publisher with retention watermarks, checkpoint-bootstrapped followers serving epoch-pinned consistent replica reads |
 //! | [`obs`] | zero-dependency observability: metrics registry (counters, gauges, log-bucket histograms), timing spans, bounded event tracing, Prometheus/JSON exporters |
@@ -121,10 +121,10 @@
 //! behind its own read/write lock: a batch's shard jobs take read locks
 //! on only the shards a query routes to, and an insert/delete write-locks
 //! only the one shard its key routes to, so writers never stall the rest
-//! of the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) and
-//! appended to a replayable update log; `checkpoint` persists the state
-//! through the snapshot catalog and `recover` replays the log on top —
-//! bit-identical answers and row ids.
+//! of the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) in
+//! running sums, and staged to the node's WAL sink if it has one — the
+//! one update log, which checkpoint and recovery read (see Durability
+//! below).
 //! [`LiveRelation::apply_batch`](crate::engine::live::LiveRelation::apply_batch)
 //! applies a run of updates with a single WAL commit (one fsync per
 //! batch instead of per record).
@@ -157,10 +157,13 @@
 //! let answers = exec.execute(&batch).unwrap();
 //! assert_eq!(answers.answers.len(), 50);
 //!
-//! // Maintenance was |CHANGED|-accounted, and the update log can
-//! // checkpoint/recover through the store's `LiveCheckpoint` trait.
-//! assert_eq!(live.boundedness_report().len(), 3);
-//! assert_eq!(live.pending_log().len(), 3);
+//! // Maintenance was |CHANGED|-accounted in running sums: three
+//! // updates, each |ΔD| = 1 tuple and |ΔO| = the tuple plus one posting
+//! // edit. A node that must survive a crash also stages every update to
+//! // a WAL (`DurableLiveRelation`); the WAL is the one update log.
+//! let report = live.boundedness_report();
+//! assert_eq!(report.len(), 3);
+//! assert_eq!(report.total_changed(), 3 * (1 + 2));
 //! ```
 //!
 //! ## Consistent reads: one epoch-stamped cut per batch
@@ -212,8 +215,8 @@
 //!
 //! ## Durability
 //!
-//! Between checkpoints, a live node's updates exist only in memory — a
-//! crash window the [`wal`] crate closes. A
+//! A plain live node keeps its state only in memory — a crash window the
+//! [`wal`] crate closes. A
 //! [`DurableLiveRelation`](crate::wal::DurableLiveRelation) stages every
 //! update into an fsync'd, checksummed write-ahead log *before* it
 //! becomes visible (inside the engine's global-id critical section, so
@@ -387,13 +390,14 @@
 //! ```
 //! use pi_tractable::prelude::*;
 //!
-//! // Ranked locks: taking Gid then Log follows the documented order and
-//! // costs nothing beyond the std lock in release builds. Inverting the
-//! // order panics in debug builds instead of deadlocking in production.
+//! // Ranked locks: taking Gid then Epoch follows the documented order
+//! // and costs nothing beyond the std lock in release builds. Inverting
+//! // the order panics in debug builds instead of deadlocking in
+//! // production.
 //! let gids = OrderedRwLock::new(LockRank::Gid, vec![0u64]);
-//! let log = OrderedMutex::new(LockRank::Log, Vec::new());
+//! let epochs = OrderedMutex::new(LockRank::Epoch, Vec::new());
 //! let ids = gids.read();
-//! log.lock().push(ids[0]);
+//! epochs.lock().push(ids[0]);
 //! drop(ids);
 //!
 //! // The lint pass is a library too: this workspace lints itself clean.
@@ -440,8 +444,7 @@ pub mod prelude {
     };
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{
-        Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateLog, UpdateOp, VersionStats,
-        WalSink,
+        Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateOp, VersionStats, WalSink,
     };
     pub use pitract_engine::planner::{AccessPath, Planner, QueryPlan};
     pub use pitract_engine::pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};
@@ -460,10 +463,10 @@ pub mod prelude {
     pub use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
     pub use pitract_repl::{CatchUpReport, Follower, ReplError, SegmentPublisher, Shipment};
     pub use pitract_store::{
-        Dir, LiveCheckpoint, Recovered, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
+        Dir, MemoryVolume, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
     };
     pub use pitract_wal::{
-        CompactionReport, Compactor, DurableLiveRelation, SyncPolicy, WalConfig, WalError,
-        WalReader, WalWriter,
+        CompactionReport, Compactor, DurableLiveRelation, Recovered, SyncPolicy, WalConfig,
+        WalError, WalReader, WalWriter,
     };
 }

@@ -1,10 +1,13 @@
 //! Integration suite for the live serving tier: concurrent writers +
 //! query batches verified against a single-threaded oracle, recovery
-//! (checkpoint + log replay) bit-identical to the live state, and a
+//! (checkpoint + WAL replay) bit-identical to the live state, and a
 //! churn property test interleaving every operation against a
-//! `Vec`-backed model.
+//! `Vec`-backed model. Every node here is a `DurableLiveRelation` over
+//! an in-memory volume: its WAL is the one update log, and the oracles
+//! replay what `WalReader` reads back from it.
 
 use pi_tractable::prelude::*;
+use pi_tractable::wal::{cancel_pairs, WalRecord};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,9 +37,51 @@ fn stable_batch(n: i64) -> QueryBatch {
     }))
 }
 
-/// A serving session over `live` on the default pool.
-fn serve(live: &Arc<LiveRelation>) -> PooledExecutor<LiveRelation> {
-    PooledExecutor::with_default_pool(Arc::clone(live))
+/// A serving session over `node` on the default pool.
+fn serve<R: BatchServe>(node: &Arc<R>) -> PooledExecutor<R> {
+    PooledExecutor::with_default_pool(Arc::clone(node))
+}
+
+/// A durable node over `base` on an in-memory volume under `root`, its
+/// bootstrap checkpoint saved as `name` in `catalog`.
+fn durable(
+    base: &Relation,
+    shards: usize,
+    catalog: &SnapshotCatalog,
+    name: &str,
+    root: &Dir,
+) -> DurableLiveRelation {
+    let live = LiveRelation::build(base, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap();
+    DurableLiveRelation::create(live, catalog, name, root.join("wal"), WalConfig::default())
+        .unwrap()
+}
+
+/// The node's update history: every WAL record it wrote, oldest first.
+fn history(root: &Dir) -> Vec<WalRecord> {
+    WalReader::open(root.join("wal"))
+        .unwrap()
+        .records()
+        .to_vec()
+}
+
+/// A fresh in-memory volume holding a copy of `root`'s snapshots and
+/// WAL.
+fn copy_volume(root: &Dir) -> Dir {
+    let copy = Dir::memory();
+    for sub in ["snaps", "wal"] {
+        let (from, to) = (root.join(sub), copy.join(sub));
+        to.create_dir_all().unwrap();
+        for name in from.list().unwrap() {
+            to.write_atomic(&name, &from.read(&name, 0).unwrap())
+                .unwrap();
+        }
+    }
+    copy
+}
+
+/// Recover the node checkpointed as `name` under `root`.
+fn recover(catalog: &SnapshotCatalog, name: &str, root: &Dir) -> DurableLiveRelation {
+    DurableLiveRelation::recover(catalog, name, root.join("wal"), WalConfig::default()).unwrap()
 }
 
 /// Queries answered during concurrent writes match the single-threaded
@@ -47,7 +92,9 @@ fn serve(live: &Arc<LiveRelation>) -> PooledExecutor<LiveRelation> {
 fn concurrent_writers_and_batches_match_oracle() {
     let n = 4_000i64;
     let base = base_relation(n);
-    let live = Arc::new(LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+    let live = Arc::new(durable(&base, 4, &catalog, "base", &root));
     let exec = serve(&live);
     let batch = stable_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
@@ -106,10 +153,10 @@ fn concurrent_writers_and_batches_match_oracle() {
 
     // Replaying the full interleaved log onto the base state reproduces
     // the exact live state: same length, same rows under the same gids.
-    let log = live.pending_log();
+    let log: Vec<UpdateEntry> = history(&root).into_iter().map(|r| r.entry).collect();
     assert!(!log.is_empty(), "the writers actually wrote");
     let replayed = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
-    replayed.replay(&log).unwrap();
+    replayed.replay_entries(log.clone()).unwrap();
     assert_eq!(replayed.len(), live.len());
     let total_gids = n as usize + log.len(); // upper bound on assigned gids
     for gid in 0..total_gids {
@@ -133,10 +180,9 @@ fn concurrent_writers_and_batches_match_oracle() {
 #[test]
 fn recover_after_checkpoint_equals_live() {
     let n = 2_000i64;
-    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-    let live = Arc::new(
-        LiveRelation::build(&base_relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap(),
-    );
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+    let live = Arc::new(durable(&base_relation(n), 4, &catalog, "state", &root));
 
     // Pre-checkpoint churn.
     for i in 0..200i64 {
@@ -146,14 +192,15 @@ fn recover_after_checkpoint_equals_live() {
     for gid in (0..150).step_by(3) {
         live.delete(gid).unwrap().unwrap();
     }
-    let records_at_checkpoint = live.boundedness_report().len();
+    let at_checkpoint = live.boundedness_report();
     live.checkpoint(&catalog, "state").unwrap();
-    assert!(
-        live.pending_log().is_empty(),
-        "checkpoint truncates the log"
+    assert_eq!(
+        live.checkpoint_mark(),
+        live.lsn_of_epoch(live.current_epoch()),
+        "checkpoint covers the whole log"
     );
 
-    // Post-checkpoint churn, captured only by the pending log.
+    // Post-checkpoint churn, captured only by the WAL tail.
     for i in 0..80i64 {
         live.insert(vec![Value::Int(n + 500 + i), Value::str("post")])
             .unwrap();
@@ -162,9 +209,8 @@ fn recover_after_checkpoint_equals_live() {
         live.delete(gid).unwrap().unwrap();
     }
 
-    let (recovered, summary) =
-        LiveRelation::recover(&catalog, "state", &live.pending_log()).unwrap();
-    let recovered = Arc::new(recovered);
+    let recovered = Arc::new(recover(&catalog, "state", &root));
+    let summary = recovered.recovery_summary().unwrap();
 
     // Bit-identical: length, every gid's row, answers and row-id sets —
     // and the epoch clock resumed exactly where the live node's stands.
@@ -188,22 +234,36 @@ fn recover_after_checkpoint_equals_live() {
     let b = serve(&recovered).execute_rows(&probes).unwrap();
     assert_eq!(a.rows, b.rows, "global row ids identical after recovery");
 
-    // Replay reproduced the maintenance records of the replayed suffix
-    // exactly (they are deterministic in the pre-update shard state).
-    let live_records = live.boundedness_report();
-    let suffix = &live_records.records()[records_at_checkpoint..];
-    assert_eq!(recovered.boundedness_report().records(), suffix);
+    // Replay reproduced the maintenance accounting of the replayed
+    // suffix exactly (it is deterministic in the pre-update shard
+    // state): the live node's sums grew by exactly the recovered ones.
+    let live_report = live.boundedness_report();
+    let replay_report = recovered.boundedness_report();
+    assert_eq!(replay_report.len(), live_report.len() - at_checkpoint.len());
+    assert_eq!(
+        replay_report.total_delta_input(),
+        live_report.total_delta_input() - at_checkpoint.total_delta_input()
+    );
+    assert_eq!(
+        replay_report.total_delta_output(),
+        live_report.total_delta_output() - at_checkpoint.total_delta_output()
+    );
+    assert_eq!(
+        replay_report.total_work(),
+        live_report.total_work() - at_checkpoint.total_work()
+    );
 }
 
 /// A checkpoint taken *while* writers and readers are running is a
 /// consistent point-in-time snapshot: recovering from it plus the
-/// post-join pending log equals the final live state.
+/// WAL tail equals the final live state.
 #[test]
 fn checkpoint_under_concurrent_traffic_recovers_consistently() {
     let n = 2_000i64;
-    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
     let base = base_relation(n);
-    let live = Arc::new(LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+    let live = Arc::new(durable(&base, 4, &catalog, "midflight", &root));
     let exec = serve(&live);
     let batch = stable_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
@@ -246,8 +306,7 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
         }
     });
 
-    let (recovered, _summary) =
-        LiveRelation::recover(&catalog, "midflight", &live.pending_log()).unwrap();
+    let recovered = recover(&catalog, "midflight", &root);
     assert_eq!(recovered.len(), live.len());
     assert_eq!(recovered.current_epoch(), live.current_epoch());
     let upper = n as usize + 3_000_000 + 100_000;
@@ -266,9 +325,9 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
 /// restart.
 #[test]
 fn recovery_resumes_the_epoch_clock() {
-    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-    let live =
-        LiveRelation::build(&base_relation(100), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
+    let root = Dir::memory();
+    let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+    let live = durable(&base_relation(100), 3, &catalog, "clock", &root);
     assert_eq!(live.current_epoch(), Epoch::ZERO);
     for i in 0..10i64 {
         live.insert(vec![Value::Int(1_000 + i), Value::str("pre")])
@@ -286,8 +345,14 @@ fn recovery_resumes_the_epoch_clock() {
             .unwrap();
     }
 
-    let (recovered, summary) =
-        LiveRelation::recover(&catalog, "clock", &live.pending_log()).unwrap();
+    // Recover from a copy of the volume, so both nodes can write on.
+    let copy = copy_volume(&root);
+    let recovered = recover(
+        &SnapshotCatalog::open(copy.join("snaps")).unwrap(),
+        "clock",
+        &copy,
+    );
+    let summary = recovered.recovery_summary().unwrap();
     assert_eq!(summary.epoch, Epoch::new(15));
     assert_eq!(recovered.current_epoch(), Epoch::new(15));
 
@@ -302,18 +367,24 @@ fn recovery_resumes_the_epoch_clock() {
 }
 
 /// Reconstruct the exact database instance a pinned batch saw: epoch `E`
-/// names the state produced by the first `E` logged updates, so replaying
-/// that prefix onto a fresh build must reproduce the batch's row-id sets
-/// bit-identically.
+/// names the state produced by the WAL records below `lsn_of_epoch(E)`,
+/// so replaying that prefix onto a fresh build must reproduce the
+/// batch's row-id sets bit-identically.
 fn epoch_prefix_oracle(
     base: &Relation,
     shards: usize,
-    log: &UpdateLog,
+    node: &DurableLiveRelation,
+    log: &[WalRecord],
     epoch: Epoch,
 ) -> LiveRelation {
-    let prefix = UpdateLog::from_entries(log.entries()[..epoch.get() as usize].to_vec());
+    let below = node.lsn_of_epoch(epoch);
+    let prefix: Vec<UpdateEntry> = log
+        .iter()
+        .filter(|r| r.lsn < below)
+        .map(|r| r.entry.clone())
+        .collect();
     let oracle = LiveRelation::build(base, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap();
-    oracle.replay(&prefix).unwrap();
+    oracle.replay_entries(prefix).unwrap();
     oracle
 }
 
@@ -332,9 +403,9 @@ proptest! {
     ) {
         let shards = 3;
         let base = base_relation(seed_rows);
-        let live = Arc::new(
-            LiveRelation::build(&base, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
-        );
+        let root = Dir::memory();
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let live = Arc::new(durable(&base, shards, &catalog, "pinned", &root));
         let exec = serve(&live);
         // Cross-shard queries over the *whole* keyspace, volatile region
         // included — a torn (multi-instance) read would change these
@@ -374,10 +445,10 @@ proptest! {
         });
 
         // Every batch matches the oracle at its own pinned epoch.
-        let log = live.pending_log();
+        let log = history(&root);
         for (epoch, rows) in &observed {
             prop_assert!(epoch.get() as usize <= log.len());
-            let oracle = epoch_prefix_oracle(&base, shards, &log, *epoch);
+            let oracle = epoch_prefix_oracle(&base, shards, &live, &log, *epoch);
             let expect = serve(&Arc::new(oracle)).execute_rows(&batch).unwrap();
             prop_assert_eq!(&expect.rows, rows, "at pinned epoch {}", epoch);
         }
@@ -392,9 +463,9 @@ proptest! {
 
 proptest! {
     /// Churn property: a random interleaving of insert / delete /
-    /// checkpoint / recover / query on a `LiveRelation` agrees with a
+    /// checkpoint / recover / query on a durable node agrees with a
     /// `Vec`-backed oracle on answers, global row ids, and boundedness
-    /// records. Ops are applied to whichever instance is "current" —
+    /// totals. Ops are applied to whichever instance is "current" —
     /// after a recover, the *recovered* node becomes current, so the
     /// property also proves recovery is a seamless continuation point.
     #[test]
@@ -402,19 +473,13 @@ proptest! {
         seed_rows in 0i64..12,
         ops in prop::collection::vec((0u8..5, 0i64..64, 0usize..96), 0..60)
     ) {
-        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-        let mut live = LiveRelation::build(
-            &base_relation(seed_rows),
-            ShardBy::Hash { col: 0 },
-            3,
-            &[0, 1],
-        )
-        .unwrap();
+        let root = Dir::memory();
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let mut live = durable(&base_relation(seed_rows), 3, &catalog, "churn", &root);
         // The oracle: gid -> slot, exactly the logical id space.
         let mut model: Vec<Option<Vec<Value>>> = (0..seed_rows)
             .map(|i| Some(vec![Value::Int(i), Value::str(format!("grp{}", i % 16))]))
             .collect();
-        let mut checkpointed = false;
 
         for (op, key, pick) in ops {
             match op {
@@ -431,32 +496,43 @@ proptest! {
                     let expect = model[gid].take();
                     prop_assert_eq!(live.delete(gid).unwrap(), expect, "delete gid {}", gid);
                 }
-                // Checkpoint: persists and truncates the pending log.
+                // Checkpoint: persists the state and moves the mark past
+                // every logged update.
                 2 => {
                     live.checkpoint(&catalog, "churn").unwrap();
-                    prop_assert!(live.pending_log().is_empty());
-                    checkpointed = true;
+                    prop_assert_eq!(
+                        live.checkpoint_mark(),
+                        live.lsn_of_epoch(live.current_epoch())
+                    );
                 }
                 // Recover: replaces the current node; must be identical.
-                3 if checkpointed => {
-                    let pending = live.pending_log();
-                    let (recovered, summary) =
-                        LiveRelation::recover(&catalog, "churn", &pending).unwrap();
+                3 => {
+                    let tail = WalReader::open(root.join("wal"))
+                        .unwrap()
+                        .into_tail(live.checkpoint_mark());
+                    let recovered = recover(&catalog, "churn", &root);
+                    let summary = recovered.recovery_summary().unwrap();
                     prop_assert_eq!(recovered.len(), live.len());
                     prop_assert_eq!(summary.epoch, live.current_epoch());
-                    // Recovery replays the *compacted* pending log: one
+                    // Recovery replays the *compacted* WAL tail: one
                     // maintenance record per surviving entry (work may
                     // differ from the original history's — a cancelled
                     // pair's row briefly inflated the shard a survivor
                     // descended into — but the |CHANGED| components are
                     // pinned per update kind).
-                    let compacted = pending.compact();
+                    let grouped: Vec<(usize, &UpdateEntry)> = tail.iter().map(|e| (0, e)).collect();
+                    let Ok(cancelled) =
+                        cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
+                    let compacted = cancelled.iter().filter(|&&dead| !dead).count();
                     let recovered_report = recovered.boundedness_report();
-                    prop_assert_eq!(recovered_report.len(), compacted.len());
-                    for r in recovered_report.records() {
-                        prop_assert_eq!(r.delta_input, 1);
-                        prop_assert_eq!(r.delta_output, 3, "1 tuple + 2 indexed columns");
-                    }
+                    prop_assert_eq!(recovered_report.len(), compacted);
+                    prop_assert_eq!(summary.replayed, compacted);
+                    prop_assert_eq!(recovered_report.total_delta_input(), compacted as u64);
+                    prop_assert_eq!(
+                        recovered_report.total_delta_output(),
+                        3 * compacted as u64,
+                        "1 tuple + 2 indexed columns"
+                    );
                     live = recovered;
                 }
                 // Query: answers and global row ids against the model.

@@ -125,7 +125,7 @@ fn inverted_acquisition_on_a_worker_is_typed_and_the_pool_survives() {
 /// tiers and the WAL tiers; the publisher's table holds it at sub-order
 /// 0, and sub-order 1 stands in for any later lock of the same rank. Two
 /// inversions the design forbids must be caught in debug builds: holding
-/// a catch-up lock while entering replay (replay takes Log, rank 40),
+/// a catch-up lock while entering replay (replay takes Epoch, rank 30),
 /// and descending sub-orders within the rank. The legal chain — sub 0,
 /// then sub 1, then a WAL-tier flush — must stay panic-free.
 #[test]
@@ -137,19 +137,19 @@ fn follower_catchup_rank_inversions_are_caught_and_the_legal_chain_is_not() {
     std::panic::set_hook(Box::new(|_| {}));
 
     // Inversion 1: catch-up bookkeeping held across a replay-tier
-    // acquisition. Replay re-enters the engine's ranks (Shard..Log), so
-    // a catch-up section reaching rank 40 while holding 45 is exactly
+    // acquisition. Replay re-enters the engine's ranks (Shard..Epoch), so
+    // a catch-up section reaching rank 30 while holding 45 is exactly
     // the hold-across-replay bug the repl crate's turnstile exists to
     // make impossible.
     let outcome = std::panic::catch_unwind(|| {
         let sub1 = OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, ());
-        let log = OrderedMutex::new(LockRank::Log, ());
+        let epochs = OrderedMutex::new(LockRank::Epoch, ());
         let _m = sub1.lock();
-        let _l = log.lock();
+        let _e = epochs.lock();
     });
     assert!(
         outcome.is_err(),
-        "FollowerCatchup held across a Log-ranked acquisition must panic in debug builds"
+        "FollowerCatchup held across an Epoch-ranked acquisition must panic in debug builds"
     );
 
     // Inversion 2: within the rank, sub 1 before the table (sub 0).

@@ -55,7 +55,7 @@ fn oracle_at(catalog: &SnapshotCatalog, root: &Dir, below_lsn: u64) -> LiveRelat
         .filter(|r| r.lsn >= mark && r.lsn < below_lsn)
         .map(|r| r.entry.clone())
         .collect();
-    oracle.replay_entries(&entries).expect("oracle replay");
+    oracle.replay_entries(entries).expect("oracle replay");
     oracle.advance_epoch_to(Epoch::new(cut.get() + (below_lsn.max(mark) - mark)));
     oracle
 }
