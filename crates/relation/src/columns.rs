@@ -13,12 +13,15 @@
 //! [`Relation`](crate::relation::Relation) keeps its rows in one (every
 //! slot live), and so does each
 //! [`IndexedRelation`](crate::indexed::IndexedRelation) (tombstones
-//! behind the bitmap). It is filled three ways, none of which holds a
+//! behind the bitmap). It is filled four ways, none of which holds a
 //! row longer than its own append: [`Columns::from_rows`] consumes a
 //! vector of owned rows into exactly-sized columns; a sharded build
 //! copies a store into its parts column by column
 //! ([`IndexedRelation::build_split`](crate::indexed::IndexedRelation::build_split));
-//! and a loader appends slot by slot ([`Columns::push_slot`]).
+//! a row-wise loader appends slot by slot ([`Columns::push_slot`]); and
+//! a columnar loader hands over whole columns of live cells and the
+//! bitmap ([`Columns::from_live_cells`]), the inverse of
+//! [`Columns::live_cells`] and [`Columns::live_bits`].
 //!
 //! [`Tuple`] is what a selection predicate reads: a row of owned
 //! [`Value`]s and a [`RowRef`] both implement it, so
@@ -28,6 +31,7 @@
 use crate::indexed::IndexedError;
 use crate::schema::{ColType, Schema};
 use crate::value::{Value, ValueRef};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A row a selection predicate can read, cell by cell.
@@ -150,6 +154,101 @@ impl Column {
     }
 }
 
+/// One column's live cells in slot order, a dead slot's cell left out:
+/// what [`Columns::live_cells`] lends a snapshot writer and what a
+/// columnar loader hands [`Columns::from_live_cells`]. Borrowed when no
+/// slot is dead, so a writer copies such a column as it lies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LiveCells<'a> {
+    /// An `Int` column's cells.
+    Int(Cow<'a, [i64]>),
+    /// A `Str` column's cells end to end in `arena`; cell `i` ends at
+    /// byte `ends[i]` and starts where cell `i - 1` ends (at 0 for the
+    /// first).
+    Str {
+        /// Every live cell's bytes, end to end.
+        arena: Cow<'a, str>,
+        /// Where each live cell ends in `arena`.
+        ends: Cow<'a, [usize]>,
+    },
+}
+
+impl LiveCells<'_> {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        match self {
+            LiveCells::Int(ints) => ints.len(),
+            LiveCells::Str { ends, .. } => ends.len(),
+        }
+    }
+
+    /// Does the column hold no cell?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Why `ends` cannot be the end offsets of cells in `arena`: one that
+/// decreases, overruns the arena or splits a character, or an arena with
+/// bytes past the last cell.
+fn check_ends(arena: &str, ends: &[usize]) -> Result<(), String> {
+    let mut prev = 0;
+    for &end in ends {
+        if end < prev {
+            return Err(format!("end offset {end} is below its predecessor {prev}"));
+        }
+        if end > arena.len() {
+            return Err(format!(
+                "end offset {end} overruns an arena of {} bytes",
+                arena.len()
+            ));
+        }
+        if !arena.is_char_boundary(end) {
+            return Err(format!("end offset {end} splits a character"));
+        }
+        prev = end;
+    }
+    if prev != arena.len() {
+        return Err(format!(
+            "the arena holds {} bytes past its last cell",
+            arena.len() - prev
+        ));
+    }
+    Ok(())
+}
+
+/// Why `bits` cannot be the live bitmap of `slots` slots: the wrong
+/// word count, or a bit set past the last slot. Otherwise the number of
+/// live slots.
+fn check_bits(bits: &[u64], slots: usize) -> Result<usize, String> {
+    if bits.len() != slots.div_ceil(64) {
+        return Err(format!(
+            "a bitmap of {} words for {slots} slots",
+            bits.len()
+        ));
+    }
+    if let Some(&last) = bits.last().filter(|_| !slots.is_multiple_of(64)) {
+        if last >> (slots % 64) != 0 {
+            return Err(format!("a live bit past slot count {slots}"));
+        }
+    }
+    Ok(bits.iter().map(|w| w.count_ones() as usize).sum())
+}
+
+/// The ids of the set bits of `bits`, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                64 * w + bit
+            })
+        })
+    })
+}
+
 /// A bitmap of `n` set bits, exactly sized.
 fn all_live(n: usize) -> Vec<u64> {
     let mut bits = Vec::with_capacity(n.div_ceil(64));
@@ -224,6 +323,134 @@ impl Columns {
             store.push_row(&row);
         }
         Ok(store)
+    }
+
+    /// Store `slots` slots from their live cells, column by column: the
+    /// columnar loader's one constructor, and the inverse of
+    /// [`Self::live_bits`] plus [`Self::live_cells`]. `live_bits` is the
+    /// bitmap (bit `id % 64` of word `id / 64` set iff slot `id` is
+    /// live), and `cells[c]` holds column `c`'s live cells in slot order.
+    /// Each dead slot gets the placeholder cell (`0`, `""`) that
+    /// [`Self::push_slot`] gives a tombstone. No [`Value`] is built.
+    ///
+    /// Refused with [`IndexedError::BadColumns`], before anything is
+    /// allocated: a bitmap whose word count is not `⌈slots / 64⌉` or
+    /// with a bit set past the last slot; a column list that is not one
+    /// per schema column, each of the schema's type; a column whose
+    /// length is not the bitmap's popcount; and `Str` end offsets that
+    /// decrease, overrun their arena or split a character, or an arena
+    /// with bytes past its last cell.
+    pub fn from_live_cells(
+        schema: Schema,
+        slots: usize,
+        live_bits: Vec<u64>,
+        cells: Vec<LiveCells<'_>>,
+    ) -> Result<Self, IndexedError> {
+        let bad = IndexedError::BadColumns;
+        let live = check_bits(&live_bits, slots).map_err(bad)?;
+        if cells.len() != schema.arity() {
+            return Err(bad(format!(
+                "{} columns for a schema of arity {}",
+                cells.len(),
+                schema.arity()
+            )));
+        }
+        for (col, column) in cells.iter().enumerate() {
+            let name = schema.name(col);
+            match (schema.col_type(col), column) {
+                (ColType::Int, LiveCells::Int(_)) => {}
+                (ColType::Str, LiveCells::Str { arena, ends }) => {
+                    check_ends(arena, ends)
+                        .map_err(|why| bad(format!("column {name:?}: {why}")))?;
+                }
+                (ty, _) => return Err(bad(format!("column {name:?} holds no {ty:?} cells"))),
+            }
+            if column.len() != live {
+                return Err(bad(format!(
+                    "column {name:?} holds {} cells for {live} live slots",
+                    column.len()
+                )));
+            }
+        }
+        let all = live == slots;
+        let cols = cells
+            .into_iter()
+            .map(|column| match column {
+                LiveCells::Int(ints) if all => Column::Int(ints.into_owned()),
+                LiveCells::Int(ints) => {
+                    let mut slot_ints = vec![0; slots];
+                    for (id, &cell) in set_bits(&live_bits).zip(ints.iter()) {
+                        slot_ints[id] = cell;
+                    }
+                    Column::Int(slot_ints)
+                }
+                LiveCells::Str { arena, ends } => {
+                    let ends = if all {
+                        ends.into_owned()
+                    } else {
+                        // A dead slot's cell is empty: it ends where the
+                        // cell before it does.
+                        let mut slot_ends = Vec::with_capacity(slots);
+                        let mut prev = 0;
+                        let mut live_ends = ends.iter();
+                        for id in 0..slots {
+                            if live_bits[id / 64] >> (id % 64) & 1 == 1 {
+                                prev = live_ends.next().copied().unwrap_or(prev);
+                            }
+                            slot_ends.push(prev);
+                        }
+                        slot_ends
+                    };
+                    Column::Str(StrColumn {
+                        arena: arena.into_owned(),
+                        ends,
+                    })
+                }
+            })
+            .collect();
+        Ok(Columns {
+            schema,
+            cols,
+            live_bits,
+            slots,
+            live,
+        })
+    }
+
+    /// The live bitmap, exactly `⌈slots / 64⌉` words: bit `id % 64` of
+    /// word `id / 64` is set iff slot `id` is live, and no bit past the
+    /// last slot is set.
+    pub fn live_bits(&self) -> &[u64] {
+        &self.live_bits
+    }
+
+    /// Column `col`'s live cells in slot order — a dead slot's cell left
+    /// out — borrowed as they lie when no slot is dead. Panics when `col`
+    /// is out of range, like indexing.
+    pub fn live_cells(&self, col: usize) -> LiveCells<'_> {
+        let all = self.live == self.slots;
+        match &self.cols[col] {
+            Column::Int(ints) if all => LiveCells::Int(Cow::Borrowed(ints)),
+            Column::Int(ints) => {
+                LiveCells::Int(set_bits(&self.live_bits).map(|id| ints[id]).collect())
+            }
+            Column::Str(strs) if all => LiveCells::Str {
+                arena: Cow::Borrowed(&strs.arena),
+                ends: Cow::Borrowed(&strs.ends),
+            },
+            Column::Str(strs) => {
+                let mut arena = String::new();
+                let mut ends = Vec::with_capacity(self.live);
+                for id in set_bits(&self.live_bits) {
+                    arena.push_str(strs.get(id));
+                    ends.push(arena.len());
+                }
+                LiveCells::Str {
+                    arena: Cow::Owned(arena),
+                    ends: Cow::Owned(ends),
+                }
+            }
+        }
     }
 
     /// Split `source`, which holds no tombstone, into `parts`
@@ -339,7 +566,7 @@ impl Columns {
     }
 
     /// Slots ever assigned (live rows plus tombstones).
-    pub(crate) fn slot_count(&self) -> usize {
+    pub fn slot_count(&self) -> usize {
         self.slots
     }
 
@@ -587,5 +814,122 @@ mod tests {
         assert_eq!(store.live(), 125);
         let dead: Vec<usize> = (0..131).filter(|&id| store.row(id).is_none()).collect();
         assert_eq!(dead, vec![0, 63, 64, 127, 129, 130]);
+    }
+
+    /// A store with dead slots in the first word, across a word
+    /// boundary and at the end goes out as its live cells and bitmap and
+    /// comes back slot for slot: the same rows, the same dead slots,
+    /// placeholder cells behind them, and a store that writes the same
+    /// live cells again.
+    #[test]
+    fn live_cells_roundtrip_with_placeholders_at_dead_slots() {
+        let rows: Vec<Vec<Value>> = rows().into_iter().cycle().take(130).collect();
+        let mut holey = Columns::from_rows(schema(), rows).unwrap();
+        let dead = [0, 2, 63, 64, 100, 129];
+        for id in dead {
+            assert!(holey.kill(id));
+        }
+        let cells: Vec<LiveCells<'_>> = (0..2).map(|col| holey.live_cells(col)).collect();
+        assert!(cells.iter().all(|c| c.len() == 124));
+        let back = Columns::from_live_cells(
+            schema(),
+            holey.slot_count(),
+            holey.live_bits().to_vec(),
+            cells.clone(),
+        )
+        .unwrap();
+        assert_eq!((back.slot_count(), back.live()), (130, 124));
+        for id in 0..131 {
+            assert_eq!(back.row(id), holey.row(id), "slot {id}");
+        }
+        for id in dead {
+            assert_eq!(back.column(0).get(id), ValueRef::Int(0));
+            assert_eq!(back.column(1).get(id), ValueRef::Str(""));
+        }
+        assert_eq!(back.live_bits(), holey.live_bits());
+        let again: Vec<LiveCells<'_>> = (0..2).map(|col| back.live_cells(col)).collect();
+        assert_eq!(again, cells);
+        assert!(back.is_exactly_sized());
+
+        // With no dead slot the cells are lent as they lie.
+        let whole = store();
+        assert!(matches!(
+            whole.live_cells(0),
+            LiveCells::Int(Cow::Borrowed(_))
+        ));
+        assert!(matches!(
+            whole.live_cells(1),
+            LiveCells::Str {
+                arena: Cow::Borrowed(_),
+                ..
+            }
+        ));
+    }
+
+    /// Every inconsistency is a typed refusal naming what is wrong.
+    #[test]
+    fn from_live_cells_refuses_inconsistent_columns() {
+        let ints = |v: &[i64]| LiveCells::Int(Cow::Owned(v.to_vec()));
+        let strs = |arena: &str, ends: &[usize]| LiveCells::Str {
+            arena: Cow::Owned(arena.to_owned()),
+            ends: Cow::Owned(ends.to_vec()),
+        };
+        let refuse = |slots: usize, bits: Vec<u64>, cells: Vec<LiveCells<'_>>, why: &str| {
+            match Columns::from_live_cells(schema(), slots, bits, cells) {
+                Err(IndexedError::BadColumns(got)) => assert!(got.contains(why), "{got}"),
+                other => panic!("expected BadColumns({why}), got {other:?}"),
+            }
+        };
+        // Slots 0 and 2 of 3 live; "é" is two bytes.
+        let good = || vec![ints(&[1, 2]), strs("aé", &[1, 3])];
+        assert!(Columns::from_live_cells(schema(), 3, vec![0b101], good()).is_ok());
+
+        refuse(3, vec![], good(), "0 words for 3 slots");
+        refuse(3, vec![0b101, 0], good(), "2 words for 3 slots");
+        refuse(3, vec![0b1101], good(), "past slot count 3");
+        refuse(3, vec![0b111], good(), "holds 2 cells for 3 live slots");
+        refuse(3, vec![0b1], good(), "holds 2 cells for 1 live slots");
+        refuse(3, vec![0b101], vec![ints(&[1, 2])], "1 columns");
+        refuse(
+            3,
+            vec![0b101],
+            vec![ints(&[1, 2]), ints(&[1, 2])],
+            "holds no Str",
+        );
+        refuse(
+            3,
+            vec![0b101],
+            vec![ints(&[1, 2]), strs("aé", &[3, 1])],
+            "below",
+        );
+        refuse(
+            3,
+            vec![0b101],
+            vec![ints(&[1, 2]), strs("aé", &[1, 4])],
+            "overruns",
+        );
+        refuse(
+            3,
+            vec![0b101],
+            vec![ints(&[1, 2]), strs("aé", &[1, 2])],
+            "splits",
+        );
+        refuse(
+            3,
+            vec![0b101],
+            vec![ints(&[1, 2]), strs("aé", &[1, 1])],
+            "past its last",
+        );
+        // A whole word of slots, and none: the last word is full or absent.
+        let full = Columns::from_live_cells(
+            schema(),
+            64,
+            vec![u64::MAX],
+            vec![ints(&[7; 64]), strs("", &[0; 64])],
+        )
+        .unwrap();
+        assert_eq!(full.live(), 64);
+        let empty = Columns::from_live_cells(schema(), 0, vec![], vec![ints(&[]), strs("", &[])]);
+        assert_eq!(empty.unwrap().slot_count(), 0);
     }
 }

@@ -139,6 +139,11 @@ pub enum IndexedError {
     },
     /// A row failed schema validation (arity or column-type mismatch).
     RowRejected(String),
+    /// Whole columns handed to
+    /// [`Columns::from_live_cells`](crate::columns::Columns::from_live_cells)
+    /// do not describe a store: the bitmap, a column's length or a `Str`
+    /// column's end offsets are inconsistent (the reason says which).
+    BadColumns(String),
 }
 
 impl fmt::Display for IndexedError {
@@ -148,6 +153,7 @@ impl fmt::Display for IndexedError {
                 write!(f, "cannot index column {col}: schema has arity {arity}")
             }
             IndexedError::RowRejected(why) => write!(f, "row rejected by schema: {why}"),
+            IndexedError::BadColumns(why) => write!(f, "columns rejected: {why}"),
         }
     }
 }
@@ -954,6 +960,12 @@ impl IndexedRelation {
     /// id space upper bound).
     pub fn slot_count(&self) -> usize {
         self.rows.slot_count()
+    }
+
+    /// The row store, tombstones included (persistence accessor: a
+    /// columnar snapshot writes its bitmap and live cells as they lie).
+    pub fn columns(&self) -> &Columns {
+        &self.rows
     }
 }
 

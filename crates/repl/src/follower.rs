@@ -49,7 +49,7 @@ use pitract_obs::Histogram;
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::{Dir, SnapshotCatalog};
 use pitract_wal::segment::{decode_entry, scan_frames};
-use pitract_wal::{recover_live, WalConfig, WalError, WalWriter};
+use pitract_wal::{recover_live, EpochLsn, WalConfig, WalError, WalWriter};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Lock-free catch-up turnstile: exactly one cycle may run at a time,
@@ -84,10 +84,8 @@ pub struct Follower {
     applying: AtomicBool,
     /// The follower's cursor in the *primary's* LSN coordinate.
     applied: AtomicU64,
-    /// The checkpoint's WAL mark: LSN half of the epoch dictionary.
-    wal_base: u64,
-    /// The checkpoint's cut epoch: epoch half of the dictionary.
-    epoch_base: u64,
+    /// The checkpoint's epoch ↔ LSN dictionary.
+    clock: EpochLsn,
     /// The primary's durable frontier as the last catch-up poll saw it.
     primary_seen: AtomicU64,
     replay_micros: Histogram,
@@ -117,7 +115,7 @@ impl Follower {
         // Recovery leaves the clock at the epoch of the mirror's next LSN.
         // The dictionary is fixed by the checkpoint alone — mark ↔ cut —
         // so it is identical on every restart of this follower.
-        let (live, mirror, mark, cut, _) = recover_live(catalog, name, mirror_dir, config)?;
+        let (live, mirror, clock, _) = recover_live(catalog, name, mirror_dir, config)?;
         let applied = mirror.next_lsn();
         Ok(Follower {
             replay_micros: mirror.config().recorder.histogram("repl_replay_micros"),
@@ -125,8 +123,7 @@ impl Follower {
             mirror,
             applying: AtomicBool::new(false),
             applied: AtomicU64::new(applied),
-            wal_base: mark,
-            epoch_base: cut.get(),
+            clock,
             primary_seen: AtomicU64::new(applied),
         })
     }
@@ -146,13 +143,13 @@ impl Follower {
     /// checkpoint: the epoch whose state covers exactly the primary
     /// records below `lsn`.
     pub fn epoch_of_lsn(&self, lsn: u64) -> Epoch {
-        Epoch::new(self.epoch_base + lsn.saturating_sub(self.wal_base))
+        self.clock.epoch_of_lsn(lsn)
     }
 
     /// Inverse of [`Self::epoch_of_lsn`]: the first primary LSN *not*
     /// covered by `epoch`.
     pub fn lsn_of_epoch(&self, epoch: Epoch) -> u64 {
-        self.wal_base + epoch.get().saturating_sub(self.epoch_base)
+        self.clock.lsn_of_epoch(epoch)
     }
 
     /// Register this follower in `publisher`'s retention table at its

@@ -11,6 +11,10 @@
 //! * strings are a `u64` byte length followed by UTF-8 bytes (validated
 //!   on read);
 //! * sequences are a `u64` element count followed by the elements;
+//! * a *run* is `n` consecutive 8-byte words (`u64`, `i64`, or `usize`
+//!   as `u64`) with no framing of its own: the caller writes and checks
+//!   `n`. Runs are written and read a word at a time over one buffer, so
+//!   a column of `i64`s costs one bounds check, not one per cell;
 //! * sum types carry a one-byte tag ([`Value`]: 0 = `Int`, 1 = `Str`;
 //!   [`ColType`]: same; `Option`: 0 = `None`, 1 = `Some`).
 //!
@@ -35,6 +39,13 @@ impl Writer {
     /// A fresh, empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// A fresh writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Bytes written so far.
@@ -85,6 +96,30 @@ impl Writer {
     /// Write raw bytes with no framing (caller-framed payloads).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Write `run` as consecutive little-endian `u64`s (no count).
+    pub fn u64_run(&mut self, run: &[u64]) {
+        self.words(run, u64::to_le_bytes);
+    }
+
+    /// Write `run` as consecutive little-endian `i64`s (no count).
+    pub fn i64_run(&mut self, run: &[i64]) {
+        self.words(run, i64::to_le_bytes);
+    }
+
+    /// Write `run` as consecutive `u64`s (no count).
+    pub fn usize_run(&mut self, run: &[usize]) {
+        self.words(run, |v| (v as u64).to_le_bytes());
+    }
+
+    /// Grow the buffer once by the whole run, then fill it word by word.
+    fn words<T: Copy>(&mut self, run: &[T], le: impl Fn(T) -> [u8; 8]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * run.len(), 0);
+        for (dst, &v) in self.buf[start..].chunks_exact_mut(8).zip(run) {
+            dst.copy_from_slice(&le(v));
+        }
     }
 
     /// Write a length-prefixed UTF-8 string.
@@ -147,12 +182,11 @@ impl Writer {
         }
     }
 
-    /// Write a sequence of `u64`-encoded `usize`s.
+    /// Write a sequence of `u64`-encoded `usize`s: the count, then the
+    /// run.
     pub fn usize_seq(&mut self, seq: &[usize]) {
         self.usize(seq.len());
-        for &v in seq {
-            self.usize(v);
-        }
+        self.usize_run(seq);
     }
 
     /// Write a sequence of `u32`s.
@@ -267,12 +301,52 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// Read a run of `n` little-endian `u64`s; fewer than `8 n` bytes
+    /// left is [`StoreError::Truncated`].
+    pub fn u64_run(&mut self, n: usize) -> Result<Vec<u64>, StoreError> {
+        Ok(self.words(n)?.map(u64::from_le_bytes).collect())
+    }
+
+    /// Read a run of `n` little-endian `i64`s, like [`Self::u64_run`].
+    pub fn i64_run(&mut self, n: usize) -> Result<Vec<i64>, StoreError> {
+        Ok(self.words(n)?.map(i64::from_le_bytes).collect())
+    }
+
+    /// Read a run of `n` `u64`s as `usize`s, like [`Self::u64_run`]; a
+    /// word this platform's `usize` cannot hold is corrupt.
+    pub fn usize_run(&mut self, n: usize) -> Result<Vec<usize>, StoreError> {
+        let mut out = Vec::with_capacity(n);
+        for word in self.words(n)? {
+            let v = usize::try_from(u64::from_le_bytes(word))
+                .map_err(|_| StoreError::Corrupt("usize overflow".into()))?;
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    /// Take `n` 8-byte words, each as an array.
+    fn words(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = [u8; 8]> + 'a, StoreError> {
+        let bytes = n.checked_mul(8).ok_or(StoreError::Truncated)?;
+        Ok(self.take(bytes)?.chunks_exact(8).map(|word| {
+            let mut out = [0; 8];
+            out.copy_from_slice(word);
+            out
+        }))
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str_ref(&mut self) -> Result<&'a str, StoreError> {
+        let len = self.count(1)?;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, StoreError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
+        self.str_ref().map(str::to_owned)
     }
 
     /// Read a tagged [`Value`].
@@ -341,10 +415,10 @@ impl<'a> Reader<'a> {
         Ok(Schema::new(&borrowed))
     }
 
-    /// Read a sequence of `usize`s.
+    /// Read a sequence of `usize`s: the count, then the run.
     pub fn usize_seq(&mut self) -> Result<Vec<usize>, StoreError> {
         let n = self.count(8)?;
-        (0..n).map(|_| self.usize()).collect()
+        self.usize_run(n)
     }
 
     /// Read a sequence of `u32`s.
@@ -462,6 +536,31 @@ mod tests {
         assert!(matches!(
             Reader::new(&bytes).schema(),
             Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn runs_roundtrip_and_a_short_run_is_truncated() {
+        let mut w = Writer::new();
+        w.u64_run(&[0, u64::MAX]);
+        w.i64_run(&[i64::MIN, -1, i64::MAX]);
+        w.usize_run(&[7]);
+        w.i64_run(&[]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 6 * 8);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u64_run(2).unwrap(), vec![0, u64::MAX]);
+        assert_eq!(r.i64_run(3).unwrap(), vec![i64::MIN, -1, i64::MAX]);
+        assert_eq!(r.usize_run(1).unwrap(), vec![7]);
+        assert_eq!(r.i64_run(0).unwrap(), Vec::<i64>::new());
+        assert!(r.is_exhausted());
+        for cut in [0, 7, 15] {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(matches!(r.i64_run(2), Err(StoreError::Truncated)), "{cut}");
+        }
+        assert!(matches!(
+            Reader::new(&bytes).u64_run(usize::MAX),
+            Err(StoreError::Truncated)
         ));
     }
 

@@ -5,8 +5,9 @@
 //! are mutually inconsistent — maps to a distinct [`StoreError`] variant,
 //! so callers can distinguish "retry with a rebuild" from "this file was
 //! written by a newer binary" without parsing prose. Loading never
-//! panics: the decoder bounds-checks every read, each decoded row is
-//! admitted by its schema, an indexed column must exist, and
+//! panics: the decoder bounds-checks every read, each decoded column is
+//! checked against the bitmap and its arena (a version-1 or -2 row is
+//! admitted by its schema), an indexed column must exist, and
 //! `ShardedRelation::from_parts` checks routing and the id maps before
 //! anything is constructed. No index is read from disk, so none can be
 //! inconsistent: every tree is rebuilt from the rows.
@@ -56,8 +57,8 @@ pub enum StoreError {
     /// validation.
     Engine(EngineError),
     /// The decoded parts were rejected by the indexed-relation layer: a
-    /// row its schema does not admit, or an indexed column the schema
-    /// lacks.
+    /// row its schema does not admit, columns that disagree with their
+    /// bitmap or arena, or an indexed column the schema lacks.
     Indexed(IndexedError),
     /// A catalog snapshot name that could escape the catalog directory or
     /// collide with its bookkeeping (empty, path separators, dots).

@@ -5,10 +5,11 @@
 //! sibling crates build the preprocessed structures; this crate makes the
 //! "once" literal: a preprocessed structure is serialized to a versioned,
 //! checksummed binary snapshot, and a fresh process warm-starts by
-//! loading the snapshot. A relation is persisted as `D` — its row slots,
-//! tombstones and id maps, and the list of columns it indexes — and a
-//! load rebuilds its B⁺-trees by sort, which since the build-by-sort
-//! costs about what decoding persisted postings did. 2-hop labels, whose
+//! loading the snapshot. A relation is persisted as `D` — its columns
+//! as they lie in memory (live bitmap, `i64` runs, `Str` arenas and end
+//! offsets, less deleted rows' cells), id maps, and the list of columns
+//! it indexes — and a load rebuilds its B⁺-trees by sort, which since
+//! the build-by-sort costs about what decoding persisted postings did. 2-hop labels, whose
 //! preprocessing is costly and not a sort, are persisted whole.
 //!
 //! * [`snapshot::Snapshot`] — save/load for the three production
@@ -16,8 +17,8 @@
 //!   [`pitract_engine::ShardedRelation`] (schema, partitioning, per-shard
 //!   data, global-id/location maps, tombstones), and
 //!   [`pitract_graph::hop::HopLabels`]. The file format (magic tag,
-//!   format version, section table, FNV-1a checksum) is documented in
-//!   [`snapshot`]'s module docs.
+//!   format version, section table, XXH64 checksum — FNV-1a in
+//!   versions 1 and 2) is documented in [`snapshot`]'s module docs.
 //! * [`codec`] — the hand-rolled little-endian writer/reader underneath:
 //!   zero dependencies, no serde, and **total** on the read side —
 //!   arbitrary or truncated bytes produce a typed [`error::StoreError`],

@@ -2,28 +2,33 @@
 //! [`Snapshot::from_bytes`]. Files reach storage through
 //! [`crate::SnapshotCatalog`].
 //!
-//! # On-disk layout (format version 2)
+//! # On-disk layout (format version 3)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRSNAP"
-//! 8       2     format version, u16 LE (currently 2)
+//! 8       2     format version, u16 LE (currently 3)
 //! 10      2     structure kind, u16 LE (see [`SnapshotKind`])
 //! 12      4     section count k, u32 LE
 //! 16      12*k  section table: k entries of (tag: u32 LE, len: u64 LE);
 //!               payloads follow in table order
 //! ...     Σlen  the k section payloads, concatenated
-//! end-8   8     FNV-1a 64 checksum over every preceding byte, u64 LE
+//! end-8   8     checksum over every preceding byte, u64 LE
 //! ```
+//!
+//! The checksum ([`checksum`]) depends on the version: FNV-1a 64 for
+//! versions 1 and 2, XXH64 with seed 0 from version 3 (both in
+//! [`pitract_core::hash`]). FNV-1a takes one multiply per byte; XXH64
+//! reads eight bytes at a time in four lanes, at memory speed.
 //!
 //! Section payloads use the [`crate::codec`] conventions. The tags per
 //! structure kind:
 //!
 //! | kind | sections (tag) |
 //! |---|---|
-//! | `IndexedRelation` | schema (1), row slots incl. tombstones (2), indexed columns (14) |
-//! | `ShardedRelation` | schema (1), shard_by (4), per-shard row slots incl. tombstones (5), global-id maps (6), locations (7), indexed columns (14) |
+//! | `IndexedRelation` | schema (1), relation body (2), indexed columns (14) |
+//! | `ShardedRelation` | schema (1), shard_by (4), shard count + one relation body per shard (5), global-id maps (6), locations (7), indexed columns (14) |
 //! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
 //! | `Checkpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
 //!
@@ -33,19 +38,45 @@
 //! refused as [`StoreError::UnknownKind`], and codes 4 and 11 are not
 //! reused.
 //!
-//! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
-//! columns it indexes, never a posting. A load decodes the rows and
-//! rebuilds every tree by sort through
-//! [`IndexedRelation::from_columns`], which costs about what reading
-//! the postings back used to, and leaves no index on disk that could
-//! disagree with its rows. `HopLabels` keep their labels: 2-hop
-//! labelling is costly PTIME preprocessing, not a sort.
+//! # A relation body
 //!
-//! Version 1 files load through the same path. A v1 body follows its
-//! rows with its index postings (section 3 of an `IndexedRelation`;
-//! after each shard's rows in section 5); the reader steps over them
-//! with the bounds-checked codec, keeps each index's column number as
-//! the columns to index, and never looks at a posting.
+//! From version 3 a relation body is columnar: the row store
+//! ([`Columns`]) as it lies in memory, less its dead cells.
+//!
+//! ```text
+//! field                      encoding
+//! -------------------------  ---------------------------------------------
+//! slot count n               u64
+//! live bitmap                u64 word count w = ⌈n/64⌉, then w u64 words;
+//!                            bit id%64 of word id/64 set iff slot id is live
+//! per schema column, in order:
+//!   Int                      u64 cell count, then that many i64 LE
+//!   Str                      arena (u64 byte length, UTF-8 bytes), then
+//!                            u64 cell count and that many u64 end offsets
+//! ```
+//!
+//! *The dead-cell rule:* a column holds only the cells of live slots, in
+//! slot order, so a cell count must equal the bitmap's popcount and a
+//! deleted row's cells never reach the disk. A load puts the placeholder
+//! `0` or `""` at each dead slot, as a tombstone holds in memory. With
+//! no dead slot an `Int` column is one `i64` run and a `Str` column its
+//! arena and end offsets, each written and read in one call. The
+//! global-id maps (section 6) are a map count, then per shard a `u64`
+//! count and one `u64` run.
+//!
+//! Versions 1 and 2 wrote a body row by row: a slot count, then per slot
+//! a tag (0 dead, 1 live) and a live row's tagged values. They still
+//! load; a v1 body also follows its rows with its index postings (section
+//! 3 of an `IndexedRelation`; after each shard's rows in section 5),
+//! which the reader steps over with the bounds-checked codec, keeping
+//! each index's column number as the columns to index and never looking
+//! at a posting.
+//!
+//! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
+//! columns it indexes, never a posting. A load rebuilds every tree by
+//! sort through [`IndexedRelation::from_columns`], and leaves no index
+//! on disk that could disagree with its rows. `HopLabels` keep their
+//! labels: 2-hop labelling is costly PTIME preprocessing, not a sort.
 //!
 //! Readers locate sections by tag, so a future version may append new
 //! sections without breaking old payload parsing — the cut-epoch
@@ -55,21 +86,28 @@
 //! reader accepts every version it ever wrote and rejects any other
 //! with [`StoreError::VersionMismatch`]. Corruption is
 //! caught in layers: the checksum rejects bit rot and truncation, the
-//! bounds-checked codec rejects structurally impossible payloads, and
-//! the constructors reject decodable-but-inconsistent parts:
-//! `Columns::push_slot` admits each decoded row, `from_columns` refuses
-//! an indexed column the schema lacks, and `ShardedRelation::from_parts`
-//! checks routing and the id maps. Golden fixture tests pin the
-//! byte-level format so accidental encoding drift fails CI.
+//! bounds-checked codec rejects structurally impossible payloads (a run
+//! shorter than its count is [`StoreError::Truncated`], an arena that
+//! is not UTF-8 is [`StoreError::Corrupt`]), and the constructors
+//! reject decodable-but-inconsistent parts:
+//! [`Columns::from_live_cells`] checks the bitmap against the slot
+//! count and each column's length against its popcount, and each end
+//! offset against its arena (a v1/v2 body goes through
+//! `Columns::push_slot`, which admits each decoded row),
+//! `from_columns` refuses an indexed column the schema lacks, and
+//! `ShardedRelation::from_parts` checks routing and the id maps. Golden
+//! fixture tests pin the byte-level format so accidental encoding drift
+//! fails CI.
 
 use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
-use pitract_core::hash::fnv1a64;
+use pitract_core::hash::{fnv1a64, xxh64};
 use pitract_engine::{ShardBy, ShardedRelation};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{Columns, Schema};
+use pitract_relation::{ColType, Columns, LiveCells, Schema};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The 8-byte magic tag opening every snapshot file.
@@ -77,10 +115,10 @@ pub const MAGIC: [u8; 8] = *b"PITRSNAP";
 
 /// The format version this binary writes — the revision of
 /// [`Snapshot`]'s bytes. It reads this one and every earlier one.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 const SEC_SCHEMA: u32 = 1;
-const SEC_ROWS: u32 = 2;
+const SEC_BODY: u32 = 2;
 /// Version 1 only: a standalone relation's index postings.
 const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARD_BY: u32 = 4;
@@ -145,11 +183,13 @@ impl fmt::Display for SnapshotKind {
 
 /// A preprocessed structure ready to persist, or freshly loaded.
 ///
-/// **Revision 2** ([`FORMAT_VERSION`]): a relation is written as its
-/// row slots and its list of indexed columns (section 14), with no
-/// postings; a load rebuilds the trees by sort. Revision 1 wrote every
-/// index's postings after its rows; those files still load, through the
-/// same path, with the postings skipped unread.
+/// **Revision 3** ([`FORMAT_VERSION`]): a relation is written as its
+/// columns — the live bitmap and each column's live cells as runs — and
+/// its list of indexed columns (section 14), with no postings, under an
+/// XXH64 checksum; a load rebuilds the trees by sort. Revision 2 wrote
+/// the same state row by row under FNV-1a, and revision 1 also wrote
+/// every index's postings after its rows; both still load, with the
+/// postings skipped unread.
 #[derive(Debug)]
 pub enum Snapshot {
     /// A per-column-indexed relation.
@@ -294,7 +334,7 @@ impl Snapshot {
         let version = readable(header.u16()?)?;
         let body = &bytes[..bytes.len() - 8];
         let stored = Reader::new(&bytes[bytes.len() - 8..]).u64()?;
-        if fnv1a64(body) != stored {
+        if checksum(version, body) != stored {
             return Err(StoreError::ChecksumMismatch);
         }
         let kind = SnapshotKind::from_code(header.u16()?)?;
@@ -346,7 +386,7 @@ impl Snapshot {
         match kind {
             SnapshotKind::IndexedRelation => {
                 let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
-                let rows = finish(section(SEC_ROWS)?, |r| read_rows(r, &schema))?;
+                let rows = finish(section(SEC_BODY)?, |r| read_body(version, r, &schema))?;
                 let cols = match version {
                     1 => finish(section(SEC_V1_INDEXES)?, skip_v1_indexes)?,
                     _ => finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?,
@@ -398,9 +438,21 @@ fn readable(version: u16) -> Result<u16, StoreError> {
     }
 }
 
-/// A snapshot file: header, section table, payloads, checksum.
+/// The checksum a file of format `version` ends with, over every byte
+/// before it: FNV-1a 64 for versions 1 and 2, XXH64 with seed 0 from
+/// version 3.
+pub fn checksum(version: u16, body: &[u8]) -> u64 {
+    match version {
+        1 | 2 => fnv1a64(body),
+        _ => xxh64(body, 0),
+    }
+}
+
+/// A snapshot file: header, section table, payloads, checksum — in one
+/// buffer sized exactly, so the trailer never reallocates it.
 fn frame(kind: SnapshotKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut w = Writer::new();
+    let payloads: usize = sections.iter().map(|(_, payload)| payload.len()).sum();
+    let mut w = Writer::with_capacity(16 + 12 * sections.len() + payloads + 8);
     w.raw(&MAGIC);
     w.u16(FORMAT_VERSION);
     w.u16(kind.code());
@@ -413,8 +465,8 @@ fn frame(kind: SnapshotKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
         w.raw(payload);
     }
     let mut bytes = w.into_bytes();
-    let checksum = fnv1a64(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
+    let sum = checksum(FORMAT_VERSION, &bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
 
@@ -436,30 +488,85 @@ fn finish<'a, T>(
 fn encode_indexed_sections(ir: &IndexedRelation) -> Vec<(u32, Vec<u8>)> {
     let mut schema_w = Writer::new();
     schema_w.schema(ir.schema());
-    let mut rows = Writer::new();
-    write_rows(ir, &mut rows);
+    let mut body = Writer::new();
+    write_body(ir.columns(), &mut body);
     let mut cols = Writer::new();
     cols.usize_seq(&ir.indexed_columns());
     vec![
         (SEC_SCHEMA, schema_w.into_bytes()),
-        (SEC_ROWS, rows.into_bytes()),
+        (SEC_BODY, body.into_bytes()),
         (SEC_INDEXED_COLS, cols.into_bytes()),
     ]
 }
 
-/// The row slots of one `IndexedRelation`, tombstones included — the
-/// body shared by a standalone snapshot's rows section and by each shard
-/// inside a `ShardedRelation` snapshot.
-fn write_rows(ir: &IndexedRelation, w: &mut Writer) {
-    w.usize(ir.slot_count());
-    for slot in ir.slots() {
-        w.opt_row(slot);
+/// One relation body at [`FORMAT_VERSION`]: the slot count, the live
+/// bitmap, and each column's live cells — the body shared by a
+/// standalone snapshot's section 2 and by each shard in section 5.
+fn write_body(rows: &Columns, w: &mut Writer) {
+    w.usize(rows.slot_count());
+    let bits = rows.live_bits();
+    w.usize(bits.len());
+    w.u64_run(bits);
+    for col in 0..rows.schema().arity() {
+        match rows.live_cells(col) {
+            LiveCells::Int(ints) => {
+                w.usize(ints.len());
+                w.i64_run(&ints);
+            }
+            LiveCells::Str { arena, ends } => {
+                w.str(&arena);
+                w.usize(ends.len());
+                w.usize_run(&ends);
+            }
+        }
     }
 }
 
-/// Decode the row slots straight into column storage for `schema`: one
-/// reused row buffer, each live row admitted as it is appended.
-fn read_rows(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
+/// Decode one relation body of format `version` into column storage for
+/// `schema`.
+fn read_body(version: u16, r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
+    match version {
+        1 | 2 => read_slots(r, schema),
+        _ => read_columns(r, schema),
+    }
+}
+
+/// A version-3 body: every run is length-checked by the codec, and
+/// [`Columns::from_live_cells`] checks the bitmap, the cell counts and
+/// the end offsets before it allocates a slot. No `Value` is built.
+fn read_columns(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
+    let slots = r.usize()?;
+    let words = r.count(8)?;
+    let bits = r.u64_run(words)?;
+    let mut cells = Vec::with_capacity(schema.arity());
+    for col in 0..schema.arity() {
+        cells.push(match schema.col_type(col) {
+            ColType::Int => {
+                let n = r.count(8)?;
+                LiveCells::Int(Cow::Owned(r.i64_run(n)?))
+            }
+            ColType::Str => {
+                let arena = r.str_ref()?;
+                let n = r.count(8)?;
+                LiveCells::Str {
+                    arena: Cow::Borrowed(arena),
+                    ends: Cow::Owned(r.usize_run(n)?),
+                }
+            }
+        });
+    }
+    Ok(Columns::from_live_cells(
+        schema.clone(),
+        slots,
+        bits,
+        cells,
+    )?)
+}
+
+/// A version-1 or -2 body: the slots row by row, decoded straight into
+/// column storage for `schema` through one reused row buffer, each live
+/// row admitted as it is appended.
+fn read_slots(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
     let n = r.count(1)?;
     let mut rows = Columns::new(schema.clone());
     let mut row = Vec::with_capacity(schema.arity());
@@ -508,12 +615,12 @@ fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
         }
     }
 
-    // One rows body per shard; the schema and the indexed columns, which
+    // One body per shard; the schema and the indexed columns, which
     // every shard shares, are written once for the whole relation.
     let mut shards_w = Writer::new();
     shards_w.usize(sr.shard_count());
     for shard in sr.shards() {
-        write_rows(shard, &mut shards_w);
+        write_body(shard.columns(), &mut shards_w);
     }
     let mut cols = Writer::new();
     cols.usize_seq(
@@ -569,9 +676,9 @@ fn decode_sharded<'a>(
     let shard_count = shards_r.count(2)?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        // Per-shard body: the same rows encoding as a standalone
-        // IndexedRelation, sharing one schema.
-        let rows = read_rows(&mut shards_r, &schema)?;
+        // Per-shard body: the same encoding as a standalone
+        // IndexedRelation's, sharing one schema.
+        let rows = read_body(version, &mut shards_r, &schema)?;
         let cols = match &shared_cols {
             Some(cols) => cols.clone(),
             // A v1 body follows its rows with that shard's postings.
@@ -582,6 +689,7 @@ fn decode_sharded<'a>(
     if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
     }
+    // Each map is one `u64` run; the encoding is the same in every version.
     let mut gids_r = section(SEC_GLOBAL_IDS)?;
     let g_count = gids_r.count(8)?;
     let mut global_ids = Vec::with_capacity(g_count);
@@ -819,7 +927,7 @@ mod tests {
         let mut bytes = frame(SnapshotKind::Checkpoint, &sections);
         bytes[10..12].copy_from_slice(&4u16.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]);
+        let sum = checksum(FORMAT_VERSION, &bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
@@ -880,7 +988,7 @@ mod tests {
         let mut unknown = good.clone();
         unknown[10] = 99;
         let body_len = unknown.len() - 8;
-        let sum = fnv1a64(&unknown[..body_len]);
+        let sum = checksum(FORMAT_VERSION, &unknown[..body_len]);
         unknown[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&unknown),

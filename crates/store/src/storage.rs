@@ -10,6 +10,16 @@
 //! return (the filesystem backend fsyncs the parent directory, where
 //! the name lives), and the two durability recipes are written once
 //! over the trait: [`Dir::write_atomic`] and [`Dir::create_durable`].
+//!
+//! A directory can be claimed by one owner at a time ([`Dir::claim`]):
+//! a write-ahead-log writer holds its directory's [`DirClaim`] for its
+//! lifetime, so a second writer of the same log is refused instead of
+//! appending under the same sequence numbers. The filesystem backend
+//! keys one registry for the whole process by canonical path; each
+//! [`MemoryVolume`] keeps its own, which [`MemoryVolume::crash`]
+//! empties, as a power loss ends every owner. Other processes are not
+//! covered: an operating-system file lock (`File::try_lock`) needs Rust
+//! 1.89, and the workspace builds with 1.87.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +27,7 @@ use std::fs;
 use std::io::{self, ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// An open file. Appends land at its end, also after a truncate.
 pub trait StorageFile: fmt::Debug + Send + Sync {
@@ -50,6 +60,67 @@ pub trait Storage: fmt::Debug + Send + Sync {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Remove the file `path`; durable on return.
     fn remove(&self, path: &Path) -> io::Result<()>;
+    /// Claim the existing directory `dir` for one owner until the
+    /// returned [`DirClaim`] drops. While it is held, a second claim of
+    /// the same directory fails with [`ErrorKind::ResourceBusy`]. The
+    /// claim covers this process only.
+    fn claim(&self, dir: &Path) -> io::Result<DirClaim>;
+}
+
+/// One owner's claim on a directory ([`Storage::claim`]), released when
+/// it drops.
+#[derive(Debug)]
+pub struct DirClaim {
+    claims: Arc<Claims>,
+    key: PathBuf,
+    token: u64,
+}
+
+impl Drop for DirClaim {
+    /// Release the claim, unless a crash already did and the directory
+    /// has a new owner.
+    fn drop(&mut self) {
+        let mut table = locked(&self.claims.0);
+        if table.held.get(&self.key) == Some(&self.token) {
+            table.held.remove(&self.key);
+        }
+    }
+}
+
+/// A registry of claimed directories: what a backend keeps to hand out
+/// [`DirClaim`]s.
+#[derive(Debug, Default)]
+struct Claims(Mutex<ClaimTable>);
+
+/// Each claimed directory's key, with the token of the claim holding it.
+#[derive(Debug, Default)]
+struct ClaimTable {
+    next: u64,
+    held: BTreeMap<PathBuf, u64>,
+}
+
+impl Claims {
+    /// Claim `key`, unless a claim already holds it.
+    fn claim(self: &Arc<Self>, key: PathBuf) -> io::Result<DirClaim> {
+        let mut table = locked(&self.0);
+        if table.held.contains_key(&key) {
+            let message = format!("{} is claimed by another owner", key.display());
+            return Err(io::Error::new(ErrorKind::ResourceBusy, message));
+        }
+        table.next += 1;
+        let token = table.next;
+        table.held.insert(key.clone(), token);
+        Ok(DirClaim {
+            claims: Arc::clone(self),
+            key,
+            token,
+        })
+    }
+
+    /// Release every claim; their owners' drops then release nothing.
+    fn release_all(&self) {
+        locked(&self.0).held.clear();
+    }
 }
 
 /// A directory on a storage backend: what every constructor that
@@ -119,6 +190,12 @@ impl Dir {
     /// Remove file `name`; durable on return.
     pub fn remove(&self, name: &str) -> io::Result<()> {
         self.storage.remove(&self.path.join(name))
+    }
+
+    /// Claim the directory for one owner until the returned
+    /// [`DirClaim`] drops ([`Storage::claim`]).
+    pub fn claim(&self) -> io::Result<DirClaim> {
+        self.storage.claim(&self.path)
     }
 
     /// Atomic replace: write `bytes` to a `.tmp` sibling, flush it, and
@@ -249,6 +326,13 @@ impl Storage for Fs {
         fs::remove_file(path)?;
         sync_parent(path)
     }
+
+    /// One registry for the process, keyed by canonical path, so two
+    /// spellings of one directory are one claim.
+    fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
+        static CLAIMS: LazyLock<Arc<Claims>> = LazyLock::new(Arc::default);
+        CLAIMS.claim(fs::canonicalize(dir)?)
+    }
 }
 
 /// An in-memory volume that can lose power: the backend of
@@ -257,7 +341,8 @@ impl Storage for Fs {
 /// [`Self::crash`] then cuts every file back to that length, as a power
 /// loss would. Names are durable as they change — the trait makes a
 /// rename or remove durable on return, and a created file that was
-/// never flushed comes back empty.
+/// never flushed comes back empty. The volume keeps its own directory
+/// claims, and a crash releases them all.
 #[derive(Debug, Clone)]
 pub struct MemoryVolume(Arc<Mem>);
 
@@ -265,7 +350,10 @@ impl MemoryVolume {
     /// A fresh, empty volume.
     pub fn new() -> Self {
         let root = PathBuf::from("/");
-        MemoryVolume(Arc::new(Mem(Mutex::new(BTreeMap::from([(root, None)])))))
+        MemoryVolume(Arc::new(Mem {
+            entries: Mutex::new(BTreeMap::from([(root, None)])),
+            claims: Arc::default(),
+        }))
     }
 
     /// The volume's root directory.
@@ -274,10 +362,12 @@ impl MemoryVolume {
     }
 
     /// Lose power: every file keeps the bytes its last flush covered and
-    /// loses the rest. Handles opened before the crash still name their
-    /// files; a test drops what the crash killed before it recovers.
+    /// loses the rest, and every directory claim is released. Handles
+    /// opened before the crash still name their files; a test drops what
+    /// the crash killed before it recovers.
     pub fn crash(&self) {
-        for file in locked(&self.0 .0).values().flatten() {
+        self.0.claims.release_all();
+        for file in locked(&self.0.entries).values().flatten() {
             let mut contents = locked(&file.0);
             let synced = contents.synced;
             contents.bytes.truncate(synced);
@@ -292,9 +382,12 @@ impl Default for MemoryVolume {
 }
 
 /// The in-memory volume: path → `None` for a directory, the file
-/// otherwise. An append holds its file's mutex, so a reader never sees
-/// half of one.
-struct Mem(Mutex<Entries>);
+/// otherwise, and the volume's directory claims. An append holds its
+/// file's mutex, so a reader never sees half of one.
+struct Mem {
+    entries: Mutex<Entries>,
+    claims: Arc<Claims>,
+}
 
 type Entries = BTreeMap<PathBuf, Option<Arc<MemFile>>>;
 
@@ -364,7 +457,7 @@ impl StorageFile for MemFile {
 
 impl Storage for Mem {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        let mut entries = locked(&self.0);
+        let mut entries = locked(&self.entries);
         let blocked = dir
             .ancestors()
             .any(|d| matches!(entries.get(d), Some(Some(_))));
@@ -378,7 +471,7 @@ impl Storage for Mem {
     }
 
     fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let entries = locked(&self.0);
+        let entries = locked(&self.entries);
         if !matches!(entries.get(dir), Some(None)) {
             return Err(not_found(dir));
         }
@@ -388,13 +481,13 @@ impl Storage for Mem {
     }
 
     fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-        let file = file(&locked(&self.0), path)?;
+        let file = file(&locked(&self.entries), path)?;
         let bytes = &locked(&file.0).bytes;
         Ok(bytes[(from as usize).min(bytes.len())..].to_vec())
     }
 
     fn create(&self, path: &Path) -> io::Result<FileHandle> {
-        let mut entries = locked(&self.0);
+        let mut entries = locked(&self.entries);
         file_slot(&entries, path)?;
         let slot = entries.entry(path.to_path_buf()).or_default();
         let file = Arc::clone(slot.get_or_insert_default());
@@ -403,11 +496,11 @@ impl Storage for Mem {
     }
 
     fn open(&self, path: &Path) -> io::Result<FileHandle> {
-        Ok(file(&locked(&self.0), path)?)
+        Ok(file(&locked(&self.entries), path)?)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut entries = locked(&self.0);
+        let mut entries = locked(&self.entries);
         let file = file(&entries, from)?;
         file_slot(&entries, to)?;
         entries.remove(from);
@@ -416,9 +509,16 @@ impl Storage for Mem {
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let mut entries = locked(&self.0);
+        let mut entries = locked(&self.entries);
         file(&entries, path)?;
         entries.remove(path);
         Ok(())
+    }
+
+    fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
+        if !matches!(locked(&self.entries).get(dir), Some(None)) {
+            return Err(not_found(dir));
+        }
+        self.claims.claim(dir.to_path_buf())
     }
 }

@@ -4,32 +4,37 @@
 //! `tests/fixtures/` in every format version this binary reads. These
 //! tests assert that (a) today's writer still produces the current
 //! version's bytes **byte-for-byte**, (b) the committed bytes of every
-//! version still load and answer queries, and (c) a version-1 file and
-//! a version-2 file of the same state load to the same relation. An
-//! intentional format change must bump [`pitract_store::FORMAT_VERSION`]
-//! and pin new fixtures; the current version's fixtures are regenerated
-//! with
+//! version still load and answer queries, and (c) files of one state in
+//! versions 1, 2 and 3 load to the same relation. An intentional format
+//! change must bump [`pitract_store::FORMAT_VERSION`] and pin new
+//! fixtures; the current version's fixtures are regenerated with
 //!
 //! ```text
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
 //!
-//! The `*_v1.snap` fixtures were written by the version-1 writer, which
-//! no longer exists. They are read-compat fixtures: nothing rewrites
-//! them, and CI checks they stay byte-identical to the commit.
+//! Versions 1 and 2 are read-compat versions: the `*_v1.snap` and
+//! `*_v2.snap` fixtures were written by writers that no longer exist
+//! (version 2 wrote a body row by row under an FNV-1a checksum, version
+//! 1 also wrote postings). Nothing rewrites them, and CI checks they
+//! stay byte-identical to the commit. This file keeps a writer for each
+//! old layout ([`v2_bytes`], [`v1_bytes`]), checked byte for byte
+//! against those fixtures, so a file of any state can be made in any
+//! version.
 
 use pitract_core::cost::Meter;
-use pitract_core::hash::fnv1a64;
 use pitract_engine::{EngineError, PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Columns, IndexedError, Relation, Schema, SelectionQuery, Value};
 use pitract_store::codec::{Reader, Writer};
+use pitract_store::snapshot::checksum;
 use pitract_store::{Snapshot, StoreError, FORMAT_VERSION, MAGIC};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 /// Section tags, as the `pitract_store::snapshot` module docs list them.
+const SEC_BODY: u32 = 2;
 const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARDS: u32 = 5;
 const SEC_INDEXED_COLS: u32 = 14;
@@ -133,7 +138,7 @@ fn reframe(like: &[u8], version: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
         w.raw(payload);
     }
     let mut bytes = w.into_bytes();
-    let sum = fnv1a64(&bytes);
+    let sum = checksum(version, &bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     bytes
 }
@@ -172,11 +177,45 @@ fn write_v1_postings(w: &mut Writer, ir: &IndexedRelation) {
     }
 }
 
+/// A version-2 relation body: the slot count, then each slot row by
+/// row (tag 0 dead; tag 1 live, then the row's tagged values). Version 1
+/// wrote rows the same way.
+fn write_slots(w: &mut Writer, ir: &IndexedRelation) {
+    w.usize(ir.slot_count());
+    for slot in ir.slots() {
+        w.opt_row(slot);
+    }
+}
+
+/// `snapshot` laid out as the version-2 writer laid it out: each body
+/// row by row, under an FNV-1a checksum; every other section as version
+/// 3 writes it. Checked against the committed v2 fixtures.
+fn v2_bytes(snapshot: &Snapshot) -> Vec<u8> {
+    let v3 = snapshot.to_bytes();
+    let mut sections = sections(&v3);
+    let mut w = Writer::new();
+    match snapshot {
+        Snapshot::Indexed(ir) => {
+            write_slots(&mut w, ir);
+            *section_mut(&mut sections, SEC_BODY) = w.into_bytes();
+        }
+        Snapshot::Sharded(sr) => {
+            w.usize(sr.shard_count());
+            for shard in sr.shards() {
+                write_slots(&mut w, shard);
+            }
+            *section_mut(&mut sections, SEC_SHARDS) = w.into_bytes();
+        }
+        other => panic!("a {} holds no relation body", other.kind()),
+    }
+    reframe(&v3, 2, &sections)
+}
+
 /// `snapshot` laid out as the version-1 writer laid it out: each body's
 /// rows followed by its postings, and no section 14. Checked against the
 /// committed v1 fixtures, so a v1 file of any state can be made.
 fn v1_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let v2 = snapshot.to_bytes();
+    let v2 = v2_bytes(snapshot);
     let mut sections = sections(&v2);
     sections.retain(|(tag, _)| *tag != SEC_INDEXED_COLS);
     let mut w = Writer::new();
@@ -188,10 +227,7 @@ fn v1_bytes(snapshot: &Snapshot) -> Vec<u8> {
         Snapshot::Sharded(sr) => {
             w.usize(sr.shard_count());
             for shard in sr.shards() {
-                w.usize(shard.slot_count());
-                for slot in shard.slots() {
-                    w.opt_row(slot);
-                }
+                write_slots(&mut w, shard);
                 write_v1_postings(&mut w, shard);
             }
             *section_mut(&mut sections, SEC_SHARDS) = w.into_bytes();
@@ -246,7 +282,7 @@ fn metered_answers(ir: &IndexedRelation) -> Vec<(bool, u64, Vec<usize>, u64)> {
 #[test]
 fn indexed_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "indexed_v2.snap",
+        "indexed_v3.snap",
         &Snapshot::Indexed(fixture_indexed()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -270,7 +306,7 @@ fn indexed_fixture_is_byte_stable_and_loads() {
 #[test]
 fn sharded_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "sharded_v2.snap",
+        "sharded_v3.snap",
         &Snapshot::Sharded(fixture_sharded()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -323,6 +359,41 @@ fn v1_fixtures_load_like_their_v2_twins() {
     }
 }
 
+/// The v2 fixtures still load, and answer exactly as the v3 fixtures of
+/// the same state do: the same slots and indexed columns, the same
+/// Booleans, row ids and metered steps per query, and for the sharded
+/// relation the same global-id maps and locations.
+#[test]
+fn v2_fixtures_load_like_their_v3_twins() {
+    let v2 = read_fixture("indexed_v2.snap");
+    assert_eq!(
+        v2_bytes(&Snapshot::Indexed(fixture_indexed())),
+        v2,
+        "the test's v2 writer reproduces the v2 writer's bytes"
+    );
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
+    let (old, new) = (load(&v2), load(&read_fixture("indexed_v3.snap")));
+    assert_eq!(old.slot_count(), new.slot_count());
+    assert_eq!(old.indexed_columns(), new.indexed_columns());
+    assert_eq!(metered_answers(&old), metered_answers(&new));
+    assert!(old.slots().eq(new.slots()), "the same rows and tombstones");
+
+    let v2 = read_fixture("sharded_v2.snap");
+    assert_eq!(v2_bytes(&Snapshot::Sharded(fixture_sharded())), v2);
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
+    let (old, new) = (load(&v2), load(&read_fixture("sharded_v3.snap")));
+    assert_eq!(old.global_id_maps(), new.global_id_maps());
+    assert_eq!(old.locations(), new.locations());
+    for (a, b) in old.shards().iter().zip(new.shards()) {
+        assert_eq!(a.indexed_columns(), b.indexed_columns());
+        assert_eq!(metered_answers(a), metered_answers(b));
+        assert!(a.slots().eq(b.slots()));
+    }
+    for q in queries() {
+        assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
+    }
+}
+
 /// A v1 posting that points key -3 at row 1 (live, holding 0) was
 /// refused as a dangling posting while postings were loaded. Now they
 /// are skipped unread: the file loads and answers from its rows. A
@@ -358,19 +429,22 @@ fn a_corrupt_v1_posting_is_skipped_and_the_rows_answer() {
     ));
 }
 
-/// A v2 file naming an indexed column its schema lacks is refused with
-/// the relation layer's typed error, standalone or sharded.
+/// A v2 or v3 file naming an indexed column its schema lacks is refused
+/// with the relation layer's typed error, standalone or sharded.
 #[test]
 fn an_out_of_range_indexed_column_is_refused() {
-    for v2 in [
-        read_fixture("indexed_v2.snap"),
-        read_fixture("sharded_v2.snap"),
+    for (name, version) in [
+        ("indexed_v2.snap", 2),
+        ("sharded_v2.snap", 2),
+        ("indexed_v3.snap", 3),
+        ("sharded_v3.snap", 3),
     ] {
-        let mut bad = sections(&v2);
+        let file = read_fixture(name);
+        let mut bad = sections(&file);
         let mut cols = Writer::new();
         cols.usize_seq(&[0, 5]);
         *section_mut(&mut bad, SEC_INDEXED_COLS) = cols.into_bytes();
-        match Snapshot::from_bytes(&reframe(&v2, FORMAT_VERSION, &bad)) {
+        match Snapshot::from_bytes(&reframe(&file, version, &bad)) {
             Err(StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 })) => {}
             other => panic!("expected ColumnOutOfRange, got {other:?}"),
         }
@@ -379,7 +453,7 @@ fn an_out_of_range_indexed_column_is_refused() {
 
 #[test]
 fn bumped_version_is_rejected_with_version_mismatch() {
-    let mut bytes = read_fixture("indexed_v2.snap");
+    let mut bytes = read_fixture("indexed_v3.snap");
     // Bytes 8..10 are the little-endian format version.
     let bumped = FORMAT_VERSION + 1;
     bytes[8..10].copy_from_slice(&bumped.to_le_bytes());
@@ -480,7 +554,7 @@ fn loaded_parts_are_still_validated() {
 /// The load path's own failure mode: a tombstone is stored as `0` / `""`
 /// placeholder cells, and a rebuild that posted them would find deleted
 /// rows. Tombstone the only row holding `Int 0` and the only one holding
-/// `""`, save and load in both formats, standalone and sharded: neither
+/// `""`, save and load in every format, standalone and sharded: neither
 /// value is found, a range over 0 yields no dead id, and a row holding
 /// both that arrives later is found.
 #[test]
@@ -501,7 +575,11 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     ir.delete(1).unwrap(); // (0, "héllo")
     ir.delete(5).unwrap(); // (1000, "")
     let snapshot = Snapshot::Indexed(ir);
-    for bytes in [v1_bytes(&snapshot), snapshot.to_bytes()] {
+    for bytes in [
+        v1_bytes(&snapshot),
+        v2_bytes(&snapshot),
+        snapshot.to_bytes(),
+    ] {
         let mut loaded = Snapshot::from_bytes(&bytes)
             .unwrap()
             .into_indexed()
@@ -529,7 +607,11 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     sr.delete(1).unwrap();
     sr.delete(5).unwrap();
     let snapshot = Snapshot::Sharded(sr);
-    for bytes in [v1_bytes(&snapshot), snapshot.to_bytes()] {
+    for bytes in [
+        v1_bytes(&snapshot),
+        v2_bytes(&snapshot),
+        snapshot.to_bytes(),
+    ] {
         let mut loaded = Snapshot::from_bytes(&bytes)
             .unwrap()
             .into_sharded()
@@ -541,6 +623,147 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
         let gid = loaded.insert(newcomer()).unwrap();
         for q in probes {
             assert_eq!(loaded.matching_ids(q), vec![gid], "{q:?}");
+        }
+    }
+}
+
+/// A version-3 relation body written field by field: the slot count,
+/// the bitmap's word count and words, then an `Int` column and a `Str`
+/// column (arena, cell count, end offsets), each count taken from its
+/// slice.
+fn v3_body(slots: u64, bits: &[u64], ints: &[i64], arena: &[u8], ends: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(slots);
+    w.usize(bits.len());
+    w.u64_run(bits);
+    w.usize(ints.len());
+    w.i64_run(ints);
+    w.usize(arena.len());
+    w.raw(arena);
+    w.usize(ends.len());
+    w.u64_run(ends);
+    w.into_bytes()
+}
+
+/// Every v3 section refuses bad input with a typed error, never a panic:
+/// a short `i64` run, end offsets that decrease, overrun the arena or
+/// land inside a character, an arena that is not UTF-8, and a bitmap
+/// with the wrong word count, a bit past the slot count, or a popcount
+/// the columns disagree with — in a standalone body and in a shard's.
+#[test]
+fn every_v3_section_refuses_bad_input_typed() {
+    // The fixture: slots 0, 1, 3, 4 and 5 live; "héllo" and "日本語"
+    // hold multi-byte characters.
+    let arena = "alphahélloalpha日本語".as_bytes();
+    let (ints, ends) = ([-3, 0, 7, 42, 1000], [5, 11, 16, 25, 25]);
+    let good = v3_body(6, &[0b11_1011], &ints, arena, &ends);
+    let v3 = read_fixture("indexed_v3.snap");
+    assert_eq!(
+        *section_mut(&mut sections(&v3), SEC_BODY),
+        good,
+        "the field-by-field body is the writer's"
+    );
+    let load = |body: Vec<u8>| {
+        let mut parts = sections(&v3);
+        *section_mut(&mut parts, SEC_BODY) = body;
+        Snapshot::from_bytes(&reframe(&v3, 3, &parts))
+    };
+    let refused = |body: Vec<u8>, why: &str| match load(body) {
+        Err(StoreError::Indexed(IndexedError::BadColumns(got))) => {
+            assert!(got.contains(why), "{got}")
+        }
+        other => panic!("expected BadColumns({why}), got {other:?}"),
+    };
+    assert!(load(good.clone()).is_ok());
+
+    // A short i64 run: cut inside it, or a count past the section.
+    let int_run = 8 * 4;
+    assert!(matches!(
+        load(good[..int_run + 8 * 3 + 4].to_vec()),
+        Err(StoreError::Truncated)
+    ));
+    let mut overlong = good.clone();
+    overlong[8 * 3..8 * 4].copy_from_slice(&1000u64.to_le_bytes());
+    assert!(matches!(load(overlong), Err(StoreError::Truncated)));
+
+    // End offsets.
+    refused(
+        v3_body(6, &[0b11_1011], &ints, arena, &[5, 11, 10, 25, 25]),
+        "below",
+    );
+    refused(
+        v3_body(6, &[0b11_1011], &ints, arena, &[5, 11, 16, 25, 26]),
+        "overruns",
+    );
+    refused(
+        v3_body(6, &[0b11_1011], &ints, arena, &[5, 7, 16, 25, 25]),
+        "splits",
+    );
+    refused(
+        v3_body(6, &[0b11_1011], &ints, arena, &[5, 11, 16, 18, 25]),
+        "splits",
+    );
+    refused(
+        v3_body(6, &[0b11_1011], &ints, arena, &[5, 11, 16, 25, 16]),
+        "below",
+    );
+
+    // An arena that is not UTF-8.
+    let mut bad_utf8 = arena.to_vec();
+    bad_utf8[6] = 0xFF;
+    assert!(matches!(
+        load(v3_body(6, &[0b11_1011], &ints, &bad_utf8, &ends)),
+        Err(StoreError::Corrupt(why)) if why.contains("UTF-8")
+    ));
+
+    // The bitmap.
+    refused(
+        v3_body(6, &[0b11_1011, 0], &ints, arena, &ends),
+        "2 words for 6 slots",
+    );
+    refused(v3_body(6, &[], &ints, arena, &ends), "0 words for 6 slots");
+    refused(
+        v3_body(6, &[0b1_0001_1011], &ints, arena, &ends),
+        "past slot count 6",
+    );
+    refused(
+        v3_body(6, &[0b11_1111], &ints, arena, &ends),
+        "for 6 live slots",
+    );
+    refused(
+        v3_body(6, &[0b11_1010], &ints, arena, &ends),
+        "for 4 live slots",
+    );
+
+    // A shard's body goes through the same checks.
+    let v3 = read_fixture("sharded_v3.snap");
+    let mut parts = sections(&v3);
+    let shards = section_mut(&mut parts, SEC_SHARDS);
+    let first = &mut shards[8 + 8 + 8..8 + 8 + 8 + 8];
+    first[0] ^= 1 << 7; // a live bit past the first shard's slot count
+    assert!(matches!(
+        Snapshot::from_bytes(&reframe(&v3, 3, &parts)),
+        Err(StoreError::Indexed(IndexedError::BadColumns(why))) if why.contains("past slot count")
+    ));
+}
+
+/// The v3 checksum covers every byte: a flip anywhere before the
+/// trailer, including in the header and section table, fails it.
+#[test]
+fn the_v3_checksum_covers_every_byte() {
+    let v3 = read_fixture("sharded_v3.snap");
+    for at in (0..v3.len() - 8).filter(|&at| !(8..10).contains(&at)) {
+        let mut flipped = v3.clone();
+        flipped[at] ^= 0x10;
+        assert!(Snapshot::from_bytes(&flipped).is_err(), "flip at {at}");
+        if at >= 12 {
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&flipped),
+                    Err(StoreError::ChecksumMismatch)
+                ),
+                "flip at {at}"
+            );
         }
     }
 }

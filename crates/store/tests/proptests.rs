@@ -9,10 +9,11 @@
 //!    snapshots, or truncated prefixes of valid snapshots returns a typed
 //!    error — it never panics and never over-allocates.
 
-use pitract_core::hash::fnv1a64;
+use pitract_engine::{ShardBy, ShardedRelation};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_store::codec::{Reader, Writer};
+use pitract_store::snapshot::checksum;
 use pitract_store::{Snapshot, FORMAT_VERSION, MAGIC};
 use proptest::prelude::*;
 
@@ -72,41 +73,64 @@ proptest! {
     }
 
     /// Whole-snapshot roundtrip equals the cold-rebuilt oracle on every
-    /// query — the Π-once contract at property-test scale.
+    /// query — the Π-once contract at property-test scale. The state
+    /// has random deletes among built and inserted rows and multi-byte
+    /// `Str` cells, so a body carries a bitmap with dead slots, `Str`
+    /// runs whose dead cells were left out, and placeholders come back
+    /// at the dead slots; the sharded twin checks global ids too.
     #[test]
     fn snapshot_roundtrip_matches_cold_rebuild(
         keys in prop::collection::vec((0i64..200, 0usize..16), 1..60),
-        deletes in prop::collection::vec(0usize..60, 0..10),
+        inserts in prop::collection::vec((0i64..200, 0usize..16), 0..20),
+        deletes in prop::collection::vec(0usize..80, 0..25),
         probes in prop::collection::vec(0i64..220, 1..10)
     ) {
         let schema = Schema::new(&[("k", ColType::Int), ("tag", ColType::Str)]);
-        let rows: Vec<Vec<Value>> = keys
-            .iter()
-            .map(|&(k, p)| vec![Value::Int(k), Value::str(UTF8_POOL[p % UTF8_POOL.len()])])
-            .collect();
-        let rel = Relation::from_rows(schema, rows).expect("valid rows");
+        let row = |&(k, p): &(i64, usize)| {
+            vec![Value::Int(k), Value::str(UTF8_POOL[p % UTF8_POOL.len()])]
+        };
+        let rel = Relation::from_rows(schema, keys.iter().map(row).collect()).expect("valid rows");
         let mut ir = IndexedRelation::build(&rel, &[0, 1]).expect("valid columns");
+        let mut sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 1 }, 3, &[0, 1])
+            .expect("valid sharding");
+        for spec in &inserts {
+            ir.insert(row(spec)).expect("admitted");
+            sr.insert(row(spec)).expect("admitted");
+        }
+        let slots = keys.len() + inserts.len();
         for d in deletes {
-            ir.delete(d % keys.len());
+            ir.delete(d % slots);
+            sr.delete(d % slots);
         }
 
-        let bytes = Snapshot::Indexed(ir).to_bytes();
+        let bytes = Snapshot::Indexed(ir.clone()).to_bytes();
         let warm = Snapshot::from_bytes(&bytes)
             .expect("own bytes load")
             .into_indexed()
             .expect("kind preserved");
+        prop_assert!(warm.slots().eq(ir.slots()), "the same rows and tombstones");
+        prop_assert_eq!(Snapshot::Indexed(warm.clone()).to_bytes(), bytes);
         // Cold oracle: rebuild Π from the surviving rows.
         let cold = IndexedRelation::build(&warm.to_relation(), &[0, 1]).expect("rebuild");
 
+        let sharded = Snapshot::from_bytes(&Snapshot::Sharded(sr.clone()).to_bytes())
+            .expect("own bytes load")
+            .into_sharded()
+            .expect("kind preserved");
+        prop_assert_eq!(sharded.global_id_maps(), sr.global_id_maps());
+        prop_assert_eq!(sharded.locations(), sr.locations());
+
+        let mut queries = Vec::new();
         for k in probes {
-            let q = SelectionQuery::point(0, k);
-            prop_assert_eq!(warm.answer(&q), cold.answer(&q), "{:?}", q);
-            let q = SelectionQuery::range_closed(0, k - 5, k + 5);
-            prop_assert_eq!(warm.answer(&q), cold.answer(&q), "{:?}", q);
+            queries.push(SelectionQuery::point(0, k));
+            queries.push(SelectionQuery::range_closed(0, k - 5, k + 5));
         }
         for s in UTF8_POOL {
-            let q = SelectionQuery::point(1, s);
-            prop_assert_eq!(warm.answer(&q), cold.answer(&q), "{:?}", q);
+            queries.push(SelectionQuery::point(1, s));
+        }
+        for q in &queries {
+            prop_assert_eq!(warm.answer(q), cold.answer(q), "{:?}", q);
+            prop_assert_eq!(sharded.matching_ids(q), sr.matching_ids(q), "{:?}", q);
         }
     }
 
@@ -134,7 +158,7 @@ proptest! {
         let mut forged = MAGIC.to_vec();
         forged.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         forged.extend_from_slice(&body);
-        let sum = fnv1a64(&forged);
+        let sum = checksum(FORMAT_VERSION, &forged);
         forged.extend_from_slice(&sum.to_le_bytes());
         let _ = Snapshot::from_bytes(&forged);
     }
@@ -142,21 +166,28 @@ proptest! {
     /// Every truncated prefix and every single-byte corruption of a valid
     /// snapshot is rejected with an error (or, for corruptions the
     /// checksum provably cannot miss at these sizes, loads as *something*)
-    /// — and never panics.
+    /// — and never panics. The state has random deletes and multi-byte
+    /// `Str` cells, so cuts and flips land in bitmaps, `i64` runs, arenas
+    /// and end offsets alike; with the checksum forged valid, a flip
+    /// reaches the section decoders themselves.
     #[test]
     fn truncations_and_flips_never_panic(
-        n in 1i64..40,
+        cells in prop::collection::vec((any::<i64>(), 0usize..16), 1..40),
+        deletes in prop::collection::vec(0usize..40, 0..12),
         cut_seed in any::<usize>(),
         flip_seed in any::<usize>(),
         xor in 1u8..=255
     ) {
-        let schema = Schema::new(&[("k", ColType::Int)]);
-        let rel = Relation::from_rows(
-            schema,
-            (0..n).map(|i| vec![Value::Int(i)]).collect(),
-        )
-        .expect("valid rows");
-        let ir = IndexedRelation::build(&rel, &[0]).expect("valid column");
+        let schema = Schema::new(&[("k", ColType::Int), ("tag", ColType::Str)]);
+        let rows = cells
+            .iter()
+            .map(|&(k, p)| vec![Value::Int(k), Value::str(UTF8_POOL[p % UTF8_POOL.len()])])
+            .collect();
+        let rel = Relation::from_rows(schema, rows).expect("valid rows");
+        let mut ir = IndexedRelation::build(&rel, &[0, 1]).expect("valid columns");
+        for d in deletes {
+            ir.delete(d % cells.len());
+        }
         let good = Snapshot::Indexed(ir).to_bytes();
 
         let cut = cut_seed % good.len();
@@ -166,6 +197,10 @@ proptest! {
         let at = flip_seed % flipped.len();
         flipped[at] ^= xor;
         let _ = Snapshot::from_bytes(&flipped); // must not panic
+        let body = flipped.len() - 8;
+        let sum = checksum(FORMAT_VERSION, &flipped[..body]);
+        flipped[body..].copy_from_slice(&sum.to_le_bytes());
+        let _ = Snapshot::from_bytes(&flipped); // nor past the checksum
         prop_assert!(Snapshot::from_bytes(&good).is_ok(), "pristine bytes load");
     }
 }

@@ -3,7 +3,7 @@
 //! reports an error, as a rename does whose directory fsync failed; and
 //! on a [`MemoryVolume`] that loses power.
 
-use pitract_store::storage::{Dir, FileHandle, MemoryVolume, Storage};
+use pitract_store::storage::{Dir, DirClaim, FileHandle, MemoryVolume, Storage};
 use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +46,10 @@ impl Storage for RenameLandsThenFails {
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         self.inner.remove(path)
+    }
+
+    fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
+        self.inner.claim(dir)
     }
 }
 
@@ -118,4 +122,27 @@ fn a_power_loss_keeps_exactly_the_flushed_bytes() {
     let mut names = dir.list().unwrap();
     names.sort();
     assert_eq!(names, ["cut", "fresh", "log", "snap"]);
+}
+
+/// A power loss ends every owner: a crash releases the volume's
+/// directory claims, and a claim from before the crash, dropped after
+/// it, does not release the new owner's.
+#[test]
+fn a_crash_releases_directory_claims() {
+    let volume = MemoryVolume::new();
+    let dir = volume.root().join("wal");
+    dir.create_dir_all().unwrap();
+    let before = dir.claim().unwrap();
+    assert_eq!(dir.claim().unwrap_err().kind(), ErrorKind::ResourceBusy);
+    volume.crash();
+    let after = dir.claim().unwrap();
+    drop(before);
+    assert_eq!(dir.claim().unwrap_err().kind(), ErrorKind::ResourceBusy);
+    drop(after);
+    drop(dir.claim().unwrap());
+    // Another volume's directory of the same path is another directory.
+    let other = MemoryVolume::new().root().join("wal");
+    other.create_dir_all().unwrap();
+    let _held = dir.claim().unwrap();
+    drop(other.claim().unwrap());
 }

@@ -19,7 +19,8 @@
 //! appends exactly one WAL record per applied update and every applied
 //! update ticks the epoch once, the two advance in lockstep:
 //! `lsn = mark + (epoch - cut)`, anchored at the mark and cut epoch of
-//! the checkpoint the node started from. A freeze's cut epoch therefore
+//! the checkpoint the node started from ([`EpochLsn`], which a
+//! replication follower keeps too). A freeze's cut epoch therefore
 //! translates directly into the checkpoint's WAL mark
 //! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
 //! mapping: load the checkpoint, replay the WAL tail at-or-after the
@@ -75,6 +76,42 @@ impl WalSink for WalWriterSink {
     }
 }
 
+/// The epoch ↔ LSN dictionary: a checkpoint's WAL mark and cut epoch,
+/// the pair both clocks are anchored at. One applied update is one WAL
+/// record and one epoch tick, so `lsn = mark + (epoch - cut)`; the
+/// dictionary is fixed by the checkpoint alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochLsn {
+    mark: u64,
+    cut: Epoch,
+}
+
+impl EpochLsn {
+    /// The dictionary of a checkpoint whose state, frozen at epoch
+    /// `cut`, covers every WAL record below `mark`.
+    pub fn new(mark: u64, cut: Epoch) -> Self {
+        EpochLsn { mark, cut }
+    }
+
+    /// The anchoring checkpoint's WAL mark.
+    pub fn mark(self) -> u64 {
+        self.mark
+    }
+
+    /// LSN of the first WAL record *not* covered by `epoch`. Epochs
+    /// before the cut clamp to the mark.
+    pub fn lsn_of_epoch(self, epoch: Epoch) -> u64 {
+        self.mark + epoch.get().saturating_sub(self.cut.get())
+    }
+
+    /// The epoch whose state covers exactly the WAL records below
+    /// `lsn` — the inverse of [`Self::lsn_of_epoch`]. LSNs below the
+    /// mark clamp to the cut.
+    pub fn epoch_of_lsn(self, lsn: u64) -> Epoch {
+        Epoch::new(self.cut.get() + lsn.saturating_sub(self.mark))
+    }
+}
+
 /// What [`DurableLiveRelation::recover`] reconstructed: where the
 /// recovered node's clocks resumed and how much replay it took to get
 /// there.
@@ -101,11 +138,9 @@ pub struct Recovered {
 pub struct DurableLiveRelation {
     live: LiveRelation,
     wal: Arc<WalWriter>,
-    /// The mark of the checkpoint this node started from (bootstrap or
-    /// recovered): the LSN half of the epoch ↔ LSN dictionary's anchor.
-    wal_base: u64,
-    /// That checkpoint's cut epoch: the other half of the anchor.
-    epoch_base: u64,
+    /// The epoch ↔ LSN dictionary of the checkpoint this node started
+    /// from (bootstrap or recovered).
+    clock: EpochLsn,
     /// The latest durably confirmed checkpoint mark: the one truncation
     /// point. It moves only after a checkpoint's snapshot is saved, so
     /// compaction never drops a record a durable snapshot does not
@@ -162,8 +197,7 @@ impl DurableLiveRelation {
         Ok(DurableLiveRelation {
             live,
             wal,
-            wal_base: mark,
-            epoch_base: frozen.epoch.get(),
+            clock: EpochLsn::new(mark, frozen.epoch),
             last_mark: AtomicU64::new(mark),
             recovered: None,
         })
@@ -186,7 +220,7 @@ impl DurableLiveRelation {
         wal_dir: impl Into<Dir>,
         config: WalConfig,
     ) -> Result<Self, WalError> {
-        let (mut live, wal, mark, cut, replayed) = recover_live(catalog, name, wal_dir, config)?;
+        let (mut live, wal, clock, replayed) = recover_live(catalog, name, wal_dir, config)?;
         let wal = Arc::new(wal);
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         let recovered = Recovered {
@@ -197,9 +231,8 @@ impl DurableLiveRelation {
         Ok(DurableLiveRelation {
             live,
             wal,
-            wal_base: mark,
-            epoch_base: cut.get(),
-            last_mark: AtomicU64::new(mark),
+            clock,
+            last_mark: AtomicU64::new(clock.mark()),
             recovered: Some(recovered),
         })
     }
@@ -227,18 +260,18 @@ impl DurableLiveRelation {
     }
 
     /// LSN of the first WAL record *not* covered by `epoch`: the
-    /// epoch ↔ LSN dictionary. Meaningful for epochs at or after the cut
-    /// of the checkpoint this node started from; earlier epochs clamp
-    /// to that checkpoint's mark.
+    /// epoch ↔ LSN dictionary ([`EpochLsn::lsn_of_epoch`]) of the
+    /// checkpoint this node started from. Earlier epochs clamp to that
+    /// checkpoint's mark.
     pub fn lsn_of_epoch(&self, epoch: Epoch) -> u64 {
-        self.wal_base + epoch.get().saturating_sub(self.epoch_base)
+        self.clock.lsn_of_epoch(epoch)
     }
 
     /// The epoch whose state covers exactly the WAL records below
     /// `lsn` — the inverse of [`Self::lsn_of_epoch`]. LSNs below the
     /// starting checkpoint's mark clamp to its cut epoch.
     pub fn epoch_of_lsn(&self, lsn: u64) -> Epoch {
-        Epoch::new(self.epoch_base + lsn.saturating_sub(self.wal_base))
+        self.clock.epoch_of_lsn(lsn)
     }
 
     /// Checkpoint: freeze the live state and persist it with its WAL
@@ -311,17 +344,18 @@ impl DurableLiveRelation {
 /// tick per update the log's writer applied — LSN gaps that compaction
 /// left count, as the crashed node's clock did.
 ///
-/// Returns `(live, wal, mark, cut, replayed)`: the replayed relation
+/// Returns `(live, wal, clock, replayed)`: the replayed relation
 /// (recording into `config.recorder`), the positioned writer, the
-/// checkpoint's WAL mark and cut epoch, and how many entries the replay
+/// checkpoint's epoch ↔ LSN dictionary, and how many entries the replay
 /// applied.
 pub fn recover_live(
     catalog: &SnapshotCatalog,
     name: &str,
     dir: impl Into<Dir>,
     config: WalConfig,
-) -> Result<(LiveRelation, WalWriter, u64, Epoch, usize), WalError> {
+) -> Result<(LiveRelation, WalWriter, EpochLsn, usize), WalError> {
     let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
+    let clock = EpochLsn::new(mark, cut);
     // One directory scan serves both sides: the writer truncates the torn
     // tail and takes its append position from it, the reader decodes its
     // records for replay — the log is read and checksummed once. Only the
@@ -353,8 +387,8 @@ pub fn recover_live(
     if let Some(next_gid) = next_gid {
         live.burn_gids_to(next_gid);
     }
-    live.advance_epoch_to(Epoch::new(cut.get() + (wal.next_lsn() - mark)));
-    Ok((live, wal, mark, cut, replayed))
+    live.advance_epoch_to(clock.epoch_of_lsn(wal.next_lsn()));
+    Ok((live, wal, clock, replayed))
 }
 
 /// Serve a durable node from a
@@ -412,7 +446,7 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-    use pitract_store::storage::{FileHandle, Storage, StorageFile};
+    use pitract_store::storage::{DirClaim, FileHandle, Storage, StorageFile};
     use pitract_store::MemoryVolume;
     use std::io;
     use std::sync::atomic::AtomicBool;
@@ -470,6 +504,64 @@ mod tests {
         }
         assert!(recovered.answer(&SelectionQuery::point(0, 501i64)));
         assert!(!recovered.answer(&SelectionQuery::point(0, 500i64)));
+    }
+
+    /// The dictionary maps each epoch from the cut on to one LSN and
+    /// back, and clamps what lies before its anchor.
+    #[test]
+    fn epoch_lsn_inverts_from_its_anchor_and_clamps_before_it() {
+        let clock = EpochLsn::new(100, Epoch::new(40));
+        assert_eq!(clock.mark(), 100);
+        for tick in 0..5 {
+            let epoch = Epoch::new(40 + tick);
+            assert_eq!(clock.lsn_of_epoch(epoch), 100 + tick);
+            assert_eq!(clock.epoch_of_lsn(clock.lsn_of_epoch(epoch)), epoch);
+        }
+        assert_eq!(clock.lsn_of_epoch(Epoch::new(3)), 100);
+        assert_eq!(clock.epoch_of_lsn(7), Epoch::new(40));
+    }
+
+    /// A WAL has one writer: recovering a second node from the directory
+    /// a live node still writes fails typed and appends nothing, the
+    /// first node keeps writing, and once it drops its log recovers
+    /// whole.
+    #[test]
+    fn recovering_a_log_its_node_still_writes_is_refused() {
+        let volume = MemoryVolume::new();
+        let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
+        let wal_dir = volume.root().join("wal");
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        node.insert(vec![Value::Int(100), Value::str("a")]).unwrap();
+        match DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()) {
+            Err(WalError::DirInUse { dir }) => assert_eq!(dir, "/wal"),
+            other => panic!("expected DirInUse, got {other:?}"),
+        }
+        assert!(matches!(
+            WalWriter::open(wal_dir.join("."), config()),
+            Err(WalError::DirInUse { .. })
+        ));
+        node.insert(vec![Value::Int(101), Value::str("b")]).unwrap();
+        node.delete(2).unwrap().unwrap();
+        let lsns: Vec<u64> = WalReader::open(&wal_dir)
+            .unwrap()
+            .records()
+            .iter()
+            .map(|r| r.lsn)
+            .collect();
+        assert_eq!(lsns, vec![0, 1, 2], "one writer, one LSN sequence");
+        let (rows, len) = (
+            (0..12).map(|gid| node.row(gid)).collect::<Vec<_>>(),
+            node.len(),
+        );
+        drop(node);
+
+        let recovered = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
+        assert_eq!(recovered.len(), len);
+        for (gid, row) in rows.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), row, "gid {gid}");
+        }
+        assert_eq!(recovered.recovery_summary().unwrap().replayed, 3);
     }
 
     #[test]
@@ -537,22 +629,26 @@ mod tests {
             }
         }
         node.wal().rotate_now().unwrap();
+        let mark = node.checkpoint_mark();
+        drop(node);
 
-        let before = DurableLiveRelation::recover(&catalog, "ckpt", &wal_dir, config()).unwrap();
-        let report = node.compact_wal().unwrap();
-        assert!(report.records_after < report.records_before, "{report:?}");
-        let after = DurableLiveRelation::recover(&catalog, "ckpt", &wal_dir, config()).unwrap();
-        assert_eq!(before.len(), after.len());
-        for gid in 0..60 {
-            assert_eq!(before.row(gid), after.row(gid), "gid {gid}");
-        }
-        for q in [
+        // One writer at a time: each recovered node drops before the
+        // next open, so its state is kept as data.
+        let queries = [
             SelectionQuery::point(1, "churn"),
             SelectionQuery::point(1, "tail"),
             SelectionQuery::range_closed(0, 0i64, 500i64),
-        ] {
-            assert_eq!(before.matching_ids(&q), after.matching_ids(&q), "{q:?}");
-        }
+        ];
+        let recovered_state = || {
+            let node = DurableLiveRelation::recover(&catalog, "ckpt", &wal_dir, config()).unwrap();
+            let rows: Vec<_> = (0..60).map(|gid| node.row(gid)).collect();
+            let ids: Vec<_> = queries.iter().map(|q| node.matching_ids(q)).collect();
+            (node.len(), rows, ids)
+        };
+        let before = recovered_state();
+        let report = Compactor::new(mark).compact_dir(&wal_dir).unwrap();
+        assert!(report.records_after < report.records_before, "{report:?}");
+        assert_eq!(recovered_state(), before);
     }
 
     #[test]
@@ -675,6 +771,16 @@ mod tests {
             .unwrap();
         node.delete(5).unwrap().unwrap();
         assert_eq!(node.wal().next_lsn(), 62);
+        let queries = [
+            SelectionQuery::point(0, 777i64),
+            SelectionQuery::point(0, 5i64),
+            SelectionQuery::point(1, "churn"),
+            SelectionQuery::range_closed(0, 0i64, 1_000i64),
+        ];
+        let (epoch, len) = (node.current_epoch(), node.len());
+        let rows: Vec<_> = (0..55).map(|gid| node.row(gid)).collect();
+        let ids: Vec<_> = queries.iter().map(|q| node.matching_ids(q)).collect();
+        drop(node);
 
         let recovered = DurableLiveRelation::recover(&catalog, "base", &wal_dir, config()).unwrap();
         assert_eq!(
@@ -687,20 +793,15 @@ mod tests {
         assert_eq!(summary.lsn, 62);
         assert_eq!(
             recovered.current_epoch(),
-            node.current_epoch(),
+            epoch,
             "compaction must not slow the epoch clock"
         );
-        assert_eq!(recovered.len(), node.len());
-        for gid in 0..55 {
-            assert_eq!(recovered.row(gid), node.row(gid), "gid {gid}");
+        assert_eq!(recovered.len(), len);
+        for (gid, row) in rows.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), row, "gid {gid}");
         }
-        for q in [
-            SelectionQuery::point(0, 777i64),
-            SelectionQuery::point(0, 5i64),
-            SelectionQuery::point(1, "churn"),
-            SelectionQuery::range_closed(0, 0i64, 1_000i64),
-        ] {
-            assert_eq!(recovered.matching_ids(&q), node.matching_ids(&q), "{q:?}");
+        for (q, ids) in queries.iter().zip(&ids) {
+            assert_eq!(&recovered.matching_ids(q), ids, "{q:?}");
         }
     }
 
@@ -771,6 +872,10 @@ mod tests {
 
         fn remove(&self, path: &Path) -> io::Result<()> {
             self.inner.remove(path)
+        }
+
+        fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
+            self.inner.claim(dir)
         }
     }
 

@@ -60,6 +60,15 @@ pub enum WalError {
     /// recovery truncates it like any other crash residue). Reopen the
     /// WAL to resume.
     Poisoned,
+    /// The WAL directory is held by a live writer in this process — a
+    /// node still serving it. A second writer would append under the
+    /// same LSNs and leave the log unrecoverable, so the open fails and
+    /// appends nothing; open again after the first writer drops. Other
+    /// processes are not detected.
+    DirInUse {
+        /// The directory.
+        dir: String,
+    },
 }
 
 impl fmt::Display for WalError {
@@ -85,6 +94,12 @@ impl fmt::Display for WalError {
                 f,
                 "wal writer poisoned by an earlier failed append; reopen the log to resume"
             ),
+            WalError::DirInUse { dir } => {
+                write!(
+                    f,
+                    "wal directory {dir} is already open by a writer in this process"
+                )
+            }
             WalError::Store(e) => write!(f, "wal checkpoint store error: {e}"),
             WalError::Engine(e) => write!(f, "wal replay rejected by engine: {e}"),
         }
@@ -147,6 +162,7 @@ mod tests {
             WalError::Store(StoreError::BadMagic),
             WalError::Engine(EngineError::NoShards),
             WalError::Poisoned,
+            WalError::DirInUse { dir: "/wal".into() },
         ];
         let mut msgs: Vec<String> = cases.iter().map(|e| e.to_string()).collect();
         msgs.sort();

@@ -11,7 +11,7 @@
 //!
 //! * [`WalWriter`] — append-only, fsync'd segment files: each record is
 //!   length-framed, sequence-numbered, and FNV-1a-64 checksummed (the
-//!   same hash the snapshot format uses); segments rotate at a
+//!   hash of version-1 and -2 snapshot files); segments rotate at a
 //!   configurable size, with the new file *and its directory entry*
 //!   fsync'd. [`SyncPolicy`] picks the durability/throughput point:
 //!   fsync-per-record, group commit (concurrent committers share one
@@ -89,7 +89,7 @@ pub mod segment;
 pub mod writer;
 
 pub use compactor::{cancel_pairs, CompactionReport, Compactor};
-pub use durable::{recover_live, DurableLiveRelation, Recovered, WalWriterSink};
+pub use durable::{recover_live, DurableLiveRelation, EpochLsn, Recovered, WalWriterSink};
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};

@@ -723,6 +723,16 @@ mod tests {
         names.sort();
         assert_eq!(names, [next.as_str(), "sub"]);
         assert_eq!(dir.remove(&seg).unwrap_err().kind(), NotFound);
+
+        // A directory has one claim at a time, under any spelling; a
+        // missing one cannot be claimed, and a dropped claim frees it.
+        let claim = dir.claim().unwrap();
+        let busy = dir.join(".").claim().unwrap_err();
+        assert_eq!(busy.kind(), std::io::ErrorKind::ResourceBusy);
+        assert_eq!(missing.claim().unwrap_err().kind(), NotFound);
+        drop(dir.join("sub").claim().unwrap());
+        drop(claim);
+        drop(dir.claim().unwrap());
     }
 
     #[test]

@@ -8,8 +8,9 @@ use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedMutexGuard};
 use pitract_engine::UpdateEntry;
 use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_store::codec::Writer as CodecWriter;
-use pitract_store::storage::FileHandle;
+use pitract_store::storage::{DirClaim, FileHandle};
 use pitract_store::Dir;
+use std::io::ErrorKind;
 use std::time::Instant;
 
 /// Interned metric handles for the append side. Default (no-op) handles
@@ -145,9 +146,16 @@ struct WriterState {
 /// * **Durability** is two-phase to keep flushes out of callers'
 ///   critical sections: `append_entry` stages (cheap), `commit` blocks
 ///   until the record's LSN is covered by an fsync — see [`SyncPolicy`].
+/// * **Exclusive**: a writer claims its directory ([`Dir::claim`]) for
+///   its lifetime. A second open of the same directory in this process
+///   fails with [`WalError::DirInUse`] and touches nothing, so two
+///   writers never append under the same LSNs. Other processes are not
+///   detected.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: Dir,
+    /// Held until the writer drops: the directory has one writer.
+    _claim: DirClaim,
     config: WalConfig,
     state: OrderedMutex<WriterState>,
     /// Serializes rotations so exactly one committer performs the
@@ -161,7 +169,9 @@ pub struct WalWriter {
 impl WalWriter {
     /// Open (creating if needed) a WAL directory and position the writer
     /// after the last complete record. A torn tail from a crash is
-    /// truncated; damaged segments fail typed.
+    /// truncated; damaged segments fail typed; a directory another live
+    /// writer holds is [`WalError::DirInUse`], before anything is read
+    /// or written.
     pub fn open(dir: impl Into<Dir>, config: WalConfig) -> Result<Self, WalError> {
         Self::open_scanned(dir, config, 0).map(|(writer, _)| writer)
     }
@@ -185,6 +195,12 @@ impl WalWriter {
     ) -> Result<(Self, DirScan), WalError> {
         let dir = dir.into();
         dir.create_dir_all()?;
+        let claim = dir.claim().map_err(|e| match e.kind() {
+            ErrorKind::ResourceBusy => WalError::DirInUse {
+                dir: dir.path().display().to_string(),
+            },
+            _ => WalError::Io(e),
+        })?;
         let scan = scan_dir(&dir)?;
         let next_lsn = scan.next_lsn.max(floor);
 
@@ -232,6 +248,7 @@ impl WalWriter {
                 },
             ),
             dir,
+            _claim: claim,
             config,
         };
         Ok((writer, scan))

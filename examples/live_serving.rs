@@ -151,6 +151,17 @@ fn main() {
         live.wal().next_lsn() - live.checkpoint_mark()
     );
 
+    // The WAL has one writer: stop the node before recovering its log.
+    let probes = QueryBatch::new(vec![
+        SelectionQuery::point(0, n * 10),
+        SelectionQuery::point(0, 7i64),
+        SelectionQuery::range_closed(0, 0i64, 100i64),
+    ]);
+    let a = exec.execute_rows(&probes).expect("live rows");
+    let (epoch, len) = (live.current_epoch(), live.len());
+    drop(exec);
+    drop(live);
+
     let t2 = Instant::now();
     let recovered = DurableLiveRelation::recover(
         &catalog,
@@ -166,15 +177,8 @@ fn main() {
         summary.epoch,
         summary.replayed
     );
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
-
-    assert_eq!(recovered.len(), live.len());
-    let probes = QueryBatch::new(vec![
-        SelectionQuery::point(0, n * 10),
-        SelectionQuery::point(0, 7i64),
-        SelectionQuery::range_closed(0, 0i64, 100i64),
-    ]);
-    let a = exec.execute_rows(&probes).expect("live rows");
+    assert_eq!(recovered.current_epoch(), epoch);
+    assert_eq!(recovered.len(), len);
     let b = PooledExecutor::with_default_pool(Arc::new(recovered))
         .execute_rows(&probes)
         .expect("recovered rows");

@@ -209,7 +209,11 @@ fn recover_after_checkpoint_equals_live() {
         live.delete(gid).unwrap().unwrap();
     }
 
-    let recovered = Arc::new(recover(&catalog, "state", &root));
+    // A WAL has one writer: recover from a copy of the volume, so the
+    // live node stays up to compare against.
+    let copy = copy_volume(&root);
+    let copied = SnapshotCatalog::open(copy.join("snaps")).unwrap();
+    let recovered = Arc::new(recover(&copied, "state", &copy));
     let summary = recovered.recovery_summary().unwrap();
 
     // Bit-identical: length, every gid's row, answers and row-id sets —
@@ -306,7 +310,9 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
         }
     });
 
-    let recovered = recover(&catalog, "midflight", &root);
+    let copy = copy_volume(&root);
+    let copied = SnapshotCatalog::open(copy.join("snaps")).unwrap();
+    let recovered = recover(&copied, "midflight", &copy);
     assert_eq!(recovered.len(), live.len());
     assert_eq!(recovered.current_epoch(), live.current_epoch());
     let upper = n as usize + 3_000_000 + 100_000;
@@ -510,10 +516,13 @@ proptest! {
                     let tail = WalReader::open(root.join("wal"))
                         .unwrap()
                         .into_tail(live.checkpoint_mark());
+                    // The log has one writer: the current node stops first.
+                    let (len, epoch) = (live.len(), live.current_epoch());
+                    drop(live);
                     let recovered = recover(&catalog, "churn", &root);
                     let summary = recovered.recovery_summary().unwrap();
-                    prop_assert_eq!(recovered.len(), live.len());
-                    prop_assert_eq!(summary.epoch, live.current_epoch());
+                    prop_assert_eq!(recovered.len(), len);
+                    prop_assert_eq!(summary.epoch, epoch);
                     // Recovery replays the *compacted* WAL tail: one
                     // maintenance record per surviving entry (work may
                     // differ from the original history's — a cancelled
