@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pitract_engine::batch::QueryBatch;
-use pitract_engine::shard::{ShardBy, ShardedRelation};
-use pitract_engine::{PoolConfig, PooledExecutor};
+use pitract_engine::shard::ShardBy;
+use pitract_engine::{LiveRelation, PoolConfig, PooledExecutor};
 use pitract_obs::Recorder;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use std::hint::black_box;
@@ -36,7 +36,7 @@ fn bench_recorder_modes(c: &mut Criterion) {
         ),
     }));
     let sharded = Arc::new(
-        ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, SHARDS, &[0, 1])
+        LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, SHARDS, &[0, 1])
             .expect("valid sharding spec"),
     );
     let config = PoolConfig {

@@ -15,7 +15,8 @@
 //! together, in groups, and each is charged exactly what it would cost
 //! alone.
 //!
-//! Shard routing happens before the fan-out (`route_batch`): a query
+//! Shard routing happens before the fan-out
+//! ([`BatchServe::route_shards`]): a query
 //! whose shard-key constraints prove most shards irrelevant is simply
 //! never shipped to them, so a well-partitioned point-lookup workload
 //! does O(1) shards of work per query while still spreading the batch
@@ -23,7 +24,7 @@
 //!
 //! # What a batch costs the submitter
 //!
-//! O(|batch|) *words*, never O(|batch|) *allocations*: `route_batch`
+//! O(|batch|) *words*, never O(|batch|) *allocations*: routing
 //! validates, plans and routes each query in one pass, straight into the
 //! per-shard work lists of a [`Routing`]; workers evaluate **and**
 //! translate row ids, each job into one id buffer ([`ShardResults`]);
@@ -33,16 +34,14 @@
 //! into it; nothing else allocates per query (`tests/alloc_budget.rs`
 //! is the gate).
 
-use crate::error::EngineError;
 use crate::live::Rollback;
-use crate::planner::{AccessPath, Planner, QueryPlan};
+use crate::planner::{AccessPath, QueryPlan};
 #[cfg(doc)]
 use crate::pool::BatchServe;
-use crate::shard::{relevant_shards_for, ShardBy};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{Schema, SelectionQuery};
+use pitract_relation::SelectionQuery;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,10 +122,8 @@ pub struct BatchReport {
     /// shards).
     pub total_steps: u64,
     /// The epoch the whole batch was pinned to — the one database
-    /// instance every answer is exact against. `None` when the target
-    /// has no epoch clock (a [`crate::shard::ShardedRelation`] is
-    /// immutable while served).
-    pub epoch: Option<Epoch>,
+    /// instance every answer is exact against.
+    pub epoch: Epoch,
     /// How long the batch waited at the executor's admission gate
     /// before running.
     pub admission_wait: Option<Duration>,
@@ -157,7 +154,7 @@ impl BatchReport {
         plans: Vec<QueryPlan>,
         steps: Vec<u64>,
         shards_probed: Vec<usize>,
-        epoch: Option<Epoch>,
+        epoch: Epoch,
         admission_wait: Duration,
     ) -> Self {
         let total_steps = steps.iter().sum();
@@ -228,49 +225,6 @@ impl QueryBatch {
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
     }
-}
-
-/// Validate, plan, and shard-route a slice of queries against a logical
-/// relation described by its schema, indexed columns, total slot count
-/// (live + tombstones — what a scan walks) and partitioning: one pass,
-/// each query appended straight to the work list of every shard in its
-/// run ([`relevant_shards_for`]). The one routing body — shared by the
-/// static and the live [`BatchServe::route_shards`], so the two plan and
-/// route identically.
-pub(crate) fn route_batch(
-    queries: &[SelectionQuery],
-    schema: &Schema,
-    indexed_cols: &[usize],
-    slots: usize,
-    shard_by: &ShardBy,
-    shard_count: usize,
-) -> Result<Routing, EngineError> {
-    let mut plans = Vec::with_capacity(queries.len());
-    let mut shards_probed = Vec::with_capacity(queries.len());
-    let mut work: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (qi, q) in queries.iter().enumerate() {
-        q.validate(schema).map_err(|e| EngineError::InvalidQuery {
-            index: qi,
-            reason: e,
-        })?;
-        plans.push(Planner::plan(indexed_cols, slots, q));
-        let run = relevant_shards_for(shard_by, shard_count, q);
-        shards_probed.push(run.len());
-        for assigned in &mut work[run] {
-            assigned.push(qi);
-        }
-    }
-    // Shards no query routes to get no job.
-    let jobs = work
-        .into_iter()
-        .enumerate()
-        .filter(|(_, assigned)| !assigned.is_empty())
-        .collect();
-    Ok(Routing {
-        plans,
-        jobs,
-        shards_probed,
-    })
 }
 
 /// What a batch asks of every shard a query routes to, and how the
@@ -639,12 +593,12 @@ mod tests {
     use crate::planner::AccessPath;
     use crate::pool::BatchServe;
     use crate::pool::PooledExecutor;
-    use crate::shard::{ShardBy, ShardedRelation};
+    use crate::shard::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, Value};
     use std::ops::Bound;
 
-    fn serve(sr: &Arc<ShardedRelation>) -> PooledExecutor<ShardedRelation> {
-        PooledExecutor::with_default_pool(Arc::clone(sr))
+    fn serve(lr: &Arc<LiveRelation>) -> PooledExecutor<LiveRelation> {
+        PooledExecutor::with_default_pool(Arc::clone(lr))
     }
 
     fn relation(n: i64) -> Relation {
@@ -670,15 +624,14 @@ mod tests {
     fn batch_rows_match_count_oracle() {
         let n = 300i64;
         let rel = relation(n);
-        let sr =
-            Arc::new(ShardedRelation::build(&rel, ShardBy::Hash { col: 1 }, 4, &[0, 1]).unwrap());
+        let lr = Arc::new(LiveRelation::build(&rel, ShardBy::Hash { col: 1 }, 4, &[0, 1]).unwrap());
         let batch = mixed_batch(n);
-        let got = serve(&sr).execute_rows(&batch).unwrap();
+        let got = serve(&lr).execute_rows(&batch).unwrap();
         for (q, ids) in batch.queries().iter().zip(&got.rows) {
             assert_eq!(ids.len(), rel.count_where(q), "{q:?}");
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
             for &gid in ids {
-                assert!(q.matches(sr.row(gid).unwrap()), "{q:?} id {gid}");
+                assert!(q.matches(&lr.row(gid).unwrap()), "{q:?} id {gid}");
             }
         }
     }
@@ -686,9 +639,8 @@ mod tests {
     #[test]
     fn report_accounts_every_query_and_path() {
         let n = 400i64;
-        let sr = Arc::new(
-            ShardedRelation::build(&relation(n), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap(),
-        );
+        let lr =
+            Arc::new(LiveRelation::build(&relation(n), ShardBy::Hash { col: 0 }, 4, &[0]).unwrap());
         let batch = QueryBatch::new([
             SelectionQuery::point(0, 3i64),
             SelectionQuery::range_closed(0, 10i64, 20i64),
@@ -698,7 +650,7 @@ mod tests {
             ),
             SelectionQuery::point(1, "absent"),
         ]);
-        let got = serve(&sr).execute(&batch).unwrap();
+        let got = serve(&lr).execute(&batch).unwrap();
         let report = &got.report;
         assert_eq!(report.per_query.len(), 4);
         assert_eq!(
@@ -886,22 +838,8 @@ mod tests {
         (queries, assigned)
     }
 
-    fn sharded_matches_per_query<M: Resolve>(sr: &ShardedRelation)
-    where
-        M::Out: PartialEq + std::fmt::Debug,
-    {
-        let (queries, assigned) = job();
-        for (shard, current) in sr.shards().iter().enumerate() {
-            assert_same::<M>(
-                sr.eval_shard::<M>(shard, Epoch::LATEST, &queries, &assigned),
-                per_query::<M>(&queries, current, &assigned, None),
-                &assigned,
-            );
-        }
-    }
-
-    /// As [`sharded_matches_per_query`], read at `at`, which must (or
-    /// must not) need a rollback.
+    /// Every shard's grouped job against the per-query path, read at
+    /// `at`, which must (or must not) need a rollback.
     fn live_matches_per_query<M: Resolve>(live: &LiveRelation, at: Epoch, rolled_back: bool)
     where
         M::Out: PartialEq + std::fmt::Debug,
@@ -928,13 +866,12 @@ mod tests {
     fn grouped_points_match_the_per_query_path() {
         let n = 300;
         let rel = four_columns(n);
-        let sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1, 2]).unwrap();
-        sharded_matches_per_query::<Exists>(&sr);
-        sharded_matches_per_query::<RowIds>(&sr);
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1, 2]).unwrap();
+        live_matches_per_query::<Exists>(&live, Epoch::LATEST, false);
+        live_matches_per_query::<RowIds>(&live, Epoch::LATEST, false);
 
         // Writes before the pin leave tombstones and new rows in the
         // current state, which then serves the pin as it stands.
-        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0, 1, 2]).unwrap();
         for gid in (0..n as usize).step_by(11) {
             live.delete(gid).unwrap();
         }
@@ -986,9 +923,8 @@ mod tests {
     fn concurrent_batches_share_one_sharded_relation() {
         let n = 400i64;
         let rel = relation(n);
-        let sr =
-            Arc::new(ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
-        let exec = serve(&sr);
+        let lr = Arc::new(LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap());
+        let exec = serve(&lr);
         let batch = mixed_batch(n);
         let expected: Vec<bool> = batch.queries().iter().map(|q| rel.eval_scan(q)).collect();
         std::thread::scope(|scope| {

@@ -5,11 +5,14 @@
 //! polylog time. The sibling crates certify the polylog half with step
 //! meters; this crate exercises the parallel half with real threads:
 //!
-//! * [`shard::ShardedRelation`] — `Π(D)` at scale: the data is hash- or
-//!   range-partitioned across `S` shards, each an independently indexed
-//!   [`pitract_relation::indexed::IndexedRelation`]. Inserts and deletes
-//!   stay incremental (one shard touched per update), and shard-key-aware
-//!   routing prunes the shards a query can possibly match.
+//! * [`shard::ShardedRelation`] — `Π(D)` at scale, immutable: the data
+//!   is hash- or range-partitioned across `S` shards, each an
+//!   independently indexed [`pitract_relation::indexed::IndexedRelation`],
+//!   and shard-key-aware routing prunes the shards a query can possibly
+//!   match. It is what a build or a snapshot load produces; serving and
+//!   updates go through [`live::LiveRelation`].
+//! * [`idmap::IdMap`] — the one map between stable global row ids and
+//!   `(shard, local)` row locations, and every change to it.
 //! * [`planner::Planner`] — a small cost-based router: every query is
 //!   assigned the cheapest access path (point probe < range probe <
 //!   index-nested-loop conjunction < full scan) with an estimated step
@@ -63,6 +66,7 @@
 
 pub mod batch;
 pub mod error;
+pub mod idmap;
 pub mod live;
 pub mod planner;
 pub mod pool;
@@ -74,6 +78,7 @@ pub use batch::{
     RowIds,
 };
 pub use error::EngineError;
+pub use idmap::IdMap;
 pub use live::{
     Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateOp, VersionStats, WalSink,
 };

@@ -1,10 +1,9 @@
 //! Concurrent live serving: queries answered *while* updates land.
 //!
-//! [`crate::shard::ShardedRelation`] parallelizes query answering but
-//! serializes the whole workload around `&mut self`: every insert or
-//! delete needs exclusive access to the entire relation, so a live
-//! deployment would stall all readers for every writer. [`LiveRelation`]
-//! is the serving wrapper that removes that seam:
+//! [`crate::shard::ShardedRelation`] is the immutable `Π(D)` a build or
+//! a snapshot load produces. [`LiveRelation`] takes it over
+//! ([`LiveRelation::from_sharded`]) and is the one relation that serves
+//! batches and takes updates, without stalling readers for writers:
 //!
 //! * **Per-shard read/write locks.** Each shard is an
 //!   [`IndexedRelation`] behind its own rank-checked [`OrderedRwLock`].
@@ -15,11 +14,11 @@
 //!   shard its key routes to (the pinned FNV-1a routing of
 //!   [`crate::shard::ShardedRelation::shard_of`], so lock scope never
 //!   moves); the other `S - 1` shards keep serving.
-//! * **Global ids behind their own lock.** The global-id and location
-//!   maps live in a separate `OrderedRwLock`, acquired after the shard
-//!   lock (one fixed order — checked at runtime by
-//!   [`pitract_core::lockdep`] in debug builds — so the layer cannot
-//!   deadlock). Per-shard
+//! * **Global ids behind their own lock.** The [`IdMap`] (local →
+//!   global per shard, global → location) lives in a separate
+//!   `OrderedRwLock`, acquired after the shard lock (one fixed order —
+//!   checked at runtime by [`pitract_core::lockdep`] in debug builds —
+//!   so the layer cannot deadlock). Per-shard
 //!   local→global maps are append-only, which lets readers translate
 //!   row ids *after* releasing the shard lock.
 //! * **`|CHANGED|`-bounded maintenance accounting.** Every applied update
@@ -60,18 +59,16 @@
 //! ([`LiveRelation::answer`]) stay read-committed: they touch one state
 //! per shard and need no cut.
 
-use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, ShardResults};
+use crate::batch::{eval_assigned, OutputMode, Routing, ShardResults};
 use crate::error::EngineError;
-use crate::planner::AccessPath;
+use crate::idmap::IdMap;
+use crate::planner::{AccessPath, Planner};
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
 use crate::status::NodeStatus;
 use pitract_core::cost::{log2_floor, Meter};
 use pitract_core::epoch::Epoch;
-use pitract_core::lockdep::{
-    LockRank, OrderedMutex, OrderedMutexGuard, OrderedRwLock, OrderedRwLockReadGuard,
-    OrderedRwLockWriteGuard,
-};
+use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard};
 use pitract_incremental::bounded::{BoundednessReport, UpdateRecord};
 use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_relation::indexed::IndexedRelation;
@@ -151,17 +148,6 @@ pub enum Applied {
     /// The removed tuple, or `None` if the id was already gone (same
     /// no-op semantics as [`LiveRelation::delete`]).
     Deleted(Option<Vec<Value>>),
-}
-
-/// The global-id bookkeeping, guarded by one lock separate from the
-/// shard locks.
-#[derive(Debug)]
-struct IdMaps {
-    /// Per shard: local row id → global row id. Append-only.
-    global_ids: Vec<Vec<usize>>,
-    /// Global row id → (shard, local id); tombstoned on delete.
-    locations: Vec<Option<(usize, usize)>>,
-    live: usize,
 }
 
 /// How to un-apply one write from a shard's current version. Shard
@@ -373,7 +359,7 @@ impl EpochPin<'_> {
 
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
-        self.live.release_pin(self.epoch);
+        self.live.unpin_epoch(self.epoch);
     }
 }
 
@@ -422,7 +408,7 @@ pub struct LiveRelation {
     shard_by: ShardBy,
     indexed_cols: Vec<usize>,
     shards: Vec<OrderedRwLock<ShardSlot>>,
-    ids: OrderedRwLock<IdMaps>,
+    ids: OrderedRwLock<IdMap>,
     /// The epoch clock and pinned-epoch registry. Writers bump it inside
     /// the gid critical section (one tick per applied update), readers
     /// pin under the same mutex — acquired after `ids` in the fixed lock
@@ -516,9 +502,8 @@ impl LiveRelation {
     /// snapshot) for live serving. Starts at epoch 0 with an empty
     /// maintenance report and no WAL sink.
     pub fn from_sharded(relation: ShardedRelation) -> Self {
-        let (schema, shard_by, shards, global_ids, locations) = relation.into_parts();
+        let (schema, shard_by, shards, ids) = relation.into_parts();
         let indexed_cols = shards[0].indexed_columns();
-        let live = locations.iter().flatten().count();
         LiveRelation {
             schema,
             shard_by,
@@ -530,14 +515,7 @@ impl LiveRelation {
                     OrderedRwLock::with_sub_order(LockRank::Shard, i as u32, ShardSlot::new(s))
                 })
                 .collect(),
-            ids: OrderedRwLock::new(
-                LockRank::Gid,
-                IdMaps {
-                    global_ids,
-                    locations,
-                    live,
-                },
-            ),
+            ids: OrderedRwLock::new(LockRank::Gid, ids),
             epochs: OrderedMutex::new(LockRank::Epoch, EpochState::default()),
             retained: AtomicUsize::new(0),
             maintenance: Mutex::new(BoundednessReport::new()),
@@ -602,7 +580,7 @@ impl LiveRelation {
 
     /// Total live tuples.
     pub fn len(&self) -> usize {
-        self.read_ids().live
+        self.ids.read().live()
     }
 
     /// Is the relation empty?
@@ -615,7 +593,7 @@ impl LiveRelation {
     pub fn slot_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| read_lock(s).current.slot_count())
+            .map(|s| s.read().current.slot_count())
             .sum()
     }
 
@@ -632,10 +610,6 @@ impl LiveRelation {
     // of a production hang. `maintenance`/`version_maintenance` stay
     // plain leaf mutexes: nothing is ever acquired while they are held.
 
-    fn read_shard(&self, s: usize) -> OrderedRwLockReadGuard<'_, ShardSlot> {
-        self.shards[s].read()
-    }
-
     /// Run `read` over shard `s` as of epoch `at`, under its read lock:
     /// the current version plus, when writes landed past `at`, the
     /// rollback that corrects it (built once, here).
@@ -645,7 +619,7 @@ impl LiveRelation {
         at: Epoch,
         read: impl FnOnce(&IndexedRelation, Option<&Rollback>) -> T,
     ) -> T {
-        let guard = self.read_shard(s);
+        let guard = self.shards[s].read();
         let rollback = guard.rollback_at(at, &self.schema, &self.indexed_cols);
         if let Some(rollback) = &rollback {
             self.instruments
@@ -653,22 +627,6 @@ impl LiveRelation {
                 .record(rollback.entries as u64);
         }
         read(&guard.current, rollback.as_ref())
-    }
-
-    fn write_shard(&self, s: usize) -> OrderedRwLockWriteGuard<'_, ShardSlot> {
-        self.shards[s].write()
-    }
-
-    fn lock_epochs(&self) -> OrderedMutexGuard<'_, EpochState> {
-        self.epochs.lock()
-    }
-
-    fn read_ids(&self) -> OrderedRwLockReadGuard<'_, IdMaps> {
-        self.ids.read()
-    }
-
-    fn write_ids(&self) -> OrderedRwLockWriteGuard<'_, IdMaps> {
-        self.ids.write()
     }
 
     fn lock_maintenance(&self) -> MutexGuard<'_, BoundednessReport> {
@@ -688,7 +646,7 @@ impl LiveRelation {
     /// The epoch clock now: the number of updates ever applied (plus any
     /// recovery advance — see [`Self::advance_epoch_to`]).
     pub fn current_epoch(&self) -> Epoch {
-        Epoch::new(self.lock_epochs().current)
+        Epoch::new(self.epochs.lock().current)
     }
 
     /// Pin the current epoch: until the returned [`EpochPin`] drops,
@@ -699,56 +657,7 @@ impl LiveRelation {
     pub fn pin(&self) -> EpochPin<'_> {
         EpochPin {
             live: self,
-            epoch: self.register_pin(),
-        }
-    }
-
-    /// Register a pin on the current epoch (the raw half of
-    /// [`Self::pin`], for callers that cannot hold a borrow — the
-    /// executor's trait surface). Every `register_pin` must be
-    /// paired with exactly one [`Self::release_pin`].
-    pub(crate) fn register_pin(&self) -> Epoch {
-        let mut epochs = self.lock_epochs();
-        let epoch = epochs.current;
-        *epochs.pins.entry(epoch).or_insert(0) += 1;
-        Epoch::new(epoch)
-    }
-
-    /// Release one pin and reclaim every version no remaining pin can
-    /// reach.
-    pub(crate) fn release_pin(&self, epoch: Epoch) {
-        let watermark = {
-            let mut epochs = self.lock_epochs();
-            match epochs.pins.get_mut(&epoch.get()) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    epochs.pins.remove(&epoch.get());
-                }
-                None => debug_assert!(false, "released an unregistered pin"),
-            }
-            epochs.watermark()
-        };
-        // Sweep the rings only when something is retained. The watermark
-        // is a safe lower bound even if pins land concurrently: a new
-        // pin is at the current epoch, which no reclaimable undo
-        // record's stamp can exceed. The sweep must NOT queue on a
-        // contended shard: that would park the just-finished batch
-        // behind the writer convoy (costing it a scheduler round-trip
-        // per shard), and a busy shard reclaims its own ring at the
-        // very next write's trim anyway — only quiescent shards need
-        // the release-time sweep, and `try_write` on a quiescent shard
-        // is free.
-        if self.retained.load(Ordering::Acquire) > 0 {
-            let mut dropped = 0;
-            for slot in &self.shards {
-                let Some(mut guard) = slot.try_write() else {
-                    continue;
-                };
-                dropped += guard.trim(watermark);
-            }
-            if dropped > 0 {
-                self.retained.fetch_sub(dropped, Ordering::AcqRel);
-            }
+            epoch: self.pin_epoch(),
         }
     }
 
@@ -759,7 +668,7 @@ impl LiveRelation {
     /// update with the same epoch the crashed node would have. No-op if
     /// the clock is already there.
     pub fn advance_epoch_to(&self, epoch: Epoch) {
-        let mut epochs = self.lock_epochs();
+        let mut epochs = self.epochs.lock();
         epochs.current = epochs.current.max(epoch.get());
     }
 
@@ -771,7 +680,7 @@ impl LiveRelation {
             .shards
             .iter()
             .map(|s| {
-                let slot = read_lock(s);
+                let slot = s.read();
                 (
                     slot.ring.len(),
                     slot.ring
@@ -781,7 +690,7 @@ impl LiveRelation {
                 )
             })
             .fold((0, 0), |(v, r), (dv, dr)| (v + dv, r + dr));
-        let epochs = self.lock_epochs();
+        let epochs = self.epochs.lock();
         VersionStats {
             current_epoch: Epoch::new(epochs.current),
             watermark: Epoch::new(epochs.watermark()),
@@ -849,18 +758,22 @@ impl LiveRelation {
             row[self.shard_by.col()].as_ref(),
         );
         let (gid, ticket) = {
-            let mut guard = self.write_shard(shard);
+            let mut guard = self.shards[shard].write();
             let len_before = guard.current.len();
             // The id maps are updated while the shard lock is still held
             // so `global_ids[shard]` stays aligned with the shard's local
             // ids, and the sink stage happens inside the gid critical
             // section so WAL order equals gid order (replay determinism).
-            let mut ids = self.write_ids();
-            let gid = ids.locations.len();
-            // Staged before anything is applied: a rejected stage leaves
-            // the relation untouched. The staged entry then hands its row
-            // to the shard.
-            let entry = UpdateEntry::Insert { gid, row };
+            let mut ids = self.ids.write();
+            // The id and its location are checked before anything is
+            // applied, and staged too: a refused id or a rejected stage
+            // leaves the relation untouched. The staged entry then hands
+            // its row to the shard.
+            let reserved = ids.reserve(shard)?;
+            let entry = UpdateEntry::Insert {
+                gid: reserved.gid,
+                row,
+            };
             let ticket = self.stage(&entry)?;
             let UpdateEntry::Insert { row, .. } = entry else {
                 // lint:allow(no-unwrap-in-serving): `entry` was built as an insert just above
@@ -872,7 +785,7 @@ impl LiveRelation {
             // drops is at the new epoch and needs no rollback for this
             // write); writers lose nothing — they are already
             // serialized by the ids write lock held above.
-            let mut epochs = self.lock_epochs();
+            let mut epochs = self.epochs.lock();
             let local = match guard.current.insert(row) {
                 Ok(local) => local,
                 Err(e) => return Err(EngineError::Indexed(e)),
@@ -888,10 +801,8 @@ impl LiveRelation {
             if dropped > 0 {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
             }
-            debug_assert_eq!(local, ids.global_ids[shard].len());
-            ids.global_ids[shard].push(gid);
-            ids.locations.push(Some((shard, local)));
-            ids.live += 1;
+            debug_assert_eq!(local, ids.global_ids(shard).len());
+            let gid = ids.commit(reserved);
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
@@ -918,26 +829,22 @@ impl LiveRelation {
         // re-acquire in the canonical shard → ids order. A location is
         // written once and only ever transitions Some → None, so if it is
         // still live after re-locking it is the same (shard, local).
-        let Some((shard, local)) = ({
-            let ids = self.read_ids();
-            ids.locations.get(gid).copied().flatten()
-        }) else {
+        let Some((shard, local)) = self.ids.read().location(gid) else {
             return Ok((None, None));
         };
         let (row, ticket) = {
-            let mut guard = self.write_shard(shard);
-            let mut ids = self.write_ids();
-            if ids.locations[gid].is_none() {
+            let mut guard = self.shards[shard].write();
+            let mut ids = self.ids.write();
+            if ids.location(gid).is_none() {
                 // A concurrent delete won the race.
                 return Ok((None, None));
             }
             let ticket = self.stage(&UpdateEntry::Delete { gid })?;
-            ids.locations[gid] = None;
-            ids.live -= 1;
+            ids.tombstone(gid);
             let len_before = guard.current.len();
             // Same epoch protocol as `insert_staged`: apply, tick the
             // clock, stamp, record the undo, trim.
-            let mut epochs = self.lock_epochs();
+            let mut epochs = self.epochs.lock();
             #[allow(clippy::expect_used)]
             let row = guard
                 .current
@@ -1045,11 +952,9 @@ impl LiveRelation {
     /// The live tuple under a global row id (cloned out of the shard so
     /// no lock outlives the call).
     pub fn row(&self, gid: usize) -> Option<Vec<Value>> {
-        let (shard, local) = {
-            let ids = self.read_ids();
-            (*ids.locations.get(gid)?)?
-        };
-        self.read_shard(shard)
+        let (shard, local) = self.ids.read().location(gid)?;
+        self.shards[shard]
+            .read()
             .current
             .row(local)
             .map(RowRef::to_vec)
@@ -1060,31 +965,23 @@ impl LiveRelation {
     pub fn answer(&self, q: &SelectionQuery) -> bool {
         let meter = Meter::new();
         relevant_shards_for(&self.shard_by, self.shards.len(), q)
-            .any(|s| self.read_shard(s).current.answer_metered(q, &meter))
+            .any(|s| self.shards[s].read().current.answer_metered(q, &meter))
     }
 
     /// Global ids (ascending) of all live rows matching `q`, read-locking
     /// only the relevant shards. Read-committed, like [`Self::answer`].
     pub fn matching_ids(&self, q: &SelectionQuery) -> Vec<usize> {
         let meter = Meter::new();
-        let locals: Vec<(usize, Vec<usize>)> =
-            relevant_shards_for(&self.shard_by, self.shards.len(), q)
-                .map(|s| {
-                    (
-                        s,
-                        self.read_shard(s).current.matching_ids_metered(q, &meter),
-                    )
-                })
-                .collect();
-        // Translation happens after the shard locks are released: the
-        // local→global maps are append-only, and every local id seen
-        // above was mapped before its row became visible.
-        let ids = self.read_ids();
-        let mut out: Vec<usize> = locals
-            .into_iter()
-            .flat_map(|(s, ls)| {
-                let map = &ids.global_ids[s];
-                ls.into_iter().map(|l| map[l]).collect::<Vec<_>>()
+        // Each shard's ids are translated after its lock is released:
+        // the local→global maps are append-only, and every local id
+        // read was mapped before its row became visible.
+        let mut out: Vec<usize> = relevant_shards_for(&self.shard_by, self.shards.len(), q)
+            .flat_map(|s| {
+                let locals = self.shards[s]
+                    .read()
+                    .current
+                    .matching_ids_metered(q, &meter);
+                self.global_ids(s, &locals)
             })
             .collect();
         out.sort_unstable();
@@ -1105,36 +1002,30 @@ impl LiveRelation {
     /// Atomically export the current state as a [`ShardedRelation`]
     /// together with the epoch of the cut.
     ///
-    /// All shard locks are held (read) only while the shards are cloned,
-    /// so the returned state is a true point-in-time snapshot — every
-    /// update is either fully inside it or fully after the returned
-    /// epoch — but writers resume as soon as the copy exists; the O(n)
-    /// reassembly validation runs on the private clone afterwards.
-    /// Holding every shard read lock excludes every writer's critical
-    /// section, so the epoch read here is exactly the epoch of the
-    /// exported state.
+    /// All shard locks are held (read) only while the shards and the
+    /// id map are cloned, so the returned state is a true point-in-time
+    /// snapshot — every update is either fully inside it or fully after
+    /// the returned epoch — and writers resume as soon as the copy
+    /// exists. Holding every shard read lock excludes every writer's
+    /// critical section, so the epoch read here is exactly the epoch of
+    /// the exported state. The copy upholds the sharded invariants by
+    /// construction, so it is not re-checked (debug builds still do).
     pub fn freeze(&self) -> Frozen {
-        let (schema, shard_by, shards, global_ids, locations, epoch) = {
+        let (shards, ids, epoch) = {
             let guards: Vec<OrderedRwLockReadGuard<'_, ShardSlot>> =
-                self.shards.iter().map(read_lock).collect();
-            let ids = self.read_ids();
-            let epoch = self.lock_epochs().current;
-            (
+                self.shards.iter().map(OrderedRwLock::read).collect();
+            let ids = self.ids.read().clone();
+            let epoch = self.epochs.lock().current;
+            let shards = guards.iter().map(|g| g.current.clone()).collect();
+            (shards, ids, epoch)
+        };
+        Frozen {
+            state: ShardedRelation::from_consistent(
                 self.schema.clone(),
                 self.shard_by.clone(),
-                guards.iter().map(|g| g.current.clone()).collect::<Vec<_>>(),
-                ids.global_ids.clone(),
-                ids.locations.clone(),
-                epoch,
-            )
-            // All guards drop here: writers proceed while we validate.
-        };
-        #[allow(clippy::expect_used)]
-        let state = ShardedRelation::from_parts(schema, shard_by, shards, global_ids, locations)
-            // lint:allow(no-unwrap-in-serving): the live maps uphold the sharded invariants
-            .expect("live state upholds the sharded invariants");
-        Frozen {
-            state,
+                shards,
+                ids,
+            ),
             epoch: Epoch::new(epoch),
         }
     }
@@ -1195,10 +1086,7 @@ impl LiveRelation {
     /// assigned them — burning keeps the recovered node's future id
     /// assignments bit-identical to the history the log records.
     pub fn burn_gids_to(&self, next_gid: usize) {
-        let mut ids = self.write_ids();
-        while ids.locations.len() < next_gid {
-            ids.locations.push(None);
-        }
+        self.ids.write().burn_to(next_gid);
     }
 }
 
@@ -1206,37 +1094,95 @@ impl LiveRelation {
 /// epoch pin per batch, per-shard read locks, and the undo-ring
 /// rollback wherever writes landed past the pin.
 impl BatchServe for LiveRelation {
+    /// One pass: each query validated, planned against the total slot
+    /// count (live + tombstones — what a scan walks) and appended
+    /// straight to the work list of every shard in its run (one run of
+    /// consecutive shards: see [`crate::shard`]).
     fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
-        let routing = route_batch(
-            queries,
-            &self.schema,
-            &self.indexed_cols,
-            self.slot_count(),
-            &self.shard_by,
-            self.shards.len(),
-        )?;
+        let slots = self.slot_count();
+        let mut plans = Vec::with_capacity(queries.len());
+        let mut shards_probed = Vec::with_capacity(queries.len());
+        let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         // `engine_plans_total{path=…}` rises by one per routed query:
         // counted per path here, then one `add` per path.
         let mut per_path = [0u64; AccessPath::COUNT];
-        for plan in &routing.plans {
+        for (qi, q) in queries.iter().enumerate() {
+            q.validate(&self.schema)
+                .map_err(|reason| EngineError::InvalidQuery { index: qi, reason })?;
+            let plan = Planner::plan(&self.indexed_cols, slots, q);
             per_path[plan.path.index()] += 1;
+            plans.push(plan);
+            let run = relevant_shards_for(&self.shard_by, self.shards.len(), q);
+            shards_probed.push(run.len());
+            for assigned in &mut work[run] {
+                assigned.push(qi);
+            }
         }
         for (counter, routed) in self.instruments.plans.iter().zip(per_path) {
             counter.add(routed);
         }
-        Ok(routing)
+        // Shards no query routes to get no job.
+        let jobs = work
+            .into_iter()
+            .enumerate()
+            .filter(|(_, assigned)| !assigned.is_empty())
+            .collect();
+        Ok(Routing {
+            plans,
+            jobs,
+            shards_probed,
+        })
     }
 
     fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    fn pin_epoch(&self) -> Option<Epoch> {
-        Some(self.register_pin())
+    /// Register a pin on the current epoch (the raw half of
+    /// [`LiveRelation::pin`], for callers that cannot hold a borrow).
+    fn pin_epoch(&self) -> Epoch {
+        let mut epochs = self.epochs.lock();
+        let epoch = epochs.current;
+        *epochs.pins.entry(epoch).or_insert(0) += 1;
+        Epoch::new(epoch)
     }
 
+    /// Release one pin and reclaim every version no remaining pin can
+    /// reach.
     fn unpin_epoch(&self, epoch: Epoch) {
-        self.release_pin(epoch);
+        let watermark = {
+            let mut epochs = self.epochs.lock();
+            match epochs.pins.get_mut(&epoch.get()) {
+                Some(n) if *n > 1 => *n -= 1,
+                Some(_) => {
+                    epochs.pins.remove(&epoch.get());
+                }
+                None => debug_assert!(false, "released an unregistered pin"),
+            }
+            epochs.watermark()
+        };
+        // Sweep the rings only when something is retained. The watermark
+        // is a safe lower bound even if pins land concurrently: a new
+        // pin is at the current epoch, which no reclaimable undo
+        // record's stamp can exceed. The sweep must NOT queue on a
+        // contended shard: that would park the just-finished batch
+        // behind the writer convoy (costing it a scheduler round-trip
+        // per shard), and a busy shard reclaims its own ring at the
+        // very next write's trim anyway — only quiescent shards need
+        // the release-time sweep, and `try_write` on a quiescent shard
+        // is free.
+        if self.retained.load(Ordering::Acquire) > 0 {
+            let mut dropped = 0;
+            for slot in &self.shards {
+                let Some(mut guard) = slot.try_write() else {
+                    continue;
+                };
+                dropped += guard.trim(watermark);
+            }
+            if dropped > 0 {
+                self.retained.fetch_sub(dropped, Ordering::AcqRel);
+            }
+        }
     }
 
     /// Versions, both `|CHANGED|` totals (summed in place) and lockdep.
@@ -1273,12 +1219,8 @@ impl BatchServe for LiveRelation {
     /// local→global maps are append-only, and every local id a reader
     /// holds was mapped before its row became visible.
     fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
-        read(&self.read_ids().global_ids[shard])
+        read(self.ids.read().global_ids(shard))
     }
-}
-
-fn read_lock(lock: &OrderedRwLock<ShardSlot>) -> OrderedRwLockReadGuard<'_, ShardSlot> {
-    lock.read()
 }
 
 #[cfg(test)]
@@ -1997,7 +1939,7 @@ mod tests {
         // shard by shard, holding our own pin via the executor-internal
         // surface.
         let lr = Arc::new(live(100, 4));
-        let e = lr.register_pin();
+        let e = lr.pin_epoch();
         for i in 0..77i64 {
             lr.insert(vec![Value::Int(10_000 + i), Value::str("w")])
                 .unwrap();
@@ -2011,7 +1953,7 @@ mod tests {
                 .len();
         }
         assert_eq!(count, 100, "the cut at the pin sees none of the 77 writes");
-        lr.release_pin(e);
+        lr.unpin_epoch(e);
         assert_eq!(lr.version_stats().retained_versions, 0);
         // And a fresh pinned batch sees all of them.
         let batch = QueryBatch::new([q]);
@@ -2019,7 +1961,7 @@ mod tests {
             .execute_rows(&batch)
             .unwrap();
         assert_eq!(got.rows[0].len(), 177);
-        assert_eq!(got.report.epoch, Some(Epoch::new(77)));
+        assert_eq!(got.report.epoch, Epoch::new(77));
     }
 
     #[test]
@@ -2049,7 +1991,7 @@ mod tests {
                 let batch = QueryBatch::new([SelectionQuery::range_closed(0, 0i64, 1_000_000i64)]);
                 while !reader_stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let got = reader.execute_rows(&batch).unwrap();
-                    let at = got.report.epoch.unwrap().get() as usize;
+                    let at = got.report.epoch.get() as usize;
                     assert_eq!(
                         got.rows[0].len(),
                         100 + at,

@@ -20,10 +20,12 @@
 //!   caught), so the pool keeps serving subsequent batches.
 //!
 //! The executor serves anything that implements [`BatchServe`] —
-//! [`crate::shard::ShardedRelation`] (plain borrows) and
-//! [`crate::live::LiveRelation`] (per-shard read locks) in this crate,
-//! `pitract-wal`'s `DurableLiveRelation` and `pitract-repl`'s `Follower`
-//! by delegation. Every relation and both [`OutputMode`]s go through the
+//! [`crate::live::LiveRelation`] (per-shard read locks, one epoch pin
+//! per batch) in this crate, `pitract-wal`'s `DurableLiveRelation` and
+//! `pitract-repl`'s `Follower` by delegation. An immutable
+//! [`crate::shard::ShardedRelation`] is served by wrapping it:
+//! [`crate::live::LiveRelation::from_sharded`]. Every relation and both
+//! [`OutputMode`]s go through the
 //! same routing, the same per-shard `eval_assigned` metering protocol,
 //! and one assembly of the answers, in which each job carries its shard
 //! id explicitly.
@@ -343,18 +345,16 @@ impl<T> Collector<T> {
     }
 }
 
-/// A relation the executor can serve: routing, per-shard evaluation,
-/// and local→global id translation. Implemented by
-/// [`crate::shard::ShardedRelation`] and [`crate::live::LiveRelation`]
-/// here, and by `pitract-wal::DurableLiveRelation` and
-/// `pitract-repl::Follower` by delegation to their inner live relation.
+/// A relation the executor can serve: routing, an epoch pin, per-shard
+/// evaluation, and local→global id translation. Implemented by
+/// [`crate::live::LiveRelation`] here, and by
+/// `pitract-wal::DurableLiveRelation` and `pitract-repl::Follower` by
+/// delegation to their inner live relation.
 ///
-/// Relations that version their state additionally expose an epoch pin:
-/// the executor calls [`BatchServe::pin_epoch`] once per batch before
+/// The executor calls [`BatchServe::pin_epoch`] once per batch before
 /// any shard job runs, passes the pinned epoch to every `eval_shard`
 /// call, and releases it with [`BatchServe::unpin_epoch`] when the
-/// batch's answers are assembled. Immutable relations keep the defaults
-/// (no pin, evaluation ignores `at`).
+/// batch's answers are assembled.
 pub trait BatchServe: Send + Sync {
     /// Validate, plan, and shard-route a query slice into per-shard
     /// work lists — the form the executor dispatches as is.
@@ -384,16 +384,12 @@ pub trait BatchServe: Send + Sync {
     /// Number of shards.
     fn shard_count(&self) -> usize;
 
-    /// Pin the relation's current epoch for one batch, or `None` for
-    /// relations with no version history (every shard job then reads
-    /// at [`Epoch::LATEST`]). A returned epoch MUST be balanced by
-    /// exactly one [`BatchServe::unpin_epoch`].
-    fn pin_epoch(&self) -> Option<Epoch> {
-        None
-    }
+    /// Pin the relation's current epoch for one batch. The returned
+    /// epoch MUST be balanced by exactly one [`BatchServe::unpin_epoch`].
+    fn pin_epoch(&self) -> Epoch;
 
     /// Release a pin taken by [`BatchServe::pin_epoch`].
-    fn unpin_epoch(&self, _epoch: Epoch) {}
+    fn unpin_epoch(&self, epoch: Epoch);
 
     /// What the relation is doing right now, read off the structures
     /// that own the state; empty (the default) for an immutable one.
@@ -464,7 +460,7 @@ pub trait BatchServe: Send + Sync {
 /// and worker panics.
 struct PinGuard<'a, R: BatchServe + ?Sized> {
     relation: &'a R,
-    epoch: Option<Epoch>,
+    epoch: Epoch,
 }
 
 impl<'a, R: BatchServe + ?Sized> PinGuard<'a, R> {
@@ -474,20 +470,11 @@ impl<'a, R: BatchServe + ?Sized> PinGuard<'a, R> {
             epoch: relation.pin_epoch(),
         }
     }
-
-    /// The epoch shard jobs evaluate at: the pinned one, or the
-    /// [`Epoch::LATEST`] read-committed sentinel when the relation does
-    /// not version.
-    fn at(&self) -> Epoch {
-        self.epoch.unwrap_or(Epoch::LATEST)
-    }
 }
 
 impl<R: BatchServe + ?Sized> Drop for PinGuard<'_, R> {
     fn drop(&mut self) {
-        if let Some(epoch) = self.epoch {
-            self.relation.unpin_epoch(epoch);
-        }
+        self.relation.unpin_epoch(self.epoch);
     }
 }
 
@@ -625,7 +612,7 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
             .is_enabled()
             .then(Instant::now);
         let pin = PinGuard::pin(self.relation.as_ref());
-        let per_job = self.dispatch::<M>(&queries, routing.jobs, pin.at())?;
+        let per_job = self.dispatch::<M>(&queries, routing.jobs, pin.epoch)?;
         // Each job translated its own row ids, so which shard it ran on
         // and the order jobs came back in no longer matter.
         let (out, steps) = M::assemble(queries.len(), per_job);
@@ -730,19 +717,19 @@ mod tests {
         let rel = relation(n);
         let batch = mixed_batch(n);
         for shards in [1, 2, 3, 8] {
-            let sr = Arc::new(
-                ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
+            let lr = Arc::new(
+                LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
             );
-            let exec = PooledExecutor::with_default_pool(Arc::clone(&sr));
+            let exec = PooledExecutor::with_default_pool(Arc::clone(&lr));
             let got = exec.execute(&batch).unwrap();
             for (q, &ans) in batch.queries().iter().zip(&got.answers) {
                 assert_eq!(ans, rel.eval_scan(q), "shards={shards} {q:?}");
             }
-            let (_, routed) = sr.route(batch.queries()).unwrap();
+            let (_, routed) = lr.route(batch.queries()).unwrap();
             for (qi, cost) in got.report.per_query.iter().enumerate() {
                 let by_hand: u64 = routed[qi]
                     .iter()
-                    .map(|&s| sr.eval_bool(s, Epoch::LATEST, batch.queries(), &[qi])[0].2)
+                    .map(|&s| lr.eval_bool(s, Epoch::LATEST, batch.queries(), &[qi])[0].2)
                     .sum();
                 assert_eq!(cost.steps, by_hand, "shards={shards} query {qi}");
             }
@@ -751,15 +738,15 @@ mod tests {
                 assert_eq!(ids.len(), rel.count_where(q), "shards={shards} {q:?}");
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
                 for &gid in ids {
-                    assert!(q.matches(sr.row(gid).unwrap()), "{q:?} id {gid}");
+                    assert!(q.matches(&lr.row(gid).unwrap()), "{q:?} id {gid}");
                 }
             }
         }
     }
 
-    /// A relation that routes like its inner [`ShardedRelation`] but
-    /// hands its jobs out in descending shard order.
-    struct ReversedJobs(ShardedRelation);
+    /// A relation that routes like its inner [`LiveRelation`] but hands
+    /// its jobs out in descending shard order.
+    struct ReversedJobs(LiveRelation);
 
     impl BatchServe for ReversedJobs {
         fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
@@ -770,6 +757,14 @@ mod tests {
 
         fn shard_count(&self) -> usize {
             self.0.shard_count()
+        }
+
+        fn pin_epoch(&self) -> Epoch {
+            self.0.pin_epoch()
+        }
+
+        fn unpin_epoch(&self, epoch: Epoch) {
+            self.0.unpin_epoch(epoch);
         }
 
         fn eval_shard<M: OutputMode>(
@@ -802,8 +797,11 @@ mod tests {
         // No shard-key conjunct: every query fans out to all 3 shards.
         let batch =
             QueryBatch::new((0..10).map(|k| SelectionQuery::point(1, format!("city{k}").as_str())));
-        let ascending = PooledExecutor::with_default_pool(Arc::new(sr.clone()));
-        let descending = PooledExecutor::with_default_pool(Arc::new(ReversedJobs(sr.clone())));
+        let ascending =
+            PooledExecutor::with_default_pool(Arc::new(LiveRelation::from_sharded(sr.clone())));
+        let descending = PooledExecutor::with_default_pool(Arc::new(ReversedJobs(
+            LiveRelation::from_sharded(sr.clone()),
+        )));
         let (_, routed) = descending.relation().route(batch.queries()).unwrap();
         assert!(routed.iter().all(|shards| shards == &[2, 1, 0]));
         let expect = ascending.execute_rows(&batch).unwrap();
@@ -856,8 +854,8 @@ mod tests {
 
         let (plans, routed) = lr.route(batch.queries()).unwrap();
         let pin = lr.pin();
-        assert_eq!(bools.report.epoch, Some(pin.epoch()));
-        assert_eq!(rows.report.epoch, Some(pin.epoch()));
+        assert_eq!(bools.report.epoch, pin.epoch());
+        assert_eq!(rows.report.epoch, pin.epoch());
         for (qi, q) in batch.queries().iter().enumerate() {
             let (mut hit, mut ids) = (false, Vec::new());
             let (mut bool_steps, mut row_steps) = (0, 0);
@@ -917,9 +915,12 @@ mod tests {
             self.live.shard_count()
         }
 
-        fn pin_epoch(&self) -> Option<Epoch> {
-            Some(self.at)
+        /// The pin is taken, and released, by the test.
+        fn pin_epoch(&self) -> Epoch {
+            self.at
         }
+
+        fn unpin_epoch(&self, _epoch: Epoch) {}
 
         fn eval_shard<M: OutputMode>(
             &self,
@@ -958,7 +959,7 @@ mod tests {
             .iter()
             .map(|q| live.matching_ids(q))
             .collect();
-        let at = live.pin_epoch().unwrap();
+        let at = live.pin_epoch();
         for gid in (0..600).step_by(5) {
             live.delete(gid).unwrap();
         }
@@ -1160,6 +1161,13 @@ mod tests {
             self.shards
         }
 
+        /// The probe keeps no versions: every job reads its one state.
+        fn pin_epoch(&self) -> Epoch {
+            Epoch::LATEST
+        }
+
+        fn unpin_epoch(&self, _epoch: Epoch) {}
+
         fn eval_shard<M: OutputMode>(
             &self,
             shard: usize,
@@ -1226,7 +1234,7 @@ mod tests {
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let sr = Arc::new(
-            ShardedRelation::build(&relation(100), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
+            LiveRelation::build(&relation(100), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
         );
         let mut probe = Probe::new(2);
         probe.panic_on_shard = Some(0);
@@ -1316,7 +1324,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op_and_invalid_queries_are_typed() {
         let sr = Arc::new(
-            ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
+            LiveRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
         );
         let exec = PooledExecutor::with_default_pool(sr);
         let got = exec.execute(&QueryBatch::new([])).unwrap();
@@ -1381,17 +1389,13 @@ mod tests {
         let batch = QueryBatch::new([pitract_relation::SelectionQuery::point(0, 5i64)]);
 
         let got = exec.execute(&batch).unwrap();
-        assert_eq!(
-            got.report.epoch,
-            Some(Epoch::ZERO),
-            "fresh build is epoch 0"
-        );
+        assert_eq!(got.report.epoch, Epoch::ZERO, "fresh build is epoch 0");
         lr.insert(vec![Value::Int(1000), Value::str("w")]).unwrap();
         lr.insert(vec![Value::Int(1001), Value::str("w")]).unwrap();
         let got = exec.execute_rows(&batch).unwrap();
         assert_eq!(
             got.report.epoch,
-            Some(Epoch::new(2)),
+            Epoch::new(2),
             "epoch counts applied updates"
         );
 
@@ -1399,20 +1403,12 @@ mod tests {
         let stats = lr.version_stats();
         assert_eq!(stats.pins, 0, "executor released every batch pin");
         assert_eq!(stats.retained_versions, 0);
-
-        // An immutable sharded relation has no epoch clock to report.
-        let sr = Arc::new(
-            ShardedRelation::build(&relation(50), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap(),
-        );
-        let exec = PooledExecutor::with_default_pool(sr);
-        let got = exec.execute(&batch).unwrap();
-        assert_eq!(got.report.epoch, None);
     }
 
     #[test]
     fn default_pool_sizes_to_min_of_cores_and_shards() {
         let sr = Arc::new(
-            ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
+            LiveRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap(),
         );
         let exec = PooledExecutor::with_default_pool(sr);
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());

@@ -2,10 +2,17 @@
 //!
 //! `Π(D)` from the paper scales out by splitting `D` into shards and
 //! preprocessing each independently — preprocessing stays PTIME (it is a
-//! disjoint union of per-shard builds), updates stay incremental (one
-//! shard per tuple), and query answering gains the parallel dimension the
-//! NC claim is about: shards can be probed concurrently, and shard-key
-//! routing often proves most shards irrelevant without touching them.
+//! disjoint union of per-shard builds), and query answering gains the
+//! parallel dimension the NC claim is about: shards can be probed
+//! concurrently, and shard-key routing often proves most shards
+//! irrelevant without touching them.
+//!
+//! A [`ShardedRelation`] is the immutable `Π(D)`: what
+//! [`ShardedRelation::build`] and a snapshot load produce, and what
+//! [`crate::live::LiveRelation::freeze`] exports. It is never updated in
+//! place and never served: [`crate::live::LiveRelation::from_sharded`]
+//! takes it over for both, and updates stay incremental there (one
+//! shard per tuple).
 //!
 //! # The interval property
 //!
@@ -36,14 +43,12 @@
 //! Boolean mask this replaced) checks the equality as sets on seeded
 //! random queries.
 
-use crate::batch::{eval_assigned, route_batch, OutputMode, Routing, ShardResults};
 use crate::error::EngineError;
-use crate::pool::BatchServe;
+use crate::idmap::IdMap;
 use pitract_core::cost::Meter;
-use pitract_core::epoch::Epoch;
 use pitract_core::hash::Fnv64;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value, ValueRef};
+use pitract_relation::{Relation, RowRef, Schema, SelectionQuery, Value, ValueRef};
 use std::ops::{Bound, Range};
 
 /// The pinned shard-routing hash: FNV-1a 64 over the value's canonical
@@ -108,17 +113,14 @@ impl ShardBy {
 }
 
 /// A relation hash/range-partitioned across `S` independently indexed
-/// shards, with global row ids stable under deletes.
+/// shards, with global row ids stable under deletes: the immutable
+/// `Π(D)` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ShardedRelation {
     schema: Schema,
     shard_by: ShardBy,
     shards: Vec<IndexedRelation>,
-    /// Per shard: local row id → global row id.
-    global_ids: Vec<Vec<usize>>,
-    /// Global row id → (shard, local id); tombstoned on delete.
-    locations: Vec<Option<(usize, usize)>>,
-    live: usize,
+    ids: IdMap,
 }
 
 impl ShardedRelation {
@@ -140,30 +142,21 @@ impl ShardedRelation {
         validate_shard_by(schema, &shard_by, shard_count)?;
         IndexedRelation::check_columns(schema, cols)?;
         let key_col = shard_by.col();
-        let mut sizes = vec![0usize; shard_count];
-        let locations: Vec<Option<(usize, usize)>> = relation
-            .rows()
-            .map(|row| {
-                let shard = route_shard(&shard_by, shard_count, row.get(key_col));
-                sizes[shard] += 1;
-                Some((shard, sizes[shard] - 1))
-            })
-            .collect();
-        let mut global_ids: Vec<Vec<usize>> =
-            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        // Every location is `Some` here: a build tombstones nothing.
-        let shard_of_gid = |gid: usize| locations[gid].map_or(0, |(shard, _)| shard);
-        for gid in 0..locations.len() {
-            global_ids[shard_of_gid(gid)].push(gid);
-        }
+        let ids = IdMap::assign(
+            shard_count,
+            relation.len(),
+            relation
+                .rows()
+                .map(|row| route_shard(&shard_by, shard_count, row.get(key_col))),
+        )?;
+        // Every id is live here: a build tombstones nothing.
+        let shard_of_gid = |gid: usize| ids.location(gid).map_or(0, |(shard, _)| shard);
         let shards = IndexedRelation::build_split(relation, shard_count, shard_of_gid, cols)?;
         Ok(ShardedRelation {
             schema: schema.clone(),
             shard_by,
             shards,
-            global_ids,
-            live: locations.len(),
-            locations,
+            ids,
         })
     }
 
@@ -189,7 +182,7 @@ impl ShardedRelation {
 
     /// Total live tuples.
     pub fn len(&self) -> usize {
-        self.live
+        self.ids.live()
     }
 
     /// Total row slots ever assigned across all shards — live rows plus
@@ -202,7 +195,7 @@ impl ShardedRelation {
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// The partitioning function.
@@ -223,47 +216,9 @@ impl ShardedRelation {
         route_shard(&self.shard_by, self.shards.len(), value.as_ref())
     }
 
-    /// Insert a tuple, routing it to its shard and maintaining that
-    /// shard's indexes. Returns the stable global row id.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<usize, EngineError> {
-        self.schema
-            .admits(&row)
-            .map_err(|e| EngineError::Indexed(IndexedError::RowRejected(e)))?;
-        let shard = self.shard_of(&row[self.shard_by.col()]);
-        let local = self.shards[shard]
-            .insert(row)
-            .map_err(EngineError::Indexed)?;
-        let gid = self.locations.len();
-        debug_assert_eq!(local, self.global_ids[shard].len());
-        self.global_ids[shard].push(gid);
-        self.locations.push(Some((shard, local)));
-        self.live += 1;
-        Ok(gid)
-    }
-
-    /// Delete by global row id, maintaining the owning shard's indexes.
-    /// Returns the removed tuple, or `None` if the id was already
-    /// deleted/invalid.
-    pub fn delete(&mut self, gid: usize) -> Option<Vec<Value>> {
-        let (shard, local) = self.locations.get_mut(gid)?.take()?;
-        #[allow(clippy::expect_used)]
-        let row = self.shards[shard]
-            .delete(local)
-            // lint:allow(no-unwrap-in-serving): the location map just said this row is live
-            .expect("location map and shard agree on live rows");
-        self.live -= 1;
-        Some(row)
-    }
-
-    /// The global id of a shard-local row id (used when merging per-shard
-    /// row-id answers back into the logical relation's id space).
-    pub fn global_id(&self, shard: usize, local: usize) -> usize {
-        self.global_ids[shard][local]
-    }
-
     /// The live tuple under a global row id.
     pub fn row(&self, gid: usize) -> Option<RowRef<'_>> {
-        let (shard, local) = (*self.locations.get(gid)?)?;
+        let (shard, local) = self.ids.location(gid)?;
         self.shards[shard].row(local)
     }
 
@@ -284,14 +239,10 @@ impl ShardedRelation {
     /// Boolean answer, probing only the relevant shards sequentially.
     /// (The parallel path is [`crate::pool::PooledExecutor`].)
     pub fn answer(&self, q: &SelectionQuery) -> bool {
-        self.answer_metered(q, &Meter::new())
-    }
-
-    /// Metered Boolean answer over the relevant shards.
-    pub fn answer_metered(&self, q: &SelectionQuery, meter: &Meter) -> bool {
+        let meter = Meter::new();
         self.shards[self.relevant_shards(q)]
             .iter()
-            .any(|shard| shard.answer_metered(q, meter))
+            .any(|shard| shard.answer_metered(q, &meter))
     }
 
     /// Global ids (ascending) of all live rows matching `q`.
@@ -303,7 +254,7 @@ impl ShardedRelation {
                 self.shards[s]
                     .matching_ids_metered(q, &meter)
                     .into_iter()
-                    .map(move |local| self.global_id(s, local))
+                    .map(move |local| self.ids.global_ids(s)[local])
             })
             .collect();
         ids.sort_unstable();
@@ -324,163 +275,120 @@ impl ShardedRelation {
         relation
     }
 
-    /// Per-shard local-id → global-id maps, including entries for
-    /// tombstoned rows (persistence accessor: `pitract-store` serializes
-    /// these verbatim so reloaded relations keep the same global ids).
-    pub fn global_id_maps(&self) -> &[Vec<usize>] {
-        &self.global_ids
-    }
-
-    /// Global-id → `(shard, local id)` map with tombstones (persistence
-    /// accessor, the inverse of [`Self::global_id_maps`]).
-    pub fn locations(&self) -> &[Option<(usize, usize)>] {
-        &self.locations
+    /// The global-id map: per shard local → global, global → location,
+    /// tombstones included (persistence accessor: `pitract-store`
+    /// serializes it so reloaded relations keep the same global ids).
+    pub fn id_map(&self) -> &IdMap {
+        &self.ids
     }
 
     /// Reassemble a `ShardedRelation` from previously exported parts —
     /// the warm-start path used by `pitract-store` when loading a
-    /// snapshot. Validates the same partitioning invariants as
-    /// [`Self::build`] plus the mutual consistency of the id maps, and
-    /// that each shard's local → global map is strictly increasing, as
-    /// every build and insert leaves it (the row-id merge relies on
-    /// it), so a structurally corrupt snapshot is rejected instead of
-    /// producing a relation that answers queries differently from the
-    /// original.
+    /// snapshot. `ids` has passed its own check ([`IdMap::from_parts`]);
+    /// this adds the partitioning invariants of [`Self::build`] and the
+    /// shards' half of the id maps, so a structurally corrupt snapshot is
+    /// rejected instead of producing a relation that answers queries
+    /// differently from the original.
     pub fn from_parts(
         schema: Schema,
         shard_by: ShardBy,
         shards: Vec<IndexedRelation>,
-        global_ids: Vec<Vec<usize>>,
-        locations: Vec<Option<(usize, usize)>>,
+        ids: IdMap,
     ) -> Result<Self, EngineError> {
-        validate_shard_by(&schema, &shard_by, shards.len())?;
-        let inconsistent = |msg: String| EngineError::InconsistentSnapshot(msg);
-        if global_ids.len() != shards.len() {
-            return Err(inconsistent(format!(
+        let relation = ShardedRelation {
+            schema,
+            shard_by,
+            shards,
+            ids,
+        };
+        relation.check_shards()?;
+        Ok(relation)
+    }
+
+    /// Assemble parts that uphold every invariant by construction — a
+    /// live relation's consistent cut ([`crate::live::LiveRelation::freeze`]).
+    /// Debug builds still run the full check.
+    pub(crate) fn from_consistent(
+        schema: Schema,
+        shard_by: ShardBy,
+        shards: Vec<IndexedRelation>,
+        ids: IdMap,
+    ) -> Self {
+        let relation = ShardedRelation {
+            schema,
+            shard_by,
+            shards,
+            ids,
+        };
+        debug_assert_eq!(relation.ids.check(), Ok(relation.ids.live()));
+        debug_assert_eq!(relation.check_shards(), Ok(()));
+        relation
+    }
+
+    /// The shards' half of the invariants: the partitioning is valid,
+    /// every shard has the relation's schema, every live row routes to
+    /// the shard holding it, each shard has one global id per row slot,
+    /// and every live global id names a live row — as many as the shards
+    /// hold.
+    fn check_shards(&self) -> Result<(), EngineError> {
+        let shards = &self.shards;
+        validate_shard_by(&self.schema, &self.shard_by, shards.len())?;
+        let inconsistent = |msg: String| Err(EngineError::InconsistentSnapshot(msg));
+        if self.ids.shard_count() != shards.len() {
+            return inconsistent(format!(
                 "{} shards but {} global-id maps",
                 shards.len(),
-                global_ids.len()
-            )));
+                self.ids.shard_count()
+            ));
         }
-        let key_col = shard_by.col();
+        let key_col = self.shard_by.col();
         for (s, shard) in shards.iter().enumerate() {
-            if shard.schema() != &schema {
-                return Err(inconsistent(format!("shard {s} schema differs")));
+            if shard.schema() != &self.schema {
+                return inconsistent(format!("shard {s} schema differs"));
             }
             // Every live row must actually route to the shard holding it:
             // a misplaced row would be invisible to shard-key queries
             // (routing prunes to the shard the key *should* be in).
             for row in shard.slots().flatten() {
-                let expect = route_shard(&shard_by, shards.len(), row.get(key_col));
+                let expect = route_shard(&self.shard_by, shards.len(), row.get(key_col));
                 if expect != s {
-                    return Err(inconsistent(format!(
+                    return inconsistent(format!(
                         "shard {s} holds a row whose shard key routes to shard {expect}"
-                    )));
+                    ));
                 }
             }
-            if global_ids[s].len() != shard.slot_count() {
-                return Err(inconsistent(format!(
+            if self.ids.global_ids(s).len() != shard.slot_count() {
+                return inconsistent(format!(
                     "shard {s} has {} row slots but {} global ids",
                     shard.slot_count(),
-                    global_ids[s].len()
-                )));
-            }
-            if let Some(&bad) = global_ids[s].iter().find(|&&g| g >= locations.len()) {
-                return Err(inconsistent(format!(
-                    "shard {s} maps a local row to global id {bad}, beyond {}",
-                    locations.len()
-                )));
-            }
-            if global_ids[s].windows(2).any(|w| w[0] >= w[1]) {
-                return Err(inconsistent(format!(
-                    "shard {s}'s global ids do not increase with its local ids"
-                )));
+                    self.ids.global_ids(s).len()
+                ));
             }
         }
-        let mut live = 0usize;
-        for (gid, loc) in locations.iter().enumerate() {
-            let Some((s, local)) = *loc else { continue };
-            let valid = s < shards.len()
-                && local < global_ids[s].len()
-                && global_ids[s][local] == gid
-                && shards[s].row(local).is_some();
-            if !valid {
-                return Err(inconsistent(format!(
-                    "global id {gid} points at ({s}, {local}), which does not map back"
-                )));
+        for (gid, location) in self.ids.locations().enumerate() {
+            let Some((s, local)) = location else { continue };
+            if shards[s].row(local).is_none() {
+                return inconsistent(format!(
+                    "global id {gid} points at ({s}, {local}), a deleted row"
+                ));
             }
-            live += 1;
         }
         let shard_live: usize = shards.iter().map(IndexedRelation::len).sum();
-        if live != shard_live {
-            return Err(inconsistent(format!(
-                "location map lists {live} live rows, shards hold {shard_live}"
-            )));
+        if self.ids.live() != shard_live {
+            return inconsistent(format!(
+                "location map lists {} live rows, shards hold {shard_live}",
+                self.ids.live()
+            ));
         }
-        Ok(ShardedRelation {
-            schema,
-            shard_by,
-            shards,
-            global_ids,
-            locations,
-            live,
-        })
+        Ok(())
     }
 
     /// Decompose into owned parts — the exact inverse of
     /// [`Self::from_parts`]. Used by the live serving layer
     /// ([`crate::live::LiveRelation`]) to take ownership of the shards so
     /// each can sit behind its own lock.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        Schema,
-        ShardBy,
-        Vec<IndexedRelation>,
-        Vec<Vec<usize>>,
-        Vec<Option<(usize, usize)>>,
-    ) {
-        (
-            self.schema,
-            self.shard_by,
-            self.shards,
-            self.global_ids,
-            self.locations,
-        )
-    }
-}
-
-/// Serve an immutable sharded relation from the
-/// [`crate::pool::PooledExecutor`]: plain borrows, no pin, no locks.
-impl BatchServe for ShardedRelation {
-    fn route_shards(&self, queries: &[SelectionQuery]) -> Result<Routing, EngineError> {
-        route_batch(
-            queries,
-            &self.schema,
-            &self.shards[0].indexed_columns(),
-            self.slot_count(),
-            &self.shard_by,
-            self.shards.len(),
-        )
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn eval_shard<M: OutputMode>(
-        &self,
-        shard: usize,
-        _at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> ShardResults<M::Part> {
-        eval_assigned::<M>(queries, &self.shards[shard], assigned, None)
-    }
-
-    fn id_map<T>(&self, shard: usize, read: impl FnOnce(&[usize]) -> T) -> T {
-        read(&self.global_ids[shard])
+    pub fn into_parts(self) -> (Schema, ShardBy, Vec<IndexedRelation>, IdMap) {
+        (self.schema, self.shard_by, self.shards, self.ids)
     }
 }
 
@@ -566,6 +474,7 @@ pub(crate) fn validate_shard_by(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::LiveRelation;
     use pitract_relation::{ColType, Columns};
 
     fn schema() -> Schema {
@@ -695,7 +604,7 @@ mod tests {
 
     #[test]
     fn from_parts_roundtrips_exported_parts() {
-        let mut sr = ShardedRelation::build(
+        let live = LiveRelation::build(
             &relation(40),
             ShardBy::Range {
                 col: 0,
@@ -705,16 +614,19 @@ mod tests {
             &[0, 1],
         )
         .unwrap();
-        sr.delete(7);
-        sr.insert(vec![Value::Int(500), Value::str("late")])
+        live.delete(7).unwrap();
+        live.insert(vec![Value::Int(500), Value::str("late")])
             .unwrap();
+        let sr = live.to_sharded();
 
+        let ids = sr.id_map();
+        let ids = IdMap::from_parts(ids.global_id_maps().to_vec(), ids.locations()).unwrap();
+        assert_eq!(&ids, sr.id_map());
         let rebuilt = ShardedRelation::from_parts(
             sr.schema().clone(),
             sr.shard_by().clone(),
             export_shards(&sr),
-            sr.global_id_maps().to_vec(),
-            sr.locations().to_vec(),
+            ids,
         )
         .unwrap();
 
@@ -748,56 +660,35 @@ mod tests {
             schema(),
             ShardBy::Hash { col: 0 },
             vec![misplaced, empty], // stray sits in shard 0, routes to 1
-            vec![vec![0], vec![]],
-            vec![Some((0, 0))],
+            IdMap::from_parts(vec![vec![0], vec![]], [Some((0, 0))]).unwrap(),
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InconsistentSnapshot(_)), "{err}");
     }
 
+    /// The shards' half of the id-map check (the maps' own half is
+    /// `idmap::tests::from_parts_rejects_inconsistent_maps`).
     #[test]
     fn from_parts_rejects_inconsistent_maps() {
         let sr = ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+        let rebuild = |shards: Vec<IndexedRelation>, ids: IdMap| {
+            ShardedRelation::from_parts(sr.schema().clone(), sr.shard_by().clone(), shards, ids)
+        };
 
         // Wrong number of global-id maps.
-        let err = ShardedRelation::from_parts(
-            sr.schema().clone(),
-            sr.shard_by().clone(),
-            export_shards(&sr),
-            vec![Vec::new()],
-            sr.locations().to_vec(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::InconsistentSnapshot(_)), "{err}");
+        let one_map = IdMap::from_parts(vec![(0..10).collect()], (0..10).map(|l| Some((0, l))));
+        let err = rebuild(export_shards(&sr), one_map.unwrap()).unwrap_err();
+        assert!(err.to_string().contains("2 shards but 1"), "{err}");
 
-        // A location that does not map back.
-        let mut bad_locations = sr.locations().to_vec();
-        bad_locations[0] = Some((1, 999));
-        let err = ShardedRelation::from_parts(
-            sr.schema().clone(),
-            sr.shard_by().clone(),
-            export_shards(&sr),
-            sr.global_id_maps().to_vec(),
-            bad_locations,
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::InconsistentSnapshot(_)), "{err}");
+        // A live global id whose row its shard has deleted.
+        let mut shards = export_shards(&sr);
+        let (shard, local) = sr.id_map().location(3).unwrap();
+        shards[shard].delete(local).unwrap();
+        let err = rebuild(shards, sr.id_map().clone()).unwrap_err();
+        assert!(err.to_string().contains("a deleted row"), "{err}");
 
-        // Two locals whose global ids are swapped, the locations to
-        // match: every id maps back, but the map no longer increases.
-        let (mut maps, mut locations) = (sr.global_id_maps().to_vec(), sr.locations().to_vec());
-        maps[0].swap(0, 1);
-        let (first, second) = (maps[0][0], maps[0][1]);
-        (locations[first], locations[second]) = (Some((0, 0)), Some((0, 1)));
-        let err = ShardedRelation::from_parts(
-            sr.schema().clone(),
-            sr.shard_by().clone(),
-            export_shards(&sr),
-            maps,
-            locations,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("do not increase"), "{err}");
+        // The consistent parts still load.
+        assert!(rebuild(export_shards(&sr), sr.id_map().clone()).is_ok());
     }
 
     #[test]
@@ -1068,25 +959,6 @@ mod tests {
             proptest::prop_assert_eq!(sr.answer(&q), rel.eval_scan(&q), "{:?}", q);
             proptest::prop_assert_eq!(sr.matching_ids(&q).len(), rel.count_where(&q), "{:?}", q);
         }
-    }
-
-    #[test]
-    fn inserts_and_deletes_keep_global_ids_stable() {
-        let mut sr =
-            ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
-        let gid = sr.insert(vec![Value::Int(100), Value::str("new")]).unwrap();
-        assert_eq!(gid, 20);
-        assert_eq!(sr.row(gid).unwrap().get(1), Value::str("new"));
-        assert!(sr.answer(&SelectionQuery::point(0, 100i64)));
-
-        let removed = sr.delete(5).expect("gid 5 live");
-        assert_eq!(removed[0], Value::Int(5));
-        assert!(sr.delete(5).is_none(), "double delete is a no-op");
-        assert!(!sr.answer(&SelectionQuery::point(0, 5i64)));
-        assert_eq!(sr.len(), 20);
-        // Other ids are untouched.
-        assert_eq!(sr.row(6).unwrap().get(0), Value::Int(6));
-        assert!(sr.row(5).is_none());
     }
 
     #[test]

@@ -41,13 +41,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// A fresh writer with room for `bytes` bytes.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Writer {
-            buf: Vec::with_capacity(bytes),
-        }
-    }
-
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -96,6 +89,13 @@ impl Writer {
     /// Write raw bytes with no framing (caller-framed payloads).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Overwrite bytes already written, starting at offset `at` — a
+    /// backpatch of a field reserved before its value was known. Panics
+    /// if the range was not written yet.
+    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Write `run` as consecutive little-endian `u64`s (no count).

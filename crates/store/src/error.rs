@@ -7,9 +7,10 @@
 //! written by a newer binary" without parsing prose. Loading never
 //! panics: the decoder bounds-checks every read, each decoded column is
 //! checked against the bitmap and its arena (a version-1 or -2 row is
-//! admitted by its schema), an indexed column must exist, and
-//! `ShardedRelation::from_parts` checks routing and the id maps before
-//! anything is constructed. No index is read from disk, so none can be
+//! admitted by its schema), an indexed column must exist,
+//! `IdMap::from_parts` checks the id maps, and
+//! `ShardedRelation::from_parts` checks routing and that the maps agree
+//! with the shards before anything is constructed. No index is read from disk, so none can be
 //! inconsistent: every tree is rebuilt from the rows.
 
 use crate::snapshot::SnapshotKind;

@@ -62,7 +62,9 @@
 //! no dead slot an `Int` column is one `i64` run and a `Str` column its
 //! arena and end offsets, each written and read in one call. The
 //! global-id maps (section 6) are a map count, then per shard a `u64`
-//! count and one `u64` run.
+//! count and one `u64` run; the locations (section 7) are an id count,
+//! then per global id a tag (0 dead, 1 live) and a live id's `u64`
+//! shard and local.
 //!
 //! Versions 1 and 2 wrote a body row by row: a slot count, then per slot
 //! a tag (0 dead, 1 live) and a live row's tagged values. They still
@@ -94,8 +96,11 @@
 //! count and each column's length against its popcount, and each end
 //! offset against its arena (a v1/v2 body goes through
 //! `Columns::push_slot`, which admits each decoded row),
-//! `from_columns` refuses an indexed column the schema lacks, and
-//! `ShardedRelation::from_parts` checks routing and the id maps. Golden
+//! `from_columns` refuses an indexed column the schema lacks,
+//! `IdMap::from_parts` refuses a location that does not pack or map
+//! back and a local → global map that does not increase, and
+//! `ShardedRelation::from_parts` checks routing and that the maps agree
+//! with the shards. Golden
 //! fixture tests pin the byte-level format so accidental encoding drift
 //! fails CI.
 
@@ -103,7 +108,7 @@ use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::{fnv1a64, xxh64};
-use pitract_engine::{ShardBy, ShardedRelation};
+use pitract_engine::{IdMap, ShardBy, ShardedRelation};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Columns, LiveCells, Schema};
@@ -294,28 +299,30 @@ impl Snapshot {
     }
 
     /// Serialize to the snapshot byte format (deterministic: equal
-    /// structures produce equal bytes).
+    /// structures produce equal bytes). Every section is encoded straight
+    /// into the one buffer returned.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let sections: Vec<(u32, Vec<u8>)> = match self {
-            Snapshot::Indexed(ir) => encode_indexed_sections(ir),
-            Snapshot::Sharded(sr) => encode_sharded_sections(sr),
-            Snapshot::Hop(h) => encode_hop_sections(h),
+        let sections = match self {
+            Snapshot::Indexed(_) | Snapshot::Hop(_) => 3,
+            Snapshot::Sharded(_) => SHARDED_SECTIONS,
+            Snapshot::Checkpoint { .. } => SHARDED_SECTIONS + 2,
+        };
+        let mut frame = Frame::new(self.kind(), sections);
+        match self {
+            Snapshot::Indexed(ir) => write_indexed(ir, &mut frame),
+            Snapshot::Sharded(sr) => write_sharded(sr, &mut frame),
+            Snapshot::Hop(h) => write_hop(h, &mut frame),
             Snapshot::Checkpoint {
                 state,
                 wal_lsn,
                 epoch,
             } => {
-                let mut sections = encode_sharded_sections(state);
-                let mut mark = Writer::new();
-                mark.u64(*wal_lsn);
-                sections.push((SEC_WAL_MARK, mark.into_bytes()));
-                let mut cut = Writer::new();
-                cut.u64(epoch.get());
-                sections.push((SEC_EPOCH, cut.into_bytes()));
-                sections
+                write_sharded(state, &mut frame);
+                frame.section(SEC_WAL_MARK, |w| w.u64(*wal_lsn));
+                frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
             }
-        };
-        frame(self.kind(), &sections)
+        }
+        frame.finish()
     }
 
     /// Parse a snapshot from bytes, validating magic, version, checksum,
@@ -448,26 +455,57 @@ pub fn checksum(version: u16, body: &[u8]) -> u64 {
     }
 }
 
-/// A snapshot file: header, section table, payloads, checksum — in one
-/// buffer sized exactly, so the trailer never reallocates it.
-fn frame(kind: SnapshotKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let payloads: usize = sections.iter().map(|(_, payload)| payload.len()).sum();
-    let mut w = Writer::with_capacity(16 + 12 * sections.len() + payloads + 8);
-    w.raw(&MAGIC);
-    w.u16(FORMAT_VERSION);
-    w.u16(kind.code());
-    w.u32(sections.len() as u32);
-    for (tag, payload) in sections {
-        w.u32(*tag);
-        w.u64(payload.len() as u64);
+/// A snapshot file being written into the one buffer it is returned
+/// in: the header and a section table reserved for a declared number of
+/// sections, then each payload encoded straight after the last, its
+/// table entry backpatched once its length is known, then the checksum.
+/// No section is staged in a buffer of its own, so a save holds its
+/// file once.
+struct Frame {
+    w: Writer,
+    /// Sections declared in the header.
+    sections: usize,
+    /// Sections written so far.
+    written: usize,
+}
+
+impl Frame {
+    /// Header plus a zeroed table for `sections` sections.
+    fn new(kind: SnapshotKind, sections: usize) -> Self {
+        let mut w = Writer::new();
+        w.raw(&MAGIC);
+        w.u16(FORMAT_VERSION);
+        w.u16(kind.code());
+        w.u32(sections as u32);
+        w.raw(&vec![0; 12 * sections]);
+        Frame {
+            w,
+            sections,
+            written: 0,
+        }
     }
-    for (_, payload) in sections {
-        w.raw(payload);
+
+    /// Append one section: `write` encodes its payload, then its table
+    /// entry gets `tag` and the payload's length.
+    fn section(&mut self, tag: u32, write: impl FnOnce(&mut Writer)) {
+        assert!(self.written < self.sections, "more sections than declared");
+        let start = self.w.len();
+        write(&mut self.w);
+        let len = (self.w.len() - start) as u64;
+        let entry = 16 + 12 * self.written;
+        self.w.patch(entry, &tag.to_le_bytes());
+        self.w.patch(entry + 4, &len.to_le_bytes());
+        self.written += 1;
     }
-    let mut bytes = w.into_bytes();
-    let sum = checksum(FORMAT_VERSION, &bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+
+    /// Seal the file with its checksum.
+    fn finish(self) -> Vec<u8> {
+        assert_eq!(self.written, self.sections, "fewer sections than declared");
+        let mut bytes = self.w.into_bytes();
+        let sum = checksum(FORMAT_VERSION, &bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
 }
 
 /// Run `read` on a section reader and require it to consume the whole
@@ -485,18 +523,10 @@ fn finish<'a, T>(
 
 // --- section encoders -----------------------------------------------------
 
-fn encode_indexed_sections(ir: &IndexedRelation) -> Vec<(u32, Vec<u8>)> {
-    let mut schema_w = Writer::new();
-    schema_w.schema(ir.schema());
-    let mut body = Writer::new();
-    write_body(ir.columns(), &mut body);
-    let mut cols = Writer::new();
-    cols.usize_seq(&ir.indexed_columns());
-    vec![
-        (SEC_SCHEMA, schema_w.into_bytes()),
-        (SEC_BODY, body.into_bytes()),
-        (SEC_INDEXED_COLS, cols.into_bytes()),
-    ]
+fn write_indexed(ir: &IndexedRelation, frame: &mut Frame) {
+    frame.section(SEC_SCHEMA, |w| w.schema(ir.schema()));
+    frame.section(SEC_BODY, |w| write_body(ir.columns(), w));
+    frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&ir.indexed_columns()));
 }
 
 /// One relation body at [`FORMAT_VERSION`]: the slot count, the live
@@ -595,67 +625,79 @@ fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
     Ok(cols)
 }
 
-fn encode_sharded_sections(sr: &ShardedRelation) -> Vec<(u32, Vec<u8>)> {
-    let mut schema_w = Writer::new();
-    schema_w.schema(sr.schema());
+/// The sections [`write_sharded`] writes.
+const SHARDED_SECTIONS: usize = 6;
 
-    let mut shard_by_w = Writer::new();
-    match sr.shard_by() {
+fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
+    frame.section(SEC_SCHEMA, |w| w.schema(sr.schema()));
+    frame.section(SEC_SHARD_BY, |w| match sr.shard_by() {
         ShardBy::Hash { col } => {
-            shard_by_w.u8(0);
-            shard_by_w.usize(*col);
+            w.u8(0);
+            w.usize(*col);
         }
         ShardBy::Range { col, splits } => {
-            shard_by_w.u8(1);
-            shard_by_w.usize(*col);
-            shard_by_w.usize(splits.len());
+            w.u8(1);
+            w.usize(*col);
+            w.usize(splits.len());
             for s in splits {
-                shard_by_w.value(s);
+                w.value(s);
             }
         }
-    }
-
+    });
     // One body per shard; the schema and the indexed columns, which
     // every shard shares, are written once for the whole relation.
-    let mut shards_w = Writer::new();
-    shards_w.usize(sr.shard_count());
-    for shard in sr.shards() {
-        write_body(shard.columns(), &mut shards_w);
-    }
-    let mut cols = Writer::new();
-    cols.usize_seq(
-        &sr.shards()
-            .first()
-            .map_or_else(Vec::new, IndexedRelation::indexed_columns),
-    );
+    frame.section(SEC_SHARDS, |w| {
+        w.usize(sr.shard_count());
+        for shard in sr.shards() {
+            write_body(shard.columns(), w);
+        }
+    });
+    write_id_map(sr.id_map(), frame);
+    frame.section(SEC_INDEXED_COLS, |w| {
+        w.usize_seq(
+            &sr.shards()
+                .first()
+                .map_or_else(Vec::new, IndexedRelation::indexed_columns),
+        );
+    });
+}
 
-    let mut gids_w = Writer::new();
-    gids_w.usize(sr.global_id_maps().len());
-    for map in sr.global_id_maps() {
-        gids_w.usize_seq(map);
-    }
-
-    let mut loc_w = Writer::new();
-    loc_w.usize(sr.locations().len());
-    for loc in sr.locations() {
-        match loc {
-            None => loc_w.u8(0),
-            Some((shard, local)) => {
-                loc_w.u8(1);
-                loc_w.usize(*shard);
-                loc_w.usize(*local);
+/// The id map as two sections: the local → global maps (6), a map
+/// count and per shard one `u64` sequence; and the locations (7), an id
+/// count and per id a tag (0 dead, 1 live) and a live id's `u64` shard
+/// and local. The one encoding, the same in every version:
+/// [`read_id_map`] is its inverse.
+fn write_id_map(ids: &IdMap, frame: &mut Frame) {
+    frame.section(SEC_GLOBAL_IDS, |w| {
+        w.usize(ids.shard_count());
+        for map in ids.global_id_maps() {
+            w.usize_seq(map);
+        }
+    });
+    frame.section(SEC_LOCATIONS, |w| {
+        w.usize(ids.next_gid());
+        for location in ids.locations() {
+            match location {
+                None => w.u8(0),
+                Some((shard, local)) => {
+                    w.u8(1);
+                    w.usize(shard);
+                    w.usize(local);
+                }
             }
         }
-    }
+    });
+}
 
-    vec![
-        (SEC_SCHEMA, schema_w.into_bytes()),
-        (SEC_SHARD_BY, shard_by_w.into_bytes()),
-        (SEC_SHARDS, shards_w.into_bytes()),
-        (SEC_GLOBAL_IDS, gids_w.into_bytes()),
-        (SEC_LOCATIONS, loc_w.into_bytes()),
-        (SEC_INDEXED_COLS, cols.into_bytes()),
-    ]
+/// Decode the id map from its two sections, checked by
+/// [`IdMap::from_parts`].
+fn read_id_map(global_ids: Reader<'_>, locations: Reader<'_>) -> Result<IdMap, StoreError> {
+    let global_ids = finish(global_ids, |r| {
+        let n = r.count(8)?;
+        (0..n).map(|_| r.usize_seq()).collect::<Result<Vec<_>, _>>()
+    })?;
+    let locations = finish(locations, read_locations)?;
+    Ok(IdMap::from_parts(global_ids, locations)?)
 }
 
 /// Decode a `ShardedRelation` of format `version` from its sections,
@@ -689,20 +731,8 @@ fn decode_sharded<'a>(
     if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
     }
-    // Each map is one `u64` run; the encoding is the same in every version.
-    let mut gids_r = section(SEC_GLOBAL_IDS)?;
-    let g_count = gids_r.count(8)?;
-    let mut global_ids = Vec::with_capacity(g_count);
-    for _ in 0..g_count {
-        global_ids.push(gids_r.usize_seq()?);
-    }
-    if !gids_r.is_exhausted() {
-        return Err(StoreError::Corrupt("trailing bytes in global ids".into()));
-    }
-    let locations = finish(section(SEC_LOCATIONS)?, read_locations)?;
-    Ok(ShardedRelation::from_parts(
-        schema, shard_by, shards, global_ids, locations,
-    )?)
+    let ids = read_id_map(section(SEC_GLOBAL_IDS)?, section(SEC_LOCATIONS)?)?;
+    Ok(ShardedRelation::from_parts(schema, shard_by, shards, ids)?)
 }
 
 fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
@@ -729,22 +759,17 @@ fn read_locations(r: &mut Reader<'_>) -> Result<Vec<Option<(usize, usize)>>, Sto
         .collect()
 }
 
-fn encode_hop_sections(h: &HopLabels) -> Vec<(u32, Vec<u8>)> {
-    let write_lists = |lists: &[Vec<u32>]| {
-        let mut w = Writer::new();
-        w.usize(lists.len());
-        for l in lists {
-            w.u32_seq(l);
-        }
-        w.into_bytes()
-    };
-    let mut rank_w = Writer::new();
-    rank_w.u32_seq(h.hub_ranks());
-    vec![
-        (SEC_LOUT, write_lists(h.out_labels())),
-        (SEC_LIN, write_lists(h.in_labels())),
-        (SEC_RANK, rank_w.into_bytes()),
-    ]
+fn write_hop(h: &HopLabels, frame: &mut Frame) {
+    frame.section(SEC_LOUT, |w| write_label_lists(h.out_labels(), w));
+    frame.section(SEC_LIN, |w| write_label_lists(h.in_labels(), w));
+    frame.section(SEC_RANK, |w| w.u32_seq(h.hub_ranks()));
+}
+
+fn write_label_lists(lists: &[Vec<u32>], w: &mut Writer) {
+    w.usize(lists.len());
+    for l in lists {
+        w.u32_seq(l);
+    }
 }
 
 fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
@@ -755,7 +780,7 @@ fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_engine::{PooledExecutor, QueryBatch};
+    use pitract_engine::{LiveRelation, PooledExecutor, QueryBatch};
     use pitract_graph::generate;
     use pitract_relation::{ColType, Relation, SelectionQuery, Value};
     use std::sync::Arc;
@@ -808,16 +833,12 @@ mod tests {
                 splits: vec![Value::Int(40), Value::Int(80)],
             },
         ] {
-            let mut sr = ShardedRelation::build(&relation(120), shard_by, 3, &[0, 1]).unwrap();
-            sr.delete(7);
-            sr.insert(vec![Value::Int(555), Value::str("late")])
+            let orig = LiveRelation::build(&relation(120), shard_by, 3, &[0, 1]).unwrap();
+            orig.delete(7).unwrap();
+            orig.insert(vec![Value::Int(555), Value::str("late")])
                 .unwrap();
 
-            let bytes = Snapshot::Sharded(sr).to_bytes();
-            let orig = Snapshot::from_bytes(&bytes)
-                .unwrap()
-                .into_sharded()
-                .unwrap();
+            let bytes = Snapshot::Sharded(orig.to_sharded()).to_bytes();
             let loaded = Snapshot::from_bytes(&bytes)
                 .unwrap()
                 .into_sharded()
@@ -826,12 +847,13 @@ mod tests {
             let batch = QueryBatch::new(queries());
             assert!(loaded.row(7).is_none());
             assert_eq!(loaded.row(120).unwrap().get(1), Value::str("late"));
-            let rows = |sr| {
-                PooledExecutor::with_default_pool(Arc::new(sr))
+            let rows = |lr| {
+                PooledExecutor::with_default_pool(Arc::new(lr))
                     .execute_rows(&batch)
                     .unwrap()
                     .rows
             };
+            let loaded = LiveRelation::from_sharded(loaded);
             assert_eq!(rows(orig), rows(loaded), "global row ids preserved");
         }
     }
@@ -851,11 +873,11 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_preserves_state_wal_mark_and_epoch() {
-        let mut sr =
-            ShardedRelation::build(&relation(80), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
-        sr.delete(12);
+        let live =
+            LiveRelation::build(&relation(80), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
+        live.delete(12).unwrap();
         let bytes = Snapshot::Checkpoint {
-            state: sr,
+            state: live.to_sharded(),
             wal_lsn: 123_456_789,
             epoch: Epoch::new(777),
         }
@@ -894,11 +916,10 @@ mod tests {
         // this binary wrote before the epoch section existed.
         let sr =
             ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
-        let mut sections = encode_sharded_sections(&sr);
-        let mut mark = Writer::new();
-        mark.u64(9);
-        sections.push((SEC_WAL_MARK, mark.into_bytes()));
-        let bytes = frame(SnapshotKind::Checkpoint, &sections);
+        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 1);
+        write_sharded(&sr, &mut frame);
+        frame.section(SEC_WAL_MARK, |w| w.u64(9));
+        let bytes = frame.finish();
 
         let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
             .unwrap()
@@ -914,17 +935,17 @@ mod tests {
     /// log now: such a file is refused typed, not misread.
     #[test]
     fn update_log_files_are_refused_as_unknown_kind() {
-        let mut entries = Writer::new();
-        entries.usize(2);
-        entries.update_entry(&pitract_engine::UpdateEntry::Insert {
-            gid: 7,
-            row: vec![Value::Int(1), Value::str("x")],
+        let mut frame = Frame::new(SnapshotKind::Checkpoint, 2);
+        frame.section(11, |w| {
+            w.usize(2);
+            w.update_entry(&pitract_engine::UpdateEntry::Insert {
+                gid: 7,
+                row: vec![Value::Int(1), Value::str("x")],
+            });
+            w.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
         });
-        entries.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
-        let mut end = Writer::new();
-        end.u64(2);
-        let sections = [(11, entries.into_bytes()), (SEC_EPOCH, end.into_bytes())];
-        let mut bytes = frame(SnapshotKind::Checkpoint, &sections);
+        frame.section(SEC_EPOCH, |w| w.u64(2));
+        let mut bytes = frame.finish();
         bytes[10..12].copy_from_slice(&4u16.to_le_bytes());
         let body_len = bytes.len() - 8;
         let sum = checksum(FORMAT_VERSION, &bytes[..body_len]);

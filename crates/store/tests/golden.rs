@@ -23,7 +23,9 @@
 //! version.
 
 use pitract_core::cost::Meter;
-use pitract_engine::{EngineError, PooledExecutor, QueryBatch, ShardBy, ShardedRelation};
+use pitract_engine::{
+    EngineError, LiveRelation, PooledExecutor, QueryBatch, ShardBy, ShardedRelation,
+};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Columns, IndexedError, Relation, Schema, SelectionQuery, Value};
 use pitract_store::codec::{Reader, Writer};
@@ -72,7 +74,7 @@ fn fixture_indexed() -> IndexedRelation {
 }
 
 fn fixture_sharded() -> ShardedRelation {
-    let mut sr = ShardedRelation::build(
+    let live = LiveRelation::build(
         &fixture_relation(),
         ShardBy::Range {
             col: 0,
@@ -82,8 +84,8 @@ fn fixture_sharded() -> ShardedRelation {
         &[0, 1],
     )
     .unwrap();
-    sr.delete(4);
-    sr
+    live.delete(4).unwrap();
+    live.to_sharded()
 }
 
 /// Compare (or, under `PITRACT_REGEN_FIXTURES=1`, rewrite) one fixture
@@ -320,7 +322,7 @@ fn sharded_fixture_is_byte_stable_and_loads() {
         SelectionQuery::point(0, 42i64), // deleted
         SelectionQuery::point(1, "alpha"),
     ]);
-    let result = PooledExecutor::with_default_pool(Arc::new(loaded))
+    let result = PooledExecutor::with_default_pool(Arc::new(LiveRelation::from_sharded(loaded)))
         .execute(&batch)
         .unwrap();
     assert_eq!(result.answers, vec![true, false, true]);
@@ -348,8 +350,7 @@ fn v1_fixtures_load_like_their_v2_twins() {
     assert_eq!(v1_bytes(&Snapshot::Sharded(fixture_sharded())), v1);
     let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
     let (old, new) = (load(&v1), load(&read_fixture("sharded_v2.snap")));
-    assert_eq!(old.global_id_maps(), new.global_id_maps());
-    assert_eq!(old.locations(), new.locations());
+    assert_eq!(old.id_map(), new.id_map());
     for (a, b) in old.shards().iter().zip(new.shards()) {
         assert_eq!(a.indexed_columns(), b.indexed_columns());
         assert_eq!(metered_answers(a), metered_answers(b));
@@ -382,8 +383,7 @@ fn v2_fixtures_load_like_their_v3_twins() {
     assert_eq!(v2_bytes(&Snapshot::Sharded(fixture_sharded())), v2);
     let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
     let (old, new) = (load(&v2), load(&read_fixture("sharded_v3.snap")));
-    assert_eq!(old.global_id_maps(), new.global_id_maps());
-    assert_eq!(old.locations(), new.locations());
+    assert_eq!(old.id_map(), new.id_map());
     for (a, b) in old.shards().iter().zip(new.shards()) {
         assert_eq!(a.indexed_columns(), b.indexed_columns());
         assert_eq!(metered_answers(a), metered_answers(b));
@@ -484,18 +484,19 @@ fn save_load_save_is_byte_identical() {
     let schema = fixture_relation().schema().clone();
     let relation = Relation::from_rows(schema, (0..300).map(row).collect()).unwrap();
     let mut ir = IndexedRelation::build(&relation, &[0, 1]).unwrap();
-    let mut sr = ShardedRelation::build(&relation, ShardBy::Hash { col: 1 }, 3, &[0, 1]).unwrap();
+    let live = LiveRelation::build(&relation, ShardBy::Hash { col: 1 }, 3, &[0, 1]).unwrap();
     for id in (0..300).step_by(7) {
         ir.delete(id).unwrap();
-        sr.delete(id).unwrap();
+        live.delete(id).unwrap().unwrap();
     }
     for i in 300..340 {
-        let (id, gid) = (ir.insert(row(i)).unwrap(), sr.insert(row(i)).unwrap());
+        let (id, gid) = (ir.insert(row(i)).unwrap(), live.insert(row(i)).unwrap());
         if i % 11 == 0 {
             ir.delete(id).unwrap();
-            sr.delete(gid).unwrap();
+            live.delete(gid).unwrap().unwrap();
         }
     }
+    let sr = live.to_sharded();
     for snapshot in [
         Snapshot::Indexed(fixture_indexed()),
         Snapshot::Indexed(ir),
@@ -541,10 +542,9 @@ fn loaded_parts_are_still_validated() {
         .unwrap()
         .into_sharded()
         .unwrap();
-    let (schema, shard_by, mut shards, global_ids, locations) = sharded.into_parts();
+    let (schema, shard_by, mut shards, ids) = sharded.into_parts();
     shards.swap(0, 1);
-    let err =
-        ShardedRelation::from_parts(schema, shard_by, shards, global_ids, locations).unwrap_err();
+    let err = ShardedRelation::from_parts(schema, shard_by, shards, ids).unwrap_err();
     assert!(
         matches!(&err, EngineError::InconsistentSnapshot(why) if why.contains("routes to shard")),
         "{err}"
@@ -594,7 +594,7 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
         }
     }
 
-    let mut sr = ShardedRelation::build(
+    let live = LiveRelation::build(
         &fixture_relation(),
         ShardBy::Range {
             col: 0,
@@ -604,18 +604,20 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
         &[0, 1],
     )
     .unwrap();
-    sr.delete(1).unwrap();
-    sr.delete(5).unwrap();
-    let snapshot = Snapshot::Sharded(sr);
+    live.delete(1).unwrap().unwrap();
+    live.delete(5).unwrap().unwrap();
+    let snapshot = Snapshot::Sharded(live.to_sharded());
     for bytes in [
         v1_bytes(&snapshot),
         v2_bytes(&snapshot),
         snapshot.to_bytes(),
     ] {
-        let mut loaded = Snapshot::from_bytes(&bytes)
-            .unwrap()
-            .into_sharded()
-            .unwrap();
+        let loaded = LiveRelation::from_sharded(
+            Snapshot::from_bytes(&bytes)
+                .unwrap()
+                .into_sharded()
+                .unwrap(),
+        );
         for q in probes {
             assert!(!loaded.answer(q), "{q:?}");
             assert!(loaded.matching_ids(q).is_empty(), "{q:?}");

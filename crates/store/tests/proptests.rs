@@ -9,7 +9,7 @@
 //!    snapshots, or truncated prefixes of valid snapshots returns a typed
 //!    error — it never panics and never over-allocates.
 
-use pitract_engine::{ShardBy, ShardedRelation};
+use pitract_engine::{LiveRelation, ShardBy};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_store::codec::{Reader, Writer};
@@ -91,17 +91,18 @@ proptest! {
         };
         let rel = Relation::from_rows(schema, keys.iter().map(row).collect()).expect("valid rows");
         let mut ir = IndexedRelation::build(&rel, &[0, 1]).expect("valid columns");
-        let mut sr = ShardedRelation::build(&rel, ShardBy::Hash { col: 1 }, 3, &[0, 1])
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 1 }, 3, &[0, 1])
             .expect("valid sharding");
         for spec in &inserts {
             ir.insert(row(spec)).expect("admitted");
-            sr.insert(row(spec)).expect("admitted");
+            live.insert(row(spec)).expect("admitted");
         }
         let slots = keys.len() + inserts.len();
         for d in deletes {
             ir.delete(d % slots);
-            sr.delete(d % slots);
+            live.delete(d % slots).expect("no sink to fail");
         }
+        let sr = live.to_sharded();
 
         let bytes = Snapshot::Indexed(ir.clone()).to_bytes();
         let warm = Snapshot::from_bytes(&bytes)
@@ -117,8 +118,7 @@ proptest! {
             .expect("own bytes load")
             .into_sharded()
             .expect("kind preserved");
-        prop_assert_eq!(sharded.global_id_maps(), sr.global_id_maps());
-        prop_assert_eq!(sharded.locations(), sr.locations());
+        prop_assert_eq!(sharded.id_map(), sr.id_map());
 
         let mut queries = Vec::new();
         for k in probes {

@@ -406,7 +406,7 @@ impl BatchServe for DurableLiveRelation {
         BatchServe::shard_count(&self.live)
     }
 
-    fn pin_epoch(&self) -> Option<Epoch> {
+    fn pin_epoch(&self) -> Epoch {
         BatchServe::pin_epoch(&self.live)
     }
 

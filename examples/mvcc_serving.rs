@@ -90,7 +90,7 @@ fn main() {
         }
         for _ in 0..8 {
             let got = exec.execute_rows(&batch).expect("valid batch");
-            let epoch = got.report.epoch.expect("pooled batches pin an epoch");
+            let epoch = got.report.epoch;
             observed.push((epoch, got.rows));
         }
     });

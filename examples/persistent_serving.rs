@@ -10,8 +10,9 @@
 //! 2. **Persist**: serialize it into a named snapshot via
 //!    `SnapshotCatalog` (versioned, checksummed, atomically written).
 //! 3. **Warm start**: a fresh engine loads the snapshot from disk —
-//!    the rows, with the trees rebuilt by sort as they are decoded — and
-//!    serves a 1,000-query batch against it.
+//!    the rows, with the trees rebuilt by sort as they are decoded —
+//!    wraps it for serving (`LiveRelation::from_sharded`) and serves a
+//!    1,000-query batch against it.
 //! 4. **Verify**: warm answers equal the cold engine's answers, row ids
 //!    included.
 //!
@@ -87,7 +88,7 @@ fn main() {
 
     // 4. Serve a batch from the warm engine and verify against a cold one.
     let batch = mixed_batch(n);
-    let warm = PooledExecutor::with_default_pool(Arc::new(warm));
+    let warm = PooledExecutor::with_default_pool(Arc::new(LiveRelation::from_sharded(warm)));
     let t0 = Instant::now();
     let result = warm.execute(&batch).expect("valid batch");
     let serve_time = t0.elapsed();
@@ -102,7 +103,7 @@ fn main() {
     }
     println!("\n");
 
-    let rebuilt = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
+    let rebuilt = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
         .expect("valid sharding spec");
     let oracle = PooledExecutor::with_default_pool(Arc::new(rebuilt))
         .execute(&batch)

@@ -111,7 +111,7 @@ fn main() {
         loop {
             let report = follower.catch_up(&publisher, sub).expect("catch up");
             let result = exec.execute(&batch).expect("replica batch");
-            let pinned = result.report.epoch.expect("replica batches pin");
+            let pinned = result.report.epoch;
             assert_eq!(
                 follower.lsn_of_epoch(pinned),
                 report.applied_lsn,

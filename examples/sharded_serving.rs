@@ -58,7 +58,7 @@ fn main() {
 
     println!("shards  batch time  vs scan    total steps  paths");
     for shards in [1usize, 2, 4, 8] {
-        let sharded = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, shards, &[0, 1])
+        let sharded = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, shards, &[0, 1])
             .expect("valid sharding spec");
         // The pool is spawned once per serving session, outside the timer.
         let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
@@ -84,16 +84,17 @@ fn main() {
         );
     }
 
-    // Row-id serving: the same fan-out, returning witnesses.
-    let sharded = Arc::new(
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
-            .expect("valid sharding spec"),
-    );
+    // Row-id serving: the same fan-out, returning witnesses. The built
+    // Π(D) is immutable; serving it wraps it in a live relation.
+    let sharded = ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
+        .expect("valid sharding spec");
+    let probe = SelectionQuery::point(0, 77i64);
+    let (touched, shard_count) = (sharded.relevant_shards(&probe).len(), sharded.shard_count());
     let witness_batch = QueryBatch::new([
         SelectionQuery::point(1, "grp42"),
         SelectionQuery::range_closed(0, 500i64, 520i64),
     ]);
-    let rows = PooledExecutor::with_default_pool(Arc::clone(&sharded))
+    let rows = PooledExecutor::with_default_pool(Arc::new(LiveRelation::from_sharded(sharded)))
         .execute_rows(&witness_batch)
         .expect("valid batch");
     println!(
@@ -103,13 +104,7 @@ fn main() {
     );
 
     // Shard-key routing: a point query on the shard key probes one shard.
-    let probe = SelectionQuery::point(0, 77i64);
-    println!(
-        "routing: {:?} touches {} of {} shards",
-        probe,
-        sharded.relevant_shards(&probe).len(),
-        sharded.shard_count()
-    );
+    println!("routing: {probe:?} touches {touched} of {shard_count} shards");
 
     println!("\nEvery batch answer matched the sequential scan oracle.");
 }

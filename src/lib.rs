@@ -52,7 +52,9 @@
 //! [`engine`] crate realizes it with real threads: a
 //! [`ShardedRelation`](crate::engine::shard::ShardedRelation) hash- or
 //! range-partitions the data across shards (each one an independently
-//! indexed `Π(D)`), a [`Planner`](crate::engine::planner::Planner) routes
+//! indexed `Π(D)`) and is the immutable result of preprocessing;
+//! [`LiveRelation::from_sharded`](crate::engine::live::LiveRelation::from_sharded)
+//! takes it over to serve it. A [`Planner`](crate::engine::planner::Planner) routes
 //! every query to its cheapest access path, and a
 //! [`PooledExecutor`](crate::engine::pool::PooledExecutor) answers each
 //! [`QueryBatch`](crate::engine::batch::QueryBatch) on a worker pool
@@ -60,8 +62,8 @@
 //! channel, an admission gate capping concurrently admitted batches, a
 //! worker panic returned as a typed error without poisoning the pool,
 //! and answers plus per-query step meters merged into a batch cost
-//! report. Any serving target works — a `ShardedRelation`, a
-//! `LiveRelation`, a durable node or a replica — via the
+//! report. Any serving target works — a `LiveRelation`, a durable node
+//! or a replica — via the
 //! [`BatchServe`](crate::engine::pool::BatchServe) trait.
 //!
 //! ```
@@ -76,7 +78,8 @@
 //! let sharded = ShardedRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
 //! // One pool for the whole serving session; batches stream through it.
-//! let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
+//! let served = LiveRelation::from_sharded(sharded);
+//! let exec = PooledExecutor::with_default_pool(Arc::new(served));
 //! let batch = QueryBatch::new((0..100i64).map(|k| SelectionQuery::point(0, k * 101)));
 //! let result = exec.execute(&batch).unwrap();
 //! assert!(result.answers.iter().filter(|&&a| a).count() == 100);
@@ -210,7 +213,7 @@
 //! let batch = QueryBatch::new((0..50i64).map(|k| SelectionQuery::point(0, k * 17)));
 //! let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
 //! let result = exec.execute(&batch).unwrap();
-//! assert_eq!(result.report.epoch, Some(live.current_epoch()));
+//! assert_eq!(result.report.epoch, live.current_epoch());
 //! ```
 //!
 //! ## Durability

@@ -37,12 +37,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// 16-byte `String` block.
 const INPUT_BYTES_PER_ROW: usize = 56;
 /// Heap bytes the rows and the id maps may hold per row. When written:
-/// 80 — 48 for the typed columns (8 for each of the three `Int`
+/// 64 — 48 for the typed columns (8 for each of the three `Int`
 /// columns, and for `payload` 16 arena bytes plus an 8-byte end offset)
-/// and 32 for the id maps (8 local → global, 24 global → location). The
-/// `Vec<Option<Vec<Value>>>` slots the columns replaced held 136 of
-/// their own, 168 with the maps.
-const ROW_BYTES_PER_ROW: usize = 96;
+/// and 16 for the id map (8 local → global, 8 for the location packed
+/// in one `u64`). An `Option<(usize, usize)>` location took 24, 80 in
+/// all; the `Vec<Option<Vec<Value>>>` slots the columns replaced held
+/// 136 of their own, 168 with the maps.
+const ROW_BYTES_PER_ROW: usize = 80;
 /// Heap bytes the three indexes may hold per row. When written: 83
 /// (`id` and `ts` ~36 each — 8 key + 24 posting bytes and the node
 /// around them — and `grp` ~11, its ids 8 bytes apiece in shared

@@ -445,7 +445,7 @@ proptest! {
             });
             for _ in 0..6 {
                 let got = exec.execute_rows(&batch).unwrap();
-                observed.push((got.report.epoch.unwrap(), got.rows));
+                observed.push((got.report.epoch, got.rows));
             }
             writer.join().unwrap();
         });

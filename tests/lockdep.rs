@@ -25,7 +25,7 @@ fn batch(n: i64) -> QueryBatch {
 /// Shard-ranked lock — the exact inversion of the engine's documented
 /// order — but only on one poisoned shard, and only when armed.
 struct InvertedLocks {
-    inner: ShardedRelation,
+    inner: LiveRelation,
     gid: OrderedRwLock<()>,
     shard: OrderedRwLock<()>,
     poison: usize,
@@ -33,7 +33,7 @@ struct InvertedLocks {
 }
 
 impl InvertedLocks {
-    fn new(inner: ShardedRelation, poison: usize) -> Self {
+    fn new(inner: LiveRelation, poison: usize) -> Self {
         InvertedLocks {
             inner,
             gid: OrderedRwLock::new(LockRank::Gid, ()),
@@ -55,6 +55,14 @@ impl BatchServe for InvertedLocks {
 
     fn shard_count(&self) -> usize {
         BatchServe::shard_count(&self.inner)
+    }
+
+    fn pin_epoch(&self) -> Epoch {
+        self.inner.pin_epoch()
+    }
+
+    fn unpin_epoch(&self, epoch: Epoch) {
+        self.inner.unpin_epoch(epoch);
     }
 
     fn eval_shard<M: OutputMode>(
@@ -85,7 +93,7 @@ fn inverted_acquisition_on_a_worker_is_typed_and_the_pool_survives() {
     let rel = relation(n);
     let violations_before = lockdep::stats().violations;
     let target = Arc::new(InvertedLocks::new(
-        ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0]).expect("valid spec"),
+        LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0]).expect("valid spec"),
         1,
     ));
     let exec = PooledExecutor::new(

@@ -47,16 +47,17 @@ fn serve_both_modes<R: BatchServe + 'static>(target: Arc<R>, batch: &QueryBatch)
     Served {
         answers: bools.answers,
         exists_steps: steps(&bools.report),
-        pinned: rows.report.epoch.is_some(),
+        pinned: !rows.report.epoch.is_latest(),
         row_steps: steps(&rows.report),
         rows: rows.rows,
     }
 }
 
 /// Every `BatchServe` implementor carries one evaluation body shared by
-/// both output modes, and the three live-backed ones forward to the
-/// same body: the same data behind each of the four must give the same
-/// answers, the same global row ids and the same per-query step counts.
+/// both output modes, and the durable node and the follower forward to
+/// the live relation's: the same data behind each of the three must
+/// give the oracle's answers and global row ids and the same per-query
+/// step counts, each batch at one pinned epoch.
 #[test]
 fn pooled_answers_match_the_oracle_on_every_target() {
     let n = 4_000i64;
@@ -81,15 +82,25 @@ fn pooled_answers_match_the_oracle_on_every_target() {
         snapshot.into_sharded().expect("sharded snapshot")
     };
 
-    // The scan oracle and the static target take the updates directly.
-    let mut sharded = loaded();
+    // The oracle: the rows under their global ids (a build gives row
+    // `i` id `i`), the updates applied to the vector.
+    let mut model: Vec<Option<Vec<Value>>> = base.rows().map(|row| Some(row.to_vec())).collect();
     for op in updates() {
         match op {
-            UpdateOp::Insert(row) => drop(sharded.insert(row).expect("valid row")),
-            UpdateOp::Delete(gid) => drop(sharded.delete(gid).expect("live row")),
+            UpdateOp::Insert(row) => model.push(Some(row)),
+            UpdateOp::Delete(gid) => assert!(model[gid].take().is_some(), "live row {gid}"),
         }
     }
-    let oracle = sharded.to_relation();
+    let oracle = Relation::from_rows(
+        base.schema().clone(),
+        model.iter().flatten().cloned().collect(),
+    )
+    .expect("valid rows");
+    let matching = |q: &SelectionQuery| -> Vec<usize> {
+        (0..model.len())
+            .filter(|&gid| model[gid].as_ref().is_some_and(|row| q.matches(row)))
+            .collect()
+    };
 
     let live = LiveRelation::from_sharded(loaded());
     live.apply_batch(updates()).expect("live batch");
@@ -116,10 +127,6 @@ fn pooled_answers_match_the_oracle_on_every_target() {
     assert_eq!(follower.catch_up(&publisher, sub).expect("catch up").lag, 0);
 
     let table = [
-        (
-            "ShardedRelation",
-            serve_both_modes(Arc::new(sharded), &batch),
-        ),
         ("LiveRelation", serve_both_modes(Arc::new(live), &batch)),
         ("DurableLiveRelation", serve_both_modes(durable, &batch)),
         ("Follower", serve_both_modes(Arc::new(follower), &batch)),
@@ -130,6 +137,7 @@ fn pooled_answers_match_the_oracle_on_every_target() {
             assert_eq!(got.answers[qi], oracle.eval_scan(q), "{target}: {q:?}");
             assert_eq!(got.rows[qi].len(), oracle.count_where(q), "{target}: {q:?}");
             assert_eq!(got.answers[qi], !got.rows[qi].is_empty(), "{target}: {q:?}");
+            assert_eq!(got.rows[qi], matching(q), "{target}: {q:?} global row ids");
         }
         assert_eq!(got.rows, reference.rows, "{target}: global row ids");
         assert_eq!(got.exists_steps, reference.exists_steps, "{target}: steps");
@@ -137,11 +145,7 @@ fn pooled_answers_match_the_oracle_on_every_target() {
             got.row_steps, reference.row_steps,
             "{target}: row-mode steps"
         );
-        assert_eq!(
-            got.pinned,
-            *target != "ShardedRelation",
-            "{target}: epoch pin"
-        );
+        assert!(got.pinned, "{target}: epoch pin");
     }
 }
 
@@ -150,7 +154,7 @@ fn pooled_answers_match_the_oracle_on_every_target() {
 /// pool that dies with one bad batch is not a serving session.
 #[derive(Debug)]
 struct PanicOnShard {
-    inner: ShardedRelation,
+    inner: LiveRelation,
     poison: usize,
 }
 
@@ -161,6 +165,14 @@ impl BatchServe for PanicOnShard {
 
     fn shard_count(&self) -> usize {
         BatchServe::shard_count(&self.inner)
+    }
+
+    fn pin_epoch(&self) -> Epoch {
+        self.inner.pin_epoch()
+    }
+
+    fn unpin_epoch(&self, epoch: Epoch) {
+        self.inner.unpin_epoch(epoch);
     }
 
     fn eval_shard<M: OutputMode>(
@@ -184,7 +196,7 @@ fn worker_panic_is_typed_and_the_session_keeps_serving() {
     let n = 1_000i64;
     let rel = relation(n);
     let target = Arc::new(PanicOnShard {
-        inner: ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0]).expect("valid spec"),
+        inner: LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 3, &[0]).expect("valid spec"),
         poison: 1,
     });
     let exec = PooledExecutor::new(
@@ -312,7 +324,7 @@ fn status_reads_idle_once_racing_writers_and_batches_quiesce() {
         }
         for _ in 0..12 {
             let got = exec.execute_rows(&batch).expect("pinned batch");
-            assert!(got.report.epoch.is_some(), "every batch pins");
+            assert!(!got.report.epoch.is_latest(), "every batch pins");
         }
     });
     // Quiesced. One more pin's release sweeps whatever the racing

@@ -141,7 +141,7 @@ proptest! {
         } else {
             ShardBy::Hash { col: 0 }
         };
-        let mut sharded = ShardedRelation::build(
+        let sharded = LiveRelation::build(
             &Relation::new(schema.clone()),
             shard_by,
             shards,
@@ -158,7 +158,7 @@ proptest! {
             } else if !model.is_empty() {
                 let victim = (k.unsigned_abs() as usize + t) % model.len();
                 prop_assert_eq!(
-                    sharded.delete(victim),
+                    sharded.delete(victim).unwrap(),
                     model[victim].take(),
                     "delete {}", victim
                 );

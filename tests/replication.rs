@@ -150,7 +150,7 @@ fn racing_writers_and_catch_up(root: Dir) {
             // The batch pinned one consistent cut: the epoch named by
             // the follower's LSN dictionary, which the racing primary
             // cannot tear.
-            let pinned = result.report.epoch.expect("follower batches pin");
+            let pinned = result.report.epoch;
             assert_eq!(
                 follower.lsn_of_epoch(pinned),
                 follower.applied_lsn(),

@@ -51,8 +51,7 @@ fn eight_shard_batch_matches_scan_oracle_at_scale() {
             splits: (1..8).map(|i| Value::Int(i * N / 8)).collect(),
         },
     ] {
-        let sharded =
-            ShardedRelation::build(&base, shard_by.clone(), 8, &[0, 1]).expect("valid spec");
+        let sharded = LiveRelation::build(&base, shard_by.clone(), 8, &[0, 1]).expect("valid spec");
         assert_eq!(sharded.len(), base.len());
 
         let result = PooledExecutor::with_default_pool(Arc::new(sharded))
@@ -76,7 +75,7 @@ fn eight_shard_batch_matches_scan_oracle_at_scale() {
 fn row_id_serving_matches_count_oracle_at_scale() {
     let base = base_relation();
     let sharded = Arc::new(
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
+        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
     );
     let batch = QueryBatch::new((0..64i64).map(|k| {
         SelectionQuery::and(
@@ -90,7 +89,7 @@ fn row_id_serving_matches_count_oracle_at_scale() {
     for (q, ids) in batch.queries().iter().zip(&got.rows) {
         assert_eq!(ids.len(), base.count_where(q), "{q:?}");
         for &gid in ids {
-            assert!(q.matches(sharded.row(gid).expect("live row")), "{q:?}");
+            assert!(q.matches(&sharded.row(gid).expect("live row")), "{q:?}");
         }
     }
 }
@@ -99,7 +98,7 @@ fn row_id_serving_matches_count_oracle_at_scale() {
 fn concurrent_batches_agree_with_the_oracle() {
     let base = base_relation();
     let sharded =
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec");
+        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec");
     let exec = PooledExecutor::with_default_pool(Arc::new(sharded));
     let batch = mixed_batch();
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
@@ -116,33 +115,28 @@ fn concurrent_batches_agree_with_the_oracle() {
 #[test]
 fn updates_flow_through_batch_answers() {
     let base = base_relation();
-    let mut sharded = Arc::new(
-        ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
+    let sharded = Arc::new(
+        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1]).expect("valid spec"),
     );
     let fresh = SelectionQuery::point(0, N + 7);
     let batch = QueryBatch::new([fresh.clone(), SelectionQuery::point(0, 3i64)]);
-    // A static relation is immutable while served: each serving session
-    // ends (its executor drops) before the next update takes `&mut`.
-    let serve = |sharded: &Arc<ShardedRelation>| {
-        PooledExecutor::with_default_pool(Arc::clone(sharded))
-            .execute(&batch)
-            .expect("valid batch")
-            .answers
-    };
-    assert_eq!(serve(&sharded), vec![false, true]);
+    // One serving session; the updates land between its batches.
+    let exec = PooledExecutor::with_default_pool(Arc::clone(&sharded));
+    let serve = || exec.execute(&batch).expect("valid batch").answers;
+    assert_eq!(serve(), vec![false, true]);
 
-    let between = Arc::get_mut(&mut sharded).expect("no session holds the relation");
-    let gid = between
+    let gid = sharded
         .insert(vec![Value::Int(N + 7), Value::str("grp0")])
         .expect("valid row");
-    between
+    sharded
         .delete(3)
+        .expect("no sink to fail")
         .expect("row with global id 3 (id value 3) is live");
-    assert_eq!(serve(&sharded), vec![true, false]);
+    assert_eq!(serve(), vec![true, false]);
 
-    Arc::get_mut(&mut sharded)
-        .expect("no session holds the relation")
+    sharded
         .delete(gid)
+        .expect("no sink to fail")
         .expect("inserted row is live");
-    assert_eq!(serve(&sharded), vec![false, false]);
+    assert_eq!(serve(), vec![false, false]);
 }

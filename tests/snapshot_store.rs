@@ -39,12 +39,12 @@ fn mixed_queries(n: i64) -> Vec<SelectionQuery> {
 
 /// Mutate a relation the way a serving window would: deletes and late
 /// inserts, so snapshots carry tombstones and post-build rows.
-fn churn(sr: &mut ShardedRelation, n: i64) {
+fn churn(lr: &LiveRelation, n: i64) {
     for gid in (0..n as usize).step_by(97) {
-        sr.delete(gid);
+        lr.delete(gid).unwrap();
     }
     for i in 0..50i64 {
-        sr.insert(vec![Value::Int(n + i), Value::str("late")])
+        lr.insert(vec![Value::Int(n + i), Value::str("late")])
             .unwrap();
     }
 }
@@ -67,16 +67,18 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
         ),
     ] {
         // "Process 1": preprocess, mutate, persist.
-        let mut built = ShardedRelation::build(&rel, shard_by, 4, &[0, 1]).unwrap();
-        churn(&mut built, n);
-        catalog.save(name, &Snapshot::Sharded(built)).unwrap();
+        let built = LiveRelation::build(&rel, shard_by, 4, &[0, 1]).unwrap();
+        churn(&built, n);
+        catalog
+            .save(name, &Snapshot::Sharded(built.to_sharded()))
+            .unwrap();
 
         // "Process 2": warm-start from disk only.
-        let warm = catalog.load(name).unwrap().into_sharded().unwrap();
+        let warm = LiveRelation::from_sharded(catalog.load(name).unwrap().into_sharded().unwrap());
 
         // Cold oracle: rebuild Π from scratch with the same history.
-        let mut cold = ShardedRelation::build(&rel, warm.shard_by().clone(), 4, &[0, 1]).unwrap();
-        churn(&mut cold, n);
+        let cold = LiveRelation::build(&rel, warm.shard_by().clone(), 4, &[0, 1]).unwrap();
+        churn(&cold, n);
 
         assert_eq!(warm.len(), cold.len());
         let batch = QueryBatch::new(mixed_queries(n));
