@@ -962,6 +962,46 @@ mod tests {
     }
 
     #[test]
+    fn inserts_and_deletes_keep_global_ids_stable() {
+        // Updates go through the live layer; the Π(D) it freezes must
+        // carry the same global ids, and serving it again must not reuse
+        // the ids of deleted rows.
+        let sr =
+            ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+        let lr = LiveRelation::from_sharded(sr);
+        let gid = lr.insert(vec![Value::Int(100), Value::str("new")]).unwrap();
+        assert_eq!(gid, 20);
+        let removed = lr.delete(5).unwrap().expect("gid 5 live");
+        assert_eq!(removed[0], Value::Int(5));
+        assert!(lr.delete(5).unwrap().is_none(), "double delete is a no-op");
+
+        let sr = lr.to_sharded();
+        assert_eq!(sr.row(gid).unwrap().get(1), Value::str("new"));
+        assert!(sr.answer(&SelectionQuery::point(0, 100i64)));
+        assert!(!sr.answer(&SelectionQuery::point(0, 5i64)));
+        assert_eq!(sr.len(), 20);
+        // Other ids are untouched.
+        assert_eq!(sr.row(6).unwrap().get(0), Value::Int(6));
+        assert!(sr.row(5).is_none());
+        assert_eq!(
+            sr.matching_ids(&SelectionQuery::range_closed(0, 4i64, 6i64)),
+            vec![4, 6]
+        );
+
+        // The full check accepts the exported parts unchanged.
+        let (schema, shard_by, shards, ids) = sr.into_parts();
+        let sr = ShardedRelation::from_parts(schema, shard_by, shards, ids).unwrap();
+        assert_eq!(sr.row(gid).unwrap().get(0), Value::Int(100));
+        let lr = LiveRelation::from_sharded(sr);
+        assert_eq!(
+            lr.insert(vec![Value::Int(101), Value::str("next")])
+                .unwrap(),
+            21,
+            "a deleted id is never reused"
+        );
+    }
+
+    #[test]
     fn matching_ids_are_global_and_sorted() {
         let sr =
             ShardedRelation::build(&relation(30), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
