@@ -180,9 +180,16 @@ pub fn note_release(rank: LockRank, sub: u32) {
     });
 }
 
-/// How many ranked locks the current thread holds right now.
+/// How many ranked locks the current thread holds right now. The lock
+/// wrappers record only in debug builds, so in release this reads 0.
 pub fn held_depth() -> usize {
     HELD.with(|held| held.borrow().len())
+}
+
+/// How many locks of `rank` the current thread holds right now (0 in
+/// release builds, like [`held_depth`]).
+pub fn held_of(rank: LockRank) -> usize {
+    HELD.with(|held| held.borrow().iter().filter(|(r, _)| *r == rank).count())
 }
 
 #[cfg(debug_assertions)]
@@ -432,7 +439,10 @@ mod tests {
         let g = gid.read();
         let e = epoch.lock();
         assert_eq!(*s + *g + *e, 6);
-        assert_eq!(held_depth(), 3);
+        // Release builds record nothing: the wrappers are a passthrough.
+        let recorded = if cfg!(debug_assertions) { 3 } else { 0 };
+        assert_eq!(held_depth(), recorded);
+        assert_eq!(held_of(LockRank::Shard), recorded / 3);
         drop((s, g, e));
         assert_eq!(held_depth(), 0);
     }

@@ -184,11 +184,6 @@ impl IdMap {
         &self.global_ids[shard]
     }
 
-    /// Every shard's local → global map, in shard order.
-    pub fn global_id_maps(&self) -> &[Vec<usize>] {
-        &self.global_ids
-    }
-
     /// The `(shard, local)` of a live global id; `None` once it is
     /// deleted or burned, or if it was never assigned.
     pub fn location(&self, gid: usize) -> Option<(usize, usize)> {
@@ -202,6 +197,21 @@ impl IdMap {
     /// the `locations` argument of [`Self::from_parts`].
     pub fn locations(&self) -> impl ExactSizeIterator<Item = Option<(usize, usize)>> + '_ {
         (0..self.locations.len()).map(|gid| self.location(gid))
+    }
+
+    /// The map as it stood when the next global id was `next_gid` and
+    /// shard `s`'s locals were live where `live[s]` says (bit `l % 64` of
+    /// word `l / 64` for local `l`) — the map as it is, given its next
+    /// id and the shards' live bitmaps now. Every id below `next_gid` was
+    /// assigned before that point, so its entries are still in place:
+    /// the maps only grow, and a delete only marks a location dead.
+    pub fn view_at<'a>(&'a self, next_gid: usize, live: &'a [&'a [u64]]) -> IdMapView<'a> {
+        debug_assert_eq!(live.len(), self.shard_count(), "one bitmap per shard");
+        IdMapView {
+            map: self,
+            next_gid: next_gid.min(self.next_gid()),
+            live,
+        }
     }
 
     /// Check that the next row of `shard` can be given the next global
@@ -244,6 +254,58 @@ impl IdMap {
     }
 }
 
+/// An [`IdMap`] as it stood at some point, now or earlier
+/// ([`IdMap::view_at`]), borrowed: what a snapshot writer reads sections
+/// 6 and 7 from.
+#[derive(Debug, Clone, Copy)]
+pub struct IdMapView<'a> {
+    map: &'a IdMap,
+    next_gid: usize,
+    /// Per shard, the locals live at the point.
+    live: &'a [&'a [u64]],
+}
+
+impl<'a> IdMapView<'a> {
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.map.shard_count()
+    }
+
+    /// One past every global id assigned or burned at the point.
+    pub fn next_gid(&self) -> usize {
+        self.next_gid
+    }
+
+    /// Shard `shard`'s local → global map at the point, entries of
+    /// deleted rows included, strictly increasing.
+    pub fn global_ids(&self, shard: usize) -> &'a [usize] {
+        let map = &self.map.global_ids[shard];
+        &map[..map.partition_point(|&gid| gid < self.next_gid)]
+    }
+
+    /// Every global id's location at the point, in id order (`None` for
+    /// a dead id). An id dead now but live at the point is found in the
+    /// local → global maps: one cursor per shard follows them in id
+    /// order, so each dead id costs one look at each shard's cursor.
+    pub fn locations(&self) -> impl ExactSizeIterator<Item = Option<(usize, usize)>> + 'a {
+        let (map, live) = (self.map, self.live);
+        let mut cursors = vec![0usize; map.shard_count()];
+        (0..self.next_gid).map(move |gid| {
+            let (shard, local) = match map.location(gid) {
+                Some(at) => at,
+                None => {
+                    let shard = (0..cursors.len())
+                        .find(|&s| map.global_ids[s].get(cursors[s]) == Some(&gid))?;
+                    (shard, cursors[shard])
+                }
+            };
+            cursors[shard] = local + 1;
+            let word = live[shard].get(local / 64).copied().unwrap_or(0);
+            (word >> (local % 64) & 1 == 1).then_some((shard, local))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,15 +323,22 @@ mod tests {
         )
     }
 
+    /// Every shard's local → global map, in shard order.
+    fn maps(map: &IdMap) -> Vec<Vec<usize>> {
+        (0..map.shard_count())
+            .map(|s| map.global_ids(s).to_vec())
+            .collect()
+    }
+
     fn refused(parts: Parts) -> EngineError {
         IdMap::from_parts(parts.0, parts.1).unwrap_err()
     }
 
     #[test]
     fn from_parts_accepts_consistent_maps() {
-        let (maps, locations) = parts();
-        let map = IdMap::from_parts(maps.clone(), locations.clone()).unwrap();
-        assert_eq!(map.global_id_maps(), &maps[..]);
+        let (maps_in, locations) = parts();
+        let map = IdMap::from_parts(maps_in.clone(), locations.clone()).unwrap();
+        assert_eq!(maps(&map), maps_in);
         assert_eq!(map.locations().collect::<Vec<_>>(), locations);
         assert_eq!((map.live(), map.next_gid()), (3, 4));
     }
@@ -352,10 +421,9 @@ mod tests {
     #[test]
     fn assign_gives_dense_locals_in_arrival_order() {
         let map = IdMap::assign(3, 6, [2, 0, 2, 1, 0, 2].into_iter()).unwrap();
-        assert_eq!(map.global_id_maps(), &[vec![1, 4], vec![3], vec![0, 2, 5]]);
+        assert_eq!(maps(&map), [vec![1, 4], vec![3], vec![0, 2, 5]]);
         assert_eq!(map.location(5), Some((2, 2)));
-        let (maps, locations) = (map.global_id_maps().to_vec(), map.locations());
-        assert_eq!(IdMap::from_parts(maps, locations).unwrap(), map);
+        assert_eq!(IdMap::from_parts(maps(&map), map.locations()).unwrap(), map);
     }
 
     /// A model of the map: live id → location, per shard the ids in
@@ -404,7 +472,7 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(map.next_gid(), model.next);
                 proptest::prop_assert_eq!(map.live(), model.live.len());
-                proptest::prop_assert_eq!(map.global_id_maps(), &model.shards[..]);
+                proptest::prop_assert_eq!(maps(&map), model.shards.clone());
                 for gid in 0..model.next {
                     let location = model.live.get(&gid).copied();
                     proptest::prop_assert_eq!(map.location(gid), location);
@@ -413,7 +481,7 @@ mod tests {
                     }
                 }
                 let rebuilt =
-                    IdMap::from_parts(map.global_id_maps().to_vec(), map.locations()).unwrap();
+                    IdMap::from_parts(maps(&map), map.locations()).unwrap();
                 proptest::prop_assert_eq!(&rebuilt, &map);
             }
         }

@@ -78,9 +78,9 @@ pub use batch::{
     RowIds,
 };
 pub use error::EngineError;
-pub use idmap::IdMap;
+pub use idmap::{IdMap, IdMapView};
 pub use live::{
-    Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateOp, VersionStats, WalSink,
+    Applied, EpochPin, LiveRelation, PinnedRead, UpdateEntry, UpdateOp, VersionStats, WalSink,
 };
 pub use planner::{AccessPath, Planner, QueryPlan};
 pub use pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};

@@ -30,10 +30,17 @@
 //!   node at any time and does not grow with the update count.
 //! * **Checkpoint + replay, with the WAL as the one log.** Nothing
 //!   per-update stays in memory: the update stream goes to the installed
-//!   [`WalSink`] and nowhere else. [`LiveRelation::freeze`] atomically
-//!   exports the current state as a [`ShardedRelation`] (for the
-//!   `pitract-store` snapshot layer) together with the epoch of the cut,
-//!   which names exactly the updates the state covers; replaying the
+//!   [`WalSink`] and nowhere else. A checkpoint is a pinned read
+//!   ([`LiveRelation::pin_read`]): it pins epoch `e` the way a batch
+//!   does — registered under the id-map read lock, so the next global id
+//!   at `e` comes with it — and is lent the relation at `e` one part at
+//!   a time. Each shard's rows come under that shard's read lock alone:
+//!   slots inserted after `e` cut off, slots deleted after `e` live
+//!   again (their cells stay in place; the pin keeps their undo
+//!   records). The id map comes last, under its own read lock alone,
+//!   with ids past `e` cut off. It holds no two locks at once and copies
+//!   no shard, tree or id map — only each shard's live bitmap at `e`.
+//!   Epoch `e` names exactly the updates the read covers; replaying the
 //!   logged suffix onto the loaded snapshot
 //!   ([`LiveRelation::replay_entries`]) reproduces the live state
 //!   bit-identically — same answers *and* same global row ids.
@@ -61,18 +68,20 @@
 
 use crate::batch::{eval_assigned, OutputMode, Routing, ShardResults};
 use crate::error::EngineError;
-use crate::idmap::IdMap;
+use crate::idmap::{IdMap, IdMapView};
 use crate::planner::{AccessPath, Planner};
 use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
 use crate::status::NodeStatus;
 use pitract_core::cost::{log2_floor, Meter};
 use pitract_core::epoch::Epoch;
-use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard};
+use pitract_core::lockdep::{self, LockRank, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard};
 use pitract_incremental::bounded::{BoundednessReport, UpdateRecord};
 use pitract_obs::{Counter, Histogram, Recorder};
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{IndexedError, Relation, RowRef, Schema, SelectionQuery, Value};
+use pitract_relation::{
+    ColumnsView, IndexedError, Relation, RowRef, Schema, SelectionQuery, Value,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -200,16 +209,12 @@ impl ShardSlot {
         }
     }
 
-    /// The correction a reader at epoch `at` applies on top of
-    /// `current`, or `None` when `current` serves `at` as-is (the
-    /// common case: no write has landed past the pin). Walks only the
-    /// ring suffix stamped after `at`; a local both inserted and
-    /// deleted there was not alive at `at`, so its restore is dropped.
-    /// The surviving restored rows are re-indexed on the same columns
-    /// as the shard, so the per-query correction probes stay
-    /// logarithmic no matter how much churn landed during the batch —
-    /// the build is paid once per shard slice, not once per query.
-    fn rollback_at(&self, at: Epoch, schema: &Schema, indexed_cols: &[usize]) -> Option<Rollback> {
+    /// What the writes stamped after `at` did, or `None` when none
+    /// landed past it (the common case: `current` serves `at` as-is).
+    /// Walks only the ring suffix stamped after `at`; a local both
+    /// inserted and deleted there was not alive at `at`, so its restore
+    /// is dropped.
+    fn since(&self, at: Epoch) -> Option<Since<'_>> {
         if at.get() >= self.stamp {
             return None;
         }
@@ -234,18 +239,53 @@ impl ShardSlot {
         // the pin; the oldest post-pin insert is seen last, so the
         // filter runs after the walk.
         restored.retain(|(local, _)| *local < hidden_from);
-        let restored_locals: Vec<usize> = restored.iter().map(|(local, _)| *local).collect();
-        let rows: Vec<Vec<Value>> = restored.iter().map(|(_, row)| (*row).clone()).collect();
+        Some(Since {
+            hidden_from,
+            restored,
+            entries,
+        })
+    }
+
+    /// The correction a reader at epoch `at` applies on top of
+    /// `current`, or `None` when `current` serves `at` as-is. The
+    /// restored rows are re-indexed on the same columns as the shard, so
+    /// the per-query correction probes stay logarithmic no matter how
+    /// much churn landed during the batch — the build is paid once per
+    /// shard slice, not once per query.
+    fn rollback_at(&self, at: Epoch, schema: &Schema, indexed_cols: &[usize]) -> Option<Rollback> {
+        let since = self.since(at)?;
+        let restored_locals: Vec<usize> = since.restored.iter().map(|(local, _)| *local).collect();
+        let rows: Vec<Vec<Value>> = since
+            .restored
+            .iter()
+            .map(|(_, row)| (*row).clone())
+            .collect();
         #[allow(clippy::expect_used)]
         let restored = IndexedRelation::build_from_rows(schema.clone(), rows, indexed_cols)
             // lint:allow(no-unwrap-in-serving): restored rows came out of this relation, built on these columns
             .expect("rows and indexed columns were validated when the relation was built");
         Some(Rollback {
-            hidden_from,
+            hidden_from: since.hidden_from,
             restored,
             restored_locals,
-            entries,
+            entries: since.entries,
         })
+    }
+
+    /// The shard's rows as they stood at epoch `at`, borrowed: the slots
+    /// inserted after `at` cut off and the ones deleted after it live
+    /// again. A delete leaves its cells in place, so nothing but the
+    /// live bitmap is copied, and that only when a write landed past
+    /// `at`.
+    fn rows_at(&self, at: Epoch) -> ColumnsView<'_> {
+        let rows = self.current.columns();
+        match self.since(at) {
+            None => rows.view(),
+            Some(since) => {
+                let revived: Vec<usize> = since.restored.iter().map(|(local, _)| *local).collect();
+                rows.view_at(since.hidden_from, &revived)
+            }
+        }
     }
 
     /// Drop every undo record no pinned epoch can reach: the record
@@ -323,6 +363,18 @@ impl Rollback {
     }
 }
 
+/// The writes a shard's ring holds past one epoch ([`ShardSlot::since`]).
+struct Since<'a> {
+    /// First shard-local id inserted after the epoch (`usize::MAX` when
+    /// none was).
+    hidden_from: usize,
+    /// The locals deleted after the epoch that were alive at it, with
+    /// the rows their undo records copied.
+    restored: Vec<(usize, &'a Vec<Value>)>,
+    /// Undo-ring entries walked.
+    entries: usize,
+}
+
 /// The global epoch clock plus the registry of pinned epochs — one
 /// mutex, so a reader's pin and a writer's bump are atomic with respect
 /// to each other.
@@ -363,18 +415,75 @@ impl Drop for EpochPin<'_> {
     }
 }
 
-/// A point-in-time export of a [`LiveRelation`]: the state and the
-/// epoch of the cut, both taken under one consistent set of locks. The
-/// epoch clock ticks once per applied update, so the epoch names
-/// exactly which updates the state covers — the position a WAL-backed
-/// checkpoint records as its mark.
+/// A pinned read of a whole [`LiveRelation`], for a checkpoint
+/// ([`LiveRelation::pin_read`]): one epoch pinned the way a batch pins
+/// it, and the relation as it stood at that epoch lent one part at a
+/// time — each shard's rows under that shard's read lock alone
+/// ([`Self::read_shard`]), then the id map under its own read lock
+/// ([`Self::read_ids`]). Nothing is copied but each shard's live bitmap
+/// at the pin. Writers keep going on every shard not being read; the
+/// pin makes them record undo entries, which is what lets the rows of
+/// a shard read late come out as they stood at the pin. Dropping the
+/// read releases the pin.
 #[derive(Debug)]
-pub struct Frozen {
-    /// The exported state (every update up to `epoch` applied).
-    pub state: ShardedRelation,
-    /// The epoch of the cut: the epoch clock's value when the state was
-    /// frozen.
-    pub epoch: Epoch,
+pub struct PinnedRead<'a> {
+    pin: EpochPin<'a>,
+    /// The next global id at the pin.
+    next_gid: usize,
+    /// Per shard, its live bitmap at the pin, once that shard was read.
+    live_bits: Vec<Option<Vec<u64>>>,
+}
+
+impl<'a> PinnedRead<'a> {
+    /// The pinned epoch: the read covers exactly the first `epoch`
+    /// updates, the position a WAL-backed checkpoint records as its mark.
+    pub fn epoch(&self) -> Epoch {
+        self.pin.epoch
+    }
+
+    /// The relation being read.
+    pub fn relation(&self) -> &'a LiveRelation {
+        self.pin.live
+    }
+
+    /// Lend shard `shard`'s rows as they stood at the pinned epoch to
+    /// `read`, under that shard's read lock alone: the slots inserted
+    /// since are cut off and the ones deleted since are live again (a
+    /// delete leaves its cells in place). Only this shard's writers wait,
+    /// and only while `read` runs. Panics when `shard` is out of range,
+    /// like indexing.
+    pub fn read_shard<T>(&mut self, shard: usize, read: impl FnOnce(&ColumnsView<'_>) -> T) -> T {
+        let guard = self.pin.live.shards[shard].read();
+        debug_assert_eq!(
+            lockdep::held_of(LockRank::Shard),
+            1,
+            "a pinned read holds one shard lock at a time"
+        );
+        let rows = guard.rows_at(self.pin.epoch);
+        self.live_bits[shard] = Some(rows.live_bits().to_vec());
+        read(&rows)
+    }
+
+    /// Lend the id map as it stood at the pinned epoch to `read`, under
+    /// the id-map read lock alone: the ids assigned since cut off, and
+    /// the ids deleted since live again at their old locations. A shard
+    /// not read yet is read first, under its own lock, for the locals
+    /// live at the pin.
+    pub fn read_ids<T>(&mut self, read: impl FnOnce(&IdMapView<'_>) -> T) -> T {
+        for shard in 0..self.live_bits.len() {
+            if self.live_bits[shard].is_none() {
+                self.read_shard(shard, |_| ());
+            }
+        }
+        let live: Vec<&[u64]> = self.live_bits.iter().flatten().map(Vec::as_slice).collect();
+        let ids = self.pin.live.ids.read();
+        debug_assert_eq!(
+            lockdep::held_of(LockRank::Shard),
+            0,
+            "the id map is read with no shard lock held"
+        );
+        read(&ids.view_at(self.next_gid, &live))
+    }
 }
 
 /// A point-in-time summary of the MVCC version retention of a
@@ -999,41 +1108,33 @@ impl LiveRelation {
 
     // --- checkpoint & recovery --------------------------------------------
 
-    /// Atomically export the current state as a [`ShardedRelation`]
-    /// together with the epoch of the cut.
-    ///
-    /// All shard locks are held (read) only while the shards and the
-    /// id map are cloned, so the returned state is a true point-in-time
-    /// snapshot — every update is either fully inside it or fully after
-    /// the returned epoch — and writers resume as soon as the copy
-    /// exists. Holding every shard read lock excludes every writer's
-    /// critical section, so the epoch read here is exactly the epoch of
-    /// the exported state. The copy upholds the sharded invariants by
-    /// construction, so it is not re-checked (debug builds still do).
-    pub fn freeze(&self) -> Frozen {
-        let (shards, ids, epoch) = {
-            let guards: Vec<OrderedRwLockReadGuard<'_, ShardSlot>> =
-                self.shards.iter().map(OrderedRwLock::read).collect();
-            let ids = self.ids.read().clone();
-            let epoch = self.epochs.lock().current;
-            let shards = guards.iter().map(|g| g.current.clone()).collect();
-            (shards, ids, epoch)
-        };
-        Frozen {
-            state: ShardedRelation::from_consistent(
-                self.schema.clone(),
-                self.shard_by.clone(),
-                shards,
-                ids,
-            ),
-            epoch: Epoch::new(epoch),
+    /// Pin the current epoch for a read of the whole relation at it — a
+    /// checkpoint's read ([`PinnedRead`]). The pin is registered under
+    /// the id-map read lock, which every writer holds across its apply
+    /// and clock tick, so the next global id read with it is the one at
+    /// the pinned epoch.
+    pub fn pin_read(&self) -> PinnedRead<'_> {
+        let ids = self.ids.read();
+        let pin = self.pin();
+        PinnedRead {
+            pin,
+            next_gid: ids.next_gid(),
+            live_bits: vec![None; self.shards.len()],
         }
     }
 
-    /// Export the current state alone (a freeze whose epoch the caller
-    /// does not need).
+    /// Copy the current state out as an immutable [`ShardedRelation`],
+    /// trees included: every shard read lock is held while the shards
+    /// and the id map are cloned, so no writer runs until the copy
+    /// exists. A checkpoint does not come through here; it reads the
+    /// relation in place ([`Self::pin_read`]).
     pub fn to_sharded(&self) -> ShardedRelation {
-        self.freeze().state
+        let guards: Vec<OrderedRwLockReadGuard<'_, ShardSlot>> =
+            self.shards.iter().map(OrderedRwLock::read).collect();
+        let ids = self.ids.read().clone();
+        let shards = guards.iter().map(|g| g.current.clone()).collect();
+        drop(guards);
+        ShardedRelation::from_consistent(self.schema.clone(), self.shard_by.clone(), shards, ids)
     }
 
     /// Replay logged entries onto this relation (typically fresh from a
@@ -1313,7 +1414,7 @@ mod tests {
         let replica = live(200, 3);
         replica.replay_entries(log.entries()).unwrap();
         assert_eq!(increasing_id_maps(&replica), maps, "replay");
-        let exported = LiveRelation::from_sharded(lr.freeze().state);
+        let exported = LiveRelation::from_sharded(lr.to_sharded());
         assert_eq!(increasing_id_maps(&exported), maps, "export");
     }
 
@@ -1390,24 +1491,25 @@ mod tests {
     }
 
     #[test]
-    fn freeze_replay_reproduces_state_and_ids() {
+    fn export_then_replay_reproduces_state_and_ids() {
         let (lr, log) = recorded(50, 3);
         lr.delete(7).unwrap();
         lr.insert(vec![Value::Int(500), Value::str("mid")]).unwrap();
 
-        // Checkpoint: freeze the state, then keep writing.
-        let frozen = lr.freeze();
+        // Checkpoint: copy the state out at the pinned epoch, then keep
+        // writing.
+        let epoch = lr.pin_read().epoch();
         assert_eq!(
-            frozen.epoch,
+            epoch,
             Epoch::new(log.entries().len() as u64),
             "epoch ≡ logged updates from birth"
         );
-        let (state, covered) = (frozen.state, frozen.epoch.get() as usize);
+        let (state, covered) = (lr.to_sharded(), epoch.get() as usize);
         lr.insert(vec![Value::Int(501), Value::str("late")])
             .unwrap();
         lr.delete(3).unwrap();
 
-        // Recover: wrap the frozen state, replay the suffix past the cut.
+        // Recover: wrap the exported state, replay the suffix past it.
         let recovered = LiveRelation::from_sharded(state);
         recovered
             .replay_entries(log.entries().split_off(covered))
@@ -1427,7 +1529,7 @@ mod tests {
         }
     }
 
-    /// The engine half of checkpoint → recover: a frozen state, wrapped
+    /// The engine half of checkpoint → recover: an exported state, wrapped
     /// again, with its clock set to the cut and the logged suffix
     /// replayed, is the lost node — rows, row ids, answers and the
     /// epoch clock.
@@ -1436,16 +1538,16 @@ mod tests {
         let (lr, log) = recorded(60, 3);
         lr.delete(10).unwrap().unwrap();
         lr.insert(vec![Value::Int(600), Value::str("pre")]).unwrap();
-        let frozen = lr.freeze();
+        let (state, epoch) = (lr.to_sharded(), lr.current_epoch());
 
         // Post-checkpoint traffic, covered only by the log.
         lr.insert(vec![Value::Int(601), Value::str("post")])
             .unwrap();
         lr.delete(20).unwrap().unwrap();
 
-        let recovered = LiveRelation::from_sharded(frozen.state);
-        recovered.advance_epoch_to(frozen.epoch);
-        let tail = log.entries().split_off(frozen.epoch.get() as usize);
+        let recovered = LiveRelation::from_sharded(state);
+        recovered.advance_epoch_to(epoch);
+        let tail = log.entries().split_off(epoch.get() as usize);
         assert_eq!(recovered.replay_entries(tail).unwrap(), 2);
         assert_eq!(
             recovered.current_epoch(),
@@ -1470,10 +1572,10 @@ mod tests {
     /// checkpoint fails typed, never silently diverges.
     #[test]
     fn recover_with_foreign_log_fails_typed() {
-        let base = live(10, 3).freeze();
+        let base = live(10, 3).to_sharded();
         let (other, log) = recorded(50, 3);
         other.delete(40).unwrap().unwrap();
-        let recovered = LiveRelation::from_sharded(base.state);
+        let recovered = LiveRelation::from_sharded(base);
         assert_eq!(
             recovered.replay_entries(log.entries()).unwrap_err(),
             EngineError::ReplayMissingRow { gid: 40 }
@@ -1483,18 +1585,20 @@ mod tests {
     /// Regression: checkpoint marks once truncated by *count*, so two
     /// checkpoints racing on the same state would each drain one prefix
     /// — the second one swallowing entries its snapshot never covered.
-    /// A mark is the cut's epoch, an absolute log position: two freezes
-    /// of one state name the same mark, and an update neither covers
-    /// sits past it.
+    /// A mark is the pinned epoch, an absolute log position: two pinned
+    /// reads of one state name the same mark, and an update neither
+    /// covers sits past it.
     #[test]
     fn racing_checkpoint_confirms_never_drop_uncovered_entries() {
         let (lr, log) = recorded(4, 2);
         lr.insert(vec![Value::Int(50), Value::str("a")]).unwrap();
         lr.insert(vec![Value::Int(51), Value::str("b")]).unwrap();
-        // Two concurrent checkpoints freeze the same state.
-        let (m1, m2) = (lr.freeze().epoch, lr.freeze().epoch);
+        // Two concurrent checkpoints pin the same state.
+        let (r1, r2) = (lr.pin_read(), lr.pin_read());
+        let (m1, m2) = (r1.epoch(), r2.epoch());
         assert_eq!(m1, m2, "same state, same absolute mark");
-        // A post-freeze update covered by neither snapshot.
+        drop((r1, r2));
+        // An update after both pins, covered by neither snapshot.
         lr.insert(vec![Value::Int(52), Value::str("c")]).unwrap();
         let uncovered = log.entries().split_off(m1.get() as usize);
         assert_eq!(
@@ -1503,6 +1607,66 @@ mod tests {
             "the uncovered entry sits past both marks"
         );
         assert!(matches!(uncovered[0], UpdateEntry::Insert { gid: 6, .. }));
+    }
+
+    /// A pinned read lends each shard and the id map exactly as they
+    /// stood at its epoch, however the relation moved since — inserts
+    /// cut off, deletes revived, an insert deleted again gone — and
+    /// holds one shard lock at a time, and none while it lends the id
+    /// map (recorded by lockdep in debug builds; release records none).
+    #[test]
+    fn a_pinned_read_lends_the_state_at_its_epoch_one_lock_at_a_time() {
+        let lr = live(300, 4);
+        for i in 0..40 {
+            lr.delete(i * 5).unwrap();
+            lr.insert(vec![Value::Int(1_000 + i as i64), Value::str("pre")])
+                .unwrap();
+        }
+        let mut pinned = lr.pin_read();
+        let oracle = lr.to_sharded();
+        let epoch = pinned.epoch();
+        // Writes on every shard after the pin, on rows live at it and not.
+        for i in 0..40 {
+            let gid = lr
+                .insert(vec![Value::Int(2_000 + i as i64), Value::str("post")])
+                .unwrap();
+            lr.delete(i * 5 + 1).unwrap().unwrap();
+            if i % 3 == 0 {
+                lr.delete(gid).unwrap().unwrap();
+            }
+        }
+        assert_eq!(pinned.epoch(), epoch);
+        let one = usize::from(cfg!(debug_assertions));
+        for (s, shard) in oracle.shards().iter().enumerate() {
+            let want = shard.columns().view();
+            pinned.read_shard(s, |rows| {
+                assert_eq!(lockdep::held_of(LockRank::Shard), one, "shard {s}");
+                assert_eq!(
+                    (rows.slot_count(), rows.live(), rows.live_bits()),
+                    (want.slot_count(), want.live(), want.live_bits()),
+                    "shard {s}"
+                );
+                for col in 0..2 {
+                    assert!(rows.cell_runs(col).eq(want.cell_runs(col)), "shard {s}");
+                }
+            });
+        }
+        let want = oracle.id_map();
+        pinned.read_ids(|ids| {
+            assert_eq!(lockdep::held_of(LockRank::Shard), 0);
+            assert_eq!(lockdep::held_of(LockRank::Gid), one);
+            assert_eq!(ids.next_gid(), want.next_gid());
+            for s in 0..4 {
+                assert_eq!(ids.global_ids(s), want.global_ids(s), "shard {s}");
+            }
+            assert!(ids.locations().eq(want.locations()));
+        });
+        // The pin held the undo records the read needed; dropping it
+        // releases them.
+        assert!(lr.version_stats().retained_versions > 0);
+        drop(pinned);
+        assert_eq!(lr.version_stats().pins, 0);
+        assert_eq!(lr.version_stats().retained_versions, 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! A [`ShardedRelation`] is the immutable `Π(D)`: what
 //! [`ShardedRelation::build`] and a snapshot load produce, and what
-//! [`crate::live::LiveRelation::freeze`] exports. It is never updated in
+//! [`crate::live::LiveRelation::to_sharded`] copies out. It is never updated in
 //! place and never served: [`crate::live::LiveRelation::from_sharded`]
 //! takes it over for both, and updates stay incremental there (one
 //! shard per tuple).
@@ -306,7 +306,8 @@ impl ShardedRelation {
     }
 
     /// Assemble parts that uphold every invariant by construction — a
-    /// live relation's consistent cut ([`crate::live::LiveRelation::freeze`]).
+    /// live relation's copy under every shard lock
+    /// ([`crate::live::LiveRelation::to_sharded`]).
     /// Debug builds still run the full check.
     pub(crate) fn from_consistent(
         schema: Schema,
@@ -620,7 +621,10 @@ mod tests {
         let sr = live.to_sharded();
 
         let ids = sr.id_map();
-        let ids = IdMap::from_parts(ids.global_id_maps().to_vec(), ids.locations()).unwrap();
+        let maps = (0..ids.shard_count())
+            .map(|s| ids.global_ids(s).to_vec())
+            .collect();
+        let ids = IdMap::from_parts(maps, ids.locations()).unwrap();
         assert_eq!(&ids, sr.id_map());
         let rebuilt = ShardedRelation::from_parts(
             sr.schema().clone(),
@@ -963,7 +967,7 @@ mod tests {
 
     #[test]
     fn inserts_and_deletes_keep_global_ids_stable() {
-        // Updates go through the live layer; the Π(D) it freezes must
+        // Updates go through the live layer; the Π(D) it copies out must
         // carry the same global ids, and serving it again must not reuse
         // the ids of deleted rows.
         let sr =

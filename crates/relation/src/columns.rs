@@ -20,8 +20,9 @@
 //! ([`IndexedRelation::build_split`](crate::indexed::IndexedRelation::build_split));
 //! a row-wise loader appends slot by slot ([`Columns::push_slot`]); and
 //! a columnar loader hands over whole columns of live cells and the
-//! bitmap ([`Columns::from_live_cells`]), the inverse of
-//! [`Columns::live_cells`] and [`Columns::live_bits`].
+//! bitmap ([`Columns::from_live_cells`]), the inverse of what a
+//! [`ColumnsView`] lends a writer: the bitmap and each column's live
+//! cells, run by run.
 //!
 //! [`Tuple`] is what a selection predicate reads: a row of owned
 //! [`Value`]s and a [`RowRef`] both implement it, so
@@ -33,6 +34,7 @@ use crate::schema::{ColType, Schema};
 use crate::value::{Value, ValueRef};
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// A row a selection predicate can read, cell by cell.
 pub trait Tuple: Copy {
@@ -155,9 +157,8 @@ impl Column {
 }
 
 /// One column's live cells in slot order, a dead slot's cell left out:
-/// what [`Columns::live_cells`] lends a snapshot writer and what a
-/// columnar loader hands [`Columns::from_live_cells`]. Borrowed when no
-/// slot is dead, so a writer copies such a column as it lies.
+/// what a columnar loader hands [`Columns::from_live_cells`], borrowed
+/// from the file it read where it can be.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiveCells<'a> {
     /// An `Int` column's cells.
@@ -249,6 +250,29 @@ fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// The maximal runs of consecutive set bits of `bits`, as id ranges,
+/// ascending.
+fn set_runs(bits: &[u64]) -> impl Iterator<Item = Range<usize>> + '_ {
+    // The first id at or after `from` whose bit is `set`, if any.
+    let seek = move |from: usize, set: bool| {
+        let flip = if set { 0 } else { u64::MAX };
+        let mut w = from / 64;
+        let mut word = (*bits.get(w)? ^ flip) & (u64::MAX << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *bits.get(w)? ^ flip;
+        }
+        Some(64 * w + word.trailing_zeros() as usize)
+    };
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        let start = seek(from, true)?;
+        let end = seek(start, false).unwrap_or(64 * bits.len());
+        from = end;
+        Some(start..end)
+    })
+}
+
 /// A bitmap of `n` set bits, exactly sized.
 fn all_live(n: usize) -> Vec<u64> {
     let mut bits = Vec::with_capacity(n.div_ceil(64));
@@ -326,8 +350,8 @@ impl Columns {
     }
 
     /// Store `slots` slots from their live cells, column by column: the
-    /// columnar loader's one constructor, and the inverse of
-    /// [`Self::live_bits`] plus [`Self::live_cells`]. `live_bits` is the
+    /// columnar loader's one constructor, and the inverse of a
+    /// [`ColumnsView`]'s bitmap plus its cell runs. `live_bits` is the
     /// bitmap (bit `id % 64` of word `id / 64` set iff slot `id` is
     /// live), and `cells[c]` holds column `c`'s live cells in slot order.
     /// Each dead slot gets the placeholder cell (`0`, `""`) that
@@ -424,32 +448,40 @@ impl Columns {
         &self.live_bits
     }
 
-    /// Column `col`'s live cells in slot order — a dead slot's cell left
-    /// out — borrowed as they lie when no slot is dead. Panics when `col`
-    /// is out of range, like indexing.
-    pub fn live_cells(&self, col: usize) -> LiveCells<'_> {
-        let all = self.live == self.slots;
-        match &self.cols[col] {
-            Column::Int(ints) if all => LiveCells::Int(Cow::Borrowed(ints)),
-            Column::Int(ints) => {
-                LiveCells::Int(set_bits(&self.live_bits).map(|id| ints[id]).collect())
-            }
-            Column::Str(strs) if all => LiveCells::Str {
-                arena: Cow::Borrowed(&strs.arena),
-                ends: Cow::Borrowed(&strs.ends),
-            },
-            Column::Str(strs) => {
-                let mut arena = String::new();
-                let mut ends = Vec::with_capacity(self.live);
-                for id in set_bits(&self.live_bits) {
-                    arena.push_str(strs.get(id));
-                    ends.push(arena.len());
-                }
-                LiveCells::Str {
-                    arena: Cow::Owned(arena),
-                    ends: Cow::Owned(ends),
-                }
-            }
+    /// The store as it is: every slot, live where its bitmap says.
+    pub fn view(&self) -> ColumnsView<'_> {
+        ColumnsView {
+            store: self,
+            slots: self.slots,
+            live_bits: Cow::Borrowed(&self.live_bits),
+            live: self.live,
+        }
+    }
+
+    /// The store as it stood before slot `slots` was appended and before
+    /// the slots in `revived` were deleted: its first `slots` slots, with
+    /// each revived slot live again. A delete leaves a slot's cells in
+    /// place, so reviving one only sets its bit; a revived id at or past
+    /// `slots` is ignored. Borrowed, bitmap included, when the cut and
+    /// the revivals change nothing.
+    pub fn view_at(&self, slots: usize, revived: &[usize]) -> ColumnsView<'_> {
+        let slots = slots.min(self.slots);
+        if slots == self.slots && revived.is_empty() {
+            return self.view();
+        }
+        let mut bits = self.live_bits[..slots.div_ceil(64)].to_vec();
+        if let Some(last) = bits.last_mut().filter(|_| !slots.is_multiple_of(64)) {
+            *last &= (1 << (slots % 64)) - 1;
+        }
+        for &id in revived.iter().filter(|&&id| id < slots) {
+            bits[id / 64] |= 1 << (id % 64);
+        }
+        let live = bits.iter().map(|w| w.count_ones() as usize).sum();
+        ColumnsView {
+            store: self,
+            slots,
+            live_bits: Cow::Owned(bits),
+            live,
         }
     }
 
@@ -603,6 +635,82 @@ impl Columns {
                         && strs.ends.len() == strs.ends.capacity()
                 }
             })
+    }
+}
+
+/// Column storage as it stands now or stood at an earlier point
+/// ([`Columns::view`], [`Columns::view_at`]): a prefix of the slots and
+/// the bitmap of the ones live then. Nothing but the bitmap is copied,
+/// and that only when it differs from the store's. A snapshot writer
+/// reads a relation body through it; [`Columns::from_live_cells`] is
+/// its inverse.
+#[derive(Debug, Clone)]
+pub struct ColumnsView<'a> {
+    store: &'a Columns,
+    slots: usize,
+    live_bits: Cow<'a, [u64]>,
+    live: usize,
+}
+
+/// One run of consecutive live slots in one column, its cells lent as
+/// they lie ([`ColumnsView::cell_runs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellRun<'a> {
+    /// An `Int` column's cells.
+    Int(&'a [i64]),
+    /// A `Str` column's cells end to end in `arena`; `ends` are their end
+    /// offsets in the store's whole arena, where the run starts at byte
+    /// `start`.
+    Str {
+        /// The run's cells' bytes, end to end.
+        arena: &'a str,
+        /// Where each cell ends in the store's arena.
+        ends: &'a [usize],
+        /// Where the run's first cell starts in the store's arena.
+        start: usize,
+    },
+}
+
+impl<'a> ColumnsView<'a> {
+    /// The schema the cells were admitted by.
+    pub fn schema(&self) -> &'a Schema {
+        &self.store.schema
+    }
+
+    /// Slots in the view (live rows plus tombstones).
+    pub fn slot_count(&self) -> usize {
+        self.slots
+    }
+
+    /// Live rows in the view.
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// The view's live bitmap, exactly `⌈slots / 64⌉` words, no bit set
+    /// past the last slot.
+    pub fn live_bits(&self) -> &[u64] {
+        &self.live_bits
+    }
+
+    /// Column `col`'s live cells in slot order, one maximal run of
+    /// consecutive live slots at a time: with no dead slot, the whole
+    /// column in one run. Panics when `col` is out of range, like
+    /// indexing.
+    pub fn cell_runs(&self, col: usize) -> impl Iterator<Item = CellRun<'a>> + '_ {
+        let column = &self.store.cols[col];
+        set_runs(&self.live_bits).map(move |run| match column {
+            Column::Int(ints) => CellRun::Int(&ints[run]),
+            Column::Str(strs) => {
+                let start = run.start.checked_sub(1).map_or(0, |prev| strs.ends[prev]);
+                let end = strs.ends[run.end - 1];
+                CellRun::Str {
+                    arena: &strs.arena[start..end],
+                    ends: &strs.ends[run],
+                    start,
+                }
+            }
+        })
     }
 }
 
@@ -816,10 +924,38 @@ mod tests {
         assert_eq!(dead, vec![0, 63, 64, 127, 129, 130]);
     }
 
+    /// Column `col` of `view` as one column of owned live cells: its
+    /// runs end to end, `Str` end offsets rebased onto the joined arena.
+    fn joined(view: &ColumnsView<'_>, col: usize) -> LiveCells<'static> {
+        let mut ints = Vec::new();
+        let (mut arena, mut ends) = (String::new(), Vec::new());
+        for run in view.cell_runs(col) {
+            match run {
+                CellRun::Int(cells) => ints.extend_from_slice(cells),
+                CellRun::Str {
+                    arena: bytes,
+                    ends: run_ends,
+                    start,
+                } => {
+                    let base = arena.len();
+                    ends.extend(run_ends.iter().map(|end| end - start + base));
+                    arena.push_str(bytes);
+                }
+            }
+        }
+        match view.schema().col_type(col) {
+            ColType::Int => LiveCells::Int(Cow::Owned(ints)),
+            ColType::Str => LiveCells::Str {
+                arena: Cow::Owned(arena),
+                ends: Cow::Owned(ends),
+            },
+        }
+    }
+
     /// A store with dead slots in the first word, across a word
     /// boundary and at the end goes out as its live cells and bitmap and
     /// comes back slot for slot: the same rows, the same dead slots,
-    /// placeholder cells behind them, and a store that writes the same
+    /// placeholder cells behind them, and a store that lends the same
     /// live cells again.
     #[test]
     fn live_cells_roundtrip_with_placeholders_at_dead_slots() {
@@ -829,7 +965,8 @@ mod tests {
         for id in dead {
             assert!(holey.kill(id));
         }
-        let cells: Vec<LiveCells<'_>> = (0..2).map(|col| holey.live_cells(col)).collect();
+        let view = holey.view();
+        let cells: Vec<LiveCells<'_>> = (0..2).map(|col| joined(&view, col)).collect();
         assert!(cells.iter().all(|c| c.len() == 124));
         let back = Columns::from_live_cells(
             schema(),
@@ -847,23 +984,60 @@ mod tests {
             assert_eq!(back.column(1).get(id), ValueRef::Str(""));
         }
         assert_eq!(back.live_bits(), holey.live_bits());
-        let again: Vec<LiveCells<'_>> = (0..2).map(|col| back.live_cells(col)).collect();
+        let again: Vec<LiveCells<'_>> = (0..2).map(|col| joined(&back.view(), col)).collect();
         assert_eq!(again, cells);
         assert!(back.is_exactly_sized());
 
-        // With no dead slot the cells are lent as they lie.
+        // With no dead slot each column is one run, lent as it lies.
         let whole = store();
+        let view = whole.view();
+        assert!(matches!(view.live_bits, Cow::Borrowed(_)));
+        assert_eq!(view.cell_runs(0).count(), 1);
         assert!(matches!(
-            whole.live_cells(0),
-            LiveCells::Int(Cow::Borrowed(_))
+            view.cell_runs(1).next(),
+            Some(CellRun::Str { start: 0, .. })
         ));
+    }
+
+    /// A view at an earlier point cuts the slots appended since and
+    /// revives the ones deleted since, and its runs are the maximal runs
+    /// of its bitmap: the store as it stood, read back cell for cell.
+    #[test]
+    fn a_view_at_an_earlier_point_is_the_store_as_it_stood() {
+        let rows: Vec<Vec<Value>> = rows().into_iter().cycle().take(200).collect();
+        let then = Columns::from_rows(schema(), rows[..150].to_vec()).unwrap();
+        let mut store = Columns::from_rows(schema(), rows).unwrap();
+        // Dead before the point, in both.
+        let mut then = then;
+        for id in [5, 64, 65, 149] {
+            assert!(then.kill(id) && store.kill(id));
+        }
+        // Deleted since, and appended-then-deleted since.
+        let revived = [0, 63, 100, 170];
+        for id in revived {
+            assert!(store.kill(id));
+        }
+        let view = store.view_at(150, &revived);
+        assert_eq!(
+            (view.slot_count(), view.live(), view.live_bits()),
+            (150, then.live(), then.live_bits())
+        );
+        for col in 0..2 {
+            assert_eq!(
+                joined(&view, col),
+                joined(&then.view(), col),
+                "column {col}"
+            );
+        }
+        let runs: Vec<Range<usize>> = set_runs(view.live_bits()).collect();
+        assert_eq!(runs, vec![0..5, 6..64, 66..149]);
+        // A point that changes nothing lends the store itself.
         assert!(matches!(
-            whole.live_cells(1),
-            LiveCells::Str {
-                arena: Cow::Borrowed(_),
-                ..
-            }
+            store.view_at(200, &[]).live_bits,
+            Cow::Borrowed(_)
         ));
+        assert_eq!(set_runs(&[u64::MAX, 1]).collect::<Vec<_>>(), vec![0..65]);
+        assert_eq!(set_runs(&[0, 0]).count(), 0);
     }
 
     /// Every inconsistency is a typed refusal naming what is wrong.

@@ -36,7 +36,7 @@ pub mod schema;
 pub mod value;
 pub mod views;
 
-pub use columns::{Columns, LiveCells, RowRef, Tuple};
+pub use columns::{CellRun, Columns, ColumnsView, LiveCells, RowRef, Tuple};
 pub use indexed::{IndexedError, IndexedRelation};
 pub use query::SelectionQuery;
 pub use relation::Relation;

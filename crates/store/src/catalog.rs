@@ -6,12 +6,14 @@
 //! crashed writer leaves at worst a `.tmp` file that no load reads.
 //! Names are restricted to a filesystem-safe alphabet so a name can
 //! never escape the catalog directory. Snapshots reach storage only
-//! through [`SnapshotCatalog::open`], [`SnapshotCatalog::save`] and
-//! [`SnapshotCatalog::load`].
+//! through [`SnapshotCatalog::open`], [`SnapshotCatalog::save`],
+//! [`SnapshotCatalog::save_checkpoint`] and [`SnapshotCatalog::load`].
 
 use crate::error::StoreError;
 use crate::snapshot::Snapshot;
 use crate::storage::Dir;
+use pitract_core::epoch::Epoch;
+use pitract_engine::LiveRelation;
 use std::path::PathBuf;
 
 /// File extension for catalog snapshots.
@@ -47,6 +49,26 @@ impl SnapshotCatalog {
     pub fn save(&self, name: &str, snapshot: &Snapshot) -> Result<PathBuf, StoreError> {
         let file = Self::file_of(name)?;
         Ok(self.dir.write_atomic(&file, &snapshot.to_bytes())?)
+    }
+
+    /// Persist a checkpoint of `live` under `name`, atomically replacing
+    /// any previous snapshot with that name. Epoch `e` is pinned
+    /// ([`LiveRelation::pin_read`]); each shard's body is encoded at `e`
+    /// under that shard's read lock alone and the id map at `e` under its
+    /// own, then the WAL mark `wal_lsn(e)` and `e`. The bytes are those
+    /// of [`Snapshot::Checkpoint`] holding the relation's state at `e`,
+    /// and no shard, tree or id map is copied to get them. The pin is
+    /// released before the file is written. Returns the file path
+    /// written and `e`.
+    pub fn save_checkpoint(
+        &self,
+        name: &str,
+        live: &LiveRelation,
+        wal_lsn: impl FnOnce(Epoch) -> u64,
+    ) -> Result<(PathBuf, Epoch), StoreError> {
+        let file = Self::file_of(name)?;
+        let (bytes, epoch) = Snapshot::checkpoint_bytes(live, wal_lsn);
+        Ok((self.dir.write_atomic(&file, &bytes)?, epoch))
     }
 
     /// Load the snapshot stored under `name`.

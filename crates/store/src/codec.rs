@@ -100,24 +100,29 @@ impl Writer {
 
     /// Write `run` as consecutive little-endian `u64`s (no count).
     pub fn u64_run(&mut self, run: &[u64]) {
-        self.words(run, u64::to_le_bytes);
+        self.words(run.iter().copied(), u64::to_le_bytes);
     }
 
     /// Write `run` as consecutive little-endian `i64`s (no count).
     pub fn i64_run(&mut self, run: &[i64]) {
-        self.words(run, i64::to_le_bytes);
+        self.words(run.iter().copied(), i64::to_le_bytes);
     }
 
     /// Write `run` as consecutive `u64`s (no count).
     pub fn usize_run(&mut self, run: &[usize]) {
-        self.words(run, |v| (v as u64).to_le_bytes());
+        self.usize_iter(run.iter().copied());
+    }
+
+    /// Write `values` as consecutive `u64`s (no count).
+    pub fn usize_iter(&mut self, values: impl ExactSizeIterator<Item = usize>) {
+        self.words(values, |v| (v as u64).to_le_bytes());
     }
 
     /// Grow the buffer once by the whole run, then fill it word by word.
-    fn words<T: Copy>(&mut self, run: &[T], le: impl Fn(T) -> [u8; 8]) {
+    fn words<T>(&mut self, run: impl ExactSizeIterator<Item = T>, le: impl Fn(T) -> [u8; 8]) {
         let start = self.buf.len();
         self.buf.resize(start + 8 * run.len(), 0);
-        for (dst, &v) in self.buf[start..].chunks_exact_mut(8).zip(run) {
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(run) {
             dst.copy_from_slice(&le(v));
         }
     }

@@ -31,10 +31,11 @@
 //!   recipes (atomic replace, durable create) are written once over it;
 //!   a [`storage::MemoryVolume`] loses its unflushed bytes on
 //!   [`storage::MemoryVolume::crash`], the power loss crash tests use.
-//! * [`Snapshot::Checkpoint`] — a frozen
-//!   [`pitract_engine::LiveRelation`] state with the WAL mark and MVCC
-//!   epoch of its cut, in one atomic file: what `pitract-wal`'s durable
-//!   tier checkpoints to and recovers from.
+//! * [`Snapshot::Checkpoint`] — a [`pitract_engine::LiveRelation`]'s
+//!   state at one pinned epoch with that epoch and its WAL mark, in one
+//!   atomic file: what `pitract-wal`'s durable tier checkpoints to
+//!   ([`SnapshotCatalog::save_checkpoint`], encoded in place) and
+//!   recovers from.
 //!
 //! The correctness contract, enforced by unit, integration, and property
 //! tests: for every persisted structure, `load(save(x))` answers every

@@ -108,10 +108,10 @@ use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::{fnv1a64, xxh64};
-use pitract_engine::{IdMap, ShardBy, ShardedRelation};
+use pitract_engine::{IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
-use pitract_relation::{ColType, Columns, LiveCells, Schema};
+use pitract_relation::{CellRun, ColType, Columns, ColumnsView, LiveCells, Schema};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -203,19 +203,22 @@ pub enum Snapshot {
     Sharded(ShardedRelation),
     /// Pruned 2-hop reachability labels.
     Hop(HopLabels),
-    /// A live checkpoint: a frozen sharded state together with the WAL
-    /// position it covers — `wal_lsn` is the log sequence number of the
-    /// first record *not* contained in `state`, i.e. where recovery must
-    /// start replaying the write-ahead log.
+    /// A live checkpoint: a sharded state at one epoch together with the
+    /// WAL position it covers — `wal_lsn` is the log sequence number of
+    /// the first record *not* contained in `state`, i.e. where recovery
+    /// must start replaying the write-ahead log. A live relation's
+    /// checkpoint is encoded in place
+    /// ([`crate::SnapshotCatalog::save_checkpoint`]), to the bytes this
+    /// variant writes for its state at that epoch.
     Checkpoint {
-        /// The frozen point-in-time state.
+        /// The state at the checkpoint's epoch.
         state: ShardedRelation,
         /// LSN of the first WAL record not covered by `state`.
         wal_lsn: u64,
-        /// The MVCC epoch of the cut — the live relation's epoch clock
-        /// at the instant `state` was frozen, persisted so recovery can
-        /// resume the clock exactly. Files written before the epoch
-        /// section existed load as [`Epoch::ZERO`].
+        /// The MVCC epoch `state` was read at — the live relation's
+        /// epoch clock then, persisted so recovery can resume the clock
+        /// exactly. Files written before the epoch section existed load
+        /// as [`Epoch::ZERO`].
         epoch: Epoch,
     },
 }
@@ -323,6 +326,24 @@ impl Snapshot {
             }
         }
         frame.finish()
+    }
+
+    /// The bytes of a checkpoint of `live` at a freshly pinned epoch
+    /// `e`, encoded in place, and `e`: what
+    /// [`crate::SnapshotCatalog::save_checkpoint`] writes. The pin is
+    /// released before this returns.
+    pub(crate) fn checkpoint_bytes(
+        live: &LiveRelation,
+        wal_lsn: impl FnOnce(Epoch) -> u64,
+    ) -> (Vec<u8>, Epoch) {
+        let mut pinned = live.pin_read();
+        let epoch = pinned.epoch();
+        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 2);
+        write_pinned(&mut pinned, &mut frame);
+        drop(pinned);
+        frame.section(SEC_WAL_MARK, |w| w.u64(wal_lsn(epoch)));
+        frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
+        (frame.finish(), epoch)
     }
 
     /// Parse a snapshot from bytes, validating magic, version, checksum,
@@ -525,28 +546,48 @@ fn finish<'a, T>(
 
 fn write_indexed(ir: &IndexedRelation, frame: &mut Frame) {
     frame.section(SEC_SCHEMA, |w| w.schema(ir.schema()));
-    frame.section(SEC_BODY, |w| write_body(ir.columns(), w));
+    frame.section(SEC_BODY, |w| write_body(&ir.columns().view(), w));
     frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&ir.indexed_columns()));
 }
 
 /// One relation body at [`FORMAT_VERSION`]: the slot count, the live
 /// bitmap, and each column's live cells — the body shared by a
-/// standalone snapshot's section 2 and by each shard in section 5.
-fn write_body(rows: &Columns, w: &mut Writer) {
+/// standalone snapshot's section 2 and by each shard in section 5. The
+/// cells are written run by run of live slots as they lie, so a body
+/// with no dead slot is one run per column, and no column is staged.
+fn write_body(rows: &ColumnsView<'_>, w: &mut Writer) {
     w.usize(rows.slot_count());
     let bits = rows.live_bits();
     w.usize(bits.len());
     w.u64_run(bits);
     for col in 0..rows.schema().arity() {
-        match rows.live_cells(col) {
-            LiveCells::Int(ints) => {
-                w.usize(ints.len());
-                w.i64_run(&ints);
+        match rows.schema().col_type(col) {
+            ColType::Int => {
+                w.usize(rows.live());
+                for run in rows.cell_runs(col) {
+                    if let CellRun::Int(ints) = run {
+                        w.i64_run(ints);
+                    }
+                }
             }
-            LiveCells::Str { arena, ends } => {
-                w.str(&arena);
-                w.usize(ends.len());
-                w.usize_run(&ends);
+            ColType::Str => {
+                // The arena as a length-prefixed string, then the end
+                // offsets rebased onto it: the live cells end to end.
+                let str_run = |run| match run {
+                    CellRun::Str { arena, ends, start } => Some((arena, ends, start)),
+                    CellRun::Int(_) => None,
+                };
+                let runs = || rows.cell_runs(col).filter_map(str_run);
+                w.usize(runs().map(|(arena, _, _)| arena.len()).sum());
+                for (arena, _, _) in runs() {
+                    w.raw(arena.as_bytes());
+                }
+                w.usize(rows.live());
+                let mut base = 0;
+                for (arena, ends, start) in runs() {
+                    w.usize_iter(ends.iter().map(|end| end - start + base));
+                    base += arena.len();
+                }
             }
         }
     }
@@ -625,12 +666,56 @@ fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
     Ok(cols)
 }
 
-/// The sections [`write_sharded`] writes.
+/// The sections [`write_sharded`] and [`write_pinned`] write.
 const SHARDED_SECTIONS: usize = 6;
 
 fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
-    frame.section(SEC_SCHEMA, |w| w.schema(sr.schema()));
-    frame.section(SEC_SHARD_BY, |w| match sr.shard_by() {
+    write_layout(sr.schema(), sr.shard_by(), frame);
+    // One body per shard; the schema and the indexed columns, which
+    // every shard shares, are written once for the whole relation.
+    frame.section(SEC_SHARDS, |w| {
+        w.usize(sr.shard_count());
+        for shard in sr.shards() {
+            write_body(&shard.columns().view(), w);
+        }
+    });
+    let live: Vec<&[u64]> = sr
+        .shards()
+        .iter()
+        .map(|s| s.columns().live_bits())
+        .collect();
+    write_id_map(&sr.id_map().view_at(sr.id_map().next_gid(), &live), frame);
+    frame.section(SEC_INDEXED_COLS, |w| {
+        w.usize_seq(
+            &sr.shards()
+                .first()
+                .map_or_else(Vec::new, IndexedRelation::indexed_columns),
+        );
+    });
+}
+
+/// The same sections as [`write_sharded`], read from a live relation at
+/// a pinned epoch: each shard's body encoded under that shard's read
+/// lock alone, then the id map under its own. The bytes are those of
+/// the relation's state at the pinned epoch written by
+/// [`write_sharded`].
+fn write_pinned(pinned: &mut PinnedRead<'_>, frame: &mut Frame) {
+    let live = pinned.relation();
+    write_layout(live.schema(), live.shard_by(), frame);
+    frame.section(SEC_SHARDS, |w| {
+        w.usize(live.shard_count());
+        for shard in 0..live.shard_count() {
+            pinned.read_shard(shard, |rows| write_body(rows, w));
+        }
+    });
+    pinned.read_ids(|ids| write_id_map(ids, frame));
+    frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
+}
+
+/// The schema (1) and the partitioning (4) sections.
+fn write_layout(schema: &Schema, shard_by: &ShardBy, frame: &mut Frame) {
+    frame.section(SEC_SCHEMA, |w| w.schema(schema));
+    frame.section(SEC_SHARD_BY, |w| match shard_by {
         ShardBy::Hash { col } => {
             w.u8(0);
             w.usize(*col);
@@ -644,22 +729,6 @@ fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
             }
         }
     });
-    // One body per shard; the schema and the indexed columns, which
-    // every shard shares, are written once for the whole relation.
-    frame.section(SEC_SHARDS, |w| {
-        w.usize(sr.shard_count());
-        for shard in sr.shards() {
-            write_body(shard.columns(), w);
-        }
-    });
-    write_id_map(sr.id_map(), frame);
-    frame.section(SEC_INDEXED_COLS, |w| {
-        w.usize_seq(
-            &sr.shards()
-                .first()
-                .map_or_else(Vec::new, IndexedRelation::indexed_columns),
-        );
-    });
 }
 
 /// The id map as two sections: the local → global maps (6), a map
@@ -667,11 +736,11 @@ fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
 /// count and per id a tag (0 dead, 1 live) and a live id's `u64` shard
 /// and local. The one encoding, the same in every version:
 /// [`read_id_map`] is its inverse.
-fn write_id_map(ids: &IdMap, frame: &mut Frame) {
+fn write_id_map(ids: &IdMapView<'_>, frame: &mut Frame) {
     frame.section(SEC_GLOBAL_IDS, |w| {
         w.usize(ids.shard_count());
-        for map in ids.global_id_maps() {
-            w.usize_seq(map);
+        for shard in 0..ids.shard_count() {
+            w.usize_seq(ids.global_ids(shard));
         }
     });
     frame.section(SEC_LOCATIONS, |w| {
@@ -690,14 +759,37 @@ fn write_id_map(ids: &IdMap, frame: &mut Frame) {
 }
 
 /// Decode the id map from its two sections, checked by
-/// [`IdMap::from_parts`].
-fn read_id_map(global_ids: Reader<'_>, locations: Reader<'_>) -> Result<IdMap, StoreError> {
+/// [`IdMap::from_parts`]. The locations go to it as they are decoded,
+/// so no wide `(shard, local)` list is built before it packs them. A
+/// decoding error stops the stream and is the one returned; a refused
+/// location stops it too, and is returned before any check of the bytes
+/// it left unread.
+fn read_id_map(global_ids: Reader<'_>, mut locations: Reader<'_>) -> Result<IdMap, StoreError> {
     let global_ids = finish(global_ids, |r| {
         let n = r.count(8)?;
         (0..n).map(|_| r.usize_seq()).collect::<Result<Vec<_>, _>>()
     })?;
-    let locations = finish(locations, read_locations)?;
-    Ok(IdMap::from_parts(global_ids, locations)?)
+    let r = &mut locations;
+    let n = r.count(1)?;
+    let mut failed = None;
+    let decoded = (0..n).map_while(|_| {
+        let location = match r.u8() {
+            Ok(0) => Ok(None),
+            Ok(1) => r.usize().and_then(|s| Ok(Some((s, r.usize()?)))),
+            Ok(tag) => Err(StoreError::Corrupt(format!("bad location tag {tag}"))),
+            Err(e) => Err(e),
+        };
+        location.map_err(|e| failed = Some(e)).ok()
+    });
+    let ids = IdMap::from_parts(global_ids, decoded);
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    let ids = ids?;
+    if !locations.is_exhausted() {
+        return Err(StoreError::Corrupt("trailing bytes in section".into()));
+    }
+    Ok(ids)
 }
 
 /// Decode a `ShardedRelation` of format `version` from its sections,
@@ -748,17 +840,6 @@ fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
     }
 }
 
-fn read_locations(r: &mut Reader<'_>) -> Result<Vec<Option<(usize, usize)>>, StoreError> {
-    let n = r.count(1)?;
-    (0..n)
-        .map(|_| match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some((r.usize()?, r.usize()?))),
-            tag => Err(StoreError::Corrupt(format!("bad location tag {tag}"))),
-        })
-        .collect()
-}
-
 fn write_hop(h: &HopLabels, frame: &mut Frame) {
     frame.section(SEC_LOUT, |w| write_label_lists(h.out_labels(), w));
     frame.section(SEC_LIN, |w| write_label_lists(h.in_labels(), w));
@@ -780,9 +861,9 @@ fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_engine::{LiveRelation, PooledExecutor, QueryBatch};
+    use pitract_engine::{EngineError, PooledExecutor, QueryBatch};
     use pitract_graph::generate;
-    use pitract_relation::{ColType, Relation, SelectionQuery, Value};
+    use pitract_relation::{Relation, SelectionQuery, Value};
     use std::sync::Arc;
 
     fn relation(n: i64) -> Relation {
@@ -909,6 +990,65 @@ mod tests {
         ));
     }
 
+    /// A checkpoint encoded in place at a pinned epoch is byte for byte
+    /// the checkpoint of a copy of the state at that epoch: quiescent,
+    /// and with inserts, deletes of rows live at the pin, inserts deleted
+    /// again and burned ids landing between the pin and the encoding —
+    /// on every shard, some before and some after it is read.
+    #[test]
+    fn a_pinned_checkpoint_is_the_bytes_of_the_state_at_its_epoch() {
+        let live =
+            LiveRelation::build(&relation(300), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+        for gid in (0..300).step_by(7) {
+            live.delete(gid).unwrap();
+        }
+        let copied = |epoch| {
+            let state = live.to_sharded();
+            Snapshot::Checkpoint {
+                state,
+                wal_lsn: 40 + epoch,
+                epoch: Epoch::new(epoch),
+            }
+            .to_bytes()
+        };
+        let (bytes, epoch) = Snapshot::checkpoint_bytes(&live, |e| 40 + e.get());
+        assert_eq!(epoch, live.current_epoch());
+        assert_eq!(bytes, copied(epoch.get()), "quiescent");
+
+        let mut pinned = live.pin_read();
+        let want = copied(pinned.epoch().get());
+        let write = |round: i64| {
+            for i in 0..12 {
+                let gid = live
+                    .insert(vec![Value::Int(1_000 * round + i), Value::str("late")])
+                    .unwrap();
+                live.delete((round * 31 + i * 5 + 1) as usize).unwrap();
+                if i % 4 == 0 {
+                    live.delete(gid).unwrap().unwrap();
+                }
+            }
+        };
+        write(1);
+        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 2);
+        let layout = live.shard_count();
+        write_layout(live.schema(), live.shard_by(), &mut frame);
+        frame.section(SEC_SHARDS, |w| {
+            w.usize(layout);
+            for shard in 0..layout {
+                pinned.read_shard(shard, |rows| write_body(rows, w));
+                // Writes between one shard's read and the next.
+                write(2 + shard as i64);
+            }
+        });
+        live.burn_gids_to(10_000);
+        pinned.read_ids(|ids| write_id_map(ids, &mut frame));
+        frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
+        let epoch = pinned.epoch().get();
+        frame.section(SEC_WAL_MARK, |w| w.u64(40 + epoch));
+        frame.section(SEC_EPOCH, |w| w.u64(epoch));
+        assert_eq!(frame.finish(), want, "writes raced the encoding");
+    }
+
     #[test]
     fn checkpoint_without_epoch_section_loads_as_epoch_zero() {
         // Hand-assemble a pre-epoch checkpoint file: the sharded
@@ -963,6 +1103,58 @@ mod tests {
         let ir = IndexedRelation::build(&relation(50), &[0, 1]).unwrap();
         let b = Snapshot::Indexed(ir).to_bytes();
         assert_eq!(a, b, "equal structures, equal bytes");
+    }
+
+    /// Section 7 streams into the id map as it is decoded, and every
+    /// way it can be wrong is still refused typed: a bad tag, a cut-off
+    /// location, bytes past the last one, and a location the map
+    /// refuses.
+    #[test]
+    fn locations_refuse_bad_input_typed_as_they_stream() {
+        // Two shards: gids 0, 2 in shard 0 and 1 in shard 1, gid 2 dead.
+        let mut maps = Writer::new();
+        maps.usize(2);
+        maps.usize_seq(&[0, 2]);
+        maps.usize_seq(&[1]);
+        let maps = maps.into_bytes();
+        let locations = |tags: &[(u8, usize, usize)], extra: &[u8]| {
+            let mut w = Writer::new();
+            w.usize(tags.len());
+            for &(tag, shard, local) in tags {
+                w.u8(tag);
+                if tag == 1 {
+                    w.usize(shard);
+                    w.usize(local);
+                }
+            }
+            w.raw(extra);
+            w.into_bytes()
+        };
+        let read = |loc: Vec<u8>| read_id_map(Reader::new(&maps), Reader::new(&loc));
+        let good = [(1, 0, 0), (1, 1, 0), (0, 0, 0)];
+        let ids = read(locations(&good, &[])).unwrap();
+        assert_eq!(
+            ids.locations().collect::<Vec<_>>(),
+            vec![Some((0, 0)), Some((1, 0)), None]
+        );
+        assert!(matches!(
+            read(locations(&[(1, 0, 0), (2, 0, 0), (0, 0, 0)], &[])),
+            Err(StoreError::Corrupt(why)) if why.contains("bad location tag 2")
+        ));
+        let mut cut = locations(&good, &[]);
+        cut.truncate(cut.len() - 1 - 8);
+        assert!(matches!(read(cut), Err(StoreError::Truncated)));
+        assert!(matches!(
+            read(locations(&good, &[0])),
+            Err(StoreError::Corrupt(why)) if why.contains("trailing bytes")
+        ));
+        assert!(matches!(
+            read(locations(&[(1, 0, 0), (1, 2, 0), (0, 0, 0)], &[])),
+            Err(StoreError::Engine(EngineError::LocationOutOfRange {
+                shard: 2,
+                ..
+            }))
+        ));
     }
 
     #[test]

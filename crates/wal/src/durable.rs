@@ -6,10 +6,35 @@
 //! the global-id critical section** (so WAL order ≡ gid order ≡ epoch
 //! order, even under racing writers) and committed durable after the
 //! locks drop (so fsyncs batch across writers instead of stalling the
-//! shard). The companion checkpoint persists the frozen state *and* the
-//! WAL position it covers as one atomic [`Snapshot::Checkpoint`] file —
-//! there is no instant at which a crash can observe a state without its
-//! mark, which is the classic lost-update window of two-file schemes.
+//! shard). The companion checkpoint persists the state at one epoch
+//! *and* the WAL position it covers as one atomic
+//! [`pitract_store::Snapshot::Checkpoint`] file — there is no instant at which a crash can observe a state
+//! without its mark, which is the classic lost-update window of two-file
+//! schemes.
+//!
+//! # What a checkpoint holds, and which lock when
+//!
+//! A checkpoint file holds `D` at one epoch `e`: each shard's rows
+//! (columnar bodies) and the id map, plus the WAL mark (`e`'s LSN) and
+//! `e` itself — never an index, which a load rebuilds by sort. It is
+//! written by a pinned read ([`LiveRelation::pin_read`],
+//! [`SnapshotCatalog::save_checkpoint`]), in this order:
+//!
+//! 1. `e` is pinned the way a batch pins it, under the id-map read lock
+//!    for an instant (which also fixes the next global id at `e`);
+//! 2. each shard in turn is encoded straight into the file's one buffer
+//!    under that shard's read lock alone — slots inserted after `e` cut
+//!    off, slots deleted after `e` revived from the cells they left in
+//!    place — so only that shard's writers wait, and only while it is
+//!    encoded;
+//! 3. the id map's two sections are encoded at `e` under the id-map
+//!    read lock alone, which every writer briefly waits for;
+//! 4. the pin is released, and only then is the file written and
+//!    synced, with no lock held.
+//!
+//! No shard, tree or id map is copied: what the read holds beyond the
+//! relation is the file's bytes and one live bitmap per shard, plus the
+//! undo records writers keep for the pin while it lasts.
 //!
 //! # The LSN ↔ epoch dictionary
 //!
@@ -20,7 +45,7 @@
 //! update ticks the epoch once, the two advance in lockstep:
 //! `lsn = mark + (epoch - cut)`, anchored at the mark and cut epoch of
 //! the checkpoint the node started from ([`EpochLsn`], which a
-//! replication follower keeps too). A freeze's cut epoch therefore
+//! replication follower keeps too). A checkpoint's pinned epoch therefore
 //! translates directly into the checkpoint's WAL mark
 //! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
 //! mapping: load the checkpoint, replay the WAL tail at-or-after the
@@ -39,7 +64,7 @@ use pitract_core::epoch::Epoch;
 use pitract_engine::batch::{OutputMode, Routing, ShardResults};
 use pitract_engine::{BatchServe, EngineError, LiveRelation, NodeStatus, UpdateEntry, WalSink};
 use pitract_relation::SelectionQuery;
-use pitract_store::{Dir, Snapshot, SnapshotCatalog};
+use pitract_store::{Dir, SnapshotCatalog};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,7 +112,7 @@ pub struct EpochLsn {
 }
 
 impl EpochLsn {
-    /// The dictionary of a checkpoint whose state, frozen at epoch
+    /// The dictionary of a checkpoint whose state, read at epoch
     /// `cut`, covers every WAL record below `mark`.
     pub fn new(mark: u64, cut: Epoch) -> Self {
         EpochLsn { mark, cut }
@@ -184,20 +209,12 @@ impl DurableLiveRelation {
         // Anything already in the directory (a reused path) is below the
         // bootstrap mark and therefore dead: the checkpoint covers it.
         let mark = wal.next_lsn();
-        let frozen = live.freeze();
-        catalog.save(
-            name,
-            &Snapshot::Checkpoint {
-                state: frozen.state,
-                wal_lsn: mark,
-                epoch: frozen.epoch,
-            },
-        )?;
+        let (_, cut) = catalog.save_checkpoint(name, &live, |_| mark)?;
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         Ok(DurableLiveRelation {
             live,
             wal,
-            clock: EpochLsn::new(mark, frozen.epoch),
+            clock: EpochLsn::new(mark, cut),
             last_mark: AtomicU64::new(mark),
             recovered: None,
         })
@@ -274,27 +291,21 @@ impl DurableLiveRelation {
         self.clock.epoch_of_lsn(lsn)
     }
 
-    /// Checkpoint: freeze the live state and persist it with its WAL
-    /// mark — the cut epoch's LSN — as one atomic snapshot, then confirm
-    /// the mark. After this returns, [`Self::compact_wal`] may drop
-    /// every WAL record below the new mark. A failed save returns the
-    /// error and leaves [`Self::checkpoint_mark`] where it was, so no
-    /// record a durable snapshot does not cover is ever dropped.
+    /// Checkpoint: persist the live state at a pinned epoch with its WAL
+    /// mark — that epoch's LSN — as one atomic snapshot, then confirm
+    /// the mark. The state is read in place, one shard lock at a time
+    /// (see the module docs), so writers keep going while it is encoded.
+    /// After this returns, [`Self::compact_wal`] may drop every WAL
+    /// record below the new mark. A failed save returns the error and
+    /// leaves [`Self::checkpoint_mark`] where it was, so no record a
+    /// durable snapshot does not cover is ever dropped.
     pub fn checkpoint(&self, catalog: &SnapshotCatalog, name: &str) -> Result<PathBuf, WalError> {
         // Make sure everything the snapshot will contain is also durable
         // in the log *before* the snapshot supersedes it — an unsynced
         // suffix must never be the only copy of a confirmed update.
         self.wal.sync()?;
-        let frozen = self.live.freeze();
-        let mark = self.lsn_of_epoch(frozen.epoch);
-        let path = catalog.save(
-            name,
-            &Snapshot::Checkpoint {
-                state: frozen.state,
-                wal_lsn: mark,
-                epoch: frozen.epoch,
-            },
-        )?;
+        let (path, cut) = catalog.save_checkpoint(name, &self.live, |e| self.lsn_of_epoch(e))?;
+        let mark = self.lsn_of_epoch(cut);
         // Racing checkpoints confirm in any order: the mark only rises.
         self.last_mark.fetch_max(mark, Ordering::SeqCst);
         Ok(path)
@@ -602,6 +613,64 @@ mod tests {
         let again = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
         assert!(again.answer(&SelectionQuery::point(0, 999i64)));
         assert_eq!(again.len(), 36);
+    }
+
+    /// Recovery holds only the tail it replays: with records below the
+    /// checkpoint mark still in the directory (nothing compacted), the
+    /// scan recovery opens with keeps none of them, yet positions the
+    /// writer after the whole log and decodes the same tail a whole read
+    /// does — and the node recovers to the same rows.
+    #[test]
+    fn recovery_keeps_only_the_tail_it_replays() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        for i in 0..30i64 {
+            node.insert(vec![Value::Int(100 + i), Value::str("pre")])
+                .unwrap();
+            if i % 3 == 0 {
+                node.delete(i as usize).unwrap().unwrap();
+            }
+        }
+        node.checkpoint(&catalog, "node").unwrap();
+        let mark = node.checkpoint_mark();
+        for i in 0..6i64 {
+            node.insert(vec![Value::Int(200 + i), Value::str("post")])
+                .unwrap();
+        }
+        node.delete(13).unwrap().unwrap();
+        let (rows, len) = (
+            (0..50).map(|gid| node.row(gid)).collect::<Vec<_>>(),
+            node.len(),
+        );
+        drop(node);
+
+        let whole = WalReader::open(&wal_dir).unwrap();
+        assert!(
+            whole.records().iter().any(|r| r.lsn < mark),
+            "history below the mark"
+        );
+        let (wal, scan) = WalWriter::open_scanned(&wal_dir, config(), mark).unwrap();
+        let kept: Vec<u64> = scan.records().map(|(lsn, _)| *lsn).collect();
+        let tail: Vec<u64> = (mark..mark + 7).collect();
+        assert_eq!(kept, tail, "no record below the mark is kept");
+        assert_eq!(
+            (scan.next_lsn, wal.next_lsn()),
+            (whole.next_lsn(), mark + 7)
+        );
+        assert_eq!(
+            WalReader::from_scan(&scan).unwrap().into_tail(mark),
+            whole.into_tail(mark)
+        );
+        drop(wal);
+
+        let recovered = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
+        assert_eq!(recovered.recovery_summary().unwrap().replayed, 7);
+        assert_eq!(recovered.len(), len);
+        for (gid, row) in rows.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), row, "gid {gid}");
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!   updates are staged to the WAL inside the engine's global-id
 //!   critical section (WAL order ≡ gid order, so replay is
 //!   deterministic even for racing writers) and committed durable after
-//!   the locks drop. Checkpoints persist the frozen state *plus* its
-//!   WAL position as one atomic snapshot; recovery is checkpoint load +
+//!   the locks drop. Checkpoints persist the state at a pinned epoch,
+//!   read in place one shard lock at a time, *plus* its WAL position as
+//!   one atomic snapshot; recovery is checkpoint load +
 //!   compacted tail replay ([`recover_live`], the one sequence a
 //!   replication follower's restart runs too), bit-identical — answers
 //!   **and** global row ids — to the crashed node's confirmed prefix.

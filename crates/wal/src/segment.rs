@@ -347,7 +347,8 @@ pub struct ScannedSegment {
     pub name: String,
     /// Base LSN (from header and file name, verified equal).
     pub base_lsn: u64,
-    /// `(lsn, payload)` of every valid record, in order.
+    /// `(lsn, payload)` of every valid record at or above the scan's
+    /// floor ([`scan_dir_from`]; all of them for [`scan_dir`]), in order.
     pub records: Vec<(u64, Vec<u8>)>,
     /// Total bytes currently in the file.
     pub file_len: u64,
@@ -369,7 +370,8 @@ pub struct DirScan {
 }
 
 impl DirScan {
-    /// All `(lsn, payload)` records across segments, in LSN order.
+    /// All `(lsn, payload)` records kept across segments (those at or
+    /// above the scan's floor), in LSN order.
     pub fn records(&self) -> impl Iterator<Item = &(u64, Vec<u8>)> {
         self.segments.iter().flat_map(|s| s.records.iter())
     }
@@ -394,6 +396,16 @@ pub fn list_segments(dir: &Dir) -> std::io::Result<Vec<(u64, String)>> {
 /// name shape, leftover `.tmp` from an interrupted compaction) are
 /// ignored. A missing directory scans as empty.
 pub fn scan_dir(dir: &Dir) -> Result<DirScan, WalError> {
+    scan_dir_from(dir, 0)
+}
+
+/// [`scan_dir`], keeping only the records at or above `floor`: every
+/// frame is still read, checksummed and ordered, and the scan's
+/// positions (`next_lsn`, each segment's lengths) are the whole log's,
+/// but a frame below the floor is not copied out. Recovery passes the
+/// checkpoint mark, so what it holds is sized by the tail it replays,
+/// not by the log's history.
+pub fn scan_dir_from(dir: &Dir, floor: u64) -> Result<DirScan, WalError> {
     let files = match list_segments(dir) {
         Ok(files) => files,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -430,6 +442,7 @@ pub fn scan_dir(dir: &Dir) -> Result<DirScan, WalError> {
             records: scan
                 .frames
                 .iter()
+                .filter(|f| f.lsn >= floor)
                 .map(|f| (f.lsn, f.payload().to_vec()))
                 .collect(),
             file_len: bytes.len() as u64,

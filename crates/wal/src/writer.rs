@@ -2,7 +2,8 @@
 
 use crate::error::WalError;
 use crate::segment::{
-    encode_record, scan_dir, segment_file_name, segment_header, DirScan, Frame, SEGMENT_HEADER_LEN,
+    encode_record, scan_dir_from, segment_file_name, segment_header, DirScan, Frame,
+    SEGMENT_HEADER_LEN,
 };
 use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedMutexGuard};
 use pitract_engine::UpdateEntry;
@@ -173,17 +174,21 @@ impl WalWriter {
     /// writer holds is [`WalError::DirInUse`], before anything is read
     /// or written.
     pub fn open(dir: impl Into<Dir>, config: WalConfig) -> Result<Self, WalError> {
-        Self::open_scanned(dir, config, 0).map(|(writer, _)| writer)
+        // The scan is thrown away, so it keeps no record.
+        Self::open_from(dir, config, 0, u64::MAX).map(|(writer, _)| writer)
     }
 
     /// Like [`Self::open`], but never hand out an LSN below `floor`, and
     /// additionally return the validated directory scan the open
-    /// performed. Recovery passes the checkpoint mark as `floor`, so that
-    /// even against an emptied log directory a fresh append can never be
-    /// numbered below a position an existing checkpoint already claims
-    /// to cover; it hands the scan to [`crate::WalReader::from_scan`] so
-    /// the whole log is read and checksummed once, not once for the
-    /// writer and again for the replay. (The scan reflects the directory
+    /// performed, holding only the records at or above `floor`
+    /// ([`crate::segment::scan_dir_from`]: the ones below are checksummed
+    /// but not kept). Recovery passes the checkpoint mark as `floor`, so
+    /// that even against an emptied log directory a fresh append can
+    /// never be numbered below a position an existing checkpoint already
+    /// claims to cover, and so that it holds only the tail it replays; it
+    /// hands the scan to [`crate::WalReader::from_scan`] so the whole log
+    /// is read and checksummed once, not once for the writer and again
+    /// for the replay. (The scan reflects the directory
     /// *before* the open's torn-tail truncation; its record set is
     /// identical, since torn bytes never contain a complete record.) The
     /// writer never reports the torn tail itself: that is
@@ -193,6 +198,17 @@ impl WalWriter {
         config: WalConfig,
         floor: u64,
     ) -> Result<(Self, DirScan), WalError> {
+        Self::open_from(dir, config, floor, floor)
+    }
+
+    /// The one open: hand out no LSN below `floor`, and keep the scan's
+    /// records at or above `keep_from`.
+    fn open_from(
+        dir: impl Into<Dir>,
+        config: WalConfig,
+        floor: u64,
+        keep_from: u64,
+    ) -> Result<(Self, DirScan), WalError> {
         let dir = dir.into();
         dir.create_dir_all()?;
         let claim = dir.claim().map_err(|e| match e.kind() {
@@ -201,7 +217,7 @@ impl WalWriter {
             },
             _ => WalError::Io(e),
         })?;
-        let scan = scan_dir(&dir)?;
+        let scan = scan_dir_from(&dir, keep_from)?;
         let next_lsn = scan.next_lsn.max(floor);
 
         // Truncate a torn tail before anything else: the torn bytes were

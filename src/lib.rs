@@ -447,7 +447,7 @@ pub mod prelude {
     };
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{
-        Applied, EpochPin, Frozen, LiveRelation, UpdateEntry, UpdateOp, VersionStats, WalSink,
+        Applied, EpochPin, LiveRelation, PinnedRead, UpdateEntry, UpdateOp, VersionStats, WalSink,
     };
     pub use pitract_engine::planner::{AccessPath, Planner, QueryPlan};
     pub use pitract_engine::pool::{BatchServe, PoolConfig, PoolStats, PooledExecutor};

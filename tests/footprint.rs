@@ -1,7 +1,7 @@
 //! What Π(D) costs in bytes, as a regression gate. `peak_rss_mb` in the
 //! end-to-end benchmark carries a 5 % bound on a whole process; this
-//! binary installs a byte-counting global allocator and pins the four
-//! structures that bound cannot see on their own:
+//! binary installs a byte-counting global allocator and pins the five
+//! costs that bound cannot see on their own:
 //!
 //! * the heap the input relation keeps once [`Relation::from_rows`] has
 //!   consumed its rows stays within [`INPUT_BYTES_PER_ROW`] — the rows
@@ -9,12 +9,16 @@
 //! * the heap held by the rows and the id maps — a build with no index
 //!   at all — stays within [`ROW_BYTES_PER_ROW`];
 //! * the heap held by the secondary indexes — built-with-indexes minus
-//!   built-without — stays within [`INDEX_BYTES_PER_ROW`]; and
+//!   built-without — stays within [`INDEX_BYTES_PER_ROW`];
 //! * while [`LiveRelation::build`] runs, live bytes never exceed the
 //!   finished relation by more than [`BUILD_SLACK_PER_ROW`]: the build
 //!   holds one column's `(key, id)` pairs and the packed entries made
 //!   from them, never every column's at once, and never a staging copy
-//!   of the rows (even a columnar one would cost ~48 B/row).
+//!   of the rows (even a columnar one would cost ~48 B/row); and
+//! * while [`DurableLiveRelation::checkpoint`] runs on an in-memory
+//!   volume, live bytes never exceed what it leaves behind by more than
+//!   the file it writes plus [`CHECKPOINT_SLACK_PER_ROW`]: it encodes the
+//!   relation in place, and copies no shard, tree or id map.
 //!
 //! The relation is the end-to-end benchmark's: `id` (unique), `ts`
 //! (nearly unique), `grp` (1 024 values) indexed, a 16-byte `payload`
@@ -53,6 +57,13 @@ const INDEX_BYTES_PER_ROW: usize = 96;
 /// Bytes per row the build may hold beyond what it returns. When
 /// written: 5.
 const BUILD_SLACK_PER_ROW: usize = 48;
+/// Bytes per row a checkpoint may hold beyond the file it writes and
+/// the bytes held after it. When written: 57 — nearly all of it the
+/// file buffer's spare capacity (it doubles as it grows: 8 MiB for a
+/// 4.8 MB file, 73 B/row), plus one live bitmap per shard. A
+/// checkpoint that copies the relation first (trees and id map
+/// included) and encodes the copy held 130.
+const CHECKPOINT_SLACK_PER_ROW: usize = 64;
 
 const ROWS: usize = 1 << 16;
 const SHARDS: usize = 4;
@@ -165,11 +176,39 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
         "the build held {} B/row beyond the relation it returned, over the {BUILD_SLACK_PER_ROW} allowed",
         build_slack / ROWS
     );
+
+    // A checkpoint reads the relation in place: beyond what it leaves
+    // behind (the file, on this in-memory volume) it holds the file's
+    // bytes while it encodes them, and little else.
+    let snaps = Dir::memory();
+    let catalog = SnapshotCatalog::open(snaps.clone()).expect("catalog");
+    let node = DurableLiveRelation::create(
+        indexed,
+        &catalog,
+        "boot",
+        Dir::memory(),
+        WalConfig::default(),
+    )
+    .expect("durable node");
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    node.checkpoint(&catalog, "ckpt").expect("checkpoint");
+    let after = LIVE.load(Ordering::Relaxed);
+    let checkpoint_excess = PEAK.load(Ordering::Relaxed) - after;
+    let file_len = snaps.read("ckpt.snap", 0).expect("checkpoint file").len();
+    let checkpoint_slack = checkpoint_excess.saturating_sub(file_len);
+    assert!(
+        checkpoint_slack <= CHECKPOINT_SLACK_PER_ROW * ROWS,
+        "the checkpoint held {} B/row beyond its {file_len}-byte file and what it left, over the {CHECKPOINT_SLACK_PER_ROW} allowed",
+        checkpoint_slack / ROWS
+    );
     println!(
-        "input relation {} B/row; indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row",
+        "input relation {} B/row; indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row; checkpoint {} B/row of file plus {} B/row of slack",
         input_bytes / ROWS,
         index_bytes / ROWS,
         bare_bytes / ROWS,
-        build_slack / ROWS
+        build_slack / ROWS,
+        file_len / ROWS,
+        checkpoint_slack / ROWS
     );
 }
