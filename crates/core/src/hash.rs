@@ -1,4 +1,5 @@
-//! Pinned, dependency-free hashing: FNV-1a 64 and XXH64.
+//! Pinned, dependency-free hashing: FNV-1a 64 and XXH64, each one-shot
+//! or streamed.
 //!
 //! Both are part of a **persistent contract**, so neither may silently
 //! drift, and both are written here instead of taken from `std`'s
@@ -11,7 +12,9 @@
 //!   frames, and checksums snapshot files of format versions 1 and 2.
 //! * XXH64 checksums snapshot files of format version 3. It reads eight
 //!   bytes at a time in four independent lanes, so it runs at memory
-//!   speed where FNV-1a's one multiply per byte does not.
+//!   speed where FNV-1a's one multiply per byte does not. A snapshot
+//!   save streams its file through [`Xxh64`] as each chunk is written;
+//!   the one-shot [`xxh64`] is that hasher fed once.
 //!
 //! Both are integrity/dispersion hashes, not a defense against
 //! adversarial collisions.
@@ -83,62 +86,121 @@ fn round(acc: u64, input: u64) -> u64 {
         .wrapping_mul(P1)
 }
 
+/// One 32-byte stripe through the four lanes.
+fn absorb(lanes: &mut [u64; 4], stripe: &[u8]) {
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = round(*lane, read_u64(&stripe[8 * i..]));
+    }
+}
+
 /// Fold lane `lane` into the converged hash `acc`.
 fn merge(acc: u64, lane: u64) -> u64 {
     (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-/// One-shot XXH64 of `bytes` under `seed`, as the xxHash specification
-/// defines it: four lanes over each 32-byte stripe, then the tail in
-/// 8-, 4- and 1-byte steps, then the final avalanche.
-pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let stripes = bytes.chunks_exact(32);
-    let tail = stripes.remainder();
-    let mut h = if bytes.len() >= 32 {
-        let mut lanes = [
-            seed.wrapping_add(P1).wrapping_add(P2),
-            seed.wrapping_add(P2),
+/// Incremental XXH64 state: bytes absorbed in any split hash exactly
+/// as they would in one piece, as the xxHash specification defines it —
+/// four lanes over each 32-byte stripe, then the tail in 8-, 4- and
+/// 1-byte steps, then the final avalanche. A stripe cut by a split waits
+/// in a 32-byte buffer until its rest arrives.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    seed: u64,
+    lanes: [u64; 4],
+    /// The current stripe's first `buffered` bytes.
+    stripe: [u8; 32],
+    buffered: usize,
+    /// Bytes absorbed so far.
+    total: u64,
+}
+
+impl Xxh64 {
+    /// Fresh state under `seed`.
+    pub fn new(seed: u64) -> Self {
+        Xxh64 {
             seed,
-            seed.wrapping_sub(P1),
-        ];
-        for stripe in stripes {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                *lane = round(*lane, read_u64(&stripe[8 * i..]));
-            }
+            lanes: [
+                seed.wrapping_add(P1).wrapping_add(P2),
+                seed.wrapping_add(P2),
+                seed,
+                seed.wrapping_sub(P1),
+            ],
+            stripe: [0; 32],
+            buffered: 0,
+            total: 0,
         }
-        let [v1, v2, v3, v4] = lanes;
-        let h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        lanes.into_iter().fold(h, merge)
-    } else {
-        seed.wrapping_add(P5)
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-
-    let mut words = tail.chunks_exact(8);
-    for word in &mut words {
-        h ^= round(0, read_u64(word));
-        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
-    }
-    let mut rest = words.remainder();
-    if rest.len() >= 4 {
-        h ^= u64::from(read_u32(rest)).wrapping_mul(P1);
-        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
-        rest = &rest[4..];
-    }
-    for &byte in rest {
-        h ^= u64::from(byte).wrapping_mul(P5);
-        h = h.rotate_left(11).wrapping_mul(P1);
     }
 
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
+    /// Absorb bytes.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.total = self.total.wrapping_add(bytes.len() as u64);
+        if self.buffered > 0 {
+            let take = (32 - self.buffered).min(bytes.len());
+            self.stripe[self.buffered..self.buffered + take].copy_from_slice(&bytes[..take]);
+            self.buffered += take;
+            bytes = &bytes[take..];
+            if self.buffered < 32 {
+                return;
+            }
+            absorb(&mut self.lanes, &self.stripe);
+            self.buffered = 0;
+        }
+        let stripes = bytes.chunks_exact(32);
+        let rest = stripes.remainder();
+        // The lanes stay in registers across the run of whole stripes.
+        let mut lanes = self.lanes;
+        for stripe in stripes {
+            absorb(&mut lanes, stripe);
+        }
+        self.lanes = lanes;
+        self.stripe[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// The hash of every byte absorbed so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let [v1, v2, v3, v4] = self.lanes;
+            let h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            self.lanes.into_iter().fold(h, merge)
+        } else {
+            self.seed.wrapping_add(P5)
+        };
+        h = h.wrapping_add(self.total);
+
+        let mut words = self.stripe[..self.buffered].chunks_exact(8);
+        for word in &mut words {
+            h ^= round(0, read_u64(word));
+            h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        }
+        let mut rest = words.remainder();
+        if rest.len() >= 4 {
+            h ^= u64::from(read_u32(rest)).wrapping_mul(P1);
+            h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+            rest = &rest[4..];
+        }
+        for &byte in rest {
+            h ^= u64::from(byte).wrapping_mul(P5);
+            h = h.rotate_left(11).wrapping_mul(P1);
+        }
+
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// One-shot XXH64 of `bytes` under `seed`: one [`Xxh64`] fed once.
+pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let mut h = Xxh64::new(seed);
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -187,5 +249,46 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 2 * bytes.len());
+    }
+
+    /// The stream hashes what the one-shot hashes, however its input is
+    /// split: every split point, and every three-way split, of inputs of
+    /// length 0 to 100, and two-way splits at and around the 32-byte
+    /// stripe edges of a longer input.
+    #[test]
+    fn streamed_xxh64_equals_one_shot_for_every_split() {
+        let bytes: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let streamed = |parts: &[&[u8]], seed| {
+            let mut h = Xxh64::new(seed);
+            for part in parts {
+                h.write(part);
+            }
+            h.finish()
+        };
+        for n in 0..=100 {
+            let input = &bytes[..n];
+            let want = xxh64(input, 5);
+            for a in 0..=n {
+                assert_eq!(streamed(&[&input[..a], &input[a..]], 5), want, "{n} at {a}");
+                for b in a..=n {
+                    let parts = [&input[..a], &input[a..b], &input[b..]];
+                    assert_eq!(streamed(&parts, 5), want, "{n} at {a}, {b}");
+                }
+            }
+        }
+        for edge in [32, 64, 96, 128, 256] {
+            for at in edge - 9..=edge + 9 {
+                let want = xxh64(&bytes, 0);
+                assert_eq!(streamed(&[&bytes[..at], &bytes[at..]], 0), want, "{at}");
+                let want = xxh64(&bytes[..edge], 0);
+                let cut = at.min(edge);
+                assert_eq!(streamed(&[&bytes[..cut], &bytes[cut..edge]], 0), want);
+            }
+        }
+        let mut byte_by_byte = Xxh64::new(0);
+        for b in &bytes {
+            byte_by_byte.write(std::slice::from_ref(b));
+        }
+        assert_eq!(byte_by_byte.finish(), xxh64(&bytes, 0));
     }
 }

@@ -27,4 +27,3 @@ pub mod bounded;
 pub mod closure;
 pub mod index_maint;
 pub mod reach;
-pub mod views;

@@ -1,7 +1,7 @@
 //! A directory of named snapshots — the deployment-facing API.
 //!
 //! A [`SnapshotCatalog`] maps names to `<name>.snap` files in one
-//! [`Dir`]. Saves go through [`Dir::write_atomic`], so a catalog is never
+//! [`Dir`]. Saves stream through [`Dir::write_atomic_with`], so a catalog is never
 //! observed with a half-written snapshot under a final name, and a
 //! crashed writer leaves at worst a `.tmp` file that no load reads.
 //! Names are restricted to a filesystem-safe alphabet so a name can
@@ -9,12 +9,14 @@
 //! through [`SnapshotCatalog::open`], [`SnapshotCatalog::save`],
 //! [`SnapshotCatalog::save_checkpoint`] and [`SnapshotCatalog::load`].
 
+use crate::codec::Writer;
 use crate::error::StoreError;
 use crate::snapshot::Snapshot;
 use crate::storage::Dir;
 use pitract_core::epoch::Epoch;
 use pitract_engine::LiveRelation;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// File extension for catalog snapshots.
 const EXT: &str = "snap";
@@ -45,10 +47,14 @@ impl SnapshotCatalog {
     }
 
     /// Persist a snapshot under `name`, atomically replacing any previous
-    /// snapshot with that name. Returns the file path written.
+    /// snapshot with that name. The file is streamed through one chunk
+    /// ([`Dir::write_atomic_with`]). Returns the file path written.
     pub fn save(&self, name: &str, snapshot: &Snapshot) -> Result<PathBuf, StoreError> {
         let file = Self::file_of(name)?;
-        Ok(self.dir.write_atomic(&file, &snapshot.to_bytes())?)
+        let path = self.dir.write_atomic_with(&file, |out| {
+            snapshot.write_to(Writer::to_file(Arc::clone(out)))
+        })?;
+        Ok(path)
     }
 
     /// Persist a checkpoint of `live` under `name`, atomically replacing
@@ -57,9 +63,10 @@ impl SnapshotCatalog {
     /// under that shard's read lock alone and the id map at `e` under its
     /// own, then the WAL mark `wal_lsn(e)` and `e`. The bytes are those
     /// of [`Snapshot::Checkpoint`] holding the relation's state at `e`,
-    /// and no shard, tree or id map is copied to get them. The pin is
-    /// released before the file is written. Returns the file path
-    /// written and `e`.
+    /// and no shard, tree or id map is copied to get them: they stream
+    /// to the file through one chunk, so a shard's chunks are appended
+    /// under its lock. The pin is released before the file is flushed
+    /// and renamed. Returns the file path written and `e`.
     pub fn save_checkpoint(
         &self,
         name: &str,
@@ -67,8 +74,13 @@ impl SnapshotCatalog {
         wal_lsn: impl FnOnce(Epoch) -> u64,
     ) -> Result<(PathBuf, Epoch), StoreError> {
         let file = Self::file_of(name)?;
-        let (bytes, epoch) = Snapshot::checkpoint_bytes(live, wal_lsn);
-        Ok((self.dir.write_atomic(&file, &bytes)?, epoch))
+        let mut epoch = Epoch::ZERO;
+        let path = self.dir.write_atomic_with(&file, |out| {
+            let out = Writer::to_file(Arc::clone(out));
+            epoch = Snapshot::write_checkpoint(live, wal_lsn, out)?;
+            Ok(())
+        })?;
+        Ok((path, epoch))
     }
 
     /// Load the snapshot stored under `name`.

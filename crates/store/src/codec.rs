@@ -18,6 +18,11 @@
 //! * sum types carry a one-byte tag ([`Value`]: 0 = `Int`, 1 = `Str`;
 //!   [`ColType`]: same; `Option`: 0 = `None`, 1 = `Some`).
 //!
+//! A [`Writer`] keeps its bytes in memory, or only counts them, or
+//! streams them to a file through one [`CHUNK`]: a snapshot save sizes
+//! every section with the count before it writes the first payload, and
+//! never holds more of its file than that chunk.
+//!
 //! The [`Reader`] is **total**: every read bounds-checks against the
 //! remaining input and every declared count is sanity-checked against the
 //! bytes that could possibly back it, so feeding arbitrary or truncated
@@ -26,59 +31,221 @@
 //! drives random and truncated inputs through the whole load path.)
 
 use crate::error::StoreError;
+use crate::storage::FileHandle;
+use pitract_core::hash::{xxh64, Xxh64};
 use pitract_engine::UpdateEntry;
 use pitract_relation::{ColType, Schema, Tuple, Value, ValueRef};
+use std::io;
 
-/// An append-only little-endian byte writer.
+/// An append-only little-endian byte writer over one of three sinks:
+/// memory ([`Writer::new`]), a count that keeps no byte, or a file
+/// reached through one fixed-size chunk. The encoders cannot tell them
+/// apart, so one encoder sizes a payload, writes it to a file, and
+/// writes it to memory, the same bytes each time.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: Vec<u8>,
+    sink: Sink,
+}
+
+/// Where a [`Writer`]'s bytes go.
+#[derive(Debug)]
+enum Sink {
+    /// Kept, in one buffer that grows.
+    Memory(Vec<u8>),
+    /// Counted and dropped: how long a payload is, before it is written.
+    /// A run costs one add.
+    Count(usize),
+    /// Streamed to a file.
+    File(Box<Chunked>),
+}
+
+impl Default for Sink {
+    fn default() -> Self {
+        Sink::Memory(Vec::new())
+    }
+}
+
+/// The bytes a save holds at once: one chunk, whatever the file's size.
+pub const CHUNK: usize = 1 << 20;
+
+/// A file written through one chunk: bytes are staged in it and, each
+/// time it fills, absorbed by a running XXH64 and appended to the file.
+/// The first failed append is kept and every later one skipped, so an
+/// encoder never sees an error; [`Writer::seal`] returns it.
+#[derive(Debug)]
+struct Chunked {
+    chunk: Vec<u8>,
+    size: usize,
+    file: FileHandle,
+    hash: Xxh64,
+    /// Bytes appended (or skipped after a failure) so far.
+    drained: usize,
+    failed: Option<io::Error>,
+}
+
+impl Chunked {
+    /// Stage `bytes`, draining the chunk each time it fills.
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let take = (self.size - self.chunk.len()).min(bytes.len());
+            self.chunk.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            self.drain_if_full();
+        }
+    }
+
+    /// Stage `run` word by word, as many words as the chunk has room
+    /// for at a time; a word the chunk's end cuts goes in two pieces.
+    fn words<T>(&mut self, mut run: impl ExactSizeIterator<Item = T>, le: impl Fn(T) -> [u8; 8]) {
+        while run.len() > 0 {
+            let start = self.chunk.len();
+            let fit = ((self.size - start) / 8).min(run.len());
+            if fit == 0 {
+                if let Some(v) = run.next() {
+                    self.put(&le(v));
+                }
+                continue;
+            }
+            self.chunk.resize(start + 8 * fit, 0);
+            for (dst, v) in self.chunk[start..].chunks_exact_mut(8).zip(run.by_ref()) {
+                dst.copy_from_slice(&le(v));
+            }
+            self.drain_if_full();
+        }
+    }
+
+    fn drain_if_full(&mut self) {
+        if self.chunk.len() == self.size {
+            self.hash.write(&self.chunk);
+            self.append();
+        }
+    }
+
+    /// Append the chunk to the file, unless an append already failed,
+    /// and empty it.
+    fn append(&mut self) {
+        if self.failed.is_none() {
+            if let Err(e) = self.file.append(&self.chunk) {
+                self.failed = Some(e);
+            }
+        }
+        self.drained += self.chunk.len();
+        self.chunk.clear();
+    }
 }
 
 impl Writer {
-    /// A fresh, empty writer.
+    /// A fresh, empty writer that keeps its bytes in memory.
     pub fn new() -> Self {
         Writer::default()
     }
 
+    /// A writer that keeps no byte and counts them.
+    pub(crate) fn counting() -> Self {
+        Writer {
+            sink: Sink::Count(0),
+        }
+    }
+
+    /// A writer that appends to `file` through one [`CHUNK`].
+    pub(crate) fn to_file(file: FileHandle) -> Self {
+        Writer::to_file_in_chunks(file, CHUNK)
+    }
+
+    /// [`Self::to_file`] through a chunk of `size` bytes (at least one).
+    pub(crate) fn to_file_in_chunks(file: FileHandle, size: usize) -> Self {
+        let size = size.max(1);
+        Writer {
+            sink: Sink::File(Box::new(Chunked {
+                chunk: Vec::with_capacity(size),
+                size,
+                file,
+                hash: Xxh64::new(0),
+                drained: 0,
+                failed: None,
+            })),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        match &self.sink {
+            Sink::Memory(buf) => buf.len(),
+            Sink::Count(n) => *n,
+            Sink::File(f) => f.drained + f.chunk.len(),
+        }
     }
 
     /// Has anything been written?
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Finish and take the buffer.
+    /// Finish and take the bytes of an in-memory writer. A counting or
+    /// file writer keeps none, and returns none.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Memory(buf) => buf,
+            Sink::Count(_) | Sink::File(_) => Vec::new(),
+        }
+    }
+
+    /// End the bytes with their XXH64 under seed 0 — a file writer's
+    /// from the hash its chunks ran through as they drained — and
+    /// append a file writer's last chunk. Returns the first failed
+    /// append.
+    pub(crate) fn seal(&mut self) -> io::Result<()> {
+        match &mut self.sink {
+            Sink::Memory(buf) => {
+                let sum = xxh64(buf, 0);
+                buf.extend_from_slice(&sum.to_le_bytes());
+            }
+            Sink::Count(n) => *n += 8,
+            Sink::File(f) => {
+                f.hash.write(&f.chunk);
+                let sum = f.hash.finish();
+                f.chunk.extend_from_slice(&sum.to_le_bytes());
+                f.append();
+                if let Some(e) = f.failed.take() {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Write `bytes` as they are.
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Memory(buf) => buf.extend_from_slice(bytes),
+            Sink::Count(n) => *n += bytes.len(),
+            Sink::File(f) => f.put(bytes),
+        }
     }
 
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Write a `u16`, little-endian.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `u32`, little-endian.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write an `i64`, little-endian.
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a `usize` as a `u64` (portable across pointer widths).
@@ -88,14 +255,7 @@ impl Writer {
 
     /// Write raw bytes with no framing (caller-framed payloads).
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Overwrite bytes already written, starting at offset `at` — a
-    /// backpatch of a field reserved before its value was known. Panics
-    /// if the range was not written yet.
-    pub fn patch(&mut self, at: usize, bytes: &[u8]) {
-        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.put(bytes);
     }
 
     /// Write `run` as consecutive little-endian `u64`s (no count).
@@ -118,19 +278,27 @@ impl Writer {
         self.words(values, |v| (v as u64).to_le_bytes());
     }
 
-    /// Grow the buffer once by the whole run, then fill it word by word.
+    /// Write a run word by word: in memory, grow the buffer once by the
+    /// whole run and fill it; counting, add its length; to a file, fill
+    /// the chunk as it drains.
     fn words<T>(&mut self, run: impl ExactSizeIterator<Item = T>, le: impl Fn(T) -> [u8; 8]) {
-        let start = self.buf.len();
-        self.buf.resize(start + 8 * run.len(), 0);
-        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(run) {
-            dst.copy_from_slice(&le(v));
+        match &mut self.sink {
+            Sink::Memory(buf) => {
+                let start = buf.len();
+                buf.resize(start + 8 * run.len(), 0);
+                for (dst, v) in buf[start..].chunks_exact_mut(8).zip(run) {
+                    dst.copy_from_slice(&le(v));
+                }
+            }
+            Sink::Count(n) => *n += 8 * run.len(),
+            Sink::File(f) => f.words(run, le),
         }
     }
 
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Write a tagged [`Value`].

@@ -24,7 +24,9 @@
 //!   arbitrary or truncated bytes produce a typed [`error::StoreError`],
 //!   never a panic or an unbounded allocation.
 //! * [`catalog::SnapshotCatalog`] — named snapshots in a directory with
-//!   atomic (temp-file + rename) replacement: save and load.
+//!   atomic (temp-file + rename) replacement: save and load. A save
+//!   streams its file through one chunk ([`codec::CHUNK`]), whatever
+//!   the file's size.
 //! * [`storage`] — the one door to the disk for this crate,
 //!   `pitract-wal` and `pitract-repl`: a [`storage::Dir`] pairs a
 //!   filesystem or in-memory backend with a path, and the two durability
@@ -34,7 +36,8 @@
 //! * [`Snapshot::Checkpoint`] — a [`pitract_engine::LiveRelation`]'s
 //!   state at one pinned epoch with that epoch and its WAL mark, in one
 //!   atomic file: what `pitract-wal`'s durable tier checkpoints to
-//!   ([`SnapshotCatalog::save_checkpoint`], encoded in place) and
+//!   ([`SnapshotCatalog::save_checkpoint`], encoded in place and
+//!   streamed) and
 //!   recovers from.
 //!
 //! The correctness contract, enforced by unit, integration, and property

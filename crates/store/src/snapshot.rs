@@ -22,6 +22,24 @@
 //! [`pitract_core::hash`]). FNV-1a takes one multiply per byte; XXH64
 //! reads eight bytes at a time in four lanes, at memory speed.
 //!
+//! # Writing a file
+//!
+//! A save streams. The section table is declared before the first
+//! payload, so each section's encoder runs twice: into a counting
+//! [`Writer`], which sizes the payload (a run of cells costs one add),
+//! and then into the file after the header and the table, where a
+//! payload whose tag or length differs from its declaration is refused
+//! as [`std::io::ErrorKind::InvalidData`]. Nothing is backpatched. The
+//! file writer holds one chunk ([`crate::codec::CHUNK`], 1 MiB); each
+//! time it fills, a streaming XXH64 ([`pitract_core::hash::Xxh64`])
+//! absorbs it and it is appended to the temp file, and the last chunk
+//! carries the checksum. So a save holds one chunk of its file,
+//! whatever the file's size. A checkpoint encodes each shard at its
+//! pinned epoch under that shard's read lock, in both passes, so a
+//! shard's chunks reach the file (the page cache, never a flush) inside
+//! that lock. [`Snapshot::to_bytes`] is the same frame written to
+//! memory.
+//!
 //! Section payloads use the [`crate::codec`] conventions. The tags per
 //! structure kind:
 //!
@@ -114,6 +132,7 @@ use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{CellRun, ColType, Columns, ColumnsView, LiveCells, Schema};
 use std::borrow::Cow;
 use std::fmt;
+use std::io;
 
 /// The 8-byte magic tag opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PITRSNAP";
@@ -302,48 +321,59 @@ impl Snapshot {
     }
 
     /// Serialize to the snapshot byte format (deterministic: equal
-    /// structures produce equal bytes). Every section is encoded straight
-    /// into the one buffer returned.
+    /// structures produce equal bytes): the frame a save streams to its
+    /// file, written to memory.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let sections = match self {
-            Snapshot::Indexed(_) | Snapshot::Hop(_) => 3,
-            Snapshot::Sharded(_) => SHARDED_SECTIONS,
-            Snapshot::Checkpoint { .. } => SHARDED_SECTIONS + 2,
-        };
-        let mut frame = Frame::new(self.kind(), sections);
+        let framed = write_frame(self.kind(), Writer::new(), |frame| self.encode(frame));
+        // An in-memory writer cannot fail, and a snapshot's encoders read
+        // one immutable structure, so both passes write the same lengths.
+        #[allow(clippy::expect_used)]
+        // lint:allow(no-unwrap-in-serving): memory cannot fail, and an immutable snapshot encodes alike twice
+        framed.expect("an immutable snapshot frames").into_bytes()
+    }
+
+    /// Stream this snapshot's file into `out` ([`write_frame`]).
+    pub(crate) fn write_to(&self, out: Writer) -> io::Result<()> {
+        write_frame(self.kind(), out, |frame| self.encode(frame)).map(drop)
+    }
+
+    /// Every section of this snapshot, in file order.
+    fn encode(&self, frame: &mut Frame) {
         match self {
-            Snapshot::Indexed(ir) => write_indexed(ir, &mut frame),
-            Snapshot::Sharded(sr) => write_sharded(sr, &mut frame),
-            Snapshot::Hop(h) => write_hop(h, &mut frame),
+            Snapshot::Indexed(ir) => write_indexed(ir, frame),
+            Snapshot::Sharded(sr) => write_sharded(sr, frame),
+            Snapshot::Hop(h) => write_hop(h, frame),
             Snapshot::Checkpoint {
                 state,
                 wal_lsn,
                 epoch,
             } => {
-                write_sharded(state, &mut frame);
-                frame.section(SEC_WAL_MARK, |w| w.u64(*wal_lsn));
-                frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
+                write_sharded(state, frame);
+                write_mark(*wal_lsn, *epoch, frame);
             }
         }
-        frame.finish()
     }
 
-    /// The bytes of a checkpoint of `live` at a freshly pinned epoch
-    /// `e`, encoded in place, and `e`: what
-    /// [`crate::SnapshotCatalog::save_checkpoint`] writes. The pin is
-    /// released before this returns.
-    pub(crate) fn checkpoint_bytes(
+    /// Stream a checkpoint of `live` at a freshly pinned epoch `e` into
+    /// `out`, encoded in place, and return `e`: what
+    /// [`crate::SnapshotCatalog::save_checkpoint`] writes. The bytes are
+    /// those [`Snapshot::Checkpoint`] writes for the state at `e`. Both
+    /// passes of the frame read at `e`, each shard under its own read
+    /// lock, so a shard's chunks are appended under that lock. The pin
+    /// is released when this returns, before the file is flushed.
+    pub(crate) fn write_checkpoint(
         live: &LiveRelation,
         wal_lsn: impl FnOnce(Epoch) -> u64,
-    ) -> (Vec<u8>, Epoch) {
+        out: Writer,
+    ) -> io::Result<Epoch> {
         let mut pinned = live.pin_read();
         let epoch = pinned.epoch();
-        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 2);
-        write_pinned(&mut pinned, &mut frame);
-        drop(pinned);
-        frame.section(SEC_WAL_MARK, |w| w.u64(wal_lsn(epoch)));
-        frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
-        (frame.finish(), epoch)
+        let mark = wal_lsn(epoch);
+        write_frame(SnapshotKind::Checkpoint, out, |frame| {
+            write_pinned(&mut pinned, frame);
+            write_mark(mark, epoch, frame);
+        })?;
+        Ok(epoch)
     }
 
     /// Parse a snapshot from bytes, validating magic, version, checksum,
@@ -476,57 +506,85 @@ pub fn checksum(version: u16, body: &[u8]) -> u64 {
     }
 }
 
-/// A snapshot file being written into the one buffer it is returned
-/// in: the header and a section table reserved for a declared number of
-/// sections, then each payload encoded straight after the last, its
-/// table entry backpatched once its length is known, then the checksum.
-/// No section is staged in a buffer of its own, so a save holds its
-/// file once.
+/// The sections of one snapshot file as an encoder declares them, then
+/// writes them: see [`write_frame`].
 struct Frame {
     w: Writer,
-    /// Sections declared in the header.
-    sections: usize,
-    /// Sections written so far.
-    written: usize,
+    /// Each section's tag and payload length, in file order.
+    table: Vec<(u32, u64)>,
+    /// `None` while the table is declared; then the sections written.
+    written: Option<usize>,
+    /// Why the payloads did not match the table, once they did not.
+    mismatch: Option<String>,
 }
 
 impl Frame {
-    /// Header plus a zeroed table for `sections` sections.
-    fn new(kind: SnapshotKind, sections: usize) -> Self {
-        let mut w = Writer::new();
-        w.raw(&MAGIC);
-        w.u16(FORMAT_VERSION);
-        w.u16(kind.code());
-        w.u32(sections as u32);
-        w.raw(&vec![0; 12 * sections]);
-        Frame {
-            w,
-            sections,
-            written: 0,
-        }
-    }
-
-    /// Append one section: `write` encodes its payload, then its table
-    /// entry gets `tag` and the payload's length.
+    /// Append one section: `write` encodes its payload. While the table
+    /// is declared, its tag and length are recorded; after, they must
+    /// be the next entry's.
     fn section(&mut self, tag: u32, write: impl FnOnce(&mut Writer)) {
-        assert!(self.written < self.sections, "more sections than declared");
         let start = self.w.len();
         write(&mut self.w);
         let len = (self.w.len() - start) as u64;
-        let entry = 16 + 12 * self.written;
-        self.w.patch(entry, &tag.to_le_bytes());
-        self.w.patch(entry + 4, &len.to_le_bytes());
-        self.written += 1;
+        let Some(written) = &mut self.written else {
+            self.table.push((tag, len));
+            return;
+        };
+        let declared = self.table.get(*written).copied();
+        if declared != Some((tag, len)) && self.mismatch.is_none() {
+            self.mismatch = Some(format!(
+                "section {written} wrote tag {tag} in {len} bytes; the table declared {declared:?}"
+            ));
+        }
+        *written += 1;
     }
+}
 
-    /// Seal the file with its checksum.
-    fn finish(self) -> Vec<u8> {
-        assert_eq!(self.written, self.sections, "fewer sections than declared");
-        let mut bytes = self.w.into_bytes();
-        let sum = checksum(FORMAT_VERSION, &bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        bytes
+/// Write the snapshot file `encode` describes to `out`, in two passes of
+/// `encode`. The first runs into a counting writer and declares each
+/// section's tag and length; the header and that table are written
+/// first, then the second pass writes the payloads after them, each of
+/// which must match its declaration, then the checksum. A payload that
+/// does not match is refused as [`io::ErrorKind::InvalidData`]: the
+/// table on disk would not describe the file. Nothing is backpatched, so
+/// a file writer holds one chunk, never the file.
+fn write_frame(
+    kind: SnapshotKind,
+    mut out: Writer,
+    mut encode: impl FnMut(&mut Frame),
+) -> io::Result<Writer> {
+    let mut plan = Frame {
+        w: Writer::counting(),
+        table: Vec::new(),
+        written: None,
+        mismatch: None,
+    };
+    encode(&mut plan);
+    out.raw(&MAGIC);
+    out.u16(FORMAT_VERSION);
+    out.u16(kind.code());
+    out.u32(plan.table.len() as u32);
+    for &(tag, len) in &plan.table {
+        out.u32(tag);
+        out.u64(len);
     }
+    let mut frame = Frame {
+        w: out,
+        written: Some(0),
+        ..plan
+    };
+    encode(&mut frame);
+    let written = frame.written.unwrap_or_default();
+    if written < frame.table.len() {
+        let declared = frame.table.len();
+        let short = format!("{written} sections written; the table declared {declared}");
+        frame.mismatch.get_or_insert(short);
+    }
+    if let Some(why) = frame.mismatch {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+    }
+    frame.w.seal()?;
+    Ok(frame.w)
 }
 
 /// Run `read` on a section reader and require it to consume the whole
@@ -666,9 +724,6 @@ fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
     Ok(cols)
 }
 
-/// The sections [`write_sharded`] and [`write_pinned`] write.
-const SHARDED_SECTIONS: usize = 6;
-
 fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
     write_layout(sr.schema(), sr.shard_by(), frame);
     // One body per shard; the schema and the indexed columns, which
@@ -729,6 +784,12 @@ fn write_layout(schema: &Schema, shard_by: &ShardBy, frame: &mut Frame) {
             }
         }
     });
+}
+
+/// A checkpoint's WAL mark (12) and cut epoch (13).
+fn write_mark(wal_lsn: u64, epoch: Epoch, frame: &mut Frame) {
+    frame.section(SEC_WAL_MARK, |w| w.u64(wal_lsn));
+    frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
 }
 
 /// The id map as two sections: the local → global maps (6), a map
@@ -861,6 +922,7 @@ fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CHUNK;
     use pitract_engine::{EngineError, PooledExecutor, QueryBatch};
     use pitract_graph::generate;
     use pitract_relation::{Relation, SelectionQuery, Value};
@@ -1011,7 +1073,7 @@ mod tests {
             }
             .to_bytes()
         };
-        let (bytes, epoch) = Snapshot::checkpoint_bytes(&live, |e| 40 + e.get());
+        let (bytes, epoch) = streamed(&live, CHUNK, |e| 40 + e.get());
         assert_eq!(epoch, live.current_epoch());
         assert_eq!(bytes, copied(epoch.get()), "quiescent");
 
@@ -1029,24 +1091,179 @@ mod tests {
             }
         };
         write(1);
-        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 2);
+        // Both passes of the frame read at the pin while writes land
+        // between one shard's read and the next, so the payloads the
+        // second pass writes match the lengths the first declared.
         let layout = live.shard_count();
-        write_layout(live.schema(), live.shard_by(), &mut frame);
-        frame.section(SEC_SHARDS, |w| {
-            w.usize(layout);
-            for shard in 0..layout {
-                pinned.read_shard(shard, |rows| write_body(rows, w));
-                // Writes between one shard's read and the next.
-                write(2 + shard as i64);
-            }
+        let epoch = pinned.epoch();
+        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
+            write_layout(live.schema(), live.shard_by(), frame);
+            frame.section(SEC_SHARDS, |w| {
+                w.usize(layout);
+                for shard in 0..layout {
+                    pinned.read_shard(shard, |rows| write_body(rows, w));
+                    write(2 + shard as i64);
+                }
+            });
+            live.burn_gids_to(10_000);
+            pinned.read_ids(|ids| write_id_map(ids, frame));
+            frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
+            write_mark(40 + epoch.get(), epoch, frame);
         });
-        live.burn_gids_to(10_000);
-        pinned.read_ids(|ids| write_id_map(ids, &mut frame));
-        frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
-        let epoch = pinned.epoch().get();
-        frame.section(SEC_WAL_MARK, |w| w.u64(40 + epoch));
-        frame.section(SEC_EPOCH, |w| w.u64(epoch));
-        assert_eq!(frame.finish(), want, "writes raced the encoding");
+        assert_eq!(
+            framed.unwrap().into_bytes(),
+            want,
+            "writes raced the encoding"
+        );
+    }
+
+    /// Stream a checkpoint of `live` through a chunk of `chunk` bytes to
+    /// a file on a fresh in-memory volume; the file's bytes and the
+    /// pinned epoch.
+    fn streamed(
+        live: &LiveRelation,
+        chunk: usize,
+        wal_lsn: impl FnOnce(Epoch) -> u64,
+    ) -> (Vec<u8>, Epoch) {
+        let dir = crate::Dir::memory();
+        let file = dir.storage().create(&dir.path().join("ckpt")).unwrap();
+        let out = Writer::to_file_in_chunks(file, chunk);
+        let epoch = Snapshot::write_checkpoint(live, wal_lsn, out).unwrap();
+        (dir.read("ckpt", 0).unwrap(), epoch)
+    }
+
+    /// Each section's `(offset, length)` in a well-formed file, from its
+    /// table.
+    fn section_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut r = Reader::new(&bytes[12..]);
+        let count = r.u32().unwrap() as usize;
+        let mut offset = 16 + 12 * count;
+        (0..count)
+            .map(|_| {
+                r.u32().unwrap();
+                let len = r.usize().unwrap();
+                offset += len;
+                (offset - len, len)
+            })
+            .collect()
+    }
+
+    /// A checkpoint streamed through a chunk of any size is the bytes
+    /// the in-memory frame writes for a copy of the state. At 7 bytes a
+    /// chunk boundary falls inside every section and cuts words in two;
+    /// at 1 every byte is its own append.
+    #[test]
+    fn a_streamed_checkpoint_equals_the_in_memory_bytes_at_every_chunk_size() {
+        let live =
+            LiveRelation::build(&relation(200), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
+        for gid in (0..200).step_by(9) {
+            live.delete(gid).unwrap();
+        }
+        live.insert(vec![Value::Int(900), Value::str("late")])
+            .unwrap();
+        let want = Snapshot::Checkpoint {
+            state: live.to_sharded(),
+            wal_lsn: 77,
+            epoch: live.current_epoch(),
+        }
+        .to_bytes();
+        let spans = section_spans(&want);
+        assert_eq!(spans.len(), 8);
+        for (start, len) in spans {
+            let boundary = (start / 7 + 1) * 7;
+            assert!(
+                boundary < start + len,
+                "a 7-byte chunk ends inside {start}+{len}"
+            );
+        }
+        for chunk in [1, 7, 8, 64, 4_096, CHUNK] {
+            let (bytes, epoch) = streamed(&live, chunk, |_| 77);
+            assert_eq!(epoch, live.current_epoch());
+            assert_eq!(bytes, want, "chunk {chunk}");
+        }
+    }
+
+    /// Every kind a catalog saves streams to the bytes
+    /// [`Snapshot::to_bytes`] writes, through small chunks and the real
+    /// one.
+    #[test]
+    fn every_kind_streams_to_its_in_memory_bytes() {
+        let mut ir = IndexedRelation::build(&relation(90), &[0, 1]).unwrap();
+        ir.delete(4);
+        let sharded =
+            LiveRelation::build(&relation(90), ShardBy::Hash { col: 1 }, 2, &[0]).unwrap();
+        let snapshots = [
+            Snapshot::Indexed(ir),
+            Snapshot::Sharded(sharded.to_sharded()),
+            Snapshot::Hop(HopLabels::build(&generate::random_dag(40, 90, 3)).unwrap()),
+        ];
+        let dir = crate::Dir::memory();
+        for snap in &snapshots {
+            let want = snap.to_bytes();
+            for chunk in [7, 4_096] {
+                let file = dir.storage().create(&dir.path().join("s")).unwrap();
+                snap.write_to(Writer::to_file_in_chunks(file, chunk))
+                    .unwrap();
+                assert_eq!(
+                    dir.read("s", 0).unwrap(),
+                    want,
+                    "{} at {chunk}",
+                    snap.kind()
+                );
+            }
+            let catalog = crate::SnapshotCatalog::open(&dir).unwrap();
+            catalog.save("whole", snap).unwrap();
+            assert_eq!(dir.read("whole.snap", 0).unwrap(), want);
+        }
+    }
+
+    /// The table is written before the payloads, so a payload that does
+    /// not match its declaration — longer, shorter, another tag, a
+    /// section too many or too few — is refused typed, and a save of it
+    /// leaves no file and keeps the one it would have replaced.
+    #[test]
+    fn a_payload_unlike_its_declaration_is_refused() {
+        type Encoder = fn(&mut Frame, usize);
+        let cases: [(&str, Encoder); 5] = [
+            ("longer", |f, pass| {
+                f.section(1, |w| w.raw(&vec![0; 3 + pass]))
+            }),
+            ("shorter", |f, pass| {
+                f.section(1, |w| w.raw(&vec![0; 9 - pass]))
+            }),
+            ("retagged", |f, pass| {
+                f.section(1 + pass as u32, |w| w.u8(0))
+            }),
+            ("one too many", |f, pass| {
+                (0..pass).for_each(|_| f.section(1, |w| w.u8(0)));
+            }),
+            ("one too few", |f, pass| {
+                (pass..3).for_each(|_| f.section(1, |w| w.u8(0)));
+            }),
+        ];
+        let dir = crate::Dir::memory();
+        dir.write_atomic("old", b"old bytes").unwrap();
+        for (case, encode) in cases {
+            let mut pass = 0;
+            let framed = write_frame(SnapshotKind::HopLabels, Writer::new(), |f| {
+                pass += 1;
+                encode(f, pass);
+            });
+            let err = framed.map(drop).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+            let saved = dir.write_atomic_with("old", |file| {
+                let mut pass = 0;
+                let out = Writer::to_file_in_chunks(Arc::clone(file), 4);
+                write_frame(SnapshotKind::HopLabels, out, |f| {
+                    pass += 1;
+                    encode(f, pass);
+                })
+                .map(drop)
+            });
+            assert_eq!(saved.unwrap_err().kind(), io::ErrorKind::InvalidData);
+            assert_eq!(dir.list().unwrap(), ["old"], "{case}: no temp file left");
+            assert_eq!(dir.read("old", 0).unwrap(), b"old bytes");
+        }
     }
 
     #[test]
@@ -1056,10 +1273,11 @@ mod tests {
         // this binary wrote before the epoch section existed.
         let sr =
             ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
-        let mut frame = Frame::new(SnapshotKind::Checkpoint, SHARDED_SECTIONS + 1);
-        write_sharded(&sr, &mut frame);
-        frame.section(SEC_WAL_MARK, |w| w.u64(9));
-        let bytes = frame.finish();
+        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
+            write_sharded(&sr, frame);
+            frame.section(SEC_WAL_MARK, |w| w.u64(9));
+        });
+        let bytes = framed.unwrap().into_bytes();
 
         let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
             .unwrap()
@@ -1075,17 +1293,18 @@ mod tests {
     /// log now: such a file is refused typed, not misread.
     #[test]
     fn update_log_files_are_refused_as_unknown_kind() {
-        let mut frame = Frame::new(SnapshotKind::Checkpoint, 2);
-        frame.section(11, |w| {
-            w.usize(2);
-            w.update_entry(&pitract_engine::UpdateEntry::Insert {
-                gid: 7,
-                row: vec![Value::Int(1), Value::str("x")],
+        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
+            frame.section(11, |w| {
+                w.usize(2);
+                w.update_entry(&pitract_engine::UpdateEntry::Insert {
+                    gid: 7,
+                    row: vec![Value::Int(1), Value::str("x")],
+                });
+                w.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
             });
-            w.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
+            frame.section(SEC_EPOCH, |w| w.u64(2));
         });
-        frame.section(SEC_EPOCH, |w| w.u64(2));
-        let mut bytes = frame.finish();
+        let mut bytes = framed.unwrap().into_bytes();
         bytes[10..12].copy_from_slice(&4u16.to_le_bytes());
         let body_len = bytes.len() - 8;
         let sum = checksum(FORMAT_VERSION, &bytes[..body_len]);

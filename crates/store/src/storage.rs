@@ -9,7 +9,8 @@
 //! such as a decorator over a directory's [`Dir::storage`]. A backend's rename and remove are durable on
 //! return (the filesystem backend fsyncs the parent directory, where
 //! the name lives), and the two durability recipes are written once
-//! over the trait: [`Dir::write_atomic`] and [`Dir::create_durable`].
+//! over the trait: [`Dir::write_atomic_with`] (streamed; [`Dir::write_atomic`]
+//! is its bytes form) and [`Dir::create_durable`].
 //!
 //! A directory can be claimed by one owner at a time ([`Dir::claim`]):
 //! a write-ahead-log writer holds its directory's [`DirClaim`] for its
@@ -199,14 +200,28 @@ impl Dir {
     }
 
     /// Atomic replace: write `bytes` to a `.tmp` sibling, flush it, and
-    /// rename it over `name`. Returns the path written. The flush comes
-    /// first, or the rename could reach the disk before the data and a
-    /// power loss would replace a good file with a truncated one. The
-    /// temp name carries the pid and a process-wide counter, so
-    /// concurrent writes of one name never interleave: the last rename
-    /// wins with a whole file. A failed write removes its temp file.
+    /// rename it over `name` ([`Self::write_atomic_with`], the bytes
+    /// appended at once). Returns the path written.
     pub fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
-        self.replace(name, bytes)?;
+        self.write_atomic_with(name, |file| file.append(bytes))
+    }
+
+    /// Atomic replace, streamed: create a `.tmp` sibling, let `write`
+    /// append to it, flush it, and rename it over `name`. Returns the
+    /// path written. The flush comes first, or the rename could reach
+    /// the disk before the data and a power loss would replace a good
+    /// file with a truncated one. The temp name carries the pid and a
+    /// process-wide counter, so concurrent writes of one name never
+    /// interleave: the last rename wins with a whole file. A failed
+    /// write or flush removes the temp file and leaves `name` as it was;
+    /// a rename that lands and then reports an error leaves the new
+    /// file, whole.
+    pub fn write_atomic_with(
+        &self,
+        name: &str,
+        write: impl FnOnce(&FileHandle) -> io::Result<()>,
+    ) -> io::Result<PathBuf> {
+        self.replace(name, write)?;
         Ok(self.path.join(name))
     }
 
@@ -216,20 +231,26 @@ impl Dir {
     /// leaves it absent: a rename whose directory sync failed has
     /// already put the name in place, so it is removed again.
     pub fn create_durable(&self, name: &str, header: &[u8]) -> io::Result<FileHandle> {
-        self.replace(name, header).inspect_err(|_| {
-            let _ = self.remove(name);
-        })
+        self.replace(name, |file| file.append(header))
+            .inspect_err(|_| {
+                let _ = self.remove(name);
+            })
     }
 
-    /// [`Self::write_atomic`]'s recipe, returning the handle that wrote
-    /// the file: it still names the file after the rename.
-    fn replace(&self, name: &str, bytes: &[u8]) -> io::Result<FileHandle> {
+    /// The one atomic-replace recipe ([`Self::write_atomic_with`]),
+    /// returning the handle that wrote the file: it still names the
+    /// file after the rename.
+    fn replace(
+        &self,
+        name: &str,
+        write: impl FnOnce(&FileHandle) -> io::Result<()>,
+    ) -> io::Result<FileHandle> {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = format!("{name}.{}-{seq}.tmp", std::process::id());
         let (staged, path) = (self.path.join(&tmp), self.path.join(name));
         let written = self.storage.create(&staged).and_then(|file| {
-            file.append(bytes)?;
+            write(&file)?;
             file.sync_data()?;
             self.storage.rename(&staged, &path)?;
             Ok(file)

@@ -22,19 +22,26 @@
 //!
 //! 1. `e` is pinned the way a batch pins it, under the id-map read lock
 //!    for an instant (which also fixes the next global id at `e`);
-//! 2. each shard in turn is encoded straight into the file's one buffer
-//!    under that shard's read lock alone — slots inserted after `e` cut
-//!    off, slots deleted after `e` revived from the cells they left in
-//!    place — so only that shard's writers wait, and only while it is
-//!    encoded;
-//! 3. the id map's two sections are encoded at `e` under the id-map
+//! 2. the sections are sized by a first, counting pass at `e` — each
+//!    shard under its read lock alone, the id map under its own — and
+//!    the header and section table are written;
+//! 3. each shard in turn is encoded at `e` under that shard's read lock
+//!    alone — slots inserted after `e` cut off, slots deleted after `e`
+//!    revived from the cells they left in place — into one fixed chunk
+//!    that is appended to the temp file each time it fills, so that
+//!    shard's chunks reach the page cache (never an fsync) inside its
+//!    lock, and only its writers wait, only while it is encoded;
+//! 4. the id map's two sections are encoded at `e` under the id-map
 //!    read lock alone, which every writer briefly waits for;
-//! 4. the pin is released, and only then is the file written and
-//!    synced, with no lock held.
+//! 5. the last chunk and the checksum are appended and the pin is
+//!    released; only then is the file synced and renamed, with no lock
+//!    held.
 //!
-//! No shard, tree or id map is copied: what the read holds beyond the
-//! relation is the file's bytes and one live bitmap per shard, plus the
-//! undo records writers keep for the pin while it lasts.
+//! No shard, tree or id map is copied, and no buffer holds the file:
+//! what the checkpoint holds beyond the relation is one chunk
+//! ([`pitract_store::codec::CHUNK`], 1 MiB) and one live bitmap per
+//! shard, plus the undo records writers keep for the pin while it
+//! lasts.
 //!
 //! # The LSN ↔ epoch dictionary
 //!

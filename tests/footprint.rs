@@ -16,9 +16,11 @@
 //!   from them, never every column's at once, and never a staging copy
 //!   of the rows (even a columnar one would cost ~48 B/row); and
 //! * while [`DurableLiveRelation::checkpoint`] runs on an in-memory
-//!   volume, live bytes never exceed what it leaves behind by more than
-//!   the file it writes plus [`CHECKPOINT_SLACK_PER_ROW`]: it encodes the
-//!   relation in place, and copies no shard, tree or id map.
+//!   volume, live bytes never exceed what it leaves behind (the file
+//!   among it) by more than one save chunk ([`CHUNK`]) plus
+//!   [`CHECKPOINT_BEYOND_CHUNK`]: it encodes the relation in place,
+//!   copies no shard, tree or id map, and streams the file through one
+//!   chunk — a buffer holding the whole file could not meet the bound.
 //!
 //! The relation is the end-to-end benchmark's: `id` (unique), `ts`
 //! (nearly unique), `grp` (1 024 values) indexed, a 16-byte `payload`
@@ -30,6 +32,7 @@
 //! into the same counters.
 
 use pi_tractable::prelude::*;
+use pi_tractable::store::codec::CHUNK;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -57,13 +60,13 @@ const INDEX_BYTES_PER_ROW: usize = 96;
 /// Bytes per row the build may hold beyond what it returns. When
 /// written: 5.
 const BUILD_SLACK_PER_ROW: usize = 48;
-/// Bytes per row a checkpoint may hold beyond the file it writes and
-/// the bytes held after it. When written: 57 — nearly all of it the
-/// file buffer's spare capacity (it doubles as it grows: 8 MiB for a
-/// 4.8 MB file, 73 B/row), plus one live bitmap per shard. A
-/// checkpoint that copies the relation first (trees and id map
-/// included) and encodes the copy held 130.
-const CHECKPOINT_SLACK_PER_ROW: usize = 64;
+/// Bytes a checkpoint may hold beyond one save chunk and the bytes held
+/// after it. When written: 8 664 — the live bitmap each shard's read
+/// copies at the pin (8 KiB in all at 2¹⁶ rows) and the section table.
+/// A checkpoint that encoded its whole file into one doubling buffer
+/// held 3.7 MB beyond its 4.8 MB file (57 B/row); one that copied the
+/// relation first, trees and id map included, held 130 B/row.
+const CHECKPOINT_BEYOND_CHUNK: usize = 16 * 1024;
 
 const ROWS: usize = 1 << 16;
 const SHARDS: usize = 4;
@@ -177,9 +180,9 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
         build_slack / ROWS
     );
 
-    // A checkpoint reads the relation in place: beyond what it leaves
-    // behind (the file, on this in-memory volume) it holds the file's
-    // bytes while it encodes them, and little else.
+    // A checkpoint reads the relation in place and streams the file:
+    // beyond what it leaves behind (the file, on this in-memory volume)
+    // it holds one chunk of the file's bytes, and little else.
     let snaps = Dir::memory();
     let catalog = SnapshotCatalog::open(snaps.clone()).expect("catalog");
     let node = DurableLiveRelation::create(
@@ -196,19 +199,21 @@ fn indexes_and_their_build_stay_within_their_bytes_per_row() {
     let after = LIVE.load(Ordering::Relaxed);
     let checkpoint_excess = PEAK.load(Ordering::Relaxed) - after;
     let file_len = snaps.read("ckpt.snap", 0).expect("checkpoint file").len();
-    let checkpoint_slack = checkpoint_excess.saturating_sub(file_len);
     assert!(
-        checkpoint_slack <= CHECKPOINT_SLACK_PER_ROW * ROWS,
-        "the checkpoint held {} B/row beyond its {file_len}-byte file and what it left, over the {CHECKPOINT_SLACK_PER_ROW} allowed",
-        checkpoint_slack / ROWS
+        file_len > 2 * CHUNK,
+        "a {file_len}-byte file takes more than two chunks"
+    );
+    assert!(
+        checkpoint_excess <= CHUNK + CHECKPOINT_BEYOND_CHUNK,
+        "the checkpoint held {checkpoint_excess} bytes beyond what it left (its {file_len}-byte file among it), over one {CHUNK}-byte chunk plus the {CHECKPOINT_BEYOND_CHUNK} allowed"
     );
     println!(
-        "input relation {} B/row; indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row; checkpoint {} B/row of file plus {} B/row of slack",
+        "input relation {} B/row; indexes {} B/row on top of {} B/row of rows and id maps; build slack {} B/row; checkpoint {} B/row of file, holding one chunk plus {} bytes",
         input_bytes / ROWS,
         index_bytes / ROWS,
         bare_bytes / ROWS,
         build_slack / ROWS,
         file_len / ROWS,
-        checkpoint_slack / ROWS
+        checkpoint_excess.saturating_sub(CHUNK)
     );
 }
