@@ -55,17 +55,6 @@ pub enum EngineError {
     /// Reconstructed parts (e.g. from a persisted snapshot) were mutually
     /// inconsistent.
     InconsistentSnapshot(String),
-    /// A row location does not fit the id map's packed `u64`
-    /// (`local · shards + shard`): its shard is not below the shard
-    /// count, or the packed value would overflow.
-    LocationOutOfRange {
-        /// The location's shard.
-        shard: usize,
-        /// The location's shard-local row id.
-        local: usize,
-        /// The relation's shard count.
-        shards: usize,
-    },
     /// A shard worker panicked during batch fan-out. The failure is
     /// contained to the batch that triggered it: the caller gets this
     /// typed error instead of the panic unwinding through the serving
@@ -127,16 +116,6 @@ impl fmt::Display for EngineError {
             EngineError::InvalidQuery { index, reason } => write!(f, "query {index}: {reason}"),
             EngineError::InconsistentSnapshot(msg) => {
                 write!(f, "inconsistent snapshot parts: {msg}")
-            }
-            EngineError::LocationOutOfRange {
-                shard,
-                local,
-                shards,
-            } => {
-                write!(
-                    f,
-                    "location ({shard}, {local}) does not fit {shards} shards"
-                )
             }
             EngineError::WorkerPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked during batch fan-out")

@@ -3,163 +3,131 @@
 //! A sharded relation names each row twice: by its **global id**, given
 //! once and never reused, which callers see; and by its **location**,
 //! the shard holding it and its local id there, which the shard's
-//! indexes see. [`IdMap`] holds both directions and every change to
-//! them, for the immutable [`crate::shard::ShardedRelation`] and the
-//! live [`crate::live::LiveRelation`] alike:
+//! indexes see. [`IdMap`] holds what it takes to go both ways, for the
+//! immutable [`crate::shard::ShardedRelation`] and the live
+//! [`crate::live::LiveRelation`] alike, and nothing per global id:
 //!
 //! * per shard, local → global, strictly increasing (a shard's locals
 //!   are handed out in global-id order), so translating a shard's
 //!   ascending locals yields ascending globals and the row-id merge can
 //!   merge runs instead of sorting;
-//! * global → location, one `u64` per id: `local · S + shard` for `S`
-//!   shards, or a dead sentinel once the row is deleted or its id is
-//!   burned (8 bytes an id where an `Option<(usize, usize)>` took 24);
+//! * the next global id, one past every id assigned or burned — the one
+//!   fact the maps cannot give, since burned ids name no row;
 //! * the count of live ids.
 //!
-//! Every packing is checked: a location whose shard is not below `S`, or
-//! whose product does not fit below the sentinel, is refused as
-//! [`EngineError::LocationOutOfRange`], in release builds too, never
-//! wrapped onto another row's location.
+//! A location is found, not kept: [`IdMap::location`] searches each
+//! shard's map for the id, and no global id lies in two maps. It
+//! names the row whether or not the row is live; the shard's own live
+//! bit says which, read under the shard's lock. A deleted row keeps its
+//! slot and its map entry, so a location never changes once assigned.
 
 use crate::error::EngineError;
-
-/// The packed location of a global id with no live row: deleted, or
-/// burned by [`IdMap::burn_to`].
-const DEAD: u64 = u64::MAX;
-
-/// `(shard, local)` packed as `local · shards + shard`, refused unless
-/// `shard < shards` and the result fits below [`DEAD`].
-fn pack(shards: usize, shard: usize, local: usize) -> Result<u64, EngineError> {
-    let packed = if shard < shards {
-        (local as u64)
-            .checked_mul(shards as u64)
-            .and_then(|p| p.checked_add(shard as u64))
-            .filter(|&p| p != DEAD)
-    } else {
-        None
-    };
-    packed.ok_or(EngineError::LocationOutOfRange {
-        shard,
-        local,
-        shards,
-    })
-}
-
-/// The `(shard, local)` a live packed location names.
-fn unpack(shards: usize, packed: u64) -> (usize, usize) {
-    let shards = shards as u64;
-    ((packed % shards) as usize, (packed / shards) as usize)
-}
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Global row ids ↔ shard rows: see the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdMap {
     /// Per shard: local row id → global row id, strictly increasing.
     global_ids: Vec<Vec<usize>>,
-    /// Global row id → packed location, or [`DEAD`].
-    locations: Vec<u64>,
-    /// Global ids whose location is not [`DEAD`].
+    /// One past every global id assigned or burned.
+    next_gid: usize,
+    /// Live global ids.
     live: usize,
 }
 
-/// The global id and location the next row of one shard gets, checked
-/// by [`IdMap::reserve`] before anything is applied and recorded by
-/// [`IdMap::commit`] once the row is in its shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Reserved {
-    /// The reserved global id.
-    pub(crate) gid: usize,
-    shard: usize,
-    packed: u64,
-}
-
 impl IdMap {
-    /// The map a build assigns: the `i`-th routed row gets global id
-    /// `i`, and each shard's locals are dense in arrival order. Every
-    /// map is sized exactly, in two passes over `routes` (one shard per
-    /// row, each below `shards`).
-    pub(crate) fn assign(
-        shards: usize,
-        rows: usize,
-        routes: impl Iterator<Item = usize>,
-    ) -> Result<Self, EngineError> {
+    /// The map a build assigns: the `i`-th row, routed to shard
+    /// `part[i]` (each below `shards`), gets global id `i`, and each
+    /// shard's locals are dense in arrival order. Every map is sized
+    /// exactly.
+    pub(crate) fn assign(shards: usize, part: &[u32]) -> Self {
         let mut sizes = vec![0usize; shards];
-        let mut locations = Vec::with_capacity(rows);
-        for shard in routes {
-            let local = sizes.get(shard).copied().unwrap_or(0);
-            locations.push(pack(shards, shard, local)?);
-            sizes[shard] += 1;
+        for &shard in part {
+            sizes[shard as usize] += 1;
         }
         let mut global_ids: Vec<Vec<usize>> =
             sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        for (gid, &packed) in locations.iter().enumerate() {
-            global_ids[unpack(shards, packed).0].push(gid);
+        for (gid, &shard) in part.iter().enumerate() {
+            global_ids[shard as usize].push(gid);
         }
-        Ok(IdMap {
+        IdMap {
             global_ids,
-            live: locations.len(),
-            locations,
-        })
+            next_gid: part.len(),
+            live: part.len(),
+        }
     }
 
     /// Reassemble a map from its exported parts — per shard local →
-    /// global, and global → `(shard, local)` with `None` for a dead id —
-    /// packing every location and checking the whole: every local maps
-    /// to an assigned global id, each shard's map strictly increases,
-    /// and every live location maps back to the id that names it. The
-    /// shard count is `global_ids.len()`.
-    pub fn from_parts(
-        global_ids: Vec<Vec<usize>>,
-        locations: impl IntoIterator<Item = Option<(usize, usize)>>,
-    ) -> Result<Self, EngineError> {
-        let shards = global_ids.len();
-        let locations = locations
-            .into_iter()
-            .map(|location| location.map_or(Ok(DEAD), |(s, local)| pack(shards, s, local)))
-            .collect::<Result<_, _>>()?;
-        let mut map = IdMap {
+    /// global, and the next global id — and check it whole: each map
+    /// strictly increases, no id is at or past the next one, no id lies
+    /// in two maps, and the next id is at most `isize::MAX`, so the ids
+    /// after it never wrap. Anything else is refused as
+    /// [`EngineError::InconsistentSnapshot`]. The shard count is
+    /// `global_ids.len()`. Every mapped id counts as live: only the
+    /// shards know which rows are, and
+    /// [`crate::shard::ShardedRelation::from_parts`] sets the count they
+    /// hold.
+    pub fn from_parts(global_ids: Vec<Vec<usize>>, next_gid: usize) -> Result<Self, EngineError> {
+        let live = global_ids.iter().map(Vec::len).sum();
+        let map = IdMap {
             global_ids,
-            locations,
-            live: 0,
+            next_gid,
+            live,
         };
-        map.live = map.check()?;
+        map.check()?;
         Ok(map)
     }
 
-    /// The one consistency check: every local maps to an assigned
-    /// global id, each shard's map strictly increases, and every live
-    /// location maps back to the global id that names it. Returns the
-    /// number of live locations. (Whether the rows behind the locations
-    /// are live is the shards' half, checked by
+    /// The one consistency check, the invariant [`Self::location`]'s
+    /// search relies on: each shard's map strictly increases, maps no
+    /// id at or past the next one, and no id lies in two shards' maps —
+    /// one merge of the maps, O(ids · log S) — and the next id leaves
+    /// room to count on. (Whether the maps fit the
+    /// shards is the shards' half, checked by
     /// [`crate::shard::ShardedRelation::from_parts`].)
-    pub(crate) fn check(&self) -> Result<usize, EngineError> {
+    pub(crate) fn check(&self) -> Result<(), EngineError> {
         let inconsistent = |msg: String| Err(EngineError::InconsistentSnapshot(msg));
+        if self.next_gid > isize::MAX as usize {
+            return inconsistent(format!(
+                "the next global id {} is past isize::MAX",
+                self.next_gid
+            ));
+        }
         for (s, map) in self.global_ids.iter().enumerate() {
-            if let Some(&bad) = map.iter().find(|&&g| g >= self.locations.len()) {
-                return inconsistent(format!(
-                    "shard {s} maps a local row to global id {bad}, beyond {}",
-                    self.locations.len()
-                ));
-            }
             if map.windows(2).any(|w| w[0] >= w[1]) {
                 return inconsistent(format!(
                     "shard {s}'s global ids do not increase with its local ids"
                 ));
             }
-        }
-        let mut live = 0;
-        for gid in 0..self.locations.len() {
-            let Some((s, local)) = self.location(gid) else {
-                continue;
-            };
-            if self.global_ids[s].get(local) != Some(&gid) {
+            if let Some(&bad) = map.last().filter(|&&g| g >= self.next_gid) {
                 return inconsistent(format!(
-                    "global id {gid} points at ({s}, {local}), which does not map back"
+                    "shard {s} maps a local row to global id {bad}, at or past the next id {}",
+                    self.next_gid
                 ));
             }
-            live += 1;
         }
-        Ok(live)
+        // Each map's head, smallest first; a head equal to the one
+        // popped before it is an id two shards share.
+        let mut heads: BinaryHeap<Reverse<(usize, usize, usize)>> = self
+            .global_ids
+            .iter()
+            .enumerate()
+            .filter_map(|(s, map)| Some(Reverse((*map.first()?, s, 0))))
+            .collect();
+        let mut last: Option<(usize, usize)> = None;
+        while let Some(Reverse((gid, s, local))) = heads.pop() {
+            if let Some((_, other)) = last.filter(|&(prev, _)| prev == gid) {
+                return inconsistent(format!(
+                    "global id {gid} is mapped by shards {other} and {s}"
+                ));
+            }
+            last = Some((gid, s));
+            if let Some(&next) = self.global_ids[s].get(local + 1) {
+                heads.push(Reverse((next, s, local + 1)));
+            }
+        }
+        Ok(())
     }
 
     /// Number of shards.
@@ -170,7 +138,7 @@ impl IdMap {
     /// The global id the next row gets: one past every id ever
     /// assigned or burned.
     pub fn next_gid(&self) -> usize {
-        self.locations.len()
+        self.next_gid
     }
 
     /// Live global ids.
@@ -184,85 +152,109 @@ impl IdMap {
         &self.global_ids[shard]
     }
 
-    /// The `(shard, local)` of a live global id; `None` once it is
-    /// deleted or burned, or if it was never assigned.
+    /// The `(shard, local)` a global id was assigned, found by one
+    /// search per shard, started where the shard's density puts the id;
+    /// the row there may since be deleted (the shard's live bit says).
+    /// `None` if the id was burned or never assigned.
     pub fn location(&self, gid: usize) -> Option<(usize, usize)> {
-        match self.locations.get(gid) {
-            Some(&packed) if packed != DEAD => Some(unpack(self.shard_count(), packed)),
-            _ => None,
-        }
-    }
-
-    /// Every global id's location, in id order (`None` for a dead id):
-    /// the `locations` argument of [`Self::from_parts`].
-    pub fn locations(&self) -> impl ExactSizeIterator<Item = Option<(usize, usize)>> + '_ {
-        (0..self.locations.len()).map(|gid| self.location(gid))
-    }
-
-    /// The map as it stood when the next global id was `next_gid` and
-    /// shard `s`'s locals were live where `live[s]` says (bit `l % 64` of
-    /// word `l / 64` for local `l`) — the map as it is, given its next
-    /// id and the shards' live bitmaps now. Every id below `next_gid` was
-    /// assigned before that point, so its entries are still in place:
-    /// the maps only grow, and a delete only marks a location dead.
-    pub fn view_at<'a>(&'a self, next_gid: usize, live: &'a [&'a [u64]]) -> IdMapView<'a> {
-        debug_assert_eq!(live.len(), self.shard_count(), "one bitmap per shard");
-        IdMapView {
-            map: self,
-            next_gid: next_gid.min(self.next_gid()),
-            live,
-        }
-    }
-
-    /// Check that the next row of `shard` can be given the next global
-    /// id, without changing the map.
-    pub(crate) fn reserve(&self, shard: usize) -> Result<Reserved, EngineError> {
-        let local = self.global_ids.get(shard).map_or(0, Vec::len);
-        Ok(Reserved {
-            gid: self.next_gid(),
-            shard,
-            packed: pack(self.shard_count(), shard, local)?,
+        self.global_ids.iter().enumerate().find_map(|(shard, map)| {
+            let local = position(map, gid, self.next_gid);
+            (map.get(local) == Some(&gid)).then_some((shard, local))
         })
     }
 
-    /// Record a reservation: its row is now the next local of its
-    /// shard. Returns the global id. The reservation must be the latest
-    /// one, with no change to the map since.
-    pub(crate) fn commit(&mut self, reserved: Reserved) -> usize {
-        debug_assert_eq!(reserved.gid, self.next_gid(), "a stale reservation");
-        self.global_ids[reserved.shard].push(reserved.gid);
-        self.locations.push(reserved.packed);
-        self.live += 1;
-        reserved.gid
-    }
-
-    /// Mark a live global id dead. Returns where its row was, or `None`
-    /// if it was not live.
-    pub(crate) fn tombstone(&mut self, gid: usize) -> Option<(usize, usize)> {
-        let location = self.location(gid)?;
-        self.locations[gid] = DEAD;
-        self.live -= 1;
-        Some(location)
-    }
-
-    /// Advance the allocator to `next_gid`, the skipped ids dead from
-    /// the start. No-op if it is already there.
-    pub(crate) fn burn_to(&mut self, next_gid: usize) {
-        if next_gid > self.locations.len() {
-            self.locations.resize(next_gid, DEAD);
+    /// The map as it stood when the next global id was `next_gid`: every
+    /// id below it was assigned before that point, and its entry is
+    /// still in place, since the maps only grow.
+    pub fn view_at(&self, next_gid: usize) -> IdMapView<'_> {
+        IdMapView {
+            map: self,
+            next_gid: next_gid.min(self.next_gid),
         }
+    }
+
+    /// Give the next global id to the next local of `shard`, whose row
+    /// is now in that shard. Returns the id.
+    pub(crate) fn commit(&mut self, shard: usize) -> usize {
+        let gid = self.next_gid;
+        self.global_ids[shard].push(gid);
+        self.next_gid += 1;
+        self.live += 1;
+        gid
+    }
+
+    /// Count one live id gone: its shard has just deleted its row.
+    pub(crate) fn tombstone(&mut self) {
+        self.live -= 1;
+    }
+
+    /// Set the live count to the rows the shards hold.
+    pub(crate) fn set_live(&mut self, live: usize) {
+        self.live = live;
+    }
+
+    /// Advance the allocator to `next_gid`, the skipped ids burned: they
+    /// name no row. No-op if it is already there. It stops at
+    /// `isize::MAX`, as [`Self::from_parts`] does, so the ids after it
+    /// never wrap; an insert replayed past that gets another id than its
+    /// log's, which replay refuses.
+    pub(crate) fn burn_to(&mut self, next_gid: usize) {
+        self.next_gid = self.next_gid.max(next_gid.min(isize::MAX as usize));
+    }
+
+    /// Heap bytes the map holds.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let maps: usize = self.global_ids.iter().map(Vec::capacity).sum();
+        self.global_ids.capacity() * std::mem::size_of::<Vec<usize>>()
+            + maps * std::mem::size_of::<usize>()
     }
 }
 
+/// Where `gid` is, or would go, in `map`, a strictly increasing run of
+/// ids below `next_gid`: the number of entries below it. The search
+/// starts where the map's density puts `gid`, gallops away from there
+/// until it brackets the answer, and bisects the bracket. Ids spread
+/// evenly over the shards, as hash routing spreads them, lie a few
+/// cache lines from the guess; a plain bisection of a 2¹⁵-entry map
+/// misses the cache on most of its 15 steps. Any other spread costs at
+/// most two bisections.
+fn position(map: &[usize], gid: usize, next_gid: usize) -> usize {
+    let n = map.len();
+    // Any guess is correct, so a float's rounding only costs steps.
+    let guess = ((gid as f64 * n as f64 / next_gid.max(1) as f64) as usize).min(n);
+    let (mut lo, mut hi, mut step) = (0, n, 1);
+    if map.get(guess).is_some_and(|&id| id < gid) {
+        lo = guess + 1;
+        while let Some(&id) = map.get(guess + step) {
+            if id >= gid {
+                hi = guess + step;
+                break;
+            }
+            lo = guess + step + 1;
+            step *= 2;
+        }
+    } else {
+        hi = guess;
+        while let Some(probe) = guess.checked_sub(step) {
+            if map[probe] < gid {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    }
+    lo + map[lo..hi].partition_point(|&id| id < gid)
+}
+
 /// An [`IdMap`] as it stood at some point, now or earlier
-/// ([`IdMap::view_at`]), borrowed: what a snapshot writer reads sections
-/// 6 and 7 from.
+/// ([`IdMap::view_at`]), borrowed: what a snapshot writer reads section
+/// 6 from.
 #[derive(Debug, Clone, Copy)]
 pub struct IdMapView<'a> {
     map: &'a IdMap,
     next_gid: usize,
-    /// Per shard, the locals live at the point.
-    live: &'a [&'a [u64]],
 }
 
 impl<'a> IdMapView<'a> {
@@ -282,28 +274,6 @@ impl<'a> IdMapView<'a> {
         let map = &self.map.global_ids[shard];
         &map[..map.partition_point(|&gid| gid < self.next_gid)]
     }
-
-    /// Every global id's location at the point, in id order (`None` for
-    /// a dead id). An id dead now but live at the point is found in the
-    /// local → global maps: one cursor per shard follows them in id
-    /// order, so each dead id costs one look at each shard's cursor.
-    pub fn locations(&self) -> impl ExactSizeIterator<Item = Option<(usize, usize)>> + 'a {
-        let (map, live) = (self.map, self.live);
-        let mut cursors = vec![0usize; map.shard_count()];
-        (0..self.next_gid).map(move |gid| {
-            let (shard, local) = match map.location(gid) {
-                Some(at) => at,
-                None => {
-                    let shard = (0..cursors.len())
-                        .find(|&s| map.global_ids[s].get(cursors[s]) == Some(&gid))?;
-                    (shard, cursors[shard])
-                }
-            };
-            cursors[shard] = local + 1;
-            let word = live[shard].get(local / 64).copied().unwrap_or(0);
-            (word >> (local % 64) & 1 == 1).then_some((shard, local))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -311,16 +281,10 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// A map in the exported form: per shard local → global, and
-    /// global → location.
-    type Parts = (Vec<Vec<usize>>, Vec<Option<(usize, usize)>>);
-
-    /// Two shards: gids 0, 2 in shard 0 and 1, 3 in shard 1, gid 2 dead.
-    fn parts() -> Parts {
-        (
-            vec![vec![0, 2], vec![1, 3]],
-            vec![Some((0, 0)), Some((1, 0)), None, Some((1, 1))],
-        )
+    /// Two shards: gids 0, 2 in shard 0 and 1, 3 in shard 1; gid 4
+    /// burned.
+    fn parts() -> (Vec<Vec<usize>>, usize) {
+        (vec![vec![0, 2], vec![1, 3]], 5)
     }
 
     /// Every shard's local → global map, in shard order.
@@ -330,136 +294,151 @@ mod tests {
             .collect()
     }
 
-    fn refused(parts: Parts) -> EngineError {
-        IdMap::from_parts(parts.0, parts.1).unwrap_err()
+    fn refused((maps, next_gid): (Vec<Vec<usize>>, usize)) -> String {
+        match IdMap::from_parts(maps, next_gid) {
+            Err(EngineError::InconsistentSnapshot(why)) => why,
+            other => panic!("expected InconsistentSnapshot, got {other:?}"),
+        }
     }
 
     #[test]
     fn from_parts_accepts_consistent_maps() {
-        let (maps_in, locations) = parts();
-        let map = IdMap::from_parts(maps_in.clone(), locations.clone()).unwrap();
+        let (maps_in, next_gid) = parts();
+        let map = IdMap::from_parts(maps_in.clone(), next_gid).unwrap();
         assert_eq!(maps(&map), maps_in);
-        assert_eq!(map.locations().collect::<Vec<_>>(), locations);
-        assert_eq!((map.live(), map.next_gid()), (3, 4));
+        assert_eq!((map.live(), map.next_gid()), (4, 5));
+        let found: Vec<_> = (0..6).map(|gid| map.location(gid)).collect();
+        assert_eq!(
+            found,
+            [
+                Some((0, 0)),
+                Some((1, 0)),
+                Some((0, 1)),
+                Some((1, 1)),
+                None,
+                None
+            ]
+        );
     }
 
     /// The cases a snapshot's id maps can get wrong, each refused typed.
     #[test]
     fn from_parts_rejects_inconsistent_maps() {
-        // A location that does not map back: a local beyond its shard.
-        let (maps, mut locations) = parts();
-        locations[0] = Some((1, 999));
-        let err = refused((maps, locations));
-        assert!(err.to_string().contains("does not map back"), "{err}");
-
-        // A location inside its shard that names another id's local.
-        let (maps, mut locations) = parts();
-        locations.swap(0, 3);
-        let err = refused((maps, locations));
-        assert!(err.to_string().contains("does not map back"), "{err}");
-
-        // A local mapped to an id beyond every assigned one.
-        let (mut maps, locations) = parts();
-        maps[0][1] = 9;
-        let err = refused((maps, locations));
-        assert!(err.to_string().contains("beyond 4"), "{err}");
-
-        // Two locals whose global ids are swapped, the locations to
-        // match: every id maps back, but the map no longer increases.
-        let (mut maps, mut locations) = parts();
-        maps[1].swap(0, 1);
-        (locations[1], locations[3]) = (Some((1, 1)), Some((1, 0)));
-        let err = refused((maps, locations));
-        assert!(err.to_string().contains("do not increase"), "{err}");
-    }
-
-    /// A location whose shard is not below the shard count would pack
-    /// onto another row's location (`(S, l)` is `(0, l + 1)`): refused.
-    #[test]
-    fn from_parts_refuses_a_shard_beyond_the_count_typed() {
-        let (maps, mut locations) = parts();
-        locations[2] = Some((2, 0));
-        assert_eq!(
-            refused((maps, locations)),
-            EngineError::LocationOutOfRange {
-                shard: 2,
-                local: 0,
-                shards: 2
-            }
-        );
-    }
-
-    /// The largest local each shard can pack round-trips; one more does
-    /// not fit and is refused, as is the location that would pack onto
-    /// the dead sentinel.
-    #[test]
-    fn locations_at_the_packing_limit_round_trip_and_past_it_are_refused() {
-        for shards in [1usize, 3, 7, 1 << 20] {
-            for shard in [0, shards / 2, shards - 1] {
-                let top = ((DEAD - 1 - shard as u64) / shards as u64) as usize;
-                let packed = pack(shards, shard, top).unwrap();
-                assert_eq!(unpack(shards, packed), (shard, top), "S={shards}");
-                assert!(
-                    pack(shards, shard, top + 1).is_err(),
-                    "S={shards} shard {shard}"
-                );
-            }
-            let shard = (DEAD % shards as u64) as usize;
-            let local = (DEAD / shards as u64) as usize;
-            assert_eq!(
-                pack(shards, shard, local),
-                Err(EngineError::LocationOutOfRange {
-                    shard,
-                    local,
-                    shards
-                })
+        // A local mapped to the next id, or past it.
+        for bad in [5, 9] {
+            let (mut maps, next_gid) = parts();
+            maps[0][1] = bad;
+            let why = refused((maps, next_gid));
+            assert!(
+                why.contains(&format!("global id {bad}, at or past")),
+                "{why}"
             );
+        }
+
+        // A map that does not increase: swapped, or repeating an id.
+        let (mut maps, next_gid) = parts();
+        maps[1].swap(0, 1);
+        assert!(refused((maps, next_gid)).contains("do not increase"));
+        let (mut maps, next_gid) = parts();
+        maps[1][1] = 1;
+        assert!(refused((maps, next_gid)).contains("do not increase"));
+
+        // A next id too far to count on from; the largest that is not
+        // loads.
+        let (maps_in, _) = parts();
+        let why = refused((maps_in.clone(), isize::MAX as usize + 1));
+        assert!(why.contains("past isize::MAX"), "{why}");
+        assert!(IdMap::from_parts(maps_in, isize::MAX as usize).is_ok());
+
+        // An id two shards map: first in both maps, last in both, or
+        // first in one and last in another of three.
+        for (maps, shared) in [
+            (
+                vec![vec![0, 2], vec![0, 3]],
+                "global id 0 is mapped by shards 0 and 1",
+            ),
+            (
+                vec![vec![0, 3], vec![1, 3]],
+                "global id 3 is mapped by shards 0 and 1",
+            ),
+            (
+                vec![vec![0, 4], vec![1, 3], vec![2, 4]],
+                "global id 4 is mapped by shards 0 and 2",
+            ),
+            (
+                vec![vec![1], vec![0, 1]],
+                "global id 1 is mapped by shards 0 and 1",
+            ),
+        ] {
+            let why = refused((maps, 5));
+            assert!(why.contains(shared), "{why}");
         }
     }
 
     /// The map a build assigns, and one it is rebuilt from, agree.
     #[test]
     fn assign_gives_dense_locals_in_arrival_order() {
-        let map = IdMap::assign(3, 6, [2, 0, 2, 1, 0, 2].into_iter()).unwrap();
+        let map = IdMap::assign(3, &[2, 0, 2, 1, 0, 2]);
         assert_eq!(maps(&map), [vec![1, 4], vec![3], vec![0, 2, 5]]);
         assert_eq!(map.location(5), Some((2, 2)));
-        assert_eq!(IdMap::from_parts(maps(&map), map.locations()).unwrap(), map);
+        assert_eq!(IdMap::from_parts(maps(&map), map.next_gid()).unwrap(), map);
     }
 
-    /// A model of the map: live id → location, per shard the ids in
-    /// local order, and the next id.
+    /// The search agrees with a plain bisection for every id, on maps
+    /// spread evenly, packed at either end, and sparse.
+    #[test]
+    fn position_agrees_with_a_bisection_on_any_spread() {
+        let maps: [Vec<usize>; 5] = [
+            (0..500).map(|i| i * 4 + 1).collect(),
+            (0..300).collect(),
+            (1_700..2_000).collect(),
+            vec![3, 900, 901, 1_999],
+            Vec::new(),
+        ];
+        for map in &maps {
+            for gid in 0..=2_001 {
+                let want = map.partition_point(|&id| id < gid);
+                assert_eq!(position(map, gid, 2_000), want, "{gid} in {map:?}");
+            }
+        }
+    }
+
+    /// A model of the map: every assigned id's location, live or not,
+    /// the live ids, per shard the ids in local order, and the next id.
     #[derive(Debug, Default)]
     struct Model {
-        live: BTreeMap<usize, (usize, usize)>,
+        assigned: BTreeMap<usize, (usize, usize)>,
+        live: usize,
         shards: Vec<Vec<usize>>,
         next: usize,
     }
 
     proptest::proptest! {
-        /// Random allocate / tombstone / burn / lookup steps against
-        /// the model: after every step both directions, the live count
-        /// and the next id agree with it, and the exported parts
+        /// Random allocate / delete / burn / lookup steps against the
+        /// model: after every step the maps, the locations, the live
+        /// count and the next id agree with it, and the exported parts
         /// reassemble into the same map.
         #[test]
         fn steps_agree_with_a_btreemap_model(
             shards in 1usize..6,
             steps in proptest::collection::vec((0u8..4, 0usize..64), 1..80)
         ) {
-            let mut map = IdMap::assign(shards, 0, std::iter::empty()).unwrap();
+            let mut map = IdMap::assign(shards, &[]);
             let mut model = Model { shards: vec![Vec::new(); shards], ..Model::default() };
             for (kind, n) in steps {
                 match kind {
                     0 => {
                         let shard = n % shards;
-                        let gid = map.commit(map.reserve(shard).unwrap());
+                        let gid = map.commit(shard);
                         proptest::prop_assert_eq!(gid, model.next);
-                        model.live.insert(gid, (shard, model.shards[shard].len()));
+                        model.assigned.insert(gid, (shard, model.shards[shard].len()));
                         model.shards[shard].push(gid);
                         model.next += 1;
+                        model.live += 1;
                     }
-                    1 => {
-                        let gid = n % (model.next + 1);
-                        proptest::prop_assert_eq!(map.tombstone(gid), model.live.remove(&gid));
+                    1 if model.live > 0 => {
+                        map.tombstone();
+                        model.live -= 1;
                     }
                     2 => {
                         map.burn_to(n);
@@ -467,21 +446,21 @@ mod tests {
                     }
                     _ => {
                         let gid = n % (model.next + 1);
-                        proptest::prop_assert_eq!(map.location(gid), model.live.get(&gid).copied());
+                        proptest::prop_assert_eq!(map.location(gid), model.assigned.get(&gid).copied());
                     }
                 }
                 proptest::prop_assert_eq!(map.next_gid(), model.next);
-                proptest::prop_assert_eq!(map.live(), model.live.len());
+                proptest::prop_assert_eq!(map.live(), model.live);
                 proptest::prop_assert_eq!(maps(&map), model.shards.clone());
                 for gid in 0..model.next {
-                    let location = model.live.get(&gid).copied();
+                    let location = model.assigned.get(&gid).copied();
                     proptest::prop_assert_eq!(map.location(gid), location);
                     if let Some((shard, local)) = location {
                         proptest::prop_assert_eq!(map.global_ids(shard)[local], gid);
                     }
                 }
-                let rebuilt =
-                    IdMap::from_parts(maps(&map), map.locations()).unwrap();
+                let mut rebuilt = IdMap::from_parts(maps(&map), map.next_gid()).unwrap();
+                rebuilt.set_live(map.live());
                 proptest::prop_assert_eq!(&rebuilt, &map);
             }
         }

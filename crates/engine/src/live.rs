@@ -15,10 +15,10 @@
 //!   [`crate::shard::ShardedRelation::shard_of`], so lock scope never
 //!   moves); the other `S - 1` shards keep serving.
 //! * **Global ids behind their own lock.** The [`IdMap`] (local →
-//!   global per shard, global → location) lives in a separate
-//!   `OrderedRwLock`, acquired after the shard lock (one fixed order —
-//!   checked at runtime by [`pitract_core::lockdep`] in debug builds —
-//!   so the layer cannot deadlock). Per-shard
+//!   global per shard, searched to find a global id's location) lives
+//!   in a separate `OrderedRwLock`, acquired after the shard lock (one
+//!   fixed order — checked at runtime by [`pitract_core::lockdep`] in
+//!   debug builds — so the layer cannot deadlock). Per-shard
 //!   local→global maps are append-only, which lets readers translate
 //!   row ids *after* releasing the shard lock.
 //! * **`|CHANGED|`-bounded maintenance accounting.** Every applied update
@@ -38,8 +38,10 @@
 //!   slots inserted after `e` cut off, slots deleted after `e` live
 //!   again (their cells stay in place; the pin keeps their undo
 //!   records). The id map comes last, under its own read lock alone,
-//!   with ids past `e` cut off. It holds no two locks at once and copies
-//!   no shard, tree or id map — only each shard's live bitmap at `e`.
+//!   with ids past `e` cut off. It holds no two locks at once and keeps
+//!   nothing across its reads: no shard, tree, id map or bitmap is
+//!   copied (a shard written since `e` lends its bitmap at `e`, rebuilt
+//!   for that shard's read alone).
 //!   Epoch `e` names exactly the updates the read covers; replaying the
 //!   logged suffix onto the loaded snapshot
 //!   ([`LiveRelation::replay_entries`]) reproduces the live state
@@ -420,18 +422,17 @@ impl Drop for EpochPin<'_> {
 /// it, and the relation as it stood at that epoch lent one part at a
 /// time — each shard's rows under that shard's read lock alone
 /// ([`Self::read_shard`]), then the id map under its own read lock
-/// ([`Self::read_ids`]). Nothing is copied but each shard's live bitmap
-/// at the pin. Writers keep going on every shard not being read; the
-/// pin makes them record undo entries, which is what lets the rows of
-/// a shard read late come out as they stood at the pin. Dropping the
-/// read releases the pin.
+/// ([`Self::read_ids`]). Nothing is copied: only a shard written since
+/// the pin has its bitmap at the pin rebuilt, for its own read, and
+/// freed after it. Writers keep going on every shard not being read;
+/// the pin makes them record undo entries, which is what lets the rows
+/// of a shard read late come out as they stood at the pin. Dropping
+/// the read releases the pin.
 #[derive(Debug)]
 pub struct PinnedRead<'a> {
     pin: EpochPin<'a>,
     /// The next global id at the pin.
     next_gid: usize,
-    /// Per shard, its live bitmap at the pin, once that shard was read.
-    live_bits: Vec<Option<Vec<u64>>>,
 }
 
 impl<'a> PinnedRead<'a> {
@@ -459,30 +460,22 @@ impl<'a> PinnedRead<'a> {
             1,
             "a pinned read holds one shard lock at a time"
         );
-        let rows = guard.rows_at(self.pin.epoch);
-        self.live_bits[shard] = Some(rows.live_bits().to_vec());
-        read(&rows)
+        read(&guard.rows_at(self.pin.epoch))
     }
 
     /// Lend the id map as it stood at the pinned epoch to `read`, under
-    /// the id-map read lock alone: the ids assigned since cut off, and
-    /// the ids deleted since live again at their old locations. A shard
-    /// not read yet is read first, under its own lock, for the locals
-    /// live at the pin.
-    pub fn read_ids<T>(&mut self, read: impl FnOnce(&IdMapView<'_>) -> T) -> T {
-        for shard in 0..self.live_bits.len() {
-            if self.live_bits[shard].is_none() {
-                self.read_shard(shard, |_| ());
-            }
-        }
-        let live: Vec<&[u64]> = self.live_bits.iter().flatten().map(Vec::as_slice).collect();
+    /// the id-map read lock alone: the ids assigned since cut off. The
+    /// ids deleted since keep their entries, as every deleted id does;
+    /// which are live is each shard's bitmap, lent by
+    /// [`Self::read_shard`].
+    pub fn read_ids<T>(&self, read: impl FnOnce(&IdMapView<'_>) -> T) -> T {
         let ids = self.pin.live.ids.read();
         debug_assert_eq!(
             lockdep::held_of(LockRank::Shard),
             0,
             "the id map is read with no shard lock held"
         );
-        read(&ids.view_at(self.next_gid, &live))
+        read(&ids.view_at(self.next_gid))
     }
 }
 
@@ -874,15 +867,11 @@ impl LiveRelation {
             // ids, and the sink stage happens inside the gid critical
             // section so WAL order equals gid order (replay determinism).
             let mut ids = self.ids.write();
-            // The id and its location are checked before anything is
-            // applied, and staged too: a refused id or a rejected stage
-            // leaves the relation untouched. The staged entry then hands
-            // its row to the shard.
-            let reserved = ids.reserve(shard)?;
-            let entry = UpdateEntry::Insert {
-                gid: reserved.gid,
-                row,
-            };
+            // The id is read and staged before anything is applied: a
+            // rejected stage leaves the relation untouched. The staged
+            // entry then hands its row to the shard.
+            let gid = ids.next_gid();
+            let entry = UpdateEntry::Insert { gid, row };
             let ticket = self.stage(&entry)?;
             let UpdateEntry::Insert { row, .. } = entry else {
                 // lint:allow(no-unwrap-in-serving): `entry` was built as an insert just above
@@ -911,7 +900,8 @@ impl LiveRelation {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
             }
             debug_assert_eq!(local, ids.global_ids(shard).len());
-            let gid = ids.commit(reserved);
+            let committed = ids.commit(shard);
+            debug_assert_eq!(committed, gid, "the ids write lock was held");
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
@@ -935,21 +925,22 @@ impl LiveRelation {
     /// The staged half of [`Self::delete`] — see [`Self::insert_staged`].
     fn delete_staged(&self, gid: usize) -> Result<(Option<Vec<Value>>, Option<u64>), EngineError> {
         // Find the owning shard first (ids read lock, released), then
-        // re-acquire in the canonical shard → ids order. A location is
-        // written once and only ever transitions Some → None, so if it is
-        // still live after re-locking it is the same (shard, local).
+        // lock in the canonical shard → ids order. A global id keeps its
+        // location from assignment on (the maps only grow), and whether
+        // its row is live is the shard's own bit, read under the shard's
+        // write lock: a row deleted before that lock — by a concurrent
+        // delete that won the race, or long ago — is not deleted twice.
         let Some((shard, local)) = self.ids.read().location(gid) else {
             return Ok((None, None));
         };
         let (row, ticket) = {
             let mut guard = self.shards[shard].write();
-            let mut ids = self.ids.write();
-            if ids.location(gid).is_none() {
-                // A concurrent delete won the race.
+            if guard.current.row(local).is_none() {
                 return Ok((None, None));
             }
+            let mut ids = self.ids.write();
             let ticket = self.stage(&UpdateEntry::Delete { gid })?;
-            ids.tombstone(gid);
+            ids.tombstone();
             let len_before = guard.current.len();
             // Same epoch protocol as `insert_staged`: apply, tick the
             // clock, stamp, record the undo, trim.
@@ -958,8 +949,8 @@ impl LiveRelation {
             let row = guard
                 .current
                 .delete(local)
-                // lint:allow(no-unwrap-in-serving): the location map just said this row is live
-                .expect("location map and shard agree on live rows");
+                // lint:allow(no-unwrap-in-serving): the row was live under this same write lock
+                .expect("a row live under the shard's write lock");
             epochs.current += 1;
             guard.stamp = epochs.current;
             self.record_undo(&mut guard, &epochs, || UndoOp::Delete {
@@ -1059,7 +1050,9 @@ impl LiveRelation {
     // --- queries -----------------------------------------------------------
 
     /// The live tuple under a global row id (cloned out of the shard so
-    /// no lock outlives the call).
+    /// no lock outlives the call): its location is found in the id map,
+    /// and the shard's live bit, under the shard's read lock, says
+    /// whether it is live.
     pub fn row(&self, gid: usize) -> Option<Vec<Value>> {
         let (shard, local) = self.ids.read().location(gid)?;
         self.shards[shard]
@@ -1119,7 +1112,6 @@ impl LiveRelation {
         PinnedRead {
             pin,
             next_gid: ids.next_gid(),
-            live_bits: vec![None; self.shards.len()],
         }
     }
 
@@ -1178,8 +1170,8 @@ impl LiveRelation {
     }
 
     /// Advance the global-id allocator to `next_gid` without inserting:
-    /// the skipped ids are burned as permanent tombstones (they read
-    /// back as deleted). No-op if the allocator is already there.
+    /// the skipped ids are burned (they read back as deleted, and cost
+    /// nothing). No-op if the allocator is already there.
     ///
     /// Recovery calls this with the next-gid watermark of the WAL tail
     /// it replayed compacted: a *trailing* insert+delete pair leaves no
@@ -1659,7 +1651,6 @@ mod tests {
             for s in 0..4 {
                 assert_eq!(ids.global_ids(s), want.global_ids(s), "shard {s}");
             }
-            assert!(ids.locations().eq(want.locations()));
         });
         // The pin held the undo records the read needed; dropping it
         // releases them.
@@ -1667,6 +1658,47 @@ mod tests {
         drop(pinned);
         assert_eq!(lr.version_stats().pins, 0);
         assert_eq!(lr.version_stats().retained_versions, 0);
+    }
+
+    /// An insert recorded at global id 2⁴⁰ — the ids below it burned by
+    /// a compaction — lands on that id, and the id map's heap grows by
+    /// no more than an insert at the next id makes it: a burned id costs
+    /// nothing, however many there are.
+    #[test]
+    fn a_replayed_insert_far_past_the_next_id_costs_the_id_map_nothing() {
+        let far = 1usize << 40;
+        let row = || vec![Value::Int(77), Value::str("far")];
+        let grown = |gid: usize| {
+            let lr = live(50, 3);
+            let before = lr.ids.read().heap_bytes();
+            lr.replay_entries(vec![UpdateEntry::Insert { gid, row: row() }])
+                .unwrap();
+            assert_eq!(lr.row(gid), Some(row()), "the row lands on {gid}");
+            let ids = lr.ids.read();
+            assert_eq!(ids.next_gid(), gid + 1);
+            ids.heap_bytes() - before
+        };
+        assert_eq!(grown(far), grown(50));
+        let lr = live(50, 3);
+        lr.burn_gids_to(far);
+        assert_eq!((lr.row(far - 1), lr.delete(far - 1).unwrap()), (None, None));
+        assert_eq!(lr.insert(row()).unwrap(), far);
+
+        // No burn goes where the ids after it would wrap: an insert
+        // logged there is refused, typed.
+        let top = isize::MAX as usize;
+        let log = vec![UpdateEntry::Insert {
+            gid: usize::MAX,
+            row: row(),
+        }];
+        assert_eq!(
+            lr.replay_entries(log).unwrap_err(),
+            EngineError::ReplayGidMismatch {
+                expected: usize::MAX,
+                found: top
+            }
+        );
+        assert_eq!(lr.insert(row()).unwrap(), top + 1);
     }
 
     #[test]

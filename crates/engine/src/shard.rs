@@ -126,12 +126,13 @@ pub struct ShardedRelation {
 impl ShardedRelation {
     /// Partition `relation` into `shard_count` shards and index `cols` on
     /// each shard (the per-shard `Π`). PTIME: one pass routes every row
-    /// on its shard-key cell — row `i` keeps global id `i`, and a shard's
-    /// local ids are dense in arrival order — and sizes the id maps
-    /// exactly; then [`IndexedRelation::build_split`] copies the
-    /// relation's columns into exactly-sized shard columns, one column at
-    /// a time, and builds every shard, one sort per indexed column. No
-    /// row is cloned or staged.
+    /// on its shard-key cell into one part vector — row `i` keeps global
+    /// id `i`, and a shard's local ids are dense in arrival order. The id
+    /// maps are sized and filled from that vector, and
+    /// [`IndexedRelation::build_split`] copies the relation's columns by
+    /// it into exactly-sized shard columns, one column at a time, and
+    /// builds every shard, one sort per indexed column. No row is cloned
+    /// or staged, and no id is looked up.
     pub fn build(
         relation: &Relation,
         shard_by: ShardBy,
@@ -142,16 +143,14 @@ impl ShardedRelation {
         validate_shard_by(schema, &shard_by, shard_count)?;
         IndexedRelation::check_columns(schema, cols)?;
         let key_col = shard_by.col();
-        let ids = IdMap::assign(
-            shard_count,
-            relation.len(),
-            relation
-                .rows()
-                .map(|row| route_shard(&shard_by, shard_count, row.get(key_col))),
-        )?;
-        // Every id is live here: a build tombstones nothing.
-        let shard_of_gid = |gid: usize| ids.location(gid).map_or(0, |(shard, _)| shard);
-        let shards = IndexedRelation::build_split(relation, shard_count, shard_of_gid, cols)?;
+        // A shard index fits a `u32`: each shard is a heap-allocated
+        // relation, and 2³² of them do not fit in memory.
+        let part: Vec<u32> = relation
+            .rows()
+            .map(|row| route_shard(&shard_by, shard_count, row.get(key_col)) as u32)
+            .collect();
+        let ids = IdMap::assign(shard_count, &part);
+        let shards = IndexedRelation::build_split(relation, shard_count, part, cols)?;
         Ok(ShardedRelation {
             schema: schema.clone(),
             shard_by,
@@ -216,7 +215,8 @@ impl ShardedRelation {
         route_shard(&self.shard_by, self.shards.len(), value.as_ref())
     }
 
-    /// The live tuple under a global row id.
+    /// The live tuple under a global row id: its location is found in
+    /// the id maps, and the shard's live bit says whether it is live.
     pub fn row(&self, gid: usize) -> Option<RowRef<'_>> {
         let (shard, local) = self.ids.location(gid)?;
         self.shards[shard].row(local)
@@ -275,9 +275,10 @@ impl ShardedRelation {
         relation
     }
 
-    /// The global-id map: per shard local → global, global → location,
-    /// tombstones included (persistence accessor: `pitract-store`
-    /// serializes it so reloaded relations keep the same global ids).
+    /// The global-id map: per shard local → global, tombstones
+    /// included, and the next global id (persistence accessor:
+    /// `pitract-store` serializes it so reloaded relations keep the same
+    /// global ids).
     pub fn id_map(&self) -> &IdMap {
         &self.ids
     }
@@ -288,20 +289,23 @@ impl ShardedRelation {
     /// this adds the partitioning invariants of [`Self::build`] and the
     /// shards' half of the id maps, so a structurally corrupt snapshot is
     /// rejected instead of producing a relation that answers queries
-    /// differently from the original.
+    /// differently from the original. The id map's live count becomes
+    /// the rows the shards hold.
     pub fn from_parts(
         schema: Schema,
         shard_by: ShardBy,
         shards: Vec<IndexedRelation>,
         ids: IdMap,
     ) -> Result<Self, EngineError> {
-        let relation = ShardedRelation {
+        let mut relation = ShardedRelation {
             schema,
             shard_by,
             shards,
             ids,
         };
         relation.check_shards()?;
+        let live = relation.shards.iter().map(IndexedRelation::len).sum();
+        relation.ids.set_live(live);
         Ok(relation)
     }
 
@@ -321,16 +325,16 @@ impl ShardedRelation {
             shards,
             ids,
         };
-        debug_assert_eq!(relation.ids.check(), Ok(relation.ids.live()));
+        debug_assert_eq!(relation.ids.check(), Ok(()));
         debug_assert_eq!(relation.check_shards(), Ok(()));
+        debug_assert_eq!(relation.ids.live(), relation.shard_sizes().iter().sum());
         relation
     }
 
     /// The shards' half of the invariants: the partitioning is valid,
     /// every shard has the relation's schema, every live row routes to
-    /// the shard holding it, each shard has one global id per row slot,
-    /// and every live global id names a live row — as many as the shards
-    /// hold.
+    /// the shard holding it, and each shard has one global id per row
+    /// slot. Which ids are live is then the shards' live bits.
     fn check_shards(&self) -> Result<(), EngineError> {
         let shards = &self.shards;
         validate_shard_by(&self.schema, &self.shard_by, shards.len())?;
@@ -365,21 +369,6 @@ impl ShardedRelation {
                     self.ids.global_ids(s).len()
                 ));
             }
-        }
-        for (gid, location) in self.ids.locations().enumerate() {
-            let Some((s, local)) = location else { continue };
-            if shards[s].row(local).is_none() {
-                return inconsistent(format!(
-                    "global id {gid} points at ({s}, {local}), a deleted row"
-                ));
-            }
-        }
-        let shard_live: usize = shards.iter().map(IndexedRelation::len).sum();
-        if self.ids.live() != shard_live {
-            return inconsistent(format!(
-                "location map lists {} live rows, shards hold {shard_live}",
-                self.ids.live()
-            ));
         }
         Ok(())
     }
@@ -624,8 +613,7 @@ mod tests {
         let maps = (0..ids.shard_count())
             .map(|s| ids.global_ids(s).to_vec())
             .collect();
-        let ids = IdMap::from_parts(maps, ids.locations()).unwrap();
-        assert_eq!(&ids, sr.id_map());
+        let ids = IdMap::from_parts(maps, ids.next_gid()).unwrap();
         let rebuilt = ShardedRelation::from_parts(
             sr.schema().clone(),
             sr.shard_by().clone(),
@@ -634,6 +622,7 @@ mod tests {
         )
         .unwrap();
 
+        assert_eq!(rebuilt.id_map(), sr.id_map(), "the live count too");
         assert_eq!(rebuilt.len(), sr.len());
         for q in [
             SelectionQuery::point(0, 7i64),
@@ -664,32 +653,44 @@ mod tests {
             schema(),
             ShardBy::Hash { col: 0 },
             vec![misplaced, empty], // stray sits in shard 0, routes to 1
-            IdMap::from_parts(vec![vec![0], vec![]], [Some((0, 0))]).unwrap(),
+            IdMap::from_parts(vec![vec![0], vec![]], 1).unwrap(),
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::InconsistentSnapshot(_)), "{err}");
     }
 
     /// The shards' half of the id-map check (the maps' own half is
-    /// `idmap::tests::from_parts_rejects_inconsistent_maps`).
+    /// `idmap::tests::from_parts_rejects_inconsistent_maps`), and what is
+    /// no longer a half: which ids are live is the shards' bits.
     #[test]
     fn from_parts_rejects_inconsistent_maps() {
         let sr = ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
         let rebuild = |shards: Vec<IndexedRelation>, ids: IdMap| {
             ShardedRelation::from_parts(sr.schema().clone(), sr.shard_by().clone(), shards, ids)
         };
+        let maps = |sr: &ShardedRelation| -> Vec<Vec<usize>> {
+            (0..2).map(|s| sr.id_map().global_ids(s).to_vec()).collect()
+        };
 
         // Wrong number of global-id maps.
-        let one_map = IdMap::from_parts(vec![(0..10).collect()], (0..10).map(|l| Some((0, l))));
+        let one_map = IdMap::from_parts(vec![(0..10).collect()], 10);
         let err = rebuild(export_shards(&sr), one_map.unwrap()).unwrap_err();
         assert!(err.to_string().contains("2 shards but 1"), "{err}");
 
-        // A live global id whose row its shard has deleted.
+        // A shard with a row slot its map does not name.
+        let mut short = maps(&sr);
+        let (shard, _) = sr.id_map().location(3).unwrap();
+        short[shard].retain(|&gid| gid != 3);
+        let err = rebuild(export_shards(&sr), IdMap::from_parts(short, 10).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("row slots but"), "{err}");
+
+        // A row its shard has deleted is a dead id, not an inconsistency.
         let mut shards = export_shards(&sr);
         let (shard, local) = sr.id_map().location(3).unwrap();
         shards[shard].delete(local).unwrap();
-        let err = rebuild(shards, sr.id_map().clone()).unwrap_err();
-        assert!(err.to_string().contains("a deleted row"), "{err}");
+        let dead = rebuild(shards, IdMap::from_parts(maps(&sr), 10).unwrap()).unwrap();
+        assert!(dead.row(3).is_none());
+        assert_eq!((dead.len(), dead.id_map().live()), (9, 9));
 
         // The consistent parts still load.
         assert!(rebuild(export_shards(&sr), sr.id_map().clone()).is_ok());

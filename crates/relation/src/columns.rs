@@ -487,30 +487,24 @@ impl Columns {
 
     /// Split `source`, which holds no tombstone, into `parts`
     /// exactly-sized stores: row `i` becomes the next row of part
-    /// `part_of(i)`. Each row's part is computed once; then every column
-    /// is copied on its own, typed (`i64`s into `Vec<i64>`s, `&str`s
-    /// into arenas), and each part's bitmap is filled a word at a time.
-    pub(crate) fn split(
-        source: &Columns,
-        parts: usize,
-        part_of: impl Fn(usize) -> usize,
-    ) -> Vec<Columns> {
+    /// `part[i]`, which must be below `parts`. Every column is copied on
+    /// its own, typed (`i64`s into `Vec<i64>`s, `&str`s into arenas), and
+    /// each part's bitmap is filled a word at a time.
+    pub(crate) fn split(source: &Columns, parts: usize, part: &[u32]) -> Vec<Columns> {
         assert_eq!(
             source.live, source.slots,
             "a split source holds no tombstone"
         );
-        let part: Vec<u32> = (0..source.slots)
-            .map(|id| u32::try_from(part_of(id)).expect("fewer than 2³² parts"))
-            .collect();
+        assert_eq!(part.len(), source.slots, "one part per row");
         let mut counts = vec![0usize; parts];
-        for &p in &part {
+        for &p in part {
             counts[p as usize] += 1;
         }
         let mut cols: Vec<Vec<Column>> = (0..parts)
             .map(|_| Vec::with_capacity(source.cols.len()))
             .collect();
         for column in &source.cols {
-            for (mine, split) in cols.iter_mut().zip(column.split(&part, &counts)) {
+            for (mine, split) in cols.iter_mut().zip(column.split(part, &counts)) {
                 mine.push(split);
             }
         }
@@ -893,7 +887,8 @@ mod tests {
     fn split_parts_are_exactly_sized() {
         let rows: Vec<Vec<Value>> = rows().into_iter().cycle().take(200).collect();
         let source = Columns::from_rows(schema(), rows.clone()).unwrap();
-        let parts = Columns::split(&source, 3, |i| i % 3);
+        let part: Vec<u32> = (0..200).map(|i| i % 3).collect();
+        let parts = Columns::split(&source, 3, &part);
         for (p, part) in parts.iter().enumerate() {
             let mine: Vec<&Vec<Value>> = rows.iter().skip(p).step_by(3).collect();
             assert_eq!(part.slot_count(), mine.len());

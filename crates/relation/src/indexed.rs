@@ -47,8 +47,9 @@
 //!   a tombstone.
 //! * **Build by copying columns, not rows.** A plain [`Relation`] keeps
 //!   its rows in the same [`Columns`] store. [`IndexedRelation::build`]
-//!   and [`IndexedRelation::build_split`] compute each row's part once,
-//!   size every part exactly, and copy the relation column by column —
+//!   copies it whole; [`IndexedRelation::build_split`] takes each row's
+//!   part, routed once by its caller, sizes every part exactly, and
+//!   copies the relation column by column —
 //!   one typed loop per column, `i64`s into `Vec<i64>`s and `&str`s
 //!   into arenas; no row is materialised, staged, or admitted twice.
 //! * **One constructor.** [`IndexedRelation::from_columns`] indexes
@@ -500,23 +501,26 @@ impl IndexedRelation {
     /// out-of-range column is reported as an error instead of panicking
     /// during index maintenance.
     pub fn build(relation: &Relation, cols: &[usize]) -> Result<Self, IndexedError> {
-        let mut parts = Self::build_split(relation, 1, |_| 0, cols)?;
-        Ok(parts.pop().expect("one part was asked for"))
+        Self::from_columns(relation.columns().clone(), cols)
     }
 
     /// [`Self::build`] into `parts` relations at once: row `i` of
     /// `relation` becomes the next row (ids dense, in arrival order) of
-    /// part `part_of(i)`, which must be `< parts`. Each part's columns are
-    /// sized exactly, filled column by column out of the relation's, and
-    /// then indexed on `cols` by [`Self::from_columns`] — the per-shard
-    /// `Π` of a partitioned relation, with no staging copy of the rows.
+    /// part `part[i]`, which must be `< parts` — the caller routes each
+    /// row once, into `part`, which is dropped once the columns are
+    /// split. Each part's columns are sized exactly, filled column by
+    /// column out of the relation's, and then indexed on `cols` by
+    /// [`Self::from_columns`] — the per-shard `Π` of a partitioned
+    /// relation, with no staging copy of the rows.
     pub fn build_split(
         relation: &Relation,
         parts: usize,
-        part_of: impl Fn(usize) -> usize,
+        part: Vec<u32>,
         cols: &[usize],
     ) -> Result<Vec<Self>, IndexedError> {
-        Columns::split(relation.columns(), parts, part_of)
+        let split = Columns::split(relation.columns(), parts, &part);
+        drop(part);
+        split
             .into_iter()
             .map(|rows| Self::from_columns(rows, cols))
             .collect()

@@ -89,10 +89,10 @@ impl Relation {
     /// fresh exactly-sized columns, so row ids after the first removal
     /// shift.
     pub fn delete_where(&mut self, pred: impl Fn(RowRef<'_>) -> bool) -> usize {
-        let doomed: Vec<bool> = self.rows().map(pred).collect();
-        let removed = doomed.iter().filter(|&&d| d).count();
+        let doomed: Vec<u32> = self.rows().map(|row| u32::from(pred(row))).collect();
+        let removed = doomed.iter().filter(|&&d| d == 1).count();
         if removed > 0 {
-            let mut parts = Columns::split(&self.rows, 2, |i| usize::from(doomed[i]));
+            let mut parts = Columns::split(&self.rows, 2, &doomed);
             self.rows = parts.swap_remove(0);
         }
         removed

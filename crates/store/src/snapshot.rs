@@ -2,13 +2,13 @@
 //! [`Snapshot::from_bytes`]. Files reach storage through
 //! [`crate::SnapshotCatalog`].
 //!
-//! # On-disk layout (format version 3)
+//! # On-disk layout (format version 4)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRSNAP"
-//! 8       2     format version, u16 LE (currently 3)
+//! 8       2     format version, u16 LE (currently 4)
 //! 10      2     structure kind, u16 LE (see [`SnapshotKind`])
 //! 12      4     section count k, u32 LE
 //! 16      12*k  section table: k entries of (tag: u32 LE, len: u64 LE);
@@ -46,7 +46,7 @@
 //! | kind | sections (tag) |
 //! |---|---|
 //! | `IndexedRelation` | schema (1), relation body (2), indexed columns (14) |
-//! | `ShardedRelation` | schema (1), shard_by (4), shard count + one relation body per shard (5), global-id maps (6), locations (7), indexed columns (14) |
+//! | `ShardedRelation` | schema (1), shard_by (4), shard count + one relation body per shard (5), global-id maps and the next global id (6), indexed columns (14) |
 //! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
 //! | `Checkpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
 //!
@@ -54,7 +54,8 @@
 //! `HopLabels` and 5 `Checkpoint`. Kind 4 held an in-memory update log
 //! (section 11); the WAL is the one update log now, so a kind-4 file is
 //! refused as [`StoreError::UnknownKind`], and codes 4 and 11 are not
-//! reused.
+//! reused. Nor is tag 7, which held every global id's location up to
+//! version 3.
 //!
 //! # A relation body
 //!
@@ -78,11 +79,24 @@
 //! deleted row's cells never reach the disk. A load puts the placeholder
 //! `0` or `""` at each dead slot, as a tombstone holds in memory. With
 //! no dead slot an `Int` column is one `i64` run and a `Str` column its
-//! arena and end offsets, each written and read in one call. The
-//! global-id maps (section 6) are a map count, then per shard a `u64`
-//! count and one `u64` run; the locations (section 7) are an id count,
-//! then per global id a tag (0 dead, 1 live) and a live id's `u64`
-//! shard and local.
+//! arena and end offsets, each written and read in one call.
+//!
+//! # The id map
+//!
+//! Section 6 is a map count, then per shard its local → global map (a
+//! `u64` count and one `u64` run, strictly increasing), then the next
+//! global id as a `u64`. That last is the one fact of the id map the
+//! maps cannot give: ids burned past the last mapped one name no row.
+//! Nothing is stored per global id. A load finds an id's location by
+//! searching the maps, and its shard's live bit says whether its row is
+//! live.
+//!
+//! Versions 1 to 3 wrote no next global id in section 6, and a section
+//! 7 instead: an id count, then per global id a tag (0 dead, 1 live)
+//! and a live id's `u64` shard and local. Every entry follows from the
+//! maps and the live bits. A load of such a file takes the id count as
+//! the next global id, checks each entry against the location the maps
+//! give and its shard's live bit, and then drops the section.
 //!
 //! Versions 1 and 2 wrote a body row by row: a slot count, then per slot
 //! a tag (0 dead, 1 live) and a live row's tagged values. They still
@@ -115,10 +129,12 @@
 //! offset against its arena (a v1/v2 body goes through
 //! `Columns::push_slot`, which admits each decoded row),
 //! `from_columns` refuses an indexed column the schema lacks,
-//! `IdMap::from_parts` refuses a location that does not pack or map
-//! back and a local → global map that does not increase, and
+//! `IdMap::from_parts` refuses a local → global map that does not
+//! increase, a global id at or past the next one, and an id two shards'
+//! maps both hold (the invariant a location search relies on),
 //! `ShardedRelation::from_parts` checks routing and that the maps agree
-//! with the shards. Golden
+//! with the shards, and a version 1–3 location the maps and live bits
+//! do not give is refused. Golden
 //! fixture tests pin the byte-level format so accidental encoding drift
 //! fails CI.
 
@@ -126,7 +142,9 @@ use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::{fnv1a64, xxh64};
-use pitract_engine::{IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation};
+use pitract_engine::{
+    EngineError, IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation,
+};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{CellRun, ColType, Columns, ColumnsView, LiveCells, Schema};
@@ -139,7 +157,7 @@ pub const MAGIC: [u8; 8] = *b"PITRSNAP";
 
 /// The format version this binary writes — the revision of
 /// [`Snapshot`]'s bytes. It reads this one and every earlier one.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 const SEC_SCHEMA: u32 = 1;
 const SEC_BODY: u32 = 2;
@@ -148,6 +166,7 @@ const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARD_BY: u32 = 4;
 const SEC_SHARDS: u32 = 5;
 const SEC_GLOBAL_IDS: u32 = 6;
+/// Versions 1–3 only: every global id's location.
 const SEC_LOCATIONS: u32 = 7;
 const SEC_LOUT: u32 = 8;
 const SEC_LIN: u32 = 9;
@@ -207,13 +226,16 @@ impl fmt::Display for SnapshotKind {
 
 /// A preprocessed structure ready to persist, or freshly loaded.
 ///
-/// **Revision 3** ([`FORMAT_VERSION`]): a relation is written as its
+/// **Revision 4** ([`FORMAT_VERSION`]): a relation is written as its
 /// columns — the live bitmap and each column's live cells as runs — and
 /// its list of indexed columns (section 14), with no postings, under an
-/// XXH64 checksum; a load rebuilds the trees by sort. Revision 2 wrote
-/// the same state row by row under FNV-1a, and revision 1 also wrote
-/// every index's postings after its rows; both still load, with the
-/// postings skipped unread.
+/// XXH64 checksum; a load rebuilds the trees by sort. A sharded
+/// relation's id map is its local → global maps and the next global id,
+/// nothing per id. Revision 3 also wrote every global id's location
+/// (section 7), revision 2 wrote bodies row by row under FNV-1a, and
+/// revision 1 also wrote every index's postings after its rows; all
+/// still load, with the locations checked and the postings skipped
+/// unread.
 #[derive(Debug)]
 pub enum Snapshot {
     /// A per-column-indexed relation.
@@ -660,7 +682,8 @@ fn read_body(version: u16, r: &mut Reader<'_>, schema: &Schema) -> Result<Column
     }
 }
 
-/// A version-3 body: every run is length-checked by the codec, and
+/// A body of version 3 or later: every run is length-checked by the
+/// codec, and
 /// [`Columns::from_live_cells`] checks the bitmap, the cell counts and
 /// the end offsets before it allocates a slot. No `Value` is built.
 fn read_columns(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
@@ -734,12 +757,7 @@ fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
             write_body(&shard.columns().view(), w);
         }
     });
-    let live: Vec<&[u64]> = sr
-        .shards()
-        .iter()
-        .map(|s| s.columns().live_bits())
-        .collect();
-    write_id_map(&sr.id_map().view_at(sr.id_map().next_gid(), &live), frame);
+    write_id_map(&sr.id_map().view_at(sr.id_map().next_gid()), frame);
     frame.section(SEC_INDEXED_COLS, |w| {
         w.usize_seq(
             &sr.shards()
@@ -792,10 +810,8 @@ fn write_mark(wal_lsn: u64, epoch: Epoch, frame: &mut Frame) {
     frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
 }
 
-/// The id map as two sections: the local → global maps (6), a map
-/// count and per shard one `u64` sequence; and the locations (7), an id
-/// count and per id a tag (0 dead, 1 live) and a live id's `u64` shard
-/// and local. The one encoding, the same in every version:
+/// The id map, section 6: a map count, per shard its local → global
+/// map as one `u64` sequence, then the next global id as a `u64`.
 /// [`read_id_map`] is its inverse.
 fn write_id_map(ids: &IdMapView<'_>, frame: &mut Frame) {
     frame.section(SEC_GLOBAL_IDS, |w| {
@@ -803,54 +819,72 @@ fn write_id_map(ids: &IdMapView<'_>, frame: &mut Frame) {
         for shard in 0..ids.shard_count() {
             w.usize_seq(ids.global_ids(shard));
         }
-    });
-    frame.section(SEC_LOCATIONS, |w| {
         w.usize(ids.next_gid());
-        for location in ids.locations() {
-            match location {
-                None => w.u8(0),
-                Some((shard, local)) => {
-                    w.u8(1);
-                    w.usize(shard);
-                    w.usize(local);
-                }
-            }
-        }
     });
 }
 
-/// Decode the id map from its two sections, checked by
-/// [`IdMap::from_parts`]. The locations go to it as they are decoded,
-/// so no wide `(shard, local)` list is built before it packs them. A
-/// decoding error stops the stream and is the one returned; a refused
-/// location stops it too, and is returned before any check of the bytes
-/// it left unread.
-fn read_id_map(global_ids: Reader<'_>, mut locations: Reader<'_>) -> Result<IdMap, StoreError> {
-    let global_ids = finish(global_ids, |r| {
-        let n = r.count(8)?;
-        (0..n).map(|_| r.usize_seq()).collect::<Result<Vec<_>, _>>()
-    })?;
-    let r = &mut locations;
-    let n = r.count(1)?;
-    let mut failed = None;
-    let decoded = (0..n).map_while(|_| {
-        let location = match r.u8() {
-            Ok(0) => Ok(None),
-            Ok(1) => r.usize().and_then(|s| Ok(Some((s, r.usize()?)))),
-            Ok(tag) => Err(StoreError::Corrupt(format!("bad location tag {tag}"))),
-            Err(e) => Err(e),
-        };
-        location.map_err(|e| failed = Some(e)).ok()
-    });
-    let ids = IdMap::from_parts(global_ids, decoded);
-    if let Some(e) = failed {
-        return Err(e);
-    }
-    let ids = ids?;
-    if !locations.is_exhausted() {
+/// Decode the id map of a file of format `version`, checked by
+/// [`IdMap::from_parts`]. From version 4 the next global id ends
+/// section 6. Before, it is section 7's id count, and the reader of
+/// the locations after it is returned for [`check_locations`].
+fn read_id_map<'a>(
+    version: u16,
+    mut global_ids: Reader<'a>,
+    locations: impl FnOnce() -> Result<Reader<'a>, StoreError>,
+) -> Result<(IdMap, Option<Reader<'a>>), StoreError> {
+    let r = &mut global_ids;
+    let n = r.count(8)?;
+    let maps = (0..n)
+        .map(|_| r.usize_seq())
+        .collect::<Result<Vec<_>, _>>()?;
+    let (next_gid, locations) = match version {
+        1..=3 => {
+            let mut locations = locations()?;
+            (locations.count(1)?, Some(locations))
+        }
+        _ => (r.usize()?, None),
+    };
+    if !global_ids.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in section".into()));
     }
-    Ok(ids)
+    Ok((IdMap::from_parts(maps, next_gid)?, locations))
+}
+
+/// Check a version 1–3 file's section 7 against the relation it
+/// loaded, then drop it: per global id below the next one, in id order,
+/// a tag (0 dead, 1 live) and a live id's `u64` shard and local, which
+/// must be exactly the id's location in the maps if its shard's live
+/// bit is set, and dead otherwise. One cursor per shard follows the
+/// maps in id order, so each id costs one look at each cursor. A bad
+/// tag, a cut-off entry and bytes past the last one are refused as
+/// before; an entry the maps and bits do not give is
+/// [`pitract_engine::EngineError::InconsistentSnapshot`].
+fn check_locations(sr: &ShardedRelation, mut r: Reader<'_>) -> Result<(), StoreError> {
+    let ids = sr.id_map();
+    let mut cursors = vec![0usize; ids.shard_count()];
+    for gid in 0..ids.next_gid() {
+        let stored = match r.u8()? {
+            0 => None,
+            1 => Some((r.usize()?, r.usize()?)),
+            tag => return Err(StoreError::Corrupt(format!("bad location tag {tag}"))),
+        };
+        let found = (0..cursors.len())
+            .find(|&s| ids.global_ids(s).get(cursors[s]) == Some(&gid))
+            .map(|s| {
+                cursors[s] += 1;
+                (s, cursors[s] - 1)
+            });
+        let derived = found.filter(|&(s, local)| sr.shards()[s].row(local).is_some());
+        if stored != derived {
+            return Err(StoreError::Engine(EngineError::InconsistentSnapshot(
+                format!("global id {gid} is stored at {stored:?}; the maps and live bits place it at {derived:?}"),
+            )));
+        }
+    }
+    if !r.is_exhausted() {
+        return Err(StoreError::Corrupt("trailing bytes in section".into()));
+    }
+    Ok(())
 }
 
 /// Decode a `ShardedRelation` of format `version` from its sections,
@@ -884,8 +918,13 @@ fn decode_sharded<'a>(
     if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
     }
-    let ids = read_id_map(section(SEC_GLOBAL_IDS)?, section(SEC_LOCATIONS)?)?;
-    Ok(ShardedRelation::from_parts(schema, shard_by, shards, ids)?)
+    let (ids, locations) =
+        read_id_map(version, section(SEC_GLOBAL_IDS)?, || section(SEC_LOCATIONS))?;
+    let sr = ShardedRelation::from_parts(schema, shard_by, shards, ids)?;
+    if let Some(locations) = locations {
+        check_locations(&sr, locations)?;
+    }
+    Ok(sr)
 }
 
 fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
@@ -1168,7 +1207,7 @@ mod tests {
         }
         .to_bytes();
         let spans = section_spans(&want);
-        assert_eq!(spans.len(), 8);
+        assert_eq!(spans.len(), 7);
         for (start, len) in spans {
             let boundary = (start / 7 + 1) * 7;
             assert!(
@@ -1324,17 +1363,23 @@ mod tests {
         assert_eq!(a, b, "equal structures, equal bytes");
     }
 
-    /// Section 7 streams into the id map as it is decoded, and every
-    /// way it can be wrong is still refused typed: a bad tag, a cut-off
-    /// location, bytes past the last one, and a location the map
-    /// refuses.
+    /// Section 7 of a version 1–3 file is checked entry by entry
+    /// against the maps and the shards' live bits as it is decoded, and
+    /// every way it can be wrong is refused typed: a bad tag, a cut-off
+    /// location, bytes past the last one, an id count below a mapped id,
+    /// and a location the maps and bits do not give — a shard past the
+    /// count, a live id stored dead, a dead one stored live.
     #[test]
     fn locations_refuse_bad_input_typed_as_they_stream() {
-        // Two shards: gids 0, 2 in shard 0 and 1 in shard 1, gid 2 dead.
+        let live = LiveRelation::build(&relation(3), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+        live.delete(2).unwrap();
+        let sr = live.to_sharded();
+        let ids = sr.id_map();
         let mut maps = Writer::new();
         maps.usize(2);
-        maps.usize_seq(&[0, 2]);
-        maps.usize_seq(&[1]);
+        for s in 0..2 {
+            maps.usize_seq(ids.global_ids(s));
+        }
         let maps = maps.into_bytes();
         let locations = |tags: &[(u8, usize, usize)], extra: &[u8]| {
             let mut w = Writer::new();
@@ -1349,15 +1394,17 @@ mod tests {
             w.raw(extra);
             w.into_bytes()
         };
-        let read = |loc: Vec<u8>| read_id_map(Reader::new(&maps), Reader::new(&loc));
-        let good = [(1, 0, 0), (1, 1, 0), (0, 0, 0)];
-        let ids = read(locations(&good, &[])).unwrap();
-        assert_eq!(
-            ids.locations().collect::<Vec<_>>(),
-            vec![Some((0, 0)), Some((1, 0)), None]
-        );
+        let read = |loc: Vec<u8>| {
+            let (map, rest) = read_id_map(3, Reader::new(&maps), || Ok(Reader::new(&loc)))?;
+            assert_eq!(map.next_gid(), 3, "the id count is the next id");
+            check_locations(&sr, rest.expect("a v3 map leaves section 7"))
+        };
+        let at = |gid| ids.location(gid).unwrap();
+        let ((s0, l0), (s1, l1), (s2, l2)) = (at(0), at(1), at(2));
+        let good = [(1, s0, l0), (1, s1, l1), (0, 0, 0)];
+        read(locations(&good, &[])).unwrap();
         assert!(matches!(
-            read(locations(&[(1, 0, 0), (2, 0, 0), (0, 0, 0)], &[])),
+            read(locations(&[(1, s0, l0), (2, 0, 0), (0, 0, 0)], &[])),
             Err(StoreError::Corrupt(why)) if why.contains("bad location tag 2")
         ));
         let mut cut = locations(&good, &[]);
@@ -1367,13 +1414,25 @@ mod tests {
             read(locations(&good, &[0])),
             Err(StoreError::Corrupt(why)) if why.contains("trailing bytes")
         ));
+        let short = locations(&good[..2], &[]);
         assert!(matches!(
-            read(locations(&[(1, 0, 0), (1, 2, 0), (0, 0, 0)], &[])),
-            Err(StoreError::Engine(EngineError::LocationOutOfRange {
-                shard: 2,
-                ..
-            }))
+            read_id_map(3, Reader::new(&maps), || Ok(Reader::new(&short))),
+            Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("at or past the next id 2")
         ));
+        for bad in [
+            [(1, s0, l0), (1, 2, 0), (0, 0, 0)],
+            [(1, s0, l0), (0, 0, 0), (0, 0, 0)],
+            [(1, s0, l0), (1, s1, l1), (1, s2, l2)],
+            [(1, s1, l1), (1, s0, l0), (0, 0, 0)],
+        ] {
+            assert!(
+                matches!(
+                    read(locations(&bad, &[])),
+                    Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("the maps and live bits place it")
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

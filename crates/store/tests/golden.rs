@@ -5,24 +5,29 @@
 //! tests assert that (a) today's writer still produces the current
 //! version's bytes **byte-for-byte**, (b) the committed bytes of every
 //! version still load and answer queries, and (c) files of one state in
-//! versions 1, 2 and 3 load to the same relation. An intentional format
+//! versions 1 to 4 load to the same relation. An intentional format
 //! change must bump [`pitract_store::FORMAT_VERSION`] and pin new
-//! fixtures; the current version's fixtures are regenerated with
+//! fixtures; the current version's fixtures, and only those, are
+//! regenerated with
 //!
 //! ```text
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
 //!
-//! Versions 1 and 2 are read-compat versions: the `*_v1.snap` and
-//! `*_v2.snap` fixtures were written by writers that no longer exist
-//! (version 2 wrote a body row by row under an FNV-1a checksum, version
-//! 1 also wrote postings). Nothing rewrites them, and CI checks they
-//! stay byte-identical to the commit. This file keeps a writer for each
-//! old layout ([`v2_bytes`], [`v1_bytes`]), checked byte for byte
-//! against those fixtures, so a file of any state can be made in any
-//! version.
+//! Versions 1 to 3 are read-compat versions: the `*_v1.snap`,
+//! `*_v2.snap` and `*_v3.snap` fixtures were written by writers that no
+//! longer exist (version 3 also wrote every global id's location in
+//! section 7, version 2 wrote a body row by row under an FNV-1a
+//! checksum, version 1 also wrote postings). Nothing rewrites them:
+//! [`frozen_fixtures_keep_their_length_and_checksum`] pins each one's
+//! length and XXH64, and CI checks every fixture stays byte-identical to
+//! the commit. This file keeps a writer for each old layout
+//! ([`v3_bytes`], [`v2_bytes`], [`v1_bytes`]), each made from the one
+//! after it and checked byte for byte against those fixtures, so a file
+//! of any state can be made in any version.
 
 use pitract_core::cost::Meter;
+use pitract_core::hash::xxh64;
 use pitract_engine::{
     EngineError, LiveRelation, PooledExecutor, QueryBatch, ShardBy, ShardedRelation,
 };
@@ -39,6 +44,8 @@ use std::sync::Arc;
 const SEC_BODY: u32 = 2;
 const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARDS: u32 = 5;
+const SEC_GLOBAL_IDS: u32 = 6;
+const SEC_V3_LOCATIONS: u32 = 7;
 const SEC_INDEXED_COLS: u32 = 14;
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
@@ -189,11 +196,44 @@ fn write_slots(w: &mut Writer, ir: &IndexedRelation) {
     }
 }
 
+/// `snapshot` laid out as the version-3 writer laid it out: section 6
+/// without the next global id, and after it section 7, the id count and
+/// then per global id a tag (0 dead, 1 live) and a live id's shard and
+/// local; every other section as version 4 writes it. Checked against
+/// the committed v3 fixtures.
+fn v3_bytes(snapshot: &Snapshot) -> Vec<u8> {
+    let v4 = snapshot.to_bytes();
+    let mut sections = sections(&v4);
+    if let Snapshot::Sharded(sr) = snapshot {
+        let maps = section_mut(&mut sections, SEC_GLOBAL_IDS);
+        maps.truncate(maps.len() - 8);
+        let ids = sr.id_map();
+        let mut w = Writer::new();
+        w.usize(ids.next_gid());
+        for gid in 0..ids.next_gid() {
+            match ids.location(gid).filter(|_| sr.row(gid).is_some()) {
+                None => w.u8(0),
+                Some((shard, local)) => {
+                    w.u8(1);
+                    w.usize(shard);
+                    w.usize(local);
+                }
+            }
+        }
+        let at = sections
+            .iter()
+            .position(|(tag, _)| *tag == SEC_GLOBAL_IDS)
+            .unwrap();
+        sections.insert(at + 1, (SEC_V3_LOCATIONS, w.into_bytes()));
+    }
+    reframe(&v4, 3, &sections)
+}
+
 /// `snapshot` laid out as the version-2 writer laid it out: each body
 /// row by row, under an FNV-1a checksum; every other section as version
 /// 3 writes it. Checked against the committed v2 fixtures.
 fn v2_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let v3 = snapshot.to_bytes();
+    let v3 = v3_bytes(snapshot);
     let mut sections = sections(&v3);
     let mut w = Writer::new();
     match snapshot {
@@ -284,7 +324,7 @@ fn metered_answers(ir: &IndexedRelation) -> Vec<(bool, u64, Vec<usize>, u64)> {
 #[test]
 fn indexed_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "indexed_v3.snap",
+        "indexed_v4.snap",
         &Snapshot::Indexed(fixture_indexed()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -308,7 +348,7 @@ fn indexed_fixture_is_byte_stable_and_loads() {
 #[test]
 fn sharded_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "sharded_v3.snap",
+        "sharded_v4.snap",
         &Snapshot::Sharded(fixture_sharded()).to_bytes(),
     );
     let loaded = Snapshot::from_bytes(&bytes)
@@ -394,6 +434,71 @@ fn v2_fixtures_load_like_their_v3_twins() {
     }
 }
 
+/// The v3 fixtures still load, and answer exactly as the v4 fixtures of
+/// the same state do: the same slots and indexed columns, the same
+/// Booleans, row ids and metered steps per query, and for the sharded
+/// relation the same id map, found locations and live rows — section 7
+/// is checked and dropped, and the maps and live bits give it back.
+#[test]
+fn v3_fixtures_load_like_their_v4_twins() {
+    let v3 = read_fixture("indexed_v3.snap");
+    assert_eq!(
+        v3_bytes(&Snapshot::Indexed(fixture_indexed())),
+        v3,
+        "the test's v3 writer reproduces the v3 writer's bytes"
+    );
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
+    let (old, new) = (load(&v3), load(&read_fixture("indexed_v4.snap")));
+    assert_eq!(old.slot_count(), new.slot_count());
+    assert_eq!(old.indexed_columns(), new.indexed_columns());
+    assert_eq!(metered_answers(&old), metered_answers(&new));
+    assert!(old.slots().eq(new.slots()), "the same rows and tombstones");
+
+    let v3 = read_fixture("sharded_v3.snap");
+    assert_eq!(v3_bytes(&Snapshot::Sharded(fixture_sharded())), v3);
+    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
+    let (old, new) = (load(&v3), load(&read_fixture("sharded_v4.snap")));
+    assert_eq!(old.id_map(), new.id_map());
+    for gid in 0..=new.id_map().next_gid() {
+        assert_eq!(old.id_map().location(gid), new.id_map().location(gid));
+        assert_eq!(old.row(gid), new.row(gid), "global id {gid}");
+    }
+    for (a, b) in old.shards().iter().zip(new.shards()) {
+        assert_eq!(a.indexed_columns(), b.indexed_columns());
+        assert_eq!(metered_answers(a), metered_answers(b));
+        assert!(a.slots().eq(b.slots()));
+    }
+    for q in queries() {
+        assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
+    }
+}
+
+/// The fixtures no writer makes any more, pinned by length and XXH64:
+/// a regeneration or an edit of one fails here, not only in CI's
+/// comparison with the commit.
+#[test]
+fn frozen_fixtures_keep_their_length_and_checksum() {
+    for (name, len, hash) in FROZEN {
+        let bytes = read_fixture(name);
+        assert_eq!(
+            (bytes.len(), xxh64(&bytes, 0)),
+            (len, hash),
+            "{name} changed: a frozen fixture is never rewritten"
+        );
+    }
+}
+
+/// Every read-compat fixture: name, length, XXH64 (seed 0) of the whole
+/// file.
+const FROZEN: [(&str, usize, u64); 6] = [
+    ("indexed_v1.snap", 554, 0x1cba_1bd2_b090_4f3e),
+    ("indexed_v2.snap", 285, 0x9f86_6a7b_7a36_3045),
+    ("indexed_v3.snap", 269, 0x3750_417c_6976_aa11),
+    ("sharded_v1.snap", 819, 0x52ab_cd52_e426_dc67),
+    ("sharded_v2.snap", 523, 0x24ed_7cf1_3b3f_f832),
+    ("sharded_v3.snap", 547, 0x263b_eda9_b2df_eded),
+];
+
 /// A v1 posting that points key -3 at row 1 (live, holding 0) was
 /// refused as a dangling posting while postings were loaded. Now they
 /// are skipped unread: the file loads and answers from its rows. A
@@ -438,6 +543,8 @@ fn an_out_of_range_indexed_column_is_refused() {
         ("sharded_v2.snap", 2),
         ("indexed_v3.snap", 3),
         ("sharded_v3.snap", 3),
+        ("indexed_v4.snap", 4),
+        ("sharded_v4.snap", 4),
     ] {
         let file = read_fixture(name);
         let mut bad = sections(&file);
@@ -453,7 +560,7 @@ fn an_out_of_range_indexed_column_is_refused() {
 
 #[test]
 fn bumped_version_is_rejected_with_version_mismatch() {
-    let mut bytes = read_fixture("indexed_v3.snap");
+    let mut bytes = read_fixture("indexed_v4.snap");
     // Bytes 8..10 are the little-endian format version.
     let bumped = FORMAT_VERSION + 1;
     bytes[8..10].copy_from_slice(&bumped.to_le_bytes());
@@ -578,6 +685,7 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     for bytes in [
         v1_bytes(&snapshot),
         v2_bytes(&snapshot),
+        v3_bytes(&snapshot),
         snapshot.to_bytes(),
     ] {
         let mut loaded = Snapshot::from_bytes(&bytes)
@@ -610,6 +718,7 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     for bytes in [
         v1_bytes(&snapshot),
         v2_bytes(&snapshot),
+        v3_bytes(&snapshot),
         snapshot.to_bytes(),
     ] {
         let loaded = LiveRelation::from_sharded(
@@ -749,23 +858,123 @@ fn every_v3_section_refuses_bad_input_typed() {
     ));
 }
 
-/// The v3 checksum covers every byte: a flip anywhere before the
-/// trailer, including in the header and section table, fails it.
+/// A version-4 section 6 written field by field: the map count, each
+/// map as a count and its ids, then the next global id if there is one,
+/// then `extra`.
+fn v4_id_map(maps: &[&[u64]], next_gid: Option<u64>, extra: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.usize(maps.len());
+    for map in maps {
+        w.usize(map.len());
+        w.u64_run(map);
+    }
+    if let Some(next_gid) = next_gid {
+        w.u64(next_gid);
+    }
+    w.raw(extra);
+    w.into_bytes()
+}
+
+/// Section 6 of a v4 file refuses bad input with a typed error, never a
+/// panic: a global id in two shards' maps, a mapped id at or past the
+/// next one, and a next global id past `isize::MAX`, cut off, or
+/// followed by bytes.
+#[test]
+fn every_v4_id_map_refusal_is_typed() {
+    // The fixture: shard 0 holds ids 0 and 1, shard 1 ids 2 to 5 (4
+    // deleted); the next id is 6.
+    let (zero, one): (&[u64], &[u64]) = (&[0, 1], &[2, 3, 4, 5]);
+    let v4 = read_fixture("sharded_v4.snap");
+    assert_eq!(
+        *section_mut(&mut sections(&v4), SEC_GLOBAL_IDS),
+        v4_id_map(&[zero, one], Some(6), &[]),
+        "the field-by-field section is the writer's"
+    );
+    let load = |ids: Vec<u8>| {
+        let mut parts = sections(&v4);
+        *section_mut(&mut parts, SEC_GLOBAL_IDS) = ids;
+        Snapshot::from_bytes(&reframe(&v4, 4, &parts))
+    };
+    let inconsistent = |ids: Vec<u8>, why: &str| match load(ids) {
+        Err(StoreError::Engine(EngineError::InconsistentSnapshot(got))) => {
+            assert!(got.contains(why), "{got}")
+        }
+        other => panic!("expected InconsistentSnapshot({why}), got {other:?}"),
+    };
+    assert!(load(v4_id_map(&[zero, one], Some(6), &[])).is_ok());
+    assert!(
+        load(v4_id_map(&[zero, one], Some(9), &[])).is_ok(),
+        "ids burned past the maps"
+    );
+
+    // A global id in two shards' maps, each map the length of its shard.
+    inconsistent(
+        v4_id_map(&[&[0, 2], one], Some(6), &[]),
+        "global id 2 is mapped by shards 0 and 1",
+    );
+    inconsistent(
+        v4_id_map(&[&[0, 5], one], Some(6), &[]),
+        "global id 5 is mapped by shards 0 and 1",
+    );
+
+    // A mapped id at or past the next one.
+    inconsistent(
+        v4_id_map(&[zero, one], Some(5), &[]),
+        "global id 5, at or past the next id 5",
+    );
+    inconsistent(
+        v4_id_map(&[zero, &[2, 3, 4, 7]], Some(6), &[]),
+        "global id 7, at or past the next id 6",
+    );
+
+    // A next global id too far to count on from.
+    inconsistent(
+        v4_id_map(&[zero, one], Some(u64::MAX), &[]),
+        "past isize::MAX",
+    );
+
+    // The next global id cut off, whole or in part, or followed by bytes.
+    let good = v4_id_map(&[zero, one], Some(6), &[]);
+    for cut in 1..=8 {
+        assert!(
+            matches!(
+                load(good[..good.len() - cut].to_vec()),
+                Err(StoreError::Truncated)
+            ),
+            "cut {cut}"
+        );
+    }
+    for extra in [&[0u8][..], &[0; 8]] {
+        assert!(matches!(
+            load(v4_id_map(&[zero, one], Some(6), extra)),
+            Err(StoreError::Corrupt(why)) if why.contains("trailing bytes")
+        ));
+    }
+}
+
+/// The XXH64 checksum (from version 3) covers every byte: a flip
+/// anywhere before the trailer, including in the header and section
+/// table, fails it.
 #[test]
 fn the_v3_checksum_covers_every_byte() {
-    let v3 = read_fixture("sharded_v3.snap");
-    for at in (0..v3.len() - 8).filter(|&at| !(8..10).contains(&at)) {
-        let mut flipped = v3.clone();
-        flipped[at] ^= 0x10;
-        assert!(Snapshot::from_bytes(&flipped).is_err(), "flip at {at}");
-        if at >= 12 {
+    for name in ["sharded_v3.snap", "sharded_v4.snap"] {
+        let file = read_fixture(name);
+        for at in (0..file.len() - 8).filter(|&at| !(8..10).contains(&at)) {
+            let mut flipped = file.clone();
+            flipped[at] ^= 0x10;
             assert!(
-                matches!(
-                    Snapshot::from_bytes(&flipped),
-                    Err(StoreError::ChecksumMismatch)
-                ),
-                "flip at {at}"
+                Snapshot::from_bytes(&flipped).is_err(),
+                "{name}: flip at {at}"
             );
+            if at >= 12 {
+                assert!(
+                    matches!(
+                        Snapshot::from_bytes(&flipped),
+                        Err(StoreError::ChecksumMismatch)
+                    ),
+                    "{name}: flip at {at}"
+                );
+            }
         }
     }
 }

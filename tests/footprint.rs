@@ -19,8 +19,9 @@
 //!   volume, live bytes never exceed what it leaves behind (the file
 //!   among it) by more than one save chunk ([`CHUNK`]) plus
 //!   [`CHECKPOINT_BEYOND_CHUNK`]: it encodes the relation in place,
-//!   copies no shard, tree or id map, and streams the file through one
-//!   chunk — a buffer holding the whole file could not meet the bound.
+//!   copies no shard, tree, id map or bitmap, and streams the file
+//!   through one chunk — a buffer holding the whole file could not meet
+//!   the bound.
 //!
 //! The relation is the end-to-end benchmark's: `id` (unique), `ts`
 //! (nearly unique), `grp` (1 024 values) indexed, a 16-byte `payload`
@@ -44,13 +45,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// 16-byte `String` block.
 const INPUT_BYTES_PER_ROW: usize = 56;
 /// Heap bytes the rows and the id maps may hold per row. When written:
-/// 64 — 48 for the typed columns (8 for each of the three `Int`
+/// 56 — 48 for the typed columns (8 for each of the three `Int`
 /// columns, and for `payload` 16 arena bytes plus an 8-byte end offset)
-/// and 16 for the id map (8 local → global, 8 for the location packed
-/// in one `u64`). An `Option<(usize, usize)>` location took 24, 80 in
-/// all; the `Vec<Option<Vec<Value>>>` slots the columns replaced held
-/// 136 of their own, 168 with the maps.
-const ROW_BYTES_PER_ROW: usize = 80;
+/// and 8 for the id map's local → global entry. A location kept per
+/// global id, packed in one `u64`, made it 64; as an
+/// `Option<(usize, usize)>` it made it 80; the `Vec<Option<Vec<Value>>>`
+/// slots the columns replaced held 136 of their own, 168 with the maps.
+const ROW_BYTES_PER_ROW: usize = 60;
 /// Heap bytes the three indexes may hold per row. When written: 83
 /// (`id` and `ts` ~36 each — 8 key + 24 posting bytes and the node
 /// around them — and `grp` ~11, its ids 8 bytes apiece in shared
@@ -61,12 +62,13 @@ const INDEX_BYTES_PER_ROW: usize = 96;
 /// written: 5.
 const BUILD_SLACK_PER_ROW: usize = 48;
 /// Bytes a checkpoint may hold beyond one save chunk and the bytes held
-/// after it. When written: 8 664 — the live bitmap each shard's read
-/// copies at the pin (8 KiB in all at 2¹⁶ rows) and the section table.
-/// A checkpoint that encoded its whole file into one doubling buffer
-/// held 3.7 MB beyond its 4.8 MB file (57 B/row); one that copied the
-/// relation first, trees and id map included, held 130 B/row.
-const CHECKPOINT_BEYOND_CHUNK: usize = 16 * 1024;
+/// after it. When written: 372 — the section table and a few small
+/// vectors. One that copied each shard's live bitmap at the pin held
+/// 8 664 (8 KiB of bitmaps at 2¹⁶ rows); one that encoded its whole
+/// file into one doubling buffer held 3.7 MB beyond its 4.8 MB file
+/// (57 B/row); one that copied the relation first, trees and id map
+/// included, held 130 B/row.
+const CHECKPOINT_BEYOND_CHUNK: usize = 4 * 1024;
 
 const ROWS: usize = 1 << 16;
 const SHARDS: usize = 4;
