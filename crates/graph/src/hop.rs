@@ -28,16 +28,13 @@ pub struct HopLabels {
     rank: Vec<u32>,
 }
 
-/// Errors from [`HopLabels::build`] and [`HopLabels::from_parts`].
+/// Errors from [`HopLabels::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HopError {
     /// The graph has a directed cycle; condense SCCs first.
     Cyclic,
     /// The graph is undirected; hop labels are defined on DAGs.
     NotDirected,
-    /// Reconstructed label parts were malformed (see the payload for the
-    /// violated invariant).
-    Malformed(&'static str),
 }
 
 impl std::fmt::Display for HopError {
@@ -45,7 +42,6 @@ impl std::fmt::Display for HopError {
         match self {
             HopError::Cyclic => write!(f, "graph has a directed cycle; condense SCCs first"),
             HopError::NotDirected => write!(f, "hop labels are defined on directed graphs"),
-            HopError::Malformed(why) => write!(f, "malformed hop labels: {why}"),
         }
     }
 }
@@ -211,58 +207,6 @@ impl HopLabels {
     pub fn node_count(&self) -> usize {
         self.rank.len()
     }
-
-    /// `L_out(v)` per node, in ascending hub-rank order (persistence
-    /// accessor).
-    pub fn out_labels(&self) -> &[Vec<u32>] {
-        &self.lout
-    }
-
-    /// `L_in(v)` per node, in ascending hub-rank order (persistence
-    /// accessor).
-    pub fn in_labels(&self) -> &[Vec<u32>] {
-        &self.lin
-    }
-
-    /// node → hub rank (persistence accessor).
-    pub fn hub_ranks(&self) -> &[u32] {
-        &self.rank
-    }
-
-    /// Reassemble labels from previously exported parts — the warm-start
-    /// path used by `pitract-store`. Validates the structural invariants
-    /// the query path relies on (equal lengths, `rank` a permutation of
-    /// `0..n`, labels strictly ascending and in range), so corrupt parts
-    /// are rejected instead of silently answering wrong.
-    pub fn from_parts(
-        lout: Vec<Vec<u32>>,
-        lin: Vec<Vec<u32>>,
-        rank: Vec<u32>,
-    ) -> Result<Self, HopError> {
-        let n = rank.len();
-        if lout.len() != n || lin.len() != n {
-            return Err(HopError::Malformed("label and rank lengths differ"));
-        }
-        let mut seen = vec![false; n];
-        for &r in &rank {
-            let r = r as usize;
-            if r >= n || seen[r] {
-                return Err(HopError::Malformed("rank is not a permutation of 0..n"));
-            }
-            seen[r] = true;
-        }
-        for label in lout.iter().chain(lin.iter()) {
-            if label.iter().any(|&h| h as usize >= n) {
-                return Err(HopError::Malformed("label entry beyond node count"));
-            }
-            if label.windows(2).any(|w| w[0] >= w[1]) {
-                // The sorted-intersection query requires strictly
-                // ascending hub ranks.
-                return Err(HopError::Malformed("label not strictly ascending"));
-            }
-        }
-        Ok(HopLabels { lout, lin, rank })
-    }
 }
 
 #[cfg(test)]
@@ -368,49 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_and_validates() {
-        let g = generate::random_dag(60, 150, 3);
-        let labels = HopLabels::build(&g).unwrap();
-        let rebuilt = HopLabels::from_parts(
-            labels.out_labels().to_vec(),
-            labels.in_labels().to_vec(),
-            labels.hub_ranks().to_vec(),
-        )
-        .unwrap();
-        for u in (0..60).step_by(4) {
-            for v in (0..60).step_by(3) {
-                assert_eq!(rebuilt.query(u, v), labels.query(u, v), "({u},{v})");
-            }
-        }
-
-        // Length mismatch.
-        assert_eq!(
-            HopLabels::from_parts(vec![vec![]], vec![], vec![0]).unwrap_err(),
-            HopError::Malformed("label and rank lengths differ")
-        );
-        // Rank not a permutation.
-        assert!(matches!(
-            HopLabels::from_parts(vec![vec![], vec![]], vec![vec![], vec![]], vec![0, 0])
-                .unwrap_err(),
-            HopError::Malformed(_)
-        ));
-        // Label entry out of range.
-        assert!(matches!(
-            HopLabels::from_parts(vec![vec![7]], vec![vec![]], vec![0]).unwrap_err(),
-            HopError::Malformed(_)
-        ));
-        // Unsorted label.
-        assert!(matches!(
-            HopLabels::from_parts(vec![vec![1, 0], vec![]], vec![vec![], vec![]], vec![0, 1])
-                .unwrap_err(),
-            HopError::Malformed(_)
-        ));
-    }
-
-    #[test]
     fn hop_error_displays() {
         assert!(HopError::Cyclic.to_string().contains("cycle"));
-        assert!(HopError::Malformed("x").to_string().contains("x"));
+        assert!(HopError::NotDirected.to_string().contains("directed"));
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl SnapshotCatalog {
     /// ([`LiveRelation::pin_read`]); each shard's body is encoded at `e`
     /// under that shard's read lock alone and the id map at `e` under its
     /// own, then the WAL mark `wal_lsn(e)` and `e`. The bytes are those
-    /// of [`Snapshot::Checkpoint`] holding the relation's state at `e`,
+    /// of a [`Snapshot`] holding the relation's state at `e` and the mark
+    /// `(wal_lsn(e), e)`,
     /// and no shard, tree or id map is copied to get them: they stream
     /// to the file through one chunk, so a shard's chunks are appended
     /// under its lock. The pin is released before the file is flushed
@@ -92,30 +93,25 @@ impl SnapshotCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_relation::indexed::IndexedRelation;
+    use pitract_engine::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 
-    fn small_indexed(n: i64) -> IndexedRelation {
+    /// An unsharded relation of `n` rows: one shard.
+    fn small(n: i64) -> Snapshot {
         let schema = Schema::new(&[("id", ColType::Int)]);
         let rows = (0..n).map(|i| vec![Value::Int(i)]).collect();
         let rel = Relation::from_rows(schema, rows).unwrap();
-        IndexedRelation::build(&rel, &[0]).unwrap()
+        Snapshot::from(ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 1, &[0]).unwrap())
     }
 
     #[test]
     fn save_load_workflow() {
         let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-        catalog
-            .save("alpha", &Snapshot::Indexed(small_indexed(10)))
-            .unwrap();
-        catalog
-            .save("beta.v2", &Snapshot::Indexed(small_indexed(20)))
-            .unwrap();
-        assert_eq!(
-            catalog.load("alpha").unwrap().kind(),
-            crate::SnapshotKind::IndexedRelation
-        );
-        let loaded = catalog.load("beta.v2").unwrap().into_indexed().unwrap();
+        catalog.save("alpha", &small(10)).unwrap();
+        catalog.save("beta.v2", &small(20)).unwrap();
+        let alpha = catalog.load("alpha").unwrap();
+        assert_eq!((alpha.state.shard_count(), alpha.mark), (1, None));
+        let loaded = catalog.load("beta.v2").unwrap().state;
         assert_eq!(loaded.len(), 20);
         assert!(loaded.answer(&SelectionQuery::point(0, 19i64)));
         assert!(matches!(catalog.load("gamma"), Err(StoreError::Io(_))));
@@ -125,16 +121,9 @@ mod tests {
     fn save_overwrites_atomically() {
         let dir = Dir::memory();
         let catalog = SnapshotCatalog::open(&dir).unwrap();
-        catalog
-            .save("rel", &Snapshot::Indexed(small_indexed(5)))
-            .unwrap();
-        catalog
-            .save("rel", &Snapshot::Indexed(small_indexed(50)))
-            .unwrap();
-        assert_eq!(
-            catalog.load("rel").unwrap().into_indexed().unwrap().len(),
-            50
-        );
+        catalog.save("rel", &small(5)).unwrap();
+        catalog.save("rel", &small(50)).unwrap();
+        assert_eq!(catalog.load("rel").unwrap().state.len(), 50);
         // No stray temp files after successful saves.
         assert_eq!(dir.list().unwrap(), ["rel.snap"]);
     }
@@ -142,7 +131,7 @@ mod tests {
     #[test]
     fn traversal_and_hidden_names_are_rejected() {
         let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-        let snap = Snapshot::Indexed(small_indexed(1));
+        let snap = small(1);
         for bad in ["", "../escape", "a/b", "a\\b", ".hidden", "..", "nul\0"] {
             assert!(
                 matches!(catalog.save(bad, &snap), Err(StoreError::InvalidName(_))),

@@ -362,14 +362,6 @@ impl Writer {
         self.usize_run(seq);
     }
 
-    /// Write a sequence of `u32`s.
-    pub fn u32_seq(&mut self, seq: &[u32]) {
-        self.usize(seq.len());
-        for &v in seq {
-            self.u32(v);
-        }
-    }
-
     /// Write one tagged [`UpdateEntry`] (0 = insert with gid + row,
     /// 1 = delete with gid) — the encoding shared by the snapshot's
     /// update-log section and the `pitract-wal` segment payloads.
@@ -592,12 +584,6 @@ impl<'a> Reader<'a> {
     pub fn usize_seq(&mut self) -> Result<Vec<usize>, StoreError> {
         let n = self.count(8)?;
         self.usize_run(n)
-    }
-
-    /// Read a sequence of `u32`s.
-    pub fn u32_seq(&mut self) -> Result<Vec<u32>, StoreError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
     }
 
     /// Read one tagged [`UpdateEntry`] (the inverse of

@@ -1,8 +1,9 @@
 //! The typed failure surface of the snapshot store.
 //!
 //! Every way a snapshot can fail to load — I/O, truncation, corruption,
-//! format-version skew, the wrong structure kind, or parts that parse but
-//! are mutually inconsistent — maps to a distinct [`StoreError`] variant,
+//! format-version skew, a structure kind this binary does not read, a
+//! checkpoint asked of a snapshot with no WAL mark, or parts that parse
+//! but are mutually inconsistent — maps to a distinct [`StoreError`] variant,
 //! so callers can distinguish "retry with a rebuild" from "this file was
 //! written by a newer binary" without parsing prose. Loading never
 //! panics: the decoder bounds-checks every read, each decoded column is
@@ -13,7 +14,6 @@
 //! with the shards before anything is constructed. No index is read from disk, so none can be
 //! inconsistent: every tree is rebuilt from the rows.
 
-use crate::snapshot::SnapshotKind;
 use pitract_engine::EngineError;
 use pitract_relation::IndexedError;
 use std::fmt;
@@ -46,14 +46,9 @@ pub enum StoreError {
     Corrupt(String),
     /// The header declares a structure kind this binary does not know.
     UnknownKind(u16),
-    /// The snapshot holds a different structure than the caller asked
-    /// for.
-    WrongKind {
-        /// The kind the caller expected.
-        expected: SnapshotKind,
-        /// The kind actually stored.
-        found: SnapshotKind,
-    },
+    /// A checkpoint was asked of a snapshot with no WAL mark
+    /// ([`crate::Snapshot::into_checkpoint`]).
+    NotACheckpoint,
     /// The decoded parts were rejected by the engine's reconstruction
     /// validation.
     Engine(EngineError),
@@ -84,8 +79,8 @@ impl fmt::Display for StoreError {
             StoreError::Truncated => write!(f, "snapshot data ended unexpectedly"),
             StoreError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
             StoreError::UnknownKind(k) => write!(f, "unknown snapshot structure kind {k}"),
-            StoreError::WrongKind { expected, found } => {
-                write!(f, "snapshot holds a {found}, expected a {expected}")
+            StoreError::NotACheckpoint => {
+                write!(f, "snapshot has no WAL mark, so it is not a checkpoint")
             }
             StoreError::Engine(e) => write!(f, "snapshot rejected by engine: {e}"),
             StoreError::Indexed(e) => write!(f, "snapshot rejected by indexed relation: {e}"),
@@ -144,10 +139,7 @@ mod tests {
             StoreError::Truncated,
             StoreError::Corrupt("bad value tag 9".into()),
             StoreError::UnknownKind(99),
-            StoreError::WrongKind {
-                expected: SnapshotKind::IndexedRelation,
-                found: SnapshotKind::HopLabels,
-            },
+            StoreError::NotACheckpoint,
             StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 }),
             StoreError::InvalidName("../etc".into()),
         ];

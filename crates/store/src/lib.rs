@@ -9,16 +9,15 @@
 //! as they lie in memory (live bitmap, `i64` runs, `Str` arenas and end
 //! offsets, less deleted rows' cells), id maps, and the list of columns
 //! it indexes — and a load rebuilds its B⁺-trees by sort, which since
-//! the build-by-sort costs about what decoding persisted postings did. 2-hop labels, whose
-//! preprocessing is costly and not a sort, are persisted whole.
+//! the build-by-sort costs about what decoding persisted postings did.
 //!
-//! * [`snapshot::Snapshot`] — save/load for the three production
-//!   structures: [`pitract_relation::indexed::IndexedRelation`],
-//!   [`pitract_engine::ShardedRelation`] (schema, partitioning, per-shard
-//!   data, global-id/location maps, tombstones), and
-//!   [`pitract_graph::hop::HopLabels`]. The file format (magic tag,
-//!   format version, section table, XXH64 checksum — FNV-1a in
-//!   versions 1 and 2) is documented in [`snapshot`]'s module docs.
+//! * [`snapshot::Snapshot`] — save/load for the one structure a node
+//!   serves, a [`pitract_engine::ShardedRelation`] (schema,
+//!   partitioning, per-shard data, global-id maps, tombstones), with a
+//!   WAL mark when it is a checkpoint; an unsharded relation is one
+//!   shard. The file format (magic tag, format version, section table,
+//!   XXH64 checksum — FNV-1a in versions 1 and 2) is documented in
+//!   [`snapshot`]'s module docs, with how older files load.
 //! * [`codec`] — the hand-rolled little-endian writer/reader underneath:
 //!   zero dependencies, no serde, and **total** on the read side —
 //!   arbitrary or truncated bytes produce a typed [`error::StoreError`],
@@ -33,12 +32,11 @@
 //!   recipes (atomic replace, durable create) are written once over it;
 //!   a [`storage::MemoryVolume`] loses its unflushed bytes on
 //!   [`storage::MemoryVolume::crash`], the power loss crash tests use.
-//! * [`Snapshot::Checkpoint`] — a [`pitract_engine::LiveRelation`]'s
-//!   state at one pinned epoch with that epoch and its WAL mark, in one
-//!   atomic file: what `pitract-wal`'s durable tier checkpoints to
-//!   ([`SnapshotCatalog::save_checkpoint`], encoded in place and
-//!   streamed) and
-//!   recovers from.
+//! * A checkpoint — a [`pitract_engine::LiveRelation`]'s state at one
+//!   pinned epoch with that epoch and its WAL mark
+//!   ([`Snapshot::mark`]), in one atomic file: what `pitract-wal`'s
+//!   durable tier checkpoints to ([`SnapshotCatalog::save_checkpoint`],
+//!   encoded in place and streamed) and recovers from.
 //!
 //! The correctness contract, enforced by unit, integration, and property
 //! tests: for every persisted structure, `load(save(x))` answers every
@@ -48,7 +46,7 @@
 //! typed error.
 //!
 //! ```
-//! use pitract_relation::indexed::IndexedRelation;
+//! use pitract_engine::{ShardBy, ShardedRelation};
 //! use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 //! use pitract_store::{Dir, Snapshot, SnapshotCatalog};
 //!
@@ -56,15 +54,15 @@
 //! let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
 //! let relation = Relation::from_rows(schema, rows).unwrap();
 //!
-//! // Π(D), paid once…
-//! let indexed = IndexedRelation::build(&relation, &[0]).unwrap();
+//! // Π(D), paid once (one shard: an unsharded relation)…
+//! let indexed = ShardedRelation::build(&relation, ShardBy::Hash { col: 0 }, 1, &[0]).unwrap();
 //!
 //! // …persisted (to an in-memory volume here; a path puts it on disk)…
 //! let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-//! catalog.save("ids", &Snapshot::Indexed(indexed)).unwrap();
+//! catalog.save("ids", &Snapshot::from(indexed)).unwrap();
 //!
 //! // …and warm-started by a fresh engine, the tree sorted from the rows.
-//! let served = catalog.load("ids").unwrap().into_indexed().unwrap();
+//! let served = catalog.load("ids").unwrap().state;
 //! assert!(served.answer(&SelectionQuery::point(0, 999i64)));
 //! ```
 
@@ -86,5 +84,5 @@ pub mod storage;
 
 pub use catalog::SnapshotCatalog;
 pub use error::StoreError;
-pub use snapshot::{Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};
+pub use snapshot::{Snapshot, FORMAT_VERSION, MAGIC};
 pub use storage::{Dir, MemoryVolume};

@@ -2,14 +2,14 @@
 //! [`Snapshot::from_bytes`]. Files reach storage through
 //! [`crate::SnapshotCatalog`].
 //!
-//! # On-disk layout (format version 4)
+//! # On-disk layout (format version 5)
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRSNAP"
-//! 8       2     format version, u16 LE (currently 4)
-//! 10      2     structure kind, u16 LE (see [`SnapshotKind`])
+//! 8       2     format version, u16 LE (currently 5)
+//! 10      2     structure kind, u16 LE (5 from version 5)
 //! 12      4     section count k, u32 LE
 //! 16      12*k  section table: k entries of (tag: u32 LE, len: u64 LE);
 //!               payloads follow in table order
@@ -21,6 +21,43 @@
 //! versions 1 and 2, XXH64 with seed 0 from version 3 (both in
 //! [`pitract_core::hash`]). FNV-1a takes one multiply per byte; XXH64
 //! reads eight bytes at a time in four lanes, at memory speed.
+//!
+//! # One kind
+//!
+//! A file holds one sharded relation ([`ShardedRelation`]), with a WAL
+//! mark when it is a checkpoint: what a node serves and what it
+//! recovers from. Every version-5 file is kind 5, and its sections are,
+//! in file order:
+//!
+//! | tag | section |
+//! |---|---|
+//! | 1 | schema |
+//! | 4 | shard_by |
+//! | 5 | shard count, then one relation body per shard |
+//! | 6 | global-id maps and the next global id |
+//! | 14 | indexed columns |
+//! | 12 | WAL mark: the LSN of the first record not in the state (checkpoints only) |
+//! | 13 | cut epoch: the epoch the state was read at (checkpoints only) |
+//!
+//! Sections 12 and 13 are written together or not at all; a file with
+//! one and not the other is refused as [`StoreError::Corrupt`].
+//!
+//! Versions 1 to 4 wrote three more kinds, and the reader maps the two
+//! that held a relation onto this one:
+//!
+//! | kind | versions 1–4 | loads as |
+//! |---|---|---|
+//! | 1 | an `IndexedRelation`: schema (1), relation body (2), indexed columns (14) | one shard, hashed on column 0, each slot's global id its slot number, so every row id is kept; no mark |
+//! | 2 | a `ShardedRelation`: sections 1, 4, 5, 6 and 14 | the relation, no mark |
+//! | 3 | 2-hop labels: `L_out` (8), `L_in` (9), hub ranks (10) | refused, [`StoreError::UnknownKind`] |
+//! | 4 | an in-memory update log (11) | refused, [`StoreError::UnknownKind`] |
+//! | 5 | a checkpoint: the kind-2 sections, WAL mark (12), cut epoch (13) | the relation and its mark; no section 13 is epoch 0 |
+//!
+//! A version-5 file of any kind but 5 is refused as
+//! [`StoreError::UnknownKind`]. Kind codes 1 to 4 and tags 7 to 11 are
+//! not reused. A kind-1 file of a relation with no column cannot be
+//! hashed on column 0 and is refused typed, as
+//! [`pitract_engine::EngineError::ShardColumnOutOfRange`].
 //!
 //! # Writing a file
 //!
@@ -38,24 +75,8 @@
 //! pinned epoch under that shard's read lock, in both passes, so a
 //! shard's chunks reach the file (the page cache, never a flush) inside
 //! that lock. [`Snapshot::to_bytes`] is the same frame written to
-//! memory.
-//!
-//! Section payloads use the [`crate::codec`] conventions. The tags per
-//! structure kind:
-//!
-//! | kind | sections (tag) |
-//! |---|---|
-//! | `IndexedRelation` | schema (1), relation body (2), indexed columns (14) |
-//! | `ShardedRelation` | schema (1), shard_by (4), shard count + one relation body per shard (5), global-id maps and the next global id (6), indexed columns (14) |
-//! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
-//! | `Checkpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
-//!
-//! Kind codes are 1 `IndexedRelation`, 2 `ShardedRelation`, 3
-//! `HopLabels` and 5 `Checkpoint`. Kind 4 held an in-memory update log
-//! (section 11); the WAL is the one update log now, so a kind-4 file is
-//! refused as [`StoreError::UnknownKind`], and codes 4 and 11 are not
-//! reused. Nor is tag 7, which held every global id's location up to
-//! version 3.
+//! memory. One encoder writes a relation's sections, whether its parts
+//! are read off a [`ShardedRelation`] or lent by a [`PinnedRead`].
 //!
 //! # A relation body
 //!
@@ -101,24 +122,21 @@
 //! Versions 1 and 2 wrote a body row by row: a slot count, then per slot
 //! a tag (0 dead, 1 live) and a live row's tagged values. They still
 //! load; a v1 body also follows its rows with its index postings (section
-//! 3 of an `IndexedRelation`; after each shard's rows in section 5),
-//! which the reader steps over with the bounds-checked codec, keeping
-//! each index's column number as the columns to index and never looking
-//! at a posting.
+//! 3 of a kind-1 file; after each shard's rows in section 5), which the
+//! reader steps over with the bounds-checked codec, keeping each index's
+//! column number as the columns to index and never looking at a posting.
 //!
 //! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
 //! columns it indexes, never a posting. A load rebuilds every tree by
 //! sort through [`IndexedRelation::from_columns`], and leaves no index
-//! on disk that could disagree with its rows. `HopLabels` keep their
-//! labels: 2-hop labelling is costly PTIME preprocessing, not a sort.
+//! on disk that could disagree with its rows.
 //!
-//! Readers locate sections by tag, so a future version may append new
-//! sections without breaking old payload parsing — the cut-epoch
-//! section (13) is exactly such an append: files written before it
-//! existed load with epoch 0. Any change to an
-//! existing section's encoding must bump the format version; this
-//! reader accepts every version it ever wrote and rejects any other
-//! with [`StoreError::VersionMismatch`]. Corruption is
+//! Readers locate sections by tag, so a version may append new sections
+//! without breaking old payload parsing — the cut-epoch section (13) was
+//! such an append: a checkpoint written before it existed loads with
+//! epoch 0. Any change to an existing section's encoding must bump the
+//! format version; this reader accepts every version it ever wrote and
+//! rejects any other with [`StoreError::VersionMismatch`]. Corruption is
 //! caught in layers: the checksum rejects bit rot and truncation, the
 //! bounds-checked codec rejects structurally impossible payloads (a run
 //! shorter than its count is [`StoreError::Truncated`], an arena that
@@ -145,11 +163,9 @@ use pitract_core::hash::{fnv1a64, xxh64};
 use pitract_engine::{
     EngineError, IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation,
 };
-use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{CellRun, ColType, Columns, ColumnsView, LiveCells, Schema};
 use std::borrow::Cow;
-use std::fmt;
 use std::io;
 
 /// The 8-byte magic tag opening every snapshot file.
@@ -157,9 +173,19 @@ pub const MAGIC: [u8; 8] = *b"PITRSNAP";
 
 /// The format version this binary writes — the revision of
 /// [`Snapshot`]'s bytes. It reads this one and every earlier one.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
+
+/// The kind every file of [`FORMAT_VERSION`] declares: a sharded
+/// relation, with a WAL mark or without. Up to version 4 it was the
+/// checkpoint kind.
+const KIND_RELATION: u16 = 5;
+/// Versions 1–4 only: a standalone `IndexedRelation`.
+const KIND_V4_INDEXED: u16 = 1;
+/// Versions 1–4 only: a `ShardedRelation` with no mark.
+const KIND_V4_SHARDED: u16 = 2;
 
 const SEC_SCHEMA: u32 = 1;
+/// Versions 1–4 only: a kind-1 file's relation body.
 const SEC_BODY: u32 = 2;
 /// Version 1 only: a standalone relation's index postings.
 const SEC_V1_INDEXES: u32 = 3;
@@ -168,177 +194,53 @@ const SEC_SHARDS: u32 = 5;
 const SEC_GLOBAL_IDS: u32 = 6;
 /// Versions 1–3 only: every global id's location.
 const SEC_LOCATIONS: u32 = 7;
-const SEC_LOUT: u32 = 8;
-const SEC_LIN: u32 = 9;
-const SEC_RANK: u32 = 10;
 const SEC_WAL_MARK: u32 = 12;
 const SEC_EPOCH: u32 = 13;
 const SEC_INDEXED_COLS: u32 = 14;
 
-/// Which preprocessed structure a snapshot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// A [`pitract_relation::indexed::IndexedRelation`].
-    IndexedRelation,
-    /// A [`pitract_engine::ShardedRelation`].
-    ShardedRelation,
-    /// [`pitract_graph::hop::HopLabels`].
-    HopLabels,
-    /// A live checkpoint: a [`pitract_engine::ShardedRelation`] state
-    /// *plus* the write-ahead-log position it covers, persisted as one
-    /// atomic file so the state and its WAL mark can never be observed
-    /// out of sync (a crash between "snapshot saved" and "mark updated"
-    /// was exactly the window a two-file scheme would leave open).
-    Checkpoint,
-}
-
-impl SnapshotKind {
-    fn code(self) -> u16 {
-        match self {
-            SnapshotKind::IndexedRelation => 1,
-            SnapshotKind::ShardedRelation => 2,
-            SnapshotKind::HopLabels => 3,
-            SnapshotKind::Checkpoint => 5,
-        }
-    }
-
-    fn from_code(code: u16) -> Result<Self, StoreError> {
-        match code {
-            1 => Ok(SnapshotKind::IndexedRelation),
-            2 => Ok(SnapshotKind::ShardedRelation),
-            3 => Ok(SnapshotKind::HopLabels),
-            5 => Ok(SnapshotKind::Checkpoint),
-            other => Err(StoreError::UnknownKind(other)),
-        }
-    }
-}
-
-impl fmt::Display for SnapshotKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotKind::IndexedRelation => write!(f, "IndexedRelation"),
-            SnapshotKind::ShardedRelation => write!(f, "ShardedRelation"),
-            SnapshotKind::HopLabels => write!(f, "HopLabels"),
-            SnapshotKind::Checkpoint => write!(f, "Checkpoint"),
-        }
-    }
-}
-
-/// A preprocessed structure ready to persist, or freshly loaded.
+/// A relation ready to persist, or freshly loaded, and the WAL mark it
+/// covers if it is a checkpoint.
 ///
-/// **Revision 4** ([`FORMAT_VERSION`]): a relation is written as its
-/// columns — the live bitmap and each column's live cells as runs — and
-/// its list of indexed columns (section 14), with no postings, under an
-/// XXH64 checksum; a load rebuilds the trees by sort. A sharded
-/// relation's id map is its local → global maps and the next global id,
-/// nothing per id. Revision 3 also wrote every global id's location
-/// (section 7), revision 2 wrote bodies row by row under FNV-1a, and
-/// revision 1 also wrote every index's postings after its rows; all
-/// still load, with the locations checked and the postings skipped
-/// unread.
+/// **Revision 5** ([`FORMAT_VERSION`]): one kind. A relation is written
+/// as its columns — the live bitmap and each column's live cells as
+/// runs — and its list of indexed columns (section 14), with no
+/// postings, under an XXH64 checksum; a load rebuilds the trees by
+/// sort. Its id map is its local → global maps and the next global id,
+/// nothing per id. Revision 4 wrote these sections under kind 2 or 5,
+/// and a standalone relation as kind 1, which loads as one shard;
+/// revision 3 also wrote every global id's location (section 7),
+/// revision 2 wrote bodies row by row under FNV-1a, and revision 1 also
+/// wrote every index's postings after its rows; all still load, with
+/// the locations checked and the postings skipped unread.
 #[derive(Debug)]
-pub enum Snapshot {
-    /// A per-column-indexed relation.
-    Indexed(IndexedRelation),
-    /// A sharded, indexed relation.
-    Sharded(ShardedRelation),
-    /// Pruned 2-hop reachability labels.
-    Hop(HopLabels),
-    /// A live checkpoint: a sharded state at one epoch together with the
-    /// WAL position it covers — `wal_lsn` is the log sequence number of
-    /// the first record *not* contained in `state`, i.e. where recovery
-    /// must start replaying the write-ahead log. A live relation's
-    /// checkpoint is encoded in place
+pub struct Snapshot {
+    /// The relation.
+    pub state: ShardedRelation,
+    /// A checkpoint's WAL mark: the log sequence number of the first
+    /// record *not* contained in `state` — where recovery starts
+    /// replaying the write-ahead log — and the MVCC epoch `state` was
+    /// read at, the live relation's epoch clock then, so recovery can
+    /// resume the clock exactly. A checkpoint written before the epoch
+    /// section existed loads with [`Epoch::ZERO`]. `None` for a plain
+    /// save. A live relation's checkpoint is encoded in place
     /// ([`crate::SnapshotCatalog::save_checkpoint`]), to the bytes this
-    /// variant writes for its state at that epoch.
-    Checkpoint {
-        /// The state at the checkpoint's epoch.
-        state: ShardedRelation,
-        /// LSN of the first WAL record not covered by `state`.
-        wal_lsn: u64,
-        /// The MVCC epoch `state` was read at — the live relation's
-        /// epoch clock then, persisted so recovery can resume the clock
-        /// exactly. Files written before the epoch section existed load
-        /// as [`Epoch::ZERO`].
-        epoch: Epoch,
-    },
-}
-
-impl From<IndexedRelation> for Snapshot {
-    fn from(ir: IndexedRelation) -> Self {
-        Snapshot::Indexed(ir)
-    }
+    /// struct writes for its state at that epoch.
+    pub mark: Option<(u64, Epoch)>,
 }
 
 impl From<ShardedRelation> for Snapshot {
-    fn from(sr: ShardedRelation) -> Self {
-        Snapshot::Sharded(sr)
-    }
-}
-
-impl From<HopLabels> for Snapshot {
-    fn from(h: HopLabels) -> Self {
-        Snapshot::Hop(h)
+    fn from(state: ShardedRelation) -> Self {
+        Snapshot { state, mark: None }
     }
 }
 
 impl Snapshot {
-    /// Which structure this snapshot holds.
-    pub fn kind(&self) -> SnapshotKind {
-        match self {
-            Snapshot::Indexed(_) => SnapshotKind::IndexedRelation,
-            Snapshot::Sharded(_) => SnapshotKind::ShardedRelation,
-            Snapshot::Hop(_) => SnapshotKind::HopLabels,
-            Snapshot::Checkpoint { .. } => SnapshotKind::Checkpoint,
-        }
-    }
-
-    /// Unwrap an [`IndexedRelation`], or report the kind actually stored.
-    pub fn into_indexed(self) -> Result<IndexedRelation, StoreError> {
-        match self {
-            Snapshot::Indexed(ir) => Ok(ir),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::IndexedRelation,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// Unwrap a [`ShardedRelation`], or report the kind actually stored.
-    pub fn into_sharded(self) -> Result<ShardedRelation, StoreError> {
-        match self {
-            Snapshot::Sharded(sr) => Ok(sr),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::ShardedRelation,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// Unwrap [`HopLabels`], or report the kind actually stored.
-    pub fn into_hop(self) -> Result<HopLabels, StoreError> {
-        match self {
-            Snapshot::Hop(h) => Ok(h),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::HopLabels,
-                found: other.kind(),
-            }),
-        }
-    }
-
-    /// Unwrap a live checkpoint into `(state, wal_lsn, epoch)`, or
-    /// report the kind actually stored.
+    /// Unwrap a checkpoint into `(state, wal_lsn, epoch)`, or report
+    /// [`StoreError::NotACheckpoint`] for a snapshot with no WAL mark.
     pub fn into_checkpoint(self) -> Result<(ShardedRelation, u64, Epoch), StoreError> {
-        match self {
-            Snapshot::Checkpoint {
-                state,
-                wal_lsn,
-                epoch,
-            } => Ok((state, wal_lsn, epoch)),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::Checkpoint,
-                found: other.kind(),
-            }),
+        match self.mark {
+            Some((wal_lsn, epoch)) => Ok((self.state, wal_lsn, epoch)),
+            None => Err(StoreError::NotACheckpoint),
         }
     }
 
@@ -346,7 +248,7 @@ impl Snapshot {
     /// structures produce equal bytes): the frame a save streams to its
     /// file, written to memory.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let framed = write_frame(self.kind(), Writer::new(), |frame| self.encode(frame));
+        let framed = write_frame(Writer::new(), |frame| self.encode(frame));
         // An in-memory writer cannot fail, and a snapshot's encoders read
         // one immutable structure, so both passes write the same lengths.
         #[allow(clippy::expect_used)]
@@ -356,33 +258,25 @@ impl Snapshot {
 
     /// Stream this snapshot's file into `out` ([`write_frame`]).
     pub(crate) fn write_to(&self, out: Writer) -> io::Result<()> {
-        write_frame(self.kind(), out, |frame| self.encode(frame)).map(drop)
+        write_frame(out, |frame| self.encode(frame)).map(drop)
     }
 
     /// Every section of this snapshot, in file order.
     fn encode(&self, frame: &mut Frame) {
-        match self {
-            Snapshot::Indexed(ir) => write_indexed(ir, frame),
-            Snapshot::Sharded(sr) => write_sharded(sr, frame),
-            Snapshot::Hop(h) => write_hop(h, frame),
-            Snapshot::Checkpoint {
-                state,
-                wal_lsn,
-                epoch,
-            } => {
-                write_sharded(state, frame);
-                write_mark(*wal_lsn, *epoch, frame);
-            }
+        write_relation(&mut &self.state, frame);
+        if let Some((wal_lsn, epoch)) = self.mark {
+            write_mark(wal_lsn, epoch, frame);
         }
     }
 
     /// Stream a checkpoint of `live` at a freshly pinned epoch `e` into
     /// `out`, encoded in place, and return `e`: what
     /// [`crate::SnapshotCatalog::save_checkpoint`] writes. The bytes are
-    /// those [`Snapshot::Checkpoint`] writes for the state at `e`. Both
-    /// passes of the frame read at `e`, each shard under its own read
-    /// lock, so a shard's chunks are appended under that lock. The pin
-    /// is released when this returns, before the file is flushed.
+    /// those a [`Snapshot`] of the state at `e` with the mark
+    /// `(wal_lsn(e), e)` writes. Both passes of the frame read at `e`,
+    /// each shard under its own read lock, so a shard's chunks are
+    /// appended under that lock. The pin is released when this returns,
+    /// before the file is flushed.
     pub(crate) fn write_checkpoint(
         live: &LiveRelation,
         wal_lsn: impl FnOnce(Epoch) -> u64,
@@ -391,8 +285,8 @@ impl Snapshot {
         let mut pinned = live.pin_read();
         let epoch = pinned.epoch();
         let mark = wal_lsn(epoch);
-        write_frame(SnapshotKind::Checkpoint, out, |frame| {
-            write_pinned(&mut pinned, frame);
+        write_frame(out, |frame| {
+            write_relation(&mut pinned, frame);
             write_mark(mark, epoch, frame);
         })?;
         Ok(epoch)
@@ -417,7 +311,11 @@ impl Snapshot {
         if checksum(version, body) != stored {
             return Err(StoreError::ChecksumMismatch);
         }
-        let kind = SnapshotKind::from_code(header.u16()?)?;
+        let kind = header.u16()?;
+        let legacy = matches!(kind, KIND_V4_INDEXED | KIND_V4_SHARDED) && version < FORMAT_VERSION;
+        if kind != KIND_RELATION && !legacy {
+            return Err(StoreError::UnknownKind(kind));
+        }
         let count = header.u32()? as usize;
 
         // Section table, then payload slices located by tag.
@@ -455,53 +353,25 @@ impl Snapshot {
                 (tag, slice)
             })
             .collect();
-        let section = |tag: u32| -> Result<Reader<'_>, StoreError> {
+        let find = |tag: u32| -> Option<Reader<'_>> {
             located
                 .iter()
                 .find(|(t, _)| *t == tag)
                 .map(|(_, s)| Reader::new(s))
-                .ok_or_else(|| StoreError::Corrupt(format!("missing section {tag}")))
+        };
+        let section = |tag: u32| -> Result<Reader<'_>, StoreError> {
+            find(tag).ok_or_else(|| StoreError::Corrupt(format!("missing section {tag}")))
         };
 
-        match kind {
-            SnapshotKind::IndexedRelation => {
-                let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
-                let rows = finish(section(SEC_BODY)?, |r| read_body(version, r, &schema))?;
-                let cols = match version {
-                    1 => finish(section(SEC_V1_INDEXES)?, skip_v1_indexes)?,
-                    _ => finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?,
-                };
-                Ok(Snapshot::Indexed(IndexedRelation::from_columns(
-                    rows, &cols,
-                )?))
-            }
-            SnapshotKind::ShardedRelation => {
-                decode_sharded(version, &section).map(Snapshot::Sharded)
-            }
-            SnapshotKind::Checkpoint => {
-                let state = decode_sharded(version, &section)?;
-                let wal_lsn = finish(section(SEC_WAL_MARK)?, Reader::u64)?;
-                // The epoch section was appended to the format later;
-                // checkpoints written before it carry an implicit 0.
-                let epoch = match located.iter().find(|(t, _)| *t == SEC_EPOCH) {
-                    Some((_, s)) => Epoch::new(finish(Reader::new(s), Reader::u64)?),
-                    None => Epoch::ZERO,
-                };
-                Ok(Snapshot::Checkpoint {
-                    state,
-                    wal_lsn,
-                    epoch,
-                })
-            }
-            SnapshotKind::HopLabels => {
-                let lout = finish(section(SEC_LOUT)?, read_label_lists)?;
-                let lin = finish(section(SEC_LIN)?, read_label_lists)?;
-                let rank = finish(section(SEC_RANK)?, Reader::u32_seq)?;
-                HopLabels::from_parts(lout, lin, rank)
-                    .map(Snapshot::Hop)
-                    .map_err(|e| StoreError::Corrupt(e.to_string()))
-            }
-        }
+        let state = match kind {
+            KIND_V4_INDEXED => decode_indexed(version, &section)?,
+            _ => decode_sharded(version, &section)?,
+        };
+        let mark = match kind {
+            KIND_RELATION => read_mark(version, find(SEC_WAL_MARK), find(SEC_EPOCH))?,
+            _ => None,
+        };
+        Ok(Snapshot { state, mark })
     }
 }
 
@@ -570,11 +440,7 @@ impl Frame {
 /// does not match is refused as [`io::ErrorKind::InvalidData`]: the
 /// table on disk would not describe the file. Nothing is backpatched, so
 /// a file writer holds one chunk, never the file.
-fn write_frame(
-    kind: SnapshotKind,
-    mut out: Writer,
-    mut encode: impl FnMut(&mut Frame),
-) -> io::Result<Writer> {
+fn write_frame(mut out: Writer, mut encode: impl FnMut(&mut Frame)) -> io::Result<Writer> {
     let mut plan = Frame {
         w: Writer::counting(),
         table: Vec::new(),
@@ -584,7 +450,7 @@ fn write_frame(
     encode(&mut plan);
     out.raw(&MAGIC);
     out.u16(FORMAT_VERSION);
-    out.u16(kind.code());
+    out.u16(KIND_RELATION);
     out.u32(plan.table.len() as u32);
     for &(tag, len) in &plan.table {
         out.u32(tag);
@@ -624,17 +490,92 @@ fn finish<'a, T>(
 
 // --- section encoders -----------------------------------------------------
 
-fn write_indexed(ir: &IndexedRelation, frame: &mut Frame) {
-    frame.section(SEC_SCHEMA, |w| w.schema(ir.schema()));
-    frame.section(SEC_BODY, |w| write_body(&ir.columns().view(), w));
-    frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&ir.indexed_columns()));
+/// What [`write_relation`] encodes a relation from: its layout, then
+/// each shard's rows and the id map, lent one at a time — read straight
+/// off a [`ShardedRelation`], or by a [`PinnedRead`] at its epoch, each
+/// shard under that shard's read lock alone and the id map under its
+/// own.
+trait Lend {
+    /// The schema, the partitioning, the shard count and the indexed
+    /// columns.
+    fn layout(&self) -> (&Schema, &ShardBy, usize, Vec<usize>);
+    /// Lend shard `shard`'s rows to `read`.
+    fn shard(&mut self, shard: usize, read: impl FnOnce(&ColumnsView<'_>));
+    /// Lend the id map to `read`.
+    fn ids(&mut self, read: impl FnOnce(&IdMapView<'_>));
+}
+
+impl Lend for &ShardedRelation {
+    fn layout(&self) -> (&Schema, &ShardBy, usize, Vec<usize>) {
+        let indexed = self
+            .shards()
+            .first()
+            .map_or_else(Vec::new, IndexedRelation::indexed_columns);
+        (self.schema(), self.shard_by(), self.shard_count(), indexed)
+    }
+
+    fn shard(&mut self, shard: usize, read: impl FnOnce(&ColumnsView<'_>)) {
+        read(&self.shards()[shard].columns().view());
+    }
+
+    fn ids(&mut self, read: impl FnOnce(&IdMapView<'_>)) {
+        read(&self.id_map().view_at(self.id_map().next_gid()));
+    }
+}
+
+impl Lend for PinnedRead<'_> {
+    fn layout(&self) -> (&Schema, &ShardBy, usize, Vec<usize>) {
+        let live = self.relation();
+        let indexed = live.indexed_columns().to_vec();
+        (live.schema(), live.shard_by(), live.shard_count(), indexed)
+    }
+
+    fn shard(&mut self, shard: usize, read: impl FnOnce(&ColumnsView<'_>)) {
+        self.read_shard(shard, read);
+    }
+
+    fn ids(&mut self, read: impl FnOnce(&IdMapView<'_>)) {
+        self.read_ids(read);
+    }
+}
+
+/// A relation's sections, in file order: the schema (1), the
+/// partitioning (4), one body per shard (5), the id map (6) and the
+/// indexed columns (14). The schema and the indexed columns, which
+/// every shard shares, are written once for the whole relation. This is
+/// the one list of what a relation writes, whatever lends its parts.
+fn write_relation(parts: &mut impl Lend, frame: &mut Frame) {
+    let (schema, shard_by, shards, indexed) = parts.layout();
+    frame.section(SEC_SCHEMA, |w| w.schema(schema));
+    frame.section(SEC_SHARD_BY, |w| match shard_by {
+        ShardBy::Hash { col } => {
+            w.u8(0);
+            w.usize(*col);
+        }
+        ShardBy::Range { col, splits } => {
+            w.u8(1);
+            w.usize(*col);
+            w.usize(splits.len());
+            for s in splits {
+                w.value(s);
+            }
+        }
+    });
+    frame.section(SEC_SHARDS, |w| {
+        w.usize(shards);
+        for shard in 0..shards {
+            parts.shard(shard, |rows| write_body(rows, w));
+        }
+    });
+    parts.ids(|ids| frame.section(SEC_GLOBAL_IDS, |w| write_id_map(ids, w)));
+    frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&indexed));
 }
 
 /// One relation body at [`FORMAT_VERSION`]: the slot count, the live
-/// bitmap, and each column's live cells — the body shared by a
-/// standalone snapshot's section 2 and by each shard in section 5. The
-/// cells are written run by run of live slots as they lie, so a body
-/// with no dead slot is one run per column, and no column is staged.
+/// bitmap, and each column's live cells — one shard's part of section
+/// 5. The cells are written run by run of live slots as they lie, so a
+/// body with no dead slot is one run per column, and no column is
+/// staged.
 fn write_body(rows: &ColumnsView<'_>, w: &mut Writer) {
     w.usize(rows.slot_count());
     let bits = rows.live_bits();
@@ -670,6 +611,49 @@ fn write_body(rows: &ColumnsView<'_>, w: &mut Writer) {
                 }
             }
         }
+    }
+}
+
+/// The id map, section 6: a map count, per shard its local → global
+/// map as one `u64` sequence, then the next global id as a `u64`.
+/// [`read_id_map`] is its inverse.
+fn write_id_map(ids: &IdMapView<'_>, w: &mut Writer) {
+    w.usize(ids.shard_count());
+    for shard in 0..ids.shard_count() {
+        w.usize_seq(ids.global_ids(shard));
+    }
+    w.usize(ids.next_gid());
+}
+
+/// A checkpoint's WAL mark (12) and cut epoch (13).
+fn write_mark(wal_lsn: u64, epoch: Epoch, frame: &mut Frame) {
+    frame.section(SEC_WAL_MARK, |w| w.u64(wal_lsn));
+    frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
+}
+
+// --- section decoders -----------------------------------------------------
+
+/// A kind-5 file's WAL mark, from its sections 12 and 13 if present.
+/// From version 5 they come together or not at all. Up to version 4
+/// kind 5 was always a checkpoint, so section 12 is required, and a file
+/// written before section 13 existed has the cut epoch 0.
+fn read_mark(
+    version: u16,
+    wal_lsn: Option<Reader<'_>>,
+    epoch: Option<Reader<'_>>,
+) -> Result<Option<(u64, Epoch)>, StoreError> {
+    let wal_lsn = wal_lsn.map(|r| finish(r, Reader::u64)).transpose()?;
+    let epoch = epoch.map(|r| finish(r, Reader::u64)).transpose()?;
+    match (wal_lsn, epoch) {
+        (Some(wal_lsn), Some(epoch)) => Ok(Some((wal_lsn, Epoch::new(epoch)))),
+        (Some(wal_lsn), None) if version < FORMAT_VERSION => Ok(Some((wal_lsn, Epoch::ZERO))),
+        (None, _) if version < FORMAT_VERSION => Err(StoreError::Corrupt(format!(
+            "missing section {SEC_WAL_MARK}"
+        ))),
+        (None, None) => Ok(None),
+        _ => Err(StoreError::Corrupt(
+            "the WAL mark (section 12) and the cut epoch (section 13) come together".into(),
+        )),
     }
 }
 
@@ -747,82 +731,6 @@ fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
     Ok(cols)
 }
 
-fn write_sharded(sr: &ShardedRelation, frame: &mut Frame) {
-    write_layout(sr.schema(), sr.shard_by(), frame);
-    // One body per shard; the schema and the indexed columns, which
-    // every shard shares, are written once for the whole relation.
-    frame.section(SEC_SHARDS, |w| {
-        w.usize(sr.shard_count());
-        for shard in sr.shards() {
-            write_body(&shard.columns().view(), w);
-        }
-    });
-    write_id_map(&sr.id_map().view_at(sr.id_map().next_gid()), frame);
-    frame.section(SEC_INDEXED_COLS, |w| {
-        w.usize_seq(
-            &sr.shards()
-                .first()
-                .map_or_else(Vec::new, IndexedRelation::indexed_columns),
-        );
-    });
-}
-
-/// The same sections as [`write_sharded`], read from a live relation at
-/// a pinned epoch: each shard's body encoded under that shard's read
-/// lock alone, then the id map under its own. The bytes are those of
-/// the relation's state at the pinned epoch written by
-/// [`write_sharded`].
-fn write_pinned(pinned: &mut PinnedRead<'_>, frame: &mut Frame) {
-    let live = pinned.relation();
-    write_layout(live.schema(), live.shard_by(), frame);
-    frame.section(SEC_SHARDS, |w| {
-        w.usize(live.shard_count());
-        for shard in 0..live.shard_count() {
-            pinned.read_shard(shard, |rows| write_body(rows, w));
-        }
-    });
-    pinned.read_ids(|ids| write_id_map(ids, frame));
-    frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
-}
-
-/// The schema (1) and the partitioning (4) sections.
-fn write_layout(schema: &Schema, shard_by: &ShardBy, frame: &mut Frame) {
-    frame.section(SEC_SCHEMA, |w| w.schema(schema));
-    frame.section(SEC_SHARD_BY, |w| match shard_by {
-        ShardBy::Hash { col } => {
-            w.u8(0);
-            w.usize(*col);
-        }
-        ShardBy::Range { col, splits } => {
-            w.u8(1);
-            w.usize(*col);
-            w.usize(splits.len());
-            for s in splits {
-                w.value(s);
-            }
-        }
-    });
-}
-
-/// A checkpoint's WAL mark (12) and cut epoch (13).
-fn write_mark(wal_lsn: u64, epoch: Epoch, frame: &mut Frame) {
-    frame.section(SEC_WAL_MARK, |w| w.u64(wal_lsn));
-    frame.section(SEC_EPOCH, |w| w.u64(epoch.get()));
-}
-
-/// The id map, section 6: a map count, per shard its local → global
-/// map as one `u64` sequence, then the next global id as a `u64`.
-/// [`read_id_map`] is its inverse.
-fn write_id_map(ids: &IdMapView<'_>, frame: &mut Frame) {
-    frame.section(SEC_GLOBAL_IDS, |w| {
-        w.usize(ids.shard_count());
-        for shard in 0..ids.shard_count() {
-            w.usize_seq(ids.global_ids(shard));
-        }
-        w.usize(ids.next_gid());
-    });
-}
-
 /// Decode the id map of a file of format `version`, checked by
 /// [`IdMap::from_parts`]. From version 4 the next global id ends
 /// section 6. Before, it is section 7's id count, and the reader of
@@ -887,10 +795,8 @@ fn check_locations(sr: &ShardedRelation, mut r: Reader<'_>) -> Result<(), StoreE
     Ok(())
 }
 
-/// Decode a `ShardedRelation` of format `version` from its sections,
-/// located by `section` — shared by the plain `ShardedRelation` kind and
-/// the `Checkpoint` kind (which carries the same state plus a WAL
-/// mark).
+/// Decode a `ShardedRelation` of format `version` from its sections
+/// (1, 4, 5, 6, 14, and 7 before version 4), located by `section`.
 fn decode_sharded<'a>(
     version: u16,
     section: &impl Fn(u32) -> Result<Reader<'a>, StoreError>,
@@ -905,8 +811,6 @@ fn decode_sharded<'a>(
     let shard_count = shards_r.count(2)?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        // Per-shard body: the same encoding as a standalone
-        // IndexedRelation's, sharing one schema.
         let rows = read_body(version, &mut shards_r, &schema)?;
         let cols = match &shared_cols {
             Some(cols) => cols.clone(),
@@ -927,6 +831,31 @@ fn decode_sharded<'a>(
     Ok(sr)
 }
 
+/// Decode a version 1–4 file of kind 1, a standalone `IndexedRelation`
+/// (sections 1, 2, and 14 or, in version 1, 3), as a one-shard relation:
+/// hashed on column 0, and each slot's global id its slot number, so
+/// every row id is kept and the ids burned past the last slot are none.
+fn decode_indexed<'a>(
+    version: u16,
+    section: &impl Fn(u32) -> Result<Reader<'a>, StoreError>,
+) -> Result<ShardedRelation, StoreError> {
+    let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
+    let rows = finish(section(SEC_BODY)?, |r| read_body(version, r, &schema))?;
+    let cols = match version {
+        1 => finish(section(SEC_V1_INDEXES)?, skip_v1_indexes)?,
+        _ => finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?,
+    };
+    let shard = IndexedRelation::from_columns(rows, &cols)?;
+    let slots = shard.slot_count();
+    let ids = IdMap::from_parts(vec![(0..slots).collect()], slots)?;
+    Ok(ShardedRelation::from_parts(
+        schema,
+        ShardBy::Hash { col: 0 },
+        vec![shard],
+        ids,
+    )?)
+}
+
 fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
     match r.u8()? {
         0 => Ok(ShardBy::Hash { col: r.usize()? }),
@@ -940,30 +869,11 @@ fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
     }
 }
 
-fn write_hop(h: &HopLabels, frame: &mut Frame) {
-    frame.section(SEC_LOUT, |w| write_label_lists(h.out_labels(), w));
-    frame.section(SEC_LIN, |w| write_label_lists(h.in_labels(), w));
-    frame.section(SEC_RANK, |w| w.u32_seq(h.hub_ranks()));
-}
-
-fn write_label_lists(lists: &[Vec<u32>], w: &mut Writer) {
-    w.usize(lists.len());
-    for l in lists {
-        w.u32_seq(l);
-    }
-}
-
-fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
-    let n = r.count(8)?;
-    (0..n).map(|_| r.u32_seq()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::CHUNK;
     use pitract_engine::{EngineError, PooledExecutor, QueryBatch};
-    use pitract_graph::generate;
     use pitract_relation::{Relation, SelectionQuery, Value};
     use std::sync::Arc;
 
@@ -988,22 +898,36 @@ mod tests {
         ]
     }
 
+    /// `bytes` as a file of format `version` and structure `kind`, its
+    /// checksum recomputed for that version.
+    fn reversioned(bytes: &[u8], version: u16, kind: u16) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
+        bytes[10..12].copy_from_slice(&kind.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let sum = checksum(version, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// An unsharded relation is stored as a one-shard relation, and
+    /// comes back with its tombstone and its row ids.
     #[test]
     fn indexed_roundtrip_answers_identically() {
-        let mut ir = IndexedRelation::build(&relation(120), &[0, 1]).unwrap();
-        ir.delete(17);
-        ir.insert(vec![Value::Int(500), Value::str("new")]).unwrap();
-        let bytes = Snapshot::Indexed(ir).to_bytes();
-        let loaded = Snapshot::from_bytes(&bytes)
-            .unwrap()
-            .into_indexed()
+        let live =
+            LiveRelation::build(&relation(120), ShardBy::Hash { col: 0 }, 1, &[0, 1]).unwrap();
+        live.delete(17).unwrap();
+        live.insert(vec![Value::Int(500), Value::str("new")])
             .unwrap();
+        let bytes = Snapshot::from(live.to_sharded()).to_bytes();
+        let loaded = Snapshot::from_bytes(&bytes).unwrap().state;
         let oracle = IndexedRelation::build(&loaded.to_relation(), &[0, 1]).unwrap();
         for q in queries() {
             assert_eq!(loaded.answer(&q), oracle.answer(&q), "{q:?}");
         }
         assert_eq!(loaded.len(), 120);
         assert!(loaded.row(17).is_none(), "tombstone survives the roundtrip");
+        assert_eq!(loaded.row(120).unwrap().get(1), Value::str("new"));
     }
 
     #[test]
@@ -1020,11 +944,10 @@ mod tests {
             orig.insert(vec![Value::Int(555), Value::str("late")])
                 .unwrap();
 
-            let bytes = Snapshot::Sharded(orig.to_sharded()).to_bytes();
-            let loaded = Snapshot::from_bytes(&bytes)
-                .unwrap()
-                .into_sharded()
-                .unwrap();
+            let bytes = Snapshot::from(orig.to_sharded()).to_bytes();
+            let loaded = Snapshot::from_bytes(&bytes).unwrap();
+            assert_eq!(loaded.mark, None, "a plain save has no mark");
+            let loaded = loaded.state;
 
             let batch = QueryBatch::new(queries());
             assert!(loaded.row(7).is_none());
@@ -1041,54 +964,52 @@ mod tests {
     }
 
     #[test]
-    fn hop_roundtrip_queries_identically() {
-        let g = generate::random_dag(80, 200, 11);
-        let labels = HopLabels::build(&g).unwrap();
-        let bytes = Snapshot::Hop(labels.clone()).to_bytes();
-        let loaded = Snapshot::from_bytes(&bytes).unwrap().into_hop().unwrap();
-        for u in (0..80).step_by(3) {
-            for v in (0..80).step_by(5) {
-                assert_eq!(loaded.query(u, v), labels.query(u, v), "({u},{v})");
-            }
-        }
-    }
-
-    #[test]
     fn checkpoint_roundtrip_preserves_state_wal_mark_and_epoch() {
         let live =
             LiveRelation::build(&relation(80), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
         live.delete(12).unwrap();
-        let bytes = Snapshot::Checkpoint {
+        let bytes = Snapshot {
             state: live.to_sharded(),
-            wal_lsn: 123_456_789,
-            epoch: Epoch::new(777),
+            mark: Some((123_456_789, Epoch::new(777))),
         }
         .to_bytes();
-        let snap = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::Checkpoint);
-        let (state, wal_lsn, epoch) = snap.into_checkpoint().unwrap();
+        let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
+            .unwrap()
+            .into_checkpoint()
+            .unwrap();
         assert_eq!(wal_lsn, 123_456_789, "the mark travels with the state");
         assert_eq!(epoch, Epoch::new(777), "the cut epoch travels too");
         assert_eq!(state.len(), 79);
         assert!(state.row(12).is_none());
         assert!(state.answer(&SelectionQuery::point(0, 42i64)));
-        // The wrong-kind unwraps stay typed in both directions.
-        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        // An unmarked snapshot of the same state is not a checkpoint.
         assert!(matches!(
-            snap.into_sharded(),
-            Err(StoreError::WrongKind {
-                expected: SnapshotKind::ShardedRelation,
-                found: SnapshotKind::Checkpoint,
-            })
+            Snapshot::from(state).into_checkpoint(),
+            Err(StoreError::NotACheckpoint)
         ));
-        let ir = IndexedRelation::build(&relation(5), &[0]).unwrap();
-        assert!(matches!(
-            Snapshot::Indexed(ir).into_checkpoint(),
-            Err(StoreError::WrongKind {
-                expected: SnapshotKind::Checkpoint,
-                found: SnapshotKind::IndexedRelation,
-            })
-        ));
+    }
+
+    /// A pinned read that lets `write` land between the parts it lends:
+    /// after each shard (`Some(shard)`) and before the id map (`None`).
+    struct Racing<'a, W> {
+        pinned: PinnedRead<'a>,
+        write: W,
+    }
+
+    impl<W: FnMut(Option<usize>)> Lend for Racing<'_, W> {
+        fn layout(&self) -> (&Schema, &ShardBy, usize, Vec<usize>) {
+            self.pinned.layout()
+        }
+
+        fn shard(&mut self, shard: usize, read: impl FnOnce(&ColumnsView<'_>)) {
+            self.pinned.shard(shard, read);
+            (self.write)(Some(shard));
+        }
+
+        fn ids(&mut self, read: impl FnOnce(&IdMapView<'_>)) {
+            (self.write)(None);
+            self.pinned.ids(read);
+        }
     }
 
     /// A checkpoint encoded in place at a pinned epoch is byte for byte
@@ -1104,11 +1025,9 @@ mod tests {
             live.delete(gid).unwrap();
         }
         let copied = |epoch| {
-            let state = live.to_sharded();
-            Snapshot::Checkpoint {
-                state,
-                wal_lsn: 40 + epoch,
-                epoch: Epoch::new(epoch),
+            Snapshot {
+                state: live.to_sharded(),
+                mark: Some((40 + epoch, Epoch::new(epoch))),
             }
             .to_bytes()
         };
@@ -1116,7 +1035,7 @@ mod tests {
         assert_eq!(epoch, live.current_epoch());
         assert_eq!(bytes, copied(epoch.get()), "quiescent");
 
-        let mut pinned = live.pin_read();
+        let pinned = live.pin_read();
         let want = copied(pinned.epoch().get());
         let write = |round: i64| {
             for i in 0..12 {
@@ -1133,20 +1052,16 @@ mod tests {
         // Both passes of the frame read at the pin while writes land
         // between one shard's read and the next, so the payloads the
         // second pass writes match the lengths the first declared.
-        let layout = live.shard_count();
         let epoch = pinned.epoch();
-        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
-            write_layout(live.schema(), live.shard_by(), frame);
-            frame.section(SEC_SHARDS, |w| {
-                w.usize(layout);
-                for shard in 0..layout {
-                    pinned.read_shard(shard, |rows| write_body(rows, w));
-                    write(2 + shard as i64);
-                }
-            });
-            live.burn_gids_to(10_000);
-            pinned.read_ids(|ids| write_id_map(ids, frame));
-            frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(live.indexed_columns()));
+        let mut racing = Racing {
+            pinned,
+            write: |part: Option<usize>| match part {
+                Some(shard) => write(2 + shard as i64),
+                None => live.burn_gids_to(10_000),
+            },
+        };
+        let framed = write_frame(Writer::new(), |frame| {
+            write_relation(&mut racing, frame);
             write_mark(40 + epoch.get(), epoch, frame);
         });
         assert_eq!(
@@ -1200,10 +1115,9 @@ mod tests {
         }
         live.insert(vec![Value::Int(900), Value::str("late")])
             .unwrap();
-        let want = Snapshot::Checkpoint {
+        let want = Snapshot {
             state: live.to_sharded(),
-            wal_lsn: 77,
-            epoch: live.current_epoch(),
+            mark: Some((77, live.current_epoch())),
         }
         .to_bytes();
         let spans = section_spans(&want);
@@ -1222,33 +1136,30 @@ mod tests {
         }
     }
 
-    /// Every kind a catalog saves streams to the bytes
-    /// [`Snapshot::to_bytes`] writes, through small chunks and the real
-    /// one.
+    /// Every snapshot a catalog saves — one shard or several, with a
+    /// mark or without — streams to the bytes [`Snapshot::to_bytes`]
+    /// writes, through small chunks and the real one.
     #[test]
     fn every_kind_streams_to_its_in_memory_bytes() {
-        let mut ir = IndexedRelation::build(&relation(90), &[0, 1]).unwrap();
-        ir.delete(4);
-        let sharded =
-            LiveRelation::build(&relation(90), ShardBy::Hash { col: 1 }, 2, &[0]).unwrap();
+        let one = LiveRelation::build(&relation(90), ShardBy::Hash { col: 0 }, 1, &[0, 1]).unwrap();
+        one.delete(4).unwrap();
+        let two = LiveRelation::build(&relation(90), ShardBy::Hash { col: 1 }, 2, &[0]).unwrap();
         let snapshots = [
-            Snapshot::Indexed(ir),
-            Snapshot::Sharded(sharded.to_sharded()),
-            Snapshot::Hop(HopLabels::build(&generate::random_dag(40, 90, 3)).unwrap()),
+            Snapshot::from(one.to_sharded()),
+            Snapshot::from(two.to_sharded()),
+            Snapshot {
+                state: two.to_sharded(),
+                mark: Some((3, Epoch::new(5))),
+            },
         ];
         let dir = crate::Dir::memory();
-        for snap in &snapshots {
+        for (i, snap) in snapshots.iter().enumerate() {
             let want = snap.to_bytes();
             for chunk in [7, 4_096] {
                 let file = dir.storage().create(&dir.path().join("s")).unwrap();
                 snap.write_to(Writer::to_file_in_chunks(file, chunk))
                     .unwrap();
-                assert_eq!(
-                    dir.read("s", 0).unwrap(),
-                    want,
-                    "{} at {chunk}",
-                    snap.kind()
-                );
+                assert_eq!(dir.read("s", 0).unwrap(), want, "{i} at {chunk}");
             }
             let catalog = crate::SnapshotCatalog::open(&dir).unwrap();
             catalog.save("whole", snap).unwrap();
@@ -1284,7 +1195,7 @@ mod tests {
         dir.write_atomic("old", b"old bytes").unwrap();
         for (case, encode) in cases {
             let mut pass = 0;
-            let framed = write_frame(SnapshotKind::HopLabels, Writer::new(), |f| {
+            let framed = write_frame(Writer::new(), |f| {
                 pass += 1;
                 encode(f, pass);
             });
@@ -1293,7 +1204,7 @@ mod tests {
             let saved = dir.write_atomic_with("old", |file| {
                 let mut pass = 0;
                 let out = Writer::to_file_in_chunks(Arc::clone(file), 4);
-                write_frame(SnapshotKind::HopLabels, out, |f| {
+                write_frame(out, |f| {
                     pass += 1;
                     encode(f, pass);
                 })
@@ -1305,18 +1216,17 @@ mod tests {
         }
     }
 
+    /// A version-4 checkpoint written before the epoch section existed:
+    /// the sharded sections plus the WAL mark, with no section 13.
     #[test]
     fn checkpoint_without_epoch_section_loads_as_epoch_zero() {
-        // Hand-assemble a pre-epoch checkpoint file: the sharded
-        // sections plus the WAL mark, with no SEC_EPOCH — exactly what
-        // this binary wrote before the epoch section existed.
         let sr =
             ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
-        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
-            write_sharded(&sr, frame);
+        let framed = write_frame(Writer::new(), |frame| {
+            write_relation(&mut &sr, frame);
             frame.section(SEC_WAL_MARK, |w| w.u64(9));
         });
-        let bytes = framed.unwrap().into_bytes();
+        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_RELATION);
 
         let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
             .unwrap()
@@ -1327,12 +1237,73 @@ mod tests {
         assert_eq!(state.len(), 20);
     }
 
-    /// Kind 4 held an in-memory update log, written as its entries
-    /// (section 11) and end epoch (section 13). The WAL is the one update
-    /// log now: such a file is refused typed, not misread.
+    /// A version 1–4 standalone relation loads as one shard hashed on
+    /// column 0, so one with no column is refused typed.
+    #[test]
+    fn a_v4_indexed_file_with_no_column_is_refused_typed() {
+        let rows = Columns::new(Schema::new(&[]));
+        let framed = write_frame(Writer::new(), |frame| {
+            frame.section(SEC_SCHEMA, |w| w.schema(rows.schema()));
+            frame.section(SEC_BODY, |w| write_body(&rows.view(), w));
+            frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&[]));
+        });
+        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_V4_INDEXED);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::Engine(EngineError::ShardColumnOutOfRange {
+                col: 0,
+                arity: 0
+            }))
+        ));
+    }
+
+    /// A version-5 file is kind 5, and its mark is sections 12 and 13
+    /// together or neither: any other kind, and either section alone, is
+    /// refused typed.
+    #[test]
+    fn a_v5_file_is_one_kind_with_a_whole_mark_or_none() {
+        let sr =
+            ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
+        let with = |tags: &[u32]| {
+            let framed = write_frame(Writer::new(), |frame| {
+                write_relation(&mut &sr, frame);
+                for &tag in tags {
+                    frame.section(tag, |w| w.u64(9));
+                }
+            });
+            framed.unwrap().into_bytes()
+        };
+        let plain = with(&[]);
+        assert_eq!(Snapshot::from_bytes(&plain).unwrap().mark, None);
+        for kind in [0, 1, 2, 3, 4, 6, 99] {
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&reversioned(&plain, FORMAT_VERSION, kind)),
+                    Err(StoreError::UnknownKind(k)) if k == kind
+                ),
+                "kind {kind}"
+            );
+        }
+        for half in [SEC_WAL_MARK, SEC_EPOCH] {
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&with(&[half])),
+                    Err(StoreError::Corrupt(why)) if why.contains("come together")
+                ),
+                "section {half} alone"
+            );
+        }
+        let loaded = Snapshot::from_bytes(&with(&[SEC_WAL_MARK, SEC_EPOCH])).unwrap();
+        assert_eq!(loaded.mark, Some((9, Epoch::new(9))));
+    }
+
+    /// Kind 3 held 2-hop labels (sections 8 to 10) and kind 4 an
+    /// in-memory update log (section 11 and an end epoch, 13). Neither
+    /// is a relation: a file of either, in any version, is refused
+    /// typed, not misread.
     #[test]
     fn update_log_files_are_refused_as_unknown_kind() {
-        let framed = write_frame(SnapshotKind::Checkpoint, Writer::new(), |frame| {
+        let framed = write_frame(Writer::new(), |frame| {
             frame.section(11, |w| {
                 w.usize(2);
                 w.update_entry(&pitract_engine::UpdateEntry::Insert {
@@ -1343,24 +1314,45 @@ mod tests {
             });
             frame.section(SEC_EPOCH, |w| w.u64(2));
         });
-        let mut bytes = framed.unwrap().into_bytes();
-        bytes[10..12].copy_from_slice(&4u16.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = checksum(FORMAT_VERSION, &bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(StoreError::UnknownKind(4))
-        ));
+        let log = framed.unwrap().into_bytes();
+        // Two nodes, 0 → 1: L_out(0) = {0}, L_in(1) = {0}, ranks 0 and 1.
+        let framed = write_frame(Writer::new(), |frame| {
+            for (tag, lists) in [(8, [&[0u32][..], &[]]), (9, [&[], &[0]])] {
+                frame.section(tag, |w| {
+                    w.usize(2);
+                    for list in lists {
+                        w.usize(list.len());
+                        list.iter().for_each(|&hub| w.u32(hub));
+                    }
+                });
+            }
+            frame.section(10, |w| {
+                w.usize(2);
+                w.u32(0);
+                w.u32(1);
+            });
+        });
+        let hop = framed.unwrap().into_bytes();
+        for (kind, bytes) in [(3, &hop), (4, &log)] {
+            for version in 1..=FORMAT_VERSION {
+                assert!(
+                    matches!(
+                        Snapshot::from_bytes(&reversioned(bytes, version, kind)),
+                        Err(StoreError::UnknownKind(k)) if k == kind
+                    ),
+                    "kind {kind} at version {version}"
+                );
+            }
+        }
     }
 
     #[test]
     fn serialization_is_deterministic() {
-        let ir = IndexedRelation::build(&relation(50), &[0, 1]).unwrap();
-        let a = Snapshot::Indexed(ir).to_bytes();
-        let ir = IndexedRelation::build(&relation(50), &[0, 1]).unwrap();
-        let b = Snapshot::Indexed(ir).to_bytes();
-        assert_eq!(a, b, "equal structures, equal bytes");
+        let build = || {
+            let sr = ShardedRelation::build(&relation(50), ShardBy::Hash { col: 0 }, 1, &[0, 1]);
+            Snapshot::from(sr.unwrap()).to_bytes()
+        };
+        assert_eq!(build(), build(), "equal structures, equal bytes");
     }
 
     /// Section 7 of a version 1–3 file is checked entry by entry
@@ -1437,8 +1429,8 @@ mod tests {
 
     #[test]
     fn header_validation_is_layered() {
-        let ir = IndexedRelation::build(&relation(10), &[0]).unwrap();
-        let good = Snapshot::Indexed(ir).to_bytes();
+        let sr = ShardedRelation::build(&relation(10), ShardBy::Hash { col: 0 }, 1, &[0]).unwrap();
+        let good = Snapshot::from(sr).to_bytes();
 
         assert!(matches!(
             Snapshot::from_bytes(&[]),
@@ -1490,17 +1482,16 @@ mod tests {
         assert!(Snapshot::from_bytes(&good).is_ok());
     }
 
+    /// A plain snapshot, saved and loaded, holds no mark, and asking it
+    /// for a checkpoint is a typed error.
     #[test]
     fn wrong_kind_unwraps_are_typed() {
-        let ir = IndexedRelation::build(&relation(5), &[0]).unwrap();
-        let snap = Snapshot::from_bytes(&Snapshot::Indexed(ir).to_bytes()).unwrap();
-        assert_eq!(snap.kind(), SnapshotKind::IndexedRelation);
+        let sr = ShardedRelation::build(&relation(5), ShardBy::Hash { col: 0 }, 1, &[0]).unwrap();
+        let snap = Snapshot::from_bytes(&Snapshot::from(sr).to_bytes()).unwrap();
+        assert_eq!(snap.mark, None);
         assert!(matches!(
-            snap.into_sharded(),
-            Err(StoreError::WrongKind {
-                expected: SnapshotKind::ShardedRelation,
-                found: SnapshotKind::IndexedRelation,
-            })
+            snap.into_checkpoint(),
+            Err(StoreError::NotACheckpoint)
         ));
     }
 

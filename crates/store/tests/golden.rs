@@ -1,11 +1,11 @@
 //! Golden-fixture tests: the on-disk format may not drift silently.
 //!
-//! A small snapshot of each relation structure is committed under
+//! A small snapshot of each relation is committed under
 //! `tests/fixtures/` in every format version this binary reads. These
 //! tests assert that (a) today's writer still produces the current
 //! version's bytes **byte-for-byte**, (b) the committed bytes of every
 //! version still load and answer queries, and (c) files of one state in
-//! versions 1 to 4 load to the same relation. An intentional format
+//! versions 1 to 5 load to the same relation. An intentional format
 //! change must bump [`pitract_store::FORMAT_VERSION`] and pin new
 //! fixtures; the current version's fixtures, and only those, are
 //! regenerated with
@@ -14,22 +14,25 @@
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
 //!
-//! Versions 1 to 3 are read-compat versions: the `*_v1.snap`,
-//! `*_v2.snap` and `*_v3.snap` fixtures were written by writers that no
-//! longer exist (version 3 also wrote every global id's location in
-//! section 7, version 2 wrote a body row by row under an FNV-1a
-//! checksum, version 1 also wrote postings). Nothing rewrites them:
+//! Versions 1 to 4 are read-compat versions: the `*_v1.snap` to
+//! `*_v4.snap` fixtures were written by writers that no longer exist
+//! (version 4 also wrote a standalone relation as kind 1, version 3
+//! also wrote every global id's location in section 7, version 2 wrote
+//! a body row by row under an FNV-1a checksum, version 1 also wrote
+//! postings). Nothing rewrites them:
 //! [`frozen_fixtures_keep_their_length_and_checksum`] pins each one's
 //! length and XXH64, and CI checks every fixture stays byte-identical to
 //! the commit. This file keeps a writer for each old layout
-//! ([`v3_bytes`], [`v2_bytes`], [`v1_bytes`]), each made from the one
-//! after it and checked byte for byte against those fixtures, so a file
-//! of any state can be made in any version.
+//! ([`v4_bytes`], [`v3_bytes`], [`v2_bytes`], [`v1_bytes`]), each made
+//! from the one after it and checked byte for byte against those
+//! fixtures, so a file of any state can be made in any version. Version
+//! 5 writes one kind, so the standalone relation has no `indexed_v5`
+//! fixture: the `indexed_*` files load as one-shard relations.
 
 use pitract_core::cost::Meter;
 use pitract_core::hash::xxh64;
 use pitract_engine::{
-    EngineError, LiveRelation, PooledExecutor, QueryBatch, ShardBy, ShardedRelation,
+    EngineError, IdMap, LiveRelation, PooledExecutor, QueryBatch, ShardBy, ShardedRelation,
 };
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{ColType, Columns, IndexedError, Relation, Schema, SelectionQuery, Value};
@@ -41,12 +44,23 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 /// Section tags, as the `pitract_store::snapshot` module docs list them.
+const SEC_SCHEMA: u32 = 1;
 const SEC_BODY: u32 = 2;
 const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARDS: u32 = 5;
 const SEC_GLOBAL_IDS: u32 = 6;
 const SEC_V3_LOCATIONS: u32 = 7;
 const SEC_INDEXED_COLS: u32 = 14;
+
+/// The two relation kinds versions 1 to 4 wrote, by their codes: a
+/// standalone `IndexedRelation` and a `ShardedRelation`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Indexed = 1,
+    Sharded = 2,
+}
+
+const KINDS: [Kind; 2] = [Kind::Indexed, Kind::Sharded];
 
 fn fixture_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -57,6 +71,15 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
 fn read_fixture(name: &str) -> Vec<u8> {
     std::fs::read(fixture_path(name))
         .unwrap_or_else(|e| panic!("fixture {name} missing ({e}); see module docs"))
+}
+
+/// The committed fixture of `kind` in format `version`.
+fn fixture(kind: Kind, version: u16) -> Vec<u8> {
+    let name = match kind {
+        Kind::Indexed => "indexed",
+        Kind::Sharded => "sharded",
+    };
+    read_fixture(&format!("{name}_v{version}.snap"))
 }
 
 /// The deterministic relation both fixtures are built from: covers
@@ -95,6 +118,30 @@ fn fixture_sharded() -> ShardedRelation {
     live.to_sharded()
 }
 
+/// `ir` as a kind-1 file loads: one shard, hashed on column 0, each
+/// slot's global id its slot number.
+fn one_shard(ir: IndexedRelation) -> ShardedRelation {
+    let slots = ir.slot_count();
+    let ids = IdMap::from_parts(vec![(0..slots).collect()], slots).unwrap();
+    ShardedRelation::from_parts(ir.schema().clone(), ShardBy::Hash { col: 0 }, vec![ir], ids)
+        .unwrap()
+}
+
+/// The state each kind's fixtures hold.
+fn built(kind: Kind) -> ShardedRelation {
+    match kind {
+        Kind::Indexed => one_shard(fixture_indexed()),
+        Kind::Sharded => fixture_sharded(),
+    }
+}
+
+/// Load a file holding a relation with no mark.
+fn load(bytes: &[u8]) -> ShardedRelation {
+    let snapshot = Snapshot::from_bytes(bytes).unwrap();
+    assert_eq!(snapshot.mark, None, "a plain relation has no mark");
+    snapshot.state
+}
+
 /// Compare (or, under `PITRACT_REGEN_FIXTURES=1`, rewrite) one fixture
 /// of the current format version.
 fn assert_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
@@ -131,13 +178,13 @@ fn sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
     payloads
 }
 
-/// A file of `like`'s structure kind, at format `version`, holding
-/// `sections`, with its checksum recomputed.
-fn reframe(like: &[u8], version: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+/// A file of format `version` and structure `kind` holding `sections`,
+/// with its checksum.
+fn frame(version: u16, kind: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut w = Writer::new();
     w.raw(&MAGIC);
     w.u16(version);
-    w.raw(&like[10..12]);
+    w.u16(kind);
     w.u32(sections.len() as u32);
     for (tag, payload) in sections {
         w.u32(*tag);
@@ -152,6 +199,12 @@ fn reframe(like: &[u8], version: u16, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     bytes
 }
 
+/// A file of `like`'s version and kind holding `sections`.
+fn reframe(like: &[u8], sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let version = u16::from_le_bytes([like[8], like[9]]);
+    frame(version, u16::from_le_bytes([like[10], like[11]]), sections)
+}
+
 /// Payload of section `tag`.
 fn section_mut(sections: &mut [(u32, Vec<u8>)], tag: u32) -> &mut Vec<u8> {
     &mut sections
@@ -159,6 +212,54 @@ fn section_mut(sections: &mut [(u32, Vec<u8>)], tag: u32) -> &mut Vec<u8> {
         .find(|(t, _)| *t == tag)
         .unwrap_or_else(|| panic!("no section {tag}"))
         .1
+}
+
+/// `sr` laid out as the version-4 writer laid out a file of `kind`: a
+/// `Sharded` file has the version-5 sections under kind 2; an `Indexed`
+/// file, of a one-shard relation, has the schema (1), the shard's body
+/// alone (2) and the indexed columns (14) under kind 1. Checked against
+/// the committed v4 fixtures.
+fn v4_bytes(sr: &ShardedRelation, kind: Kind) -> Vec<u8> {
+    let mut sections = sections(&Snapshot::from(sr.clone()).to_bytes());
+    if kind == Kind::Indexed {
+        assert_eq!(sr.shard_count(), 1, "a kind-1 file holds one relation");
+        let shards = section_mut(&mut sections, SEC_SHARDS).split_off(8);
+        sections.retain(|(tag, _)| matches!(*tag, SEC_SCHEMA | SEC_INDEXED_COLS));
+        sections.insert(1, (SEC_BODY, shards));
+    }
+    frame(4, kind as u16, &sections)
+}
+
+/// `sr` laid out as the version-3 writer laid it out: section 6
+/// without the next global id, and after it section 7, the id count and
+/// then per global id a tag (0 dead, 1 live) and a live id's shard and
+/// local; every other section as version 4 writes it. Checked against
+/// the committed v3 fixtures.
+fn v3_bytes(sr: &ShardedRelation, kind: Kind) -> Vec<u8> {
+    let mut sections = sections(&v4_bytes(sr, kind));
+    if kind == Kind::Sharded {
+        let maps = section_mut(&mut sections, SEC_GLOBAL_IDS);
+        maps.truncate(maps.len() - 8);
+        let ids = sr.id_map();
+        let mut w = Writer::new();
+        w.usize(ids.next_gid());
+        for gid in 0..ids.next_gid() {
+            match ids.location(gid).filter(|_| sr.row(gid).is_some()) {
+                None => w.u8(0),
+                Some((shard, local)) => {
+                    w.u8(1);
+                    w.usize(shard);
+                    w.usize(local);
+                }
+            }
+        }
+        let at = sections
+            .iter()
+            .position(|(tag, _)| *tag == SEC_GLOBAL_IDS)
+            .unwrap();
+        sections.insert(at + 1, (SEC_V3_LOCATIONS, w.into_bytes()));
+    }
+    frame(3, kind as u16, &sections)
 }
 
 /// A version-1 index body for `ir`: per indexed column, every key with
@@ -196,77 +297,41 @@ fn write_slots(w: &mut Writer, ir: &IndexedRelation) {
     }
 }
 
-/// `snapshot` laid out as the version-3 writer laid it out: section 6
-/// without the next global id, and after it section 7, the id count and
-/// then per global id a tag (0 dead, 1 live) and a live id's shard and
-/// local; every other section as version 4 writes it. Checked against
-/// the committed v3 fixtures.
-fn v3_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let v4 = snapshot.to_bytes();
-    let mut sections = sections(&v4);
-    if let Snapshot::Sharded(sr) = snapshot {
-        let maps = section_mut(&mut sections, SEC_GLOBAL_IDS);
-        maps.truncate(maps.len() - 8);
-        let ids = sr.id_map();
-        let mut w = Writer::new();
-        w.usize(ids.next_gid());
-        for gid in 0..ids.next_gid() {
-            match ids.location(gid).filter(|_| sr.row(gid).is_some()) {
-                None => w.u8(0),
-                Some((shard, local)) => {
-                    w.u8(1);
-                    w.usize(shard);
-                    w.usize(local);
-                }
-            }
-        }
-        let at = sections
-            .iter()
-            .position(|(tag, _)| *tag == SEC_GLOBAL_IDS)
-            .unwrap();
-        sections.insert(at + 1, (SEC_V3_LOCATIONS, w.into_bytes()));
-    }
-    reframe(&v4, 3, &sections)
-}
-
-/// `snapshot` laid out as the version-2 writer laid it out: each body
-/// row by row, under an FNV-1a checksum; every other section as version
-/// 3 writes it. Checked against the committed v2 fixtures.
-fn v2_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let v3 = v3_bytes(snapshot);
-    let mut sections = sections(&v3);
+/// `sr` laid out as the version-2 writer laid it out: each body row by
+/// row, under an FNV-1a checksum; every other section as version 3
+/// writes it. Checked against the committed v2 fixtures.
+fn v2_bytes(sr: &ShardedRelation, kind: Kind) -> Vec<u8> {
+    let mut sections = sections(&v3_bytes(sr, kind));
     let mut w = Writer::new();
-    match snapshot {
-        Snapshot::Indexed(ir) => {
-            write_slots(&mut w, ir);
+    match kind {
+        Kind::Indexed => {
+            write_slots(&mut w, &sr.shards()[0]);
             *section_mut(&mut sections, SEC_BODY) = w.into_bytes();
         }
-        Snapshot::Sharded(sr) => {
+        Kind::Sharded => {
             w.usize(sr.shard_count());
             for shard in sr.shards() {
                 write_slots(&mut w, shard);
             }
             *section_mut(&mut sections, SEC_SHARDS) = w.into_bytes();
         }
-        other => panic!("a {} holds no relation body", other.kind()),
     }
-    reframe(&v3, 2, &sections)
+    frame(2, kind as u16, &sections)
 }
 
-/// `snapshot` laid out as the version-1 writer laid it out: each body's
-/// rows followed by its postings, and no section 14. Checked against the
+/// `sr` laid out as the version-1 writer laid it out: each body's rows
+/// followed by its postings, and no section 14. Checked against the
 /// committed v1 fixtures, so a v1 file of any state can be made.
-fn v1_bytes(snapshot: &Snapshot) -> Vec<u8> {
-    let v2 = v2_bytes(snapshot);
-    let mut sections = sections(&v2);
+fn v1_bytes(sr: &ShardedRelation, kind: Kind) -> Vec<u8> {
+    let mut sections = sections(&v2_bytes(sr, kind));
     sections.retain(|(tag, _)| *tag != SEC_INDEXED_COLS);
     let mut w = Writer::new();
-    match snapshot {
-        Snapshot::Indexed(ir) => {
-            write_v1_postings(&mut w, ir);
+    match kind {
+        Kind::Indexed => {
+            write_v1_postings(&mut w, &sr.shards()[0]);
             sections.push((SEC_V1_INDEXES, w.into_bytes()));
         }
-        Snapshot::Sharded(sr) => {
+        Kind::Sharded => {
             w.usize(sr.shard_count());
             for shard in sr.shards() {
                 write_slots(&mut w, shard);
@@ -274,9 +339,8 @@ fn v1_bytes(snapshot: &Snapshot) -> Vec<u8> {
             }
             *section_mut(&mut sections, SEC_SHARDS) = w.into_bytes();
         }
-        other => panic!("a {} holds no index", other.kind()),
     }
-    reframe(&v2, 1, &sections)
+    frame(1, kind as u16, &sections)
 }
 
 /// Queries over both columns: hits, misses, deleted keys, the
@@ -321,40 +385,42 @@ fn metered_answers(ir: &IndexedRelation) -> Vec<(bool, u64, Vec<usize>, u64)> {
         .collect()
 }
 
+/// Every standalone-relation fixture, versions 1 to 4, loads as a
+/// one-shard relation hashed on column 0 with each slot's global id its
+/// slot number, and its shard answers as `fixture_indexed()` does: the
+/// same Booleans, row ids and metered steps, the tombstone kept.
 #[test]
 fn indexed_fixture_is_byte_stable_and_loads() {
-    let bytes = assert_golden(
-        "indexed_v4.snap",
-        &Snapshot::Indexed(fixture_indexed()).to_bytes(),
-    );
-    let loaded = Snapshot::from_bytes(&bytes)
-        .unwrap()
-        .into_indexed()
-        .unwrap();
-    assert_eq!(loaded.len(), 5);
-    assert!(loaded.answer(&SelectionQuery::point(0, -3i64)));
-    assert!(loaded.answer(&SelectionQuery::point(1, "日本語")));
-    assert!(
-        !loaded.answer(&SelectionQuery::point(1, "Σ*")),
-        "tombstoned row stays deleted"
-    );
-    assert_eq!(
-        loaded.matching_ids_metered(&SelectionQuery::point(0, 7i64), &Meter::new()),
-        vec![3],
-        "row ids survive byte-for-byte"
-    );
+    let want = fixture_indexed();
+    for version in 1..=4 {
+        let loaded = load(&fixture(Kind::Indexed, version));
+        assert_eq!(loaded.shard_by(), &ShardBy::Hash { col: 0 });
+        assert_eq!(loaded.id_map(), built(Kind::Indexed).id_map(), "v{version}");
+        assert_eq!(loaded.shard_count(), 1);
+        let shard = &loaded.shards()[0];
+        assert_eq!(shard.indexed_columns(), want.indexed_columns());
+        assert_eq!(metered_answers(shard), metered_answers(&want), "v{version}");
+        assert!(
+            shard.slots().eq(want.slots()),
+            "the same rows and tombstone"
+        );
+        assert_eq!(loaded.len(), 5);
+        assert!(loaded.row(2).is_none(), "tombstoned row stays deleted");
+        assert_eq!(
+            loaded.matching_ids(&SelectionQuery::point(0, 7i64)),
+            vec![3],
+            "row ids survive byte-for-byte"
+        );
+    }
 }
 
 #[test]
 fn sharded_fixture_is_byte_stable_and_loads() {
     let bytes = assert_golden(
-        "sharded_v4.snap",
-        &Snapshot::Sharded(fixture_sharded()).to_bytes(),
+        "sharded_v5.snap",
+        &Snapshot::from(fixture_sharded()).to_bytes(),
     );
-    let loaded = Snapshot::from_bytes(&bytes)
-        .unwrap()
-        .into_sharded()
-        .unwrap();
+    let loaded = load(&bytes);
     assert_eq!(loaded.shard_count(), 2);
     assert_eq!(loaded.len(), 5);
     let batch = QueryBatch::new([
@@ -368,109 +434,94 @@ fn sharded_fixture_is_byte_stable_and_loads() {
     assert_eq!(result.answers, vec![true, false, true]);
 }
 
-/// The v1 fixtures still load, and answer exactly as the v2 fixtures of
-/// the same state do: the same Booleans, the same (global) row ids, and
-/// the same metered steps per query — the trees a load sorts out of the
-/// rows are the trees the v1 loader bulk-loaded from the postings.
-#[test]
-fn v1_fixtures_load_like_their_v2_twins() {
-    let v1 = read_fixture("indexed_v1.snap");
-    assert_eq!(
-        v1_bytes(&Snapshot::Indexed(fixture_indexed())),
-        v1,
-        "the test's v1 writer reproduces the v1 writer's bytes"
-    );
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
-    let (old, new) = (load(&v1), load(&read_fixture("indexed_v2.snap")));
-    assert_eq!(old.slot_count(), new.slot_count());
-    assert_eq!(old.indexed_columns(), new.indexed_columns());
-    assert_eq!(metered_answers(&old), metered_answers(&new));
-
-    let v1 = read_fixture("sharded_v1.snap");
-    assert_eq!(v1_bytes(&Snapshot::Sharded(fixture_sharded())), v1);
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
-    let (old, new) = (load(&v1), load(&read_fixture("sharded_v2.snap")));
-    assert_eq!(old.id_map(), new.id_map());
-    for (a, b) in old.shards().iter().zip(new.shards()) {
-        assert_eq!(a.indexed_columns(), b.indexed_columns());
-        assert_eq!(metered_answers(a), metered_answers(b));
-    }
-    for q in queries() {
-        assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
-    }
-}
-
-/// The v2 fixtures still load, and answer exactly as the v3 fixtures of
-/// the same state do: the same slots and indexed columns, the same
-/// Booleans, row ids and metered steps per query, and for the sharded
-/// relation the same global-id maps and locations.
-#[test]
-fn v2_fixtures_load_like_their_v3_twins() {
-    let v2 = read_fixture("indexed_v2.snap");
-    assert_eq!(
-        v2_bytes(&Snapshot::Indexed(fixture_indexed())),
-        v2,
-        "the test's v2 writer reproduces the v2 writer's bytes"
-    );
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
-    let (old, new) = (load(&v2), load(&read_fixture("indexed_v3.snap")));
-    assert_eq!(old.slot_count(), new.slot_count());
-    assert_eq!(old.indexed_columns(), new.indexed_columns());
-    assert_eq!(metered_answers(&old), metered_answers(&new));
-    assert!(old.slots().eq(new.slots()), "the same rows and tombstones");
-
-    let v2 = read_fixture("sharded_v2.snap");
-    assert_eq!(v2_bytes(&Snapshot::Sharded(fixture_sharded())), v2);
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
-    let (old, new) = (load(&v2), load(&read_fixture("sharded_v3.snap")));
-    assert_eq!(old.id_map(), new.id_map());
-    for (a, b) in old.shards().iter().zip(new.shards()) {
-        assert_eq!(a.indexed_columns(), b.indexed_columns());
-        assert_eq!(metered_answers(a), metered_answers(b));
-        assert!(a.slots().eq(b.slots()));
-    }
-    for q in queries() {
-        assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
-    }
-}
-
-/// The v3 fixtures still load, and answer exactly as the v4 fixtures of
-/// the same state do: the same slots and indexed columns, the same
-/// Booleans, row ids and metered steps per query, and for the sharded
-/// relation the same id map, found locations and live rows — section 7
-/// is checked and dropped, and the maps and live bits give it back.
-#[test]
-fn v3_fixtures_load_like_their_v4_twins() {
-    let v3 = read_fixture("indexed_v3.snap");
-    assert_eq!(
-        v3_bytes(&Snapshot::Indexed(fixture_indexed())),
-        v3,
-        "the test's v3 writer reproduces the v3 writer's bytes"
-    );
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_indexed().unwrap();
-    let (old, new) = (load(&v3), load(&read_fixture("indexed_v4.snap")));
-    assert_eq!(old.slot_count(), new.slot_count());
-    assert_eq!(old.indexed_columns(), new.indexed_columns());
-    assert_eq!(metered_answers(&old), metered_answers(&new));
-    assert!(old.slots().eq(new.slots()), "the same rows and tombstones");
-
-    let v3 = read_fixture("sharded_v3.snap");
-    assert_eq!(v3_bytes(&Snapshot::Sharded(fixture_sharded())), v3);
-    let load = |bytes: &[u8]| Snapshot::from_bytes(bytes).unwrap().into_sharded().unwrap();
-    let (old, new) = (load(&v3), load(&read_fixture("sharded_v4.snap")));
+/// `old` and `new` are one relation: the same id map, found locations
+/// and rows, and per shard the same slots, indexed columns, Booleans,
+/// row ids and metered steps per query — the trees a load sorts out of
+/// the rows are the same trees whatever version the rows came from.
+fn assert_same(old: &ShardedRelation, new: &ShardedRelation) {
+    assert_eq!(old.shard_by(), new.shard_by());
     assert_eq!(old.id_map(), new.id_map());
     for gid in 0..=new.id_map().next_gid() {
         assert_eq!(old.id_map().location(gid), new.id_map().location(gid));
         assert_eq!(old.row(gid), new.row(gid), "global id {gid}");
     }
+    assert_eq!(old.shard_count(), new.shard_count());
     for (a, b) in old.shards().iter().zip(new.shards()) {
         assert_eq!(a.indexed_columns(), b.indexed_columns());
         assert_eq!(metered_answers(a), metered_answers(b));
-        assert!(a.slots().eq(b.slots()));
+        assert!(a.slots().eq(b.slots()), "the same rows and tombstones");
     }
     for q in queries() {
         assert_eq!(old.matching_ids(&q), new.matching_ids(&q), "{q:?}");
     }
+}
+
+/// The v1 fixtures still load, and answer exactly as the v2 fixtures of
+/// the same state do — the trees a load sorts out of the rows are the
+/// trees the v1 loader bulk-loaded from the postings.
+#[test]
+fn v1_fixtures_load_like_their_v2_twins() {
+    for kind in KINDS {
+        let v1 = fixture(kind, 1);
+        assert_eq!(
+            v1_bytes(&built(kind), kind),
+            v1,
+            "the test's v1 writer reproduces the v1 writer's {kind:?} bytes"
+        );
+        assert_same(&load(&v1), &load(&fixture(kind, 2)));
+    }
+}
+
+/// The v2 fixtures still load, and answer exactly as the v3 fixtures of
+/// the same state do.
+#[test]
+fn v2_fixtures_load_like_their_v3_twins() {
+    for kind in KINDS {
+        let v2 = fixture(kind, 2);
+        assert_eq!(
+            v2_bytes(&built(kind), kind),
+            v2,
+            "the test's v2 writer reproduces the v2 writer's {kind:?} bytes"
+        );
+        assert_same(&load(&v2), &load(&fixture(kind, 3)));
+    }
+}
+
+/// The v3 fixtures still load, and answer exactly as the v4 fixtures of
+/// the same state do: section 7 is checked and dropped, and the maps
+/// and live bits give it back.
+#[test]
+fn v3_fixtures_load_like_their_v4_twins() {
+    for kind in KINDS {
+        let v3 = fixture(kind, 3);
+        assert_eq!(
+            v3_bytes(&built(kind), kind),
+            v3,
+            "the test's v3 writer reproduces the v3 writer's {kind:?} bytes"
+        );
+        assert_same(&load(&v3), &load(&fixture(kind, 4)));
+    }
+}
+
+/// The v4 fixtures still load, and answer exactly as the same state
+/// written by this binary does: a kind-2 file as its v5 twin, a kind-1
+/// file as the one-shard relation it maps to.
+#[test]
+fn v4_fixtures_load_like_their_v5_twins() {
+    for kind in KINDS {
+        let v4 = fixture(kind, 4);
+        assert_eq!(
+            v4_bytes(&built(kind), kind),
+            v4,
+            "the test's v4 writer reproduces the v4 writer's {kind:?} bytes"
+        );
+        let v5 = Snapshot::from(built(kind)).to_bytes();
+        assert_same(&load(&v4), &load(&v5));
+    }
+    assert_eq!(
+        Snapshot::from(built(Kind::Sharded)).to_bytes(),
+        read_fixture("sharded_v5.snap")
+    );
 }
 
 /// The fixtures no writer makes any more, pinned by length and XXH64:
@@ -490,13 +541,15 @@ fn frozen_fixtures_keep_their_length_and_checksum() {
 
 /// Every read-compat fixture: name, length, XXH64 (seed 0) of the whole
 /// file.
-const FROZEN: [(&str, usize, u64); 6] = [
+const FROZEN: [(&str, usize, u64); 8] = [
     ("indexed_v1.snap", 554, 0x1cba_1bd2_b090_4f3e),
     ("indexed_v2.snap", 285, 0x9f86_6a7b_7a36_3045),
     ("indexed_v3.snap", 269, 0x3750_417c_6976_aa11),
+    ("indexed_v4.snap", 269, 0xac3c_69c2_3274_a2f5),
     ("sharded_v1.snap", 819, 0x52ab_cd52_e426_dc67),
     ("sharded_v2.snap", 523, 0x24ed_7cf1_3b3f_f832),
     ("sharded_v3.snap", 547, 0x263b_eda9_b2df_eded),
+    ("sharded_v4.snap", 449, 0x25ff_817b_ba56_40f3),
 ];
 
 /// A v1 posting that points key -3 at row 1 (live, holding 0) was
@@ -515,52 +568,49 @@ fn a_corrupt_v1_posting_is_skipped_and_the_rows_answer() {
     assert_eq!(postings[len_at..id_at], 1u64.to_le_bytes());
     assert_eq!(postings[id_at..id_at + 8], 0u64.to_le_bytes());
     postings[id_at..id_at + 8].copy_from_slice(&1u64.to_le_bytes());
-    let loaded = Snapshot::from_bytes(&reframe(&v1, 1, &corrupt))
-        .unwrap()
-        .into_indexed()
-        .unwrap();
-    let meter = Meter::new();
+    let loaded = load(&reframe(&v1, &corrupt));
     for (key, ids) in [(-3i64, vec![0]), (0, vec![1])] {
         let q = SelectionQuery::point(0, key);
-        assert_eq!(loaded.matching_ids_metered(&q, &meter), ids, "{q:?}");
+        assert_eq!(loaded.matching_ids(&q), ids, "{q:?}");
     }
 
     let mut overrun = sections(&v1);
     section_mut(&mut overrun, SEC_V1_INDEXES)[len_at..id_at]
         .copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(
-        Snapshot::from_bytes(&reframe(&v1, 1, &overrun)),
+        Snapshot::from_bytes(&reframe(&v1, &overrun)),
         Err(StoreError::Truncated)
     ));
 }
 
-/// A v2 or v3 file naming an indexed column its schema lacks is refused
-/// with the relation layer's typed error, standalone or sharded.
+/// A v2-or-later file naming an indexed column its schema lacks is
+/// refused with the relation layer's typed error, standalone or sharded.
 #[test]
 fn an_out_of_range_indexed_column_is_refused() {
-    for (name, version) in [
-        ("indexed_v2.snap", 2),
-        ("sharded_v2.snap", 2),
-        ("indexed_v3.snap", 3),
-        ("sharded_v3.snap", 3),
-        ("indexed_v4.snap", 4),
-        ("sharded_v4.snap", 4),
+    for name in [
+        "indexed_v2.snap",
+        "sharded_v2.snap",
+        "indexed_v3.snap",
+        "sharded_v3.snap",
+        "indexed_v4.snap",
+        "sharded_v4.snap",
+        "sharded_v5.snap",
     ] {
         let file = read_fixture(name);
         let mut bad = sections(&file);
         let mut cols = Writer::new();
         cols.usize_seq(&[0, 5]);
         *section_mut(&mut bad, SEC_INDEXED_COLS) = cols.into_bytes();
-        match Snapshot::from_bytes(&reframe(&file, version, &bad)) {
+        match Snapshot::from_bytes(&reframe(&file, &bad)) {
             Err(StoreError::Indexed(IndexedError::ColumnOutOfRange { col: 5, arity: 2 })) => {}
-            other => panic!("expected ColumnOutOfRange, got {other:?}"),
+            other => panic!("{name}: expected ColumnOutOfRange, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn bumped_version_is_rejected_with_version_mismatch() {
-    let mut bytes = read_fixture("indexed_v4.snap");
+    let mut bytes = read_fixture("sharded_v5.snap");
     // Bytes 8..10 are the little-endian format version.
     let bumped = FORMAT_VERSION + 1;
     bytes[8..10].copy_from_slice(&bumped.to_le_bytes());
@@ -575,8 +625,8 @@ fn bumped_version_is_rejected_with_version_mismatch() {
 
 /// Save → load → save writes the same bytes: what a load rebuilds —
 /// typed columns, `Str` arenas, tombstone placeholders behind the live
-/// bitmap — writes back exactly what was read, for a standalone indexed
-/// relation and for a sharded one.
+/// bitmap — writes back exactly what was read, for one shard and for
+/// several.
 #[test]
 fn save_load_save_is_byte_identical() {
     // Duplicate keys, empty and multi-byte strings; tombstones among the
@@ -603,19 +653,20 @@ fn save_load_save_is_byte_identical() {
             live.delete(gid).unwrap().unwrap();
         }
     }
-    let sr = live.to_sharded();
-    for snapshot in [
-        Snapshot::Indexed(fixture_indexed()),
-        Snapshot::Indexed(ir),
-        Snapshot::Sharded(fixture_sharded()),
-        Snapshot::Sharded(sr),
-    ] {
-        let kind = snapshot.kind();
-        let saved = snapshot.to_bytes();
+    for (i, state) in [
+        built(Kind::Indexed),
+        one_shard(ir),
+        fixture_sharded(),
+        live.to_sharded(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let saved = Snapshot::from(state).to_bytes();
         let resaved = Snapshot::from_bytes(&saved).unwrap().to_bytes();
         assert!(
             resaved == saved,
-            "{kind} changed bytes across save → load → save"
+            "{i} changed bytes across save → load → save"
         );
     }
 }
@@ -626,10 +677,8 @@ fn save_load_save_is_byte_identical() {
 /// same error value.
 #[test]
 fn loaded_parts_are_still_validated() {
-    let loaded = Snapshot::from_bytes(&Snapshot::Indexed(fixture_indexed()).to_bytes())
-        .unwrap()
-        .into_indexed()
-        .unwrap();
+    let loaded = load(&Snapshot::from(built(Kind::Indexed)).to_bytes());
+    let loaded = &loaded.shards()[0];
     let mut rows = Columns::new(loaded.schema().clone());
     assert_eq!(
         rows.push_slot(Some(&[Value::str("0"), Value::str("héllo")]))
@@ -645,10 +694,7 @@ fn loaded_parts_are_still_validated() {
         IndexedError::ColumnOutOfRange { col: 2, arity: 2 }
     );
 
-    let sharded = Snapshot::from_bytes(&Snapshot::Sharded(fixture_sharded()).to_bytes())
-        .unwrap()
-        .into_sharded()
-        .unwrap();
+    let sharded = load(&Snapshot::from(fixture_sharded()).to_bytes());
     let (schema, shard_by, mut shards, ids) = sharded.into_parts();
     shards.swap(0, 1);
     let err = ShardedRelation::from_parts(schema, shard_by, shards, ids).unwrap_err();
@@ -676,32 +722,10 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     };
     let probes = [&zero, &empty, &around_zero, &up_to_empty];
     let newcomer = || vec![Value::Int(0), Value::str("")];
-    let meter = Meter::new();
 
     let mut ir = IndexedRelation::build(&fixture_relation(), &[0, 1]).unwrap();
     ir.delete(1).unwrap(); // (0, "héllo")
     ir.delete(5).unwrap(); // (1000, "")
-    let snapshot = Snapshot::Indexed(ir);
-    for bytes in [
-        v1_bytes(&snapshot),
-        v2_bytes(&snapshot),
-        v3_bytes(&snapshot),
-        snapshot.to_bytes(),
-    ] {
-        let mut loaded = Snapshot::from_bytes(&bytes)
-            .unwrap()
-            .into_indexed()
-            .unwrap();
-        for q in probes {
-            assert!(!loaded.answer(q), "{q:?}");
-            assert!(loaded.matching_ids_metered(q, &meter).is_empty(), "{q:?}");
-        }
-        let id = loaded.insert(newcomer()).unwrap();
-        for q in probes {
-            assert_eq!(loaded.matching_ids_metered(q, &meter), vec![id], "{q:?}");
-        }
-    }
-
     let live = LiveRelation::build(
         &fixture_relation(),
         ShardBy::Range {
@@ -714,26 +738,26 @@ fn tombstone_placeholders_are_never_posted_after_a_load() {
     .unwrap();
     live.delete(1).unwrap().unwrap();
     live.delete(5).unwrap().unwrap();
-    let snapshot = Snapshot::Sharded(live.to_sharded());
-    for bytes in [
-        v1_bytes(&snapshot),
-        v2_bytes(&snapshot),
-        v3_bytes(&snapshot),
-        snapshot.to_bytes(),
+    for (kind, sr) in [
+        (Kind::Indexed, one_shard(ir)),
+        (Kind::Sharded, live.to_sharded()),
     ] {
-        let loaded = LiveRelation::from_sharded(
-            Snapshot::from_bytes(&bytes)
-                .unwrap()
-                .into_sharded()
-                .unwrap(),
-        );
-        for q in probes {
-            assert!(!loaded.answer(q), "{q:?}");
-            assert!(loaded.matching_ids(q).is_empty(), "{q:?}");
-        }
-        let gid = loaded.insert(newcomer()).unwrap();
-        for q in probes {
-            assert_eq!(loaded.matching_ids(q), vec![gid], "{q:?}");
+        for bytes in [
+            v1_bytes(&sr, kind),
+            v2_bytes(&sr, kind),
+            v3_bytes(&sr, kind),
+            v4_bytes(&sr, kind),
+            Snapshot::from(sr.clone()).to_bytes(),
+        ] {
+            let loaded = LiveRelation::from_sharded(load(&bytes));
+            for q in probes {
+                assert!(!loaded.answer(q), "{kind:?} {q:?}");
+                assert!(loaded.matching_ids(q).is_empty(), "{kind:?} {q:?}");
+            }
+            let gid = loaded.insert(newcomer()).unwrap();
+            for q in probes {
+                assert_eq!(loaded.matching_ids(q), vec![gid], "{kind:?} {q:?}");
+            }
         }
     }
 }
@@ -777,7 +801,7 @@ fn every_v3_section_refuses_bad_input_typed() {
     let load = |body: Vec<u8>| {
         let mut parts = sections(&v3);
         *section_mut(&mut parts, SEC_BODY) = body;
-        Snapshot::from_bytes(&reframe(&v3, 3, &parts))
+        Snapshot::from_bytes(&reframe(&v3, &parts))
     };
     let refused = |body: Vec<u8>, why: &str| match load(body) {
         Err(StoreError::Indexed(IndexedError::BadColumns(got))) => {
@@ -853,7 +877,7 @@ fn every_v3_section_refuses_bad_input_typed() {
     let first = &mut shards[8 + 8 + 8..8 + 8 + 8 + 8];
     first[0] ^= 1 << 7; // a live bit past the first shard's slot count
     assert!(matches!(
-        Snapshot::from_bytes(&reframe(&v3, 3, &parts)),
+        Snapshot::from_bytes(&reframe(&v3, &parts)),
         Err(StoreError::Indexed(IndexedError::BadColumns(why))) if why.contains("past slot count")
     ));
 }
@@ -875,25 +899,31 @@ fn v4_id_map(maps: &[&[u64]], next_gid: Option<u64>, extra: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Section 6 of a v4 file refuses bad input with a typed error, never a
-/// panic: a global id in two shards' maps, a mapped id at or past the
-/// next one, and a next global id past `isize::MAX`, cut off, or
-/// followed by bytes.
+/// Section 6 of a v4 or v5 file refuses bad input with a typed error,
+/// never a panic: a global id in two shards' maps, a mapped id at or
+/// past the next one, and a next global id past `isize::MAX`, cut off,
+/// or followed by bytes.
 #[test]
 fn every_v4_id_map_refusal_is_typed() {
+    for name in ["sharded_v4.snap", "sharded_v5.snap"] {
+        id_map_refusals_are_typed(&read_fixture(name));
+    }
+}
+
+/// [`every_v4_id_map_refusal_is_typed`] on one sharded fixture.
+fn id_map_refusals_are_typed(file: &[u8]) {
     // The fixture: shard 0 holds ids 0 and 1, shard 1 ids 2 to 5 (4
     // deleted); the next id is 6.
     let (zero, one): (&[u64], &[u64]) = (&[0, 1], &[2, 3, 4, 5]);
-    let v4 = read_fixture("sharded_v4.snap");
     assert_eq!(
-        *section_mut(&mut sections(&v4), SEC_GLOBAL_IDS),
+        *section_mut(&mut sections(file), SEC_GLOBAL_IDS),
         v4_id_map(&[zero, one], Some(6), &[]),
         "the field-by-field section is the writer's"
     );
     let load = |ids: Vec<u8>| {
-        let mut parts = sections(&v4);
+        let mut parts = sections(file);
         *section_mut(&mut parts, SEC_GLOBAL_IDS) = ids;
-        Snapshot::from_bytes(&reframe(&v4, 4, &parts))
+        Snapshot::from_bytes(&reframe(file, &parts))
     };
     let inconsistent = |ids: Vec<u8>, why: &str| match load(ids) {
         Err(StoreError::Engine(EngineError::InconsistentSnapshot(got))) => {
@@ -957,7 +987,7 @@ fn every_v4_id_map_refusal_is_typed() {
 /// table, fails it.
 #[test]
 fn the_v3_checksum_covers_every_byte() {
-    for name in ["sharded_v3.snap", "sharded_v4.snap"] {
+    for name in ["sharded_v3.snap", "sharded_v4.snap", "sharded_v5.snap"] {
         let file = read_fixture(name);
         for at in (0..file.len() - 8).filter(|&at| !(8..10).contains(&at)) {
             let mut flipped = file.clone();

@@ -90,34 +90,38 @@ proptest! {
             vec![Value::Int(k), Value::str(UTF8_POOL[p % UTF8_POOL.len()])]
         };
         let rel = Relation::from_rows(schema, keys.iter().map(row).collect()).expect("valid rows");
-        let mut ir = IndexedRelation::build(&rel, &[0, 1]).expect("valid columns");
+        let one = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 1, &[0, 1])
+            .expect("valid sharding");
         let live = LiveRelation::build(&rel, ShardBy::Hash { col: 1 }, 3, &[0, 1])
             .expect("valid sharding");
         for spec in &inserts {
-            ir.insert(row(spec)).expect("admitted");
+            one.insert(row(spec)).expect("admitted");
             live.insert(row(spec)).expect("admitted");
         }
         let slots = keys.len() + inserts.len();
         for d in deletes {
-            ir.delete(d % slots);
+            one.delete(d % slots).expect("no sink to fail");
             live.delete(d % slots).expect("no sink to fail");
         }
-        let sr = live.to_sharded();
+        let (one, sr) = (one.to_sharded(), live.to_sharded());
 
-        let bytes = Snapshot::Indexed(ir.clone()).to_bytes();
-        let warm = Snapshot::from_bytes(&bytes)
-            .expect("own bytes load")
-            .into_indexed()
-            .expect("kind preserved");
-        prop_assert!(warm.slots().eq(ir.slots()), "the same rows and tombstones");
-        prop_assert_eq!(Snapshot::Indexed(warm.clone()).to_bytes(), bytes);
+        // An unsharded relation is one shard: its rows, tombstones and
+        // ids come back, and write back the same bytes.
+        let bytes = Snapshot::from(one.clone()).to_bytes();
+        let warm = Snapshot::from_bytes(&bytes).expect("own bytes load");
+        prop_assert_eq!(warm.to_bytes(), bytes);
+        let warm = warm.state;
+        prop_assert!(
+            warm.shards()[0].slots().eq(one.shards()[0].slots()),
+            "the same rows and tombstones"
+        );
+        prop_assert_eq!(warm.id_map(), one.id_map());
         // Cold oracle: rebuild Π from the surviving rows.
         let cold = IndexedRelation::build(&warm.to_relation(), &[0, 1]).expect("rebuild");
 
-        let sharded = Snapshot::from_bytes(&Snapshot::Sharded(sr.clone()).to_bytes())
+        let sharded = Snapshot::from_bytes(&Snapshot::from(sr.clone()).to_bytes())
             .expect("own bytes load")
-            .into_sharded()
-            .expect("kind preserved");
+            .state;
         prop_assert_eq!(sharded.id_map(), sr.id_map());
 
         let mut queries = Vec::new();
@@ -184,11 +188,12 @@ proptest! {
             .map(|&(k, p)| vec![Value::Int(k), Value::str(UTF8_POOL[p % UTF8_POOL.len()])])
             .collect();
         let rel = Relation::from_rows(schema, rows).expect("valid rows");
-        let mut ir = IndexedRelation::build(&rel, &[0, 1]).expect("valid columns");
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 1, &[0, 1])
+            .expect("valid sharding");
         for d in deletes {
-            ir.delete(d % cells.len());
+            live.delete(d % cells.len()).expect("no sink to fail");
         }
-        let good = Snapshot::Indexed(ir).to_bytes();
+        let good = Snapshot::from(live.to_sharded()).to_bytes();
 
         let cut = cut_seed % good.len();
         prop_assert!(Snapshot::from_bytes(&good[..cut]).is_err(), "prefix {cut} accepted");

@@ -8,7 +8,8 @@
 //! locks drop (so fsyncs batch across writers instead of stalling the
 //! shard). The companion checkpoint persists the state at one epoch
 //! *and* the WAL position it covers as one atomic
-//! [`pitract_store::Snapshot::Checkpoint`] file — there is no instant at which a crash can observe a state
+//! [`pitract_store::Snapshot`] file, its [`pitract_store::Snapshot::mark`]
+//! set — there is no instant at which a crash can observe a state
 //! without its mark, which is the classic lost-update window of two-file
 //! schemes.
 //!
@@ -386,11 +387,13 @@ pub fn recover_live(
     live.set_recorder(&recorder);
     let tail = reader.into_tail(mark);
     // Trailing cancelled pairs leave no entry to carry their ids: the
-    // allocator must still reach one past the tail's highest insert.
+    // allocator must still reach one past the tail's highest insert. A
+    // logged gid is read off the disk, so the sum saturates: an insert at
+    // `usize::MAX` is then the replay's typed `ReplayGidMismatch`.
     let next_gid = tail
         .iter()
         .filter_map(|e| match e {
-            UpdateEntry::Insert { gid, .. } => Some(gid + 1),
+            UpdateEntry::Insert { gid, .. } => Some(gid.saturating_add(1)),
             UpdateEntry::Delete { .. } => None,
         })
         .max();
@@ -878,6 +881,37 @@ mod tests {
         }
         for (q, ids) in queries.iter().zip(&ids) {
             assert_eq!(&recovered.matching_ids(q), ids, "{q:?}");
+        }
+    }
+
+    /// A checksummed insert at the last global id, logged past a
+    /// checkpoint, is refused typed by recovery in both profiles: one
+    /// past it is no id, and the replay cannot land there.
+    #[test]
+    fn a_logged_insert_at_the_last_gid_is_refused_typed() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        node.insert(vec![Value::Int(50), Value::str("pre")])
+            .unwrap();
+        node.checkpoint(&catalog, "node").unwrap();
+        drop(node);
+        let wal = WalWriter::open(&wal_dir, config()).unwrap();
+        let lsn = wal
+            .append_entry(&UpdateEntry::Insert {
+                gid: usize::MAX,
+                row: vec![Value::Int(51), Value::str("far")],
+            })
+            .unwrap();
+        wal.commit(lsn).unwrap();
+        drop(wal);
+        match DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()) {
+            Err(WalError::Engine(EngineError::ReplayGidMismatch { expected, .. })) => {
+                assert_eq!(expected, usize::MAX);
+            }
+            Err(other) => panic!("expected ReplayGidMismatch, got {other}"),
+            Ok(_) => panic!("an insert at usize::MAX replayed"),
         }
     }
 

@@ -60,7 +60,7 @@ fn main() {
     let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
     let t0 = Instant::now();
     let path = catalog
-        .save("traffic", &Snapshot::Sharded(cold))
+        .save("traffic", &Snapshot::from(cold))
         .expect("snapshot save");
     let save_time = t0.elapsed();
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -73,11 +73,7 @@ fn main() {
     // 3. Warm start: a fresh engine, nothing in memory, loads the rows
     //    from disk; the load sorts them into the same trees the build made.
     let t0 = Instant::now();
-    let warm = catalog
-        .load("traffic")
-        .expect("snapshot load")
-        .into_sharded()
-        .expect("sharded snapshot");
+    let warm = catalog.load("traffic").expect("snapshot load").state;
     let load_time = t0.elapsed();
     println!(
         "warm start: loaded {} rows across {} shards  [{load_time:.2?}]  (load / cold build = {:.2})\n",

@@ -90,12 +90,11 @@
 //! ## Persisting Π(D)
 //!
 //! Definition 1's preprocessing is *one-time* — so it should be paid
-//! once, not on every process start. The [`store`] crate serializes any
-//! preprocessed structure to a versioned, checksummed snapshot and warm-
+//! once, not on every process start. The [`store`] crate serializes the
+//! relation a node serves to a versioned, checksummed snapshot and warm-
 //! starts a fresh engine from disk. A relation is stored as its rows and
 //! its indexed columns: a load sorts the B⁺-trees back out of the rows,
-//! which costs about what reading them back from disk did. 2-hop labels,
-//! whose preprocessing is not a sort, are stored whole:
+//! which costs about what reading them back from disk did:
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -108,11 +107,11 @@
 //! // Persist Π(D) under a name…
 //! # let dir = std::env::temp_dir().join(format!("pitract-facade-{}", std::process::id()));
 //! let catalog = SnapshotCatalog::open(&dir).unwrap();
-//! catalog.save("ids", &Snapshot::Sharded(sharded)).unwrap();
+//! catalog.save("ids", &Snapshot::from(sharded)).unwrap();
 //!
 //! // …and serve from the reloaded snapshot: same answers, same row ids,
 //! // the trees re-sorted from the persisted rows.
-//! let warm = catalog.load("ids").unwrap().into_sharded().unwrap();
+//! let warm = catalog.load("ids").unwrap().state;
 //! assert!(warm.answer(&SelectionQuery::point(0, 999i64)));
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
@@ -465,9 +464,7 @@ pub mod prelude {
     pub use pitract_relation::views::{MaterializedView, ViewSet};
     pub use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
     pub use pitract_repl::{CatchUpReport, Follower, ReplError, SegmentPublisher, Shipment};
-    pub use pitract_store::{
-        Dir, MemoryVolume, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
-    };
+    pub use pitract_store::{Dir, MemoryVolume, Snapshot, SnapshotCatalog, StoreError};
     pub use pitract_wal::{
         CompactionReport, Compactor, DurableLiveRelation, Recovered, SyncPolicy, WalConfig,
         WalError, WalReader, WalWriter,

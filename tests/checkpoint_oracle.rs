@@ -131,10 +131,9 @@ fn checkpoints_racing_a_writer_are_the_log_prefix_at_their_epoch() {
             epoch,
             "{name}: epoch ≡ records below the mark"
         );
-        let want = Snapshot::Checkpoint {
+        let want = Snapshot {
             state: oracle.to_sharded(),
-            wal_lsn,
-            epoch,
+            mark: Some((wal_lsn, epoch)),
         }
         .to_bytes();
         assert!(

@@ -76,10 +76,11 @@ fn pooled_answers_match_the_oracle_on_every_target() {
     // step or two), so the step comparison needs one physical shape.
     let built =
         ShardedRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec");
-    let bytes = Snapshot::Sharded(built).to_bytes();
+    let bytes = Snapshot::from(built).to_bytes();
     let loaded = || {
-        let snapshot = Snapshot::from_bytes(&bytes).expect("own bytes decode");
-        snapshot.into_sharded().expect("sharded snapshot")
+        Snapshot::from_bytes(&bytes)
+            .expect("own bytes decode")
+            .state
     };
 
     // The oracle: the rows under their global ids (a build gives row

@@ -1,18 +1,19 @@
 //! Integration: the persistence layer's warm-start contract.
 //!
-//! For every persisted structure — `IndexedRelation`, `ShardedRelation`,
-//! `HopLabels` — a snapshot written by one "process" and loaded by a
-//! fresh one must answer **every** query identically to the cold-rebuilt
-//! oracle: same Booleans, same global row ids, same reachability. And
+//! For the one persisted structure — a `ShardedRelation`, an unsharded
+//! relation being one shard — a snapshot written by one "process" and
+//! loaded by a fresh one must answer **every** query identically to the
+//! cold-rebuilt oracle: same Booleans, same global row ids. A
+//! standalone `IndexedRelation` file of versions 1 to 4 loads the same
+//! way, as one shard. And
 //! every way a file can go bad (truncated, bit-flipped, version-skewed,
 //! not a snapshot at all) must surface as a typed `StoreError`, never a
 //! panic or a silently wrong answer.
 
-use pi_tractable::graph::generate;
-use pi_tractable::graph::hop::HopLabels;
-use pi_tractable::graph::traverse::reachable_bfs;
 use pi_tractable::prelude::*;
-use pi_tractable::store::FORMAT_VERSION;
+use pi_tractable::store::codec::{Reader, Writer};
+use pi_tractable::store::snapshot::checksum;
+use pi_tractable::store::{FORMAT_VERSION, MAGIC};
 use std::sync::Arc;
 
 fn relation(n: i64) -> Relation {
@@ -70,11 +71,11 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
         let built = LiveRelation::build(&rel, shard_by, 4, &[0, 1]).unwrap();
         churn(&built, n);
         catalog
-            .save(name, &Snapshot::Sharded(built.to_sharded()))
+            .save(name, &Snapshot::from(built.to_sharded()))
             .unwrap();
 
         // "Process 2": warm-start from disk only.
-        let warm = LiveRelation::from_sharded(catalog.load(name).unwrap().into_sharded().unwrap());
+        let warm = LiveRelation::from_sharded(catalog.load(name).unwrap().state);
 
         // Cold oracle: rebuild Π from scratch with the same history.
         let cold = LiveRelation::build(&rel, warm.shard_by().clone(), 4, &[0, 1]).unwrap();
@@ -102,47 +103,71 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
     assert_eq!(files, ["hash.snap", "range.snap"], "no stray temp files");
 }
 
+/// `bytes`, the file of a one-shard relation, laid out as versions 1
+/// to 4 wrote a standalone `IndexedRelation` (kind 1; here version 4):
+/// the schema (section 1), the shard's body alone (2) and the indexed
+/// columns (14).
+fn as_v4_indexed(bytes: &[u8]) -> Vec<u8> {
+    let mut r = Reader::new(&bytes[12..bytes.len() - 8]);
+    let count = r.u32().unwrap();
+    let table: Vec<(u32, usize)> = (0..count)
+        .map(|_| (r.u32().unwrap(), r.usize().unwrap()))
+        .collect();
+    let sections: Vec<(u32, &[u8])> = table
+        .into_iter()
+        .map(|(tag, len)| (tag, r.take(len).unwrap()))
+        .collect();
+    let get = |tag: u32| sections.iter().find(|(t, _)| *t == tag).unwrap().1;
+    // Section 5 is the shard count, 1, then the one body.
+    let kept = [(1, get(1)), (2, &get(5)[8..]), (14, get(14))];
+    let mut w = Writer::new();
+    w.raw(&MAGIC);
+    w.u16(4);
+    w.u16(1);
+    w.u32(kept.len() as u32);
+    for (tag, payload) in kept {
+        w.u32(tag);
+        w.u64(payload.len() as u64);
+    }
+    for (_, payload) in kept {
+        w.raw(payload);
+    }
+    let mut file = w.into_bytes();
+    let sum = checksum(4, &file);
+    file.extend_from_slice(&sum.to_le_bytes());
+    file
+}
+
+/// An unsharded relation is saved as one shard, and a version-4 file
+/// of it as a standalone `IndexedRelation` loads as that shard: both
+/// answer as the cold-built relation does, row ids and metered steps
+/// included.
 #[test]
 fn indexed_snapshot_matches_cold_rebuild() {
     let n = 5_000i64;
     let rel = relation(n);
-    let mut built = IndexedRelation::build(&rel, &[0, 1]).unwrap();
+    let built = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 1, &[0, 1]).unwrap();
     for id in (0..n as usize).step_by(13) {
-        built.delete(id);
+        built.delete(id).unwrap();
     }
-    let bytes = Snapshot::Indexed(built).to_bytes();
-    let warm = Snapshot::from_bytes(&bytes)
-        .unwrap()
-        .into_indexed()
-        .unwrap();
+    let bytes = Snapshot::from(built.to_sharded()).to_bytes();
 
     let mut cold = IndexedRelation::build(&rel, &[0, 1]).unwrap();
     for id in (0..n as usize).step_by(13) {
         cold.delete(id);
     }
     let meter = Meter::new();
-    for q in mixed_queries(n) {
-        assert_eq!(warm.answer(&q), cold.answer(&q), "{q:?}");
-        assert_eq!(
-            warm.matching_ids_metered(&q, &meter),
-            cold.matching_ids_metered(&q, &meter),
-            "{q:?}"
-        );
-    }
-}
-
-#[test]
-fn hop_labels_snapshot_matches_bfs_oracle() {
-    let g = generate::random_dag(300, 900, 42);
-    let built = HopLabels::build(&g).unwrap();
-    let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-    catalog.save("reach", &Snapshot::Hop(built)).unwrap();
-    let warm = catalog.load("reach").unwrap();
-    assert_eq!(warm.kind(), SnapshotKind::HopLabels);
-    let warm = warm.into_hop().unwrap();
-    for u in (0..300).step_by(17) {
-        for v in (0..300).step_by(11) {
-            assert_eq!(warm.query(u, v), reachable_bfs(&g, u, v), "({u},{v})");
+    for file in [bytes.clone(), as_v4_indexed(&bytes)] {
+        let warm = Snapshot::from_bytes(&file).unwrap().state;
+        assert_eq!(warm.id_map(), built.to_sharded().id_map());
+        let warm = &warm.shards()[0];
+        for q in mixed_queries(n) {
+            assert_eq!(warm.answer(&q), cold.answer(&q), "{q:?}");
+            assert_eq!(
+                warm.matching_ids_metered(&q, &meter),
+                cold.matching_ids_metered(&q, &meter),
+                "{q:?}"
+            );
         }
     }
 }
@@ -150,7 +175,7 @@ fn hop_labels_snapshot_matches_bfs_oracle() {
 #[test]
 fn damaged_files_fail_typed_never_panic() {
     let sr = ShardedRelation::build(&relation(500), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
-    let good = Snapshot::Sharded(sr).to_bytes();
+    let good = Snapshot::from(sr).to_bytes();
 
     // Truncation points across the whole file: every early offset (the
     // header/table region) plus samples through the payload. Checksums
@@ -184,16 +209,17 @@ fn damaged_files_fail_typed_never_panic() {
     assert!(Snapshot::from_bytes(&good).is_ok());
 }
 
+/// A plain save holds no WAL mark, and asking it for a checkpoint is
+/// reported, not coerced.
 #[test]
-fn wrong_kind_is_reported_not_coerced() {
+fn an_unmarked_snapshot_is_not_a_checkpoint() {
     let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
-    let ir = IndexedRelation::build(&relation(50), &[0]).unwrap();
-    catalog.save("rel", &Snapshot::Indexed(ir)).unwrap();
-    match catalog.load("rel").unwrap().into_sharded() {
-        Err(StoreError::WrongKind { expected, found }) => {
-            assert_eq!(expected, SnapshotKind::ShardedRelation);
-            assert_eq!(found, SnapshotKind::IndexedRelation);
-        }
-        other => panic!("expected WrongKind, got {other:?}"),
+    let sr = ShardedRelation::build(&relation(50), ShardBy::Hash { col: 0 }, 1, &[0]).unwrap();
+    catalog.save("rel", &Snapshot::from(sr)).unwrap();
+    let loaded = catalog.load("rel").unwrap();
+    assert_eq!(loaded.mark, None);
+    match loaded.into_checkpoint() {
+        Err(StoreError::NotACheckpoint) => {}
+        other => panic!("expected NotACheckpoint, got {other:?}"),
     }
 }
