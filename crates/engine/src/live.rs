@@ -764,11 +764,12 @@ impl LiveRelation {
     }
 
     /// Advance the epoch clock to `epoch` without applying updates —
-    /// the clock twin of [`Self::burn_gids_to`]. Recovery calls this
-    /// after a *compacted* replay, which applies fewer updates than the
-    /// history it reproduces: the recovered node must stamp its next
-    /// update with the same epoch the crashed node would have. No-op if
-    /// the clock is already there.
+    /// the clock twin of [`Self::burn_gids_to`]. Recovery and the
+    /// replication follower call this after a replay, which applies
+    /// fewer updates than the history it reproduces when the log has
+    /// LSN gaps (one thinned by an older compactor): the node must stamp
+    /// its next update with the same epoch the log's writer would have.
+    /// No-op if the clock is already there.
     pub fn advance_epoch_to(&self, epoch: Epoch) {
         let mut epochs = self.epochs.lock();
         epochs.current = epochs.current.max(epoch.get());
@@ -1136,16 +1137,18 @@ impl LiveRelation {
     /// recorded from.
     ///
     /// A *forward gap* in the global-id sequence — the ids of an
-    /// insert+delete pair a compaction cancelled — is burned as
-    /// permanent tombstones, so every surviving insert still lands on
-    /// exactly its recorded gid. Burned ids are indistinguishable from
-    /// deleted ones (both read back as `None`), which is what makes
-    /// compacted and uncompacted replay produce the same answers and the
-    /// same live global row ids. A *backward* id (an insert recording a
-    /// gid this relation already assigned) is rejected typed: compaction
-    /// only ever removes entries, so it can explain missing ids, never
+    /// insert+delete pair that a log thinned by an older compactor no
+    /// longer holds — is burned as permanent tombstones, so every insert
+    /// still lands on exactly its recorded gid. Burned ids are
+    /// indistinguishable from deleted ones (both read back as `None`),
+    /// which is what makes a thinned and a whole log replay to the same
+    /// answers and the same live global row ids. A *backward* id (an
+    /// insert recording a gid this relation already assigned) is
+    /// rejected typed: removing entries can explain missing ids, never
     /// reused ones. Recovery and the replication follower both apply
-    /// WAL records through here.
+    /// WAL records through here, and the ids a log's inserts used are
+    /// all the allocator needs: a replay ends one past the highest of
+    /// them, as the log's writer did.
     pub fn replay_entries(&self, entries: Vec<UpdateEntry>) -> Result<usize, EngineError> {
         let replayed = entries.len();
         for entry in entries {
@@ -1173,11 +1176,9 @@ impl LiveRelation {
     /// the skipped ids are burned (they read back as deleted, and cost
     /// nothing). No-op if the allocator is already there.
     ///
-    /// Recovery calls this with the next-gid watermark of the WAL tail
-    /// it replayed compacted: a *trailing* insert+delete pair leaves no
-    /// surviving entry to carry its ids, yet the crashed node had
-    /// assigned them — burning keeps the recovered node's future id
-    /// assignments bit-identical to the history the log records.
+    /// [`Self::replay_entries`] calls this before each logged insert, so
+    /// a forward gap in the log's ids burns and the insert lands on its
+    /// recorded gid.
     pub fn burn_gids_to(&self, next_gid: usize) {
         self.ids.write().burn_to(next_gid);
     }
@@ -1819,8 +1820,9 @@ mod tests {
         }
         lr.delete(4).unwrap().unwrap(); // pre-log delete survives compaction
         let log = sink.entries();
-        // Cancel every insert+delete pair, as a compaction does; the
-        // last insert survives, so it carries the allocator's position.
+        // Cancel every insert+delete pair, as an older compactor did;
+        // the last insert survives, so it carries the allocator's
+        // position.
         let deleted: Vec<usize> = log
             .iter()
             .filter_map(|e| match e {
@@ -1855,7 +1857,7 @@ mod tests {
         ] {
             assert_eq!(plain.matching_ids(&q), short.matching_ids(&q), "{q:?}");
         }
-        // Replay work was bounded by the net change, not the history.
+        // Replay applied only the thinned log's entries.
         assert_eq!(short.boundedness_report().len(), compacted_len);
     }
 

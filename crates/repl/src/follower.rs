@@ -20,10 +20,10 @@
 //!   [`WalWriter::append_frames`] writes one run per segment under the
 //!   primary's partial-write rule, then [`WalWriter::commit`] flushes
 //!   (durability before state, same as the primary's WAL-before-apply
-//!   order) — then replays them into the live relation
-//!   with compacted semantics: gid gaps left by primary compaction burn
-//!   as tombstones, so answers *and* global row ids stay bit-identical
-//!   to the primary's prefix. LSN gaps advance the epoch clock without
+//!   order) — then replays them into the live relation, so answers
+//!   *and* global row ids stay bit-identical to the primary's prefix.
+//!   A log thinned by an older compactor has gaps: its gid gaps burn as
+//!   tombstones, and its LSN gaps advance the epoch clock without
 //!   replaying, keeping the dictionary exact:
 //!   `current_epoch == epoch_of_lsn(applied_lsn)` after every step.
 //! * **Serving** implements [`BatchServe`] by delegating to the inner
@@ -290,14 +290,13 @@ impl Follower {
         }
 
         // Replay with no replication lock held (replay re-enters the
-        // engine's ranked tiers). Compacted semantics: a gid gap the
-        // primary's compactor left burns as tombstones, so global row
-        // ids stay bit-identical.
+        // engine's ranked tiers). A gid gap in a thinned log burns as
+        // tombstones, so global row ids stay bit-identical.
         let started = std::time::Instant::now();
         self.live.replay_entries(entries)?;
         // LSN gaps advance the clock by their span: the dictionary
         // invariant `current_epoch == epoch_of_lsn(applied)` holds
-        // after every step, whatever compaction dropped.
+        // after every step, whatever a thinned log lacks.
         self.live.advance_epoch_to(self.epoch_of_lsn(ship.end()));
         self.replay_micros.record_duration(started.elapsed());
 
@@ -401,7 +400,7 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation};
-    use pitract_wal::segment::scan_dir;
+    use pitract_wal::segment::{encode_record, scan_dir, segment_header};
     use pitract_wal::{DurableLiveRelation, SyncPolicy};
     use std::sync::Arc;
 
@@ -636,8 +635,8 @@ mod tests {
 
     /// A follower never checkpoints: its mirror, flushed before each
     /// replay, is its only log, and replay keeps nothing per update in
-    /// memory. Across any number of shipments — one of them bridging a
-    /// compaction gap — the replica stays bit-identical to the primary
+    /// memory. Across any number of shipments — some of them after a
+    /// compaction pass — the replica stays bit-identical to the primary
     /// and on the primary's epoch clock.
     #[test]
     fn replica_stays_on_the_primary_clock_across_many_shipments() {
@@ -654,7 +653,7 @@ mod tests {
                 node.delete(gid).unwrap();
             }
             if round == 60 {
-                // A compaction gap in the stream on the way.
+                // A compaction pass on the way.
                 node.checkpoint(&catalog, "node").unwrap();
                 publisher.compact_primary().unwrap();
             }
@@ -688,50 +687,92 @@ mod tests {
         }
     }
 
+    /// A log thinned by an older compactor — which cancelled
+    /// insert+delete pairs inside a closed segment and kept the
+    /// highest-gid pair to carry the id allocator — is still a valid
+    /// log. Built here by hand with LSN gaps, gid gaps and that trailing
+    /// kept pair, it recovers to the rows and next gid of the whole log,
+    /// and a follower catching up over it stays on the primary's clock
+    /// and assigns the primary's gids.
     #[test]
     fn catch_up_bridges_compaction_gaps_with_identical_gids() {
-        let (root, node, catalog) = primary(0);
-        let publisher = SegmentPublisher::new(Arc::clone(&node));
-        // Churn whose pairs cancel inside closed segments, then compact
-        // *before* the follower ever polls: the shipped stream has both
-        // LSN gaps and gid gaps.
-        let mut live_gids = Vec::new();
-        for i in 0..30i64 {
-            let gid = node.insert(vec![Value::Int(i)]).unwrap();
-            if i % 2 == 0 {
-                node.delete(gid).unwrap();
-            } else {
-                live_gids.push(gid);
+        let (root, node, catalog) = primary(3);
+        // lsn 0: insert 3; 1, 2: pair 4; 3: insert 5; 4: delete 0;
+        // 5, 6: pair 6; 7, 8: pair 7.
+        for key in 10..14i64 {
+            let gid = node.insert(vec![Value::Int(key)]).unwrap();
+            if key % 2 == 1 {
+                node.delete(gid).unwrap().unwrap();
+            }
+            if key == 12 {
+                node.delete(0).unwrap().unwrap();
             }
         }
+        let gid = node.insert(vec![Value::Int(14)]).unwrap();
+        node.delete(gid).unwrap().unwrap();
         node.wal().rotate_now().unwrap();
-        node.compact_wal().unwrap();
+        drop(node);
 
+        // The thinned log, segment by segment: pairs 4 and 6 cancelled,
+        // pair 7 kept, every file at its base.
+        let (wal, thin) = (root.join("wal"), root.join("thin"));
+        thin.create_dir_all().unwrap();
+        for seg in scan_dir(&wal).unwrap().segments {
+            let mut bytes = segment_header(seg.base_lsn);
+            for (lsn, payload) in &seg.records {
+                if ![1, 2, 5, 6].contains(lsn) {
+                    bytes.extend_from_slice(&encode_record(*lsn, payload));
+                }
+            }
+            thin.write_atomic(&seg.name, &bytes).unwrap();
+        }
+        let lsns: Vec<u64> = scan_dir(&thin)
+            .unwrap()
+            .records()
+            .map(|(l, _)| *l)
+            .collect();
+        assert_eq!(lsns, [0, 3, 4, 7, 8]);
+
+        // Recovery: the same rows, clock and next gid as the whole log.
+        let recovered = |dir: &Dir| {
+            let (live, _, _, replayed) = recover_live(&catalog, "node", dir, config()).unwrap();
+            let rows: Vec<_> = (0..12).map(|gid| live.row(gid)).collect();
+            let epoch = live.current_epoch();
+            (
+                rows,
+                epoch,
+                live.insert(vec![Value::Int(99)]).unwrap(),
+                replayed,
+            )
+        };
+        let (rows, epoch, next, replayed) = recovered(&wal);
+        assert_eq!((next, replayed), (8, 9));
+        assert_eq!(recovered(&thin), (rows, epoch, next, 5));
+
+        // Replication: the thinned log's node is the primary.
+        let node =
+            Arc::new(DurableLiveRelation::recover(&catalog, "node", &thin, config()).unwrap());
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
             Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
         let sub = follower.attach(&publisher);
-        let report = follower.catch_up(&publisher, sub).unwrap();
-        assert_eq!(report.lag, 0);
-        assert_eq!(follower.len(), node.len());
-        for i in 0..30i64 {
-            let q = SelectionQuery::point(0, i);
-            assert_eq!(follower.answer(&q), node.answer(&q), "probe {i}");
+        let on_the_clock = |follower: &Follower| {
             assert_eq!(
-                follower.matching_ids(&q),
-                node.matching_ids(&q),
-                "probe {i}"
+                follower.current_epoch(),
+                follower.epoch_of_lsn(follower.applied_lsn())
             );
+            assert_eq!(follower.current_epoch(), node.current_epoch());
+        };
+        assert_eq!(follower.catch_up(&publisher, sub).unwrap().applied_lsn, 9);
+        on_the_clock(&follower);
+        for gid in 0..12 {
+            assert_eq!(follower.row(gid), node.row(gid), "gid {gid}");
         }
-        // The epoch dictionary still maps the cut to the full LSN span,
-        // not the post-compaction record count.
-        assert_eq!(follower.applied_epoch(), follower.current_epoch());
-        assert_eq!(
-            follower.lsn_of_epoch(follower.applied_epoch()),
-            report.applied_lsn
-        );
         // New inserts on both sides keep assigning identical gids.
         let gid = node.insert(vec![Value::Int(777)]).unwrap();
+        assert_eq!(gid, next);
         follower.catch_up(&publisher, sub).unwrap();
+        on_the_clock(&follower);
         assert_eq!(
             follower.matching_ids(&SelectionQuery::point(0, 777)),
             vec![gid]

@@ -14,7 +14,7 @@
 //!   the publisher's subscription table; the minimum across the table
 //!   is the [retention watermark](SegmentPublisher::retention_watermark)
 //!   that [`SegmentPublisher::compact_primary`] hands the WAL
-//!   compactor, so a compaction pass can never touch a segment an
+//!   compactor, so a compaction pass can never remove a segment an
 //!   attached follower has yet to fetch.
 //!
 //! # What a poll costs
@@ -32,30 +32,31 @@
 //! The index is a cache, never a source of truth:
 //!
 //! * it is **bounded** (`TAIL_INDEX_CAP` anchors, oldest evicted);
-//! * it is **cleared** by [`SegmentPublisher::compact_primary`], and an
-//!   anchor whose segment file is gone is dropped;
-//! * it is **verified on every use**: the read starts *at* the anchor
-//!   frame, which must validate and carry exactly the anchored LSN. A
-//!   compaction that went around the publisher
-//!   ([`DurableLiveRelation::compact_wal`] called directly) rewrites a
-//!   segment as a subsequence of its records, so the anchored record
-//!   still sitting at its old offset proves nothing before it was
-//!   removed — every record past the cursor is still past the anchor.
-//!   Any other outcome (garbage, a different record, a validation
-//!   failure anywhere in the tail) discards the hinted read and scans
-//!   that segment from its header, which is therefore the only read
-//!   that can report [`pitract_wal::WalError::Corrupt`].
+//! * an anchor lives exactly as long as its segment file: compaction
+//!   removes whole segments and never rewrites one, so an anchor into a
+//!   segment that exists points at the bytes it was taken from, and an
+//!   anchor whose segment file is gone is dropped by the next poll that
+//!   looks for it;
+//! * it is **verified on every use**, because those bytes are read from
+//!   disk again: the read starts *at* the anchor frame, which must
+//!   validate and carry exactly the anchored LSN. Any other outcome
+//!   (garbage, a different record, a validation failure anywhere in the
+//!   tail) discards the hinted read and scans that segment from its
+//!   header, which is therefore the only poll that can report
+//!   [`pitract_wal::WalError::Corrupt`].
 //!
 //! What the contract gives up: damage *below* the cursor in a segment
-//! read through an anchor is not noticed by that poll (recovery and
-//! compaction, which scan whole segments, still report it).
+//! read through an anchor is not noticed by that poll. Recovery and a
+//! poll that scans the segment from its header still report it;
+//! compaction reads no segment byte and does not. (ROADMAP item 2(b2)
+//! plans a background scrub that would.)
 //!
 //! The subscription table and the tail index sit behind one
 //! `FollowerCatchup`-ranked lock (see the `pitract-core` lockdep
-//! table): it is held across the compaction pass — pure file I/O plus
-//! the WAL tiers above rank 45 — and never across anything that
-//! re-enters the engine. A poll takes its anchor *out* under the lock
-//! and does all of its flushing and reading with the lock released.
+//! table): it is held across the compaction pass — a directory listing
+//! and file removals — and never across anything that re-enters the
+//! engine. A poll takes its anchor *out* under the lock and does all
+//! of its flushing and reading with the lock released.
 
 use crate::ReplError;
 use pitract_core::lockdep::{LockRank, OrderedMutex};
@@ -79,10 +80,9 @@ const TAIL_INDEX_CAP: usize = 8;
 pub struct SubscriptionId(u64);
 
 /// One polled run of the primary's log: record frames for every WAL
-/// record in `[base, end)` that still exists (the primary's compactor
-/// may have cancelled insert+delete pairs inside the range — the
-/// follower's replay burns those gid gaps), in the on-disk segment wire
-/// format.
+/// record in `[base, end)`, in the on-disk segment wire format. A log
+/// thinned by an older compactor lacks the insert+delete pairs it
+/// cancelled; the follower's replay bridges those LSN and gid gaps.
 #[derive(Debug)]
 pub struct Shipment {
     base: u64,
@@ -116,9 +116,9 @@ impl Shipment {
     }
 
     /// The LSN after the last position this shipment covers: applying
-    /// it advances the follower's cursor here. May exceed the last
-    /// record's LSN when the trailing records of the range were
-    /// compacted away.
+    /// it advances the follower's cursor here. Past the last record's
+    /// LSN + 1 only where the log has no record for the LSNs in between
+    /// (a gap an older compactor left).
     pub fn end(&self) -> u64 {
         self.end
     }
@@ -299,9 +299,9 @@ impl TailRead {
 
     fn into_shipment(self) -> Shipment {
         // Uncapped, the shipment covers the whole range up to the
-        // durable frontier even when its trailing records were
-        // compacted away — the follower bridges the gap by advancing
-        // its cursor (and epoch clock) without replaying anything.
+        // durable frontier even where the log holds no record for its
+        // last LSNs — the follower bridges such a gap by advancing its
+        // cursor (and epoch clock) without replaying anything.
         let end = match self.anchor {
             Some(stopped_at) if self.capped => stopped_at.lsn + 1,
             _ => self.durable.max(self.from),
@@ -395,15 +395,14 @@ impl SegmentPublisher {
     }
 
     /// Compact the primary's WAL under the current retention watermark:
-    /// segments holding records an attached follower still needs are
-    /// left byte-for-byte untouched. The subscription table stays
-    /// locked across the pass, so a follower cannot attach-then-fetch
-    /// into a range the running pass is about to drop; the tail index
-    /// is cleared, since the pass may rewrite or remove the segments its
-    /// anchors point into. This is the
-    /// *only* compaction entry point that preserves the publisher's
-    /// shipping guarantee — compacting the primary directly bypasses
-    /// the watermark.
+    /// segments holding records an attached follower still needs stay.
+    /// The subscription table stays locked across the pass, so a
+    /// follower cannot attach-then-fetch into a range the running pass
+    /// is about to drop. The tail index is left as it is: an anchor into
+    /// a removed segment is dropped by the next poll that finds the file
+    /// gone. This is the *only* compaction entry point that preserves
+    /// the publisher's shipping guarantee — compacting the primary
+    /// directly bypasses the watermark.
     pub fn compact_primary(&self) -> Result<CompactionReport, ReplError> {
         let mut subs = self.subs.lock();
         let retention = subs.rows.iter().map(|(_, lsn)| *lsn).min();
@@ -411,7 +410,6 @@ impl SegmentPublisher {
         let mark = self.primary.checkpoint_mark();
         let effective = retention.map_or(mark, |r| r.min(mark));
         subs.compaction_floor = subs.compaction_floor.max(effective);
-        subs.tail.clear();
         Ok(report)
     }
 
@@ -699,12 +697,12 @@ mod oracle {
                     6 => n.node.wal().rotate_now().unwrap(),
                     7 => {
                         n.checkpoint();
+                        let tail = n.publisher.subs.lock().tail.clone();
                         n.publisher.compact_primary().unwrap();
-                        prop_assert!(n.publisher.subs.lock().tail.is_empty());
+                        prop_assert_eq!(&n.publisher.subs.lock().tail, &tail);
                     }
                     8 => n.checkpoint(),
-                    // Behind the publisher's back: no retention, no index
-                    // clear, no floor.
+                    // Behind the publisher's back: no retention, no floor.
                     9 => drop(n.node.compact_wal().unwrap()),
                     10..=13 => {
                         // A follower's poll from its cursor.
@@ -775,60 +773,6 @@ mod oracle {
         let ship = n.publisher.poll(cursor).unwrap();
         assert!(ship.is_empty());
         assert_eq!(n.bytes_read(), read);
-    }
-
-    /// Compaction behind the publisher's back rewrites a closed segment as
-    /// a subsequence of its records. With equal-sized frames the stale
-    /// anchor's offset lands exactly on a frame boundary of the rewritten
-    /// file — a valid frame, of a *later* record — and records the follower
-    /// is still owed now sit before it. Only "the anchored record itself is
-    /// still at the anchored offset" tells the two files apart; anything
-    /// else must fall back to the header scan, not error and not skip.
-    #[test]
-    fn a_stale_anchor_after_a_bypassing_compaction_falls_back_to_the_header_scan() {
-        let mut n = Node::new(u64::MAX);
-        for key in 0..2 {
-            n.insert(key);
-        }
-        n.checkpoint(); // mark = 2
-        for key in 2..12 {
-            n.insert(key);
-        }
-        n.node.wal().rotate_now().unwrap();
-        let first = list_segments(n.node.wal().dir()).unwrap().remove(0).1;
-        let frame = n
-            .segment_len(&first)
-            .saturating_sub(SEGMENT_HEADER_LEN as u64)
-            / 12;
-        // Ship 0..=5: the anchor is record 5, six frames into the segment.
-        let ship = n
-            .agree(0, u64::MAX, 6 * frame as usize, "first half")
-            .unwrap();
-        assert_eq!((ship.records(), ship.end()), (6, 6));
-        let anchor = *n.publisher.subs.lock().tail.back().unwrap();
-        assert_eq!(
-            (anchor.lsn, anchor.offset),
-            (5, SEGMENT_HEADER_LEN as u64 + 5 * frame)
-        );
-        // Records 0 and 1 go; record 7 now starts where record 5 did.
-        let report = n.node.compact_wal().unwrap();
-        assert_eq!(report.segments_rewritten, 1);
-        assert_eq!(report.records_before - report.records_after, 2);
-        let ship = n.agree(6, u64::MAX, usize::MAX, "second half").unwrap();
-        assert_eq!(ship.records(), 6, "records 6 and 7 were not skipped");
-        let lsns: Vec<u64> = scan_frames(ship.frames(), 6, false, "t")
-            .unwrap()
-            .frames
-            .iter()
-            .map(|f| f.lsn)
-            .collect();
-        assert_eq!(lsns, vec![6, 7, 8, 9, 10, 11]);
-        // The fallback re-anchored in the rewritten file.
-        let anchor = *n.publisher.subs.lock().tail.back().unwrap();
-        assert_eq!(
-            (anchor.lsn, anchor.offset),
-            (11, SEGMENT_HEADER_LEN as u64 + 9 * frame)
-        );
     }
 
     /// An anchor whose segment file compaction removed is dropped, and the

@@ -8,11 +8,13 @@
 //! versions 1 to 5 load to the same relation. An intentional format
 //! change must bump [`pitract_store::FORMAT_VERSION`] and pin new
 //! fixtures; the current version's fixtures, and only those, are
-//! regenerated with
+//! regenerated in one run with
 //!
 //! ```text
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-store --test golden
 //! ```
+//!
+//! (the first fixture read writes them all, before any test reads one).
 //!
 //! Versions 1 to 4 are read-compat versions: the `*_v1.snap` to
 //! `*_v4.snap` fixtures were written by writers that no longer exist
@@ -41,7 +43,7 @@ use pitract_store::snapshot::checksum;
 use pitract_store::{Snapshot, StoreError, FORMAT_VERSION, MAGIC};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 /// Section tags, as the `pitract_store::snapshot` module docs list them.
 const SEC_SCHEMA: u32 = 1;
@@ -68,9 +70,32 @@ fn fixture_path(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
+/// The committed bytes of fixture `name`. Under
+/// `PITRACT_REGEN_FIXTURES=1` the first call, from whichever test runs
+/// first, rewrites every current-version fixture before any is read, so
+/// no test reads one while it is being written.
 fn read_fixture(name: &str) -> Vec<u8> {
+    static REGENERATE: Once = Once::new();
+    if std::env::var("PITRACT_REGEN_FIXTURES").is_ok() {
+        REGENERATE.call_once(|| {
+            for (name, bytes) in current_fixtures() {
+                let path = fixture_path(&name);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(&path, bytes).unwrap();
+            }
+        });
+    }
     std::fs::read(fixture_path(name))
         .unwrap_or_else(|e| panic!("fixture {name} missing ({e}); see module docs"))
+}
+
+/// Every fixture of the current format version, with the bytes today's
+/// writer makes of it.
+fn current_fixtures() -> [(String, Vec<u8>); 1] {
+    [(
+        format!("sharded_v{FORMAT_VERSION}.snap"),
+        Snapshot::from(fixture_sharded()).to_bytes(),
+    )]
 }
 
 /// The committed fixture of `kind` in format `version`.
@@ -142,18 +167,14 @@ fn load(bytes: &[u8]) -> ShardedRelation {
     snapshot.state
 }
 
-/// Compare (or, under `PITRACT_REGEN_FIXTURES=1`, rewrite) one fixture
-/// of the current format version.
+/// Compare one fixture of the current format version with `bytes`
+/// (under `PITRACT_REGEN_FIXTURES=1`, [`read_fixture`] has rewritten it
+/// from [`current_fixtures`] first).
 fn assert_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
     assert!(
         name.ends_with(&format!("_v{FORMAT_VERSION}.snap")),
         "only the current version's fixtures are written: {name}"
     );
-    let path = fixture_path(name);
-    if std::env::var("PITRACT_REGEN_FIXTURES").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, bytes).unwrap();
-    }
     let on_disk = read_fixture(name);
     assert_eq!(
         on_disk, bytes,

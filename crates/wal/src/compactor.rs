@@ -1,81 +1,70 @@
-//! Segment compaction: bound replay time (and disk) under churn.
+//! Segment compaction: bound the log on disk by the checkpoint.
 //!
-//! A WAL under insert/delete churn grows without bound even when the
-//! *net* change is small — exactly the failure mode the paper's bounded
-//! incremental contract warns about: recovery work should be
-//! proportional to `|CHANGED|`, not to the update history. The
-//! [`Compactor`] restores that bound on disk by rewriting **closed**
-//! segments (all but the newest; the active segment is the writer's and
-//! is never touched), dropping two classes of record:
+//! A checkpoint covers every WAL record below its mark, so a recovery
+//! never replays one of them again. The [`Compactor`] removes the
+//! **closed** segments (all but the newest; the active segment is the
+//! writer's and is never touched) that hold nothing else. Segment `i`
+//! holds the LSNs in `[base_i, base_{i+1})`, so it may go once its
+//! successor's base is at or below both the mark and the retention
+//! floor. That is decided from the segment file names alone
+//! ([`list_segments`]): a pass reads no segment byte and rewrites no
+//! file, so a segment is either whole or gone.
 //!
-//! * records below the checkpoint mark — their effect is inside the
-//!   checkpoint snapshot, so replay skips them anyway;
-//! * insert+delete pairs above the mark whose halves share one closed
-//!   segment — a row born and dead entirely inside one segment
-//!   contributes nothing to any recovered state. (A delete whose
-//!   insert is in the checkpoint, in a *different* segment, or still in
-//!   the active segment, always survives.)
+//! Removals run in ascending base order, each durable before the next
+//! ([`Dir::remove`]), and the pass stops at the first segment it may
+//! not remove. A crash or a failed removal mid-pass therefore leaves a
+//! suffix of the log that still holds every record at or above the
+//! mark, and the next pass finishes the job. A segment that straddles
+//! the mark stays until a later mark passes its end; recovery's floored
+//! scan ([`crate::segment::scan_dir_from`]) checksums its covered
+//! records and keeps none of them.
 //!
-//! Survivors keep their original LSNs — segments carry explicit
-//! per-record sequence numbers precisely so compaction can remove
-//! records without renumbering — and each segment is replaced atomically
-//! ([`pitract_store::Dir::write_atomic`]: temp + flush + durable rename),
-//! or removed durably when nothing in it survives. The same-segment restriction on pair cancellation is what
-//! makes the *whole pass* crash-safe, not just each file: every drop
-//! decision commits or vanishes with exactly one segment's rename, so a
-//! crash at any instant leaves a mix of old and new segments that still
-//! recovers to the same state (cancelling a pair across two segments
-//! would leave an orphaned, unreplayable delete if the crash landed
-//! between their rewrites). Cross-segment pairs are not lost work —
-//! they fall below the next checkpoint's mark and are dropped then by
-//! the per-segment-safe covered-records rule.
+//! Compaction cancels nothing above the mark: recovery replays every
+//! record of the tail, each within the engine's per-update bound. A log
+//! thinned by an older compactor (which cancelled insert+delete pairs
+//! inside a segment) is still valid; its LSN and global-id gaps are
+//! bridged by the replay ([`pitract_engine::LiveRelation::replay_entries`]).
 
 use crate::error::WalError;
-use crate::segment::{decode_entry, encode_record, scan_dir, segment_header, ScannedSegment};
-use pitract_engine::UpdateEntry;
+use crate::segment::list_segments;
 use pitract_store::Dir;
-use std::collections::HashMap;
 
 /// What one compaction pass did, for operators and benchmarks.
+///
+/// The record counts are LSN spans — each closed segment counts
+/// `next_base − base` — so they are exact for every log this crate
+/// writes, whose LSNs run without gaps. A log thinned by an older
+/// compactor counts its gaps too.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// Closed segments examined.
+    /// Closed segments found.
     pub segments_seen: usize,
-    /// Segments rewritten with fewer records.
-    pub segments_rewritten: usize,
-    /// Segments removed outright (every record dropped).
+    /// Closed segments removed.
     pub segments_removed: usize,
     /// Records in the closed segments before the pass.
     pub records_before: usize,
-    /// Records remaining after the pass.
+    /// Records in the closed segments the pass kept.
     pub records_after: usize,
-    /// Bytes in the closed segments before the pass.
-    pub bytes_before: u64,
-    /// Bytes remaining after the pass.
-    pub bytes_after: u64,
 }
 
-/// Rewrites closed segments, dropping records a recovery can never
-/// need. See the module docs for the exact rules.
+/// Removes whole closed segments that a checkpoint covers and no
+/// attached follower still needs. See the module docs for the rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Compactor {
     /// The confirmed checkpoint mark: the LSN of the first record *not*
-    /// covered by the latest durable checkpoint. Records below it are
-    /// dropped.
+    /// covered by the latest durable checkpoint. Only segments wholly
+    /// below it may go.
     mark: u64,
     /// Optional replication retention watermark: the lowest LSN an
-    /// attached follower still needs. Closed segments holding any record
-    /// at or above it are left byte-for-byte untouched — not rewritten,
-    /// not removed — so a follower streaming `[watermark, …)` can never
-    /// observe a segment mutating under its fetch. `None` retains
-    /// nothing extra.
+    /// attached follower still needs. A segment holding any LSN at or
+    /// above it stays, so a follower streaming `[watermark, …)` finds
+    /// every segment it fetches. `None` retains nothing extra.
     retention: Option<u64>,
 }
 
 impl Compactor {
     /// A compactor honoring the checkpoint mark `mark` (pass 0 if no
-    /// checkpoint exists yet — then only insert+delete pairs are
-    /// cancelled).
+    /// checkpoint exists yet — then nothing is removed).
     pub fn new(mark: u64) -> Self {
         Compactor {
             mark,
@@ -83,230 +72,64 @@ impl Compactor {
         }
     }
 
-    /// Honor a replication retention watermark: every closed segment
-    /// containing a record with `lsn >= watermark` is excluded from the
-    /// pass entirely (its inserts still count as gid-watermark carriers,
-    /// like the active segment's). This is how the compaction/replication
-    /// race is fixed *by construction*: the publisher computes the
-    /// minimum applied LSN across attached followers and the compactor
-    /// simply cannot touch the bytes those followers have yet to fetch.
+    /// Honor a replication retention watermark: a closed segment
+    /// holding any LSN at or above `watermark` stays. The publisher
+    /// computes the minimum applied LSN across attached followers, and
+    /// the pass cannot remove a segment those followers have yet to
+    /// fetch.
     pub fn with_retention(mut self, watermark: Option<u64>) -> Self {
         self.retention = watermark;
         self
     }
 
-    /// Compact every closed segment of `dir`. Closed segments must scan
-    /// strictly (a tear there is damage, not a crash residue), and every
-    /// payload must decode — the compactor refuses to rewrite a log it
-    /// cannot fully interpret.
+    /// Remove, oldest first, every closed segment of `dir` whose
+    /// successor's base is at or below both the mark and the retention
+    /// watermark. Reads the directory listing only. A removal that
+    /// fails ends the pass with [`WalError::Io`]; the segments removed
+    /// before it stay removed, and the next pass removes the rest. A
+    /// missing directory has nothing to remove.
     pub fn compact_dir(&self, dir: impl Into<Dir>) -> Result<CompactionReport, WalError> {
         let dir = dir.into();
-        let scan = scan_dir(&dir)?;
-        let mut report = CompactionReport::default();
-        // All but the newest segment are closed. (With 0 or 1 segments
-        // there is nothing to do.)
-        let all_closed: &[ScannedSegment] = match scan.segments.split_last() {
-            Some((_active, closed)) => closed,
-            None => &[],
+        let files = match list_segments(&dir) {
+            Ok(files) => files,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(WalError::Io(e)),
         };
-        // The retention watermark partitions the closed set: a segment
-        // holding any record an attached follower still needs (lsn at or
-        // above the watermark) is off limits in its entirety — followers
-        // fetch segment bytes, and a rewrite under a fetch would tear
-        // the shipped stream. Protected segments behave like the active
-        // one: untouched, but their inserts still carry the gid
-        // watermark.
-        let floor = self.retention.unwrap_or(u64::MAX);
-        let (closed, protected): (Vec<&ScannedSegment>, Vec<&ScannedSegment>) =
-            all_closed.iter().partition(|seg| {
-                seg.base_lsn < floor && seg.records.last().is_none_or(|(lsn, _)| *lsn < floor)
-            });
-        if closed.is_empty() {
-            return Ok(report);
-        }
-
-        // Decode every closed record once, globally — pair matching
-        // needs the whole closed region even though only same-segment
-        // pairs may cancel (a delete whose insert sits in an *earlier*
-        // segment must be recognized as matched, and kept).
-        let mut decoded: Vec<Vec<(u64, UpdateEntry, &[u8])>> = Vec::with_capacity(closed.len());
-        for seg in &closed {
-            let mut entries = Vec::with_capacity(seg.records.len());
-            for (lsn, payload) in &seg.records {
-                let entry = decode_entry(&seg.name, 0, *lsn, payload)?;
-                entries.push((*lsn, entry, payload.as_slice()));
-            }
-            decoded.push(entries);
-        }
-
-        // Decide survivors: drop below-mark records, then cancel
-        // insert+delete pairs among what is left, each segment its own
-        // group. Cancelling only pairs whose halves share a segment keeps
-        // the pass crash-safe: each segment is replaced atomically, but
-        // the *pass* is not atomic across segments — dropping an insert
-        // in one rewrite and its delete in another would let a crash
-        // between them orphan the delete, and an orphaned delete makes
-        // the tail unreplayable. A cross-segment pair simply survives
-        // until a later checkpoint mark covers it, which drops both
-        // halves by a rule that is safe per segment.
-        let mut drop: Vec<Vec<bool>> = decoded
-            .iter()
-            .map(|seg| seg.iter().map(|(lsn, _, _)| *lsn < self.mark).collect())
-            .collect();
-        // The records above the mark, as (segment, record), in log order.
-        let above_mark: Vec<(usize, usize)> = drop
-            .iter()
-            .enumerate()
-            .flat_map(|(si, seg)| {
-                seg.iter()
-                    .enumerate()
-                    .filter(|(_, &dead)| !dead)
-                    .map(move |(ri, _)| (si, ri))
-            })
-            .collect();
-        let records: Vec<(usize, &UpdateEntry)> = above_mark
-            .iter()
-            .map(|&(si, ri)| (si, &decoded[si][ri].1))
-            .collect();
-        // The active segment and the protected ones are untouched, so
-        // their inserts always survive as gid-watermark carriers.
-        let cancelled = cancel_pairs(&records, || {
-            let mut carrier = match scan.segments.last() {
-                Some(seg) => active_insert_watermark(seg)?,
-                None => None,
-            };
-            for seg in &protected {
-                carrier = carrier.max(active_insert_watermark(seg)?);
-            }
-            Ok::<_, WalError>(carrier)
-        })?;
-        for (&(si, ri), cancelled) in above_mark.iter().zip(cancelled) {
-            drop[si][ri] = cancelled;
-        }
-
-        // Rewrite each changed segment 1:1 (same name, same base LSN) —
-        // per-segment atomicity means a crash mid-pass leaves a mix of
-        // old and new segments that still recovers identically: every
-        // dropped record was either covered by the checkpoint or part of
-        // a self-cancelling pair.
-        for (seg, (entries, drop)) in closed.iter().zip(decoded.iter().zip(&drop)) {
+        let cutoff = self.retention.map_or(self.mark, |r| r.min(self.mark));
+        let mut report = CompactionReport::default();
+        // Each closed segment with its successor's base; the last file
+        // is the active segment and has none. Bases ascend, so the
+        // removable segments are a prefix.
+        for ((base, name), (next, _)) in files.iter().zip(files.iter().skip(1)) {
+            let span = (next - base) as usize;
             report.segments_seen += 1;
-            report.records_before += entries.len();
-            report.bytes_before += seg.file_len;
-            let survivors: Vec<&(u64, UpdateEntry, &[u8])> = entries
-                .iter()
-                .zip(drop)
-                .filter(|(_, &dead)| !dead)
-                .map(|(e, _)| e)
-                .collect();
-            report.records_after += survivors.len();
-            if survivors.len() == entries.len() {
-                report.bytes_after += seg.file_len;
-                continue; // nothing dropped: leave the file untouched
-            }
-            if survivors.is_empty() {
-                dir.remove(&seg.name)?;
+            report.records_before += span;
+            if *next <= cutoff {
+                dir.remove(name)?;
                 report.segments_removed += 1;
-                continue;
+            } else {
+                report.records_after += span;
             }
-            let mut bytes = segment_header(seg.base_lsn);
-            for (lsn, _, payload) in survivors {
-                bytes.extend_from_slice(&encode_record(*lsn, payload));
-            }
-            report.bytes_after += bytes.len() as u64;
-            dir.write_atomic(&seg.name, &bytes)?;
-            report.segments_rewritten += 1;
         }
         Ok(report)
     }
 }
 
-/// The one insert/delete cancellation rule, shared by
-/// [`Compactor::compact_dir`] and [`crate::recover_live`]: which records
-/// of a log region a replay never needs.
-///
-/// `records` lists the region's records in log order, each with its
-/// group: compaction groups by segment, recovery puts the whole tail in
-/// one group. An insert and a later delete of the same gid *in the same
-/// group* cancel — a row born and dead there contributes nothing to any
-/// recovered state. A delete whose insert is outside the region (in the
-/// checkpoint) always survives; so does one whose insert is in an
-/// earlier group.
-///
-/// One refinement keeps cancellation lossless under composition: the
-/// cancelled pair with the **highest** gid survives unless a surviving
-/// insert of the region, or `carrier()` — the highest inserted gid among
-/// records outside the region that will also be replayed — carries a
-/// higher id. A trailing run of pairs would otherwise leave no record of
-/// how far the id allocator had advanced, and a node recovered from the
-/// compacted log would reassign those ids. `carrier` is only called
-/// when some pair cancelled.
-///
-/// Returns one flag per record, `true` where the record is dropped.
-pub fn cancel_pairs<E>(
-    records: &[(usize, &UpdateEntry)],
-    carrier: impl FnOnce() -> Result<Option<usize>, E>,
-) -> Result<Vec<bool>, E> {
-    let mut cancelled = vec![false; records.len()];
-    // gid → (group, position) of its insert, until a delete matches it.
-    let mut open_inserts: HashMap<usize, (usize, usize)> = HashMap::new();
-    // The cancelled pair with the highest gid: (gid, insert, delete).
-    let mut watermark: Option<(usize, usize, usize)> = None;
-    for (i, (group, entry)) in records.iter().enumerate() {
-        match entry {
-            UpdateEntry::Insert { gid, .. } => {
-                open_inserts.insert(*gid, (*group, i));
-            }
-            UpdateEntry::Delete { gid } => {
-                if let Some((insert_group, at)) = open_inserts.remove(gid) {
-                    if insert_group == *group {
-                        cancelled[at] = true;
-                        cancelled[i] = true;
-                        if watermark.is_none_or(|(w, _, _)| w <= *gid) {
-                            watermark = Some((*gid, at, i));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some((gid, insert_at, delete_at)) = watermark {
-        let surviving = records
-            .iter()
-            .zip(&cancelled)
-            .filter_map(|((_, e), &dead)| match (dead, e) {
-                (false, UpdateEntry::Insert { gid, .. }) => Some(*gid),
-                _ => None,
-            })
-            .max();
-        if surviving.max(carrier()?).is_none_or(|c| c < gid) {
-            cancelled[insert_at] = false;
-            cancelled[delete_at] = false;
-        }
-    }
-    Ok(cancelled)
-}
-
-/// Highest inserted gid among an untouched segment's records (the
-/// active segment, or one a follower still needs): compaction never
-/// touches them, so their inserts always survive as watermark carriers.
-fn active_insert_watermark(active: &ScannedSegment) -> Result<Option<usize>, WalError> {
-    let mut max = None;
-    for (lsn, payload) in &active.records {
-        if let UpdateEntry::Insert { gid, .. } = decode_entry(&active.name, 0, *lsn, payload)? {
-            max = max.max(Some(gid));
-        }
-    }
-    Ok(max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::DurableLiveRelation;
     use crate::reader::WalReader;
     use crate::writer::{SyncPolicy, WalConfig, WalWriter};
-    use pitract_engine::{LiveRelation, ShardBy};
+    use pitract_core::epoch::Epoch;
+    use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
     use pitract_relation::{ColType, Relation, Schema, Value};
+    use pitract_store::storage::{DirClaim, FileHandle, Storage};
+    use pitract_store::{MemoryVolume, SnapshotCatalog};
+    use std::io;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tiny_wal(dir: &Dir) -> WalWriter {
         WalWriter::open(
@@ -320,6 +143,13 @@ mod tests {
         .unwrap()
     }
 
+    /// Append `entry` and commit it, which settles a rotation it made
+    /// due.
+    fn log(wal: &WalWriter, entry: &UpdateEntry) {
+        let lsn = wal.append_entry(entry).unwrap();
+        wal.commit(lsn).unwrap();
+    }
+
     fn insert(gid: usize) -> UpdateEntry {
         UpdateEntry::Insert {
             gid,
@@ -327,226 +157,70 @@ mod tests {
         }
     }
 
-    /// The records of one group that [`cancel_pairs`] keeps.
-    fn survivors(log: &[UpdateEntry]) -> Vec<UpdateEntry> {
-        let grouped: Vec<(usize, &UpdateEntry)> = log.iter().map(|e| (0, e)).collect();
-        let Ok(cancelled) = cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
-        log.iter()
-            .zip(cancelled)
-            .filter(|(_, dead)| !dead)
-            .map(|(e, _)| e.clone())
+    /// Every segment file of `dir` with its bytes.
+    fn files(dir: &Dir) -> Vec<(u64, Vec<u8>)> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(base, name)| (base, dir.read(&name, 0).unwrap()))
             .collect()
     }
 
-    fn row_insert(gid: usize, key: i64, tag: &str) -> UpdateEntry {
-        UpdateEntry::Insert {
-            gid,
-            row: vec![Value::Int(key), Value::str(tag)],
-        }
-    }
-
+    /// A segment that straddles the mark stays whole: nothing is cut
+    /// out of a file, every segment wholly below the mark goes, and the
+    /// report counts LSN spans.
     #[test]
-    fn compact_cancels_pairs_and_keeps_survivor_order() {
-        // Rows 0..3 predate the log; a=3, b=4, c=5 are logged inserts.
-        let log = [
-            row_insert(3, 100, "a"),
-            row_insert(4, 101, "b"),
-            UpdateEntry::Delete { gid: 0 }, // pre-log row: delete must survive
-            UpdateEntry::Delete { gid: 3 }, // cancels with a's insert
-            row_insert(5, 102, "c"),
-        ];
-        assert_eq!(
-            survivors(&log),
-            [
-                row_insert(4, 101, "b"),
-                UpdateEntry::Delete { gid: 0 },
-                row_insert(5, 102, "c"),
-            ],
-            "pair (insert 3, delete 3) cancelled, survivors in order"
-        );
-        // A fully cancelling history compacts to the single
-        // watermark-bearing pair: the highest-gid pair survives so a
-        // recovery still advances the id allocator to where the history
-        // left it (19 insert+delete pairs vanish; one stays).
-        let churn: Vec<UpdateEntry> = (0..20usize)
-            .flat_map(|gid| {
-                [
-                    row_insert(gid, gid as i64, "x"),
-                    UpdateEntry::Delete { gid },
-                ]
-            })
-            .collect();
-        assert_eq!(churn.len(), 40);
-        let compacted = survivors(&churn);
-        assert_eq!(
-            compacted,
-            [row_insert(19, 19, "x"), UpdateEntry::Delete { gid: 19 }],
-            "only the watermark pair survives total churn"
-        );
-        // Replaying the compacted log reproduces the allocator exactly:
-        // the next insert gets the same gid the original history would.
-        let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
-        let empty = Relation::from_rows(schema, Vec::new()).unwrap();
-        let replayed = LiveRelation::build(&empty, ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
-        replayed.replay_entries(compacted).unwrap();
-        assert_eq!(
-            replayed
-                .insert(vec![Value::Int(9), Value::str("y")])
-                .unwrap(),
-            20,
-            "future gid assignment is preserved through compaction"
-        );
-        // A pair whose halves sit in different groups never cancels.
-        let later = row_insert(25, 25, "z");
-        let split = [(0, &churn[0]), (1, &churn[1]), (1, &later)];
-        let Ok(cancelled) = cancel_pairs(&split, || Ok::<_, std::convert::Infallible>(None));
-        assert_eq!(cancelled, [false, false, false]);
-    }
-
-    #[test]
-    fn drops_covered_records_and_cancelled_pairs_but_keeps_the_rest() {
+    fn a_segment_straddling_the_mark_stays_whole() {
         let dir = Dir::memory();
-        // One roomy segment, closed at the end: the pair's halves share
-        // it, so cancellation is in play.
-        let wal = WalWriter::open(
-            &dir,
-            WalConfig {
-                segment_bytes: 1 << 20,
-                sync: SyncPolicy::Never,
-                ..WalConfig::default()
-            },
-        )
-        .unwrap();
-        // lsn 0..3: covered by the checkpoint mark below.
-        for gid in 0..4 {
-            wal.append_entry(&insert(gid)).unwrap();
+        let wal = tiny_wal(&dir);
+        for gid in 0..12 {
+            log(&wal, &insert(gid));
         }
-        // lsn 4: insert later deleted at lsn 6 → pair cancels.
-        wal.append_entry(&insert(100)).unwrap();
-        // lsn 5: delete of a pre-WAL row (no matching insert) → survives.
-        wal.append_entry(&UpdateEntry::Delete { gid: 1 }).unwrap();
-        // lsn 6: the delete half of the pair.
-        wal.append_entry(&UpdateEntry::Delete { gid: 100 }).unwrap();
-        // lsn 7: surviving insert.
-        wal.append_entry(&insert(101)).unwrap();
-        // Close everything so the compactor may touch it.
         wal.rotate_now().unwrap();
+        let before = files(&dir);
+        let bases: Vec<u64> = before.iter().map(|(base, _)| *base).collect();
+        assert!(bases.len() > 3, "tiny segments rotated: {bases:?}");
+        // A mark one past a segment's base: that segment straddles it.
+        let straddling = bases.len() / 2;
+        let mark = bases[straddling] + 1;
+        assert!(mark < bases[straddling + 1]);
 
-        let report = Compactor::new(4).compact_dir(&dir).unwrap();
-        assert_eq!(report.records_before, 8);
-        assert_eq!(report.records_after, 2, "only lsn 5 and 7 survive");
-        assert!(report.bytes_after < report.bytes_before);
-        assert!(report.segments_rewritten + report.segments_removed > 0);
-
-        let reader = WalReader::open(&dir).unwrap();
-        let kept: Vec<(u64, UpdateEntry)> = reader
-            .records()
-            .iter()
-            .map(|r| (r.lsn, r.entry.clone()))
-            .collect();
+        let report = Compactor::new(mark).compact_dir(&dir).unwrap();
+        assert_eq!(report.segments_seen, bases.len() - 1);
+        assert_eq!(report.segments_removed, straddling);
+        assert_eq!(report.records_before, 12);
+        assert_eq!(report.records_after, 12 - bases[straddling] as usize);
+        assert_eq!(files(&dir), before[straddling..], "the rest is untouched");
+        let first = WalReader::open(&dir).unwrap().records()[0].lsn;
         assert_eq!(
-            kept,
-            vec![(5, UpdateEntry::Delete { gid: 1 }), (7, insert(101)),],
-            "survivors keep their original lsns"
+            first, bases[straddling],
+            "covered records below the mark stay"
         );
-        // The writer still appends after the compacted tail.
+        // The writer still appends after the log.
         drop(wal);
-        let wal = tiny_wal(&dir);
-        assert_eq!(wal.next_lsn(), 8);
-    }
-
-    #[test]
-    fn cross_segment_pairs_survive_for_crash_atomicity() {
-        let dir = Dir::memory();
-        let wal = tiny_wal(&dir);
-        // Insert in one segment, delete it two rotations later. Dropping
-        // the pair would touch two files, and the pass is only atomic
-        // per file — a crash between the rewrites would orphan the
-        // delete — so the pair must survive. A later checkpoint mark
-        // covers it instead, which drops per segment safely.
-        wal.append_entry(&insert(0)).unwrap();
-        wal.rotate_now().unwrap();
-        for gid in 1..4 {
-            wal.append_entry(&insert(gid)).unwrap();
-        }
-        wal.rotate_now().unwrap();
-        wal.append_entry(&UpdateEntry::Delete { gid: 0 }).unwrap();
-        wal.rotate_now().unwrap();
-        Compactor::new(0).compact_dir(&dir).unwrap();
-        let reader = WalReader::open(&dir).unwrap();
-        assert_eq!(reader.len(), 5, "nothing cancelled across segments");
-        // Every delete still has its insert earlier in the stream: the
-        // compacted log replays strictly, no orphaned halves.
-        let entries: Vec<UpdateEntry> = reader.records().iter().map(|r| r.entry.clone()).collect();
-        for (i, e) in entries.iter().enumerate() {
-            if let UpdateEntry::Delete { gid } = e {
-                assert!(
-                    entries[..i]
-                        .iter()
-                        .any(|p| matches!(p, UpdateEntry::Insert { gid: g, .. } if g == gid)),
-                    "delete of {gid} orphaned"
-                );
-            }
-        }
-        // Once a checkpoint covers the pair, it goes (per-segment-safe).
-        Compactor::new(5).compact_dir(&dir).unwrap();
-        assert!(WalReader::open(&dir).unwrap().is_empty());
-    }
-
-    #[test]
-    fn trailing_pair_is_kept_as_the_allocator_watermark() {
-        let dir = Dir::memory();
-        let wal = WalWriter::open(
-            &dir,
-            WalConfig {
-                segment_bytes: 1 << 20,
-                sync: SyncPolicy::Never,
-                ..WalConfig::default()
-            },
-        )
-        .unwrap();
-        // Pure churn: every insert is deleted; the highest pair must
-        // survive compaction so recovery still knows gid 9 was assigned.
-        for gid in 0..10 {
-            wal.append_entry(&insert(gid)).unwrap();
-            wal.append_entry(&UpdateEntry::Delete { gid }).unwrap();
-        }
-        wal.rotate_now().unwrap();
-        Compactor::new(0).compact_dir(&dir).unwrap();
-        let reader = WalReader::open(&dir).unwrap();
-        let survivors: Vec<UpdateEntry> =
-            reader.records().iter().map(|r| r.entry.clone()).collect();
-        assert_eq!(
-            survivors,
-            vec![insert(9), UpdateEntry::Delete { gid: 9 }],
-            "exactly the watermark pair remains"
-        );
-        // A higher insert in the *active* segment releases it.
-        wal.append_entry(&insert(10)).unwrap();
-        wal.sync().unwrap();
-        Compactor::new(0).compact_dir(&dir).unwrap();
-        let reader = WalReader::open(&dir).unwrap();
-        let survivors: Vec<UpdateEntry> =
-            reader.records().iter().map(|r| r.entry.clone()).collect();
-        assert_eq!(
-            survivors,
-            vec![insert(10)],
-            "active insert carries the watermark"
-        );
+        assert_eq!(tiny_wal(&dir).next_lsn(), 12);
     }
 
     #[test]
     fn active_segment_and_its_pairs_are_left_alone() {
         let dir = Dir::memory();
         let wal = tiny_wal(&dir);
-        wal.append_entry(&insert(7)).unwrap();
+        log(&wal, &insert(7));
         wal.rotate_now().unwrap();
-        // The delete lands in the *active* segment: the closed insert
-        // must survive (its pair partner is outside the compactable set).
-        wal.append_entry(&UpdateEntry::Delete { gid: 7 }).unwrap();
+        // The delete lands in the *active* segment, which no pass
+        // touches, whatever the mark; no pair is ever cancelled.
+        log(&wal, &UpdateEntry::Delete { gid: 7 });
         Compactor::new(0).compact_dir(&dir).unwrap();
-        let reader = WalReader::open(&dir).unwrap();
-        assert_eq!(reader.len(), 2, "nothing was dropped");
+        assert_eq!(WalReader::open(&dir).unwrap().len(), 2, "nothing dropped");
+        let report = Compactor::new(u64::MAX).compact_dir(&dir).unwrap();
+        assert_eq!((report.segments_seen, report.segments_removed), (1, 1));
+        let kept: Vec<UpdateEntry> = WalReader::open(&dir)
+            .unwrap()
+            .records()
+            .iter()
+            .map(|r| r.entry.clone())
+            .collect();
+        assert_eq!(kept, [UpdateEntry::Delete { gid: 7 }]);
     }
 
     #[test]
@@ -554,10 +228,10 @@ mod tests {
         let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..20 {
-            wal.append_entry(&insert(gid)).unwrap();
+            log(&wal, &insert(gid));
         }
         wal.rotate_now().unwrap();
-        let segments_before = crate::segment::scan_dir(&dir).unwrap().segments.len();
+        let segments_before = list_segments(&dir).unwrap().len();
         let report = Compactor::new(20).compact_dir(&dir).unwrap();
         assert_eq!(report.records_after, 0);
         assert_eq!(report.segments_removed, segments_before - 1);
@@ -571,7 +245,7 @@ mod tests {
         let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..12 {
-            wal.append_entry(&insert(gid)).unwrap();
+            log(&wal, &insert(gid));
         }
         wal.rotate_now().unwrap();
         // Remember every closed segment's bytes before the pass.
@@ -634,18 +308,205 @@ mod tests {
         let dir = Dir::memory();
         let wal = tiny_wal(&dir);
         for gid in 0..10 {
-            wal.append_entry(&insert(gid)).unwrap();
+            log(&wal, &insert(gid));
             if gid % 2 == 0 {
-                wal.append_entry(&UpdateEntry::Delete { gid }).unwrap();
+                log(&wal, &UpdateEntry::Delete { gid });
             }
         }
         wal.rotate_now().unwrap();
-        let first = Compactor::new(3).compact_dir(&dir).unwrap();
+        let first = Compactor::new(7).compact_dir(&dir).unwrap();
         let after_first: Vec<_> = WalReader::open(&dir).unwrap().records().to_vec();
-        let second = Compactor::new(3).compact_dir(&dir).unwrap();
+        let second = Compactor::new(7).compact_dir(&dir).unwrap();
         let after_second: Vec<_> = WalReader::open(&dir).unwrap().records().to_vec();
+        assert!(first.segments_removed > 0, "{first:?}");
         assert_eq!(after_first, after_second);
         assert_eq!(second.records_before, first.records_after);
-        assert_eq!(second.segments_rewritten, 0, "second pass rewrites nothing");
+        assert_eq!(second.segments_removed, 0, "second pass removes nothing");
+    }
+
+    /// A storage that fails its `nth` remove (counting from 1), cutting
+    /// `power` first when it holds a volume, as a crash between two
+    /// removals would; and that panics on any read while `reads_panic`
+    /// is set.
+    #[derive(Debug)]
+    struct Faulty {
+        inner: Arc<dyn Storage>,
+        removes: AtomicUsize,
+        nth: usize,
+        power: Option<MemoryVolume>,
+        reads_panic: bool,
+    }
+
+    impl Faulty {
+        /// The WAL directory of `volume`, seen through this decorator.
+        fn wal_dir(volume: &MemoryVolume, nth: usize, crash: bool, reads_panic: bool) -> Dir {
+            let faulty = Faulty {
+                inner: Arc::clone(volume.root().storage()),
+                removes: AtomicUsize::new(0),
+                nth,
+                power: crash.then(|| volume.clone()),
+                reads_panic,
+            };
+            Dir::new(Arc::new(faulty), "/wal")
+        }
+    }
+
+    impl Storage for Faulty {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+
+        fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
+            assert!(!self.reads_panic, "read {} from {from}", path.display());
+            self.inner.read(path, from)
+        }
+
+        fn create(&self, path: &Path) -> io::Result<FileHandle> {
+            self.inner.create(path)
+        }
+
+        fn open(&self, path: &Path) -> io::Result<FileHandle> {
+            self.inner.open(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            if self.removes.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+                if let Some(volume) = &self.power {
+                    volume.crash();
+                }
+                return Err(io::Error::other("remove failed"));
+            }
+            self.inner.remove(path)
+        }
+
+        fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
+            self.inner.claim(dir)
+        }
+    }
+
+    /// What a recovery of the node on `volume` serves: its rows, live
+    /// count and epoch.
+    type State = (Vec<Option<Vec<Value>>>, usize, Epoch);
+
+    fn config() -> WalConfig {
+        WalConfig {
+            segment_bytes: 160,
+            sync: SyncPolicy::GroupCommit,
+            ..WalConfig::default()
+        }
+    }
+
+    fn state_of(node: &DurableLiveRelation) -> State {
+        let rows = (0..80).map(|gid| node.row(gid)).collect();
+        (rows, node.len(), node.current_epoch())
+    }
+
+    fn recovered(volume: &MemoryVolume) -> State {
+        let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
+        let wal_dir = volume.root().join("wal");
+        state_of(&DurableLiveRelation::recover(&catalog, "node", wal_dir, config()).unwrap())
+    }
+
+    /// A node on `volume` with churn below its checkpoint mark, spread
+    /// over many closed segments, and a tail above it. Returns the node
+    /// and the mark.
+    fn churned(volume: &MemoryVolume) -> (DurableLiveRelation, u64) {
+        let rel = Relation::from_rows(
+            Schema::new(&[("id", ColType::Int)]),
+            (0..8i64).map(|i| vec![Value::Int(i)]).collect(),
+        )
+        .unwrap();
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+        let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
+        let wal_dir = volume.root().join("wal");
+        let node = DurableLiveRelation::create(live, &catalog, "node", wal_dir, config()).unwrap();
+        for i in 0..30i64 {
+            let gid = node.insert(vec![Value::Int(100 + i)]).unwrap();
+            if i % 3 == 0 {
+                node.delete(gid).unwrap().unwrap();
+            }
+        }
+        node.checkpoint(&catalog, "node").unwrap();
+        for i in 0..12i64 {
+            let gid = node.insert(vec![Value::Int(200 + i)]).unwrap();
+            if i % 4 == 0 {
+                node.delete(gid).unwrap().unwrap();
+            }
+        }
+        node.wal().rotate_now().unwrap();
+        let mark = node.checkpoint_mark();
+        (node, mark)
+    }
+
+    /// A removal fails on the second segment of a pass — after a power
+    /// loss, when `crash` is set. The pass returns the typed error, the
+    /// segment removed before it stays removed, recovery serves the
+    /// same state, and the next pass finishes the job.
+    fn a_removal_fault_mid_pass(crash: bool) {
+        let volume = MemoryVolume::new();
+        let (node, mark) = churned(&volume);
+        let expected = state_of(&node);
+        let wal_dir = volume.root().join("wal");
+        let bases = |dir: &Dir| -> Vec<u64> {
+            list_segments(dir)
+                .unwrap()
+                .into_iter()
+                .map(|(b, _)| b)
+                .collect()
+        };
+        let before = bases(&wal_dir);
+
+        let faulty = Faulty::wal_dir(&volume, 2, crash, false);
+        let err = Compactor::new(mark).compact_dir(&faulty).unwrap_err();
+        assert!(matches!(err, WalError::Io(_)), "{err}");
+        drop(node);
+        assert_eq!(bases(&wal_dir), before[1..], "the first removal stands");
+        assert_eq!(recovered(&volume), expected);
+
+        let report = Compactor::new(mark).compact_dir(&wal_dir).unwrap();
+        assert!(report.segments_removed > 0, "{report:?}");
+        let left = bases(&wal_dir);
+        assert!(left.len() >= 2 && left[1] > mark, "{left:?}");
+        assert_eq!(
+            Compactor::new(mark)
+                .compact_dir(&wal_dir)
+                .unwrap()
+                .segments_removed,
+            0
+        );
+        assert_eq!(recovered(&volume), expected);
+    }
+
+    #[test]
+    fn a_failed_remove_mid_pass_is_typed_and_the_next_pass_finishes() {
+        a_removal_fault_mid_pass(false);
+    }
+
+    #[test]
+    fn a_crash_between_two_removals_recovers_the_same_state() {
+        a_removal_fault_mid_pass(true);
+    }
+
+    /// A pass decides from the directory listing alone: with every read
+    /// panicking, it still removes what the mark covers.
+    #[test]
+    fn a_pass_reads_no_segment_byte() {
+        let volume = MemoryVolume::new();
+        let (node, mark) = churned(&volume);
+        let expected = state_of(&node);
+        let faulty = Faulty::wal_dir(&volume, usize::MAX, false, true);
+        let report = Compactor::new(mark).compact_dir(&faulty).unwrap();
+        assert!(report.segments_removed > 1, "{report:?}");
+        assert!(report.records_after < report.records_before);
+        drop(node);
+        assert_eq!(recovered(&volume), expected);
     }
 }

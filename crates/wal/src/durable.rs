@@ -56,15 +56,17 @@
 //! replication follower keeps too). A checkpoint's pinned epoch therefore
 //! translates directly into the checkpoint's WAL mark
 //! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
-//! mapping: load the checkpoint, replay the WAL tail at-or-after the
-//! mark (compacted, so replay work is bounded by net change), resume
-//! appending at the recovered LSN, and advance the epoch clock to the
-//! cut epoch plus the LSN span past the mark — compaction drops records
-//! but never renumbers them, so the recovered node stamps its next
-//! update with the same epoch the crashed node would have
-//! ([`DurableLiveRelation::recovery_summary`]).
+//! mapping: load the checkpoint, replay every WAL record at or after
+//! the mark (one replayed update per logged one — compaction removes
+//! only whole segments below the mark, so replay work is the tail since
+//! the last checkpoint), resume appending at the recovered LSN, and
+//! advance the epoch clock to the cut epoch plus the LSN span past the
+//! mark. That span counts any LSN gap a log thinned by an older
+//! compactor holds, as the crashed node's clock did, so the recovered
+//! node stamps its next update with the same epoch the crashed node
+//! would have ([`DurableLiveRelation::recovery_summary`]).
 
-use crate::compactor::{cancel_pairs, CompactionReport, Compactor};
+use crate::compactor::{CompactionReport, Compactor};
 use crate::error::WalError;
 use crate::reader::WalReader;
 use crate::writer::{WalConfig, WalWriter};
@@ -156,8 +158,8 @@ pub struct Recovered {
     pub epoch: Epoch,
     /// The LSN the recovered node appends next.
     pub lsn: u64,
-    /// Updates actually replayed — the *compacted* net change, not the
-    /// logged churn.
+    /// Updates replayed: every record of the WAL tail at or after the
+    /// checkpoint mark.
     pub replayed: usize,
 }
 
@@ -230,8 +232,8 @@ impl DurableLiveRelation {
 
     /// Recover after a crash (or a clean restart — the code path is the
     /// same, which is how it stays tested): load the checkpoint saved
-    /// under `name`, truncate any torn WAL tail, replay the compacted
-    /// tail at-or-after the checkpoint's mark, and resume durable
+    /// under `name`, truncate any torn WAL tail, replay the whole tail
+    /// at or after the checkpoint's mark, and resume durable
     /// serving. The recovered node is bit-identical — answers and global
     /// row ids — to the crashed node's confirmed prefix.
     ///
@@ -278,7 +280,7 @@ impl DurableLiveRelation {
     }
 
     /// What [`Self::recover`] reconstructed — the resumed epoch clock,
-    /// the next LSN, and how many updates the compacted replay applied.
+    /// the next LSN, and how many updates the replay applied.
     /// `None` for a node born via [`Self::create`].
     pub fn recovery_summary(&self) -> Option<Recovered> {
         self.recovered
@@ -319,22 +321,21 @@ impl DurableLiveRelation {
         Ok(path)
     }
 
-    /// Compact the WAL's closed segments against the latest confirmed
-    /// checkpoint mark: drop records the checkpoint covers and
-    /// insert+delete pairs that cancel, bounding recovery replay (and
-    /// disk) by net change instead of churn. Call [`Self::checkpoint`]
-    /// first for the mark to be meaningful; rotation
+    /// Compact the WAL against the latest confirmed checkpoint mark:
+    /// remove the closed segments the checkpoint wholly covers, bounding
+    /// the log on disk by the tail since that checkpoint plus at most the
+    /// one segment that straddles its mark ([`Compactor`]). Call
+    /// [`Self::checkpoint`] first for the mark to be meaningful; rotation
     /// ([`WalWriter::rotate_now`] or the size threshold) determines how
-    /// much of the log is closed and therefore compactable.
+    /// much of the log is closed and therefore removable.
     pub fn compact_wal(&self) -> Result<CompactionReport, WalError> {
         self.compact_wal_retaining(None)
     }
 
     /// [`Self::compact_wal`] under a replication retention watermark:
-    /// closed segments holding any record at or above `retention` are
-    /// left byte-for-byte untouched, so an attached follower that has
-    /// applied up to `retention` can still fetch everything it is owed
-    /// after the pass. A `pitract-repl` `SegmentPublisher` computes the
+    /// closed segments holding any LSN at or above `retention` stay, so
+    /// an attached follower that has applied up to `retention` can
+    /// still fetch everything it is owed after the pass. A `pitract-repl` `SegmentPublisher` computes the
     /// watermark as the minimum applied LSN across attached followers
     /// and routes compaction through here.
     pub fn compact_wal_retaining(
@@ -352,16 +353,15 @@ impl DurableLiveRelation {
 /// under `name` and opens the WAL at `dir` for appending: the torn tail
 /// is truncated and no LSN below the checkpoint's mark is handed out. It
 /// reports what that one scan found into `config.recorder`
-/// ([`WalReader::publish`]). It then replays the tail at-or-after the
-/// mark onto the checkpoint state — compacted by [`cancel_pairs`], the
-/// whole tail one group — and burns the gids a trailing cancelled pair
-/// consumed, so future inserts get the gids the log's writer would have
-/// assigned.
+/// ([`WalReader::publish`]). It then replays every record of the tail at
+/// or after the mark onto the checkpoint state
+/// ([`LiveRelation::replay_entries`]), so future inserts get the gids
+/// the log's writer would have assigned.
 ///
-/// The replay ticks the epoch clock once per surviving entry; the clock
-/// then advances to the cut epoch plus the LSN span past the mark, one
-/// tick per update the log's writer applied — LSN gaps that compaction
-/// left count, as the crashed node's clock did.
+/// The replay ticks the epoch clock once per record; the clock then
+/// advances to the cut epoch plus the LSN span past the mark, one tick
+/// per update the log's writer applied — the LSN gaps of a log thinned
+/// by an older compactor count, as the crashed node's clock did.
 ///
 /// Returns `(live, wal, clock, replayed)`: the replayed relation
 /// (recording into `config.recorder`), the positioned writer, the
@@ -385,29 +385,7 @@ pub fn recover_live(
     reader.publish(&recorder);
     let mut live = LiveRelation::from_sharded(state);
     live.set_recorder(&recorder);
-    let tail = reader.into_tail(mark);
-    // Trailing cancelled pairs leave no entry to carry their ids: the
-    // allocator must still reach one past the tail's highest insert. A
-    // logged gid is read off the disk, so the sum saturates: an insert at
-    // `usize::MAX` is then the replay's typed `ReplayGidMismatch`.
-    let next_gid = tail
-        .iter()
-        .filter_map(|e| match e {
-            UpdateEntry::Insert { gid, .. } => Some(gid.saturating_add(1)),
-            UpdateEntry::Delete { .. } => None,
-        })
-        .max();
-    let grouped: Vec<(usize, &UpdateEntry)> = tail.iter().map(|e| (0, e)).collect();
-    let Ok(cancelled) = cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
-    let survivors: Vec<UpdateEntry> = tail
-        .into_iter()
-        .zip(cancelled)
-        .filter_map(|(entry, dead)| (!dead).then_some(entry))
-        .collect();
-    let replayed = live.replay_entries(survivors)?;
-    if let Some(next_gid) = next_gid {
-        live.burn_gids_to(next_gid);
-    }
+    let replayed = live.replay_entries(reader.into_tail(mark))?;
     live.advance_epoch_to(clock.epoch_of_lsn(wal.next_lsn()));
     Ok((live, wal, clock, replayed))
 }
@@ -830,25 +808,28 @@ mod tests {
         assert_eq!(recovered.recovery_summary().unwrap().replayed, 1);
     }
 
-    /// Recovery compacts the WAL tail before replaying: an insert+delete
-    /// pair in it is never re-applied, yet the recovered node is still
-    /// bit-identical on answers, row ids and the epoch clock.
+    /// Recovery replays the whole tail, cancelling nothing, and a tail
+    /// that ends in a run of insert+delete pairs leaves no record of the
+    /// ids those pairs used that outlives them: the replay itself takes
+    /// the allocator past them, so the recovered node is bit-identical on
+    /// answers, row ids and the epoch clock, and its next insert gets the
+    /// gid the crashed node would have given.
     #[test]
-    fn recover_compacts_churn_to_net_change() {
+    fn a_tail_ending_in_insert_delete_pairs_recovers_the_next_gid() {
         let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let wal_dir = Dir::memory();
         let node =
             DurableLiveRelation::create(live(20), &catalog, "base", &wal_dir, config()).unwrap();
-        // Churn: 30 insert+delete pairs and 2 surviving updates.
+        node.insert(vec![Value::Int(777), Value::str("kept")])
+            .unwrap();
+        node.delete(5).unwrap().unwrap();
+        // The tail ends in 30 insert+delete pairs, gids 21 to 50.
         for i in 0..30i64 {
             let gid = node
                 .insert(vec![Value::Int(900 + i), Value::str("churn")])
                 .unwrap();
             node.delete(gid).unwrap().unwrap();
         }
-        node.insert(vec![Value::Int(777), Value::str("kept")])
-            .unwrap();
-        node.delete(5).unwrap().unwrap();
         assert_eq!(node.wal().next_lsn(), 62);
         let queries = [
             SelectionQuery::point(0, 777i64),
@@ -864,17 +845,12 @@ mod tests {
         let recovered = DurableLiveRelation::recover(&catalog, "base", &wal_dir, config()).unwrap();
         assert_eq!(
             recovered.boundedness_report().len(),
-            2,
-            "only the net change was replayed"
+            62,
+            "every logged update was replayed"
         );
         let summary = recovered.recovery_summary().unwrap();
-        assert_eq!(summary.replayed, 2);
-        assert_eq!(summary.lsn, 62);
-        assert_eq!(
-            recovered.current_epoch(),
-            epoch,
-            "compaction must not slow the epoch clock"
-        );
+        assert_eq!((summary.replayed, summary.lsn), (62, 62));
+        assert_eq!(recovered.current_epoch(), epoch);
         assert_eq!(recovered.len(), len);
         for (gid, row) in rows.iter().enumerate() {
             assert_eq!(&recovered.row(gid), row, "gid {gid}");
@@ -882,6 +858,10 @@ mod tests {
         for (q, ids) in queries.iter().zip(&ids) {
             assert_eq!(&recovered.matching_ids(q), ids, "{q:?}");
         }
+        let next = recovered
+            .insert(vec![Value::Int(778), Value::str("next")])
+            .unwrap();
+        assert_eq!(next, 51, "20 base rows and 31 logged inserts came first");
     }
 
     /// A checksummed insert at the last global id, logged past a
@@ -1093,7 +1073,7 @@ mod tests {
         assert_eq!(
             snap.counter("engine_updates_total"),
             Some(replayed),
-            "one engine update per compacted replay entry"
+            "one engine update per replayed entry"
         );
         assert_eq!(
             snap.counter("wal_recovery_truncations_total"),

@@ -5,9 +5,9 @@
 //! crashes, not just across clean restarts. `pitract-store` made the
 //! preprocessed state persistent and `pitract-engine`'s `LiveRelation`
 //! made it servable under live updates, but every update between
-//! checkpoints lived only in memory: a crash lost them, and replay time
-//! grew without bound under churn. This crate closes both gaps with the
-//! standard database answer, built from scratch on `std`:
+//! checkpoints lived only in memory: a crash lost them. This crate
+//! closes that gap with the standard database answer, built from
+//! scratch on `std`:
 //!
 //! * [`WalWriter`] — append-only, fsync'd segment files: each record is
 //!   length-framed, sequence-numbered, and FNV-1a-64 checksummed (the
@@ -21,10 +21,10 @@
 //!   truncated, never an error, while mid-stream damage (checksum
 //!   mismatch, backwards sequence numbers) fails typed with
 //!   [`WalError`], never a panic.
-//! * [`Compactor`] — rewrites closed segments, dropping records the
-//!   latest checkpoint covers and insert+delete pairs that cancel, so
-//!   recovery replay is bounded by the *net* change (the crate-level
-//!   echo of the paper's `|CHANGED|`-bounded maintenance contract).
+//! * [`Compactor`] — removes whole closed segments the latest
+//!   checkpoint covers, deciding from file names alone: no segment is
+//!   ever rewritten, and what recovery replays is the tail since that
+//!   checkpoint, one bounded update per logged one.
 //! * [`DurableLiveRelation`] — the integration: a `LiveRelation` whose
 //!   updates are staged to the WAL inside the engine's global-id
 //!   critical section (WAL order ≡ gid order, so replay is
@@ -32,7 +32,7 @@
 //!   the locks drop. Checkpoints persist the state at a pinned epoch,
 //!   read in place one shard lock at a time, *plus* its WAL position as
 //!   one atomic snapshot; recovery is checkpoint load +
-//!   compacted tail replay ([`recover_live`], the one sequence a
+//!   tail replay ([`recover_live`], the one sequence a
 //!   replication follower's restart runs too), bit-identical — answers
 //!   **and** global row ids — to the crashed node's confirmed prefix.
 //!
@@ -89,7 +89,7 @@ pub mod reader;
 pub mod segment;
 pub mod writer;
 
-pub use compactor::{cancel_pairs, CompactionReport, Compactor};
+pub use compactor::{CompactionReport, Compactor};
 pub use durable::{recover_live, DurableLiveRelation, EpochLsn, Recovered, WalWriterSink};
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};

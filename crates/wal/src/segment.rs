@@ -22,8 +22,8 @@
 //! size  field
 //! ----  ------------------------------------------------------------
 //! 4     payload length n, u32 LE
-//! 8     LSN, u64 LE (strictly increasing; gaps allowed — compaction
-//!       removes records but never renumbers survivors)
+//! 8     LSN, u64 LE (strictly increasing; gaps allowed — an older
+//!       compactor removed records but never renumbered survivors)
 //! n     payload (an UpdateEntry in the pitract-store codec)
 //! 8     FNV-1a-64 checksum over the preceding 12 + n bytes, u64 LE
 //! ```
@@ -393,7 +393,7 @@ pub fn list_segments(dir: &Dir) -> std::io::Result<Vec<(u64, String)>> {
 
 /// Scan a WAL directory: locate the segment files, validate each, check
 /// cross-segment LSN monotonicity. Foreign files (wrong extension, wrong
-/// name shape, leftover `.tmp` from an interrupted compaction) are
+/// name shape, leftover `.tmp` from an interrupted atomic write) are
 /// ignored. A missing directory scans as empty.
 pub fn scan_dir(dir: &Dir) -> Result<DirScan, WalError> {
     scan_dir_from(dir, 0)
@@ -636,7 +636,7 @@ mod tests {
 
     #[test]
     fn lsn_gaps_are_fine_but_backwards_is_corrupt() {
-        // Gaps are what compaction leaves behind.
+        // Gaps are what an older, record-cancelling compactor left.
         let mut bytes = segment_header(5);
         bytes.extend_from_slice(&encode_record(5, b"a"));
         bytes.extend_from_slice(&encode_record(9, b"b"));

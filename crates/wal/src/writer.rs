@@ -83,7 +83,7 @@ pub enum SyncPolicy {
 pub struct WalConfig {
     /// Rotate to a fresh segment once the active one reaches this many
     /// bytes. Smaller segments mean more files but finer-grained
-    /// compaction (only closed segments are compacted).
+    /// compaction (only whole closed segments are removed).
     pub segment_bytes: u64,
     /// The fsync policy.
     pub sync: SyncPolicy,
@@ -490,7 +490,7 @@ impl WalWriter {
 
     /// Flush and rotate to a fresh segment regardless of size — closing
     /// the current segment so a following [`crate::Compactor`] pass may
-    /// rewrite it.
+    /// remove it.
     pub fn rotate_now(&self) -> Result<(), WalError> {
         self.lock().rotation_due = true;
         self.finish_rotation()

@@ -14,10 +14,11 @@
 //! 3. **Crash**: drop the node cold — and, for good measure, leave a
 //!    half-written record at the log's tail, exactly what a power cut
 //!    mid-append does.
-//! 4. **Recover**: checkpoint load + compacted tail replay; verify the
-//!    recovered node is bit-identical on rows, answers, and row ids.
-//! 5. **Compact**: checkpoint, rotate, compact the closed segments, and
-//!    show replay work now tracks the *net* change, not the churn.
+//! 4. **Recover**: checkpoint load + tail replay; verify the recovered
+//!    node is bit-identical on rows, answers, and row ids.
+//! 5. **Compact**: checkpoint, rotate, remove the closed segments the
+//!    checkpoint covers, and show recovery now replays only what was
+//!    logged after it, not the churn before it.
 //!
 //! Run with: `cargo run --release --example durable_serving`
 
@@ -157,21 +158,15 @@ fn main() {
          global row id verified identical (the torn record was never confirmed, so it is gone)"
     );
 
-    // 5. Compact: checkpoint covers the churn, rotation closes the
-    // segments, compaction drops what cancels.
+    // 5. Compact: the checkpoint covers the churn, rotation closes the
+    // segments, and compaction removes the closed segments it covers.
     node.checkpoint(&catalog, "orders").expect("checkpoint");
     node.wal().rotate_now().expect("rotate");
     let report = node.compact_wal().expect("compaction");
     println!(
-        "\ncompaction: {} records / {} KiB across {} closed segments → {} records / {} KiB \
-         ({} rewritten, {} removed)",
-        report.records_before,
-        report.bytes_before >> 10,
-        report.segments_seen,
-        report.records_after,
-        report.bytes_after >> 10,
-        report.segments_rewritten,
-        report.segments_removed,
+        "\ncompaction: {} records across {} closed segments → {} records \
+         ({} segments removed whole, none rewritten)",
+        report.records_before, report.segments_seen, report.records_after, report.segments_removed,
     );
     drop(node);
     let t3 = Instant::now();
@@ -180,8 +175,8 @@ fn main() {
             .expect("recovery after compaction"),
     );
     println!(
-        "post-compaction recovery replayed {} entries in {:.0}ms — bounded by net change, \
-         not the {} updates of churn",
+        "post-compaction recovery replayed {} entries in {:.0}ms — the log past the \
+         checkpoint, not the {} updates of churn before it",
         node.boundedness_report().len(),
         t3.elapsed().as_secs_f64() * 1e3,
         applied,

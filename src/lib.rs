@@ -223,8 +223,8 @@
 //! update into an fsync'd, checksummed write-ahead log *before* it
 //! becomes visible (inside the engine's global-id critical section, so
 //! log order equals id order even under racing writers) and recovers
-//! after a crash by loading the last checkpoint and replaying the
-//! compacted WAL tail — bit-identical answers and row ids, with a torn
+//! after a crash by loading the last checkpoint and replaying the WAL
+//! tail past its mark — bit-identical answers and row ids, with a torn
 //! tail (the residue of a crash mid-append) truncated, never an error.
 //!
 //! ```

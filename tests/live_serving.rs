@@ -7,7 +7,7 @@
 //! replay what `WalReader` reads back from it.
 
 use pi_tractable::prelude::*;
-use pi_tractable::wal::{cancel_pairs, WalRecord};
+use pi_tractable::wal::WalRecord;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -523,23 +523,18 @@ proptest! {
                     let summary = recovered.recovery_summary().unwrap();
                     prop_assert_eq!(recovered.len(), len);
                     prop_assert_eq!(summary.epoch, epoch);
-                    // Recovery replays the *compacted* WAL tail: one
-                    // maintenance record per surviving entry (work may
-                    // differ from the original history's — a cancelled
-                    // pair's row briefly inflated the shard a survivor
-                    // descended into — but the |CHANGED| components are
-                    // pinned per update kind).
-                    let grouped: Vec<(usize, &UpdateEntry)> = tail.iter().map(|e| (0, e)).collect();
-                    let Ok(cancelled) =
-                        cancel_pairs(&grouped, || Ok::<_, std::convert::Infallible>(None));
-                    let compacted = cancelled.iter().filter(|&&dead| !dead).count();
+                    // Recovery replays the whole WAL tail, no pair
+                    // cancelled: one maintenance record per logged
+                    // update, whose |CHANGED| components are pinned per
+                    // update kind.
+                    let replayed = tail.len();
                     let recovered_report = recovered.boundedness_report();
-                    prop_assert_eq!(recovered_report.len(), compacted);
-                    prop_assert_eq!(summary.replayed, compacted);
-                    prop_assert_eq!(recovered_report.total_delta_input(), compacted as u64);
+                    prop_assert_eq!(recovered_report.len(), replayed);
+                    prop_assert_eq!(summary.replayed, replayed);
+                    prop_assert_eq!(recovered_report.total_delta_input(), replayed as u64);
                     prop_assert_eq!(
                         recovered_report.total_delta_output(),
-                        3 * compacted as u64,
+                        3 * replayed as u64,
                         "1 tuple + 2 indexed columns"
                     );
                     live = recovered;
