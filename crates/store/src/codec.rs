@@ -363,8 +363,8 @@ impl Writer {
     }
 
     /// Write one tagged [`UpdateEntry`] (0 = insert with gid + row,
-    /// 1 = delete with gid) — the encoding shared by the snapshot's
-    /// update-log section and the `pitract-wal` segment payloads.
+    /// 1 = delete with gid) — the encoding of the `pitract-wal` segment
+    /// payloads.
     pub fn update_entry(&mut self, entry: &UpdateEntry) {
         match entry {
             UpdateEntry::Insert { gid, row } => {
@@ -541,14 +541,8 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// Read an optional row.
-    pub fn opt_row(&mut self) -> Result<Option<Vec<Value>>, StoreError> {
-        let mut row = Vec::new();
-        Ok(self.opt_row_into(&mut row)?.then_some(row))
-    }
-
-    /// [`Self::opt_row`] into `row`: `true` when a live row was read into
-    /// it, `false` for a tombstone.
+    /// Read an optional row ([`Writer::opt_row`]) into `row`: `true`
+    /// when a live row was read into it, `false` for a tombstone.
     pub fn opt_row_into(&mut self, row: &mut Vec<Value>) -> Result<bool, StoreError> {
         match self.u8()? {
             0 => Ok(false),
@@ -638,8 +632,10 @@ mod tests {
         }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
+        let mut row = Vec::new();
         for slot in &rows {
-            assert_eq!(&r.opt_row().unwrap(), slot);
+            let live = r.opt_row_into(&mut row).unwrap();
+            assert_eq!(&live.then(|| row.clone()), slot);
         }
         assert!(r.is_exhausted());
     }

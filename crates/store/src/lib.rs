@@ -17,7 +17,8 @@
 //!   WAL mark when it is a checkpoint; an unsharded relation is one
 //!   shard. The file format (magic tag, format version, section table,
 //!   XXH64 checksum — FNV-1a in versions 1 and 2) is documented in
-//!   [`snapshot`]'s module docs, with how older files load.
+//!   [`snapshot`]'s module docs; files of versions 1 to 4 are decoded
+//!   by its private `legacy` module, whose docs hold their layouts.
 //! * [`codec`] — the hand-rolled little-endian writer/reader underneath:
 //!   zero dependencies, no serde, and **total** on the read side —
 //!   arbitrary or truncated bytes produce a typed [`error::StoreError`],

@@ -9,7 +9,7 @@
 //! ------  ----  -----------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRSNAP"
 //! 8       2     format version, u16 LE (currently 5)
-//! 10      2     structure kind, u16 LE (5 from version 5)
+//! 10      2     structure kind, u16 LE (always 5)
 //! 12      4     section count k, u32 LE
 //! 16      12*k  section table: k entries of (tag: u32 LE, len: u64 LE);
 //!               payloads follow in table order
@@ -17,17 +17,15 @@
 //! end-8   8     checksum over every preceding byte, u64 LE
 //! ```
 //!
-//! The checksum ([`checksum`]) depends on the version: FNV-1a 64 for
-//! versions 1 and 2, XXH64 with seed 0 from version 3 (both in
-//! [`pitract_core::hash`]). FNV-1a takes one multiply per byte; XXH64
-//! reads eight bytes at a time in four lanes, at memory speed.
+//! The checksum is XXH64 with seed 0 ([`pitract_core::hash::xxh64`]),
+//! which reads eight bytes at a time in four lanes, at memory speed.
 //!
 //! # One kind
 //!
 //! A file holds one sharded relation ([`ShardedRelation`]), with a WAL
 //! mark when it is a checkpoint: what a node serves and what it
-//! recovers from. Every version-5 file is kind 5, and its sections are,
-//! in file order:
+//! recovers from. Every file is kind 5, and its sections are, in file
+//! order:
 //!
 //! | tag | section |
 //! |---|---|
@@ -40,24 +38,19 @@
 //! | 13 | cut epoch: the epoch the state was read at (checkpoints only) |
 //!
 //! Sections 12 and 13 are written together or not at all; a file with
-//! one and not the other is refused as [`StoreError::Corrupt`].
+//! one and not the other is refused as [`StoreError::Corrupt`]. A file
+//! of any other kind is refused as [`StoreError::UnknownKind`]. Kind
+//! codes 1 to 4 and tags 2, 3 and 7 to 11 were used by versions 1 to 4
+//! and are not reused.
 //!
-//! Versions 1 to 4 wrote three more kinds, and the reader maps the two
-//! that held a relation onto this one:
+//! # Older versions
 //!
-//! | kind | versions 1–4 | loads as |
-//! |---|---|---|
-//! | 1 | an `IndexedRelation`: schema (1), relation body (2), indexed columns (14) | one shard, hashed on column 0, each slot's global id its slot number, so every row id is kept; no mark |
-//! | 2 | a `ShardedRelation`: sections 1, 4, 5, 6 and 14 | the relation, no mark |
-//! | 3 | 2-hop labels: `L_out` (8), `L_in` (9), hub ranks (10) | refused, [`StoreError::UnknownKind`] |
-//! | 4 | an in-memory update log (11) | refused, [`StoreError::UnknownKind`] |
-//! | 5 | a checkpoint: the kind-2 sections, WAL mark (12), cut epoch (13) | the relation and its mark; no section 13 is epoch 0 |
-//!
-//! A version-5 file of any kind but 5 is refused as
-//! [`StoreError::UnknownKind`]. Kind codes 1 to 4 and tags 7 to 11 are
-//! not reused. A kind-1 file of a relation with no column cannot be
-//! hashed on column 0 and is refused typed, as
-//! [`pitract_engine::EngineError::ShardColumnOutOfRange`].
+//! This module reads only the current version. A file of versions 1 to
+//! 4 passes the same frame checks — magic, version, its version's
+//! checksum ([`checksum`]), section table — and is then decoded, whole,
+//! by the private `snapshot/legacy.rs`, whose module docs hold those
+//! layouts and how each loads. A format bump moves the current reader
+//! there as one more case.
 //!
 //! # Writing a file
 //!
@@ -80,8 +73,8 @@
 //!
 //! # A relation body
 //!
-//! From version 3 a relation body is columnar: the row store
-//! ([`Columns`]) as it lies in memory, less its dead cells.
+//! A relation body is columnar: the row store ([`Columns`]) as it lies
+//! in memory, less its dead cells.
 //!
 //! ```text
 //! field                      encoding
@@ -112,57 +105,37 @@
 //! searching the maps, and its shard's live bit says whether its row is
 //! live.
 //!
-//! Versions 1 to 3 wrote no next global id in section 6, and a section
-//! 7 instead: an id count, then per global id a tag (0 dead, 1 live)
-//! and a live id's `u64` shard and local. Every entry follows from the
-//! maps and the live bits. A load of such a file takes the id count as
-//! the next global id, checks each entry against the location the maps
-//! give and its shard's live bit, and then drops the section.
-//!
-//! Versions 1 and 2 wrote a body row by row: a slot count, then per slot
-//! a tag (0 dead, 1 live) and a live row's tagged values. They still
-//! load; a v1 body also follows its rows with its index postings (section
-//! 3 of a kind-1 file; after each shard's rows in section 5), which the
-//! reader steps over with the bounds-checked codec, keeping each index's
-//! column number as the columns to index and never looking at a posting.
-//!
 //! A relation is stored as `D`, not as `Π(D)`: its rows and the list of
 //! columns it indexes, never a posting. A load rebuilds every tree by
 //! sort through [`IndexedRelation::from_columns`], and leaves no index
 //! on disk that could disagree with its rows.
 //!
 //! Readers locate sections by tag, so a version may append new sections
-//! without breaking old payload parsing — the cut-epoch section (13) was
-//! such an append: a checkpoint written before it existed loads with
-//! epoch 0. Any change to an existing section's encoding must bump the
-//! format version; this reader accepts every version it ever wrote and
-//! rejects any other with [`StoreError::VersionMismatch`]. Corruption is
-//! caught in layers: the checksum rejects bit rot and truncation, the
-//! bounds-checked codec rejects structurally impossible payloads (a run
-//! shorter than its count is [`StoreError::Truncated`], an arena that
-//! is not UTF-8 is [`StoreError::Corrupt`]), and the constructors
-//! reject decodable-but-inconsistent parts:
+//! without breaking old payload parsing. Any change to an existing
+//! section's encoding must bump the format version; a version this
+//! binary never wrote is refused with [`StoreError::VersionMismatch`].
+//! Corruption is caught in layers: the checksum rejects bit rot and
+//! truncation, the bounds-checked codec rejects structurally impossible
+//! payloads (a run shorter than its count is [`StoreError::Truncated`],
+//! an arena that is not UTF-8 is [`StoreError::Corrupt`]), and the
+//! constructors reject decodable-but-inconsistent parts:
 //! [`Columns::from_live_cells`] checks the bitmap against the slot
 //! count and each column's length against its popcount, and each end
-//! offset against its arena (a v1/v2 body goes through
-//! `Columns::push_slot`, which admits each decoded row),
-//! `from_columns` refuses an indexed column the schema lacks,
-//! `IdMap::from_parts` refuses a local → global map that does not
-//! increase, a global id at or past the next one, and an id two shards'
-//! maps both hold (the invariant a location search relies on),
-//! `ShardedRelation::from_parts` checks routing and that the maps agree
-//! with the shards, and a version 1–3 location the maps and live bits
-//! do not give is refused. Golden
-//! fixture tests pin the byte-level format so accidental encoding drift
-//! fails CI.
+//! offset against its arena, `from_columns` refuses an indexed column
+//! the schema lacks, `IdMap::from_parts` refuses a local → global map
+//! that does not increase, a global id at or past the next one, and an
+//! id two shards' maps both hold (the invariant a location search
+//! relies on), and `ShardedRelation::from_parts` checks routing and
+//! that the maps agree with the shards. Golden fixture tests pin the
+//! byte-level format so accidental encoding drift fails CI.
+
+mod legacy;
 
 use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::{fnv1a64, xxh64};
-use pitract_engine::{
-    EngineError, IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation,
-};
+use pitract_engine::{IdMap, IdMapView, LiveRelation, PinnedRead, ShardBy, ShardedRelation};
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{CellRun, ColType, Columns, ColumnsView, LiveCells, Schema};
 use std::borrow::Cow;
@@ -176,24 +149,13 @@ pub const MAGIC: [u8; 8] = *b"PITRSNAP";
 pub const FORMAT_VERSION: u16 = 5;
 
 /// The kind every file of [`FORMAT_VERSION`] declares: a sharded
-/// relation, with a WAL mark or without. Up to version 4 it was the
-/// checkpoint kind.
+/// relation, with a WAL mark or without.
 const KIND_RELATION: u16 = 5;
-/// Versions 1–4 only: a standalone `IndexedRelation`.
-const KIND_V4_INDEXED: u16 = 1;
-/// Versions 1–4 only: a `ShardedRelation` with no mark.
-const KIND_V4_SHARDED: u16 = 2;
 
 const SEC_SCHEMA: u32 = 1;
-/// Versions 1–4 only: a kind-1 file's relation body.
-const SEC_BODY: u32 = 2;
-/// Version 1 only: a standalone relation's index postings.
-const SEC_V1_INDEXES: u32 = 3;
 const SEC_SHARD_BY: u32 = 4;
 const SEC_SHARDS: u32 = 5;
 const SEC_GLOBAL_IDS: u32 = 6;
-/// Versions 1–3 only: every global id's location.
-const SEC_LOCATIONS: u32 = 7;
 const SEC_WAL_MARK: u32 = 12;
 const SEC_EPOCH: u32 = 13;
 const SEC_INDEXED_COLS: u32 = 14;
@@ -206,12 +168,8 @@ const SEC_INDEXED_COLS: u32 = 14;
 /// runs — and its list of indexed columns (section 14), with no
 /// postings, under an XXH64 checksum; a load rebuilds the trees by
 /// sort. Its id map is its local → global maps and the next global id,
-/// nothing per id. Revision 4 wrote these sections under kind 2 or 5,
-/// and a standalone relation as kind 1, which loads as one shard;
-/// revision 3 also wrote every global id's location (section 7),
-/// revision 2 wrote bodies row by row under FNV-1a, and revision 1 also
-/// wrote every index's postings after its rows; all still load, with
-/// the locations checked and the postings skipped unread.
+/// nothing per id. Files of revisions 1 to 4 still load, through the
+/// private `snapshot/legacy.rs`, which documents them.
 #[derive(Debug)]
 pub struct Snapshot {
     /// The relation.
@@ -220,9 +178,8 @@ pub struct Snapshot {
     /// record *not* contained in `state` — where recovery starts
     /// replaying the write-ahead log — and the MVCC epoch `state` was
     /// read at, the live relation's epoch clock then, so recovery can
-    /// resume the clock exactly. A checkpoint written before the epoch
-    /// section existed loads with [`Epoch::ZERO`]. `None` for a plain
-    /// save. A live relation's checkpoint is encoded in place
+    /// resume the clock exactly. `None` for a plain save. A live
+    /// relation's checkpoint is encoded in place
     /// ([`crate::SnapshotCatalog::save_checkpoint`]), to the bytes this
     /// struct writes for its state at that epoch.
     pub mark: Option<(u64, Epoch)>,
@@ -293,9 +250,10 @@ impl Snapshot {
     }
 
     /// Parse a snapshot from bytes, validating magic, version, checksum,
-    /// section table, payloads, and structural invariants — in that
-    /// order. Arbitrary input yields a typed [`StoreError`], never a
-    /// panic.
+    /// kind, section table, payloads, and structural invariants — in
+    /// that order. A file of an older version is decoded by the legacy
+    /// reader after the checksum. Arbitrary input yields a typed
+    /// [`StoreError`], never a panic.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         // Header + checksum trailer are the minimum possible file.
         if bytes.len() < 16 + 8 {
@@ -304,7 +262,7 @@ impl Snapshot {
         if bytes[..8] != MAGIC {
             return Err(StoreError::BadMagic);
         }
-        let mut header = Reader::new(&bytes[8..16]);
+        let mut header = Reader::new(&bytes[8..12]);
         let version = readable(header.u16()?)?;
         let body = &bytes[..bytes.len() - 8];
         let stored = Reader::new(&bytes[bytes.len() - 8..]).u64()?;
@@ -312,65 +270,15 @@ impl Snapshot {
             return Err(StoreError::ChecksumMismatch);
         }
         let kind = header.u16()?;
-        let legacy = matches!(kind, KIND_V4_INDEXED | KIND_V4_SHARDED) && version < FORMAT_VERSION;
-        if kind != KIND_RELATION && !legacy {
+        if version < FORMAT_VERSION {
+            return legacy::decode(version, kind, body);
+        }
+        if kind != KIND_RELATION {
             return Err(StoreError::UnknownKind(kind));
         }
-        let count = header.u32()? as usize;
-
-        // Section table, then payload slices located by tag.
-        let table_end = 16usize
-            .checked_add(count.checked_mul(12).ok_or(StoreError::Truncated)?)
-            .ok_or(StoreError::Truncated)?;
-        if table_end > body.len() {
-            return Err(StoreError::Truncated);
-        }
-        let mut table = Reader::new(&body[16..table_end]);
-        let mut sections: Vec<(u32, usize)> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let tag = table.u32()?;
-            let len = table.usize()?;
-            if sections.iter().any(|(t, _)| *t == tag) {
-                return Err(StoreError::Corrupt(format!("duplicate section tag {tag}")));
-            }
-            sections.push((tag, len));
-        }
-        let payload_len: usize = sections
-            .iter()
-            .try_fold(0usize, |acc, (_, len)| acc.checked_add(*len))
-            .ok_or(StoreError::Truncated)?;
-        if table_end.checked_add(payload_len) != Some(body.len()) {
-            return Err(StoreError::Corrupt(
-                "section table does not span the file".into(),
-            ));
-        }
-        let mut offset = table_end;
-        let located: Vec<(u32, &[u8])> = sections
-            .into_iter()
-            .map(|(tag, len)| {
-                let slice = &body[offset..offset + len];
-                offset += len;
-                (tag, slice)
-            })
-            .collect();
-        let find = |tag: u32| -> Option<Reader<'_>> {
-            located
-                .iter()
-                .find(|(t, _)| *t == tag)
-                .map(|(_, s)| Reader::new(s))
-        };
-        let section = |tag: u32| -> Result<Reader<'_>, StoreError> {
-            find(tag).ok_or_else(|| StoreError::Corrupt(format!("missing section {tag}")))
-        };
-
-        let state = match kind {
-            KIND_V4_INDEXED => decode_indexed(version, &section)?,
-            _ => decode_sharded(version, &section)?,
-        };
-        let mark = match kind {
-            KIND_RELATION => read_mark(version, find(SEC_WAL_MARK), find(SEC_EPOCH))?,
-            _ => None,
-        };
+        let sections = Sections::locate(body)?;
+        let state = decode_sharded(&sections)?;
+        let mark = read_mark(&sections)?;
         Ok(Snapshot { state, mark })
     }
 }
@@ -378,13 +286,10 @@ impl Snapshot {
 /// `version`, if this binary reads it: every version it ever wrote,
 /// 1 through [`FORMAT_VERSION`].
 fn readable(version: u16) -> Result<u16, StoreError> {
-    if (1..=FORMAT_VERSION).contains(&version) {
-        Ok(version)
-    } else {
-        Err(StoreError::VersionMismatch {
-            found: version,
-            expected: FORMAT_VERSION,
-        })
+    let expected = FORMAT_VERSION;
+    match version {
+        1..=FORMAT_VERSION => Ok(version),
+        found => Err(StoreError::VersionMismatch { found, expected }),
     }
 }
 
@@ -633,23 +538,67 @@ fn write_mark(wal_lsn: u64, epoch: Epoch, frame: &mut Frame) {
 
 // --- section decoders -----------------------------------------------------
 
-/// A kind-5 file's WAL mark, from its sections 12 and 13 if present.
-/// From version 5 they come together or not at all. Up to version 4
-/// kind 5 was always a checkpoint, so section 12 is required, and a file
-/// written before section 13 existed has the cut epoch 0.
-fn read_mark(
-    version: u16,
-    wal_lsn: Option<Reader<'_>>,
-    epoch: Option<Reader<'_>>,
-) -> Result<Option<(u64, Epoch)>, StoreError> {
-    let wal_lsn = wal_lsn.map(|r| finish(r, Reader::u64)).transpose()?;
-    let epoch = epoch.map(|r| finish(r, Reader::u64)).transpose()?;
-    match (wal_lsn, epoch) {
+/// A file's section payloads, located by tag through its section table.
+struct Sections<'a>(Vec<(u32, &'a [u8])>);
+
+impl<'a> Sections<'a> {
+    /// Read the section table of `body`, a whole file less its checksum,
+    /// and locate each payload: every tag comes once, and the payloads,
+    /// in table order, span the rest of the file exactly.
+    fn locate(body: &'a [u8]) -> Result<Self, StoreError> {
+        let count = Reader::new(&body[12..16]).u32()? as usize;
+        let table_end = 16usize
+            .checked_add(count.checked_mul(12).ok_or(StoreError::Truncated)?)
+            .ok_or(StoreError::Truncated)?;
+        if table_end > body.len() {
+            return Err(StoreError::Truncated);
+        }
+        let mut table = Reader::new(&body[16..table_end]);
+        let mut sections: Vec<(u32, usize)> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let tag = table.u32()?;
+            let len = table.usize()?;
+            if sections.iter().any(|(t, _)| *t == tag) {
+                return Err(StoreError::Corrupt(format!("duplicate section tag {tag}")));
+            }
+            sections.push((tag, len));
+        }
+        let payload_len = sections
+            .iter()
+            .try_fold(0usize, |sum, (_, len)| sum.checked_add(*len));
+        if table_end.checked_add(payload_len.ok_or(StoreError::Truncated)?) != Some(body.len()) {
+            return Err(StoreError::Corrupt(
+                "section table does not span the file".into(),
+            ));
+        }
+        // The payloads span the file, so each one is there.
+        let mut payloads = Reader::new(&body[table_end..]);
+        let located = sections
+            .into_iter()
+            .map(|(tag, len)| Ok((tag, payloads.take(len)?)));
+        Ok(Sections(located.collect::<Result<_, StoreError>>()?))
+    }
+
+    /// A reader of section `tag`, if the file has it.
+    fn find(&self, tag: u32) -> Option<Reader<'a>> {
+        let (_, payload) = self.0.iter().find(|(t, _)| *t == tag)?;
+        Some(Reader::new(payload))
+    }
+
+    /// A reader of section `tag`, which the file must have.
+    fn get(&self, tag: u32) -> Result<Reader<'a>, StoreError> {
+        self.find(tag)
+            .ok_or_else(|| StoreError::Corrupt(format!("missing section {tag}")))
+    }
+}
+
+/// A file's WAL mark, from its sections 12 and 13, which come together
+/// or not at all.
+fn read_mark(sections: &Sections<'_>) -> Result<Option<(u64, Epoch)>, StoreError> {
+    let wal_lsn = sections.find(SEC_WAL_MARK).map(|r| finish(r, Reader::u64));
+    let epoch = sections.find(SEC_EPOCH).map(|r| finish(r, Reader::u64));
+    match (wal_lsn.transpose()?, epoch.transpose()?) {
         (Some(wal_lsn), Some(epoch)) => Ok(Some((wal_lsn, Epoch::new(epoch)))),
-        (Some(wal_lsn), None) if version < FORMAT_VERSION => Ok(Some((wal_lsn, Epoch::ZERO))),
-        (None, _) if version < FORMAT_VERSION => Err(StoreError::Corrupt(format!(
-            "missing section {SEC_WAL_MARK}"
-        ))),
         (None, None) => Ok(None),
         _ => Err(StoreError::Corrupt(
             "the WAL mark (section 12) and the cut epoch (section 13) come together".into(),
@@ -657,17 +606,8 @@ fn read_mark(
     }
 }
 
-/// Decode one relation body of format `version` into column storage for
-/// `schema`.
-fn read_body(version: u16, r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
-    match version {
-        1 | 2 => read_slots(r, schema),
-        _ => read_columns(r, schema),
-    }
-}
-
-/// A body of version 3 or later: every run is length-checked by the
-/// codec, and
+/// Decode one relation body into column storage for `schema`: every
+/// run is length-checked by the codec, and
 /// [`Columns::from_live_cells`] checks the bitmap, the cell counts and
 /// the end offsets before it allocates a slot. No `Value` is built.
 fn read_columns(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
@@ -691,169 +631,49 @@ fn read_columns(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreErr
             }
         });
     }
-    Ok(Columns::from_live_cells(
-        schema.clone(),
-        slots,
-        bits,
-        cells,
-    )?)
+    let columns = Columns::from_live_cells(schema.clone(), slots, bits, cells)?;
+    Ok(columns)
 }
 
-/// A version-1 or -2 body: the slots row by row, decoded straight into
-/// column storage for `schema` through one reused row buffer, each live
-/// row admitted as it is appended.
-fn read_slots(r: &mut Reader<'_>, schema: &Schema) -> Result<Columns, StoreError> {
-    let n = r.count(1)?;
-    let mut rows = Columns::new(schema.clone());
-    let mut row = Vec::with_capacity(schema.arity());
-    for _ in 0..n {
-        let live = r.opt_row_into(&mut row)?;
-        rows.push_slot(live.then_some(&row[..]))?;
-    }
-    Ok(rows)
-}
-
-/// Step over a version-1 body's index postings, keeping each index's
-/// column number: the columns to rebuild. Every read is bounds-checked,
-/// but no posting is kept or validated — the trees come from the rows.
-fn skip_v1_indexes(r: &mut Reader<'_>) -> Result<Vec<usize>, StoreError> {
-    let n = r.count(1)?;
-    let mut cols = Vec::with_capacity(n);
-    for _ in 0..n {
-        cols.push(r.usize()?);
-        for _ in 0..r.count(1)? {
-            r.value()?;
-            // `count(8)` has checked that `ids` u64s remain.
-            let ids = r.count(8)?;
-            r.take(ids * 8)?;
-        }
-    }
-    Ok(cols)
-}
-
-/// Decode the id map of a file of format `version`, checked by
-/// [`IdMap::from_parts`]. From version 4 the next global id ends
-/// section 6. Before, it is section 7's id count, and the reader of
-/// the locations after it is returned for [`check_locations`].
-fn read_id_map<'a>(
-    version: u16,
-    mut global_ids: Reader<'a>,
-    locations: impl FnOnce() -> Result<Reader<'a>, StoreError>,
-) -> Result<(IdMap, Option<Reader<'a>>), StoreError> {
-    let r = &mut global_ids;
-    let n = r.count(8)?;
-    let maps = (0..n)
-        .map(|_| r.usize_seq())
+/// Section 5: a shard count, then each shard as `read` decodes it from
+/// its body, with no byte past the last.
+fn read_shards<'a>(
+    mut r: Reader<'a>,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<IndexedRelation, StoreError>,
+) -> Result<Vec<IndexedRelation>, StoreError> {
+    let shards = (0..r.count(2)?)
+        .map(|_| read(&mut r))
         .collect::<Result<Vec<_>, _>>()?;
-    let (next_gid, locations) = match version {
-        1..=3 => {
-            let mut locations = locations()?;
-            (locations.count(1)?, Some(locations))
-        }
-        _ => (r.usize()?, None),
-    };
-    if !global_ids.is_exhausted() {
-        return Err(StoreError::Corrupt("trailing bytes in section".into()));
-    }
-    Ok((IdMap::from_parts(maps, next_gid)?, locations))
-}
-
-/// Check a version 1–3 file's section 7 against the relation it
-/// loaded, then drop it: per global id below the next one, in id order,
-/// a tag (0 dead, 1 live) and a live id's `u64` shard and local, which
-/// must be exactly the id's location in the maps if its shard's live
-/// bit is set, and dead otherwise. One cursor per shard follows the
-/// maps in id order, so each id costs one look at each cursor. A bad
-/// tag, a cut-off entry and bytes past the last one are refused as
-/// before; an entry the maps and bits do not give is
-/// [`pitract_engine::EngineError::InconsistentSnapshot`].
-fn check_locations(sr: &ShardedRelation, mut r: Reader<'_>) -> Result<(), StoreError> {
-    let ids = sr.id_map();
-    let mut cursors = vec![0usize; ids.shard_count()];
-    for gid in 0..ids.next_gid() {
-        let stored = match r.u8()? {
-            0 => None,
-            1 => Some((r.usize()?, r.usize()?)),
-            tag => return Err(StoreError::Corrupt(format!("bad location tag {tag}"))),
-        };
-        let found = (0..cursors.len())
-            .find(|&s| ids.global_ids(s).get(cursors[s]) == Some(&gid))
-            .map(|s| {
-                cursors[s] += 1;
-                (s, cursors[s] - 1)
-            });
-        let derived = found.filter(|&(s, local)| sr.shards()[s].row(local).is_some());
-        if stored != derived {
-            return Err(StoreError::Engine(EngineError::InconsistentSnapshot(
-                format!("global id {gid} is stored at {stored:?}; the maps and live bits place it at {derived:?}"),
-            )));
-        }
-    }
     if !r.is_exhausted() {
-        return Err(StoreError::Corrupt("trailing bytes in section".into()));
-    }
-    Ok(())
-}
-
-/// Decode a `ShardedRelation` of format `version` from its sections
-/// (1, 4, 5, 6, 14, and 7 before version 4), located by `section`.
-fn decode_sharded<'a>(
-    version: u16,
-    section: &impl Fn(u32) -> Result<Reader<'a>, StoreError>,
-) -> Result<ShardedRelation, StoreError> {
-    let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
-    let shard_by = finish(section(SEC_SHARD_BY)?, read_shard_by)?;
-    let shared_cols = match version {
-        1 => None,
-        _ => Some(finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?),
-    };
-    let mut shards_r = section(SEC_SHARDS)?;
-    let shard_count = shards_r.count(2)?;
-    let mut shards = Vec::with_capacity(shard_count);
-    for _ in 0..shard_count {
-        let rows = read_body(version, &mut shards_r, &schema)?;
-        let cols = match &shared_cols {
-            Some(cols) => cols.clone(),
-            // A v1 body follows its rows with that shard's postings.
-            None => skip_v1_indexes(&mut shards_r)?,
-        };
-        shards.push(IndexedRelation::from_columns(rows, &cols)?);
-    }
-    if !shards_r.is_exhausted() {
         return Err(StoreError::Corrupt("trailing bytes in shards".into()));
     }
-    let (ids, locations) =
-        read_id_map(version, section(SEC_GLOBAL_IDS)?, || section(SEC_LOCATIONS))?;
-    let sr = ShardedRelation::from_parts(schema, shard_by, shards, ids)?;
-    if let Some(locations) = locations {
-        check_locations(&sr, locations)?;
-    }
-    Ok(sr)
+    Ok(shards)
 }
 
-/// Decode a version 1–4 file of kind 1, a standalone `IndexedRelation`
-/// (sections 1, 2, and 14 or, in version 1, 3), as a one-shard relation:
-/// hashed on column 0, and each slot's global id its slot number, so
-/// every row id is kept and the ids burned past the last slot are none.
-fn decode_indexed<'a>(
-    version: u16,
-    section: &impl Fn(u32) -> Result<Reader<'a>, StoreError>,
-) -> Result<ShardedRelation, StoreError> {
-    let schema = finish(section(SEC_SCHEMA)?, Reader::schema)?;
-    let rows = finish(section(SEC_BODY)?, |r| read_body(version, r, &schema))?;
-    let cols = match version {
-        1 => finish(section(SEC_V1_INDEXES)?, skip_v1_indexes)?,
-        _ => finish(section(SEC_INDEXED_COLS)?, Reader::usize_seq)?,
-    };
-    let shard = IndexedRelation::from_columns(rows, &cols)?;
-    let slots = shard.slot_count();
-    let ids = IdMap::from_parts(vec![(0..slots).collect()], slots)?;
-    Ok(ShardedRelation::from_parts(
-        schema,
-        ShardBy::Hash { col: 0 },
-        vec![shard],
-        ids,
-    )?)
+/// Section 6's local → global maps: a map count, then each map as one
+/// `u64` sequence.
+fn read_maps(r: &mut Reader<'_>) -> Result<Vec<Vec<usize>>, StoreError> {
+    (0..r.count(8)?).map(|_| r.usize_seq()).collect()
+}
+
+/// The id map, section 6 — the maps, then the next global id — checked
+/// by [`IdMap::from_parts`]. [`write_id_map`] is its inverse.
+fn read_id_map(r: Reader<'_>) -> Result<IdMap, StoreError> {
+    let (maps, next_gid) = finish(r, |r| Ok((read_maps(r)?, r.usize()?)))?;
+    Ok(IdMap::from_parts(maps, next_gid)?)
+}
+
+/// Decode the relation of a file from its sections 1, 4, 14, 5 and 6.
+fn decode_sharded(sections: &Sections<'_>) -> Result<ShardedRelation, StoreError> {
+    let schema = finish(sections.get(SEC_SCHEMA)?, Reader::schema)?;
+    let shard_by = finish(sections.get(SEC_SHARD_BY)?, read_shard_by)?;
+    let cols = finish(sections.get(SEC_INDEXED_COLS)?, Reader::usize_seq)?;
+    let shards = read_shards(sections.get(SEC_SHARDS)?, |r| {
+        let rows = read_columns(r, &schema)?;
+        Ok(IndexedRelation::from_columns(rows, &cols)?)
+    })?;
+    let ids = read_id_map(sections.get(SEC_GLOBAL_IDS)?)?;
+    Ok(ShardedRelation::from_parts(schema, shard_by, shards, ids)?)
 }
 
 fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
@@ -871,6 +691,7 @@ fn read_shard_by(r: &mut Reader<'_>) -> Result<ShardBy, StoreError> {
 
 #[cfg(test)]
 mod tests {
+    use super::legacy::{check_locations, read_id_map, KIND_V4_INDEXED, SEC_BODY};
     use super::*;
     use crate::codec::CHUNK;
     use pitract_engine::{EngineError, PooledExecutor, QueryBatch};
@@ -1216,47 +1037,6 @@ mod tests {
         }
     }
 
-    /// A version-4 checkpoint written before the epoch section existed:
-    /// the sharded sections plus the WAL mark, with no section 13.
-    #[test]
-    fn checkpoint_without_epoch_section_loads_as_epoch_zero() {
-        let sr =
-            ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
-        let framed = write_frame(Writer::new(), |frame| {
-            write_relation(&mut &sr, frame);
-            frame.section(SEC_WAL_MARK, |w| w.u64(9));
-        });
-        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_RELATION);
-
-        let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
-            .unwrap()
-            .into_checkpoint()
-            .unwrap();
-        assert_eq!(wal_lsn, 9);
-        assert_eq!(epoch, Epoch::ZERO, "legacy files default to epoch 0");
-        assert_eq!(state.len(), 20);
-    }
-
-    /// A version 1–4 standalone relation loads as one shard hashed on
-    /// column 0, so one with no column is refused typed.
-    #[test]
-    fn a_v4_indexed_file_with_no_column_is_refused_typed() {
-        let rows = Columns::new(Schema::new(&[]));
-        let framed = write_frame(Writer::new(), |frame| {
-            frame.section(SEC_SCHEMA, |w| w.schema(rows.schema()));
-            frame.section(SEC_BODY, |w| write_body(&rows.view(), w));
-            frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&[]));
-        });
-        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_V4_INDEXED);
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(StoreError::Engine(EngineError::ShardColumnOutOfRange {
-                col: 0,
-                arity: 0
-            }))
-        ));
-    }
-
     /// A version-5 file is kind 5, and its mark is sections 12 and 13
     /// together or neither: any other kind, and either section alone, is
     /// refused typed.
@@ -1297,55 +1077,6 @@ mod tests {
         assert_eq!(loaded.mark, Some((9, Epoch::new(9))));
     }
 
-    /// Kind 3 held 2-hop labels (sections 8 to 10) and kind 4 an
-    /// in-memory update log (section 11 and an end epoch, 13). Neither
-    /// is a relation: a file of either, in any version, is refused
-    /// typed, not misread.
-    #[test]
-    fn update_log_files_are_refused_as_unknown_kind() {
-        let framed = write_frame(Writer::new(), |frame| {
-            frame.section(11, |w| {
-                w.usize(2);
-                w.update_entry(&pitract_engine::UpdateEntry::Insert {
-                    gid: 7,
-                    row: vec![Value::Int(1), Value::str("x")],
-                });
-                w.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
-            });
-            frame.section(SEC_EPOCH, |w| w.u64(2));
-        });
-        let log = framed.unwrap().into_bytes();
-        // Two nodes, 0 → 1: L_out(0) = {0}, L_in(1) = {0}, ranks 0 and 1.
-        let framed = write_frame(Writer::new(), |frame| {
-            for (tag, lists) in [(8, [&[0u32][..], &[]]), (9, [&[], &[0]])] {
-                frame.section(tag, |w| {
-                    w.usize(2);
-                    for list in lists {
-                        w.usize(list.len());
-                        list.iter().for_each(|&hub| w.u32(hub));
-                    }
-                });
-            }
-            frame.section(10, |w| {
-                w.usize(2);
-                w.u32(0);
-                w.u32(1);
-            });
-        });
-        let hop = framed.unwrap().into_bytes();
-        for (kind, bytes) in [(3, &hop), (4, &log)] {
-            for version in 1..=FORMAT_VERSION {
-                assert!(
-                    matches!(
-                        Snapshot::from_bytes(&reversioned(bytes, version, kind)),
-                        Err(StoreError::UnknownKind(k)) if k == kind
-                    ),
-                    "kind {kind} at version {version}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn serialization_is_deterministic() {
         let build = || {
@@ -1353,78 +1084,6 @@ mod tests {
             Snapshot::from(sr.unwrap()).to_bytes()
         };
         assert_eq!(build(), build(), "equal structures, equal bytes");
-    }
-
-    /// Section 7 of a version 1–3 file is checked entry by entry
-    /// against the maps and the shards' live bits as it is decoded, and
-    /// every way it can be wrong is refused typed: a bad tag, a cut-off
-    /// location, bytes past the last one, an id count below a mapped id,
-    /// and a location the maps and bits do not give — a shard past the
-    /// count, a live id stored dead, a dead one stored live.
-    #[test]
-    fn locations_refuse_bad_input_typed_as_they_stream() {
-        let live = LiveRelation::build(&relation(3), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
-        live.delete(2).unwrap();
-        let sr = live.to_sharded();
-        let ids = sr.id_map();
-        let mut maps = Writer::new();
-        maps.usize(2);
-        for s in 0..2 {
-            maps.usize_seq(ids.global_ids(s));
-        }
-        let maps = maps.into_bytes();
-        let locations = |tags: &[(u8, usize, usize)], extra: &[u8]| {
-            let mut w = Writer::new();
-            w.usize(tags.len());
-            for &(tag, shard, local) in tags {
-                w.u8(tag);
-                if tag == 1 {
-                    w.usize(shard);
-                    w.usize(local);
-                }
-            }
-            w.raw(extra);
-            w.into_bytes()
-        };
-        let read = |loc: Vec<u8>| {
-            let (map, rest) = read_id_map(3, Reader::new(&maps), || Ok(Reader::new(&loc)))?;
-            assert_eq!(map.next_gid(), 3, "the id count is the next id");
-            check_locations(&sr, rest.expect("a v3 map leaves section 7"))
-        };
-        let at = |gid| ids.location(gid).unwrap();
-        let ((s0, l0), (s1, l1), (s2, l2)) = (at(0), at(1), at(2));
-        let good = [(1, s0, l0), (1, s1, l1), (0, 0, 0)];
-        read(locations(&good, &[])).unwrap();
-        assert!(matches!(
-            read(locations(&[(1, s0, l0), (2, 0, 0), (0, 0, 0)], &[])),
-            Err(StoreError::Corrupt(why)) if why.contains("bad location tag 2")
-        ));
-        let mut cut = locations(&good, &[]);
-        cut.truncate(cut.len() - 1 - 8);
-        assert!(matches!(read(cut), Err(StoreError::Truncated)));
-        assert!(matches!(
-            read(locations(&good, &[0])),
-            Err(StoreError::Corrupt(why)) if why.contains("trailing bytes")
-        ));
-        let short = locations(&good[..2], &[]);
-        assert!(matches!(
-            read_id_map(3, Reader::new(&maps), || Ok(Reader::new(&short))),
-            Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("at or past the next id 2")
-        ));
-        for bad in [
-            [(1, s0, l0), (1, 2, 0), (0, 0, 0)],
-            [(1, s0, l0), (0, 0, 0), (0, 0, 0)],
-            [(1, s0, l0), (1, s1, l1), (1, s2, l2)],
-            [(1, s1, l1), (1, s0, l0), (0, 0, 0)],
-        ] {
-            assert!(
-                matches!(
-                    read(locations(&bad, &[])),
-                    Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("the maps and live bits place it")
-                ),
-                "{bad:?}"
-            );
-        }
     }
 
     #[test]
@@ -1499,5 +1158,169 @@ mod tests {
     fn missing_file_is_io() {
         let catalog = crate::SnapshotCatalog::open(crate::Dir::memory()).unwrap();
         assert!(matches!(catalog.load("here"), Err(StoreError::Io(_))));
+    }
+
+    // --- files of versions 1 to 4 (`legacy.rs`) ---
+
+    /// A version-4 checkpoint written before the epoch section existed:
+    /// the sharded sections plus the WAL mark, with no section 13.
+    #[test]
+    fn checkpoint_without_epoch_section_loads_as_epoch_zero() {
+        let sr =
+            ShardedRelation::build(&relation(20), ShardBy::Hash { col: 0 }, 2, &[0, 1]).unwrap();
+        let framed = write_frame(Writer::new(), |frame| {
+            write_relation(&mut &sr, frame);
+            frame.section(SEC_WAL_MARK, |w| w.u64(9));
+        });
+        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_RELATION);
+
+        let (state, wal_lsn, epoch) = Snapshot::from_bytes(&bytes)
+            .unwrap()
+            .into_checkpoint()
+            .unwrap();
+        assert_eq!(wal_lsn, 9);
+        assert_eq!(epoch, Epoch::ZERO, "legacy files default to epoch 0");
+        assert_eq!(state.len(), 20);
+    }
+
+    /// A version 1–4 standalone relation loads as one shard hashed on
+    /// column 0, so one with no column is refused typed.
+    #[test]
+    fn a_v4_indexed_file_with_no_column_is_refused_typed() {
+        let rows = Columns::new(Schema::new(&[]));
+        let framed = write_frame(Writer::new(), |frame| {
+            frame.section(SEC_SCHEMA, |w| w.schema(rows.schema()));
+            frame.section(SEC_BODY, |w| write_body(&rows.view(), w));
+            frame.section(SEC_INDEXED_COLS, |w| w.usize_seq(&[]));
+        });
+        let bytes = reversioned(&framed.unwrap().into_bytes(), 4, KIND_V4_INDEXED);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::Engine(EngineError::ShardColumnOutOfRange {
+                col: 0,
+                arity: 0
+            }))
+        ));
+    }
+
+    /// Kind 3 held 2-hop labels (sections 8 to 10) and kind 4 an
+    /// in-memory update log (section 11 and an end epoch, 13). Neither
+    /// is a relation: a file of either, in any version, is refused
+    /// typed, not misread.
+    #[test]
+    fn update_log_files_are_refused_as_unknown_kind() {
+        let framed = write_frame(Writer::new(), |frame| {
+            frame.section(11, |w| {
+                w.usize(2);
+                w.update_entry(&pitract_engine::UpdateEntry::Insert {
+                    gid: 7,
+                    row: vec![Value::Int(1), Value::str("x")],
+                });
+                w.update_entry(&pitract_engine::UpdateEntry::Delete { gid: 3 });
+            });
+            frame.section(SEC_EPOCH, |w| w.u64(2));
+        });
+        let log = framed.unwrap().into_bytes();
+        // Two nodes, 0 → 1: L_out(0) = {0}, L_in(1) = {0}, ranks 0 and 1.
+        let framed = write_frame(Writer::new(), |frame| {
+            for (tag, lists) in [(8, [&[0u32][..], &[]]), (9, [&[], &[0]])] {
+                frame.section(tag, |w| {
+                    w.usize(2);
+                    for list in lists {
+                        w.usize(list.len());
+                        list.iter().for_each(|&hub| w.u32(hub));
+                    }
+                });
+            }
+            frame.section(10, |w| {
+                w.usize(2);
+                w.u32(0);
+                w.u32(1);
+            });
+        });
+        let hop = framed.unwrap().into_bytes();
+        for (kind, bytes) in [(3, &hop), (4, &log)] {
+            for version in 1..=FORMAT_VERSION {
+                assert!(
+                    matches!(
+                        Snapshot::from_bytes(&reversioned(bytes, version, kind)),
+                        Err(StoreError::UnknownKind(k)) if k == kind
+                    ),
+                    "kind {kind} at version {version}"
+                );
+            }
+        }
+    }
+
+    /// Section 7 of a version 1–3 file is checked entry by entry
+    /// against the maps and the shards' live bits as it is decoded, and
+    /// every way it can be wrong is refused typed: a bad tag, a cut-off
+    /// location, bytes past the last one, an id count below a mapped id,
+    /// and a location the maps and bits do not give — a shard past the
+    /// count, a live id stored dead, a dead one stored live.
+    #[test]
+    fn locations_refuse_bad_input_typed_as_they_stream() {
+        let live = LiveRelation::build(&relation(3), ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+        live.delete(2).unwrap();
+        let sr = live.to_sharded();
+        let ids = sr.id_map();
+        let mut maps = Writer::new();
+        maps.usize(2);
+        for s in 0..2 {
+            maps.usize_seq(ids.global_ids(s));
+        }
+        let maps = maps.into_bytes();
+        let locations = |tags: &[(u8, usize, usize)], extra: &[u8]| {
+            let mut w = Writer::new();
+            w.usize(tags.len());
+            for &(tag, shard, local) in tags {
+                w.u8(tag);
+                if tag == 1 {
+                    w.usize(shard);
+                    w.usize(local);
+                }
+            }
+            w.raw(extra);
+            w.into_bytes()
+        };
+        let read = |loc: Vec<u8>| {
+            let (map, rest) = read_id_map(Reader::new(&maps), Reader::new(&loc))?;
+            assert_eq!(map.next_gid(), 3, "the id count is the next id");
+            check_locations(&sr, rest)
+        };
+        let at = |gid| ids.location(gid).unwrap();
+        let ((s0, l0), (s1, l1), (s2, l2)) = (at(0), at(1), at(2));
+        let good = [(1, s0, l0), (1, s1, l1), (0, 0, 0)];
+        read(locations(&good, &[])).unwrap();
+        assert!(matches!(
+            read(locations(&[(1, s0, l0), (2, 0, 0), (0, 0, 0)], &[])),
+            Err(StoreError::Corrupt(why)) if why.contains("bad location tag 2")
+        ));
+        let mut cut = locations(&good, &[]);
+        cut.truncate(cut.len() - 1 - 8);
+        assert!(matches!(read(cut), Err(StoreError::Truncated)));
+        assert!(matches!(
+            read(locations(&good, &[0])),
+            Err(StoreError::Corrupt(why)) if why.contains("trailing bytes")
+        ));
+        let short = locations(&good[..2], &[]);
+        assert!(matches!(
+            read_id_map(Reader::new(&maps), Reader::new(&short)),
+            Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("at or past the next id 2")
+        ));
+        for bad in [
+            [(1, s0, l0), (1, 2, 0), (0, 0, 0)],
+            [(1, s0, l0), (0, 0, 0), (0, 0, 0)],
+            [(1, s0, l0), (1, s1, l1), (1, s2, l2)],
+            [(1, s1, l1), (1, s0, l0), (0, 0, 0)],
+        ] {
+            assert!(
+                matches!(
+                    read(locations(&bad, &[])),
+                    Err(StoreError::Engine(EngineError::InconsistentSnapshot(why))) if why.contains("the maps and live bits place it")
+                ),
+                "{bad:?}"
+            );
+        }
     }
 }

@@ -560,6 +560,47 @@ fn frozen_fixtures_keep_their_length_and_checksum() {
     }
 }
 
+/// The older versions' reader past its checksum: every frozen fixture
+/// with each body byte flipped under five masks, and cut at each
+/// length, the checksum recomputed for the file's own version each
+/// time, loads or is refused typed — never a panic, and never as a
+/// checksum mismatch while the version bytes stand.
+#[test]
+fn flipped_and_cut_frozen_fixtures_never_panic_past_their_checksum() {
+    let forged = |version: u16, mut body: Vec<u8>| {
+        let sum = checksum(version, &body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    };
+    let (mut loaded, mut refused) = (0, 0);
+    let mut load = |bytes: &[u8], version_intact: bool| match Snapshot::from_bytes(bytes) {
+        Ok(_) => loaded += 1,
+        Err(StoreError::ChecksumMismatch) if version_intact => {
+            panic!("a forged checksum was refused")
+        }
+        Err(_) => refused += 1,
+    };
+    for (name, ..) in FROZEN {
+        let file = read_fixture(name);
+        let version = u16::from_le_bytes([file[8], file[9]]);
+        let body = &file[..file.len() - 8];
+        for at in 0..body.len() {
+            for mask in [0x01, 0x10, 0x7F, 0x80, 0xFF] {
+                let mut flipped = body.to_vec();
+                flipped[at] ^= mask;
+                load(&forged(version, flipped), !(8..10).contains(&at));
+            }
+        }
+        for cut in 0..body.len() {
+            load(&forged(version, body[..cut].to_vec()), true);
+        }
+    }
+    assert!(
+        loaded > 0 && refused > 0,
+        "{loaded} loaded, {refused} refused"
+    );
+}
+
 /// Every read-compat fixture: name, length, XXH64 (seed 0) of the whole
 /// file.
 const FROZEN: [(&str, usize, u64); 8] = [
