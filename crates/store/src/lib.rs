@@ -28,11 +28,13 @@
 //!   streams its file through one chunk ([`codec::CHUNK`]), whatever
 //!   the file's size.
 //! * [`storage`] — the one door to the disk for this crate,
-//!   `pitract-wal` and `pitract-repl`: a [`storage::Dir`] pairs a
-//!   filesystem or in-memory backend with a path, and the two durability
-//!   recipes (atomic replace, durable create) are written once over it;
-//!   a [`storage::MemoryVolume`] loses its unflushed bytes on
-//!   [`storage::MemoryVolume::crash`], the power loss crash tests use.
+//!   `pitract-wal` and `pitract-repl`: a [`storage::Dir`] pairs one of
+//!   two private backends, the filesystem or an in-memory volume, with
+//!   a path, and the two durability recipes (atomic replace, durable
+//!   create) are written once over it; a [`storage::MemoryVolume`]
+//!   loses its unflushed bytes on [`storage::MemoryVolume::crash`], the
+//!   power loss crash tests use, and fails one call for each
+//!   [`storage::Fault`] armed on it, the fault tests use.
 //! * A checkpoint — a [`pitract_engine::LiveRelation`]'s state at one
 //!   pinned epoch with that epoch and its WAL mark
 //!   ([`Snapshot::mark`]), in one atomic file: what `pitract-wal`'s

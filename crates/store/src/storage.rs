@@ -1,16 +1,19 @@
 //! The one door to the disk: `pitract-store`, `pitract-wal` and
-//! `pitract-repl` reach storage only through a [`Dir`], a [`Storage`]
-//! backend paired with a path. A path converts to a filesystem
-//! directory; [`Dir::memory`] is an in-memory volume (a location, as
-//! SQLite's `:memory:` is, not a setting) whose flush records how much
-//! of each file is on stable storage, so a [`MemoryVolume`] the caller
-//! keeps can lose power ([`MemoryVolume::crash`]): every byte past a
-//! file's last flush is gone; [`Dir::new`] takes any other backend,
-//! such as a decorator over a directory's [`Dir::storage`]. A backend's rename and remove are durable on
-//! return (the filesystem backend fsyncs the parent directory, where
+//! `pitract-repl` reach storage only through a [`Dir`], a backend paired
+//! with a path. There are two backends, both private to this crate: a
+//! path converts to a filesystem directory, and [`Dir::memory`] is an
+//! in-memory volume (a location, as SQLite's `:memory:` is, not a
+//! setting) whose flush records how much of each file is on stable
+//! storage, so a [`MemoryVolume`] the caller keeps can lose power
+//! ([`MemoryVolume::crash`]): every byte past a file's last flush is
+//! gone. The volume is also where faults are injected: a [`Fault`]
+//! armed on it ([`MemoryVolume::arm`]) fails one matching call — a
+//! full disk, a short append, a failed flush, a rename that lands and
+//! then errors, a power loss. A backend's rename and remove are durable
+//! on return (the filesystem backend fsyncs the parent directory, where
 //! the name lives), and the two durability recipes are written once
-//! over the trait: [`Dir::write_atomic_with`] (streamed; [`Dir::write_atomic`]
-//! is its bytes form) and [`Dir::create_durable`].
+//! over the backend: [`Dir::write_atomic_with`] (streamed;
+//! [`Dir::write_atomic`] is its bytes form) and [`Dir::create_durable`].
 //!
 //! A directory can be claimed by one owner at a time ([`Dir::claim`]):
 //! a write-ahead-log writer holds its directory's [`DirClaim`] for its
@@ -28,7 +31,7 @@ use std::fs;
 use std::io::{self, ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
 
 /// An open file. Appends land at its end, also after a truncate.
 pub trait StorageFile: fmt::Debug + Send + Sync {
@@ -46,7 +49,7 @@ pub type FileHandle = Arc<dyn StorageFile>;
 
 /// Where bytes live. A missing file or directory is
 /// [`ErrorKind::NotFound`] on every backend.
-pub trait Storage: fmt::Debug + Send + Sync {
+pub(crate) trait Storage: fmt::Debug + Send + Sync {
     /// Create `dir` and its missing ancestors.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// The entry names of `dir`, in no particular order.
@@ -68,8 +71,8 @@ pub trait Storage: fmt::Debug + Send + Sync {
     fn claim(&self, dir: &Path) -> io::Result<DirClaim>;
 }
 
-/// One owner's claim on a directory ([`Storage::claim`]), released when
-/// it drops.
+/// One owner's claim on a directory ([`Dir::claim`]), released when it
+/// drops.
 #[derive(Debug)]
 pub struct DirClaim {
     claims: Arc<Claims>,
@@ -135,7 +138,7 @@ pub struct Dir {
 
 impl Dir {
     /// The directory `path` on the backend `storage`.
-    pub fn new(storage: Arc<dyn Storage>, path: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(storage: Arc<dyn Storage>, path: impl Into<PathBuf>) -> Self {
         Dir {
             storage,
             path: path.into(),
@@ -155,7 +158,8 @@ impl Dir {
     }
 
     /// The backend the directory lives on.
-    pub fn storage(&self) -> &Arc<dyn Storage> {
+    #[cfg(test)]
+    pub(crate) fn storage(&self) -> &Arc<dyn Storage> {
         &self.storage
     }
 
@@ -193,8 +197,10 @@ impl Dir {
         self.storage.remove(&self.path.join(name))
     }
 
-    /// Claim the directory for one owner until the returned
-    /// [`DirClaim`] drops ([`Storage::claim`]).
+    /// Claim the existing directory for one owner until the returned
+    /// [`DirClaim`] drops. While it is held, a second claim of the same
+    /// directory fails with [`ErrorKind::ResourceBusy`]. The claim
+    /// covers this process only.
     pub fn claim(&self) -> io::Result<DirClaim> {
         self.storage.claim(&self.path)
     }
@@ -356,14 +362,17 @@ impl Storage for Fs {
     }
 }
 
-/// An in-memory volume that can lose power: the backend of
-/// [`Dir::memory`], kept by whoever means to crash it. A file's
-/// [`StorageFile::sync_data`] records the length it made durable;
-/// [`Self::crash`] then cuts every file back to that length, as a power
-/// loss would. Names are durable as they change — the trait makes a
-/// rename or remove durable on return, and a created file that was
-/// never flushed comes back empty. The volume keeps its own directory
-/// claims, and a crash releases them all.
+/// An in-memory volume that can lose power and fail on demand: the
+/// backend of [`Dir::memory`], kept by whoever means to crash it or arm
+/// a fault on it. A file's [`StorageFile::sync_data`] records the length
+/// it made durable; [`Self::crash`] then cuts every file back to that
+/// length, as a power loss would. Names are durable as they change — a
+/// rename or remove is durable on return, and a created file that was
+/// never flushed comes back empty. A flush that fails loses the bytes it
+/// did not cover at the next crash, even if a later flush succeeds: the
+/// kernel may drop the pages of a failed `fsync` and report the next one
+/// clean. The volume keeps its own directory claims, and a crash
+/// releases them all.
 #[derive(Debug, Clone)]
 pub struct MemoryVolume(Arc<Mem>);
 
@@ -371,9 +380,11 @@ impl MemoryVolume {
     /// A fresh, empty volume.
     pub fn new() -> Self {
         let root = PathBuf::from("/");
-        MemoryVolume(Arc::new(Mem {
+        MemoryVolume(Arc::new_cyclic(|me| Mem {
+            me: Weak::clone(me),
             entries: Mutex::new(BTreeMap::from([(root, None)])),
             claims: Arc::default(),
+            armed: Mutex::default(),
         }))
     }
 
@@ -387,12 +398,20 @@ impl MemoryVolume {
     /// opened before the crash still name their files; a test drops what
     /// the crash killed before it recovers.
     pub fn crash(&self) {
-        self.0.claims.release_all();
-        for file in locked(&self.0.entries).values().flatten() {
-            let mut contents = locked(&file.0);
-            let synced = contents.synced;
-            contents.bytes.truncate(synced);
-        }
+        self.0.crash();
+    }
+
+    /// Arm `fault`, beside any armed before it. A call two faults match
+    /// counts for both and meets the first armed that fires.
+    pub fn arm(&self, fault: Fault) {
+        locked(&self.0.armed).push((fault, 0));
+    }
+
+    /// Disarm every fault that has not fired, returning how many matching
+    /// calls each let pass, in the order they were armed.
+    pub fn disarm(&self) -> Vec<usize> {
+        let armed = std::mem::take(&mut *locked(&self.0.armed));
+        armed.into_iter().map(|(_, seen)| seen).collect()
     }
 }
 
@@ -402,12 +421,68 @@ impl Default for MemoryVolume {
     }
 }
 
+/// A call of the in-memory volume that a [`Fault`] can hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// [`StorageFile::append`].
+    Append,
+    /// [`StorageFile::truncate`].
+    Truncate,
+    /// [`StorageFile::sync_data`].
+    Sync,
+    /// Creating a file: the first step of both durability recipes.
+    Create,
+    /// Renaming a file: the last step of both recipes. Its path is the
+    /// new name.
+    Rename,
+    /// [`Dir::remove`].
+    Remove,
+    /// [`Dir::read`].
+    Read,
+}
+
+/// What a [`Fault`] does to the call it fires on. Every effect fails the
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// Nothing lands; the call fails with this kind
+    /// ([`ErrorKind::StorageFull`] is a full disk).
+    Fail(ErrorKind),
+    /// An append lands its first `n` bytes, another call lands whole;
+    /// then the call fails as [`ErrorKind::StorageFull`].
+    Short(usize),
+    /// The call lands, then fails: a rename whose directory flush failed.
+    LandThenFail,
+    /// The volume loses power ([`MemoryVolume::crash`]); nothing lands.
+    CrashThenFail,
+}
+
+/// One call that goes wrong, once: the `nth` call (from 1) of `op` on a
+/// path under `prefix`, counted from when the fault is armed
+/// ([`MemoryVolume::arm`]).
+#[derive(Debug, Clone)]
+pub struct Fault {
+    /// The call it hits.
+    pub op: Op,
+    /// The paths it hits: this one and those under it.
+    pub prefix: PathBuf,
+    /// Which matching call it hits.
+    pub nth: usize,
+    /// What it does to that call.
+    pub effect: Effect,
+}
+
 /// The in-memory volume: path → `None` for a directory, the file
-/// otherwise, and the volume's directory claims. An append holds its
-/// file's mutex, so a reader never sees half of one.
+/// otherwise, the volume's directory claims, and the armed faults with
+/// how many matching calls each has let pass. An append holds its file's
+/// mutex, so a reader never sees half of one.
 struct Mem {
+    /// The volume itself, for its files: a fault on a file's call can
+    /// crash the volume.
+    me: Weak<Mem>,
     entries: Mutex<Entries>,
     claims: Arc<Claims>,
+    armed: Mutex<Vec<(Fault, usize)>>,
 }
 
 type Entries = BTreeMap<PathBuf, Option<Arc<MemFile>>>;
@@ -415,11 +490,16 @@ type Entries = BTreeMap<PathBuf, Option<Arc<MemFile>>>;
 #[derive(Debug, Default)]
 struct MemFile(Mutex<Contents>);
 
-/// A file's bytes, and how many of them the last flush made durable.
+/// A file's volume and path (a rename moves it), its bytes, how many of
+/// them the last flush made durable, and where a failed flush left bytes
+/// a crash loses.
 #[derive(Debug, Default)]
 struct Contents {
+    volume: Weak<Mem>,
+    path: PathBuf,
     bytes: Vec<u8>,
     synced: usize,
+    lost_from: Option<usize>,
 }
 
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -455,24 +535,112 @@ impl fmt::Debug for Mem {
     }
 }
 
+impl Mem {
+    /// The effect of an armed fault this call of `op` on `path` is the
+    /// one for; that fault is then spent.
+    fn fire(&self, op: Op, path: &Path) -> Option<Effect> {
+        let mut armed = locked(&self.armed);
+        let mut fires = None;
+        for (i, (fault, seen)) in armed.iter_mut().enumerate() {
+            if fault.op == op && path.starts_with(&fault.prefix) {
+                *seen += 1;
+                if *seen >= fault.nth {
+                    fires = fires.or(Some(i));
+                }
+            }
+        }
+        Some(armed.remove(fires?).0.effect)
+    }
+
+    /// The error of a call `effect` fired on, once the effect is done.
+    fn fail(&self, effect: Effect) -> io::Error {
+        if effect == Effect::CrashThenFail {
+            self.crash();
+        }
+        let kind = match effect {
+            Effect::Fail(kind) => kind,
+            Effect::Short(_) => ErrorKind::StorageFull,
+            Effect::LandThenFail | Effect::CrashThenFail => ErrorKind::Other,
+        };
+        io::Error::new(kind, format!("injected fault: {effect:?}"))
+    }
+
+    /// `call`, the call of `op` on `path`, as the armed fault lets it
+    /// run: told the fault's effect, it runs unless nothing lands.
+    fn run<T>(
+        &self,
+        op: Op,
+        path: &Path,
+        call: impl FnOnce(Option<Effect>) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let fired = self.fire(op, path);
+        if let Some(effect @ (Effect::Fail(_) | Effect::CrashThenFail)) = fired {
+            return Err(self.fail(effect));
+        }
+        let out = call(fired)?;
+        fired.map_or(Ok(out), |effect| Err(self.fail(effect)))
+    }
+
+    fn crash(&self) {
+        self.claims.release_all();
+        for file in locked(&self.entries).values().flatten() {
+            let mut contents = locked(&file.0);
+            let kept = contents.lost_from.take().unwrap_or(usize::MAX);
+            let kept = kept.min(contents.synced);
+            contents.bytes.truncate(kept);
+            contents.synced = kept;
+        }
+    }
+}
+
+impl MemFile {
+    /// `call` on the contents, as the volume's armed fault lets this `op`
+    /// of the file run ([`Mem::run`]).
+    fn run(&self, op: Op, call: impl FnOnce(&mut Contents, Option<Effect>)) -> io::Result<()> {
+        let contents = locked(&self.0);
+        let (volume, path) = (contents.volume.upgrade(), contents.path.clone());
+        drop(contents);
+        let call = |fired| {
+            call(&mut locked(&self.0), fired);
+            Ok(())
+        };
+        match volume {
+            Some(volume) => volume.run(op, &path, call),
+            None => call(None),
+        }
+    }
+}
+
 impl StorageFile for MemFile {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        locked(&self.0).bytes.extend_from_slice(bytes);
-        Ok(())
+        self.run(Op::Append, |contents, fired| {
+            let landed = match fired {
+                Some(Effect::Short(n)) => n.min(bytes.len()),
+                _ => bytes.len(),
+            };
+            contents.bytes.extend_from_slice(&bytes[..landed]);
+        })
     }
 
     /// A cut takes durable bytes with it; a grown tail is not durable.
     fn truncate(&self, len: u64) -> io::Result<()> {
-        let mut contents = locked(&self.0);
-        contents.bytes.resize(len as usize, 0);
-        contents.synced = contents.synced.min(len as usize);
-        Ok(())
+        let len = len as usize;
+        self.run(Op::Truncate, |contents, _| {
+            contents.bytes.resize(len, 0);
+            contents.synced = contents.synced.min(len);
+            contents.lost_from = contents.lost_from.filter(|&at| at < len);
+        })
     }
 
+    /// A failed flush leaves the bytes it did not cover to be lost.
     fn sync_data(&self) -> io::Result<()> {
-        let mut contents = locked(&self.0);
-        contents.synced = contents.bytes.len();
-        Ok(())
+        let synced = |contents: &mut Contents, _| contents.synced = contents.bytes.len();
+        self.run(Op::Sync, synced).inspect_err(|_| {
+            let mut contents = locked(&self.0);
+            let synced = contents.synced;
+            let uncovered = synced < contents.bytes.len();
+            contents.lost_from = contents.lost_from.or(uncovered.then_some(synced));
+        })
     }
 }
 
@@ -502,18 +670,26 @@ impl Storage for Mem {
     }
 
     fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-        let file = file(&locked(&self.entries), path)?;
-        let bytes = &locked(&file.0).bytes;
-        Ok(bytes[(from as usize).min(bytes.len())..].to_vec())
+        self.run(Op::Read, path, |_| {
+            let file = file(&locked(&self.entries), path)?;
+            let bytes = &locked(&file.0).bytes;
+            Ok(bytes[(from as usize).min(bytes.len())..].to_vec())
+        })
     }
 
     fn create(&self, path: &Path) -> io::Result<FileHandle> {
-        let mut entries = locked(&self.entries);
-        file_slot(&entries, path)?;
-        let slot = entries.entry(path.to_path_buf()).or_default();
-        let file = Arc::clone(slot.get_or_insert_default());
-        *locked(&file.0) = Contents::default();
-        Ok(file)
+        self.run(Op::Create, path, |_| {
+            let mut entries = locked(&self.entries);
+            file_slot(&entries, path)?;
+            let slot = entries.entry(path.to_path_buf()).or_default();
+            let file = Arc::clone(slot.get_or_insert_default());
+            *locked(&file.0) = Contents {
+                volume: Weak::clone(&self.me),
+                path: path.to_path_buf(),
+                ..Contents::default()
+            };
+            Ok(file as FileHandle)
+        })
     }
 
     fn open(&self, path: &Path) -> io::Result<FileHandle> {
@@ -521,19 +697,24 @@ impl Storage for Mem {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut entries = locked(&self.entries);
-        let file = file(&entries, from)?;
-        file_slot(&entries, to)?;
-        entries.remove(from);
-        entries.insert(to.to_path_buf(), Some(file));
-        Ok(())
+        self.run(Op::Rename, to, |_| {
+            let mut entries = locked(&self.entries);
+            let file = file(&entries, from)?;
+            file_slot(&entries, to)?;
+            entries.remove(from);
+            locked(&file.0).path = to.to_path_buf();
+            entries.insert(to.to_path_buf(), Some(file));
+            Ok(())
+        })
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
-        let mut entries = locked(&self.entries);
-        file(&entries, path)?;
-        entries.remove(path);
-        Ok(())
+        self.run(Op::Remove, path, |_| {
+            let mut entries = locked(&self.entries);
+            file(&entries, path)?;
+            entries.remove(path);
+            Ok(())
+        })
     }
 
     fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
@@ -541,5 +722,24 @@ impl Storage for Mem {
             return Err(not_found(dir));
         }
         self.claims.claim(dir.to_path_buf())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A file created and never flushed keeps its name through a power
+    /// loss, and none of its bytes: names are durable as they change.
+    #[test]
+    fn a_created_file_never_flushed_comes_back_empty() {
+        let volume = MemoryVolume::new();
+        let dir = volume.root();
+        let fresh = dir.storage().create(&dir.path().join("fresh")).unwrap();
+        fresh.append(b"never flushed").unwrap();
+        drop(fresh);
+        volume.crash();
+        assert_eq!(dir.list().unwrap(), ["fresh"]);
+        assert_eq!(dir.read("fresh", 0).unwrap(), b"");
     }
 }

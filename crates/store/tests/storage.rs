@@ -1,67 +1,22 @@
-//! The durability recipes of [`Dir`] on a backend that fails once: the
-//! in-memory volume behind a decorator whose next rename lands and then
-//! reports an error, as a rename does whose directory fsync failed; and
-//! on a [`MemoryVolume`] that loses power.
+//! The durability recipes of [`Dir`] on a backend that fails once: an
+//! in-memory volume armed so that its next rename lands and then reports
+//! an error, as a rename does whose directory fsync failed; and on a
+//! [`MemoryVolume`] that loses power.
 
-use pitract_store::storage::{Dir, DirClaim, FileHandle, MemoryVolume, Storage};
-use std::io::{self, ErrorKind};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use pitract_store::storage::{Dir, Effect, Fault, MemoryVolume, Op};
+use std::io::ErrorKind;
 
-#[derive(Debug)]
-struct RenameLandsThenFails {
-    inner: Arc<dyn Storage>,
-    armed: AtomicBool,
-}
-
-impl Storage for RenameLandsThenFails {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-
-    fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-        self.inner.read(path, from)
-    }
-
-    fn create(&self, path: &Path) -> io::Result<FileHandle> {
-        self.inner.create(path)
-    }
-
-    fn open(&self, path: &Path) -> io::Result<FileHandle> {
-        self.inner.open(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)?;
-        if self.armed.swap(false, Ordering::SeqCst) {
-            return Err(io::Error::other("directory fsync failed"));
-        }
-        Ok(())
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove(path)
-    }
-
-    fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
-        self.inner.claim(dir)
-    }
-}
-
-/// A directory on the in-memory volume whose next rename fails after
+/// A directory on an in-memory volume whose next rename fails after
 /// landing.
 fn failing_once() -> Dir {
-    let volume = Dir::memory();
-    let faulty = RenameLandsThenFails {
-        inner: Arc::clone(volume.storage()),
-        armed: AtomicBool::new(true),
-    };
-    Dir::new(Arc::new(faulty), volume.path())
+    let volume = MemoryVolume::new();
+    volume.arm(Fault {
+        op: Op::Rename,
+        prefix: "/".into(),
+        nth: 1,
+        effect: Effect::LandThenFail,
+    });
+    volume.root()
 }
 
 /// The WAL's rotation path: a new segment whose durable create failed
@@ -97,7 +52,8 @@ fn an_atomic_replace_whose_rename_failed_after_landing_keeps_the_new_file() {
 
 /// A power loss keeps what a flush covered and drops the rest: the
 /// recipes' files whole, an appended tail only up to its last flush, a
-/// cut as it was made, and a file created and never flushed empty.
+/// cut as it was made, and a file created empty whose appends were
+/// never flushed, empty.
 #[test]
 fn a_power_loss_keeps_exactly_the_flushed_bytes() {
     let volume = MemoryVolume::new();
@@ -110,7 +66,7 @@ fn a_power_loss_keeps_exactly_the_flushed_bytes() {
     let cut = dir.create_durable("cut", b"0123456789").unwrap();
     cut.truncate(4).unwrap();
     cut.append(b"xy").unwrap();
-    let fresh = dir.storage().create(&dir.path().join("fresh")).unwrap();
+    let fresh = dir.create_durable("fresh", b"").unwrap();
     fresh.append(b"never flushed").unwrap();
     drop((log, cut, fresh));
 
@@ -145,4 +101,50 @@ fn a_crash_releases_directory_claims() {
     other.create_dir_all().unwrap();
     let _held = dir.claim().unwrap();
     drop(other.claim().unwrap());
+}
+
+/// A flush that fails loses what it did not cover at the next power
+/// loss, even after a later flush succeeds: the kernel may drop the
+/// pages of a failed `fsync` and report the next one clean.
+#[test]
+fn a_failed_flush_loses_its_bytes_even_after_a_later_flush() {
+    let volume = MemoryVolume::new();
+    let log = volume.root().create_durable("log", b"head").unwrap();
+    log.append(b"+lost").unwrap();
+    volume.arm(Fault {
+        op: Op::Sync,
+        prefix: "/".into(),
+        nth: 1,
+        effect: Effect::Fail(ErrorKind::Other),
+    });
+    assert_eq!(log.sync_data().unwrap_err().kind(), ErrorKind::Other);
+    log.append(b"+later").unwrap();
+    log.sync_data().unwrap();
+    volume.crash();
+    assert_eq!(volume.root().read("log", 0).unwrap(), b"head");
+}
+
+/// A fault hits the `nth` matching call under its prefix, once: here a
+/// short append, which lands a prefix of its bytes and fails as a full
+/// disk.
+#[test]
+fn an_armed_fault_hits_its_nth_matching_call_once() {
+    let volume = MemoryVolume::new();
+    let dir = volume.root().join("wal");
+    dir.create_dir_all().unwrap();
+    let other = volume.root().create_durable("other", b"").unwrap();
+    let seg = dir.create_durable("seg", b"").unwrap();
+    volume.arm(Fault {
+        op: Op::Append,
+        prefix: "/wal".into(),
+        nth: 2,
+        effect: Effect::Short(3),
+    });
+    other.append(b"elsewhere").unwrap();
+    seg.append(b"first").unwrap();
+    let err = seg.append(b"second").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::StorageFull);
+    seg.append(b"+third").unwrap();
+    assert_eq!(dir.read("seg", 0).unwrap(), b"firstsec+third");
+    assert_eq!(volume.disarm(), []);
 }

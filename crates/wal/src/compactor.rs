@@ -124,12 +124,9 @@ mod tests {
     use pitract_core::epoch::Epoch;
     use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
     use pitract_relation::{ColType, Relation, Schema, Value};
-    use pitract_store::storage::{DirClaim, FileHandle, Storage};
+    use pitract_store::storage::{Effect, Fault, Op};
     use pitract_store::{MemoryVolume, SnapshotCatalog};
-    use std::io;
-    use std::path::Path;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::io::ErrorKind;
 
     fn tiny_wal(dir: &Dir) -> WalWriter {
         WalWriter::open(
@@ -324,74 +321,6 @@ mod tests {
         assert_eq!(second.segments_removed, 0, "second pass removes nothing");
     }
 
-    /// A storage that fails its `nth` remove (counting from 1), cutting
-    /// `power` first when it holds a volume, as a crash between two
-    /// removals would; and that panics on any read while `reads_panic`
-    /// is set.
-    #[derive(Debug)]
-    struct Faulty {
-        inner: Arc<dyn Storage>,
-        removes: AtomicUsize,
-        nth: usize,
-        power: Option<MemoryVolume>,
-        reads_panic: bool,
-    }
-
-    impl Faulty {
-        /// The WAL directory of `volume`, seen through this decorator.
-        fn wal_dir(volume: &MemoryVolume, nth: usize, crash: bool, reads_panic: bool) -> Dir {
-            let faulty = Faulty {
-                inner: Arc::clone(volume.root().storage()),
-                removes: AtomicUsize::new(0),
-                nth,
-                power: crash.then(|| volume.clone()),
-                reads_panic,
-            };
-            Dir::new(Arc::new(faulty), "/wal")
-        }
-    }
-
-    impl Storage for Faulty {
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            self.inner.create_dir_all(dir)
-        }
-
-        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-            self.inner.list(dir)
-        }
-
-        fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-            assert!(!self.reads_panic, "read {} from {from}", path.display());
-            self.inner.read(path, from)
-        }
-
-        fn create(&self, path: &Path) -> io::Result<FileHandle> {
-            self.inner.create(path)
-        }
-
-        fn open(&self, path: &Path) -> io::Result<FileHandle> {
-            self.inner.open(path)
-        }
-
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            self.inner.rename(from, to)
-        }
-
-        fn remove(&self, path: &Path) -> io::Result<()> {
-            if self.removes.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
-                if let Some(volume) = &self.power {
-                    volume.crash();
-                }
-                return Err(io::Error::other("remove failed"));
-            }
-            self.inner.remove(path)
-        }
-
-        fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
-            self.inner.claim(dir)
-        }
-    }
-
     /// What a recovery of the node on `volume` serves: its rows, live
     /// count and epoch.
     type State = (Vec<Option<Vec<Value>>>, usize, Epoch);
@@ -464,8 +393,17 @@ mod tests {
         };
         let before = bases(&wal_dir);
 
-        let faulty = Faulty::wal_dir(&volume, 2, crash, false);
-        let err = Compactor::new(mark).compact_dir(&faulty).unwrap_err();
+        let effect = match crash {
+            true => Effect::CrashThenFail,
+            false => Effect::Fail(ErrorKind::Other),
+        };
+        volume.arm(Fault {
+            op: Op::Remove,
+            prefix: "/wal".into(),
+            nth: 2,
+            effect,
+        });
+        let err = Compactor::new(mark).compact_dir(&wal_dir).unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "{err}");
         drop(node);
         assert_eq!(bases(&wal_dir), before[1..], "the first removal stands");
@@ -495,15 +433,24 @@ mod tests {
         a_removal_fault_mid_pass(true);
     }
 
-    /// A pass decides from the directory listing alone: with every read
-    /// panicking, it still removes what the mark covers.
+    /// A pass decides from the directory listing alone: with the first
+    /// read of the log armed to fail, it still removes what the mark
+    /// covers, and the fault is still armed.
     #[test]
     fn a_pass_reads_no_segment_byte() {
         let volume = MemoryVolume::new();
         let (node, mark) = churned(&volume);
         let expected = state_of(&node);
-        let faulty = Faulty::wal_dir(&volume, usize::MAX, false, true);
-        let report = Compactor::new(mark).compact_dir(&faulty).unwrap();
+        volume.arm(Fault {
+            op: Op::Read,
+            prefix: "/wal".into(),
+            nth: 1,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        let report = Compactor::new(mark)
+            .compact_dir(volume.root().join("wal"))
+            .unwrap();
+        assert_eq!(volume.disarm(), [0], "the pass read a segment byte");
         assert!(report.segments_removed > 1, "{report:?}");
         assert!(report.records_after < report.records_before);
         drop(node);

@@ -445,10 +445,9 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-    use pitract_store::storage::{DirClaim, FileHandle, Storage, StorageFile};
+    use pitract_store::storage::{Effect, Fault, Op};
     use pitract_store::MemoryVolume;
     use std::io;
-    use std::sync::atomic::AtomicBool;
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -895,80 +894,6 @@ mod tests {
         }
     }
 
-    /// A storage whose next file flush fails: a snapshot save through it
-    /// fails after writing its temp file, as on a full or failing disk.
-    #[derive(Debug)]
-    struct FlushFailsOnce {
-        inner: Arc<dyn Storage>,
-        armed: Arc<AtomicBool>,
-    }
-
-    #[derive(Debug)]
-    struct ArmedFile {
-        inner: FileHandle,
-        armed: Arc<AtomicBool>,
-    }
-
-    impl StorageFile for ArmedFile {
-        fn append(&self, bytes: &[u8]) -> io::Result<()> {
-            self.inner.append(bytes)
-        }
-
-        fn truncate(&self, len: u64) -> io::Result<()> {
-            self.inner.truncate(len)
-        }
-
-        fn sync_data(&self) -> io::Result<()> {
-            if self.armed.swap(false, Ordering::SeqCst) {
-                return Err(io::Error::other("flush failed"));
-            }
-            self.inner.sync_data()
-        }
-    }
-
-    impl FlushFailsOnce {
-        fn wrap(&self, file: FileHandle) -> FileHandle {
-            Arc::new(ArmedFile {
-                inner: file,
-                armed: Arc::clone(&self.armed),
-            })
-        }
-    }
-
-    impl Storage for FlushFailsOnce {
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            self.inner.create_dir_all(dir)
-        }
-
-        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-            self.inner.list(dir)
-        }
-
-        fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-            self.inner.read(path, from)
-        }
-
-        fn create(&self, path: &Path) -> io::Result<FileHandle> {
-            Ok(self.wrap(self.inner.create(path)?))
-        }
-
-        fn open(&self, path: &Path) -> io::Result<FileHandle> {
-            Ok(self.wrap(self.inner.open(path)?))
-        }
-
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            self.inner.rename(from, to)
-        }
-
-        fn remove(&self, path: &Path) -> io::Result<()> {
-            self.inner.remove(path)
-        }
-
-        fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
-            self.inner.claim(dir)
-        }
-    }
-
     /// The mark moves only after a durable save. A checkpoint whose
     /// snapshot flush fails returns a typed error and leaves the mark
     /// where the last good checkpoint put it, so compaction keeps every
@@ -977,15 +902,7 @@ mod tests {
     #[test]
     fn failed_checkpoint_keeps_the_log() {
         let volume = MemoryVolume::new();
-        let armed = Arc::new(AtomicBool::new(false));
-        let snaps = Dir::new(
-            Arc::new(FlushFailsOnce {
-                inner: Arc::clone(volume.root().storage()),
-                armed: Arc::clone(&armed),
-            }),
-            "/snaps",
-        );
-        let catalog = SnapshotCatalog::open(snaps).unwrap();
+        let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
         let wal_dir = volume.root().join("wal");
         let node =
             DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
@@ -1006,7 +923,13 @@ mod tests {
         }
         node.delete(4).unwrap().unwrap();
 
-        armed.store(true, Ordering::SeqCst);
+        // The snapshot's flush fails, as on a full or failing disk.
+        volume.arm(Fault {
+            op: Op::Sync,
+            prefix: "/snaps".into(),
+            nth: 1,
+            effect: Effect::Fail(io::ErrorKind::Other),
+        });
         let err = node.checkpoint(&catalog, "node").unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "{err}");
         assert_eq!(

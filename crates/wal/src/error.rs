@@ -55,10 +55,15 @@ pub enum WalError {
     /// not belong to the checkpoint's history).
     Engine(EngineError),
     /// An earlier append failed partway and its partial bytes could not
-    /// be erased; the writer refuses further appends so the garbage is
-    /// never buried under valid records (left as the tail, the next
-    /// recovery truncates it like any other crash residue). Reopen the
-    /// WAL to resume.
+    /// be erased, or a flush failed. The writer refuses further appends,
+    /// flushes and rotations, so partial bytes are never buried under
+    /// valid records and no later flush of this writer confirms records
+    /// a failed one may have lost (left as the tail, the next recovery
+    /// after a power loss truncates what did not reach the disk).
+    /// Reopening the log resumes writing but does not keep that
+    /// promise: a writer reopened without a power loss reads those
+    /// records back from the operating system's cache, and its first
+    /// successful flush confirms them though they may be lost.
     Poisoned,
     /// The WAL directory is held by a live writer in this process — a
     /// node still serving it. A second writer would append under the
@@ -92,7 +97,7 @@ impl fmt::Display for WalError {
             ),
             WalError::Poisoned => write!(
                 f,
-                "wal writer poisoned by an earlier failed append; reopen the log to resume"
+                "wal writer poisoned by an earlier failed write or flush; it refuses every further write"
             ),
             WalError::DirInUse { dir } => {
                 write!(

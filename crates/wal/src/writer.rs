@@ -117,11 +117,15 @@ struct WriterState {
     next_lsn: u64,
     /// Every record with `lsn < durable_next` is on stable storage.
     durable_next: u64,
-    /// Set when a failed append's partial bytes could not be erased.
-    /// Appending after them would bury garbage mid-segment — turning a
-    /// transient I/O error into a permanently unreadable log — so the
-    /// writer refuses all further appends; the partial frame then reads
-    /// as an ordinary torn tail on the next recovery.
+    /// Set when a failed append's partial bytes could not be erased or
+    /// a flush failed (a rotation's seals included). Appending after
+    /// partial bytes would bury garbage mid-segment — turning a
+    /// transient I/O error into a permanently unreadable log; after a
+    /// failed flush the kernel may have dropped the pages it did not
+    /// cover and report the next flush clean, so no later flush of this
+    /// writer may confirm them (fsyncgate). So the writer refuses every
+    /// further append, flush and rotation, and the next recovery
+    /// truncates whatever tail is left.
     poisoned: bool,
     /// The active segment has reached [`WalConfig::segment_bytes`];
     /// rotation is owed. Appends only *set* this flag — the three-fsync
@@ -429,7 +433,10 @@ impl WalWriter {
     /// [`SyncPolicy::GroupCommit`] the first committer's flush covers
     /// every record staged before it, so concurrent committers share one
     /// fsync; under [`SyncPolicy::Never`] this returns immediately (the
-    /// caller opted out of per-update durability).
+    /// caller opted out of per-update durability). A failed flush
+    /// poisons the writer: no later one confirms what it failed on.
+    /// An owed rotation is settled after the record's own outcome and
+    /// never reported as its failure (see [`Self::rotate_now`]).
     pub fn commit(&self, lsn: u64) -> Result<(), WalError> {
         if !matches!(self.config.sync, SyncPolicy::Never) {
             // Clone the handle under the lock, flush outside it: a slow
@@ -439,6 +446,8 @@ impl WalWriter {
                 let state = self.lock();
                 if state.durable_next > lsn {
                     None
+                } else if state.poisoned {
+                    return Err(WalError::Poisoned);
                 } else {
                     // The flush's group: every record staged but not yet
                     // durable rides this one fsync.
@@ -447,16 +456,20 @@ impl WalWriter {
                 }
             };
             if let Some((file, target, group)) = flush {
-                self.instruments.timed_sync(&file)?;
+                self.flush(&file)?;
                 self.instruments.group_commit.record(group);
-                let mut state = self.lock();
-                state.durable_next = state.durable_next.max(target);
+                self.confirm(target)?;
             }
         }
         // Settle any owed rotation — under every policy, including
         // `Never`: rotation is what seals closed segments complete, and
         // deferring it forever would grow the active segment unboundedly.
-        self.finish_rotation()
+        // The record's outcome is settled by now, so a failed rotation is
+        // not reported as the record's failure: one whose flush failed
+        // poisoned the writer, which the next call reports, and one whose
+        // segment create failed stays owed for the next commit or sync.
+        let _ = self.finish_rotation();
+        Ok(())
     }
 
     /// Flush everything appended so far; returns the durable frontier
@@ -464,11 +477,15 @@ impl WalWriter {
     /// the frontier there is nothing to flush and the disk is not
     /// touched — a replication poll calls this on every fetch, and most
     /// fetches follow a commit that already covered the log. An owed
-    /// rotation is settled either way.
+    /// rotation is settled either way, and its failure is not reported
+    /// as the flush's (see [`Self::commit`]).
     pub fn sync(&self) -> Result<u64, WalError> {
         let (durable, staged) = {
             let state = self.lock();
             let staged = if state.durable_next < state.next_lsn {
+                if state.poisoned {
+                    return Err(WalError::Poisoned);
+                }
                 Some((state.file.clone(), state.next_lsn))
             } else {
                 None
@@ -478,19 +495,20 @@ impl WalWriter {
         let durable = match staged {
             None => durable,
             Some((file, target)) => {
-                self.instruments.timed_sync(&file)?;
-                let mut state = self.lock();
-                state.durable_next = state.durable_next.max(target);
-                state.durable_next
+                self.flush(&file)?;
+                self.confirm(target)?
             }
         };
-        self.finish_rotation()?;
+        let _ = self.finish_rotation();
         Ok(durable)
     }
 
     /// Flush and rotate to a fresh segment regardless of size — closing
     /// the current segment so a following [`crate::Compactor`] pass may
-    /// remove it.
+    /// remove it. A failed flush poisons the writer; a failed segment
+    /// create moves nothing and leaves the rotation owed, so the next
+    /// commit or sync retries it (unless the failed segment could not
+    /// be removed again, which poisons the writer too).
     pub fn rotate_now(&self) -> Result<(), WalError> {
         self.lock().rotation_due = true;
         self.finish_rotation()
@@ -512,21 +530,35 @@ impl WalWriter {
         // Pre-seal: flush the closing segment's bulk without the state
         // lock, so concurrent appends keep staging while the disk works.
         let pre = {
-            let state = self.lock();
+            let mut state = self.lock();
             if !state.rotation_due {
                 // Another committer already rotated while we waited.
                 return Ok(());
             }
+            if state.poisoned {
+                // A flush now could make a failed append's bytes durable.
+                return Err(WalError::Poisoned);
+            }
+            if state.active_bytes == SEGMENT_HEADER_LEN as u64 {
+                // No record to close, and the fresh segment would take
+                // the active one's name: a create that replaced it and
+                // then failed would remove the file the writer appends
+                // to.
+                state.rotation_due = false;
+                return Ok(());
+            }
             state.file.clone()
         };
-        self.instruments.timed_sync(&pre)?;
+        self.flush(&pre)?;
         // The switch: seal the sliver appended since the pre-flush and
-        // install the fresh segment. If creating the segment fails the
-        // flag stays set — appends continue into the old segment and the
-        // next commit retries the rotation at a higher base. A failed
+        // install the fresh segment. A failed seal poisons the writer. If
+        // creating the segment fails the flag stays set and nothing moves
+        // — appends continue into the old segment and the next commit
+        // retries the rotation at a higher base. A failed
         // `Dir::create_durable` removes its file again, even one whose
         // rename landed, so nothing based here is left to overlap the
-        // old segment's later records.
+        // old segment's later records; if that removal failed too, the
+        // writer is poisoned.
         let mut state = self.lock();
         if !state.rotation_due {
             return Ok(());
@@ -540,16 +572,56 @@ impl WalWriter {
         // cloned handle above; only the sliver since that pre-seal is paid
         // here, and the switch must be atomic with respect to appends.
         // lint:allow(no-fsync-under-lock)
-        state.file.sync_data()?;
-        state.durable_next = state.next_lsn;
+        if let Err(e) = state.file.sync_data() {
+            state.poisoned = true;
+            return Err(e.into());
+        }
         let base = state.next_lsn;
-        state.file = self
-            .dir
-            .create_durable(&segment_file_name(base), &segment_header(base))?;
+        let name = segment_file_name(base);
+        state.file = match self.dir.create_durable(&name, &segment_header(base)) {
+            Ok(file) => file,
+            Err(e) => {
+                // A segment based here that outlives the failure would
+                // overlap the records appended to the old one after it,
+                // and recovery would refuse the log: unless the name is
+                // gone, stop appending.
+                let removed = self.dir.remove(&name);
+                if removed.is_err_and(|r| r.kind() != ErrorKind::NotFound) {
+                    state.poisoned = true;
+                }
+                return Err(e.into());
+            }
+        };
+        state.durable_next = base;
         state.active_bytes = SEGMENT_HEADER_LEN as u64;
         state.rotation_due = false;
         self.instruments.rotations.inc();
         Ok(())
+    }
+
+    /// Flush `file` outside the state lock; a failure poisons the
+    /// writer.
+    fn flush(&self, file: &FileHandle) -> Result<(), WalError> {
+        self.instruments.timed_sync(file).map_err(|e| {
+            self.lock().poisoned = true;
+            WalError::Io(e)
+        })
+    }
+
+    /// Confirm every record below `target` durable, unless a racing
+    /// flush failed and poisoned the writer meanwhile; returns the
+    /// durable frontier. A racing flush of the same handle that failed
+    /// but has not poisoned the writer yet is not seen: Linux reports a
+    /// writeback error to one flush of an open file only, so this
+    /// flush's success may cover pages the other's failure lost, and
+    /// this window stays open.
+    fn confirm(&self, target: u64) -> Result<u64, WalError> {
+        let mut state = self.lock();
+        if state.poisoned {
+            return Err(WalError::Poisoned);
+        }
+        state.durable_next = state.durable_next.max(target);
+        Ok(state.durable_next)
     }
 
     fn lock(&self) -> OrderedMutexGuard<'_, WriterState> {
@@ -560,8 +632,11 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::WalReader;
     use crate::segment::{scan_dir, scan_frames};
     use pitract_relation::Value;
+    use pitract_store::storage::{Effect, Fault, Op};
+    use pitract_store::MemoryVolume;
 
     fn insert(gid: usize, key: i64) -> UpdateEntry {
         UpdateEntry::Insert {
@@ -942,5 +1017,102 @@ mod tests {
             Err(WalError::Poisoned)
         ));
         assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
+    }
+
+    /// fsyncgate: the kernel may drop the pages a failed flush did not
+    /// cover and report the next flush clean. So a failed flush poisons
+    /// the writer, and no later flush confirms the records it failed on:
+    /// a power loss keeps every record the writer called durable.
+    #[test]
+    fn a_failed_flush_poisons_the_writer() {
+        let volume = MemoryVolume::new();
+        let dir = volume.root().join("wal");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let first = wal.append_entry(&insert(0, 0)).unwrap();
+        wal.commit(first).unwrap();
+        let lsn = wal.append_entry(&insert(1, 1)).unwrap();
+        volume.arm(Fault {
+            op: Op::Sync,
+            prefix: "/wal".into(),
+            nth: 1,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        assert!(matches!(wal.commit(lsn), Err(WalError::Io(_))));
+        let retried = wal.commit(lsn);
+        let durable = wal.durable_lsn();
+        drop(wal);
+        volume.crash();
+        let recovered = WalReader::open(&dir).unwrap().len() as u64;
+        assert!(
+            recovered >= durable,
+            "confirmed {durable} records, {recovered} survived"
+        );
+        assert!(matches!(retried, Err(WalError::Poisoned)), "{retried:?}");
+        assert_eq!(durable, 1);
+    }
+
+    /// A segment with no record is not rotated: the fresh segment would
+    /// take its name, and a create whose rename landed and then failed
+    /// would remove the file the writer appends to, with every record
+    /// appended after it.
+    #[test]
+    fn an_empty_segment_is_not_rotated() {
+        let volume = MemoryVolume::new();
+        let dir = volume.root().join("wal");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        volume.arm(Fault {
+            op: Op::Rename,
+            prefix: "/wal".into(),
+            nth: 1,
+            effect: Effect::LandThenFail,
+        });
+        wal.rotate_now().unwrap();
+        let lsn = wal.append_entry(&insert(0, 0)).unwrap();
+        wal.commit(lsn).unwrap();
+        drop(wal);
+        volume.crash();
+        assert_eq!(WalReader::open(&dir).unwrap().len(), 1);
+        assert_eq!(volume.disarm(), [0]);
+    }
+
+    /// A rotation whose fresh segment could not be created moves nothing
+    /// and stays owed. If the failed segment could not be removed again,
+    /// the records appended to the old segment would run past its base
+    /// and recovery would refuse the log, so the writer is poisoned.
+    #[test]
+    fn a_failed_rotation_stays_owed_unless_its_segment_stays() {
+        let volume = MemoryVolume::new();
+        let dir = volume.root().join("wal");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        wal.append_entry(&insert(0, 0)).unwrap();
+        let rename_fails = Fault {
+            op: Op::Rename,
+            prefix: "/wal".into(),
+            nth: 1,
+            effect: Effect::LandThenFail,
+        };
+        volume.arm(rename_fails.clone());
+        assert!(matches!(wal.rotate_now(), Err(WalError::Io(_))));
+        assert_eq!((wal.next_lsn(), wal.durable_lsn()), (1, 0));
+        wal.append_entry(&insert(1, 1)).unwrap();
+        assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
+
+        // The temp file's removal is the first, the segment's the next
+        // two: the recipe's own and the writer's.
+        volume.arm(rename_fails);
+        for nth in [2, 3] {
+            volume.arm(Fault {
+                op: Op::Remove,
+                prefix: "/wal".into(),
+                nth,
+                effect: Effect::Fail(ErrorKind::Other),
+            });
+        }
+        assert!(matches!(wal.rotate_now(), Err(WalError::Io(_))));
+        let third = wal.append_entry(&insert(2, 2));
+        assert!(matches!(third, Err(WalError::Poisoned)), "{third:?}");
+        drop(wal);
+        volume.crash();
+        assert_eq!(WalReader::open(&dir).unwrap().len(), 2);
     }
 }

@@ -1,19 +1,15 @@
 //! A checkpoint streamed to its file, under I/O faults. The snapshot
-//! directory sits on an in-memory volume behind a decorator that fails
-//! one write of a save: an append (the first chunk, a middle chunk, or
-//! the last, which carries the checksum) with `StorageFull`, the flush,
-//! or an append at which the volume loses power. In every case the
-//! checkpoint returns a typed error, leaves no temp file, keeps the
-//! previous checkpoint byte for byte and its mark where it was, and the
-//! directories still recover to the node; once the fault is spent, the
-//! next checkpoint succeeds.
+//! directory sits on an in-memory volume armed to fail one write of a
+//! save: an append (the first chunk, a middle chunk, or the last, which
+//! carries the checksum) with `StorageFull`, the flush, or an append at
+//! which the volume loses power. In every case the checkpoint returns a
+//! typed error, leaves no temp file, keeps the previous checkpoint byte
+//! for byte and its mark where it was, and the directories still recover
+//! to the node; once the fault is spent, the next checkpoint succeeds.
 
 use pi_tractable::prelude::*;
-use pi_tractable::store::storage::{DirClaim, FileHandle, Storage, StorageFile};
-use std::io::{self, ErrorKind};
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use pi_tractable::store::storage::{self, Effect, Op};
+use std::io::ErrorKind;
 
 /// One write of a save that goes wrong, counted from the first append
 /// after the fault is armed.
@@ -27,109 +23,21 @@ enum Fault {
     CrashAt(usize),
 }
 
-/// The state every file of a [`Faulty`] backend shares.
-#[derive(Debug)]
-struct Armed {
-    volume: MemoryVolume,
-    fault: Mutex<Option<Fault>>,
-    appends: AtomicUsize,
-}
-
-impl Armed {
-    /// Arm `fault` and restart the append count.
-    fn arm(&self, fault: Fault) {
-        self.appends.store(0, Ordering::SeqCst);
-        *self.fault.lock().unwrap_or_else(PoisonError::into_inner) = Some(fault);
-    }
-
-    /// Take the armed fault if `fires` says this write is the one.
-    fn fire(&self, fires: impl FnOnce(Fault) -> bool) -> Option<Fault> {
-        let mut fault = self.fault.lock().unwrap_or_else(PoisonError::into_inner);
-        fault.filter(|f| fires(*f)).and_then(|_| fault.take())
-    }
-}
-
-/// A backend over the volume whose files fail as [`Armed`] says.
-#[derive(Debug)]
-struct Faulty {
-    inner: Arc<dyn Storage>,
-    armed: Arc<Armed>,
-}
-
-#[derive(Debug)]
-struct FaultyFile {
-    inner: FileHandle,
-    armed: Arc<Armed>,
-}
-
-impl StorageFile for FaultyFile {
-    fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        let n = self.armed.appends.fetch_add(1, Ordering::SeqCst) + 1;
-        match self
-            .armed
-            .fire(|f| matches!(f, Fault::FullAt(k) | Fault::CrashAt(k) if k == n))
-        {
-            Some(Fault::FullAt(_)) => Err(io::Error::new(ErrorKind::StorageFull, "volume full")),
-            Some(_) => {
-                self.armed.volume.crash();
-                Err(io::Error::other("power lost"))
-            }
-            None => self.inner.append(bytes),
+impl From<Fault> for storage::Fault {
+    /// The fault, armed on the snapshot directory.
+    fn from(fault: Fault) -> Self {
+        let (op, nth, effect) = match fault {
+            Fault::FullAt(k) => (Op::Append, k, Effect::Fail(ErrorKind::StorageFull)),
+            Fault::FlushFails => (Op::Sync, 1, Effect::Fail(ErrorKind::Other)),
+            Fault::CrashAt(k) => (Op::Append, k, Effect::CrashThenFail),
+        };
+        let prefix = "/snaps".into();
+        storage::Fault {
+            op,
+            prefix,
+            nth,
+            effect,
         }
-    }
-
-    fn truncate(&self, len: u64) -> io::Result<()> {
-        self.inner.truncate(len)
-    }
-
-    fn sync_data(&self) -> io::Result<()> {
-        match self.armed.fire(|f| f == Fault::FlushFails) {
-            Some(_) => Err(io::Error::other("flush failed")),
-            None => self.inner.sync_data(),
-        }
-    }
-}
-
-impl Faulty {
-    fn wrap(&self, file: FileHandle) -> FileHandle {
-        Arc::new(FaultyFile {
-            inner: file,
-            armed: Arc::clone(&self.armed),
-        })
-    }
-}
-
-impl Storage for Faulty {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-
-    fn read(&self, path: &Path, from: u64) -> io::Result<Vec<u8>> {
-        self.inner.read(path, from)
-    }
-
-    fn create(&self, path: &Path) -> io::Result<FileHandle> {
-        Ok(self.wrap(self.inner.create(path)?))
-    }
-
-    fn open(&self, path: &Path) -> io::Result<FileHandle> {
-        Ok(self.wrap(self.inner.open(path)?))
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove(path)
-    }
-
-    fn claim(&self, dir: &Path) -> io::Result<DirClaim> {
-        self.inner.claim(dir)
     }
 }
 
@@ -187,61 +95,53 @@ fn recovered_copy(snaps: &Dir, wal: &Dir) -> (usize, Vec<Option<Vec<Value>>>, u6
     state(&node)
 }
 
-/// A durable node whose snapshot directory is behind the fault
-/// decorator, with one good checkpoint past its bootstrap. Returns the
-/// node, the catalog, both directories, the decorator's shared state
-/// and how many appends a whole checkpoint takes.
+/// A durable node whose snapshot directory is on a volume that faults
+/// can be armed on, with one good checkpoint past its bootstrap. Returns
+/// the node, the catalog, both directories, the volume and how many
+/// appends a whole checkpoint takes.
 fn node_with_a_checkpoint() -> (
     DurableLiveRelation,
     SnapshotCatalog,
     Dir,
     Dir,
-    Arc<Armed>,
+    MemoryVolume,
     usize,
 ) {
     let volume = MemoryVolume::new();
-    let armed = Arc::new(Armed {
-        volume: volume.clone(),
-        fault: Mutex::new(None),
-        appends: AtomicUsize::new(0),
-    });
-    let faulty = Faulty {
-        inner: Arc::clone(volume.root().storage()),
-        armed: Arc::clone(&armed),
-    };
-    let snaps = Dir::new(Arc::new(faulty), "/snaps");
+    let snaps = volume.root().join("snaps");
     let wal = volume.root().join("wal");
     let catalog = SnapshotCatalog::open(&snaps).unwrap();
     let node =
         DurableLiveRelation::create(base_live(), &catalog, "node", &wal, WalConfig::default())
             .unwrap();
     churn(&node, 1);
-    armed.appends.store(0, Ordering::SeqCst);
+    // Armed at an append that never comes, a fault counts them.
+    volume.arm(Fault::FullAt(usize::MAX).into());
     node.checkpoint(&catalog, "node").unwrap();
-    let appends = armed.appends.load(Ordering::SeqCst);
+    let appends = volume.disarm()[0];
     assert!(
         appends >= 3,
         "a checkpoint of several chunks: {appends} appends"
     );
     churn(&node, 2);
-    (node, catalog, snaps, wal, armed, appends)
+    (node, catalog, snaps, wal, volume, appends)
 }
 
 /// The checkpoint fails typed, as `kind`, and leaves no trace: no temp
 /// file, the previous file byte for byte, the mark where it was. `fault`
 /// picks the write from the number of appends a whole checkpoint takes.
 fn fails_and_leaves_no_trace(fault: impl FnOnce(usize) -> Fault, kind: ErrorKind) {
-    let (node, catalog, snaps, wal, armed, appends) = node_with_a_checkpoint();
+    let (node, catalog, snaps, wal, volume, appends) = node_with_a_checkpoint();
     let fault = fault(appends);
     let old = snaps.read("node.snap", 0).unwrap();
     let mark = node.checkpoint_mark();
-    armed.arm(fault);
+    volume.arm(fault.into());
     let err = node.checkpoint(&catalog, "node").unwrap_err();
     assert!(
         matches!(&err, WalError::Io(e) if e.kind() == kind),
         "{fault:?}: {err}"
     );
-    assert_eq!(armed.fire(|_| true), None, "{fault:?} fired");
+    assert_eq!(volume.disarm(), [], "{fault:?} fired");
     assert_eq!(
         snaps.list().unwrap(),
         ["node.snap"],
@@ -294,10 +194,10 @@ fn a_failed_flush_fails_the_checkpoint_cleanly() {
 /// survives whole, and the volume recovers to the node as it stood.
 #[test]
 fn a_power_loss_mid_save_keeps_the_previous_checkpoint_whole() {
-    let (node, catalog, snaps, wal, armed, appends) = node_with_a_checkpoint();
+    let (node, catalog, snaps, wal, volume, appends) = node_with_a_checkpoint();
     let old = snaps.read("node.snap", 0).unwrap();
     let want = state(&node);
-    armed.arm(Fault::CrashAt(appends / 2 + 1));
+    volume.arm(Fault::CrashAt(appends / 2 + 1).into());
     assert!(matches!(
         node.checkpoint(&catalog, "node"),
         Err(WalError::Io(_))
