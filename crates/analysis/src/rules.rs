@@ -134,9 +134,9 @@ impl Rule for NoUnwrapInServing {
 /// `….state.lock()`) opens a guard region that closes at the end of the
 /// enclosing block or at an explicit `drop(<binding>)`; a guard marker
 /// used as a statement temporary holds only to the end of its
-/// statement. The rotation turnstile (`….rotation.lock()`) is
-/// deliberately *not* a marker — it is taken strictly before the state
-/// lock and never wraps a flush region by itself.
+/// statement. The WAL writer's flush turnstile (`….flushing.lock()`) is
+/// deliberately *not* a marker: flushes are what it serializes, and
+/// stagers never take it, so a flush inside it stalls no append.
 pub struct NoFsyncUnderLock;
 
 /// Contiguous token-text sequences that mean "a writer-state guard was

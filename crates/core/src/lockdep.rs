@@ -41,7 +41,7 @@
 //! | `Gid` (20) | `LiveRelation` global-id maps |
 //! | `Epoch` (30) | `LiveRelation` MVCC clock + pin table |
 //! | `FollowerCatchup` (45) | replication bookkeeping: the publisher's subscription table (a follower's mirror is a `WalWriter`, under the WAL ranks) |
-//! | `WalRotation` (50) | `WalWriter` rotation turnstile (taken strictly before the writer state) |
+//! | `WalFlush` (50) | `WalWriter` flush turnstile: every data flush of the active segment, one at a time (taken strictly before the writer state) |
 //! | `WalState` (60) | `WalWriter` append state |
 //!
 //! `FollowerCatchup` sits *between* the engine tiers and the WAL tiers
@@ -70,8 +70,9 @@ pub enum LockRank {
     /// publisher's subscription/retention table. Held while flushing WAL
     /// state (ranks above), never across engine replay (ranks below).
     FollowerCatchup = 45,
-    /// The WAL writer's rotation turnstile.
-    WalRotation = 50,
+    /// The WAL writer's flush turnstile: commits', syncs' and rotation
+    /// seals' flushes run inside it, one at a time.
+    WalFlush = 50,
     /// The WAL writer's append state.
     WalState = 60,
 }
@@ -534,11 +535,11 @@ mod tests {
     #[test]
     fn note_functions_count_checks_and_absorb_unknown_releases() {
         let before = stats().checks;
-        note_acquire(LockRank::WalRotation, 0).expect("empty stack");
+        note_acquire(LockRank::WalFlush, 0).expect("empty stack");
         note_acquire(LockRank::WalState, 0).expect("ascending");
         assert!(stats().checks >= before + 2);
         note_release(LockRank::WalState, 0);
-        note_release(LockRank::WalRotation, 0);
+        note_release(LockRank::WalFlush, 0);
         // Releasing something never acquired is a no-op, not a panic.
         note_release(LockRank::Epoch, 7);
         assert_eq!(held_depth(), 0);

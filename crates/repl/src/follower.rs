@@ -17,10 +17,12 @@
 //!   validates them with the one frame scanner (torn or garbled
 //!   shipments fail typed), persists the validated bytes to the local
 //!   mirror *first* — the mirror is a [`WalWriter`]:
-//!   [`WalWriter::append_frames`] writes one run per segment under the
-//!   primary's partial-write rule, then [`WalWriter::commit`] flushes
-//!   (durability before state, same as the primary's WAL-before-apply
-//!   order) — then replays them into the live relation, so answers
+//!   [`WalWriter::append_frames`] writes one run per segment, all or
+//!   nothing (a failure after a run landed poisons the mirror, so a
+//!   retried shipment is refused until a restart), then
+//!   [`WalWriter::commit`] flushes (durability before state, same as the
+//!   primary's WAL-before-apply order) — then replays them into the live
+//!   relation, so answers
 //!   *and* global row ids stay bit-identical to the primary's prefix.
 //!   A log thinned by an older compactor has gaps: its gid gaps burn as
 //!   tombstones, and its LSN gaps advance the epoch clock without
@@ -34,7 +36,8 @@
 //!
 //! Locking: a follower takes no replication lock of its own. Its
 //! mirror's appends are covered by the writer's own WAL ranks, and a
-//! commit flushes through a cloned handle with no lock held. Catch-up
+//! commit flushes inside the writer's flush turnstile, outside its state
+//! lock. Catch-up
 //! cycles are serialized by a lock-free turnstile
 //! ([`ReplError::CatchUpInProgress`] when contended), so neither the
 //! mirror write nor the replay — which re-enters the engine's ranks
@@ -97,11 +100,9 @@ impl Follower {
     /// `catalog`, replay whatever `mirror_dir` already holds past the
     /// checkpoint mark, and fix the epoch ↔ LSN dictionary at the
     /// checkpoint cut. The mirror is a [`WalWriter`] opened with
-    /// `config`: `config.segment_bytes` sizes its segments, and
-    /// `config.sync` has exactly [`pitract_wal::SyncPolicy`]'s meaning —
-    /// under `Never` catch-up skips the per-shipment flush, trading
-    /// replica rebuild-on-power-loss for speed, yet a rotation still
-    /// seals the closing segment. `config.recorder` records the
+    /// `config`: `config.segment_bytes` sizes its segments, and every
+    /// shipment is flushed before it is replayed, so a power loss costs
+    /// the replica no confirmed shipment. `config.recorder` records the
     /// replica's events (`engine_*`, `repl_replay_micros`, the mirror's
     /// `wal_*`) and hears a torn mirror tail once, through
     /// [`pitract_wal::WalReader::publish`]; its lag is read by
@@ -400,14 +401,16 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation};
+    use pitract_store::storage::{Effect, Fault, Op};
+    use pitract_store::MemoryVolume;
     use pitract_wal::segment::{encode_record, scan_dir, segment_header};
-    use pitract_wal::{DurableLiveRelation, SyncPolicy};
+    use pitract_wal::DurableLiveRelation;
+    use std::io::ErrorKind;
     use std::sync::Arc;
 
     fn config() -> WalConfig {
         WalConfig {
             segment_bytes: 160,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         }
     }
@@ -631,6 +634,54 @@ mod tests {
         let scan = scan_dir(&root.join("whole")).unwrap();
         assert_eq!(scan.next_lsn, 23);
         assert_eq!(scan.records().count(), 23);
+    }
+
+    /// A shipment whose mirror write fails after its first run landed
+    /// poisons the mirror: the retry is refused typed, not met by its
+    /// own first run as "lsn runs backwards". A restart on the same
+    /// mirror recovers what landed, and catch-up converges with the
+    /// primary.
+    #[test]
+    fn a_shipment_failing_after_its_first_run_is_refused_until_a_restart() {
+        let (_root, node, catalog) = primary(0);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        for i in 0..23i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        let volume = MemoryVolume::new();
+        let mirror = volume.root().join("mirror");
+        let follower = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        let ship = publisher.poll(0).unwrap();
+        // The mirror's second append: the fresh segment's header, once
+        // the first run has filled the active one.
+        volume.arm(Fault {
+            op: Op::Append,
+            prefix: "/mirror".into(),
+            nth: 2,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        let failed = follower.apply_shipment(&ship);
+        assert!(
+            matches!(failed, Err(ReplError::Wal(WalError::Io(_)))),
+            "{failed:?}"
+        );
+        let retried = follower.apply_shipment(&ship);
+        assert!(
+            matches!(retried, Err(ReplError::Wal(WalError::Poisoned))),
+            "{retried:?}"
+        );
+        assert_eq!(follower.applied_lsn(), 0);
+        drop(follower);
+
+        let back = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        assert!(back.applied_lsn() > 0, "the first run landed");
+        let sub = back.attach(&publisher);
+        assert_eq!(back.catch_up(&publisher, sub).unwrap().lag, 0);
+        assert_eq!(back.len(), node.len());
+        for key in 0..23i64 {
+            let q = SelectionQuery::point(0, key);
+            assert_eq!(back.matching_ids(&q), node.matching_ids(&q), "key {key}");
+        }
     }
 
     /// A follower never checkpoints: its mirror, flushed before each

@@ -499,7 +499,7 @@ mod oracle {
     use pitract_relation::{ColType, Relation, Schema, Value};
     use pitract_store::SnapshotCatalog;
     use pitract_wal::segment::{encode_record, SEGMENT_HEADER_LEN};
-    use pitract_wal::{SyncPolicy, WalConfig, WalError};
+    use pitract_wal::{WalConfig, WalError};
     use proptest::prelude::*;
 
     impl SegmentPublisher {
@@ -572,7 +572,6 @@ mod oracle {
             let recorder = Recorder::new();
             let config = WalConfig {
                 segment_bytes,
-                sync: SyncPolicy::GroupCommit,
                 recorder: recorder.clone(),
             };
             let node = Arc::new(
@@ -892,7 +891,7 @@ mod tests {
     use pitract_engine::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, Value};
     use pitract_store::SnapshotCatalog;
-    use pitract_wal::{SyncPolicy, WalConfig};
+    use pitract_wal::WalConfig;
 
     /// A primary on a fresh in-memory volume, its snapshots and WAL
     /// under `snaps` and `wal`.
@@ -905,7 +904,6 @@ mod tests {
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let config = WalConfig {
             segment_bytes: 160,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         };
         let node = DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config);

@@ -9,16 +9,17 @@
 use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_repl::{Follower, ReplError, SegmentPublisher, Shipment};
+use pitract_store::storage::{Effect, Fault, Op};
 use pitract_store::{Dir, MemoryVolume, SnapshotCatalog};
 use pitract_wal::segment::list_segments;
-use pitract_wal::{DurableLiveRelation, SyncPolicy, WalConfig, WalReader};
+use pitract_wal::{DurableLiveRelation, WalConfig, WalError, WalReader};
 use proptest::prelude::*;
+use std::io::ErrorKind;
 use std::sync::Arc;
 
 fn config(segment_bytes: u64) -> WalConfig {
     WalConfig {
         segment_bytes,
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     }
 }
@@ -238,8 +239,8 @@ proptest! {
 
     /// A power loss under the follower: its mirror — on a volume that
     /// drops every byte no flush covered — holds shipments committed
-    /// under group commit, then more appended under `SyncPolicy::Never`,
-    /// whose commits flush nothing. After the crash the restarted
+    /// under group commit, then one more whose flush fails, which leaves
+    /// it in the mirror unflushed. After the crash the restarted
     /// follower is exactly the oracle replay of the committed prefix,
     /// and drains to convergence with the primary.
     #[test]
@@ -255,9 +256,8 @@ proptest! {
 
         let volume = MemoryVolume::new();
         let mirror_dir = volume.root();
-        let whole = |sync| WalConfig { segment_bytes: u64::MAX, sync, ..WalConfig::default() };
-        let follower =
-            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::GroupCommit)).unwrap();
+        let whole = WalConfig { segment_bytes: u64::MAX, ..WalConfig::default() };
+        let follower = Follower::bootstrap(&catalog, "node", &mirror_dir, whole.clone()).unwrap();
         let sub = follower.attach(&publisher);
         for _ in 0..steps {
             follower.catch_up_step(&publisher, sub, step_bytes).unwrap();
@@ -265,17 +265,30 @@ proptest! {
         let committed = follower.applied_lsn();
         drop(follower);
 
-        let follower =
-            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::Never)).unwrap();
+        let follower = Follower::bootstrap(&catalog, "node", &mirror_dir, whole.clone()).unwrap();
         prop_assert_eq!(follower.applied_lsn(), committed);
+        volume.arm(Fault {
+            op: Op::Sync,
+            prefix: "/".into(),
+            nth: 1,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
         let sub = follower.attach(&publisher);
-        let report = follower.catch_up(&publisher, sub).unwrap();
-        prop_assert_eq!(report.lag, 0);
+        let caught_up = follower.catch_up(&publisher, sub);
+        if committed < publisher.durable_lsn() {
+            prop_assert!(
+                matches!(caught_up, Err(ReplError::Wal(WalError::Io(_)))),
+                "{:?}",
+                caught_up
+            );
+        } else {
+            prop_assert_eq!(caught_up.unwrap().lag, 0);
+        }
+        volume.disarm();
         drop(follower);
         volume.crash();
 
-        let back =
-            Follower::bootstrap(&catalog, "node", &mirror_dir, whole(SyncPolicy::GroupCommit)).unwrap();
+        let back = Follower::bootstrap(&catalog, "node", &mirror_dir, whole).unwrap();
         prop_assert_eq!(back.applied_lsn(), committed, "the unflushed shipments are gone");
         let oracle = oracle_at(&catalog, &root, committed);
         assert_matches_oracle(&back, &oracle, "post-power-loss");

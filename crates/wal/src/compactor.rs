@@ -120,7 +120,7 @@ mod tests {
     use super::*;
     use crate::durable::DurableLiveRelation;
     use crate::reader::WalReader;
-    use crate::writer::{SyncPolicy, WalConfig, WalWriter};
+    use crate::writer::{WalConfig, WalWriter};
     use pitract_core::epoch::Epoch;
     use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
     use pitract_relation::{ColType, Relation, Schema, Value};
@@ -133,7 +133,6 @@ mod tests {
             dir,
             WalConfig {
                 segment_bytes: 120,
-                sync: SyncPolicy::Never,
                 ..WalConfig::default()
             },
         )
@@ -328,7 +327,6 @@ mod tests {
     fn config() -> WalConfig {
         WalConfig {
             segment_bytes: 160,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         }
     }

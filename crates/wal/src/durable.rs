@@ -375,10 +375,11 @@ pub fn recover_live(
 ) -> Result<(LiveRelation, WalWriter, EpochLsn, usize), WalError> {
     let (state, mark, cut) = catalog.load(name)?.into_checkpoint()?;
     let clock = EpochLsn::new(mark, cut);
-    // One directory scan serves both sides: the writer truncates the torn
-    // tail and takes its append position from it, the reader decodes its
-    // records for replay — the log is read and checksummed once. Only the
-    // reader side reports the torn tail, so one recovery reports once.
+    // One directory scan serves both sides: the writer rewrites the active
+    // segment without its torn tail and takes its append position from
+    // it, the reader decodes its records for replay — the log is
+    // checksummed once. Only the reader side reports the torn tail, so
+    // one recovery reports once.
     let recorder = config.recorder.clone();
     let (wal, scan) = WalWriter::open_scanned(dir, config, mark)?;
     let reader = WalReader::from_scan(&scan)?;
@@ -441,7 +442,6 @@ impl BatchServe for DurableLiveRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::SyncPolicy;
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
@@ -464,7 +464,6 @@ mod tests {
     fn config() -> WalConfig {
         WalConfig {
             segment_bytes: 256,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         }
     }

@@ -13,9 +13,9 @@
 //!   length-framed, sequence-numbered, and FNV-1a-64 checksummed (the
 //!   hash of version-1 and -2 snapshot files); segments rotate at a
 //!   configurable size, with the new file *and its directory entry*
-//!   fsync'd. [`SyncPolicy`] picks the durability/throughput point:
-//!   fsync-per-record, group commit (concurrent committers share one
-//!   flush), or OS-buffered.
+//!   fsync'd. Durability is group commit: appends stage, a commit
+//!   flushes, flushes run one at a time, and concurrent committers
+//!   share one flush.
 //! * [`WalReader`] — total, typed recovery: every complete record
 //!   replays; a torn tail — the residue of a crash mid-append — is
 //!   truncated, never an error, while mid-stream damage (checksum
@@ -94,4 +94,4 @@ pub use durable::{recover_live, DurableLiveRelation, EpochLsn, Recovered, WalWri
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};
-pub use writer::{SyncPolicy, WalConfig, WalWriter};
+pub use writer::{WalConfig, WalWriter};

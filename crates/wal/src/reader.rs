@@ -132,7 +132,6 @@ mod tests {
             &dir,
             WalConfig {
                 segment_bytes: 96,
-                sync: crate::writer::SyncPolicy::Never,
                 ..WalConfig::default()
             },
         )

@@ -50,7 +50,8 @@
 //! * a **torn tail** — the *last* segment ends before a record's declared
 //!   frame is complete. That is the unavoidable residue of a crash
 //!   mid-append: the record was never confirmed, so the scanner reports
-//!   the clean prefix and the writer truncates the tail. Never an error.
+//!   the clean prefix and the writer rewrites the segment without the
+//!   tail. Never an error.
 //! * **corruption** — a fully framed record whose checksum does not
 //!   match, a sequence number running backwards, or a *closed* segment
 //!   ending mid-record. No crash produces these (appends only ever

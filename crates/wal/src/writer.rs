@@ -24,8 +24,8 @@ struct WalInstruments {
     /// `wal_appended_bytes_total` — framed bytes staged (header + payload).
     appended_bytes: Counter,
     /// `wal_fsync_micros` — latency of every data flush (commit, sync,
-    /// and the rotation pre-seal), the number that dominates durable
-    /// write latency.
+    /// and the rotation seal), the number that dominates durable write
+    /// latency.
     fsync_micros: Histogram,
     /// `wal_group_commit_records` — records covered per flush: how well
     /// concurrent committers share fsyncs.
@@ -56,28 +56,6 @@ impl WalInstruments {
     }
 }
 
-/// When the writer flushes records to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// `fsync` before every [`WalWriter::append_entry`] returns. The
-    /// simplest durability contract — the append *returns* durable —
-    /// and the slowest: one disk flush per record. The flush runs
-    /// *outside* the writer state lock (an internal commit), so
-    /// concurrent stagers are not serialized behind each other's disk.
-    Always,
-    /// `fsync` in [`WalWriter::commit`], after the caller has released
-    /// its locks. Concurrent committers share flushes: the first one to
-    /// sync covers every record staged before it, and the rest return
-    /// without touching the disk — the classic group commit.
-    GroupCommit,
-    /// Never `fsync` on append or commit; only segment rotation and
-    /// explicit [`WalWriter::sync`] calls flush. Trades the crash window
-    /// back for throughput — updates confirmed since the last flush can
-    /// be lost, but the log never tears mid-record (recovery still
-    /// truncates cleanly).
-    Never,
-}
-
 /// Tuning for a [`WalWriter`].
 #[derive(Debug, Clone)]
 pub struct WalConfig {
@@ -85,8 +63,6 @@ pub struct WalConfig {
     /// bytes. Smaller segments mean more files but finer-grained
     /// compaction (only whole closed segments are removed).
     pub segment_bytes: u64,
-    /// The fsync policy.
-    pub sync: SyncPolicy,
     /// Where the writer publishes its `wal_*` series (appends, fsync
     /// latency, group-commit sizes, rotations). Recovery reports a torn
     /// tail here, and a durable node or follower built from this config
@@ -100,7 +76,6 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 4 << 20,
-            sync: SyncPolicy::GroupCommit,
             recorder: Recorder::default(),
         }
     }
@@ -117,21 +92,22 @@ struct WriterState {
     next_lsn: u64,
     /// Every record with `lsn < durable_next` is on stable storage.
     durable_next: u64,
-    /// Set when a failed append's partial bytes could not be erased or
-    /// a flush failed (a rotation's seals included). Appending after
-    /// partial bytes would bury garbage mid-segment — turning a
-    /// transient I/O error into a permanently unreadable log; after a
-    /// failed flush the kernel may have dropped the pages it did not
-    /// cover and report the next flush clean, so no later flush of this
-    /// writer may confirm them (fsyncgate). So the writer refuses every
-    /// further append, flush and rotation, and the next recovery
-    /// truncates whatever tail is left.
+    /// Set when a failed append's partial bytes could not be erased, a
+    /// flush failed (a rotation's seals included), or a multi-run
+    /// [`WalWriter::append_frames`] failed after a run had landed.
+    /// Appending after partial bytes would bury garbage mid-segment —
+    /// turning a transient I/O error into a permanently unreadable log;
+    /// after a failed flush the kernel may have dropped the pages it did
+    /// not cover and report the next flush clean, so no later flush of
+    /// this writer may confirm them (fsyncgate). So the writer refuses
+    /// every further append, flush and rotation, and the next open
+    /// rewrites the log's clean prefix through a fresh file.
     poisoned: bool,
     /// The active segment has reached [`WalConfig::segment_bytes`];
     /// rotation is owed. Appends only *set* this flag — the three-fsync
     /// rotation itself runs deferred, on the next `commit`/`sync`,
     /// outside the callers' critical sections (see
-    /// [`WalWriter::finish_rotation`]).
+    /// [`WalWriter::rotate_now`]).
     rotation_due: bool,
 }
 
@@ -145,12 +121,15 @@ struct WriterState {
 ///   (its directory entry fsync'd — a rotation the directory forgot
 ///   would orphan every later record).
 /// * **Opening** an existing directory recovers the write position:
-///   segments are validated, a torn tail left by a crash is truncated
-///   away, and the next append continues the LSN sequence exactly where
-///   the last *complete* record left it.
-/// * **Durability** is two-phase to keep flushes out of callers'
-///   critical sections: `append_entry` stages (cheap), `commit` blocks
-///   until the record's LSN is covered by an fsync — see [`SyncPolicy`].
+///   segments are validated, the active segment's clean prefix is
+///   rewritten through a fresh file (a torn tail left by a crash is
+///   dropped), and the next append continues the LSN sequence exactly
+///   where the last *complete* record left it.
+/// * **Durability** is group commit, two-phase to keep flushes out of
+///   callers' critical sections: `append_entry` stages (cheap, never
+///   flushes), and `commit` blocks until the record's LSN is covered by
+///   an fsync. Flushes run one at a time, and the first committer's
+///   flush covers every record staged before it.
 /// * **Exclusive**: a writer claims its directory ([`Dir::claim`]) for
 ///   its lifetime. A second open of the same directory in this process
 ///   fails with [`WalError::DirInUse`] and touches nothing, so two
@@ -163,20 +142,24 @@ pub struct WalWriter {
     _claim: DirClaim,
     config: WalConfig,
     state: OrderedMutex<WriterState>,
-    /// Serializes rotations so exactly one committer performs the
-    /// deferred segment switch; acquired strictly before `state` (the
-    /// one fixed order — never the other way around, which the
-    /// [`pitract_core::lockdep`] ranks enforce in debug builds).
-    rotation: OrderedMutex<()>,
+    /// The flush turnstile: every data flush of the active segment —
+    /// a commit's, a sync's and a rotation's seal — runs inside it, one
+    /// at a time, so a flush that failed has poisoned the writer before
+    /// the next one can confirm anything. Appends never take it.
+    /// Acquired strictly before `state` (the one fixed order — never the
+    /// other way around, which the [`pitract_core::lockdep`] ranks
+    /// enforce in debug builds).
+    flushing: OrderedMutex<()>,
     instruments: WalInstruments,
 }
 
 impl WalWriter {
     /// Open (creating if needed) a WAL directory and position the writer
-    /// after the last complete record. A torn tail from a crash is
-    /// truncated; damaged segments fail typed; a directory another live
-    /// writer holds is [`WalError::DirInUse`], before anything is read
-    /// or written.
+    /// after the last complete record. The active segment's clean prefix
+    /// is rewritten through a fresh file, so a torn tail from a crash is
+    /// dropped and every record left is durable; damaged segments fail
+    /// typed; a directory another live writer holds is
+    /// [`WalError::DirInUse`], before anything is read or written.
     pub fn open(dir: impl Into<Dir>, config: WalConfig) -> Result<Self, WalError> {
         // The scan is thrown away, so it keeps no record.
         Self::open_from(dir, config, 0, u64::MAX).map(|(writer, _)| writer)
@@ -191,11 +174,11 @@ impl WalWriter {
     /// never be numbered below a position an existing checkpoint already
     /// claims to cover, and so that it holds only the tail it replays; it
     /// hands the scan to [`crate::WalReader::from_scan`] so the whole log
-    /// is read and checksummed once, not once for the writer and again
-    /// for the replay. (The scan reflects the directory
-    /// *before* the open's torn-tail truncation; its record set is
-    /// identical, since torn bytes never contain a complete record.) The
-    /// writer never reports the torn tail itself: that is
+    /// is checksummed once, not once for the writer and again for the
+    /// replay. (The scan reflects the directory *before* the open's
+    /// rewrite of the active segment; its record set is identical, since
+    /// torn bytes never contain a complete record.) The writer never
+    /// reports the torn tail itself: that is
     /// [`crate::WalReader::publish`]'s job, so one recovery reports once.
     pub fn open_scanned(
         dir: impl Into<Dir>,
@@ -224,17 +207,21 @@ impl WalWriter {
         let scan = scan_dir_from(&dir, keep_from)?;
         let next_lsn = scan.next_lsn.max(floor);
 
-        // Truncate a torn tail before anything else: the torn bytes were
-        // never confirmed, and appending after them would bury garbage
-        // inside the record stream.
         let (file, active_bytes) = match scan.segments.last() {
             Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => {
-                let file = dir.open(&seg.name)?;
-                if seg.clean_len < seg.file_len {
-                    file.truncate(seg.clean_len)?;
-                    file.sync_data()?;
-                }
-                (file, seg.clean_len)
+                // Closed segments were sealed before their successor
+                // existed. The active one may hold records an earlier
+                // writer's failed flush left uncovered, which the page
+                // cache still serves and no flush of the old file can
+                // make durable (fsyncgate), and a torn tail, which
+                // appends would bury inside the record stream. So its
+                // clean prefix goes through a fresh file over its own
+                // name — `write_atomic`, which leaves the name as it was
+                // on failure, not `create_durable`, which removes it.
+                let mut bytes = dir.read(&seg.name, 0)?;
+                bytes.truncate(seg.clean_len as usize);
+                dir.write_atomic(&seg.name, &bytes)?;
+                (dir.open(&seg.name)?, seg.clean_len)
             }
             other => {
                 // Empty directory, or a segment whose header never hit
@@ -250,7 +237,7 @@ impl WalWriter {
             }
         };
         let writer = WalWriter {
-            rotation: OrderedMutex::new(LockRank::WalRotation, ()),
+            flushing: OrderedMutex::new(LockRank::WalFlush, ()),
             instruments: WalInstruments::new(&config.recorder),
             state: OrderedMutex::new(
                 LockRank::WalState,
@@ -258,10 +245,8 @@ impl WalWriter {
                     file,
                     active_bytes,
                     next_lsn,
-                    // Everything that survived the scan is already on disk;
-                    // whether it is *synced* is unknowable after a restart,
-                    // so count only what we flush ourselves.
-                    durable_next: 0,
+                    // Every record the log holds was just made durable.
+                    durable_next: next_lsn,
                     poisoned: false,
                     // A recovered segment may already be over the threshold.
                     rotation_due: active_bytes >= config.segment_bytes,
@@ -290,59 +275,51 @@ impl WalWriter {
     }
 
     /// Every record with an LSN below this is known flushed to stable
-    /// storage (by this writer; pre-existing records recovered at open
-    /// count once the first sync covers them).
+    /// storage (every record a reopened writer found counts: its open
+    /// made them durable).
     pub fn durable_lsn(&self) -> u64 {
         self.lock().durable_next
     }
 
-    /// Append one update entry (encoded with the `pitract-store` codec)
-    /// and return its LSN. Under [`SyncPolicy::Always`] the record is
-    /// durable on return; otherwise pair with [`Self::commit`].
+    /// Stage one update entry (encoded with the `pitract-store` codec)
+    /// and return its LSN; pair with [`Self::commit`] to make it durable.
     pub fn append_entry(&self, entry: &UpdateEntry) -> Result<u64, WalError> {
         let mut payload = CodecWriter::new();
         payload.update_entry(entry);
         self.append_payload(&payload.into_bytes())
     }
 
-    /// Append one raw payload record and return its LSN.
+    /// Stage one raw payload record and return its LSN.
     ///
     /// If the underlying write fails partway (e.g. the disk fills), the
     /// partial frame is truncated away so the segment stays clean; if
     /// even that fails, the writer poisons itself and every further
     /// append returns [`WalError::Poisoned`] — the partial bytes are
-    /// then the segment's tail, which the next recovery truncates like
-    /// any other crash residue.
+    /// then the segment's tail, which the next open drops like any
+    /// other crash residue.
     pub fn append_payload(&self, payload: &[u8]) -> Result<u64, WalError> {
-        let lsn = {
-            let mut state = self.lock();
-            let lsn = state.next_lsn;
-            self.stage(&mut state, &encode_record(lsn, payload), 1, lsn)?;
-            lsn
-        };
-        if matches!(self.config.sync, SyncPolicy::Always) {
-            // Durable-on-return, but via the commit path: the flush (and
-            // any owed rotation) happens outside the state lock, so
-            // concurrent stagers queue behind a mutex-protected memory
-            // write, not behind each other's disk.
-            self.commit(lsn)?;
-        }
+        let mut state = self.lock();
+        let lsn = state.next_lsn;
+        self.stage(&mut state, &encode_record(lsn, payload), 1, lsn)?;
         Ok(lsn)
     }
 
-    /// Append record frames that were already validated — `frames` as
+    /// Stage record frames that were already validated — `frames` as
     /// [`crate::segment::scan_frames`] found them, back to back in
     /// `bytes`, the way a replication shipment carries them — and return
-    /// the last one's LSN (`None` for no frames). Each frame keeps its
-    /// own LSN; gaps are allowed. Frames land where one
-    /// [`Self::append_payload`] per record would have put them: each run
-    /// of frames that lands in one segment is one write, and a rotation
-    /// owed after a run is settled before the next, the fresh segment
-    /// based at the next frame's LSN. A first frame below
-    /// [`Self::next_lsn`] is [`WalError::Corrupt`] and nothing is
-    /// written; a failed write follows `append_payload`'s rule. Under
-    /// [`SyncPolicy::Always`] the frames are durable on return; otherwise
-    /// pair with [`Self::commit`].
+    /// the last one's LSN (`None` for no frames); pair with
+    /// [`Self::commit`]. Each frame keeps its own LSN; gaps are allowed.
+    /// Frames land where one [`Self::append_payload`] per record would
+    /// have put them: each run of frames that lands in one segment is
+    /// one write, and a rotation owed after a run is settled before the
+    /// next, the fresh segment based at the next frame's LSN. A first
+    /// frame below [`Self::next_lsn`] is [`WalError::Corrupt`] and
+    /// nothing is written. The call is all-or-nothing, or it poisons: a
+    /// failure before any run landed follows `append_payload`'s rule,
+    /// and one after a run landed — the next run's write, or the
+    /// rotation settled between runs — poisons the writer, so a retry of
+    /// the same frames is [`WalError::Poisoned`], never a half-applied
+    /// call.
     pub fn append_frames(
         &self,
         bytes: &[u8],
@@ -352,41 +329,58 @@ impl WalWriter {
             return Ok(None);
         };
         let mut rest = frames;
-        while let [head, ..] = rest {
-            let mut state = self.lock();
-            if head.lsn < state.next_lsn {
-                return Err(WalError::Corrupt {
-                    segment: "appended frames".to_string(),
-                    offset: head.offset as u64,
-                    reason: format!(
-                        "lsn {} runs backwards (expected at least {})",
-                        head.lsn, state.next_lsn
-                    ),
-                });
-            }
-            if state.rotation_due {
-                // Base the fresh segment at the frame it will hold first.
-                state.next_lsn = head.lsn;
-                drop(state);
-                self.finish_rotation()?;
-                continue;
-            }
-            // The run: every frame that starts while the segment has room.
-            let room = self.config.segment_bytes.saturating_sub(state.active_bytes);
-            let fits = rest
-                .iter()
-                .take_while(|f| ((f.offset - head.offset) as u64) < room)
-                .count();
-            let (run, after) = rest.split_at(fits.max(1));
-            let end = run[run.len() - 1];
-            let written = &bytes[head.offset..end.end()];
-            self.stage(&mut state, written, run.len() as u64, end.lsn)?;
-            rest = after;
-        }
-        if matches!(self.config.sync, SyncPolicy::Always) {
-            self.commit(last.lsn)?;
+        while !rest.is_empty() {
+            let landed = rest.len() < frames.len();
+            rest = self.append_run(bytes, rest).inspect_err(|_| {
+                if landed {
+                    self.lock().poisoned = true;
+                }
+            })?;
         }
         Ok(Some(last.lsn))
+    }
+
+    /// One step of [`Self::append_frames`] over the non-empty `rest`:
+    /// settle an owed rotation, or stage the run of frames that starts
+    /// while the active segment has room. Returns the frames left.
+    fn append_run<'f, 'b>(
+        &self,
+        bytes: &[u8],
+        rest: &'f [Frame<'b>],
+    ) -> Result<&'f [Frame<'b>], WalError> {
+        let head = rest[0];
+        let mut state = self.lock();
+        if state.poisoned {
+            return Err(WalError::Poisoned);
+        }
+        if head.lsn < state.next_lsn {
+            return Err(WalError::Corrupt {
+                segment: "appended frames".to_string(),
+                offset: head.offset as u64,
+                reason: format!(
+                    "lsn {} runs backwards (expected at least {})",
+                    head.lsn, state.next_lsn
+                ),
+            });
+        }
+        if state.rotation_due {
+            // Base the fresh segment at the frame it will hold first, and
+            // settle the rotation alone: nothing else is flushed.
+            state.next_lsn = head.lsn;
+            drop(state);
+            self.flush(0)?.1?;
+            return Ok(rest);
+        }
+        let room = self.config.segment_bytes.saturating_sub(state.active_bytes);
+        let fits = rest
+            .iter()
+            .take_while(|f| ((f.offset - head.offset) as u64) < room)
+            .count();
+        let (run, after) = rest.split_at(fits.max(1));
+        let end = run[run.len() - 1];
+        let written = &bytes[head.offset..end.end()];
+        self.stage(&mut state, written, run.len() as u64, end.lsn)?;
+        Ok(after)
     }
 
     /// Write `framed` — `records` whole frames, the last at `last_lsn` —
@@ -429,50 +423,19 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Block until the record at `lsn` is durable. Under
-    /// [`SyncPolicy::GroupCommit`] the first committer's flush covers
-    /// every record staged before it, so concurrent committers share one
-    /// fsync; under [`SyncPolicy::Never`] this returns immediately (the
-    /// caller opted out of per-update durability). A failed flush
-    /// poisons the writer: no later one confirms what it failed on.
-    /// An owed rotation is settled after the record's own outcome and
-    /// never reported as its failure (see [`Self::rotate_now`]).
+    /// Block until the record at `lsn` is durable. The first committer's
+    /// flush covers every record staged before it, and a committer that
+    /// waited behind that flush finds its record covered and returns
+    /// without touching the disk: concurrent committers share one fsync.
+    /// A failed flush poisons the writer: no later one confirms what it
+    /// failed on. An owed rotation is settled after the record's own
+    /// outcome and never reported as its failure (see
+    /// [`Self::rotate_now`]).
     pub fn commit(&self, lsn: u64) -> Result<(), WalError> {
-        if !matches!(self.config.sync, SyncPolicy::Never) {
-            // Clone the handle under the lock, flush outside it: a slow
-            // disk must not block concurrent appends (they only need
-            // the mutex).
-            let flush = {
-                let state = self.lock();
-                if state.durable_next > lsn {
-                    None
-                } else if state.poisoned {
-                    return Err(WalError::Poisoned);
-                } else {
-                    // The flush's group: every record staged but not yet
-                    // durable rides this one fsync.
-                    let group = state.next_lsn - state.durable_next;
-                    Some((state.file.clone(), state.next_lsn, group))
-                }
-            };
-            if let Some((file, target, group)) = flush {
-                self.flush(&file)?;
-                self.instruments.group_commit.record(group);
-                self.confirm(target)?;
-            }
-        }
-        // Settle any owed rotation — under every policy, including
-        // `Never`: rotation is what seals closed segments complete, and
-        // deferring it forever would grow the active segment unboundedly.
-        // The record's outcome is settled by now, so a failed rotation is
-        // not reported as the record's failure: one whose flush failed
-        // poisoned the writer, which the next call reports, and one whose
-        // segment create failed stays owed for the next commit or sync.
-        let _ = self.finish_rotation();
-        Ok(())
+        self.flush(lsn.saturating_add(1)).map(drop)
     }
 
-    /// Flush everything appended so far; returns the durable frontier
+    /// Flush everything staged so far; returns the durable frontier
     /// (the LSN after the last flushed record). With nothing staged past
     /// the frontier there is nothing to flush and the disk is not
     /// touched — a replication poll calls this on every fetch, and most
@@ -480,99 +443,97 @@ impl WalWriter {
     /// rotation is settled either way, and its failure is not reported
     /// as the flush's (see [`Self::commit`]).
     pub fn sync(&self) -> Result<u64, WalError> {
-        let (durable, staged) = {
-            let state = self.lock();
-            let staged = if state.durable_next < state.next_lsn {
-                if state.poisoned {
-                    return Err(WalError::Poisoned);
-                }
-                Some((state.file.clone(), state.next_lsn))
-            } else {
-                None
-            };
-            (state.durable_next, staged)
-        };
-        let durable = match staged {
-            None => durable,
-            Some((file, target)) => {
-                self.flush(&file)?;
-                self.confirm(target)?
-            }
-        };
-        let _ = self.finish_rotation();
-        Ok(durable)
+        self.flush(u64::MAX).map(|(durable, _)| durable)
     }
 
-    /// Flush and rotate to a fresh segment regardless of size — closing
-    /// the current segment so a following [`crate::Compactor`] pass may
-    /// remove it. A failed flush poisons the writer; a failed segment
-    /// create moves nothing and leaves the rotation owed, so the next
-    /// commit or sync retries it (unless the failed segment could not
-    /// be removed again, which poisons the writer too).
+    /// Seal the active segment and rotate to a fresh one regardless of
+    /// size — closing the segment so a following [`crate::Compactor`]
+    /// pass may remove it. A segment with no record is not rotated: the
+    /// fresh one would take its name. A failed seal poisons the writer;
+    /// a failed segment create moves nothing and leaves the rotation
+    /// owed, so the next commit or sync retries it (unless the failed
+    /// segment could not be removed again, which poisons the writer
+    /// too).
     pub fn rotate_now(&self) -> Result<(), WalError> {
         self.lock().rotation_due = true;
-        self.finish_rotation()
+        self.flush(0)?.1
     }
 
-    /// Perform a deferred rotation, if one is owed. The closing segment
-    /// must be complete on disk before the new one exists, whatever the
-    /// sync policy: scan treats every non-last segment as crash-free.
-    /// The bulk of that seal (the closing segment's data) is flushed
-    /// through a cloned handle *outside* the state lock; only the
-    /// sliver appended between that flush and the switch — plus the new
-    /// segment's header + directory entry — is paid under the lock.
-    fn finish_rotation(&self) -> Result<(), WalError> {
-        // Cheap racing check before taking the rotation lock.
-        if !self.lock().rotation_due {
-            return Ok(());
+    /// The one flush path, inside the flush turnstile: flush the active
+    /// segment unless every record below `upto` that was staged is
+    /// durable already, then settle an owed rotation. Returns the
+    /// durable frontier, and apart from it the rotation's outcome, which
+    /// `commit` and `sync` do not report as their own. The flush runs
+    /// outside the state lock — appends only need the mutex and must not
+    /// wait on the disk — through a cloned handle the turnstile keeps
+    /// current: only a rotation, under it too, replaces the file.
+    fn flush(&self, upto: u64) -> Result<(u64, Result<(), WalError>), WalError> {
+        let covered = |state: &WriterState| state.durable_next >= upto.min(state.next_lsn);
+        {
+            let state = self.lock();
+            if covered(&state) && !state.rotation_due {
+                return Ok((state.durable_next, Ok(())));
+            }
         }
-        let _turn = self.rotation.lock();
-        // Pre-seal: flush the closing segment's bulk without the state
-        // lock, so concurrent appends keep staging while the disk works.
-        let pre = {
-            let mut state = self.lock();
-            if !state.rotation_due {
-                // Another committer already rotated while we waited.
-                return Ok(());
-            }
-            if state.poisoned {
-                // A flush now could make a failed append's bytes durable.
+        let turn = self.flushing.lock();
+        let (durable, staged) = {
+            let state = self.lock();
+            if covered(&state) {
+                (state.durable_next, None)
+            } else if state.poisoned {
                 return Err(WalError::Poisoned);
+            } else {
+                // The flush's group: every record staged but not yet
+                // durable rides this one fsync.
+                let group = state.next_lsn - state.durable_next;
+                (state.next_lsn, Some((state.file.clone(), group)))
             }
-            if state.active_bytes == SEGMENT_HEADER_LEN as u64 {
-                // No record to close, and the fresh segment would take
-                // the active one's name: a create that replaced it and
-                // then failed would remove the file the writer appends
-                // to.
-                state.rotation_due = false;
-                return Ok(());
-            }
-            state.file.clone()
         };
-        self.flush(&pre)?;
-        // The switch: seal the sliver appended since the pre-flush and
-        // install the fresh segment. A failed seal poisons the writer. If
-        // creating the segment fails the flag stays set and nothing moves
-        // — appends continue into the old segment and the next commit
-        // retries the rotation at a higher base. A failed
-        // `Dir::create_durable` removes its file again, even one whose
-        // rename landed, so nothing based here is left to overlap the
-        // old segment's later records; if that removal failed too, the
-        // writer is poisoned.
+        if let Some((file, group)) = staged {
+            if let Err(e) = self.instruments.timed_sync(&file) {
+                self.lock().poisoned = true;
+                return Err(e.into());
+            }
+            self.instruments.group_commit.record(group);
+            self.lock().durable_next = durable;
+        }
+        Ok((durable, self.rotate(&turn)))
+    }
+
+    /// Settle an owed rotation: seal the closing segment, create the
+    /// fresh one, switch — one critical section, entered inside the
+    /// flush turnstile (`_turn`). The closing segment must be complete
+    /// on disk before the new one exists: scan treats every non-last
+    /// segment as crash-free. A failed seal poisons the writer. If
+    /// creating the segment fails the flag stays set and nothing moves —
+    /// appends continue into the old segment and the next commit retries
+    /// the rotation at a higher base. A failed `Dir::create_durable`
+    /// removes its file again, even one whose rename landed, so nothing
+    /// based here is left to overlap the old segment's later records; if
+    /// that removal failed too, the writer is poisoned.
+    fn rotate(&self, _turn: &OrderedMutexGuard<'_, ()>) -> Result<(), WalError> {
         let mut state = self.lock();
         if !state.rotation_due {
             return Ok(());
         }
         if state.poisoned {
-            // Sealing would close a segment that ends in the failed
+            // Sealing would close a segment that ends in a failed
             // append's partial bytes: keep them the log's torn tail.
             return Err(WalError::Poisoned);
         }
-        // Deliberate sync under the state lock: the bulk was flushed through a
-        // cloned handle above; only the sliver since that pre-seal is paid
-        // here, and the switch must be atomic with respect to appends.
+        if state.active_bytes == SEGMENT_HEADER_LEN as u64 {
+            // No record to close, and the fresh segment would take the
+            // active one's name: a create that replaced it and then
+            // failed would remove the file the writer appends to.
+            state.rotation_due = false;
+            return Ok(());
+        }
+        // Deliberate sync under the state lock: the switch must be atomic
+        // with respect to appends. A commit or sync flushed the closing
+        // segment's records just before, outside this lock, so the seal
+        // pays only what was staged since.
         // lint:allow(no-fsync-under-lock)
-        if let Err(e) = state.file.sync_data() {
+        if let Err(e) = self.instruments.timed_sync(&state.file) {
             state.poisoned = true;
             return Err(e.into());
         }
@@ -597,31 +558,6 @@ impl WalWriter {
         state.rotation_due = false;
         self.instruments.rotations.inc();
         Ok(())
-    }
-
-    /// Flush `file` outside the state lock; a failure poisons the
-    /// writer.
-    fn flush(&self, file: &FileHandle) -> Result<(), WalError> {
-        self.instruments.timed_sync(file).map_err(|e| {
-            self.lock().poisoned = true;
-            WalError::Io(e)
-        })
-    }
-
-    /// Confirm every record below `target` durable, unless a racing
-    /// flush failed and poisoned the writer meanwhile; returns the
-    /// durable frontier. A racing flush of the same handle that failed
-    /// but has not poisoned the writer yet is not seen: Linux reports a
-    /// writeback error to one flush of an open file only, so this
-    /// flush's success may cover pages the other's failure lost, and
-    /// this window stays open.
-    fn confirm(&self, target: u64) -> Result<u64, WalError> {
-        let mut state = self.lock();
-        if state.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        state.durable_next = state.durable_next.max(target);
-        Ok(state.durable_next)
     }
 
     fn lock(&self) -> OrderedMutexGuard<'_, WriterState> {
@@ -666,14 +602,13 @@ mod tests {
         let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 128, // tiny: force several rotations
-            sync: SyncPolicy::Never,
             ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
         for i in 0..50 {
             let lsn = wal.append_entry(&insert(i, i as i64)).unwrap();
-            // Rotation is deferred out of the append path: commit (a
-            // no-flush call under `Never`) is where the debt settles.
+            // Rotation is deferred out of the append path: commit is
+            // where the debt settles.
             wal.commit(lsn).unwrap();
         }
         let scan = scan_dir(&dir).unwrap();
@@ -691,13 +626,12 @@ mod tests {
     /// The rotation-deferral contract itself: the size threshold
     /// tripping inside an append must NOT rotate inline (the append
     /// path runs inside callers' critical sections); the next commit —
-    /// or an explicit sync — settles it, whatever the policy.
+    /// or an explicit sync — settles it.
     #[test]
     fn rotation_is_deferred_from_append_to_commit() {
         let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 64,
-            sync: SyncPolicy::Never,
             ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
@@ -728,7 +662,6 @@ mod tests {
         let dir = Dir::memory();
         let config = WalConfig {
             segment_bytes: 256,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config).unwrap();
@@ -785,14 +718,7 @@ mod tests {
     #[test]
     fn commit_group_covers_previously_staged_records() {
         let dir = Dir::memory();
-        let wal = WalWriter::open(
-            &dir,
-            WalConfig {
-                sync: SyncPolicy::GroupCommit,
-                ..WalConfig::default()
-            },
-        )
-        .unwrap();
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         let a = wal.append_entry(&insert(0, 0)).unwrap();
         let b = wal.append_entry(&insert(1, 1)).unwrap();
         let c = wal.append_entry(&insert(2, 2)).unwrap();
@@ -815,7 +741,6 @@ mod tests {
             &dir,
             WalConfig {
                 segment_bytes: 128,
-                sync: SyncPolicy::GroupCommit,
                 recorder: recorder.clone(),
             },
         )
@@ -848,61 +773,6 @@ mod tests {
         wal.lock().rotation_due = true;
         assert_eq!(wal.sync().unwrap(), lsn + 1);
         assert_eq!(scan_dir(&dir).unwrap().segments.len(), segments + 1);
-        // Under `Never`, commits leave records staged, so sync flushes.
-        drop(wal);
-        let recorder = Recorder::new();
-        let wal = WalWriter::open(
-            Dir::memory(),
-            WalConfig {
-                sync: SyncPolicy::Never,
-                recorder: recorder.clone(),
-                ..WalConfig::default()
-            },
-        )
-        .unwrap();
-        let lsn = wal.append_entry(&insert(0, 0)).unwrap();
-        wal.commit(lsn).unwrap();
-        assert_eq!(wal.durable_lsn(), 0);
-        assert_eq!(wal.sync().unwrap(), 1);
-        assert_eq!(
-            recorder
-                .snapshot()
-                .histogram("wal_fsync_micros")
-                .map_or(0, |h| h.count),
-            1
-        );
-    }
-
-    #[test]
-    fn sync_policies_differ_in_when_durability_happens() {
-        for (policy, durable_after_append) in [
-            (SyncPolicy::Always, true),
-            (SyncPolicy::GroupCommit, false),
-            (SyncPolicy::Never, false),
-        ] {
-            let dir = Dir::memory();
-            let wal = WalWriter::open(
-                &dir,
-                WalConfig {
-                    sync: policy,
-                    ..WalConfig::default()
-                },
-            )
-            .unwrap();
-            let lsn = wal.append_entry(&insert(0, 7)).unwrap();
-            assert_eq!(
-                wal.durable_lsn() > lsn,
-                durable_after_append,
-                "{policy:?} after append"
-            );
-            wal.commit(lsn).unwrap();
-            let durable_after_commit = !matches!(policy, SyncPolicy::Never);
-            assert_eq!(
-                wal.durable_lsn() > lsn,
-                durable_after_commit,
-                "{policy:?} after commit"
-            );
-        }
     }
 
     #[test]
@@ -928,7 +798,6 @@ mod tests {
         let config = WalConfig {
             // Header + two 40-byte frames fill a segment exactly.
             segment_bytes: 98,
-            sync: SyncPolicy::GroupCommit,
             ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config.clone()).unwrap();
@@ -979,19 +848,44 @@ mod tests {
         assert_eq!(wal.append_frames(&bytes, &frames[1..]).unwrap(), Some(4));
     }
 
+    /// `append_frames` is all-or-nothing, or it poisons. One run fills
+    /// each segment, so the call's second append is the fresh segment's
+    /// header (the rotation settled between runs) and its third is the
+    /// second run. Either failing, after the first run landed, poisons
+    /// the writer: a retry is refused, never met by its own first run as
+    /// "lsn runs backwards".
     #[test]
-    fn append_frames_under_always_is_durable_on_return() {
-        for (policy, durable) in [(SyncPolicy::Always, true), (SyncPolicy::GroupCommit, false)] {
-            let dir = Dir::memory();
+    fn append_frames_poisons_once_a_run_has_landed() {
+        for nth in [2, 3] {
+            let volume = MemoryVolume::new();
+            let dir = volume.root().join("wal");
             let config = WalConfig {
-                sync: policy,
+                // Header + two 40-byte frames fill a segment exactly.
+                segment_bytes: 98,
                 ..WalConfig::default()
             };
-            let wal = WalWriter::open(&dir, config).unwrap();
-            let bytes = framed(&[0, 3, 7]);
+            let wal = WalWriter::open(&dir, config.clone()).unwrap();
+            let bytes = framed(&[0, 1, 2, 3]);
             let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
-            assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(7));
-            assert_eq!(wal.durable_lsn() > 7, durable, "{policy:?}");
+            volume.arm(Fault {
+                op: Op::Append,
+                prefix: "/wal".into(),
+                nth,
+                effect: Effect::Fail(ErrorKind::Other),
+            });
+            let failed = wal.append_frames(&bytes, &frames);
+            assert!(
+                matches!(failed, Err(WalError::Io(_))),
+                "nth {nth}: {failed:?}"
+            );
+            let retried = wal.append_frames(&bytes, &frames);
+            assert!(
+                matches!(retried, Err(WalError::Poisoned)),
+                "nth {nth}: {retried:?}"
+            );
+            drop(wal);
+            let wal = WalWriter::open(&dir, config).unwrap();
+            assert_eq!(wal.next_lsn(), 2, "nth {nth}: the first run stays");
         }
     }
 
@@ -1049,6 +943,93 @@ mod tests {
         );
         assert!(matches!(retried, Err(WalError::Poisoned)), "{retried:?}");
         assert_eq!(durable, 1);
+    }
+
+    /// ROADMAP 2(e): a failed flush is remembered past the writer. The
+    /// record it left uncovered still reads back from the page cache,
+    /// and no flush of the old file can make it durable, so the reopened
+    /// writer writes the active segment's clean prefix through a fresh
+    /// file: a power loss after its first commit keeps all three
+    /// records (a reopen that only appended to the old file kept one).
+    #[test]
+    fn a_reopened_writer_re_flushes_what_a_failed_flush_left() {
+        let volume = MemoryVolume::new();
+        let dir = volume.root().join("wal");
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let first = wal.append_entry(&insert(0, 0)).unwrap();
+        wal.commit(first).unwrap();
+        let second = wal.append_entry(&insert(1, 1)).unwrap();
+        volume.arm(Fault {
+            op: Op::Sync,
+            prefix: "/wal".into(),
+            nth: 1,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        assert!(matches!(wal.commit(second), Err(WalError::Io(_))));
+        drop(wal);
+        let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(wal.next_lsn(), 2);
+        let third = wal.append_entry(&insert(2, 2)).unwrap();
+        wal.commit(third).unwrap();
+        drop(wal);
+        volume.crash();
+        assert_eq!(WalReader::open(&dir).unwrap().len(), 3);
+    }
+
+    /// The flush turnstile under concurrency: four committers share one
+    /// writer, rotating small segments, while one flush among theirs
+    /// fails. Whatever the interleaving, a power loss keeps every record
+    /// a commit returned `Ok` for: the failed flush poisoned the writer
+    /// before the next flush could confirm anything.
+    #[test]
+    fn racing_commits_never_confirm_past_a_failed_flush() {
+        for round in 0..48 {
+            let volume = MemoryVolume::new();
+            let dir = volume.root().join("wal");
+            let config = WalConfig {
+                segment_bytes: 384,
+                ..WalConfig::default()
+            };
+            let wal = WalWriter::open(&dir, config).unwrap();
+            volume.arm(Fault {
+                op: Op::Sync,
+                prefix: "/wal".into(),
+                nth: 1 + round % 8,
+                effect: Effect::Fail(ErrorKind::Other),
+            });
+            let confirmed = std::thread::scope(|scope| {
+                let committers: Vec<_> = (0..4usize)
+                    .map(|t| {
+                        let wal = &wal;
+                        scope.spawn(move || {
+                            let mut confirmed = None;
+                            for i in 0..25 {
+                                let Ok(lsn) = wal.append_entry(&insert(t * 25 + i, 1)) else {
+                                    break;
+                                };
+                                if wal.commit(lsn).is_ok() {
+                                    confirmed = confirmed.max(Some(lsn));
+                                }
+                            }
+                            confirmed
+                        })
+                    })
+                    .collect();
+                committers
+                    .into_iter()
+                    .filter_map(|c| c.join().unwrap())
+                    .max()
+            });
+            drop(wal);
+            volume.crash();
+            let recovered = WalReader::open(&dir).unwrap().len() as u64;
+            if let Some(lsn) = confirmed {
+                assert!(
+                    lsn < recovered,
+                    "round {round}: lsn {lsn} confirmed, {recovered} records survived"
+                );
+            }
+        }
     }
 
     /// A segment with no record is not rotated: the fresh segment would

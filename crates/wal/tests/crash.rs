@@ -14,7 +14,7 @@ use pitract_engine::UpdateEntry;
 use pitract_relation::Value;
 use pitract_store::{Dir, MemoryVolume};
 use pitract_wal::segment::{segment_file_name, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
-use pitract_wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
+use pitract_wal::{WalConfig, WalReader, WalWriter};
 use proptest::prelude::*;
 
 /// Deterministic entry stream from generated ops: inserts take the next
@@ -60,7 +60,7 @@ proptest! {
         let entries = entries_from_ops(&ops);
         let committed = committed % (entries.len() + 1);
         let volume = MemoryVolume::new();
-        let config = WalConfig { segment_bytes, sync: SyncPolicy::GroupCommit, ..WalConfig::default() };
+        let config = WalConfig { segment_bytes, ..WalConfig::default() };
         let wal = WalWriter::open(volume.root(), config.clone()).unwrap();
         for e in &entries[..committed] {
             let lsn = wal.append_entry(e).unwrap();
@@ -91,7 +91,7 @@ proptest! {
         let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
+            WalConfig { segment_bytes: u64::MAX, ..WalConfig::default() },
         ).unwrap();
         for e in &entries {
             wal.append_entry(e).unwrap();
@@ -129,7 +129,7 @@ proptest! {
         // next append is confirmed record number `complete`.
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
+            WalConfig { segment_bytes: u64::MAX, ..WalConfig::default() },
         ).unwrap();
         prop_assert_eq!(wal.next_lsn(), complete as u64);
     }
@@ -179,7 +179,7 @@ proptest! {
 
         let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
         let wal_dir = Dir::memory();
-        let config = WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() };
+        let config = WalConfig { segment_bytes: u64::MAX, ..WalConfig::default() };
         let node =
             DurableLiveRelation::create(build_live(), &catalog, "node", &wal_dir, config.clone())
                 .unwrap();
@@ -235,7 +235,7 @@ proptest! {
         let dir = Dir::memory();
         let wal = WalWriter::open(
             &dir,
-            WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never, ..WalConfig::default() },
+            WalConfig { segment_bytes: u64::MAX, ..WalConfig::default() },
         ).unwrap();
         for e in &entries {
             wal.append_entry(e).unwrap();

@@ -3,24 +3,27 @@
 //! `WalWriter` with faults armed on its in-memory volume — failed,
 //! short and full appends, failed cuts and flushes, failed segment
 //! creates, renames and removes, a power loss in the middle of a call —
-//! and with power losses between steps, each followed by `recover_live`
-//! over the log directory and the writer it reopens.
+//! and with power losses and restarts between steps, each followed by
+//! `recover_live` over the log directory and the writer it reopens. A
+//! restart drops the writer with no power loss: what a failed flush left
+//! uncovered then still reads back from the page cache.
 //!
 //! After every step, either the call succeeded, or it returned a typed
 //! error and moved neither `next_lsn` nor `durable_lsn`, or the writer
 //! is poisoned: the append tried right after such a call is refused
 //! [`WalError::Poisoned`], and a writer known poisoned moves neither
-//! again. After every power loss,
+//! again. After every power loss and restart,
 //! recovery returns the checkpoint plus the first `k` entries appended,
 //! with every record the writer called durable among them:
-//! durable ≤ k ≤ appended. Nothing panics. A failing case prints the
+//! durable ≤ k ≤ appended, and all `k` are durable from then on.
+//! Nothing panics. A failing case prints the
 //! seed that replays it (`PROPTEST_SEED`).
 
 use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
 use pitract_relation::{ColType, Relation, Schema, Value};
 use pitract_store::storage::{Dir, Effect, Fault, Op};
 use pitract_store::{MemoryVolume, SnapshotCatalog};
-use pitract_wal::{recover_live, SyncPolicy, WalConfig, WalError, WalWriter};
+use pitract_wal::{recover_live, WalConfig, WalError, WalWriter};
 use proptest::prelude::*;
 use std::io::ErrorKind;
 
@@ -46,6 +49,7 @@ enum Step {
     Rotate,
     Arm(Fault),
     PowerLoss,
+    Restart,
 }
 
 /// The step three drawn numbers name.
@@ -70,7 +74,8 @@ fn step(kind: u8, a: usize, b: usize) -> Step {
                 effect,
             })
         }
-        _ => Step::PowerLoss,
+        14 | 15 => Step::PowerLoss,
+        _ => Step::Restart,
     }
 }
 
@@ -100,12 +105,16 @@ fn entry(lsn: u64, key: i64) -> UpdateEntry {
 }
 
 /// What the log may hold: the key of every entry the writer took, in
-/// LSN order (the entry at LSN `i` inserts global id `BASE + i`), and
-/// how many of them are confirmed durable.
+/// LSN order (the entry at LSN `i` inserts global id `BASE + i`), how
+/// many of them are confirmed durable, and the key of an append that
+/// failed since the last one that landed. Its frame may have landed
+/// whole before the erase failed, poisoning the writer: a restart then
+/// finds it.
 #[derive(Debug, Default)]
 struct Model {
     keys: Vec<i64>,
     confirmed: usize,
+    failed: Option<i64>,
 }
 
 fn base() -> LiveRelation {
@@ -115,18 +124,21 @@ fn base() -> LiveRelation {
     LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap()
 }
 
-/// Lose power, recover the node, check it holds a confirmed prefix of
-/// what the writer took, and return the writer recovery reopened. A
-/// fault armed before the loss may fail the first recovery (typed);
-/// with every fault disarmed, the second must succeed.
-fn power_loss(
+/// Lose power (`crash`) or only restart, recover the node, check it
+/// holds a confirmed prefix of what the writer took, and return the
+/// writer recovery reopened. A fault armed before may fail the first
+/// recovery (typed); with every fault disarmed, the second must succeed.
+fn reopen(
     volume: &MemoryVolume,
     catalog: &SnapshotCatalog,
     wal_dir: &Dir,
     config: &WalConfig,
     model: &mut Model,
+    crash: bool,
 ) -> Result<WalWriter, TestCaseError> {
-    volume.crash();
+    if crash {
+        volume.crash();
+    }
     let mut failed = None;
     let (live, wal, _, replayed) = loop {
         match recover_live(catalog, "node", wal_dir, config.clone()) {
@@ -139,6 +151,9 @@ fn power_loss(
         }
     };
     let k = replayed;
+    if let Some(key) = model.failed.take().filter(|_| k > model.keys.len()) {
+        model.keys.push(key);
+    }
     prop_assert!(
         model.confirmed <= k && k <= model.keys.len(),
         "recovered {k} records; {} were confirmed, {} appended",
@@ -155,7 +170,8 @@ fn power_loss(
         );
     }
     prop_assert_eq!(wal.next_lsn(), k as u64);
-    // A power loss leaves only flushed bytes: what came back is durable.
+    // What came back is durable: a power loss leaves only flushed bytes,
+    // and the reopened writer flushed the rest through a fresh file.
     model.keys.truncate(k);
     model.confirmed = k;
     Ok(wal)
@@ -164,12 +180,10 @@ fn power_loss(
 proptest! {
     #[test]
     fn every_step_keeps_the_contract_and_every_power_loss_a_confirmed_prefix(
-        raw in prop::collection::vec((0u8..16, 0usize..1_000, 0usize..1_000), 1..60),
-        policy in 0usize..3,
+        raw in prop::collection::vec((0u8..17, 0usize..1_000, 0usize..1_000), 1..60),
         segment_bytes in 96u64..400,
     ) {
-        let sync = [SyncPolicy::GroupCommit, SyncPolicy::Always, SyncPolicy::Never][policy];
-        let config = WalConfig { segment_bytes, sync, ..WalConfig::default() };
+        let config = WalConfig { segment_bytes, ..WalConfig::default() };
         let volume = MemoryVolume::new();
         let catalog = SnapshotCatalog::open(volume.root().join("snaps")).unwrap();
         catalog.save_checkpoint("node", &base(), |_| 0).unwrap();
@@ -192,9 +206,10 @@ proptest! {
                     volume.arm(fault.clone());
                     continue;
                 }
-                Step::PowerLoss => {
+                Step::PowerLoss | Step::Restart => {
                     drop(wal);
-                    wal = power_loss(&volume, &catalog, &wal_dir, &config, &mut model)?;
+                    let crash = matches!(step, Step::PowerLoss);
+                    wal = reopen(&volume, &catalog, &wal_dir, &config, &mut model, crash)?;
                     poisoned = false;
                     continue;
                 }
@@ -203,13 +218,19 @@ proptest! {
             prop_assert!(after.next <= before.next + 1, "{step:?}: {before:?} → {after:?}");
             if after.next > before.next {
                 model.keys.push(key);
+                model.failed = None;
+            } else if matches!(step, Step::Append)
+                && matches!(result, Err(ref e) if !matches!(e, WalError::Poisoned))
+            {
+                // A refused append wrote nothing; a failed one may have.
+                model.failed = Some(key);
             }
             prop_assert!(after.durable <= after.next, "{step:?}: {after:?}");
             model.confirmed = model.confirmed.max(after.durable as usize);
             // A power loss inside the call released the writer's claim.
             if wal_dir.claim().is_ok() {
                 drop(wal);
-                wal = power_loss(&volume, &catalog, &wal_dir, &config, &mut model)?;
+                wal = reopen(&volume, &catalog, &wal_dir, &config, &mut model, true)?;
                 poisoned = false;
                 continue;
             }

@@ -47,7 +47,6 @@ fn main() {
     let wal_dir = root.join("wal");
     let config = WalConfig {
         segment_bytes: 256 << 10,
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     };
 

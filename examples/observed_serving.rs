@@ -48,7 +48,6 @@ fn main() {
     // 1. Wire: one recorder for the whole node, carried by both configs.
     let wal_config = |recorder: &Recorder| WalConfig {
         segment_bytes: 256 << 10,
-        sync: SyncPolicy::GroupCommit,
         recorder: recorder.clone(),
     };
     let pool_config = |recorder: &Recorder| PoolConfig {

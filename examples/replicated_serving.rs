@@ -44,7 +44,6 @@ fn main() {
     let recorder = Recorder::new();
     let config = WalConfig {
         segment_bytes: 64 << 10,
-        sync: SyncPolicy::GroupCommit,
         recorder: recorder.clone(),
     };
 

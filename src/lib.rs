@@ -466,7 +466,7 @@ pub mod prelude {
     pub use pitract_repl::{CatchUpReport, Follower, ReplError, SegmentPublisher, Shipment};
     pub use pitract_store::{Dir, MemoryVolume, Snapshot, SnapshotCatalog, StoreError};
     pub use pitract_wal::{
-        CompactionReport, Compactor, DurableLiveRelation, Recovered, SyncPolicy, WalConfig,
-        WalError, WalReader, WalWriter,
+        CompactionReport, Compactor, DurableLiveRelation, Recovered, WalConfig, WalError,
+        WalReader, WalWriter,
     };
 }

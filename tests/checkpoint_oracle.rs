@@ -54,10 +54,7 @@ fn checkpoints_racing_a_writer_are_the_log_prefix_at_their_epoch() {
     let snaps = Dir::memory();
     let catalog = SnapshotCatalog::open(snaps.clone()).unwrap();
     let wal_dir = Dir::memory();
-    let config = WalConfig {
-        sync: SyncPolicy::GroupCommit,
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     let node =
         DurableLiveRelation::create(base_live(BASE), &catalog, "boot", &wal_dir, config.clone())
             .unwrap();

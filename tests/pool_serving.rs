@@ -242,7 +242,6 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
     let wal_dir = root.join("wal");
     let config = WalConfig {
         segment_bytes: 64 << 10,
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     };
     let live =
@@ -291,10 +290,7 @@ fn status_reads_idle_once_racing_writers_and_batches_quiesce() {
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog");
     let live =
         LiveRelation::build(&relation(400), ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid");
-    let config = WalConfig {
-        sync: SyncPolicy::GroupCommit,
-        ..WalConfig::default()
-    };
+    let config = WalConfig::default();
     let node = Arc::new(
         DurableLiveRelation::create(live, &catalog, "node", root.join("wal"), config)
             .expect("create"),

@@ -16,7 +16,6 @@ fn config() -> WalConfig {
     // shipments.
     WalConfig {
         segment_bytes: 192,
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     }
 }

@@ -64,7 +64,6 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
     let wal_dir = Dir::memory();
     let config = WalConfig {
         segment_bytes: 900, // several segments; a short active tail
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     };
     let node =
@@ -208,7 +207,6 @@ fn durable_serving_loop_survives_crash_and_compaction() {
     let wal_dir = Dir::memory();
     let config = WalConfig {
         segment_bytes: 2_000,
-        sync: SyncPolicy::GroupCommit,
         ..WalConfig::default()
     };
     let n = 2_000i64;
