@@ -746,7 +746,7 @@ impl LiveRelation {
     // --- epochs & version retention ----------------------------------------
 
     /// The epoch clock now: the number of updates ever applied (plus any
-    /// recovery advance — see [`Self::advance_epoch_to`]).
+    /// recovery start — see [`Self::advance_epoch_to`]).
     pub fn current_epoch(&self) -> Epoch {
         Epoch::new(self.epochs.lock().current)
     }
@@ -763,13 +763,11 @@ impl LiveRelation {
         }
     }
 
-    /// Advance the epoch clock to `epoch` without applying updates —
-    /// the clock twin of [`Self::burn_gids_to`]. Recovery and the
-    /// replication follower call this after a replay, which applies
-    /// fewer updates than the history it reproduces when the log has
-    /// LSN gaps (one thinned by an older compactor): the node must stamp
-    /// its next update with the same epoch the log's writer would have.
-    /// No-op if the clock is already there.
+    /// Advance the epoch clock to `epoch` without applying updates.
+    /// Recovery sets a checkpoint's state to the checkpoint's cut epoch
+    /// before it replays the log's tail onto it, so that each replayed
+    /// record ticks the clock to the epoch its writer stamped. No-op if
+    /// the clock is already there.
     pub fn advance_epoch_to(&self, epoch: Epoch) {
         let mut epochs = self.epochs.lock();
         epochs.current = epochs.current.max(epoch.get());
@@ -885,12 +883,10 @@ impl LiveRelation {
             // write); writers lose nothing — they are already
             // serialized by the ids write lock held above.
             let mut epochs = self.epochs.lock();
-            let local = match guard.current.insert(row) {
-                Ok(local) => local,
-                Err(e) => return Err(EngineError::Indexed(e)),
-            };
-            // The clock ticks only after the update actually applied:
-            // epoch ≡ updates applied, with no gaps.
+            // Admitted above, so the logged insert always applies.
+            let local = guard.current.insert_admitted(&row);
+            // One tick per applied update: epoch ≡ updates applied, with
+            // no gaps.
             epochs.current += 1;
             guard.stamp = epochs.current;
             self.record_undo(&mut guard, &epochs, || UndoOp::Insert { local });
@@ -1136,25 +1132,18 @@ impl LiveRelation {
     /// answers *and* global row ids — equals the state the log was
     /// recorded from.
     ///
-    /// A *forward gap* in the global-id sequence — the ids of an
-    /// insert+delete pair that a log thinned by an older compactor no
-    /// longer holds — is burned as permanent tombstones, so every insert
-    /// still lands on exactly its recorded gid. Burned ids are
-    /// indistinguishable from deleted ones (both read back as `None`),
-    /// which is what makes a thinned and a whole log replay to the same
-    /// answers and the same live global row ids. A *backward* id (an
-    /// insert recording a gid this relation already assigned) is
-    /// rejected typed: removing entries can explain missing ids, never
-    /// reused ones. Recovery and the replication follower both apply
-    /// WAL records through here, and the ids a log's inserts used are
-    /// all the allocator needs: a replay ends one past the highest of
-    /// them, as the log's writer did.
+    /// Every insert of a log takes the next global id, so an insert
+    /// whose logged gid is not the one this relation assigns — a skip
+    /// forward or an id reused — is [`EngineError::ReplayGidMismatch`]:
+    /// the log has a hole, or it was recorded against another state.
+    /// Recovery and the replication follower both apply WAL records
+    /// through here, and a replay ends one past the last logged insert's
+    /// id, as the log's writer did.
     pub fn replay_entries(&self, entries: Vec<UpdateEntry>) -> Result<usize, EngineError> {
         let replayed = entries.len();
         for entry in entries {
             match entry {
                 UpdateEntry::Insert { gid, row } => {
-                    self.burn_gids_to(gid);
                     let got = self.insert(row)?;
                     if got != gid {
                         return Err(EngineError::ReplayGidMismatch {
@@ -1170,17 +1159,6 @@ impl LiveRelation {
             }
         }
         Ok(replayed)
-    }
-
-    /// Advance the global-id allocator to `next_gid` without inserting:
-    /// the skipped ids are burned (they read back as deleted, and cost
-    /// nothing). No-op if the allocator is already there.
-    ///
-    /// [`Self::replay_entries`] calls this before each logged insert, so
-    /// a forward gap in the log's ids burns and the insert lands on its
-    /// recorded gid.
-    pub fn burn_gids_to(&self, next_gid: usize) {
-        self.ids.write().burn_to(next_gid);
     }
 }
 
@@ -1661,47 +1639,6 @@ mod tests {
         assert_eq!(lr.version_stats().retained_versions, 0);
     }
 
-    /// An insert recorded at global id 2⁴⁰ — the ids below it burned by
-    /// a compaction — lands on that id, and the id map's heap grows by
-    /// no more than an insert at the next id makes it: a burned id costs
-    /// nothing, however many there are.
-    #[test]
-    fn a_replayed_insert_far_past_the_next_id_costs_the_id_map_nothing() {
-        let far = 1usize << 40;
-        let row = || vec![Value::Int(77), Value::str("far")];
-        let grown = |gid: usize| {
-            let lr = live(50, 3);
-            let before = lr.ids.read().heap_bytes();
-            lr.replay_entries(vec![UpdateEntry::Insert { gid, row: row() }])
-                .unwrap();
-            assert_eq!(lr.row(gid), Some(row()), "the row lands on {gid}");
-            let ids = lr.ids.read();
-            assert_eq!(ids.next_gid(), gid + 1);
-            ids.heap_bytes() - before
-        };
-        assert_eq!(grown(far), grown(50));
-        let lr = live(50, 3);
-        lr.burn_gids_to(far);
-        assert_eq!((lr.row(far - 1), lr.delete(far - 1).unwrap()), (None, None));
-        assert_eq!(lr.insert(row()).unwrap(), far);
-
-        // No burn goes where the ids after it would wrap: an insert
-        // logged there is refused, typed.
-        let top = isize::MAX as usize;
-        let log = vec![UpdateEntry::Insert {
-            gid: usize::MAX,
-            row: row(),
-        }];
-        assert_eq!(
-            lr.replay_entries(log).unwrap_err(),
-            EngineError::ReplayGidMismatch {
-                expected: usize::MAX,
-                found: top
-            }
-        );
-        assert_eq!(lr.insert(row()).unwrap(), top + 1);
-    }
-
     #[test]
     fn replay_rejects_histories_that_do_not_match() {
         let lr = live(10, 2);
@@ -1800,79 +1737,70 @@ mod tests {
         }
     }
 
+    /// Compaction removes the log below a checkpoint cut, and the tail
+    /// replayed onto the cut's state matches the whole log replayed from
+    /// the start, on answers and gids. The cut falls right after an
+    /// insert that was deleted again, so only the cut's id map carries
+    /// the allocator past that insert's id.
     #[test]
     fn compacted_replay_matches_uncompacted_on_answers_and_gids() {
-        // A churny history with pairs scattered through it.
         let (lr, sink) = recorded(10, 3);
-        let mut hot = Vec::new();
+        let mut cut = None;
         for i in 0..30i64 {
             let gid = lr
                 .insert(vec![Value::Int(500 + i), Value::str("hot")])
                 .unwrap();
             if i % 3 != 0 {
-                hot.push(gid);
+                lr.delete(gid).unwrap().unwrap();
+            }
+            if i == 14 {
+                cut = Some((lr.to_sharded(), sink.entries().len()));
             }
         }
-        for gid in [10, 13, 16, 19, 22, 25] {
-            if !hot.contains(&gid) {
-                lr.delete(gid).unwrap();
-            }
-        }
-        lr.delete(4).unwrap().unwrap(); // pre-log delete survives compaction
+        lr.delete(4).unwrap().unwrap();
+        let (state, mark) = cut.unwrap();
         let log = sink.entries();
-        // Cancel every insert+delete pair, as an older compactor did;
-        // the last insert survives, so it carries the allocator's
-        // position.
-        let deleted: Vec<usize> = log
-            .iter()
-            .filter_map(|e| match e {
-                UpdateEntry::Delete { gid } => Some(*gid),
-                UpdateEntry::Insert { .. } => None,
-            })
-            .collect();
-        let compacted: Vec<UpdateEntry> = log
-            .iter()
-            .filter(|e| match e {
-                UpdateEntry::Insert { gid, .. } => !deleted.contains(gid),
-                UpdateEntry::Delete { gid } => *gid < 10,
-            })
-            .cloned()
-            .collect();
-        assert!(compacted.len() < log.len(), "something was cancelled");
-        let compacted_len = compacted.len();
 
-        let plain = live(10, 3);
-        plain.replay_entries(log).unwrap();
-        let short = live(10, 3);
-        short.replay_entries(compacted).unwrap();
+        let whole = live(10, 3);
+        whole.replay_entries(log.clone()).unwrap();
+        let compacted = LiveRelation::from_sharded(state);
+        let tail = log[mark..].to_vec();
+        assert_eq!(compacted.replay_entries(tail).unwrap(), log.len() - mark);
 
-        assert_eq!(plain.len(), short.len());
+        assert_eq!(whole.len(), compacted.len());
         for gid in 0..45 {
-            assert_eq!(plain.row(gid), short.row(gid), "gid {gid}");
+            assert_eq!(whole.row(gid), compacted.row(gid), "gid {gid}");
         }
         for q in [
             SelectionQuery::range_closed(0, 0i64, 600i64),
             SelectionQuery::point(1, "hot"),
             SelectionQuery::point(0, 4i64),
         ] {
-            assert_eq!(plain.matching_ids(&q), short.matching_ids(&q), "{q:?}");
+            assert_eq!(whole.matching_ids(&q), compacted.matching_ids(&q), "{q:?}");
         }
-        // Replay applied only the thinned log's entries.
-        assert_eq!(short.boundedness_report().len(), compacted_len);
+        let row = || vec![Value::Int(900), Value::str("next")];
+        let next = lr.insert(row()).unwrap();
+        assert_eq!(whole.insert(row()).unwrap(), next);
+        assert_eq!(compacted.insert(row()).unwrap(), next);
     }
 
+    /// Every logged insert takes the next global id: a forward skip is
+    /// a hole in the log, and an id that runs backwards a reused one.
+    /// Both are refused typed.
     #[test]
-    fn replay_burns_forward_gid_gaps_and_rejects_backward_ids() {
-        // A forward gap (a cancelled pair's ids) burns as tombstones…
+    fn replay_refuses_gid_skips_and_backward_ids() {
         let lr = live(5, 2);
         let log = vec![UpdateEntry::Insert {
             gid: 9,
             row: vec![Value::Int(1), Value::str("x")],
         }];
-        lr.replay_entries(log).unwrap();
-        assert_eq!(lr.row(9).unwrap()[0], Value::Int(1));
-        assert!(lr.row(7).is_none(), "burned ids read as deleted");
-        // …but an id that runs backwards is rejected.
+        assert_eq!(
+            lr.replay_entries(log).unwrap_err(),
+            EngineError::ReplayGidMismatch {
+                expected: 9,
+                found: 5
+            }
+        );
         let lr = live(5, 2);
         let log = vec![UpdateEntry::Insert {
             gid: 2,

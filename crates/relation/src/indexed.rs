@@ -606,14 +606,22 @@ impl IndexedRelation {
         self.schema()
             .admits(&row)
             .map_err(IndexedError::RowRejected)?;
+        Ok(self.insert_admitted(&row))
+    }
+
+    /// [`Self::insert`] for a row the caller has already checked with
+    /// [`crate::Schema::admits`] against this relation's schema, so it
+    /// cannot fail: a live relation checks each row once, before it logs
+    /// the insert, and then must apply what it logged.
+    pub fn insert_admitted(&mut self, row: &[Value]) -> usize {
         let id = self.rows.slot_count();
-        for (index, value) in self.indexes.iter_mut().zip(&row) {
+        for (index, value) in self.indexes.iter_mut().zip(row) {
             if let Some(index) = index {
                 index.post(value, id);
             }
         }
-        self.rows.push_row(&row);
-        Ok(id)
+        self.rows.push_row(row);
+        id
     }
 
     /// Delete a tuple by row id, maintaining every index. Returns the

@@ -24,9 +24,9 @@
 //!   primary's WAL-before-apply order) — then replays them into the live
 //!   relation, so answers
 //!   *and* global row ids stay bit-identical to the primary's prefix.
-//!   A log thinned by an older compactor has gaps: its gid gaps burn as
-//!   tombstones, and its LSN gaps advance the epoch clock without
-//!   replaying, keeping the dictionary exact:
+//!   The log has no holes — a shipment's frames run from its base with
+//!   no LSN gap, and each insert takes the next gid — so each replayed
+//!   record ticks the epoch clock once and the dictionary stays exact:
 //!   `current_epoch == epoch_of_lsn(applied_lsn)` after every step.
 //! * **Serving** implements [`BatchServe`] by delegating to the inner
 //!   [`LiveRelation`], whose MVCC pin is taken at the current epoch —
@@ -272,17 +272,11 @@ impl Follower {
                 ),
             }));
         }
-        let mut entries: Vec<UpdateEntry> = Vec::with_capacity(scan.frames.len());
-        for frame in &scan.frames {
-            if frame.lsn < from || frame.lsn >= ship.end() {
-                return Err(ReplError::Misaligned {
-                    expected: from,
-                    found: frame.lsn,
-                });
-            }
-            let entry = decode_entry("shipment", frame.offset as u64, frame.lsn, frame.payload())?;
-            entries.push(entry);
-        }
+        let entries = scan
+            .frames
+            .iter()
+            .map(|f| decode_entry("shipment", f.offset as u64, f.lsn, f.payload()))
+            .collect::<Result<Vec<UpdateEntry>, _>>()?;
 
         // Persist before apply — the same WAL-before-state order the
         // primary commits under.
@@ -291,14 +285,10 @@ impl Follower {
         }
 
         // Replay with no replication lock held (replay re-enters the
-        // engine's ranked tiers). A gid gap in a thinned log burns as
-        // tombstones, so global row ids stay bit-identical.
+        // engine's ranked tiers): one tick per record keeps
+        // `current_epoch == epoch_of_lsn(applied)`.
         let started = std::time::Instant::now();
         self.live.replay_entries(entries)?;
-        // LSN gaps advance the clock by their span: the dictionary
-        // invariant `current_epoch == epoch_of_lsn(applied)` holds
-        // after every step, whatever a thinned log lacks.
-        self.live.advance_epoch_to(self.epoch_of_lsn(ship.end()));
         self.replay_micros.record_duration(started.elapsed());
 
         self.applied.store(ship.end(), Ordering::SeqCst);
@@ -403,7 +393,7 @@ mod tests {
     use pitract_relation::{ColType, Relation};
     use pitract_store::storage::{Effect, Fault, Op};
     use pitract_store::MemoryVolume;
-    use pitract_wal::segment::{encode_record, scan_dir, segment_header};
+    use pitract_wal::segment::{list_segments, scan_dir};
     use pitract_wal::DurableLiveRelation;
     use std::io::ErrorKind;
     use std::sync::Arc;
@@ -638,7 +628,7 @@ mod tests {
 
     /// A shipment whose mirror write fails after its first run landed
     /// poisons the mirror: the retry is refused typed, not met by its
-    /// own first run as "lsn runs backwards". A restart on the same
+    /// own first run as "lsn out of sequence". A restart on the same
     /// mirror recovers what landed, and catch-up converges with the
     /// primary.
     #[test]
@@ -681,6 +671,76 @@ mod tests {
         for key in 0..23i64 {
             let q = SelectionQuery::point(0, key);
             assert_eq!(back.matching_ids(&q), node.matching_ids(&q), "key {key}");
+        }
+    }
+
+    /// A mirror that lags a newer checkpoint: the follower detached with
+    /// 5 records, the primary took 20 more and checkpointed past them,
+    /// and the follower re-bootstraps from that checkpoint on the same
+    /// mirror. The checkpoint covers every mirror segment, so the
+    /// bootstrap removes them and starts the mirror afresh at the mark;
+    /// catch-up then writes a dense log (appended to the old segment, it
+    /// would hold LSNs 0–4 and 25 on, a hole the next restart refuses).
+    /// A failed removal fails the bootstrap typed, and the next one
+    /// finishes the job.
+    #[test]
+    fn a_mirror_behind_a_newer_checkpoint_starts_afresh_at_its_mark() {
+        let (_root, node, catalog) = primary(0);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        for i in 0..5i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        let volume = MemoryVolume::new();
+        let mirror = volume.root().join("mirror");
+        let follower = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        let sub = follower.attach(&publisher);
+        follower.catch_up(&publisher, sub).unwrap();
+        publisher.detach(sub);
+        drop(follower);
+        for i in 5..25i64 {
+            let gid = node.insert(vec![Value::Int(i)]).unwrap();
+            if i % 4 == 0 {
+                node.delete(gid).unwrap().unwrap();
+            }
+        }
+        node.checkpoint(&catalog, "node").unwrap();
+        let mark = node.checkpoint_mark();
+        assert_eq!(mark, 30);
+
+        volume.arm(Fault {
+            op: Op::Remove,
+            prefix: "/mirror".into(),
+            nth: 1,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        let failed = Follower::bootstrap(&catalog, "node", &mirror, config());
+        assert!(
+            matches!(failed, Err(ReplError::Wal(WalError::Io(_)))),
+            "{failed:?}"
+        );
+        assert!(volume.disarm().is_empty(), "the removal failed");
+        let back = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        assert_eq!(back.applied_lsn(), mark);
+        let bases: Vec<u64> = list_segments(&mirror)
+            .unwrap()
+            .iter()
+            .map(|s| s.0)
+            .collect();
+        assert_eq!(bases, [mark]);
+        let sub = back.attach(&publisher);
+        for i in 25..30i64 {
+            node.insert(vec![Value::Int(i)]).unwrap();
+        }
+        assert_eq!(back.catch_up(&publisher, sub).unwrap().lag, 0);
+        publisher.detach(sub);
+        drop(back);
+
+        let again = Follower::bootstrap(&catalog, "node", &mirror, config()).unwrap();
+        assert_eq!(again.applied_lsn(), node.wal().durable_lsn());
+        assert_eq!(again.current_epoch(), node.current_epoch());
+        assert_eq!(again.len(), node.len());
+        for gid in 0..32 {
+            assert_eq!(again.row(gid), node.row(gid), "gid {gid}");
         }
     }
 
@@ -738,98 +798,6 @@ mod tests {
         }
     }
 
-    /// A log thinned by an older compactor — which cancelled
-    /// insert+delete pairs inside a closed segment and kept the
-    /// highest-gid pair to carry the id allocator — is still a valid
-    /// log. Built here by hand with LSN gaps, gid gaps and that trailing
-    /// kept pair, it recovers to the rows and next gid of the whole log,
-    /// and a follower catching up over it stays on the primary's clock
-    /// and assigns the primary's gids.
-    #[test]
-    fn catch_up_bridges_compaction_gaps_with_identical_gids() {
-        let (root, node, catalog) = primary(3);
-        // lsn 0: insert 3; 1, 2: pair 4; 3: insert 5; 4: delete 0;
-        // 5, 6: pair 6; 7, 8: pair 7.
-        for key in 10..14i64 {
-            let gid = node.insert(vec![Value::Int(key)]).unwrap();
-            if key % 2 == 1 {
-                node.delete(gid).unwrap().unwrap();
-            }
-            if key == 12 {
-                node.delete(0).unwrap().unwrap();
-            }
-        }
-        let gid = node.insert(vec![Value::Int(14)]).unwrap();
-        node.delete(gid).unwrap().unwrap();
-        node.wal().rotate_now().unwrap();
-        drop(node);
-
-        // The thinned log, segment by segment: pairs 4 and 6 cancelled,
-        // pair 7 kept, every file at its base.
-        let (wal, thin) = (root.join("wal"), root.join("thin"));
-        thin.create_dir_all().unwrap();
-        for seg in scan_dir(&wal).unwrap().segments {
-            let mut bytes = segment_header(seg.base_lsn);
-            for (lsn, payload) in &seg.records {
-                if ![1, 2, 5, 6].contains(lsn) {
-                    bytes.extend_from_slice(&encode_record(*lsn, payload));
-                }
-            }
-            thin.write_atomic(&seg.name, &bytes).unwrap();
-        }
-        let lsns: Vec<u64> = scan_dir(&thin)
-            .unwrap()
-            .records()
-            .map(|(l, _)| *l)
-            .collect();
-        assert_eq!(lsns, [0, 3, 4, 7, 8]);
-
-        // Recovery: the same rows, clock and next gid as the whole log.
-        let recovered = |dir: &Dir| {
-            let (live, _, _, replayed) = recover_live(&catalog, "node", dir, config()).unwrap();
-            let rows: Vec<_> = (0..12).map(|gid| live.row(gid)).collect();
-            let epoch = live.current_epoch();
-            (
-                rows,
-                epoch,
-                live.insert(vec![Value::Int(99)]).unwrap(),
-                replayed,
-            )
-        };
-        let (rows, epoch, next, replayed) = recovered(&wal);
-        assert_eq!((next, replayed), (8, 9));
-        assert_eq!(recovered(&thin), (rows, epoch, next, 5));
-
-        // Replication: the thinned log's node is the primary.
-        let node =
-            Arc::new(DurableLiveRelation::recover(&catalog, "node", &thin, config()).unwrap());
-        let publisher = SegmentPublisher::new(Arc::clone(&node));
-        let follower =
-            Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
-        let sub = follower.attach(&publisher);
-        let on_the_clock = |follower: &Follower| {
-            assert_eq!(
-                follower.current_epoch(),
-                follower.epoch_of_lsn(follower.applied_lsn())
-            );
-            assert_eq!(follower.current_epoch(), node.current_epoch());
-        };
-        assert_eq!(follower.catch_up(&publisher, sub).unwrap().applied_lsn, 9);
-        on_the_clock(&follower);
-        for gid in 0..12 {
-            assert_eq!(follower.row(gid), node.row(gid), "gid {gid}");
-        }
-        // New inserts on both sides keep assigning identical gids.
-        let gid = node.insert(vec![Value::Int(777)]).unwrap();
-        assert_eq!(gid, next);
-        follower.catch_up(&publisher, sub).unwrap();
-        on_the_clock(&follower);
-        assert_eq!(
-            follower.matching_ids(&SelectionQuery::point(0, 777)),
-            vec![gid]
-        );
-    }
-
     #[test]
     fn garbled_shipment_fails_typed_and_applies_nothing() {
         let (root, node, catalog) = primary(0);
@@ -843,8 +811,7 @@ mod tests {
         // flip a payload byte (checksum mismatch) and cut a frame short
         // (closed-run tear). Both must be typed, neither applied.
         let ship = publisher.poll(0).unwrap();
-        let garbled =
-            |frames: Vec<u8>| Shipment::from_parts(ship.base(), ship.end(), ship.records(), frames);
+        let garbled = |frames: Vec<u8>| Shipment::from_parts(ship.base(), ship.records(), frames);
         let mut flipped = ship.frames().to_vec();
         let n = flipped.len();
         flipped[n - 10] ^= 0xFF;

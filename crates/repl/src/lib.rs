@@ -91,15 +91,16 @@ pub enum ReplError {
     /// same follower. Catch-up is single-writer by design (replays must
     /// apply in LSN order); retry after the running cycle completes.
     CatchUpInProgress,
-    /// The publisher has compacted records below the requested fetch
-    /// position away (the follower was detached, or attached too late):
-    /// the follower's prefix can no longer be served from the log and
-    /// it must re-bootstrap from a fresh checkpoint.
+    /// The records at the requested fetch position were compacted away
+    /// (the follower was detached, or attached too late, or the primary
+    /// was compacted behind the publisher's back): the follower's prefix
+    /// can no longer be served from the log and it must re-bootstrap
+    /// from a fresh checkpoint.
     Stale {
         /// The LSN the follower asked to fetch from.
         from: u64,
-        /// The publisher's compaction floor: fetches must start at or
-        /// above it.
+        /// The publisher's compaction floor, or the log's first LSN if
+        /// that is higher: fetches must start at or above it.
         floor: u64,
     },
     /// A shipment did not line up with the follower's applied cursor —

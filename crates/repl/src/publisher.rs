@@ -80,13 +80,12 @@ const TAIL_INDEX_CAP: usize = 8;
 pub struct SubscriptionId(u64);
 
 /// One polled run of the primary's log: record frames for every WAL
-/// record in `[base, end)`, in the on-disk segment wire format. A log
-/// thinned by an older compactor lacks the insert+delete pairs it
-/// cancelled; the follower's replay bridges those LSN and gid gaps.
+/// record in `[base, end)`, in the on-disk segment wire format. The log
+/// has no holes, so the run's `records` frames end at
+/// `end = base + records`.
 #[derive(Debug)]
 pub struct Shipment {
     base: u64,
-    end: u64,
     frames: Vec<u8>,
     records: usize,
     segments_read: usize,
@@ -95,14 +94,14 @@ pub struct Shipment {
 impl Shipment {
     /// Reassemble a shipment on the receive side of a transport (the
     /// publisher hands out whole `Shipment`s in-process; a network
-    /// transport moves the four parts and rebuilds one here). The
+    /// transport moves the three parts and rebuilds one here). The
     /// follower's apply path re-validates everything — frame checksums,
-    /// LSN monotonicity, and that exactly `records` frames arrived — so
-    /// a reassembled shipment is no more trusted than a polled one.
-    pub fn from_parts(base: u64, end: u64, records: usize, frames: Vec<u8>) -> Self {
+    /// LSNs running from `base` with no gap, and that exactly `records`
+    /// frames arrived — so a reassembled shipment is no more trusted
+    /// than a polled one.
+    pub fn from_parts(base: u64, records: usize, frames: Vec<u8>) -> Self {
         Shipment {
             base,
-            end,
             frames,
             records,
             segments_read: 0,
@@ -115,12 +114,10 @@ impl Shipment {
         self.base
     }
 
-    /// The LSN after the last position this shipment covers: applying
-    /// it advances the follower's cursor here. Past the last record's
-    /// LSN + 1 only where the log has no record for the LSNs in between
-    /// (a gap an older compactor left).
+    /// The LSN after the last record this shipment carries:
+    /// applying it advances the follower's cursor here.
     pub fn end(&self) -> u64 {
-        self.end
+        self.base + self.records as u64
     }
 
     /// The raw record frames, back to back — exactly the bytes a
@@ -141,7 +138,7 @@ impl Shipment {
 
     /// Does this shipment advance the follower at all?
     pub fn is_empty(&self) -> bool {
-        self.end <= self.base
+        self.records == 0
     }
 }
 
@@ -203,8 +200,6 @@ struct TailRead {
     records: usize,
     segments_read: usize,
     bytes_read: u64,
-    /// The byte budget stopped the poll at `anchor`'s frame.
-    capped: bool,
     /// The last frame validated below the durable frontier (shipped, or
     /// skipped as below the cursor).
     anchor: Option<TailAnchor>,
@@ -220,7 +215,6 @@ impl TailRead {
             records: 0,
             segments_read: 0,
             bytes_read: 0,
-            capped: false,
             anchor: None,
         }
     }
@@ -245,11 +239,12 @@ impl TailRead {
             self.bytes_read += bytes.len() as u64;
             // The anchor frame itself is the first thing read: only the
             // anchored record, valid, at the anchored offset vouches for the
-            // position. A failure anywhere in the hinted read is not
+            // position, and the frame scan from the anchored LSN checks
+            // its LSN. A failure anywhere in the hinted read is not
             // reported from here — the from-the-header scan below decides
             // whether the segment or merely the hint was bad.
             if let Ok(scan) = scan_frames(&bytes, anchor.lsn, last, name) {
-                if scan.frames.first().is_some_and(|f| f.lsn == anchor.lsn) {
+                if !scan.frames.is_empty() {
                     return Ok(self.ship(base, anchor.offset, &bytes, &scan.frames));
                 }
             }
@@ -285,7 +280,6 @@ impl TailRead {
             run = Some((start, frame.end()));
             self.records += 1;
             if self.frames.len() + (frame.end() - start) >= self.max_bytes {
-                self.capped = true;
                 complete = true;
                 break;
             }
@@ -298,17 +292,8 @@ impl TailRead {
     }
 
     fn into_shipment(self) -> Shipment {
-        // Uncapped, the shipment covers the whole range up to the
-        // durable frontier even where the log holds no record for its
-        // last LSNs — the follower bridges such a gap by advancing its
-        // cursor (and epoch clock) without replaying anything.
-        let end = match self.anchor {
-            Some(stopped_at) if self.capped => stopped_at.lsn + 1,
-            _ => self.durable.max(self.from),
-        };
         Shipment {
             base: self.from,
-            end,
             frames: self.frames,
             records: self.records,
             segments_read: self.segments_read,
@@ -459,6 +444,7 @@ impl SegmentPublisher {
         // an anchor below `from` sits in the first file that is not.
         let dir = self.primary.wal().dir();
         let files = list_segments(dir)?;
+        stale_below_log(from, &files)?;
         for (i, (base, name)) in files.iter().enumerate() {
             let upper = files.get(i + 1).map_or(u64::MAX, |(b, _)| *b);
             if upper <= from || *base >= durable {
@@ -487,6 +473,17 @@ impl SegmentPublisher {
     }
 }
 
+/// The log has no holes, so it holds every record from its oldest
+/// segment's base on. A cursor below that base asks for records a
+/// compaction behind the publisher's back removed: [`ReplError::Stale`],
+/// never a shipment that skips them.
+fn stale_below_log(from: u64, files: &[(u64, String)]) -> Result<(), ReplError> {
+    match files.first() {
+        Some(&(base, _)) if base > from => Err(ReplError::Stale { from, floor: base }),
+        _ => Ok(()),
+    }
+}
+
 /// The reference poll — every segment holding the range read whole,
 /// scanned from its header, its records re-encoded one by one — kept as
 /// the oracle the tail-indexed poll is checked against, plus the suites
@@ -512,14 +509,13 @@ mod oracle {
             max_bytes: usize,
         ) -> Result<Shipment, ReplError> {
             if durable <= from {
-                return Ok(Shipment::from_parts(from, from, 0, Vec::new()));
+                return Ok(Shipment::from_parts(from, 0, Vec::new()));
             }
             let dir = self.primary.wal().dir();
             let files = list_segments(dir)?;
+            stale_below_log(from, &files)?;
             let mut frames = Vec::new();
             let mut records = 0usize;
-            let mut last_shipped: Option<u64> = None;
-            let mut capped = false;
             'files: for (i, (base, name)) in files.iter().enumerate() {
                 let upper = files.get(i + 1).map(|(b, _)| *b).unwrap_or(u64::MAX);
                 if upper <= from || *base >= durable {
@@ -537,19 +533,12 @@ mod oracle {
                     }
                     frames.extend_from_slice(&encode_record(frame.lsn, frame.payload()));
                     records += 1;
-                    last_shipped = Some(frame.lsn);
                     if frames.len() >= max_bytes {
-                        capped = true;
                         break 'files;
                     }
                 }
             }
-            let end = if capped {
-                last_shipped.map_or(from, |l| l + 1)
-            } else {
-                durable
-            };
-            Ok(Shipment::from_parts(from, end, records, frames))
+            Ok(Shipment::from_parts(from, records, frames))
         }
     }
 
@@ -643,8 +632,14 @@ mod oracle {
 
         /// Poll `[from, min(durable, cap))` both ways and require the same
         /// outcome: the same shipment byte for byte, or the same error.
-        /// Returns the shipment (`None` when both failed).
-        fn agree(&self, from: u64, cap: u64, max_bytes: usize, tag: &str) -> Option<Shipment> {
+        /// Returns the poll's outcome.
+        fn agree(
+            &self,
+            from: u64,
+            cap: u64,
+            max_bytes: usize,
+            tag: &str,
+        ) -> Result<Shipment, ReplError> {
             let durable = self.node.wal().sync().unwrap().min(cap);
             let want = self.publisher.read_tail_oracle(from, durable, max_bytes);
             let got = self.publisher.read_tail(from, durable, max_bytes);
@@ -654,11 +649,11 @@ mod oracle {
                     assert_eq!(got.end(), want.end(), "{tag}: end");
                     assert_eq!(got.records(), want.records(), "{tag}: records");
                     assert_eq!(got.frames(), want.frames(), "{tag}: frames");
-                    Some(got)
+                    Ok(got)
                 }
                 (Err(want), Err(got)) => {
                     assert_eq!(got.to_string(), want.to_string(), "{tag}: error");
-                    None
+                    Err(got)
                 }
                 (want, got) => panic!("{tag}: oracle {want:?} but poll {got:?}"),
             }
@@ -707,11 +702,19 @@ mod oracle {
                         // A follower's poll from its cursor.
                         let who = (op % 2) as usize;
                         let budget = if a % 3 == 0 { usize::MAX } else { (b % 300) as usize };
-                        if let Some(ship) = n.agree(cursors[who], u64::MAX, budget, &tag) {
-                            prop_assert!(ship.end() >= cursors[who]);
-                            cursors[who] = ship.end();
-                            n.publisher.advance(subs[who], ship.end());
+                        match n.agree(cursors[who], u64::MAX, budget, &tag) {
+                            Ok(ship) => {
+                                prop_assert!(ship.end() >= cursors[who]);
+                                cursors[who] = ship.end();
+                            }
+                            // Compacted behind the publisher's back:
+                            // the follower re-bootstraps at the mark.
+                            Err(ReplError::Stale { .. }) => {
+                                cursors[who] = n.node.checkpoint_mark();
+                            }
+                            Err(e) => prop_assert!(false, "{tag}: {e}"),
                         }
+                        n.publisher.advance(subs[who], cursors[who]);
                     }
                     _ => {
                         // Anywhere: at, behind, and ahead of the index, up
@@ -720,7 +723,7 @@ mod oracle {
                         let from = a % (next + 2);
                         let cap = if b % 4 == 0 { u64::MAX } else { from + b % 40 };
                         let budget = if b % 3 == 0 { usize::MAX } else { (a % 500) as usize };
-                        n.agree(from, cap, budget, &tag);
+                        let _ = n.agree(from, cap, budget, &tag);
                     }
                 }
                 prop_assert!(n.publisher.subs.lock().tail.len() <= TAIL_INDEX_CAP);
@@ -728,11 +731,12 @@ mod oracle {
             // Drain both followers through the public entry point.
             for (who, cursor) in cursors.iter_mut().enumerate() {
                 loop {
-                    let want = n.agree(*cursor, u64::MAX, 128, "drain").unwrap();
-                    if want.is_empty() {
-                        break;
+                    match n.agree(*cursor, u64::MAX, 128, "drain") {
+                        Ok(want) if want.is_empty() => break,
+                        Ok(want) => *cursor = want.end(),
+                        Err(ReplError::Stale { .. }) => *cursor = n.node.checkpoint_mark(),
+                        Err(e) => prop_assert!(false, "drain: {e}"),
                     }
-                    *cursor = want.end();
                 }
                 let ship = n.publisher.poll_bytes(*cursor, usize::MAX).unwrap();
                 prop_assert!(ship.is_empty(), "follower {who} drained");
@@ -789,6 +793,12 @@ mod oracle {
         assert_eq!(n.node.compact_wal().unwrap().segments_removed, 1);
         n.insert(5);
         assert_eq!(n.publisher.subs.lock().tail.len(), 1);
+        // Records 0..5 went behind the publisher's back: a poll for them
+        // is stale, never a shipment that skips them.
+        assert!(matches!(
+            n.agree(0, u64::MAX, usize::MAX, "gone"),
+            Err(ReplError::Stale { from: 0, floor: 5 })
+        ));
         let ship = n.agree(5, u64::MAX, usize::MAX, "after").unwrap();
         assert_eq!(ship.records(), 1);
         let tail: Vec<TailAnchor> = n.publisher.subs.lock().tail.iter().copied().collect();
@@ -829,7 +839,7 @@ mod oracle {
 
         // In record 9's payload: past the anchor (record 7).
         flip(SEGMENT_HEADER_LEN + 9 * frame + 14);
-        assert!(n.agree(8, u64::MAX, usize::MAX, "past").is_none());
+        assert!(n.agree(8, u64::MAX, usize::MAX, "past").is_err());
         let err = n.publisher.poll(8).unwrap_err();
         assert!(
             matches!(err, ReplError::Wal(WalError::Corrupt { offset, ref reason, .. })
@@ -839,7 +849,7 @@ mod oracle {
         // In the anchor frame itself: the hint is refused, the header scan
         // finds the damage.
         flip(SEGMENT_HEADER_LEN + 7 * frame + 14);
-        assert!(n.agree(8, u64::MAX, usize::MAX, "anchor").is_none());
+        assert!(n.agree(8, u64::MAX, usize::MAX, "anchor").is_err());
 
         // In record 2: below the anchor. The poll ships 8..12 untouched;
         // a from-the-header read of the same range says corrupt.

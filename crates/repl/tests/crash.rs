@@ -109,12 +109,7 @@ fn shipment_truncated_at_every_byte_offset_fails_typed_and_applies_nothing() {
     assert!(ship.records() >= 5, "the stream has substance");
 
     for cut in 0..ship.frames().len() {
-        let torn = Shipment::from_parts(
-            ship.base(),
-            ship.end(),
-            ship.records(),
-            ship.frames()[..cut].to_vec(),
-        );
+        let torn = Shipment::from_parts(ship.base(), ship.records(), ship.frames()[..cut].to_vec());
         let err = follower
             .apply_shipment(&torn)
             .expect_err("every proper prefix must be rejected");
@@ -153,7 +148,7 @@ proptest! {
         let mut frames = ship.frames().to_vec();
         let at = flip_seed % frames.len();
         frames[at] ^= 0x01;
-        let garbled = Shipment::from_parts(ship.base(), ship.end(), ship.records(), frames);
+        let garbled = Shipment::from_parts(ship.base(), ship.records(), frames);
         // Either the damage is caught (typed) — or, if the flip struck a
         // frame's length field in a way that still frames correctly, the
         // record count / LSN alignment checks catch it. In no case may

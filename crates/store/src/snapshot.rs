@@ -835,9 +835,10 @@ mod tests {
 
     /// A checkpoint encoded in place at a pinned epoch is byte for byte
     /// the checkpoint of a copy of the state at that epoch: quiescent,
-    /// and with inserts, deletes of rows live at the pin, inserts deleted
-    /// again and burned ids landing between the pin and the encoding —
-    /// on every shard, some before and some after it is read.
+    /// and with inserts, deletes of rows live at the pin and inserts
+    /// deleted again landing between the pin and the encoding — on every
+    /// shard, some before and some after it is read, and one as the id
+    /// map is read.
     #[test]
     fn a_pinned_checkpoint_is_the_bytes_of_the_state_at_its_epoch() {
         let live =
@@ -878,7 +879,10 @@ mod tests {
             pinned,
             write: |part: Option<usize>| match part {
                 Some(shard) => write(2 + shard as i64),
-                None => live.burn_gids_to(10_000),
+                None => {
+                    live.insert(vec![Value::Int(10_000), Value::str("late")])
+                        .unwrap();
+                }
             },
         };
         let framed = write_frame(Writer::new(), |frame| {

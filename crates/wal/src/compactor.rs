@@ -20,10 +20,10 @@
 //! records and keeps none of them.
 //!
 //! Compaction cancels nothing above the mark: recovery replays every
-//! record of the tail, each within the engine's per-update bound. A log
-//! thinned by an older compactor (which cancelled insert+delete pairs
-//! inside a segment) is still valid; its LSN and global-id gaps are
-//! bridged by the replay ([`pitract_engine::LiveRelation::replay_entries`]).
+//! record of the tail, each within the engine's per-update bound. The
+//! log has no holes — removing a prefix of whole segments keeps every
+//! later LSN and gid — and recovery refuses one that does
+//! ([`crate::segment::scan_dir_from`]).
 
 use crate::error::WalError;
 use crate::segment::list_segments;
@@ -32,9 +32,8 @@ use pitract_store::Dir;
 /// What one compaction pass did, for operators and benchmarks.
 ///
 /// The record counts are LSN spans — each closed segment counts
-/// `next_base − base` — so they are exact for every log this crate
-/// writes, whose LSNs run without gaps. A log thinned by an older
-/// compactor counts its gaps too.
+/// `next_base − base` — which are exact: a segment's LSNs run from its
+/// base to its successor's with no gap.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Closed segments found.

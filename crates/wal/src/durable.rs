@@ -56,15 +56,16 @@
 //! replication follower keeps too). A checkpoint's pinned epoch therefore
 //! translates directly into the checkpoint's WAL mark
 //! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
-//! mapping: load the checkpoint, replay every WAL record at or after
-//! the mark (one replayed update per logged one — compaction removes
-//! only whole segments below the mark, so replay work is the tail since
-//! the last checkpoint), resume appending at the recovered LSN, and
-//! advance the epoch clock to the cut epoch plus the LSN span past the
-//! mark. That span counts any LSN gap a log thinned by an older
-//! compactor holds, as the crashed node's clock did, so the recovered
-//! node stamps its next update with the same epoch the crashed node
-//! would have ([`DurableLiveRelation::recovery_summary`]).
+//! mapping: load the checkpoint, set the epoch clock to its cut, replay
+//! every WAL record at or after the mark (one replayed update per
+//! logged one — compaction removes only whole segments below the mark,
+//! so replay work is the tail since the last checkpoint), and resume
+//! appending at the recovered LSN. The log has no holes — LSNs step by
+//! one and each insert takes the next gid, which the scan and the
+//! replay check — so each replayed record ticks the clock once to
+//! `cut + (lsn + 1 − mark)`, and the recovered node stamps its next
+//! update with the same epoch the crashed node would have
+//! ([`DurableLiveRelation::recovery_summary`]).
 
 use crate::compactor::{CompactionReport, Compactor};
 use crate::error::WalError;
@@ -358,10 +359,11 @@ impl DurableLiveRelation {
 /// ([`LiveRelation::replay_entries`]), so future inserts get the gids
 /// the log's writer would have assigned.
 ///
-/// The replay ticks the epoch clock once per record; the clock then
-/// advances to the cut epoch plus the LSN span past the mark, one tick
-/// per update the log's writer applied — the LSN gaps of a log thinned
-/// by an older compactor count, as the crashed node's clock did.
+/// The clock starts at the checkpoint's cut epoch and the replay ticks
+/// it once per record. The open refuses a log with a hole below its end
+/// (see [`WalWriter::open_scanned`]), so the tail is every LSN from the
+/// mark to the next append, and the clock ends at the epoch of that
+/// LSN, where the log's writer left it.
 ///
 /// Returns `(live, wal, clock, replayed)`: the replayed relation
 /// (recording into `config.recorder`), the positioned writer, the
@@ -386,8 +388,8 @@ pub fn recover_live(
     reader.publish(&recorder);
     let mut live = LiveRelation::from_sharded(state);
     live.set_recorder(&recorder);
+    live.advance_epoch_to(cut);
     let replayed = live.replay_entries(reader.into_tail(mark))?;
-    live.advance_epoch_to(clock.epoch_of_lsn(wal.next_lsn()));
     Ok((live, wal, clock, replayed))
 }
 
@@ -442,6 +444,7 @@ impl BatchServe for DurableLiveRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::list_segments;
     use pitract_engine::ShardBy;
     use pitract_obs::Recorder;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
@@ -890,6 +893,100 @@ mod tests {
             }
             Err(other) => panic!("expected ReplayGidMismatch, got {other}"),
             Ok(_) => panic!("an insert at usize::MAX replayed"),
+        }
+    }
+
+    /// A lost segment is a hole in the log, refused typed, never
+    /// recovered short: the segment after the hole is not based where
+    /// its predecessor's records end.
+    #[test]
+    fn recovery_refuses_a_missing_middle_segment() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        for i in 0..24i64 {
+            node.insert(vec![Value::Int(100 + i), Value::str("t")])
+                .unwrap();
+        }
+        drop(node);
+        let segments = list_segments(&wal_dir).unwrap();
+        assert!(segments.len() >= 3, "{segments:?}");
+        let (base, name) = &segments[1];
+        wal_dir.remove(name).unwrap();
+        match DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()) {
+            Err(WalError::Corrupt {
+                segment, reason, ..
+            }) => {
+                assert_eq!(segment, segments[2].1);
+                assert!(
+                    reason.contains(&format!("where lsn {base} was expected")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A compacted log may start anywhere at or below the checkpoint
+    /// mark. One that starts above it has lost the records in between
+    /// and is refused typed.
+    #[test]
+    fn recovery_refuses_a_missing_first_segment_above_the_mark() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        let node =
+            DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap();
+        for i in 0..24i64 {
+            node.insert(vec![Value::Int(100 + i), Value::str("t")])
+                .unwrap();
+            if i == 11 {
+                node.checkpoint(&catalog, "node").unwrap();
+            }
+        }
+        node.wal().rotate_now().unwrap();
+        node.compact_wal().unwrap();
+        drop(node);
+        let segments = list_segments(&wal_dir).unwrap();
+        assert!(segments[0].0 > 0 && segments[0].0 <= 12, "{segments:?}");
+        assert!(segments[1].0 > 12, "{segments:?}");
+        drop(DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap());
+        wal_dir.remove(&segments[0].1).unwrap();
+        match DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()) {
+            Err(WalError::Corrupt {
+                segment, reason, ..
+            }) => {
+                assert_eq!(segment, segments[1].1);
+                assert!(reason.contains("covers only below 12"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Every logged insert takes the next global id: a log whose insert
+    /// skips one is refused by the replay, typed.
+    #[test]
+    fn recovery_refuses_a_gid_skip_inside_one_segment() {
+        let catalog = SnapshotCatalog::open(Dir::memory()).unwrap();
+        let wal_dir = Dir::memory();
+        drop(DurableLiveRelation::create(live(10), &catalog, "node", &wal_dir, config()).unwrap());
+        let wal = WalWriter::open(&wal_dir, config()).unwrap();
+        for gid in [10, 12] {
+            let lsn = wal
+                .append_entry(&UpdateEntry::Insert {
+                    gid,
+                    row: vec![Value::Int(gid as i64), Value::str("t")],
+                })
+                .unwrap();
+            wal.commit(lsn).unwrap();
+        }
+        drop(wal);
+        assert_eq!(list_segments(&wal_dir).unwrap().len(), 1);
+        match DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()) {
+            Err(WalError::Engine(EngineError::ReplayGidMismatch { expected, found })) => {
+                assert_eq!((expected, found), (12, 11));
+            }
+            other => panic!("expected ReplayGidMismatch, got {other:?}"),
         }
     }
 

@@ -11,8 +11,8 @@
 //! ------  ----  ---------------------------------------------------
 //! 0       8     magic tag, the ASCII bytes "PITRWSEG"
 //! 8       2     format version, u16 LE (currently 1)
-//! 10      8     base LSN, u64 LE (first sequence number this segment
-//!               may hold; must match the file name)
+//! 10      8     base LSN, u64 LE (the first record's sequence number;
+//!               must match the file name)
 //! 18      ...   records, back to back
 //! ```
 //!
@@ -22,8 +22,8 @@
 //! size  field
 //! ----  ------------------------------------------------------------
 //! 4     payload length n, u32 LE
-//! 8     LSN, u64 LE (strictly increasing; gaps allowed — an older
-//!       compactor removed records but never renumbered survivors)
+//! 8     LSN, u64 LE (the previous record's LSN + 1; the first
+//!       record's is the segment's base)
 //! n     payload (an UpdateEntry in the pitract-store codec)
 //! 8     FNV-1a-64 checksum over the preceding 12 + n bytes, u64 LE
 //! ```
@@ -34,7 +34,7 @@
 //! # One frame validator
 //!
 //! [`scan_frames`] is the single place a record frame is validated
-//! (length, checksum, LSN order, torn tail vs. corruption). It walks a
+//! (length, checksum, LSN sequence, torn tail vs. corruption). It walks a
 //! borrowed byte slice and hands back borrowed [`Frame`]s — no payload
 //! copies — so the three readers of the format share it: [`scan_segment`]
 //! (header check, then the frame walk) for whole segment files, the
@@ -53,7 +53,7 @@
 //!   the clean prefix and the writer rewrites the segment without the
 //!   tail. Never an error.
 //! * **corruption** — a fully framed record whose checksum does not
-//!   match, a sequence number running backwards, or a *closed* segment
+//!   match, a sequence number out of sequence, or a *closed* segment
 //!   ending mid-record. No crash produces these (appends only ever
 //!   truncate the tail of the newest segment); they mean the disk or an
 //!   operator damaged the log, and recovery must say so typed rather
@@ -203,7 +203,8 @@ pub struct FrameScan<'a> {
 
 /// The single frame validator: walk `bytes` as back-to-back record
 /// frames, checking each frame's length, FNV-1a-64 checksum, and that
-/// LSNs never run below `expected_lsn` or backwards. Everything that
+/// the LSNs run `expected_lsn`, `expected_lsn + 1`, … with no gap: the
+/// log has no holes, so a skip is damage like a step back. Everything that
 /// reads frames — [`scan_segment`] after its header check, a replication
 /// publisher reading a segment's tail, a follower receiving a shipment —
 /// goes through here, so "what is a valid frame" is decided in one
@@ -275,11 +276,11 @@ fn walk_frames<'a>(
             return Err(corrupt(name, pos, "record checksum mismatch".into()));
         }
         let lsn = le_u64(&frame[4..12]);
-        if lsn < expected {
+        if lsn != expected {
             return Err(corrupt(
                 name,
                 pos,
-                format!("lsn {lsn} runs backwards (expected at least {expected})"),
+                format!("lsn {lsn} out of sequence (expected {expected})"),
             ));
         }
         frames.push(Frame {
@@ -393,9 +394,12 @@ pub fn list_segments(dir: &Dir) -> std::io::Result<Vec<(u64, String)>> {
 }
 
 /// Scan a WAL directory: locate the segment files, validate each, check
-/// cross-segment LSN monotonicity. Foreign files (wrong extension, wrong
-/// name shape, leftover `.tmp` from an interrupted atomic write) are
-/// ignored. A missing directory scans as empty.
+/// that each segment after the first is based where its predecessor's
+/// records end (a missing middle segment is a gap). The first segment
+/// may start at any base: compaction removes a prefix. Foreign files
+/// (wrong extension, wrong name shape, leftover `.tmp` from an
+/// interrupted atomic write) are ignored. A missing directory scans as
+/// empty.
 pub fn scan_dir(dir: &Dir) -> Result<DirScan, WalError> {
     scan_dir_from(dir, 0)
 }
@@ -419,21 +423,16 @@ pub fn scan_dir_from(dir: &Dir, floor: u64) -> Result<DirScan, WalError> {
     let count = files.len();
     for (i, (base, name)) in files.into_iter().enumerate() {
         let last = i + 1 == count;
-        if base < next_lsn {
+        if i > 0 && base != next_lsn {
             return Err(WalError::Corrupt {
                 segment: name,
                 offset: 0,
-                reason: format!("segment base {base} overlaps the previous segment's records"),
+                reason: format!("segment base {base} where lsn {next_lsn} was expected"),
             });
         }
         let bytes = dir.read(&name, 0)?;
         let scan = scan_segment(&bytes, base, last, &name)?;
-        next_lsn = scan
-            .frames
-            .last()
-            .map(|f| f.lsn + 1)
-            .unwrap_or(base)
-            .max(next_lsn);
+        next_lsn = base + scan.frames.len() as u64;
         if last {
             torn_bytes = scan.torn_bytes;
         }
@@ -580,12 +579,15 @@ mod tests {
         assert_eq!(scan.frames[0].bytes, seg.frames[1].bytes);
         assert_eq!(scan.frames[1].lsn, 6);
         assert_eq!(scan.clean_len as usize, tail.len());
-        // A first frame below the expected LSN is a backwards run.
-        let err = scan_frames(tail, 6, false, "t").unwrap_err();
-        assert!(
-            matches!(err, WalError::Corrupt { offset: 0, ref reason, .. } if reason.contains("backwards")),
-            "{err}"
-        );
+        // A first frame at any LSN but the expected one is out of
+        // sequence, above it as much as below.
+        for expected in [4, 6] {
+            let err = scan_frames(tail, expected, false, "t").unwrap_err();
+            assert!(
+                matches!(err, WalError::Corrupt { offset: 0, ref reason, .. } if reason.contains("out of sequence")),
+                "{err}"
+            );
+        }
         // A cut is torn in the last segment, corrupt anywhere else, and
         // a flipped byte is corrupt either way, at the frame's offset.
         let cut = &tail[..tail.len() - 2];
@@ -635,24 +637,25 @@ mod tests {
         assert_eq!(scan.torn_bytes, 5);
     }
 
+    /// The log has no holes: a segment's first record is its base and
+    /// each next one the previous + 1. A skip is damage like a step back
+    /// or a first record past the base, refused at the frame that breaks
+    /// the sequence.
     #[test]
-    fn lsn_gaps_are_fine_but_backwards_is_corrupt() {
-        // Gaps are what an older, record-cancelling compactor left.
-        let mut bytes = segment_header(5);
-        bytes.extend_from_slice(&encode_record(5, b"a"));
-        bytes.extend_from_slice(&encode_record(9, b"b"));
-        bytes.extend_from_slice(&encode_record(10, b"c"));
-        let scan = scan_segment(&bytes, 5, true, "t").unwrap();
-        assert_eq!(scan.frames.len(), 3);
-        // Running backwards can only be damage.
-        let mut bytes = segment_header(5);
-        bytes.extend_from_slice(&encode_record(6, b"a"));
-        bytes.extend_from_slice(&encode_record(6, b"b"));
-        let err = scan_segment(&bytes, 5, true, "t").unwrap_err();
-        assert!(
-            matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("backwards")),
-            "{err}"
-        );
+    fn an_lsn_skip_inside_a_segment_is_corrupt() {
+        for (lsns, at) in [([5, 7, 8], 1), ([5, 6, 6], 2), ([6, 7, 8], 0)] {
+            let mut bytes = segment_header(5);
+            for lsn in lsns {
+                bytes.extend_from_slice(&encode_record(lsn, b"a"));
+            }
+            let offset = (SEGMENT_HEADER_LEN + at * (RECORD_OVERHEAD + 1)) as u64;
+            let err = scan_segment(&bytes, 5, true, "t").unwrap_err();
+            assert!(
+                matches!(err, WalError::Corrupt { offset: o, ref reason, .. }
+                    if o == offset && reason.contains("out of sequence")),
+                "{lsns:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -669,9 +672,34 @@ mod tests {
         assert_eq!(scan.torn_bytes, 0);
         let lsns: Vec<u64> = scan.records().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![0, 1, 2]);
+        // The first segment may start anywhere (compaction removes a
+        // prefix); every later one where its predecessor's records end.
+        write(&segment_file_name(3), &segment_bytes(3, &[b"d"]));
+        dir.remove(&segment_file_name(0)).unwrap();
+        assert_eq!(scan_dir(&dir).unwrap().next_lsn, 4);
         // Overlapping bases across files are corrupt.
+        write(&segment_file_name(0), &segment_bytes(0, &[b"a", b"b"]));
         write(&segment_file_name(1), &segment_bytes(1, &[b"x"]));
         assert!(matches!(scan_dir(&dir), Err(WalError::Corrupt { .. })));
+    }
+
+    /// A missing middle segment is a gap between its neighbours: the
+    /// scan refuses the segment after it.
+    #[test]
+    fn a_missing_middle_segment_is_corrupt() {
+        let dir = Dir::memory();
+        for (base, payloads) in [(0, &[&b"a"[..], b"b"][..]), (2, &[b"c"]), (3, &[b"d"])] {
+            dir.write_atomic(&segment_file_name(base), &segment_bytes(base, payloads))
+                .unwrap();
+        }
+        assert_eq!(scan_dir(&dir).unwrap().next_lsn, 4);
+        dir.remove(&segment_file_name(2)).unwrap();
+        let err = scan_dir(&dir).unwrap_err();
+        assert!(
+            matches!(err, WalError::Corrupt { ref segment, ref reason, .. }
+                if *segment == segment_file_name(3) && reason.contains("where lsn 2 was expected")),
+            "{err}"
+        );
     }
 
     #[test]

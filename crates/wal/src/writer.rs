@@ -161,18 +161,24 @@ impl WalWriter {
     /// typed; a directory another live writer holds is
     /// [`WalError::DirInUse`], before anything is read or written.
     pub fn open(dir: impl Into<Dir>, config: WalConfig) -> Result<Self, WalError> {
-        // The scan is thrown away, so it keeps no record.
-        Self::open_from(dir, config, 0, u64::MAX).map(|(writer, _)| writer)
+        Self::open_from(dir, config, None).map(|(writer, _)| writer)
     }
 
-    /// Like [`Self::open`], but never hand out an LSN below `floor`, and
+    /// Like [`Self::open`], but for a log a checkpoint covers below
+    /// `floor` (its mark): never hand out an LSN below `floor`, and
     /// additionally return the validated directory scan the open
     /// performed, holding only the records at or above `floor`
     /// ([`crate::segment::scan_dir_from`]: the ones below are checksummed
-    /// but not kept). Recovery passes the checkpoint mark as `floor`, so
-    /// that even against an emptied log directory a fresh append can
-    /// never be numbered below a position an existing checkpoint already
-    /// claims to cover, and so that it holds only the tail it replays; it
+    /// but not kept). The log must reach back to `floor`: a first
+    /// segment based above it is [`WalError::Corrupt`], since the records
+    /// in between are lost. A log that ends below `floor` — a replica's
+    /// mirror that lags a newer checkpoint — is wholly covered: its
+    /// segments are removed, oldest first, and a fresh one starts at
+    /// `floor` (a crash between removals leaves only covered segments,
+    /// and the next open finishes the job). Recovery passes the
+    /// checkpoint mark as `floor`, so that a fresh append can never be
+    /// numbered below a position an existing checkpoint already claims
+    /// to cover, and so that it holds only the tail it replays; it
     /// hands the scan to [`crate::WalReader::from_scan`] so the whole log
     /// is checksummed once, not once for the writer and again for the
     /// replay. (The scan reflects the directory *before* the open's
@@ -185,16 +191,15 @@ impl WalWriter {
         config: WalConfig,
         floor: u64,
     ) -> Result<(Self, DirScan), WalError> {
-        Self::open_from(dir, config, floor, floor)
+        Self::open_from(dir, config, Some(floor))
     }
 
-    /// The one open: hand out no LSN below `floor`, and keep the scan's
-    /// records at or above `keep_from`.
+    /// The one open: with a checkpoint `mark`, the rules of
+    /// [`Self::open_scanned`]; without one, the scan keeps no record.
     fn open_from(
         dir: impl Into<Dir>,
         config: WalConfig,
-        floor: u64,
-        keep_from: u64,
+        mark: Option<u64>,
     ) -> Result<(Self, DirScan), WalError> {
         let dir = dir.into();
         dir.create_dir_all()?;
@@ -204,8 +209,24 @@ impl WalWriter {
             },
             _ => WalError::Io(e),
         })?;
-        let scan = scan_dir_from(&dir, keep_from)?;
-        let next_lsn = scan.next_lsn.max(floor);
+        let mut scan = scan_dir_from(&dir, mark.unwrap_or(u64::MAX))?;
+        if let Some(mark) = mark {
+            if scan.next_lsn < mark {
+                for seg in scan.segments.drain(..) {
+                    dir.remove(&seg.name)?;
+                }
+            } else if let Some(first) = scan.segments.first().filter(|s| s.base_lsn > mark) {
+                return Err(WalError::Corrupt {
+                    segment: first.name.clone(),
+                    offset: 0,
+                    reason: format!(
+                        "log starts at lsn {} but the checkpoint covers only below {mark}",
+                        first.base_lsn
+                    ),
+                });
+            }
+        }
+        let next_lsn = scan.next_lsn.max(mark.unwrap_or(0));
 
         let (file, active_bytes) = match scan.segments.last() {
             Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => {
@@ -224,10 +245,10 @@ impl WalWriter {
                 (dir.open(&seg.name)?, seg.clean_len)
             }
             other => {
-                // Empty directory, or a segment whose header never hit
-                // the disk (torn at birth, which a directory written by
-                // an older binary can hold — remove the husk): start a
-                // fresh segment at `next_lsn`.
+                // Empty (or just emptied) directory, or a segment whose
+                // header never hit the disk (torn at birth, which a
+                // directory written by an older binary can hold — remove
+                // the husk): start a fresh segment at `next_lsn`.
                 if let Some(seg) = other {
                     dir.remove(&seg.name)?;
                 }
@@ -308,18 +329,18 @@ impl WalWriter {
     /// [`crate::segment::scan_frames`] found them, back to back in
     /// `bytes`, the way a replication shipment carries them — and return
     /// the last one's LSN (`None` for no frames); pair with
-    /// [`Self::commit`]. Each frame keeps its own LSN; gaps are allowed.
-    /// Frames land where one [`Self::append_payload`] per record would
-    /// have put them: each run of frames that lands in one segment is
-    /// one write, and a rotation owed after a run is settled before the
-    /// next, the fresh segment based at the next frame's LSN. A first
-    /// frame below [`Self::next_lsn`] is [`WalError::Corrupt`] and
-    /// nothing is written. The call is all-or-nothing, or it poisons: a
-    /// failure before any run landed follows `append_payload`'s rule,
-    /// and one after a run landed — the next run's write, or the
-    /// rotation settled between runs — poisons the writer, so a retry of
-    /// the same frames is [`WalError::Poisoned`], never a half-applied
-    /// call.
+    /// [`Self::commit`]. Each frame keeps its own LSN, and the first must
+    /// be [`Self::next_lsn`]: any other is [`WalError::Corrupt`] and
+    /// nothing is written. Frames land where one
+    /// [`Self::append_payload`] per record would have put them: each run
+    /// of frames that lands in one segment is one write, and a rotation
+    /// owed after a run is settled before the next. The call is
+    /// all-or-nothing, or it poisons: a failure before the call moved
+    /// anything follows `append_payload`'s rule, and one after a run
+    /// landed or a rotation settled (which moves the durable frontier) —
+    /// the next run's write, or the next rotation — poisons the writer,
+    /// so a retry of the same frames is [`WalError::Poisoned`], never a
+    /// half-applied call.
     pub fn append_frames(
         &self,
         bytes: &[u8],
@@ -328,14 +349,14 @@ impl WalWriter {
         let Some(last) = frames.last() else {
             return Ok(None);
         };
-        let mut rest = frames;
+        let (mut rest, mut moved) = (frames, false);
         while !rest.is_empty() {
-            let landed = rest.len() < frames.len();
             rest = self.append_run(bytes, rest).inspect_err(|_| {
-                if landed {
+                if moved {
                     self.lock().poisoned = true;
                 }
             })?;
+            moved = true;
         }
         Ok(Some(last.lsn))
     }
@@ -353,20 +374,18 @@ impl WalWriter {
         if state.poisoned {
             return Err(WalError::Poisoned);
         }
-        if head.lsn < state.next_lsn {
+        if head.lsn != state.next_lsn {
             return Err(WalError::Corrupt {
                 segment: "appended frames".to_string(),
                 offset: head.offset as u64,
                 reason: format!(
-                    "lsn {} runs backwards (expected at least {})",
+                    "lsn {} out of sequence (expected {})",
                     head.lsn, state.next_lsn
                 ),
             });
         }
         if state.rotation_due {
-            // Base the fresh segment at the frame it will hold first, and
-            // settle the rotation alone: nothing else is flushed.
-            state.next_lsn = head.lsn;
+            // Settle the rotation alone: nothing else is flushed.
             drop(state);
             self.flush(0)?.1?;
             return Ok(rest);
@@ -793,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn append_frames_keeps_lsns_and_gaps_across_rotations() {
+    fn append_frames_keeps_lsns_across_rotations() {
         let dir = Dir::memory();
         let config = WalConfig {
             // Header + two 40-byte frames fill a segment exactly.
@@ -801,12 +820,12 @@ mod tests {
             ..WalConfig::default()
         };
         let wal = WalWriter::open(&dir, config.clone()).unwrap();
-        let lsns = [0, 1, 4, 5, 9, 10, 11, 20, 21, 30];
+        let lsns: Vec<u64> = (0..10).collect();
         let bytes = framed(&lsns);
         let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
-        assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(30));
-        wal.commit(30).unwrap();
-        assert_eq!(wal.next_lsn(), 31);
+        assert_eq!(wal.append_frames(&bytes, &frames).unwrap(), Some(9));
+        wal.commit(9).unwrap();
+        assert_eq!(wal.next_lsn(), 10);
         assert_eq!(wal.append_frames(&[], &[]).unwrap(), None);
         drop(wal);
 
@@ -823,7 +842,7 @@ mod tests {
             }
             assert_eq!(seg.clean_len, seg.file_len, "{}", seg.name);
         }
-        assert_eq!(wal.next_lsn(), 31);
+        assert_eq!(wal.next_lsn(), 10);
     }
 
     #[test]
@@ -836,16 +855,20 @@ mod tests {
         let active = scan_dir(&dir).unwrap().segments.pop().unwrap().name;
         let len = || dir.read(&active, 0).unwrap().len();
         let before = len();
-        let bytes = framed(&[2, 3, 4]);
-        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
-        let err = wal.append_frames(&bytes, &frames).unwrap_err();
-        assert!(
-            matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("backwards")),
-            "{err}"
-        );
-        assert_eq!(len(), before, "nothing written");
-        assert_eq!(wal.next_lsn(), 3);
-        assert_eq!(wal.append_frames(&bytes, &frames[1..]).unwrap(), Some(4));
+        let bytes = framed(&[2, 3, 4, 5]);
+        let frames = scan_frames(&bytes, 2, false, "test").unwrap().frames;
+        // A head frame below the next LSN, or above it (a skip), is
+        // refused alike.
+        for head in [0, 2] {
+            let err = wal.append_frames(&bytes, &frames[head..]).unwrap_err();
+            assert!(
+                matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("out of sequence")),
+                "{err}"
+            );
+            assert_eq!(len(), before, "nothing written");
+            assert_eq!(wal.next_lsn(), 3);
+        }
+        assert_eq!(wal.append_frames(&bytes, &frames[1..]).unwrap(), Some(5));
     }
 
     /// `append_frames` is all-or-nothing, or it poisons. One run fills
@@ -853,17 +876,17 @@ mod tests {
     /// header (the rotation settled between runs) and its third is the
     /// second run. Either failing, after the first run landed, poisons
     /// the writer: a retry is refused, never met by its own first run as
-    /// "lsn runs backwards".
+    /// "lsn out of sequence".
     #[test]
     fn append_frames_poisons_once_a_run_has_landed() {
+        let config = WalConfig {
+            // Header + two 40-byte frames fill a segment exactly.
+            segment_bytes: 98,
+            ..WalConfig::default()
+        };
         for nth in [2, 3] {
             let volume = MemoryVolume::new();
             let dir = volume.root().join("wal");
-            let config = WalConfig {
-                // Header + two 40-byte frames fill a segment exactly.
-                segment_bytes: 98,
-                ..WalConfig::default()
-            };
             let wal = WalWriter::open(&dir, config.clone()).unwrap();
             let bytes = framed(&[0, 1, 2, 3]);
             let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
@@ -884,9 +907,27 @@ mod tests {
                 "nth {nth}: {retried:?}"
             );
             drop(wal);
-            let wal = WalWriter::open(&dir, config).unwrap();
+            let wal = WalWriter::open(&dir, config.clone()).unwrap();
             assert_eq!(wal.next_lsn(), 2, "nth {nth}: the first run stays");
         }
+        // A rotation owed when the call starts moves the durable frontier
+        // as it settles: a first run failing after it poisons too.
+        let volume = MemoryVolume::new();
+        let wal = WalWriter::open(volume.root().join("wal"), config).unwrap();
+        let bytes = framed(&[0, 1, 2]);
+        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+        assert_eq!(wal.append_frames(&bytes, &frames[..2]).unwrap(), Some(1));
+        volume.arm(Fault {
+            op: Op::Append,
+            prefix: "/wal".into(),
+            nth: 2,
+            effect: Effect::Fail(ErrorKind::Other),
+        });
+        let failed = wal.append_frames(&bytes, &frames[2..]);
+        assert!(matches!(failed, Err(WalError::Io(_))), "{failed:?}");
+        assert_eq!(wal.durable_lsn(), 2);
+        let retried = wal.append_frames(&bytes, &frames[2..]);
+        assert!(matches!(retried, Err(WalError::Poisoned)), "{retried:?}");
     }
 
     /// A poisoned writer's partial bytes must stay the log's tail, which
@@ -905,7 +946,7 @@ mod tests {
         assert!(matches!(wal.rotate_now(), Err(WalError::Poisoned)));
         assert_eq!(scan_dir(&dir).unwrap().segments.len(), 1);
         let bytes = framed(&[1]);
-        let frames = scan_frames(&bytes, 0, false, "test").unwrap().frames;
+        let frames = scan_frames(&bytes, 1, false, "test").unwrap().frames;
         assert!(matches!(
             wal.append_frames(&bytes, &frames),
             Err(WalError::Poisoned)

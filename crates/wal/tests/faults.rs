@@ -1,12 +1,17 @@
 //! The write-ahead log's fault contract, over seeded schedules. A
-//! schedule interleaves appends, commits, flushes and rotations of one
-//! `WalWriter` with faults armed on its in-memory volume — failed,
-//! short and full appends, failed cuts and flushes, failed segment
-//! creates, renames and removes, a power loss in the middle of a call —
-//! and with power losses and restarts between steps, each followed by
-//! `recover_live` over the log directory and the writer it reopens. A
-//! restart drops the writer with no power loss: what a failed flush left
-//! uncovered then still reads back from the page cache.
+//! schedule interleaves appends (one entry, or a run of frames the way
+//! a replication shipment carries them), commits, flushes and rotations
+//! of one `WalWriter` with faults armed on its in-memory volume —
+//! failed, short and full appends, failed cuts and flushes, failed
+//! segment creates, renames and removes, a power loss in the middle of
+//! a call — and with power losses and restarts between steps, each
+//! followed by `recover_live` over the log directory and the writer it
+//! reopens. A restart drops the writer with no power loss: what a failed
+//! flush left uncovered then still reads back from the page cache. A
+//! lost segment is a restart with one closed segment file gone: the log
+//! has a hole, and recovery must refuse it typed before the file comes
+//! back. (Losing the newest segment cannot be told from a shorter log:
+//! no later record refers to it, so no step removes that one.)
 //!
 //! After every step, either the call succeeded, or it returned a typed
 //! error and moved neither `next_lsn` nor `durable_lsn`, or the writer
@@ -21,8 +26,10 @@
 
 use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
 use pitract_relation::{ColType, Relation, Schema, Value};
+use pitract_store::codec::Writer as CodecWriter;
 use pitract_store::storage::{Dir, Effect, Fault, Op};
 use pitract_store::{MemoryVolume, SnapshotCatalog};
+use pitract_wal::segment::{encode_record, list_segments, scan_frames};
 use pitract_wal::{recover_live, WalConfig, WalError, WalWriter};
 use proptest::prelude::*;
 use std::io::ErrorKind;
@@ -44,18 +51,23 @@ const OPS: [Op; 7] = [
 #[derive(Debug)]
 enum Step {
     Append,
+    /// `append_frames` of this many dense frames at `next_lsn`.
+    AppendFrames(usize),
     Commit,
     Sync,
     Rotate,
     Arm(Fault),
     PowerLoss,
     Restart,
+    /// Remove the closed segment this number picks, never the newest.
+    LoseSegment(usize),
 }
 
 /// The step three drawn numbers name.
 fn step(kind: u8, a: usize, b: usize) -> Step {
     match kind {
-        0..=5 => Step::Append,
+        0..=4 => Step::Append,
+        5 => Step::AppendFrames(1 + b % 6),
         6 | 7 => Step::Commit,
         8 => Step::Sync,
         9 => Step::Rotate,
@@ -75,7 +87,8 @@ fn step(kind: u8, a: usize, b: usize) -> Step {
             })
         }
         14 | 15 => Step::PowerLoss,
-        _ => Step::Restart,
+        16 => Step::Restart,
+        _ => Step::LoseSegment(a),
     }
 }
 
@@ -104,17 +117,29 @@ fn entry(lsn: u64, key: i64) -> UpdateEntry {
     }
 }
 
+/// The frames of `keys.len()` entries at LSNs `lsn`, `lsn + 1`, …, back
+/// to back.
+fn frames(lsn: u64, keys: &[i64]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (at, &key) in (lsn..).zip(keys) {
+        let mut payload = CodecWriter::new();
+        payload.update_entry(&entry(at, key));
+        bytes.extend_from_slice(&encode_record(at, &payload.into_bytes()));
+    }
+    bytes
+}
+
 /// What the log may hold: the key of every entry the writer took, in
 /// LSN order (the entry at LSN `i` inserts global id `BASE + i`), how
-/// many of them are confirmed durable, and the key of an append that
-/// failed since the last one that landed. Its frame may have landed
-/// whole before the erase failed, poisoning the writer: a restart then
-/// finds it.
+/// many of them are confirmed durable, and the keys of an append that
+/// failed since the last one that landed, those the writer did not
+/// take. Their frames may have landed whole before the erase failed,
+/// poisoning the writer: a restart then finds a prefix of them.
 #[derive(Debug, Default)]
 struct Model {
     keys: Vec<i64>,
     confirmed: usize,
-    failed: Option<i64>,
+    failed: Vec<i64>,
 }
 
 fn base() -> LiveRelation {
@@ -151,9 +176,9 @@ fn reopen(
         }
     };
     let k = replayed;
-    if let Some(key) = model.failed.take().filter(|_| k > model.keys.len()) {
-        model.keys.push(key);
-    }
+    let failed = std::mem::take(&mut model.failed);
+    let landed = k.saturating_sub(model.keys.len()).min(failed.len());
+    model.keys.extend_from_slice(&failed[..landed]);
     prop_assert!(
         model.confirmed <= k && k <= model.keys.len(),
         "recovered {k} records; {} were confirmed, {} appended",
@@ -180,7 +205,7 @@ fn reopen(
 proptest! {
     #[test]
     fn every_step_keeps_the_contract_and_every_power_loss_a_confirmed_prefix(
-        raw in prop::collection::vec((0u8..17, 0usize..1_000, 0usize..1_000), 1..60),
+        raw in prop::collection::vec((0u8..18, 0usize..1_000, 0usize..1_000), 1..60),
         segment_bytes in 96u64..400,
     ) {
         let config = WalConfig { segment_bytes, ..WalConfig::default() };
@@ -197,8 +222,19 @@ proptest! {
         for (n, step) in steps.chain([Step::PowerLoss]).enumerate() {
             let before = Counters::of(&wal);
             let key = n as i64;
+            // The keys of the entries the step appends.
+            let keys: Vec<i64> = match step {
+                Step::Append => vec![key],
+                Step::AppendFrames(count) => (0..count as i64).map(|i| 1_000 * key + i).collect(),
+                _ => Vec::new(),
+            };
             let result = match &step {
                 Step::Append => wal.append_entry(&entry(before.next, key)).map(drop),
+                Step::AppendFrames(_) => {
+                    let bytes = frames(before.next, &keys);
+                    let frames = scan_frames(&bytes, before.next, false, "frames").unwrap().frames;
+                    wal.append_frames(&bytes, &frames).map(drop)
+                }
                 Step::Commit => wal.commit(before.next.saturating_sub(1)),
                 Step::Sync => wal.sync().map(drop),
                 Step::Rotate => wal.rotate_now(),
@@ -213,17 +249,38 @@ proptest! {
                     poisoned = false;
                     continue;
                 }
+                Step::LoseSegment(pick) => {
+                    drop(wal);
+                    volume.disarm();
+                    let segments = list_segments(&wal_dir).unwrap();
+                    if let Some(closed) = segments.len().checked_sub(1).filter(|&c| c > 0) {
+                        let name = &segments[pick % closed].1;
+                        let bytes = wal_dir.read(name, 0).unwrap();
+                        wal_dir.remove(name).unwrap();
+                        let lost = recover_live(&catalog, "node", &wal_dir, config.clone());
+                        prop_assert!(
+                            matches!(lost, Err(WalError::Corrupt { .. })),
+                            "{name} lost, yet recovery gave {:?}",
+                            lost.map(|(_, _, _, replayed)| replayed)
+                        );
+                        wal_dir.write_atomic(name, &bytes).unwrap();
+                    }
+                    wal = reopen(&volume, &catalog, &wal_dir, &config, &mut model, false)?;
+                    poisoned = false;
+                    continue;
+                }
             };
             let after = Counters::of(&wal);
-            prop_assert!(after.next <= before.next + 1, "{step:?}: {before:?} → {after:?}");
-            if after.next > before.next {
-                model.keys.push(key);
-                model.failed = None;
-            } else if matches!(step, Step::Append)
+            let moved = (after.next - before.next) as usize;
+            prop_assert!(moved <= keys.len(), "{step:?}: {before:?} → {after:?}");
+            if moved > 0 {
+                model.keys.extend_from_slice(&keys[..moved]);
+                model.failed = keys[moved..].to_vec();
+            } else if !keys.is_empty()
                 && matches!(result, Err(ref e) if !matches!(e, WalError::Poisoned))
             {
                 // A refused append wrote nothing; a failed one may have.
-                model.failed = Some(key);
+                model.failed = keys;
             }
             prop_assert!(after.durable <= after.next, "{step:?}: {after:?}");
             model.confirmed = model.confirmed.max(after.durable as usize);
